@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check build vet test race bench faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
+.PHONY: check build vet test race bench perf benchcheck faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
 
 ## check: full gate — build, vet, race-enabled tests, seeded fault
 ## matrix, crash-recovery harness, whole-system chaos sweep, space-
 ## pressure survival, fleet scale, quorum replication, live migration,
-## multi-store placement, elastic autoscaling
+## multi-store placement, elastic autoscaling, and the smoke test of
+## the benchmark/ scoreboard
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -19,6 +20,7 @@ check:
 	$(MAKE) migratecheck
 	$(MAKE) placecheck
 	$(MAKE) scalecheck
+	$(MAKE) benchcheck
 
 build:
 	$(GO) build ./...
@@ -128,9 +130,21 @@ scalecheck:
 		-run 'TestAutoscaler|TestAutoscaleChaos|TestRebalanceTickPacing|TestDirectoryConcurrentChurn|TestCLIAutoscale|TestCLISignals|TestAutoscaleBenchGate|TestEmitAutoscaleBench' \
 		./internal/core/ ./internal/netback/ ./cmd/sls/ .
 
-## bench: run the paper-claim benchmarks (also refreshes BENCH_pipeline.json,
-## BENCH_faults.json, BENCH_recovery.json, BENCH_chaos.json,
-## BENCH_space.json, BENCH_fleet.json, BENCH_quorum.json,
-## BENCH_migrate.json, BENCH_placement.json, and BENCH_autoscale.json)
+## bench: run the paper-claim benchmarks. This is the only target that
+## writes the committed baselines (BENCH_pipeline.json, BENCH_faults.json,
+## BENCH_recovery.json, BENCH_chaos.json, BENCH_space.json,
+## BENCH_fleet.json, BENCH_quorum.json, BENCH_migrate.json,
+## BENCH_placement.json, BENCH_autoscale.json); `go test` only reads them.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
+
+## perf: the two-clock, per-layer performance scoreboard (4 workloads,
+## untraced pass then traced pass; see benchmark/README.md). Results go
+## to benchmark/out/, build products to .bench_build/.
+perf:
+	bash benchmark/run.sh
+
+## benchcheck: the scoreboard's own smoke test, race-enabled. benchmark/
+## is a module of its own, so `go test ./...` does not reach it.
+benchcheck:
+	$(GO) test -C benchmark -race ./...

@@ -339,14 +339,11 @@ func BenchmarkPipelineKVLSM(b *testing.B) {
 	}
 }
 
-// TestEmitPipelineBench writes BENCH_pipeline.json on every plain
-// `go test` run, so the datapoint exists without -bench.
+// TestEmitPipelineBench smoke-runs the sweep behind BENCH_pipeline.json
+// on every plain `go test`. It writes nothing: only the Benchmark*
+// functions, under `make bench`, refresh a committed baseline.
 func TestEmitPipelineBench(t *testing.T) {
-	r, err := bench.PipelineKVLSM(500, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writePipelineJSON(r); err != nil {
+	if _, err := bench.PipelineKVLSM(500, 50); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -373,14 +370,11 @@ func BenchmarkFaultMatrix(b *testing.B) {
 	}
 }
 
-// TestEmitFaultBench writes BENCH_faults.json on every plain `go test`
-// run, so the fault-matrix datapoint exists without -bench.
+// TestEmitFaultBench smoke-runs the sweep behind BENCH_faults.json
+// on every plain `go test`. It writes nothing: only the Benchmark*
+// functions, under `make bench`, refresh a committed baseline.
 func TestEmitFaultBench(t *testing.T) {
-	pts, err := bench.FaultSweep(100, []float64{0, 0.01, 0.05}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFaultJSON(pts); err != nil {
+	if _, err := bench.FaultSweep(100, []float64{0, 0.01, 0.05}, 42); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -406,17 +400,14 @@ func BenchmarkRecoveryMatrix(b *testing.B) {
 	}
 }
 
-// TestEmitRecoveryBench writes BENCH_recovery.json on every plain
-// `go test` run, so the recovery datapoint exists without -bench.
+// TestEmitRecoveryBench smoke-runs the sweep behind BENCH_recovery.json
+// on every plain `go test`. It writes nothing: only the Benchmark*
+// functions, under `make bench`, refresh a committed baseline.
 func TestEmitRecoveryBench(t *testing.T) {
 	// 0/1/5% transient read-fault rates, plus a dead primary (rate 1):
 	// the first three exercise bounded retry, the last full failover
 	// with read-repair.
-	pts, err := bench.RecoverySweep(20, []float64{0, 0.01, 0.05, 1}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRecoveryJSON(pts); err != nil {
+	if _, err := bench.RecoverySweep(20, []float64{0, 0.01, 0.05, 1}, 42); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -473,19 +464,14 @@ func BenchmarkChaosMatrix(b *testing.B) {
 	}
 }
 
-// TestEmitChaosBench writes BENCH_chaos.json on every plain `go test`
-// run, so the chaos-matrix datapoint exists without -bench.
+// TestEmitChaosBench smoke-runs the sweep behind BENCH_chaos.json
+// on every plain `go test`. It writes nothing: only the Benchmark*
+// functions, under `make bench`, refresh a committed baseline.
 func TestEmitChaosBench(t *testing.T) {
-	var reps []*bench.ChaosReport
 	for _, rate := range []float64{0, 0.01, 0.05} {
-		r, err := chaosAt(rate)
-		if err != nil {
+		if _, err := chaosAt(rate); err != nil {
 			t.Fatal(err)
 		}
-		reps = append(reps, r)
-	}
-	if err := writeChaosJSON(reps); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -512,14 +498,11 @@ func BenchmarkSpaceMatrix(b *testing.B) {
 	}
 }
 
-// TestEmitSpaceBench writes BENCH_space.json on every plain `go test`
-// run, so the space-matrix datapoint exists without -bench.
+// TestEmitSpaceBench smoke-runs the sweep behind BENCH_space.json
+// on every plain `go test`. It writes nothing: only the Benchmark*
+// functions, under `make bench`, refresh a committed baseline.
 func TestEmitSpaceBench(t *testing.T) {
-	reps, err := bench.SpaceSweep(120, []int{0, 20, 10, 5}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeSpaceJSON(reps); err != nil {
+	if _, err := bench.SpaceSweep(120, []int{0, 20, 10, 5}, 42); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -669,14 +652,11 @@ func BenchmarkFleetStorm(b *testing.B) {
 	}
 }
 
-// TestEmitFleetBench writes BENCH_fleet.json on every plain `go test`
-// run, so the fleet-density datapoint exists without -bench.
+// TestEmitFleetBench smoke-runs the sweep behind BENCH_fleet.json
+// on every plain `go test`. It writes nothing: only the Benchmark*
+// functions, under `make bench`, refresh a committed baseline.
 func TestEmitFleetBench(t *testing.T) {
-	pts, err := bench.FleetStorm([]int{16, 64, 256}, 8, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFleetJSON(pts); err != nil {
+	if _, err := bench.FleetStorm([]int{16, 64, 256}, 8, 42); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -754,14 +734,11 @@ func BenchmarkQuorumMatrix(b *testing.B) {
 	}
 }
 
-// TestEmitQuorumBench writes BENCH_quorum.json on every plain
-// `go test` run, so the quorum datapoint exists without -bench.
+// TestEmitQuorumBench smoke-runs the sweep behind BENCH_quorum.json
+// on every plain `go test`. It writes nothing: only the Benchmark*
+// functions, under `make bench`, refresh a committed baseline.
 func TestEmitQuorumBench(t *testing.T) {
-	pts, err := bench.QuorumSweep(40, []int{1, 3, 5}, []float64{0, 0.01, 0.05}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeQuorumJSON(pts); err != nil {
+	if _, err := bench.QuorumSweep(40, []int{1, 3, 5}, []float64{0, 0.01, 0.05}, 42); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -869,14 +846,11 @@ func TestMigrateBenchGate(t *testing.T) {
 	}
 }
 
-// TestEmitMigrateBench writes BENCH_migrate.json on every plain
-// `go test` run, so the migration datapoint exists without -bench.
+// TestEmitMigrateBench smoke-runs the sweep behind BENCH_migrate.json
+// on every plain `go test`. It writes nothing: only the Benchmark*
+// functions, under `make bench`, refresh a committed baseline.
 func TestEmitMigrateBench(t *testing.T) {
-	pts, err := bench.MigrateSweep(migrateSeeds, migrateRates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeMigrateJSON(pts); err != nil {
+	if _, err := bench.MigrateSweep(migrateSeeds, migrateRates); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -969,17 +943,14 @@ func TestPlacementBenchGate(t *testing.T) {
 	}
 }
 
-// TestEmitPlacementBench writes BENCH_placement.json on every plain
-// `go test` run, so the placement datapoint exists without -bench.
+// TestEmitPlacementBench smoke-runs the sweep behind BENCH_placement.json
+// on every plain `go test`. It writes nothing: only the Benchmark*
+// functions, under `make bench`, refresh a committed baseline.
 func TestEmitPlacementBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("keep the committed full-matrix baseline in -short")
 	}
-	pts, err := bench.PlacementSweep(placementSweepGroups, placementStores, placementRates, placementSweepSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writePlacementJSON(pts); err != nil {
+	if _, err := bench.PlacementSweep(placementSweepGroups, placementStores, placementRates, placementSweepSeed); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -1077,17 +1048,14 @@ func TestAutoscaleBenchGate(t *testing.T) {
 	}
 }
 
-// TestEmitAutoscaleBench writes BENCH_autoscale.json on every plain
-// `go test` run, so the autoscale datapoint exists without -bench.
+// TestEmitAutoscaleBench smoke-runs the sweep behind BENCH_autoscale.json
+// on every plain `go test`. It writes nothing: only the Benchmark*
+// functions, under `make bench`, refresh a committed baseline.
 func TestEmitAutoscaleBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("keep the committed full-matrix baseline in -short")
 	}
-	pts, err := bench.AutoscaleSweep(autoscaleSweepGroups, autoscaleRates, autoscaleSweepSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeAutoscaleJSON(pts); err != nil {
+	if _, err := bench.AutoscaleSweep(autoscaleSweepGroups, autoscaleRates, autoscaleSweepSeed); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -641,18 +641,27 @@ func (s *session) exec(line string) bool {
 		for _, info := range g.Health() {
 			health[info.Name] = info
 		}
-		s.printf("%-14s %-10s %-8s %-8s %-11s %s\n", "REPLICA", "STATE", "ACKED", "PENDING", "PARTITIONS", "CONTIG")
+		// HASHED/REFS/BLOCKS are the receiver's block-index counters:
+		// pages hashed on arrival, hash refs resolved without a copy,
+		// distinct page contents held.
+		s.printf("%-14s %-10s %-8s %-8s %-11s %-7s %-8s %-8s %s\n",
+			"REPLICA", "STATE", "ACKED", "PENDING", "PARTITIONS", "CONTIG", "HASHED", "REFS", "BLOCKS")
 		for _, l := range links {
 			state, pending := "?", 0
 			if info, ok := health[l.Name]; ok {
 				state = info.State.String()
 				pending = info.Pending
 			}
-			contig := "-"
+			contig, hashed, refs, blocks := "-", "-", "-", "-"
 			if l.Recv != nil {
 				contig = strconv.FormatUint(l.Recv.ContiguousEpoch(g.ID), 10)
+				bs := l.Recv.BlockStats()
+				hashed = strconv.FormatInt(bs.Hashed, 10)
+				refs = strconv.FormatInt(bs.Resolved, 10)
+				blocks = strconv.Itoa(bs.Entries)
 			}
-			s.printf("%-14s %-10s %-8d %-8d %-11d %s\n", l.Name, state, l.RB.AckedFloor(g.ID), pending, l.RB.Partitions(), contig)
+			s.printf("%-14s %-10s %-8d %-8d %-11d %-7s %-8s %-8s %s\n",
+				l.Name, state, l.RB.AckedFloor(g.ID), pending, l.RB.Partitions(), contig, hashed, refs, blocks)
 		}
 		s.printf("quorum floor %d (W=%d of %d links)\n", rs.QuorumFloor(g.ID), rs.W(), len(links))
 
@@ -1280,7 +1289,9 @@ const helpText = `Aurora single level store (Table 1):
                              once W non-ephemeral backends ack (0 restores
                              all-backends durability)
   replicas <group>           show each replica link's acked floor, pending
-                             catch-up, partitions, and the quorum floor
+                             catch-up, partitions, the receiver's block-
+                             index counters (pages hashed, refs resolved,
+                             blocks held), and the quorum floor
   ps                         list applications in Aurora (GEN = store
                              generation / fencing token, QUORUM = backends
                              ack-complete / write quorum : total, QUEUE =

@@ -456,6 +456,8 @@ func TestCLIQuorumAndReplicas(t *testing.T) {
 		"4/2:4", // all four non-ephemeral backends ack-complete, W=2
 		"REPLICA",
 		"r1             healthy    1",
+		"HASHED   REFS     BLOCKS",
+		"1       1        0        1\n", // r*: contiguous through 1; one page hashed, no ref, one block
 		"quorum floor 1 (W=2 of 3 links)",
 	} {
 		if !strings.Contains(got, want) {

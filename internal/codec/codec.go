@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrCorrupt is returned when a decoder runs off the end of its buffer
@@ -30,6 +31,17 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the current encoding size.
 func (e *Encoder) Len() int { return len(e.buf) }
+
+// Grow makes room for n more bytes, so an encoding whose size is known
+// up front (see Sizer) is built in one allocation instead of by
+// repeated append growth.
+func (e *Encoder) Grow(n int) {
+	if n > cap(e.buf)-len(e.buf) {
+		buf := make([]byte, len(e.buf), len(e.buf)+n)
+		copy(buf, e.buf)
+		e.buf = buf
+	}
+}
 
 // U64 appends a varint-encoded unsigned integer.
 func (e *Encoder) U64(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
@@ -77,6 +89,52 @@ func (e *Encoder) U64Slice(vs []uint64) {
 	e.U64(uint64(len(vs)))
 	for _, v := range vs {
 		e.U64(v)
+	}
+}
+
+// Sizer measures an encoding without building it. It has the Encoder's
+// append methods, and each adds only the number of bytes the Encoder's
+// would append: run the encoding code against a Sizer first, Grow an
+// Encoder by Len, then run the same code against the Encoder.
+type Sizer struct {
+	n int
+}
+
+// Len returns the size of the encoding measured so far.
+func (s *Sizer) Len() int { return s.n }
+
+// U64 measures a varint-encoded unsigned integer.
+func (s *Sizer) U64(v uint64) { s.n += (bits.Len64(v|1) + 6) / 7 }
+
+// I64 measures a varint-encoded signed integer.
+func (s *Sizer) I64(v int64) { s.U64(uint64(v)<<1 ^ uint64(v>>63)) }
+
+// U32 measures a 32-bit value.
+func (s *Sizer) U32(v uint32) { s.U64(uint64(v)) }
+
+// U8 measures a byte.
+func (s *Sizer) U8(uint8) { s.n++ }
+
+// Bool measures a boolean.
+func (s *Sizer) Bool(bool) { s.n++ }
+
+// Bytes2 measures a length-prefixed byte slice.
+func (s *Sizer) Bytes2(p []byte) {
+	s.U64(uint64(len(p)))
+	s.n += len(p)
+}
+
+// Str measures a length-prefixed string.
+func (s *Sizer) Str(str string) {
+	s.U64(uint64(len(str)))
+	s.n += len(str)
+}
+
+// U64Slice measures a slice of unsigned integers.
+func (s *Sizer) U64Slice(vs []uint64) {
+	s.U64(uint64(len(vs)))
+	for _, v := range vs {
+		s.U64(v)
 	}
 }
 
@@ -153,8 +211,21 @@ func (d *Decoder) U8() uint8 {
 // Bool reads a boolean.
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
-// Bytes2 reads a length-prefixed byte slice.
+// Bytes2 reads a length-prefixed byte slice into a buffer of its own.
 func (d *Decoder) Bytes2() []byte {
+	v := d.View2()
+	if d.err != nil {
+		return nil
+	}
+	out := make([]byte, len(v))
+	copy(out, v)
+	return out
+}
+
+// View2 reads a length-prefixed byte slice without copying it: the
+// result aliases the decoder's buffer and is only valid while the
+// caller keeps that buffer unchanged.
+func (d *Decoder) View2() []byte {
 	n := d.U64()
 	if d.err != nil {
 		return nil
@@ -163,24 +234,35 @@ func (d *Decoder) Bytes2() []byte {
 		d.fail()
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+int(n)])
+	out := d.buf[d.off : d.off+int(n) : d.off+int(n)]
 	d.off += int(n)
 	return out
 }
 
-// Str reads a length-prefixed string.
-func (d *Decoder) Str() string { return string(d.Bytes2()) }
-
-// StrSlice reads a slice of strings.
-func (d *Decoder) StrSlice() []string {
+// Count reads an element count written with U64. Every element of
+// every encoding takes at least one byte, so a count beyond the bytes
+// that remain is corrupt: it fails the decoder and returns 0, and
+// callers may size allocations by the result.
+func (d *Decoder) Count() int {
 	n := d.U64()
 	if d.err != nil || n > uint64(d.Remaining()) {
 		d.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// Str reads a length-prefixed string.
+func (d *Decoder) Str() string { return string(d.View2()) }
+
+// StrSlice reads a slice of strings.
+func (d *Decoder) StrSlice() []string {
+	n := d.Count()
+	if d.err != nil {
 		return nil
 	}
 	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, d.Str())
 	}
 	return out

@@ -117,6 +117,17 @@ func TestQuickMixedRoundTrip(t *testing.T) {
 		e.StrSlice(ss)
 		e.U64Slice(us)
 
+		var sz Sizer
+		sz.U64(a)
+		sz.Bool(flag)
+		sz.I64(b)
+		sz.Str(s)
+		sz.Bytes2(p)
+		sz.U64Slice(us)
+		if sz.Len() != e.Len()-strSliceLen(ss) {
+			return false
+		}
+
 		d := NewDecoder(e.Bytes())
 		if d.U64() != a || d.Bool() != flag || d.I64() != b || d.Str() != s {
 			return false
@@ -165,5 +176,82 @@ func TestQuickGarbageSafety(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// strSliceLen is the encoded size of a string slice, which Sizer has
+// no method for.
+func strSliceLen(ss []string) int {
+	e := NewEncoder()
+	e.StrSlice(ss)
+	return e.Len()
+}
+
+// TestSizerMatchesEncoderAtBoundaries: the Sizer agrees with the
+// Encoder at every varint length boundary, and an Encoder grown by the
+// measured size is filled exactly, without reallocating.
+func TestSizerMatchesEncoderAtBoundaries(t *testing.T) {
+	var sz Sizer
+	fill := func(w interface {
+		U64(uint64)
+		I64(int64)
+		U32(uint32)
+		U8(uint8)
+	}) {
+		for shift := 0; shift < 64; shift++ {
+			for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+				w.U64(v)
+				w.I64(int64(v))
+				w.I64(-int64(v))
+				w.U32(uint32(v))
+			}
+		}
+		w.U64(math.MaxUint64)
+		w.I64(math.MinInt64)
+		w.U8(0)
+	}
+	fill(&sz)
+	e := NewEncoder()
+	e.U8(0xAA) // Grow must keep what is already there
+	e.Grow(sz.Len())
+	start := &e.Bytes()[0]
+	fill(e)
+	if e.Len() != 1+sz.Len() {
+		t.Fatalf("encoder wrote %d bytes, sizer measured %d", e.Len()-1, sz.Len())
+	}
+	if got := e.Bytes(); &got[0] != start || cap(got) != len(got) || got[0] != 0xAA {
+		t.Fatalf("grown encoder reallocated or lost its prefix: len %d cap %d", len(got), cap(got))
+	}
+}
+
+// TestViewAliasesAndCountBounds: View2 returns the decoder's own bytes,
+// capped so an append cannot scribble on what follows; Count rejects a
+// count the remaining bytes cannot hold.
+func TestViewAliasesAndCountBounds(t *testing.T) {
+	e := NewEncoder()
+	e.Bytes2([]byte("abc"))
+	e.U64(2) // a count with exactly two bytes after it
+	e.U8(7)
+	e.U8(8)
+	buf := e.Bytes()
+	d := NewDecoder(buf)
+	v := d.View2()
+	if string(v) != "abc" || &v[0] != &buf[1] || cap(v) != 3 {
+		t.Fatalf("view = %q (cap %d), want the decoder's own 3 bytes", v, cap(v))
+	}
+	if n := d.Count(); n != 2 || d.Err() != nil {
+		t.Fatalf("count = %d err %v, want 2", n, d.Err())
+	}
+
+	e = NewEncoder()
+	e.U64(3) // three elements promised, two bytes left
+	e.U8(7)
+	e.U8(8)
+	d = NewDecoder(e.Bytes())
+	if n := d.Count(); n != 0 || d.Err() == nil {
+		t.Fatalf("count beyond the buffer = %d err %v, want 0 and ErrCorrupt", n, d.Err())
+	}
+	if d.View2() != nil || d.Count() != 0 {
+		t.Fatal("reads after error should be zero-valued")
 	}
 }

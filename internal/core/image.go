@@ -7,9 +7,12 @@
 package core
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"aurora/internal/codec"
 	"aurora/internal/kernel"
@@ -93,6 +96,12 @@ type Image struct {
 	mu       sync.Mutex
 	released bool
 	sources  []*lazyPageSource // demand-paging sources created by restore
+
+	// The PageHashes memo: hashOnce guards pages; hashed is how many of
+	// them were hashed here and not supplied by the wire.
+	hashOnce sync.Once
+	pages    []PageHash
+	hashed   atomic.Int64
 }
 
 // AddBlockPeer registers a peer block provider (another store, a
@@ -320,90 +329,281 @@ func DecodeImage(payload []byte, pm *vm.PhysMem) (*Image, error) {
 		Full:   true,
 		Memory: make(map[uint64]*MemImage),
 	}
-	nMeta := d.U64()
-	for i := uint64(0); i < nMeta && d.Err() == nil; i++ {
-		img.Meta = append(img.Meta, MetaRec{
-			OID:  d.U64(),
-			Kind: kernel.Kind(d.U64()),
-			Data: d.Bytes2(),
-		})
-	}
-	nObjs := d.U64()
-	for i := uint64(0); i < nObjs && d.Err() == nil; i++ {
-		mi := &MemImage{
-			ObjID: d.U64(),
-			Name:  d.Str(),
-			Size:  d.I64(),
-			Pages: make(map[int64]*vm.Frame),
-		}
-		nPages := d.U64()
-		for j := uint64(0); j < nPages && d.Err() == nil; j++ {
-			idx := d.I64()
-			data := d.Bytes2()
-			f, err := pm.Alloc()
-			if err != nil {
-				img.Release(pm)
-				return nil, err
-			}
-			copy(f.Data, data)
-			mi.Pages[idx] = f
-		}
-		nHeat := d.U64()
-		if nHeat > 0 {
-			mi.Heat = make(map[int64]uint32, nHeat)
-		}
-		for j := uint64(0); j < nHeat && d.Err() == nil; j++ {
-			idx := d.I64()
-			mi.Heat[idx] = d.U32()
-		}
-		img.Memory[mi.ObjID] = mi
-	}
-	img.Roots = d.U64Slice()
-	if err := d.Finish("image"); err != nil {
-		img.Release(pm)
+	if err := decodeBody(d, img, pm, "image", literalPage); err != nil {
 		return nil, err
 	}
 	return img, nil
 }
 
+// PageHash names one page an image holds in bytes — a captured frame
+// or a swap-page copy, never a store ref — and its content hash.
+type PageHash struct {
+	ObjID uint64
+	Idx   int64
+	Hash  objstore.Hash
+}
+
+// PageContentHash is the content hash compact deltas and the dedup
+// index key pages by.
+func PageContentHash(data []byte) objstore.Hash {
+	return sha256.Sum256(data)
+}
+
+// pageOrder lists the image's own pages in wire order — ascending
+// (ObjID, page index) — with their hashes left zero.
+func (img *Image) pageOrder() []PageHash {
+	pages := make([]PageHash, 0, img.PageCount())
+	for id, mi := range img.Memory {
+		for idx := range mi.Pages {
+			pages = append(pages, PageHash{ObjID: id, Idx: idx})
+		}
+		for idx := range mi.SwapData {
+			pages = append(pages, PageHash{ObjID: id, Idx: idx})
+		}
+	}
+	sortPages(pages)
+	return pages
+}
+
+func sortPages(pages []PageHash) {
+	slices.SortFunc(pages, func(a, b PageHash) int {
+		if c := cmp.Compare(a.ObjID, b.ObjID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Idx, b.Idx)
+	})
+}
+
+// PageHashes returns the content hash of every page the image holds in
+// bytes, in wire order: ascending (ObjID, page index). It is the one
+// place the replication path gets a page hash from. The set is
+// computed on first use — the image's first flush to a replica, or its
+// joining a receiver's chain — and kept, so however many links, encodes
+// and receiver indexes ask, each page of an image is hashed at most
+// once on a machine; concurrent callers wait for the first and share
+// its result, which none may modify. Images that arrived as compact
+// deltas come with the set filled in by the decoder (see
+// DecodeDeltaCompact).
+func (img *Image) PageHashes() []PageHash {
+	img.hashOnce.Do(func() {
+		pages := img.pageOrder()
+		for i := range pages {
+			pages[i].Hash = PageContentHash(img.Memory[pages[i].ObjID].PageData(pages[i].Idx))
+		}
+		img.pages = pages
+		img.hashed.Store(int64(len(pages)))
+	})
+	return img.pages
+}
+
+// PagesHashed reports how many SHA-256 computations stand behind
+// PageHashes so far: 0 before its first use, and never more than the
+// image's page count — hashes that arrived on the wire as refs are not
+// recomputed.
+func (img *Image) PagesHashed() int64 { return img.hashed.Load() }
+
 // EncodeDelta serializes only this image's own records (not the
 // chain): the unit of continuous replication. The receiver links
-// deltas onto its copy of the chain.
+// deltas onto its copy of the chain. Objects and pages are written in
+// ascending (ObjID, page index), so encoding an image twice gives the
+// same bytes.
 func (img *Image) EncodeDelta() []byte {
-	e := codec.NewEncoder()
-	e.U64(img.Group)
-	e.U64(img.Epoch)
-	e.U64(img.Gen)
-	e.Str(img.Name)
-	e.Bool(img.Full)
-	e.U64(uint64(len(img.Meta)))
-	for _, m := range img.Meta {
-		e.U64(m.OID)
-		e.U64(uint64(m.Kind))
-		e.Bytes2(m.Data)
+	return img.encodeDelta(img.pageOrder(), false, nil)
+}
+
+// Compact-delta page tags: a page entry in a compact delta carries
+// either the literal bytes or just the content hash of bytes the
+// receiver is believed to already hold (the dedup idea applied to the
+// wire — "send log records instead of disk pages").
+const (
+	deltaPageLiteral byte = 0 // payload is the page bytes
+	deltaPageRef     byte = 1 // payload is the 32-byte content hash
+)
+
+// EncodeDeltaCompact serializes one replication delta like EncodeDelta
+// but replaces every page whose content hash `skip` claims the
+// receiver holds with a 34-byte hash reference. It returns the
+// payload, the image's PageHashes (the pages in encoding order — the
+// sender caches these as receiver-held once the epoch is acked; shared,
+// not to be modified), and how many pages were elided. The claim is an
+// optimization, never a correctness input: a receiver missing a
+// referenced block answers with a resend request for the full delta.
+func (img *Image) EncodeDeltaCompact(skip func(objstore.Hash) bool) (payload []byte, pages []PageHash, skipped int) {
+	pages = img.PageHashes()
+	var refs []bool
+	if skip != nil {
+		refs = make([]bool, len(pages))
+		for i := range pages {
+			if skip(pages[i].Hash) {
+				refs[i] = true
+				skipped++
+			}
+		}
 	}
-	e.U64(uint64(len(img.Memory)))
+	return img.encodeDelta(pages, true, refs), pages, skipped
+}
+
+// deltaSink is what the delta layout is written to: a codec.Sizer to
+// measure it, then a codec.Encoder grown to that size.
+type deltaSink interface {
+	U64(uint64)
+	I64(int64)
+	U32(uint32)
+	U8(uint8)
+	Bool(bool)
+	Bytes2([]byte)
+	Str(string)
+	U64Slice([]uint64)
+}
+
+// encodeDelta writes the delta wire format into a buffer of exactly
+// its size. pages is the image's pages in wire order; tagged selects
+// the compact layout, in which page i goes as a hash ref when refs[i].
+func (img *Image) encodeDelta(pages []PageHash, tagged bool, refs []bool) []byte {
+	ids := make([]uint64, 0, len(img.Memory))
+	nHeat := 0
 	for id, mi := range img.Memory {
-		e.U64(id)
-		e.Str(mi.Name)
-		e.I64(mi.Size)
-		e.U64(uint64(mi.PageCount()))
-		for idx, f := range mi.Pages {
-			e.I64(idx)
-			e.Bytes2(f.Data)
+		ids = append(ids, id)
+		nHeat += len(mi.Heat)
+	}
+	slices.Sort(ids)
+	// Each object's heat keys, ascending, carved from one array.
+	heat := make([][]int64, len(ids))
+	keys := make([]int64, 0, nHeat)
+	for i, id := range ids {
+		from := len(keys)
+		for idx := range img.Memory[id].Heat {
+			keys = append(keys, idx)
 		}
-		for idx, d := range mi.SwapData {
-			e.I64(idx)
-			e.Bytes2(d)
+		heat[i] = keys[from:]
+		slices.Sort(heat[i])
+	}
+
+	write := func(w deltaSink) {
+		w.U64(img.Group)
+		w.U64(img.Epoch)
+		w.U64(img.Gen)
+		w.Str(img.Name)
+		w.Bool(img.Full)
+		w.U64(uint64(len(img.Meta)))
+		for _, m := range img.Meta {
+			w.U64(m.OID)
+			w.U64(uint64(m.Kind))
+			w.Bytes2(m.Data)
 		}
-		e.U64(uint64(len(mi.Heat)))
-		for idx, h := range mi.Heat {
-			e.I64(idx)
-			e.U32(h)
+		w.U64(uint64(len(ids)))
+		next := 0
+		for i, id := range ids {
+			mi := img.Memory[id]
+			w.U64(id)
+			w.Str(mi.Name)
+			w.I64(mi.Size)
+			end := next
+			for end < len(pages) && pages[end].ObjID == id {
+				end++
+			}
+			w.U64(uint64(end - next))
+			for ; next < end; next++ {
+				w.I64(pages[next].Idx)
+				if refs != nil && refs[next] {
+					w.U8(deltaPageRef)
+					w.Bytes2(pages[next].Hash[:])
+					continue
+				}
+				if tagged {
+					w.U8(deltaPageLiteral)
+				}
+				w.Bytes2(mi.PageData(pages[next].Idx))
+			}
+			w.U64(uint64(len(heat[i])))
+			for _, idx := range heat[i] {
+				w.I64(idx)
+				w.U32(mi.Heat[idx])
+			}
+		}
+		w.U64Slice(img.Roots)
+	}
+	var size codec.Sizer
+	write(&size)
+	e := codec.NewEncoder()
+	e.Grow(size.Len())
+	write(e)
+	return e.Bytes()
+}
+
+// pageDecoder reads one page entry's payload (everything after its
+// index) and returns the frame holding it; a nil frame with a nil
+// error skips the page.
+type pageDecoder func(d *codec.Decoder, pm *vm.PhysMem, objID uint64, idx int64) (*vm.Frame, error)
+
+// literalPage is the pageDecoder of a page stored as its bytes, which
+// it copies once: wire buffer to frame.
+func literalPage(d *codec.Decoder, pm *vm.PhysMem, _ uint64, _ int64) (*vm.Frame, error) {
+	data := d.View2()
+	if d.Err() != nil {
+		return nil, nil
+	}
+	f, err := pm.Alloc()
+	if err != nil {
+		return nil, err
+	}
+	copy(f.Data, data)
+	return f, nil
+}
+
+// decodeBody parses what follows the header in all three image
+// layouts: metadata, objects with their pages and heat, roots. Counts
+// come off the wire, so each is checked against the bytes that remain
+// before anything is sized by it, and an object or page that appears
+// twice is corrupt (the second would orphan the first one's frames).
+// On error the frames decoded so far have been released.
+func decodeBody(d *codec.Decoder, img *Image, pm *vm.PhysMem, what string, page pageDecoder) error {
+	err := decodeObjects(d, img, pm, what, page)
+	if err == nil {
+		img.Roots = d.U64Slice()
+		err = d.Finish(what)
+	}
+	if err != nil {
+		img.Release(pm)
+	}
+	return err
+}
+
+func decodeObjects(d *codec.Decoder, img *Image, pm *vm.PhysMem, what string, page pageDecoder) error {
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+		img.Meta = append(img.Meta, MetaRec{OID: d.U64(), Kind: kernel.Kind(d.U64()), Data: d.Bytes2()})
+	}
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+		mi := &MemImage{ObjID: d.U64(), Name: d.Str(), Size: d.I64(), Pages: make(map[int64]*vm.Frame)}
+		if _, dup := img.Memory[mi.ObjID]; dup {
+			return fmt.Errorf("decoding %s: object %d appears twice: %w", what, mi.ObjID, codec.ErrCorrupt)
+		}
+		img.Memory[mi.ObjID] = mi
+		for j, n := 0, d.Count(); j < n && d.Err() == nil; j++ {
+			idx := d.I64()
+			if d.Err() != nil {
+				break
+			}
+			if _, dup := mi.Pages[idx]; dup {
+				return fmt.Errorf("decoding %s: page %d of object %d appears twice: %w", what, idx, mi.ObjID, codec.ErrCorrupt)
+			}
+			f, err := page(d, pm, mi.ObjID, idx)
+			if err != nil {
+				return err
+			}
+			if f != nil {
+				mi.Pages[idx] = f
+			}
+		}
+		if n := d.Count(); n > 0 {
+			mi.Heat = make(map[int64]uint32, n)
+			for j := 0; j < n && d.Err() == nil; j++ {
+				idx := d.I64()
+				mi.Heat[idx] = d.U32()
+			}
 		}
 	}
-	e.U64Slice(img.Roots)
-	return e.Bytes()
+	return nil
 }
 
 // DecodeDelta parses one replication delta. The caller links Prev.
@@ -417,122 +617,23 @@ func DecodeDelta(payload []byte, pm *vm.PhysMem) (*Image, error) {
 		Full:   d.Bool(),
 		Memory: make(map[uint64]*MemImage),
 	}
-	nMeta := d.U64()
-	for i := uint64(0); i < nMeta && d.Err() == nil; i++ {
-		img.Meta = append(img.Meta, MetaRec{OID: d.U64(), Kind: kernel.Kind(d.U64()), Data: d.Bytes2()})
-	}
-	nObjs := d.U64()
-	for i := uint64(0); i < nObjs && d.Err() == nil; i++ {
-		mi := &MemImage{ObjID: d.U64(), Name: d.Str(), Size: d.I64(), Pages: make(map[int64]*vm.Frame)}
-		nPages := d.U64()
-		for j := uint64(0); j < nPages && d.Err() == nil; j++ {
-			idx := d.I64()
-			data := d.Bytes2()
-			f, err := pm.Alloc()
-			if err != nil {
-				img.Release(pm)
-				return nil, err
-			}
-			copy(f.Data, data)
-			mi.Pages[idx] = f
-		}
-		nHeat := d.U64()
-		if nHeat > 0 {
-			mi.Heat = make(map[int64]uint32, nHeat)
-		}
-		for j := uint64(0); j < nHeat && d.Err() == nil; j++ {
-			idx := d.I64()
-			mi.Heat[idx] = d.U32()
-		}
-		img.Memory[mi.ObjID] = mi
-	}
-	img.Roots = d.U64Slice()
-	if err := d.Finish("image delta"); err != nil {
-		img.Release(pm)
+	if err := decodeBody(d, img, pm, "image delta", literalPage); err != nil {
 		return nil, err
 	}
 	return img, nil
 }
 
-// Compact-delta page tags: a page entry in a compact delta carries
-// either the literal bytes or just the content hash of bytes the
-// receiver is believed to already hold (the dedup idea applied to the
-// wire — "send log records instead of disk pages").
-const (
-	deltaPageLiteral byte = 0 // payload is the page bytes
-	deltaPageRef     byte = 1 // payload is the 32-byte content hash
-)
-
-// PageContentHash is the content hash compact deltas and the dedup
-// index key pages by.
-func PageContentHash(data []byte) objstore.Hash {
-	return sha256.Sum256(data)
-}
-
-// EncodeDeltaCompact serializes one replication delta like EncodeDelta
-// but replaces every page whose content hash `skip` claims the
-// receiver holds with a 34-byte hash reference. It returns the
-// payload, the content hash of every page in the image (in encoding
-// order — the sender caches these as receiver-held once the epoch is
-// acked), and how many pages were elided. The claim is an
-// optimization, never a correctness input: a receiver missing a
-// referenced block answers with a resend request for the full delta.
-func (img *Image) EncodeDeltaCompact(skip func(objstore.Hash) bool) (payload []byte, hashes []objstore.Hash, skipped int) {
-	e := codec.NewEncoder()
-	e.U64(img.Group)
-	e.U64(img.Epoch)
-	e.U64(img.Gen)
-	e.Str(img.Name)
-	e.Bool(img.Full)
-	e.U64(uint64(len(img.Meta)))
-	for _, m := range img.Meta {
-		e.U64(m.OID)
-		e.U64(uint64(m.Kind))
-		e.Bytes2(m.Data)
-	}
-	encPage := func(idx int64, data []byte) {
-		e.I64(idx)
-		h := PageContentHash(data)
-		hashes = append(hashes, h)
-		if skip != nil && skip(h) {
-			e.Bool(true) // deltaPageRef
-			e.Bytes2(h[:])
-			skipped++
-			return
-		}
-		e.Bool(false) // deltaPageLiteral
-		e.Bytes2(data)
-	}
-	e.U64(uint64(len(img.Memory)))
-	for id, mi := range img.Memory {
-		e.U64(id)
-		e.Str(mi.Name)
-		e.I64(mi.Size)
-		e.U64(uint64(mi.PageCount()))
-		for idx, f := range mi.Pages {
-			encPage(idx, f.Data)
-		}
-		for idx, d := range mi.SwapData {
-			encPage(idx, d)
-		}
-		e.U64(uint64(len(mi.Heat)))
-		for idx, h := range mi.Heat {
-			e.I64(idx)
-			e.U32(h)
-		}
-	}
-	e.U64Slice(img.Roots)
-	return e.Bytes(), hashes, skipped
-}
-
-// DecodeDeltaCompact parses one compact replication delta, resolving
-// hash references through `resolve` (the receiver's materialized block
-// index, typically backed by its chains and local object store). Refs
-// that fail to resolve are collected in missing; when missing is
-// non-empty the image is incomplete — the caller must Release it and
-// request a full resend — but Group/Epoch are valid for addressing the
-// request.
-func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Hash) ([]byte, bool)) (img *Image, missing []objstore.Hash, err error) {
+// DecodeDeltaCompact parses one compact replication delta. Literal
+// pages are copied into fresh frames and hashed as they arrive; a hash
+// ref is handed to `resolve` (the receiver's block index, typically
+// backed by its chains and local object store), which returns a frame
+// holding those bytes with one reference taken for the image. Either
+// way the page's hash is now known, so the image comes back with its
+// PageHashes filled in and no holder need hash it again. Refs that
+// fail to resolve are collected in missing; when missing is non-empty
+// the image is incomplete — the caller must Release it and request a
+// full resend — but Group/Epoch are valid for addressing the request.
+func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Hash) (*vm.Frame, bool)) (img *Image, missing []objstore.Hash, err error) {
 	d := codec.NewDecoder(payload)
 	img = &Image{
 		Group:  d.U64(),
@@ -542,61 +643,50 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 		Full:   d.Bool(),
 		Memory: make(map[uint64]*MemImage),
 	}
-	nMeta := d.U64()
-	for i := uint64(0); i < nMeta && d.Err() == nil; i++ {
-		img.Meta = append(img.Meta, MetaRec{OID: d.U64(), Kind: kernel.Kind(d.U64()), Data: d.Bytes2()})
-	}
-	nObjs := d.U64()
-	for i := uint64(0); i < nObjs && d.Err() == nil; i++ {
-		mi := &MemImage{ObjID: d.U64(), Name: d.Str(), Size: d.I64(), Pages: make(map[int64]*vm.Frame)}
-		nPages := d.U64()
-		for j := uint64(0); j < nPages && d.Err() == nil; j++ {
-			idx := d.I64()
-			var data []byte
-			if d.Bool() { // deltaPageRef
-				raw := d.Bytes2()
-				if d.Err() != nil {
-					break
-				}
-				if len(raw) != len(objstore.Hash{}) {
-					img.Release(pm)
-					return nil, nil, fmt.Errorf("core: compact delta: bad hash ref length %d", len(raw))
-				}
-				var h objstore.Hash
-				copy(h[:], raw)
-				var ok bool
-				if resolve != nil {
-					data, ok = resolve(h)
-				}
-				if !ok {
-					missing = append(missing, h)
-					continue
-				}
-			} else {
-				data = d.Bytes2()
+	var pages []PageHash
+	var hashed int64
+	err = decodeBody(d, img, pm, "compact image delta", func(d *codec.Decoder, pm *vm.PhysMem, objID uint64, idx int64) (*vm.Frame, error) {
+		switch tag := d.U8(); tag {
+		case deltaPageLiteral:
+			f, err := literalPage(d, pm, objID, idx)
+			if f != nil {
+				// Hash what the frame holds, not what the wire carried:
+				// a short literal is zero-padded to a page.
+				pages = append(pages, PageHash{ObjID: objID, Idx: idx, Hash: PageContentHash(f.Data)})
+				hashed++
 			}
-			f, err := pm.Alloc()
-			if err != nil {
-				img.Release(pm)
-				return nil, nil, err
+			return f, err
+		case deltaPageRef:
+			raw := d.View2()
+			if d.Err() != nil {
+				return nil, nil
 			}
-			copy(f.Data, data)
-			mi.Pages[idx] = f
+			var h objstore.Hash
+			if len(raw) != len(h) {
+				return nil, fmt.Errorf("core: compact delta: bad hash ref length %d: %w", len(raw), codec.ErrCorrupt)
+			}
+			copy(h[:], raw)
+			if resolve != nil {
+				if f, ok := resolve(h); ok {
+					pages = append(pages, PageHash{ObjID: objID, Idx: idx, Hash: h})
+					return f, nil
+				}
+			}
+			missing = append(missing, h)
+			return nil, nil
+		default:
+			return nil, fmt.Errorf("core: compact delta: bad page tag %d: %w", tag, codec.ErrCorrupt)
 		}
-		nHeat := d.U64()
-		if nHeat > 0 {
-			mi.Heat = make(map[int64]uint32, nHeat)
-		}
-		for j := uint64(0); j < nHeat && d.Err() == nil; j++ {
-			idx := d.I64()
-			mi.Heat[idx] = d.U32()
-		}
-		img.Memory[mi.ObjID] = mi
-	}
-	img.Roots = d.U64Slice()
-	if err := d.Finish("compact image delta"); err != nil {
-		img.Release(pm)
+	})
+	if err != nil {
 		return nil, nil, err
+	}
+	if len(missing) == 0 {
+		sortPages(pages) // a no-op pass for a sender that wrote them in order
+		img.hashOnce.Do(func() {
+			img.pages = pages
+			img.hashed.Store(hashed)
+		})
 	}
 	return img, missing, nil
 }

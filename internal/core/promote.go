@@ -89,9 +89,9 @@ type ReplicaSource interface {
 // the elected member after a quorum promotion). netback.Receiver
 // implements it.
 type ReplicaRepairTarget interface {
-	// AdoptImage links an image into the replica's chain as if it had
-	// been shipped over the wire.
-	AdoptImage(img *Image)
+	// AdoptImage takes a copy of an image into the replica's chain as
+	// if it had been shipped over the wire; img stays the caller's.
+	AdoptImage(img *Image) error
 }
 
 // PromoteReport summarizes a promotion.
@@ -251,7 +251,9 @@ func (o *Orchestrator) PromoteQuorum(srcs []ReplicaSource, lineage uint64, prima
 			if err != nil {
 				return rep, fmt.Errorf("core: promoting lineage %d: read-repair epoch %d: %w", lineage, ep, err)
 			}
-			rt.AdoptImage(img)
+			if err := rt.AdoptImage(img); err != nil {
+				return rep, fmt.Errorf("core: promoting lineage %d: read-repair epoch %d: %w", lineage, ep, err)
+			}
 			rep.Repaired++
 		}
 	}

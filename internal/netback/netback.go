@@ -10,7 +10,6 @@
 package netback
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -194,11 +193,20 @@ type Receiver struct {
 	fences map[uint64]uint64        // group -> highest generation witnessed or adopted
 	recvd  int64
 
-	// blockIdx maps content hash -> page bytes across every held
-	// image, rebuilt lazily (see FetchBlock). blockStale flags that
-	// new images arrived since the last build.
-	blockIdx   map[objstore.Hash][]byte
-	blockStale bool
+	// blocks indexes every distinct page content the chains hold, by
+	// content hash. It is kept current as images join and leave the
+	// chains (hold, drop) and never rebuilt, so a delta costs what its
+	// own pages cost however long the history is. Nothing is hashed to
+	// keep it: an image brings its hashes with it (core.Image.PageHashes
+	// — off the wire for hash refs, computed once on arrival for
+	// literals). Pages of equal content share one frame, so an entry's
+	// frame is referenced by exactly `holders` pages of chain images and
+	// the entry goes when the last of them is released: an entry never
+	// outlives the bytes it points at.
+	blocks map[objstore.Hash]blockEntry
+	// hashed totals the pages hashed on arrival, resolved the hash refs
+	// answered from blocks.
+	hashed, resolved int64
 
 	// blockSrcs are extra block providers compact-delta materialization
 	// may resolve hash refs from (typically the standby machine's own
@@ -206,6 +214,12 @@ type Receiver struct {
 	// source could resolve.
 	blockSrcs []objstore.BlockSource
 	needsSent int64
+}
+
+// blockEntry is one distinct page content held by the chains.
+type blockEntry struct {
+	frame   *vm.Frame
+	holders int // pages of chain images that reference frame
 }
 
 // NewReceiver creates a receiver allocating frames from pm.
@@ -216,6 +230,7 @@ func NewReceiver(pm *vm.PhysMem, clock *storage.Clock) *Receiver {
 		nic:    storage.ParamsNIC10G,
 		chains: make(map[uint64][]*core.Image),
 		fences: make(map[uint64]uint64),
+		blocks: make(map[objstore.Hash]blockEntry),
 	}
 }
 
@@ -267,48 +282,85 @@ func (r *Receiver) Serve(conn io.Reader) (int, error) {
 	}
 }
 
-// install replaces a group's chain with one consolidated image.
+// install replaces a group's chain with one consolidated image,
+// releasing the images it supersedes.
 func (r *Receiver) install(img *core.Image) {
+	img.PageHashes() // hashed here, not under mu
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.hold(img)
+	for _, old := range r.chains[img.Group] {
+		r.drop(old)
+	}
 	r.chains[img.Group] = []*core.Image{img}
 	if img.Gen > r.fences[img.Group] {
 		r.fences[img.Group] = img.Gen
 	}
-	r.blockStale = true
-	r.mu.Unlock()
+}
+
+// hold enters an arriving image's pages into the block index. A page
+// whose content the chains already hold gives up its own frame for the
+// held one, so each distinct content is resident once. Callers hold mu
+// and own img: it is not yet visible through any chain.
+func (r *Receiver) hold(img *core.Image) {
+	for _, p := range img.PageHashes() {
+		own := img.Memory[p.ObjID].Pages
+		e, ok := r.blocks[p.Hash]
+		switch {
+		case !ok:
+			e.frame = own[p.Idx]
+		case e.frame != own[p.Idx]:
+			e.frame.Ref()
+			r.pm.Free(own[p.Idx])
+			own[p.Idx] = e.frame
+		}
+		e.holders++
+		r.blocks[p.Hash] = e
+	}
+	r.hashed += img.PagesHashed()
+}
+
+// drop takes an image that left its chain out of the block index and
+// releases its frames. Callers hold mu.
+func (r *Receiver) drop(img *core.Image) {
+	for _, p := range img.PageHashes() {
+		e := r.blocks[p.Hash]
+		if e.holders--; e.holders == 0 {
+			delete(r.blocks, p.Hash)
+		} else {
+			r.blocks[p.Hash] = e
+		}
+	}
+	img.Release(r.pm)
 }
 
 // FetchBlock implements objstore.BlockSource over the receiver's held
 // images: a replica holds bit-identical page bytes under the same
 // content hashes as any store of the group, so it can heal a primary's
 // rotted block (Scrub) or serve a page during demand-paging failover.
-// The hash index is rebuilt lazily after new frames arrive.
+// The caller gets a copy of its own.
 func (r *Receiver) FetchBlock(h objstore.Hash) ([]byte, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.blockIdx == nil || r.blockStale {
-		r.blockIdx = make(map[objstore.Hash][]byte)
-		for _, chain := range r.chains {
-			for _, img := range chain {
-				for _, mi := range img.Memory {
-					for idx := range mi.Pages {
-						d := mi.PageData(idx)
-						r.blockIdx[sha256.Sum256(d)] = d
-					}
-					for idx := range mi.SwapData {
-						d := mi.PageData(idx)
-						r.blockIdx[sha256.Sum256(d)] = d
-					}
-				}
-			}
-		}
-		r.blockStale = false
-	}
-	d, ok := r.blockIdx[h]
+	e, ok := r.blocks[h]
 	if !ok {
 		return nil, false
 	}
-	return append([]byte(nil), d...), true
+	return append([]byte(nil), e.frame.Data...), true
+}
+
+// BlockStats counts the work behind the block index.
+type BlockStats struct {
+	Hashed   int64 // pages hashed on arrival (literals; refs carry their hash)
+	Resolved int64 // hash refs answered from the index, without a copy
+	Entries  int   // distinct page contents held, one frame each
+}
+
+// BlockStats reports the block index counters.
+func (r *Receiver) BlockStats() BlockStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return BlockStats{Hashed: r.hashed, Resolved: r.resolved, Entries: len(r.blocks)}
 }
 
 // AttachBlockSource registers an extra block provider (the standby's
@@ -328,43 +380,63 @@ func (r *Receiver) NeedsSent() int64 {
 	return r.needsSent
 }
 
-// resolveBlock materializes a compact-delta hash ref: first from the
-// receiver's own chains (FetchBlock), then from any attached block
-// source.
-func (r *Receiver) resolveBlock(h objstore.Hash) ([]byte, bool) {
-	if d, ok := r.FetchBlock(h); ok {
-		return d, true
-	}
+// resolveBlock materializes a compact-delta hash ref as a frame with
+// one reference taken for the arriving image: the chains' own frame for
+// that content if they hold it (no bytes move), else a fresh frame
+// filled from an attached block source.
+func (r *Receiver) resolveBlock(h objstore.Hash) (*vm.Frame, bool) {
 	r.mu.Lock()
+	if e, ok := r.blocks[h]; ok {
+		e.frame.Ref()
+		r.resolved++
+		r.mu.Unlock()
+		return e.frame, true
+	}
 	srcs := append([]objstore.BlockSource(nil), r.blockSrcs...)
 	r.mu.Unlock()
 	for _, s := range srcs {
 		if d, ok := s.FetchBlock(h); ok {
-			return d, true
+			f, err := r.pm.Alloc()
+			if err != nil {
+				return nil, false
+			}
+			copy(f.Data, d)
+			return f, true
 		}
 	}
 	return nil, false
 }
 
 // AdoptImage implements core.ReplicaRepairTarget: read-repair after a
-// quorum promotion links an image this replica missed straight into
-// its chain, as if it had arrived over the wire.
-func (r *Receiver) AdoptImage(img *core.Image) {
-	r.link(img)
+// quorum promotion gives this replica an epoch it missed. The image
+// belongs to the member it was read from, so it is taken the way
+// anything else arrives: decoded into frames of this receiver's own
+// memory, then linked.
+func (r *Receiver) AdoptImage(img *core.Image) error {
+	own, err := core.DecodeDelta(img.EncodeDelta(), r.pm)
+	if err != nil {
+		return err
+	}
+	r.link(own)
+	return nil
 }
 
 // link merges an incremental delta into its group's chain. A pipelined
 // sender flushes epochs from concurrent workers, so deltas may arrive
 // out of epoch order (and, after a retried flush, twice); the chain is
 // kept sorted by epoch and the Prev links rebuilt so restores always
-// walk a consistent history.
+// walk a consistent history. A re-delivered epoch supersedes the copy
+// held, which is released.
 func (r *Receiver) link(img *core.Image) {
+	img.PageHashes() // a literal arrival is hashed here, not under mu
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.hold(img)
 	chain := r.chains[img.Group]
 	replaced := false
 	for i, have := range chain {
 		if have.Epoch == img.Epoch {
+			r.drop(have)
 			chain[i] = img
 			replaced = true
 			break
@@ -390,7 +462,6 @@ func (r *Receiver) link(img *core.Image) {
 	if img.Gen > r.fences[img.Group] {
 		r.fences[img.Group] = img.Gen
 	}
-	r.blockStale = true
 }
 
 // Latest returns the newest image of a group.

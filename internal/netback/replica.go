@@ -23,14 +23,14 @@ import (
 
 // Replica frame types, continuing the base protocol's numbering.
 const (
-	frameAck      byte = iota + 4 // receiver -> sender: [group u64][epoch u64]
-	frameHello                    // sender -> receiver: [group u64]
-	frameHelloAck                 // receiver -> sender: [group u64][last contiguous epoch u64]
-	frameFenced                   // receiver -> sender: [group u64][fence gen u64][floor epoch u64]
-	frameDeltaC                   // sender -> receiver: compact delta (hash refs for pages the receiver holds)
-	frameNeed                     // receiver -> sender: [group u64][epoch u64] — refs missing, resend full
-	frameHandoff                  // sender -> receiver: [group u64][gen u64][floor u64] — migration handover announcement
-	frameHandoffAck               // receiver -> sender: [group u64][gen u64] — fence adopted
+	frameAck        byte = iota + 4 // receiver -> sender: [group u64][epoch u64]
+	frameHello                      // sender -> receiver: [group u64]
+	frameHelloAck                   // receiver -> sender: [group u64][last contiguous epoch u64]
+	frameFenced                     // receiver -> sender: [group u64][fence gen u64][floor epoch u64]
+	frameDeltaC                     // sender -> receiver: compact delta (hash refs for pages the receiver holds)
+	frameNeed                       // receiver -> sender: [group u64][epoch u64] — refs missing, resend full
+	frameHandoff                    // sender -> receiver: [group u64][gen u64][floor u64] — migration handover announcement
+	frameHandoffAck                 // receiver -> sender: [group u64][gen u64] — fence adopted
 )
 
 // ErrDisconnected is wrapped into replica flush errors once the
@@ -491,7 +491,7 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 	if rc.conn == nil {
 		return 0, fmt.Errorf("%w: epoch %d not sent", ErrDisconnected, img.Epoch)
 	}
-	payload, hashes, skipped := img.EncodeDeltaCompact(func(h objstore.Hash) bool { return rc.known[h] })
+	payload, pages, skipped := img.EncodeDeltaCompact(func(h objstore.Hash) bool { return rc.known[h] })
 	wire := int64(len(payload))
 	resent := false
 	if err := writeFrame(rc.conn, frameDeltaC, payload); err != nil {
@@ -559,18 +559,18 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 	}
 	rc.sent += wire
 	if resent {
-		rc.pagesSent += int64(len(hashes))
+		rc.pagesSent += int64(len(pages))
 	} else {
-		rc.pagesSent += int64(len(hashes) - skipped)
+		rc.pagesSent += int64(len(pages) - skipped)
 		rc.pagesSkip += int64(skipped)
 	}
 	// The acked epoch's pages are now provably on the receiver: future
 	// deltas may reference them by hash.
 	if rc.known == nil {
-		rc.known = make(map[objstore.Hash]bool, len(hashes))
+		rc.known = make(map[objstore.Hash]bool, len(pages))
 	}
-	for _, h := range hashes {
-		rc.known[h] = true
+	for _, p := range pages {
+		rc.known[p.Hash] = true
 	}
 	cost := rc.nic.Latency + rc.extraLat + time.Duration(wire*int64(time.Second)/rc.nic.WriteBW)
 	if rb.clock != nil {
