@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench perf benchcheck faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
+.PHONY: check build vet fmtcheck test race bench perf microbench benchcheck faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
 
 ## check: full gate — build, vet, race-enabled tests, seeded fault
 ## matrix, crash-recovery harness, whole-system chaos sweep, space-
@@ -10,6 +10,7 @@ GO ?= go
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) fmtcheck
 	$(GO) test -race ./...
 	$(MAKE) faultcheck
 	$(MAKE) recoverycheck
@@ -27,6 +28,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+## fmtcheck: every Go file is gofmt-clean.
+fmtcheck:
+	test -z "$$(gofmt -l cmd internal benchmark *.go)"
 
 test:
 	$(GO) test ./...
@@ -143,6 +148,16 @@ bench:
 ## to benchmark/out/, build products to .bench_build/.
 perf:
 	bash benchmark/run.sh
+
+## microbench: the per-layer microbenchmarks of the checkpoint data
+## path, where the code lives — COW fault, barrier and protect in
+## internal/vm, put and drop (merge-forward) in internal/objstore — on a
+## resident × dirty grid, at a fixed iteration count. Not gated; the
+## before/after table is in EXPERIMENTS.md "Checkpoint data path".
+microbench:
+	$(GO) test -run '^$$' -benchtime=200x -benchmem \
+		-bench 'BenchmarkCowFault|BenchmarkBeginCheckpoint|BenchmarkProtectObject|BenchmarkDropEpoch|BenchmarkPutRecord' \
+		./internal/vm/ ./internal/objstore/
 
 ## benchcheck: the scoreboard's own smoke test, race-enabled. benchmark/
 ## is a module of its own, so `go test ./...` does not reach it.

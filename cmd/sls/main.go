@@ -1155,7 +1155,7 @@ func (s *session) exec(line string) bool {
 			return fail(err)
 		}
 		img := g.LastImage()
-		if img == nil || img.Released() {
+		if img == nil || !img.Resolvable() {
 			for _, b := range g.Backends() {
 				if li, _, err := b.Load(g.ID, 0); err == nil {
 					img = li

@@ -137,15 +137,14 @@ func (rt *Runtime) boot(container int) (*kernel.Process, error) {
 		return nil, err
 	}
 	// Argument/result page.
-	if _, err := p.Space.Map(argAddr&^vm.Addr(vm.PageMask), vm.PageSize,
-		vm.ProtRead|vm.ProtWrite, vm.NewObject("mailbox", vm.PageSize), 0, false, "mailbox"); err != nil {
+	if _, err := p.Space.MapAnonAt(argAddr&^vm.Addr(vm.PageMask), vm.PageSize,
+		vm.ProtRead|vm.ProtWrite, false, "mailbox"); err != nil {
 		return nil, err
 	}
 	// Simulated language runtime: deterministic contents dedup across
 	// every instance ever checkpointed.
 	size := int64(rt.RuntimePages) * vm.PageSize
-	if _, err := p.Space.Map(runtimeBase, size, vm.ProtRead|vm.ProtWrite,
-		vm.NewObject("runtime", size), 0, false, "runtime"); err != nil {
+	if _, err := p.Space.MapAnonAt(runtimeBase, size, vm.ProtRead|vm.ProtWrite, false, "runtime"); err != nil {
 		return nil, err
 	}
 	content := make([]byte, size)

@@ -86,6 +86,14 @@ func (a *API) Rollback(p *kernel.Process) (*Group, *RollbackNotice, error) {
 	// must not be mutated under us by background retirement.
 	a.O.Drain(g)
 	img := g.LastImage()
+	if img != nil && !img.Released() && !img.Resolvable() {
+		// A barrier taken with SkipFlush (a speculation point) on top of
+		// history whose frames already went back to the allocator: only
+		// a backend can resolve it now, so it has to get there first.
+		if err := a.O.Sync(g); err != nil {
+			return nil, nil, err
+		}
+	}
 	var readTime time.Duration
 	if img == nil || img.Released() {
 		// Fall back to a backend image.

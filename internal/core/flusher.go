@@ -62,11 +62,11 @@ type flusher struct {
 	syncMu sync.Mutex
 
 	mu       sync.Mutex
-	cond     *sync.Cond  // wakes Enqueue when the window drains, and Close
-	credits  int         // max concurrently running flushes for this group
-	window   int         // max admitted-but-unfinished jobs (credits + queue)
-	admitted int         // jobs admitted and not yet completed
-	inflight int         // jobs currently running on shard workers
+	cond     *sync.Cond // wakes Enqueue when the window drains, and Close
+	credits  int        // max concurrently running flushes for this group
+	window   int        // max admitted-but-unfinished jobs (credits + queue)
+	admitted int        // jobs admitted and not yet completed
+	inflight int        // jobs currently running on shard workers
 	closed   bool
 	pending  []*flushJob // admitted, waiting for a credit; oldest first
 	order    []uint64    // epochs in enqueue (== epoch) order, oldest first

@@ -47,8 +47,9 @@ type MemImage struct {
 	// instead of bytes, and restore attaches a demand-paging source
 	// that reads — and hash-verifies — each block at first touch.
 	Refs map[int64]objstore.BlockRef
-	// Heat is the access-count snapshot driving restore prefetch.
-	Heat map[int64]uint32
+	// Heat is the access-count snapshot driving restore prefetch: the
+	// non-zero counters in ascending page order.
+	Heat []vm.PageHeat
 }
 
 // PageCount returns the total captured page count.
@@ -153,7 +154,11 @@ func (img *Image) FootprintBytes() int64 {
 	return n
 }
 
-// Release drops the image's frame references. Safe to call twice.
+// Release returns the image's frames to the allocator and cuts its link
+// to the rest of the chain. Safe to call twice. From here on the image
+// answers for its identity only (Group, Epoch, Gen): the frames belong
+// to whoever allocates them next, so a chain walk that reaches a
+// released image ends there with nothing found (see chain).
 func (img *Image) Release(pm *vm.PhysMem) {
 	img.mu.Lock()
 	if img.released {
@@ -161,11 +166,13 @@ func (img *Image) Release(pm *vm.PhysMem) {
 		return
 	}
 	img.released = true
+	img.Prev = nil
 	img.mu.Unlock()
 	for _, mi := range img.Memory {
 		for _, f := range mi.Pages {
 			pm.Free(f)
 		}
+		mi.Pages = nil
 	}
 }
 
@@ -177,24 +184,48 @@ func (img *Image) Released() bool {
 	return img.released
 }
 
-// ResolveObject materializes an object's complete page map at this
-// image, walking the incremental chain back to a full image.
-func (img *Image) ResolveObject(objID uint64) map[int64][]byte {
-	var chain []*MemImage
-	for cur := img; cur != nil; cur = cur.Prev {
-		if mi, ok := cur.Memory[objID]; ok {
-			chain = append(chain, mi)
+// chain lists img and the images under it, newest first, down to the
+// nearest full one — what resolving state at img has to read. It is nil
+// when any of them has been released: that part of the history now
+// lives in a backend only, and resolving around the hole would pass
+// off a partial state as the whole.
+func (img *Image) chain() []*Image {
+	var out []*Image
+	for cur := img; cur != nil; {
+		cur.mu.Lock()
+		released, prev := cur.released, cur.Prev
+		cur.mu.Unlock()
+		if released {
+			return nil
 		}
+		out = append(out, cur)
 		if cur.Full {
 			break
 		}
+		cur = prev
 	}
-	if len(chain) == 0 {
-		return nil
-	}
-	out := make(map[int64][]byte)
+	return out
+}
+
+// Resolvable reports whether the state at this image can still be
+// resolved from memory: neither it nor any image it builds on has been
+// released.
+func (img *Image) Resolvable() bool { return img.chain() != nil }
+
+// ResolveObject materializes an object's complete page map at this
+// image, walking the incremental chain back to a full image. It is nil
+// when the object is unknown or the chain is not Resolvable.
+func (img *Image) ResolveObject(objID uint64) map[int64][]byte {
+	chain := img.chain()
+	var out map[int64][]byte
 	for i := len(chain) - 1; i >= 0; i-- {
-		mi := chain[i]
+		mi, ok := chain[i].Memory[objID]
+		if !ok {
+			continue
+		}
+		if out == nil {
+			out = make(map[int64][]byte)
+		}
 		for idx, f := range mi.Pages {
 			out[idx] = f.Data
 		}
@@ -208,14 +239,11 @@ func (img *Image) ResolveObject(objID uint64) map[int64][]byte {
 // ResolveMeta finds the newest metadata record for an OID along the
 // image chain.
 func (img *Image) ResolveMeta(oid uint64) (MetaRec, bool) {
-	for cur := img; cur != nil; cur = cur.Prev {
+	for _, cur := range img.chain() {
 		for _, m := range cur.Meta {
 			if m.OID == oid {
 				return m, true
 			}
-		}
-		if cur.Full {
-			break
 		}
 	}
 	return MetaRec{}, false
@@ -226,15 +254,12 @@ func (img *Image) ResolveMeta(oid uint64) (MetaRec, bool) {
 func (img *Image) AllMeta() []MetaRec {
 	seen := make(map[uint64]bool)
 	var out []MetaRec
-	for cur := img; cur != nil; cur = cur.Prev {
+	for _, cur := range img.chain() {
 		for _, m := range cur.Meta {
 			if !seen[m.OID] {
 				seen[m.OID] = true
 				out = append(out, m)
 			}
-		}
-		if cur.Full {
-			break
 		}
 	}
 	return out
@@ -244,28 +269,33 @@ func (img *Image) AllMeta() []MetaRec {
 func (img *Image) ObjectIDs() []uint64 {
 	seen := make(map[uint64]bool)
 	var out []uint64
-	for cur := img; cur != nil; cur = cur.Prev {
+	for _, cur := range img.chain() {
 		for id := range cur.Memory {
 			if !seen[id] {
 				seen[id] = true
 				out = append(out, id)
 			}
 		}
-		if cur.Full {
-			break
-		}
 	}
 	return out
 }
 
-// ResolveHeat finds the newest heat snapshot for an object.
-func (img *Image) ResolveHeat(objID uint64) map[int64]uint32 {
-	for cur := img; cur != nil; cur = cur.Prev {
+// resolveMem finds the newest capture of an object along the chain:
+// the one carrying its current name and size.
+func (img *Image) resolveMem(objID uint64) *MemImage {
+	for _, cur := range img.chain() {
+		if mi, ok := cur.Memory[objID]; ok {
+			return mi
+		}
+	}
+	return nil
+}
+
+// ResolveHeat finds the newest non-empty heat snapshot for an object.
+func (img *Image) ResolveHeat(objID uint64) []vm.PageHeat {
+	for _, cur := range img.chain() {
 		if mi, ok := cur.Memory[objID]; ok && len(mi.Heat) > 0 {
 			return mi.Heat
-		}
-		if cur.Full {
-			break
 		}
 	}
 	return nil
@@ -290,17 +320,10 @@ func (img *Image) Encode() []byte {
 	e.U64(uint64(len(objIDs)))
 	for _, id := range objIDs {
 		pages := img.ResolveObject(id)
-		var name string
-		var size int64
-		for cur := img; cur != nil; cur = cur.Prev {
-			if mi, ok := cur.Memory[id]; ok {
-				name, size = mi.Name, mi.Size
-				break
-			}
-		}
+		newest := img.resolveMem(id)
 		e.U64(id)
-		e.Str(name)
-		e.I64(size)
+		e.Str(newest.Name)
+		e.I64(newest.Size)
 		e.U64(uint64(len(pages)))
 		for idx, data := range pages {
 			e.I64(idx)
@@ -308,9 +331,9 @@ func (img *Image) Encode() []byte {
 		}
 		heat := img.ResolveHeat(id)
 		e.U64(uint64(len(heat)))
-		for idx, h := range heat {
-			e.I64(idx)
-			e.U32(h)
+		for _, h := range heat {
+			e.I64(h.Page)
+			e.U32(h.Count)
 		}
 	}
 	e.U64Slice(img.Roots)
@@ -461,23 +484,10 @@ type deltaSink interface {
 // the compact layout, in which page i goes as a hash ref when refs[i].
 func (img *Image) encodeDelta(pages []PageHash, tagged bool, refs []bool) []byte {
 	ids := make([]uint64, 0, len(img.Memory))
-	nHeat := 0
-	for id, mi := range img.Memory {
+	for id := range img.Memory {
 		ids = append(ids, id)
-		nHeat += len(mi.Heat)
 	}
 	slices.Sort(ids)
-	// Each object's heat keys, ascending, carved from one array.
-	heat := make([][]int64, len(ids))
-	keys := make([]int64, 0, nHeat)
-	for i, id := range ids {
-		from := len(keys)
-		for idx := range img.Memory[id].Heat {
-			keys = append(keys, idx)
-		}
-		heat[i] = keys[from:]
-		slices.Sort(heat[i])
-	}
 
 	write := func(w deltaSink) {
 		w.U64(img.Group)
@@ -493,7 +503,7 @@ func (img *Image) encodeDelta(pages []PageHash, tagged bool, refs []bool) []byte
 		}
 		w.U64(uint64(len(ids)))
 		next := 0
-		for i, id := range ids {
+		for _, id := range ids {
 			mi := img.Memory[id]
 			w.U64(id)
 			w.Str(mi.Name)
@@ -515,10 +525,10 @@ func (img *Image) encodeDelta(pages []PageHash, tagged bool, refs []bool) []byte
 				}
 				w.Bytes2(mi.PageData(pages[next].Idx))
 			}
-			w.U64(uint64(len(heat[i])))
-			for _, idx := range heat[i] {
-				w.I64(idx)
-				w.U32(mi.Heat[idx])
+			w.U64(uint64(len(mi.Heat)))
+			for _, h := range mi.Heat {
+				w.I64(h.Page)
+				w.U32(h.Count)
 			}
 		}
 		w.U64Slice(img.Roots)
@@ -543,12 +553,7 @@ func literalPage(d *codec.Decoder, pm *vm.PhysMem, _ uint64, _ int64) (*vm.Frame
 	if d.Err() != nil {
 		return nil, nil
 	}
-	f, err := pm.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	copy(f.Data, data)
-	return f, nil
+	return pm.AllocData(data)
 }
 
 // decodeBody parses what follows the header in all three image
@@ -595,12 +600,8 @@ func decodeObjects(d *codec.Decoder, img *Image, pm *vm.PhysMem, what string, pa
 				mi.Pages[idx] = f
 			}
 		}
-		if n := d.Count(); n > 0 {
-			mi.Heat = make(map[int64]uint32, n)
-			for j := 0; j < n && d.Err() == nil; j++ {
-				idx := d.I64()
-				mi.Heat[idx] = d.U32()
-			}
+		for j, n := 0, d.Count(); j < n && d.Err() == nil; j++ {
+			mi.Heat = append(mi.Heat, vm.PageHeat{Page: d.I64(), Count: d.U32()})
 		}
 	}
 	return nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -50,9 +51,8 @@ func codecImage(tb testing.TB, pm *vm.PhysMem, epoch uint64, full bool, pagesPer
 			}
 		}
 		if id != 11 {
-			mi.Heat = make(map[int64]uint32)
 			for i := 0; i < 2*pagesPerObj; i++ {
-				mi.Heat[int64(i)] = uint32(i * i)
+				mi.Heat = append(mi.Heat, vm.PageHeat{Page: int64(i), Count: uint32(i * i)})
 			}
 		}
 		img.Memory[id] = mi
@@ -75,13 +75,8 @@ func samePages(a, b *Image) error {
 		if ma.PageCount() != mb.PageCount() {
 			return fmt.Errorf("object %d: %d pages, want %d", id, mb.PageCount(), ma.PageCount())
 		}
-		if len(ma.Heat) != len(mb.Heat) {
-			return fmt.Errorf("object %d: %d heat entries, want %d", id, len(mb.Heat), len(ma.Heat))
-		}
-		for idx, h := range ma.Heat {
-			if mb.Heat[idx] != h {
-				return fmt.Errorf("object %d heat[%d] = %d, want %d", id, idx, mb.Heat[idx], h)
-			}
+		if !slices.Equal(ma.Heat, mb.Heat) {
+			return fmt.Errorf("object %d heat = %v, want %v", id, mb.Heat, ma.Heat)
 		}
 	}
 	for _, p := range a.pageOrder() {

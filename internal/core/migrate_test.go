@@ -428,8 +428,8 @@ func TestMigrateHandoverFlakyCompletes(t *testing.T) {
 	want := counterOn(t, a, g)
 	mig := &core.Migrator{
 		Src: a.o, Dst: b.o, G: g,
-		Link:   &flakyHandoff{Backend: w.rb, fails: 2},
-		Target: w.recv,
+		Link:     &flakyHandoff{Backend: w.rb, fails: 2},
+		Target:   w.recv,
 		SrcStore: a.sb, DstStore: b.sb,
 		Cfg: core.MigratorConfig{Retries: 4},
 	}
@@ -457,8 +457,8 @@ func TestMigrateAbortAfterAnnounceRemintsSource(t *testing.T) {
 	sup.Watch(g)
 	mig := &core.Migrator{
 		Src: a.o, Dst: b.o, G: g,
-		Link:   &flakyHandoff{Backend: w.rb, fails: 1 << 20},
-		Target: w.recv,
+		Link:     &flakyHandoff{Backend: w.rb, fails: 1 << 20},
+		Target:   w.recv,
 		SrcStore: a.sb, DstStore: b.sb,
 		Sup: sup,
 		Cfg: core.MigratorConfig{Retries: 2},

@@ -417,6 +417,7 @@ func (o *Orchestrator) Unpersist(g *Group) {
 	g.mu.Lock()
 	f := g.fl
 	g.fl = nil
+	g.sources = nil // demand-paging sources of a restore: block refs, page caches
 	g.mu.Unlock()
 	if f != nil {
 		f.Close()

@@ -41,6 +41,10 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 	clock := o.K.Clock
 	costs := o.K.Costs
 	bd := RestoreBreakdown{Lazy: opts.Lazy, ObjectStoreRead: readTime}
+	if !img.Resolvable() {
+		return nil, bd, fmt.Errorf("%w: image of group %d epoch %d builds on frames already released to a backend",
+			ErrNoImage, img.Group, img.Epoch)
+	}
 	fromStore := bd.ObjectStoreRead > 0
 	total := clock.Watch()
 
@@ -52,15 +56,8 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 	objMap := make(map[uint64]*vm.Object) // old vm ID -> new object
 	imagePages := int64(0)
 	for _, oldID := range img.ObjectIDs() {
-		var name string
-		var size int64
-		for cur := img; cur != nil; cur = cur.Prev {
-			if mi, ok := cur.Memory[oldID]; ok {
-				name, size = mi.Name, mi.Size
-				break
-			}
-		}
-		obj := vm.NewObject(name, size)
+		newest := img.resolveMem(oldID)
+		obj := vm.NewObject(newest.Name, newest.Size)
 		obj.SetTracked(true)
 		objMap[oldID] = obj
 	}
@@ -220,7 +217,6 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 		}
 	}
 	resolvedPages := 0
-	shareable := !img.Released()
 	for oldID, obj := range objMap {
 		effOpts := opts
 		switch policies[obj] {
@@ -229,7 +225,7 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 		case vm.RestoreLazy:
 			effOpts.Lazy = true
 		}
-		resolvedPages += o.restoreObjectMemory(img, oldID, obj, effOpts, shareable, &bd)
+		resolvedPages += o.restoreObjectMemory(img, oldID, obj, effOpts, &bd)
 	}
 	memCost := costs.RestoreMemBase + storage.PerKPage(costs.RestoreMemPerKPage, int64(resolvedPages))
 	if fromStore {
@@ -238,6 +234,14 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 	clock.Advance(memCost)
 	bd.MemoryState = memSW.Elapsed()
 	bd.PagesRestored = resolvedPages
+	// Mappings and shm segments hold their own references by now: drop
+	// the construction ones, so that the objects die — and return their
+	// frames — with the last process that maps them.
+	for _, obj := range objMap {
+		if obj.Deref() {
+			obj.ReleaseAll(o.K.Mem)
+		}
+	}
 
 	// --- Resume ---
 	name := opts.Name
@@ -314,7 +318,7 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 //     a fault-tolerant demand-paging source that reads, verifies, and
 //     — on primary failure — fails over each page to a peer; and
 //   - eager restores copy everything up front.
-func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Object, opts RestoreOpts, shareable bool, bd *RestoreBreakdown) int {
+func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Object, opts RestoreOpts, bd *RestoreBreakdown) int {
 	// Collect frame-backed pages along the chain (newest wins).
 	frames := make(map[int64]*vm.Frame)
 	bytesPages := make(map[int64][]byte)
@@ -329,41 +333,34 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Obj
 		_, ok := refPages[idx]
 		return ok
 	}
-	for cur := img; cur != nil; cur = cur.Prev {
-		if mi, ok := cur.Memory[oldID]; ok {
-			for idx, f := range mi.Pages {
-				if !havePage(idx) {
-					frames[idx] = f
-				}
-			}
-			for idx, d := range mi.SwapData {
-				if !havePage(idx) {
-					bytesPages[idx] = d
-				}
-			}
-			for idx, ref := range mi.Refs {
-				if !havePage(idx) {
-					refPages[idx] = ref
-				}
+	for _, cur := range img.chain() {
+		mi, ok := cur.Memory[oldID]
+		if !ok {
+			continue
+		}
+		for idx, f := range mi.Pages {
+			if !havePage(idx) {
+				frames[idx] = f
 			}
 		}
-		if cur.Full {
-			break
+		for idx, d := range mi.SwapData {
+			if !havePage(idx) {
+				bytesPages[idx] = d
+			}
+		}
+		for idx, ref := range mi.Refs {
+			if !havePage(idx) {
+				refPages[idx] = ref
+			}
 		}
 	}
 	total := len(frames) + len(bytesPages) + len(refPages)
 
-	if shareable && len(frames) > 0 {
-		// Zero-copy memory state: share the image's frames under COW.
-		for idx, f := range frames {
-			obj.InstallSharedPage(o.K.Mem, idx, f)
-		}
-		bd.Shared += len(frames)
-	} else {
-		for idx, f := range frames {
-			bytesPages[idx] = f.Data
-		}
+	// Zero-copy memory state: share the image's frames under COW.
+	for idx, f := range frames {
+		obj.InstallSharedPage(o.K.Mem, idx, f)
 	}
+	bd.Shared += len(frames)
 
 	if len(refPages) > 0 && img.source != nil {
 		// Store-resident pages: demand-page through the fault-tolerant
@@ -385,11 +382,10 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Obj
 				if err != nil || data == nil {
 					continue
 				}
-				f, err := o.K.Mem.Alloc()
+				f, err := o.K.Mem.AllocData(data)
 				if err != nil {
 					return total
 				}
-				copy(f.Data, data)
 				obj.InsertPage(o.K.Mem, idx, f)
 				o.K.Meter.ChargeCopy(1)
 			}
@@ -406,11 +402,10 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Obj
 		o.prefetchHottest(img, oldID, obj, src.FetchPage, opts.Prefetch, bd)
 	} else {
 		for idx, data := range bytesPages {
-			f, err := o.K.Mem.Alloc()
+			f, err := o.K.Mem.AllocData(data)
 			if err != nil {
 				return total
 			}
-			copy(f.Data, data)
 			obj.InsertPage(o.K.Mem, idx, f)
 			o.K.Meter.ChargeCopy(1)
 		}
@@ -434,11 +429,10 @@ func (o *Orchestrator) prefetchHottest(img *Image, oldID uint64, obj *vm.Object,
 		if err != nil || data == nil {
 			continue
 		}
-		f, err := o.K.Mem.Alloc()
+		f, err := o.K.Mem.AllocData(data)
 		if err != nil {
 			return
 		}
-		copy(f.Data, data)
 		obj.InsertPage(o.K.Mem, idx, f)
 		bd.Prefetched++
 	}

@@ -71,11 +71,11 @@ func (r *spaceRig) ckpt(t *testing.T, g *Group, opts CheckpointOpts) CheckpointB
 // only job is to report a contiguous catch-up floor to the reclaimer.
 type floorBackend struct{ floor uint64 }
 
-func (f *floorBackend) Name() string                                     { return "floor" }
-func (f *floorBackend) Flush(img *Image) (time.Duration, error)          { return 0, nil }
-func (f *floorBackend) Load(g, e uint64) (*Image, time.Duration, error)  { return nil, 0, ErrNoImage }
-func (f *floorBackend) Ephemeral() bool                                  { return true }
-func (f *floorBackend) CatchUpFloor(group uint64) uint64                 { return f.floor }
+func (f *floorBackend) Name() string                                    { return "floor" }
+func (f *floorBackend) Flush(img *Image) (time.Duration, error)         { return 0, nil }
+func (f *floorBackend) Load(g, e uint64) (*Image, time.Duration, error) { return nil, 0, ErrNoImage }
+func (f *floorBackend) Ephemeral() bool                                 { return true }
+func (f *floorBackend) CatchUpFloor(group uint64) uint64                { return f.floor }
 
 // TestReclaimerProtectionFloors drives an aggressive scan (KeepLast 1,
 // watermarks at zero so any usage is emergency-level) against a

@@ -187,8 +187,7 @@ func (c *Checkpointer) Restore(pid int, container int) (*kernel.Process, error) 
 		mname := d.Str()
 		// Reuse the spawned layout where ranges collide; otherwise map.
 		if p.Space.Find(start) == nil {
-			obj := vm.NewObject(mname, int64(end-start))
-			if _, err := p.Space.Map(start, int64(end-start), vm.ProtRead|vm.ProtWrite, obj, 0, false, mname); err != nil {
+			if _, err := p.Space.MapAnonAt(start, int64(end-start), vm.ProtRead|vm.ProtWrite, false, mname); err != nil {
 				return nil, err
 			}
 		}

@@ -214,8 +214,7 @@ func (pr *Program) Step(k *kernel.Kernel, p *kernel.Process, t *kernel.Thread) e
 func Load(k *kernel.Kernel, p *kernel.Process, code []byte) (vm.Addr, error) {
 	const textBase = vm.Addr(0x0040_0000)
 	n := vm.RoundUpPage(int64(len(code)))
-	text := vm.NewObject("text", n)
-	if _, err := p.Space.Map(textBase, n, vm.ProtRead|vm.ProtWrite|vm.ProtExec, text, 0, false, "text"); err != nil {
+	if _, err := p.Space.MapAnonAt(textBase, n, vm.ProtRead|vm.ProtWrite|vm.ProtExec, false, "text"); err != nil {
 		return 0, err
 	}
 	if err := p.WriteMem(textBase, code); err != nil {

@@ -129,6 +129,66 @@ func TestExitReap(t *testing.T) {
 	}
 }
 
+// TestReapFreesWhatTheProcessHeld: under process churn that never runs
+// the scheduler, Reap alone must bring the run queue, the frame count
+// and the pager's tables back to where they started — and must leave a
+// forked sibling's view of shared and shadowed memory intact.
+func TestReapFreesWhatTheProcessHeld(t *testing.T) {
+	clock := storage.NewClock()
+	k := NewWith(clock, vm.NewPhysMem(64))
+	k.AttachSwap(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock))
+	keeper, _ := k.Spawn(0, "keeper")
+	keeper.WriteMem(keeper.HeapBase(), []byte("kept"))
+	seg, _ := k.ShmGet(7, vm.PageSize)
+	keeperShm, _ := k.ShmAttach(keeper, seg)
+	keeper.WriteMem(keeperShm, []byte("shared"))
+	resident, queued := k.Mem.Resident(), len(k.runQueue)
+
+	for round := 0; round < 200; round++ {
+		p, err := k.Spawn(0, "churn")
+		if err != nil {
+			t.Fatalf("round %d: spawn: %v", round, err)
+		}
+		k.CreateThread(p, Regs{})
+		child, _ := k.Fork(p)
+		addr, _ := k.ShmAttach(p, seg)
+		for pg := 0; pg < 8; pg++ {
+			if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), []byte{byte(round)}); err != nil {
+				t.Fatalf("round %d: write: %v", round, err)
+			}
+		}
+		p.WriteMem(addr+8, []byte{byte(round)})
+		for _, q := range []*Process{p, child} {
+			k.Exit(q, 0)
+			var b [1]byte
+			if err := q.ReadMem(q.HeapBase(), b[:]); err != nil {
+				t.Fatalf("round %d: a zombie's memory must stay readable until it is reaped: %v", round, err)
+			}
+			if err := k.Reap(q); err != nil {
+				t.Fatalf("round %d: reap: %v", round, err)
+			}
+		}
+		if got := k.Mem.Resident(); got != resident {
+			t.Fatalf("round %d: %d frames resident after reap, started at %d", round, got, resident)
+		}
+		if got := len(k.runQueue); got != queued {
+			t.Fatalf("round %d: run queue holds %d threads after reap, started at %d", round, got, queued)
+		}
+	}
+	got := make([]byte, 9)
+	keeper.ReadMem(keeperShm, got)
+	if string(got[:6]) != "shared" || got[8] != 199 {
+		t.Fatalf("shared segment after the churn = %q", got)
+	}
+	keeper.ReadMem(keeper.HeapBase(), got[:4])
+	if string(got[:4]) != "kept" {
+		t.Fatalf("survivor's heap = %q", got[:4])
+	}
+	if ran, err := k.Run(1); err != nil || ran != 1 {
+		t.Fatalf("the survivor's thread fell off the run queue: ran %d quanta, err %v", ran, err)
+	}
+}
+
 func TestPipeRoundTrip(t *testing.T) {
 	k := New()
 	p, _ := k.Spawn(0, "app")

@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"aurora/internal/vm"
@@ -140,10 +141,10 @@ func (k *Kernel) Spawn(container int, name string, args ...string) (*Process, er
 	p.FDs = NewFDTable(k.NextOID())
 
 	// Standard layout: 1 MiB stack high, heap above the mmap base.
-	if _, err := space.Map(0x7fff_f000_0000, 1<<20, vm.ProtRead|vm.ProtWrite, vm.NewObject("stack", 1<<20), 0, false, "stack"); err != nil {
+	if _, err := space.MapAnonAt(0x7fff_f000_0000, 1<<20, vm.ProtRead|vm.ProtWrite, false, "stack"); err != nil {
 		return nil, err
 	}
-	heap, err := space.Map(0x1000_0000, 1<<20, vm.ProtRead|vm.ProtWrite, vm.NewObject("heap", 1<<20), 0, false, "heap")
+	heap, err := space.MapAnonAt(0x1000_0000, 1<<20, vm.ProtRead|vm.ProtWrite, false, "heap")
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +164,7 @@ func (k *Kernel) Spawn(container int, name string, args ...string) (*Process, er
 	k.objects[p.oid] = p
 	k.objects[t.oid] = t
 	k.objects[p.FDs.oid] = p.FDs
-	k.runQueue = append(k.runQueue, t)
+	k.enqueueLocked(t)
 	k.mu.Unlock()
 
 	if k.Pager != nil {
@@ -226,7 +227,7 @@ func (k *Kernel) Fork(parent *Process) (*Process, error) {
 	k.objects[child.oid] = child
 	k.objects[t.oid] = t
 	k.objects[child.FDs.oid] = child.FDs
-	k.runQueue = append(k.runQueue, t)
+	k.enqueueLocked(t)
 	k.mu.Unlock()
 
 	if k.Pager != nil {
@@ -252,7 +253,11 @@ func (k *Kernel) Exit(p *Process, code int) {
 	k.Clock.Advance(k.Costs.Syscall)
 }
 
-// Reap removes a zombie from the process table.
+// Reap removes a zombie from the process table and gives back what it
+// held: its threads leave the run queue, its address space is unmapped
+// (objects shared with a live process survive through their reference
+// count; the rest return their frames to the allocator) and the pager
+// forgets both. Until Reap a zombie's memory stays readable.
 func (k *Kernel) Reap(p *Process) error {
 	if p.State() != ProcZombie {
 		return ErrNotRunning
@@ -268,7 +273,21 @@ func (k *Kernel) Reap(p *Process) error {
 		delete(k.objects, t.oid)
 	}
 	delete(k.objects, p.FDs.oid)
+	k.runQueue = slices.DeleteFunc(k.runQueue, func(t *Thread) bool {
+		if t.Proc == p {
+			t.queued = false
+		}
+		return t.Proc == p
+	})
 	k.mu.Unlock()
+
+	dead := p.Space.UnmapAll()
+	if k.Pager != nil {
+		k.Pager.UnregisterSpace(p.Space)
+		for _, obj := range dead {
+			k.Pager.Unregister(obj)
+		}
+	}
 	return nil
 }
 

@@ -121,6 +121,7 @@ func (k *Kernel) nextRunnable() *Thread {
 		k.runQueue = k.runQueue[1:]
 		if t.State == ThreadDone || t.Proc.State() == ProcZombie {
 			t.State = ThreadDone
+			t.queued = false
 			continue
 		}
 		k.runQueue = append(k.runQueue, t)
@@ -170,12 +171,15 @@ func (k *Kernel) StoppedCount() int64 { return k.stopCount.Load() }
 func (k *Kernel) AddRunnable(t *Thread) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	for _, q := range k.runQueue {
-		if q == t {
-			return
-		}
+	k.enqueueLocked(t)
+}
+
+// enqueueLocked puts t on the run queue unless it is already there.
+func (k *Kernel) enqueueLocked(t *Thread) {
+	if !t.queued {
+		t.queued = true
+		k.runQueue = append(k.runQueue, t)
 	}
-	k.runQueue = append(k.runQueue, t)
 }
 
 // FuncProgram adapts a plain step function into a Program; it is the

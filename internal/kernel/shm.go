@@ -131,6 +131,7 @@ func (k *Kernel) restoreShm(d *Decoder, lookupObj func(uint64) *vm.Object) (*Sys
 	if s.Obj == nil {
 		return nil, ErrCorrupt
 	}
+	s.Obj.Ref() // the segment's own, as ShmGet's construction reference is
 	k.mu.Lock()
 	k.shm[s.Key] = s
 	k.objects[s.oid] = s

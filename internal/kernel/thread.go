@@ -30,6 +30,8 @@ type Thread struct {
 	State ThreadState
 	// WaitChan names what a blocked thread is sleeping on, for ps.
 	WaitChan string
+
+	queued bool // on the kernel's run queue; guarded by Kernel.mu
 }
 
 // OID implements Object.
@@ -81,7 +83,7 @@ func (k *Kernel) CreateThread(p *Process, regs Regs) *Thread {
 	p.mu.Unlock()
 	k.mu.Lock()
 	k.objects[t.oid] = t
-	k.runQueue = append(k.runQueue, t)
+	k.enqueueLocked(t)
 	k.mu.Unlock()
 	return t
 }

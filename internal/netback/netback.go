@@ -396,11 +396,10 @@ func (r *Receiver) resolveBlock(h objstore.Hash) (*vm.Frame, bool) {
 	r.mu.Unlock()
 	for _, s := range srcs {
 		if d, ok := s.FetchBlock(h); ok {
-			f, err := r.pm.Alloc()
+			f, err := r.pm.AllocData(d)
 			if err != nil {
 				return nil, false
 			}
-			copy(f.Data, d)
 			return f, true
 		}
 	}

@@ -4,9 +4,12 @@ import "fmt"
 
 // AuditReachability cross-checks the block index against every retained
 // record: each block referenced by any record must exist with a
-// refcount equal to the number of references, no block may exist with
-// zero references (unreachable blocks must have been freed), and no
-// free-list entry may alias a live block or appear twice. The chaos and
+// refcount equal to the number of references — plus the references
+// puts still in flight hold for records they have not registered yet,
+// which the in-flight ledger counts exactly, so the check stays an
+// equality while a flush runs on another lane — no block may exist
+// with zero references (unreachable blocks must have been freed), and
+// no free-list entry may alias a live block or appear twice. The chaos and
 // space harnesses run this after every reclamation — a refcount drift
 // here is how merge-forward GC bugs first become visible, long before
 // they corrupt a restore.
@@ -29,10 +32,15 @@ func (s *Store) AuditReachability() error {
 			want[ref.Hash]++
 		}
 	}
+	for h, n := range s.inflight {
+		if _, ok := s.blocks[h]; !ok {
+			return fmt.Errorf("objstore: audit: %d in-flight references to freed block %x", n, h[:4])
+		}
+	}
 	for h, be := range s.blocks {
-		if w := want[h]; be.refs != w {
-			return fmt.Errorf("objstore: audit: block %x at %d has refcount %d, %d references reachable",
-				h[:4], be.ref.Off, be.refs, w)
+		if w, fl := want[h], s.inflight[h]; be.refs != w+fl {
+			return fmt.Errorf("objstore: audit: block %x at %d has refcount %d, %d references reachable, %d in flight",
+				h[:4], be.ref.Off, be.refs, w, fl)
 		}
 		if be.refs <= 0 {
 			return fmt.Errorf("objstore: audit: unreachable block %x at %d not freed", h[:4], be.ref.Off)

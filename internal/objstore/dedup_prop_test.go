@@ -15,6 +15,11 @@ import (
 // bit-identical after every operation, and the reachability audit
 // must hold.
 //
+// The model also keeps each record's own page map and folds it the way
+// merge-forward does, so after every step the store's block count and
+// cumulative BlocksFreed must equal the model's — whichever of the two
+// maps DropEpoch folded into the other (both directions must occur).
+//
 // This is the regression net for the fleet's FaaS-density story: a
 // thousand clones share one image's blocks, and one clone's GC must
 // never eat a block the others still resolve.
@@ -24,6 +29,7 @@ import (
 type dedupModelEpoch struct {
 	epoch uint64
 	view  map[int64]byte
+	own   map[int64]byte // the pages its record holds
 }
 
 func TestDedupCrossGroupGCInterleaving(t *testing.T) {
@@ -41,6 +47,16 @@ func TestDedupCrossGroupGCInterleaving(t *testing.T) {
 		fills := []byte{0x11, 0x22, 0x33, 0x44, 0x55, 0x66}
 
 		model := make([][]dedupModelEpoch, groups)
+		// refs counts record-page references per fill: one block each.
+		refs := make(map[byte]int)
+		freed := int64(0)
+		unref := func(fill byte) {
+			if refs[fill]--; refs[fill] == 0 {
+				delete(refs, fill)
+				freed++
+			}
+		}
+		victimLarger, heirLarger := 0, 0
 		next := make([]uint64, groups) // next epoch per group
 		for g := range next {
 			next[g] = 1
@@ -56,6 +72,10 @@ func TestDedupCrossGroupGCInterleaving(t *testing.T) {
 			for n := 1 + rng.Intn(4); n > 0; n-- {
 				pg := int64(rng.Intn(8))
 				fill := fills[rng.Intn(len(fills))]
+				if rng.Intn(4) == 0 {
+					// A rarely shared content, so that blocks also die.
+					fill = byte(0x80 + rng.Intn(64))
+				}
 				dirty[pg] = page(fill)
 				want[pg] = fill
 			}
@@ -77,8 +97,9 @@ func TestDedupCrossGroupGCInterleaving(t *testing.T) {
 			}
 			for pg, f := range want {
 				view[pg] = f
+				refs[f]++
 			}
-			model[g] = append(model[g], dedupModelEpoch{epoch: epoch, view: view})
+			model[g] = append(model[g], dedupModelEpoch{epoch: epoch, view: view, own: want})
 		}
 
 		drop := func(g int) {
@@ -88,6 +109,19 @@ func TestDedupCrossGroupGCInterleaving(t *testing.T) {
 			oldest := model[g][0]
 			if err := s.DropEpoch(uint64(g+1), oldest.epoch); err != nil {
 				t.Fatalf("seed %d: drop g%d e%d: %v", seed, g, oldest.epoch, err)
+			}
+			heir := model[g][1].own
+			if len(oldest.own) > len(heir) {
+				victimLarger++
+			} else {
+				heirLarger++
+			}
+			for pg, f := range oldest.own {
+				if _, shadowed := heir[pg]; shadowed {
+					unref(f)
+				} else {
+					heir[pg] = f
+				}
 			}
 			model[g] = model[g][1:]
 		}
@@ -119,6 +153,10 @@ func TestDedupCrossGroupGCInterleaving(t *testing.T) {
 			if err := s.AuditReachability(); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
+			if st := s.Stats(); st.Blocks != len(refs) || st.BlocksFreed != freed {
+				t.Fatalf("seed %d: store has %d blocks, freed %d; model has %d, freed %d",
+					seed, st.Blocks, st.BlocksFreed, len(refs), freed)
+			}
 		}
 
 		// Warm up: one full epoch per group so every group is live.
@@ -141,6 +179,10 @@ func TestDedupCrossGroupGCInterleaving(t *testing.T) {
 		// this test exercises nothing.
 		if s.Stats().DedupHits == 0 {
 			t.Fatalf("seed %d: no cross-record dedup happened", seed)
+		}
+		if victimLarger == 0 || heirLarger == 0 {
+			t.Fatalf("seed %d: merge-forward folded victim into heir %d times, heir into victim %d times: want both",
+				seed, heirLarger, victimLarger)
 		}
 		// Drain every group to one epoch each and re-verify: the
 		// surviving views still own every block they reference.

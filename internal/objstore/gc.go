@@ -88,13 +88,27 @@ func (s *Store) mergeForwardLocked(rec *Record, next *Manifest) bool {
 		next.Records = append(next.Records, key)
 		return true
 	}
-	for idx, ref := range rec.Pages {
-		if _, shadowed := heir.Pages[idx]; shadowed {
-			// The heir rewrote this page; the old block dies.
-			s.releaseBlockLocked(ref)
-		} else {
-			// Still live: move the reference forward, in place.
-			heir.Pages[idx] = ref
+	// Fold the smaller page map into the larger and leave the result
+	// with the heir, so the work is O(min) of the two: a clean full
+	// record dropped under a small delta costs what the delta holds,
+	// not what the object holds.
+	if len(rec.Pages) > len(heir.Pages) {
+		for idx, ref := range heir.Pages {
+			if old, shadowed := rec.Pages[idx]; shadowed {
+				// The heir rewrote this page; the old block dies.
+				s.releaseBlockLocked(old)
+			}
+			rec.Pages[idx] = ref
+		}
+		heir.Pages = rec.Pages
+	} else {
+		for idx, ref := range rec.Pages {
+			if _, shadowed := heir.Pages[idx]; shadowed {
+				s.releaseBlockLocked(ref)
+			} else {
+				// Still live: move the reference forward, in place.
+				heir.Pages[idx] = ref
+			}
 		}
 	}
 	// The heir now carries the object's complete page set as of its

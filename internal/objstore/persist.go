@@ -7,6 +7,7 @@ import (
 
 	"aurora/internal/codec"
 	"aurora/internal/storage"
+	"aurora/internal/vm"
 )
 
 // This file persists the store's index so a store survives restart:
@@ -133,9 +134,9 @@ func (s *Store) Sync() error {
 			e.Bytes2(ref.Hash[:])
 		}
 		e.U64(uint64(len(rec.Heat)))
-		for idx, h := range rec.Heat {
-			e.I64(idx)
-			e.U32(h)
+		for _, h := range rec.Heat {
+			e.I64(h.Page)
+			e.U32(h.Count)
 		}
 	}
 	// Manifests.
@@ -339,13 +340,8 @@ func decodeIndex(dev storage.Device, clock *storage.Clock, idx []byte) (*Store, 
 			copy(ref.Hash[:], d.Bytes2())
 			rec.Pages[idxN] = ref
 		}
-		nHeat := d.U64()
-		if nHeat > 0 {
-			rec.Heat = make(map[int64]uint32, nHeat)
-		}
-		for j := uint64(0); j < nHeat && d.Err() == nil; j++ {
-			hidx := d.I64()
-			rec.Heat[hidx] = d.U32()
+		for j, n := 0, d.Count(); j < n && d.Err() == nil; j++ {
+			rec.Heat = append(rec.Heat, vm.PageHeat{Page: d.I64(), Count: d.U32()})
 		}
 		s.records[key] = rec
 		if rec.metaLen+1 < BlockSize && rec.metaOff >= dataStart {

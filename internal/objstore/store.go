@@ -106,8 +106,9 @@ type Record struct {
 	Meta []byte
 	// Pages maps page index -> data block.
 	Pages map[int64]BlockRef
-	// Heat is the access-frequency snapshot used for restore prefetch.
-	Heat map[int64]uint32
+	// Heat is the access-frequency snapshot used for restore prefetch:
+	// the non-zero counters in ascending page order.
+	Heat []vm.PageHeat
 
 	metaOff int64
 	metaLen int
@@ -164,10 +165,10 @@ type blockEntry struct {
 // storeCore is the shared index state behind a Store and all of its
 // clock-redirected views: one set of records, blocks, and locks.
 type storeCore struct {
-	mu        sync.Mutex
-	syncMu    sync.Mutex // serializes Sync's write-index/publish protocol
-	nextOff   int64
-	freeList  []int64 // freed block offsets, reusable in place
+	mu       sync.Mutex
+	syncMu   sync.Mutex // serializes Sync's write-index/publish protocol
+	nextOff  int64
+	freeList []int64 // freed block offsets, reusable in place
 	// trimmedFree splits freeList: entries [0:trimmedFree) have been
 	// TRIMmed off the device (non-resident, still reusable), entries
 	// [trimmedFree:) are freed but still resident. Not persisted: a
@@ -178,7 +179,11 @@ type storeCore struct {
 	// superblock header, so once N publishes, N-2's index extent can
 	// never be needed by crash fallback again and is freed.
 	idxHist []extent
-	blocks    map[Hash]*blockEntry
+	blocks  map[Hash]*blockEntry
+	// inflight counts, per block, the references held by puts whose
+	// record is not registered yet (see holdLocked). The reachability
+	// audit needs it to stay an equality while a flush is in progress.
+	inflight  map[Hash]int32
 	records   map[RecordKey]*Record
 	manifests map[uint64][]*Manifest // group -> epoch-sorted manifests
 	named     map[string]manifestID  // checkpoint name -> manifest
@@ -238,6 +243,7 @@ func Create(dev storage.Device, clock *storage.Clock) *Store {
 		storeCore: &storeCore{
 			nextOff:     dataStart,
 			blocks:      make(map[Hash]*blockEntry),
+			inflight:    make(map[Hash]int32),
 			records:     make(map[RecordKey]*Record),
 			manifests:   make(map[uint64][]*Manifest),
 			named:       make(map[string]manifestID),
@@ -593,12 +599,36 @@ func (s *Store) HashPage(p []byte) Hash {
 	return sha256.Sum256(p)
 }
 
-// putBlock stores one page of data, deduplicating by content.
+// holdLocked takes one reference on a block for a record that is still
+// being put. From here until the record is registered (settleLocked) or
+// the put is unwound (unholdLocked) no record accounts for the
+// reference; the in-flight ledger does.
+func (s *Store) holdLocked(be *blockEntry) {
+	be.refs++
+	s.inflight[be.ref.Hash]++
+}
+
+// settleLocked takes one reference out of the in-flight ledger: the
+// record holding it is registered, or the reference is being released.
+func (s *Store) settleLocked(h Hash) {
+	if s.inflight[h]--; s.inflight[h] <= 0 {
+		delete(s.inflight, h)
+	}
+}
+
+// unholdLocked gives back a reference taken by holdLocked.
+func (s *Store) unholdLocked(ref BlockRef) {
+	s.settleLocked(ref.Hash)
+	s.releaseBlockLocked(ref)
+}
+
+// putBlock stores one page of data, deduplicating by content. The
+// reference it returns is held in flight (holdLocked).
 func (s *Store) putBlock(data []byte) (BlockRef, error) {
 	h := s.HashPage(data)
 	s.mu.Lock()
 	if be, ok := s.blocks[h]; ok {
-		be.refs++
+		s.holdLocked(be)
 		s.stats.DedupHits++
 		ref := be.ref
 		s.mu.Unlock()
@@ -627,33 +657,18 @@ func (s *Store) putBlock(data []byte) (BlockRef, error) {
 	if be, ok := s.blocks[h]; ok {
 		// A concurrent put landed the same content first: reference
 		// its block and recycle the one written here.
-		be.refs++
+		s.holdLocked(be)
 		s.stats.DedupHits++
 		ref := be.ref
 		s.freeList = append(s.freeList, off)
 		s.mu.Unlock()
 		return ref, nil
 	}
-	be := &blockEntry{ref: BlockRef{Off: off, Hash: h}, refs: 1}
+	be := &blockEntry{ref: BlockRef{Off: off, Hash: h}}
 	s.blocks[h] = be
+	s.holdLocked(be)
 	s.mu.Unlock()
 	return be.ref, nil
-}
-
-// releaseBlock drops one reference, freeing the space in place.
-func (s *Store) releaseBlock(ref BlockRef) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	be, ok := s.blocks[ref.Hash]
-	if !ok {
-		return
-	}
-	be.refs--
-	if be.refs <= 0 {
-		delete(s.blocks, ref.Hash)
-		s.freeList = append(s.freeList, be.ref.Off)
-		s.stats.BlocksFreed++
-	}
 }
 
 // verifyBlock checks a block's contents against its content hash. The
@@ -720,7 +735,7 @@ func (s *Store) ReadBlocks(refs []BlockRef) ([][]byte, error) {
 // PutRecord writes one object's record for an epoch: metadata plus the
 // given pages (complete set when full, dirty set otherwise). Page data
 // is deduplicated block by block.
-func (s *Store) PutRecord(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages map[int64][]byte, heat map[int64]uint32) (*Record, error) {
+func (s *Store) PutRecord(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages map[int64][]byte, heat []vm.PageHeat) (*Record, error) {
 	return s.putRecord(group, oid, epoch, kind, full, meta, pages, nil, heat)
 }
 
@@ -729,18 +744,18 @@ func (s *Store) PutRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 // what makes snapshots and clones zero-copy: a clone's first full
 // record in a new group references every block of the source image
 // without moving a byte.
-func (s *Store) PutRecordRefs(group, oid, epoch uint64, kind uint16, full bool, meta []byte, refs map[int64]BlockRef, heat map[int64]uint32) (*Record, error) {
+func (s *Store) PutRecordRefs(group, oid, epoch uint64, kind uint16, full bool, meta []byte, refs map[int64]BlockRef, heat []vm.PageHeat) (*Record, error) {
 	return s.putRecord(group, oid, epoch, kind, full, meta, nil, refs, heat)
 }
 
 // PutRecordMixed writes a record combining freshly written pages with
 // zero-copy references to existing blocks (the snapshot fast path:
 // dirty pages written, clean pages re-referenced).
-func (s *Store) PutRecordMixed(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages map[int64][]byte, refs map[int64]BlockRef, heat map[int64]uint32) (*Record, error) {
+func (s *Store) PutRecordMixed(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages map[int64][]byte, refs map[int64]BlockRef, heat []vm.PageHeat) (*Record, error) {
 	return s.putRecord(group, oid, epoch, kind, full, meta, pages, refs, heat)
 }
 
-func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages map[int64][]byte, refs map[int64]BlockRef, heat map[int64]uint32) (*Record, error) {
+func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages map[int64][]byte, refs map[int64]BlockRef, heat []vm.PageHeat) (*Record, error) {
 	rec := &Record{
 		Group: group,
 		OID:   oid,
@@ -759,7 +774,7 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 	unwind := func() {
 		s.mu.Lock()
 		for _, ref := range rec.Pages {
-			s.releaseBlockLocked(ref)
+			s.unholdLocked(ref)
 		}
 		s.stats.LogicalBytes -= logical
 		s.mu.Unlock()
@@ -768,17 +783,11 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 	for idx, ref := range refs {
 		be, ok := s.blocks[ref.Hash]
 		if !ok {
-			// Drop the refs taken on earlier loop iterations.
-			for pi, pr := range rec.Pages {
-				if pi != idx {
-					s.releaseBlockLocked(pr)
-				}
-			}
-			s.stats.LogicalBytes -= logical
 			s.mu.Unlock()
+			unwind()
 			return nil, fmt.Errorf("objstore: dangling block reference at page %d", idx)
 		}
-		be.refs++
+		s.holdLocked(be)
 		rec.Pages[idx] = be.ref
 		s.stats.LogicalBytes += BlockSize
 		logical += BlockSize
@@ -795,18 +804,17 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 			unwind()
 			return nil, err
 		}
+		s.mu.Lock()
 		if old, dup := rec.Pages[idx]; dup {
 			// Fresh data wins over a stale ref from the refs map; drop
 			// the reference the refs loop already took for this page.
-			s.releaseBlock(old)
-			rec.Pages[idx] = ref
+			s.unholdLocked(old)
 		} else {
-			rec.Pages[idx] = ref
-			s.mu.Lock()
 			s.stats.LogicalBytes += BlockSize
 			logical += BlockSize
-			s.mu.Unlock()
 		}
+		rec.Pages[idx] = ref
+		s.mu.Unlock()
 	}
 	// Write the metadata extent, then register the record. Registration
 	// must come last: a record visible in the index before its metadata
@@ -855,6 +863,9 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 		s.freeExtentLocked(old.metaOff, old.metaLen+1)
 	}
 	s.records[key] = rec
+	for _, ref := range rec.Pages {
+		s.settleLocked(ref.Hash)
+	}
 	s.stats.MetaBytes += int64(len(meta))
 	s.mu.Unlock()
 	return rec, nil
@@ -944,15 +955,15 @@ func (s *Store) Groups() []uint64 {
 // epoch by walking the record chain backwards until a full record:
 // later (dirty) pages shadow earlier ones. It also returns the most
 // recent heat snapshot.
-func (s *Store) ResolvePages(group, oid, epoch uint64) (map[int64]BlockRef, map[int64]uint32, error) {
+func (s *Store) ResolvePages(group, oid, epoch uint64) (map[int64]BlockRef, []vm.PageHeat, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.resolvePagesLocked(group, oid, epoch)
 }
 
-func (s *Store) resolvePagesLocked(group, oid, epoch uint64) (map[int64]BlockRef, map[int64]uint32, error) {
+func (s *Store) resolvePagesLocked(group, oid, epoch uint64) (map[int64]BlockRef, []vm.PageHeat, error) {
 	pages := make(map[int64]BlockRef)
-	var heat map[int64]uint32
+	var heat []vm.PageHeat
 	// Collect the group's epochs <= target, newest first.
 	var chain []*Record
 	cur := epoch
@@ -977,7 +988,7 @@ func (s *Store) resolvePagesLocked(group, oid, epoch uint64) (map[int64]BlockRef
 		for idx, ref := range chain[i].Pages {
 			pages[idx] = ref
 		}
-		if chain[i].Heat != nil {
+		if len(chain[i].Heat) > 0 {
 			heat = chain[i].Heat
 		}
 	}

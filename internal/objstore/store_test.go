@@ -2,10 +2,12 @@ package objstore
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"aurora/internal/storage"
+	"aurora/internal/vm"
 )
 
 func testStore(t *testing.T) *Store {
@@ -295,7 +297,8 @@ func TestSyncOpenRoundTrip(t *testing.T) {
 	clock := storage.NewClock()
 	dev := storage.NewMemDevice(storage.ParamsOptaneNVMe, clock)
 	s := Create(dev, clock)
-	s.PutRecord(4, 10, 1, 2, true, []byte("meta-a"), map[int64][]byte{0: page(1), 5: page(7)}, map[int64]uint32{0: 3})
+	heat := []vm.PageHeat{{Page: 0, Count: 3}, {Page: 9, Count: 1}, {Page: 4000, Count: 1 << 31}}
+	s.PutRecord(4, 10, 1, 2, true, []byte("meta-a"), map[int64][]byte{0: page(1), 5: page(7)}, heat)
 	s.PutManifest(&Manifest{Group: 4, Epoch: 1, Name: "boot", Records: []RecordKey{{4, 10, 1}}, Roots: []uint64{10}})
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
@@ -313,8 +316,8 @@ func TestSyncOpenRoundTrip(t *testing.T) {
 	if string(rec.Meta) != "meta-a" || rec.Kind != 2 || !rec.Full {
 		t.Fatalf("record after reopen = %+v", rec)
 	}
-	if rec.Heat[0] != 3 {
-		t.Fatalf("heat lost across reopen: %v", rec.Heat)
+	if !slices.Equal(rec.Heat, heat) {
+		t.Fatalf("heat across reopen = %v, want %v", rec.Heat, heat)
 	}
 	data, err := s2.ReadBlock(rec.Pages[5])
 	if err != nil {

@@ -25,7 +25,7 @@ type CheckpointSet struct {
 	SourcePages map[int64][]byte
 	// Heat is a snapshot of the access counters, persisted to drive
 	// clock-based eager paging on restore.
-	Heat map[int64]uint32
+	Heat []PageHeat
 }
 
 // PageCount returns the number of in-memory pages in the set.
@@ -61,12 +61,16 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 
+	want := len(o.dirty)
+	if full {
+		want = len(o.pages)
+	}
 	cs := &CheckpointSet{
 		Obj:       o,
 		Epoch:     epoch,
-		Pages:     make(map[int64]*Frame),
+		Pages:     make(map[int64]*Frame, want),
 		SwapPages: make(map[int64]int64),
-		Heat:      make(map[int64]uint32, len(o.heat)),
+		Heat:      o.heatSnapshotLocked(),
 	}
 	capture := func(idx int64) {
 		if f, ok := o.pages[idx]; ok {
@@ -109,9 +113,6 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
 		for idx := range o.dirty {
 			capture(idx)
 		}
-	}
-	for idx, h := range o.heat {
-		cs.Heat[idx] = h
 	}
 	o.dirty = make(map[int64]bool)
 	o.epoch = epoch
@@ -222,12 +223,11 @@ func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, bool,
 				o.mu.Lock()
 				return nil, false, err
 			}
-			f, err := pm.Alloc()
+			f, err := pm.AllocData(data)
 			if err != nil {
 				o.mu.Lock()
 				return nil, false, err
 			}
-			copy(f.Data, data)
 			o.mu.Lock()
 			if cur, ok := o.pages[idx]; ok {
 				pm.Free(f)

@@ -16,9 +16,8 @@ var objectIDs atomic.Uint64
 //
 // Aurora extends the object with checkpoint state: a protection epoch
 // (pages write-protected by the last serialization barrier), a dirty
-// set (pages written since the last checkpoint), a frozen set (the
-// original frames owned by the in-flight checkpoint), heat counters
-// for clock-driven restore prefetch, and swap slots.
+// set (pages written since the last checkpoint), heat counters for
+// clock-driven restore prefetch, and swap slots.
 type Object struct {
 	ID   uint64
 	Name string // debugging aid: "heap", "stack", "shm:1234", ...
@@ -40,14 +39,21 @@ type Object struct {
 	refs   int32
 
 	// Aurora checkpoint tracking.
-	tracked   bool             // registered with the SLS orchestrator
-	protected map[int64]bool   // pages write-protected for COW tracking
-	dirty     map[int64]bool   // pages written since last checkpoint epoch
-	frozen    map[int64]*Frame // original frames owned by in-flight checkpoint
-	heat      map[int64]uint32 // access counts for restore prefetch
-	swapSlots map[int64]int64  // page -> swap slot for paged-out pages
-	epoch     uint64           // checkpoint epoch of the last barrier
-	source    PageSource       // lazy-restore backing (nil = none)
+	tracked   bool            // registered with the SLS orchestrator
+	protected map[int64]bool  // pages write-protected for COW tracking
+	dirty     map[int64]bool  // pages written since last checkpoint epoch
+	heat      []uint32        // access counts for restore prefetch, by page index
+	hot       int             // pages ever touched: sizes the heat snapshot
+	swapSlots map[int64]int64 // page -> swap slot for paged-out pages
+	epoch     uint64          // checkpoint epoch of the last barrier
+	source    PageSource      // lazy-restore backing (nil = none)
+}
+
+// PageHeat is one page's access count in a heat snapshot. Snapshots are
+// slices of the non-zero counters in ascending page order.
+type PageHeat struct {
+	Page  int64
+	Count uint32
 }
 
 // NewObject creates an anonymous VM object of the given size in bytes.
@@ -61,8 +67,6 @@ func NewObject(name string, size int64) *Object {
 		refs:      1,
 		protected: make(map[int64]bool),
 		dirty:     make(map[int64]bool),
-		frozen:    make(map[int64]*Frame),
-		heat:      make(map[int64]uint32),
 		swapSlots: make(map[int64]int64),
 	}
 }
@@ -199,8 +203,19 @@ func (o *Object) InsertPage(pm *PhysMem, idx int64, f *Frame) {
 }
 
 // Touch bumps the heat counter used by clock-driven restore prefetch.
+// The counters are a dense array that grows to the highest page
+// touched.
 func (o *Object) Touch(idx int64) {
+	if idx < 0 {
+		return
+	}
 	o.mu.Lock()
+	if idx >= int64(len(o.heat)) {
+		o.heat = append(o.heat, make([]uint32, idx+1-int64(len(o.heat)))...)
+	}
+	if o.heat[idx] == 0 {
+		o.hot++
+	}
 	o.heat[idx]++
 	o.mu.Unlock()
 }
@@ -209,14 +224,24 @@ func (o *Object) Touch(idx int64) {
 func (o *Object) Heat(idx int64) uint32 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	if idx < 0 || idx >= int64(len(o.heat)) {
+		return 0
+	}
 	return o.heat[idx]
 }
 
-// SetHeat replaces the heat counter (restore path).
-func (o *Object) SetHeat(idx int64, h uint32) {
-	o.mu.Lock()
-	o.heat[idx] = h
-	o.mu.Unlock()
+// heatSnapshotLocked lists the non-zero counters in page order.
+func (o *Object) heatSnapshotLocked() []PageHeat {
+	if o.hot == 0 {
+		return nil
+	}
+	out := make([]PageHeat, 0, o.hot)
+	for idx, h := range o.heat {
+		if h != 0 {
+			out = append(out, PageHeat{Page: int64(idx), Count: h})
+		}
+	}
+	return out
 }
 
 // MarkDirty records a write to page idx for incremental checkpointing.
@@ -289,11 +314,10 @@ func (o *Object) fetchFromSource(pm *PhysMem, idx int64, meter *Meter) (*Frame, 
 	if err != nil {
 		return nil, err
 	}
-	f, err := pm.Alloc()
+	f, err := pm.AllocData(data)
 	if err != nil {
 		return nil, err
 	}
-	copy(f.Data, data)
 	o.mu.Lock()
 	if cur, ok := o.pages[idx]; ok {
 		o.mu.Unlock()

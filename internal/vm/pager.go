@@ -79,8 +79,7 @@ func (as *AddressSpace) AccessedAndClear(obj *Object, idx int64) bool {
 		if m.Obj != obj {
 			continue
 		}
-		base := m.Start + Addr((idx<<PageShift)-m.Off)
-		if base >= m.Start && base < m.End {
+		if base, ok := m.pageAddr(idx); ok {
 			if e, ok := as.pt[base]; ok && e.accessed {
 				e.accessed = false
 				ref = true
@@ -139,6 +138,19 @@ func (p *Pager) RegisterSpace(as *AddressSpace) {
 		}
 	}
 	p.spaces = append(p.spaces, as)
+}
+
+// UnregisterSpace removes an address space (when its process is
+// reaped).
+func (p *Pager) UnregisterSpace(as *AddressSpace) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, s := range p.spaces {
+		if s == as {
+			p.spaces = append(p.spaces[:i], p.spaces[i+1:]...)
+			return
+		}
+	}
 }
 
 // Unregister removes an object (e.g. when its process exits).
@@ -299,20 +311,21 @@ func (p *Pager) Resolve(err error) (bool, error) {
 	return true, nil
 }
 
-// HottestPages orders the given heat snapshot hottest-first, used by
-// lazy restore to eagerly page in the working set (the paper's
-// clock-derived warm-up).
-func HottestPages(heat map[int64]uint32) []int64 {
-	out := make([]int64, 0, len(heat))
-	for idx := range heat {
-		out = append(out, idx)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if heat[out[i]] != heat[out[j]] {
-			return heat[out[i]] > heat[out[j]]
+// HottestPages orders the pages of a heat snapshot hottest-first, used
+// by lazy restore to eagerly page in the working set (the paper's
+// clock-derived warm-up). The snapshot itself is left in page order.
+func HottestPages(heat []PageHeat) []int64 {
+	byCount := append([]PageHeat(nil), heat...)
+	sort.Slice(byCount, func(i, j int) bool {
+		if byCount[i].Count != byCount[j].Count {
+			return byCount[i].Count > byCount[j].Count
 		}
-		return out[i] < out[j]
+		return byCount[i].Page < byCount[j].Page
 	})
+	out := make([]int64, len(byCount))
+	for i, h := range byCount {
+		out[i] = h.Page
+	}
 	return out
 }
 

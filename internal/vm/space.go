@@ -52,6 +52,16 @@ func (m *Mapping) pageIndex(a Addr) int64 {
 	return (int64(a.PageBase()-m.Start) + m.Off) >> PageShift
 }
 
+// pageAddr is the inverse of pageIndex: the virtual address at which
+// the mapping shows object page idx, if its window covers that page.
+func (m *Mapping) pageAddr(idx int64) (Addr, bool) {
+	off := idx<<PageShift - m.Off
+	if off < 0 || off >= m.Len() {
+		return 0, false
+	}
+	return m.Start + Addr(off), true
+}
+
 // pte is a simulated page-table entry. The data path always reads
 // through the VM object (so shared pages can be replaced atomically for
 // all mappers, as a kernel pmap would); the pte tracks per-address-
@@ -122,10 +132,17 @@ func (as *AddressSpace) Map(start Addr, length int64, prot Prot, obj *Object, of
 	return m, nil
 }
 
-// MapAnon creates and maps a fresh anonymous object.
+// MapAnon creates and maps a fresh anonymous object at a free range.
 func (as *AddressSpace) MapAnon(length int64, prot Prot, shared bool, name string) (*Mapping, error) {
+	return as.MapAnonAt(0, length, prot, shared, name)
+}
+
+// MapAnonAt creates a fresh anonymous object and maps it at start
+// (0 = pick a free range). The mapping holds the object's only
+// reference, so unmapping it returns the object's frames.
+func (as *AddressSpace) MapAnonAt(start Addr, length int64, prot Prot, shared bool, name string) (*Mapping, error) {
 	obj := NewObject(name, RoundUpPage(length))
-	m, err := as.Map(0, length, prot, obj, 0, shared, name)
+	m, err := as.Map(start, length, prot, obj, 0, shared, name)
 	// Map took its own reference; drop the construction reference.
 	obj.Deref()
 	if err != nil {
@@ -181,6 +198,26 @@ func (as *AddressSpace) Unmap(start Addr, length int64) error {
 		}
 	}
 	return nil
+}
+
+// UnmapAll tears the whole address space down (process exit): the page
+// table is dropped and every mapping gives up its object reference.
+// Objects nobody else maps return their frames to the allocator; those
+// are returned, for the caller to take out of the pager's sweep.
+func (as *AddressSpace) UnmapAll() []*Object {
+	as.mu.Lock()
+	maps := as.maps
+	as.maps = nil
+	as.pt = make(map[Addr]*pte)
+	as.mu.Unlock()
+	var dead []*Object
+	for _, m := range maps {
+		if m.Obj.Deref() {
+			m.Obj.ReleaseAll(as.pm)
+			dead = append(dead, m.Obj)
+		}
+	}
+	return dead
 }
 
 // Find returns the mapping containing addr, or nil.
@@ -400,7 +437,8 @@ func (as *AddressSpace) installPTE(pageBase Addr, writable bool) {
 // ProtectObject clears the writable bit of every cached PTE that maps
 // one of the given object pages, charging one PTE operation per entry
 // changed. This is the address-space half of the serialization
-// barrier; it returns the number of PTEs manipulated.
+// barrier; it returns the number of PTEs manipulated. The work is
+// proportional to the pages given, not to the size of the mapping.
 func (as *AddressSpace) ProtectObject(obj *Object, pages map[int64]*Frame) int64 {
 	as.mu.Lock()
 	defer as.mu.Unlock()
@@ -409,9 +447,9 @@ func (as *AddressSpace) ProtectObject(obj *Object, pages map[int64]*Frame) int64
 		if m.Obj != obj {
 			continue
 		}
-		for a := m.Start; a < m.End; a += PageSize {
-			idx := m.pageIndex(a)
-			if _, ok := pages[idx]; !ok {
+		for idx := range pages {
+			a, ok := m.pageAddr(idx)
+			if !ok {
 				continue
 			}
 			if e, ok := as.pt[a]; ok && e.writable {
@@ -433,8 +471,7 @@ func (as *AddressSpace) InvalidateObjectPage(obj *Object, idx int64) {
 		if m.Obj != obj {
 			continue
 		}
-		base := m.Start + Addr((idx<<PageShift)-m.Off)
-		if base >= m.Start && base < m.End {
+		if base, ok := m.pageAddr(idx); ok {
 			if _, ok := as.pt[base]; ok {
 				delete(as.pt, base)
 				as.meter.ChargePTE(1)
@@ -498,14 +535,16 @@ func (as *AddressSpace) Fork() *AddressSpace {
 	return child
 }
 
-// ReleaseAll frees every resident page of the object. Called when an
-// object's last reference is dropped.
+// ReleaseAll frees every resident page of the object and detaches its
+// lazy-restore source. Called when an object's last reference is
+// dropped.
 func (o *Object) ReleaseAll(pm *PhysMem) {
 	o.mu.Lock()
 	pages := o.pages
 	o.pages = make(map[int64]*Frame)
 	shadow := o.shadow
 	o.shadow = nil
+	o.source = nil
 	o.mu.Unlock()
 	for _, f := range pages {
 		pm.Free(f)

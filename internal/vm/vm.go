@@ -20,6 +20,7 @@ package vm
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -67,26 +68,42 @@ const (
 	ProtExec
 )
 
-// Frame is a physical page frame holding real data.
+// poisonByte is what Free fills a page with when poisonOnFree is set.
+const poisonByte = 0xDB
+
+// Frame is a physical page frame holding real data. A holder owns the
+// frame for as long as it keeps a reference; once the last reference
+// is freed the allocator hands the same Frame to someone else, so a
+// pointer kept past its Free is a use-after-free.
 type Frame struct {
 	Data []byte // always PageSize bytes
 	refs int32  // references from objects and checkpoint flush sets
 }
 
-// Ref adds a reference to the frame.
-func (f *Frame) Ref() { atomic.AddInt32(&f.refs, 1) }
+// Ref adds a reference to the frame. The caller must already hold one:
+// a frame with none is on the free list, or about to be.
+func (f *Frame) Ref() {
+	if atomic.AddInt32(&f.refs, 1) <= 1 {
+		panic("vm: Ref on a freed frame")
+	}
+}
 
 // Refs returns the current reference count.
 func (f *Frame) Refs() int32 { return atomic.LoadInt32(&f.refs) }
 
 // PhysMem is the physical frame allocator. It tracks residency so the
 // pageout daemon and the experiment harness can observe memory
-// pressure.
+// pressure, and recycles freed frames through a LIFO free list (its
+// own, not a sync.Pool: which frame an allocation gets must not depend
+// on the garbage collector).
 type PhysMem struct {
 	maxFrames int64 // 0 = unbounded
 	allocated atomic.Int64
 	allocs    atomic.Int64
 	frees     atomic.Int64
+
+	mu   sync.Mutex
+	free []*Frame // frames with no references, bytes stale
 }
 
 // NewPhysMem creates an allocator bounded to maxFrames frames
@@ -95,36 +112,91 @@ func NewPhysMem(maxFrames int64) *PhysMem {
 	return &PhysMem{maxFrames: maxFrames}
 }
 
-// Alloc allocates a zeroed frame.
-func (pm *PhysMem) Alloc() (*Frame, error) {
+// reserve accounts for one more resident frame and pops the free list.
+// A nil frame with a nil error means the list was empty: the caller
+// makes a fresh frame. A recycled frame comes back with one reference
+// and whatever bytes its last owner left.
+func (pm *PhysMem) reserve() (*Frame, error) {
 	if pm.maxFrames > 0 && pm.allocated.Load() >= pm.maxFrames {
 		return nil, ErrOutOfMemory
 	}
 	pm.allocated.Add(1)
 	pm.allocs.Add(1)
-	return &Frame{Data: make([]byte, PageSize), refs: 1}, nil
+	pm.mu.Lock()
+	var f *Frame
+	if n := len(pm.free); n > 0 {
+		f = pm.free[n-1]
+		pm.free[n-1] = nil
+		pm.free = pm.free[:n-1]
+	}
+	pm.mu.Unlock()
+	if f != nil {
+		atomic.StoreInt32(&f.refs, 1)
+	}
+	return f, nil
+}
+
+// Alloc allocates a zeroed frame.
+func (pm *PhysMem) Alloc() (*Frame, error) {
+	f, err := pm.reserve()
+	if err != nil {
+		return nil, err
+	}
+	if f == nil {
+		return &Frame{Data: make([]byte, PageSize), refs: 1}, nil
+	}
+	clear(f.Data)
+	return f, nil
+}
+
+// AllocData allocates a frame holding src (at most a page), zero-padded
+// to a page. Nothing is cleared that src overwrites.
+func (pm *PhysMem) AllocData(src []byte) (*Frame, error) {
+	f, err := pm.reserve()
+	if err != nil {
+		return nil, err
+	}
+	if f == nil {
+		// make directly followed by copy: the compiler fuses the two
+		// and clears only the tail src does not cover.
+		data := make([]byte, PageSize)
+		copy(data, src)
+		return &Frame{Data: data, refs: 1}, nil
+	}
+	clear(f.Data[copy(f.Data, src):])
+	return f, nil
 }
 
 // AllocCopy allocates a frame initialized with the contents of src.
 func (pm *PhysMem) AllocCopy(src *Frame) (*Frame, error) {
-	f, err := pm.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	copy(f.Data, src.Data)
-	return f, nil
+	return pm.AllocData(src.Data)
 }
 
-// Free drops a reference to the frame, releasing it when the count
-// reaches zero.
+// Free drops a reference to the frame. At zero the frame goes on the
+// free list and its next Alloc may be anyone's, so the caller must not
+// touch it again; a count below zero means two owners believed they
+// held the same reference, and panics.
 func (pm *PhysMem) Free(f *Frame) {
 	if f == nil {
 		return
 	}
-	if atomic.AddInt32(&f.refs, -1) == 0 {
-		pm.allocated.Add(-1)
-		pm.frees.Add(1)
+	n := atomic.AddInt32(&f.refs, -1)
+	if n < 0 {
+		panic("vm: frame freed more often than referenced")
 	}
+	if n > 0 {
+		return
+	}
+	pm.allocated.Add(-1)
+	pm.frees.Add(1)
+	if poisonOnFree {
+		for i := range f.Data {
+			f.Data[i] = poisonByte
+		}
+	}
+	pm.mu.Lock()
+	pm.free = append(pm.free, f)
+	pm.mu.Unlock()
 }
 
 // Resident returns the number of allocated frames.

@@ -490,13 +490,16 @@ func TestProtectedPagesNotEvicted(t *testing.T) {
 }
 
 func TestHottestPages(t *testing.T) {
-	heat := map[int64]uint32{3: 10, 1: 30, 7: 20, 4: 10}
+	heat := []PageHeat{{1, 30}, {3, 10}, {4, 10}, {7, 20}}
 	got := HottestPages(heat)
 	want := []int64{1, 7, 3, 4} // ties broken by index
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("HottestPages = %v, want %v", got, want)
 		}
+	}
+	if heat[1].Page != 3 {
+		t.Fatalf("HottestPages reordered its argument: %v", heat)
 	}
 }
 
