@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmtcheck test race bench perf microbench benchcheck faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
+.PHONY: check build vet fmtcheck gatecheck test race bench perf microbench benchcheck faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
 
 ## check: full gate — build, vet, race-enabled tests, seeded fault
 ## matrix, crash-recovery harness, whole-system chaos sweep, space-
@@ -11,6 +11,7 @@ check:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(MAKE) fmtcheck
+	$(MAKE) gatecheck
 	$(GO) test -race ./...
 	$(MAKE) faultcheck
 	$(MAKE) recoverycheck
@@ -32,6 +33,12 @@ vet:
 ## fmtcheck: every Go file is gofmt-clean.
 fmtcheck:
 	test -z "$$(gofmt -l cmd internal benchmark *.go)"
+
+## gatecheck: every alternation term of every `-run '…'` below matches
+## at least one test in that gate's packages — a renamed or deleted test
+## cannot silently leave its gate.
+gatecheck:
+	GO=$(GO) bash scripts/gatecheck.sh
 
 test:
 	$(GO) test ./...
@@ -65,10 +72,14 @@ chaoscheck:
 ## watermark retention GC with the reachability audit after every
 ## reclaimed epoch, end-to-end ENOSPC survival on a ~10-epoch device
 ## (seeds 1, 7, 42), admission-control shedding, the GC interleaving
-## property test, and the space-composed chaos run.
+## property test, and the space-composed chaos run. The second line is
+## the regression gate for the ENOSPC wedge that kept tier-1 red on ≥2
+## cores (EXPERIMENTS.md "Flush pipeline: one owner per epoch"): the
+## bounded-device runs at 1, 2 and 4 procs, three times each.
 spacecheck:
 	$(GO) test -race -count=1 -run 'TestSpace|TestReclaimer|TestAdmission|TestFlushENOSPC|TestSyncWithReclaim|TestGCInterleaving|TestControlPlaneReserve|TestStatsLiveAndReclaimable|TestCapacityGrowthOnly|TestSetFull|TestCLIGC|TestCLIDF|TestCLISpacePressure' \
 		./internal/core/ ./internal/storage/ ./internal/objstore/ ./internal/bench/ ./cmd/sls/
+	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSpace' ./internal/bench
 
 ## fleetcheck: the fleet-scale sharded-orchestrator harness under the
 ## race detector — 10k groups per seed (1, 7, 42) driven through

@@ -520,7 +520,6 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 	c.srcClock = storage.NewClock()
 	c.srcK = kernel.NewWith(c.srcClock, vm.NewPhysMem(0))
 	c.srcO = core.NewOrchestrator(c.srcK)
-	c.srcO.FlushWorkers = 1 // deterministic fault-schedule ordering
 	c.sup = core.NewSupervisor(c.srcO, core.SupervisorConfig{MaxRestarts: 64})
 	params := storage.ParamsOptaneNVMe
 	if cfg.StoreCapacityEpochs > 0 {
@@ -543,7 +542,6 @@ func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 	c.dstClock = storage.NewClock()
 	c.dstK = kernel.NewWith(c.dstClock, vm.NewPhysMem(0))
 	c.dstO = core.NewOrchestrator(c.dstK)
-	c.dstO.FlushWorkers = 1
 	c.recv = netback.NewReceiver(c.dstK.Mem, c.dstClock)
 
 	c.link = netback.NewFaultLink(netback.LinkFaultConfig{
@@ -856,7 +854,6 @@ func chaosFootprint(seed int64, steps int) (first, perEpoch int64, err error) {
 	clock := storage.NewClock()
 	k := kernel.NewWith(clock, vm.NewPhysMem(0))
 	o := core.NewOrchestrator(k)
-	o.FlushWorkers = 1
 	sb := core.NewStoreBackend(objstore.Create(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock), k.Mem, clock)
 
 	p, err := k.Spawn(0, "chaos-probe")

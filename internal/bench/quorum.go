@@ -602,7 +602,6 @@ func runQuorum(cfg QuorumChaosConfig, baseline bool) (*QuorumChaosReport, error)
 	dstClock := storage.NewClock()
 	dstK := kernel.NewWith(dstClock, vm.NewPhysMem(0))
 	dstO := core.NewOrchestrator(dstK)
-	dstO.FlushWorkers = 1
 	dstStore := core.NewStoreBackend(objstore.Create(storage.NewMemDevice(storage.ParamsOptaneNVMe, dstClock), dstClock), dstK.Mem, dstClock)
 	prep, err := dstO.PromoteQuorum(q.rs.Sources(), lineage, dstStore, core.RestoreOpts{})
 	if err != nil {

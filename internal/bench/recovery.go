@@ -55,7 +55,6 @@ func RecoverySweep(ckpts int, rates []float64, seed int64) ([]RecoveryPoint, err
 		clock := storage.NewClock()
 		k := kernel.NewWith(clock, vm.NewPhysMem(0))
 		o := core.NewOrchestrator(k)
-		o.FlushWorkers = 1 // deterministic device-op ordering
 
 		fd := storage.NewFaultDevice(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock,
 			storage.FaultConfig{Seed: seed, ReadErr: rate})

@@ -101,7 +101,6 @@ func runSpace(cfg SpaceConfig, capacity int64) (*spaceOutcome, error) {
 	clock := storage.NewClock()
 	k := kernel.NewWith(clock, vm.NewPhysMem(0))
 	o := core.NewOrchestrator(k)
-	o.FlushWorkers = 1 // deterministic fault-schedule ordering
 
 	params := storage.ParamsOptaneNVMe
 	params.Capacity = capacity

@@ -53,19 +53,19 @@ func TestSpaceAcceptance(t *testing.T) {
 // pressure: the degraded-retry path and the ENOSPC reclaim-retry path
 // must compose without ever surfacing either failure to a caller.
 func TestSpaceFaultComposed(t *testing.T) {
-	// 14 epochs of headroom, not 10: sub-block metadata packing cut
-	// net per-epoch growth to a few hundred bytes, so an epoch-sized
-	// device shrank in absolute bytes and the minimum live set (one
-	// merged epoch per lineage plus the in-flight delta the final sync
-	// drains) now sits within a block or two of a 10-epoch allowance.
-	// Which side of the line a run lands on depends on real flush
-	// interleaving, so the race detector made this flaky; four more
-	// epochs of slack covers the transient without relieving the
-	// pressure that drives reclamation all run long.
+	// The same 10-epoch device as TestSpaceAcceptance. This test once
+	// needed 14 epochs of slack, for two bugs that are gone: a flush
+	// whose ENOSPC overlapped another scan saw emergency reclaim report
+	// "nothing freed" and failed its epoch, and the epochs after a
+	// failed one flushed past it, filling the store with manifests the
+	// stalled durable frontier (the reclaimer's floor) kept
+	// unreclaimable. The pipeline now retries a failed epoch before any
+	// successor (core/flusher.go) and an emergency reclaim runs its own
+	// scan (core/reclaimer.go).
 	r, err := SpaceRun(SpaceConfig{
 		Seed:           42,
 		Checkpoints:    200,
-		CapacityEpochs: 14,
+		CapacityEpochs: 10,
 		KeepLast:       16,
 		WriteErr:       0.01,
 		Marks:          core.Watermarks{Low: 0.50, High: 0.65, Emergency: 0.80},

@@ -61,7 +61,6 @@ func NewNode(name string, seed int64, writeErr, readErr float64) *Node {
 	clock := storage.NewClock()
 	k := kernel.NewWith(clock, vm.NewPhysMem(0))
 	o := core.NewOrchestrator(k)
-	o.FlushWorkers = 1 // deterministic fan-out ordering
 	fd := storage.NewFaultDevice(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock,
 		storage.FaultConfig{Seed: seed, WriteErr: writeErr, ReadErr: readErr})
 	sb := core.NewStoreBackend(objstore.Create(fd, clock), k.Mem, clock)

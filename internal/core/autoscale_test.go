@@ -28,7 +28,6 @@ func (r *placeRig) warmNode(name, domain string, seed int64) *core.StoreNode {
 	clock := storage.NewClock()
 	k := kernel.NewWith(clock, vm.NewPhysMem(0))
 	o := core.NewOrchestrator(k)
-	o.FlushWorkers = 1
 	fd := storage.NewFaultDevice(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock,
 		storage.FaultConfig{Seed: seed})
 	sn := &core.StoreNode{

@@ -66,10 +66,10 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 		return CheckpointBreakdown{}, fmt.Errorf("core: group %d has no live processes", g.ID)
 	}
 
-	// Admission control: under space pressure (or a saturated flush
-	// pipeline) shedding this barrier beats blocking resume or minting
-	// an epoch no device can hold. The caller sees Shed=true and no
-	// error; the process group keeps running on its current epoch.
+	// Admission control: under space pressure shedding this barrier
+	// beats minting an epoch no device can hold. The caller sees
+	// Shed=true and no error; the process group keeps running on its
+	// current epoch.
 	if shed, sbd := o.admitCheckpoint(g); shed {
 		return sbd, nil
 	}
@@ -193,12 +193,11 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 // admitCheckpoint decides whether a barrier may proceed. It sheds the
 // barrier — no stop, no epoch, no capture — when a reclaimer-equipped
 // store backend sits above the high watermark even after a reclaim
-// scan, or when the flush pipeline's backlog exceeds ShedQueueDepth.
-// Shedding lowers checkpoint *frequency*, not durability: a shed
+// scan. Shedding lowers checkpoint *frequency*, not durability: a shed
 // streak is capped (ShedAdmitEvery) so the durable frontier keeps
 // advancing, and shedding never touches g.durable. With no reclaimer
-// attached and ShedQueueDepth unset this is a no-op, preserving the
-// exact legacy checkpoint cadence.
+// attached this is a no-op, preserving the exact legacy checkpoint
+// cadence.
 func (o *Orchestrator) admitCheckpoint(g *Group) (bool, CheckpointBreakdown) {
 	var recs []*Reclaimer
 	for _, b := range g.Backends() {
@@ -206,8 +205,7 @@ func (o *Orchestrator) admitCheckpoint(g *Group) (bool, CheckpointBreakdown) {
 			recs = append(recs, sb.rec)
 		}
 	}
-	shedDepth := o.ShedQueueDepth
-	if len(recs) == 0 && shedDepth <= 0 {
+	if len(recs) == 0 {
 		return false, CheckpointBreakdown{}
 	}
 
@@ -225,9 +223,6 @@ func (o *Orchestrator) admitCheckpoint(g *Group) (bool, CheckpointBreakdown) {
 				emergency = true
 			}
 		}
-	}
-	if !pressured && shedDepth > 0 && g.QueueDepth() >= shedDepth {
-		pressured = true
 	}
 
 	g.mu.Lock()
@@ -273,16 +268,12 @@ func (o *Orchestrator) admitCheckpoint(g *Group) (bool, CheckpointBreakdown) {
 // merges the flush time back into the kernel clock. When no ephemeral
 // backend retains the image and no catch-up queue still owes it, its
 // frames are released (the object store now owns the data).
-func (o *Orchestrator) flushImage(g *Group, img *Image, background bool) (time.Duration, error) {
-	return o.flushImageOn(g, img, background, nil)
-}
-
-// flushImageOn is flushImage running against an explicit base clock:
-// background flushes dispatched by the fleet pass their shard worker's
-// flush lane, so consecutive flushes on a busy worker model device
-// queueing instead of all starting at the foreground time. A nil base
-// means the kernel clock (foreground callers and legacy paths).
-func (o *Orchestrator) flushImageOn(g *Group, img *Image, background bool, base *storage.Clock) (time.Duration, error) {
+//
+// Background flushes dispatched by the fleet pass their shard worker's
+// flush lane as base, so consecutive flushes on a busy worker model
+// device queueing instead of all starting at the foreground time. A nil
+// base means the kernel clock (foreground callers).
+func (o *Orchestrator) flushImage(g *Group, img *Image, background bool, base *storage.Clock) (time.Duration, error) {
 	backends := g.Backends()
 	clock := o.K.Clock
 	if base == nil {
@@ -301,7 +292,7 @@ func (o *Orchestrator) flushImageOn(g *Group, img *Image, background bool, base 
 		wg.Add(1)
 		go func(i int, b Backend) {
 			defer wg.Done()
-			d, deferred, err := o.flushBackendOn(g, b, img, !background, base)
+			d, deferred, err := o.flushBackend(g, b, img, !background, base)
 			outs[i] = outcome{dur: d, deferred: deferred, err: err}
 		}(i, b)
 	}

@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"aurora/internal/kernel"
 	"aurora/internal/objstore"
@@ -63,12 +64,33 @@ func TestQuarantineCorruptionRoundTrip(t *testing.T) {
 	}
 }
 
+// heldBackend is a failing non-ephemeral backend whose next Flush can
+// be held open, to keep one prober inside the backend while another
+// caller arrives.
+type heldBackend struct {
+	ledgerBackend
+	hold    chan struct{} // non-nil: the next Flush blocks until closed
+	entered chan struct{} // closed when that Flush starts
+}
+
+func (b *heldBackend) Flush(img *Image) (time.Duration, error) {
+	b.mu.Lock()
+	hold, entered := b.hold, b.entered
+	b.hold, b.entered = nil, nil
+	b.mu.Unlock()
+	if hold != nil {
+		close(entered)
+		<-hold
+	}
+	return b.ledgerBackend.Flush(img)
+}
+
 // TestFlushAllDeferredRoundTrip: an epoch every backend deferred (the
-// lone backend is down, probe pacing skipped the device) records the
-// typed ErrBackendDown on its flush job, selectable with errors.Is.
+// lone backend is down and another caller holds its probe) surfaces
+// the typed ErrBackendDown through Sync, selectable with errors.Is,
+// and stays counted in QueueDepth until it retires.
 func TestFlushAllDeferredRoundTrip(t *testing.T) {
 	r := newRig(t)
-	r.o.FlushWorkers = 1
 	r.o.FlushRetries = 1
 	r.o.DownAfter = 1
 	p := spawnCounter(t, r)
@@ -76,31 +98,56 @@ func TestFlushAllDeferredRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb := &ledgerBackend{}
-	lb.setErr(errors.New("dead controller"))
-	r.o.Attach(g, lb)
+	hb := &heldBackend{}
+	hb.setErr(errors.New("dead controller"))
+	r.o.Attach(g, hb)
 
-	r.k.Run(2)
-	if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		r.k.Run(2)
+		if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		// Epoch 1 fails on the device and the backend goes down
+		// (DownAfter=1); the second barrier's retry of it skip-defers.
+		r.o.Drain(g)
 	}
-	r.o.Drain(g) // epoch 1 fails on the device; backend down (DownAfter=1)
+	if st := g.Health()[0].State; st != BackendDown {
+		t.Fatalf("backend state %s, want down", st)
+	}
+	if d, depth := g.Durable(), g.QueueDepth(); d != 0 || depth != 2 {
+		t.Fatalf("durable %d depth %d, want 0 and 2 (deferred epochs stay queued)", d, depth)
+	}
 
-	r.k.Run(2)
-	if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	r.o.Drain(g) // epoch 2 skip-defers: no backend held it
+	// An explicit Resync takes the probe and sticks inside the backend.
+	hold, entered := make(chan struct{}), make(chan struct{})
+	hb.mu.Lock()
+	hb.hold, hb.entered = hold, entered
+	hb.mu.Unlock()
+	resyncDone := make(chan struct{})
+	go func() {
+		defer close(resyncDone)
+		_ = r.o.Resync(g) // fails: the controller is still dead
+	}()
+	<-entered
 
-	f := r.o.flusherOf(g)
-	f.mu.Lock()
-	job := f.byEpoch[2]
-	f.mu.Unlock()
-	if job == nil || job.err == nil {
-		t.Fatalf("epoch 2 job = %+v, want a recorded failure", job)
+	// Sync's retry of the head finds the probe taken: no backend held
+	// the epoch, and the failure carries the typed sentinel.
+	err = r.o.Sync(g)
+	if !errors.Is(err, ErrBackendDown) {
+		t.Fatalf("all-deferred epoch: Sync = %v, want ErrBackendDown wrap", err)
 	}
-	if !errors.Is(job.err, ErrBackendDown) {
-		t.Fatalf("all-deferred epoch error = %v, want ErrBackendDown wrap", job.err)
+	if d, depth := g.Durable(), g.QueueDepth(); d != 0 || depth != 2 {
+		t.Fatalf("durable %d depth %d after the deferred Sync, want 0 and 2", d, depth)
+	}
+	close(hold)
+	<-resyncDone
+
+	hb.setErr(nil)
+	if err := r.o.Sync(g); err != nil {
+		t.Fatalf("sync after recovery: %v", err)
+	}
+	if d, depth := g.Durable(), g.QueueDepth(); d != 2 || depth != 0 {
+		t.Fatalf("durable %d depth %d after recovery, want 2 and 0", d, depth)
 	}
 }
 
@@ -113,7 +160,6 @@ func TestRestoreFallsBackWhenDurableEpochElsewhere(t *testing.T) {
 	clock := storage.NewClock()
 	k := kernel.NewWith(clock, vm.NewPhysMem(0))
 	o := NewOrchestrator(k)
-	o.FlushWorkers = 1
 	fd := storage.NewFaultDevice(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock, storage.FaultConfig{Seed: 5})
 	store := NewStoreBackend(objstore.Create(fd, clock), k.Mem, clock)
 
@@ -173,7 +219,6 @@ func TestRestoreFallsBackWhenDurableEpochElsewhere(t *testing.T) {
 // first member failure that caused it.
 func TestErrQuorumLostRoundTrip(t *testing.T) {
 	r := newRig(t)
-	r.o.FlushWorkers = 1
 	p := spawnCounter(t, r)
 	g, err := r.o.Persist("app", p)
 	if err != nil {
@@ -221,7 +266,6 @@ func TestErrQuorumLostRoundTrip(t *testing.T) {
 // was superseded).
 func TestStaleGenerationUnderQuorumRoundTrip(t *testing.T) {
 	r := newRig(t)
-	r.o.FlushWorkers = 1
 	p := spawnCounter(t, r)
 	g, err := r.o.Persist("app", p)
 	if err != nil {
@@ -267,7 +311,6 @@ func (f *fakeReplicaSource) AdoptFence(group, gen uint64)                { f.fen
 // *FenceError (which generation) via errors.As.
 func TestMigrationAbortedRoundTrip(t *testing.T) {
 	src, dst := newRig(t), newRig(t)
-	src.o.FlushWorkers = 1
 	p := spawnCounter(t, src)
 	g, err := src.o.Persist("app", p)
 	if err != nil {

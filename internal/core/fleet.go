@@ -1,8 +1,6 @@
 package core
 
 import (
-	"hash/fnv"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -16,9 +14,9 @@ import (
 // idle goroutines and a channel per group and makes 10k groups 20k
 // goroutines. The fleet replaces that with a fixed pool:
 //
-//   - groups are placed onto shards by consistent hashing on the group
-//     ID (virtual nodes keep placement balanced and stable as the
-//     shard count changes);
+//   - groups are placed onto shards by group ID modulo the shard
+//     count, which is fixed for the fleet's lifetime (IDs are handed
+//     out sequentially, so placement is balanced by construction);
 //   - each shard runs a small set of worker goroutines that pull
 //     dispatchable flushers from an event-driven run queue (workers
 //     sleep on a condition variable; an enqueue wakes exactly one);
@@ -31,23 +29,21 @@ import (
 //     checkpoint storm cannot hold an unbounded amount of captured
 //     memory alive while the devices catch up.
 //
-// Per-group ordering semantics are unchanged from the per-group
-// pipeline: a flusher's in-flight jobs are bounded by its credit count
-// (Orchestrator.FlushWorkers), epochs retire strictly in order, and
-// Enqueue still exerts backpressure through the same admission window.
+// Per-group ordering is the flusher's (flusher.go): one epoch in flight
+// per group, retired strictly in order, with Enqueue exerting
+// backpressure through the admission window. Parallelism comes from
+// having many groups, not from overlapping one group's epochs.
 
-// Fleet sizing defaults, overridable per Orchestrator.
+// Fleet sizing: total flush concurrency is shards × workers.
 const (
-	defaultFleetShards  = 4
-	defaultShardWorkers = 2
-	fleetVirtualNodes   = 32 // ring points per shard
+	fleetShards  = 4
+	shardWorkers = 2
 )
 
 // fleet is the orchestrator-wide shard runtime.
 type fleet struct {
 	o      *Orchestrator
 	shards []*fleetShard
-	ring   []ringPoint // sorted by hash
 	wg     sync.WaitGroup
 
 	dispatches atomic.Int64
@@ -63,48 +59,25 @@ type fleet struct {
 	closed       bool
 }
 
-// ringPoint is one virtual node on the consistent-hash ring.
-type ringPoint struct {
-	hash  uint64
-	shard int
-}
-
 // fleetShard is one shard: a run queue of flushers with dispatchable
 // work, drained by the shard's workers.
 type fleetShard struct {
-	id int
-
 	mu     sync.Mutex
 	cond   *sync.Cond
-	runq   []*flusher
-	queued map[*flusher]bool
+	runq   []*flusher // flushers with onRun set, in wake order
 	closed bool
 
 	placements atomic.Int64 // flushers placed on this shard, cumulative
 }
 
 func newFleet(o *Orchestrator) *fleet {
-	shards := o.FleetShards
-	if shards <= 0 {
-		shards = defaultFleetShards
-	}
-	workers := o.FleetWorkersPerShard
-	if workers <= 0 {
-		workers = defaultShardWorkers
-	}
 	fl := &fleet{o: o, memBudget: o.FleetMemBudget}
 	fl.budgetCond = sync.NewCond(&fl.budgetMu)
-	for i := 0; i < shards; i++ {
-		fs := &fleetShard{id: i, queued: make(map[*flusher]bool)}
+	for i := 0; i < fleetShards; i++ {
+		fs := &fleetShard{}
 		fs.cond = sync.NewCond(&fs.mu)
 		fl.shards = append(fl.shards, fs)
-		for j := 0; j < fleetVirtualNodes; j++ {
-			fl.ring = append(fl.ring, ringPoint{hash: vnodeHash(i, j), shard: i})
-		}
-	}
-	sort.Slice(fl.ring, func(i, j int) bool { return fl.ring[i].hash < fl.ring[j].hash })
-	for _, fs := range fl.shards {
-		for j := 0; j < workers; j++ {
+		for j := 0; j < shardWorkers; j++ {
 			fl.wg.Add(1)
 			go fl.worker(fs)
 		}
@@ -112,38 +85,9 @@ func newFleet(o *Orchestrator) *fleet {
 	return fl
 }
 
-// vnodeHash hashes one (shard, vnode) pair onto the ring.
-func vnodeHash(shard, vnode int) uint64 {
-	h := fnv.New64a()
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(shard >> (8 * i))
-		buf[8+i] = byte(vnode >> (8 * i))
-	}
-	h.Write(buf[:])
-	return h.Sum64()
-}
-
-// groupHash hashes a group ID onto the ring.
-func groupHash(group uint64) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(group >> (8 * i))
-	}
-	h.Write(buf[:])
-	return h.Sum64()
-}
-
-// place maps a group onto its shard: the first virtual node at or
-// after the group's hash, wrapping around the ring.
+// place maps a group onto its shard.
 func (fl *fleet) place(group uint64) *fleetShard {
-	gh := groupHash(group)
-	i := sort.Search(len(fl.ring), func(i int) bool { return fl.ring[i].hash >= gh })
-	if i == len(fl.ring) {
-		i = 0
-	}
-	fs := fl.shards[fl.ring[i].shard]
+	fs := fl.shards[group%uint64(len(fl.shards))]
 	fs.placements.Add(1)
 	return fs
 }
@@ -158,8 +102,8 @@ func (fs *fleetShard) wake(f *flusher) {
 		f.dispatch(nil)
 		return
 	}
-	if !fs.queued[f] {
-		fs.queued[f] = true
+	if !f.onRun {
+		f.onRun = true
 		fs.runq = append(fs.runq, f)
 		fs.cond.Signal()
 	}
@@ -183,7 +127,7 @@ func (fl *fleet) worker(fs *fleetShard) {
 		}
 		f := fs.runq[0]
 		fs.runq = fs.runq[1:]
-		delete(fs.queued, f)
+		f.onRun = false
 		fs.mu.Unlock()
 		fl.dispatches.Add(1)
 		f.dispatch(lane)
@@ -263,13 +207,9 @@ func (o *Orchestrator) FleetStats() FleetStats {
 		return FleetStats{}
 	}
 	st := FleetStats{
-		Shards:     len(fl.shards),
-		Dispatches: fl.dispatches.Load(),
-	}
-	if w := o.FleetWorkersPerShard; w > 0 {
-		st.WorkersPerShard = w
-	} else {
-		st.WorkersPerShard = defaultShardWorkers
+		Shards:          fleetShards,
+		WorkersPerShard: shardWorkers,
+		Dispatches:      fl.dispatches.Load(),
 	}
 	for _, fs := range fl.shards {
 		st.Placements = append(st.Placements, int(fs.placements.Load()))
@@ -295,12 +235,12 @@ func (o *Orchestrator) fleetOf() *fleet {
 	return o.fleet
 }
 
-// Close shuts the fleet runtime down: every group's in-flight flushes
-// are drained first (failed epochs stay stalled, exactly as Unpersist
-// leaves them), then the shard workers exit. Zero goroutines remain
-// after Close returns. A closed orchestrator may keep serving
-// checkpoints — flushes then run inline on the enqueuing goroutine —
-// but the expected sequence is Unpersist/Close at teardown.
+// Close shuts the fleet runtime down: every group's pipeline is drained
+// first (a stalled head and the epochs behind it stay queued, exactly
+// as Unpersist leaves them), then the shard workers exit. Zero
+// goroutines remain after Close returns. A closed orchestrator may keep
+// serving checkpoints — flushes then run inline on the enqueuing
+// goroutine — but the expected sequence is Unpersist/Close at teardown.
 func (o *Orchestrator) Close() {
 	for _, g := range o.Groups() {
 		g.mu.Lock()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -10,219 +9,197 @@ import (
 
 // This file implements the background flush pipeline. A serialization
 // barrier (Checkpoint) hands its immutable image to the group's
-// flusher and returns as soon as the group has resumed; the fleet's
-// shard workers (fleet.go) fan the image out to every attached backend
-// concurrently. Durability — g.Durable(), and with it Released()/
-// external consistency — advances only when an epoch *retires*: all of
-// its backend flushes finished AND every earlier epoch retired first,
-// so the durable frontier never skips an epoch whose flush failed or
-// is still in flight.
+// flusher and returns as soon as the group has resumed; a fleet shard
+// worker (fleet.go) fans the image out to every attached backend.
+// Durability — g.Durable(), and with it Released()/external
+// consistency — is a prefix property, so the pipeline is one in-order
+// queue: only its head may be in flight, and an epoch leaves the queue
+// by flushing successfully, never by being overtaken. The head is
+// therefore the only owner of its own retry.
 //
 // The flusher owns no goroutines. It is a per-group scheduling record
-// — pending jobs, in-flight credits, the admission window — that the
-// shard workers pull from. That is what makes 10k groups cheap: a
-// group that is not flushing costs a struct, not two parked
+// that the shard workers pull from. That is what makes 10k groups
+// cheap: a group that is not flushing costs a struct, not two parked
 // goroutines and a channel.
 
-// Pipeline defaults, overridable per Orchestrator.
-const (
-	defaultFlushWorkers = 2
-	defaultFlushQueue   = 4
-)
-
-// errFlusherClosed fails jobs caught in Enqueue when the group is
-// unpersisted out from under a checkpoint storm.
-var errFlusherClosed = errors.New("core: flusher closed")
+// defaultFlushQueue is the number of epochs that may wait behind the
+// one in flight before Checkpoint blocks (Orchestrator.FlushQueueDepth).
+const defaultFlushQueue = 4
 
 // flushJob tracks one epoch's trip through the pipeline.
 type flushJob struct {
 	img    *Image
-	bdIdx  int           // index into g.ckpts whose FlushTime gets patched
-	done   chan struct{} // closed when the flush attempt finishes
-	budget int64         // frame bytes charged to the fleet memory budget
+	bdIdx  int   // index into g.ckpts whose FlushTime gets patched
+	budget int64 // frame bytes still charged to the fleet memory budget
 
-	// Guarded by the flusher's mu.
-	completed bool
-	dur       time.Duration
-	err       error
+	// err, guarded by the flusher's mu, is the job's last failed
+	// attempt. Non-nil on an idle head means the pipeline is stalled:
+	// nobody is retrying the epoch until an Enqueue or Sync does.
+	err error
 }
 
-// flusher is a per-group flush pipeline: a bounded admission window
-// (enqueue blocks when full — backpressure on the checkpointing
-// caller), a credit count bounding per-group flush concurrency, and
-// in-order epoch retirement. Dispatch runs on the fleet's shard
-// workers.
+// flusher is a per-group flush pipeline: an in-order, single-flight
+// queue of un-retired epochs behind a bounded admission window
+// (Enqueue blocks when full — backpressure on the checkpointing
+// caller). Dispatch runs on the fleet's shard workers.
 type flusher struct {
 	o     *Orchestrator
 	g     *Group
+	fl    *fleet
 	shard *fleetShard
+	onRun bool // on the shard's run queue; guarded by shard.mu
 
-	// syncMu serializes Sync callers so a failed epoch is never
-	// retried by two foreground flushers at once.
+	// syncMu serializes Sync callers.
 	syncMu sync.Mutex
 
-	mu       sync.Mutex
-	cond     *sync.Cond // wakes Enqueue when the window drains, and Close
-	credits  int        // max concurrently running flushes for this group
-	window   int        // max admitted-but-unfinished jobs (credits + queue)
-	admitted int        // jobs admitted and not yet completed
-	inflight int        // jobs currently running on shard workers
-	closed   bool
-	pending  []*flushJob // admitted, waiting for a credit; oldest first
-	order    []uint64    // epochs in enqueue (== epoch) order, oldest first
-	byEpoch  map[uint64]*flushJob
+	mu      sync.Mutex
+	cond    *sync.Cond  // broadcast whenever an attempt finishes, and on Close
+	queue   []*flushJob // un-retired epochs, oldest first; queue[0] is the head
+	running bool        // the head's flush is in flight (worker or Sync)
+	waiting int         // Enqueue callers held out by the window (counted in depth)
+	window  int         // max queued epochs: the one in flight + the queue depth
+	closed  bool
 }
 
-func newFlusher(o *Orchestrator, g *Group, workers, depth int) *flusher {
-	if workers <= 0 {
-		workers = defaultFlushWorkers
-	}
+func newFlusher(o *Orchestrator, g *Group, depth int) *flusher {
 	if depth <= 0 {
 		depth = defaultFlushQueue
 	}
-	f := &flusher{
-		o:       o,
-		g:       g,
-		credits: workers,
-		window:  workers + depth,
-		byEpoch: make(map[uint64]*flushJob),
-	}
+	f := &flusher{o: o, g: g, fl: o.fleetOf(), window: 1 + depth}
 	f.cond = sync.NewCond(&f.mu)
-	f.shard = o.fleetOf().place(g.ID)
+	f.shard = f.fl.place(g.ID)
 	return f
+}
+
+// stalledLocked reports whether the head's last attempt failed and
+// nothing is retrying it. Caller holds f.mu.
+func (f *flusher) stalledLocked() bool {
+	return !f.running && len(f.queue) > 0 && f.queue[0].err != nil
 }
 
 // Enqueue hands an image to the pipeline. It blocks while the
 // admission window is full, which is the backpressure that keeps a
 // checkpoint storm from building an unbounded backlog of unflushed
 // epochs; the fleet's global memory budget adds a second, cross-group
-// bound on the frame bytes those backlogs pin. A blocked Enqueue is
-// woken — and its job failed — if the flusher closes underneath it
-// (Unpersist during a storm), so the checkpointing goroutine can
-// never be stranded.
+// bound on the frame bytes those backlogs pin. It never waits behind a
+// stalled head — a dead backend must not hang the checkpointing
+// goroutine — and a blocked Enqueue is woken, its job dropped
+// unflushed, if the flusher closes underneath it (Unpersist during a
+// storm). Every Enqueue is also the retry trigger for a stalled head:
+// the new epoch cannot flush until the old one has.
 func (f *flusher) Enqueue(img *Image, bdIdx int) {
-	job := &flushJob{img: img, bdIdx: bdIdx, done: make(chan struct{})}
-	job.budget = f.o.fleetOf().acquireBudget(img.FootprintBytes())
-	// Register before waiting for admission so Sync/drain/depth always
-	// see the job even while backpressure holds it out of the window.
+	job := &flushJob{img: img, bdIdx: bdIdx}
+	job.budget = f.fl.acquireBudget(img.FootprintBytes())
 	f.mu.Lock()
-	f.order = append(f.order, img.Epoch)
-	f.byEpoch[img.Epoch] = job
-	for f.admitted >= f.window && !f.closed {
+	f.waiting++
+	for len(f.queue) >= f.window && !f.stalledLocked() && !f.closed {
 		f.cond.Wait()
 	}
+	f.waiting--
 	if f.closed {
-		job.completed = true
-		job.err = errFlusherClosed
 		f.mu.Unlock()
-		if job.budget > 0 {
-			f.o.fleetOf().releaseBudget(job.budget)
-		}
-		close(job.done)
+		f.fl.releaseBudget(job.budget)
 		return
 	}
-	f.admitted++
-	f.pending = append(f.pending, job)
-	ready := f.inflight < f.credits
+	f.queue = append(f.queue, job)
+	wake := !f.running
+	if wake {
+		f.queue[0].err = nil // re-arm a stalled head: a dispatch is now pending
+	}
 	f.mu.Unlock()
-	if ready {
+	if wake {
 		f.shard.wake(f)
 	}
 }
 
-// depth reports the number of epochs not yet retired (queued, in
-// flight, or stalled behind a failure).
+// depth reports the number of epochs not yet retired (in flight,
+// queued, stalled behind a failure, or held out by the window).
 func (f *flusher) depth() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.order)
+	return len(f.queue) + f.waiting
 }
 
-// dispatch runs at most one pending job on the calling shard worker's
-// flush lane. If more work remains runnable it re-queues the flusher
-// before running the job, so a second worker can pick it up while this
-// one is busy — per-group concurrency up to the credit count.
+// dispatch runs the head's flush on the calling shard worker's flush
+// lane, unless an attempt is already in flight. The lane advances by
+// the flush's modeled duration so back-to-back jobs on a busy worker
+// queue in virtual time; with a nil lane (fleet shut down, inline
+// fallback) the job charges a fresh lane off the kernel clock.
 func (f *flusher) dispatch(lane *storage.Clock) {
 	f.mu.Lock()
-	if len(f.pending) == 0 || f.inflight >= f.credits {
+	if f.running || len(f.queue) == 0 {
 		f.mu.Unlock()
 		return
 	}
-	job := f.pending[0]
-	f.pending = f.pending[1:]
-	f.inflight++
-	more := len(f.pending) > 0 && f.inflight < f.credits
+	job := f.queue[0]
+	f.running = true
 	f.mu.Unlock()
-	if more {
-		f.shard.wake(f)
-	}
-	f.run(job, lane)
-}
 
-// run executes one flush attempt on the given worker lane and retires
-// whatever became eligible. The lane advances by the flush's modeled
-// duration so back-to-back jobs on a busy worker queue in virtual
-// time; with a nil lane (fleet shut down, inline fallback) the job
-// charges a fresh lane off the kernel clock.
-func (f *flusher) run(job *flushJob, lane *storage.Clock) {
-	base := lane
-	if base == nil {
-		base = f.o.K.Clock.Lane()
+	if lane == nil {
+		lane = f.o.K.Clock.Lane()
 	} else {
 		// The device cannot start work before the flush was issued.
-		base.AdvanceTo(f.o.K.Clock.Now())
+		lane.AdvanceTo(f.o.K.Clock.Now())
 	}
-	start := base.Now()
-	dur, err := f.o.flushImageOn(f.g, job.img, true, base)
-	base.AdvanceTo(start + dur)
-	f.mu.Lock()
-	job.dur, job.err, job.completed = dur, err, true
-	f.inflight--
-	f.admitted--
-	f.retireLocked()
-	more := len(f.pending) > 0 && f.inflight < f.credits
-	f.cond.Broadcast()
-	f.mu.Unlock()
-	if job.budget > 0 {
-		f.o.fleetOf().releaseBudget(job.budget)
-	}
-	if more {
-		f.shard.wake(f)
-	}
-	close(job.done)
+	start := lane.Now()
+	dur, err := f.o.flushImage(f.g, job.img, true, lane)
+	lane.AdvanceTo(start + dur)
+	f.finish(job, dur, err)
 }
 
-// retireLocked advances the durable frontier over every leading epoch
-// that flushed successfully. A failed epoch stalls retirement: later
-// epochs may finish out of order but stay unretired, so durability
-// never claims a history with a hole in it. Caller holds f.mu.
-func (f *flusher) retireLocked() {
-	for len(f.order) > 0 {
-		epoch := f.order[0]
-		job := f.byEpoch[epoch]
-		if job == nil || !job.completed || job.err != nil {
-			return
+// finish ends the head's attempt, which the caller started by setting
+// f.running. Success retires the epoch, pops it and hands the queue
+// back to a shard worker; failure records the error and leaves the
+// epoch at the head — its successors are not woken, so nothing ever
+// flushes past it.
+func (f *flusher) finish(job *flushJob, dur time.Duration, err error) {
+	if err == nil {
+		// Still marked running, so retirements are serial and in order.
+		f.retire(job, dur)
+	}
+	f.mu.Lock()
+	f.running = false
+	job.err = err
+	free := job.budget
+	job.budget = 0
+	if err == nil {
+		f.queue[0] = nil
+		f.queue = f.queue[1:]
+	} else {
+		// A stalled queue pins no budget: the fleet-wide bound must not
+		// turn one dead backend into every group's backpressure.
+		for _, j := range f.queue {
+			free += j.budget
+			j.budget = 0
 		}
-		f.order = f.order[1:]
-		delete(f.byEpoch, epoch)
-		f.retire(epoch, job)
+	}
+	more := err == nil && len(f.queue) > 0
+	f.cond.Broadcast()
+	f.mu.Unlock()
+	f.fl.releaseBudget(free)
+	if more {
+		f.shard.wake(f)
 	}
 }
 
 // retire marks one epoch durable and lets backends release history.
-func (f *flusher) retire(epoch uint64, job *flushJob) {
+func (f *flusher) retire(job *flushJob, dur time.Duration) {
 	g := f.g
 	g.mu.Lock()
-	if epoch > g.durable {
-		g.durable = epoch
+	if job.img.Epoch > g.durable {
+		g.durable = job.img.Epoch
 	}
 	if job.bdIdx >= 0 && job.bdIdx < len(g.ckpts) {
-		g.ckpts[job.bdIdx].FlushTime = job.dur
+		g.ckpts[job.bdIdx].FlushTime = dur
 	}
 	g.mu.Unlock()
-	// History trimming is deferred to retirement: it merges old images
-	// forward in place, which must never race with a flush still
-	// reading them.
+	g.trimBackends()
+}
+
+// trimBackends lets backends fold history forward. It is deferred to
+// retirement: trimming merges old images forward in place, which must
+// never race with a flush still reading them.
+func (g *Group) trimBackends() {
 	for _, b := range g.Backends() {
 		if t, ok := b.(trimmer); ok {
 			t.Trim(g.ID)
@@ -230,78 +207,50 @@ func (f *flusher) retire(epoch uint64, job *flushJob) {
 	}
 }
 
-// drain waits until every enqueued epoch has completed its flush
-// attempt. It does not retry failures — failed epochs stay stalled.
+// drain waits until the pipeline is idle: nothing in flight, and the
+// queue empty or stalled on a failed head. It does not retry failures.
 func (f *flusher) drain() {
-	for {
-		f.mu.Lock()
-		var wait *flushJob
-		for _, j := range f.byEpoch {
-			if !j.completed {
-				wait = j
-				break
-			}
-		}
-		f.mu.Unlock()
-		if wait == nil {
-			return
-		}
-		<-wait.done
+	f.mu.Lock()
+	for len(f.queue) > 0 && !f.stalledLocked() {
+		f.cond.Wait()
 	}
+	f.mu.Unlock()
 }
 
-// Sync drains the pipeline and then retries any stalled (failed)
-// epochs inline, oldest first. It returns nil only when every epoch
-// handed to the pipeline has retired; otherwise it surfaces the first
-// failure, leaving the durable frontier where it was.
+// Sync waits the pipeline out and retries a stalled head inline, in the
+// foreground (so a down backend is probed unconditionally). It returns
+// nil only when every epoch handed to the pipeline has retired;
+// otherwise it surfaces the head's failure, leaving the durable
+// frontier where it was.
 func (f *flusher) Sync() error {
 	f.syncMu.Lock()
 	defer f.syncMu.Unlock()
-	for {
-		f.mu.Lock()
-		var wait *flushJob
-		for _, j := range f.byEpoch {
-			if !j.completed {
-				wait = j
-				break
-			}
-		}
-		if wait != nil {
-			f.mu.Unlock()
-			<-wait.done
+	f.mu.Lock()
+	for len(f.queue) > 0 {
+		if !f.stalledLocked() {
+			// In flight, or a dispatch is pending on the shard.
+			f.cond.Wait()
 			continue
 		}
-		if len(f.order) == 0 {
-			f.mu.Unlock()
-			return nil
-		}
-		// Everything completed but the head did not retire: it failed.
-		head := f.byEpoch[f.order[0]]
-		if head.err == nil {
-			// Retired concurrently between checks; re-examine.
-			f.retireLocked()
-			f.mu.Unlock()
-			continue
-		}
+		head := f.queue[0]
+		f.running = true
 		f.mu.Unlock()
-
-		dur, err := f.o.flushImage(f.g, head.img, false)
-		f.mu.Lock()
+		dur, err := f.o.flushImage(f.g, head.img, false, nil)
+		f.finish(head, dur, err)
 		if err != nil {
-			head.err = err
-			f.mu.Unlock()
 			return err
 		}
-		head.dur, head.err = dur, nil
-		f.retireLocked()
-		f.mu.Unlock()
+		f.mu.Lock()
 	}
+	f.mu.Unlock()
+	return nil
 }
 
 // Close fails any Enqueue still waiting for admission, then drains the
-// pipeline. Failed epochs are abandoned un-retried (the group is going
-// away). There are no per-group workers to stop — dispatch capacity
-// belongs to the fleet, which outlives the group.
+// pipeline. A stalled head and the epochs behind it are abandoned
+// un-retried (the group is going away). There are no per-group workers
+// to stop — dispatch capacity belongs to the fleet, which outlives the
+// group.
 func (f *flusher) Close() {
 	f.mu.Lock()
 	f.closed = true

@@ -111,14 +111,9 @@ type backendHealth struct {
 	probing     bool     // a worker is currently probing/draining this backend
 	skips       int      // epochs queued while down, for probe pacing
 	pending     []*Image // catch-up queue of missed epochs, oldest first
-	// resynced records epochs a probe replayed from the catch-up queue
-	// whose pipeline jobs are still stalled: their foreground retry
-	// must not re-deliver. Entries are consumed by the retry or pruned
-	// once retired.
-	resynced map[uint64]bool
-	lastErr  error
-	retries  int64 // flush attempts beyond the first, cumulative
-	resyncs  int64 // epochs replayed from the catch-up queue
+	lastErr     error
+	retries     int64 // flush attempts beyond the first, cumulative
+	resyncs     int64 // epochs replayed from the catch-up queue
 }
 
 // queueLocked adds an image to the catch-up queue, keeping it sorted
@@ -204,19 +199,13 @@ func (g *Group) Health() []BackendHealthInfo {
 	return out
 }
 
-// attemptFlush delivers img to b with inline retries and exponential
-// backoff. The backoff is charged to a detached clock lane — the sick
-// backend burns its own time, not the group's foreground timeline —
-// and folded into the returned duration so synchronous callers merge
-// it back.
-func (o *Orchestrator) attemptFlush(b Backend, img *Image, retries int) (time.Duration, int, error) {
-	return o.attemptFlushOn(b, img, retries, nil)
-}
-
-// attemptFlushOn is attemptFlush with the retry lane seeded from an
-// explicit base clock — the shard worker's flush lane for fleet
-// dispatch, the kernel clock when base is nil.
-func (o *Orchestrator) attemptFlushOn(b Backend, img *Image, retries int, base *storage.Clock) (time.Duration, int, error) {
+// attempt hands img to b with inline retries and exponential backoff.
+// The backoff is charged to a detached clock lane — the sick backend
+// burns its own time, not the group's foreground timeline — seeded from
+// base (the shard worker's flush lane for fleet dispatch, the kernel
+// clock when nil) and folded into the returned duration so synchronous
+// callers merge it back.
+func (o *Orchestrator) attempt(b Backend, img *Image, base *storage.Clock) (time.Duration, int, error) {
 	lane := o.laneFor(base)
 	target := b
 	if lb, ok := b.(LaneBackend); ok {
@@ -232,7 +221,7 @@ func (o *Orchestrator) attemptFlushOn(b Backend, img *Image, retries int, base *
 		if err == nil {
 			return total, attempts, nil
 		}
-		if attempts > retries {
+		if attempts > o.flushRetries() {
 			return total, attempts, err
 		}
 		lane.Advance(backoff)
@@ -241,30 +230,32 @@ func (o *Orchestrator) attemptFlushOn(b Backend, img *Image, retries int, base *
 	}
 }
 
+// deliver is attempt with space pressure treated as a condition, not a
+// fault: when the store runs out of space mid-flush it triggers
+// emergency reclamation and — if that freed anything — delivers the
+// epoch again. The failed write left no partial state behind (the store
+// registers records and publishes superblocks only after their bytes
+// land), so the retry is a clean re-delivery.
+func (o *Orchestrator) deliver(b Backend, img *Image, base *storage.Clock) (time.Duration, int, error) {
+	dur, attempts, err := o.attempt(b, img, base)
+	if err != nil && errors.Is(err, storage.ErrOutOfSpace) && o.emergencyReclaim(b) {
+		dur2, attempts2, err2 := o.attempt(b, img, base)
+		return dur + dur2, attempts + attempts2, err2
+	}
+	return dur, attempts, err
+}
+
 // flushBackend delivers one image to one backend under the health
-// state machine. It returns (modeled duration, deferred, error):
+// state machine, charging device time to lanes seeded from base (nil =
+// the kernel clock). It returns (modeled duration, deferred, error):
 // deferred means the epoch went to the backend's catch-up queue
 // instead of (or in addition to) the device — the epoch may still
 // retire if a healthy peer holds it. force (foreground Sync) probes a
 // down backend unconditionally; background flushes pace their probes.
-func (o *Orchestrator) flushBackend(g *Group, b Backend, img *Image, force bool) (time.Duration, bool, error) {
-	return o.flushBackendOn(g, b, img, force, nil)
-}
-
-// flushBackendOn is flushBackend charging device time to lanes seeded
-// from base (nil = the kernel clock).
-func (o *Orchestrator) flushBackendOn(g *Group, b Backend, img *Image, force bool, base *storage.Clock) (time.Duration, bool, error) {
+func (o *Orchestrator) flushBackend(g *Group, b Backend, img *Image, force bool, base *storage.Clock) (time.Duration, bool, error) {
 	h := g.healthOf(b)
 
 	g.healthMu.Lock()
-	if h.resynced[img.Epoch] {
-		// A probe already replayed exactly this epoch from the
-		// catch-up queue (a stalled pipeline entry being retried after
-		// recovery): nothing left to do.
-		delete(h.resynced, img.Epoch)
-		g.healthMu.Unlock()
-		return 0, false, nil
-	}
 	if h.state != BackendHealthy || len(h.pending) > 0 {
 		probe := !h.probing
 		if probe && h.state == BackendDown && !force {
@@ -285,22 +276,7 @@ func (o *Orchestrator) flushBackendOn(g *Group, b Backend, img *Image, force boo
 	}
 	g.healthMu.Unlock()
 
-	dur, attempts, err := o.attemptFlushOn(b, img, o.flushRetries(), base)
-	if err != nil && errors.Is(err, storage.ErrOutOfSpace) {
-		// The store ran out of space mid-flush. Space pressure is a
-		// condition, not a fault: trigger emergency reclamation and — if
-		// it freed anything — deliver the epoch again. The failed write
-		// left no partial state behind (the store registers records and
-		// publishes superblocks only after their bytes land), so the
-		// retry is a clean re-delivery.
-		if o.emergencyReclaim(b) {
-			var dur2 time.Duration
-			var attempts2 int
-			dur2, attempts2, err = o.attemptFlushOn(b, img, o.flushRetries(), base)
-			dur += dur2
-			attempts += attempts2
-		}
-	}
+	dur, attempts, err := o.deliver(b, img, base)
 	fenced := err != nil && noteFence(g, err)
 	g.healthMu.Lock()
 	defer g.healthMu.Unlock()
@@ -369,19 +345,6 @@ func (o *Orchestrator) probeAndResync(g *Group, h *backendHealth, b Backend, img
 		g.healthMu.Unlock()
 	}
 
-	// deliver retries one catch-up image, running emergency reclamation
-	// between attempts when the store reports out of space.
-	deliver := func(target *Image) (time.Duration, int, error) {
-		dur, attempts, err := o.attemptFlushOn(b, target, o.flushRetries(), base)
-		if err != nil && errors.Is(err, storage.ErrOutOfSpace) && o.emergencyReclaim(b) {
-			dur2, attempts2, err2 := o.attemptFlushOn(b, target, o.flushRetries(), base)
-			dur += dur2
-			attempts += attempts2
-			err = err2
-		}
-		return dur, attempts, err
-	}
-
 	// Replay missed epochs oldest-first. The queue may grow while we
 	// drain (other workers defer onto a probing backend), so re-check
 	// each round.
@@ -396,7 +359,7 @@ func (o *Orchestrator) probeAndResync(g *Group, h *backendHealth, b Backend, img
 		if next == nil {
 			break
 		}
-		dur, attempts, err := deliver(next)
+		dur, attempts, err := o.deliver(b, next, base)
 		total += dur
 		g.healthMu.Lock()
 		h.retries += int64(attempts - 1)
@@ -407,12 +370,6 @@ func (o *Orchestrator) probeAndResync(g *Group, h *backendHealth, b Backend, img
 		}
 		g.healthMu.Lock()
 		h.resyncs++
-		if img == nil || next.Epoch != img.Epoch {
-			if h.resynced == nil {
-				h.resynced = make(map[uint64]bool)
-			}
-			h.resynced[next.Epoch] = true
-		}
 		g.healthMu.Unlock()
 		if img != nil && next.Epoch == img.Epoch {
 			delivered = true
@@ -422,7 +379,7 @@ func (o *Orchestrator) probeAndResync(g *Group, h *backendHealth, b Backend, img
 	}
 
 	if !delivered {
-		dur, attempts, err := deliver(img)
+		dur, attempts, err := o.deliver(b, img, base)
 		total += dur
 		g.healthMu.Lock()
 		h.retries += int64(attempts - 1)

@@ -13,11 +13,14 @@ import (
 )
 
 // ledgerBackend is a non-ephemeral backend recording the order of
-// epochs it accepted, failing while err is set.
+// epochs it was offered and accepted, failing while err is set — or,
+// with failFirst > 0, only for its first failFirst calls.
 type ledgerBackend struct {
-	mu     sync.Mutex
-	err    error
-	epochs []uint64
+	mu        sync.Mutex
+	err       error
+	failFirst int
+	calls     []uint64 // epoch of every Flush call, in order
+	epochs    []uint64 // epoch of every successful Flush, in order
 }
 
 func (b *ledgerBackend) setErr(err error) {
@@ -32,13 +35,20 @@ func (b *ledgerBackend) accepted() []uint64 {
 	return append([]uint64(nil), b.epochs...)
 }
 
+func (b *ledgerBackend) offered() []uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return append([]uint64(nil), b.calls...)
+}
+
 func (b *ledgerBackend) Name() string    { return "ledger" }
 func (b *ledgerBackend) Ephemeral() bool { return false }
 
 func (b *ledgerBackend) Flush(img *Image) (time.Duration, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.err != nil {
+	b.calls = append(b.calls, img.Epoch)
+	if b.err != nil && (b.failFirst == 0 || len(b.calls) <= b.failFirst) {
 		return 0, b.err
 	}
 	b.epochs = append(b.epochs, img.Epoch)
@@ -54,7 +64,6 @@ func (b *ledgerBackend) Load(group, epoch uint64) (*Image, time.Duration, error)
 // sick backend queues missed epochs, and Sync resyncs it in order.
 func TestDegradedModeKeepsDurableAdvancing(t *testing.T) {
 	r := newRig(t)
-	r.o.FlushWorkers = 1
 	p := spawnCounter(t, r)
 	g, _ := r.o.Persist("app", p)
 	lb := &ledgerBackend{}
@@ -117,7 +126,6 @@ func TestDegradedModeKeepsDurableAdvancing(t *testing.T) {
 // surfaces through Sync via errors.Is.
 func TestBackendDownTypedErrors(t *testing.T) {
 	r := newRig(t)
-	r.o.FlushWorkers = 1
 	r.o.FlushRetries = 1
 	r.o.DownAfter = 2
 	p := spawnCounter(t, r)
@@ -178,7 +186,6 @@ func TestBackendDownTypedErrors(t *testing.T) {
 // TestErrBackendDownIsTyped checks the skip-path error directly.
 func TestErrBackendDownIsTyped(t *testing.T) {
 	r := newRig(t)
-	r.o.FlushWorkers = 1
 	r.o.FlushRetries = 1
 	r.o.DownAfter = 1
 	p := spawnCounter(t, r)
@@ -201,7 +208,7 @@ func TestErrBackendDownIsTyped(t *testing.T) {
 	lastErr := h.lastErr
 	g.healthMu.Unlock()
 	_ = lastErr // state transitions recorded; the sentinel itself:
-	_, deferred, err := r.o.flushBackend(g, lb, g.LastImage(), false)
+	_, deferred, err := r.o.flushBackend(g, lb, g.LastImage(), false, nil)
 	if !deferred || !errors.Is(err, ErrBackendDown) {
 		t.Fatalf("deferred=%v err=%v, want deferred with ErrBackendDown", deferred, err)
 	}
@@ -237,7 +244,6 @@ func newFaultRig(seed int64, writeErr float64) *faultRig {
 	clock := storage.NewClock()
 	k := kernel.NewWith(clock, vm.NewPhysMem(0))
 	o := NewOrchestrator(k)
-	o.FlushWorkers = 1 // deterministic device-op ordering
 	fd := storage.NewFaultDevice(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock,
 		storage.FaultConfig{Seed: seed, WriteErr: writeErr, SyncErr: writeErr})
 	return &faultRig{
@@ -280,7 +286,7 @@ func runFaultWorkload(t *testing.T, fr *faultRig, n int) (*Group, uint64) {
 // TestFaultMatrixAcceptance is the ISSUE acceptance criterion: with a
 // 1% seeded transient-fault rate on the primary backend of a
 // two-backend group, a 200-checkpoint run completes with g.durable at
-// the last epoch, the degraded backend fully resynced, and the state
+// the last epoch, the degraded backend fully caught up, and the state
 // restored from the faulty primary bit-identical to a fault-free run.
 func TestFaultMatrixAcceptance(t *testing.T) {
 	const ckpts = 200
@@ -303,7 +309,7 @@ func TestFaultMatrixAcceptance(t *testing.T) {
 		}
 		for i, info := range g.Health() {
 			if info.State != BackendHealthy || info.Pending != 0 {
-				t.Fatalf("seed %d: backend %d not fully resynced: %+v", seed, i, info)
+				t.Fatalf("seed %d: backend %d not fully caught up: %+v", seed, i, info)
 			}
 		}
 		if liveVal != cleanVal {
@@ -340,7 +346,7 @@ func TestFaultMatrixSeeds(t *testing.T) {
 		}
 		for i, info := range g.Health() {
 			if info.State != BackendHealthy || info.Pending != 0 {
-				t.Fatalf("seed %d: backend %d not resynced: %+v", seed, i, info)
+				t.Fatalf("seed %d: backend %d not caught up: %+v", seed, i, info)
 			}
 		}
 	}

@@ -80,7 +80,6 @@ func TestUnpersistWithQueuedEpochsDoesNotLeak(t *testing.T) {
 	before := snapshotGoroutines()
 
 	r := newRig(t)
-	r.o.FlushWorkers = 1
 	r.o.FlushQueueDepth = 1
 	p := spawnCounter(t, r)
 	g, err := r.o.Persist("leak", p)

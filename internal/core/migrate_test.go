@@ -38,7 +38,6 @@ func newMigMach(t *testing.T) *migMach {
 	clock := storage.NewClock()
 	k := kernel.NewWith(clock, vm.NewPhysMem(0))
 	o := core.NewOrchestrator(k)
-	o.FlushWorkers = 1
 	sb := core.NewStoreBackend(
 		objstore.Create(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock),
 		k.Mem, clock)

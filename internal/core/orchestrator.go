@@ -154,7 +154,7 @@ func (g *Group) Durable() uint64 {
 
 // QueueDepth reports the number of epochs in the group's flush
 // pipeline that have not retired yet (queued, flushing, or stalled
-// behind a failed flush).
+// on or behind a failed flush).
 func (g *Group) QueueDepth() int {
 	g.mu.Lock()
 	f := g.fl
@@ -277,13 +277,9 @@ type Orchestrator struct {
 	groups   map[uint64]*Group
 	pidGroup map[int]uint64
 	nextID   uint64
-	// DefaultFullEvery forces a full checkpoint every N incrementals
-	// (0 = only the first checkpoint is full).
-	DefaultFullEvery int
-	// FlushWorkers and FlushQueueDepth size each group's background
-	// flush pipeline (0 = package defaults). The queue depth bounds how
-	// many un-retired epochs may pile up before Checkpoint blocks.
-	FlushWorkers    int
+	// FlushQueueDepth bounds how many epochs may wait behind the one in
+	// flight in a group's flush pipeline before Checkpoint blocks
+	// (0 = package default).
 	FlushQueueDepth int
 	// FlushRetries is the number of extra flush attempts (with
 	// exponential backoff) before a backend is marked degraded
@@ -292,22 +288,11 @@ type Orchestrator struct {
 	// DownAfter is the number of consecutive failed epochs after which
 	// a degraded backend is marked down (0 = package default).
 	DownAfter int
-	// ShedQueueDepth, when positive, makes Checkpoint shed (skip)
-	// barriers while the group's flush pipeline holds at least this
-	// many un-retired epochs, instead of blocking the group's resume on
-	// the bounded queue (0 = never shed on queue depth).
-	ShedQueueDepth int
 	// ShedAdmitEvery bounds consecutive sheds: every Nth barrier is
 	// admitted even under sustained pressure, so the durable frontier
 	// keeps advancing (0 = package default).
 	ShedAdmitEvery int
 
-	// FleetShards and FleetWorkersPerShard size the shard runtime that
-	// dispatches every group's flushes (0 = package defaults). Groups
-	// are placed onto shards by consistent hashing on the group ID;
-	// total flush concurrency across the fleet is shards × workers.
-	FleetShards          int
-	FleetWorkersPerShard int
 	// FleetMemBudget bounds the captured frame bytes pinned by
 	// queued-but-unflushed images across ALL groups; a checkpoint that
 	// would exceed it blocks in Enqueue until flushes complete
@@ -430,14 +415,15 @@ func (o *Orchestrator) flusherOf(g *Group) *flusher {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.fl == nil {
-		g.fl = newFlusher(o, g, o.FlushWorkers, o.FlushQueueDepth)
+		g.fl = newFlusher(o, g, o.FlushQueueDepth)
 	}
 	return g.fl
 }
 
-// Drain waits for every in-flight flush of g to complete. Unlike Sync
-// it does not retry failed epochs, so the durable frontier may still
-// trail the barrier epoch afterwards.
+// Drain waits until g's flush pipeline is idle: nothing in flight, and
+// the queue empty or stalled on an epoch whose last attempt failed.
+// Unlike Sync it does not retry that epoch, so the durable frontier may
+// still trail the barrier epoch afterwards.
 func (o *Orchestrator) Drain(g *Group) {
 	g.mu.Lock()
 	f := g.fl
@@ -468,7 +454,7 @@ func (o *Orchestrator) Sync(g *Group) error {
 	epoch, durable, queued, img := g.epoch, g.durable, g.lastQueued, g.last
 	g.mu.Unlock()
 	if epoch > durable && epoch > queued && img != nil && !img.Released() {
-		if _, err := o.flushImage(g, img, false); err != nil {
+		if _, err := o.flushImage(g, img, false, nil); err != nil {
 			return err
 		}
 		g.mu.Lock()
@@ -476,11 +462,7 @@ func (o *Orchestrator) Sync(g *Group) error {
 			g.durable = epoch
 		}
 		g.mu.Unlock()
-		for _, b := range g.Backends() {
-			if t, ok := b.(trimmer); ok {
-				t.Trim(g.ID)
-			}
-		}
+		g.trimBackends()
 	}
 	// Degraded-mode epilogue: the durable frontier is current, but a
 	// sick backend may still owe its catch-up queue. Sync means

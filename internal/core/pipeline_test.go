@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -200,14 +201,15 @@ func TestCheckpointReturnsBeforeFlush(t *testing.T) {
 	}
 }
 
-// TestOutOfOrderCompletionStallsDurable: a later epoch finishing first
-// must not advance the durable frontier past an earlier in-flight one.
-func TestOutOfOrderCompletionStallsDurable(t *testing.T) {
+// TestDurableNeverPassesAnUnflushedEpoch: while an epoch's flush is in
+// flight its successor is not even started, so the durable frontier
+// cannot advance past it.
+func TestDurableNeverPassesAnUnflushedEpoch(t *testing.T) {
 	r := newRig(t)
 	p := spawnCounter(t, r)
 	g, _ := r.o.Persist("app", p)
 	gb := newGateBackend()
-	gb.gate(1) // epoch 1 blocks; epoch 2 flushes immediately
+	gb.gate(1) // epoch 1 blocks; epoch 2 would flush immediately
 	r.o.Attach(g, gb)
 
 	r.k.Run(1)
@@ -219,19 +221,18 @@ func TestOutOfOrderCompletionStallsDurable(t *testing.T) {
 	if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for epoch 2's flush to complete out of order.
-	deadline := time.Now().Add(10 * time.Second)
-	for !gb.hasFlushed(2) {
-		if time.Now().After(deadline) {
-			t.Fatal("epoch 2 never flushed")
-		}
+	// Give an out-of-order pipeline every chance to start epoch 2.
+	for i := 0; i < 100; i++ {
 		runtime.Gosched()
+	}
+	if gb.hasFlushed(2) {
+		t.Fatal("epoch 2 flushed with epoch 1 still in flight (overtaken)")
 	}
 	if d := g.Durable(); d != 0 {
 		t.Fatalf("durable = %d with epoch 1 still in flight, want 0 (hole in history)", d)
 	}
 	if depth := g.QueueDepth(); depth != 2 {
-		t.Fatalf("queue depth = %d, want 2 (completed epoch must not retire early)", depth)
+		t.Fatalf("queue depth = %d, want 2", depth)
 	}
 
 	gb.release(1)
@@ -240,6 +241,111 @@ func TestOutOfOrderCompletionStallsDurable(t *testing.T) {
 	}
 	if d := g.Durable(); d != 2 {
 		t.Fatalf("durable = %d after sync, want 2", d)
+	}
+}
+
+// TestFailedHeadIsNeverOvertaken: an epoch whose background flush
+// failed stays at the head of the pipeline and is retried by the next
+// checkpoint — the backend never sees a later epoch before the failed
+// one succeeded, and the durable frontier passes it without any Sync.
+func TestFailedHeadIsNeverOvertaken(t *testing.T) {
+	r := newRig(t)
+	r.o.FlushRetries = 1
+	p := spawnCounter(t, r)
+	g, _ := r.o.Persist("app", p)
+	// Epoch 1's background flush fails both of its attempts, once.
+	lb := &ledgerBackend{failFirst: 2}
+	lb.setErr(errors.New("transient"))
+	r.o.Attach(g, lb)
+
+	r.k.Run(1)
+	if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	r.o.Drain(g)
+	if d, depth := g.Durable(), g.QueueDepth(); d != 0 || depth != 1 {
+		t.Fatalf("durable %d depth %d after the failed flush, want 0 and 1", d, depth)
+	}
+	for i := 0; i < 2; i++ {
+		r.k.Run(1)
+		if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "durable to reach 3 with no Sync", func() bool { return g.Durable() == 3 })
+
+	if got, want := lb.offered(), []uint64{1, 1, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("backend saw epochs %v, want %v (a failed head retried before its successors)", got, want)
+	}
+	if got, want := lb.accepted(), []uint64{1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("backend accepted %v, want %v", got, want)
+	}
+	if depth := g.QueueDepth(); depth != 0 {
+		t.Fatalf("queue depth = %d after everything retired, want 0", depth)
+	}
+}
+
+// TestNoHangBehindDeadBackend: with the sole backend failing every
+// flush, more checkpoints than the admission window holds all return
+// (Enqueue never waits behind a stalled head), Sync surfaces the typed
+// failure, and once the fault clears one Sync retires every epoch in
+// order.
+func TestNoHangBehindDeadBackend(t *testing.T) {
+	r := newRig(t)
+	r.o.FlushRetries = 1
+	p := spawnCounter(t, r)
+	g, _ := r.o.Persist("app", p)
+	injected := errors.New("dead controller")
+	lb := &ledgerBackend{}
+	lb.setErr(injected)
+	r.o.Attach(g, lb)
+
+	const n = 1 + defaultFlushQueue + 3
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			r.k.Run(1)
+			if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a checkpoint blocked behind a failed head")
+	}
+	r.o.Drain(g)
+	if d, depth := g.Durable(), g.QueueDepth(); d != 0 || depth != n {
+		t.Fatalf("durable %d depth %d, want 0 and %d", d, depth, n)
+	}
+	if err := r.o.Sync(g); !errors.Is(err, injected) {
+		t.Fatalf("Sync = %v, want the injected fault", err)
+	}
+	if d := g.Durable(); d != 0 {
+		t.Fatalf("durable = %d after a failed Sync, want 0", d)
+	}
+
+	lb.setErr(nil)
+	if err := r.o.Sync(g); err != nil {
+		t.Fatalf("sync after recovery: %v", err)
+	}
+	if d, depth := g.Durable(), g.QueueDepth(); d != n || depth != 0 {
+		t.Fatalf("durable %d depth %d after recovery, want %d and 0", d, depth, n)
+	}
+	got := lb.accepted()
+	if len(got) != n {
+		t.Fatalf("ledger accepted %v, want epochs 1..%d", got, n)
+	}
+	for i, e := range got {
+		if e != uint64(i+1) {
+			t.Fatalf("epochs retired out of order: %v", got)
+		}
 	}
 }
 
@@ -320,7 +426,6 @@ func TestFlushErrorStallsDurabilityAndGating(t *testing.T) {
 // unbounded backlog of unflushed epochs.
 func TestCheckpointBackpressure(t *testing.T) {
 	r := newRig(t)
-	r.o.FlushWorkers = 1
 	r.o.FlushQueueDepth = 1
 	p := spawnCounter(t, r)
 	g, _ := r.o.Persist("app", p)

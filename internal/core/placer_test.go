@@ -69,7 +69,6 @@ func newPlaceRig(t *testing.T, cfg placeRigConfig) *placeRig {
 		clock := storage.NewClock()
 		k := kernel.NewWith(clock, vm.NewPhysMem(0))
 		o := core.NewOrchestrator(k)
-		o.FlushWorkers = 1
 		params := storage.ParamsOptaneNVMe
 		if cfg.capBlks > 0 {
 			params.Capacity = cfg.capBlks * objstore.BlockSize

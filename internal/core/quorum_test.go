@@ -91,7 +91,6 @@ func TestQuorumPolicyClamp(t *testing.T) {
 // W=1 flush stops paying the 5ms.
 func TestQuorumLatencyIsWthFastestAck(t *testing.T) {
 	r := newRig(t)
-	r.o.FlushWorkers = 1
 	p := spawnCounter(t, r)
 	g, err := r.o.Persist("app", p)
 	if err != nil {
@@ -135,7 +134,6 @@ func TestQuorumLatencyIsWthFastestAck(t *testing.T) {
 // are current. Clearing the policy reverts to the legacy minimum.
 func TestReplicatedQuorumFloor(t *testing.T) {
 	r := newRig(t)
-	r.o.FlushWorkers = 1
 	p := spawnCounter(t, r)
 	g, err := r.o.Persist("app", p)
 	if err != nil {

@@ -97,7 +97,8 @@ type ReclaimStats struct {
 // with StoreBackend.SetReclaimer; the flush pipeline pokes it at every
 // epoch retirement (StoreBackend.Trim) and the checkpoint path
 // consults it for admission control. All reclamation runs single
-// flight: concurrent pokes coalesce into one scan.
+// flight: concurrent pokes coalesce into one scan, while an emergency
+// caller waits its turn and then runs a scan of its own.
 type Reclaimer struct {
 	o  *Orchestrator
 	sb *StoreBackend
@@ -110,9 +111,12 @@ type Reclaimer struct {
 	// aborts the scan and surfaces in Stats.
 	Audit func(*objstore.Store) error
 
-	mu       sync.Mutex
-	scanning bool
-	stats    ReclaimStats
+	// scanMu is held for the length of a scan: an ordinary poke that
+	// finds it taken coalesces (TryLock), an emergency caller waits.
+	scanMu sync.Mutex
+
+	mu    sync.Mutex
+	stats ReclaimStats
 }
 
 // NewReclaimer builds a reclaimer for sb with zero-values replaced by
@@ -179,26 +183,25 @@ func (r *Reclaimer) Scan() int64 { return r.scan(false) }
 // Emergency is the ENOSPC path: reclaim with retention floors forced
 // down to one epoch per lineage, regardless of the computed usage
 // fraction (an injected full device can reject writes below any
-// watermark). Returns bytes freed.
+// watermark). Unlike Scan it never coalesces: its caller holds an
+// ENOSPC and reads "0 bytes freed" as "the epoch cannot be stored", so
+// it waits out a scan in flight and then runs its own. Returns bytes
+// freed.
 func (r *Reclaimer) Emergency() int64 { return r.scan(true) }
 
 func (r *Reclaimer) scan(emergency bool) int64 {
-	r.mu.Lock()
-	if r.scanning {
-		r.mu.Unlock()
+	if emergency {
+		r.scanMu.Lock()
+	} else if !r.scanMu.TryLock() {
 		return 0
 	}
-	r.scanning = true
+	defer r.scanMu.Unlock()
+	r.mu.Lock()
 	r.stats.Scans++
 	if emergency {
 		r.stats.EmergencyScans++
 	}
 	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		r.scanning = false
-		r.mu.Unlock()
-	}()
 
 	usedBefore, capacity, frac := r.sb.store.Usage()
 	var level PressureLevel

@@ -64,7 +64,6 @@ func crashAtEveryOp(t *testing.T, seed int64, ckpts int) {
 
 	k := kernel.NewWith(clock, vm.NewPhysMem(0))
 	o := NewOrchestrator(k)
-	o.FlushWorkers = 1 // deterministic device-op ordering
 	store := objstore.Create(fd, clock)
 	sb := NewStoreBackend(store, k.Mem, clock)
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -213,8 +214,8 @@ func TestAdmissionShedStreak(t *testing.T) {
 }
 
 // TestAdmissionZeroConfigNeutral checks the no-pressure contract: with
-// no reclaimer attached and ShedQueueDepth unset, admission control
-// never sheds and the checkpoint cadence is exactly the legacy one.
+// no reclaimer attached, admission control never sheds and the
+// checkpoint cadence is exactly the legacy one.
 func TestAdmissionZeroConfigNeutral(t *testing.T) {
 	r := newRig(t)
 	p := spawnCounter(t, r)
@@ -359,5 +360,127 @@ func TestSyncWithReclaimRetries(t *testing.T) {
 	r.fd.Up()
 	if err := r.o.syncWithReclaim(r.store); err != nil {
 		t.Fatalf("sync after recovery: %v", err)
+	}
+}
+
+// TestReclaimerEmergencyWaitsForScanInFlight: an emergency caller holds
+// an ENOSPC and reads "0 bytes freed" as "the epoch cannot be stored",
+// so it must not coalesce into a scan already in flight. The ordinary
+// scan is held open through the Audit hook; Emergency, called
+// meanwhile, blocks until it finishes, then runs — and reports — a scan
+// of its own.
+func TestReclaimerEmergencyWaitsForScanInFlight(t *testing.T) {
+	r := newSpaceRig(t, 512<<20, RetentionPolicy{KeepLast: 4},
+		Watermarks{Low: 1e-9, High: 2e-9, Emergency: 3e-9})
+	r.o.ShedAdmitEvery = 1
+	g := r.spawnGroup(t)
+	fb := &floorBackend{floor: 1} // pins all history while it accumulates
+	r.o.Attach(g, fb)
+	for i := 0; i < 8; i++ {
+		r.ckpt(t, g, CheckpointOpts{})
+	}
+	fb.floor = 9
+	base := r.rec.Stats()
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	r.rec.Audit = func(s *objstore.Store) error {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+		return s.AuditReachability()
+	}
+	scanned := make(chan int64, 1)
+	go func() { scanned <- r.rec.Scan() }()
+	<-entered
+
+	freed := make(chan int64, 1)
+	go func() { freed <- r.rec.Emergency() }()
+	select {
+	case n := <-freed:
+		t.Fatalf("Emergency returned %d with a scan in flight: it coalesced instead of waiting", n)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if n := <-scanned; n <= 0 {
+		t.Fatalf("the held scan freed %d bytes, want > 0", n)
+	}
+	// The ordinary scan stopped at KeepLast 4; the emergency scan's own
+	// pass (KeepLast forced to 1) is what frees the rest.
+	if n := <-freed; n <= 0 {
+		t.Fatalf("Emergency freed %d bytes, want the bytes of its own scan", n)
+	}
+	st := r.rec.Stats()
+	if got := st.EmergencyScans - base.EmergencyScans; got != 1 {
+		t.Fatalf("EmergencyScans advanced by %d, want 1", got)
+	}
+	if got := st.Scans - base.Scans; got != 2 {
+		t.Fatalf("Scans advanced by %d, want 2 (the held scan, then the emergency one)", got)
+	}
+	if st.LastAuditErr != "" {
+		t.Fatalf("audit: %s", st.LastAuditErr)
+	}
+}
+
+// TestSpaceBoundedStoreSurvivesFailedFlushWithoutSync: on a device that
+// only holds a dozen epochs, one failed background flush must not wedge
+// the stream. The failed epoch is retried by the next checkpoint, so
+// the durable frontier — which the reclaimer's floor follows — keeps
+// moving without any Sync, space keeps coming back, and no ErrOutOfSpace
+// is left standing.
+func TestSpaceBoundedStoreSurvivesFailedFlushWithoutSync(t *testing.T) {
+	// Size the device from an unbounded control run of the same workload.
+	ctl := newSpaceRig(t, 0, RetentionPolicy{}, Watermarks{})
+	cg := ctl.spawnGroup(t)
+	for i := 0; i < 12; i++ {
+		ctl.ckpt(t, cg, CheckpointOpts{})
+	}
+	capacity, _, _ := ctl.store.Store().Usage()
+
+	r := newSpaceRig(t, capacity, RetentionPolicy{}, Watermarks{})
+	g := r.spawnGroup(t)
+	const ckpts, failAt = 80, 20
+	var prev uint64
+	for i := 1; i <= ckpts; i++ {
+		if i == failAt {
+			r.fd.FailOps(storage.FaultWrite, r.fd.OpCount()+1, 1<<62)
+		}
+		if _, err := r.k.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+		r.o.Drain(g)
+		if i == failAt {
+			if g.Durable() == g.Epoch() {
+				t.Fatal("the scripted fault did not fail the background flush")
+			}
+			r.fd.ClearScripts()
+		}
+		if d := g.Durable(); d < prev {
+			t.Fatalf("durable regressed %d -> %d", prev, d)
+		} else {
+			prev = d
+		}
+	}
+	if d, e := g.Durable(), g.Epoch(); d != e {
+		t.Fatalf("durable %d stuck below epoch %d with no Sync (last error: %q)", d, e, g.Health()[0].LastErr)
+	}
+	for _, h := range g.Health() {
+		if h.State != BackendHealthy || h.Pending != 0 {
+			t.Fatalf("backend not healthy at the end: %+v", h)
+		}
+	}
+	st := r.rec.Stats()
+	if st.EpochsReclaimed == 0 {
+		t.Fatal("nothing was reclaimed: the device was not actually bounded")
+	}
+	if st.LastAuditErr != "" {
+		t.Fatalf("audit during reclamation: %s", st.LastAuditErr)
+	}
+	if err := r.store.Store().AuditReachability(); err != nil {
+		t.Fatalf("final audit: %v", err)
 	}
 }

@@ -1,12 +1,11 @@
-// Package netback implements Aurora's network backend: sending and
-// receiving application checkpoints between machines (`sls send` /
-// `sls recv`), continuous replication of incremental checkpoints for
-// fault tolerance, and live migration.
+// Package netback implements Aurora's network backend: acknowledged,
+// continuous replication of incremental checkpoints to receivers on
+// other machines, for fault tolerance, quorum durability and the
+// pre-copy half of live migration (core.Migrator).
 //
 // Transport is any io.ReadWriter — net.Conn in production, net.Pipe in
-// tests, a file for `sls send -o image.aur`. Frames carry consolidated
-// images (one-shot sends) or deltas (replication streams). The modeled
-// transfer cost follows a 10 GbE NIC profile.
+// tests. Frames carry epoch deltas and their acks (replica.go). The
+// modeled transfer cost follows a 10 GbE NIC profile.
 package netback
 
 import (
@@ -16,7 +15,6 @@ import (
 	"hash/crc32"
 	"io"
 	"sync"
-	"time"
 
 	"aurora/internal/core"
 	"aurora/internal/objstore"
@@ -24,17 +22,16 @@ import (
 	"aurora/internal/vm"
 )
 
-// Frame types on the wire.
+// Frame types on the wire. Type 1 (a consolidated image, the retired
+// one-shot send) stays reserved: a receiver answers it ErrBadFrame.
 const (
-	frameImage byte = iota + 1 // consolidated image (one-shot send)
-	frameDelta                 // incremental delta (replication)
+	frameDelta byte = iota + 2 // incremental delta (replication)
 	frameBye                   // end of stream
 )
 
 // Errors.
 var (
 	ErrBadFrame = errors.New("netback: bad frame")
-	ErrClosed   = errors.New("netback: stream closed")
 	// ErrCorruptFrame marks a frame whose payload failed its CRC: the
 	// bytes were damaged in flight. The connection is unusable from
 	// here (framing may have lost sync), so callers treat it like a
@@ -89,98 +86,7 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	return hdr[0], payload, nil
 }
 
-// Sender streams checkpoints to a remote host.
-type Sender struct {
-	mu    sync.Mutex
-	w     io.Writer
-	clock *storage.Clock
-	nic   storage.DeviceParams
-	sent  int64 // bytes
-}
-
-// NewSender wraps a connection.
-func NewSender(w io.Writer, clock *storage.Clock) *Sender {
-	return &Sender{w: w, clock: clock, nic: storage.ParamsNIC10G}
-}
-
-// SentBytes reports the bytes placed on the wire.
-func (s *Sender) SentBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sent
-}
-
-// charge models the NIC transfer time.
-func (s *Sender) charge(n int) time.Duration {
-	cost := s.nic.Latency + time.Duration(int64(n)*int64(time.Second)/s.nic.WriteBW)
-	if s.clock != nil {
-		s.clock.Advance(cost)
-	}
-	return cost
-}
-
-// SendImage transmits a consolidated checkpoint (`sls send`): the
-// complete state needed to recreate the application on the remote.
-func (s *Sender) SendImage(img *core.Image) (time.Duration, error) {
-	payload := img.Encode()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := writeFrame(s.w, frameImage, payload); err != nil {
-		return 0, err
-	}
-	s.sent += int64(len(payload))
-	return s.charge(len(payload)), nil
-}
-
-// SendDelta transmits one incremental checkpoint of a replication
-// stream.
-func (s *Sender) SendDelta(img *core.Image) (time.Duration, error) {
-	payload := img.EncodeDelta()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := writeFrame(s.w, frameDelta, payload); err != nil {
-		return 0, err
-	}
-	s.sent += int64(len(payload))
-	return s.charge(len(payload)), nil
-}
-
-// Close ends the stream.
-func (s *Sender) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return writeFrame(s.w, frameBye, nil)
-}
-
-// Backend adapts a Sender into a core.Backend: every checkpoint of the
-// group is replicated to the remote as it happens. Load is not served
-// (the data lives on the other machine), so a remote backend is
-// usually attached alongside a local one.
-type Backend struct {
-	sender *Sender
-}
-
-// NewBackend wraps a sender as a checkpoint backend.
-func NewBackend(s *Sender) *Backend { return &Backend{sender: s} }
-
-// Name implements core.Backend.
-func (b *Backend) Name() string { return "remote" }
-
-// Ephemeral implements core.Backend: a replica on another machine is
-// durable for external-consistency purposes.
-func (b *Backend) Ephemeral() bool { return false }
-
-// Flush implements core.Backend.
-func (b *Backend) Flush(img *core.Image) (time.Duration, error) {
-	return b.sender.SendDelta(img)
-}
-
-// Load implements core.Backend.
-func (b *Backend) Load(group, epoch uint64) (*core.Image, time.Duration, error) {
-	return nil, 0, core.ErrNoImage
-}
-
-// Receiver accepts checkpoints from a remote host (`sls recv`). It
+// Receiver accepts checkpoints from a remote host (ServeReplica). It
 // maintains the newest image chain per group, ready to restore — the
 // warm-standby half of fault tolerance.
 type Receiver struct {
@@ -208,11 +114,8 @@ type Receiver struct {
 	// answered from blocks.
 	hashed, resolved int64
 
-	// blockSrcs are extra block providers compact-delta materialization
-	// may resolve hash refs from (typically the standby machine's own
-	// object store); needsSent counts need replies sent for refs no
-	// source could resolve.
-	blockSrcs []objstore.BlockSource
+	// needsSent counts need replies sent for compact deltas with hash
+	// refs the chains could not resolve.
 	needsSent int64
 }
 
@@ -239,63 +142,6 @@ func (r *Receiver) ReceivedBytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.recvd
-}
-
-// Serve consumes frames until the stream closes, linking deltas into
-// per-group chains. It returns the number of frames applied.
-func (r *Receiver) Serve(conn io.Reader) (int, error) {
-	applied := 0
-	for {
-		typ, payload, err := readFrame(conn)
-		if err != nil {
-			if err == io.EOF && applied > 0 {
-				return applied, nil
-			}
-			return applied, err
-		}
-		r.mu.Lock()
-		r.recvd += int64(len(payload))
-		r.mu.Unlock()
-		if r.clock != nil {
-			r.clock.Advance(r.nic.Latency + time.Duration(int64(len(payload))*int64(time.Second)/r.nic.ReadBW))
-		}
-		switch typ {
-		case frameBye:
-			return applied, nil
-		case frameImage:
-			img, err := core.DecodeImage(payload, r.pm)
-			if err != nil {
-				return applied, err
-			}
-			r.install(img)
-			applied++
-		case frameDelta:
-			img, err := core.DecodeDelta(payload, r.pm)
-			if err != nil {
-				return applied, err
-			}
-			r.link(img)
-			applied++
-		default:
-			return applied, fmt.Errorf("%w: type %d", ErrBadFrame, typ)
-		}
-	}
-}
-
-// install replaces a group's chain with one consolidated image,
-// releasing the images it supersedes.
-func (r *Receiver) install(img *core.Image) {
-	img.PageHashes() // hashed here, not under mu
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hold(img)
-	for _, old := range r.chains[img.Group] {
-		r.drop(old)
-	}
-	r.chains[img.Group] = []*core.Image{img}
-	if img.Gen > r.fences[img.Group] {
-		r.fences[img.Group] = img.Gen
-	}
 }
 
 // hold enters an arriving image's pages into the block index. A page
@@ -363,15 +209,6 @@ func (r *Receiver) BlockStats() BlockStats {
 	return BlockStats{Hashed: r.hashed, Resolved: r.resolved, Entries: len(r.blocks)}
 }
 
-// AttachBlockSource registers an extra block provider (the standby's
-// own object store) that compact-delta materialization consults when a
-// hash ref is not covered by the receiver's held images.
-func (r *Receiver) AttachBlockSource(src objstore.BlockSource) {
-	r.mu.Lock()
-	r.blockSrcs = append(r.blockSrcs, src)
-	r.mu.Unlock()
-}
-
 // NeedsSent reports how many need replies (resend requests for compact
 // deltas with unresolvable hash refs) this receiver has issued.
 func (r *Receiver) NeedsSent() int64 {
@@ -380,30 +217,18 @@ func (r *Receiver) NeedsSent() int64 {
 	return r.needsSent
 }
 
-// resolveBlock materializes a compact-delta hash ref as a frame with
-// one reference taken for the arriving image: the chains' own frame for
-// that content if they hold it (no bytes move), else a fresh frame
-// filled from an attached block source.
+// resolveBlock materializes a compact-delta hash ref as the chains' own
+// frame for that content, with one reference taken for the arriving
+// image: no bytes move.
 func (r *Receiver) resolveBlock(h objstore.Hash) (*vm.Frame, bool) {
 	r.mu.Lock()
-	if e, ok := r.blocks[h]; ok {
+	defer r.mu.Unlock()
+	e, ok := r.blocks[h]
+	if ok {
 		e.frame.Ref()
 		r.resolved++
-		r.mu.Unlock()
-		return e.frame, true
 	}
-	srcs := append([]objstore.BlockSource(nil), r.blockSrcs...)
-	r.mu.Unlock()
-	for _, s := range srcs {
-		if d, ok := s.FetchBlock(h); ok {
-			f, err := r.pm.AllocData(d)
-			if err != nil {
-				return nil, false
-			}
-			return f, true
-		}
-	}
-	return nil, false
+	return e.frame, ok
 }
 
 // AdoptImage implements core.ReplicaRepairTarget: read-repair after a
@@ -420,11 +245,12 @@ func (r *Receiver) AdoptImage(img *core.Image) error {
 	return nil
 }
 
-// link merges an incremental delta into its group's chain. A pipelined
-// sender flushes epochs from concurrent workers, so deltas may arrive
-// out of epoch order (and, after a retried flush, twice); the chain is
-// kept sorted by epoch and the Prev links rebuilt so restores always
-// walk a consistent history. A re-delivered epoch supersedes the copy
+// link merges an incremental delta into its group's chain. A sender
+// flushes a group's epochs in order, but catch-up after a partition and
+// read-repair (AdoptImage) fill holes below the newest epoch, and a
+// retried flush delivers an epoch twice; the chain is kept sorted by
+// epoch and the Prev links rebuilt so restores always walk a consistent
+// history. A re-delivered epoch supersedes the copy
 // held, which is released.
 func (r *Receiver) link(img *core.Image) {
 	img.PageHashes() // a literal arrival is hashed here, not under mu
@@ -536,57 +362,4 @@ func (r *Receiver) AdoptFence(group, gen uint64) {
 		r.fences[group] = gen
 	}
 	r.mu.Unlock()
-}
-
-// Migrate performs a live migration: checkpoint the group, stream the
-// consolidated image, restore it on the destination orchestrator, and
-// kill the source. It returns the destination group and the modeled
-// transfer time.
-func Migrate(src *core.Orchestrator, g *core.Group, dst *core.Orchestrator, opts core.RestoreOpts) (*core.Group, time.Duration, error) {
-	if _, err := src.Checkpoint(g, core.CheckpointOpts{SkipFlush: true}); err != nil {
-		return nil, 0, err
-	}
-	img := g.LastImage()
-	if img == nil {
-		return nil, 0, core.ErrNoImage
-	}
-
-	pr, pw := io.Pipe()
-	sender := NewSender(pw, src.K.Clock)
-	recv := NewReceiver(dst.K.Mem, dst.K.Clock)
-
-	var xfer time.Duration
-	var sendErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		xfer, sendErr = sender.SendImage(img)
-		sender.Close()
-		pw.Close()
-	}()
-	if _, err := recv.Serve(pr); err != nil {
-		return nil, 0, err
-	}
-	<-done
-	if sendErr != nil {
-		return nil, 0, sendErr
-	}
-
-	rimg, err := recv.Latest(g.ID)
-	if err != nil {
-		return nil, 0, err
-	}
-	ng, _, err := dst.RestoreImage(rimg, 0, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Tear down the source: migration moves, it does not copy.
-	for _, pid := range g.PIDs() {
-		if p, err := src.K.Process(pid); err == nil {
-			src.K.Exit(p, 0)
-			src.K.Reap(p)
-		}
-	}
-	src.Unpersist(g)
-	return ng, xfer, nil
 }

@@ -67,7 +67,10 @@ func spawn(t *testing.T, m *machine) (*kernel.Process, *core.Group) {
 	return p, g
 }
 
-func TestSendRecvSingleImage(t *testing.T) {
+// TestImageFileRoundTrip is the `sls send` / `sls recv` path: a
+// consolidated image encoded on one machine, decoded on another and
+// restored there.
+func TestImageFileRoundTrip(t *testing.T) {
 	src := newMachine()
 	dst := newMachine()
 	p, g := spawn(t, src)
@@ -78,29 +81,8 @@ func TestSendRecvSingleImage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pr, pw := io.Pipe()
-	sender := NewSender(pw, src.clock)
-	recv := NewReceiver(dst.k.Mem, dst.clock)
-	done := make(chan error, 1)
-	go func() {
-		if _, err := sender.SendImage(g.LastImage()); err != nil {
-			done <- err
-			return
-		}
-		done <- sender.Close()
-		pw.Close()
-	}()
-	if _, err := recv.Serve(pr); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if sender.SentBytes() == 0 || recv.ReceivedBytes() != sender.SentBytes() {
-		t.Fatalf("wire accounting: sent=%d recvd=%d", sender.SentBytes(), recv.ReceivedBytes())
-	}
-
-	img, err := recv.Latest(g.ID)
+	file := g.LastImage().Encode()
+	img, err := core.DecodeImage(file, dst.k.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,96 +103,6 @@ func TestSendRecvSingleImage(t *testing.T) {
 	}
 }
 
-func TestContinuousReplicationDeltas(t *testing.T) {
-	src := newMachine()
-	dst := newMachine()
-	p, g := spawn(t, src)
-
-	_ = p
-	pr, pw := io.Pipe()
-	sender := NewSender(pw, src.clock)
-	src.o.Attach(g, NewBackend(sender))
-	recv := NewReceiver(dst.k.Mem, dst.clock)
-
-	serveDone := make(chan error, 1)
-	go func() {
-		_, err := recv.Serve(pr)
-		serveDone <- err
-	}()
-
-	// Each checkpoint streams a delta to the standby.
-	for i := 0; i < 5; i++ {
-		src.k.Run(3)
-		if _, err := src.o.Checkpoint(g, core.CheckpointOpts{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Wait for the background flushes before hanging up on the standby.
-	if err := src.o.Sync(g); err != nil {
-		t.Fatal(err)
-	}
-	sender.Close()
-	pw.Close()
-	if err := <-serveDone; err != nil {
-		t.Fatal(err)
-	}
-
-	// The source machine "fails"; the standby restores the replica.
-	img, err := recv.Latest(g.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ng, _, err := dst.o.RestoreImage(img, 0, core.RestoreOpts{Lazy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	np, _ := dst.k.Process(ng.PIDs()[0])
-	var c [1]byte
-	np.ReadMem(np.HeapBase(), c[:])
-	if c[0] != 15 {
-		t.Fatalf("standby counter = %d, want 15", c[0])
-	}
-	// The standby continues where the primary died.
-	dst.k.Run(5)
-	np.ReadMem(np.HeapBase(), c[:])
-	if c[0] != 20 {
-		t.Fatalf("standby did not resume: %d", c[0])
-	}
-}
-
-func TestLiveMigration(t *testing.T) {
-	src := newMachine()
-	dst := newMachine()
-	p, g := spawn(t, src)
-	src.k.Run(9)
-
-	ng, xfer, err := Migrate(src.o, g, dst.o, core.RestoreOpts{Lazy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xfer <= 0 {
-		t.Fatal("migration transfer time not modeled")
-	}
-	// Source is gone.
-	if p.State() != kernel.ProcZombie {
-		if _, err := src.k.Process(p.PID); err == nil {
-			t.Fatal("source process survived migration")
-		}
-	}
-	// Destination continues.
-	np, _ := dst.k.Process(ng.PIDs()[0])
-	var c [1]byte
-	np.ReadMem(np.HeapBase(), c[:])
-	if c[0] != 9 {
-		t.Fatalf("migrated counter = %d", c[0])
-	}
-	dst.k.Run(3)
-	np.ReadMem(np.HeapBase(), c[:])
-	if c[0] != 12 {
-		t.Fatal("migrated process did not resume")
-	}
-}
-
 // rawFrame hand-builds a wire frame, optionally with a bogus CRC.
 func rawFrame(typ byte, payload []byte, badCRC bool) []byte {
 	f := make([]byte, frameHdrSize+len(payload))
@@ -225,17 +117,33 @@ func rawFrame(typ byte, payload []byte, badCRC bool) []byte {
 	return f
 }
 
+// oneWay feeds ServeReplica a canned byte stream and swallows replies.
+type oneWay struct {
+	io.Reader
+	io.Writer
+}
+
+func serveBytes(recv *Receiver, stream []byte) error {
+	_, err := recv.ServeReplica(oneWay{bytes.NewReader(stream), io.Discard})
+	return err
+}
+
 func TestFrameCorruption(t *testing.T) {
 	recv := NewReceiver(vm.NewPhysMem(0), storage.NewClock())
 	oversized := rawFrame(frameDelta, nil, false)
 	binary.LittleEndian.PutUint64(oversized[1:9], 1<<40)
-	if _, err := recv.Serve(bytes.NewReader(oversized)); err == nil {
+	if err := serveBytes(recv, oversized); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
-	if _, err := recv.Serve(bytes.NewReader(rawFrame(99, []byte{0}, false))); err == nil {
-		t.Fatal("unknown frame type accepted")
+	if err := serveBytes(recv, rawFrame(99, []byte{0}, false)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("unknown frame type err = %v, want ErrBadFrame", err)
 	}
-	_, err := recv.Serve(bytes.NewReader(rawFrame(frameDelta, []byte{1, 2, 3}, true)))
+	// Type 1 was the consolidated-image frame of the retired one-shot
+	// wire; the number stays reserved and is refused.
+	if err := serveBytes(recv, rawFrame(1, []byte{0}, false)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("reserved frame type 1 err = %v, want ErrBadFrame", err)
+	}
+	err := serveBytes(recv, rawFrame(frameDelta, []byte{1, 2, 3}, true))
 	if !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("bad CRC err = %v, want ErrCorruptFrame", err)
 	}
@@ -251,19 +159,8 @@ func TestReceiverGroups(t *testing.T) {
 	}
 }
 
-func TestBackendInterface(t *testing.T) {
-	var buf bytes.Buffer
-	b := NewBackend(NewSender(&buf, storage.NewClock()))
-	if b.Name() != "remote" || b.Ephemeral() {
-		t.Fatal("backend identity wrong")
-	}
-	if _, _, err := b.Load(1, 0); err != core.ErrNoImage {
-		t.Fatalf("Load err = %v", err)
-	}
-}
-
 func TestReplicationOverRealTCP(t *testing.T) {
-	// The same replication path over a real TCP socket: the transport
+	// The replication path over a real TCP socket: the transport
 	// abstraction is an io.ReadWriter, so production deployments use
 	// net.Conn exactly like the in-memory pipe used elsewhere.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -285,7 +182,7 @@ func TestReplicationOverRealTCP(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		_, err = recv.Serve(conn)
+		_, err = recv.ServeReplica(conn)
 		serveDone <- err
 	}()
 
@@ -293,8 +190,17 @@ func TestReplicationOverRealTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sender := NewSender(conn, src.clock)
-	src.o.Attach(g, NewBackend(sender))
+	rb := NewReplicaBackend(src.clock)
+	if rb.Ephemeral() {
+		t.Fatal("an acked replica must count as durable")
+	}
+	if _, _, err := rb.Load(g.ID, 0); !errors.Is(err, core.ErrNoImage) {
+		t.Fatalf("Load err = %v, want ErrNoImage (replica state lives on the far side)", err)
+	}
+	if _, err := rb.Connect(conn, g.ID); err != nil {
+		t.Fatal(err)
+	}
+	src.o.Attach(g, rb)
 
 	for i := 0; i < 3; i++ {
 		src.k.Run(4)
@@ -306,12 +212,15 @@ func TestReplicationOverRealTCP(t *testing.T) {
 	if err := src.o.Sync(g); err != nil {
 		t.Fatal(err)
 	}
-	sender.Close()
+	if rb.SentBytes() == 0 || recv.ReceivedBytes() < rb.SentBytes() {
+		t.Fatalf("wire accounting: sent=%d recvd=%d", rb.SentBytes(), recv.ReceivedBytes())
+	}
 	conn.Close()
 	if err := <-serveDone; err != nil {
 		t.Fatal(err)
 	}
 
+	// The source machine "fails"; the standby restores the replica.
 	img, err := recv.Latest(g.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -325,5 +234,11 @@ func TestReplicationOverRealTCP(t *testing.T) {
 	np.ReadMem(np.HeapBase(), c[:])
 	if c[0] != 12 {
 		t.Fatalf("TCP-replicated counter = %d, want 12", c[0])
+	}
+	// The standby continues where the primary died.
+	dst.k.Run(5)
+	np.ReadMem(np.HeapBase(), c[:])
+	if c[0] != 17 {
+		t.Fatalf("standby did not resume: %d", c[0])
 	}
 }

@@ -2,7 +2,7 @@ package netback
 
 import (
 	"bytes"
-	"io"
+	"net"
 	"testing"
 
 	"aurora/internal/core"
@@ -26,15 +26,14 @@ func TestRecoveryReceiverServesAsRestorePeer(t *testing.T) {
 	src.o.Attach(g, sb)
 
 	// Replica: continuous replication to a receiver over a pipe.
-	pr, pw := io.Pipe()
-	sender := NewSender(pw, src.clock)
-	src.o.Attach(g, NewBackend(sender))
 	recv := NewReceiver(src.k.Mem, src.clock)
-	serveDone := make(chan error, 1)
-	go func() {
-		_, err := recv.Serve(pr)
-		serveDone <- err
-	}()
+	near, far := net.Pipe()
+	serveDone := serveReplica(recv, far)
+	rb := NewReplicaBackend(src.clock)
+	if _, err := rb.Connect(near, g.ID); err != nil {
+		t.Fatal(err)
+	}
+	src.o.Attach(g, rb)
 
 	p.WriteMem(p.HeapBase()+8, []byte("replica saves the day"))
 	for i := 0; i < 10; i++ {
@@ -46,8 +45,7 @@ func TestRecoveryReceiverServesAsRestorePeer(t *testing.T) {
 	if err := src.o.Sync(g); err != nil {
 		t.Fatal(err)
 	}
-	sender.Close()
-	pw.Close()
+	near.Close()
 	if err := <-serveDone; err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,9 @@ import (
 	"aurora/internal/storage"
 )
 
-// This file implements acknowledged replication: unlike the
-// fire-and-forget Backend, a ReplicaBackend waits for a per-delta ack
-// from the receiver, so a flush only succeeds once the epoch is safely
-// on the standby. A resume handshake (hello / hello-ack carrying the
+// This file implements acknowledged replication: a ReplicaBackend
+// waits for a per-delta ack from the receiver, so a flush only succeeds
+// once the epoch is safely on the standby. A resume handshake (hello / hello-ack carrying the
 // receiver's last contiguous epoch) lets a dropped connection
 // reconnect and skip epochs the replica already holds; the core health
 // machinery replays the rest from the catch-up queue.
@@ -39,7 +38,7 @@ const (
 var ErrDisconnected = errors.New("netback: replica disconnected")
 
 // ServeReplica consumes an acknowledged replication stream: every
-// image or delta applied is acked with its (group, epoch), and a hello
+// delta applied is acked with its (group, epoch), and a hello
 // is answered with the group's last contiguous epoch so the sender can
 // resume where it left off. A frame stamped with a store generation
 // behind the group's fence (see AdoptFence) is not applied: it is
@@ -71,26 +70,7 @@ func (r *Receiver) ServeReplica(conn io.ReadWriter) (int, error) {
 				return applied, fmt.Errorf("%w: hello payload %d bytes", ErrBadFrame, len(payload))
 			}
 			group := binary.LittleEndian.Uint64(payload)
-			var ack [16]byte
-			binary.LittleEndian.PutUint64(ack[:8], group)
-			binary.LittleEndian.PutUint64(ack[8:], r.lastContiguous(group))
-			if err := writeFrame(conn, frameHelloAck, ack[:]); err != nil {
-				return applied, err
-			}
-		case frameImage:
-			img, err := core.DecodeImage(payload, r.pm)
-			if err != nil {
-				return applied, err
-			}
-			if rejected, err := r.fenceCheck(conn, img); err != nil {
-				return applied, err
-			} else if rejected {
-				img.Release(r.pm)
-				continue
-			}
-			r.install(img)
-			applied++
-			if err := writeAck(conn, img.Group, img.Epoch); err != nil {
+			if err := writePair(conn, frameHelloAck, group, r.lastContiguous(group)); err != nil {
 				return applied, err
 			}
 		case frameDelta:
@@ -98,15 +78,7 @@ func (r *Receiver) ServeReplica(conn io.ReadWriter) (int, error) {
 			if err != nil {
 				return applied, err
 			}
-			if rejected, err := r.fenceCheck(conn, img); err != nil {
-				return applied, err
-			} else if rejected {
-				img.Release(r.pm)
-				continue
-			}
-			r.link(img)
-			applied++
-			if err := writeAck(conn, img.Group, img.Epoch); err != nil {
+			if err := r.apply(conn, img, &applied); err != nil {
 				return applied, err
 			}
 		case frameDeltaC:
@@ -123,23 +95,12 @@ func (r *Receiver) ServeReplica(conn io.ReadWriter) (int, error) {
 				r.mu.Lock()
 				r.needsSent++
 				r.mu.Unlock()
-				var p [16]byte
-				binary.LittleEndian.PutUint64(p[:8], group)
-				binary.LittleEndian.PutUint64(p[8:], epoch)
-				if err := writeFrame(conn, frameNeed, p[:]); err != nil {
+				if err := writePair(conn, frameNeed, group, epoch); err != nil {
 					return applied, err
 				}
 				continue
 			}
-			if rejected, err := r.fenceCheck(conn, img); err != nil {
-				return applied, err
-			} else if rejected {
-				img.Release(r.pm)
-				continue
-			}
-			r.link(img)
-			applied++
-			if err := writeAck(conn, img.Group, img.Epoch); err != nil {
+			if err := r.apply(conn, img, &applied); err != nil {
 				return applied, err
 			}
 		case frameHandoff:
@@ -154,10 +115,7 @@ func (r *Receiver) ServeReplica(conn io.ReadWriter) (int, error) {
 			group := binary.LittleEndian.Uint64(payload[:8])
 			gen := binary.LittleEndian.Uint64(payload[8:16])
 			r.AdoptFence(group, gen)
-			var ack [16]byte
-			binary.LittleEndian.PutUint64(ack[:8], group)
-			binary.LittleEndian.PutUint64(ack[8:], gen)
-			if err := writeFrame(conn, frameHandoffAck, ack[:]); err != nil {
+			if err := writePair(conn, frameHandoffAck, group, gen); err != nil {
 				return applied, err
 			}
 		default:
@@ -166,11 +124,25 @@ func (r *Receiver) ServeReplica(conn io.ReadWriter) (int, error) {
 	}
 }
 
-func writeAck(w io.Writer, group, epoch uint64) error {
+// apply links a decoded delta into its chain and acks it — or, if its
+// generation is behind the group's fence, releases it and answers
+// fenced instead.
+func (r *Receiver) apply(conn io.Writer, img *core.Image, applied *int) error {
+	if rejected, err := r.fenceCheck(conn, img); rejected || err != nil {
+		img.Release(r.pm)
+		return err
+	}
+	r.link(img)
+	*applied++
+	return writePair(conn, frameAck, img.Group, img.Epoch)
+}
+
+// writePair emits a reply frame whose payload is two u64s.
+func writePair(w io.Writer, typ byte, a, b uint64) error {
 	var p [16]byte
-	binary.LittleEndian.PutUint64(p[:8], group)
-	binary.LittleEndian.PutUint64(p[8:], epoch)
-	return writeFrame(w, frameAck, p[:])
+	binary.LittleEndian.PutUint64(p[:8], a)
+	binary.LittleEndian.PutUint64(p[8:], b)
+	return writeFrame(w, typ, p[:])
 }
 
 // fenceCheck rejects an image stamped with a generation behind the

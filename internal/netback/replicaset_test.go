@@ -41,7 +41,6 @@ func dialMember(t *testing.T, src *machine, group uint64, mem *setMember) {
 // callers select on with errors.Is.
 func TestReplicaSetQuorumFloorAndLagging(t *testing.T) {
 	src := newMachine()
-	src.o.FlushWorkers = 1
 	_, g := spawn(t, src)
 
 	rs := NewReplicaSet(2)
@@ -135,7 +134,6 @@ func TestReplicaSetQuorumFloorAndLagging(t *testing.T) {
 // the cache is an optimization, never a correctness input.
 func TestCompactDeltaSkipAndNeedResend(t *testing.T) {
 	src := newMachine()
-	src.o.FlushWorkers = 1
 	p, g := spawn(t, src)
 	// A static working set beside the counter page: these pages never
 	// change again, so a full recapture can elide them as refs.

@@ -24,6 +24,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -883,13 +884,20 @@ func (s *Store) GetRecord(group, oid, epoch uint64) (*Record, error) {
 }
 
 // PutManifest records a checkpoint: the set of records belonging to
-// (group, epoch), the root process OIDs, and an optional name.
+// (group, epoch), the root process OIDs, and an optional name. It is
+// idempotent per (group, epoch): an epoch delivered again (the retry of
+// a half-flushed epoch) replaces its manifest instead of listing the
+// epoch twice.
 func (s *Store) PutManifest(m *Manifest) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ms := s.manifests[m.Group]
-	ms = append(ms, m)
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Epoch < ms[j].Epoch })
+	i := sort.Search(len(ms), func(i int) bool { return ms[i].Epoch >= m.Epoch })
+	if i < len(ms) && ms[i].Epoch == m.Epoch {
+		ms[i] = m
+	} else {
+		ms = slices.Insert(ms, i, m)
+	}
 	s.manifests[m.Group] = ms
 	if m.Name != "" {
 		s.named[m.Name] = manifestID{m.Group, m.Epoch}

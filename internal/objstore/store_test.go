@@ -150,6 +150,19 @@ func TestNamedCheckpoints(t *testing.T) {
 	if _, err := s.NamedManifest("nope"); err != ErrNoManifest {
 		t.Fatalf("missing name err = %v", err)
 	}
+
+	// An epoch delivered again replaces its manifest: one entry, in
+	// epoch order, the name still resolving.
+	s.PutManifest(&Manifest{Group: 1, Epoch: 2})
+	again := &Manifest{Group: 1, Epoch: 4, Name: "before-upgrade"}
+	s.PutManifest(again)
+	ms := s.Manifests(1)
+	if len(ms) != 2 || ms[0].Epoch != 2 || ms[1] != again {
+		t.Fatalf("manifests after re-delivery = %v, want epochs [2 4] with the new entry", ms)
+	}
+	if m, err := s.NamedManifest("before-upgrade"); err != nil || m != again {
+		t.Fatalf("named lookup after re-delivery = %+v, %v", m, err)
+	}
 }
 
 func TestLatestManifestAndGroups(t *testing.T) {
