@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet fmtcheck gatecheck test race bench perf microbench benchcheck faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
+.PHONY: check build vet fmtcheck gatecheck loc test race bench perf microbench benchcheck faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
 
 ## check: full gate — build, vet, race-enabled tests, seeded fault
 ## matrix, crash-recovery harness, whole-system chaos sweep, space-
@@ -40,6 +40,13 @@ fmtcheck:
 gatecheck:
 	GO=$(GO) bash scripts/gatecheck.sh
 
+## loc: the three non-test line counts ROADMAP tracks (north-star 2),
+## by the definition ROADMAP uses.
+loc:
+	@for d in core netback bench; do \
+		printf 'internal/%s %s\n' $$d $$(ls internal/$$d/*.go | grep -v _test.go | xargs cat | wc -l); \
+	done
+
 test:
 	$(GO) test ./...
 
@@ -63,10 +70,15 @@ recoverycheck:
 ## chaoscheck: whole-system chaos harness under the race detector —
 ## storage faults, link faults, crashes, a partition+heal, replica
 ## promotion, and a fenced stale primary composed in one seeded run
-## (seeds 1, 7, 42), plus the promote CLI exit codes.
+## (seeds 1, 7, 42), plus the promote CLI exit codes. The second line is
+## the determinism gate (no -race: it compares reports, it does not hunt
+## races): every engine whose report a seed already determines must
+## replay it exactly, and the space harness must size the same device,
+## at 1 and 2 procs, three times each.
 chaoscheck:
 	$(GO) test -race -count=1 -run 'TestChaos|TestPromote|TestCLIPromote' \
 		./internal/core/ ./cmd/sls/
+	$(GO) test -count=3 -cpu 1,2 -run 'TestHarnessReplay' ./internal/bench
 
 ## spacecheck: graceful degradation under space pressure, race-enabled —
 ## watermark retention GC with the reachability audit after every
@@ -114,7 +126,7 @@ quorumcheck:
 ## regression gate against the committed BENCH_migrate.json baseline.
 migratecheck:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'TestMigrate|TestStandby|TestSupervisorRefusesFencedCrashedGroup|TestSupervisorFenceRaceMidRecover|TestSupervisorReleaseAtomicHandover|TestSupervisorRestoresUnfencedCrash|TestMigrationAbortedRoundTrip|TestMigrationErrorIsNotGenericAborted|TestCLIMigrate|TestCLIStandbyTakeover|TestMigrateBenchGate|TestEmitMigrateBench' \
+		-run 'TestMigrate|TestStandby|TestSupervisorRefusesFencedCrashedGroup|TestSupervisorFenceRaceMidRecover|TestSupervisorReleaseAtomicHandover|TestSupervisorRestoresUnfencedCrash|TestMigrationAbortedRoundTrip|TestMigrationErrorIsNotGenericAborted|TestCLIMigrate|TestCLIStandbyTakeover|TestMigrateBenchGate' \
 		./internal/core/ ./cmd/sls/ .
 
 ## placecheck: the self-healing multi-store placement control plane
@@ -128,7 +140,7 @@ migratecheck:
 ## baseline. Plain `go test` runs the same chaos cells at smoke scale.
 placecheck:
 	AURORA_PLACE_GROUPS=256 $(GO) test -race -count=1 -timeout 30m \
-		-run 'TestPlacer|TestPlacementChaos|TestSupervisorEvacuationExemption|TestCLIStores|TestCLIDrain|TestCLIBalance|TestPlacementBenchGate|TestEmitPlacementBench' \
+		-run 'TestPlacer|TestPlacementChaos|TestSupervisorEvacuationExemption|TestCLIStores|TestCLIDrain|TestCLIBalance|TestPlacementBenchGate' \
 		./internal/core/ ./internal/netback/ ./cmd/sls/ .
 
 ## scalecheck: elastic fleet autoscaling under the race detector —
@@ -143,7 +155,7 @@ placecheck:
 ## AURORA_SCALE_GROUPS overrides the cell size.
 scalecheck:
 	AURORA_SCALE_GROUPS=48 $(GO) test -race -count=1 -timeout 30m \
-		-run 'TestAutoscaler|TestAutoscaleChaos|TestRebalanceTickPacing|TestDirectoryConcurrentChurn|TestCLIAutoscale|TestCLISignals|TestAutoscaleBenchGate|TestEmitAutoscaleBench' \
+		-run 'TestAutoscaler|TestAutoscaleChaos|TestRebalanceTickPacing|TestDirectoryConcurrentChurn|TestCLIAutoscale|TestCLISignals|TestAutoscaleBenchGate' \
 		./internal/core/ ./internal/netback/ ./cmd/sls/ .
 
 ## bench: run the paper-claim benchmarks. This is the only target that

@@ -507,6 +507,25 @@ func TestEmitSpaceBench(t *testing.T) {
 	}
 }
 
+// writeBench writes one committed baseline, BENCH_<name>.json: the
+// benchmark's label, its header keys, and (when the benchmark has a
+// matrix) its points. Map keys marshal sorted, so the bytes depend only
+// on the values.
+func writeBench(name, benchmark string, header map[string]any, points any) error {
+	doc := map[string]any{"benchmark": benchmark}
+	for k, v := range header {
+		doc[k] = v
+	}
+	if points != nil {
+		doc["points"] = points
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile("BENCH_"+name+".json", append(data, '\n'), 0o644)
+}
+
 func writeSpaceJSON(reps []*bench.SpaceReport) error {
 	rows := make([]map[string]any, 0, len(reps))
 	for _, r := range reps {
@@ -528,16 +547,7 @@ func writeSpaceJSON(reps []*bench.SpaceReport) error {
 			"ckpt_per_vsec":    r.CkptPerVSec,
 		})
 	}
-	out := map[string]any{
-		"benchmark": "space-matrix",
-		"seed":      42,
-		"points":    rows,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_space.json", append(data, '\n'), 0o644)
+	return writeBench("space", "space-matrix", map[string]any{"seed": 42}, rows)
 }
 
 func writeChaosJSON(reps []*bench.ChaosReport) error {
@@ -567,16 +577,7 @@ func writeChaosJSON(reps []*bench.ChaosReport) error {
 			"emergency_scans":   r.EmergencyScans,
 		})
 	}
-	out := map[string]any{
-		"benchmark": "chaos-matrix",
-		"seed":      42,
-		"points":    rows,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_chaos.json", append(data, '\n'), 0o644)
+	return writeBench("chaos", "chaos-matrix", map[string]any{"seed": 42}, rows)
 }
 
 func writeRecoveryJSON(pts []bench.RecoveryPoint) error {
@@ -593,16 +594,7 @@ func writeRecoveryJSON(pts []bench.RecoveryPoint) error {
 			"faults_injected":    pt.Injected,
 		})
 	}
-	out := map[string]any{
-		"benchmark": "recovery-matrix",
-		"seed":      42,
-		"points":    rows,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_recovery.json", append(data, '\n'), 0o644)
+	return writeBench("recovery", "recovery-matrix", map[string]any{"seed": 42}, rows)
 }
 
 func writeFaultJSON(pts []bench.FaultPoint) error {
@@ -619,16 +611,7 @@ func writeFaultJSON(pts []bench.FaultPoint) error {
 			"ckpt_per_vsec":   pt.CkptPerVSec,
 		})
 	}
-	out := map[string]any{
-		"benchmark": "fault-matrix",
-		"seed":      42,
-		"points":    rows,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_faults.json", append(data, '\n'), 0o644)
+	return writeBench("faults", "fault-matrix", map[string]any{"seed": 42}, rows)
 }
 
 // BenchmarkFleetStorm measures fleet density: an open-loop checkpoint
@@ -678,21 +661,11 @@ func writeFleetJSON(pts []bench.FleetPoint) error {
 			"dedup_hits":    pt.DedupHits,
 		})
 	}
-	out := map[string]any{
-		"benchmark": "fleet-storm",
-		"seed":      42,
-		"points":    rows,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_fleet.json", append(data, '\n'), 0o644)
+	return writeBench("fleet", "fleet-storm", map[string]any{"seed": 42}, rows)
 }
 
 func writePipelineJSON(r *bench.PipelineResult) error {
-	out := map[string]any{
-		"benchmark":          "pipeline-kvlsm",
+	return writeBench("pipeline", "pipeline-kvlsm", map[string]any{
 		"ops":                r.Ops,
 		"checkpoints":        r.Checkpoints,
 		"total_stop_us":      vus(int64(r.TotalStop)),
@@ -701,12 +674,7 @@ func writePipelineJSON(r *bench.PipelineResult) error {
 		"max_stop_us":        vus(int64(r.MaxStop)),
 		"max_full_us":        vus(int64(r.MaxFull)),
 		"peak_queue_depth":   r.PeakQueueDepth,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_pipeline.json", append(data, '\n'), 0o644)
+	}, nil)
 }
 
 var _ = vm.PageSize // keep the import for documentation cross-reference
@@ -759,16 +727,7 @@ func writeQuorumJSON(pts []bench.QuorumPoint) error {
 			"faults_injected": pt.LinkInjected,
 		})
 	}
-	out := map[string]any{
-		"benchmark": "quorum-matrix",
-		"seed":      42,
-		"points":    rows,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_quorum.json", append(data, '\n'), 0o644)
+	return writeBench("quorum", "quorum-matrix", map[string]any{"seed": 42}, rows)
 }
 
 // --- Live migration matrix ------------------------------------------
@@ -795,41 +754,50 @@ func BenchmarkMigrateMatrix(b *testing.B) {
 				fmt.Sprintf("vus-ttr-s%d-r%g", pt.Seed, pt.LinkFaultPct))
 		}
 	}
-	if err := writeMigrateJSON(last); err != nil {
+	if err := writeBench("migrate", "migrate-matrix", map[string]any{"seeds": migrateSeeds}, last); err != nil {
 		b.Fatal(err)
 	}
 }
 
-// TestMigrateBenchGate is the TTR/blackout regression gate: against
-// the committed BENCH_migrate.json baseline, a fresh sweep may not
-// exceed 2× the recorded blackout p99 or TTR in any cell. Skipped when
-// no baseline has been committed yet.
-func TestMigrateBenchGate(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_migrate.json")
+// baselinePoints reads the points of a committed BENCH_*.json baseline.
+// A missing or empty baseline skips the calling gate — which has already
+// run its sweep, so a gate without a baseline still smoke-runs it.
+func baselinePoints[T any](t *testing.T, file string) []T {
+	t.Helper()
+	raw, err := os.ReadFile(file)
 	if os.IsNotExist(err) {
-		t.Skip("no committed BENCH_migrate.json baseline")
+		t.Skipf("no committed %s baseline", file)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	var baseline struct {
-		Points []bench.MigratePoint `json:"points"`
+		Points []T `json:"points"`
 	}
 	if err := json.Unmarshal(raw, &baseline); err != nil {
-		t.Fatalf("parsing committed BENCH_migrate.json: %v", err)
+		t.Fatalf("parsing committed %s: %v", file, err)
 	}
 	if len(baseline.Points) == 0 {
-		t.Skip("committed BENCH_migrate.json has no points")
+		t.Skipf("committed %s has no points", file)
 	}
+	return baseline.Points
+}
+
+// TestMigrateBenchGate is the TTR/blackout regression gate: against
+// the committed BENCH_migrate.json baseline, a fresh sweep may not
+// exceed 2× the recorded blackout p99 or TTR in any cell. The sweep
+// itself runs (and must succeed) even when no baseline is committed.
+func TestMigrateBenchGate(t *testing.T) {
 	fresh, err := bench.MigrateSweep(migrateSeeds, migrateRates)
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseline := baselinePoints[bench.MigratePoint](t, "BENCH_migrate.json")
 	byCell := make(map[string]bench.MigratePoint, len(fresh))
 	for _, pt := range fresh {
 		byCell[fmt.Sprintf("s%d-r%g", pt.Seed, pt.LinkFaultPct)] = pt
 	}
-	for _, base := range baseline.Points {
+	for _, base := range baseline {
 		key := fmt.Sprintf("s%d-r%g", base.Seed, base.LinkFaultPct)
 		pt, ok := byCell[key]
 		if !ok {
@@ -844,28 +812,6 @@ func TestMigrateBenchGate(t *testing.T) {
 				key, pt.TTRus, base.TTRus)
 		}
 	}
-}
-
-// TestEmitMigrateBench smoke-runs the sweep behind BENCH_migrate.json
-// on every plain `go test`. It writes nothing: only the Benchmark*
-// functions, under `make bench`, refresh a committed baseline.
-func TestEmitMigrateBench(t *testing.T) {
-	if _, err := bench.MigrateSweep(migrateSeeds, migrateRates); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func writeMigrateJSON(pts []bench.MigratePoint) error {
-	out := map[string]any{
-		"benchmark": "migrate-matrix",
-		"seeds":     migrateSeeds,
-		"points":    pts,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_migrate.json", append(data, '\n'), 0o644)
 }
 
 // --- Multi-store placement matrix ------------------------------------
@@ -893,44 +839,31 @@ func BenchmarkPlacementMatrix(b *testing.B) {
 				fmt.Sprintf("vus-evac-ttr-p99-n%d-r%g", pt.Stores, pt.LinkFaultPct))
 		}
 	}
-	if err := writePlacementJSON(last); err != nil {
+	header := map[string]any{"seed": placementSweepSeed, "stores": placementStores}
+	if err := writeBench("placement", "placement-matrix", header, last); err != nil {
 		b.Fatal(err)
 	}
 }
 
 // TestPlacementBenchGate is the evacuation-TTR regression gate:
 // against the committed BENCH_placement.json baseline, a fresh sweep
-// may not exceed 2× the recorded evacuation TTR p99 in any cell.
-// Skipped when no baseline has been committed yet.
+// may not exceed 2× the recorded evacuation TTR p99 in any cell. The
+// sweep itself runs (and must succeed) even when no baseline is
+// committed.
 func TestPlacementBenchGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("placement gate sweeps the full matrix; skipped in -short")
-	}
-	raw, err := os.ReadFile("BENCH_placement.json")
-	if os.IsNotExist(err) {
-		t.Skip("no committed BENCH_placement.json baseline")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	var baseline struct {
-		Points []bench.PlacementPoint `json:"points"`
-	}
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		t.Fatalf("parsing committed BENCH_placement.json: %v", err)
-	}
-	if len(baseline.Points) == 0 {
-		t.Skip("committed BENCH_placement.json has no points")
 	}
 	fresh, err := bench.PlacementSweep(placementSweepGroups, placementStores, placementRates, placementSweepSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseline := baselinePoints[bench.PlacementPoint](t, "BENCH_placement.json")
 	byCell := make(map[string]bench.PlacementPoint, len(fresh))
 	for _, pt := range fresh {
 		byCell[fmt.Sprintf("n%d-r%g", pt.Stores, pt.LinkFaultPct)] = pt
 	}
-	for _, base := range baseline.Points {
+	for _, base := range baseline {
 		key := fmt.Sprintf("n%d-r%g", base.Stores, base.LinkFaultPct)
 		pt, ok := byCell[key]
 		if !ok {
@@ -941,32 +874,6 @@ func TestPlacementBenchGate(t *testing.T) {
 				key, pt.EvacTTRp99us, base.EvacTTRp99us)
 		}
 	}
-}
-
-// TestEmitPlacementBench smoke-runs the sweep behind BENCH_placement.json
-// on every plain `go test`. It writes nothing: only the Benchmark*
-// functions, under `make bench`, refresh a committed baseline.
-func TestEmitPlacementBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("keep the committed full-matrix baseline in -short")
-	}
-	if _, err := bench.PlacementSweep(placementSweepGroups, placementStores, placementRates, placementSweepSeed); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func writePlacementJSON(pts []bench.PlacementPoint) error {
-	out := map[string]any{
-		"benchmark": "placement-matrix",
-		"seed":      placementSweepSeed,
-		"stores":    placementStores,
-		"points":    pts,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_placement.json", append(data, '\n'), 0o644)
 }
 
 // --- Elastic autoscale matrix -----------------------------------------
@@ -993,7 +900,8 @@ func BenchmarkAutoscaleMatrix(b *testing.B) {
 			b.ReportMetric(pt.ConvergeInUs, fmt.Sprintf("vus-converge-in-r%g", pt.LinkFaultPct))
 		}
 	}
-	if err := writeAutoscaleJSON(last); err != nil {
+	header := map[string]any{"seed": autoscaleSweepSeed, "groups": autoscaleSweepGroups}
+	if err := writeBench("autoscale", "autoscale-matrix", header, last); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -1003,36 +911,22 @@ func BenchmarkAutoscaleMatrix(b *testing.B) {
 // may not take more than 2× the recorded ramp-up or ramp-down
 // convergence ticks in any cell. Ticks, not wall time: the control
 // loop runs on a simulated lane, so tick counts are the stable
-// currency across machines. Skipped when no baseline is committed.
+// currency across machines. The sweep itself runs (and must succeed)
+// even when no baseline is committed.
 func TestAutoscaleBenchGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("autoscale gate sweeps the full matrix; skipped in -short")
-	}
-	raw, err := os.ReadFile("BENCH_autoscale.json")
-	if os.IsNotExist(err) {
-		t.Skip("no committed BENCH_autoscale.json baseline")
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	var baseline struct {
-		Points []bench.AutoscalePoint `json:"points"`
-	}
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		t.Fatalf("parsing committed BENCH_autoscale.json: %v", err)
-	}
-	if len(baseline.Points) == 0 {
-		t.Skip("committed BENCH_autoscale.json has no points")
 	}
 	fresh, err := bench.AutoscaleSweep(autoscaleSweepGroups, autoscaleRates, autoscaleSweepSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseline := baselinePoints[bench.AutoscalePoint](t, "BENCH_autoscale.json")
 	byCell := make(map[float64]bench.AutoscalePoint, len(fresh))
 	for _, pt := range fresh {
 		byCell[pt.LinkFaultPct] = pt
 	}
-	for _, base := range baseline.Points {
+	for _, base := range baseline {
 		pt, ok := byCell[base.LinkFaultPct]
 		if !ok {
 			continue // baseline cell no longer in the sweep grid
@@ -1046,30 +940,4 @@ func TestAutoscaleBenchGate(t *testing.T) {
 				base.LinkFaultPct, pt.ConvergeInTicks, base.ConvergeInTicks)
 		}
 	}
-}
-
-// TestEmitAutoscaleBench smoke-runs the sweep behind BENCH_autoscale.json
-// on every plain `go test`. It writes nothing: only the Benchmark*
-// functions, under `make bench`, refresh a committed baseline.
-func TestEmitAutoscaleBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("keep the committed full-matrix baseline in -short")
-	}
-	if _, err := bench.AutoscaleSweep(autoscaleSweepGroups, autoscaleRates, autoscaleSweepSeed); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func writeAutoscaleJSON(pts []bench.AutoscalePoint) error {
-	out := map[string]any{
-		"benchmark": "autoscale-matrix",
-		"seed":      autoscaleSweepSeed,
-		"groups":    autoscaleSweepGroups,
-		"points":    pts,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_autoscale.json", append(data, '\n'), 0o644)
 }

@@ -6,10 +6,9 @@ import (
 
 	"aurora/internal/core"
 	"aurora/internal/netback"
-	"aurora/internal/vm"
 )
 
-// This file is the elastic-autoscaling chaos harness (the scale-storm
+// This file is the elastic-autoscaling chaos script (the scale-storm
 // gate behind `make scalecheck`): a small base fleet plus a warm pool
 // of provisioned-but-unadmitted spares is driven by core.Autoscaler
 // while open-loop load ramps up, bursts, and ramps back down over
@@ -32,11 +31,10 @@ import (
 //     converge the fleet back to MinStores through repeated drains.
 //
 // After the dust settles every surviving lineage must be bit-identical
-// (live counter + patterned pages + scratch-machine restore), durable
-// must never have regressed, exactly one store may claim each
-// lineage's primary role at the max generation, and anti-affinity must
-// hold — all asserted both by the engine and by the autoscaler's own
-// per-tick audit (InvariantViolations must stay empty).
+// (live state + scratch-machine restore) and the shared harness check
+// (harness.go) must hold — the latter asserted both by the script,
+// after every scale action, and by the autoscaler's own per-tick audit
+// (InvariantViolations must stay empty).
 
 // AutoscaleChaosConfig parameterizes one scale-storm run. Zero values
 // pick defaults.
@@ -155,81 +153,50 @@ type AutoscaleChaosReport struct {
 	FinalDurable     uint64
 }
 
-// scaleRun carries the harness state.
+// scaleRun carries the script state.
 type scaleRun struct {
+	*fleet
 	cfg AutoscaleChaosConfig
 	rep *AutoscaleChaosReport
 
-	tp     *Topology
-	dir    *netback.Directory
-	placer *core.Placer
-	as     *core.Autoscaler
-	nodes  []*core.StoreNode // every store ever built, admitted or not
-	bench  map[*core.StoreNode]*Node
-
-	round   int // workload rounds driven (checkpoint cadence)
-	nextApp int // next arrival index
-	retired map[uint64]bool
-
-	counterAt   map[uint64]map[uint64]uint64
-	patternSeed map[uint64]int64
-	lastDurable map[uint64]uint64
+	as    *core.Autoscaler
+	round int // workload rounds driven (checkpoint cadence)
 }
 
 // AutoscaleChaosRun executes one scale-storm schedule.
 func AutoscaleChaosRun(cfg AutoscaleChaosConfig) (*AutoscaleChaosReport, error) {
 	cfg = cfg.withDefaults()
 	r := &scaleRun{
-		cfg:         cfg,
-		rep:         &AutoscaleChaosReport{Seed: cfg.Seed, PeakGroups: cfg.PeakGroups},
-		bench:       make(map[*core.StoreNode]*Node),
-		retired:     make(map[uint64]bool),
-		counterAt:   make(map[uint64]map[uint64]uint64),
-		patternSeed: make(map[uint64]int64),
-		lastDurable: make(map[uint64]uint64),
+		fleet: newFleet("autoscale", cfg.Seed, cfg.StepsPerEpoch, netback.LinkFaultConfig{
+			Drop:    cfg.LinkDrop,
+			Dup:     cfg.LinkDup,
+			Reorder: cfg.LinkReorder,
+			Corrupt: cfg.LinkCorrupt,
+		}, cfg.StoreWriteErr, cfg.StoreReadErr, core.PlacerConfig{
+			Replicas:        cfg.Replicas,
+			EvacConcurrency: cfg.EvacConcurrency,
+			PrimaryTarget:   cfg.PrimaryTarget,
+		}),
+		cfg: cfg,
+		rep: &AutoscaleChaosReport{Seed: cfg.Seed, PeakGroups: cfg.PeakGroups},
 	}
+	if err := r.script(); err != nil {
+		return nil, r.fail(err)
+	}
+	r.rep.Placed = r.placed
+	r.rep.RestoresVerified = r.verified
+	return r.rep, nil
+}
 
-	r.tp = NewTopology(netback.LinkFaultConfig{
-		Drop:    cfg.LinkDrop,
-		Dup:     cfg.LinkDup,
-		Reorder: cfg.LinkReorder,
-		Corrupt: cfg.LinkCorrupt,
-	})
-	r.dir = netback.NewDirectory(netback.LinkFaultConfig{
-		Seed:    cfg.Seed,
-		Drop:    cfg.LinkDrop,
-		Dup:     cfg.LinkDup,
-		Reorder: cfg.LinkReorder,
-		Corrupt: cfg.LinkCorrupt,
-	})
-	r.placer = core.NewPlacer(r.dir, core.PlacerConfig{
-		Replicas:        cfg.Replicas,
-		EvacConcurrency: cfg.EvacConcurrency,
-		DownAfter:       5,
-		Retries:         8,
-		PrimaryTarget:   cfg.PrimaryTarget,
-	})
-
+func (r *scaleRun) script() error {
+	cfg := r.cfg
 	// Base fleet admitted, spares warm. The pool's first spare is dead
 	// on arrival: its device goes down before the autoscaler ever sees
 	// it, so the first scale-out must skip it.
-	build := func(i int) *core.StoreNode {
-		bn := r.tp.Node(fmt.Sprintf("store%d", i), cfg.Seed*1000003+int64(i)*7919,
-			cfg.StoreWriteErr, cfg.StoreReadErr)
-		sn := &core.StoreNode{
-			Name:   bn.name,
-			Domain: fmt.Sprintf("rack%d", i%2),
-			O:      bn.o,
-			SB:     bn.sb,
-			Sup:    core.NewSupervisor(bn.o, core.SupervisorConfig{}),
-		}
-		r.nodes = append(r.nodes, sn)
-		r.bench[sn] = bn
-		return sn
-	}
+	build := func(i int) *core.StoreNode { return r.addStore(i, fmt.Sprintf("rack%d", i%2)) }
 	for i := 0; i < cfg.BaseStores; i++ {
 		if err := r.placer.AddStore(build(i)); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	r.as = core.NewAutoscaler(r.placer, core.AutoscalerConfig{
@@ -242,11 +209,11 @@ func AutoscaleChaosRun(cfg AutoscaleChaosConfig) (*AutoscaleChaosReport, error) 
 	r.bench[dead].fd.Down()
 	r.rep.DeadSpare = dead.Name
 	if err := r.as.AddWarmStore(dead); err != nil {
-		return nil, err
+		return err
 	}
 	for i := cfg.BaseStores + 1; i <= cfg.MaxStores; i++ {
 		if err := r.as.AddWarmStore(build(i)); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -265,49 +232,50 @@ func AutoscaleChaosRun(cfg AutoscaleChaosConfig) (*AutoscaleChaosReport, error) 
 	}
 
 	if err := r.rampUp(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := r.scaleInStorm(); err != nil {
-		return nil, err
+		return err
 	}
 	if err := r.rampDown(); err != nil {
-		return nil, err
+		return err
 	}
 	// The ramp-down may settle on an off-cadence round, leaving live
 	// counters ahead of the last recorded durable epoch; land one
 	// forced checkpoint+sync so the sweep compares like with like.
+	r.at("final")
 	if err := r.workload(true); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Final verification sweep: every surviving lineage bit-identical,
 	// live and from a scratch restore; fleet invariants hold; the
 	// autoscaler's own per-tick audit saw nothing.
 	for _, pl := range r.placer.Placements() {
-		if r.retired[pl.Lineage] {
+		l := r.byID[pl.Lineage]
+		if l.retired {
 			continue
 		}
-		pl, ok := r.live(pl.Lineage)
+		pl, ok := r.locate(l)
 		if !ok {
-			return nil, fmt.Errorf("bench: autoscale seed %d: lineage lost at end of run", r.cfg.Seed)
+			return fmt.Errorf("lineage %d lost at end of run", l.lineage)
 		}
-		if err := r.verifyLineage(pl, "final"); err != nil {
-			return nil, err
+		if err := r.verify(pl); err != nil {
+			return err
 		}
 		r.rep.FinalGroups++
 		if d := pl.Group().Durable(); d > r.rep.FinalDurable {
 			r.rep.FinalDurable = d
 		}
 	}
-	if err := r.checkInvariants("final"); err != nil {
-		return nil, err
+	if err := r.check(r.phase); err != nil {
+		return err
 	}
 	if v := r.as.InvariantViolations(); len(v) != 0 {
-		r.rep.Violations += len(v)
-		return nil, fmt.Errorf("bench: autoscale seed %d: autoscaler audit: %v", r.cfg.Seed, v)
+		return fmt.Errorf("autoscaler audit: %v", v)
 	}
 	r.rep.FinalActive = r.active()
-	return r.rep, nil
+	return nil
 }
 
 func (r *scaleRun) active() int {
@@ -320,156 +288,44 @@ func (r *scaleRun) active() int {
 	return n
 }
 
-func (r *scaleRun) liveGroups() int {
-	n := 0
-	for _, pl := range r.placer.Placements() {
-		if r.retired[pl.Lineage] {
-			continue
-		}
-		if _, ok := r.live(pl.Lineage); ok {
-			n++
-		}
-	}
-	return n
-}
-
-// placeOne lands the next arrival. A transient placement failure (the
-// storm can eat a seed checkpoint) is returned for the caller to retry
-// next tick.
-func (r *scaleRun) placeOne() error {
-	name := fmt.Sprintf("app%04d", r.nextApp)
-	pseed := r.cfg.Seed + int64(r.nextApp)
-	pl, err := r.placer.Place(name, func(n *core.StoreNode) (*core.Group, error) {
-		p, err := n.O.K.Spawn(0, name)
-		if err != nil {
-			return nil, err
-		}
-		p.SetProgram(&chaosCounter{addr: p.HeapBase()})
-		for pg := 1; pg <= placePages; pg++ {
-			if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), recoveryPattern(pg, pseed)); err != nil {
-				return nil, err
-			}
-		}
-		return n.O.Persist(name, p)
-	})
-	if err != nil {
-		return err
-	}
-	r.nextApp++
-	r.patternSeed[pl.Lineage] = pseed
-	r.counterAt[pl.Lineage] = make(map[uint64]uint64)
-	r.lastDurable[pl.Lineage] = 0
-	r.rep.Placed++
-	return nil
-}
-
 // retireSome unplaces up to n lineages, always from the store holding
 // the most primaries (newest resident first), so the ramp-down decays
 // toward even rather than stranding one hot store above the low
 // watermark forever. Lineages mid-evacuation are skipped.
 func (r *scaleRun) retireSome(n int) {
 	for ; n > 0; n-- {
-		byStore := make(map[*core.StoreNode][]uint64)
-		for _, pl := range r.placer.Placements() {
-			if r.retired[pl.Lineage] {
-				continue
-			}
-			if pl, ok := r.live(pl.Lineage); ok {
-				byStore[pl.Primary()] = append(byStore[pl.Primary()], pl.Lineage)
-			}
-		}
-		var busiest *core.StoreNode
-		for sn, lins := range byStore {
-			if busiest == nil || len(lins) > len(byStore[busiest]) ||
-				(len(lins) == len(byStore[busiest]) && sn.Name < busiest.Name) {
-				busiest = sn
-			}
-		}
-		if busiest == nil {
+		live := r.live()
+		if len(live) == 0 {
 			return
 		}
+		from := busiest(residents(live), r.placer.Stores())
 		var pick uint64
-		for _, lin := range byStore[busiest] {
-			if lin > pick {
-				pick = lin
+		for _, pl := range live {
+			if pl.Primary() == from && pl.Lineage > pick {
+				pick = pl.Lineage
 			}
 		}
 		if err := r.placer.Unplace(pick); err != nil {
 			return // mid-evacuation churn; retry next tick
 		}
-		r.retired[pick] = true
+		r.byID[pick].retired = true
 		r.rep.Retired++
 	}
 }
 
-// workload drives one open-loop round: resident groups run on every
-// live store, and on the checkpoint cadence (or when forced) every
-// routable lineage checkpoints and syncs durable (with the same
-// shed-retry and durable-monotone discipline as the placement
-// harness).
+// workload drives one open-loop round; on the checkpoint cadence (or
+// when forced) every routable lineage checkpoints and syncs durable.
 func (r *scaleRun) workload(force bool) error {
 	r.round++
-	placements := r.placer.Placements()
-	resident := make(map[*core.StoreNode]int)
-	for _, pl := range placements {
-		if r.retired[pl.Lineage] {
-			continue
-		}
-		if pl, ok := r.live(pl.Lineage); ok {
-			resident[pl.Primary()]++
-		}
-	}
-	for sn, count := range resident {
-		if st := sn.State(); st != core.StoreActive && st != core.StoreDraining {
-			continue
-		}
-		if _, err := r.bench[sn].k.Run(count * r.cfg.StepsPerEpoch); err != nil {
-			return fmt.Errorf("bench: autoscale seed %d: workload on %s: %w", r.cfg.Seed, sn.Name, err)
-		}
-	}
-	if r.round%r.cfg.CheckpointEvery != 0 && !force {
-		return nil
-	}
-	for _, pl := range placements {
-		if r.retired[pl.Lineage] {
-			continue
-		}
-		pl, ok := r.live(pl.Lineage)
-		if !ok {
-			continue
-		}
-		c, err := r.readCounter(pl)
-		if err != nil {
-			return err
-		}
-		shed := true
-		for attempt := 0; attempt < 16 && shed; attempt++ {
-			bd, err := pl.Primary().O.Checkpoint(pl.Group(), core.CheckpointOpts{})
-			if err != nil {
-				return fmt.Errorf("bench: autoscale seed %d: checkpointing lineage %d: %w", r.cfg.Seed, pl.Lineage, err)
-			}
-			shed = bd.Shed
-		}
-		if shed {
-			return fmt.Errorf("bench: autoscale seed %d: admission control starved lineage %d", r.cfg.Seed, pl.Lineage)
-		}
-		r.counterAt[pl.Lineage][pl.Group().Epoch()] = c
-		if err := r.placer.SyncDurable(pl.Lineage); err != nil {
-			return fmt.Errorf("bench: autoscale seed %d round %d: %w", r.cfg.Seed, r.round, err)
-		}
-		if d := pl.Group().Durable(); d < r.lastDurable[pl.Lineage] {
-			return fmt.Errorf("bench: autoscale seed %d: lineage %d durable regressed %d -> %d",
-				r.cfg.Seed, pl.Lineage, r.lastDurable[pl.Lineage], d)
-		} else {
-			r.lastDurable[pl.Lineage] = d
-		}
+	if err := r.fleet.round(force || r.round%r.cfg.CheckpointEvery == 0); err != nil {
+		return fmt.Errorf("round %d: %w", r.round, err)
 	}
 	return nil
 }
 
-// tick advances the autoscaler one control round and tallies its
-// decision.
-func (r *scaleRun) tick() core.ScaleDecision {
+// tick advances the autoscaler one control round, tallies its decision,
+// and re-runs the harness check after every scale action.
+func (r *scaleRun) tick() (core.ScaleDecision, error) {
 	dec, _ := r.as.Tick()
 	switch dec.Action {
 	case "scale-out":
@@ -484,30 +340,40 @@ func (r *scaleRun) tick() core.ScaleDecision {
 			r.rep.DeadSkipped = true
 		}
 	}
-	return dec
+	switch dec.Action {
+	case "hold", "seeding", "draining":
+		return dec, nil
+	}
+	phase := r.phase
+	err := r.check(fmt.Sprintf("%s, tick %d %s %s", phase, dec.Tick, dec.Action, dec.Store))
+	r.phase = phase
+	return dec, err
 }
 
 // rampUp lands arrivals until the peak and drives the loop until the
 // fleet converges at the forced size with the autoscaler idle.
 func (r *scaleRun) rampUp() error {
+	r.at("ramp-up")
 	start := r.as.Status()
 	maxTicks := 40*(r.rep.ExpectedPeak-r.cfg.BaseStores) + 8*r.cfg.PeakGroups + 100
 	for t := 1; ; t++ {
 		if t > maxTicks {
-			return fmt.Errorf("bench: autoscale seed %d: ramp-up did not converge (%d active, want >= %d, after %d ticks)",
-				r.cfg.Seed, r.active(), r.rep.ExpectedPeak, maxTicks)
+			return fmt.Errorf("ramp-up did not converge (%d active, want >= %d, after %d ticks)",
+				r.active(), r.rep.ExpectedPeak, maxTicks)
 		}
-		for i := 0; i < r.cfg.ArrivalsPerTick && r.nextApp < r.cfg.PeakGroups; i++ {
-			if err := r.placeOne(); err != nil {
-				break // transient fault; retry next tick
+		for i := 0; i < r.cfg.ArrivalsPerTick && r.placed < r.cfg.PeakGroups; i++ {
+			if err := r.place(); err != nil {
+				break // transient fault (the storm can eat a seed checkpoint); retry next tick
 			}
 		}
 		if err := r.workload(false); err != nil {
 			return err
 		}
-		r.tick()
+		if _, err := r.tick(); err != nil {
+			return err
+		}
 		st := r.as.Status()
-		if r.nextApp == r.cfg.PeakGroups && st.Phase == "idle" && r.active() >= r.rep.ExpectedPeak {
+		if r.placed == r.cfg.PeakGroups && st.Phase == "idle" && r.active() >= r.rep.ExpectedPeak {
 			r.rep.ScaledTo = r.active()
 			r.rep.ConvergeOutTicks = t
 			r.rep.ConvergeOutTime = st.At - start.At
@@ -515,15 +381,14 @@ func (r *scaleRun) rampUp() error {
 		}
 	}
 	if !r.rep.DeadSkipped {
-		return fmt.Errorf("bench: autoscale seed %d: dead warm spare %s was never skipped", r.cfg.Seed, r.rep.DeadSpare)
+		return fmt.Errorf("dead warm spare %s was never skipped", r.rep.DeadSpare)
 	}
 	for _, sn := range r.placer.Stores() {
 		if sn.Name == r.rep.DeadSpare {
-			return fmt.Errorf("bench: autoscale seed %d: dead spare %s was admitted (state %s)",
-				r.cfg.Seed, sn.Name, sn.State())
+			return fmt.Errorf("dead spare %s was admitted (state %s)", sn.Name, sn.State())
 		}
 	}
-	return r.checkInvariants("post-ramp-up")
+	return r.check("post-ramp-up")
 }
 
 // scaleInStorm retires load until a scale-in begins, lets one drain
@@ -531,28 +396,30 @@ func (r *scaleRun) rampUp() error {
 // the busiest surviving store. The in-flight drain must roll back and
 // the death must evacuate cleanly around it.
 func (r *scaleRun) scaleInStorm() error {
+	r.at("scale-in storm")
 	// Retire toward the low watermark until the autoscaler commits.
 	var drainee *core.StoreNode
 	maxTicks := 8*r.cfg.PeakGroups + 100
 	for t := 1; ; t++ {
 		if t > maxTicks {
-			return fmt.Errorf("bench: autoscale seed %d: scale-in never began (%d groups live, %d active, after %d ticks)",
-				r.cfg.Seed, r.liveGroups(), r.active(), maxTicks)
+			return fmt.Errorf("scale-in never began (%d groups live, %d active, after %d ticks)",
+				len(r.live()), r.active(), maxTicks)
 		}
-		if r.liveGroups() > r.cfg.FloorGroups {
+		if len(r.live()) > r.cfg.FloorGroups {
 			r.retireSome(r.cfg.RetireesPerTick)
 		}
 		if err := r.workload(false); err != nil {
 			return err
 		}
-		dec := r.tick()
+		dec, err := r.tick()
+		if err != nil {
+			return err
+		}
 		if dec.Action == "scale-in-begin" {
-			n, err := r.placer.Node(dec.Store)
-			if err != nil {
+			if drainee, err = r.placer.Node(dec.Store); err != nil {
 				return err
 			}
-			drainee = n
-			r.rep.Drainee = n.Name
+			r.rep.Drainee = drainee.Name
 			break
 		}
 		// A drain that empties before the storm lands is a clean
@@ -564,48 +431,37 @@ func (r *scaleRun) scaleInStorm() error {
 	if err := r.workload(false); err != nil {
 		return err
 	}
-	r.tick()
+	if _, err := r.tick(); err != nil {
+		return err
+	}
 	if drainee.State() == core.StoreFenced {
-		return fmt.Errorf("bench: autoscale seed %d: drain of %s completed before the storm could land",
-			r.cfg.Seed, drainee.Name)
+		return fmt.Errorf("drain of %s completed before the storm could land", drainee.Name)
 	}
 
 	// The storm: burst arrivals sized to pigeonhole some store above
 	// the high watermark even when spread perfectly even across the
 	// surviving non-draining stores, then the busiest of those dies.
-	counted := 0
-	resident := make(map[*core.StoreNode]int)
-	for _, pl := range r.placer.Placements() {
-		if pl, ok := r.live(pl.Lineage); ok && !r.retired[pl.Lineage] {
-			resident[pl.Primary()]++
-		}
-	}
-	var victim *core.StoreNode
+	var survivors []*core.StoreNode
 	for _, sn := range r.placer.Stores() {
-		if sn.State() != core.StoreActive || sn == drainee {
-			continue
-		}
-		counted++
-		if victim == nil || resident[sn] > resident[victim] ||
-			(resident[sn] == resident[victim] && sn.Name < victim.Name) {
-			victim = sn
+		if sn.State() == core.StoreActive && sn != drainee {
+			survivors = append(survivors, sn)
 		}
 	}
+	victim := busiest(residents(r.live()), survivors)
 	// The victim still counts toward the high-watermark until the probe
 	// ladder declares it (and soaks up arrivals until then), so the
-	// pigeonhole is over every counted store, victim included: enough
+	// pigeonhole is over every surviving store, victim included: enough
 	// load that even a perfectly even spread pins some store at or
 	// above the high watermark.
 	need := int(0.85*float64(r.cfg.PrimaryTarget) + 0.999999)
-	burst := need*counted + 2 - r.liveGroups()
+	burst := need*len(survivors) + 2 - len(r.live())
 	if burst < 4 {
 		burst = 4
 	}
 	r.rep.BurstGroups = burst
-	target := r.nextApp + burst
-	for r.nextApp < target {
-		if err := r.placeOne(); err != nil {
-			return fmt.Errorf("bench: autoscale seed %d: burst arrival: %w", r.cfg.Seed, err)
+	for target := r.placed + burst; r.placed < target; {
+		if err := r.place(); err != nil {
+			return fmt.Errorf("burst arrival: %w", err)
 		}
 	}
 	// One forced checkpoint round before the kill: a just-placed burst
@@ -615,45 +471,49 @@ func (r *scaleRun) scaleInStorm() error {
 	if err := r.workload(true); err != nil {
 		return err
 	}
-	victimResidents := make([]uint64, 0, resident[victim])
-	for _, pl := range r.placer.Placements() {
-		if pl, ok := r.live(pl.Lineage); ok && !r.retired[pl.Lineage] && pl.Primary() == victim {
+	var victimResidents []uint64
+	for _, pl := range r.live() {
+		if pl.Primary() == victim {
 			victimResidents = append(victimResidents, pl.Lineage)
 		}
 	}
 	r.rep.Victim = victim.Name
 	r.bench[victim].fd.Down()
+	if err := r.check("scale-in storm, store kill"); err != nil {
+		return err
+	}
+	r.at("scale-in storm")
 
 	// No workload rounds until the death is declared and the storm
 	// drains: checkpoints against the dead primary would fail before
 	// evacuation re-homes them (same discipline as the placement
-	// harness's kill leg). The rollback must surface first.
+	// script's kill leg). The rollback must surface first.
 	sawRollback := false
 	maxPolls := 16 + (len(victimResidents)/r.cfg.EvacConcurrency+1)*8 + 40
 	for poll := 0; ; poll++ {
 		if poll > maxPolls {
 			evac, repair := r.placer.QueueDepths()
-			return fmt.Errorf("bench: autoscale seed %d: storm did not settle after %d polls (rollback %v, victim %s, evac %d, repair %d, phase %s, active %d)",
-				r.cfg.Seed, maxPolls, sawRollback, victim.State(), evac, repair, r.as.Status().Phase, r.active())
+			return fmt.Errorf("storm did not settle after %d polls (rollback %v, victim %s, evac %d, repair %d, phase %s, active %d)",
+				maxPolls, sawRollback, victim.State(), evac, repair, r.as.Status().Phase, r.active())
 		}
-		dec := r.tick()
+		dec, err := r.tick()
+		if err != nil {
+			return err
+		}
 		switch dec.Action {
 		case "scale-in-rollback":
 			sawRollback = true
 			if drainee.State() != core.StoreActive {
-				return fmt.Errorf("bench: autoscale seed %d: rollback left %s in state %s, want active",
-					r.cfg.Seed, drainee.Name, drainee.State())
+				return fmt.Errorf("rollback left %s in state %s, want active", drainee.Name, drainee.State())
 			}
 			for _, sn := range r.placer.Stores() {
 				if sn.State() == core.StoreFenced {
-					return fmt.Errorf("bench: autoscale seed %d: fenced survivor %s after rollback",
-						r.cfg.Seed, sn.Name)
+					return fmt.Errorf("fenced survivor %s after rollback", sn.Name)
 				}
 			}
 		case "scale-in-done":
 			if !sawRollback {
-				return fmt.Errorf("bench: autoscale seed %d: chaos drain of %s completed instead of rolling back",
-					r.cfg.Seed, drainee.Name)
+				return fmt.Errorf("chaos drain of %s completed instead of rolling back", drainee.Name)
 			}
 		}
 		evac, repair := r.placer.QueueDepths()
@@ -665,112 +525,52 @@ func (r *scaleRun) scaleInStorm() error {
 	// Every victim resident re-homed and bit-identical; the rolled-back
 	// drainee is a first-class citizen again (promotions may well have
 	// landed on it through its re-handshaken wires).
-	for _, lin := range victimResidents {
-		pl, ok := r.live(lin)
-		if !ok {
-			return fmt.Errorf("bench: autoscale seed %d: lineage %d not routable after victim evacuation", r.cfg.Seed, lin)
-		}
-		if pl.Primary() == victim {
-			return fmt.Errorf("bench: autoscale seed %d: lineage %d still resident on dead %s", r.cfg.Seed, lin, victim.Name)
-		}
-		if err := r.verifyLineage(pl, "post-storm"); err != nil {
-			return err
-		}
-		r.rep.Evacuated++
+	r.at("post-storm")
+	if err := r.rehomed(victimResidents, victim); err != nil {
+		return err
 	}
-	return r.checkInvariants("post-storm")
+	r.rep.Evacuated += len(victimResidents)
+	return r.check(r.phase)
 }
 
 // rampDown retires load to the floor and drives the loop until the
 // fleet converges back to MinStores with the autoscaler idle.
 func (r *scaleRun) rampDown() error {
+	r.at("ramp-down")
 	start := r.as.Status()
 	maxTicks := 60*r.cfg.MaxStores + 8*r.cfg.PeakGroups + 200
 	for t := 1; ; t++ {
 		if t > maxTicks {
-			return fmt.Errorf("bench: autoscale seed %d: ramp-down did not converge (%d active, want %d, after %d ticks)",
-				r.cfg.Seed, r.active(), r.cfg.BaseStores, maxTicks)
+			return fmt.Errorf("ramp-down did not converge (%d active, want %d, after %d ticks)",
+				r.active(), r.cfg.BaseStores, maxTicks)
 		}
-		if r.liveGroups() > r.cfg.FloorGroups {
+		if len(r.live()) > r.cfg.FloorGroups {
 			r.retireSome(r.cfg.RetireesPerTick)
 		}
 		if err := r.workload(false); err != nil {
 			return err
 		}
-		r.tick()
+		if _, err := r.tick(); err != nil {
+			return err
+		}
 		st := r.as.Status()
-		if r.liveGroups() <= r.cfg.FloorGroups && st.Phase == "idle" && r.active() <= r.cfg.BaseStores {
+		if len(r.live()) <= r.cfg.FloorGroups && st.Phase == "idle" && r.active() <= r.cfg.BaseStores {
 			r.rep.ConvergeInTicks = t
 			r.rep.ConvergeInTime = st.At - start.At
 			break
 		}
 	}
 	if got := r.active(); got != r.cfg.BaseStores {
-		return fmt.Errorf("bench: autoscale seed %d: ramp-down settled at %d active stores, want %d",
-			r.cfg.Seed, got, r.cfg.BaseStores)
+		return fmt.Errorf("ramp-down settled at %d active stores, want %d", got, r.cfg.BaseStores)
 	}
 	// Every fenced store must be truly empty: a drain that fences a
 	// store still holding a resident would strand it.
-	for _, sn := range r.placer.Stores() {
-		if sn.State() != core.StoreFenced {
-			continue
-		}
-		for _, pl := range r.placer.Placements() {
-			if pl, ok := r.live(pl.Lineage); ok && !r.retired[pl.Lineage] && pl.Primary() == sn {
-				return fmt.Errorf("bench: autoscale seed %d: lineage %d stranded on fenced %s",
-					r.cfg.Seed, pl.Lineage, sn.Name)
-			}
+	for _, pl := range r.live() {
+		if sn := pl.Primary(); sn.State() == core.StoreFenced {
+			return fmt.Errorf("lineage %d stranded on fenced %s", pl.Lineage, sn.Name)
 		}
 	}
-	return r.checkInvariants("post-ramp-down")
-}
-
-// live, readCounter, verifyLineage, checkInvariants mirror the
-// placement harness (the assertions are deliberately identical — the
-// autoscaler must not weaken any of them).
-
-func (r *scaleRun) live(lineage uint64) (*core.Placement, bool) {
-	pl, err := r.placer.Lookup(lineage)
-	if err != nil {
-		return nil, false
-	}
-	return pl, true
-}
-
-func (r *scaleRun) readCounter(pl *core.Placement) (uint64, error) {
-	rr := placeRun{cfg: PlacementChaosConfig{Seed: r.cfg.Seed}}
-	return rr.readCounter(pl)
-}
-
-func (r *scaleRun) verifyLineage(pl *core.Placement, where string) error {
-	rr := placeRun{
-		cfg:         PlacementChaosConfig{Seed: r.cfg.Seed},
-		rep:         &PlacementChaosReport{},
-		counterAt:   r.counterAt,
-		patternSeed: r.patternSeed,
-	}
-	if err := rr.verifyLineage(pl, where); err != nil {
-		return fmt.Errorf("autoscale %w", err)
-	}
-	r.rep.RestoresVerified += rr.rep.RestoresVerified
-	return nil
-}
-
-func (r *scaleRun) checkInvariants(where string) error {
-	if v := r.placer.AntiAffinityViolations(); len(v) != 0 {
-		r.rep.Violations += len(v)
-		return fmt.Errorf("bench: autoscale seed %d %s: anti-affinity violated: %v", r.cfg.Seed, where, v)
-	}
-	rr := placeRun{
-		cfg:   PlacementChaosConfig{Seed: r.cfg.Seed},
-		rep:   &PlacementChaosReport{},
-		nodes: r.nodes,
-	}
-	rr.placer = r.placer
-	if err := rr.checkInvariants(where); err != nil {
-		return fmt.Errorf("autoscale %w", err)
-	}
-	return nil
+	return r.check("post-ramp-down")
 }
 
 // --- Sweep -----------------------------------------------------------

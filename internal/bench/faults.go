@@ -8,7 +8,6 @@ import (
 	"aurora/internal/kernel"
 	"aurora/internal/objstore"
 	"aurora/internal/storage"
-	"aurora/internal/vm"
 )
 
 func init() {
@@ -42,13 +41,8 @@ type FaultPoint struct {
 func FaultSweep(ckpts int, rates []float64, seed int64) ([]FaultPoint, error) {
 	points := make([]FaultPoint, 0, len(rates))
 	for _, rate := range rates {
-		clock := storage.NewClock()
-		k := kernel.NewWith(clock, vm.NewPhysMem(0))
-		o := core.NewOrchestrator(k)
-
-		fd := storage.NewFaultDevice(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock,
-			storage.FaultConfig{Seed: seed, WriteErr: rate, SyncErr: rate})
-		primary := core.NewStoreBackend(objstore.Create(fd, clock), k.Mem, clock)
+		n := newNode("faults", storage.FaultConfig{Seed: seed, WriteErr: rate, SyncErr: rate}, 0)
+		clock, k, o, fd, primary := n.clock, n.k, n.o, n.fd, n.sb
 		secondary := core.NewStoreBackend(objstore.Create(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock), k.Mem, clock)
 
 		p, err := k.Spawn(0, "fault-touch")

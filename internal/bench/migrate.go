@@ -1,31 +1,26 @@
 package bench
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"aurora/internal/core"
-	"aurora/internal/kernel"
 	"aurora/internal/netback"
-	"aurora/internal/storage"
-	"aurora/internal/vm"
 )
 
-// This file is the live-migration chaos harness: a running counter
+// This file is the live-migration chaos script: a running counter
 // workload is migrated across a chain of machines (A→B→C…) over a
 // fault-injecting link while its source and target stores inject
 // storage faults, with a scripted partition opening mid-pre-copy and
 // healing only after the migrator has burned retry attempts on it.
 // After the planned hops it optionally runs the hot-standby leg: a
 // perpetual pre-copy target promoted after an unplanned source crash,
-// measuring TTR. Invariants checked at every observation point:
-// durable never regresses across handovers, exactly one store claims
-// the primary role at the max generation, the migrated state is
-// bit-identical (counter + patterned pages, demand-paged through the
-// lazy tail), a scratch-machine restore from the target store is
+// measuring TTR. After every handover the shared harness check runs
+// (harness.go), the migrated state is verified bit-identical (counter +
+// patterned pages, demand-paged through the lazy tail), a
+// scratch-machine restore from the target store is verified
 // bit-identical, and the fenced source verifiably refuses further
 // checkpoints.
 
@@ -120,211 +115,15 @@ type MigrateChaosReport struct {
 	FinalCounter     uint64 // workload counter at exit
 }
 
-// migMachine is one simulated machine (the shared topology Node:
-// its own virtual clock, kernel, orchestrator, fault-injecting store).
-type migMachine = Node
-
-func newMigMachine(name string, seed int64, writeErr, readErr float64) *migMachine {
-	return NewNode(name, seed, writeErr, readErr)
-}
-
-// migLink is the migration wire between two machines (the shared
-// topology Wire: a fault link carrying the acked replication stream
-// plus the handoff frames).
-type migLink = Wire
-
-func newMigLink(seed int64, cfg MigrateChaosConfig, src, dst *migMachine) *migLink {
-	tp := NewTopology(netback.LinkFaultConfig{
-		Drop:    cfg.LinkDrop,
-		Dup:     cfg.LinkDup,
-		Reorder: cfg.LinkReorder,
-		Corrupt: cfg.LinkCorrupt,
-	})
-	ml := tp.Wire(seed, src, dst)
-	ml.rb.SetName("migrate-link")
-	return ml
-}
-
-// migRun carries the harness state across hops.
+// migRun carries the script state across hops.
 type migRun struct {
+	*harness
 	cfg MigrateChaosConfig
 	rep *MigrateChaosReport
 
-	cur     *migMachine // the machine currently running the workload
-	g       *core.Group
-	sup     *core.Supervisor
-	lineage uint64
-
-	machines    []*migMachine
-	lastCounter uint64
-	lastDurable uint64
-}
-
-func (r *migRun) readCounter() (uint64, error) {
-	pids := r.g.PIDs()
-	if len(pids) == 0 {
-		return 0, fmt.Errorf("bench: migrate seed %d: group %d has no members", r.cfg.Seed, r.g.ID)
-	}
-	p, err := r.cur.k.Process(pids[0])
-	if err != nil {
-		return 0, err
-	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// step runs one workload slice on the current machine and records the
-// counter it will checkpoint at.
-func (r *migRun) step() error {
-	if _, err := r.cur.k.Run(r.cfg.StepsPerEpoch); err != nil {
-		return err
-	}
-	c, err := r.readCounter()
-	if err != nil {
-		return err
-	}
-	r.lastCounter = c
-	return nil
-}
-
-// syncDurable drives the durable frontier to the barrier epoch.
-func (r *migRun) syncDurable() error {
-	var last error
-	for round := 0; round < 12; round++ {
-		last = r.cur.o.Sync(r.g)
-		if r.g.Durable() == r.g.Epoch() {
-			return nil
-		}
-	}
-	return fmt.Errorf("bench: migrate seed %d: durable stuck at %d (barrier %d): %w",
-		r.cfg.Seed, r.g.Durable(), r.g.Epoch(), last)
-}
-
-// epoch is one workload slice + checkpoint + durable sync outside any
-// migration.
-func (r *migRun) epoch() error {
-	if err := r.step(); err != nil {
-		return err
-	}
-	if _, err := r.cur.o.Checkpoint(r.g, core.CheckpointOpts{}); err != nil {
-		return err
-	}
-	return r.syncDurable()
-}
-
-// invariants asserts durable monotonicity and the exactly-one-primary
-// fencing invariant across every store minted so far.
-func (r *migRun) invariants(where string) error {
-	if d := r.g.Durable(); d < r.lastDurable {
-		return fmt.Errorf("bench: migrate seed %d %s: durable regressed %d -> %d",
-			r.cfg.Seed, where, r.lastDurable, d)
-	} else {
-		r.lastDurable = d
-	}
-	type claim struct {
-		who string
-		gen uint64
-	}
-	var claims []claim
-	var maxGen uint64
-	for _, m := range r.machines {
-		if gen, primary := m.sb.Store().PrimaryGen(r.lineage); primary {
-			claims = append(claims, claim{m.name, gen})
-			if gen > maxGen {
-				maxGen = gen
-			}
-		}
-	}
-	n := 0
-	for _, cl := range claims {
-		if cl.gen == maxGen {
-			n++
-		}
-	}
-	if n != 1 {
-		return fmt.Errorf("bench: migrate seed %d %s: %d stores claim primary at max generation %d (want exactly 1: %v)",
-			r.cfg.Seed, where, n, maxGen, claims)
-	}
-	return nil
-}
-
-// verifyState reads the workload state back from the group's live
-// memory on machine m — demand-paging any cold tail — and checks it
-// bit-identical to the last checkpointed state.
-func (r *migRun) verifyState(m *migMachine, g *core.Group, where string) error {
-	pids := g.PIDs()
-	if len(pids) == 0 {
-		return fmt.Errorf("bench: migrate seed %d %s: no members", r.cfg.Seed, where)
-	}
-	p, err := m.k.Process(pids[0])
-	if err != nil {
-		return fmt.Errorf("bench: migrate seed %d %s: %w", r.cfg.Seed, where, err)
-	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return fmt.Errorf("bench: migrate seed %d %s: reading counter: %w", r.cfg.Seed, where, err)
-	}
-	if got := binary.LittleEndian.Uint64(b[:]); got != r.lastCounter {
-		return fmt.Errorf("bench: migrate seed %d %s: counter %d, want %d — state not bit-identical",
-			r.cfg.Seed, where, got, r.lastCounter)
-	}
-	buf := make([]byte, vm.PageSize)
-	for pg := 1; pg <= chaosPages; pg++ {
-		if err := p.ReadMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), buf); err != nil {
-			return fmt.Errorf("bench: migrate seed %d %s: paging page %d: %w", r.cfg.Seed, where, pg, err)
-		}
-		ref := recoveryPattern(pg, r.cfg.Seed)
-		for i := range buf {
-			if buf[i] != ref[i] {
-				return fmt.Errorf("bench: migrate seed %d %s: page %d byte %d differs — state not bit-identical",
-					r.cfg.Seed, where, pg, i)
-			}
-		}
-	}
-	r.rep.RestoresVerified++
-	return nil
-}
-
-// verifyFromStore restores (group, epoch) from sb onto a scratch
-// machine and checks it bit-identical: the "restores from the target
-// store" acceptance check.
-func (r *migRun) verifyFromStore(sb *core.StoreBackend, group, epoch uint64, where string) error {
-	var img *core.Image
-	var readTime time.Duration
-	var err error
-	for attempt := 0; attempt < 8; attempt++ { // ride out injected read faults
-		if img, readTime, err = sb.Load(group, epoch); err == nil {
-			break
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("bench: migrate seed %d %s: loading epoch %d: %w", r.cfg.Seed, where, epoch, err)
-	}
-	clock := storage.NewClock()
-	k := kernel.NewWith(clock, vm.NewPhysMem(0))
-	o := core.NewOrchestrator(k)
-	ng, _, err := o.RestoreImage(img, readTime, core.RestoreOpts{})
-	if err != nil {
-		return fmt.Errorf("bench: migrate seed %d %s: restoring epoch %d: %w", r.cfg.Seed, where, epoch, err)
-	}
-	pids := ng.PIDs()
-	p, err := k.Process(pids[0])
-	if err != nil {
-		return fmt.Errorf("bench: migrate seed %d %s: %w", r.cfg.Seed, where, err)
-	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return fmt.Errorf("bench: migrate seed %d %s: reading counter: %w", r.cfg.Seed, where, err)
-	}
-	if got := binary.LittleEndian.Uint64(b[:]); got != r.lastCounter {
-		return fmt.Errorf("bench: migrate seed %d %s: scratch restore counter %d, want %d",
-			r.cfg.Seed, where, got, r.lastCounter)
-	}
-	r.rep.RestoresVerified++
-	return nil
+	tp  *Topology
+	cur *Node // the machine currently running the workload
+	l   *line
 }
 
 // expectFenced verifies the fenced source is rejected at both levels:
@@ -333,114 +132,118 @@ func (r *migRun) verifyFromStore(sb *core.StoreBackend, group, epoch uint64, whe
 // zombie's attempt to reclaim the primary role at its old generation.
 // Together they pin the guarantee that a zombie source can never
 // re-advance the migrated lineage's durable state.
-func (r *migRun) expectFenced(m *migMachine, g *core.Group, oldGen uint64, where string) error {
+func (r *migRun) expectFenced(m *Node, g *core.Group) error {
 	if _, err := m.o.Checkpoint(g, core.CheckpointOpts{}); !errors.Is(err, core.ErrStaleGeneration) {
-		return fmt.Errorf("bench: migrate seed %d %s: fenced source checkpoint = %v, want ErrStaleGeneration",
-			r.cfg.Seed, where, err)
+		return fmt.Errorf("fenced source checkpoint = %v, want ErrStaleGeneration", err)
 	}
-	if err := m.sb.Store().SetPrimary(r.lineage, oldGen); !errors.Is(err, core.ErrStaleGeneration) {
-		return fmt.Errorf("bench: migrate seed %d %s: zombie primary re-claim at gen %d = %v, want ErrStaleGeneration",
-			r.cfg.Seed, where, oldGen, err)
+	if err := m.sb.Store().SetPrimary(r.l.lineage, g.Generation()); !errors.Is(err, core.ErrStaleGeneration) {
+		return fmt.Errorf("zombie primary re-claim at gen %d = %v, want ErrStaleGeneration", g.Generation(), err)
 	}
 	r.rep.FencedRejects++
 	return nil
+}
+
+// migrator wires a migration of the current group to a fresh machine.
+func (r *migRun) migrator(dst *Node, linkSeed int64, name string) (*core.Migrator, *Wire, error) {
+	r.stores = append(r.stores, dst.storeNode(""))
+	w := r.tp.Wire(linkSeed, r.cur, dst)
+	w.rb.SetName("migrate-link")
+	srcG := r.l.g
+	if err := w.connect(srcG.ID); err != nil {
+		return nil, nil, fmt.Errorf("connect: %w", err)
+	}
+	return &core.Migrator{
+		Src:       r.cur.o,
+		Dst:       dst.o,
+		G:         srcG,
+		Link:      w.rb,
+		Target:    w.recv,
+		SrcStore:  r.cur.sb,
+		DstStore:  dst.sb,
+		Sup:       r.cur.sup,
+		Reconnect: func() error { return w.reset(srcG.ID) },
+		Cfg: core.MigratorConfig{
+			MaxRounds: r.cfg.Rounds,
+			Retries:   r.cfg.Retries,
+			Lineage:   r.l.lineage,
+			Name:      name,
+		},
+	}, w, nil
+}
+
+// arrived moves the ledger to the target after a handover and runs
+// every post-handover check, then the workload forward.
+func (r *migRun) arrived(src, dst *Node, w *Wire, rep *core.MigrateReport) error {
+	srcG := r.l.g
+	r.cur = dst
+	dst.sup = core.NewSupervisor(dst.o, core.SupervisorConfig{})
+	dst.sup.Watch(rep.Group)
+	r.moved(r.l, dst.o, rep.Group) // per-machine frontier; monotone within a machine
+	if err := r.check(r.phase); err != nil {
+		return err
+	}
+	if rep.Group.Durable() < rep.Floor {
+		return fmt.Errorf("target durable %d below handover floor %d", rep.Group.Durable(), rep.Floor)
+	}
+	// The migrated state must be bit-identical, demand-paged through
+	// the lazy tail (target store first, then source store/receiver
+	// peers with read-repair).
+	if err := r.l.w.verifyLive(dst.k, rep.Group, r.l.last); err != nil {
+		return fmt.Errorf("lazy tail: %w", err)
+	}
+	// A scratch restore from the target store alone must agree.
+	if err := r.l.verifyStore(dst.sb, srcG.ID, rep.Floor, r.l.last); err != nil {
+		return fmt.Errorf("target store: %w", err)
+	}
+	r.rep.RestoresVerified += 2
+	// The fenced source must refuse to re-advance, even restarted.
+	if err := r.expectFenced(src, srcG); err != nil {
+		return err
+	}
+	w.quiesce()
+	r.rep.LinkDropped += w.link.DroppedCount()
+	r.rep.LinkInjected += w.link.InjectedCount()
+
+	// Run the workload forward on the target.
+	for i := 0; i < r.cfg.PostEpochs; i++ {
+		if err := r.l.epoch(r.cfg.StepsPerEpoch); err != nil {
+			return fmt.Errorf("post-epoch %d: %w", i, err)
+		}
+	}
+	return r.check(r.phase + " post")
 }
 
 // hop performs one planned live migration to a fresh machine and
 // moves the workload there.
 func (r *migRun) hop(idx int) error {
 	cfg := r.cfg
-	dst := newMigMachine(fmt.Sprintf("m%d", idx+1), cfg.Seed*31+int64(idx+1)*977, cfg.StoreWriteErr, cfg.StoreReadErr)
-	r.machines = append(r.machines, dst)
-	ml := newMigLink(cfg.Seed*1000003+int64(idx)*7919, cfg, r.cur, dst)
-	if err := ml.connect(r.g.ID); err != nil {
-		return fmt.Errorf("bench: migrate seed %d hop %d: connect: %w", cfg.Seed, idx, err)
-	}
-
+	r.at("hop %d", idx)
 	src := r.cur
-	srcG := r.g
-	mig := &core.Migrator{
-		Src:      src.o,
-		Dst:      dst.o,
-		G:        srcG,
-		Link:     ml.rb,
-		Target:   ml.recv,
-		SrcStore: src.sb,
-		DstStore: dst.sb,
-		Sup:      r.sup,
-		Reconnect: func() error {
-			return ml.reset(srcG.ID)
-		},
-		Cfg: core.MigratorConfig{
-			MaxRounds: cfg.Rounds,
-			Retries:   cfg.Retries,
-			Lineage:   r.lineage,
-			Name:      fmt.Sprintf("migrated-%d", idx+1),
-		},
+	dst := NewNode(fmt.Sprintf("m%d", idx+1), cfg.Seed*31+int64(idx+1)*977, cfg.StoreWriteErr, cfg.StoreReadErr)
+	mig, w, err := r.migrator(dst, cfg.Seed*1000003+int64(idx)*7919, fmt.Sprintf("migrated-%d", idx+1))
+	if err != nil {
+		return err
 	}
-
 	round := 0
-	workload := func() error {
+	rep, err := mig.Run(func() error {
 		round++
 		if cfg.PartitionMid && round == 1 {
 			// Mid-pre-copy partition: stays closed through the first
 			// reconnect attempt, so the migrator pays real retries.
-			ml.partition(1)
+			w.partition(1)
 		}
-		return r.step()
-	}
-	rep, err := mig.Run(workload)
+		return r.l.slice(cfg.StepsPerEpoch)
+	})
 	if err != nil {
-		return fmt.Errorf("bench: migrate seed %d hop %d: %w", cfg.Seed, idx, err)
+		return err
 	}
-
 	r.rep.Blackouts = append(r.rep.Blackouts, rep.Blackout)
 	r.rep.SrcStops = append(r.rep.SrcStops, rep.SrcStop)
 	r.rep.Rounds += rep.Rounds
 	r.rep.Backfilled += rep.Backfilled
 	r.rep.Retries += rep.Retries
 	r.rep.Gen = rep.Gen
-
-	// The workload now lives on the target.
-	r.cur = dst
-	r.g = rep.Group
-	r.sup = core.NewSupervisor(dst.o, core.SupervisorConfig{})
-	r.sup.Watch(r.g)
-	r.lastDurable = 0 // per-machine frontier; monotone within a machine
-
-	where := fmt.Sprintf("hop %d", idx)
-	if err := r.invariants(where); err != nil {
-		return err
-	}
-	if r.g.Durable() < rep.Floor {
-		return fmt.Errorf("bench: migrate seed %d %s: target durable %d below handover floor %d",
-			cfg.Seed, where, r.g.Durable(), rep.Floor)
-	}
-	// The migrated state must be bit-identical, demand-paged through
-	// the lazy tail (target store first, then source store/receiver
-	// peers with read-repair).
-	if err := r.verifyState(dst, r.g, where+" lazy tail"); err != nil {
-		return err
-	}
-	// A scratch restore from the target store alone must agree.
-	if err := r.verifyFromStore(dst.sb, srcG.ID, rep.Floor, where+" target store"); err != nil {
-		return err
-	}
-	// The fenced source must refuse to re-advance, even restarted.
-	if err := r.expectFenced(src, srcG, srcG.Generation(), where+" fenced source"); err != nil {
-		return err
-	}
-	ml.stop()
-	r.rep.LinkDropped += ml.link.DroppedCount()
-	r.rep.LinkInjected += ml.link.InjectedCount()
-
-	// Run the workload forward on the target.
-	for i := 0; i < cfg.PostEpochs; i++ {
-		if err := r.epoch(); err != nil {
-			return fmt.Errorf("bench: migrate seed %d %s post-epoch %d: %w", cfg.Seed, where, i, err)
-		}
-	}
-	return r.invariants(where + " post")
+	return r.arrived(src, dst, w, rep)
 }
 
 // standbyLeg runs the hot-standby story: perpetual pre-copy to a
@@ -448,56 +251,30 @@ func (r *migRun) hop(idx int) error {
 // must refuse the fenced zombie, and the promotion with TTR.
 func (r *migRun) standbyLeg() error {
 	cfg := r.cfg
+	r.at("standby")
 	idx := cfg.Hops + 1
-	dst := newMigMachine(fmt.Sprintf("standby-m%d", idx), cfg.Seed*37+int64(idx)*1009, cfg.StoreWriteErr, cfg.StoreReadErr)
-	r.machines = append(r.machines, dst)
-	ml := newMigLink(cfg.Seed*999983+int64(idx)*104729, cfg, r.cur, dst)
-	if err := ml.connect(r.g.ID); err != nil {
-		return fmt.Errorf("bench: migrate seed %d standby: connect: %w", cfg.Seed, err)
-	}
-
-	src := r.cur
-	srcG := r.g
-	mig := &core.Migrator{
-		Src:      src.o,
-		Dst:      dst.o,
-		G:        srcG,
-		Link:     ml.rb,
-		Target:   ml.recv,
-		SrcStore: src.sb,
-		DstStore: dst.sb,
-		Sup:      r.sup,
-		Reconnect: func() error {
-			return ml.reset(srcG.ID)
-		},
-		Cfg: core.MigratorConfig{
-			MaxRounds: cfg.Rounds,
-			Retries:   cfg.Retries,
-			Lineage:   r.lineage,
-			Name:      "standby",
-		},
+	src, srcG := r.cur, r.l.g
+	dst := NewNode(fmt.Sprintf("standby-m%d", idx), cfg.Seed*37+int64(idx)*1009, cfg.StoreWriteErr, cfg.StoreReadErr)
+	mig, w, err := r.migrator(dst, cfg.Seed*999983+int64(idx)*104729, "standby")
+	if err != nil {
+		return err
 	}
 
 	// Keep the standby warm: perpetual pre-copy on the checkpoint
 	// cadence.
 	for i := 0; i < cfg.Rounds; i++ {
-		if err := mig.StandbyRound(r.step); err != nil {
-			return fmt.Errorf("bench: migrate seed %d standby round %d: %w", cfg.Seed, i, err)
+		if err := mig.StandbyRound(func() error { return r.l.slice(cfg.StepsPerEpoch) }); err != nil {
+			return fmt.Errorf("standby round %d: %w", i, err)
 		}
 	}
 
 	// Unplanned death: every member crashes with an error. The source
 	// supervisor would normally restore this — the promotion must beat
 	// it by fencing, and a later poll must refuse the fenced zombie.
-	for _, pid := range srcG.PIDs() {
-		if p, err := src.k.Process(pid); err == nil {
-			src.k.Exit(p, 2)
-		}
-	}
-
+	src.kill(srcG, 2)
 	rep, err := mig.PromoteStandby()
 	if err != nil {
-		return fmt.Errorf("bench: migrate seed %d standby promotion: %w", cfg.Seed, err)
+		return fmt.Errorf("standby promotion: %w", err)
 	}
 	r.rep.TTR = rep.TTR
 	r.rep.Retries += rep.Retries
@@ -508,109 +285,75 @@ func (r *migRun) standbyLeg() error {
 	// a poll restores nothing. A restarted supervisor that re-watches
 	// the fenced zombie (it cannot know better) must refuse to restore
 	// it and report it fenced instead.
-	r.sup.Watch(srcG)
-	for _, ev := range r.sup.Poll() {
+	src.sup.Watch(srcG)
+	for _, ev := range src.sup.Poll() {
 		if ev.NewGroup != 0 {
-			return fmt.Errorf("bench: migrate seed %d standby: supervisor restored fenced zombie group %d as %d",
-				cfg.Seed, ev.Group, ev.NewGroup)
+			return fmt.Errorf("supervisor restored fenced zombie group %d as %d", ev.Group, ev.NewGroup)
 		}
 		if ev.Fenced {
 			r.rep.SupervisorSkips++
 		}
 	}
-
-	r.cur = dst
-	r.g = rep.Group
-	r.lastDurable = 0
-	if err := r.invariants("standby"); err != nil {
-		return err
-	}
-	if err := r.verifyState(dst, r.g, "standby lazy tail"); err != nil {
-		return err
-	}
-	if err := r.verifyFromStore(dst.sb, srcG.ID, rep.Floor, "standby target store"); err != nil {
-		return err
-	}
-	if err := r.expectFenced(src, srcG, srcG.Generation(), "standby fenced source"); err != nil {
-		return err
-	}
-	ml.stop()
-	r.rep.LinkDropped += ml.link.DroppedCount()
-	r.rep.LinkInjected += ml.link.InjectedCount()
-
-	for i := 0; i < cfg.PostEpochs; i++ {
-		if err := r.epoch(); err != nil {
-			return fmt.Errorf("bench: migrate seed %d standby post-epoch %d: %w", cfg.Seed, i, err)
-		}
-	}
-	return r.invariants("standby post")
+	return r.arrived(src, dst, w, rep)
 }
 
 // MigrateChaosRun executes one migration chaos schedule.
 func MigrateChaosRun(cfg MigrateChaosConfig) (*MigrateChaosReport, error) {
 	cfg = cfg.withDefaults()
-	r := &migRun{cfg: cfg, rep: &MigrateChaosReport{Seed: cfg.Seed, Hops: cfg.Hops}}
+	r := &migRun{
+		harness: newHarness("migrate", cfg.Seed),
+		cfg:     cfg,
+		rep:     &MigrateChaosReport{Seed: cfg.Seed, Hops: cfg.Hops},
+		tp: NewTopology(netback.LinkFaultConfig{
+			Drop:    cfg.LinkDrop,
+			Dup:     cfg.LinkDup,
+			Reorder: cfg.LinkReorder,
+			Corrupt: cfg.LinkCorrupt,
+		}),
+	}
+	if err := r.script(); err != nil {
+		return nil, r.fail(err)
+	}
+	return r.rep, nil
+}
 
-	m0 := newMigMachine("m0", cfg.Seed, cfg.StoreWriteErr, cfg.StoreReadErr)
-	r.machines = []*migMachine{m0}
+func (r *migRun) script() error {
+	cfg := r.cfg
+	m0 := NewNode("m0", cfg.Seed, cfg.StoreWriteErr, cfg.StoreReadErr)
+	r.stores = []*core.StoreNode{m0.storeNode("")}
 	r.cur = m0
-
-	p, err := m0.k.Spawn(0, "migrate-app")
+	l, err := r.start(m0, workload{pages: chaosPages, seed: cfg.Seed}, "migrate-app")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p.SetProgram(&chaosCounter{addr: p.HeapBase()})
-	for pg := 1; pg <= chaosPages; pg++ {
-		if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), recoveryPattern(pg, cfg.Seed)); err != nil {
-			return nil, err
-		}
-	}
-	g, err := m0.o.Persist("migrate-app", p)
-	if err != nil {
-		return nil, err
-	}
-	r.g = g
-	r.lineage = g.ID
-	m0.o.Attach(g, m0.sb)
-	if err := m0.sb.Store().SetPrimary(r.lineage, g.Generation()); err != nil {
-		return nil, err
-	}
-	if err := m0.sb.Store().Sync(); err != nil {
-		return nil, err
-	}
-	r.sup = core.NewSupervisor(m0.o, core.SupervisorConfig{})
-	r.sup.Watch(g)
+	r.l = l
+	m0.sup = core.NewSupervisor(m0.o, core.SupervisorConfig{})
+	m0.sup.Watch(l.g)
 
 	for i := 0; i < cfg.PreEpochs; i++ {
-		if err := r.epoch(); err != nil {
-			return nil, fmt.Errorf("bench: migrate seed %d pre-epoch %d: %w", cfg.Seed, i, err)
+		r.at("pre-epoch %d", i)
+		if err := l.epoch(cfg.StepsPerEpoch); err != nil {
+			return err
 		}
 	}
-	if err := r.invariants("pre"); err != nil {
-		return nil, err
+	if err := r.check("pre"); err != nil {
+		return err
 	}
-
 	for hop := 0; hop < cfg.Hops; hop++ {
 		if err := r.hop(hop); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if cfg.Standby {
 		if err := r.standbyLeg(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
-	r.rep.Durable = r.g.Durable()
-	r.rep.FinalCounter = r.lastCounter
-	sorted := append([]time.Duration(nil), r.rep.Blackouts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if n := len(sorted); n > 0 {
-		r.rep.BlackoutP50 = sorted[n/2]
-		r.rep.BlackoutP99 = sorted[(n*99)/100]
-		r.rep.BlackoutMax = sorted[n-1]
-	}
-	return r.rep, nil
+	r.rep.Durable = l.g.Durable()
+	r.rep.FinalCounter = l.last
+	r.rep.BlackoutP50, r.rep.BlackoutP99, r.rep.BlackoutMax = percentiles(slices.Clone(r.rep.Blackouts))
+	return nil
 }
 
 // MigratePoint is one row of BENCH_migrate.json.
@@ -652,12 +395,7 @@ func MigrateSweep(seeds []int64, rates []float64) ([]MigratePoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			var srcMax time.Duration
-			for _, d := range rep.SrcStops {
-				if d > srcMax {
-					srcMax = d
-				}
-			}
+			_, _, srcMax := percentiles(slices.Clone(rep.SrcStops))
 			points = append(points, MigratePoint{
 				Seed:          seed,
 				LinkFaultPct:  rate * 100,

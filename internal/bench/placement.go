@@ -1,34 +1,26 @@
 package bench
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"aurora/internal/core"
-	"aurora/internal/kernel"
 	"aurora/internal/netback"
-	"aurora/internal/storage"
-	"aurora/internal/vm"
 )
 
-// This file is the store-kill placement chaos harness: a fleet of N
-// stores (each a full topology Node) is populated with hundreds of
-// counter groups through core.Placer under failure-domain
-// anti-affinity, driven with open-loop checkpoint load over
-// fault-injecting links and store devices, and then one store's device
-// dies permanently. The placer's probe ladder must declare the death,
-// evacuate every resident lineage through the bounded-concurrency
-// queue (standby promotion on the best surviving replica, typed
-// ErrEvacuating while queued), and re-replicate to full strength.
-// Invariants asserted after the heal, per resident lineage: durable
-// never regressed, the workload state is bit-identical on the new
-// primary (counter + patterned pages), a scratch-machine restore from
-// the new primary's store is bit-identical, exactly one store claims
-// the primary role at the max generation, and no placement violates
-// anti-affinity. An optional drain leg then decommissions one
+// This file is the store-kill placement chaos script: a fleet of N
+// stores (harness.go's fleet) is populated with hundreds of counter
+// groups through core.Placer under failure-domain anti-affinity, driven
+// with open-loop checkpoint load over fault-injecting links and store
+// devices, and then one store's device dies permanently. The placer's
+// probe ladder must declare the death, evacuate every resident lineage
+// through the bounded-concurrency queue (standby promotion on the best
+// surviving replica, typed ErrEvacuating while queued), and
+// re-replicate to full strength. After every leg the shared harness
+// check runs, and every re-homed lineage is verified bit-identical on
+// its new primary (live state + a scratch-machine restore from the new
+// primary's store). An optional drain leg then decommissions one
 // survivor end to end.
 
 // placePages is the patterned working set per group (beyond the
@@ -134,20 +126,11 @@ type PlacementChaosReport struct {
 	LinkInjected int64
 }
 
-// placeRun carries the harness state.
+// placeRun carries the script state.
 type placeRun struct {
+	*fleet
 	cfg PlacementChaosConfig
 	rep *PlacementChaosReport
-
-	tp     *Topology
-	dir    *netback.Directory
-	placer *core.Placer
-	nodes  []*core.StoreNode
-	bench  map[*core.StoreNode]*Node // placer node -> topology node
-
-	counterAt   map[uint64]map[uint64]uint64 // lineage -> epoch -> counter
-	patternSeed map[uint64]int64             // lineage -> pattern seed
-	lastDurable map[uint64]uint64            // lineage -> last observed durable
 }
 
 func domainOf(i, stores int) string {
@@ -162,230 +145,97 @@ func domainOf(i, stores int) string {
 func PlacementChaosRun(cfg PlacementChaosConfig) (*PlacementChaosReport, error) {
 	cfg = cfg.withDefaults()
 	r := &placeRun{
-		cfg:         cfg,
-		rep:         &PlacementChaosReport{Seed: cfg.Seed, Stores: cfg.Stores, Groups: cfg.Groups},
-		bench:       make(map[*core.StoreNode]*Node),
-		counterAt:   make(map[uint64]map[uint64]uint64),
-		patternSeed: make(map[uint64]int64),
-		lastDurable: make(map[uint64]uint64),
+		fleet: newFleet("placement", cfg.Seed, cfg.StepsPerEpoch, netback.LinkFaultConfig{
+			Drop:    cfg.LinkDrop,
+			Dup:     cfg.LinkDup,
+			Reorder: cfg.LinkReorder,
+			Corrupt: cfg.LinkCorrupt,
+		}, cfg.StoreWriteErr, cfg.StoreReadErr, core.PlacerConfig{
+			Replicas:        cfg.Replicas,
+			EvacConcurrency: cfg.EvacConcurrency,
+		}),
+		cfg: cfg,
+		rep: &PlacementChaosReport{Seed: cfg.Seed, Stores: cfg.Stores, Groups: cfg.Groups},
 	}
+	if err := r.script(); err != nil {
+		return nil, r.fail(err)
+	}
+	r.rep.RestoresVerified = r.verified
+	return r.rep, nil
+}
 
-	// Fleet: N stores, each a full topology node, linked through the
-	// production netback directory (the same code path the CLI wires).
-	r.tp = NewTopology(netback.LinkFaultConfig{
-		Drop:    cfg.LinkDrop,
-		Dup:     cfg.LinkDup,
-		Reorder: cfg.LinkReorder,
-		Corrupt: cfg.LinkCorrupt,
-	})
-	r.dir = netback.NewDirectory(netback.LinkFaultConfig{
-		Seed:    cfg.Seed,
-		Drop:    cfg.LinkDrop,
-		Dup:     cfg.LinkDup,
-		Reorder: cfg.LinkReorder,
-		Corrupt: cfg.LinkCorrupt,
-	})
-	r.placer = core.NewPlacer(r.dir, core.PlacerConfig{
-		Replicas:        cfg.Replicas,
-		EvacConcurrency: cfg.EvacConcurrency,
-		DownAfter:       5, // ride out injected probe faults on healthy stores
-		Retries:         8, // faulted cells need migrator retry headroom
-	})
+func (r *placeRun) script() error {
+	cfg := r.cfg
 	for i := 0; i < cfg.Stores; i++ {
-		bn := r.tp.Node(fmt.Sprintf("store%d", i), cfg.Seed*1000003+int64(i)*7919,
-			cfg.StoreWriteErr, cfg.StoreReadErr)
-		sn := &core.StoreNode{
-			Name:   bn.name,
-			Domain: domainOf(i, cfg.Stores),
-			O:      bn.o,
-			SB:     bn.sb,
-			Sup:    core.NewSupervisor(bn.o, core.SupervisorConfig{}),
+		if err := r.placer.AddStore(r.addStore(i, domainOf(i, cfg.Stores))); err != nil {
+			return err
 		}
-		if err := r.placer.AddStore(sn); err != nil {
-			return nil, err
-		}
-		r.nodes = append(r.nodes, sn)
-		r.bench[sn] = bn
 	}
-
-	// Place the fleet's lineages.
 	for i := 0; i < cfg.Groups; i++ {
-		name := fmt.Sprintf("app%04d", i)
-		pseed := cfg.Seed + int64(i)
-		pl, err := r.placer.Place(name, func(n *core.StoreNode) (*core.Group, error) {
-			p, err := n.O.K.Spawn(0, name)
-			if err != nil {
-				return nil, err
-			}
-			p.SetProgram(&chaosCounter{addr: p.HeapBase()})
-			for pg := 1; pg <= placePages; pg++ {
-				if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), recoveryPattern(pg, pseed)); err != nil {
-					return nil, err
-				}
-			}
-			return n.O.Persist(name, p)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench: placement seed %d: placing %s: %w", cfg.Seed, name, err)
+		r.at("placing app%04d", i)
+		if err := r.place(); err != nil {
+			return err
 		}
-		r.patternSeed[pl.Lineage] = pseed
-		r.counterAt[pl.Lineage] = make(map[uint64]uint64)
 		r.rep.Placed++
 	}
-	if v := r.placer.AntiAffinityViolations(); len(v) != 0 {
-		return nil, fmt.Errorf("bench: placement seed %d: violations at placement time: %v", cfg.Seed, v)
+	if err := r.check("placement"); err != nil {
+		return err
 	}
 
 	// Open-loop checkpoint load before the kill.
 	for e := 0; e < cfg.PreEpochs; e++ {
-		if err := r.epoch(); err != nil {
-			return nil, err
+		r.at("pre-kill epoch %d", e)
+		if err := r.round(true); err != nil {
+			return err
+		}
+		if err := r.check(r.phase); err != nil {
+			return err
 		}
 	}
-
 	if !cfg.SkipKill {
 		if err := r.killLeg(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-
 	// Post-heal load: the fleet keeps running.
 	for e := 0; e < cfg.PostEpochs; e++ {
-		if err := r.epoch(); err != nil {
-			return nil, err
+		r.at("post-heal epoch %d", e)
+		if err := r.round(true); err != nil {
+			return err
+		}
+		if err := r.check(r.phase); err != nil {
+			return err
 		}
 	}
-	if err := r.checkInvariants("post-heal load"); err != nil {
-		return nil, err
-	}
-
 	if cfg.Drain && !cfg.SkipKill {
 		if err := r.drainLeg(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
-	for _, pl := range r.placer.Placements() {
-		if _, err := r.placer.Lookup(pl.Lineage); err != nil {
-			continue
-		}
+	for _, pl := range r.live() {
 		if d := pl.Group().Durable(); d > r.rep.FinalDurable {
 			r.rep.FinalDurable = d
 		}
 	}
-	for _, sn := range r.nodes {
-		if sup := sn.Sup; sup != nil {
-			for _, ev := range sup.Events() {
-				if ev.Exempt {
-					r.rep.ExemptRestores++
-				}
+	for _, sn := range r.stores {
+		for _, ev := range sn.Sup.Events() {
+			if ev.Exempt {
+				r.rep.ExemptRestores++
 			}
 		}
 	}
-	sort.Slice(r.rep.EvacTTRs, func(i, j int) bool { return r.rep.EvacTTRs[i] < r.rep.EvacTTRs[j] })
-	if n := len(r.rep.EvacTTRs); n > 0 {
-		r.rep.EvacTTRp50 = r.rep.EvacTTRs[n/2]
-		r.rep.EvacTTRp99 = r.rep.EvacTTRs[(n*99)/100]
-		r.rep.EvacMax = r.rep.EvacTTRs[n-1]
-	}
-	return r.rep, nil
-}
-
-// live reports whether the placement is routable (not evacuating, not
-// lost) and returns it.
-func (r *placeRun) live(lineage uint64) (*core.Placement, bool) {
-	pl, err := r.placer.Lookup(lineage)
-	if err != nil {
-		return nil, false
-	}
-	return pl, true
-}
-
-func (r *placeRun) readCounter(pl *core.Placement) (uint64, error) {
-	g := pl.Group()
-	pids := g.PIDs()
-	if len(pids) == 0 {
-		return 0, fmt.Errorf("bench: placement seed %d: lineage %d has no members", r.cfg.Seed, pl.Lineage)
-	}
-	p, err := pl.Primary().O.K.Process(pids[0])
-	if err != nil {
-		return 0, err
-	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// epoch drives one open-loop round: every active store runs its
-// resident groups, then every routable lineage checkpoints and syncs
-// durable through the placer's wire-healing loop.
-func (r *placeRun) epoch() error {
-	placements := r.placer.Placements()
-	resident := make(map[*core.StoreNode]int)
-	for _, pl := range placements {
-		if _, ok := r.live(pl.Lineage); ok {
-			resident[pl.Primary()]++
-		}
-	}
-	for sn, count := range resident {
-		if st := sn.State(); st != core.StoreActive && st != core.StoreDraining {
-			continue
-		}
-		if _, err := r.bench[sn].k.Run(count * r.cfg.StepsPerEpoch); err != nil {
-			return fmt.Errorf("bench: placement seed %d: workload on %s: %w", r.cfg.Seed, sn.Name, err)
-		}
-	}
-	for _, pl := range placements {
-		pl, ok := r.live(pl.Lineage)
-		if !ok {
-			continue
-		}
-		c, err := r.readCounter(pl)
-		if err != nil {
-			return err
-		}
-		shed := true
-		for attempt := 0; attempt < 16 && shed; attempt++ {
-			bd, err := pl.Primary().O.Checkpoint(pl.Group(), core.CheckpointOpts{})
-			if err != nil {
-				return fmt.Errorf("bench: placement seed %d: checkpointing lineage %d: %w", r.cfg.Seed, pl.Lineage, err)
-			}
-			shed = bd.Shed
-		}
-		if shed {
-			return fmt.Errorf("bench: placement seed %d: admission control starved lineage %d", r.cfg.Seed, pl.Lineage)
-		}
-		r.counterAt[pl.Lineage][pl.Group().Epoch()] = c
-		if err := r.placer.SyncDurable(pl.Lineage); err != nil {
-			return err
-		}
-		if d := pl.Group().Durable(); d < r.lastDurable[pl.Lineage] {
-			return fmt.Errorf("bench: placement seed %d: lineage %d durable regressed %d -> %d",
-				r.cfg.Seed, pl.Lineage, r.lastDurable[pl.Lineage], d)
-		} else {
-			r.lastDurable[pl.Lineage] = d
-		}
-	}
+	r.rep.EvacTTRp50, r.rep.EvacTTRp99, r.rep.EvacMax = percentiles(r.rep.EvacTTRs)
 	return nil
 }
 
 // killLeg kills the busiest store's device permanently and polls the
 // placer until every resident is re-homed.
 func (r *placeRun) killLeg() error {
+	r.at("store kill")
 	// Victim: the store holding the most primaries (maximal storm).
-	resident := make(map[*core.StoreNode]int)
-	for _, pl := range r.placer.Placements() {
-		resident[pl.Primary()]++
-	}
-	var victim *core.StoreNode
-	for _, sn := range r.nodes {
-		if victim == nil || resident[sn] > resident[victim] ||
-			(resident[sn] == resident[victim] && sn.Name < victim.Name) {
-			victim = sn
-		}
-	}
+	resident := residents(r.placer.Placements())
+	victim := busiest(resident, r.stores)
 	r.rep.Victim = victim.Name
 	r.rep.Residents = resident[victim]
 	residents := make([]uint64, 0, resident[victim])
@@ -396,6 +246,9 @@ func (r *placeRun) killLeg() error {
 	}
 
 	r.bench[victim].fd.Down()
+	if err := r.check("store kill"); err != nil {
+		return err
+	}
 
 	// Poll until the storm drains. Each poll probes every store once
 	// (DownAfter consecutive failures declare the death) and processes
@@ -413,7 +266,7 @@ func (r *placeRun) killLeg() error {
 				r.rep.Repaired++
 			}
 			if ev.Kind == "evac-failed" && ev.Err != nil && !errors.Is(ev.Err, core.ErrNoFeasiblePlacement) {
-				return fmt.Errorf("bench: placement seed %d: evacuating lineage %d: %w", r.cfg.Seed, ev.Lineage, ev.Err)
+				return fmt.Errorf("evacuating lineage %d: %w", ev.Lineage, ev.Err)
 			}
 		}
 		evac, repair := r.placer.QueueDepths()
@@ -431,184 +284,39 @@ func (r *placeRun) killLeg() error {
 		}
 	}
 	if evac, repair := r.placer.QueueDepths(); evac != 0 || repair != 0 {
-		return fmt.Errorf("bench: placement seed %d: storm did not drain (evac %d, repair %d after %d polls)",
-			r.cfg.Seed, evac, repair, r.rep.Polls)
+		return fmt.Errorf("storm did not drain (evac %d, repair %d after %d polls)", evac, repair, r.rep.Polls)
 	}
 
 	// Every resident must be re-homed and bit-identical.
+	r.at("post-evacuation")
+	if err := r.rehomed(residents, victim); err != nil {
+		return err
+	}
 	for _, lin := range residents {
-		pl, ok := r.live(lin)
-		if !ok {
-			return fmt.Errorf("bench: placement seed %d: lineage %d not routable after heal", r.cfg.Seed, lin)
-		}
-		if pl.Primary() == victim {
-			return fmt.Errorf("bench: placement seed %d: lineage %d still resident on dead %s", r.cfg.Seed, lin, victim.Name)
-		}
-		if err := r.verifyLineage(pl, "post-evacuation"); err != nil {
-			return err
-		}
-		if len(pl.Replicas()) < r.cfg.Replicas-1 {
+		if pl, _ := r.placer.Lookup(lin); len(pl.Replicas()) < r.cfg.Replicas-1 {
 			r.rep.Degraded++
 		}
 	}
-	return r.checkInvariants("post-evacuation")
-}
-
-// verifyLineage checks the lineage bit-identical: the live counter and
-// patterned pages on the current primary match the last checkpointed
-// state, and a scratch-machine restore from the primary's store agrees.
-func (r *placeRun) verifyLineage(pl *core.Placement, where string) error {
-	g := pl.Group()
-	want, ok := r.counterAt[pl.Lineage][g.Durable()]
-	if !ok {
-		// The durable frontier includes placer-internal seed
-		// checkpoints; fall back to the newest engine-observed epoch at
-		// or below it.
-		var best uint64
-		found := false
-		for ep, c := range r.counterAt[pl.Lineage] {
-			if ep <= g.Durable() && ep >= best {
-				best, want, found = ep, c, true
-			}
-		}
-		if !found {
-			return fmt.Errorf("bench: placement seed %d %s: no recorded counter for lineage %d ≤ epoch %d",
-				r.cfg.Seed, where, pl.Lineage, g.Durable())
-		}
-	}
-	c, err := r.readCounter(pl)
-	if err != nil {
-		return fmt.Errorf("bench: placement seed %d %s: %w", r.cfg.Seed, where, err)
-	}
-	if c != want {
-		return fmt.Errorf("bench: placement seed %d %s: lineage %d counter %d, want %d — state not bit-identical",
-			r.cfg.Seed, where, pl.Lineage, c, want)
-	}
-	pids := g.PIDs()
-	p, err := pl.Primary().O.K.Process(pids[0])
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, vm.PageSize)
-	for pg := 1; pg <= placePages; pg++ {
-		if err := p.ReadMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), buf); err != nil {
-			return fmt.Errorf("bench: placement seed %d %s: paging lineage %d page %d: %w",
-				r.cfg.Seed, where, pl.Lineage, pg, err)
-		}
-		ref := recoveryPattern(pg, r.patternSeed[pl.Lineage])
-		for i := range buf {
-			if buf[i] != ref[i] {
-				return fmt.Errorf("bench: placement seed %d %s: lineage %d page %d byte %d differs",
-					r.cfg.Seed, where, pl.Lineage, pg, i)
-			}
-		}
-	}
-	r.rep.RestoresVerified++
-
-	// Scratch restore from the new primary's store: the image chain
-	// the promotion backfilled must be independently restorable.
-	var img *core.Image
-	var readTime time.Duration
-	for attempt := 0; attempt < 8; attempt++ { // ride out injected read faults
-		if img, readTime, err = pl.Primary().SB.Load(g.ID, g.Durable()); err == nil {
-			break
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("bench: placement seed %d %s: loading lineage %d epoch %d: %w",
-			r.cfg.Seed, where, pl.Lineage, g.Durable(), err)
-	}
-	clock := storage.NewClock()
-	k := kernel.NewWith(clock, vm.NewPhysMem(0))
-	o := core.NewOrchestrator(k)
-	ng, _, err := o.RestoreImage(img, readTime, core.RestoreOpts{})
-	if err != nil {
-		return fmt.Errorf("bench: placement seed %d %s: scratch restore of lineage %d: %w",
-			r.cfg.Seed, where, pl.Lineage, err)
-	}
-	npids := ng.PIDs()
-	if len(npids) == 0 {
-		return fmt.Errorf("bench: placement seed %d %s: scratch restore of lineage %d at epoch %d (group %d): image restored no processes",
-			r.cfg.Seed, where, pl.Lineage, img.Epoch, img.Group)
-	}
-	sp, err := k.Process(npids[0])
-	if err != nil {
-		return err
-	}
-	var b [8]byte
-	if err := sp.ReadMem(sp.HeapBase(), b[:]); err != nil {
-		return err
-	}
-	if got := binary.LittleEndian.Uint64(b[:]); got != want {
-		return fmt.Errorf("bench: placement seed %d %s: scratch restore of lineage %d: counter %d, want %d",
-			r.cfg.Seed, where, pl.Lineage, got, want)
-	}
-	r.rep.RestoresVerified++
-	return nil
-}
-
-// checkInvariants asserts zero anti-affinity violations and the
-// exactly-one-primary-at-max-gen fencing invariant for every lineage,
-// across every store in the fleet (dead ones included — their stale
-// claims must rank strictly below the promoted generation).
-func (r *placeRun) checkInvariants(where string) error {
-	if v := r.placer.AntiAffinityViolations(); len(v) != 0 {
-		r.rep.Violations += len(v)
-		return fmt.Errorf("bench: placement seed %d %s: anti-affinity violated: %v", r.cfg.Seed, where, v)
-	}
-	for _, pl := range r.placer.Placements() {
-		if _, ok := r.live(pl.Lineage); !ok {
-			continue
-		}
-		type claim struct {
-			who string
-			gen uint64
-		}
-		var claims []claim
-		var maxGen uint64
-		for _, sn := range r.nodes {
-			if gen, primary := sn.SB.Store().PrimaryGen(pl.Lineage); primary {
-				claims = append(claims, claim{sn.Name, gen})
-				if gen > maxGen {
-					maxGen = gen
-				}
-			}
-		}
-		n := 0
-		for _, cl := range claims {
-			if cl.gen == maxGen {
-				n++
-			}
-		}
-		if n != 1 {
-			return fmt.Errorf("bench: placement seed %d %s: lineage %d has %d primary claims at max generation %d (want exactly 1: %v)",
-				r.cfg.Seed, where, pl.Lineage, n, maxGen, claims)
-		}
-	}
-	return nil
+	return r.check(r.phase)
 }
 
 // drainLeg decommissions the active store with the fewest residents:
 // every resident lineage live-migrates off, replica roles re-home, the
 // store fences, and the moved lineages stay bit-identical.
 func (r *placeRun) drainLeg() error {
-	resident := make(map[*core.StoreNode]int)
-	for _, pl := range r.placer.Placements() {
-		if _, ok := r.live(pl.Lineage); ok {
-			resident[pl.Primary()]++
-		}
-	}
+	r.at("drain")
+	resident := residents(r.live())
 	// Drain a store outside the dead victim's failure domain: with the
 	// victim's domain already short a store, draining inside it can
 	// leave lineages there with no anti-affine migration target.
 	var victimDomain string
-	for _, sn := range r.nodes {
+	for _, sn := range r.stores {
 		if sn.Name == r.rep.Victim {
 			victimDomain = sn.Domain
 		}
 	}
 	var target *core.StoreNode
-	for _, sn := range r.nodes {
+	for _, sn := range r.stores {
 		if sn.State() != core.StoreActive || sn.Domain == victimDomain {
 			continue
 		}
@@ -621,14 +329,14 @@ func (r *placeRun) drainLeg() error {
 		return nil
 	}
 	moved := make([]uint64, 0, resident[target])
-	for _, pl := range r.placer.Placements() {
-		if _, ok := r.live(pl.Lineage); ok && pl.Primary() == target {
+	for _, pl := range r.live() {
+		if pl.Primary() == target {
 			moved = append(moved, pl.Lineage)
 		}
 	}
 	evs, err := r.placer.Drain(target)
 	if err != nil {
-		return fmt.Errorf("bench: placement seed %d: draining %s: %w", r.cfg.Seed, target.Name, err)
+		return fmt.Errorf("draining %s: %w", target.Name, err)
 	}
 	for _, ev := range evs {
 		if ev.Kind == "migrated" {
@@ -636,22 +344,13 @@ func (r *placeRun) drainLeg() error {
 		}
 	}
 	if target.State() != core.StoreFenced {
-		return fmt.Errorf("bench: placement seed %d: %s state %s after drain, want fenced",
-			r.cfg.Seed, target.Name, target.State())
+		return fmt.Errorf("%s state %s after drain, want fenced", target.Name, target.State())
 	}
-	for _, lin := range moved {
-		pl, ok := r.live(lin)
-		if !ok {
-			return fmt.Errorf("bench: placement seed %d: lineage %d lost by drain", r.cfg.Seed, lin)
-		}
-		if pl.Primary() == target {
-			return fmt.Errorf("bench: placement seed %d: lineage %d still on drained %s", r.cfg.Seed, lin, target.Name)
-		}
-		if err := r.verifyLineage(pl, "post-drain"); err != nil {
-			return err
-		}
+	r.at("post-drain")
+	if err := r.rehomed(moved, target); err != nil {
+		return err
 	}
-	return r.checkInvariants("post-drain")
+	return r.check(r.phase)
 }
 
 // --- Sweep -----------------------------------------------------------

@@ -1,21 +1,16 @@
 package bench
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"aurora/internal/core"
-	"aurora/internal/kernel"
 	"aurora/internal/netback"
-	"aurora/internal/objstore"
-	"aurora/internal/storage"
 	"aurora/internal/vm"
 )
 
-// This file is the quorum-replication harness: one primary machine
+// This file is the quorum-replication script: one primary machine
 // fanning every epoch out to a local store plus N acknowledged replica
 // links under a core.QuorumPolicy, with a seeded minority-kill /
 // partition-heal schedule. It asserts the quorum availability story:
@@ -24,7 +19,8 @@ import (
 // quorum promotion elects the best member and read-repairs the rest,
 // and a restore from ANY member is bit-identical afterwards. It also
 // measures the latency story — the W-th-fastest-ack durable latency
-// against the all-backends baseline.
+// against the all-backends baseline. The machines, workload, ledger and
+// standing invariants are the shared harness's (harness.go).
 
 // QuorumChaosConfig parameterizes one quorum chaos run. Zero values
 // pick defaults; the kill/partition windows are seeded so different
@@ -145,223 +141,48 @@ type QuorumChaosReport struct {
 	RestoresVerified int    // bit-identical restores checked (mid-run + final)
 }
 
-// quorumLink is one replica link of the harness (the shared topology
-// Wire built as a standalone Endpoint: its fault link, the backend on
-// the primary side, and the receiver standing in for the replica
-// machine).
-type quorumLink = Wire
-
-// quorumRun carries the harness state.
+// quorumRun carries the script state.
 type quorumRun struct {
-	cfg      QuorumChaosConfig
-	rep      *QuorumChaosReport
-	baseline bool
+	*harness
+	cfg QuorumChaosConfig
+	rep *QuorumChaosReport
 
-	srcClock *storage.Clock
-	srcK     *kernel.Kernel
-	srcO     *core.Orchestrator
-	srcStore *core.StoreBackend
-
+	src   *Node
 	rs    *netback.ReplicaSet
-	links []*quorumLink
-
-	g           *core.Group
-	counterAt   map[uint64]uint64
-	lastDurable uint64
-	maxReleased uint64
-	forceFull   bool
-}
-
-func (q *quorumRun) startServe(l *quorumLink) { l.startServe() }
-
-// resetLink re-establishes one replica link (the shared topology
-// Wire's dance: poison the serve loop, reap, drain, heal,
-// re-handshake).
-func (q *quorumRun) resetLink(l *quorumLink) error {
-	if err := l.reset(q.g.ID); err != nil {
-		return fmt.Errorf("bench: quorum seed %d: %w", q.cfg.Seed, err)
-	}
-	return nil
-}
-
-func (q *quorumRun) linkHealth(name string) (core.BackendHealthInfo, bool) {
-	for _, hi := range q.g.Health() {
-		if hi.Name == name {
-			return hi, true
-		}
-	}
-	return core.BackendHealthInfo{}, false
-}
-
-// healLink drives one link back to healthy with its catch-up queue
-// drained; other links in scripted outages keep failing, which is
-// fine — Resync probes them and moves on.
-func (q *quorumRun) healLink(l *quorumLink) error {
-	var last error
-	for round := 0; round < 12; round++ {
-		hi, ok := q.linkHealth(l.name)
-		if ok && hi.State == core.BackendHealthy && hi.Pending == 0 {
-			return nil
-		}
-		if err := q.resetLink(l); err != nil {
-			return err
-		}
-		_ = q.srcO.Resync(q.g)
-		last = q.srcO.Sync(q.g)
-	}
-	return fmt.Errorf("bench: quorum seed %d: link %s did not heal: %w", q.cfg.Seed, l.name, last)
-}
-
-// syncDurable advances the durable frontier to the barrier epoch,
-// ignoring the expected failures of links in scripted outages.
-func (q *quorumRun) syncDurable() error {
-	var last error
-	for round := 0; round < 12; round++ {
-		last = q.srcO.Sync(q.g)
-		if q.g.Durable() == q.g.Epoch() {
-			return nil
-		}
-	}
-	return fmt.Errorf("bench: quorum seed %d: durable stuck at %d (barrier %d): %w",
-		q.cfg.Seed, q.g.Durable(), q.g.Epoch(), last)
-}
-
-func (q *quorumRun) readCounter() (uint64, error) {
-	p, err := q.srcK.Process(q.g.PIDs()[0])
-	if err != nil {
-		return 0, err
-	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-// epoch runs one workload slice and checkpoints it.
-func (q *quorumRun) epoch() (uint64, error) {
-	if _, err := q.srcK.Run(q.cfg.StepsPerEpoch); err != nil {
-		return 0, err
-	}
-	counter, err := q.readCounter()
-	if err != nil {
-		return 0, err
-	}
-	opts := core.CheckpointOpts{Full: q.forceFull}
-	q.forceFull = false
-	bd, err := q.srcO.Checkpoint(q.g, opts)
-	if err != nil {
-		return 0, err
-	}
-	if bd.Shed {
-		return 0, fmt.Errorf("bench: quorum seed %d: barrier shed with no admission control configured", q.cfg.Seed)
-	}
-	ep := q.g.Epoch()
-	q.counterAt[ep] = counter
-	return ep, nil
-}
-
-// invariants checks durable monotonicity, the released watermark, the
-// degraded-not-down cap on partitioned links, and the
-// exactly-one-primary fencing invariant.
-func (q *quorumRun) invariants(where string, dstStore *core.StoreBackend) error {
-	d := q.g.Durable()
-	if d < q.lastDurable {
-		return fmt.Errorf("bench: quorum %s: durable regressed %d -> %d", where, q.lastDurable, d)
-	}
-	q.lastDurable = d
-	for q.srcO.Released(q.g.ID, q.maxReleased+1) {
-		q.maxReleased++
-	}
-	for _, l := range q.links {
-		if hi, ok := q.linkHealth(l.name); ok && hi.State == core.BackendDown {
-			return fmt.Errorf("bench: quorum %s: link %s marked down (must cap at degraded)", where, l.name)
-		}
-	}
-	type claim struct {
-		who string
-		gen uint64
-	}
-	var claims []claim
-	var maxGen uint64
-	add := func(who string, sb *core.StoreBackend) {
-		if sb == nil {
-			return
-		}
-		if gen, primary := sb.Store().PrimaryGen(q.g.ID); primary {
-			claims = append(claims, claim{who, gen})
-			if gen > maxGen {
-				maxGen = gen
-			}
-		}
-	}
-	add("src", q.srcStore)
-	add("dst", dstStore)
-	n := 0
-	for _, cl := range claims {
-		if cl.gen == maxGen {
-			n++
-		}
-	}
-	if n != 1 {
-		return fmt.Errorf("bench: quorum %s: %d stores claim primary at max generation %d (want exactly 1: %v)",
-			where, n, maxGen, claims)
-	}
-	return nil
-}
-
-// verifyCounterState checks a group restored on k bit-for-bit against
-// the counter and pattern captured at epoch.
-func (q *quorumRun) verifyCounterState(k *kernel.Kernel, g *core.Group, epoch uint64, where string) error {
-	want, ok := q.counterAt[epoch]
-	if !ok {
-		return fmt.Errorf("bench: quorum %s: no recorded counter for epoch %d", where, epoch)
-	}
-	p, err := k.Process(g.PIDs()[0])
-	if err != nil {
-		return fmt.Errorf("bench: quorum %s: %w", where, err)
-	}
-	var b [8]byte
-	if err := p.ReadMem(p.HeapBase(), b[:]); err != nil {
-		return fmt.Errorf("bench: quorum %s: reading counter: %w", where, err)
-	}
-	if got := binary.LittleEndian.Uint64(b[:]); got != want {
-		return fmt.Errorf("bench: quorum %s: counter %d at epoch %d, want %d — restore not bit-identical", where, got, epoch, want)
-	}
-	buf := make([]byte, vm.PageSize)
-	for pg := 1; pg <= chaosPages; pg++ {
-		if err := p.ReadMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), buf); err != nil {
-			return fmt.Errorf("bench: quorum %s: paging page %d: %w", where, pg, err)
-		}
-		ref := recoveryPattern(pg, q.cfg.Seed)
-		for i := range buf {
-			if buf[i] != ref[i] {
-				return fmt.Errorf("bench: quorum %s: page %d byte %d differs — restore not bit-identical", where, pg, i)
-			}
-		}
-	}
-	return nil
+	links []*Wire // one standalone Endpoint per replica-set member
+	l     *line
 }
 
 // restoreFromMember restores the member's image at epoch on a scratch
 // machine and verifies it bit-identical.
-func (q *quorumRun) restoreFromMember(l *quorumLink, epoch uint64, where string) error {
-	img, err := l.recv.ImageAt(q.g.ID, epoch)
+func (q *quorumRun) restoreFromMember(w *Wire, epoch uint64) error {
+	img, err := w.recv.ImageAt(q.l.g.ID, epoch)
 	if err != nil {
-		return fmt.Errorf("bench: quorum %s: member %s epoch %d: %w", where, l.name, epoch, err)
+		return fmt.Errorf("member %s epoch %d: %w", w.name, epoch, err)
 	}
-	clock := storage.NewClock()
-	k := kernel.NewWith(clock, vm.NewPhysMem(0))
-	o := core.NewOrchestrator(k)
-	ng, _, err := o.RestoreImage(img, 0, core.RestoreOpts{})
+	want, err := q.l.want(epoch)
 	if err != nil {
-		return fmt.Errorf("bench: quorum %s: restoring from %s: %w", where, l.name, err)
-	}
-	if err := q.verifyCounterState(k, ng, epoch, where+" from "+l.name); err != nil {
 		return err
+	}
+	if err := q.l.w.verifyImage(img, 0, want); err != nil {
+		return fmt.Errorf("member %s: %w", w.name, err)
 	}
 	q.rep.RestoresVerified++
 	return nil
+}
+
+// healed drives one replica link back to healthy and requires its
+// contiguous floor to have rejoined the durable line.
+func (q *quorumRun) healed(w *Wire) error {
+	w.down = false
+	if err := q.l.heal(w, w.name); err != nil {
+		return err
+	}
+	if got, want := w.recv.ContiguousEpoch(q.l.g.ID), q.l.g.Durable(); got != want {
+		return fmt.Errorf("replica %s floor %d != durable %d after heal", w.name, got, want)
+	}
+	q.rep.Heals++
+	return q.check(q.phase + " healed " + w.name)
 }
 
 // medianFlush is the median background flush latency over the group's
@@ -373,11 +194,8 @@ func medianFlush(g *core.Group) time.Duration {
 			durs = append(durs, bd.FlushTime)
 		}
 	}
-	if len(durs) == 0 {
-		return 0
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	return durs[len(durs)/2]
+	p50, _, _ := percentiles(durs)
+	return p50
 }
 
 // QuorumChaosRun executes one quorum chaos schedule and, unless
@@ -402,76 +220,64 @@ func QuorumChaosRun(cfg QuorumChaosConfig) (*QuorumChaosReport, error) {
 	return rep, nil
 }
 
-// runQuorum is the engine behind QuorumChaosRun: baseline mode keeps
+// runQuorum is the script behind QuorumChaosRun: baseline mode keeps
 // the identical machine shape (same store, links, slow member) but
 // leaves the group on legacy all-backends durability.
 func runQuorum(cfg QuorumChaosConfig, baseline bool) (*QuorumChaosReport, error) {
 	q := &quorumRun{
-		cfg:       cfg,
-		rep:       &QuorumChaosReport{Seed: cfg.Seed, Replicas: cfg.Replicas, W: cfg.W},
-		baseline:  baseline,
-		counterAt: make(map[uint64]uint64),
+		harness: newHarness("quorum", cfg.Seed),
+		cfg:     cfg,
+		rep:     &QuorumChaosReport{Seed: cfg.Seed, Replicas: cfg.Replicas, W: cfg.W},
 	}
+	if err := q.script(baseline); err != nil {
+		return nil, q.fail(err)
+	}
+	return q.rep, nil
+}
 
-	// Primary machine: fault-free local store + N replica links, all
-	// composed through the shared topology builder.
+func (q *quorumRun) script(baseline bool) error {
+	cfg := q.cfg
+
+	// Primary machine: fault-free local store + N replica links.
 	tp := NewTopology(netback.LinkFaultConfig{
 		Drop:    cfg.LinkDrop,
 		Dup:     cfg.LinkDup,
 		Reorder: cfg.LinkReorder,
 		Corrupt: cfg.LinkCorrupt,
 	})
-	src := tp.Node("quorum-src", cfg.Seed, 0, 0)
-	q.srcClock, q.srcK, q.srcO, q.srcStore = src.clock, src.k, src.o, src.sb
-
+	q.src = NewNode("quorum-src", cfg.Seed, 0, 0)
+	q.stores = []*core.StoreNode{q.src.storeNode("")}
 	q.rs = netback.NewReplicaSet(cfg.W)
 	for i := 0; i < cfg.Replicas; i++ {
-		l := tp.Endpoint(fmt.Sprintf("replica%d", i), cfg.Seed*1000003+int64(i)*7919, src)
+		w := tp.Endpoint(fmt.Sprintf("replica%d", i), cfg.Seed*1000003+int64(i)*7919, q.src)
 		if i == cfg.Replicas-1 {
-			l.rb.SetLinkLatency(cfg.SlowLinkLatency)
+			w.rb.SetLinkLatency(cfg.SlowLinkLatency)
 		}
-		q.rs.Add(l.name, l.rb, l.recv)
-		q.links = append(q.links, l)
+		q.rs.Add(w.name, w.rb, w.recv)
+		q.links = append(q.links, w)
 	}
 
-	// Workload: the chaos counter plus the patterned working set.
-	p, err := q.srcK.Spawn(0, "quorum-app")
+	l, err := q.start(q.src, workload{pages: chaosPages, seed: cfg.Seed}, "quorum-app")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	p.SetProgram(&chaosCounter{addr: p.HeapBase()})
-	for pg := 1; pg <= chaosPages; pg++ {
-		if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), recoveryPattern(pg, cfg.Seed)); err != nil {
-			return nil, err
-		}
-	}
-	g, err := q.srcO.Persist("quorum-app", p)
-	if err != nil {
-		return nil, err
-	}
-	q.g = g
-	q.srcO.Attach(g, q.srcStore)
+	q.l = l
 	if baseline {
 		for _, sl := range q.rs.Links() {
-			q.srcO.Attach(g, sl.RB)
+			q.src.o.Attach(l.g, sl.RB)
 		}
 	} else {
-		q.rs.AttachAll(q.srcO, g)
+		q.rs.AttachAll(q.src.o, l.g)
 	}
-	if err := q.srcStore.Store().SetPrimary(g.ID, g.Generation()); err != nil {
-		return nil, err
-	}
-	if err := q.srcStore.Store().Sync(); err != nil {
-		return nil, err
-	}
-	for _, l := range q.links {
-		if err := q.resetLink(l); err != nil {
-			return nil, err
+	for _, w := range q.links {
+		l.links = append(l.links, w.name)
+		if err := w.reset(l.g.ID); err != nil {
+			return err
 		}
 	}
 
 	killIdx, partIdx := 1, cfg.Replicas-1
-	var killed, partitioned *quorumLink
+	var killed, partitioned *Wire
 	if cfg.KillAt > 0 && killIdx < len(q.links) {
 		killed = q.links[killIdx]
 	}
@@ -479,31 +285,36 @@ func runQuorum(cfg QuorumChaosConfig, baseline bool) (*QuorumChaosReport, error)
 		partitioned = q.links[partIdx]
 	}
 
+	forceFull := false
 	for i := 1; i <= cfg.Checkpoints; i++ {
+		q.at("checkpoint %d", i)
 		if killed != nil && i == cfg.KillAt {
 			// Kill the replica: sever its link and lose its state (the
 			// receiver is replaced by an empty one on restart).
 			killed.link.PartitionBoth()
 			killed.down = true
 			q.rep.Kills++
+			if err := q.check(q.phase + " kill"); err != nil {
+				return err
+			}
 		}
 		if killed != nil && i == cfg.KillAt+cfg.KillLen {
 			// Mid-outage: restores from the surviving quorum members
 			// must be bit-identical.
-			for _, l := range q.links {
-				if l == killed || l.down {
+			for _, w := range q.links {
+				if w.down {
 					continue
 				}
-				if floor := l.recv.ContiguousEpoch(q.g.ID); floor == q.g.Durable() {
-					if err := q.restoreFromMember(l, floor, fmt.Sprintf("mid-kill checkpoint %d", i)); err != nil {
-						return nil, err
+				if floor := w.recv.ContiguousEpoch(l.g.ID); floor == l.g.Durable() {
+					if err := q.restoreFromMember(w, floor); err != nil {
+						return err
 					}
 				}
 			}
 			if !baseline && cfg.KillLen > 4 {
 				// The dead member must be reported lagging the quorum.
-				if err := q.rs.Lagging(q.g.ID, 4); !errors.Is(err, netback.ErrReplicaLagging) {
-					return nil, fmt.Errorf("bench: quorum seed %d: Lagging = %v, want ErrReplicaLagging", cfg.Seed, err)
+				if err := q.rs.Lagging(l.g.ID, 4); !errors.Is(err, netback.ErrReplicaLagging) {
+					return fmt.Errorf("Lagging = %v, want ErrReplicaLagging", err)
 				}
 			}
 			// Restart: a fresh receiver (empty chains — the kill lost
@@ -515,81 +326,71 @@ func runQuorum(cfg QuorumChaosConfig, baseline bool) (*QuorumChaosReport, error)
 			killed.pm = vm.NewPhysMem(0)
 			killed.recv = netback.NewReceiver(killed.pm, killed.clock)
 			q.rs.Links()[killIdx].Recv = killed.recv
-			killed.down = false
-			if err := q.healLink(killed); err != nil {
-				return nil, err
+			if err := q.healed(killed); err != nil {
+				return err
 			}
-			if got, want := killed.recv.ContiguousEpoch(q.g.ID), q.g.Durable(); got != want {
-				return nil, fmt.Errorf("bench: quorum seed %d: restarted replica floor %d != durable %d", cfg.Seed, got, want)
-			}
-			q.rep.CatchUpEpochs = int64(len(killed.recv.ReplicaEpochs(q.g.ID)))
-			q.rep.Heals++
+			q.rep.CatchUpEpochs = int64(len(killed.recv.ReplicaEpochs(l.g.ID)))
 			// The restarted replica bootstraps restorability from the
 			// next full checkpoint (the demotion doctrine).
-			q.forceFull = true
+			forceFull = true
 		}
 		if partitioned != nil && i == cfg.PartitionAt {
 			partitioned.link.PartitionBoth()
 			partitioned.down = true
+			if err := q.check(q.phase + " partition"); err != nil {
+				return err
+			}
 		}
 		if partitioned != nil && i == cfg.PartitionAt+cfg.PartitionLen {
-			partitioned.down = false
-			if err := q.healLink(partitioned); err != nil {
-				return nil, err
+			if err := q.healed(partitioned); err != nil {
+				return err
 			}
-			if got, want := partitioned.recv.ContiguousEpoch(q.g.ID), q.g.Durable(); got != want {
-				return nil, fmt.Errorf("bench: quorum seed %d: healed replica floor %d != durable %d", cfg.Seed, got, want)
-			}
-			q.rep.Heals++
 		}
 
-		if _, err := q.epoch(); err != nil {
-			return nil, fmt.Errorf("bench: quorum seed %d: checkpoint %d: %w", cfg.Seed, i, err)
+		if _, err := l.barrier(cfg.StepsPerEpoch, core.CheckpointOpts{Full: forceFull}); err != nil {
+			return err
 		}
-		if err := q.syncDurable(); err != nil {
-			return nil, err
+		forceFull = false
+		if err := l.syncDurable(); err != nil {
+			return err
 		}
 		// Under probabilistic link faults a healthy-scheduled link can
 		// drop its connection; keep those converging. Links inside a
 		// scripted outage stay down.
-		for _, l := range q.links {
-			if l.down {
-				continue
-			}
-			if hi, ok := q.linkHealth(l.name); ok && (hi.State != core.BackendHealthy || hi.Pending > 0) {
-				if err := q.healLink(l); err != nil {
-					return nil, err
+		for _, w := range q.links {
+			if !w.down && !l.healthy(w.name) {
+				if err := l.heal(w, w.name); err != nil {
+					return err
 				}
 			}
 		}
-		if err := q.invariants(fmt.Sprintf("checkpoint %d", i), nil); err != nil {
-			return nil, err
+		if err := q.check(q.phase); err != nil {
+			return err
 		}
 		if !baseline {
 			// The quorum availability claim: a dead or partitioned
 			// minority never holds back the released watermark.
-			if d := q.g.Durable(); d > 0 && q.maxReleased < d-1 {
-				return nil, fmt.Errorf("bench: quorum seed %d: checkpoint %d: released watermark %d lags durable %d under a minority outage",
-					cfg.Seed, i, q.maxReleased, d)
+			if d := l.g.Durable(); d > 0 && l.released < d-1 {
+				return fmt.Errorf("released watermark %d lags durable %d under a minority outage", l.released, d)
 			}
 		}
 	}
 	q.rep.Checkpoints = cfg.Checkpoints
-	q.rep.Durable = q.g.Durable()
-	q.rep.Released = q.maxReleased
-	q.rep.MedianDurable = medianFlush(q.g)
-	for _, l := range q.links {
-		q.rep.Partitions += l.rb.Partitions()
-		q.rep.LinkDropped += l.link.DroppedCount()
-		q.rep.LinkInjected += l.link.InjectedCount()
-		sent, skipped, resends := l.rb.DeltaStats()
+	q.rep.Durable = l.g.Durable()
+	q.rep.Released = l.released
+	q.rep.MedianDurable = medianFlush(l.g)
+	for _, w := range q.links {
+		q.rep.Partitions += w.rb.Partitions()
+		q.rep.LinkDropped += w.link.DroppedCount()
+		q.rep.LinkInjected += w.link.InjectedCount()
+		sent, skipped, resends := w.rb.DeltaStats()
 		q.rep.PagesSent += sent
 		q.rep.PagesSkipped += skipped
 		q.rep.NeedResends += resends
-		q.rep.ReceiverNeeds += l.recv.NeedsSent()
+		q.rep.ReceiverNeeds += w.recv.NeedsSent()
 	}
 	if baseline {
-		return q.rep, nil
+		return nil
 	}
 
 	// Disaster: the primary machine is declared permanently dead. A
@@ -597,47 +398,37 @@ func runQuorum(cfg QuorumChaosConfig, baseline bool) (*QuorumChaosReport, error)
 	// contiguous acked floor, fences every member, read-repairs the
 	// laggards, and resumes execution — after which a restore from ANY
 	// member must be bit-identical.
-	lineage := q.g.ID
-	preFloor := q.g.Durable()
-	dstClock := storage.NewClock()
-	dstK := kernel.NewWith(dstClock, vm.NewPhysMem(0))
-	dstO := core.NewOrchestrator(dstK)
-	dstStore := core.NewStoreBackend(objstore.Create(storage.NewMemDevice(storage.ParamsOptaneNVMe, dstClock), dstClock), dstK.Mem, dstClock)
-	prep, err := dstO.PromoteQuorum(q.rs.Sources(), lineage, dstStore, core.RestoreOpts{})
+	q.at("promotion")
+	lineage := l.g.ID
+	dst := NewNode("quorum-dst", 0, 0, 0)
+	q.stores = append(q.stores, dst.storeNode(""))
+	prep, err := l.promote(dst, q.rs.Sources(), l.g.Durable())
 	if err != nil {
-		return nil, fmt.Errorf("bench: quorum seed %d: promotion: %w", cfg.Seed, err)
-	}
-	if prep.Floor != preFloor {
-		return nil, fmt.Errorf("bench: quorum seed %d: promotion floor %d, want durable %d", cfg.Seed, prep.Floor, preFloor)
-	}
-	if prep.Floor < q.maxReleased {
-		return nil, fmt.Errorf("bench: quorum seed %d: promotion floor %d loses released output (watermark %d)",
-			cfg.Seed, prep.Floor, q.maxReleased)
-	}
-	if err := q.verifyCounterState(dstK, prep.Group, prep.Floor, "promotion"); err != nil {
-		return nil, err
+		return err
 	}
 	q.rep.PromoteGen = prep.Gen
 	q.rep.Floor = prep.Floor
 	q.rep.Elected = prep.Elected
 	q.rep.Repaired = prep.Repaired
-	if err := q.invariants("after promotion", dstStore); err != nil {
-		return nil, err
+	// The source line is still what the ledger follows (the promoted
+	// group never runs here); the claims now span both stores.
+	if err := q.check("after promotion"); err != nil {
+		return err
 	}
 	// Every member — including the killed-and-repaired one — restores
 	// the promoted floor bit-identically.
-	for _, l := range q.links {
-		if err := q.restoreFromMember(l, prep.Floor, "post-promotion"); err != nil {
-			return nil, err
+	for _, w := range q.links {
+		if err := q.restoreFromMember(w, prep.Floor); err != nil {
+			return err
 		}
 	}
 	// And every member's fence now rejects the stale generation.
-	for _, l := range q.links {
-		if fg := l.recv.FenceGen(lineage); fg != prep.Gen {
-			return nil, fmt.Errorf("bench: quorum seed %d: member %s fence %d, want %d", cfg.Seed, l.name, fg, prep.Gen)
+	for _, w := range q.links {
+		if fg := w.recv.FenceGen(lineage); fg != prep.Gen {
+			return fmt.Errorf("member %s fence %d, want %d", w.name, fg, prep.Gen)
 		}
 	}
-	return q.rep, nil
+	return nil
 }
 
 // QuorumPoint is one cell of the quorum sweep matrix.

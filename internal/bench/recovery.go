@@ -52,13 +52,8 @@ func recoveryPattern(page int, seed int64) []byte {
 func RecoverySweep(ckpts int, rates []float64, seed int64) ([]RecoveryPoint, error) {
 	points := make([]RecoveryPoint, 0, len(rates))
 	for _, rate := range rates {
-		clock := storage.NewClock()
-		k := kernel.NewWith(clock, vm.NewPhysMem(0))
-		o := core.NewOrchestrator(k)
-
-		fd := storage.NewFaultDevice(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock,
-			storage.FaultConfig{Seed: seed, ReadErr: rate})
-		primary := core.NewStoreBackend(objstore.Create(fd, clock), k.Mem, clock)
+		n := NewNode("recovery", seed, 0, rate)
+		clock, k, o, fd, primary := n.clock, n.k, n.o, n.fd, n.sb
 		secondary := core.NewStoreBackend(objstore.Create(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock), k.Mem, clock)
 
 		p, err := k.Spawn(0, "recovery-touch")
@@ -120,17 +115,8 @@ func RecoverySweep(ckpts int, rates []float64, seed int64) ([]RecoveryPoint, err
 		if got != want {
 			return nil, fmt.Errorf("bench: recovery sweep at rate %g: counter %v, want %v — recovery not bit-correct", rate, got, want)
 		}
-		buf := make([]byte, vm.PageSize)
-		for pg := 1; pg <= recoveryPages; pg++ {
-			if err := np.ReadMem(np.HeapBase()+vm.Addr(pg*vm.PageSize), buf); err != nil {
-				return nil, fmt.Errorf("bench: recovery sweep at rate %g: paging page %d: %w", rate, pg, err)
-			}
-			ref := recoveryPattern(pg, seed)
-			for i := range buf {
-				if buf[i] != ref[i] {
-					return nil, fmt.Errorf("bench: recovery sweep at rate %g: page %d byte %d differs — recovery not bit-correct", rate, pg, i)
-				}
-			}
+		if err := patternIntact(np, recoveryPages, seed); err != nil {
+			return nil, fmt.Errorf("bench: recovery sweep at rate %g: %w", rate, err)
 		}
 		ttr := clock.Now() - start
 

@@ -19,8 +19,14 @@ import (
 func TestSpaceAcceptance(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		r, err := SpaceRun(SpaceConfig{
-			Seed:           seed,
-			Checkpoints:    500,
+			Seed:        seed,
+			Checkpoints: 500,
+			// Sized by the harness probe (synced first epoch + double control
+			// reserve) 10 epochs is 114,688 bytes: the device this test really
+			// ran on. The old racy probe's "10" was 10 + up to 4 window epochs,
+			// 116,078 bytes at one proc and 100,024..116,078 across procs.
+			// Every assertion holds 60/60 down to 7; at 6, 13/60 runs never
+			// shed at the emergency watermark.
 			CapacityEpochs: 10,
 			KeepLast:       16,
 			Marks:          core.Watermarks{Low: 0.50, High: 0.65, Emergency: 0.80},

@@ -12,19 +12,17 @@ import (
 	"aurora/internal/vm"
 )
 
-// Shared fleet topology builder. Every chaos engine in this package
+// Shared machine and wire builder. Every chaos engine in this package
 // simulates the same two primitives — a *machine* (its own virtual
 // clock, kernel, orchestrator, and fault-injecting store) and a *wire*
 // (a fault link carrying the acked replica protocol between a sender
-// backend and a far-side receiver). The placement, migrate, and quorum
-// engines used to each hardcode their own copies; Topology is the one
-// builder they all compose stores through, so a fix to the connect /
-// reset / teardown dance lands everywhere at once.
+// backend and a far-side receiver). Node and Wire are the only place
+// either is assembled, so a fix to the connect / reset / teardown
+// dance lands everywhere at once; harness.go holds what runs on them.
 
-// Topology builds machines and wires under one link-fault template.
+// Topology strings wires under one link-fault template.
 type Topology struct {
 	faults netback.LinkFaultConfig // per-wire template; Seed is per-wire
-	nodes  []*Node
 }
 
 // NewTopology creates a builder whose wires inject faults per the
@@ -34,11 +32,9 @@ func NewTopology(faults netback.LinkFaultConfig) *Topology {
 	return &Topology{faults: faults}
 }
 
-// Nodes lists every node built so far, in build order.
-func (tp *Topology) Nodes() []*Node { return tp.nodes }
-
 // Node is one simulated machine: its own virtual clock, kernel,
-// orchestrator, and fault-injecting store.
+// orchestrator, and fault-injecting store, plus the supervisor an
+// engine installs when its script crashes processes.
 type Node struct {
 	name  string
 	clock *storage.Clock
@@ -46,25 +42,60 @@ type Node struct {
 	o     *core.Orchestrator
 	fd    *storage.FaultDevice
 	sb    *core.StoreBackend
+	sup   *core.Supervisor
 }
 
-// Node builds a machine whose store device injects faults at the
-// given rates under its own seed.
-func (tp *Topology) Node(name string, seed int64, writeErr, readErr float64) *Node {
-	n := NewNode(name, seed, writeErr, readErr)
-	tp.nodes = append(tp.nodes, n)
-	return n
-}
-
-// NewNode builds one standalone machine (no topology bookkeeping).
+// NewNode builds one machine whose store device injects faults at the
+// given rates under its own seed. It is also the scratch machine of
+// every "restore it elsewhere and compare" check.
 func NewNode(name string, seed int64, writeErr, readErr float64) *Node {
+	return newNode(name, storage.FaultConfig{Seed: seed, WriteErr: writeErr, ReadErr: readErr}, 0)
+}
+
+// newNode is NewNode over a device of the given byte capacity
+// (0 = unbounded).
+func newNode(name string, faults storage.FaultConfig, capacity int64) *Node {
 	clock := storage.NewClock()
 	k := kernel.NewWith(clock, vm.NewPhysMem(0))
 	o := core.NewOrchestrator(k)
-	fd := storage.NewFaultDevice(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock,
-		storage.FaultConfig{Seed: seed, WriteErr: writeErr, ReadErr: readErr})
+	params := storage.ParamsOptaneNVMe
+	params.Capacity = capacity
+	fd := storage.NewFaultDevice(storage.NewMemDevice(params, clock), clock, faults)
 	sb := core.NewStoreBackend(objstore.Create(fd, clock), k.Mem, clock)
 	return &Node{name: name, clock: clock, k: k, o: o, fd: fd, sb: sb}
+}
+
+// bound composes the space scheduler onto a capacity-bounded node: the
+// retention reclaimer, with the reachability audit run after every
+// reclaimed epoch — the standing space invariant, whose failure aborts
+// the scan and surfaces through auditErr.
+func (n *Node) bound(keepLast int, marks core.Watermarks) {
+	rec := core.NewReclaimer(n.o, n.sb, core.RetentionPolicy{KeepLast: keepLast}, marks)
+	rec.Audit = (*objstore.Store).AuditReachability
+	n.sb.SetReclaimer(rec)
+}
+
+// auditErr reports a reachability audit that failed during reclamation.
+func (n *Node) auditErr() error {
+	if rec := n.sb.Reclaimer(); rec != nil && rec.Stats().LastAuditErr != "" {
+		return fmt.Errorf("reachability audit failed during reclamation on %s: %s", n.name, rec.Stats().LastAuditErr)
+	}
+	return nil
+}
+
+// kill crashes every member of g with the given nonzero exit code.
+func (n *Node) kill(g *core.Group, code int) {
+	for _, pid := range g.PIDs() {
+		if p, err := n.k.Process(pid); err == nil {
+			n.k.Exit(p, code)
+		}
+	}
+}
+
+// storeNode is the node as the placer and the primary-claim invariant
+// see it.
+func (n *Node) storeNode(domain string) *core.StoreNode {
+	return &core.StoreNode{Name: n.name, Domain: domain, O: n.o, SB: n.sb, Sup: n.sup}
 }
 
 // Wire is one replication wire: a fault link carrying the acked
@@ -128,14 +159,12 @@ func (w *Wire) startServe() {
 	}()
 }
 
-// reset re-establishes the wire: poison the serve loop, reap, drain,
-// heal, re-handshake. While a scripted partition window is open it
-// fails instead, modeling an unreachable far side.
-func (w *Wire) reset(group uint64) error {
-	if w.blockedFor > 0 {
-		w.blockedFor--
-		return fmt.Errorf("bench: wire %s partitioned: %w", w.name, netback.ErrDisconnected)
-	}
+// quiesce tears the connection all the way down: poison any live
+// serve loop (a partition drop makes it exit), reap it, and discard
+// every buffered frame so a stale hello-ack cannot satisfy the next
+// handshake. Reaping comes before the heal so the old loop can never
+// read a frame of the new session.
+func (w *Wire) quiesce() {
 	w.link.PartitionBoth()
 	if w.serving {
 		<-w.serveDone
@@ -144,6 +173,20 @@ func (w *Wire) reset(group uint64) error {
 	w.rb.Disconnect()
 	w.link.DrainPending()
 	w.link.Heal()
+}
+
+// reset re-establishes the wire: quiesce, then re-run the hello
+// handshake — retrying, since probabilistic faults can kill the
+// handshake itself. Every failed Connect implies a drop or corruption
+// that also poisons the serve loop, so reaping between attempts cannot
+// block. While a scripted partition window is open it fails instead,
+// modeling an unreachable far side.
+func (w *Wire) reset(group uint64) error {
+	if w.blockedFor > 0 {
+		w.blockedFor--
+		return fmt.Errorf("bench: wire %s partitioned: %w", w.name, netback.ErrDisconnected)
+	}
+	w.quiesce()
 	var err error
 	for attempt := 0; attempt < 64; attempt++ {
 		if !w.serving {
@@ -175,16 +218,4 @@ func (w *Wire) connect(group uint64) error {
 func (w *Wire) partition(retries int) {
 	w.link.PartitionBoth()
 	w.blockedFor = retries
-}
-
-// stop tears the wire down for good.
-func (w *Wire) stop() {
-	w.link.PartitionBoth()
-	if w.serving {
-		<-w.serveDone
-		w.serving = false
-	}
-	w.rb.Disconnect()
-	w.link.DrainPending()
-	w.link.Heal()
 }

@@ -252,9 +252,9 @@ type Autoscaler struct {
 	drainRetries  int
 	skipUntil     map[*StoreNode]uint64 // rolled-back drainees, backoff
 
-	lastSheds   int64
-	lastDurable map[uint64]uint64 // lineage → high-water durable frontier
-	violations  []string
+	lastSheds  int64
+	durable    DurableWatch // lineage → high-water durable frontier
+	violations []string
 }
 
 // NewAutoscaler builds the control loop over p. Warm spares are added
@@ -265,11 +265,11 @@ func NewAutoscaler(p *Placer, cfg AutoscalerConfig) *Autoscaler {
 		lane = storage.NewClock()
 	}
 	return &Autoscaler{
-		p:           p,
-		cfg:         cfg,
-		lane:        lane,
-		skipUntil:   make(map[*StoreNode]uint64),
-		lastDurable: make(map[uint64]uint64),
+		p:         p,
+		cfg:       cfg,
+		lane:      lane,
+		skipUntil: make(map[*StoreNode]uint64),
+		durable:   make(DurableWatch),
 	}
 }
 
@@ -421,11 +421,12 @@ func (p *Placer) primaries(n *StoreNode) int {
 	return p.primariesLocked(n)
 }
 
-// audit asserts the two PR 8 invariants across the fleet after this
-// tick's actions: durable never regresses along a lineage, and no two
-// stores claim the primary role for one lineage at the same max
+// audit asserts the two PR 8 invariants (invariant.go) across the fleet
+// after this tick's actions: durable never regresses along a lineage,
+// and exactly one store claims the primary role for it at the max
 // generation. Caller holds a.mu.
 func (a *Autoscaler) audit() {
+	stores := a.p.Stores()
 	for _, pl := range a.p.Placements() {
 		g := pl.Group()
 		if g == nil {
@@ -434,29 +435,10 @@ func (a *Autoscaler) audit() {
 		if _, err := a.p.Lookup(pl.Lineage); err != nil {
 			continue // mid-evacuation or lost: audited once re-homed
 		}
-		d := g.Durable()
-		if prev, ok := a.lastDurable[pl.Lineage]; ok && d < prev {
-			a.violations = append(a.violations,
-				fmt.Sprintf("tick %d: lineage %d durable regressed %d → %d", a.tick, pl.Lineage, prev, d))
-		}
-		a.lastDurable[pl.Lineage] = d
-
-		maxGen := uint64(0)
-		claims := 0
-		for _, n := range a.p.Stores() {
-			gen, ok := n.SB.Store().PrimaryGen(pl.Lineage)
-			if !ok {
-				continue
+		for _, err := range []error{a.durable.Observe(pl.Lineage, g.Durable()), CheckOnePrimary(pl.Lineage, stores)} {
+			if err != nil {
+				a.violations = append(a.violations, fmt.Sprintf("tick %d: %v", a.tick, err))
 			}
-			if gen > maxGen {
-				maxGen, claims = gen, 1
-			} else if gen == maxGen {
-				claims++
-			}
-		}
-		if maxGen > 0 && claims != 1 {
-			a.violations = append(a.violations,
-				fmt.Sprintf("tick %d: lineage %d has %d primary claims at max gen %d", a.tick, pl.Lineage, claims, maxGen))
 		}
 	}
 }

@@ -106,23 +106,38 @@ type PromoteReport struct {
 	TTR         time.Duration // modeled time to recovery (virtual clock)
 }
 
-// Promote turns a replica into the primary store for a lineage: the
-// replica's contiguous-epoch floor becomes the new durable line, its
-// history is backfilled into primary (the store that will anchor the
-// promoted group) in epoch order, divergent epochs beyond the floor
-// are quarantined, the fence advances to a freshly minted generation
-// on both the replica and the store — persisted through the store's
-// superblock — and the floor image is restored as a new group that
-// resumes execution at the promoted generation.
-func (o *Orchestrator) Promote(src ReplicaSource, lineage uint64, primary *StoreBackend, opts RestoreOpts) (*PromoteReport, error) {
-	return o.promoteFrom(src, lineage, primary, opts, src.FenceGen(lineage)+1)
-}
-
-// promoteFrom is Promote with the new generation chosen by the caller:
-// a quorum election mints it above the highest fence witnessed by ANY
-// member, not just the elected one, so a fence adopted only by a
-// minority still cannot outrank the promoted line.
-func (o *Orchestrator) promoteFrom(src ReplicaSource, lineage uint64, primary *StoreBackend, opts RestoreOpts, newGen uint64) (*PromoteReport, error) {
+// PromoteQuorum turns a replica set into the primary store for a
+// lineage. The member with the highest contiguous acked floor is
+// elected (ties break to the lowest index — election is deterministic;
+// a single replica is a set of one). Its contiguous-epoch floor becomes
+// the new durable line, its history is backfilled into primary (the
+// store that will anchor the promoted group) in epoch order, divergent
+// epochs beyond the floor are quarantined, and the fence advances to a
+// freshly minted generation — above the highest fence ANY member has
+// witnessed, so a fence adopted only by a minority still cannot outrank
+// the promoted line — on every member (the stale primary is rejected no
+// matter which replica it reaches) and on the store, persisted through
+// its superblock. The floor image is restored as a new group that
+// resumes execution at the promoted generation, and lagging members are
+// read-repaired: every epoch at or below the floor the elected member
+// holds and they lack is backfilled into their chains, making a
+// post-promotion restore from any member bit-identical.
+func (o *Orchestrator) PromoteQuorum(srcs []ReplicaSource, lineage uint64, primary *StoreBackend, opts RestoreOpts) (*PromoteReport, error) {
+	if len(srcs) == 0 {
+		return nil, fmt.Errorf("core: promoting lineage %d: empty replica set: %w", lineage, ErrNoImage)
+	}
+	elected := 0
+	var newGen uint64
+	for i, s := range srcs {
+		if s.ContiguousEpoch(lineage) > srcs[elected].ContiguousEpoch(lineage) {
+			elected = i
+		}
+		if fg := s.FenceGen(lineage); fg > newGen {
+			newGen = fg
+		}
+	}
+	newGen++
+	src := srcs[elected]
 	clock := o.K.Clock
 	start := clock.Now()
 
@@ -188,48 +203,16 @@ func (o *Orchestrator) promoteFrom(src ReplicaSource, lineage uint64, primary *S
 			return nil, fmt.Errorf("core: promoting lineage %d: persisting fence: %w", lineage, err)
 		}
 	}
-
-	return &PromoteReport{
+	rep := &PromoteReport{
 		Group:       ng,
 		Gen:         newGen,
 		Floor:       floor,
 		Quarantined: divergent,
 		Backfilled:  backfilled,
+		Elected:     elected,
 		TTR:         clock.Now() - start,
-	}, nil
-}
+	}
 
-// PromoteQuorum promotes from a replica set: the member with the
-// highest contiguous acked floor is elected (ties break to the lowest
-// index — election is deterministic), the new generation is minted
-// above the highest fence any member has witnessed, every member
-// adopts the fence (so the stale primary is rejected no matter which
-// replica it reaches), and lagging members are read-repaired: every
-// epoch at or below the promotion floor the elected member holds and
-// they lack is backfilled into their chains, making a post-promotion
-// restore from any member bit-identical.
-func (o *Orchestrator) PromoteQuorum(srcs []ReplicaSource, lineage uint64, primary *StoreBackend, opts RestoreOpts) (*PromoteReport, error) {
-	if len(srcs) == 0 {
-		return nil, fmt.Errorf("core: promoting lineage %d: empty replica set: %w", lineage, ErrNoImage)
-	}
-	elected := 0
-	for i, s := range srcs {
-		if s.ContiguousEpoch(lineage) > srcs[elected].ContiguousEpoch(lineage) {
-			elected = i
-		}
-	}
-	var newGen uint64
-	for _, s := range srcs {
-		if fg := s.FenceGen(lineage); fg > newGen {
-			newGen = fg
-		}
-	}
-	newGen++
-	rep, err := o.promoteFrom(srcs[elected], lineage, primary, opts, newGen)
-	if err != nil {
-		return nil, err
-	}
-	rep.Elected = elected
 	for i, s := range srcs {
 		if i == elected {
 			continue
@@ -243,11 +226,11 @@ func (o *Orchestrator) PromoteQuorum(srcs []ReplicaSource, lineage uint64, prima
 		for _, ep := range s.ReplicaEpochs(lineage) {
 			have[ep] = true
 		}
-		for _, ep := range srcs[elected].ReplicaEpochs(lineage) {
-			if ep > rep.Floor || have[ep] {
+		for _, ep := range epochs {
+			if ep > floor || have[ep] {
 				continue
 			}
-			img, err := srcs[elected].ImageAt(lineage, ep)
+			img, err := src.ImageAt(lineage, ep)
 			if err != nil {
 				return rep, fmt.Errorf("core: promoting lineage %d: read-repair epoch %d: %w", lineage, ep, err)
 			}

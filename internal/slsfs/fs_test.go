@@ -382,7 +382,7 @@ func TestQuickSnapshotFidelity(t *testing.T) {
 	f := func(before, after []op) bool {
 		fs := testFS(nil)
 		file, _ := fs.Create("/f")
-		model := make([]byte, 1<<16)
+		model := make([]byte, 1<<16+4096) // Off is a uint16, Data up to 4096 past it
 		var hi int64
 		for _, o := range before {
 			if len(o.Data) == 0 {
