@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check build vet fmtcheck gatecheck loc test race bench perf microbench benchcheck faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
+.PHONY: check build vet fmtcheck gatecheck fuzzcheck loc test race bench perf microbench benchcheck faultcheck recoverycheck chaoscheck spacecheck fleetcheck quorumcheck migratecheck placecheck scalecheck
 
 ## check: full gate — build, vet, race-enabled tests, seeded fault
 ## matrix, crash-recovery harness, whole-system chaos sweep, space-
 ## pressure survival, fleet scale, quorum replication, live migration,
-## multi-store placement, elastic autoscaling, and the smoke test of
-## the benchmark/ scoreboard
+## multi-store placement, elastic autoscaling, the smoke test of the
+## benchmark/ scoreboard, and five seconds of every fuzz target
 check:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -23,6 +23,7 @@ check:
 	$(MAKE) placecheck
 	$(MAKE) scalecheck
 	$(MAKE) benchcheck
+	$(MAKE) fuzzcheck
 
 build:
 	$(GO) build ./...
@@ -39,6 +40,18 @@ fmtcheck:
 ## cannot silently leave its gate.
 gatecheck:
 	GO=$(GO) bash scripts/gatecheck.sh
+
+## fuzzcheck: every Fuzz target `go test -list` finds under internal/ —
+## the decoders that read bytes from a device or a wire — runs for five
+## seconds on top of its seed corpus. A crasher lands in that package's
+## testdata/fuzz/ and fails the gate.
+fuzzcheck:
+	@$(GO) test -list '^Fuzz' ./internal/... | \
+	awk '/^Fuzz/ {names[n++] = $$1} /^ok/ {for (i = 0; i < n; i++) print $$2, names[i]; n = 0}' | \
+	while read -r pkg fz; do \
+		echo "fuzz $$pkg $$fz"; \
+		$(GO) test -run '^$$' -fuzz "^$$fz\$$" -fuzztime=5s -fuzzminimizetime=1s $$pkg || exit 1; \
+	done
 
 ## loc: the three non-test line counts ROADMAP tracks (north-star 2),
 ## by the definition ROADMAP uses.
@@ -172,15 +185,17 @@ bench:
 perf:
 	bash benchmark/run.sh
 
-## microbench: the per-layer microbenchmarks of the checkpoint data
-## path, where the code lives — COW fault, barrier and protect in
-## internal/vm, put and drop (merge-forward) in internal/objstore — on a
-## resident × dirty grid, at a fixed iteration count. Not gated; the
-## before/after table is in EXPERIMENTS.md "Checkpoint data path".
+## microbench: the per-layer microbenchmarks of the checkpoint and
+## restore data paths, where the code lives — COW fault, barrier and
+## protect in internal/vm, put and drop (merge-forward) in
+## internal/objstore, lazy restore + 64 demand faults + teardown in
+## internal/core — on a resident × dirty grid, at a fixed iteration
+## count. Not gated; the before/after tables are in EXPERIMENTS.md
+## "Checkpoint data path" and "Restore data path".
 microbench:
 	$(GO) test -run '^$$' -benchtime=200x -benchmem \
-		-bench 'BenchmarkCowFault|BenchmarkBeginCheckpoint|BenchmarkProtectObject|BenchmarkDropEpoch|BenchmarkPutRecord' \
-		./internal/vm/ ./internal/objstore/
+		-bench 'BenchmarkCowFault|BenchmarkBeginCheckpoint|BenchmarkProtectObject|BenchmarkDropEpoch|BenchmarkPutRecord|BenchmarkLazyRestore' \
+		./internal/vm/ ./internal/objstore/ ./internal/core/
 
 ## benchcheck: the scoreboard's own smoke test, race-enabled. benchmark/
 ## is a module of its own, so `go test ./...` does not reach it.

@@ -199,8 +199,10 @@ type StoreBackend struct {
 	store *objstore.Store
 	pm    *vm.PhysMem
 	clock *storage.Clock
-	// History bounds the per-group epoch history kept on disk
-	// (0 = unlimited); older epochs are garbage collected in place.
+	// HistoryLimit bounds the per-group epoch history kept on disk
+	// (0 = unlimited); older epochs are garbage collected in place,
+	// after each flush, by the orchestrator that delivered it — it
+	// knows which epochs live restores still read (trimHistory).
 	HistoryLimit int
 	// rec is the space-pressure reclaimer bound to this store (nil =
 	// unbounded retention). Shared across WithLane views.
@@ -235,7 +237,7 @@ func (sb *StoreBackend) Reclaimer() *Reclaimer { return sb.rec }
 // retirement is a chance to fold history forward. With a reclaimer
 // attached this is watermark-driven (a no-op below the low watermark);
 // without one it does nothing — HistoryLimit-based trimming already
-// runs inside Flush.
+// ran right after the flush.
 func (sb *StoreBackend) Trim(group uint64) {
 	if sb.rec != nil {
 		sb.rec.Scan()
@@ -306,11 +308,6 @@ func (sb *StoreBackend) Flush(img *Image) (time.Duration, error) {
 		Roots:   img.Roots,
 		Prev:    prev,
 	})
-	if sb.HistoryLimit > 0 {
-		if err := sb.store.TrimHistory(img.Group, sb.HistoryLimit); err != nil {
-			return 0, err
-		}
-	}
 	return sw.Elapsed(), nil
 }
 
@@ -324,7 +321,7 @@ func (sb *StoreBackend) Load(group, epoch uint64) (*Image, time.Duration, error)
 }
 
 // LoadLazy reads the checkpoint's metadata but leaves page data in the
-// store as block references (MemImage.Refs): restore attaches a
+// store, behind its live page view (MemImage.View): restore attaches a
 // fault-tolerant demand-paging source instead of materializing bytes.
 // This is what makes lazy restores actually lazy at the device level —
 // and what makes a mid-restore backend failure survivable, because
@@ -374,7 +371,7 @@ func (sb *StoreBackend) load(group, epoch uint64, lazy bool) (*Image, time.Durat
 					return nil, 0, err
 				}
 				img.Memory[mi.ObjID] = mi
-				idxBytes += 64 + 40*len(mi.Refs)
+				idxBytes += 64 + 40*mi.View.Len()
 			} else {
 				meta, kind, err := sb.store.ResolveMeta(group, key.OID, m.Epoch)
 				if err != nil {
@@ -404,7 +401,7 @@ func (sb *StoreBackend) load(group, epoch uint64, lazy bool) (*Image, time.Durat
 }
 
 // loadObject reads one VM object's resolved pages into a MemImage:
-// bytes for eager loads, block references for lazy ones.
+// bytes for eager loads, the store's page view for lazy ones.
 func (sb *StoreBackend) loadObject(group, oid, epoch uint64, lazy bool) (*MemImage, error) {
 	meta, _, err := sb.store.ResolveMeta(group, oid, epoch)
 	if err != nil {
@@ -414,15 +411,17 @@ func (sb *StoreBackend) loadObject(group, oid, epoch uint64, lazy bool) (*MemIma
 	if err != nil {
 		return nil, err
 	}
+	if lazy {
+		if mi.View, mi.Heat, err = sb.store.ResolveView(group, oid, epoch); err != nil {
+			return nil, err
+		}
+		return mi, nil
+	}
 	pages, heat, err := sb.store.ResolvePages(group, oid, epoch)
 	if err != nil {
 		return nil, err
 	}
 	mi.Heat = heat
-	if lazy {
-		mi.Refs = pages
-		return mi, nil
-	}
 	idxs := make([]int64, 0, len(pages))
 	refs := make([]objstore.BlockRef, 0, len(pages))
 	for idx, ref := range pages {

@@ -16,7 +16,7 @@ import (
 
 // touchedHeap grows p's heap to `pages` pages and writes every one of
 // them, so the whole object is resident and has heat.
-func touchedHeap(t *testing.T, p *kernel.Process, pages int) {
+func touchedHeap(t testing.TB, p *kernel.Process, pages int) {
 	t.Helper()
 	if _, err := p.Sbrk(int64(pages) * vm.PageSize); err != nil {
 		t.Fatal(err)

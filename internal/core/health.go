@@ -219,6 +219,9 @@ func (o *Orchestrator) attempt(b Backend, img *Image, base *storage.Clock) (time
 		d, err := target.Flush(img)
 		total += d
 		if err == nil {
+			err = o.trimHistory(target, img.Group)
+		}
+		if err == nil {
 			return total, attempts, nil
 		}
 		if attempts > o.flushRetries() {

@@ -42,18 +42,19 @@ type MemImage struct {
 	// SwapData holds pages that were on swap at the barrier, already
 	// read back as bytes.
 	SwapData map[int64][]byte
-	// Refs holds pages still sitting in an object store: a lazily
-	// loaded image (StoreBackend.LoadLazy) carries block references
-	// instead of bytes, and restore attaches a demand-paging source
-	// that reads — and hash-verifies — each block at first touch.
-	Refs map[int64]objstore.BlockRef
+	// View locates pages still sitting in an object store: a lazily
+	// loaded image (StoreBackend.LoadLazy) carries the store's live
+	// page view instead of bytes, and restore attaches a demand-paging
+	// source that looks up, reads — and hash-verifies — each block at
+	// first touch. Nothing here is sized by the image.
+	View *objstore.PageView
 	// Heat is the access-count snapshot driving restore prefetch: the
 	// non-zero counters in ascending page order.
 	Heat []vm.PageHeat
 }
 
 // PageCount returns the total captured page count.
-func (mi *MemImage) PageCount() int { return len(mi.Pages) + len(mi.SwapData) + len(mi.Refs) }
+func (mi *MemImage) PageCount() int { return len(mi.Pages) + len(mi.SwapData) + mi.View.Len() }
 
 // PageData returns one page's bytes regardless of where it was
 // captured from, or nil.
@@ -143,9 +144,9 @@ func (img *Image) PageCount() int {
 }
 
 // FootprintBytes reports the memory this image pins while it waits to
-// flush: captured frames and swap-page copies. Refs are excluded —
-// they point at store blocks, not RAM. This is what the fleet's global
-// memory budget charges per queued image.
+// flush: captured frames and swap-page copies. A store view is
+// excluded — it points at store blocks, not RAM. This is what the
+// fleet's global memory budget charges per queued image.
 func (img *Image) FootprintBytes() int64 {
 	var n int64
 	for _, mi := range img.Memory {

@@ -121,19 +121,53 @@ func (g *Group) Sheds() (total, emergency int64) {
 	return g.sheds, g.emergencySheds
 }
 
-// sourcePins lists the (lineage, epoch) pairs this group's live
-// demand-paging sources still read blocks from: reclamation must not
-// merge those epochs away while a restore pages against them.
-func (g *Group) sourcePins() [][2]uint64 {
+// pins lists the (lineage, epoch) pairs of store history this group
+// reads from outside its own flush frontier, which therefore no
+// retention rule may drop while the group lives: the epoch it was
+// restored from (its crash-loop fallback), and the epochs its live
+// demand-paging sources resolve their pages at — a lazy restore finds
+// every page through that epoch's place in the store's history.
+func (g *Group) pins() [][2]uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([][2]uint64, 0, len(g.sources))
+	var out [][2]uint64
+	if g.origin != 0 && g.origin != g.ID && g.originEpoch > 0 {
+		out = append(out, [2]uint64{g.origin, g.originEpoch})
+	}
 	for _, s := range g.sources {
 		if s.pinGroup != 0 || s.pinEpoch != 0 {
 			out = append(out, [2]uint64{s.pinGroup, s.pinEpoch})
 		}
 	}
 	return out
+}
+
+// pinnedEpochs lists the epochs of one lineage that live groups pin
+// (Group.pins). The space reclaimer honours the same pins through
+// protectionFor; this is the form the HistoryLimit trim consults.
+func (o *Orchestrator) pinnedEpochs(lineage uint64) []uint64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	var out []uint64
+	for _, g := range o.groups {
+		for _, pin := range g.pins() {
+			if pin[0] == lineage {
+				out = append(out, pin[1])
+			}
+		}
+	}
+	return out
+}
+
+// trimHistory enforces a store backend's HistoryLimit on one lineage,
+// passing over the epochs live groups pin. It runs right after every
+// delivered flush, where the trim used to sit inside Flush itself.
+func (o *Orchestrator) trimHistory(b Backend, lineage uint64) error {
+	sb, ok := b.(*StoreBackend)
+	if !ok || sb.HistoryLimit <= 0 {
+		return nil
+	}
+	return sb.store.TrimHistory(lineage, sb.HistoryLimit, o.pinnedEpochs(lineage))
 }
 
 // Epoch returns the group's current checkpoint epoch.

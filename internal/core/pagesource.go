@@ -46,19 +46,19 @@ type RecoveryStats struct {
 	Retries       int64 // extra primary read attempts
 }
 
-// lazyPageSource implements vm.PageSource over object-store block
-// references, with bounded retry, peer failover, and read-repair.
+// lazyPageSource implements vm.PageSource over the object store's live
+// page view, with bounded retry, peer failover, and read-repair.
 type lazyPageSource struct {
 	o      *Orchestrator
 	sb     *StoreBackend
-	refs   map[int64]objstore.BlockRef
+	view   *objstore.PageView
 	inline map[int64][]byte // pages already materialized as bytes
 
-	// pinGroup/pinEpoch name the store epoch this source's block
-	// references were resolved against. They are immutable after
-	// construction; the space reclaimer must not drop that epoch while
-	// the source lives, because a merge-forward drop can free
-	// superseded blocks the source still addresses by raw offset.
+	// pinGroup/pinEpoch name the store epoch the view resolves at.
+	// They are immutable after construction; neither the space
+	// reclaimer nor the HistoryLimit trim may drop that epoch while the
+	// source lives (Orchestrator.pinnedEpochs), because the view finds
+	// its pages through that epoch's place in the store's history.
 	pinGroup uint64
 	pinEpoch uint64
 
@@ -72,8 +72,8 @@ type lazyPageSource struct {
 	retries   atomic.Int64
 }
 
-func newLazyPageSource(o *Orchestrator, sb *StoreBackend, refs map[int64]objstore.BlockRef, inline map[int64][]byte, peers []BlockProvider) *lazyPageSource {
-	return &lazyPageSource{o: o, sb: sb, refs: refs, inline: inline, peers: peers}
+func newLazyPageSource(o *Orchestrator, sb *StoreBackend, view *objstore.PageView, inline map[int64][]byte, peers []BlockProvider) *lazyPageSource {
+	return &lazyPageSource{o: o, sb: sb, view: view, inline: inline, peers: peers}
 }
 
 // bind attaches the source to the restored group so read faults drive
@@ -98,16 +98,23 @@ func (s *lazyPageSource) stats() RecoveryStats {
 	}
 }
 
-// FetchPage implements vm.PageSource. It returns (nil, nil) for pages
-// the image never captured (zero-fill), and an error wrapping
-// ErrBackendDown when the primary and every peer failed.
-func (s *lazyPageSource) FetchPage(idx int64) ([]byte, error) {
+// FetchInto implements vm.PageSource. It reports false for pages the
+// image never captured (zero-fill), and an error wrapping
+// ErrBackendDown when the primary and every peer failed — or when the
+// view's epoch has left the store, which no peer can help with: there
+// is no block reference to ask them for.
+func (s *lazyPageSource) FetchInto(idx int64, dst []byte) (bool, error) {
 	if d, ok := s.inline[idx]; ok {
-		return d, nil
+		clear(dst[copy(dst, d):])
+		return true, nil
 	}
-	ref, ok := s.refs[idx]
+	ref, ok, err := s.view.Lookup(idx)
+	if err != nil {
+		return false, fmt.Errorf("%w: demand-paged read of page %d from %s: %w",
+			ErrBackendDown, idx, s.sb.Name(), err)
+	}
 	if !ok {
-		return nil, nil
+		return false, nil
 	}
 
 	// A primary the health machine already marked down is mostly left
@@ -126,14 +133,16 @@ func (s *lazyPageSource) FetchPage(idx int64) ([]byte, error) {
 		g.healthMu.Unlock()
 	}
 
-	var data []byte
+	served := false
 	var perr error
 	if primaryFirst {
-		data, perr = s.readPrimary(ref)
+		perr = s.readPrimary(ref, dst)
+		served = perr == nil
 	}
-	if data == nil {
-		if d, served := s.fetchFromPeers(ref); served {
-			data = d
+	if !served {
+		if d, ok := s.fetchFromPeers(ref); ok {
+			clear(dst[copy(dst, d):])
+			served = true
 			s.failovers.Add(1)
 			// Read-repair: heal the primary's copy in place so the
 			// next fault (and the next scrub) finds it intact.
@@ -142,24 +151,25 @@ func (s *lazyPageSource) FetchPage(idx int64) ([]byte, error) {
 			}
 		}
 	}
-	if data == nil && !primaryFirst {
+	if !served && !primaryFirst {
 		// Peers failed and the paced probe was skipped: the down
 		// primary is still the only possible server, so try it.
-		data, perr = s.readPrimary(ref)
+		perr = s.readPrimary(ref, dst)
+		served = perr == nil
 	}
-	if data == nil {
+	if !served {
 		if perr == nil {
 			perr = fmt.Errorf("%d peers hold no copy", s.peerCount())
 		}
-		return nil, fmt.Errorf("%w: demand-paged read of page %d from %s failed (%d peers tried): %v",
+		return false, fmt.Errorf("%w: demand-paged read of page %d from %s failed (%d peers tried): %v",
 			ErrBackendDown, idx, s.sb.Name(), s.peerCount(), perr)
 	}
-	return data, nil
+	return true, nil
 }
 
-// readPrimary reads one block from the primary store with bounded
-// retry and backoff, feeding the result into the health ladder.
-func (s *lazyPageSource) readPrimary(ref objstore.BlockRef) ([]byte, error) {
+// readPrimary reads one block from the primary store into dst with
+// bounded retry and backoff, feeding the result into the health ladder.
+func (s *lazyPageSource) readPrimary(ref objstore.BlockRef, dst []byte) error {
 	var lane *storage.Clock
 	backoff := lazyBackoffBase
 	var lastErr error
@@ -172,10 +182,10 @@ func (s *lazyPageSource) readPrimary(ref objstore.BlockRef) ([]byte, error) {
 			lane.Advance(backoff)
 			backoff *= 2
 		}
-		data, err := s.sb.store.ReadBlock(ref)
+		err := s.sb.store.ReadBlockInto(ref, dst)
 		if err == nil {
 			s.noteReadOK()
-			return data, nil
+			return nil
 		}
 		lastErr = err
 		if errors.Is(err, storage.ErrDeviceDown) {
@@ -186,7 +196,7 @@ func (s *lazyPageSource) readPrimary(ref objstore.BlockRef) ([]byte, error) {
 		}
 	}
 	s.noteReadFault(lastErr)
-	return nil, lastErr
+	return lastErr
 }
 
 func (s *lazyPageSource) fetchFromPeers(ref objstore.BlockRef) ([]byte, bool) {
@@ -245,23 +255,24 @@ func (s *lazyPageSource) noteReadOK() {
 	g.healthMu.Unlock()
 }
 
-// HasPage implements vm.PageSource.
+// HasPage implements vm.PageSource. A view that can no longer tell
+// (its epoch left the store) answers yes: the fetch then fails loudly
+// instead of the page zero-filling.
 func (s *lazyPageSource) HasPage(idx int64) bool {
 	if _, ok := s.inline[idx]; ok {
 		return true
 	}
-	_, ok := s.refs[idx]
-	return ok
+	_, ok, err := s.view.Lookup(idx)
+	return ok || err != nil
 }
 
 // Pages implements vm.PageSource.
 func (s *lazyPageSource) Pages() []int64 {
-	out := make([]int64, 0, len(s.refs)+len(s.inline))
-	for idx := range s.refs {
-		out = append(out, idx)
-	}
+	// A view whose epoch left the store lists nothing; the interface
+	// has no way to say so. Every fault through it fails (FetchInto).
+	out, _ := s.view.Pages()
 	for idx := range s.inline {
-		if _, dup := s.refs[idx]; !dup {
+		if _, dup, _ := s.view.Lookup(idx); !dup {
 			out = append(out, idx)
 		}
 	}

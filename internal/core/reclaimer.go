@@ -387,9 +387,11 @@ func (p *protection) covers(gid, epoch uint64, policy RetentionPolicy) bool {
 //  4. named checkpoints (unless the policy says otherwise);
 //  5. replica catch-up floors — epochs at or above what a
 //     partition-aware backend has contiguously acknowledged;
-//  6. restore pins — epochs live demand-paging sources still read
-//     blocks from (DropEpoch may free superseded blocks a lazy source
-//     references by raw offset).
+//  6. restore pins — epochs live demand-paging sources resolve their
+//     pages at (a dropped epoch leaves the source's page view with no
+//     place in the store's history to look from).
+//
+// Rules 3 and 6 are Group.pins, which the HistoryLimit trim honours too.
 //
 // The newest retained epoch of every lineage is additionally pinned:
 // dropping it would release the lineage wholesale.
@@ -425,12 +427,9 @@ func (r *Reclaimer) protectionFor(view *objstore.Store) *protection {
 				p.lowerFloor(gid, f)
 			}
 		}
-		// (3) the chain this group was restored from.
-		if org, anchor := g.originAnchor(); org != 0 && org != gid && anchor > 0 {
-			p.pin(org, anchor)
-		}
-		// (6) epochs live lazy restores still page from.
-		for _, pin := range g.sourcePins() {
+		// (3) the chain this group was restored from, and (6) epochs
+		// live lazy restores still page from.
+		for _, pin := range g.pins() {
 			p.pin(pin[0], pin[1])
 		}
 	}

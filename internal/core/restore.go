@@ -314,23 +314,23 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 //   - lazy restores of byte-backed images (loaded from the store or
 //     the network) attach a page source, with clock-driven prefetch
 //     of the hottest pages;
-//   - images carrying block references (StoreBackend.LoadLazy) attach
-//     a fault-tolerant demand-paging source that reads, verifies, and
-//     — on primary failure — fails over each page to a peer; and
+//   - images carrying a store page view (StoreBackend.LoadLazy) attach
+//     a fault-tolerant demand-paging source that looks up, reads,
+//     verifies, and — on primary failure — fails over each page to a
+//     peer; nothing is done per page of the image; and
 //   - eager restores copy everything up front.
 func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Object, opts RestoreOpts, bd *RestoreBreakdown) int {
 	// Collect frame-backed pages along the chain (newest wins).
 	frames := make(map[int64]*vm.Frame)
 	bytesPages := make(map[int64][]byte)
-	refPages := make(map[int64]objstore.BlockRef)
+	// A lazily loaded image stands alone (full, nothing under it, pages
+	// in the store only), so its view shares no page with the two maps.
+	var view *objstore.PageView
 	havePage := func(idx int64) bool {
 		if _, ok := frames[idx]; ok {
 			return true
 		}
-		if _, ok := bytesPages[idx]; ok {
-			return true
-		}
-		_, ok := refPages[idx]
+		_, ok := bytesPages[idx]
 		return ok
 	}
 	for _, cur := range img.chain() {
@@ -348,13 +348,11 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Obj
 				bytesPages[idx] = d
 			}
 		}
-		for idx, ref := range mi.Refs {
-			if !havePage(idx) {
-				refPages[idx] = ref
-			}
+		if mi.View != nil {
+			view = mi.View
 		}
 	}
-	total := len(frames) + len(bytesPages) + len(refPages)
+	total := len(frames) + len(bytesPages) + view.Len()
 
 	// Zero-copy memory state: share the image's frames under COW.
 	for idx, f := range frames {
@@ -362,29 +360,33 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Obj
 	}
 	bd.Shared += len(frames)
 
-	if len(refPages) > 0 && img.source != nil {
+	if view.Len() > 0 && img.source != nil {
 		// Store-resident pages: demand-page through the fault-tolerant
 		// source (bounded retry, peer failover, read-repair).
-		src := newLazyPageSource(o, img.source, refPages, bytesPages, img.peers)
+		src := newLazyPageSource(o, img.source, view, bytesPages, img.peers)
 		src.pinGroup, src.pinEpoch = img.Group, img.Epoch
 		img.mu.Lock()
 		img.sources = append(img.sources, src)
 		img.mu.Unlock()
 		if opts.Lazy {
 			obj.SetSource(src)
-			o.prefetchHottest(img, oldID, obj, src.FetchPage, opts.Prefetch, bd)
+			o.prefetchHottest(img, oldID, obj, src, opts.Prefetch, bd)
+		} else if idxs, err := view.Pages(); err != nil {
+			// The view's epoch left the store since the load. Nothing
+			// can be materialized; leave the source attached, so that a
+			// fault reports it and no page quietly reads as zero.
+			obj.SetSource(src)
 		} else {
 			// An eager mapping policy over a lazy image: materialize
 			// everything now, through the failover path, so a sick
 			// primary cannot abort the restore.
-			for idx := range refPages {
-				data, err := src.FetchPage(idx)
-				if err != nil || data == nil {
-					continue
-				}
-				f, err := o.K.Mem.AllocData(data)
-				if err != nil {
+			for _, idx := range idxs {
+				f, err := o.K.Mem.PageIn(src, idx)
+				if errors.Is(err, vm.ErrOutOfMemory) {
 					return total
+				}
+				if f == nil {
+					continue
 				}
 				obj.InsertPage(o.K.Mem, idx, f)
 				o.K.Meter.ChargeCopy(1)
@@ -399,7 +401,7 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Obj
 	if opts.Lazy {
 		src := &imagePageSource{pages: bytesPages}
 		obj.SetSource(src)
-		o.prefetchHottest(img, oldID, obj, src.FetchPage, opts.Prefetch, bd)
+		o.prefetchHottest(img, oldID, obj, src, opts.Prefetch, bd)
 	} else {
 		for idx, data := range bytesPages {
 			f, err := o.K.Mem.AllocData(data)
@@ -414,8 +416,8 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Obj
 }
 
 // prefetchHottest eagerly pages in the N hottest pages of one object
-// through fetch (clock-derived warm-up for lazy restores).
-func (o *Orchestrator) prefetchHottest(img *Image, oldID uint64, obj *vm.Object, fetch func(int64) ([]byte, error), n int, bd *RestoreBreakdown) {
+// from src (clock-derived warm-up for lazy restores).
+func (o *Orchestrator) prefetchHottest(img *Image, oldID uint64, obj *vm.Object, src vm.PageSource, n int, bd *RestoreBreakdown) {
 	if n <= 0 {
 		return
 	}
@@ -425,13 +427,12 @@ func (o *Orchestrator) prefetchHottest(img *Image, oldID uint64, obj *vm.Object,
 		hot = hot[:n]
 	}
 	for _, idx := range hot {
-		data, err := fetch(idx)
-		if err != nil || data == nil {
-			continue
-		}
-		f, err := o.K.Mem.AllocData(data)
-		if err != nil {
+		f, err := o.K.Mem.PageIn(src, idx)
+		if errors.Is(err, vm.ErrOutOfMemory) {
 			return
+		}
+		if f == nil {
+			continue
 		}
 		obj.InsertPage(o.K.Mem, idx, f)
 		bd.Prefetched++
@@ -679,8 +680,14 @@ type imagePageSource struct {
 	pages map[int64][]byte
 }
 
-// FetchPage implements vm.PageSource.
-func (s *imagePageSource) FetchPage(idx int64) ([]byte, error) { return s.pages[idx], nil }
+// FetchInto implements vm.PageSource.
+func (s *imagePageSource) FetchInto(idx int64, dst []byte) (bool, error) {
+	d, ok := s.pages[idx]
+	if ok {
+		clear(dst[copy(dst, d):])
+	}
+	return ok, nil
+}
 
 // HasPage implements vm.PageSource.
 func (s *imagePageSource) HasPage(idx int64) bool {

@@ -40,7 +40,7 @@ func TestAuditToleratesInFlightPuts(t *testing.T) {
 				m.Prev = epoch - 1
 			}
 			s.PutManifest(m)
-			if err := s.TrimHistory(group, 3); err != nil {
+			if err := s.TrimHistory(group, 3, nil); err != nil {
 				t.Errorf("trim at epoch %d: %v", epoch, err)
 				return
 			}

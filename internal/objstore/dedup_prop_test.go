@@ -126,8 +126,10 @@ func TestDedupCrossGroupGCInterleaving(t *testing.T) {
 			model[g] = model[g][1:]
 		}
 
+		var views viewOracle
 		verify := func() {
 			for g := 0; g < groups; g++ {
+				views.check(t, s, "verify", uint64(g+1), []uint64{uint64(oidOf + g)})
 				for _, me := range model[g] {
 					pages, _, err := s.ResolvePages(uint64(g+1), uint64(oidOf+g), me.epoch)
 					if err != nil {

@@ -1,6 +1,9 @@
 package objstore
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the store's in-place garbage collector. The
 // paper's requirement: reclaiming old checkpoints must not rewrite the
@@ -18,17 +21,10 @@ func (s *Store) DropEpoch(group, epoch uint64) error {
 	defer s.mu.Unlock()
 
 	ms := s.manifests[group]
-	pos := -1
-	for i, m := range ms {
-		if m.Epoch == epoch {
-			pos = i
-			break
-		}
-	}
-	if pos == -1 {
+	pos, victim := s.findManifestLocked(group, epoch)
+	if victim == nil {
 		return fmt.Errorf("%w: group %d epoch %d", ErrNoManifest, group, epoch)
 	}
-	victim := ms[pos]
 	var next *Manifest
 	if pos+1 < len(ms) {
 		next = ms[pos+1]
@@ -92,7 +88,16 @@ func (s *Store) mergeForwardLocked(rec *Record, next *Manifest) bool {
 	// with the heir, so the work is O(min) of the two: a clean full
 	// record dropped under a small delta costs what the delta holds,
 	// not what the object holds.
-	if len(rec.Pages) > len(heir.Pages) {
+	switch {
+	case heir.Full:
+		// The heir is the object's complete page set already: no epoch
+		// that survives resolves through the dropped record, so none of
+		// its pages is live. Folding them in would bring back pages the
+		// object no longer had at the heir's epoch.
+		for _, ref := range rec.Pages {
+			s.releaseBlockLocked(ref)
+		}
+	case len(rec.Pages) > len(heir.Pages):
 		for idx, ref := range heir.Pages {
 			if old, shadowed := rec.Pages[idx]; shadowed {
 				// The heir rewrote this page; the old block dies.
@@ -101,7 +106,7 @@ func (s *Store) mergeForwardLocked(rec *Record, next *Manifest) bool {
 			rec.Pages[idx] = ref
 		}
 		heir.Pages = rec.Pages
-	} else {
+	default:
 		for idx, ref := range rec.Pages {
 			if _, shadowed := heir.Pages[idx]; shadowed {
 				s.releaseBlockLocked(ref)
@@ -134,20 +139,29 @@ func (s *Store) releaseBlockLocked(ref BlockRef) {
 
 // TrimHistory keeps at most keep checkpoints per group, dropping the
 // oldest — the paper's "short execution history" maintained in free
-// disk space.
-func (s *Store) TrimHistory(group uint64, keep int) error {
+// disk space. Epochs listed in pinned are passed over (someone outside
+// the store still reads them), as is the newest, so a history made of
+// pins can stay longer than keep.
+func (s *Store) TrimHistory(group uint64, keep int, pinned []uint64) error {
 	if keep < 1 {
 		keep = 1
 	}
 	for {
 		s.mu.Lock()
 		ms := s.manifests[group]
-		if len(ms) <= keep {
-			s.mu.Unlock()
+		var oldest uint64
+		if len(ms) > keep {
+			for _, m := range ms[:len(ms)-1] {
+				if !slices.Contains(pinned, m.Epoch) {
+					oldest = m.Epoch
+					break
+				}
+			}
+		}
+		s.mu.Unlock()
+		if oldest == 0 {
 			return nil
 		}
-		oldest := ms[0].Epoch
-		s.mu.Unlock()
 		if err := s.DropEpoch(group, oldest); err != nil {
 			return err
 		}

@@ -363,6 +363,12 @@ func decodeIndex(dev storage.Device, clock *storage.Clock, idx []byte) (*Store, 
 				m.Records = append(m.Records, RecordKey{Group: d.U64(), OID: d.U64(), Epoch: d.U64()})
 			}
 			m.Roots = d.U64Slice()
+			// Lookups binary-search this list (findManifestLocked): an
+			// index that lists a group's epochs out of order is corrupt.
+			if ms := s.manifests[g]; len(ms) > 0 && ms[len(ms)-1].Epoch >= m.Epoch && d.Err() == nil {
+				return nil, fmt.Errorf("decoding objstore index: group %d lists epoch %d after epoch %d: %w",
+					g, m.Epoch, ms[len(ms)-1].Epoch, codec.ErrCorrupt)
+			}
 			s.manifests[g] = append(s.manifests[g], m)
 			if m.Name != "" {
 				s.named[m.Name] = manifestID{g, m.Epoch}

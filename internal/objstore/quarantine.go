@@ -86,7 +86,7 @@ func (s *Store) LatestGoodManifest(group, below uint64) (*Manifest, error) {
 // The first mismatch aborts with an error wrapping ErrCorruptBlock.
 func (s *Store) VerifyEpoch(group, epoch uint64) error {
 	s.mu.Lock()
-	m := s.findManifestLocked(group, epoch)
+	_, m := s.findManifestLocked(group, epoch)
 	if m == nil {
 		s.mu.Unlock()
 		return ErrNoManifest

@@ -23,11 +23,13 @@ func TestGCInterleavingProperty(t *testing.T) {
 			s := testStore(t)
 			const group = 1
 			var trace []string
+			var views viewOracle
 			step := func(op string) {
 				trace = append(trace, op)
 				if err := s.AuditReachability(); err != nil {
 					t.Fatalf("audit failed after %v: %v", trace, err)
 				}
+				views.check(t, s, op, group, []uint64{1, 2, 3, 4})
 			}
 
 			epoch := uint64(0)

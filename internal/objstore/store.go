@@ -21,6 +21,7 @@
 package objstore
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -103,6 +104,10 @@ type Record struct {
 	// Full marks a record carrying the object's complete page set;
 	// otherwise Pages is a delta over the previous epoch's record.
 	Full bool
+	// visible memoises, plus one, how many distinct pages the chain that
+	// starts at this record holds (0 = not counted yet; see
+	// visibleLocked). Never persisted.
+	visible int32
 	// Meta is the object's serialized metadata.
 	Meta []byte
 	// Pages maps page index -> data block.
@@ -685,13 +690,19 @@ func (s *Store) verifyBlock(ref BlockRef, data []byte) error {
 // ReadBlock fetches a data block's contents, verifying its hash.
 func (s *Store) ReadBlock(ref BlockRef) ([]byte, error) {
 	buf := make([]byte, BlockSize)
-	if _, err := s.dev.ReadAt(buf, ref.Off); err != nil {
-		return nil, err
-	}
-	if err := s.verifyBlock(ref, buf); err != nil {
+	if err := s.ReadBlockInto(ref, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// ReadBlockInto reads a data block into dst (BlockSize bytes) and
+// verifies its hash. On error dst holds garbage.
+func (s *Store) ReadBlockInto(ref BlockRef, dst []byte) error {
+	if _, err := s.dev.ReadAt(dst, ref.Off); err != nil {
+		return err
+	}
+	return s.verifyBlock(ref, dst)
 }
 
 // ChargeIndexRead models re-reading n bytes of persisted index
@@ -891,14 +902,11 @@ func (s *Store) GetRecord(group, oid, epoch uint64) (*Record, error) {
 func (s *Store) PutManifest(m *Manifest) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ms := s.manifests[m.Group]
-	i := sort.Search(len(ms), func(i int) bool { return ms[i].Epoch >= m.Epoch })
-	if i < len(ms) && ms[i].Epoch == m.Epoch {
-		ms[i] = m
+	if i, old := s.findManifestLocked(m.Group, m.Epoch); old != nil {
+		s.manifests[m.Group][i] = m
 	} else {
-		ms = slices.Insert(ms, i, m)
+		s.manifests[m.Group] = slices.Insert(s.manifests[m.Group], i, m)
 	}
-	s.manifests[m.Group] = ms
 	if m.Name != "" {
 		s.named[m.Name] = manifestID{m.Group, m.Epoch}
 	}
@@ -908,10 +916,8 @@ func (s *Store) PutManifest(m *Manifest) {
 func (s *Store) Manifest(group, epoch uint64) (*Manifest, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, m := range s.manifests[group] {
-		if m.Epoch == epoch {
-			return m, nil
-		}
+	if _, m := s.findManifestLocked(group, epoch); m != nil {
+		return m, nil
 	}
 	return nil, ErrNoManifest
 }
@@ -970,37 +976,54 @@ func (s *Store) ResolvePages(group, oid, epoch uint64) (map[int64]BlockRef, []vm
 }
 
 func (s *Store) resolvePagesLocked(group, oid, epoch uint64) (map[int64]BlockRef, []vm.PageHeat, error) {
+	chain, err := s.chainLocked(nil, group, oid, epoch)
+	if err != nil {
+		return nil, nil, err
+	}
 	pages := make(map[int64]BlockRef)
-	var heat []vm.PageHeat
-	// Collect the group's epochs <= target, newest first.
-	var chain []*Record
-	cur := epoch
-	for cur != 0 {
-		m := s.findManifestLocked(group, cur)
+	// Apply oldest-to-newest so newer pages win.
+	for i := len(chain) - 1; i >= 0; i-- {
+		for idx, ref := range chain[i].Pages {
+			pages[idx] = ref
+		}
+	}
+	return pages, chainHeat(chain), nil
+}
+
+// chainLocked appends to buf the records a resolution of (group, oid)
+// at epoch reads: the object's record at every epoch of the group's
+// history from epoch back to the first full one, newest first. It is
+// the one walk ResolvePages and PageView share. An epoch of that
+// history missing from the store is ErrNoManifest; a history holding no
+// record of the object at all is ErrNoRecord.
+func (s *storeCore) chainLocked(buf []*Record, group, oid, epoch uint64) ([]*Record, error) {
+	for cur := epoch; cur != 0; {
+		_, m := s.findManifestLocked(group, cur)
 		if m == nil {
-			return nil, nil, fmt.Errorf("%w: group %d epoch %d", ErrNoManifest, group, cur)
+			return nil, fmt.Errorf("%w: group %d epoch %d", ErrNoManifest, group, cur)
 		}
 		if rec, ok := s.records[RecordKey{group, oid, cur}]; ok {
-			chain = append(chain, rec)
+			buf = append(buf, rec)
 			if rec.Full {
 				break
 			}
 		}
 		cur = m.Prev
 	}
-	if len(chain) == 0 {
-		return nil, nil, fmt.Errorf("%w: object %d at epoch %d", ErrNoRecord, oid, epoch)
+	if len(buf) == 0 {
+		return nil, fmt.Errorf("%w: object %d at epoch %d", ErrNoRecord, oid, epoch)
 	}
-	// Apply oldest-to-newest so newer pages win.
-	for i := len(chain) - 1; i >= 0; i-- {
-		for idx, ref := range chain[i].Pages {
-			pages[idx] = ref
-		}
-		if len(chain[i].Heat) > 0 {
-			heat = chain[i].Heat
+	return buf, nil
+}
+
+// chainHeat returns the most recent heat snapshot of a chain.
+func chainHeat(chain []*Record) []vm.PageHeat {
+	for _, rec := range chain {
+		if len(rec.Heat) > 0 {
+			return rec.Heat
 		}
 	}
-	return pages, heat, nil
+	return nil
 }
 
 // ResolveMeta returns the newest metadata of an object at or before an
@@ -1013,7 +1036,7 @@ func (s *Store) ResolveMeta(group, oid, epoch uint64) ([]byte, uint16, error) {
 		if rec, ok := s.records[RecordKey{group, oid, cur}]; ok {
 			return rec.Meta, rec.Kind, nil
 		}
-		m := s.findManifestLocked(group, cur)
+		_, m := s.findManifestLocked(group, cur)
 		if m == nil {
 			break
 		}
@@ -1022,13 +1045,19 @@ func (s *Store) ResolveMeta(group, oid, epoch uint64) ([]byte, uint16, error) {
 	return nil, 0, fmt.Errorf("%w: metadata of object %d", ErrNoRecord, oid)
 }
 
-func (s *Store) findManifestLocked(group, epoch uint64) *Manifest {
-	for _, m := range s.manifests[group] {
-		if m.Epoch == epoch {
-			return m
-		}
+// findManifestLocked looks (group, epoch) up in the group's manifest
+// list, which PutManifest and decodeIndex keep epoch-sorted. It returns
+// the manifest and its position, or nil and the position it would be
+// inserted at.
+func (s *storeCore) findManifestLocked(group, epoch uint64) (int, *Manifest) {
+	ms := s.manifests[group]
+	i, ok := slices.BinarySearchFunc(ms, epoch, func(m *Manifest, e uint64) int {
+		return cmp.Compare(m.Epoch, e)
+	})
+	if !ok {
+		return i, nil
 	}
-	return nil
+	return i, ms[i]
 }
 
 // RecordsOf lists every epoch's record for one group's OID, oldest

@@ -289,7 +289,7 @@ func TestTrimHistory(t *testing.T) {
 		s.PutRecord(group, oid, e, 1, false, nil, map[int64][]byte{int64(e): page(byte(e))}, nil)
 		s.PutManifest(&Manifest{Group: group, Epoch: e, Prev: e - 1, Records: []RecordKey{{group, oid, e}}})
 	}
-	if err := s.TrimHistory(group, 2); err != nil {
+	if err := s.TrimHistory(group, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	ms := s.Manifests(group)

@@ -100,8 +100,8 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
 				if _, swapped := o.swapSlots[idx]; swapped {
 					continue
 				}
-				data, err := o.source.FetchPage(idx)
-				if err == nil && data != nil {
+				data := make([]byte, PageSize)
+				if found, err := o.source.FetchInto(idx, data); err == nil && found {
 					if cs.SourcePages == nil {
 						cs.SourcePages = make(map[int64][]byte)
 					}
@@ -218,31 +218,28 @@ func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, bool,
 		if _, ok := o.swapSlots[idx]; !ok && o.source.HasPage(idx) {
 			src := o.source
 			o.mu.Unlock()
-			data, err := src.FetchPage(idx)
-			if err != nil {
-				o.mu.Lock()
-				return nil, false, err
-			}
-			f, err := pm.AllocData(data)
-			if err != nil {
-				o.mu.Lock()
-				return nil, false, err
-			}
+			f, err := pm.PageIn(src, idx)
 			o.mu.Lock()
+			if err != nil {
+				return nil, false, err
+			}
 			if cur, ok := o.pages[idx]; ok {
 				pm.Free(f)
 				o.dirty[idx] = true
 				return cur, false, nil
 			}
-			o.pages[idx] = f
-			if end := (idx + 1) << PageShift; end > o.size {
-				o.size = end
+			if f != nil {
+				o.pages[idx] = f
+				if end := (idx + 1) << PageShift; end > o.size {
+					o.size = end
+				}
+				o.dirty[idx] = true
+				if meter != nil {
+					meter.PageIns.Add(1)
+				}
+				return f, false, nil
 			}
-			o.dirty[idx] = true
-			if meter != nil {
-				meter.PageIns.Add(1)
-			}
-			return f, false, nil
+			// The source does not hold the page after all: zero-fill.
 		}
 	}
 	// Fall through the shadow chain: a hit there must be privately

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 )
@@ -240,5 +241,81 @@ func TestUnmapAllReturnsFrames(t *testing.T) {
 	b.UnmapAll()
 	if pm.Resident() != 0 {
 		t.Fatalf("resident = %d after both spaces are gone", pm.Resident())
+	}
+}
+
+// halfSource is a page source that writes half of dst and then gives
+// up: with an error, with a miss, or — for page 0 only — not at all.
+type halfSource struct {
+	miss bool
+	err  error
+}
+
+func (s *halfSource) FetchInto(idx int64, dst []byte) (bool, error) {
+	copy(dst, fill(0xEE)[:PageSize/2])
+	if idx == 0 {
+		copy(dst[PageSize/2:], fill(0xEE))
+		return true, nil
+	}
+	return !s.miss && s.err == nil, s.err
+}
+func (s *halfSource) HasPage(int64) bool { return true }
+func (s *halfSource) Pages() []int64     { return []int64{0, 1} }
+
+// TestPageInOwnsTheFrame: the source fills a recycled, un-zeroed frame
+// in place, so the frame must not be seen by anyone unless the source
+// found and wrote the whole page. After an error or a miss — each
+// having scribbled on half the frame first — nothing is installed,
+// nothing stays resident, and the page then reads, and zero-fills on
+// write, as if the frame had never been out.
+func TestPageInOwnsTheFrame(t *testing.T) {
+	boom := errors.New("device on fire")
+	for _, src := range []*halfSource{{err: boom}, {miss: true}} {
+		pm := NewPhysMem(0)
+		// One stale frame on the free list: what PageIn is handed.
+		stale, _ := pm.Alloc()
+		copy(stale.Data, fill(0x5A))
+		pm.Free(stale)
+
+		as := NewAddressSpace(pm, NewMeter(nil))
+		m, err := as.MapAnon(2*PageSize, ProtRead|ProtWrite, false, "heap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Obj.SetSource(src)
+		page1 := m.Start + PageSize
+
+		got := fill(0x11)[:16]
+		err = as.Read(page1, got)
+		switch {
+		case src.err != nil && !errors.Is(err, boom):
+			t.Fatalf("read through a failing source: %v, want %v", err, boom)
+		case src.miss && (err != nil || !bytes.Equal(got, make([]byte, 16))):
+			t.Fatalf("read of a page the source turned out not to hold: % x, %v; want zeros", got, err)
+		}
+		if pm.Resident() != 0 || m.Obj.ResidentCount() != 0 {
+			t.Fatalf("a fetch that did not deliver left %d frames resident, %d pages installed",
+				pm.Resident(), m.Obj.ResidentCount())
+		}
+
+		err = as.Write(page1+8, []byte{7})
+		if src.err != nil {
+			if !errors.Is(err, boom) || pm.Resident() != 0 || m.Obj.ResidentCount() != 0 {
+				t.Fatalf("write through a failing source: %v, %d frames resident", err, pm.Resident())
+			}
+		} else {
+			want := make([]byte, 16)
+			want[8] = 7
+			if rerr := as.Read(page1, got); err != nil || rerr != nil || !bytes.Equal(got, want) {
+				t.Fatalf("write to a page the source does not hold left % x (%v, %v), want a zero page with one byte set",
+					got, err, rerr)
+			}
+		}
+
+		// The page the source does deliver is installed whole.
+		whole := make([]byte, PageSize)
+		if err := as.Read(m.Start, whole); err != nil || !bytes.Equal(whole, fill(0xEE)) {
+			t.Fatalf("page 0: %v, starts % x", err, whole[:4])
+		}
 	}
 }

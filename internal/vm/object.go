@@ -273,10 +273,14 @@ func (o *Object) DirtyCount() int {
 // starts empty, with faults pulling pages from the checkpoint image
 // (memory backend) or the object store (disk backend) on demand.
 type PageSource interface {
-	// FetchPage returns the page contents, or nil if the source does
-	// not hold the page (the page then zero-fills).
-	FetchPage(idx int64) ([]byte, error)
-	// HasPage reports whether the source holds the page.
+	// FetchInto writes the page into dst (PageSize bytes, contents
+	// undefined) and reports whether the source holds it. When it does
+	// the whole of dst is written, a short page zero-padded; when it
+	// does not (the page then zero-fills), or on an error, dst is left
+	// in no particular state and the caller must not use it.
+	FetchInto(idx int64, dst []byte) (found bool, err error)
+	// HasPage reports whether the source holds the page. A source that
+	// cannot tell says yes, so that the fetch reports why.
 	HasPage(idx int64) bool
 	// Pages enumerates the source's page indices, so a full
 	// checkpoint can capture pages the application never faulted in.
@@ -310,12 +314,8 @@ func (o *Object) fetchFromSource(pm *PhysMem, idx int64, meter *Meter) (*Frame, 
 	if src == nil || !src.HasPage(idx) {
 		return nil, nil
 	}
-	data, err := src.FetchPage(idx)
-	if err != nil {
-		return nil, err
-	}
-	f, err := pm.AllocData(data)
-	if err != nil {
+	f, err := pm.PageIn(src, idx)
+	if f == nil {
 		return nil, err
 	}
 	o.mu.Lock()

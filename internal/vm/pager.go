@@ -82,6 +82,7 @@ func (as *AddressSpace) AccessedAndClear(obj *Object, idx int64) bool {
 		if base, ok := m.pageAddr(idx); ok {
 			if e, ok := as.pt[base]; ok && e.accessed {
 				e.accessed = false
+				as.pt[base] = e
 				ref = true
 			}
 		}

@@ -79,7 +79,7 @@ type AddressSpace struct {
 
 	mu   sync.Mutex
 	maps []*Mapping // sorted by Start, non-overlapping
-	pt   map[Addr]*pte
+	pt   map[Addr]pte
 
 	pm    *PhysMem
 	meter *Meter
@@ -89,7 +89,7 @@ type AddressSpace struct {
 func NewAddressSpace(pm *PhysMem, meter *Meter) *AddressSpace {
 	return &AddressSpace{
 		ID:    spaceIDs.Add(1),
-		pt:    make(map[Addr]*pte),
+		pt:    make(map[Addr]pte),
 		pm:    pm,
 		meter: meter,
 	}
@@ -208,7 +208,7 @@ func (as *AddressSpace) UnmapAll() []*Object {
 	as.mu.Lock()
 	maps := as.maps
 	as.maps = nil
-	as.pt = make(map[Addr]*pte)
+	as.pt = make(map[Addr]pte)
 	as.mu.Unlock()
 	var dead []*Object
 	for _, m := range maps {
@@ -256,6 +256,7 @@ func (as *AddressSpace) Protect(start Addr, prot Prot) error {
 				for a := m.Start; a < m.End; a += PageSize {
 					if p, ok := as.pt[a]; ok && p.writable {
 						p.writable = false
+						as.pt[a] = p
 						as.meter.ChargePTE(1)
 					}
 				}
@@ -335,6 +336,10 @@ func (as *AddressSpace) fault(pageBase Addr, write bool) (*Frame, *Object, error
 	obj := m.Obj
 	idx := m.pageIndex(pageBase)
 	entry, havePTE := as.pt[pageBase]
+	if havePTE && !entry.accessed {
+		entry.accessed = true
+		as.pt[pageBase] = entry
+	}
 	as.mu.Unlock()
 
 	if !write {
@@ -361,8 +366,6 @@ func (as *AddressSpace) fault(pageBase Addr, write bool) (*Frame, *Object, error
 		if !havePTE {
 			as.installPTE(pageBase, false)
 			as.meter.ChargeFault()
-		} else {
-			entry.accessed = true
 		}
 		_ = owner
 		obj.Touch(idx)
@@ -387,7 +390,6 @@ func (as *AddressSpace) fault(pageBase Addr, write bool) (*Frame, *Object, error
 		// writable bit, so reaching here means the page is writable.
 		f, owner := obj.Lookup(idx)
 		if f != nil && owner == obj && !obj.IsProtected(idx) {
-			entry.accessed = true
 			obj.MarkDirty(idx)
 			obj.Touch(idx)
 			return f, obj, nil
@@ -422,14 +424,7 @@ func (as *AddressSpace) fault(pageBase Addr, write bool) (*Frame, *Object, error
 
 func (as *AddressSpace) installPTE(pageBase Addr, writable bool) {
 	as.mu.Lock()
-	e, ok := as.pt[pageBase]
-	if !ok {
-		e = &pte{}
-		as.pt[pageBase] = e
-	}
-	e.present = true
-	e.writable = writable
-	e.accessed = true
+	as.pt[pageBase] = pte{present: true, writable: writable, accessed: true}
 	as.mu.Unlock()
 	as.meter.ChargePTE(1)
 }
@@ -454,6 +449,7 @@ func (as *AddressSpace) ProtectObject(obj *Object, pages map[int64]*Frame) int64
 			}
 			if e, ok := as.pt[a]; ok && e.writable {
 				e.writable = false
+				as.pt[a] = e
 				ops++
 			}
 		}
@@ -524,6 +520,7 @@ func (as *AddressSpace) Fork() *AddressSpace {
 			for a := m.Start; a < m.End; a += PageSize {
 				if e, ok := as.pt[a]; ok && e.writable {
 					e.writable = false
+					as.pt[a] = e
 					as.meter.ChargePTE(1)
 				}
 			}

@@ -172,6 +172,29 @@ func (pm *PhysMem) AllocCopy(src *Frame) (*Frame, error) {
 	return pm.AllocData(src.Data)
 }
 
+// PageIn allocates a frame and has src fill it with page idx, with no
+// buffer in between. It returns (nil, nil) when the source does not
+// hold the page. A recycled frame is handed to the source as its last
+// owner left it, neither cleared nor copied over: the source owns every
+// byte of it until FetchInto returns, and the frame leaves PageIn only
+// after a fetch that found and wrote the whole page. On an error or a
+// miss it goes back on the free list, whatever was written to it.
+func (pm *PhysMem) PageIn(src PageSource, idx int64) (*Frame, error) {
+	f, err := pm.reserve()
+	if err != nil {
+		return nil, err
+	}
+	if f == nil {
+		f = &Frame{Data: make([]byte, PageSize), refs: 1}
+	}
+	found, err := src.FetchInto(idx, f.Data)
+	if err != nil || !found {
+		pm.Free(f)
+		return nil, err
+	}
+	return f, nil
+}
+
 // Free drops a reference to the frame. At zero the frame goes on the
 // free list and its next Alloc may be anyone's, so the caller must not
 // touch it again; a count below zero means two owners believed they
