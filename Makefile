@@ -53,10 +53,11 @@ fuzzcheck:
 		$(GO) test -run '^$$' -fuzz "^$$fz\$$" -fuzztime=5s -fuzzminimizetime=1s $$pkg || exit 1; \
 	done
 
-## loc: the three non-test line counts ROADMAP tracks (north-star 2),
-## by the definition ROADMAP uses.
+## loc: the non-test line counts ROADMAP tracks (north-star 2), by the
+## definition ROADMAP uses, and those of the two layers under core's
+## data path.
 loc:
-	@for d in core netback bench; do \
+	@for d in core netback bench objstore storage; do \
 		printf 'internal/%s %s\n' $$d $$(ls internal/$$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 
@@ -185,16 +186,17 @@ bench:
 perf:
 	bash benchmark/run.sh
 
-## microbench: the per-layer microbenchmarks of the checkpoint and
-## restore data paths, where the code lives — COW fault, barrier and
+## microbench: the per-layer microbenchmarks of the checkpoint, flush
+## and restore data paths, where the code lives — COW fault, barrier and
 ## protect in internal/vm, put and drop (merge-forward) in
-## internal/objstore, lazy restore + 64 demand faults + teardown in
-## internal/core — on a resident × dirty grid, at a fixed iteration
-## count. Not gated; the before/after tables are in EXPERIMENTS.md
-## "Checkpoint data path" and "Restore data path".
+## internal/objstore, one epoch's StoreBackend.Flush and lazy restore +
+## 64 demand faults + teardown in internal/core — on a resident × dirty
+## grid, at a fixed iteration count. Not gated; the before/after tables
+## are in EXPERIMENTS.md "Checkpoint data path", "Flush data path" and
+## "Restore data path".
 microbench:
 	$(GO) test -run '^$$' -benchtime=200x -benchmem \
-		-bench 'BenchmarkCowFault|BenchmarkBeginCheckpoint|BenchmarkProtectObject|BenchmarkDropEpoch|BenchmarkPutRecord|BenchmarkLazyRestore' \
+		-bench 'BenchmarkCowFault|BenchmarkBeginCheckpoint|BenchmarkProtectObject|BenchmarkDropEpoch|BenchmarkPutRecord|BenchmarkStoreFlush|BenchmarkLazyRestore' \
 		./internal/vm/ ./internal/objstore/ ./internal/core/
 
 ## benchcheck: the scoreboard's own smoke test, race-enabled. benchmark/

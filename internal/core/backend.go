@@ -207,6 +207,8 @@ type StoreBackend struct {
 	// rec is the space-pressure reclaimer bound to this store (nil =
 	// unbounded retention). Shared across WithLane views.
 	rec *Reclaimer
+	// onLane marks a WithLane view: its clock is a private lane.
+	onLane bool
 }
 
 // NewStoreBackend wraps an object store as a checkpoint backend.
@@ -251,16 +253,51 @@ func (sb *StoreBackend) WithLane(lane *storage.Clock) Backend {
 		store:        sb.store.WithClock(lane),
 		pm:           sb.pm,
 		clock:        lane,
+		onLane:       true,
 		HistoryLimit: sb.HistoryLimit,
 		rec:          sb.rec,
 	}
 }
 
+// imagePages hands one object's captured pages to the store as an
+// objstore.PageSet: sums is the object's run of Image.PageHashes, so
+// the pages come in ascending index with the hashes the image already
+// holds.
+type imagePages struct {
+	mi   *MemImage
+	sums []PageHash
+}
+
+func (p *imagePages) Len() int { return len(p.sums) }
+
+func (p *imagePages) Page(i int) (int64, []byte, objstore.Hash) {
+	return p.sums[i].Idx, p.mi.PageData(p.sums[i].Idx), p.sums[i].Hash
+}
+
 // Flush implements Backend: every metadata record and captured page
-// becomes an object-store record; the modeled duration is the device
-// time consumed, with page writes overlapped at the device queue
-// depth.
+// becomes an object-store record, and the manifest is put once all of
+// them have landed. The epoch goes to the store as one ordered batch —
+// metadata records in image order, then VM objects by ascending ID,
+// each object's pages by ascending index with the content hash from
+// Image.PageHashes, which every backend of the group shares — so a
+// seed, not a map iteration, decides where blocks are placed, and the
+// store hashes nothing itself. The batch is issued inside one
+// objstore.Store.Overlapped window: one device write per new block and
+// per metadata extent, charged to the flush lane as storage.Batch of
+// all of them at the device's queue depth; costs.HashPage is charged
+// per page on top. The modeled duration is what the lane advanced by.
+//
+// The flush pipeline always calls Flush on a lane view (WithLane). A
+// direct call on the backend itself — promotion and migration backfill
+// — runs on a lane of the caller's clock and merges it back, so every
+// flush is issued, and costs, the same way.
 func (sb *StoreBackend) Flush(img *Image) (time.Duration, error) {
+	if !sb.onLane {
+		lane := sb.clock.Lane()
+		d, err := sb.WithLane(lane).Flush(img)
+		sb.clock.AdvanceTo(lane.Now())
+		return d, err
+	}
 	sw := sb.clock.Watch()
 	// Fence check: a flush stamped with a store generation behind the
 	// lineage's fence comes from a stale primary superseded by a
@@ -273,28 +310,37 @@ func (sb *StoreBackend) Flush(img *Image) (time.Duration, error) {
 		}
 		return 0, &FenceError{Gen: sb.store.FenceGen(img.Group), Floor: floor, Err: err}
 	}
-	for _, m := range img.Meta {
-		if _, err := sb.store.PutRecord(img.Group, m.OID, img.Epoch, uint16(m.Kind), img.Full, m.Data, nil, nil); err != nil {
-			return 0, err
-		}
+	if img.Released() {
+		// Its frames belong to someone else by now; the hashes it may
+		// still remember name bytes it no longer has.
+		return 0, fmt.Errorf("%w: epoch %d of group %d was released before this flush", ErrNoImage, img.Epoch, img.Group)
 	}
-	var keys []objstore.RecordKey
-	for _, m := range img.Meta {
-		keys = append(keys, objstore.RecordKey{Group: img.Group, OID: m.OID, Epoch: img.Epoch})
-	}
-	for id, mi := range img.Memory {
-		pages := make(map[int64][]byte, len(mi.Pages)+len(mi.SwapData))
-		for idx, f := range mi.Pages {
-			pages[idx] = f.Data
+	keys := make([]objstore.RecordKey, 0, len(img.Meta)+len(img.Memory))
+	err := sb.store.Overlapped(func() error {
+		for _, m := range img.Meta {
+			if _, err := sb.store.PutRecord(img.Group, m.OID, img.Epoch, uint16(m.Kind), img.Full, m.Data, nil, nil); err != nil {
+				return err
+			}
+			keys = append(keys, objstore.RecordKey{Group: img.Group, OID: m.OID, Epoch: img.Epoch})
 		}
-		for idx, d := range mi.SwapData {
-			pages[idx] = d
+		sums := img.PageHashes()
+		var pages imagePages
+		for _, id := range img.objectOrder() {
+			n := 0
+			for n < len(sums) && sums[n].ObjID == id {
+				n++
+			}
+			pages.mi, pages.sums, sums = img.Memory[id], sums[:n], sums[n:]
+			meta := encodeVMObjMeta(pages.mi)
+			if _, err := sb.store.PutPages(img.Group, vmBit|id, img.Epoch, uint16(kernel.KindVMObject), img.Full, meta, &pages, pages.mi.Heat); err != nil {
+				return err
+			}
+			keys = append(keys, objstore.RecordKey{Group: img.Group, OID: vmBit | id, Epoch: img.Epoch})
 		}
-		meta := encodeVMObjMeta(mi)
-		if _, err := sb.store.PutRecord(img.Group, vmBit|id, img.Epoch, uint16(kernel.KindVMObject), img.Full, meta, pages, mi.Heat); err != nil {
-			return 0, err
-		}
-		keys = append(keys, objstore.RecordKey{Group: img.Group, OID: vmBit | id, Epoch: img.Epoch})
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	var prev uint64
 	if img.Prev != nil {

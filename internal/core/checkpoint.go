@@ -105,8 +105,28 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 	dataSW := clock.Watch()
 	pteBefore := o.K.Meter.PTEOps.Load()
 	memory := make(map[uint64]*MemImage, len(objs))
+	// abort gives up a barrier that cannot complete its capture: no
+	// epoch is taken. The objects captured so far have had their dirty
+	// sets cleared, so their frames are given back and the group's next
+	// checkpoint is forced full — it starts from what is resident, not
+	// from dirty sets this barrier consumed.
+	abort := func(err error) (CheckpointBreakdown, error) {
+		for _, mi := range memory {
+			for _, f := range mi.Pages {
+				o.K.Mem.Free(f)
+			}
+		}
+		g.mu.Lock()
+		g.everFull = false
+		g.mu.Unlock()
+		o.resumeAll(members)
+		return bd, fmt.Errorf("core: checkpoint of group %d at epoch %d: %w", g.ID, epoch, err)
+	}
 	for _, to := range objs {
-		cs := to.obj.BeginCheckpoint(epoch, full)
+		cs, err := to.obj.BeginCheckpoint(epoch, full)
+		if err != nil {
+			return abort(err)
+		}
 		for _, space := range to.spaces {
 			space.ProtectObject(to.obj, cs.Pages)
 		}
@@ -127,8 +147,8 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 			for idx, slot := range cs.SwapPages {
 				buf := make([]byte, vm.PageSize)
 				if err := o.K.Pager.SwapRead(slot, buf); err != nil {
-					o.resumeAll(members)
-					return bd, err
+					memory[to.obj.ID] = mi
+					return abort(err)
 				}
 				mi.SwapData[idx] = buf
 			}

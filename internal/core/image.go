@@ -8,8 +8,8 @@ package core
 
 import (
 	"cmp"
-	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -368,9 +368,21 @@ type PageHash struct {
 }
 
 // PageContentHash is the content hash compact deltas and the dedup
-// index key pages by.
+// index key pages by: objstore's rule, so a hash taken here is the one
+// the store would compute.
 func PageContentHash(data []byte) objstore.Hash {
-	return sha256.Sum256(data)
+	return objstore.ContentHash(data)
+}
+
+// objectOrder lists the image's own VM objects by ascending ID: the
+// order of the wire format and of the store's records.
+func (img *Image) objectOrder() []uint64 {
+	ids := make([]uint64, 0, len(img.Memory))
+	for id := range img.Memory {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // pageOrder lists the image's own pages in wire order — ascending
@@ -411,13 +423,48 @@ func sortPages(pages []PageHash) {
 func (img *Image) PageHashes() []PageHash {
 	img.hashOnce.Do(func() {
 		pages := img.pageOrder()
-		for i := range pages {
-			pages[i].Hash = PageContentHash(img.Memory[pages[i].ObjID].PageData(pages[i].Idx))
-		}
+		img.hashPages(pages)
 		img.pages = pages
 		img.hashed.Store(int64(len(pages)))
 	})
 	return img.pages
+}
+
+// hashSpan is the least number of pages worth a goroutine of their own:
+// about two hundred microseconds of SHA-256. An image of fewer than two
+// spans is hashed inline — at 64 pages the fork-join measurably cost a
+// replicated group more than it saved, its other core being busy with
+// the replica links (EXPERIMENTS.md "Flush data path").
+const hashSpan = 64
+
+// hashPages fills in the hashes of pages, the image's own pages in
+// order. Hashing is pure, so a large set is split into contiguous
+// spans hashed on up to GOMAXPROCS goroutines — each writes only its
+// own span — and joined before returning: nothing outlives the call
+// and the result does not depend on how it was split.
+func (img *Image) hashPages(pages []PageHash) {
+	workers := min(runtime.GOMAXPROCS(0), len(pages)/hashSpan)
+	if workers < 2 {
+		img.hashRun(pages)
+		return
+	}
+	var wg sync.WaitGroup
+	per := (len(pages) + workers - 1) / workers
+	for ; len(pages) > per; pages = pages[per:] {
+		wg.Add(1)
+		go func(span []PageHash) {
+			defer wg.Done()
+			img.hashRun(span)
+		}(pages[:per])
+	}
+	img.hashRun(pages) // the caller is the last worker
+	wg.Wait()
+}
+
+func (img *Image) hashRun(span []PageHash) {
+	for i := range span {
+		span[i].Hash = PageContentHash(img.Memory[span[i].ObjID].PageData(span[i].Idx))
+	}
 }
 
 // PagesHashed reports how many SHA-256 computations stand behind
@@ -484,11 +531,7 @@ type deltaSink interface {
 // its size. pages is the image's pages in wire order; tagged selects
 // the compact layout, in which page i goes as a hash ref when refs[i].
 func (img *Image) encodeDelta(pages []PageHash, tagged bool, refs []bool) []byte {
-	ids := make([]uint64, 0, len(img.Memory))
-	for id := range img.Memory {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
+	ids := img.objectOrder()
 
 	write := func(w deltaSink) {
 		w.U64(img.Group)

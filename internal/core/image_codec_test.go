@@ -496,6 +496,56 @@ func FuzzDecodeDeltaCompact(f *testing.F) {
 	})
 }
 
+// FuzzDecodeImage fuzzes the consolidated layout — what `sls send`
+// writes to a file and `sls recv` reads back, and what AdoptImage moves
+// between machines. A rejected payload leaks no frame; an accepted one
+// is a standalone full image that encodes and decodes to the same
+// pages, and releasing both returns every frame.
+func FuzzDecodeImage(f *testing.F) {
+	small := codec.NewEncoder()
+	small.U64(1) // group
+	small.U64(1) // epoch
+	small.U64(0) // gen
+	small.Str("")
+	small.U64(0) // no metadata
+	small.U64(1) // one object
+	objectHeader(small)
+	small.U64(1)
+	small.I64(7)
+	small.Bytes2([]byte{1, 2, 3})
+	small.U64(0) // no heat
+	small.U64Slice(nil)
+	f.Add(small.Bytes())
+	seedMem := vm.NewPhysMem(0)
+	f.Add(codecImage(f, seedMem, 3, true, 2, distinctFill).Encode())
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		pm := vm.NewPhysMem(0)
+		img, err := DecodeImage(payload, pm)
+		if err != nil {
+			if pm.Resident() != 0 {
+				t.Fatalf("rejected payload leaked %d frames", pm.Resident())
+			}
+			return
+		}
+		if !img.Full || img.Prev != nil {
+			t.Fatalf("decoded image is not standalone: full=%v prev=%v", img.Full, img.Prev)
+		}
+		again, err := DecodeImage(img.Encode(), pm)
+		if err != nil {
+			t.Fatalf("re-decoding an accepted payload: %v", err)
+		}
+		if err := samePages(img, again); err != nil {
+			t.Fatalf("accepted payload does not round-trip: %v", err)
+		}
+		again.Release(pm)
+		img.Release(pm)
+		if pm.Resident() != 0 {
+			t.Fatalf("released images left %d frames resident", pm.Resident())
+		}
+	})
+}
+
 var benchSink []byte
 
 // BenchmarkEncodeDeltaCompact is the sender's per-epoch codec cost: one

@@ -216,6 +216,17 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 			}
 		}
 	}
+	// Mappings and shm segments take their own references: the
+	// construction ones are dropped once memory is rebuilt (or the
+	// restore is given up), so that the objects die — and return their
+	// frames — with the last process that maps them.
+	dropConstructionRefs := func() {
+		for _, obj := range objMap {
+			if obj.Deref() {
+				obj.ReleaseAll(o.K.Mem)
+			}
+		}
+	}
 	resolvedPages := 0
 	for oldID, obj := range objMap {
 		effOpts := opts
@@ -225,7 +236,18 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 		case vm.RestoreLazy:
 			effOpts.Lazy = true
 		}
-		resolvedPages += o.restoreObjectMemory(img, oldID, obj, effOpts, &bd)
+		n, err := o.restoreObjectMemory(img, oldID, obj, effOpts, &bd)
+		if err != nil {
+			// Whoever retries this restore — on a fallback epoch, once
+			// the device is back — must not find half a process here.
+			for _, rp := range procs {
+				o.K.Exit(rp.proc, 128)
+				_ = o.K.Reap(rp.proc) // a zombie of this kernel: Reap cannot refuse
+			}
+			dropConstructionRefs()
+			return nil, bd, err
+		}
+		resolvedPages += n
 	}
 	memCost := costs.RestoreMemBase + storage.PerKPage(costs.RestoreMemPerKPage, int64(resolvedPages))
 	if fromStore {
@@ -234,14 +256,7 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 	clock.Advance(memCost)
 	bd.MemoryState = memSW.Elapsed()
 	bd.PagesRestored = resolvedPages
-	// Mappings and shm segments hold their own references by now: drop
-	// the construction ones, so that the objects die — and return their
-	// frames — with the last process that maps them.
-	for _, obj := range objMap {
-		if obj.Deref() {
-			obj.ReleaseAll(o.K.Mem)
-		}
-	}
+	dropConstructionRefs()
 
 	// --- Resume ---
 	name := opts.Name
@@ -319,7 +334,12 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 //     verifies, and — on primary failure — fails over each page to a
 //     peer; nothing is done per page of the image; and
 //   - eager restores copy everything up front.
-func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Object, opts RestoreOpts, bd *RestoreBreakdown) int {
+//
+// An eager restore materializes every page now; a page that cannot be
+// — its fetch failed on the primary and every peer (ErrBackendDown), or
+// memory ran out — fails the restore instead of leaving the process a
+// zero page where its data was.
+func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Object, opts RestoreOpts, bd *RestoreBreakdown) (int, error) {
 	// Collect frame-backed pages along the chain (newest wins).
 	frames := make(map[int64]*vm.Frame)
 	bytesPages := make(map[int64][]byte)
@@ -382,8 +402,8 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Obj
 			// primary cannot abort the restore.
 			for _, idx := range idxs {
 				f, err := o.K.Mem.PageIn(src, idx)
-				if errors.Is(err, vm.ErrOutOfMemory) {
-					return total
+				if err != nil {
+					return total, fmt.Errorf("core: eager restore of object %q: page %d: %w", obj.Name, idx, err)
 				}
 				if f == nil {
 					continue
@@ -392,11 +412,11 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Obj
 				o.K.Meter.ChargeCopy(1)
 			}
 		}
-		return total
+		return total, nil
 	}
 
 	if len(bytesPages) == 0 {
-		return total
+		return total, nil
 	}
 	if opts.Lazy {
 		src := &imagePageSource{pages: bytesPages}
@@ -406,13 +426,13 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Obj
 		for idx, data := range bytesPages {
 			f, err := o.K.Mem.AllocData(data)
 			if err != nil {
-				return total
+				return total, fmt.Errorf("core: eager restore of object %q: page %d: %w", obj.Name, idx, err)
 			}
 			obj.InsertPage(o.K.Mem, idx, f)
 			o.K.Meter.ChargeCopy(1)
 		}
 	}
-	return total
+	return total, nil
 }
 
 // prefetchHottest eagerly pages in the N hottest pages of one object

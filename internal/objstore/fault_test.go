@@ -288,16 +288,19 @@ func TestPutBlockFailedWriteNotDeduped(t *testing.T) {
 	s, fd := faultStore(storage.FaultConfig{Seed: 3})
 	data := onePage(0x42)
 	fd.FailOps(storage.FaultWrite, fd.OpCount()+1, fd.OpCount()+1)
-	if _, err := s.putBlock(data); !errors.Is(err, storage.ErrInjected) {
+	put := func() (*Record, error) {
+		return s.PutRecord(1, 1, 1, 0, true, nil, map[int64][]byte{0: data}, nil)
+	}
+	if _, err := put(); !errors.Is(err, storage.ErrInjected) {
 		t.Fatalf("faulted put = %v, want ErrInjected", err)
 	}
 	fd.ClearScripts()
 	// The retry must write fresh bytes, not reference the ghost block.
-	ref, err := s.putBlock(data)
+	rec, err := put()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadBlock(ref)
+	got, err := s.ReadBlock(rec.Pages[0])
 	if err != nil {
 		t.Fatalf("block written by the retry must verify: %v", err)
 	}

@@ -19,6 +19,7 @@ import (
 func (s *Store) DropEpoch(group, epoch uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.sortFreedLocked(len(s.freeList))
 
 	ms := s.manifests[group]
 	pos, victim := s.findManifestLocked(group, epoch)

@@ -204,10 +204,10 @@ func (s *Store) Sync() error {
 	// Durability barrier: the index must be stable on media before the
 	// superblock that points at it becomes visible, and the superblock
 	// must be stable before Sync reports success.
-	if _, err := s.dev.WriteAt(idx, idxOff); err != nil {
+	if err := s.devWrite(idx, idxOff); err != nil {
 		return failed(fmt.Errorf("objstore: writing index generation %d: %w", gen, err))
 	}
-	if _, err := s.dev.Sync(); err != nil {
+	if err := s.devSync(); err != nil {
 		return failed(fmt.Errorf("objstore: syncing index generation %d: %w", gen, err))
 	}
 	sb := encodeSuperblock(superblock{
@@ -217,10 +217,10 @@ func (s *Store) Sync() error {
 		idxCRC:  crc32.Checksum(idx, castagnoli),
 		fenceHW: fenceHW,
 	})
-	if _, err := s.dev.WriteAt(sb, slotOffset(gen)); err != nil {
+	if err := s.devWrite(sb, slotOffset(gen)); err != nil {
 		return failed(fmt.Errorf("objstore: publishing superblock generation %d: %w", gen, err))
 	}
-	if _, err := s.dev.Sync(); err != nil {
+	if err := s.devSync(); err != nil {
 		return failed(fmt.Errorf("objstore: syncing superblock generation %d: %w", gen, err))
 	}
 

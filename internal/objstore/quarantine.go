@@ -120,7 +120,7 @@ func (s *Store) VerifyEpoch(group, epoch uint64) error {
 
 	buf := make([]byte, BlockSize)
 	for _, c := range refs {
-		if _, err := s.dev.ReadAt(buf, c.ref.Off); err != nil {
+		if err := s.devRead(buf, c.ref.Off); err != nil {
 			return fmt.Errorf("objstore: verify epoch %d of group %d: block at %d: %w",
 				epoch, group, c.ref.Off, err)
 		}
@@ -145,7 +145,7 @@ func (s *Store) RepairBlock(ref BlockRef, data []byte) error {
 		return fmt.Errorf("%w: repair data for block at %d does not match its hash",
 			ErrCorruptBlock, ref.Off)
 	}
-	if _, err := s.dev.WriteAt(data, ref.Off); err != nil {
+	if err := s.devWrite(data, ref.Off); err != nil {
 		return fmt.Errorf("objstore: repair block at %d: %w", ref.Off, err)
 	}
 	return nil

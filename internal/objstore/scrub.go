@@ -24,7 +24,7 @@ func (s *Store) FetchBlock(h Hash) ([]byte, bool) {
 		return nil, false
 	}
 	buf := make([]byte, BlockSize)
-	if _, err := s.dev.ReadAt(buf, be.ref.Off); err != nil {
+	if err := s.devRead(buf, be.ref.Off); err != nil {
 		return nil, false
 	}
 	if s.HashPage(buf) != h {
@@ -67,7 +67,7 @@ func (s *Store) Scrub(src BlockSource) (*ScrubReport, error) {
 	rep := &ScrubReport{Blocks: len(refs)}
 	buf := make([]byte, BlockSize)
 	for _, ref := range refs {
-		if _, err := s.dev.ReadAt(buf, ref.Off); err != nil {
+		if err := s.devRead(buf, ref.Off); err != nil {
 			return rep, fmt.Errorf("objstore: scrub read at %d: %w", ref.Off, err)
 		}
 		if s.HashPage(buf) == ref.Hash {
@@ -76,7 +76,7 @@ func (s *Store) Scrub(src BlockSource) (*ScrubReport, error) {
 		rep.Corrupt++
 		if src != nil {
 			if good, ok := src.FetchBlock(ref.Hash); ok {
-				if _, err := s.dev.WriteAt(good, ref.Off); err == nil {
+				if err := s.devWrite(good, ref.Off); err == nil {
 					rep.Repaired++
 					continue
 				}

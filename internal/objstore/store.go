@@ -135,13 +135,18 @@ type Manifest struct {
 
 // Stats summarizes store occupancy for the density experiments.
 type Stats struct {
-	Records       int
-	Manifests     int
-	Blocks        int   // distinct physical blocks
-	BlockBytes    int64 // physical bytes in data blocks
-	LogicalBytes  int64 // bytes all records reference (pre-dedup)
-	MetaBytes     int64
-	DedupHits     int64 // block writes absorbed by an existing block
+	Records      int
+	Manifests    int
+	Blocks       int   // distinct physical blocks
+	BlockBytes   int64 // physical bytes in data blocks
+	LogicalBytes int64 // bytes all records reference (pre-dedup)
+	MetaBytes    int64
+	DedupHits    int64 // block writes absorbed by an existing block
+	// PagesHashed counts the pages whose content hash the put path
+	// computed itself (PutRecord, PutRecordMixed). Pages put with their
+	// hash supplied (PutPages) add nothing: a flush that hashes here
+	// what the image already hashed shows up as a non-zero delta.
+	PagesHashed   int64
 	BlocksFreed   int64
 	EpochsDropped int64
 	// LiveBytes is the physical footprint pinned by retained state:
@@ -224,12 +229,26 @@ type storeCore struct {
 	packLive map[int64]int
 }
 
-// Store is the object store over one device.
+// Store is the object store over one device: the root handle Create and
+// Open return, or a view of it (WithClock). A Store holds a clock by
+// value and must not be copied.
 type Store struct {
 	*storeCore
 	dev   storage.Device
 	clock *storage.Clock
 	costs storage.CostModel
+
+	// A view's device bills scratch, not the lane: after every device
+	// operation the view takes what was billed (billed) and either
+	// advances its lane by it or, inside an Overlapped window, adds it
+	// to the window. The root handle's device bills the clock it was
+	// built on directly and scratch stays at zero.
+	scratch storage.Clock
+	overlap struct {
+		open bool
+		n    int           // device operations issued in the window
+		sum  time.Duration // what they cost one at a time
+	}
 }
 
 type manifestID struct {
@@ -266,14 +285,62 @@ func Create(dev storage.Device, clock *storage.Clock) *Store {
 // WithClock returns a view of the store that shares the full index and
 // block state but charges hash and device costs to c. Background flush
 // lanes use this so a flush overlapping the application's timeline does
-// not inflate the foreground clock.
+// not inflate the foreground clock. A view is one timeline: it is meant
+// for one goroutine at a time, like the lane it charges.
 func (s *Store) WithClock(c *storage.Clock) *Store {
-	return &Store{
-		storeCore: s.storeCore,
-		dev:       storage.Redirect(s.dev, c),
-		clock:     c,
-		costs:     s.costs,
+	v := &Store{storeCore: s.storeCore, clock: c, costs: s.costs}
+	v.dev = storage.Redirect(s.dev, &v.scratch)
+	return v
+}
+
+// billed accounts for the device operation just issued.
+func (s *Store) billed() {
+	d := s.scratch.Drain()
+	switch {
+	case s.overlap.open:
+		s.overlap.n++
+		s.overlap.sum += d
+	case d > 0 && s.clock != nil:
+		s.clock.Advance(d)
 	}
+}
+
+func (s *Store) devRead(p []byte, off int64) error {
+	_, err := s.dev.ReadAt(p, off)
+	s.billed()
+	return err
+}
+
+func (s *Store) devWrite(p []byte, off int64) error {
+	_, err := s.dev.WriteAt(p, off)
+	s.billed()
+	return err
+}
+
+func (s *Store) devSync() error {
+	_, err := s.dev.Sync()
+	s.billed()
+	return err
+}
+
+// Overlapped runs issue with the view's device operations overlapped at
+// the device queue depth: each is still issued as its own call, in
+// program order — a fault-injecting or tracing device sees the sequence
+// it always saw — but the lane is charged once, when issue returns, for
+// all n of them: storage.Batch(Params(), n, their mean cost). Hash
+// costs are CPU time and stay charged as they occur. On the root handle
+// the device has billed its own clock call by call before the store
+// sees a duration, so there the window holds nothing and changes
+// nothing: overlap needs a lane to be charged to (see
+// core.StoreBackend.Flush).
+func (s *Store) Overlapped(issue func() error) error {
+	s.overlap.open = true
+	err := issue()
+	if n := s.overlap.n; n > 0 && s.clock != nil {
+		s.clock.Advance(storage.Batch(s.dev.Params(), n, s.overlap.sum/time.Duration(n)))
+	}
+	s.overlap.open, s.overlap.n, s.overlap.sum = false, 0, 0
+	return err
 }
 
 // Device exposes the backing device (used by the harness for stats).
@@ -574,7 +641,7 @@ func (s *Store) CompactPacks() int64 {
 		meta := rec.Meta
 		s.mu.Unlock()
 		if len(meta) > 0 {
-			if _, err := s.dev.WriteAt(meta, off); err != nil {
+			if err := s.devWrite(meta, off); err != nil {
 				s.mu.Lock()
 				s.freeExtentLocked(off, rec.metaLen+1)
 				s.mu.Unlock()
@@ -597,12 +664,29 @@ func (s *Store) CompactPacks() int64 {
 	return freed
 }
 
+// ContentHash is the content hash the store indexes a page by: the
+// SHA-256 of the page as a block — zero-padded when shorter, cut when
+// longer. Everything that names a page by hash (Image.PageHashes, the
+// put path, verified reads) goes through this one rule.
+func ContentHash(p []byte) Hash {
+	if len(p) == BlockSize {
+		return sha256.Sum256(p)
+	}
+	var block [BlockSize]byte
+	copy(block[:], p)
+	return sha256.Sum256(block[:])
+}
+
 // HashPage computes the dedup hash of a page, charging the hash cost.
 func (s *Store) HashPage(p []byte) Hash {
+	s.chargeHash()
+	return ContentHash(p)
+}
+
+func (s *Store) chargeHash() {
 	if s.clock != nil {
 		s.clock.Advance(s.costs.HashPage)
 	}
-	return sha256.Sum256(p)
 }
 
 // holdLocked takes one reference on a block for a record that is still
@@ -628,53 +712,74 @@ func (s *Store) unholdLocked(ref BlockRef) {
 	s.releaseBlockLocked(ref)
 }
 
-// putBlock stores one page of data, deduplicating by content. The
-// reference it returns is held in flight (holdLocked).
-func (s *Store) putBlock(data []byte) (BlockRef, error) {
-	h := s.HashPage(data)
-	s.mu.Lock()
-	if be, ok := s.blocks[h]; ok {
-		s.holdLocked(be)
-		s.stats.DedupHits++
-		ref := be.ref
-		s.mu.Unlock()
-		return ref, nil
+// sortFreedLocked orders the blocks freed since the free list was mark
+// long. Records keep their pages in a map, so whoever releases a
+// record's blocks meets them in iteration order; sorting what that
+// appended keeps the order in which later puts reuse the blocks — and
+// with it every BlockRef.Off — a function of the history alone.
+func (s *Store) sortFreedLocked(mark int) {
+	slices.Sort(s.freeList[mark:])
+}
+
+// putPage stores one page of rec — data, whose ContentHash is h —
+// deduplicating by content, and enters it in rec.Pages with its
+// reference held in flight (holdLocked).
+func (s *Store) putPage(rec *Record, idx int64, data []byte, h Hash) error {
+	if len(data) != BlockSize {
+		block := make([]byte, BlockSize)
+		copy(block, data)
+		data = block
 	}
-	if s.dataGrowthLocked() {
-		if err := s.dataRoomLocked(BlockSize); err != nil {
+	if verifySuppliedHashes && ContentHash(data) != h {
+		panic(fmt.Sprintf("objstore: page %d of object %d put under a hash that is not its content's", idx, rec.OID))
+	}
+	s.chargeHash()
+	s.mu.Lock()
+	be, dedup := s.blocks[h]
+	if !dedup {
+		if s.dataGrowthLocked() {
+			if err := s.dataRoomLocked(BlockSize); err != nil {
+				s.mu.Unlock()
+				return err
+			}
+		}
+		off := s.allocBlock()
+		s.mu.Unlock()
+
+		// Publish the dedup entry only after the bytes are on media: a
+		// failed write must not leave the index pointing at a block that
+		// never landed, or every later put of the same content dedups
+		// against garbage and poisons each epoch referencing the page.
+		err := s.devWrite(data, off)
+		s.mu.Lock()
+		if err != nil {
+			s.freeList = append(s.freeList, off)
 			s.mu.Unlock()
-			return BlockRef{}, err
+			return wrapSpace(err)
+		}
+		if be, dedup = s.blocks[h]; dedup {
+			// A concurrent put landed the same content first: reference
+			// its block and recycle the one written here.
+			s.freeList = append(s.freeList, off)
+		} else {
+			be = &blockEntry{ref: BlockRef{Off: off, Hash: h}}
+			s.blocks[h] = be
 		}
 	}
-	off := s.allocBlock()
-	s.mu.Unlock()
-
-	// Publish the dedup entry only after the bytes are on media: a
-	// failed write must not leave the index pointing at a block that
-	// never landed, or every later put of the same content dedups
-	// against garbage and poisons each epoch referencing the page.
-	if _, err := s.dev.WriteAt(data, off); err != nil {
-		s.mu.Lock()
-		s.freeList = append(s.freeList, off)
-		s.mu.Unlock()
-		return BlockRef{}, wrapSpace(err)
-	}
-	s.mu.Lock()
-	if be, ok := s.blocks[h]; ok {
-		// A concurrent put landed the same content first: reference
-		// its block and recycle the one written here.
-		s.holdLocked(be)
+	if dedup {
 		s.stats.DedupHits++
-		ref := be.ref
-		s.freeList = append(s.freeList, off)
-		s.mu.Unlock()
-		return ref, nil
 	}
-	be := &blockEntry{ref: BlockRef{Off: off, Hash: h}}
-	s.blocks[h] = be
 	s.holdLocked(be)
+	if old, dup := rec.Pages[idx]; dup {
+		// Fresh data wins over a stale ref from the refs map; drop the
+		// reference the refs loop took for this page.
+		s.unholdLocked(old)
+	} else {
+		s.stats.LogicalBytes += BlockSize
+	}
+	rec.Pages[idx] = be.ref
 	s.mu.Unlock()
-	return be.ref, nil
+	return nil
 }
 
 // verifyBlock checks a block's contents against its content hash. The
@@ -699,7 +804,7 @@ func (s *Store) ReadBlock(ref BlockRef) ([]byte, error) {
 // ReadBlockInto reads a data block into dst (BlockSize bytes) and
 // verifies its hash. On error dst holds garbage.
 func (s *Store) ReadBlockInto(ref BlockRef, dst []byte) error {
-	if _, err := s.dev.ReadAt(dst, ref.Off); err != nil {
+	if err := s.devRead(dst, ref.Off); err != nil {
 		return err
 	}
 	return s.verifyBlock(ref, dst)
@@ -717,6 +822,7 @@ func (s *Store) ChargeIndexRead(n int) time.Duration {
 	}
 	buf := make([]byte, n)
 	d, err := s.dev.ReadAt(buf, 0)
+	s.billed()
 	if err != nil {
 		return 0
 	}
@@ -733,7 +839,9 @@ func (s *Store) ReadBlocks(refs []BlockRef) ([][]byte, error) {
 		bufs[i] = make([]byte, BlockSize)
 		offs[i] = ref.Off
 	}
-	if _, err := s.dev.ReadBatch(bufs, offs); err != nil {
+	_, err := s.dev.ReadBatch(bufs, offs)
+	s.billed()
+	if err != nil {
 		return nil, err
 	}
 	for i, ref := range refs {
@@ -744,11 +852,34 @@ func (s *Store) ReadBlocks(refs []BlockRef) ([][]byte, error) {
 	return bufs, nil
 }
 
+// PageSet is an object's pages handed to a put as one ordered batch:
+// ascending page index, each page with its bytes and the ContentHash of
+// those bytes. The order is the order the put allocates and writes
+// blocks in, so it — not a map iteration — decides block placement.
+type PageSet interface {
+	Len() int
+	Page(i int) (idx int64, data []byte, hash Hash)
+}
+
+// mapPages is the PageSet of a caller that holds a page map and no
+// hashes: its keys sorted, each page hashed as it is asked for.
+type mapPages struct {
+	idxs  []int64
+	pages map[int64][]byte
+}
+
+func (m *mapPages) Len() int { return len(m.idxs) }
+
+func (m *mapPages) Page(i int) (int64, []byte, Hash) {
+	data := m.pages[m.idxs[i]]
+	return m.idxs[i], data, ContentHash(data)
+}
+
 // PutRecord writes one object's record for an epoch: metadata plus the
 // given pages (complete set when full, dirty set otherwise). Page data
 // is deduplicated block by block.
 func (s *Store) PutRecord(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages map[int64][]byte, heat []vm.PageHeat) (*Record, error) {
-	return s.putRecord(group, oid, epoch, kind, full, meta, pages, nil, heat)
+	return s.PutRecordMixed(group, oid, epoch, kind, full, meta, pages, nil, heat)
 }
 
 // PutRecordRefs writes a record whose pages are existing blocks,
@@ -762,12 +893,41 @@ func (s *Store) PutRecordRefs(group, oid, epoch uint64, kind uint16, full bool, 
 
 // PutRecordMixed writes a record combining freshly written pages with
 // zero-copy references to existing blocks (the snapshot fast path:
-// dirty pages written, clean pages re-referenced).
+// dirty pages written, clean pages re-referenced). The pages are put in
+// ascending index order and hashed here, one by one.
 func (s *Store) PutRecordMixed(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages map[int64][]byte, refs map[int64]BlockRef, heat []vm.PageHeat) (*Record, error) {
-	return s.putRecord(group, oid, epoch, kind, full, meta, pages, refs, heat)
+	if len(pages) == 0 {
+		return s.putRecord(group, oid, epoch, kind, full, meta, nil, refs, heat)
+	}
+	set := &mapPages{idxs: make([]int64, 0, len(pages)), pages: pages}
+	for idx := range pages {
+		set.idxs = append(set.idxs, idx)
+	}
+	slices.Sort(set.idxs)
+	s.mu.Lock()
+	s.stats.PagesHashed += int64(len(pages))
+	s.mu.Unlock()
+	return s.putRecord(group, oid, epoch, kind, full, meta, set, refs, heat)
 }
 
-func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages map[int64][]byte, refs map[int64]BlockRef, heat []vm.PageHeat) (*Record, error) {
+// PutPages writes a record whose pages come as an ordered batch with
+// their content hashes already known — the checkpoint flush, which
+// hashes an image's pages once for every backend it goes to. The store
+// computes no hash of its own here (under the race detector it checks
+// every one it is given, see verifySuppliedHashes); the virtual hash
+// cost is charged per page all the same.
+func (s *Store) PutPages(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages PageSet, heat []vm.PageHeat) (*Record, error) {
+	return s.putRecord(group, oid, epoch, kind, full, meta, pages, nil, heat)
+}
+
+// putRecord is the one put path: references first, then the pages in
+// batch order — dedup against the index, one device write per new block
+// — then the metadata extent, then registration.
+func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages PageSet, refs map[int64]BlockRef, heat []vm.PageHeat) (*Record, error) {
+	n := len(refs)
+	if pages != nil {
+		n += pages.Len()
+	}
 	rec := &Record{
 		Group: group,
 		OID:   oid,
@@ -775,20 +935,21 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 		Kind:  kind,
 		Full:  full,
 		Meta:  append([]byte(nil), meta...),
-		Pages: make(map[int64]BlockRef, len(pages)+len(refs)),
+		Pages: make(map[int64]BlockRef, n),
 		Heat:  heat,
 	}
-	var logical int64
 	// unwind releases every reference the attempt took so far. A failed
 	// put — most importantly an out-of-space one — must leave the index
 	// exactly as it found it: no registered record, no leaked refcounts,
 	// no orphaned metadata extent.
 	unwind := func() {
 		s.mu.Lock()
+		mark := len(s.freeList)
 		for _, ref := range rec.Pages {
 			s.unholdLocked(ref)
 		}
-		s.stats.LogicalBytes -= logical
+		s.sortFreedLocked(mark)
+		s.stats.LogicalBytes -= int64(len(rec.Pages)) * BlockSize
 		s.mu.Unlock()
 	}
 	s.mu.Lock()
@@ -802,31 +963,16 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 		s.holdLocked(be)
 		rec.Pages[idx] = be.ref
 		s.stats.LogicalBytes += BlockSize
-		logical += BlockSize
 	}
 	s.mu.Unlock()
-	for idx, data := range pages {
-		if len(data) != BlockSize {
-			padded := make([]byte, BlockSize)
-			copy(padded, data)
-			data = padded
+	if pages != nil {
+		for i, n := 0, pages.Len(); i < n; i++ {
+			idx, data, h := pages.Page(i)
+			if err := s.putPage(rec, idx, data, h); err != nil {
+				unwind()
+				return nil, err
+			}
 		}
-		ref, err := s.putBlock(data)
-		if err != nil {
-			unwind()
-			return nil, err
-		}
-		s.mu.Lock()
-		if old, dup := rec.Pages[idx]; dup {
-			// Fresh data wins over a stale ref from the refs map; drop
-			// the reference the refs loop already took for this page.
-			s.unholdLocked(old)
-		} else {
-			s.stats.LogicalBytes += BlockSize
-			logical += BlockSize
-		}
-		rec.Pages[idx] = ref
-		s.mu.Unlock()
 	}
 	// Write the metadata extent, then register the record. Registration
 	// must come last: a record visible in the index before its metadata
@@ -853,7 +999,7 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 	}
 	s.mu.Unlock()
 	if len(meta) > 0 {
-		if _, err := s.dev.WriteAt(meta, rec.metaOff); err != nil {
+		if err := s.devWrite(meta, rec.metaOff); err != nil {
 			s.mu.Lock()
 			s.freeExtentLocked(rec.metaOff, len(meta)+1)
 			s.mu.Unlock()
@@ -867,9 +1013,11 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 		// Re-delivery (a flush retried after a partial failure):
 		// replace the previous attempt's record, releasing everything
 		// it pinned so refcounts stay exact.
+		mark := len(s.freeList)
 		for _, ref := range old.Pages {
 			s.releaseBlockLocked(ref)
 		}
+		s.sortFreedLocked(mark)
 		s.stats.LogicalBytes -= int64(len(old.Pages)) * BlockSize
 		s.stats.MetaBytes -= int64(old.metaLen)
 		s.freeExtentLocked(old.metaOff, old.metaLen+1)

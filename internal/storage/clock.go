@@ -65,6 +65,19 @@ func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
 	}
 }
 
+// Drain returns the time charged to c since the last Drain and resets
+// it: how a scratch clock is read. A consumer bills a device view to a
+// clock of its own (Redirect) and after each operation takes what the
+// device charged — to pass it on to a lane as it stands, or to hold it
+// back and charge a group of overlapped operations with Batch. What is
+// charged is taken exactly once, also under concurrent Drains.
+func (c *Clock) Drain() time.Duration {
+	if c.now.Load() == 0 {
+		return 0 // nothing to take: leave the cache line shared
+	}
+	return time.Duration(c.now.Swap(0))
+}
+
 // Lane returns a new clock seeded at c's current time. Lanes model
 // device time that overlaps the foreground timeline: a background
 // flusher charges its I/O to a lane so the application's virtual clock

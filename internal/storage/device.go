@@ -22,10 +22,19 @@ var (
 // are arbitrary byte offsets; devices store data sparsely so petabyte
 // address spaces cost only what is written.
 //
-// Cost accounting: every operation returns the modeled time the
-// operation occupied the device. Callers that overlap I/O (async
-// flushers) divide by the effective queue depth themselves via the
-// Batch helper.
+// Cost accounting: every operation charges the device's clock the
+// modeled time it occupied the device, as if it were the only one in
+// flight, and returns that time. Overlap is the issuer's to model, and
+// exactly two issuers do. Reads: the restore path hands ReadBatch a
+// whole extent list and the device divides by its queue depth. Writes:
+// there is no batched write — a decorator that forwards only the
+// methods below (FaultDevice, a tracing wrapper) must see every write
+// as one WriteAt — so the object store's flush path bills its device
+// view to a scratch clock (Redirect, Clock.Drain), issues an epoch's
+// writes one call at a time and charges its lane Batch(Params(), n,
+// mean) once for all of them (objstore.Store.Overlapped). Every other
+// caller — file system sync, the NT log, scrub and repair, swap — is
+// synchronous I/O on its caller's timeline: one operation at a time.
 type Device interface {
 	// ReadAt reads len(p) bytes at off. Unwritten regions read as zero.
 	ReadAt(p []byte, off int64) (time.Duration, error)

@@ -1,5 +1,7 @@
 package vm
 
+import "fmt"
+
 // This file implements the checkpoint side of the VM object: the
 // serialization-barrier protocol (BeginCheckpoint), Aurora's shared
 // copy-on-write fault rule (CowFault), and the bookkeeping that makes
@@ -52,7 +54,14 @@ func (cs *CheckpointSet) Release(pm *PhysMem) {
 // The caller is responsible for reflecting the write-protection into
 // every address space that maps the object (see
 // AddressSpace.ProtectObject) and for charging PTE costs.
-func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
+//
+// A full capture of a lazily restored object also takes the pages still
+// parked in its restore source. If the source cannot produce one of
+// them the barrier fails with an error wrapping ErrBackendDown (and the
+// source's own) and the object is left exactly as it was — nothing
+// captured, nothing protected, its dirty set intact: an image with a
+// hole where the page should be must never be made.
+func (o *Object) BeginCheckpoint(epoch uint64, full bool) (*CheckpointSet, error) {
 	// Exclude in-flight writes: a write that passed its permission check
 	// before this barrier finishes its copy before we capture the frame
 	// (see Object.BeginWrite).
@@ -72,6 +81,30 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
 		SwapPages: make(map[int64]int64),
 		Heat:      o.heatSnapshotLocked(),
 	}
+	// Pages still parked in the lazy-restore source belong to the image
+	// as much as resident ones do. They are fetched first: it is the
+	// one step that can fail, and nothing has been changed yet.
+	if full && o.source != nil {
+		for _, idx := range o.source.Pages() {
+			if _, resident := o.pages[idx]; resident {
+				continue
+			}
+			if _, swapped := o.swapSlots[idx]; swapped {
+				continue
+			}
+			data := make([]byte, PageSize)
+			found, err := o.source.FetchInto(idx, data)
+			if err != nil {
+				return nil, fmt.Errorf("%w: capturing page %d of object %q from its restore source: %w", ErrBackendDown, idx, o.Name, err)
+			}
+			if found {
+				if cs.SourcePages == nil {
+					cs.SourcePages = make(map[int64][]byte)
+				}
+				cs.SourcePages[idx] = data
+			}
+		}
+	}
 	capture := func(idx int64) {
 		if f, ok := o.pages[idx]; ok {
 			f.Ref()
@@ -90,25 +123,6 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
 				cs.SwapPages[idx] = slot
 			}
 		}
-		// Pages still parked in the lazy-restore source belong to the
-		// image as much as resident ones do.
-		if o.source != nil {
-			for _, idx := range o.source.Pages() {
-				if _, resident := o.pages[idx]; resident {
-					continue
-				}
-				if _, swapped := o.swapSlots[idx]; swapped {
-					continue
-				}
-				data := make([]byte, PageSize)
-				if found, err := o.source.FetchInto(idx, data); err == nil && found {
-					if cs.SourcePages == nil {
-						cs.SourcePages = make(map[int64][]byte)
-					}
-					cs.SourcePages[idx] = data
-				}
-			}
-		}
 	} else {
 		for idx := range o.dirty {
 			capture(idx)
@@ -116,7 +130,7 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
 	}
 	o.dirty = make(map[int64]bool)
 	o.epoch = epoch
-	return cs
+	return cs, nil
 }
 
 // ProtectedCount returns the number of currently write-protected pages.

@@ -173,7 +173,7 @@ func TestCheckpointSetReleaseIdempotent(t *testing.T) {
 	as, pm, _ := testSpace(t)
 	m, _ := as.MapAnon(PageSize, ProtRead|ProtWrite, false, "x")
 	as.Write(m.Start, []byte{1})
-	cs := m.Obj.BeginCheckpoint(1, true)
+	cs := begin(m.Obj, 1, true)
 	cs.Release(pm)
 	cs.Release(pm) // second release must not double-free
 	if pm.Resident() != 1 {
@@ -185,7 +185,7 @@ func TestUnprotectAbortsCheckpointTracking(t *testing.T) {
 	as, pm, meter := testSpace(t)
 	m, _ := as.MapAnon(PageSize, ProtRead|ProtWrite, false, "x")
 	as.Write(m.Start, []byte{1})
-	cs := m.Obj.BeginCheckpoint(1, true)
+	cs := begin(m.Obj, 1, true)
 	as.ProtectObject(m.Obj, cs.Pages)
 	m.Obj.Unprotect(0)
 	before := meter.CowFaults.Load()

@@ -160,7 +160,7 @@ func TestProtectObjectByCapturedSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cs := obj.BeginCheckpoint(1, false)
+	cs := begin(obj, 1, false)
 	defer cs.Release(pm)
 	if len(cs.Pages) != 3 {
 		t.Fatalf("captured %d pages, want 3", len(cs.Pages))
@@ -202,7 +202,7 @@ func TestHeatSnapshot(t *testing.T) {
 	if m.Obj.Heat(40) != 3 || m.Obj.Heat(41) != 0 || m.Obj.Heat(1<<40) != 0 {
 		t.Fatal("Object.Heat disagrees with the snapshot")
 	}
-	if idle := NewObject("idle", PageSize).BeginCheckpoint(1, true); idle.Heat != nil {
+	if idle := begin(NewObject("idle", PageSize), 1, true); idle.Heat != nil {
 		t.Fatalf("untouched object has heat %v", idle.Heat)
 	}
 }

@@ -194,7 +194,7 @@ func TestAuroraCowPreservesSharing(t *testing.T) {
 	}
 
 	// Serialization barrier: capture and protect.
-	cs := obj.BeginCheckpoint(1, true)
+	cs := begin(obj, 1, true)
 	as1.ProtectObject(obj, cs.Pages)
 	as2.ProtectObject(obj, cs.Pages)
 	if cs.PageCount() != 1 {
@@ -270,7 +270,7 @@ func TestIncrementalNeverFlushesTwice(t *testing.T) {
 	as.Write(m.Start, make([]byte, 64*PageSize)) // dirty all 64
 
 	obj := m.Obj
-	cs1 := obj.BeginCheckpoint(1, false)
+	cs1 := begin(obj, 1, false)
 	as.ProtectObject(obj, cs1.Pages)
 	if cs1.PageCount() != 64 {
 		t.Fatalf("first incremental captured %d, want 64", cs1.PageCount())
@@ -281,7 +281,7 @@ func TestIncrementalNeverFlushesTwice(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		as.Write(m.Start+Addr(i*5*PageSize), []byte{0xab})
 	}
-	cs2 := obj.BeginCheckpoint(2, false)
+	cs2 := begin(obj, 2, false)
 	as.ProtectObject(obj, cs2.Pages)
 	if cs2.PageCount() != 3 {
 		t.Fatalf("second incremental captured %d, want 3", cs2.PageCount())
@@ -289,7 +289,7 @@ func TestIncrementalNeverFlushesTwice(t *testing.T) {
 	cs2.Release(pm)
 
 	// Nothing dirtied: third checkpoint captures nothing.
-	cs3 := obj.BeginCheckpoint(3, false)
+	cs3 := begin(obj, 3, false)
 	if cs3.PageCount() != 0 {
 		t.Fatalf("idle incremental captured %d, want 0", cs3.PageCount())
 	}
@@ -301,9 +301,9 @@ func TestFullCheckpointCapturesAllResident(t *testing.T) {
 	as.Write(m.Start, make([]byte, 16*PageSize))
 	obj := m.Obj
 	// Drain the dirty set with an incremental first.
-	obj.BeginCheckpoint(1, false).Release(pm)
+	begin(obj, 1, false).Release(pm)
 	// Full mode still captures all 16 resident pages.
-	cs := obj.BeginCheckpoint(2, true)
+	cs := begin(obj, 2, true)
 	if cs.PageCount() != 16 {
 		t.Fatalf("full checkpoint captured %d, want 16", cs.PageCount())
 	}
@@ -316,7 +316,7 @@ func TestCowFaultFrameRefcounting(t *testing.T) {
 	as.Write(m.Start, []byte{1})
 	obj := m.Obj
 
-	cs := obj.BeginCheckpoint(1, true)
+	cs := begin(obj, 1, true)
 	as.ProtectObject(obj, cs.Pages)
 	before := pm.Resident()
 	as.Write(m.Start, []byte{2}) // COW fault: +1 frame
@@ -336,7 +336,7 @@ func TestBarrierPTECost(t *testing.T) {
 	obj := m.Obj
 
 	meter.PTEOps.Store(0)
-	cs := obj.BeginCheckpoint(1, true)
+	cs := begin(obj, 1, true)
 	ops := as.ProtectObject(obj, cs.Pages)
 	if ops != 32 {
 		t.Fatalf("protect ops = %d, want 32 (one per writable PTE)", ops)
@@ -464,7 +464,7 @@ func TestCheckpointCapturesSwappedDirtyPages(t *testing.T) {
 	if _, err := pg.Reclaim(4); err != nil {
 		t.Fatal(err)
 	}
-	cs := m.Obj.BeginCheckpoint(1, false)
+	cs := begin(m.Obj, 1, false)
 	if len(cs.SwapPages)+cs.PageCount() != 4 {
 		t.Fatalf("checkpoint saw %d mem + %d swap pages, want 4 total",
 			cs.PageCount(), len(cs.SwapPages))
@@ -477,7 +477,7 @@ func TestCheckpointCapturesSwappedDirtyPages(t *testing.T) {
 func TestProtectedPagesNotEvicted(t *testing.T) {
 	as, m, pg, pm := pagerFixture(t)
 	as.Write(m.Start, make([]byte, 8*PageSize))
-	cs := m.Obj.BeginCheckpoint(1, true)
+	cs := begin(m.Obj, 1, true)
 	as.ProtectObject(m.Obj, cs.Pages)
 	n, err := pg.Reclaim(8)
 	if err != nil {
@@ -572,7 +572,7 @@ func TestQuickCheckpointImmutability(t *testing.T) {
 	}
 	as.Write(m.Start, initial)
 
-	cs := m.Obj.BeginCheckpoint(1, true)
+	cs := begin(m.Obj, 1, true)
 	as.ProtectObject(m.Obj, cs.Pages)
 	snapshot := make(map[int64][]byte)
 	for idx, f := range cs.Pages {
