@@ -116,9 +116,11 @@ func (a *API) Rollback(p *kernel.Process) (*Group, *RollbackNotice, error) {
 		}
 	}
 	backends := g.Backends()
-	a.O.Unpersist(g)
-
 	ng, _, err := a.O.RestoreImage(img, readTime, RestoreOpts{Lazy: true, Name: g.Name})
+	// The old group goes only now: dissolving it lets go of every image a
+	// sick backend still owed, and img may be one of them — the restore
+	// has taken its own references to the frames.
+	a.O.Unpersist(g)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -271,58 +271,54 @@ func (o *Orchestrator) admitCheckpoint(g *Group) (bool, CheckpointBreakdown) {
 	return true, bd
 }
 
-// flushImage delivers one image to every backend concurrently, under
-// the per-backend health state machine (health.go): a healthy backend
-// that fails retries with backoff and then degrades, queuing the epoch
-// for catch-up. The epoch succeeds — and may retire — as long as at
+// flushImage brings every backend up to the head concurrently, under
+// the per-backend health state machine (health.go): each is handed the
+// retired epochs of the window it still owes, then the head; a healthy
+// backend that fails retries with backoff and then degrades, leaving
+// the epoch owed. The epoch succeeds — and may retire — as long as at
 // least one healthy non-ephemeral backend accepted it (degraded
 // durability mode); with only ephemeral backends attached, any
 // successful flush suffices, and a group with no backends trivially
-// succeeds as before.
+// succeeds as before. Only the flusher calls it, as the window's reader.
 //
 // The modeled time is the slowest backend plus the file-system
 // snapshot that pins file state to the same generation. Each
 // lane-capable backend charges its I/O to a detached clock lane, so a
 // background flush overlaps the group's execution instead of stalling
 // the foreground virtual timeline; a foreground (synchronous) caller
-// merges the flush time back into the kernel clock. When no ephemeral
-// backend retains the image and no catch-up queue still owes it, its
-// frames are released (the object store now owns the data).
+// merges the flush time back into the kernel clock.
 //
 // Background flushes dispatched by the fleet pass their shard worker's
 // flush lane as base, so consecutive flushes on a busy worker model
 // device queueing instead of all starting at the foreground time. A nil
-// base means the kernel clock (foreground callers).
-func (o *Orchestrator) flushImage(g *Group, img *Image, background bool, base *storage.Clock) (time.Duration, error) {
+// base is a foreground caller: the kernel clock.
+func (o *Orchestrator) flushImage(g *Group, window []*flushJob, img *Image, base *storage.Clock) (time.Duration, error) {
 	backends := g.Backends()
 	clock := o.K.Clock
-	if base == nil {
+	background := base != nil
+	if !background {
 		base = clock
 	}
 	start := clock.Now()
 
 	type outcome struct {
-		dur      time.Duration
-		deferred bool
-		err      error
+		dur time.Duration
+		err error
 	}
 	outs := make([]outcome, len(backends))
 	var wg sync.WaitGroup
 	for i, b := range backends {
 		wg.Add(1)
-		go func(i int, b Backend) {
+		go func(b Backend, out *outcome) {
 			defer wg.Done()
-			d, deferred, err := o.flushBackend(g, b, img, !background, base)
-			outs[i] = outcome{dur: d, deferred: deferred, err: err}
-		}(i, b)
+			out.dur, out.err = o.flushBackend(g, b, window, img, !background, base)
+		}(b, &outs[i])
 	}
 	wg.Wait()
 
 	var worst time.Duration
 	var firstErr error
-	keepFrames := false
-	haveNonEph, okNonEph, okAny := false, false, false
-	nonEph, deferred := 0, 0
+	nonEph, okAny := 0, false
 	var okDurs []time.Duration // non-ephemeral success latencies
 	var ephWorst time.Duration // slowest ephemeral/cache flush
 	for i, b := range backends {
@@ -330,35 +326,29 @@ func (o *Orchestrator) flushImage(g *Group, img *Image, background bool, base *s
 		if out.dur > worst {
 			worst = out.dur
 		}
-		if b.Ephemeral() {
-			keepFrames = true
-			if out.err == nil && out.dur > ephWorst {
-				ephWorst = out.dur
-			}
-		} else {
-			haveNonEph = true
+		if !b.Ephemeral() {
 			nonEph++
 		}
-		if out.deferred {
-			deferred++
-		} else if out.err == nil {
-			okAny = true
-			if !b.Ephemeral() {
-				okNonEph = true
-				okDurs = append(okDurs, out.dur)
+		switch {
+		case out.err != nil:
+			if firstErr == nil {
+				firstErr = fmt.Errorf("core: flushing to %s: %w", b.Name(), out.err)
 			}
-		}
-		if out.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("core: flushing to %s: %w", b.Name(), out.err)
+		case b.Ephemeral():
+			okAny = true
+			ephWorst = max(ephWorst, out.dur)
+		default:
+			okAny = true
+			okDurs = append(okDurs, out.dur)
 		}
 	}
-	if w := g.quorumW(); w > 0 && haveNonEph {
+	if q, ok := g.Quorum(); ok && nonEph > 0 {
 		// Quorum durability: the epoch retires once W non-ephemeral
-		// backends acked it; stragglers catch up through their pending
-		// queues. The modeled latency is the W-th fastest ack — a slow
-		// minority no longer sets the pace — floored by any ephemeral
-		// cache flush (those always complete before the barrier lifts).
-		need := quorumNeed(w, nonEph)
+		// backends acked it; stragglers catch up from the window. The
+		// modeled latency is the W-th fastest ack — a slow minority no
+		// longer sets the pace — floored by any ephemeral cache flush
+		// (those always complete before the barrier lifts).
+		need := QuorumNeed(q.W, nonEph)
 		if len(okDurs) < need {
 			err := fmt.Errorf("core: epoch %d of group %d: %d of %d non-ephemeral acks (need %d): %w",
 				img.Epoch, g.ID, len(okDurs), nonEph, need, ErrQuorumLost)
@@ -368,11 +358,8 @@ func (o *Orchestrator) flushImage(g *Group, img *Image, background bool, base *s
 			return 0, err
 		}
 		sort.Slice(okDurs, func(i, j int) bool { return okDurs[i] < okDurs[j] })
-		worst = okDurs[need-1]
-		if ephWorst > worst {
-			worst = ephWorst
-		}
-	} else if len(backends) > 0 && !okNonEph && !(okAny && !haveNonEph) {
+		worst = max(okDurs[need-1], ephWorst)
+	} else if len(backends) > 0 && len(okDurs) == 0 && !(okAny && nonEph == 0) {
 		// No durable backend holds the epoch: it must not retire.
 		if firstErr == nil {
 			firstErr = fmt.Errorf("core: epoch %d of group %d: %w", img.Epoch, g.ID, ErrBackendDown)
@@ -387,9 +374,6 @@ func (o *Orchestrator) flushImage(g *Group, img *Image, background bool, base *s
 			return worst, fmt.Errorf("core: file system snapshot: %w", err)
 		}
 		worst += sw.Elapsed()
-	}
-	if !keepFrames && deferred == 0 && len(backends) > 0 {
-		img.Release(o.K.Mem)
 	}
 	if !background {
 		clock.AdvanceTo(start + worst)

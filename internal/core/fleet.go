@@ -243,12 +243,7 @@ func (o *Orchestrator) fleetOf() *fleet {
 // goroutine — but the expected sequence is Unpersist/Close at teardown.
 func (o *Orchestrator) Close() {
 	for _, g := range o.Groups() {
-		g.mu.Lock()
-		f := g.fl
-		g.mu.Unlock()
-		if f != nil {
-			f.drain()
-		}
+		o.Drain(g)
 	}
 	o.fleetMu.Lock()
 	fl := o.fleet

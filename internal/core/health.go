@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"aurora/internal/storage"
@@ -14,10 +13,11 @@ import (
 // exponential backoff (charged to the virtual clock); if it keeps
 // failing it degrades, and the group enters degraded durability mode:
 // as long as at least one healthy non-ephemeral backend accepts each
-// epoch, g.durable keeps advancing while the sick backend accumulates
-// a catch-up queue of missed images. Probes drain that queue in epoch
-// order once the backend recovers (automatic resync); Orchestrator.
-// Resync forces the drain. See DESIGN.md §"Failure model & recovery".
+// epoch, g.durable keeps advancing while the sick backend's cursor
+// stays where it is and the epochs above it wait in the flush window
+// (flusher.go). Probes deliver them in epoch order once the backend
+// recovers (automatic resync); Orchestrator.Resync forces the delivery.
+// See DESIGN.md §"Failure model & recovery".
 
 // HealthState is one backend's position in the
 // healthy → degraded → down ladder.
@@ -26,10 +26,10 @@ type HealthState int
 const (
 	// BackendHealthy: flushes succeed; failures retry inline.
 	BackendHealthy HealthState = iota
-	// BackendDegraded: recent flushes failed; new epochs queue for
-	// catch-up and every flush attempt doubles as a recovery probe.
+	// BackendDegraded: recent flushes failed; new epochs wait above its
+	// cursor and every flush attempt doubles as a recovery probe.
 	BackendDegraded
-	// BackendDown: repeated consecutive failures; most epochs queue
+	// BackendDown: repeated consecutive failures; most epochs pass
 	// without touching the backend, with only periodic probes.
 	BackendDown
 )
@@ -47,8 +47,8 @@ func (s HealthState) String() string {
 	}
 }
 
-// ErrBackendDown is wrapped into flush errors when an epoch was queued
-// against a down backend without an attempt (or the attempt itself hit
+// ErrBackendDown is wrapped into flush errors when an epoch was left
+// owed by a down backend without an attempt (or the attempt itself hit
 // the down device). Callers select on it with errors.Is.
 var ErrBackendDown = errors.New("core: backend down")
 
@@ -56,9 +56,9 @@ var ErrBackendDown = errors.New("core: backend down")
 // network between us is broken", not "the backend is broken" — the
 // replica on the far side is presumed alive and holding everything it
 // acked. Such a backend is capped at degraded, never marked down: a
-// partition heals, and every epoch queues for catch-up with the
-// backend probed on each epoch so the hello/hello-ack resume
-// handshake reconnects as soon as the link returns.
+// partition heals, and the backend is probed on each epoch so the
+// hello/hello-ack resume handshake reconnects as soon as the link
+// returns.
 type PartitionAware interface {
 	// Partitions counts connection-loss events observed so far.
 	Partitions() int64
@@ -107,26 +107,44 @@ func (o *Orchestrator) downAfter() int {
 // across backend I/O.
 type backendHealth struct {
 	state       HealthState
-	consecFails int      // consecutive epochs that failed all attempts
-	probing     bool     // a worker is currently probing/draining this backend
-	skips       int      // epochs queued while down, for probe pacing
-	pending     []*Image // catch-up queue of missed epochs, oldest first
-	lastErr     error
-	retries     int64 // flush attempts beyond the first, cumulative
-	resyncs     int64 // epochs replayed from the catch-up queue
+	consecFails int  // consecutive epochs that failed all attempts
+	probing     bool // a caller is delivering to this backend right now
+	skips       int  // epochs passed over while down, for probe pacing
+	// cursor is the newest epoch the backend is done with — taken, in
+	// order, or refused for good by a fence — and offered the newest it
+	// has been handed (0: none yet; the first offer sets the cursor just
+	// below it, so a backend owes nothing from before it was attached).
+	// The backend owes the window's epochs in (cursor, offered]; what the
+	// group reports about who holds what — Replicated, QuorumStatus,
+	// Health, the window's trim — is read from this pair.
+	cursor, offered uint64
+	lastErr         error
+	retries         int64 // flush attempts beyond the first, cumulative
+	resyncs         int64 // owed epochs delivered after the fact
 }
 
-// queueLocked adds an image to the catch-up queue, keeping it sorted
-// by epoch and replacing rather than duplicating a re-delivery.
-func (h *backendHealth) queueLocked(img *Image) {
-	for i, have := range h.pending {
-		if have.Epoch == img.Epoch {
-			h.pending[i] = img
-			return
-		}
+// owes reports whether the backend was offered epochs it has not taken.
+func (h *backendHealth) owes() bool { return h != nil && h.cursor < h.offered }
+
+// noteFail is one step down the ladder: a failure degrades a healthy
+// backend, and downAfter of them in a row sink it to down, the deepest
+// state downState allows it.
+func (h *backendHealth) noteFail(err error, down HealthState, downAfter int) {
+	h.consecFails++
+	h.lastErr = err
+	if h.state == BackendHealthy {
+		h.state = BackendDegraded
 	}
-	h.pending = append(h.pending, img)
-	sort.Slice(h.pending, func(i, j int) bool { return h.pending[i].Epoch < h.pending[j].Epoch })
+	if h.consecFails >= downAfter {
+		h.state = down
+	}
+}
+
+// noteOK is the ladder's reset.
+func (h *backendHealth) noteOK() {
+	h.state = BackendHealthy
+	h.consecFails, h.skips = 0, 0
+	h.lastErr = nil
 }
 
 // BackendHealthInfo is the externally visible health snapshot of one
@@ -134,7 +152,7 @@ func (h *backendHealth) queueLocked(img *Image) {
 type BackendHealthInfo struct {
 	Name    string
 	State   HealthState
-	Pending int   // catch-up queue depth (missed epochs)
+	Pending int   // epochs owed: those above the cursor, up to the newest offered
 	Retries int64 // extra flush attempts so far
 	Resyncs int64 // epochs replayed after recovery
 	// Partitions and CatchUp surface a partition-aware backend's link
@@ -151,10 +169,9 @@ type BackendHealthInfo struct {
 	Sheds    int64
 }
 
-// healthOf returns (creating on demand) the health record for b.
-func (g *Group) healthOf(b Backend) *backendHealth {
-	g.healthMu.Lock()
-	defer g.healthMu.Unlock()
+// healthLocked returns (creating on demand) the health record for b.
+// Caller holds healthMu.
+func (g *Group) healthLocked(b Backend) *backendHealth {
 	if g.health == nil {
 		g.health = make(map[Backend]*backendHealth)
 	}
@@ -171,12 +188,13 @@ func (g *Group) Health() []BackendHealthInfo {
 	backends := g.Backends()
 	out := make([]BackendHealthInfo, 0, len(backends))
 	for _, b := range backends {
-		h := g.healthOf(b)
 		g.healthMu.Lock()
+		h := *g.healthLocked(b)
+		g.healthMu.Unlock()
 		info := BackendHealthInfo{
 			Name:    b.Name(),
 			State:   h.state,
-			Pending: len(h.pending),
+			Pending: int(h.offered - h.cursor),
 			Retries: h.retries,
 			Resyncs: h.resyncs,
 		}
@@ -187,7 +205,6 @@ func (g *Group) Health() []BackendHealthInfo {
 			info.Partitions = pa.Partitions()
 			info.CatchUp = h.resyncs
 		}
-		g.healthMu.Unlock()
 		if sb, ok := b.(*StoreBackend); ok && sb.rec != nil {
 			_, _, info.Usage = sb.rec.Usage()
 			info.Reclaims = sb.rec.Stats().EpochsReclaimed
@@ -248,230 +265,126 @@ func (o *Orchestrator) deliver(b Backend, img *Image, base *storage.Clock) (time
 	return dur, attempts, err
 }
 
-// flushBackend delivers one image to one backend under the health
-// state machine, charging device time to lanes seeded from base (nil =
-// the kernel clock). It returns (modeled duration, deferred, error):
-// deferred means the epoch went to the backend's catch-up queue
-// instead of (or in addition to) the device — the epoch may still
-// retire if a healthy peer holds it. force (foreground Sync) probes a
-// down backend unconditionally; background flushes pace their probes.
-func (o *Orchestrator) flushBackend(g *Group, b Backend, img *Image, force bool, base *storage.Clock) (time.Duration, bool, error) {
-	h := g.healthOf(b)
-
+// flushBackend brings one backend up to the head under the health
+// state machine: it delivers the window's epochs the backend owes,
+// oldest first, then the head (nil during an explicit Resync, whose
+// window also holds the un-retired epochs), charging device time to
+// lanes seeded from base (nil = the kernel clock). The cursor advances
+// with each success, so a failure leaves the rest owed — the head may
+// still retire if a healthy peer holds it — and success all the way
+// through marks the backend healthy again. force (foreground Sync,
+// Resync) probes a down backend unconditionally; background flushes
+// pace their probes. One caller at a time works a backend (probing): a
+// flush that finds a Resync there leaves its epoch owed, a Resync that
+// finds a flush there lets it work.
+func (o *Orchestrator) flushBackend(g *Group, b Backend, window []*flushJob, head *Image, force bool, base *storage.Clock) (time.Duration, error) {
 	g.healthMu.Lock()
-	if h.state != BackendHealthy || len(h.pending) > 0 {
-		probe := !h.probing
-		if probe && h.state == BackendDown && !force {
-			// A down backend is mostly left alone: queue and skip,
-			// probing only every few epochs.
-			h.skips++
-			probe = h.skips%downProbeEvery == 0
+	h := g.healthLocked(b)
+	cursor, seen := h.cursor, h.offered
+	if head != nil && head.Epoch > seen {
+		if seen == 0 {
+			cursor = head.Epoch - 1 // the attach point
+			h.cursor = cursor
 		}
-		if !probe {
-			h.queueLocked(img)
-			err := fmt.Errorf("%w: epoch %d queued for catch-up", ErrBackendDown, img.Epoch)
-			g.healthMu.Unlock()
-			return 0, true, err
-		}
-		h.probing = true
-		g.healthMu.Unlock()
-		return o.probeAndResync(g, h, b, img, base)
+		h.offered = head.Epoch
 	}
+	skip := h.probing
+	if !skip && h.state == BackendDown && !force {
+		// A down backend is mostly left alone: the epoch stays owed,
+		// with a probe only every few epochs.
+		h.skips++
+		skip = h.skips%downProbeEvery != 0
+	}
+	if skip {
+		g.healthMu.Unlock()
+		if head == nil {
+			return 0, nil
+		}
+		return 0, fmt.Errorf("%w: epoch %d queued for catch-up", ErrBackendDown, head.Epoch)
+	}
+	h.probing = true
 	g.healthMu.Unlock()
-
-	dur, attempts, err := o.deliver(b, img, base)
-	fenced := err != nil && noteFence(g, err)
-	g.healthMu.Lock()
-	defer g.healthMu.Unlock()
-	h.retries += int64(attempts - 1)
-	if err == nil {
-		h.consecFails = 0
-		h.lastErr = nil
-		return dur, false, nil
-	}
-	if fenced {
-		// The backend rejected our store generation: the group is a
-		// stale primary, not the backend sick. Queuing the epoch would
-		// retry a flush that can never succeed.
-		h.lastErr = err
-		return dur, false, err
-	}
-	// All attempts failed: degrade and queue the epoch for catch-up.
-	h.consecFails++
-	h.lastErr = err
-	h.state = BackendDegraded
-	if h.consecFails >= o.downAfter() {
-		h.state = downState(b, err)
-	}
-	h.queueLocked(img)
-	return dur, true, err
-}
-
-// probeAndResync drains a sick backend's catch-up queue in epoch
-// order, then delivers img (nil during an explicit Resync). Success
-// all the way through marks the backend healthy again. The caller must
-// have set h.probing; it is cleared on return.
-func (o *Orchestrator) probeAndResync(g *Group, h *backendHealth, b Backend, img *Image, base *storage.Clock) (time.Duration, bool, error) {
-	defer func() {
-		g.healthMu.Lock()
-		h.probing = false
-		g.healthMu.Unlock()
-	}()
 
 	var total time.Duration
-	delivered := img == nil
-
-	fail := func(next *Image, err error) {
-		if noteFence(g, err) {
-			// Fenced: drop the rejected epoch (it is divergent and can
-			// never be delivered) instead of requeueing it forever.
-			g.healthMu.Lock()
-			h.lastErr = err
-			g.healthMu.Unlock()
-			return
+	for i := 0; i <= len(window); i++ {
+		img := head
+		if i < len(window) {
+			img = window[i].img
 		}
-		g.healthMu.Lock()
-		if next != nil {
-			h.queueLocked(next)
+		if img == nil {
+			break // a Resync: no head
 		}
-		if img != nil {
-			h.queueLocked(img)
+		// An epoch offered before and not taken is owed; the head goes
+		// out whatever the cursor says (a retried head is re-delivered
+		// to the backends that already hold it).
+		owed := img.Epoch > cursor && img.Epoch <= seen
+		if !owed && img != head {
+			continue
 		}
-		h.consecFails++
-		h.lastErr = err
-		if h.state == BackendHealthy {
-			h.state = BackendDegraded
-		}
-		if h.consecFails >= o.downAfter() {
-			h.state = downState(b, err)
-		}
-		g.healthMu.Unlock()
-	}
-
-	// Replay missed epochs oldest-first. The queue may grow while we
-	// drain (other workers defer onto a probing backend), so re-check
-	// each round.
-	for {
-		g.healthMu.Lock()
-		var next *Image
-		if len(h.pending) > 0 {
-			next = h.pending[0]
-			h.pending = h.pending[1:]
-		}
-		g.healthMu.Unlock()
-		if next == nil {
-			break
-		}
-		dur, attempts, err := o.deliver(b, next, base)
-		total += dur
-		g.healthMu.Lock()
-		h.retries += int64(attempts - 1)
-		g.healthMu.Unlock()
-		if err != nil {
-			fail(next, err)
-			return total, true, err
-		}
-		g.healthMu.Lock()
-		h.resyncs++
-		g.healthMu.Unlock()
-		if img != nil && next.Epoch == img.Epoch {
-			delivered = true
-		} else {
-			o.releaseIfQuiescent(g, next)
-		}
-	}
-
-	if !delivered {
 		dur, attempts, err := o.deliver(b, img, base)
 		total += dur
+		fenced := err != nil && noteFence(g, err)
 		g.healthMu.Lock()
 		h.retries += int64(attempts - 1)
+		switch {
+		case err == nil:
+			h.cursor = max(h.cursor, img.Epoch)
+			if owed {
+				h.resyncs++
+			}
+		case fenced:
+			// The backend rejected our store generation: the group is a
+			// stale primary, not the backend sick. The epoch is divergent
+			// and can never be delivered, so the cursor passes over it
+			// instead of owing it forever — and a head that was waiting
+			// behind it does not become owed either.
+			h.lastErr = err
+			h.cursor = max(h.cursor, img.Epoch)
+			h.offered = max(seen, h.cursor)
+		default:
+			h.noteFail(err, downState(b, err), o.downAfter())
+		}
+		if err != nil {
+			h.probing = false
+		}
 		g.healthMu.Unlock()
 		if err != nil {
-			fail(nil, err)
-			return total, true, err
+			return total, err
 		}
-	}
-
-	g.healthMu.Lock()
-	if len(h.pending) == 0 { // nothing slipped in while finishing
-		h.state = BackendHealthy
-		h.consecFails = 0
-		h.skips = 0
-		h.lastErr = nil
-	}
-	g.healthMu.Unlock()
-	return total, false, nil
-}
-
-// releaseIfQuiescent frees a drained catch-up image's frames once
-// nothing can still read them: its epoch retired, no ephemeral backend
-// retains images, and no other backend's catch-up queue holds it.
-func (o *Orchestrator) releaseIfQuiescent(g *Group, img *Image) {
-	if img.Released() {
-		return
-	}
-	for _, b := range g.Backends() {
-		if b.Ephemeral() {
-			return
-		}
-	}
-	if img.Epoch > g.Durable() {
-		// Not retired: a stalled flush may still re-deliver this image.
-		return
 	}
 	g.healthMu.Lock()
-	for _, h := range g.health {
-		for _, p := range h.pending {
-			if p == img {
-				g.healthMu.Unlock()
-				return
-			}
-		}
-	}
+	h.noteOK()
+	h.probing = false
 	g.healthMu.Unlock()
-	img.Release(o.K.Mem)
+	return total, nil
 }
 
-// Resync forces every sick backend of g to replay its catch-up queue
-// now, retrying each backend up to resyncRounds times. It returns the
-// first backend's terminal error, after attempting all of them.
+// Resync forces every sick backend of g to take what it owes now,
+// retrying each backend up to resyncRounds times (a round with nothing
+// left to deliver ends them). It returns the first backend's terminal
+// error, after attempting all of them.
 func (o *Orchestrator) Resync(g *Group) error {
+	var window []*flushJob
+	if f := g.pipeline(); f != nil {
+		window = f.read()
+		defer f.finish(nil, 0, nil)
+	}
 	var firstErr error
 	for _, b := range g.Backends() {
-		h := g.healthOf(b)
-		var lastErr error
+		var err error
 		for round := 0; round < resyncRounds; round++ {
-			g.healthMu.Lock()
-			if h.state == BackendHealthy && len(h.pending) == 0 {
-				g.healthMu.Unlock()
-				lastErr = nil
-				break
-			}
-			if h.probing {
-				// A worker is already draining this backend; let it.
-				g.healthMu.Unlock()
-				lastErr = nil
-				break
-			}
-			h.probing = true
-			g.healthMu.Unlock()
+			var dur time.Duration
+			dur, err = o.flushBackend(g, b, window, nil, true, nil)
 			// Foreground resync: the caller waits for the replay, so the
 			// modeled catch-up time (charged to a detached lane inside
-			// attemptFlush) merges back into the group's timeline.
-			dur, _, err := o.probeAndResync(g, h, b, nil, nil)
-			if dur > 0 {
-				o.K.Clock.Advance(dur)
+			// attempt) merges back into the group's timeline.
+			o.K.Clock.Advance(dur)
+			if err == nil {
+				break
 			}
-			if err != nil {
-				lastErr = fmt.Errorf("core: resyncing %s: %w", b.Name(), err)
-				continue
-			}
-			lastErr = nil
-			break
 		}
-		if lastErr != nil && firstErr == nil {
-			firstErr = lastErr
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("core: resyncing %s: %w", b.Name(), err)
 		}
 	}
 	return firstErr

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 // epochs it was offered and accepted, failing while err is set — or,
 // with failFirst > 0, only for its first failFirst calls.
 type ledgerBackend struct {
+	name      string // "" = "ledger"
 	mu        sync.Mutex
 	err       error
 	failFirst int
@@ -41,7 +43,7 @@ func (b *ledgerBackend) offered() []uint64 {
 	return append([]uint64(nil), b.calls...)
 }
 
-func (b *ledgerBackend) Name() string    { return "ledger" }
+func (b *ledgerBackend) Name() string    { return cmp.Or(b.name, "ledger") }
 func (b *ledgerBackend) Ephemeral() bool { return false }
 
 func (b *ledgerBackend) Flush(img *Image) (time.Duration, error) {
@@ -198,19 +200,15 @@ func TestErrBackendDownIsTyped(t *testing.T) {
 	r.o.Checkpoint(g, CheckpointOpts{})
 	r.o.Drain(g) // epoch 1 fails, backend now down (DownAfter=1)
 
-	// Background epochs queued against the down backend defer with the
+	// Background epochs offered to the down backend stay owed, with the
 	// typed sentinel (probe pacing skips the device entirely).
 	r.k.Run(2)
 	r.o.Checkpoint(g, CheckpointOpts{})
 	r.o.Drain(g)
-	g.healthMu.Lock()
-	h := g.health[Backend(lb)]
-	lastErr := h.lastErr
-	g.healthMu.Unlock()
-	_ = lastErr // state transitions recorded; the sentinel itself:
-	_, deferred, err := r.o.flushBackend(g, lb, g.LastImage(), false, nil)
-	if !deferred || !errors.Is(err, ErrBackendDown) {
-		t.Fatalf("deferred=%v err=%v, want deferred with ErrBackendDown", deferred, err)
+	calls := len(lb.offered())
+	_, err := r.o.flushBackend(g, lb, nil, g.LastImage(), false, nil)
+	if !errors.Is(err, ErrBackendDown) || len(lb.offered()) != calls {
+		t.Fatalf("err=%v after %d new calls, want ErrBackendDown without touching the backend", err, len(lb.offered())-calls)
 	}
 }
 

@@ -250,7 +250,7 @@ func (m *Migrator) attempt(phase MigrationPhase, clock *storage.Clock, heal bool
 // converge syncs the source group until the target's contiguous floor
 // has caught the source epoch: flusher drained, durable advanced, and
 // every epoch acked across the link. Retries heal the link and replay
-// the catch-up queue via Resync.
+// what it owes via Resync.
 func (m *Migrator) converge(phase MigrationPhase) error {
 	sid := m.sid()
 	return m.attempt(phase, m.Src.K.Clock, true, func() error {
@@ -274,15 +274,7 @@ func (m *Migrator) backfillDst(phase MigrationPhase) error {
 		return nil
 	}
 	sid := m.sid()
-	floor := m.Target.ContiguousEpoch(sid)
-	have := make(map[uint64]bool)
-	for _, ep := range m.DstStore.Epochs(sid) {
-		have[ep] = true
-	}
-	for _, ep := range m.Target.ReplicaEpochs(sid) {
-		if ep > floor || have[ep] {
-			continue
-		}
+	for _, ep := range backfillEpochs(m.Target.ReplicaEpochs(sid), m.Target.ContiguousEpoch(sid), m.DstStore.Epochs(sid)) {
 		img, err := m.Target.ImageAt(sid, ep)
 		if err != nil {
 			return m.fail(phase, err)

@@ -89,9 +89,10 @@ type Group struct {
 	restorePeers []BlockProvider
 	sources      []*lazyPageSource
 
-	// healthMu guards health (per-backend state machine, catch-up
-	// queues) and quarantined (epochs that failed restore validation).
-	// It is never held across backend I/O and never nested inside mu.
+	// healthMu guards health (per-backend state machine and cursor) and
+	// quarantined (epochs that failed restore validation). It is never
+	// held across backend I/O; it may be taken inside mu (which may be
+	// taken inside the flusher's mu), never the other way round.
 	healthMu    sync.Mutex
 	health      map[Backend]*backendHealth
 	quarantined map[uint64]string
@@ -190,13 +191,18 @@ func (g *Group) Durable() uint64 {
 // pipeline that have not retired yet (queued, flushing, or stalled
 // on or behind a failed flush).
 func (g *Group) QueueDepth() int {
-	g.mu.Lock()
-	f := g.fl
-	g.mu.Unlock()
-	if f == nil {
-		return 0
+	if f := g.pipeline(); f != nil {
+		return f.depth()
 	}
-	return f.depth()
+	return 0
+}
+
+// pipeline returns the group's flush pipeline, nil before its first
+// queued checkpoint and after Unpersist.
+func (g *Group) pipeline() *flusher {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.fl
 }
 
 // PIDs lists member processes.
@@ -256,48 +262,59 @@ func (g *Group) markFenced(gen, floor uint64) {
 // Replicated returns the group's replication frontier. Without a
 // quorum policy it is the newest epoch actually present on every
 // non-ephemeral backend: it equals Durable() while all backends are
-// caught up, and is capped below the oldest epoch still owed to a sick
-// or partitioned backend — degraded-mode durability keeps Durable()
+// caught up, and is capped at the cursor of a sick or partitioned
+// backend that owes epochs — degraded-mode durability keeps Durable()
 // advancing on the healthy peer, but output gated on replication must
-// wait for the catch-up queue to drain. Under a QuorumPolicy it is the
-// newest epoch held by at least W non-ephemeral backends: a lagging
-// minority no longer gates external output, because any future
+// wait for the straggler to take what it owes. Under a QuorumPolicy it
+// is the newest epoch held by at least W non-ephemeral backends: a
+// lagging minority no longer gates external output, because any future
 // promotion elects from a surviving quorum that holds the epoch.
 func (g *Group) Replicated() uint64 {
 	g.mu.Lock()
-	rep := g.durable
-	w := g.quorum.W
-	backends := make([]Backend, len(g.backends))
-	copy(backends, g.backends)
-	g.mu.Unlock()
+	defer g.mu.Unlock()
 	g.healthMu.Lock()
 	defer g.healthMu.Unlock()
 	var floors []uint64
-	for _, b := range backends {
+	for _, b := range g.backends {
 		if b.Ephemeral() {
 			continue
 		}
-		floor := rep
-		if h := g.health[b]; h != nil && len(h.pending) > 0 {
-			if f := h.pending[0].Epoch - 1; f < floor {
-				floor = f
-			}
+		floor := g.durable
+		if h := g.health[b]; h.owes() && h.cursor < floor {
+			floor = h.cursor
 		}
 		floors = append(floors, floor)
 	}
 	if len(floors) == 0 {
-		return rep
+		return g.durable
 	}
-	if w <= 0 {
-		// Legacy: every backend must hold the epoch.
-		for _, f := range floors {
-			if f < rep {
-				rep = f
-			}
+	need := len(floors) // legacy: every backend must hold the epoch
+	if g.quorum.W > 0 {
+		need = g.quorum.W
+	}
+	return QuorumFloor(floors, need)
+}
+
+// passed reports the newest epoch every attached backend is done with:
+// the flush window's jobs at or below it have no reader left. free says
+// their frames may go with them — not while an ephemeral backend
+// retains the images it was handed, and not from a group without a
+// backend, whose images are its only copy.
+func (g *Group) passed() (epoch uint64, free bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.healthMu.Lock()
+	defer g.healthMu.Unlock()
+	epoch, free = ^uint64(0), len(g.backends) > 0
+	for _, b := range g.backends {
+		if b.Ephemeral() {
+			free = false
 		}
-		return rep
+		if h := g.health[b]; h.owes() && h.cursor < epoch {
+			epoch = h.cursor
+		}
 	}
-	return quorumFloor(floors, quorumNeed(w, len(floors)))
+	return epoch, free
 }
 
 // Orchestrator is the SLS orchestrator: it owns persistence groups,
@@ -428,7 +445,9 @@ func (o *Orchestrator) AddProcess(g *Group, p *kernel.Process) {
 func (o *Orchestrator) Unpersist(g *Group) {
 	o.mu.Lock()
 	for pid := range g.pids {
-		delete(o.pidGroup, pid)
+		if o.pidGroup[pid] == g.ID { // a rollback's restored group may have taken the PID over
+			delete(o.pidGroup, pid)
+		}
 	}
 	delete(o.groups, g.ID)
 	o.mu.Unlock()
@@ -459,49 +478,40 @@ func (o *Orchestrator) flusherOf(g *Group) *flusher {
 // Unlike Sync it does not retry that epoch, so the durable frontier may
 // still trail the barrier epoch afterwards.
 func (o *Orchestrator) Drain(g *Group) {
-	g.mu.Lock()
-	f := g.fl
-	g.mu.Unlock()
-	if f != nil {
+	if f := g.pipeline(); f != nil {
 		f.drain()
 	}
 }
 
 // Sync makes the group's newest barrier epoch durable: it drains the
 // flush pipeline, retries any epoch whose background flush failed, and
-// finally flushes inline any image checkpointed with SkipFlush. This
-// is the "epoch durable" half of the old synchronous checkpoint — the
-// first error encountered (including an error from an earlier epoch's
-// background flush) is surfaced here.
+// finally hands the pipeline any image checkpointed with SkipFlush, to
+// flush in the foreground. This is the "epoch durable" half of the old
+// synchronous checkpoint — the first error encountered (including an
+// error from an earlier epoch's background flush) is surfaced here.
 func (o *Orchestrator) Sync(g *Group) error {
-	g.mu.Lock()
-	f := g.fl
-	g.mu.Unlock()
-	if f != nil {
-		if err := f.Sync(); err != nil {
+	if f := g.pipeline(); f != nil {
+		if err := f.Sync(nil); err != nil {
 			return err
 		}
 	}
-	// Legacy path: an epoch checkpointed with SkipFlush was never
-	// queued; sls_barrier semantics demand it become durable now.
+	// An epoch checkpointed with SkipFlush was never queued; sls_barrier
+	// semantics demand it become durable now.
 	g.mu.Lock()
-	epoch, durable, queued, img := g.epoch, g.durable, g.lastQueued, g.last
+	var tail *Image
+	if g.epoch > g.durable && g.epoch > g.lastQueued && g.last != nil && !g.last.Released() {
+		tail, g.lastQueued = g.last, g.epoch
+	}
 	g.mu.Unlock()
-	if epoch > durable && epoch > queued && img != nil && !img.Released() {
-		if _, err := o.flushImage(g, img, false, nil); err != nil {
+	if tail != nil {
+		if err := o.flusherOf(g).Sync(tail); err != nil {
 			return err
 		}
-		g.mu.Lock()
-		if epoch > g.durable {
-			g.durable = epoch
-		}
-		g.mu.Unlock()
-		g.trimBackends()
 	}
 	// Degraded-mode epilogue: the durable frontier is current, but a
-	// sick backend may still owe its catch-up queue. Sync means
-	// "durable everywhere", so force the resync and surface a backend
-	// that cannot take its missed epochs.
+	// sick backend may still owe epochs. Sync means "durable
+	// everywhere", so force the resync and surface a backend that
+	// cannot take what it missed.
 	return o.Resync(g)
 }
 
@@ -512,17 +522,31 @@ func (o *Orchestrator) Attach(g *Group, b Backend) {
 	g.backends = append(g.backends, b)
 }
 
-// Detach removes a backend from a group (`sls detach`).
+// Detach removes a backend from a group (`sls detach`). Its health
+// record and cursor go with it: what only it still owed leaves the
+// flush window.
 func (o *Orchestrator) Detach(g *Group, name string) error {
 	g.mu.Lock()
-	defer g.mu.Unlock()
+	var gone Backend
 	for i, b := range g.backends {
 		if b.Name() == name {
+			gone = b
 			g.backends = append(g.backends[:i], g.backends[i+1:]...)
-			return nil
+			break
 		}
 	}
-	return fmt.Errorf("core: backend %q not attached", name)
+	f := g.fl
+	g.mu.Unlock()
+	if gone == nil {
+		return fmt.Errorf("core: backend %q not attached", name)
+	}
+	g.healthMu.Lock()
+	delete(g.health, gone)
+	g.healthMu.Unlock()
+	if f != nil {
+		f.trim()
+	}
+	return nil
 }
 
 // Backends lists a group's backends.

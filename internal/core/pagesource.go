@@ -122,9 +122,8 @@ func (s *lazyPageSource) FetchInto(idx int64, dst []byte) (bool, error) {
 	// flush pipeline's pacing).
 	primaryFirst := true
 	if g := s.group(); g != nil {
-		h := g.healthOf(s.sb)
 		g.healthMu.Lock()
-		if h.state == BackendDown {
+		if h := g.health[s.sb]; h != nil && h.state == BackendDown {
 			s.mu.Lock()
 			s.skips++
 			primaryFirst = s.skips%downProbeEvery == 0
@@ -168,7 +167,11 @@ func (s *lazyPageSource) FetchInto(idx int64, dst []byte) (bool, error) {
 }
 
 // readPrimary reads one block from the primary store into dst with
-// bounded retry and backoff, feeding the result into the health ladder.
+// bounded retry and backoff, feeding a failure into the health ladder.
+// A good read resets nothing there: a healthy record has no failures to
+// clear (the first one degrades it), and recovery of a degraded or down
+// backend belongs to the flush pipeline's probes, which must deliver
+// what the backend owes first.
 func (s *lazyPageSource) readPrimary(ref objstore.BlockRef, dst []byte) error {
 	var lane *storage.Clock
 	backoff := lazyBackoffBase
@@ -184,7 +187,6 @@ func (s *lazyPageSource) readPrimary(ref objstore.BlockRef, dst []byte) error {
 		}
 		err := s.sb.store.ReadBlockInto(ref, dst)
 		if err == nil {
-			s.noteReadOK()
 			return nil
 		}
 		lastErr = err
@@ -195,7 +197,13 @@ func (s *lazyPageSource) readPrimary(ref objstore.BlockRef, dst []byte) error {
 			break // rot does not heal on retry; a peer can heal it
 		}
 	}
-	s.noteReadFault(lastErr)
+	if g := s.group(); g != nil {
+		// Demand-paging reads and pipeline flushes count against the
+		// same per-backend record.
+		g.healthMu.Lock()
+		g.healthLocked(s.sb).noteFail(lastErr, downState(s.sb, lastErr), s.o.downAfter())
+		g.healthMu.Unlock()
+	}
 	return lastErr
 }
 
@@ -215,44 +223,6 @@ func (s *lazyPageSource) peerCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.peers)
-}
-
-// noteReadFault pushes the primary down the shared health ladder:
-// demand-paging reads and pipeline flushes count against the same
-// per-backend record.
-func (s *lazyPageSource) noteReadFault(err error) {
-	g := s.group()
-	if g == nil {
-		return
-	}
-	h := g.healthOf(s.sb)
-	g.healthMu.Lock()
-	h.consecFails++
-	h.lastErr = err
-	if h.state == BackendHealthy {
-		h.state = BackendDegraded
-	}
-	if h.consecFails >= s.o.downAfter() {
-		h.state = BackendDown
-	}
-	g.healthMu.Unlock()
-}
-
-// noteReadOK clears read-fault pressure on a backend that is otherwise
-// healthy. It never promotes a degraded/down backend: recovery
-// promotion belongs to the flush pipeline's probes, which must drain
-// the catch-up queue first.
-func (s *lazyPageSource) noteReadOK() {
-	g := s.group()
-	if g == nil {
-		return
-	}
-	h := g.healthOf(s.sb)
-	g.healthMu.Lock()
-	if h.state == BackendHealthy {
-		h.consecFails = 0
-	}
-	g.healthMu.Unlock()
 }
 
 // HasPage implements vm.PageSource. A view that can no longer tell

@@ -155,8 +155,9 @@ func (o *Orchestrator) PromoteQuorum(srcs []ReplicaSource, lineage uint64, prima
 	for _, ep := range epochs {
 		if ep > floor {
 			divergent = append(divergent, ep)
-			continue
 		}
+	}
+	for _, ep := range backfillEpochs(epochs, floor, nil) {
 		img, err := src.ImageAt(lineage, ep)
 		if err != nil {
 			return nil, fmt.Errorf("core: promoting lineage %d: reading epoch %d: %w", lineage, ep, err)
@@ -222,14 +223,7 @@ func (o *Orchestrator) PromoteQuorum(srcs []ReplicaSource, lineage uint64, prima
 		if !ok {
 			continue
 		}
-		have := make(map[uint64]bool)
-		for _, ep := range s.ReplicaEpochs(lineage) {
-			have[ep] = true
-		}
-		for _, ep := range epochs {
-			if ep > floor || have[ep] {
-				continue
-			}
+		for _, ep := range backfillEpochs(epochs, floor, s.ReplicaEpochs(lineage)) {
 			img, err := src.ImageAt(lineage, ep)
 			if err != nil {
 				return rep, fmt.Errorf("core: promoting lineage %d: read-repair epoch %d: %w", lineage, ep, err)
@@ -241,6 +235,23 @@ func (o *Orchestrator) PromoteQuorum(srcs []ReplicaSource, lineage uint64, prima
 		}
 	}
 	return rep, nil
+}
+
+// backfillEpochs lists, oldest first, the epochs a backfill copies: of
+// those the source holds (ascending), the ones at or below floor that
+// the sink does not have yet.
+func backfillEpochs(held []uint64, floor uint64, have []uint64) []uint64 {
+	skip := make(map[uint64]bool, len(have))
+	for _, ep := range have {
+		skip[ep] = true
+	}
+	var out []uint64
+	for _, ep := range held {
+		if ep <= floor && !skip[ep] {
+			out = append(out, ep)
+		}
+	}
+	return out
 }
 
 // PromoteBackend moves the primary role to another attached store
@@ -288,9 +299,8 @@ func (o *Orchestrator) PromoteBackend(g *Group, name string) (*PromoteReport, er
 	if current == nil {
 		return nil, fmt.Errorf("core: %q is the only durable backend: %w", name, ErrPrimaryHealthy)
 	}
-	h := g.healthOf(current)
 	g.healthMu.Lock()
-	state := h.state
+	state := g.healthLocked(current).state
 	g.healthMu.Unlock()
 	if state != BackendDown {
 		return nil, fmt.Errorf("core: primary %s is %s: %w", current.Name(), state, ErrPrimaryHealthy)
@@ -322,8 +332,8 @@ func (o *Orchestrator) PromoteBackend(g *Group, name string) (*PromoteReport, er
 // those beyond the fence floor, written after the partition on a line
 // nobody else acknowledges — are quarantined durably on every
 // attached store backend, the newer generation is adopted into those
-// stores' fence tables, and the now-undeliverable catch-up queues are
-// dropped. The group stays fenced (it cannot checkpoint); its role
+// stores' fence tables, and what backends still owed of the line is
+// written off. The group stays fenced (it cannot checkpoint); its role
 // from here is catch-up resync: its stores rejoin the promoted line
 // as secondaries and bootstrap from the new primary's next full
 // checkpoint. Returns the quarantined epochs.
@@ -356,12 +366,15 @@ func (o *Orchestrator) DemoteStale(g *Group) ([]uint64, error) {
 			return quarantined, fmt.Errorf("core: demoting group %d: persisting fence on %s: %w", g.ID, b.Name(), err)
 		}
 	}
-	// Queued catch-up epochs of the fenced line can never be accepted
-	// anywhere; keeping them would retry forever.
+	// Owed epochs of the fenced line can never be accepted anywhere;
+	// keeping them owed would retry forever.
 	g.healthMu.Lock()
 	for _, h := range g.health {
-		h.pending = nil
+		h.cursor = h.offered
 	}
 	g.healthMu.Unlock()
+	if f := g.pipeline(); f != nil {
+		f.trim()
+	}
 	return quarantined, nil
 }

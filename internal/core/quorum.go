@@ -11,9 +11,9 @@ import (
 // advances g.durable, and with it external consistency — as soon as W
 // of its non-ephemeral backends have durably acknowledged it, instead
 // of waiting for all of them. The stragglers keep catching up in
-// parallel through the per-backend health machinery (catch-up queues,
-// probes, the replica resume handshake); a degraded minority never
-// blocks admission or retirement.
+// parallel through the per-backend health machinery (cursors over the
+// flush window, probes, the replica resume handshake); a degraded
+// minority never blocks admission or retirement.
 //
 // With no policy set (the zero value) every legacy semantic is
 // preserved exactly: durability means every backend acked.
@@ -57,19 +57,11 @@ func (g *Group) Quorum() (QuorumPolicy, bool) {
 	return g.quorum, g.quorum.W > 0
 }
 
-// quorumW returns the configured write quorum (0 = legacy
-// all-backends durability).
-func (g *Group) quorumW() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.quorum.W
-}
-
-// quorumNeed clamps the write quorum to the attached non-ephemeral
+// QuorumNeed clamps the write quorum to the attached non-ephemeral
 // backend count: a replica set that shrank below W still makes
 // progress on what remains rather than wedging on an unsatisfiable
 // quorum.
-func quorumNeed(w, nonEph int) int {
+func QuorumNeed(w, nonEph int) int {
 	if w > nonEph {
 		return nonEph
 	}
@@ -79,34 +71,33 @@ func quorumNeed(w, nonEph int) int {
 // QuorumStatus reports the group's quorum configuration and live ack
 // state (the `sls ps` QUORUM column): the write quorum W (0 when no
 // policy is set), how many non-ephemeral backends are fully caught up
-// at the durable frontier (no catch-up queue), and the non-ephemeral
+// at the durable frontier (they owe nothing), and the non-ephemeral
 // backend count N.
 func (g *Group) QuorumStatus() (w, acked, n int) {
 	g.mu.Lock()
-	w = g.quorum.W
-	backends := make([]Backend, len(g.backends))
-	copy(backends, g.backends)
-	g.mu.Unlock()
+	defer g.mu.Unlock()
 	g.healthMu.Lock()
 	defer g.healthMu.Unlock()
-	for _, b := range backends {
+	for _, b := range g.backends {
 		if b.Ephemeral() {
 			continue
 		}
 		n++
-		if h := g.health[b]; h == nil || len(h.pending) == 0 {
+		if !g.health[b].owes() {
 			acked++
 		}
 	}
-	return w, acked, n
+	return g.quorum.W, acked, n
 }
 
-// quorumFloor returns the highest epoch floor guaranteed to be held by
+// QuorumFloor returns the highest epoch floor guaranteed to be held by
 // at least `need` of the given per-backend floors: the need-th highest
-// value. Used by Replicated() (output release gates on the quorum
-// frontier) and by the reclaimer (a lagging minority must not pin
-// retention below what any surviving quorum already holds).
-func quorumFloor(floors []uint64, need int) uint64 {
+// value (need is clamped to 1..len). Used by Replicated() (output
+// release gates on the quorum frontier), by the reclaimer (a lagging
+// minority must not pin retention below what any surviving quorum
+// already holds) and by netback's ReplicaSet over its links' acked
+// frontiers.
+func QuorumFloor(floors []uint64, need int) uint64 {
 	if len(floors) == 0 {
 		return 0
 	}

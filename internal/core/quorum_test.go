@@ -37,25 +37,25 @@ func TestQuorumNeedAndFloor(t *testing.T) {
 		{2, 1, 1}, {5, 0, 0},
 	}
 	for _, c := range cases {
-		if got := quorumNeed(c.w, c.nonEph); got != c.want {
-			t.Errorf("quorumNeed(%d, %d) = %d, want %d", c.w, c.nonEph, got, c.want)
+		if got := QuorumNeed(c.w, c.nonEph); got != c.want {
+			t.Errorf("QuorumNeed(%d, %d) = %d, want %d", c.w, c.nonEph, got, c.want)
 		}
 	}
 	floors := []uint64{2, 8, 7}
-	if got := quorumFloor(floors, 1); got != 8 {
-		t.Errorf("quorumFloor need=1 = %d, want 8", got)
+	if got := QuorumFloor(floors, 1); got != 8 {
+		t.Errorf("QuorumFloor need=1 = %d, want 8", got)
 	}
-	if got := quorumFloor(floors, 2); got != 7 {
-		t.Errorf("quorumFloor need=2 = %d, want 7", got)
+	if got := QuorumFloor(floors, 2); got != 7 {
+		t.Errorf("QuorumFloor need=2 = %d, want 7", got)
 	}
-	if got := quorumFloor(floors, 3); got != 2 {
-		t.Errorf("quorumFloor need=3 = %d, want 2", got)
+	if got := QuorumFloor(floors, 3); got != 2 {
+		t.Errorf("QuorumFloor need=3 = %d, want 2", got)
 	}
-	if got := quorumFloor(floors, 9); got != 2 {
-		t.Errorf("quorumFloor need over len = %d, want min 2", got)
+	if got := QuorumFloor(floors, 9); got != 2 {
+		t.Errorf("QuorumFloor need over len = %d, want min 2", got)
 	}
 	if floors[0] != 2 || floors[1] != 8 || floors[2] != 7 {
-		t.Errorf("quorumFloor mutated its input: %v", floors)
+		t.Errorf("QuorumFloor mutated its input: %v", floors)
 	}
 }
 

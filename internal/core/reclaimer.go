@@ -411,7 +411,7 @@ func (r *Reclaimer) protectionFor(view *objstore.Store) *protection {
 		// not the minimum: a permanently-down minority must not pin
 		// retention GC forever, because promotion elects from a
 		// surviving quorum and the minority's missing epochs replay
-		// from its in-memory catch-up queue, not from the store.
+		// from the in-memory flush window, not from the store.
 		var cuFloors []uint64
 		for _, b := range g.Backends() {
 			if cf, ok := b.(CatchUpFloorer); ok {
@@ -420,8 +420,8 @@ func (r *Reclaimer) protectionFor(view *objstore.Store) *protection {
 				}
 			}
 		}
-		if w := g.quorumW(); w > 0 && len(cuFloors) > 0 {
-			p.lowerFloor(gid, quorumFloor(cuFloors, quorumNeed(w, len(cuFloors))))
+		if q, ok := g.Quorum(); ok && len(cuFloors) > 0 {
+			p.lowerFloor(gid, QuorumFloor(cuFloors, q.W))
 		} else {
 			for _, f := range cuFloors {
 				p.lowerFloor(gid, f)

@@ -75,9 +75,19 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	if n > 1<<32 {
 		return 0, nil, ErrBadFrame
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
+	// The length is the sender's claim. Memory is taken as the bytes
+	// arrive — a first piece that holds any ordinary delta whole, then
+	// doubling — so a truncated or hostile header costs what was sent
+	// (plus at most that piece), not what it promised.
+	payload := make([]byte, min(n, 8<<20))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, payload[got:]); err != nil {
+			return 0, nil, err
+		}
+		if got = len(payload); uint64(got) == n {
+			break
+		}
+		payload = append(payload, make([]byte, min(n-uint64(got), uint64(got)))...)
 	}
 	if got, want := crc32.Checksum(payload, frameCRC), binary.LittleEndian.Uint32(hdr[9:]); got != want {
 		return 0, nil, fmt.Errorf("%w: type %d payload %d bytes: crc %08x, want %08x",

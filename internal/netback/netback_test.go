@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 
 	"aurora/internal/core"
@@ -53,7 +54,7 @@ func init() {
 	})
 }
 
-func spawn(t *testing.T, m *machine) (*kernel.Process, *core.Group) {
+func spawn(t testing.TB, m *machine) (*kernel.Process, *core.Group) {
 	t.Helper()
 	p, err := m.k.Spawn(0, "app")
 	if err != nil {
@@ -146,6 +147,17 @@ func TestFrameCorruption(t *testing.T) {
 	err := serveBytes(recv, rawFrame(frameDelta, []byte{1, 2, 3}, true))
 	if !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("bad CRC err = %v, want ErrCorruptFrame", err)
+	}
+	// A frame that promises 2 GiB and sends three bytes costs what it
+	// sent, not what it promised.
+	truncated := rawFrame(frameDelta, []byte{1, 2, 3}, false)
+	binary.LittleEndian.PutUint64(truncated[1:9], 1<<31)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = serveBytes(recv, truncated)
+	runtime.ReadMemStats(&after)
+	if spent := after.TotalAlloc - before.TotalAlloc; !errors.Is(err, io.ErrUnexpectedEOF) || spent > 16<<20 {
+		t.Fatalf("truncated 2 GiB frame: err = %v after allocating %d bytes, want ErrUnexpectedEOF for a few MiB", err, spent)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // once the epoch is safely on the standby. A resume handshake (hello / hello-ack carrying the
 // receiver's last contiguous epoch) lets a dropped connection
 // reconnect and skip epochs the replica already holds; the core health
-// machinery replays the rest from the catch-up queue.
+// machinery replays the rest from the flush window.
 
 // Replica frame types, continuing the base protocol's numbering.
 const (
@@ -213,46 +213,24 @@ type replicaCore struct {
 	// from mu — which is held across whole send/ack round trips — so
 	// readers (the space reclaimer computing catch-up floors) never
 	// stall behind an in-flight delta.
-	ackMu   sync.Mutex
-	acked   map[uint64]uint64          // group -> contiguous acked frontier
-	ackedHi map[uint64]map[uint64]bool // out-of-order acks above the frontier
+	ackMu sync.Mutex
+	// acked is each group's in-order frontier: the last epoch acked
+	// since the handshake reported the receiver's floor, counted the way
+	// the receiver counts contiguous (lastContiguous). Core delivers a
+	// link's epochs in order, so there is no out-of-order ack to
+	// remember.
+	acked map[uint64]uint64
 }
 
-// noteAcked records a receiver ack for (group, epoch), advancing the
-// contiguous frontier across any out-of-order acks already seen.
+// noteAcked records the receiver's ack of the epoch just sent. It
+// extends the frontier by one — or starts it, when the receiver held
+// nothing: its chain then begins wherever the first delta lands. An
+// epoch past a hole moves nothing, as on the receiver.
 func (rc *replicaCore) noteAcked(group, epoch uint64) {
 	rc.ackMu.Lock()
 	defer rc.ackMu.Unlock()
-	if rc.acked == nil {
-		rc.acked = make(map[uint64]uint64)
-		rc.ackedHi = make(map[uint64]map[uint64]bool)
-	}
-	if epoch <= rc.acked[group] {
-		return
-	}
-	hi := rc.ackedHi[group]
-	if hi == nil {
-		hi = make(map[uint64]bool)
-		rc.ackedHi[group] = hi
-	}
-	hi[epoch] = true
-	for hi[rc.acked[group]+1] {
-		delete(hi, rc.acked[group]+1)
-		rc.acked[group]++
-	}
-}
-
-// noteFloor folds a handshake floor into the acked ledger: everything
-// the receiver reports contiguously held is, by definition, acked.
-func (rc *replicaCore) noteFloor(group, floor uint64) {
-	rc.ackMu.Lock()
-	defer rc.ackMu.Unlock()
-	if rc.acked == nil {
-		rc.acked = make(map[uint64]uint64)
-		rc.ackedHi = make(map[uint64]map[uint64]bool)
-	}
-	if floor > rc.acked[group] {
-		rc.acked[group] = floor
+	if cur := rc.acked[group]; cur == 0 || epoch == cur+1 {
+		rc.acked[group] = epoch
 	}
 }
 
@@ -280,7 +258,7 @@ type ReplicaBackend struct {
 // transfer time to clock.
 func NewReplicaBackend(clock *storage.Clock) *ReplicaBackend {
 	return &ReplicaBackend{
-		core:  &replicaCore{nic: storage.ParamsNIC10G},
+		core:  &replicaCore{nic: storage.ParamsNIC10G, acked: make(map[uint64]uint64)},
 		clock: clock,
 	}
 }
@@ -322,23 +300,21 @@ func (rb *ReplicaBackend) Connect(rw io.ReadWriter, group uint64) (uint64, error
 		}
 		rb.core.conn = rw
 		floor := binary.LittleEndian.Uint64(payload[8:])
+		// Everything the receiver reports contiguously held is, by
+		// definition, acked, and nothing else is: the frontier restarts
+		// from its answer.
 		rb.core.ackMu.Lock()
 		regressed := floor < rb.core.acked[group]
+		rb.core.acked[group] = floor
 		rb.core.ackMu.Unlock()
 		if regressed {
 			// The receiver reports LESS than we recorded acked: it lost
-			// state (killed and restarted empty). The ledger and the
-			// receiver-holds page cache are stale — reset both so
-			// CatchUpFloor tells the truth and compact deltas don't
+			// state (killed and restarted empty). The receiver-holds page
+			// cache is stale too — drop it so compact deltas don't
 			// reference pages the far side no longer has.
-			rb.core.ackMu.Lock()
-			rb.core.acked[group] = 0
-			delete(rb.core.ackedHi, group)
-			rb.core.ackMu.Unlock()
 			rb.core.known = nil
 		}
 		rb.core.floor = floor
-		rb.core.noteFloor(group, floor)
 		return floor, nil
 	}
 }

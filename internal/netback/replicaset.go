@@ -3,7 +3,6 @@ package netback
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -14,7 +13,7 @@ import (
 // links with a write quorum W. Each link is an ordinary core.Backend
 // attached to the group individually — the flusher fans one epoch out
 // to all of them concurrently, and each link keeps its own health
-// state and catch-up queue, so a degraded minority never blocks
+// state and cursor, so a degraded minority never blocks
 // admission. The set itself is bookkeeping: it names the links,
 // installs the group's QuorumPolicy, computes quorum floors over the
 // per-link acked frontiers, and hands the receivers to quorum
@@ -101,19 +100,7 @@ func (rs *ReplicaSet) AckedFloors(group uint64) []uint64 {
 // epoch durability actually stands on.
 func (rs *ReplicaSet) QuorumFloor(group uint64) uint64 {
 	floors := rs.AckedFloors(group)
-	if len(floors) == 0 {
-		return 0
-	}
-	sorted := append([]uint64(nil), floors...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
-	need := rs.W()
-	if need < 1 {
-		need = 1
-	}
-	if need > len(sorted) {
-		need = len(sorted)
-	}
-	return sorted[need-1]
+	return core.QuorumFloor(floors, core.QuorumNeed(rs.W(), len(floors)))
 }
 
 // Lagging reports the members trailing the quorum floor by more than

@@ -127,6 +127,78 @@ func TestReplicaSetQuorumFloorAndLagging(t *testing.T) {
 	}
 }
 
+// TestAckedFloorFollowsRestartedReceiver: a member killed and restarted
+// empty starts its chain wherever the next delta lands, and the
+// sender's ledger must follow the receiver's own count of contiguous
+// from there — not wait for an epoch 1 that will never be re-sent,
+// reporting floor 0 (so the reclaimer pins the primary's whole history)
+// while it remembers every ack above it.
+func TestAckedFloorFollowsRestartedReceiver(t *testing.T) {
+	src := newMachine()
+	_, g := spawn(t, src)
+	rs := NewReplicaSet(2)
+	members := make([]*setMember, 3)
+	for i := range members {
+		mem := &setMember{m: newMachine()}
+		mem.recv = NewReceiver(mem.m.k.Mem, mem.m.clock)
+		mem.rb = NewReplicaBackend(src.clock)
+		rs.Add([]string{"r0", "r1", "r2"}[i], mem.rb, mem.recv)
+		members[i] = mem
+	}
+	rs.AttachAll(src.o, g)
+	for _, mem := range members {
+		dialMember(t, src, g.ID, mem)
+	}
+	ckpt := func(n int, opts core.CheckpointOpts) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			src.k.Run(3)
+			if _, err := src.o.Checkpoint(g, opts); err != nil {
+				t.Fatal(err)
+			}
+			opts.Full = false
+		}
+		if err := src.o.Sync(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ckpt(3, core.CheckpointOpts{})
+
+	// r2 dies and comes back empty.
+	r2 := members[2]
+	r2.conn.Close()
+	if err := <-r2.done; err != nil {
+		t.Fatalf("serve after hangup: %v", err)
+	}
+	r2.m = newMachine()
+	r2.recv = NewReceiver(r2.m.k.Mem, r2.m.clock)
+	dialMember(t, src, g.ID, r2)
+	if f := r2.rb.AckedFloor(g.ID); f != 0 {
+		t.Fatalf("acked ledger = %d after the floor regressed to 0, want reset", f)
+	}
+
+	ckpt(6, core.CheckpointOpts{Full: true}) // one full, five incremental
+	held := r2.recv.ContiguousEpoch(g.ID)
+	if held != 9 {
+		t.Fatalf("restarted receiver holds epochs through %d contiguously, want 9", held)
+	}
+	if f := r2.rb.AckedFloor(g.ID); f != held {
+		t.Fatalf("AckedFloor = %d, the receiver itself reports %d", f, held)
+	}
+	if f := r2.rb.CatchUpFloor(g.ID); f != held+1 {
+		t.Fatalf("CatchUpFloor = %d, want %d: the reclaimer would pin history the replica holds", f, held+1)
+	}
+	if err := rs.Lagging(g.ID, 1); err != nil {
+		t.Fatalf("Lagging = %v, want nil: every member acked epoch 9", err)
+	}
+	r2.rb.core.ackMu.Lock()
+	entries := len(r2.rb.core.acked)
+	r2.rb.core.ackMu.Unlock()
+	if entries != 1 {
+		t.Fatalf("ledger holds %d entries for one group: per-epoch state left behind", entries)
+	}
+}
+
 // TestCompactDeltaSkipAndNeedResend pins the compact-delta protocol:
 // pages the receiver already acked travel as 32-byte content-hash
 // refs; a receiver that cannot resolve a ref answers with a need
