@@ -54,12 +54,18 @@ fuzzcheck:
 	done
 
 ## loc: the non-test line counts ROADMAP tracks (north-star 2), by the
-## definition ROADMAP uses, and those of the two layers under core's
-## data path.
+## definition ROADMAP uses, those of the two layers under core's data
+## path, and the control plane ROADMAP item 5 tracks, per file and in
+## all.
+CONTROL_PLANE = placer autoscale migrate promote supervisor
 loc:
 	@for d in core netback bench objstore storage; do \
 		printf 'internal/%s %s\n' $$d $$(ls internal/$$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
+	@for f in $(CONTROL_PLANE); do \
+		printf 'internal/core/%s.go %s\n' $$f $$(cat internal/core/$$f.go | wc -l); \
+	done
+	@printf 'control plane (%s) %s\n' "$(CONTROL_PLANE)" $$(cat $(CONTROL_PLANE:%=internal/core/%.go) | wc -l)
 
 test:
 	$(GO) test ./...

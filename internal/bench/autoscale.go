@@ -219,10 +219,10 @@ func (r *scaleRun) script() error {
 
 	// The load level the ramp reaches forces at least this many active
 	// stores: a store below the high watermark holds at most
-	// ceil(HighUtil*PrimaryTarget)-1 primaries, and the paced rebalance
+	// ceil(ScaleOutUtil*PrimaryTarget)-1 primaries, and the paced rebalance
 	// spreads toward even, so any smaller fleet pigeonholes some store
 	// above the watermark for every window.
-	perStore := int(0.85*float64(cfg.PrimaryTarget)+0.999999) - 1
+	perStore := int(core.ScaleOutUtil*float64(cfg.PrimaryTarget)+0.999999) - 1
 	r.rep.ExpectedPeak = (cfg.PeakGroups + perStore - 1) / perStore
 	if r.rep.ExpectedPeak > cfg.MaxStores {
 		r.rep.ExpectedPeak = cfg.MaxStores
@@ -453,7 +453,7 @@ func (r *scaleRun) scaleInStorm() error {
 	// pigeonhole is over every surviving store, victim included: enough
 	// load that even a perfectly even spread pins some store at or
 	// above the high watermark.
-	need := int(0.85*float64(r.cfg.PrimaryTarget) + 0.999999)
+	need := int(core.ScaleOutUtil*float64(r.cfg.PrimaryTarget) + 0.999999)
 	burst := need*len(survivors) + 2 - len(r.live())
 	if burst < 4 {
 		burst = 4

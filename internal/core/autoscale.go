@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -72,6 +73,8 @@ type StoreSignal struct {
 	Util      float64 // composite utilization (space vs primary load)
 	SpaceFrac float64
 	Primaries int
+
+	node *StoreNode
 }
 
 // AutoscaleSignals is one control-loop sample of the fleet.
@@ -86,21 +89,33 @@ type AutoscaleSignals struct {
 	PerStore []StoreSignal
 }
 
-// AutoscalerConfig tunes the control loop. Zero values select
-// defaults.
+// The control loop's fixed thresholds. No caller ever set them, so they
+// are constants, not configuration.
+const (
+	// ScaleOutUtil is the scale-out trigger: fleet high-watermark
+	// utilization at or above this for a full window admits a store. It
+	// is also the mid-drain rollback threshold and the pressure level a
+	// fresh store is seeded down to.
+	ScaleOutUtil = 0.85
+	// scaleInUtil is the scale-in trigger: every active store below this
+	// for a full window drains one.
+	scaleInUtil = 0.30
+	// scaleOutSheds is the alternate scale-out trigger, in checkpoint
+	// admission sheds per tick held for a full window: admission control
+	// actively refusing barriers is overload regardless of what
+	// utilization claims.
+	scaleOutSheds = 1
+	// seedTicksMax bounds the seeding phase after a scale-out before the
+	// autoscaler returns to idle regardless.
+	seedTicksMax = 16
+	// scaleTickInterval is the lane time one tick represents —
+	// convergence times are measured in this virtual time.
+	scaleTickInterval = 500 * time.Microsecond
+)
+
+// AutoscalerConfig tunes the control loop. Zero values select defaults
+// (NewAutoscaler fills them in).
 type AutoscalerConfig struct {
-	// HighUtil is the scale-out trigger: fleet high-watermark
-	// utilization at or above this for a full window admits a store
-	// (default 0.85).
-	HighUtil float64
-	// LowUtil is the scale-in trigger: every active store below this
-	// for a full window drains one (default 0.30).
-	LowUtil float64
-	// ShedRate is the alternate scale-out trigger: checkpoint
-	// admission sheds per tick at or above this for a full window
-	// (default 1; admission control actively refusing barriers is
-	// overload regardless of what utilization claims).
-	ShedRate float64
 	// Window is the sliding sample window a trigger must hold through
 	// (default 3 ticks).
 	Window int
@@ -116,105 +131,19 @@ type AutoscalerConfig struct {
 	RebalanceBudget int
 	// DrainBudget caps scale-in migrations per tick (default 2).
 	DrainBudget int
-	// SeedTicksMax bounds the seeding phase after a scale-out before
-	// the autoscaler returns to idle regardless (default 16).
-	SeedTicksMax int
-	// TickInterval is the lane time one tick represents (default
-	// 500µs) — convergence times are measured in this virtual time.
-	TickInterval time.Duration
-	// Lane is the autoscaler's detached clock lane (default: a fresh
-	// clock). Pass a machine clock's Lane() to tie decisions to a
-	// topology's timebase.
-	Lane *storage.Clock
 }
 
-func (c AutoscalerConfig) highUtil() float64 {
-	if c.HighUtil > 0 {
-		return c.HighUtil
-	}
-	return 0.85
-}
-
-func (c AutoscalerConfig) lowUtil() float64 {
-	if c.LowUtil > 0 {
-		return c.LowUtil
-	}
-	return 0.30
-}
-
-func (c AutoscalerConfig) shedRate() float64 {
-	if c.ShedRate > 0 {
-		return c.ShedRate
-	}
-	return 1
-}
-
-func (c AutoscalerConfig) window() int {
-	if c.Window > 0 {
-		return c.Window
-	}
-	return 3
-}
-
-func (c AutoscalerConfig) cooldown() int {
-	if c.Cooldown > 0 {
-		return c.Cooldown
-	}
-	return 2
-}
-
-func (c AutoscalerConfig) minStores() int {
-	if c.MinStores > 0 {
-		return c.MinStores
-	}
-	return 2
-}
-
-func (c AutoscalerConfig) rebalanceBudget() int {
-	if c.RebalanceBudget > 0 {
-		return c.RebalanceBudget
-	}
-	return 1
-}
-
-func (c AutoscalerConfig) drainBudget() int {
-	if c.DrainBudget > 0 {
-		return c.DrainBudget
-	}
-	return 2
-}
-
-func (c AutoscalerConfig) seedTicksMax() int {
-	if c.SeedTicksMax > 0 {
-		return c.SeedTicksMax
-	}
-	return 16
-}
-
-func (c AutoscalerConfig) tickInterval() time.Duration {
-	if c.TickInterval > 0 {
-		return c.TickInterval
-	}
-	return 500 * time.Microsecond
-}
-
-type scalePhase int
-
-const (
-	scaleIdle scalePhase = iota
-	scaleSeeding
-	scaleDraining
-)
-
-func (ph scalePhase) String() string {
-	switch ph {
-	case scaleSeeding:
+// phase names the scale action in flight. It is read off the store the
+// action is about — at most one of seedStore and drainStore is set —
+// not kept beside them.
+func (a *Autoscaler) phase() string {
+	switch {
+	case a.seedStore != nil:
 		return "scaling-out"
-	case scaleDraining:
+	case a.drainStore != nil:
 		return "scaling-in"
-	default:
-		return "idle"
 	}
+	return "idle"
 }
 
 // AutoscaleStatus is the loop's visible state (the CLI's autoscale
@@ -241,7 +170,6 @@ type Autoscaler struct {
 	lane      *storage.Clock
 	pool      []*StoreNode // warm spares, admission order
 	tick      uint64
-	phase     scalePhase
 	window    []AutoscaleSignals
 	decisions []ScaleDecision
 
@@ -260,14 +188,15 @@ type Autoscaler struct {
 // NewAutoscaler builds the control loop over p. Warm spares are added
 // with AddWarmStore; nothing scales until Tick is driven.
 func NewAutoscaler(p *Placer, cfg AutoscalerConfig) *Autoscaler {
-	lane := cfg.Lane
-	if lane == nil {
-		lane = storage.NewClock()
-	}
+	cfg.Window = cmp.Or(cfg.Window, 3)
+	cfg.Cooldown = cmp.Or(cfg.Cooldown, 2)
+	cfg.MinStores = cmp.Or(cfg.MinStores, 2)
+	cfg.RebalanceBudget = cmp.Or(cfg.RebalanceBudget, 1)
+	cfg.DrainBudget = cmp.Or(cfg.DrainBudget, 2)
 	return &Autoscaler{
 		p:         p,
 		cfg:       cfg,
-		lane:      lane,
+		lane:      storage.NewClock(),
 		skipUntil: make(map[*StoreNode]uint64),
 		durable:   make(DurableWatch),
 	}
@@ -319,23 +248,20 @@ func (a *Autoscaler) Status() AutoscaleStatus {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := AutoscaleStatus{
-		Phase: a.phase.String(),
+		Phase: a.phase(),
 		Tick:  a.tick,
 		At:    a.lane.Now(),
 		Pool:  len(a.pool),
 	}
-	active := a.activeStores()
-	st.Active = len(active)
-	st.Target = st.Active
-	for _, n := range active {
-		if u := a.p.Utilization(n); u > st.Util {
-			st.Util = u
-		}
+	for _, s := range a.activeStores() {
+		st.Active++
+		st.Util = max(st.Util, s.Util)
 	}
-	switch a.phase {
-	case scaleSeeding:
+	st.Target = st.Active
+	if a.seedStore != nil {
 		st.Seeding = a.seedStore.Name
-	case scaleDraining:
+	}
+	if a.drainStore != nil {
 		st.Draining = a.drainStore.Name
 		st.Target = st.Active - 1
 	}
@@ -345,51 +271,35 @@ func (a *Autoscaler) Status() AutoscaleStatus {
 	return st
 }
 
-// activeStores lists StoreActive nodes. Caller holds a.mu; takes the
-// placer's lock via Stores/State only.
-func (a *Autoscaler) activeStores() []*StoreNode {
-	var out []*StoreNode
-	for _, n := range a.p.Stores() {
-		if n.State() == StoreActive {
-			out = append(out, n)
+// activeStores reads the fleet and keeps the StoreActive stores.
+func (a *Autoscaler) activeStores() []StoreSignal {
+	stores, _, _ := a.p.signals()
+	return activeOf(stores)
+}
+
+func activeOf(stores []StoreSignal) []StoreSignal {
+	var out []StoreSignal
+	for _, s := range stores {
+		if s.State == StoreActive {
+			out = append(out, s)
 		}
 	}
 	return out
 }
 
-// sample reads one AutoscaleSignals snapshot and appends it to the
-// window. Caller holds a.mu.
+// sample reads one AutoscaleSignals snapshot — one consistent reading
+// of the placer — and appends it to the window. Caller holds a.mu.
 func (a *Autoscaler) sample() AutoscaleSignals {
 	sig := AutoscaleSignals{Tick: a.tick, At: a.lane.Now(), MinUtil: -1}
-	evac, repair := a.p.QueueDepths()
-	sig.Backlog = evac + repair
-
 	var sheds int64
-	for _, pl := range a.p.Placements() {
-		if g := pl.Group(); g != nil {
-			t, _ := g.Sheds()
-			sheds += t
-		}
-	}
+	sig.PerStore, sig.Backlog, sheds = a.p.signals()
 	// Evacuations replace groups (resetting their shed counters), so
 	// clamp the delta at zero rather than reporting a negative rate.
-	if d := sheds - a.lastSheds; d > 0 {
-		sig.Sheds = d
-	}
+	sig.Sheds = max(sheds-a.lastSheds, 0)
 	a.lastSheds = sheds
 
-	for _, n := range a.p.Stores() {
-		st := n.State()
-		ss := StoreSignal{
-			Store:  n.Name,
-			Domain: n.Domain,
-			State:  st,
-			Util:   a.p.Utilization(n),
-		}
-		ss.SpaceFrac = n.usageFrac()
-		ss.Primaries = a.p.primaries(n)
-		sig.PerStore = append(sig.PerStore, ss)
-		if st != StoreActive {
+	for _, ss := range sig.PerStore {
+		if ss.State != StoreActive {
 			continue
 		}
 		sig.Active++
@@ -399,26 +309,17 @@ func (a *Autoscaler) sample() AutoscaleSignals {
 		// The high-watermark excludes the drainee: a store being
 		// emptied reads hot while its residents leave, and that must
 		// not mask (or fake) fleet pressure.
-		if n != a.drainStore && ss.Util > sig.Util {
-			sig.Util = ss.Util
+		if ss.node != a.drainStore {
+			sig.Util = max(sig.Util, ss.Util)
 		}
 	}
-	if sig.MinUtil < 0 {
-		sig.MinUtil = 0
-	}
+	sig.MinUtil = max(sig.MinUtil, 0)
 
 	a.window = append(a.window, sig)
-	if w := a.cfg.window(); len(a.window) > w {
+	if w := a.cfg.Window; len(a.window) > w {
 		a.window = a.window[len(a.window)-w:]
 	}
 	return sig
-}
-
-// primaries is the exported-to-package counter behind StoreSignal.
-func (p *Placer) primaries(n *StoreNode) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.primariesLocked(n)
 }
 
 // audit asserts the two PR 8 invariants (invariant.go) across the fleet
@@ -428,14 +329,10 @@ func (p *Placer) primaries(n *StoreNode) int {
 func (a *Autoscaler) audit() {
 	stores := a.p.Stores()
 	for _, pl := range a.p.Placements() {
-		g := pl.Group()
-		if g == nil {
-			continue
-		}
 		if _, err := a.p.Lookup(pl.Lineage); err != nil {
 			continue // mid-evacuation or lost: audited once re-homed
 		}
-		for _, err := range []error{a.durable.Observe(pl.Lineage, g.Durable()), CheckOnePrimary(pl.Lineage, stores)} {
+		for _, err := range []error{a.durable.Observe(pl.Lineage, pl.Group().Durable()), CheckOnePrimary(pl.Lineage, stores)} {
 			if err != nil {
 				a.violations = append(a.violations, fmt.Sprintf("tick %d: %v", a.tick, err))
 			}
@@ -451,18 +348,17 @@ func (a *Autoscaler) Tick() (ScaleDecision, []PlacerEvent) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.tick++
-	a.lane.Advance(a.cfg.tickInterval())
+	a.lane.Advance(scaleTickInterval)
 
 	evs := a.p.Poll()
 	sig := a.sample()
 	dec := ScaleDecision{Tick: a.tick, At: sig.At, Util: sig.Util, Sheds: sig.Sheds, Backlog: sig.Backlog}
 
-	switch a.phase {
-	case scaleSeeding:
+	switch {
+	case a.seedStore != nil:
 		a.seedTick(&dec, sig)
-	case scaleDraining:
-		devs := a.drainTick(&dec, sig)
-		evs = append(evs, devs...)
+	case a.drainStore != nil:
+		evs = append(evs, a.drainTick(&dec, sig)...)
 	default:
 		a.decide(&dec, sig)
 	}
@@ -470,10 +366,10 @@ func (a *Autoscaler) Tick() (ScaleDecision, []PlacerEvent) {
 	// Background pacer: paced rebalance runs through idle and seeding
 	// ticks (seeding IS rebalance toward the fresh store) but stays
 	// out of a drain's way.
-	if a.phase != scaleDraining {
-		opts := RebalanceOpts{Budget: a.cfg.rebalanceBudget()}
-		if a.phase == scaleSeeding {
-			opts.HighWater = a.cfg.highUtil()
+	if a.drainStore == nil {
+		opts := RebalanceOpts{Budget: a.cfg.RebalanceBudget}
+		if a.seedStore != nil {
+			opts.HighWater = ScaleOutUtil
 		}
 		revs, _ := a.p.RebalanceTick(opts)
 		for _, ev := range revs {
@@ -496,7 +392,7 @@ func (a *Autoscaler) decide(dec *ScaleDecision, sig AutoscaleSignals) {
 		dec.Reason = "cooldown"
 		return
 	}
-	w := a.cfg.window()
+	w := a.cfg.Window
 	if len(a.window) < w {
 		dec.Reason = "window filling"
 		return
@@ -505,13 +401,13 @@ func (a *Autoscaler) decide(dec *ScaleDecision, sig AutoscaleSignals) {
 
 	allHigh, allShed, allLow := true, true, true
 	for _, s := range recent {
-		if s.Util < a.cfg.highUtil() {
+		if s.Util < ScaleOutUtil {
 			allHigh = false
 		}
-		if float64(s.Sheds) < a.cfg.shedRate() {
+		if float64(s.Sheds) < scaleOutSheds {
 			allShed = false
 		}
-		if s.Util >= a.cfg.lowUtil() {
+		if s.Util >= scaleInUtil {
 			allLow = false
 		}
 	}
@@ -530,7 +426,7 @@ func (a *Autoscaler) decide(dec *ScaleDecision, sig AutoscaleSignals) {
 	}
 
 	if allLow {
-		if sig.Active <= a.cfg.minStores() {
+		if sig.Active <= a.cfg.MinStores {
 			dec.Reason = "at min stores"
 			return
 		}
@@ -538,7 +434,7 @@ func (a *Autoscaler) decide(dec *ScaleDecision, sig AutoscaleSignals) {
 			dec.Reason = "evacuation backlog"
 			return
 		}
-		a.scaleIn(dec)
+		a.scaleIn(dec, activeOf(sig.PerStore))
 		return
 	}
 	dec.Reason = "within band"
@@ -548,6 +444,11 @@ func (a *Autoscaler) decide(dec *ScaleDecision, sig AutoscaleSignals) {
 // skipped with their own recorded decisions — the chaos gate injects
 // one deliberately. Caller holds a.mu.
 func (a *Autoscaler) scaleOut(dec *ScaleDecision, reason string) {
+	skipped := func(n *StoreNode, reason string, err error) {
+		a.decisions = append(a.decisions, ScaleDecision{
+			Tick: a.tick, At: a.lane.Now(), Action: "scale-out-skipped", Store: n.Name, Reason: reason, Err: err,
+		})
+	}
 	for len(a.pool) > 0 {
 		n := a.pool[0]
 		a.pool = a.pool[1:]
@@ -560,23 +461,16 @@ func (a *Autoscaler) scaleOut(dec *ScaleDecision, reason string) {
 			}
 		}
 		if perr != nil {
-			a.decisions = append(a.decisions, ScaleDecision{
-				Tick: a.tick, At: a.lane.Now(), Action: "scale-out-skipped",
-				Store: n.Name, Reason: "warm spare failed admission probe", Err: perr,
-			})
+			skipped(n, "warm spare failed admission probe", perr)
 			continue
 		}
 		if err := a.p.AddStore(n); err != nil {
-			a.decisions = append(a.decisions, ScaleDecision{
-				Tick: a.tick, At: a.lane.Now(), Action: "scale-out-skipped",
-				Store: n.Name, Reason: "admission failed", Err: err,
-			})
+			skipped(n, "admission failed", err)
 			continue
 		}
 		dec.Action = "scale-out"
 		dec.Store = n.Name
 		dec.Reason = reason
-		a.phase = scaleSeeding
 		a.seedStore = n
 		a.seedStart = a.tick
 		return
@@ -592,67 +486,54 @@ func (a *Autoscaler) scaleOut(dec *ScaleDecision, reason string) {
 func (a *Autoscaler) seedTick(dec *ScaleDecision, sig AutoscaleSignals) {
 	n := a.seedStore
 	dec.Store = n.Name
-	if n.State() != StoreActive {
-		// The fresh store died during seeding; Poll already queued its
-		// evacuations. Return to idle and let the window refill.
-		dec.Action = "scale-out-done"
-		dec.Reason = "seed store left active state"
-		a.finishAction()
-		return
-	}
-	share := 0
-	if sig.Active > 0 {
-		total := 0
-		for _, s := range sig.PerStore {
-			if s.State == StoreActive {
-				total += s.Primaries
-			}
+	share, carries := 0, 0
+	for _, s := range sig.PerStore {
+		if s.State == StoreActive {
+			share += s.Primaries
 		}
-		share = total / sig.Active
+		if s.node == n {
+			carries = s.Primaries
+		}
 	}
+	share /= max(sig.Active, 1)
 	switch {
-	case sig.Util < a.cfg.highUtil():
-		dec.Action = "scale-out-done"
+	case n.State() != StoreActive:
+		// The fresh store died during seeding; the placer's passes
+		// re-home its residents. Back to idle; let the window refill.
+		dec.Reason = "seed store left active state"
+	case sig.Util < ScaleOutUtil:
 		dec.Reason = "pressure relieved"
-		a.finishAction()
-	case a.p.primaries(n) >= share && share > 0:
-		dec.Action = "scale-out-done"
+	case carries >= share && share > 0:
 		dec.Reason = "seed store carries its share"
-		a.finishAction()
-	case a.tick-a.seedStart >= uint64(a.cfg.seedTicksMax()):
-		dec.Action = "scale-out-done"
+	case a.tick-a.seedStart >= seedTicksMax:
 		dec.Reason = "seed budget exhausted"
-		a.finishAction()
 	default:
 		dec.Action = "seeding"
+		return
 	}
+	dec.Action = "scale-out-done"
+	a.finishAction()
 }
 
-// scaleIn picks the drainee and begins the drain. The candidate is the
-// emptiest active store whose removal keeps at least Replicas distinct
-// failure domains alive, preferring the best-populated domain so
-// shrinking never strands anti-affinity. Caller holds a.mu.
-func (a *Autoscaler) scaleIn(dec *ScaleDecision) {
-	active := a.activeStores()
+// scaleIn picks the drainee among the active stores of a fleet reading
+// and begins the drain. The candidate is the emptiest active store
+// whose removal keeps at least Replicas distinct failure domains alive,
+// preferring the best-populated domain so shrinking never strands
+// anti-affinity. Caller holds a.mu.
+func (a *Autoscaler) scaleIn(dec *ScaleDecision, active []StoreSignal) {
 	domains := make(map[string]int)
-	for _, n := range active {
-		domains[n.Domain]++
+	for _, s := range active {
+		domains[s.Domain]++
 	}
-	need := a.p.cfg.replicas()
-
-	var cands []*StoreNode
-	for _, n := range active {
-		if a.skipUntil[n] > a.tick {
-			continue
-		}
+	var cands []StoreSignal
+	for _, s := range active {
 		left := len(domains)
-		if domains[n.Domain] == 1 {
+		if domains[s.Domain] == 1 {
 			left--
 		}
-		if left < need {
-			continue
+		if a.skipUntil[s.node] <= a.tick && left >= a.p.cfg.Replicas {
+			cands = append(cands, s)
 		}
-		cands = append(cands, n)
 	}
 	if len(cands) == 0 {
 		dec.Action = "hold"
@@ -664,26 +545,32 @@ func (a *Autoscaler) scaleIn(dec *ScaleDecision) {
 		if di != dj {
 			return di > dj // best-populated domain first
 		}
-		ui, uj := a.p.Utilization(cands[i]), a.p.Utilization(cands[j])
-		if ui != uj {
-			return ui < uj // emptiest first
+		if cands[i].Util != cands[j].Util {
+			return cands[i].Util < cands[j].Util // emptiest first
 		}
-		return cands[i].Name < cands[j].Name
+		return cands[i].Store < cands[j].Store
 	})
-	n := cands[0]
-	if err := a.p.BeginDrain(n); err != nil {
+	n := cands[0].node
+	if err := a.beginDrain(dec, n, "utilization held below target"); err != nil {
 		dec.Action = "hold"
 		dec.Store = n.Name
 		dec.Reason = "drain refused"
 		dec.Err = err
-		return
+	}
+}
+
+// beginDrain starts the scale-in of n; the following Ticks advance it.
+// Caller holds a.mu.
+func (a *Autoscaler) beginDrain(dec *ScaleDecision, n *StoreNode, reason string) error {
+	if err := a.p.BeginDrain(n); err != nil {
+		return err
 	}
 	dec.Action = "scale-in-begin"
 	dec.Store = n.Name
-	dec.Reason = "utilization held below target"
-	a.phase = scaleDraining
+	dec.Reason = reason
 	a.drainStore = n
 	a.drainRetries = 0
+	return nil
 }
 
 // drainTick advances (or rolls back) a scale-in by one step. Caller
@@ -699,35 +586,20 @@ func (a *Autoscaler) drainTick(dec *ScaleDecision, sig AutoscaleSignals) []Place
 		a.finishAction()
 		return nil
 	}
-	if sig.Util >= a.cfg.highUtil() {
+	if sig.Util >= ScaleOutUtil {
 		// The fleet re-pressurized mid-drain (burst arrivals, or a
 		// store death re-homing load): removing capacity now is wrong.
 		// Roll back immediately — aborting a drain is cheap, so this
 		// uses the instantaneous signal, not the window.
-		err := a.p.Undrain(n)
-		dec.Action = "scale-in-rollback"
-		dec.Reason = "fleet re-pressurized mid-drain"
-		dec.Err = err
-		a.skipUntil[n] = a.tick + 4*uint64(a.cfg.cooldown())
-		a.finishAction()
+		a.rollback(dec, "fleet re-pressurized mid-drain", nil)
 		return nil
 	}
-	evs, done, err := a.p.DrainStep(n, a.cfg.drainBudget())
+	evs, done, err := a.p.DrainStep(n, a.cfg.DrainBudget)
 	switch {
-	case err != nil && errors.Is(err, ErrNoFeasiblePlacement):
-		uerr := a.p.Undrain(n)
-		dec.Action = "scale-in-rollback"
-		dec.Reason = "drain hit no-feasible-placement"
-		dec.Err = errors.Join(err, uerr)
-		a.skipUntil[n] = a.tick + 4*uint64(a.cfg.cooldown())
-		a.finishAction()
+	case errors.Is(err, ErrNoFeasiblePlacement):
+		a.rollback(dec, "drain hit no-feasible-placement", err)
 	case err != nil && a.drainRetries >= 3:
-		uerr := a.p.Undrain(n)
-		dec.Action = "scale-in-rollback"
-		dec.Reason = "drain stalled past retry budget"
-		dec.Err = errors.Join(err, uerr)
-		a.skipUntil[n] = a.tick + 4*uint64(a.cfg.cooldown())
-		a.finishAction()
+		a.rollback(dec, "drain stalled past retry budget", err)
 	case err != nil:
 		a.drainRetries++
 		dec.Action = "scale-in-stalled"
@@ -743,15 +615,25 @@ func (a *Autoscaler) drainTick(dec *ScaleDecision, sig AutoscaleSignals) []Place
 	return evs
 }
 
+// rollback aborts the scale-in in flight: the drainee is re-admitted
+// with its wires re-handshaken (Undrain), kept out of the next picks
+// for a while, and the loop returns to idle. Caller holds a.mu.
+func (a *Autoscaler) rollback(dec *ScaleDecision, reason string, cause error) {
+	dec.Action = "scale-in-rollback"
+	dec.Reason = reason
+	dec.Err = errors.Join(cause, a.p.Undrain(a.drainStore))
+	a.skipUntil[a.drainStore] = a.tick + 4*uint64(a.cfg.Cooldown)
+	a.finishAction()
+}
+
 // finishAction returns to idle, arms the cooldown, and clears the
 // sample window so the next decision is made from post-action
 // evidence only. Caller holds a.mu.
 func (a *Autoscaler) finishAction() {
-	a.phase = scaleIdle
 	a.seedStore = nil
 	a.drainStore = nil
 	a.drainRetries = 0
-	a.cooldownUntil = a.tick + uint64(a.cfg.cooldown())
+	a.cooldownUntil = a.tick + uint64(a.cfg.Cooldown)
 	a.window = nil
 }
 
@@ -761,8 +643,8 @@ func (a *Autoscaler) finishAction() {
 func (a *Autoscaler) ScaleOut() (ScaleDecision, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.phase != scaleIdle {
-		return ScaleDecision{}, fmt.Errorf("core: %s: %w", a.phase, ErrScalingInProgress)
+	if ph := a.phase(); ph != "idle" {
+		return ScaleDecision{}, fmt.Errorf("core: %s: %w", ph, ErrScalingInProgress)
 	}
 	dec := ScaleDecision{Tick: a.tick, At: a.lane.Now()}
 	if a.cfg.MaxStores > 0 && len(a.activeStores()) >= a.cfg.MaxStores {
@@ -783,29 +665,24 @@ func (a *Autoscaler) ScaleOut() (ScaleDecision, error) {
 func (a *Autoscaler) ScaleIn(name string) (ScaleDecision, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.phase != scaleIdle {
-		return ScaleDecision{}, fmt.Errorf("core: %s: %w", a.phase, ErrScalingInProgress)
+	if ph := a.phase(); ph != "idle" {
+		return ScaleDecision{}, fmt.Errorf("core: %s: %w", ph, ErrScalingInProgress)
 	}
 	dec := ScaleDecision{Tick: a.tick, At: a.lane.Now()}
-	if len(a.activeStores()) <= a.cfg.minStores() {
-		return ScaleDecision{}, fmt.Errorf("core: fleet at min stores (%d): %w", a.cfg.minStores(), ErrNoFeasiblePlacement)
+	active := a.activeStores()
+	if len(active) <= a.cfg.MinStores {
+		return ScaleDecision{}, fmt.Errorf("core: fleet at min stores (%d): %w", a.cfg.MinStores, ErrNoFeasiblePlacement)
 	}
 	if name == "" {
-		a.scaleIn(&dec)
+		a.scaleIn(&dec, active)
 	} else {
 		n, err := a.p.Node(name)
 		if err != nil {
 			return ScaleDecision{}, err
 		}
-		if err := a.p.BeginDrain(n); err != nil {
+		if err := a.beginDrain(&dec, n, "manual scale-in"); err != nil {
 			return ScaleDecision{}, err
 		}
-		dec.Action = "scale-in-begin"
-		dec.Store = n.Name
-		dec.Reason = "manual scale-in"
-		a.phase = scaleDraining
-		a.drainStore = n
-		a.drainRetries = 0
 	}
 	a.decisions = append(a.decisions, dec)
 	if dec.Action != "scale-in-begin" {

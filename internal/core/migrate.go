@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -31,7 +32,7 @@ import (
 //	lazy tail  The target resumes immediately from a lazy restore of
 //	           the floor image; cold pages are demand-paged through the
 //	           pagesource failover path — target store first, then the
-//	           source store / receiver / extra peers by content hash —
+//	           source store and the receiver by content hash —
 //	           with read-repair onto the target store.
 //
 // Every phase runs under bounded retries with exponential backoff
@@ -108,17 +109,8 @@ type MigratorConfig struct {
 	// Retries bounds per-operation retry attempts within a phase
 	// (default 4).
 	Retries int
-	// Backoff is the first retry's backoff, doubling per attempt,
-	// charged to a detached clock lane (default 100µs virtual).
-	Backoff time.Duration
 	// Name labels the group restored on the target ("" keeps none).
 	Name string
-	// Prefetch warms the N hottest pages per object after the lazy
-	// restore.
-	Prefetch int
-	// EagerTail copies every page during handover instead of
-	// demand-paging the cold tail (trades blackout for no tail).
-	EagerTail bool
 	// Lineage overrides the fencing lineage key. Migration chains
 	// (A→B→C) pass the original lineage so primary claims and fences
 	// stay on one key across hops; the default is the group's origin
@@ -126,26 +118,9 @@ type MigratorConfig struct {
 	Lineage uint64
 }
 
-func (c MigratorConfig) maxRounds() int {
-	if c.MaxRounds > 0 {
-		return c.MaxRounds
-	}
-	return 8
-}
-
-func (c MigratorConfig) retries() int {
-	if c.Retries > 0 {
-		return c.Retries
-	}
-	return 4
-}
-
-func (c MigratorConfig) backoff() time.Duration {
-	if c.Backoff > 0 {
-		return c.Backoff
-	}
-	return 100 * time.Microsecond
-}
+// migrateBackoff is the first retry's backoff, doubling per attempt,
+// charged to a detached clock lane.
+const migrateBackoff = 100 * time.Microsecond
 
 // MigrateReport summarizes a completed migration or standby promotion.
 type MigrateReport struct {
@@ -183,10 +158,6 @@ type Migrator struct {
 	// from it at handover so a late source crash-restart cannot
 	// resurrect a fenced zombie copy.
 	Sup *Supervisor
-	// TailPeers are extra demand-paging peers for the lazy tail
-	// (replica-set members); the source store and the receiver are
-	// always added.
-	TailPeers []BlockProvider
 	// Reconnect re-establishes the Link connection after a drop; it is
 	// invoked between retry attempts when set.
 	Reconnect func() error
@@ -222,9 +193,9 @@ func (m *Migrator) fail(phase MigrationPhase, err error) *MigrationError {
 // set, re-establishes the link via Reconnect. A fencing rejection is
 // terminal — fences do not heal. The returned error is phase-tagged.
 func (m *Migrator) attempt(phase MigrationPhase, clock *storage.Clock, heal bool, op func() error) error {
-	backoff := m.Cfg.backoff()
+	backoff := migrateBackoff
 	var err error
-	for i := 0; i <= m.Cfg.retries(); i++ {
+	for i := 0; i <= cmp.Or(m.Cfg.Retries, 4); i++ {
 		if i > 0 {
 			m.report.Retries++
 			lane := clock.Lane()
@@ -384,7 +355,7 @@ func (m *Migrator) residual() uint64 {
 // ships) until the residual is zero or MaxRounds is hit, then the
 // blackout cutover.
 func (m *Migrator) Run(workload func() error) (*MigrateReport, error) {
-	for round := 0; round < m.Cfg.maxRounds(); round++ {
+	for round := 0; round < cmp.Or(m.Cfg.MaxRounds, 8); round++ {
 		residual, err := m.PreCopyRound(workload)
 		if err != nil {
 			return nil, err
@@ -442,32 +413,40 @@ func (m *Migrator) Cutover() (*MigrateReport, error) {
 		return nil, m.abort(err, newGen, announced)
 	}
 
-	dstSW := m.Dst.K.Clock.Watch()
-	if err := m.backfillDst(PhaseHandover); err != nil {
-		return nil, m.abort(err, newGen, announced)
-	}
-	ng, err := m.restoreOnDst(floor, newGen, PhaseHandover)
+	took, err := m.handover(floor, newGen, PhaseHandover)
 	if err != nil {
 		return nil, m.abort(err, newGen, announced)
 	}
-
-	// Commit point: the target store claims the primary role at the
-	// new generation, persisted through its superblock. From here the
-	// target owns the lineage even if the source dies mid-fence.
-	if err := m.claimDst(ng, newGen); err != nil {
-		m.teardownDst(ng)
-		return nil, m.abort(err, newGen, announced)
-	}
-	m.report.Handover = dstSW.Elapsed()
-	m.report.Blackout = m.report.SrcStop + m.report.Handover
-	m.report.Group = ng
-
-	// Fence the source and retire it: migration moves, it does not
-	// copy. Best-effort past the commit point — the target's higher
-	// generation already outranks anything a zombie source can claim.
-	m.fenceSource(newGen, floor)
+	m.report.Handover = took
+	m.report.Blackout = m.report.SrcStop + took
 	rep := m.report
 	return &rep, nil
+}
+
+// handover is the tail a planned cutover and a standby promotion share,
+// timed on the target's clock up to the commit: drain what the receiver
+// holds into the target store, restore floor there at gen (failures
+// tagged with phase), and claim the primary role — the commit point,
+// persisted through the target store's superblock; from there the
+// target owns the lineage even if the source dies mid-fence. Then the
+// source is fenced and retired: migration moves, it does not copy.
+func (m *Migrator) handover(floor, gen uint64, phase MigrationPhase) (time.Duration, error) {
+	sw := m.Dst.K.Clock.Watch()
+	if err := m.backfillDst(PhaseHandover); err != nil {
+		return 0, err
+	}
+	ng, err := m.restoreOnDst(floor, gen, phase)
+	if err != nil {
+		return 0, err
+	}
+	if err := m.claimDst(ng, gen); err != nil {
+		m.Dst.retire(ng) // unwind the half-committed target
+		return 0, err
+	}
+	took := sw.Elapsed()
+	m.report.Group = ng
+	m.fenceSource(gen, floor)
+	return took, nil
 }
 
 // claimDst persists the target store's primary claim at gen (the
@@ -486,10 +465,9 @@ func (m *Migrator) claimDst(ng *Group, gen uint64) error {
 }
 
 // restoreOnDst restores the floor image on the target at gen: a lazy
-// restore from the target store with the source store, the receiver,
-// and TailPeers wired as demand-paging peers, so the cold tail pages
-// in over the pagesource failover path with read-repair onto the
-// target store.
+// restore from the target store with the source store and the receiver
+// wired as demand-paging peers, so the cold tail pages in over the
+// pagesource failover path with read-repair onto the target store.
 func (m *Migrator) restoreOnDst(floor, gen uint64, phase MigrationPhase) (*Group, error) {
 	sid := m.sid()
 	var ng *Group
@@ -509,12 +487,7 @@ func (m *Migrator) restoreOnDst(floor, gen uint64, phase MigrationPhase) (*Group
 		for _, p := range peers {
 			img.AddBlockPeer(p)
 		}
-		opts := RestoreOpts{
-			Lazy:     !m.Cfg.EagerTail,
-			Prefetch: m.Cfg.Prefetch,
-			Name:     m.Cfg.Name,
-		}
-		group, _, rerr := m.Dst.RestoreImage(img, readTime, opts)
+		group, _, rerr := m.Dst.RestoreImage(img, readTime, RestoreOpts{Lazy: true, Name: m.Cfg.Name})
 		if rerr != nil {
 			return rerr
 		}
@@ -534,7 +507,7 @@ func (m *Migrator) restoreOnDst(floor, gen uint64, phase MigrationPhase) (*Group
 }
 
 // tailPeers is the demand-paging peer set for the migrated group: the
-// source store and the receiver always, plus any TailPeers.
+// source store and the receiver.
 func (m *Migrator) tailPeers() []BlockProvider {
 	var peers []BlockProvider
 	if m.SrcStore != nil {
@@ -543,12 +516,14 @@ func (m *Migrator) tailPeers() []BlockProvider {
 	if bp, ok := m.Target.(BlockProvider); ok {
 		peers = append(peers, bp)
 	}
-	return append(peers, m.TailPeers...)
+	return peers
 }
 
 // fenceSource marks the source group fenced at gen, adopts the fence
 // into the source store (persisted best-effort), releases the group
-// from the supervisor, and retires its member processes.
+// from the supervisor, and retires it — a no-op on whatever a dead
+// source no longer has. Best-effort past the commit point: the target's
+// higher generation already outranks anything a zombie source can claim.
 func (m *Migrator) fenceSource(gen, floor uint64) {
 	m.G.markFenced(gen, floor)
 	if m.Sup != nil && !m.released {
@@ -562,28 +537,7 @@ func (m *Migrator) fenceSource(gen, floor uint64) {
 		_ = m.SrcStore.Store().Handoff(m.lineage(), gen)
 		_ = m.Src.syncWithReclaim(m.SrcStore)
 	}
-	for _, pid := range m.G.PIDs() {
-		if p, err := m.Src.K.Process(pid); err == nil {
-			m.Src.K.Exit(p, 0)
-			_ = m.Src.K.Reap(p)
-		}
-	}
-	m.Src.Unpersist(m.G)
-}
-
-// teardownDst unwinds a partially restored target group after a
-// failed commit: its members are reaped and the group is unpersisted.
-func (m *Migrator) teardownDst(ng *Group) {
-	if ng == nil {
-		return
-	}
-	for _, pid := range ng.PIDs() {
-		if p, err := m.Dst.K.Process(pid); err == nil {
-			m.Dst.K.Exit(p, 0)
-			_ = m.Dst.K.Reap(p)
-		}
-	}
-	m.Dst.Unpersist(ng)
+	m.Src.retire(m.G)
 }
 
 // abort rolls a failed handover back to the source. If the handover
@@ -653,44 +607,24 @@ func (m *Migrator) StandbyRound(workload func() error) error {
 // no blackout — the source is gone — just fence, backfill, lazy
 // restore, and primary claim on the target, measured as TTR on the
 // target's clock. The source group, if its corpse is still reachable,
-// is fenced and released so a supervisor can never resurrect it.
+// is fenced, released and retired so a supervisor can never resurrect
+// it.
 func (m *Migrator) PromoteStandby() (*MigrateReport, error) {
 	sid := m.sid()
 	floor := m.Target.ContiguousEpoch(sid)
 	if floor == 0 {
 		return nil, m.fail(PhaseHandover, fmt.Errorf("core: standby holds no contiguous epoch for group %d: %w", sid, ErrNoImage))
 	}
-	sw := m.Dst.K.Clock.Watch()
 	newGen := m.mintGen()
 	m.report.Gen = newGen
 	m.report.Floor = floor
 	m.report.PreCopied = floor
 	m.Target.AdoptFence(sid, newGen)
-	if err := m.backfillDst(PhaseHandover); err != nil {
-		return nil, err
-	}
-	ng, err := m.restoreOnDst(floor, newGen, PhaseLazyTail)
+	took, err := m.handover(floor, newGen, PhaseLazyTail)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.claimDst(ng, newGen); err != nil {
-		m.teardownDst(ng)
-		return nil, err
-	}
-	m.report.TTR = sw.Elapsed()
-	m.report.Group = ng
-
-	// Fence whatever is left of the source line.
-	m.G.markFenced(newGen, floor)
-	if m.Sup != nil && !m.released {
-		m.Sup.Release(m.G)
-		m.released = true
-	}
-	if m.SrcStore != nil {
-		m.SrcStore.Store().AdoptFence(sid, newGen)
-		_ = m.SrcStore.Store().Handoff(m.lineage(), newGen)
-		_ = m.Src.syncWithReclaim(m.SrcStore)
-	}
+	m.report.TTR = took
 	rep := m.report
 	return &rep, nil
 }

@@ -462,6 +462,20 @@ func (o *Orchestrator) Unpersist(g *Group) {
 	}
 }
 
+// retire ends a group this machine must stop running — the source of a
+// completed handover, a target whose commit failed, a placement that
+// was refused: member processes still in the table exit and are reaped,
+// then the group is unpersisted.
+func (o *Orchestrator) retire(g *Group) {
+	for _, pid := range g.PIDs() {
+		if p, err := o.K.Process(pid); err == nil {
+			o.K.Exit(p, 0)
+			_ = o.K.Reap(p)
+		}
+	}
+	o.Unpersist(g)
+}
+
 // flusherOf returns the group's flush pipeline, creating it on first
 // use with the orchestrator's configured sizing.
 func (o *Orchestrator) flusherOf(g *Group) *flusher {

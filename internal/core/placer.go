@@ -1,9 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -16,23 +19,17 @@ import (
 // lineage's copies never share a failure domain, so no single rack or
 // host death can take both.
 //
-// The placer is also the actor when the world changes:
-//
-//   - Store death (a probe ladder mirroring the PR 2 per-backend
-//     health machine: transient failures degrade, DownAfter
-//     consecutive failures declare the store down) triggers automatic
-//     evacuation. Resident lineages are queued hot-first — a lineage
-//     whose replica is fully caught up to the durable frontier promotes
-//     in constant time — and drained through a bounded-concurrency
-//     throttle (EvacConcurrency per Poll round, each landing on its
-//     target machine's own detached clock). Lineages still queued
-//     surface the typed ErrEvacuating.
-//   - Space pressure (the PR 5 watermarks) triggers rebalance: the
-//     heaviest resident lineage live-migrates (core.Migrator) toward
-//     the emptiest compatible store before ENOSPC shedding begins.
-//   - Planned decommission is first-class: Drain empties a store —
-//     live-migrating primaries off, re-homing replica roles — then
-//     fences it.
+// The placer remembers no work. Poll, DrainStep, Drain, RebalanceTick
+// and Rebalance all run one level-triggered pass, reconcileLocked, which
+// derives what needs doing from what it observes now — each store's
+// lifecycle state, each placement's members and their stores' states,
+// store pressure — and closes the gap with two steps: rehomeLocked moves
+// a lineage's primary (planned: pre-copy and cutover while the source
+// runs; unplanned: standby promotion after the source's store died), and
+// rewireLocked brings the replica set back to Replicas-1 anti-affine
+// members and seeds them. Because the pass reads state, not edges, work
+// no event announced — a lineage that ran degraded until a store was
+// admitted, a rewire that failed half way — is found by the next pass.
 //
 // Throughout, the PR 8 invariants hold: durable never regresses along
 // a lineage, and exactly one store claims the primary role at the max
@@ -41,8 +38,8 @@ import (
 
 // Typed placement errors.
 var (
-	// ErrEvacuating marks a lineage queued for (or mid-) evacuation
-	// after its primary store died: its placement is in flux.
+	// ErrEvacuating marks a lineage whose primary store died and whose
+	// takeover has not landed yet: its placement is in flux.
 	ErrEvacuating = errors.New("core: lineage is evacuating")
 	// ErrDraining refuses an operation against a draining store
 	// (CLI exit code 10).
@@ -114,6 +111,13 @@ func (n *StoreNode) setState(st StoreState) {
 	n.mu.Unlock()
 }
 
+// alive reports whether the store still serves its residents: a
+// draining store does until it is fenced.
+func (n *StoreNode) alive() bool {
+	st := n.State()
+	return st == StoreActive || st == StoreDraining
+}
+
 // usageFrac is the store's device occupancy fraction (0 when the
 // device is unbounded).
 func (n *StoreNode) usageFrac() float64 {
@@ -137,13 +141,14 @@ type PlacerLinks interface {
 	Drop(src, dst *StoreNode, stream uint64)
 }
 
-// PlacerConfig tunes the control plane. Zero values select defaults.
+// PlacerConfig tunes the control plane. Zero values select defaults
+// (NewPlacer fills them in).
 type PlacerConfig struct {
 	// Replicas is the total copy count per lineage, primary included
 	// (default 2: primary + one replica).
 	Replicas int
-	// EvacConcurrency bounds evacuations and replica repairs processed
-	// per Poll round (default 4): the throttle that keeps a dead
+	// EvacConcurrency bounds the takeovers, and the replica-set rewires,
+	// one pass performs (default 4): the throttle that keeps a dead
 	// store's hundreds of residents from re-homing in one indivisible
 	// storm.
 	EvacConcurrency int
@@ -154,9 +159,6 @@ type PlacerConfig struct {
 	// HighWater is the occupancy fraction that triggers rebalance
 	// (default 0.80, the PR 5 high watermark).
 	HighWater float64
-	// MigrateRounds bounds pre-copy rounds for drain/rebalance
-	// migrations (default 2).
-	MigrateRounds int
 	// Retries is the migrator's per-phase retry budget for every
 	// placement-driven move (0 keeps the migrator default). Chaos
 	// runs with injected faults need the headroom.
@@ -171,50 +173,19 @@ type PlacerConfig struct {
 	// lineage moved by RebalanceTick is ineligible to move again for
 	// this many ticks (default 4).
 	MoveCooldownTicks int
-	// Opts is applied to every promotion/migration restore.
-	Opts RestoreOpts
 }
 
-func (c PlacerConfig) replicas() int {
-	if c.Replicas > 0 {
-		return c.Replicas
-	}
-	return 2
-}
+// placerMigrateRounds bounds the pre-copy rounds of a drain or
+// rebalance migration.
+const placerMigrateRounds = 2
 
-func (c PlacerConfig) evacConcurrency() int {
-	if c.EvacConcurrency > 0 {
-		return c.EvacConcurrency
-	}
-	return 4
-}
-
-func (c PlacerConfig) downAfter() int {
-	if c.DownAfter > 0 {
-		return c.DownAfter
-	}
-	return 3
-}
-
-func (c PlacerConfig) highWater() float64 {
-	if c.HighWater > 0 {
-		return c.HighWater
-	}
-	return 0.80
-}
-
-func (c PlacerConfig) migrateRounds() int {
-	if c.MigrateRounds > 0 {
-		return c.MigrateRounds
-	}
-	return 2
-}
-
-func (c PlacerConfig) moveCooldownTicks() uint64 {
-	if c.MoveCooldownTicks > 0 {
-		return uint64(c.MoveCooldownTicks)
-	}
-	return 4
+// member is one replica of a placement: its node and the two ends of
+// the wire from the primary (nil only between a re-home and the rewire
+// that links the survivor under the new stream).
+type member struct {
+	node *StoreNode
+	wire Backend       // sender side, attached to the group
+	view ReplicaSource // receiver side: floors, images, fences
 }
 
 // Placement is one lineage's current home: the primary node running
@@ -224,13 +195,10 @@ type Placement struct {
 	Name    string
 
 	// All mutable state below is guarded by the owning placer's mu.
-	primary    *StoreNode
-	replicas   []*StoreNode
-	sources    map[*StoreNode]ReplicaSource // receiver views, per replica
-	wires      map[*StoreNode]Backend       // sender backends, per replica
-	g          *Group
-	evacuating bool
-	lost       bool
+	primary *StoreNode
+	members []member
+	g       *Group
+	lost    bool
 }
 
 // Group returns the live group (on the primary node's orchestrator).
@@ -241,13 +209,51 @@ func (pl *Placement) Primary() *StoreNode { return pl.primary }
 
 // Replicas returns the replica nodes (primary excluded).
 func (pl *Placement) Replicas() []*StoreNode {
-	return append([]*StoreNode(nil), pl.replicas...)
+	out := make([]*StoreNode, len(pl.members))
+	for i, m := range pl.members {
+		out[i] = m.node
+	}
+	return out
 }
+
+// member returns pl's membership on n, or nil.
+func (pl *Placement) member(n *StoreNode) *member {
+	for i := range pl.members {
+		if pl.members[i].node == n {
+			return &pl.members[i]
+		}
+	}
+	return nil
+}
+
+// elect returns the standby a takeover promotes — the member on a live
+// store with the highest contiguous floor, ties to the lower name —
+// and that floor. A member holding no epoch is no copy: with the
+// primary gone nothing will ever reach it. A draining store is a legal
+// standby (it may hold the last good copy); the drain moves the
+// promoted primary along afterwards.
+func (pl *Placement) elect() (dst *member, floor uint64) {
+	for i := range pl.members {
+		m := &pl.members[i]
+		f := m.view.ContiguousEpoch(pl.g.ID)
+		if f == 0 || !m.node.alive() {
+			continue
+		}
+		if dst == nil || f > floor || (f == floor && m.node.Name < dst.node.Name) {
+			dst, floor = m, f
+		}
+	}
+	return dst, floor
+}
+
+// orphaned reports whether pl's primary store is gone and no takeover
+// has landed yet — what ErrEvacuating surfaces. Observed, never stored.
+func (pl *Placement) orphaned() bool { return !pl.lost && !pl.primary.alive() }
 
 // PlacerEvent records one control-plane action.
 type PlacerEvent struct {
 	Kind    string // "store-down", "evacuated", "repaired", "rebalanced", "drained", "undrained", "unplaced", "evac-failed", ...
-	Store   string // the store acted on (down/drained)
+	Store   string // the store acted on (down/drained; the members a repair linked)
 	Lineage uint64
 	From    string // previous home
 	To      string // new home
@@ -265,8 +271,6 @@ type Placer struct {
 	mu         sync.Mutex
 	nodes      []*StoreNode
 	placements map[uint64]*Placement
-	evacq      []uint64 // lineages whose primary died, awaiting promotion
-	repairq    []uint64 // lineages that lost a replica, awaiting re-replication
 	events     []PlacerEvent
 
 	rebalTick uint64            // paced-rebalance tick counter
@@ -275,6 +279,11 @@ type Placer struct {
 
 // NewPlacer creates a placer wiring replication through links.
 func NewPlacer(links PlacerLinks, cfg PlacerConfig) *Placer {
+	cfg.Replicas = cmp.Or(cfg.Replicas, 2)
+	cfg.EvacConcurrency = cmp.Or(cfg.EvacConcurrency, 4)
+	cfg.DownAfter = cmp.Or(cfg.DownAfter, 3)
+	cfg.HighWater = cmp.Or(cfg.HighWater, 0.80)
+	cfg.MoveCooldownTicks = cmp.Or(cfg.MoveCooldownTicks, 4)
 	return &Placer{
 		links:      links,
 		cfg:        cfg,
@@ -285,6 +294,8 @@ func NewPlacer(links PlacerLinks, cfg PlacerConfig) *Placer {
 
 // AddStore admits a store into the fleet and stamps its placement
 // labels onto the objstore, so the store itself knows its identity.
+// The next pass finds the lineages that ran short for want of its
+// failure domain.
 func (p *Placer) AddStore(n *StoreNode) error {
 	if n.Name == "" || n.Domain == "" {
 		return fmt.Errorf("core: store needs a name and a failure domain")
@@ -338,6 +349,12 @@ func (p *Placer) Events() []PlacerEvent {
 func (p *Placer) Placements() []*Placement {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.sortedLocked()
+}
+
+// sortedLocked is every placement in lineage order, the deterministic
+// order the pass acts in.
+func (p *Placer) sortedLocked() []*Placement {
 	out := make([]*Placement, 0, len(p.placements))
 	for _, pl := range p.placements {
 		out = append(out, pl)
@@ -359,57 +376,48 @@ func (p *Placer) Lookup(lineage uint64) (*Placement, error) {
 	if pl.lost {
 		return nil, fmt.Errorf("core: lineage %d lost every copy: %w", lineage, ErrUnknownLineage)
 	}
-	if pl.evacuating {
+	if pl.orphaned() {
 		return pl, fmt.Errorf("core: lineage %d: %w", lineage, ErrEvacuating)
 	}
 	return pl, nil
 }
 
 // evacuationOf is the supervisor exemption hook: a crash on a group
-// whose lineage is mid-evacuation (or whose primary store is down or
-// draining) is the store's fault, not the application's, so its
-// recovery must not be charged against the crash-loop restart budget.
+// whose primary store is down or draining is the store's fault, not
+// the application's, so its recovery must not be charged against the
+// crash-loop restart budget.
 func (p *Placer) evacuationOf(g *Group) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, pl := range p.placements {
-		if pl.g != g {
-			continue
+		if pl.g == g {
+			st := pl.primary.State()
+			return st == StoreDown || st == StoreDraining
 		}
-		if pl.evacuating {
-			return true
-		}
-		if st := pl.primary.State(); st == StoreDown || st == StoreDraining {
-			return true
-		}
-		return false
 	}
 	return false
 }
 
-// primaries counts placements whose primary is n. Caller holds p.mu.
-func (p *Placer) primariesLocked(n *StoreNode) int {
-	c := 0
+// primariesLocked counts resident primaries per store in one scan.
+func (p *Placer) primariesLocked() map[*StoreNode]int {
+	prim := make(map[*StoreNode]int, len(p.nodes))
 	for _, pl := range p.placements {
-		if pl.primary == n && !pl.lost {
-			c++
+		if !pl.lost {
+			prim[pl.primary]++
 		}
 	}
-	return c
+	return prim
 }
 
-// utilLocked scores one store's composite utilization: device
-// occupancy, raised to primary load against PrimaryTarget when that
-// is configured. This is the signal the autoscaler samples and the
-// ordering key the picker minimizes. Caller holds p.mu.
-func (p *Placer) utilLocked(n *StoreNode) float64 {
-	u := n.usageFrac()
+// util scores one store's composite utilization: device occupancy,
+// raised to primary load against PrimaryTarget when that is
+// configured. This is the signal the autoscaler samples and the
+// ordering key the picker minimizes.
+func (p *Placer) util(space float64, primaries int) float64 {
 	if t := p.cfg.PrimaryTarget; t > 0 {
-		if load := float64(p.primariesLocked(n)) / float64(t); load > u {
-			u = load
-		}
+		space = max(space, float64(primaries)/float64(t))
 	}
-	return u
+	return space
 }
 
 // Utilization reports n's composite utilization (the max of device
@@ -417,28 +425,52 @@ func (p *Placer) utilLocked(n *StoreNode) float64 {
 func (p *Placer) Utilization(n *StoreNode) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.utilLocked(n)
+	return p.util(n.usageFrac(), p.primariesLocked()[n])
 }
 
-// pick chooses the best eligible node: active, not in `exclude`, and
-// in a failure domain not in `domains`. Lower utilization wins, then
-// fewer resident primaries, then name (deterministic). Caller holds
-// p.mu.
-func (p *Placer) pickLocked(exclude map[*StoreNode]bool, domains map[string]bool) *StoreNode {
-	var best *StoreNode
-	var bestFrac float64
-	var bestPrim int
+// signals reads the fleet for the autoscaler under one lock: a signal
+// per store in admission order, the backlog a pass could act on now,
+// and the admission sheds summed over every placed group.
+func (p *Placer) signals() (stores []StoreSignal, backlog int, sheds int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	prim := p.primariesLocked()
 	for _, n := range p.nodes {
-		if n.State() != StoreActive || exclude[n] || domains[n.Domain] {
+		space := n.usageFrac()
+		stores = append(stores, StoreSignal{
+			Store: n.Name, Domain: n.Domain, State: n.State(),
+			Util: p.util(space, prim[n]), SpaceFrac: space, Primaries: prim[n], node: n,
+		})
+	}
+	for _, pl := range p.placements {
+		t, _ := pl.g.Sheds()
+		sheds += t
+	}
+	evac, repair := p.backlogLocked()
+	return stores, evac + repair, sheds
+}
+
+// eligible reports whether n can take a new role: active, not in
+// exclude, and in a failure domain not in domains.
+func eligible(n *StoreNode, exclude map[*StoreNode]bool, domains map[string]bool) bool {
+	return n.State() == StoreActive && !exclude[n] && !domains[n.Domain]
+}
+
+// pickLocked chooses the best eligible node. Lower utilization wins,
+// then fewer resident primaries, then name (deterministic).
+func (p *Placer) pickLocked(exclude map[*StoreNode]bool, domains map[string]bool) *StoreNode {
+	prim := p.primariesLocked()
+	var best *StoreNode
+	var bestUtil float64
+	for _, n := range p.nodes {
+		if !eligible(n, exclude, domains) {
 			continue
 		}
-		frac := p.utilLocked(n)
-		prim := p.primariesLocked(n)
-		if best == nil ||
-			frac < bestFrac ||
-			(frac == bestFrac && prim < bestPrim) ||
-			(frac == bestFrac && prim == bestPrim && n.Name < best.Name) {
-			best, bestFrac, bestPrim = n, frac, prim
+		u := p.util(n.usageFrac(), prim[n])
+		if best == nil || u < bestUtil ||
+			(u == bestUtil && prim[n] < prim[best]) ||
+			(u == bestUtil && prim[n] == prim[best] && n.Name < best.Name) {
+			best, bestUtil = n, u
 		}
 	}
 	return best
@@ -450,15 +482,12 @@ func (p *Placer) pickLocked(exclude map[*StoreNode]bool, domains map[string]bool
 // then anchors the lineage on the primary's store, wires Replicas-1
 // acked replica links to stores in distinct failure domains, and
 // registers the supervisor watch. It fails with ErrNoFeasiblePlacement
-// before starting anything if the fleet cannot satisfy anti-affinity.
+// before starting anything if the fleet cannot satisfy anti-affinity;
+// a placement that fails after start leaves nothing behind.
 func (p *Placer) Place(name string, start func(*StoreNode) (*Group, error)) (*Placement, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.placeLocked(name, start)
-}
-
-func (p *Placer) placeLocked(name string, start func(*StoreNode) (*Group, error)) (*Placement, error) {
-	need := p.cfg.replicas()
+	need := p.cfg.Replicas
 	// Feasibility first: enough distinct live failure domains.
 	domains := make(map[string]bool)
 	for _, n := range p.nodes {
@@ -470,65 +499,59 @@ func (p *Placer) placeLocked(name string, start func(*StoreNode) (*Group, error)
 		return nil, fmt.Errorf("core: placing %q needs %d distinct failure domains, fleet has %d live: %w",
 			name, need, len(domains), ErrNoFeasiblePlacement)
 	}
-
 	primary := p.pickLocked(nil, nil)
-	if primary == nil {
-		return nil, fmt.Errorf("core: placing %q: no live store: %w", name, ErrNoFeasiblePlacement)
-	}
 	g, err := start(primary)
 	if err != nil {
 		return nil, fmt.Errorf("core: placing %q on %s: %w", name, primary.Name, err)
 	}
-
-	primary.O.Attach(g, primary.SB)
-	if err := primary.SB.Store().SetPrimary(g.ID, g.Generation()); err != nil {
-		return nil, fmt.Errorf("core: placing %q: claiming primary on %s: %w", name, primary.Name, err)
-	}
-	// Persisting the claim exercises the store's write path; a flaky
-	// (fault-injected) device fails individual publishes without being
-	// dead, so retry a few rolls before giving up on the placement.
-	var syncErr error
-	for attempt := 0; attempt < 8; attempt++ {
-		if syncErr = primary.O.syncWithReclaim(primary.SB); syncErr == nil {
-			break
+	pl := &Placement{Lineage: g.ID, Name: name, primary: primary, g: g}
+	if err := p.anchorLocked(pl); err != nil {
+		// Nobody would own what start built: take the wires down,
+		// renounce the claim the way a handover's source does (best
+		// effort: the placement is refused either way), reap.
+		for _, m := range pl.members {
+			p.unlinkLocked(pl, m)
 		}
-	}
-	if syncErr != nil {
-		return nil, fmt.Errorf("core: placing %q: persisting claim on %s: %w", name, primary.Name, syncErr)
-	}
-
-	pl := &Placement{
-		Lineage: g.ID,
-		Name:    name,
-		primary: primary,
-		g:       g,
-		sources: make(map[*StoreNode]ReplicaSource),
-		wires:   make(map[*StoreNode]Backend),
-	}
-	exclude := map[*StoreNode]bool{primary: true}
-	used := map[string]bool{primary.Domain: true}
-	for i := 1; i < need; i++ {
-		r := p.pickLocked(exclude, used)
-		if r == nil {
-			return nil, fmt.Errorf("core: placing %q: replica %d has no anti-affine store: %w",
-				name, i, ErrNoFeasiblePlacement)
-		}
-		b, view, err := p.links.Link(primary, r, g.ID)
-		if err != nil {
-			return nil, fmt.Errorf("core: placing %q: linking %s→%s: %w", name, primary.Name, r.Name, err)
-		}
-		primary.O.Attach(g, b)
-		pl.replicas = append(pl.replicas, r)
-		pl.sources[r] = view
-		pl.wires[r] = b
-		exclude[r] = true
-		used[r.Domain] = true
+		_ = primary.SB.Store().Handoff(g.ID, g.Generation())
+		_ = primary.O.syncWithReclaim(primary.SB)
+		primary.O.retire(g)
+		return nil, fmt.Errorf("core: placing %q on %s: %w", name, primary.Name, err)
 	}
 	if primary.Sup != nil {
 		primary.Sup.Watch(g)
 	}
 	p.placements[g.ID] = pl
 	return pl, nil
+}
+
+// anchorLocked claims the primary role for a fresh placement on its
+// store and wires its replicas. A repair runs a lineage degraded rather
+// than dead; a new placement is refused below full strength.
+func (p *Placer) anchorLocked(pl *Placement) error {
+	primary := pl.primary
+	primary.O.Attach(pl.g, primary.SB)
+	if err := primary.SB.Store().SetPrimary(pl.Lineage, pl.g.Generation()); err != nil {
+		return fmt.Errorf("claiming primary: %w", err)
+	}
+	// Persisting the claim exercises the store's write path; a flaky
+	// (fault-injected) device fails individual publishes without being
+	// dead, so retry a few rolls before giving up on the placement.
+	var err error
+	for attempt := 0; attempt < 8; attempt++ {
+		if err = primary.O.syncWithReclaim(primary.SB); err == nil {
+			break
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("persisting claim: %w", err)
+	}
+	if err := p.wireLocked(pl); err != nil {
+		return err
+	}
+	if len(pl.members) < p.cfg.Replicas-1 {
+		return fmt.Errorf("replica %d has no anti-affine store: %w", len(pl.members)+1, ErrNoFeasiblePlacement)
+	}
+	return nil
 }
 
 // probe checks one store's health: publishing the index exercises the
@@ -539,340 +562,453 @@ func (p *Placer) probe(n *StoreNode) error {
 	return n.SB.Store().Sync()
 }
 
-// Poll runs one control-plane round: probe every store, declare deaths,
-// and process the evacuation/repair queues under the concurrency
+// Poll runs one control-plane round: probe every store, declare
+// deaths (which queues nothing — the pass finds a dead store's
+// residents by looking), and reconcile under the EvacConcurrency
 // throttle. It returns the events of this round.
 func (p *Placer) Poll() []PlacerEvent {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []PlacerEvent
-
 	for _, n := range p.nodes {
-		st := n.State()
-		if st != StoreActive && st != StoreDraining {
+		if !n.alive() {
 			continue
 		}
-		if err := p.probe(n); err != nil {
-			n.mu.Lock()
-			n.probeFails++
-			fails := n.probeFails
-			n.mu.Unlock()
-			if fails >= p.cfg.downAfter() {
-				out = append(out, p.markDownLocked(n, err)...)
-			}
-		} else {
-			n.mu.Lock()
+		err := p.probe(n)
+		n.mu.Lock()
+		if err == nil {
 			n.probeFails = 0
-			n.mu.Unlock()
+		} else if n.probeFails++; n.probeFails >= p.cfg.DownAfter {
+			n.state = StoreDown
+			out = append(out, PlacerEvent{Kind: "store-down", Store: n.Name, Err: err})
 		}
+		n.mu.Unlock()
 	}
-
-	out = append(out, p.processQueuesLocked()...)
+	evs, _ := p.reconcileLocked(budgets{heal: p.cfg.EvacConcurrency})
+	out = append(out, evs...)
 	p.events = append(p.events, out...)
 	return out
 }
 
-// markDownLocked declares a store dead and queues its residents:
-// primaries for evacuation (hot-first), replica roles for repair.
-func (p *Placer) markDownLocked(n *StoreNode, cause error) []PlacerEvent {
-	n.setState(StoreDown)
-	events := []PlacerEvent{{Kind: "store-down", Store: n.Name, Err: cause}}
+// budgets is what one reconcile pass may spend, per class; a zero
+// field turns its class off.
+type budgets struct {
+	heal      int        // takeovers, and (counted apart) rewires
+	moves     int        // planned moves: the drain's or the rebalance's
+	drain     *StoreNode // move class: empty this draining store, then fence it
+	highWater float64    // move class: relieve stores at or above this utilization
+}
 
-	var evac []uint64
-	for lin, pl := range p.placements {
-		if pl.lost {
+// reconcileLocked is the one pass: it reads the fleet as it is now and
+// acts on what it finds, in three classes — takeover, rewire, move —
+// each under its own budget. Events are returned, not recorded (the
+// entry points differ in what they keep). The error is the move
+// class's: a drain stops at its first failed move (the store stays
+// draining; the caller retries or rolls back with Undrain), a
+// rebalance reports its first and carries on.
+func (p *Placer) reconcileLocked(b budgets) ([]PlacerEvent, error) {
+	pls := p.sortedLocked()
+	var out []PlacerEvent
+
+	// Takeover: lineages whose primary store is down. Hot lineages
+	// first — a member caught up to the durable frontier promotes with
+	// no catch-up to replay, so the hottest state is back under a
+	// primary soonest — then by lineage. Each lands on its target
+	// machine's own clock (the storm's members run concurrently); the
+	// budget keeps a dead store's residents from re-homing in one burst.
+	type orphan struct {
+		pl  *Placement
+		dst *member // elected standby; nil when no member survives
+		hot bool
+	}
+	var orphans []orphan
+	for _, pl := range pls {
+		if !pl.orphaned() {
 			continue
 		}
-		if pl.primary == n {
-			pl.evacuating = true
-			evac = append(evac, lin)
-			// The dead machine's supervisor must not fight the
-			// evacuation by resurrecting the group locally.
-			if n.Sup != nil {
-				n.Sup.Release(pl.g)
-			}
+		// The dead machine's supervisor must not resurrect the group.
+		if pl.primary.Sup != nil {
+			pl.primary.Sup.Release(pl.g)
+		}
+		dst, floor := pl.elect()
+		orphans = append(orphans, orphan{pl, dst, dst != nil && floor >= pl.g.Durable()})
+	}
+	sort.SliceStable(orphans, func(i, j int) bool { return orphans[i].hot && !orphans[j].hot })
+	// Budgets count what the pass changed, not what it tried: a failed
+	// takeover (or rewire) is found again by the next pass and must not
+	// starve the lineages sorted behind it meanwhile.
+	left := b.heal
+	for _, o := range orphans {
+		if left == 0 {
+			break
+		}
+		if o.dst == nil {
+			o.pl.lost = true
+			out = append(out, PlacerEvent{Kind: "evac-failed", Lineage: o.pl.Lineage, From: o.pl.primary.Name,
+				Err: fmt.Errorf("core: lineage %d has no surviving replica: %w", o.pl.Lineage, ErrNoFeasiblePlacement)})
 			continue
 		}
-		for _, r := range pl.replicas {
-			if r == n {
-				p.repairq = append(p.repairq, lin)
-				break
+		ev := p.rehomeLocked(o.pl, o.dst.node, false)
+		out = append(out, ev)
+		if ev.To != "" {
+			left--
+		}
+	}
+
+	// Rewire: replica sets below strength that can be improved now.
+	left = b.heal
+	for _, pl := range pls {
+		if left == 0 {
+			break
+		}
+		if p.rewirableLocked(pl) {
+			ev := p.repairLocked(pl)
+			out = append(out, ev)
+			if ev.Err == nil {
+				left--
 			}
 		}
 	}
-	// Hot lineages first: a replica caught up to the durable frontier
-	// promotes with no catch-up to replay, so the hottest state is back
-	// under a primary soonest. Ties break by lineage for determinism.
-	sort.Slice(evac, func(i, j int) bool {
-		a, b := p.placements[evac[i]], p.placements[evac[j]]
-		ha, hb := p.hotLocked(a), p.hotLocked(b)
-		if ha != hb {
-			return ha
-		}
-		return evac[i] < evac[j]
-	})
-	p.evacq = append(p.evacq, evac...)
-	sort.Slice(p.repairq, func(i, j int) bool { return p.repairq[i] < p.repairq[j] })
-	return events
-}
 
-// hotLocked reports whether some surviving replica of pl is caught up
-// to the group's durable frontier.
-func (p *Placer) hotLocked(pl *Placement) bool {
-	d := pl.g.Durable()
-	for _, r := range pl.replicas {
-		if st := r.State(); st != StoreActive && st != StoreDraining {
+	if n := b.drain; n != nil {
+		// The drainee may hold the last good copy of a lineage whose
+		// primary just died: nothing moves off it until the storm has
+		// settled.
+		if evac, repair := p.backlogLocked(); evac+repair > 0 {
+			return out, nil
+		}
+		// Resident primaries live-migrate off first (the lineage keeps
+		// running: the PR 8 migrator, not a promotion), then the replica
+		// roles parked on the store; a store nothing resides on is fenced.
+		var work []*Placement
+		for _, pl := range pls {
+			if !pl.lost && pl.primary == n {
+				work = append(work, pl)
+			}
+		}
+		for _, pl := range pls {
+			if !pl.lost && pl.member(n) != nil {
+				work = append(work, pl)
+			}
+		}
+		for _, pl := range work {
+			if b.moves == 0 {
+				return out, nil
+			}
+			b.moves--
+			var ev PlacerEvent
+			if pl.primary == n {
+				ev = p.moveLocked(pl, "migrated")
+			} else {
+				ev = p.repairLocked(pl)
+			}
+			out = append(out, ev)
+			if ev.Err != nil {
+				return out, ev.Err
+			}
+		}
+		n.setState(StoreFenced)
+		return append(out, PlacerEvent{Kind: "drained", Store: n.Name}), nil
+	}
+	if b.highWater == 0 {
+		return out, nil
+	}
+
+	// Rebalance: the pressured set is snapshotted NOW (a lineage placed
+	// since the previous tick is an eligible mover), and the most
+	// pressured stores, ties by name, each shed their heaviest eligible
+	// lineage toward the emptiest compatible store.
+	p.rebalTick++
+	type pressure struct {
+		n    *StoreNode
+		util float64
+	}
+	var pressured []pressure
+	prim := p.primariesLocked()
+	for _, n := range p.nodes {
+		if n.State() != StoreActive {
 			continue
 		}
-		if src := pl.sources[r]; src != nil && src.ContiguousEpoch(pl.g.ID) >= d {
+		if u := p.util(n.usageFrac(), prim[n]); u >= b.highWater {
+			pressured = append(pressured, pressure{n, u})
+		}
+	}
+	sort.Slice(pressured, func(i, j int) bool {
+		if pressured[i].util != pressured[j].util {
+			return pressured[i].util > pressured[j].util
+		}
+		return pressured[i].n.Name < pressured[j].n.Name
+	})
+	var firstErr error
+	for _, pr := range pressured {
+		n := pr.n
+		if b.moves == 0 {
+			break
+		}
+		// Heaviest resident by referenced bytes (ties to the lower
+		// lineage: pls is sorted), outside its move cooldown.
+		var victim *Placement
+		var victimBytes int64
+		for _, pl := range pls {
+			if pl.primary != n || pl.lost {
+				continue
+			}
+			if moved, ok := p.lastMoved[pl.Lineage]; ok && p.rebalTick < moved+uint64(p.cfg.MoveCooldownTicks) {
+				continue
+			}
+			if sz := n.SB.Store().LineageBytes(pl.g.ID); victim == nil || sz > victimBytes {
+				victim, victimBytes = pl, sz
+			}
+		}
+		if victim == nil {
+			continue
+		}
+		ev := p.moveLocked(victim, "rebalanced")
+		if errors.Is(ev.Err, ErrNoFeasiblePlacement) {
+			// No anti-affine target right now (degraded fleet): relief
+			// waits for capacity, it doesn't fail, and spends no budget.
+			ev.Kind = "rebalance-skipped"
+			out = append(out, ev)
+			continue
+		}
+		b.moves--
+		out = append(out, ev)
+		if ev.Err == nil {
+			p.lastMoved[victim.Lineage] = p.rebalTick
+		} else if firstErr == nil {
+			firstErr = ev.Err
+		}
+	}
+	return out, firstErr
+}
+
+// rewirableLocked reports whether a pass could improve pl's replica
+// set now: a member's store is gone, or the set is short of Replicas-1
+// (a degraded fleet, a rewire that failed half way) and an anti-affine
+// active store exists. A lineage short for want of a failure domain is
+// not work — until a store in that domain is admitted.
+func (p *Placer) rewirableLocked(pl *Placement) bool {
+	if pl.lost || !pl.primary.alive() {
+		return false
+	}
+	for _, m := range pl.members {
+		if !m.node.alive() {
 			return true
 		}
 	}
-	return false
+	if len(pl.members) >= p.cfg.Replicas-1 {
+		return false // the common case: nothing to look for
+	}
+	exclude := map[*StoreNode]bool{pl.primary: true}
+	used := map[string]bool{pl.primary.Domain: true}
+	for _, m := range pl.members {
+		exclude[m.node], used[m.node.Domain] = true, true
+	}
+	return slices.ContainsFunc(p.nodes, func(n *StoreNode) bool { return eligible(n, exclude, used) })
 }
 
-// processQueuesLocked drains up to EvacConcurrency entries from each
-// queue. Each evacuation lands on its target machine's own clock — the
-// detached-lane model of running the storm's members concurrently —
-// while the queue bound keeps the fleet from re-homing every resident
-// of a dead store in one indivisible burst.
-func (p *Placer) processQueuesLocked() []PlacerEvent {
-	var out []PlacerEvent
-	budget := p.cfg.evacConcurrency()
-	for len(p.evacq) > 0 && budget > 0 {
-		lin := p.evacq[0]
-		p.evacq = p.evacq[1:]
-		budget--
-		out = append(out, p.evacuateLocked(p.placements[lin]))
-	}
-	budget = p.cfg.evacConcurrency()
-	for len(p.repairq) > 0 && budget > 0 {
-		lin := p.repairq[0]
-		p.repairq = p.repairq[1:]
-		budget--
-		if ev, acted := p.repairLocked(p.placements[lin]); acted {
-			out = append(out, ev)
+// backlogLocked counts what a pass could act on now: lineages awaiting
+// takeover and replica sets awaiting a rewire.
+func (p *Placer) backlogLocked() (evac, repair int) {
+	for _, pl := range p.placements {
+		if pl.orphaned() {
+			evac++
+		} else if p.rewirableLocked(pl) {
+			repair++
 		}
 	}
-	return out
+	return evac, repair
 }
 
-// evacuateLocked re-homes one lineage whose primary store died:
-// standby promotion on the best surviving replica (highest contiguous
-// floor; ties to the better-scored node), then re-replication back to
-// full strength under anti-affinity.
-func (p *Placer) evacuateLocked(pl *Placement) PlacerEvent {
-	from := pl.primary
-	stream := pl.g.ID
-	ev := PlacerEvent{Kind: "evacuated", Lineage: pl.Lineage, From: from.Name}
-
-	// Elect the surviving replica with the highest contiguous floor. A
-	// draining store is a legal standby source — it is alive and may
-	// hold the last good copy; the drain's own migrate-off pass moves
-	// the promoted primary along afterwards.
-	var target *StoreNode
-	var targetFloor uint64
-	for _, r := range pl.replicas {
-		if st := r.State(); st != StoreActive && st != StoreDraining {
-			continue
-		}
-		src := pl.sources[r]
-		if src == nil {
-			continue
-		}
-		floor := src.ContiguousEpoch(stream)
-		if target == nil || floor > targetFloor ||
-			(floor == targetFloor && r.Name < target.Name) {
-			target, targetFloor = r, floor
+// moveLocked live-migrates pl off its primary's store to the best
+// compatible node: never a current member, and anti-affine to the
+// members that will survive the move.
+func (p *Placer) moveLocked(pl *Placement, kind string) PlacerEvent {
+	exclude := map[*StoreNode]bool{pl.primary: true}
+	used := map[string]bool{}
+	for _, m := range pl.members {
+		exclude[m.node] = true
+		if m.node.State() == StoreActive {
+			used[m.node.Domain] = true
 		}
 	}
-	if target == nil {
-		pl.lost = true
-		ev.Kind = "evac-failed"
-		ev.Err = fmt.Errorf("core: lineage %d has no surviving replica: %w", pl.Lineage, ErrNoFeasiblePlacement)
-		return ev
+	dst := p.pickLocked(exclude, used)
+	if dst == nil {
+		return PlacerEvent{Kind: kind, Lineage: pl.Lineage, From: pl.primary.Name,
+			Err: fmt.Errorf("core: lineage %d: no anti-affine target off %s: %w", pl.Lineage, pl.primary.Name, ErrNoFeasiblePlacement)}
 	}
-
-	// Standby promotion via the migrator's unplanned-handover path: it
-	// reads images under the stream ID but fences and claims the
-	// primary role under the stable lineage key, so the
-	// exactly-one-primary-at-max-gen invariant holds across chained
-	// re-homes. TTR lands on the target machine's own clock lane.
-	mig := &Migrator{
-		Src:      from.O,
-		Dst:      target.O,
-		G:        pl.g,
-		Target:   pl.sources[target],
-		SrcStore: from.SB,
-		DstStore: target.SB,
-		Sup:      from.Sup,
-		Cfg: MigratorConfig{
-			Lineage: pl.Lineage,
-			Name:    pl.Name,
-			Retries: p.cfg.Retries,
-		},
-	}
-	rep, err := mig.PromoteStandby()
-	if err != nil {
-		// Leave the lineage marked evacuating; a later Poll may have
-		// better luck (the target could have been mid-fault).
-		p.evacq = append(p.evacq, pl.Lineage)
-		ev.Kind = "evac-failed"
-		ev.Err = err
-		return ev
-	}
-
-	// Tear down the dead primary's wiring.
-	for _, r := range pl.replicas {
-		p.links.Drop(from, r, stream)
-	}
-	survivors := make([]*StoreNode, 0, len(pl.replicas))
-	for _, r := range pl.replicas {
-		if r != target && r.State() == StoreActive {
-			survivors = append(survivors, r)
-		}
-	}
-	pl.primary = target
-	pl.g = rep.Group
-	pl.replicas = nil
-	pl.sources = make(map[*StoreNode]ReplicaSource)
-	pl.wires = make(map[*StoreNode]Backend)
-	pl.evacuating = false
-
-	// Re-replicate to full strength: surviving members first (their
-	// domains are anti-affine by construction), fresh nodes for the
-	// rest. The new stream starts empty everywhere, so the first
-	// checkpoint below is full — that is what makes the new replicas
-	// restorable on their own.
-	if err := p.rewireLocked(pl, survivors); err != nil {
-		ev.Err = err
-	}
-	if target.Sup != nil {
-		target.Sup.Watch(pl.g)
-	}
-	ev.To = target.Name
-	ev.Gen = rep.Gen
-	ev.Floor = rep.Floor
-	ev.TTR = rep.TTR
+	ev := p.rehomeLocked(pl, dst, true)
+	ev.Kind = kind
 	return ev
 }
 
-// repairLocked restores a placement's replication factor after a
-// replica store died (the primary survived). Reported acted=false when
-// the placement was already handled (evacuated or lost).
-func (p *Placer) repairLocked(pl *Placement) (PlacerEvent, bool) {
-	if pl == nil || pl.lost || pl.evacuating {
-		return PlacerEvent{}, false
+// rehomeLocked moves pl's primary role to dst. Planned, the source
+// still runs and dst is a fresh node: pre-copy over a migration wire,
+// then the blackout cutover. Unplanned, the source's store is down and
+// dst is a member: standby promotion from what its receiver holds, TTR
+// on dst's own clock lane. Either way the migrator reads images under
+// the stream ID but fences and claims under the stable lineage key, so
+// exactly-one-primary-at-max-gen holds across chained re-homes.
+func (p *Placer) rehomeLocked(pl *Placement, dst *StoreNode, planned bool) PlacerEvent {
+	from, stream := pl.primary, pl.g.ID
+	ev := PlacerEvent{Kind: "evacuated", Lineage: pl.Lineage, From: from.Name}
+	mig := &Migrator{
+		Src: from.O, Dst: dst.O, G: pl.g,
+		SrcStore: from.SB, DstStore: dst.SB, Sup: from.Sup,
+		Cfg: MigratorConfig{MaxRounds: placerMigrateRounds, Lineage: pl.Lineage, Name: pl.Name, Retries: p.cfg.Retries},
 	}
-	survivors := make([]*StoreNode, 0, len(pl.replicas))
-	dropped := false
-	for _, r := range pl.replicas {
-		if r.State() == StoreActive {
-			survivors = append(survivors, r)
-			continue
+	var rep *MigrateReport
+	var err error
+	if !planned {
+		mig.Target = pl.member(dst).view
+		if rep, err = mig.PromoteStandby(); err != nil {
+			// Still orphaned: the next pass tries again (the target
+			// could have been mid-fault).
+			ev.Kind, ev.Err = "evac-failed", err
+			return ev
 		}
-		// The group outlives this replica: detach the dead wire's
-		// backend or every later sync would stall on its pending
-		// epochs (a zombie no reconnect can heal).
-		if w := pl.wires[r]; w != nil {
-			_ = pl.primary.O.Detach(pl.g, w.Name())
-			delete(pl.wires, r)
+		ev.TTR = rep.TTR
+	} else {
+		if mig.Link, mig.Target, err = p.links.Link(from, dst, stream); err != nil {
+			ev.Err = err
+			return ev
 		}
-		p.links.Drop(pl.primary, r, pl.g.ID)
-		dropped = true
-	}
-	if !dropped && len(survivors) == p.cfg.replicas()-1 {
-		return PlacerEvent{}, false
-	}
-	ev := PlacerEvent{Kind: "repaired", Lineage: pl.Lineage, From: pl.primary.Name, To: pl.primary.Name}
-	pl.replicas = nil
-	for n := range pl.sources {
-		keep := false
-		for _, s := range survivors {
-			if s == n {
-				keep = true
+		mig.Reconnect = func() error {
+			// A pre-copy round syncs through every attached backend, so
+			// a transiently faulted replica wire stalls the migration as
+			// surely as the migration wire itself — heal them all.
+			for _, m := range pl.members {
+				if m.node.alive() {
+					_ = p.links.Reconnect(from, m.node, stream)
+				}
 			}
+			return p.links.Reconnect(from, dst, stream)
 		}
-		if !keep {
-			delete(pl.sources, n)
-			if w := pl.wires[n]; w != nil {
-				_ = pl.primary.O.Detach(pl.g, w.Name())
-				delete(pl.wires, n)
-			}
+		if rep, err = mig.Run(nil); err != nil {
+			// The source keeps running this lineage: detach the migration
+			// backend Start attached, or every later sync stalls on a wire
+			// whose directory entry is about to disappear.
+			mig.Abandon()
+		}
+		p.links.Drop(from, dst, stream)
+		if err != nil {
+			ev.Err = err
+			return ev
+		}
+		ev.TTR = rep.Blackout
+	}
+
+	// The stream moved: every wire of the old one goes, and the members
+	// that can stay (active, not the new primary; anti-affine by
+	// construction) wait unlinked for the rewire. The new stream starts
+	// empty everywhere, so the rewire's seed checkpoint is full — which
+	// is what makes the new replicas restorable on their own.
+	var keep []member
+	for _, m := range pl.members {
+		p.links.Drop(from, m.node, stream)
+		if m.node != dst && m.node.State() == StoreActive {
+			keep = append(keep, member{node: m.node})
 		}
 	}
-	if err := p.rewireLocked(pl, survivors); err != nil {
-		ev.Err = err
+	pl.primary, pl.g, pl.members = dst, rep.Group, keep
+	ev.Err = p.rewireLocked(pl)
+	if dst.Sup != nil {
+		dst.Sup.Watch(pl.g)
 	}
-	return ev, true
+	ev.To, ev.Gen, ev.Floor = dst.Name, rep.Gen, rep.Floor
+	return ev
 }
 
-// rewireLocked wires pl's replica set back to Replicas-1 members:
-// keep (already-linked survivors or not) are re-linked first, then
-// anti-affine fresh nodes fill the gap, and one full checkpoint seeds
-// every link so each replica is restorable on its own.
-func (p *Placer) rewireLocked(pl *Placement, keep []*StoreNode) error {
-	primary := pl.primary
-	stream := pl.g.ID
-	exclude := map[*StoreNode]bool{primary: true}
-	used := map[string]bool{primary.Domain: true}
+// repairLocked rewires pl's replica set in place (the primary stays)
+// and reports it, naming the members the rewire linked.
+func (p *Placer) repairLocked(pl *Placement) PlacerEvent {
+	before := pl.Replicas()
+	ev := PlacerEvent{Kind: "repaired", Lineage: pl.Lineage, From: pl.primary.Name, To: pl.primary.Name}
+	ev.Err = p.rewireLocked(pl)
+	var linked []string
+	for _, m := range pl.members {
+		if !slices.Contains(before, m.node) {
+			linked = append(linked, m.node.Name)
+		}
+	}
+	ev.Store = strings.Join(linked, ",")
+	return ev
+}
 
-	attach := func(r *StoreNode) error {
-		b, view, err := p.links.Link(primary, r, stream)
+// unlinkLocked takes one member out of pl's stream. The group outlives
+// the replica, so the wire's backend is detached — or every later sync
+// would stall on epochs owed to a zombie no reconnect can heal.
+func (p *Placer) unlinkLocked(pl *Placement, m member) {
+	if m.wire != nil {
+		_ = pl.primary.O.Detach(pl.g, m.wire.Name())
+	}
+	p.links.Drop(pl.primary, m.node, pl.g.ID)
+}
+
+// wireLocked brings pl's replica set to Replicas-1 members: members on
+// stores that are no longer active (or that share a failure domain
+// with one already kept) are unlinked, survivors of a re-home are
+// linked under the new stream, and anti-affine fresh nodes fill the gap.
+func (p *Placer) wireLocked(pl *Placement) error {
+	exclude := map[*StoreNode]bool{pl.primary: true}
+	used := map[string]bool{pl.primary.Domain: true}
+	link := func(n *StoreNode) error {
+		b, view, err := p.links.Link(pl.primary, n, pl.g.ID)
 		if err != nil {
-			return fmt.Errorf("core: lineage %d: linking %s→%s: %w", pl.Lineage, primary.Name, r.Name, err)
+			p.links.Drop(pl.primary, n, pl.g.ID) // a wire that never came up must not linger
+			return fmt.Errorf("core: lineage %d: linking %s→%s: %w", pl.Lineage, pl.primary.Name, n.Name, err)
 		}
-		if pl.wires[r] != b {
-			// A surviving replica's wire is already attached to this
-			// group; attaching twice would double-count its acks.
-			primary.O.Attach(pl.g, b)
-			pl.wires[r] = b
-		}
-		pl.replicas = append(pl.replicas, r)
-		pl.sources[r] = view
-		exclude[r] = true
-		used[r.Domain] = true
+		pl.primary.O.Attach(pl.g, b)
+		pl.members = append(pl.members, member{node: n, wire: b, view: view})
+		exclude[n], used[n.Domain] = true, true
 		return nil
 	}
-
-	for _, r := range keep {
-		if len(pl.replicas) >= p.cfg.replicas()-1 {
-			break
-		}
-		if r.State() != StoreActive || used[r.Domain] {
-			continue
-		}
-		if err := attach(r); err != nil {
-			return err
+	old := pl.members
+	pl.members = nil
+	var firstErr error
+	for _, m := range old {
+		switch {
+		case m.node.State() != StoreActive || used[m.node.Domain]:
+			p.unlinkLocked(pl, m)
+		case m.wire != nil:
+			pl.members = append(pl.members, m)
+			exclude[m.node], used[m.node.Domain] = true, true
+		default:
+			// A survivor that fails to link stops being a member; the
+			// next pass finds the set short and picks again.
+			if err := link(m.node); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
-	for len(pl.replicas) < p.cfg.replicas()-1 {
-		r := p.pickLocked(exclude, used)
-		if r == nil {
+	for firstErr == nil && len(pl.members) < p.cfg.Replicas-1 {
+		n := p.pickLocked(exclude, used)
+		if n == nil {
 			// Anti-affinity is hard; replication factor is not. A fleet
 			// that has lost too many domains runs the lineage degraded
-			// (fewer copies) rather than dead — the next heal that
-			// brings a domain back restores full strength.
+			// rather than dead; once a store in a free domain is active
+			// rewirableLocked reports the lineage and the next pass
+			// restores full strength.
 			break
 		}
-		if err := attach(r); err != nil {
-			return err
-		}
+		firstErr = link(n)
 	}
-	return p.seedLocked(pl)
+	return firstErr
 }
 
-// seedLocked pushes one full checkpoint through the placement's links
-// and drives the durable frontier to it, so every replica holds a
-// restorable image of the lineage's current state.
-func (p *Placer) seedLocked(pl *Placement) error {
+// rewireLocked is wireLocked plus one full checkpoint through the
+// links, driven durable, so every replica holds a restorable image of
+// the lineage's current state.
+func (p *Placer) rewireLocked(pl *Placement) error {
+	if err := p.wireLocked(pl); err != nil {
+		return err
+	}
 	// The checkpoint runs even when the rewire came up empty (degraded
-	// fleet, no anti-affine replica target): it is also what makes a
-	// freshly promoted primary restorable from its own store — the new
-	// stream holds nothing until the first checkpoint lands.
-	// A shed checkpoint leaves a fresh replica empty — and an empty
-	// standby is unpromotable. Retry until admission control lets the
-	// seed through.
+	// fleet): it is also what makes a freshly promoted primary
+	// restorable from its own store — the new stream holds nothing until
+	// its first checkpoint lands. A shed checkpoint leaves a fresh
+	// replica empty, and an empty standby is unpromotable: retry until
+	// admission control lets the seed through.
 	for attempt := 0; ; attempt++ {
 		bd, err := pl.primary.O.Checkpoint(pl.g, CheckpointOpts{Full: true})
 		if err != nil {
@@ -906,8 +1042,8 @@ func (p *Placer) syncLocked(pl *Placement) error {
 			return nil
 		}
 		if round >= 2 {
-			for _, r := range pl.replicas {
-				_ = p.links.Reconnect(pl.primary, r, pl.g.ID)
+			for _, m := range pl.members {
+				_ = p.links.Reconnect(pl.primary, m.node, pl.g.ID)
 			}
 			_ = pl.primary.O.Resync(pl.g)
 		}
@@ -927,7 +1063,7 @@ func (p *Placer) SyncDurable(lineage uint64) error {
 	if !ok || pl.lost {
 		return fmt.Errorf("core: lineage %d: %w", lineage, ErrUnknownLineage)
 	}
-	if pl.evacuating {
+	if pl.orphaned() {
 		return fmt.Errorf("core: lineage %d: %w", lineage, ErrEvacuating)
 	}
 	return p.syncLocked(pl)
@@ -954,85 +1090,20 @@ func (p *Placer) beginDrainLocked(n *StoreNode) error {
 	return nil
 }
 
-// DrainStep advances a decommission by a bounded amount: it settles
-// queued evacuation/repair work first (the drainee may hold the last
-// good copy of a lineage whose primary just died — election accepts
-// draining stores as standby sources for exactly this interleaving),
-// then live-migrates up to budget resident primaries off, then
-// re-homes replica roles, and fences the store once it holds nothing.
-// done reports whether the store is now fenced. On error the store
-// stays draining — the caller retries the step or rolls the drain
-// back with Undrain.
+// DrainStep advances a decommission by one pass with the move class
+// pointed at n: takeovers and rewires settle first, then up to budget
+// of n's resident primaries and replica roles move off, and n is fenced
+// once it holds nothing (done). On error the store stays draining — the
+// caller retries the step or rolls the drain back with Undrain.
 func (p *Placer) DrainStep(n *StoreNode, budget int) ([]PlacerEvent, bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	evs, done, err := p.drainStepLocked(n, budget)
-	p.events = append(p.events, evs...)
-	return evs, done, err
-}
-
-func (p *Placer) drainStepLocked(n *StoreNode, budget int) ([]PlacerEvent, bool, error) {
 	if n.State() != StoreDraining {
 		return nil, false, fmt.Errorf("core: store %s is %s, not draining: %w", n.Name, n.State(), ErrNoFeasiblePlacement)
 	}
-	if budget <= 0 {
-		budget = 1
-	}
-	var out []PlacerEvent
-	if len(p.evacq)+len(p.repairq) > 0 {
-		out = append(out, p.processQueuesLocked()...)
-		if len(p.evacq)+len(p.repairq) > 0 {
-			// Still storming: the step made progress but the store is
-			// not yet safe to empty.
-			return out, false, nil
-		}
-	}
-
-	moved := 0
-	var lins []uint64
-	for lin, pl := range p.placements {
-		if pl.primary == n && !pl.lost && !pl.evacuating {
-			lins = append(lins, lin)
-		}
-	}
-	sort.Slice(lins, func(i, j int) bool { return lins[i] < lins[j] })
-	for _, lin := range lins {
-		if moved >= budget {
-			return out, false, nil
-		}
-		ev, err := p.migrateOffLocked(p.placements[lin], n)
-		out = append(out, ev)
-		moved++
-		if err != nil {
-			return out, false, err
-		}
-	}
-	// Re-home replica roles parked on the draining store.
-	lins = lins[:0]
-	for lin, pl := range p.placements {
-		for _, r := range pl.replicas {
-			if r == n {
-				lins = append(lins, lin)
-				break
-			}
-		}
-	}
-	sort.Slice(lins, func(i, j int) bool { return lins[i] < lins[j] })
-	for _, lin := range lins {
-		if moved >= budget {
-			return out, false, nil
-		}
-		if ev, acted := p.repairLocked(p.placements[lin]); acted {
-			out = append(out, ev)
-			moved++
-			if ev.Err != nil {
-				return out, false, ev.Err
-			}
-		}
-	}
-	n.setState(StoreFenced)
-	out = append(out, PlacerEvent{Kind: "drained", Store: n.Name})
-	return out, true, nil
+	evs, err := p.reconcileLocked(budgets{heal: p.cfg.EvacConcurrency, drain: n, moves: max(budget, 1)})
+	p.events = append(p.events, evs...)
+	return evs, n.State() == StoreFenced, err
 }
 
 // Undrain aborts a decommission and re-admits the store: Draining
@@ -1048,43 +1119,21 @@ func (p *Placer) Undrain(n *StoreNode) error {
 	if n.State() != StoreDraining {
 		return fmt.Errorf("core: store %s is %s, not draining: %w", n.Name, n.State(), ErrNoFeasiblePlacement)
 	}
-	n.setState(StoreActive)
 	n.mu.Lock()
-	n.probeFails = 0
+	n.state, n.probeFails = StoreActive, 0
 	n.mu.Unlock()
 
 	var firstErr error
-	var lins []uint64
-	for lin := range p.placements {
-		lins = append(lins, lin)
-	}
-	sort.Slice(lins, func(i, j int) bool { return lins[i] < lins[j] })
-	for _, lin := range lins {
-		pl := p.placements[lin]
-		if pl.lost || pl.evacuating {
+	for _, pl := range p.sortedLocked() {
+		if pl.lost || !pl.primary.alive() {
 			continue
 		}
-		if pl.primary == n {
-			for _, r := range pl.replicas {
-				if st := r.State(); st != StoreActive && st != StoreDraining {
-					continue
-				}
-				if err := p.links.Reconnect(n, r, pl.g.ID); err != nil && firstErr == nil {
+		for _, m := range pl.members {
+			if m.node == n || (pl.primary == n && m.node.alive()) {
+				if err := p.links.Reconnect(pl.primary, m.node, pl.g.ID); err != nil && firstErr == nil {
 					firstErr = err
 				}
 			}
-			continue
-		}
-		for _, r := range pl.replicas {
-			if r != n {
-				continue
-			}
-			if st := pl.primary.State(); st == StoreActive || st == StoreDraining {
-				if err := p.links.Reconnect(pl.primary, n, pl.g.ID); err != nil && firstErr == nil {
-					firstErr = err
-				}
-			}
-			break
 		}
 	}
 	p.events = append(p.events, PlacerEvent{Kind: "undrained", Store: n.Name, Err: firstErr})
@@ -1092,11 +1141,9 @@ func (p *Placer) Undrain(n *StoreNode) error {
 }
 
 // Drain decommissions a store synchronously: new placements are
-// refused at once, every resident primary live-migrates off (the
-// lineage keeps running — this is the PR 8 migrator, not a promotion),
-// every replica role is re-homed, and the emptied store is fenced. A
-// partially drained store stays draining on error so the operator can
-// retry (or roll back with Undrain).
+// refused at once, then unbounded drain passes run until the store is
+// fenced. A partially drained store stays draining on error so the
+// operator can retry (or roll back with Undrain).
 func (p *Placer) Drain(n *StoreNode) ([]PlacerEvent, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -1104,19 +1151,19 @@ func (p *Placer) Drain(n *StoreNode) ([]PlacerEvent, error) {
 		return nil, err
 	}
 	var out []PlacerEvent
-	limit := 64 + len(p.evacq) + len(p.repairq) + len(p.placements)
-	for iter := 0; iter < limit; iter++ {
-		evs, done, err := p.drainStepLocked(n, len(p.placements)+1)
+	var err error
+	for iter := 64 + 2*len(p.placements); iter > 0 && err == nil && n.State() != StoreFenced; iter-- {
+		var evs []PlacerEvent
+		evs, err = p.reconcileLocked(budgets{heal: p.cfg.EvacConcurrency, drain: n, moves: len(p.placements) + 1})
 		out = append(out, evs...)
-		if err != nil || done {
-			p.events = append(p.events, out...)
-			return out, err
-		}
+	}
+	if err == nil && n.State() != StoreFenced {
+		evac, repair := p.backlogLocked()
+		err = fmt.Errorf("core: draining %s: evacuation storm did not settle (evac %d, repair %d): %w",
+			n.Name, evac, repair, ErrEvacuating)
 	}
 	p.events = append(p.events, out...)
-	evac, repair := len(p.evacq), len(p.repairq)
-	return out, fmt.Errorf("core: draining %s: evacuation storm did not settle (evac %d, repair %d): %w",
-		n.Name, evac, repair, ErrEvacuating)
+	return out, err
 }
 
 // Unplace retires a lineage from the fleet: replica wires are dropped,
@@ -1131,15 +1178,12 @@ func (p *Placer) Unplace(lineage uint64) error {
 	if !ok {
 		return fmt.Errorf("core: lineage %d: %w", lineage, ErrUnknownLineage)
 	}
-	if pl.evacuating {
+	if pl.orphaned() {
 		return fmt.Errorf("core: lineage %d: %w", lineage, ErrEvacuating)
 	}
 	if !pl.lost {
-		for _, r := range pl.replicas {
-			if w := pl.wires[r]; w != nil {
-				_ = pl.primary.O.Detach(pl.g, w.Name())
-			}
-			p.links.Drop(pl.primary, r, pl.g.ID)
+		for _, m := range pl.members {
+			p.unlinkLocked(pl, m)
 		}
 		if pl.primary.Sup != nil {
 			pl.primary.Sup.Unwatch(pl.g)
@@ -1150,98 +1194,6 @@ func (p *Placer) Unplace(lineage uint64) error {
 	delete(p.lastMoved, lineage)
 	p.events = append(p.events, PlacerEvent{Kind: "unplaced", Lineage: lineage, From: pl.primary.Name})
 	return nil
-}
-
-// migrateOffLocked live-migrates one resident lineage off node n to
-// the best compatible node (never a current member; anti-affine to the
-// surviving replica set), then rewires replication under the migrated
-// stream. Used by Drain and Rebalance — the planned moves, where the
-// source still runs.
-func (p *Placer) migrateOffLocked(pl *Placement, n *StoreNode) (PlacerEvent, error) {
-	ev := PlacerEvent{Kind: "migrated", Lineage: pl.Lineage, From: n.Name}
-	exclude := map[*StoreNode]bool{n: true}
-	used := map[string]bool{}
-	for _, r := range pl.replicas {
-		exclude[r] = true
-		if r.State() == StoreActive {
-			used[r.Domain] = true
-		}
-	}
-	dst := p.pickLocked(exclude, used)
-	if dst == nil {
-		ev.Err = fmt.Errorf("core: lineage %d: no anti-affine target off %s: %w",
-			pl.Lineage, n.Name, ErrNoFeasiblePlacement)
-		return ev, ev.Err
-	}
-
-	stream := pl.g.ID
-	b, view, err := p.links.Link(n, dst, stream)
-	if err != nil {
-		ev.Err = err
-		return ev, err
-	}
-	mig := &Migrator{
-		Src:      n.O,
-		Dst:      dst.O,
-		G:        pl.g,
-		Link:     b,
-		Target:   view,
-		SrcStore: n.SB,
-		DstStore: dst.SB,
-		Sup:      n.Sup,
-		Reconnect: func() error {
-			// A pre-copy round syncs through every attached backend, so
-			// a transiently faulted replica wire stalls the migration as
-			// surely as the migration wire itself — heal them all.
-			for _, r := range pl.replicas {
-				if r.State() == StoreActive || r.State() == StoreDraining {
-					_ = p.links.Reconnect(n, r, stream)
-				}
-			}
-			return p.links.Reconnect(n, dst, stream)
-		},
-		Cfg: MigratorConfig{
-			MaxRounds: p.cfg.migrateRounds(),
-			Lineage:   pl.Lineage,
-			Name:      pl.Name,
-			Retries:   p.cfg.Retries,
-		},
-	}
-	rep, err := mig.Run(func() error { return nil })
-	if err != nil {
-		// The source keeps running this lineage: detach the migration
-		// backend Start attached, or every later sync stalls on a wire
-		// whose directory entry is about to disappear.
-		mig.Abandon()
-		p.links.Drop(n, dst, stream)
-		ev.Err = err
-		return ev, err
-	}
-	p.links.Drop(n, dst, stream)
-	survivors := make([]*StoreNode, 0, len(pl.replicas))
-	for _, r := range pl.replicas {
-		p.links.Drop(n, r, stream)
-		if r != dst && r.State() == StoreActive {
-			survivors = append(survivors, r)
-		}
-	}
-	pl.primary = dst
-	pl.g = rep.Group
-	pl.replicas = nil
-	pl.sources = make(map[*StoreNode]ReplicaSource)
-	pl.wires = make(map[*StoreNode]Backend)
-	if err := p.rewireLocked(pl, survivors); err != nil {
-		ev.Err = err
-		return ev, err
-	}
-	if dst.Sup != nil {
-		dst.Sup.Watch(pl.g)
-	}
-	ev.To = dst.Name
-	ev.Gen = rep.Gen
-	ev.Floor = rep.Floor
-	ev.TTR = rep.Blackout
-	return ev, nil
 }
 
 // RebalanceOpts tunes one paced rebalance tick.
@@ -1256,99 +1208,20 @@ type RebalanceOpts struct {
 	HighWater float64
 }
 
-// RebalanceTick runs one paced rebalance round: the pressured set is
-// re-snapshotted NOW — a lineage placed since the previous tick is an
-// eligible mover, closing the stale-snapshot blind spot of the old
-// one-pass Rebalance — and the most pressured stores shed their
-// heaviest eligible lineage toward the emptiest compatible store,
-// bounded by Budget. A lineage moved within the last MoveCooldownTicks
-// ticks is ineligible (ping-pong protection across ticks).
+// RebalanceTick runs one paced rebalance round — a pass with only the
+// move class on: the most pressured stores shed their heaviest eligible
+// lineage toward the emptiest compatible store, bounded by Budget. A
+// lineage moved within the last MoveCooldownTicks ticks is ineligible
+// (ping-pong protection across ticks).
 func (p *Placer) RebalanceTick(opts RebalanceOpts) ([]PlacerEvent, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	evs, err := p.rebalanceTickLocked(opts)
+	if opts.HighWater <= 0 {
+		opts.HighWater = p.cfg.HighWater
+	}
+	evs, err := p.reconcileLocked(budgets{moves: max(opts.Budget, 1), highWater: opts.HighWater})
 	p.events = append(p.events, evs...)
 	return evs, err
-}
-
-func (p *Placer) rebalanceTickLocked(opts RebalanceOpts) ([]PlacerEvent, error) {
-	p.rebalTick++
-	budget := opts.Budget
-	if budget <= 0 {
-		budget = 1
-	}
-	high := opts.HighWater
-	if high <= 0 {
-		high = p.cfg.highWater()
-	}
-	cool := p.cfg.moveCooldownTicks()
-
-	// Fresh pressure snapshot, most pressured first (ties by name).
-	type pressure struct {
-		n    *StoreNode
-		util float64
-	}
-	var pressured []pressure
-	for _, n := range p.nodes {
-		if n.State() != StoreActive {
-			continue
-		}
-		if u := p.utilLocked(n); u >= high {
-			pressured = append(pressured, pressure{n, u})
-		}
-	}
-	sort.Slice(pressured, func(i, j int) bool {
-		if pressured[i].util != pressured[j].util {
-			return pressured[i].util > pressured[j].util
-		}
-		return pressured[i].n.Name < pressured[j].n.Name
-	})
-
-	var out []PlacerEvent
-	var firstErr error
-	for _, pr := range pressured {
-		if budget <= 0 {
-			break
-		}
-		n := pr.n
-		// Heaviest eligible resident lineage by referenced bytes.
-		var victim *Placement
-		var victimBytes int64
-		for _, pl := range p.placements {
-			if pl.primary != n || pl.lost || pl.evacuating {
-				continue
-			}
-			if moved, ok := p.lastMoved[pl.Lineage]; ok && p.rebalTick < moved+cool {
-				continue
-			}
-			sz := n.SB.Store().LineageBytes(pl.g.ID)
-			if victim == nil || sz > victimBytes ||
-				(sz == victimBytes && pl.Lineage < victim.Lineage) {
-				victim, victimBytes = pl, sz
-			}
-		}
-		if victim == nil {
-			continue
-		}
-		ev, err := p.migrateOffLocked(victim, n)
-		ev.Kind = "rebalanced"
-		if errors.Is(err, ErrNoFeasiblePlacement) {
-			// No anti-affine target exists right now (degraded fleet);
-			// pressure relief waits for capacity, it doesn't fail.
-			ev.Kind = "rebalance-skipped"
-			out = append(out, ev)
-			continue
-		}
-		if err == nil {
-			p.lastMoved[victim.Lineage] = p.rebalTick
-		}
-		budget--
-		out = append(out, ev)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return out, firstErr
 }
 
 // Rebalance runs paced ticks until a tick moves nothing (or errors):
@@ -1359,11 +1232,12 @@ func (p *Placer) Rebalance() ([]PlacerEvent, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []PlacerEvent
-	var firstErr error
+	var err error
 	skipped := make(map[uint64]bool)
-	for iter := 0; iter < 64; iter++ {
-		evs, err := p.rebalanceTickLocked(RebalanceOpts{Budget: len(p.nodes) + 1})
-		moved := 0
+	for iter, moved := 0, 1; iter < 64 && moved > 0 && err == nil; iter++ {
+		var evs []PlacerEvent
+		evs, err = p.reconcileLocked(budgets{moves: len(p.nodes) + 1, highWater: p.cfg.HighWater})
+		moved = 0
 		for _, ev := range evs {
 			if ev.Kind == "rebalance-skipped" {
 				// Report each stuck lineage once per call, not per tick.
@@ -1376,15 +1250,9 @@ func (p *Placer) Rebalance() ([]PlacerEvent, error) {
 			}
 			out = append(out, ev)
 		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if moved == 0 || firstErr != nil {
-			break
-		}
 	}
 	p.events = append(p.events, out...)
-	return out, firstErr
+	return out, err
 }
 
 // AntiAffinityViolations audits every live placement against the hard
@@ -1395,16 +1263,16 @@ func (p *Placer) AntiAffinityViolations() []string {
 	defer p.mu.Unlock()
 	var out []string
 	for _, pl := range p.placements {
-		if pl.lost || pl.evacuating {
+		if pl.lost || pl.orphaned() {
 			continue
 		}
 		seen := map[string]string{pl.primary.Domain: pl.primary.Name}
-		for _, r := range pl.replicas {
-			if other, dup := seen[r.Domain]; dup {
+		for _, m := range pl.members {
+			if other, dup := seen[m.node.Domain]; dup {
 				out = append(out, fmt.Sprintf("lineage %d: %s and %s share domain %s",
-					pl.Lineage, other, r.Name, r.Domain))
+					pl.Lineage, other, m.node.Name, m.node.Domain))
 			} else {
-				seen[r.Domain] = r.Name
+				seen[m.node.Domain] = m.node.Name
 			}
 		}
 	}
@@ -1412,10 +1280,12 @@ func (p *Placer) AntiAffinityViolations() []string {
 	return out
 }
 
-// QueueDepths reports the pending evacuation and repair backlogs (the
-// throttle's visible state).
+// QueueDepths reports what a pass could act on now (the throttle's
+// visible state): lineages awaiting takeover, replica sets awaiting a
+// rewire. Both are counted from the fleet as it stands, so a lineage
+// degraded for want of a failure domain is not backlog.
 func (p *Placer) QueueDepths() (evac, repair int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.evacq), len(p.repairq)
+	return p.backlogLocked()
 }

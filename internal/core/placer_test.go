@@ -30,6 +30,7 @@ import (
 type placeRig struct {
 	t      *testing.T
 	placer *core.Placer
+	dir    *netback.Directory
 	nodes  []*core.StoreNode
 	fds    map[string]*storage.FaultDevice
 	kerns  map[string]*kernel.Kernel
@@ -46,6 +47,8 @@ type placeRigConfig struct {
 	readErr  float64
 	links    netback.LinkFaultConfig
 	placer   core.PlacerConfig
+	// wrap, when set, stands between the placer and the directory.
+	wrap func(core.PlacerLinks) core.PlacerLinks
 }
 
 func newPlaceRig(t *testing.T, cfg placeRigConfig) *placeRig {
@@ -56,7 +59,12 @@ func newPlaceRig(t *testing.T, cfg placeRigConfig) *placeRig {
 		kerns: make(map[string]*kernel.Kernel),
 	}
 	cfg.links.Seed = cfg.seed
-	r.placer = core.NewPlacer(netback.NewDirectory(cfg.links), cfg.placer)
+	r.dir = netback.NewDirectory(cfg.links)
+	var links core.PlacerLinks = r.dir
+	if cfg.wrap != nil {
+		links = cfg.wrap(r.dir)
+	}
+	r.placer = core.NewPlacer(links, cfg.placer)
 	domains := cfg.domains
 	if domains == 0 {
 		domains = cfg.stores / 2
@@ -92,12 +100,11 @@ func newPlaceRig(t *testing.T, cfg placeRigConfig) *placeRig {
 	return r
 }
 
-// place spawns one counter workload through the placer.
-func (r *placeRig) place() *core.Placement {
-	r.t.Helper()
+// tryPlace spawns one counter workload through the placer.
+func (r *placeRig) tryPlace() (*core.Placement, error) {
 	name := fmt.Sprintf("app%d", r.next)
 	r.next++
-	pl, err := r.placer.Place(name, func(n *core.StoreNode) (*core.Group, error) {
+	return r.placer.Place(name, func(n *core.StoreNode) (*core.Group, error) {
 		p, err := n.O.K.Spawn(0, name)
 		if err != nil {
 			return nil, err
@@ -105,8 +112,14 @@ func (r *placeRig) place() *core.Placement {
 		p.SetProgram(&migTestCounter{addr: p.HeapBase()})
 		return n.O.Persist(name, p)
 	})
+}
+
+// place is tryPlace on a fleet that must accept the placement.
+func (r *placeRig) place() *core.Placement {
+	r.t.Helper()
+	pl, err := r.tryPlace()
 	if err != nil {
-		r.t.Fatalf("placing %s: %v", name, err)
+		r.t.Fatalf("placing app%d: %v", r.next-1, err)
 	}
 	return pl
 }

@@ -34,10 +34,6 @@ type SupervisorConfig struct {
 	// Window is the virtual-time span after which a quiet group's
 	// restart budget refills (default 1s virtual).
 	Window time.Duration
-	// Opts is applied to every recovery restore. Validate is forced on:
-	// a supervisor restoring a crashed group must not resurrect it from
-	// a corrupt image.
-	Opts RestoreOpts
 }
 
 func (c SupervisorConfig) maxRestarts() int {
@@ -93,7 +89,6 @@ type Supervisor struct {
 
 // NewSupervisor creates a supervisor over the orchestrator's groups.
 func NewSupervisor(o *Orchestrator, cfg SupervisorConfig) *Supervisor {
-	cfg.Opts.Validate = true
 	return &Supervisor{o: o, cfg: cfg, watches: make(map[uint64]*watchState)}
 }
 
@@ -277,7 +272,9 @@ func (s *Supervisor) recover(ws *watchState) SupervisorEvent {
 	}
 
 	old := ws.g
-	ng, _, err := s.o.Restore(old, 0, s.cfg.Opts)
+	// Validate: a supervisor restoring a crashed group must not resurrect
+	// it from a corrupt image.
+	ng, _, err := s.o.Restore(old, 0, RestoreOpts{Validate: true})
 	if err != nil {
 		return SupervisorEvent{Group: old.ID, Restarts: ws.restarts, Exempt: exempt, Err: err}
 	}
