@@ -91,14 +91,15 @@ recoverycheck:
 ## storage faults, link faults, crashes, a partition+heal, replica
 ## promotion, and a fenced stale primary composed in one seeded run
 ## (seeds 1, 7, 42), plus the promote CLI exit codes. The second line is
-## the determinism gate (no -race: it compares reports, it does not hunt
-## races): every engine whose report a seed already determines must
-## replay it exactly, and the space harness must size the same device,
-## at 1 and 2 procs, three times each.
+## the determinism gate: every engine whose report a seed already
+## determines — the quorum and placement engines under link faults
+## included — must replay it exactly, and the space harness must size
+## the same device, at 1, 2 and 4 procs, three times each, under -race
+## (whose slower schedule is what used to expose a wire's timing).
 chaoscheck:
 	$(GO) test -race -count=1 -run 'TestChaos|TestPromote|TestCLIPromote' \
 		./internal/core/ ./cmd/sls/
-	$(GO) test -count=3 -cpu 1,2 -run 'TestHarnessReplay' ./internal/bench
+	$(GO) test -race -count=3 -cpu 1,2,4 -run 'TestHarnessReplay' ./internal/bench
 
 ## spacecheck: graceful degradation under space pressure, race-enabled —
 ## watermark retention GC with the reachability audit after every

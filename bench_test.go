@@ -858,6 +858,12 @@ func TestPlacementBenchGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, pt := range fresh {
+		if pt.LinkFaultPct == 5 && (pt.LinkDropped == 0 || pt.LinkInjected == 0) {
+			t.Errorf("cell n%d-r5: link_dropped %d, link_injected %d — the directory's wires report no faults at 5%%",
+				pt.Stores, pt.LinkDropped, pt.LinkInjected)
+		}
+	}
 	baseline := baselinePoints[bench.PlacementPoint](t, "BENCH_placement.json")
 	byCell := make(map[string]bench.PlacementPoint, len(fresh))
 	for _, pt := range fresh {

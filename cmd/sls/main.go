@@ -57,7 +57,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"sort"
 	"strconv"
@@ -425,16 +424,16 @@ func (s *session) replicaSet(g *core.Group) *netback.ReplicaSet {
 }
 
 // addReplica wires a named loopback replica link to the group: a
-// standby receiver on its own memory, served over an in-process pipe,
-// with the acknowledged replica backend attached to the group. History
-// already durable on an attached store is backfilled so the new member
-// joins current (and its acked floor is contiguous from epoch 1).
+// standby receiver on its own memory at the far end of a clean
+// netback.Wire, with the acknowledged replica backend attached to the
+// group. History already durable on an attached store is backfilled so
+// the new member joins current (and its acked floor is contiguous from
+// epoch 1).
 func (s *session) addReplica(g *core.Group, name string) (int, error) {
 	recv := netback.NewReceiver(vm.NewPhysMem(0), storage.NewClock())
-	rb := netback.NewReplicaBackend(s.clock)
-	local, remote := net.Pipe()
-	go recv.ServeReplica(remote)
-	if _, err := rb.Connect(local, g.ID); err != nil {
+	w := netback.NewWire(netback.LinkFaultConfig{}, s.clock, recv)
+	rb := w.Backend()
+	if err := w.Connect(g.ID); err != nil {
 		return 0, err
 	}
 	backfilled := 0

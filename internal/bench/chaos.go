@@ -193,7 +193,7 @@ func (c *chaosRun) crash() error {
 	// fault made the self-healing restore quarantine an epoch and fall
 	// back below it, the released suffix is still not lost — releases
 	// gate on replication, so the replica must hold it contiguously.
-	if err := core.CheckReleasedCovered(old, l.released, ng.Epoch(), c.wire.recv.ContiguousEpoch(old)); err != nil {
+	if err := core.CheckReleasedCovered(old, l.released, ng.Epoch(), c.wire.Receiver().ContiguousEpoch(old)); err != nil {
 		return err
 	}
 	if err := c.verify(c.src, ng); err != nil {
@@ -206,7 +206,7 @@ func (c *chaosRun) crash() error {
 	l.lineage = ng.ID
 	c.moved(l, c.src.o, ng)
 	c.rep.Restores++
-	return c.wire.reset(ng.ID)
+	return c.wire.reconnect(ng.ID)
 }
 
 // verify checks a restored or promoted group bit-for-bit against what
@@ -252,10 +252,10 @@ func (c *chaosRun) script() error {
 		return err
 	}
 	c.l = l
-	l.links = []string{c.wire.rb.Name()}
-	c.src.o.Attach(l.g, c.wire.rb)
+	l.links = []string{c.wire.Backend().Name()}
+	c.src.o.Attach(l.g, c.wire.Backend())
 	c.src.sup.Watch(l.g)
-	if err := c.wire.reset(l.g.ID); err != nil {
+	if err := c.wire.reconnect(l.g.ID); err != nil {
 		return err
 	}
 
@@ -265,7 +265,7 @@ func (c *chaosRun) script() error {
 	for i := 1; i <= cfg.Checkpoints; i++ {
 		c.at("steady checkpoint %d", i)
 		if cfg.PartitionAt > 0 && i == cfg.PartitionAt {
-			c.wire.link.PartitionBoth()
+			c.wire.Link().Partition()
 			partActive = true
 		}
 		if err := l.epoch(cfg.StepsPerEpoch); err != nil {
@@ -289,7 +289,7 @@ func (c *chaosRun) script() error {
 			if err := l.heal(c.wire); err != nil {
 				return err
 			}
-			if got, want := c.wire.recv.ContiguousEpoch(l.g.ID), l.g.Durable(); got != want {
+			if got, want := c.wire.Receiver().ContiguousEpoch(l.g.ID), l.g.Durable(); got != want {
 				return fmt.Errorf("after heal replica floor %d != durable %d", got, want)
 			}
 			c.rep.CatchUp = c.src.clock.Now() - h0
@@ -326,14 +326,14 @@ func (c *chaosRun) script() error {
 	}
 	lineage := l.g.ID
 	preFloor := l.g.Durable()
-	if got := c.wire.recv.ContiguousEpoch(lineage); got != preFloor {
+	if got := c.wire.Receiver().ContiguousEpoch(lineage); got != preFloor {
 		return fmt.Errorf("pre-disaster floor %d != durable %d", got, preFloor)
 	}
 
 	// Phase 2 — the permanent partition: the primary keeps running,
 	// minting epochs only its own store ever sees. Releases must stop
 	// at the replication frontier.
-	c.wire.link.PartitionBoth()
+	c.wire.Link().Partition()
 	for j := 1; j <= cfg.DivergentEpochs; j++ {
 		c.at("divergent checkpoint %d", j)
 		if err := l.epoch(cfg.StepsPerEpoch); err != nil {
@@ -351,7 +351,7 @@ func (c *chaosRun) script() error {
 	// Phase 3 — the primary is declared permanently dead; the standby
 	// promotes the replica over its own store.
 	c.at("promotion")
-	prep, err := l.promote(c.dst, []core.ReplicaSource{c.wire.recv}, preFloor)
+	prep, err := l.promote(c.dst, []core.ReplicaSource{c.wire.Receiver()}, preFloor)
 	if err != nil {
 		return err
 	}
@@ -392,7 +392,7 @@ func (c *chaosRun) script() error {
 	// group fenced; the following checkpoint barrier refuses outright,
 	// and demotion quarantines the divergent suffix durably.
 	c.at("stale return")
-	if err := c.wire.reset(stale.g.ID); err != nil {
+	if err := c.wire.reconnect(stale.g.ID); err != nil {
 		return err
 	}
 	if _, err := stale.barrier(cfg.StepsPerEpoch, core.CheckpointOpts{}); err != nil {
@@ -410,7 +410,7 @@ func (c *chaosRun) script() error {
 		if _, _, fenced := stale.g.Fenced(); fenced {
 			break
 		}
-		if err := c.wire.reset(stale.g.ID); err != nil {
+		if err := c.wire.reconnect(stale.g.ID); err != nil {
 			return err
 		}
 	}
@@ -469,9 +469,9 @@ func (c *chaosRun) script() error {
 		return err
 	}
 
-	c.rep.Partitions = c.wire.rb.Partitions()
-	c.rep.LinkDropped = c.wire.link.DroppedCount()
-	c.rep.LinkInjected = c.wire.link.InjectedCount()
+	c.rep.Partitions = c.wire.Backend().Partitions()
+	c.rep.LinkDropped = c.wire.Link().DroppedCount()
+	c.rep.LinkInjected = c.wire.Link().InjectedCount()
 	c.rep.StoreInjected = c.src.fd.InjectedCount()
 	c.rep.Released = l.released
 	if rec := c.src.sb.Reclaimer(); rec != nil {

@@ -268,8 +268,8 @@ func (l *line) heal(w *Wire, goal ...string) error {
 		if l.healthy(goal...) {
 			return nil
 		}
-		if !l.healthy(w.rb.Name()) {
-			if err := w.reset(l.g.ID); err != nil {
+		if !l.healthy(w.Backend().Name()) {
+			if err := w.reconnect(l.g.ID); err != nil {
 				return err
 			}
 		}
@@ -510,6 +510,7 @@ type fleet struct {
 	writeErr float64
 	readErr  float64
 
+	dir    *netback.Directory
 	bench  map[*core.StoreNode]*Node
 	byID   map[uint64]*line
 	placed int // arrivals so far; the next one is app<placed>
@@ -523,7 +524,8 @@ func newFleet(engine string, seed int64, steps int, link netback.LinkFaultConfig
 	link.Seed = seed
 	pcfg.DownAfter = 5 // ride out injected probe faults on healthy stores
 	pcfg.Retries = 8   // faulted cells need migrator retry headroom
-	f.placer = core.NewPlacer(netback.NewDirectory(link), pcfg)
+	f.dir = netback.NewDirectory(link)
+	f.placer = core.NewPlacer(f.dir, pcfg)
 	return f
 }
 

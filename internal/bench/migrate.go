@@ -147,21 +147,21 @@ func (r *migRun) expectFenced(m *Node, g *core.Group) error {
 func (r *migRun) migrator(dst *Node, linkSeed int64, name string) (*core.Migrator, *Wire, error) {
 	r.stores = append(r.stores, dst.storeNode(""))
 	w := r.tp.Wire(linkSeed, r.cur, dst)
-	w.rb.SetName("migrate-link")
+	w.Backend().SetName("migrate-link")
 	srcG := r.l.g
-	if err := w.connect(srcG.ID); err != nil {
+	if err := w.Connect(srcG.ID); err != nil {
 		return nil, nil, fmt.Errorf("connect: %w", err)
 	}
 	return &core.Migrator{
 		Src:       r.cur.o,
 		Dst:       dst.o,
 		G:         srcG,
-		Link:      w.rb,
-		Target:    w.recv,
+		Link:      w.Backend(),
+		Target:    w.Receiver(),
 		SrcStore:  r.cur.sb,
 		DstStore:  dst.sb,
 		Sup:       r.cur.sup,
-		Reconnect: func() error { return w.reset(srcG.ID) },
+		Reconnect: func() error { return w.reconnect(srcG.ID) },
 		Cfg: core.MigratorConfig{
 			MaxRounds: r.cfg.Rounds,
 			Retries:   r.cfg.Retries,
@@ -200,9 +200,9 @@ func (r *migRun) arrived(src, dst *Node, w *Wire, rep *core.MigrateReport) error
 	if err := r.expectFenced(src, srcG); err != nil {
 		return err
 	}
-	w.quiesce()
-	r.rep.LinkDropped += w.link.DroppedCount()
-	r.rep.LinkInjected += w.link.InjectedCount()
+	w.Backend().Disconnect()
+	r.rep.LinkDropped += w.Link().DroppedCount()
+	r.rep.LinkInjected += w.Link().InjectedCount()
 
 	// Run the workload forward on the target.
 	for i := 0; i < r.cfg.PostEpochs; i++ {

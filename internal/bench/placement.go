@@ -226,6 +226,7 @@ func (r *placeRun) script() error {
 		}
 	}
 	r.rep.EvacTTRp50, r.rep.EvacTTRp99, r.rep.EvacMax = percentiles(r.rep.EvacTTRs)
+	r.rep.LinkDropped, r.rep.LinkInjected = r.dir.LinkFaults()
 	return nil
 }
 
@@ -370,6 +371,8 @@ type PlacementPoint struct {
 	EvacTTRp50us float64 `json:"evac_ttr_p50_us"`
 	EvacTTRp99us float64 `json:"evac_ttr_p99_us"`
 	EvacTTRMaxus float64 `json:"evac_ttr_max_us"`
+	LinkDropped  int64   `json:"link_dropped"`
+	LinkInjected int64   `json:"link_injected"`
 }
 
 // PlacementSweep runs the placement chaos matrix: fleet size × link
@@ -408,6 +411,8 @@ func PlacementSweep(groups int, stores []int, rates []float64, seed int64) ([]Pl
 				EvacTTRp50us: float64(rep.EvacTTRp50.Microseconds()),
 				EvacTTRp99us: float64(rep.EvacTTRp99.Microseconds()),
 				EvacTTRMaxus: float64(rep.EvacMax.Microseconds()),
+				LinkDropped:  rep.LinkDropped,
+				LinkInjected: rep.LinkInjected,
 			})
 		}
 	}

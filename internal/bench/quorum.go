@@ -156,7 +156,7 @@ type quorumRun struct {
 // restoreFromMember restores the member's image at epoch on a scratch
 // machine and verifies it bit-identical.
 func (q *quorumRun) restoreFromMember(w *Wire, epoch uint64) error {
-	img, err := w.recv.ImageAt(q.l.g.ID, epoch)
+	img, err := w.Receiver().ImageAt(q.l.g.ID, epoch)
 	if err != nil {
 		return fmt.Errorf("member %s epoch %d: %w", w.name, epoch, err)
 	}
@@ -178,7 +178,7 @@ func (q *quorumRun) healed(w *Wire) error {
 	if err := q.l.heal(w, w.name); err != nil {
 		return err
 	}
-	if got, want := w.recv.ContiguousEpoch(q.l.g.ID), q.l.g.Durable(); got != want {
+	if got, want := w.Receiver().ContiguousEpoch(q.l.g.ID), q.l.g.Durable(); got != want {
 		return fmt.Errorf("replica %s floor %d != durable %d after heal", w.name, got, want)
 	}
 	q.rep.Heals++
@@ -251,9 +251,9 @@ func (q *quorumRun) script(baseline bool) error {
 	for i := 0; i < cfg.Replicas; i++ {
 		w := tp.Endpoint(fmt.Sprintf("replica%d", i), cfg.Seed*1000003+int64(i)*7919, q.src)
 		if i == cfg.Replicas-1 {
-			w.rb.SetLinkLatency(cfg.SlowLinkLatency)
+			w.Backend().SetLinkLatency(cfg.SlowLinkLatency)
 		}
-		q.rs.Add(w.name, w.rb, w.recv)
+		q.rs.Add(w.name, w.Backend(), w.Receiver())
 		q.links = append(q.links, w)
 	}
 
@@ -271,7 +271,7 @@ func (q *quorumRun) script(baseline bool) error {
 	}
 	for _, w := range q.links {
 		l.links = append(l.links, w.name)
-		if err := w.reset(l.g.ID); err != nil {
+		if err := w.reconnect(l.g.ID); err != nil {
 			return err
 		}
 	}
@@ -291,7 +291,7 @@ func (q *quorumRun) script(baseline bool) error {
 		if killed != nil && i == cfg.KillAt {
 			// Kill the replica: sever its link and lose its state (the
 			// receiver is replaced by an empty one on restart).
-			killed.link.PartitionBoth()
+			killed.Link().Partition()
 			killed.down = true
 			q.rep.Kills++
 			if err := q.check(q.phase + " kill"); err != nil {
@@ -305,7 +305,7 @@ func (q *quorumRun) script(baseline bool) error {
 				if w.down {
 					continue
 				}
-				if floor := w.recv.ContiguousEpoch(l.g.ID); floor == l.g.Durable() {
+				if floor := w.Receiver().ContiguousEpoch(l.g.ID); floor == l.g.Durable() {
 					if err := q.restoreFromMember(w, floor); err != nil {
 						return err
 					}
@@ -319,23 +319,19 @@ func (q *quorumRun) script(baseline bool) error {
 			}
 			// Restart: a fresh receiver (empty chains — the kill lost
 			// everything), reconnect, and drain the catch-up queue.
-			if killed.serving {
-				<-killed.serveDone
-				killed.serving = false
-			}
 			killed.pm = vm.NewPhysMem(0)
-			killed.recv = netback.NewReceiver(killed.pm, killed.clock)
-			q.rs.Links()[killIdx].Recv = killed.recv
+			killed.Restart(netback.NewReceiver(killed.pm, killed.clock))
+			q.rs.Links()[killIdx].Recv = killed.Receiver()
 			if err := q.healed(killed); err != nil {
 				return err
 			}
-			q.rep.CatchUpEpochs = int64(len(killed.recv.ReplicaEpochs(l.g.ID)))
+			q.rep.CatchUpEpochs = int64(len(killed.Receiver().ReplicaEpochs(l.g.ID)))
 			// The restarted replica bootstraps restorability from the
 			// next full checkpoint (the demotion doctrine).
 			forceFull = true
 		}
 		if partitioned != nil && i == cfg.PartitionAt {
-			partitioned.link.PartitionBoth()
+			partitioned.Link().Partition()
 			partitioned.down = true
 			if err := q.check(q.phase + " partition"); err != nil {
 				return err
@@ -351,17 +347,22 @@ func (q *quorumRun) script(baseline bool) error {
 			return err
 		}
 		forceFull = false
-		if err := l.syncDurable(); err != nil {
-			return err
-		}
+		synced := l.syncDurable()
 		// Under probabilistic link faults a healthy-scheduled link can
 		// drop its connection; keep those converging. Links inside a
-		// scripted outage stay down.
+		// scripted outage stay down. When every live link dropped on the
+		// same epoch, the quorum was lost — no minority outage — and this
+		// is what lets the sync reach W again.
 		for _, w := range q.links {
 			if !w.down && !l.healthy(w.name) {
 				if err := l.heal(w, w.name); err != nil {
 					return err
 				}
+			}
+		}
+		if synced != nil {
+			if err := l.syncDurable(); err != nil {
+				return err
 			}
 		}
 		if err := q.check(q.phase); err != nil {
@@ -380,14 +381,14 @@ func (q *quorumRun) script(baseline bool) error {
 	q.rep.Released = l.released
 	q.rep.MedianDurable = medianFlush(l.g)
 	for _, w := range q.links {
-		q.rep.Partitions += w.rb.Partitions()
-		q.rep.LinkDropped += w.link.DroppedCount()
-		q.rep.LinkInjected += w.link.InjectedCount()
-		sent, skipped, resends := w.rb.DeltaStats()
+		q.rep.Partitions += w.Backend().Partitions()
+		q.rep.LinkDropped += w.Link().DroppedCount()
+		q.rep.LinkInjected += w.Link().InjectedCount()
+		sent, skipped, resends := w.Backend().DeltaStats()
 		q.rep.PagesSent += sent
 		q.rep.PagesSkipped += skipped
 		q.rep.NeedResends += resends
-		q.rep.ReceiverNeeds += w.recv.NeedsSent()
+		q.rep.ReceiverNeeds += w.Receiver().NeedsSent()
 	}
 	if baseline {
 		return nil
@@ -424,7 +425,7 @@ func (q *quorumRun) script(baseline bool) error {
 	}
 	// And every member's fence now rejects the stale generation.
 	for _, w := range q.links {
-		if fg := w.recv.FenceGen(lineage); fg != prep.Gen {
+		if fg := w.Receiver().FenceGen(lineage); fg != prep.Gen {
 			return fmt.Errorf("member %s fence %d, want %d", w.name, fg, prep.Gen)
 		}
 	}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"aurora/internal/core"
 	"aurora/internal/kernel"
@@ -15,10 +14,9 @@ import (
 // Shared machine and wire builder. Every chaos engine in this package
 // simulates the same two primitives — a *machine* (its own virtual
 // clock, kernel, orchestrator, and fault-injecting store) and a *wire*
-// (a fault link carrying the acked replica protocol between a sender
+// (a netback.Wire carrying the acked replica protocol between a sender
 // backend and a far-side receiver). Node and Wire are the only place
-// either is assembled, so a fix to the connect / reset / teardown
-// dance lands everywhere at once; harness.go holds what runs on them.
+// either is assembled; harness.go holds what runs on them.
 
 // Topology strings wires under one link-fault template.
 type Topology struct {
@@ -98,19 +96,15 @@ func (n *Node) storeNode(domain string) *core.StoreNode {
 	return &core.StoreNode{Name: n.name, Domain: domain, O: n.o, SB: n.sb, Sup: n.sup}
 }
 
-// Wire is one replication wire: a fault link carrying the acked
-// replica stream (plus migration handoff frames) from a sender-side
-// ReplicaBackend to a far-side Receiver.
+// Wire is one replication wire of a script: a netback.Wire carrying
+// the acked replica stream (plus migration handoff frames) from a
+// sender-side ReplicaBackend to a far-side Receiver, and the engine's
+// bookkeeping for it.
 type Wire struct {
-	name       string
-	link       *netback.FaultLink
-	endA, endB io.ReadWriteCloser
-	rb         *netback.ReplicaBackend
-	recv       *netback.Receiver
-	pm         *vm.PhysMem    // standalone endpoints own their memory
-	clock      *storage.Clock // ... and their clock
-	serveDone  chan error
-	serving    bool
+	*netback.Wire
+	name  string
+	pm    *vm.PhysMem    // standalone endpoints own their memory
+	clock *storage.Clock // ... and their clock
 
 	// Scripted partition: while blockedFor > 0, reconnect attempts
 	// burn down the counter instead of healing — the wire stays
@@ -123,99 +117,41 @@ type Wire struct {
 // Wire strings a wire from src to a receiver on dst's memory and
 // clock, injecting faults per the topology template under seed.
 func (tp *Topology) Wire(seed int64, src, dst *Node) *Wire {
-	w := tp.wire(seed, src)
-	w.name = fmt.Sprintf("%s->%s", src.name, dst.name)
-	w.recv = netback.NewReceiver(dst.k.Mem, dst.clock)
-	return w
+	return tp.wire(seed, src, netback.NewReceiver(dst.k.Mem, dst.clock), fmt.Sprintf("%s->%s", src.name, dst.name))
 }
 
 // Endpoint strings a wire from src to a standalone receiver with its
 // own physical memory and clock — a replica that is not a full
 // machine (the quorum engine's members).
 func (tp *Topology) Endpoint(name string, seed int64, src *Node) *Wire {
-	w := tp.wire(seed, src)
-	w.name = name
-	w.pm = vm.NewPhysMem(0)
-	w.clock = storage.NewClock()
-	w.recv = netback.NewReceiver(w.pm, w.clock)
+	pm, clock := vm.NewPhysMem(0), storage.NewClock()
+	w := tp.wire(seed, src, netback.NewReceiver(pm, clock), name)
+	w.pm, w.clock = pm, clock
 	return w
 }
 
-func (tp *Topology) wire(seed int64, src *Node) *Wire {
+func (tp *Topology) wire(seed int64, src *Node, recv *netback.Receiver, name string) *Wire {
 	cfg := tp.faults
 	cfg.Seed = seed
-	w := &Wire{serveDone: make(chan error, 1)}
-	w.link = netback.NewFaultLink(cfg, src.clock)
-	w.endA, w.endB = w.link.A(), w.link.B()
-	w.rb = netback.NewReplicaBackend(src.clock)
-	return w
+	return &Wire{Wire: netback.NewWire(cfg, src.clock, recv), name: name}
 }
 
-func (w *Wire) startServe() {
-	w.serving = true
-	go func() {
-		_, err := w.recv.ServeReplica(w.endB)
-		w.serveDone <- err
-	}()
-}
-
-// quiesce tears the connection all the way down: poison any live
-// serve loop (a partition drop makes it exit), reap it, and discard
-// every buffered frame so a stale hello-ack cannot satisfy the next
-// handshake. Reaping comes before the heal so the old loop can never
-// read a frame of the new session.
-func (w *Wire) quiesce() {
-	w.link.PartitionBoth()
-	if w.serving {
-		<-w.serveDone
-		w.serving = false
-	}
-	w.rb.Disconnect()
-	w.link.DrainPending()
-	w.link.Heal()
-}
-
-// reset re-establishes the wire: quiesce, then re-run the hello
-// handshake — retrying, since probabilistic faults can kill the
-// handshake itself. Every failed Connect implies a drop or corruption
-// that also poisons the serve loop, so reaping between attempts cannot
-// block. While a scripted partition window is open it fails instead,
-// modeling an unreachable far side.
-func (w *Wire) reset(group uint64) error {
+// reconnect is the wire's Reset — except while a scripted partition
+// window is open, when it fails, modeling an unreachable far side.
+func (w *Wire) reconnect(group uint64) error {
 	if w.blockedFor > 0 {
 		w.blockedFor--
 		return fmt.Errorf("bench: wire %s partitioned: %w", w.name, netback.ErrDisconnected)
 	}
-	w.quiesce()
-	var err error
-	for attempt := 0; attempt < 64; attempt++ {
-		if !w.serving {
-			w.startServe()
-		}
-		if _, err = w.rb.Connect(w.endA, group); err == nil {
-			return nil
-		}
-		<-w.serveDone
-		w.serving = false
+	if err := w.Reset(group); err != nil {
+		return fmt.Errorf("bench: wire %s: %w", w.name, err)
 	}
-	return fmt.Errorf("bench: wire %s did not recover: %w", w.name, err)
-}
-
-// connect performs the initial handshake, falling back to the full
-// reset dance when an injected fault eats the hello.
-func (w *Wire) connect(group uint64) error {
-	if !w.serving {
-		w.startServe()
-	}
-	if _, err := w.rb.Connect(w.endA, group); err == nil {
-		return nil
-	}
-	return w.reset(group)
+	return nil
 }
 
 // partition opens a scripted partition that survives the next
 // `retries` reconnect attempts.
 func (w *Wire) partition(retries int) {
-	w.link.PartitionBoth()
+	w.Link().Partition()
 	w.blockedFor = retries
 }

@@ -304,6 +304,8 @@ func (img *Image) ResolveHeat(objID uint64) []vm.PageHeat {
 
 // Encode serializes a *consolidated* view of the image chain (the
 // effective state at this epoch) for network transfer or file export.
+// Objects go by ascending ID and pages by ascending index, so one chain
+// always encodes to the same bytes.
 func (img *Image) Encode() []byte {
 	e := codec.NewEncoder()
 	e.U64(img.Group)
@@ -318,6 +320,7 @@ func (img *Image) Encode() []byte {
 		e.Bytes2(m.Data)
 	}
 	objIDs := img.ObjectIDs()
+	slices.Sort(objIDs)
 	e.U64(uint64(len(objIDs)))
 	for _, id := range objIDs {
 		pages := img.ResolveObject(id)
@@ -326,9 +329,14 @@ func (img *Image) Encode() []byte {
 		e.Str(newest.Name)
 		e.I64(newest.Size)
 		e.U64(uint64(len(pages)))
-		for idx, data := range pages {
+		idxs := make([]int64, 0, len(pages))
+		for idx := range pages {
+			idxs = append(idxs, idx)
+		}
+		slices.Sort(idxs)
+		for _, idx := range idxs {
 			e.I64(idx)
-			e.Bytes2(data)
+			e.Bytes2(pages[idx])
 		}
 		heat := img.ResolveHeat(id)
 		e.U64(uint64(len(heat)))

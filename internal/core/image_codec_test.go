@@ -131,6 +131,31 @@ func TestDeltaEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestEncodeDeterministic: the consolidated layout `sls send` writes is
+// a function of the chain — objects by ascending ID, pages by ascending
+// index, whatever order the page maps iterate in — and a decoded image
+// encodes back to the very bytes it came from.
+func TestEncodeDeterministic(t *testing.T) {
+	pm := vm.NewPhysMem(0)
+	base := codecImage(t, pm, 1, true, 24, distinctFill)
+	top := codecImage(t, pm, 2, false, 12, func(id uint64, i int) byte { return distinctFill(id, i) + 100 })
+	top.Prev = base
+	first := top.Encode()
+	for i := 0; i < 8; i++ {
+		if again := top.Encode(); !bytes.Equal(first, again) {
+			t.Fatalf("encode %d of one chain differs from the first", i+2)
+		}
+	}
+	dec, err := DecodeImage(first, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := dec.Encode(); !bytes.Equal(first, again) {
+		t.Fatal("a decoded image does not encode back to its bytes")
+	}
+	dec.Release(pm)
+}
+
 // TestDeltaRoundTripPreservesPages: decode∘encode keeps every page,
 // heat entry and header field, for a full and an incremental image, in
 // both layouts; compact refs resolve through the callback, and frames

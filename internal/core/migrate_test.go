@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"testing"
 	"time"
 
@@ -125,64 +124,16 @@ func restoreCounter(t *testing.T, sb *core.StoreBackend, group, epoch uint64) ui
 	return counterOn(t, scratch, ng)
 }
 
-// migWire is the netback link between two machines (fault-free unless
-// the test partitions it).
-type migWire struct {
-	link    *netback.FaultLink
-	endA    io.ReadWriteCloser
-	rb      *netback.ReplicaBackend
-	recv    *netback.Receiver
-	done    chan error
-	serving bool
-}
-
-func newMigWire(t *testing.T, src, dst *migMach, group uint64) *migWire {
+// newMigWire strings a netback wire between two machines (fault-free
+// unless the test partitions it) and connects it for group.
+func newMigWire(t *testing.T, src, dst *migMach, group uint64) *netback.Wire {
 	t.Helper()
-	w := &migWire{done: make(chan error, 1)}
-	w.link = netback.NewFaultLink(netback.LinkFaultConfig{Seed: 1}, src.clock)
-	w.endA = w.link.A()
-	endB := w.link.B()
-	w.recv = netback.NewReceiver(dst.k.Mem, dst.clock)
-	w.rb = netback.NewReplicaBackend(src.clock)
-	w.rb.SetName("migrate-wire")
-	w.serving = true
-	go func() {
-		_, err := w.recv.ServeReplica(endB)
-		w.done <- err
-	}()
-	if _, err := w.rb.Connect(w.endA, group); err != nil {
+	w := netback.NewWire(netback.LinkFaultConfig{Seed: 1}, src.clock, netback.NewReceiver(dst.k.Mem, dst.clock))
+	w.Backend().SetName("migrate-wire")
+	if err := w.Connect(group); err != nil {
 		t.Fatalf("connect: %v", err)
 	}
 	return w
-}
-
-// reset re-establishes the wire after a partition.
-func (w *migWire) reset(group uint64) error {
-	w.link.PartitionBoth()
-	if w.serving {
-		<-w.done
-		w.serving = false
-	}
-	w.rb.Disconnect()
-	w.link.DrainPending()
-	w.link.Heal()
-	var err error
-	for i := 0; i < 64; i++ {
-		if !w.serving {
-			endB := w.link.B()
-			w.serving = true
-			go func() {
-				_, serr := w.recv.ServeReplica(endB)
-				w.done <- serr
-			}()
-		}
-		if _, err = w.rb.Connect(w.endA, group); err == nil {
-			return nil
-		}
-		<-w.done
-		w.serving = false
-	}
-	return err
 }
 
 // assertSolePrimary checks exactly one of the stores claims the
@@ -234,10 +185,10 @@ func TestMigratePlannedEndToEnd(t *testing.T) {
 	}
 	mig := &core.Migrator{
 		Src: a.o, Dst: b.o, G: g,
-		Link: w.rb, Target: w.recv,
+		Link: w.Backend(), Target: w.Receiver(),
 		SrcStore: a.sb, DstStore: b.sb,
 		Sup:       sup,
-		Reconnect: func() error { return w.reset(g.ID) },
+		Reconnect: func() error { return w.Reset(g.ID) },
 		Cfg:       core.MigratorConfig{Name: "migrated"},
 	}
 	rep, err := mig.Run(workload)
@@ -295,10 +246,10 @@ func TestMigrateAbortTargetDeadPreCopy(t *testing.T) {
 
 	// The target dies for good before the first ship: the link is
 	// partitioned and reconnects never succeed.
-	w.link.PartitionBoth()
+	w.Link().Partition()
 	mig := &core.Migrator{
 		Src: a.o, Dst: b.o, G: g,
-		Link: w.rb, Target: w.recv,
+		Link: w.Backend(), Target: w.Receiver(),
 		SrcStore: a.sb, DstStore: b.sb,
 		Reconnect: func() error {
 			return fmt.Errorf("target unreachable: %w", netback.ErrDisconnected)
@@ -363,13 +314,13 @@ func TestMigrateAbortMidBlackoutThenRetry(t *testing.T) {
 	dead := true
 	mig := &core.Migrator{
 		Src: a.o, Dst: b.o, G: g,
-		Link: w.rb, Target: w.recv,
+		Link: w.Backend(), Target: w.Receiver(),
 		SrcStore: a.sb, DstStore: b.sb,
 		Reconnect: func() error {
 			if dead {
 				return fmt.Errorf("target unreachable: %w", netback.ErrDisconnected)
 			}
-			return w.reset(g.ID)
+			return w.Reset(g.ID)
 		},
 		Cfg: core.MigratorConfig{Retries: 2},
 	}
@@ -378,7 +329,7 @@ func TestMigrateAbortMidBlackoutThenRetry(t *testing.T) {
 		t.Fatalf("pre-copy: residual=%d err=%v", residual, err)
 	}
 	// …then the target dies right before the blackout.
-	w.link.PartitionBoth()
+	w.Link().Partition()
 	before := counterOn(t, a, g)
 	_, err := mig.Cutover()
 	var me *core.MigrationError
@@ -427,8 +378,8 @@ func TestMigrateHandoverFlakyCompletes(t *testing.T) {
 	want := counterOn(t, a, g)
 	mig := &core.Migrator{
 		Src: a.o, Dst: b.o, G: g,
-		Link:     &flakyHandoff{Backend: w.rb, fails: 2},
-		Target:   w.recv,
+		Link:     &flakyHandoff{Backend: w.Backend(), fails: 2},
+		Target:   w.Receiver(),
 		SrcStore: a.sb, DstStore: b.sb,
 		Cfg: core.MigratorConfig{Retries: 4},
 	}
@@ -456,8 +407,8 @@ func TestMigrateAbortAfterAnnounceRemintsSource(t *testing.T) {
 	sup.Watch(g)
 	mig := &core.Migrator{
 		Src: a.o, Dst: b.o, G: g,
-		Link:     &flakyHandoff{Backend: w.rb, fails: 1 << 20},
-		Target:   w.recv,
+		Link:     &flakyHandoff{Backend: w.Backend(), fails: 1 << 20},
+		Target:   w.Receiver(),
 		SrcStore: a.sb, DstStore: b.sb,
 		Sup: sup,
 		Cfg: core.MigratorConfig{Retries: 2},
@@ -513,9 +464,9 @@ func TestMigrateDoubleHopOneLineage(t *testing.T) {
 	wAB := newMigWire(t, a, b, gA.ID)
 	mig1 := &core.Migrator{
 		Src: a.o, Dst: b.o, G: gA,
-		Link: wAB.rb, Target: wAB.recv,
+		Link: wAB.Backend(), Target: wAB.Receiver(),
 		SrcStore: a.sb, DstStore: b.sb,
-		Reconnect: func() error { return wAB.reset(gA.ID) },
+		Reconnect: func() error { return wAB.Reset(gA.ID) },
 		Cfg:       core.MigratorConfig{Lineage: lineage, Name: "hop1"},
 	}
 	rep1, err := mig1.Run(nil)
@@ -539,9 +490,9 @@ func TestMigrateDoubleHopOneLineage(t *testing.T) {
 	wBC := newMigWire(t, b, c, gB.ID)
 	mig2 := &core.Migrator{
 		Src: b.o, Dst: c.o, G: gB,
-		Link: wBC.rb, Target: wBC.recv,
+		Link: wBC.Backend(), Target: wBC.Receiver(),
 		SrcStore: b.sb, DstStore: c.sb,
-		Reconnect: func() error { return wBC.reset(gB.ID) },
+		Reconnect: func() error { return wBC.Reset(gB.ID) },
 		Cfg:       core.MigratorConfig{Lineage: lineage, Name: "hop2"},
 	}
 	rep2, err := mig2.Run(nil)
@@ -579,10 +530,10 @@ func TestStandbyPromoteAfterSourceCrash(t *testing.T) {
 	var last uint64
 	mig := &core.Migrator{
 		Src: a.o, Dst: b.o, G: g,
-		Link: w.rb, Target: w.recv,
+		Link: w.Backend(), Target: w.Receiver(),
 		SrcStore: a.sb, DstStore: b.sb,
 		Sup:       sup,
-		Reconnect: func() error { return w.reset(g.ID) },
+		Reconnect: func() error { return w.Reset(g.ID) },
 		Cfg:       core.MigratorConfig{Name: "standby"},
 	}
 	for i := 0; i < 3; i++ {

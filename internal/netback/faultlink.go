@@ -1,11 +1,13 @@
 package netback
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,24 +15,29 @@ import (
 )
 
 // FaultLink is the network twin of storage.FaultDevice: a seeded,
-// deterministic in-memory link between two endpoints that injects
-// per-frame faults — drops, duplicates, reorders, payload corruption,
-// latency spikes — plus scripted drops and full or asymmetric
-// partitions with heal. It is frame-aware: writes are reassembled into
-// wire frames ([type][len][crc32c][payload]) and each frame's fate is
-// drawn from a per-direction RNG with a fixed number of draws, so the
-// schedule is a pure function of (seed, frame number) in that
-// direction.
+// deterministic in-process link from a sender to a peer's frame handler
+// that injects per-frame faults — drops, duplicates, reorders, payload
+// corruption, latency spikes — plus scripted drops and partitions with
+// heal. It is frame-aware: writes are reassembled into wire frames
+// ([type][len][crc32c][payload]) and each frame's fate is drawn from a
+// per-direction RNG with a fixed six draws, so the schedule is a pure
+// function of (seed, frame number) in that direction.
 //
 // The replication protocol is synchronous (one frame in flight per
-// direction, the sender blocks on the ack), so a dropped frame would
-// deadlock both sides. A drop therefore models a timeout: it raises a
-// one-shot ErrLinkDropped on BOTH directions, waking any blocked
-// reader; each side treats that as a connection loss and re-runs the
-// hello/hello-ack resume handshake. A side that writes has, by
-// definition, moved past any earlier loss, so a write clears the
-// writer's stale read-side error — the handshake itself scrubs
-// leftover flags.
+// direction, the sender waits for the reply), so the far end needs no
+// goroutine: the link is the sender's io.ReadWriter, and each request
+// frame that survives its draws is handed to the peer by the Write that
+// completes it, on the writer's own goroutine. The replies the peer
+// writes cross b->a into the one queue Read drains. A read never
+// blocks: an empty queue means no reply is coming — the timeout
+// ErrLinkDropped. Requests are delivered as they arrive, so Reorder
+// only ever jumps a reply ahead of one already queued.
+//
+// One rule covers every loss: a frame dropped in flight (either
+// direction), a request the peer cannot take (a corrupt one fails its
+// CRC) and a partition end the session — every later frame is lost and
+// reads fail — until Heal opens a new one. A corrupt reply is the
+// sender's to detect: it fails the CRC and drops its connection.
 
 // ErrLinkDropped reports a frame lost on a FaultLink (injected drop or
 // partition). The replication layer treats it as a connection loss.
@@ -40,30 +47,23 @@ var ErrLinkDropped = errors.New("netback: link dropped frame")
 type LinkDir int
 
 const (
-	AtoB LinkDir = iota
-	BtoA
+	AtoB LinkDir = iota // sender -> peer: requests
+	BtoA                // peer -> sender: replies
 )
-
-func (d LinkDir) String() string {
-	if d == AtoB {
-		return "a->b"
-	}
-	return "b->a"
-}
 
 // LinkFaultConfig holds the per-frame fault probabilities, all in
 // [0, 1] and drawn from a seeded RNG per direction.
 type LinkFaultConfig struct {
 	Seed int64
 
-	// Drop is the probability a frame vanishes in flight (both sides
-	// see ErrLinkDropped, modeling the protocol timeout).
+	// Drop is the probability a frame vanishes in flight, ending the
+	// session (the protocol timeout).
 	Drop float64
 	// Dup delivers the frame twice.
 	Dup float64
-	// Reorder delivers the frame ahead of an already-queued one (the
-	// synchronous protocol rarely queues two frames in one direction,
-	// so this mostly composes with Dup).
+	// Reorder delivers a reply ahead of one already queued (two replies
+	// are queued at once only when a request or a reply was duplicated,
+	// so this composes with Dup).
 	Reorder float64
 	// Corrupt flips one payload byte in flight; the frame CRC catches
 	// it on the receiving side (ErrCorruptFrame).
@@ -74,6 +74,10 @@ type LinkFaultConfig struct {
 	LatencyCost time.Duration
 }
 
+// handler is a link's far end: it takes one request frame and writes
+// its replies, if any, to w. An error hangs up, ending the session.
+type handler func(w io.Writer, typ byte, payload []byte) error
+
 // linkScript is one scripted "drop frames N..M" directive.
 type linkScript struct {
 	from, to int64 // inclusive frame numbers, 1-based
@@ -81,97 +85,112 @@ type linkScript struct {
 
 // linkDir is one direction's state.
 type linkDir struct {
-	rng         *rand.Rand
-	wpend       []byte   // partial frame bytes accumulating from writes
-	queue       [][]byte // complete frames awaiting the reader
-	rbuf        []byte   // frame bytes currently being read
-	frames      int64    // frames written into this direction, 1-based
-	partitioned bool
-	pendingErr  bool // one-shot ErrLinkDropped for this direction's reader
-	scripts     []linkScript
-	partitionAt int64 // partition when this frame number crosses (0: unset)
+	rng     *rand.Rand
+	wpend   []byte   // partial frame bytes accumulating from writes
+	queue   [][]byte // whole frames not yet delivered (a->b) or read (b->a)
+	frames  int64    // frames written into this direction, 1-based
+	scripts []linkScript
 }
 
-// FaultLink owns both endpoints of a faulty in-memory connection.
+// FaultLink is the sender's end of a faulty in-process connection.
 type FaultLink struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
 	cfg      LinkFaultConfig
 	clock    *storage.Clock
+	peer     handler
 	dirs     [2]*linkDir
-	closed   bool
+	rbuf     []byte // reply bytes being read
+	cut      bool   // the session ended: frames are lost until Heal
 	dropped  int64
 	injected int64
-	ops      []string
 }
 
-// NewFaultLink creates a link charging latency spikes to clock (which
-// may be nil).
-func NewFaultLink(cfg LinkFaultConfig, clock *storage.Clock) *FaultLink {
-	l := &FaultLink{cfg: cfg, clock: clock}
-	l.cond = sync.NewCond(&l.mu)
+// newFaultLink creates a link to peer, charging latency spikes to clock
+// (which may be nil).
+func newFaultLink(cfg LinkFaultConfig, clock *storage.Clock, peer handler) *FaultLink {
+	l := &FaultLink{cfg: cfg, clock: clock, peer: peer}
 	// Distinct per-direction RNGs: each direction's schedule depends
-	// only on its own frame sequence, which the writer totally orders.
+	// only on its own frame sequence, which its writer totally orders.
 	l.dirs[AtoB] = &linkDir{rng: rand.New(rand.NewSource(cfg.Seed))}
 	l.dirs[BtoA] = &linkDir{rng: rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d))}
 	return l
 }
 
-// linkEnd is one endpoint; writes feed writeDir, reads drain readDir.
-type linkEnd struct {
-	l        *FaultLink
-	writeDir LinkDir
-	readDir  LinkDir
-}
-
-// A returns the endpoint whose writes travel a->b (the sender side in
-// the tests' convention).
-func (l *FaultLink) A() io.ReadWriteCloser { return &linkEnd{l: l, writeDir: AtoB, readDir: BtoA} }
-
-// B returns the endpoint whose writes travel b->a (the receiver side).
-func (l *FaultLink) B() io.ReadWriteCloser { return &linkEnd{l: l, writeDir: BtoA, readDir: AtoB} }
-
-func (e *linkEnd) Write(p []byte) (int, error) {
-	l := e.l
+// Write takes the sender's bytes. Every request frame they complete
+// crosses a->b and, surviving, is handed to the peer before Write
+// returns — its replies are queued by then.
+func (l *FaultLink) Write(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, io.ErrClosedPipe
-	}
-	// Note: writing must NOT scrub a pending loss error on the
-	// direction this side reads. It is tempting ("this side is alive
-	// and making progress, any loss it was due to observe is stale"),
-	// but a writer can be answering a *duplicated* frame while the
-	// pending error signals a *later* loss — scrubbing then leaves
-	// this side blocked forever on a read its peer already abandoned.
-	// Stale errors are cheap (one spurious reconnect) and Heal clears
-	// them on the re-handshake path; a lost wake-up deadlocks.
-	d := l.dirs[e.writeDir]
-	d.wpend = append(d.wpend, p...)
-	// Reassemble and process every complete frame.
-	for len(d.wpend) >= frameHdrSize {
-		n := binary.LittleEndian.Uint64(d.wpend[1:9])
-		if n > 1<<32 {
-			break
+	l.cross(AtoB, p)
+	for d := l.dirs[AtoB]; len(d.queue) > 0 && !l.cut; {
+		frame := d.queue[0]
+		d.queue = d.queue[1:]
+		l.mu.Unlock()
+		typ, payload, err := readFrame(bytes.NewReader(frame))
+		if err == nil {
+			err = l.peer((*replyEnd)(l), typ, payload)
 		}
-		total := frameHdrSize + int(n)
-		if len(d.wpend) < total {
-			break
+		l.mu.Lock()
+		if err != nil {
+			l.cut = true // the peer hung up
 		}
-		frame := append([]byte(nil), d.wpend[:total]...)
-		d.wpend = d.wpend[total:]
-		l.processFrame(e.writeDir, frame)
 	}
-	l.cond.Broadcast()
 	return len(p), nil
 }
 
-// processFrame rolls the dice for one frame and delivers, mutates, or
-// drops it. Every frame consumes a fixed number of RNG draws so the
-// schedule stays a pure function of (seed, frame number). Callers
-// hold l.mu.
-func (l *FaultLink) processFrame(dir LinkDir, frame []byte) {
+// replyEnd is the writer the peer answers on: its frames cross b->a.
+type replyEnd FaultLink
+
+func (r *replyEnd) Write(p []byte) (int, error) {
+	l := (*FaultLink)(r)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.cross(BtoA, p)
+	return len(p), nil
+}
+
+// Read returns queued reply bytes. Replies are written before the
+// request's Write returns, so with nothing queued none is coming: Read
+// fails at once, as does every read in an ended session.
+func (l *FaultLink) Read(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.cut {
+		return 0, fmt.Errorf("%w: session ended", ErrLinkDropped)
+	}
+	if q := &l.dirs[BtoA].queue; len(l.rbuf) == 0 && len(*q) > 0 {
+		l.rbuf, *q = (*q)[0], (*q)[1:]
+	}
+	if len(l.rbuf) == 0 {
+		return 0, fmt.Errorf("%w: no reply", ErrLinkDropped)
+	}
+	n := copy(p, l.rbuf)
+	l.rbuf = l.rbuf[n:]
+	return n, nil
+}
+
+// cross reassembles bytes written into dir and sends every frame they
+// complete through its fault draws. Callers hold l.mu.
+func (l *FaultLink) cross(dir LinkDir, p []byte) {
 	d := l.dirs[dir]
+	d.wpend = append(d.wpend, p...)
+	for len(d.wpend) >= frameHdrSize {
+		n := binary.LittleEndian.Uint64(d.wpend[1:9])
+		if n > 1<<32 || uint64(len(d.wpend)-frameHdrSize) < n {
+			break
+		}
+		total := frameHdrSize + int(n)
+		frame := slices.Clone(d.wpend[:total])
+		d.wpend = d.wpend[total:]
+		l.draw(d, frame)
+	}
+}
+
+// draw rolls the dice for one frame and queues, mutates, or drops it.
+// Every frame consumes the same six draws, so the schedule stays a
+// pure function of (seed, frame number). Callers hold l.mu.
+func (l *FaultLink) draw(d *linkDir, frame []byte) {
 	d.frames++
 	n := d.frames
 	dropRoll := d.rng.Float64()
@@ -181,172 +200,72 @@ func (l *FaultLink) processFrame(dir LinkDir, frame []byte) {
 	latRoll := d.rng.Float64()
 	frac := d.rng.Float64()
 
-	if d.partitionAt != 0 && n >= d.partitionAt {
-		d.partitioned = true
-		d.partitionAt = 0
-		l.logf("partition %s at frame %d", dir, n)
-	}
-	scripted := false
+	injected := dropRoll < l.cfg.Drop
 	for _, s := range d.scripts {
-		if n >= s.from && n <= s.to {
-			scripted = true
-		}
+		injected = injected || (n >= s.from && n <= s.to)
 	}
-	if d.partitioned || scripted || dropRoll < l.cfg.Drop {
+	if l.cut || injected {
 		l.dropped++
-		if scripted || dropRoll < l.cfg.Drop {
+		if injected {
 			l.injected++
 		}
-		l.logf("drop %s #%d type=%d", dir, n, frame[0])
-		l.signalDropLocked()
+		l.cut = true
 		return
 	}
 	if corruptRoll < l.cfg.Corrupt {
-		c := append([]byte(nil), frame...)
-		if len(c) > frameHdrSize {
-			c[frameHdrSize+int(frac*float64(len(c)-frameHdrSize))%(len(c)-frameHdrSize)] ^= 0x80
+		if len(frame) > frameHdrSize {
+			frame[frameHdrSize+int(frac*float64(len(frame)-frameHdrSize))%(len(frame)-frameHdrSize)] ^= 0x80
 		} else {
 			// Headers-only frame: damage the CRC field itself.
-			c[9+int(frac*4)%4] ^= 0x80
+			frame[9+int(frac*4)%4] ^= 0x80
 		}
-		frame = c
 		l.injected++
-		l.logf("corrupt %s #%d type=%d", dir, n, frame[0])
-		// The receiver of a corrupt frame fails its CRC and hangs up,
-		// so whatever reply this side is waiting for will never come:
-		// raise the timeout on the opposite direction now.
-		l.dirs[1-dir].pendingErr = true
 	}
-	if latRoll < l.cfg.LatencyProb && l.cfg.LatencyCost > 0 {
-		if l.clock != nil {
-			l.clock.Advance(l.cfg.LatencyCost)
-		}
-		l.logf("latency %s #%d +%v", dir, n, l.cfg.LatencyCost)
+	if latRoll < l.cfg.LatencyProb && l.cfg.LatencyCost > 0 && l.clock != nil {
+		l.clock.Advance(l.cfg.LatencyCost)
 	}
 	if reorderRoll < l.cfg.Reorder && len(d.queue) > 0 {
 		// Deliver ahead of the most recently queued frame. Reordering
 		// never holds a frame back (the synchronous protocol would
-		// deadlock waiting for it), it only jumps the queue.
-		d.queue = append(d.queue, nil)
-		copy(d.queue[len(d.queue)-1:], d.queue[len(d.queue)-2:])
-		d.queue[len(d.queue)-2] = frame
+		// wait for it), it only jumps the queue.
+		d.queue = slices.Insert(d.queue, len(d.queue)-1, frame)
 		l.injected++
-		l.logf("reorder %s #%d type=%d", dir, n, frame[0])
 	} else {
 		d.queue = append(d.queue, frame)
 	}
 	if dupRoll < l.cfg.Dup {
-		d.queue = append(d.queue, append([]byte(nil), frame...))
+		d.queue = append(d.queue, slices.Clone(frame))
 		l.injected++
-		l.logf("dup %s #%d type=%d", dir, n, frame[0])
 	}
 }
 
-// signalDropLocked raises the one-shot loss error on both directions:
-// with a synchronous protocol both sides end up blocked after a loss
-// (the receiver waiting for the frame, the sender for its reply), so
-// both must observe the timeout. Callers hold l.mu.
-func (l *FaultLink) signalDropLocked() {
-	l.dirs[AtoB].pendingErr = true
-	l.dirs[BtoA].pendingErr = true
-	l.cond.Broadcast()
-}
-
-func (e *linkEnd) Read(p []byte) (int, error) {
-	l := e.l
+// Partition cuts the link: the session ends, frames written are lost
+// and reads fail, until Heal.
+func (l *FaultLink) Partition() {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	d := l.dirs[e.readDir]
-	for {
-		if len(d.rbuf) > 0 {
-			n := copy(p, d.rbuf)
-			d.rbuf = d.rbuf[n:]
-			return n, nil
-		}
-		if len(d.queue) > 0 {
-			d.rbuf = d.queue[0]
-			d.queue = d.queue[1:]
-			continue
-		}
-		if d.pendingErr {
-			d.pendingErr = false
-			return 0, fmt.Errorf("%w: direction %s", ErrLinkDropped, e.readDir)
-		}
-		if l.closed {
-			return 0, io.EOF
-		}
-		if d.partitioned {
-			return 0, fmt.Errorf("%w: direction %s partitioned", ErrLinkDropped, e.readDir)
-		}
-		l.cond.Wait()
-	}
-}
-
-// Close tears down the whole link: blocked readers drain what is
-// buffered and then see EOF.
-func (e *linkEnd) Close() error {
-	e.l.mu.Lock()
-	e.l.closed = true
-	e.l.cond.Broadcast()
-	e.l.mu.Unlock()
-	return nil
-}
-
-// Partition cuts one direction: frames written into it are dropped
-// and reads against it fail fast, until Heal.
-func (l *FaultLink) Partition(dir LinkDir) {
-	l.mu.Lock()
-	l.dirs[dir].partitioned = true
-	l.logf("partition %s", dir)
-	l.signalDropLocked()
+	l.cut = true
 	l.mu.Unlock()
 }
 
-// PartitionBoth cuts the link symmetrically.
-func (l *FaultLink) PartitionBoth() {
-	l.mu.Lock()
-	l.dirs[AtoB].partitioned = true
-	l.dirs[BtoA].partitioned = true
-	l.logf("partition both")
-	l.signalDropLocked()
-	l.mu.Unlock()
-}
-
-// Heal reopens both directions and clears any unobserved loss errors;
-// the endpoints re-handshake from here.
+// Heal opens a new session: the link carries frames again, and
+// whatever the old one left queued or half-written is discarded, so a
+// stale reply can never answer a new request.
 func (l *FaultLink) Heal() {
 	l.mu.Lock()
+	l.cut = false
+	l.rbuf = nil
 	for _, d := range l.dirs {
-		d.partitioned = false
-		d.pendingErr = false
-		d.partitionAt = 0
+		d.queue, d.wpend = nil, nil
 	}
-	l.logf("heal")
-	l.cond.Broadcast()
 	l.mu.Unlock()
 }
 
-// DrainPending discards everything buffered in both directions —
-// queued frames, half-read frame bytes, and half-written partial
-// frames. A harness calls it between tearing a connection down and
-// re-handshaking, so a stale hello-ack left over from a failed attempt
-// cannot satisfy the next handshake while the serving side is dead.
-func (l *FaultLink) DrainPending() {
-	l.mu.Lock()
-	for _, d := range l.dirs {
-		d.queue = nil
-		d.rbuf = nil
-		d.wpend = nil
-	}
-	l.logf("drain")
-	l.mu.Unlock()
-}
-
-// Partitioned reports whether either direction is currently cut.
+// Partitioned reports whether the session has ended (a partition or a
+// loss) and not yet been healed.
 func (l *FaultLink) Partitioned() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.dirs[AtoB].partitioned || l.dirs[BtoA].partitioned
+	return l.cut
 }
 
 // DropFrames scripts deterministic drops: frames numbered from..to
@@ -357,23 +276,6 @@ func (l *FaultLink) DropFrames(dir LinkDir, from, to int64) {
 	l.mu.Unlock()
 }
 
-// PartitionAt scripts a partition that begins when frame number n
-// (1-based) crosses the given direction; that frame is the first one
-// lost.
-func (l *FaultLink) PartitionAt(dir LinkDir, n int64) {
-	l.mu.Lock()
-	l.dirs[dir].partitionAt = n
-	l.mu.Unlock()
-}
-
-// ClearScripts removes all scripted drops.
-func (l *FaultLink) ClearScripts() {
-	l.mu.Lock()
-	l.dirs[AtoB].scripts = nil
-	l.dirs[BtoA].scripts = nil
-	l.mu.Unlock()
-}
-
 // FrameCount reports frames written into a direction so far.
 func (l *FaultLink) FrameCount(dir LinkDir) int64 {
 	l.mu.Lock()
@@ -381,8 +283,8 @@ func (l *FaultLink) FrameCount(dir LinkDir) int64 {
 	return l.dirs[dir].frames
 }
 
-// DroppedCount reports frames lost (injected, scripted, or
-// partitioned).
+// DroppedCount reports frames lost (injected, scripted, or in an ended
+// session).
 func (l *FaultLink) DroppedCount() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -390,20 +292,10 @@ func (l *FaultLink) DroppedCount() int64 {
 }
 
 // InjectedCount reports faults injected by probability or script
-// (drops, dups, reorders, corruptions), excluding partition losses.
+// (drops, dups, reorders, corruptions), excluding losses to an ended
+// session.
 func (l *FaultLink) InjectedCount() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.injected
-}
-
-// Ops returns a copy of the fault op log.
-func (l *FaultLink) Ops() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]string(nil), l.ops...)
-}
-
-func (l *FaultLink) logf(format string, args ...any) {
-	l.ops = append(l.ops, fmt.Sprintf(format, args...))
 }

@@ -10,27 +10,20 @@ import (
 	"aurora/internal/storage"
 )
 
-// serveRW runs ServeReplica over any transport in the background.
-func serveRW(recv *Receiver, conn io.ReadWriter) chan error {
-	done := make(chan error, 1)
-	go func() {
-		_, err := recv.ServeReplica(conn)
-		done <- err
-	}()
-	return done
+// testWire strings a wire from src to a receiver on dst.
+func testWire(src, dst *machine, cfg LinkFaultConfig) (*Wire, *ReplicaBackend, *Receiver, *FaultLink) {
+	w := NewWire(cfg, src.clock, NewReceiver(dst.k.Mem, dst.clock))
+	return w, w.Backend(), w.Receiver(), w.Link()
 }
 
 func TestFaultLinkCleanDelivery(t *testing.T) {
 	src := newMachine()
 	dst := newMachine()
 	_, g := spawn(t, src)
-	rb := NewReplicaBackend(src.clock)
+	w, rb, recv, link := testWire(src, dst, LinkFaultConfig{Seed: 1})
 	src.o.Attach(g, rb)
 
-	link := NewFaultLink(LinkFaultConfig{Seed: 1}, src.clock)
-	recv := NewReceiver(dst.k.Mem, dst.clock)
-	serveRW(recv, link.B())
-	if _, err := rb.Connect(link.A(), g.ID); err != nil {
+	if err := w.Connect(g.ID); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -58,13 +51,10 @@ func TestFaultLinkScriptedDropAndResume(t *testing.T) {
 	src := newMachine()
 	dst := newMachine()
 	_, g := spawn(t, src)
-	rb := NewReplicaBackend(src.clock)
+	w, rb, recv, link := testWire(src, dst, LinkFaultConfig{Seed: 7})
 	src.o.Attach(g, rb)
 
-	link := NewFaultLink(LinkFaultConfig{Seed: 7}, src.clock)
-	recv := NewReceiver(dst.k.Mem, dst.clock)
-	done := serveRW(recv, link.B())
-	if _, err := rb.Connect(link.A(), g.ID); err != nil {
+	if err := w.Connect(g.ID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,9 +76,10 @@ func TestFaultLinkScriptedDropAndResume(t *testing.T) {
 	if !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("Sync across dropped frame = %v, want ErrDisconnected", err)
 	}
-	// The drop also unblocked the serve loop with the loss error.
-	if serr := <-done; !errors.Is(serr, ErrLinkDropped) {
-		t.Fatalf("serve after drop = %v, want ErrLinkDropped", serr)
+	// The drop ended the session on both sides: the receiver never saw
+	// the delta, and the link stays cut until a reset heals it.
+	if !link.Partitioned() {
+		t.Fatal("session survived a dropped frame")
 	}
 	if link.DroppedCount() != 1 {
 		t.Fatalf("dropped = %d, want 1", link.DroppedCount())
@@ -96,12 +87,10 @@ func TestFaultLinkScriptedDropAndResume(t *testing.T) {
 
 	// Reconnect over the same link; the handshake resumes at epoch 1
 	// and a resync replays the lost epoch.
-	serveRW(recv, link.B())
-	floor, err := rb.Connect(link.A(), g.ID)
-	if err != nil {
+	if err := w.Reset(g.ID); err != nil {
 		t.Fatal(err)
 	}
-	if floor != 1 {
+	if floor := rb.Floor(); floor != 1 {
 		t.Fatalf("resume floor = %d, want 1", floor)
 	}
 	if err := src.o.Resync(g); err != nil {
@@ -119,13 +108,10 @@ func TestFaultLinkPartitionHealDegradedNotDown(t *testing.T) {
 	src := newMachine()
 	dst := newMachine()
 	_, g := spawn(t, src)
-	rb := NewReplicaBackend(src.clock)
+	w, rb, recv, link := testWire(src, dst, LinkFaultConfig{Seed: 42})
 	src.o.Attach(g, rb)
 
-	link := NewFaultLink(LinkFaultConfig{Seed: 42}, src.clock)
-	recv := NewReceiver(dst.k.Mem, dst.clock)
-	done := serveRW(recv, link.B())
-	if _, err := rb.Connect(link.A(), g.ID); err != nil {
+	if err := w.Connect(g.ID); err != nil {
 		t.Fatal(err)
 	}
 	src.k.Run(2)
@@ -136,8 +122,7 @@ func TestFaultLinkPartitionHealDegradedNotDown(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	link.PartitionBoth()
-	<-done
+	link.Partition()
 	if !link.Partitioned() {
 		t.Fatal("link not partitioned")
 	}
@@ -168,8 +153,7 @@ func TestFaultLinkPartitionHealDegradedNotDown(t *testing.T) {
 	}
 
 	link.Heal()
-	serveRW(recv, link.B())
-	floor, err := rb.Connect(link.A(), g.ID)
+	floor, err := rb.Connect(link, g.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,19 +185,18 @@ func TestFaultLinkCorruptFrame(t *testing.T) {
 	src := newMachine()
 	dst := newMachine()
 	_, g := spawn(t, src)
-	rb := NewReplicaBackend(src.clock)
+	_, rb, recv, link := testWire(src, dst, LinkFaultConfig{Seed: 3, Corrupt: 1})
 	src.o.Attach(g, rb)
 
-	link := NewFaultLink(LinkFaultConfig{Seed: 3, Corrupt: 1}, src.clock)
-	recv := NewReceiver(dst.k.Mem, dst.clock)
-	done := serveRW(recv, link.B())
-	// The hello itself is corrupted: the receiver sees ErrCorruptFrame
-	// and hangs up; the sender observes a failed handshake.
-	if _, err := rb.Connect(link.A(), g.ID); err == nil {
+	// The hello itself is corrupted: the receiver fails its CRC and
+	// hangs up before the protocol sees a byte; the sender observes a
+	// failed handshake.
+	if _, err := rb.Connect(link, g.ID); err == nil {
 		t.Fatal("handshake succeeded over fully corrupting link")
 	}
-	if serr := <-done; !errors.Is(serr, ErrCorruptFrame) {
-		t.Fatalf("serve err = %v, want ErrCorruptFrame", serr)
+	if !link.Partitioned() || recv.ReceivedBytes() != 0 {
+		t.Fatalf("corrupt hello: session ended %v, receiver took %d bytes; want a hang-up before any byte counts",
+			link.Partitioned(), recv.ReceivedBytes())
 	}
 	if link.InjectedCount() == 0 {
 		t.Fatal("no corruption recorded")
@@ -230,13 +213,10 @@ func TestDuplicatedAcksDoNotAdvanceFloor(t *testing.T) {
 	src := newMachine()
 	dst := newMachine()
 	_, g := spawn(t, src)
-	rb := NewReplicaBackend(src.clock)
+	w, rb, recv, link := testWire(src, dst, LinkFaultConfig{Seed: 11, Dup: 1, Reorder: 0.5})
 	src.o.Attach(g, rb)
 
-	link := NewFaultLink(LinkFaultConfig{Seed: 11, Dup: 1, Reorder: 0.5}, src.clock)
-	recv := NewReceiver(dst.k.Mem, dst.clock)
-	serveRW(recv, link.B())
-	if _, err := rb.Connect(link.A(), g.ID); err != nil {
+	if err := w.Connect(g.ID); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -252,7 +232,7 @@ func TestDuplicatedAcksDoNotAdvanceFloor(t *testing.T) {
 	// Reconnect with duplicated acks still queued: they must be
 	// skipped, and the floor must match the received chain exactly.
 	rb.Disconnect()
-	floor, err := rb.Connect(link.A(), g.ID)
+	floor, err := rb.Connect(link, g.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,50 +245,34 @@ func TestDuplicatedAcksDoNotAdvanceFloor(t *testing.T) {
 }
 
 // TestDuplicatedAcksScriptedPeer drives the sender against a
-// hand-scripted peer that duplicates every reply, pinning the exact
-// skip rules: a second hello ack is not an ack, and a stale ack for an
-// earlier epoch is not the awaited one.
+// hand-scripted peer — a plain function at the far end of the link —
+// that duplicates every reply, pinning the exact skip rules: a second
+// hello ack is not an ack, and a stale ack for an earlier epoch is not
+// the awaited one.
 func TestDuplicatedAcksScriptedPeer(t *testing.T) {
 	rb := NewReplicaBackend(storage.NewClock())
-	link := NewFaultLink(LinkFaultConfig{Seed: 5}, nil)
-	peer := link.B()
+	var ep uint64
+	twice := func(w io.Writer, typ byte, group, v uint64) {
+		for i := 0; i < 2; i++ {
+			if err := writePair(w, typ, group, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	link := newFaultLink(LinkFaultConfig{Seed: 5}, nil, func(w io.Writer, typ byte, payload []byte) error {
+		switch typ {
+		case frameHello: // two hello acks (floor 0)
+			twice(w, frameHelloAck, binary.LittleEndian.Uint64(payload), 0)
+		case frameDeltaC: // each delta acked twice
+			ep++
+			twice(w, frameAck, 1, ep)
+		default:
+			t.Fatalf("peer got frame type %d", typ)
+		}
+		return nil
+	})
 
-	peerDone := make(chan error, 1)
-	go func() {
-		peerDone <- func() error {
-			// hello -> two hello acks (floor 0).
-			typ, payload, err := readFrame(peer)
-			if err != nil || typ != frameHello {
-				return err
-			}
-			group := binary.LittleEndian.Uint64(payload)
-			var ha [16]byte
-			binary.LittleEndian.PutUint64(ha[:8], group)
-			for i := 0; i < 2; i++ {
-				if err := writeFrame(peer, frameHelloAck, ha[:]); err != nil {
-					return err
-				}
-			}
-			// Two deltas, each acked twice.
-			for ep := uint64(1); ep <= 2; ep++ {
-				typ, _, err := readFrame(peer)
-				if err != nil || typ != frameDeltaC {
-					return err
-				}
-				var ack [16]byte
-				binary.LittleEndian.PutUint64(ack[:8], group)
-				binary.LittleEndian.PutUint64(ack[8:], ep)
-				for i := 0; i < 2; i++ {
-					if err := writeFrame(peer, frameAck, ack[:]); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		}()
-	}()
-
-	floor, err := rb.Connect(link.A(), 1)
+	floor, err := rb.Connect(link, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +289,8 @@ func TestDuplicatedAcksScriptedPeer(t *testing.T) {
 	if _, err := rb.Flush(&core.Image{Group: 1, Epoch: 2, Gen: 1}); err != nil {
 		t.Fatalf("flush 2: %v", err)
 	}
-	if err := <-peerDone; err != nil {
-		t.Fatal(err)
+	if ep != 2 || rb.AckedFloor(1) != 2 {
+		t.Fatalf("peer saw %d deltas, acked floor %d; want 2 and 2", ep, rb.AckedFloor(1))
 	}
 }
 
@@ -334,12 +298,8 @@ func TestReplicaFencedFlush(t *testing.T) {
 	src := newMachine()
 	dst := newMachine()
 	_, g := spawn(t, src)
-	rb := NewReplicaBackend(src.clock)
-
-	link := NewFaultLink(LinkFaultConfig{Seed: 9}, src.clock)
-	recv := NewReceiver(dst.k.Mem, dst.clock)
-	serveRW(recv, link.B())
-	if _, err := rb.Connect(link.A(), g.ID); err != nil {
+	w, rb, recv, _ := testWire(src, dst, LinkFaultConfig{Seed: 9})
+	if err := w.Connect(g.ID); err != nil {
 		t.Fatal(err)
 	}
 

@@ -11,6 +11,7 @@ import (
 	"aurora/internal/codec"
 	"aurora/internal/core"
 	"aurora/internal/objstore"
+	"aurora/internal/storage"
 	"aurora/internal/vm"
 )
 
@@ -92,6 +93,99 @@ func FuzzServeReplica(f *testing.F) {
 			if pm.Resident() != 0 || entries != 0 {
 				t.Fatalf("after dropping the chains: %d frames resident, %d block entries (err %v)", pm.Resident(), entries, err)
 			}
+		}
+	})
+}
+
+// FuzzReplicaSender is the sender's side of the same promise: a
+// hostile receiver — a plain function at the far end of a link that
+// answers each request with the next piece of the input, [len u8]
+// [bytes], as it is and with the frame checksums made good — answers a
+// Connect, two Flushes and a Handoff. Every call must return nil or a
+// typed error, no reply may advance the acked frontier past what the
+// handshake reported or the sender sent, and a failed flush must teach
+// the known-pages cache nothing.
+func FuzzReplicaSender(f *testing.F) {
+	src := newMachine()
+	p, g := spawn(f, src)
+	src.o.Attach(g, core.NewMemoryBackend(src.k.Mem, 4))
+	var imgs []*core.Image
+	for i := 1; i <= 2; i++ {
+		p.WriteMem(p.HeapBase()+vm.Addr(i)*vm.PageSize, bytes.Repeat([]byte{byte(i)}, vm.PageSize))
+		src.k.Run(1)
+		if _, err := src.o.Checkpoint(g, core.CheckpointOpts{}); err != nil {
+			f.Fatal(err)
+		}
+		imgs = append(imgs, g.LastImage())
+	}
+	if err := src.o.Sync(g); err != nil {
+		f.Fatal(err)
+	}
+	frame := func(typ byte, vs ...uint64) []byte {
+		var payload []byte
+		for _, v := range vs {
+			payload = binary.LittleEndian.AppendUint64(payload, v)
+		}
+		var buf bytes.Buffer
+		writeFrame(&buf, typ, payload)
+		return buf.Bytes()
+	}
+	script := func(pieces ...[]byte) []byte {
+		var out []byte
+		for _, piece := range pieces {
+			out = append(append(out, byte(len(piece))), piece...)
+		}
+		return out
+	}
+	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	hello := frame(frameHelloAck, g.ID, 0)
+	f.Add(script(hello, frame(frameAck, g.ID, 1), frame(frameAck, g.ID, 2), frame(frameHandoffAck, g.ID, 3)))
+	f.Add(script(cat(hello, hello), cat(frame(frameAck, g.ID, 1), frame(frameAck, g.ID, 1)),
+		cat(frame(frameAck, g.ID, 3), frame(frameAck, g.ID, 2)),
+		cat(frame(frameHandoffAck, g.ID, 2), frame(frameNeed, g.ID, 2), frame(frameHandoffAck, g.ID, 3))))
+	f.Add(script(hello, frame(frameNeed, g.ID, 1), frame(frameAck, g.ID, 1),
+		frame(frameFenced, g.ID, 5, 1), frame(frameHandoffAck, g.ID, 3)))
+	f.Add(script(frame(frameHelloAck, g.ID, 9), frame(frameHandoffAck, g.ID+1, 3)))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, good := range []bool{false, true} {
+			rest := in
+			link := newFaultLink(LinkFaultConfig{}, nil, func(w io.Writer, _ byte, _ []byte) error {
+				if len(rest) == 0 {
+					return nil
+				}
+				n := min(int(rest[0]), len(rest)-1)
+				piece := rest[1 : 1+n]
+				if rest = rest[1+n:]; good {
+					piece = restamp(piece)
+				}
+				w.Write(piece)
+				return nil
+			})
+			rb := NewReplicaBackend(storage.NewClock())
+			typed := func(call string, err error) {
+				var fe *core.FenceError
+				if err != nil && !errors.Is(err, ErrDisconnected) && !errors.Is(err, ErrBadFrame) &&
+					!errors.Is(err, ErrCorruptFrame) && !errors.As(err, &fe) {
+					t.Fatalf("%s: untyped error: %v", call, err)
+				}
+			}
+			_, err := rb.Connect(link, g.ID)
+			typed("connect", err)
+			sent := rb.Floor()
+			for _, img := range imgs {
+				known := len(rb.core.known)
+				_, err := rb.Flush(img)
+				typed("flush", err)
+				if err != nil && len(rb.core.known) > known {
+					t.Fatalf("failed flush of epoch %d grew the known-pages cache %d -> %d", img.Epoch, known, len(rb.core.known))
+				}
+				sent = max(sent, img.Epoch)
+				if got := rb.AckedFloor(g.ID); got > sent {
+					t.Fatalf("acked floor %d past the handshake floor %d and epoch %d sent", got, rb.Floor(), img.Epoch)
+				}
+			}
+			typed("handoff", rb.Handoff(g.ID, 3, 2))
 		}
 	})
 }

@@ -19,13 +19,11 @@ var _ core.HandoffAnnouncer = (*ReplicaBackend)(nil)
 
 // Handoff announces a migration handover for group at gen (contiguous
 // floor floor) and waits for the receiver's acknowledgment that the
-// fence is adopted. Stray acks, fenced replies, hello acks, and need
-// frames left in flight by a faulty link are skipped while waiting —
-// only a handoff ack for this (group, gen) completes the announcement.
-// Any transport failure drops the connection and returns an error
-// wrapping ErrDisconnected; the caller heals the link and retries
-// (AdoptFence on the receiver is raise-only, so a duplicated handoff
-// is idempotent).
+// fence is adopted. Only a handoff ack for this group at gen or above
+// completes the announcement; every other reply is stale (await). Any
+// transport failure drops the connection and returns an error wrapping
+// ErrDisconnected; the caller heals the link and retries (AdoptFence on
+// the receiver is raise-only, so a duplicated handoff is idempotent).
 func (rb *ReplicaBackend) Handoff(group, gen, floor uint64) error {
 	rc := rb.core
 	rc.mu.Lock()
@@ -41,33 +39,11 @@ func (rb *ReplicaBackend) Handoff(group, gen, floor uint64) error {
 		rc.lost()
 		return fmt.Errorf("%w: sending handoff for group %d: %w", ErrDisconnected, group, err)
 	}
-	for {
-		typ, ack, err := readFrame(rc.conn)
-		if err != nil {
-			rc.lost()
-			return fmt.Errorf("%w: awaiting handoff ack for group %d: %w", ErrDisconnected, group, err)
-		}
-		switch {
-		case typ == frameAck && len(ack) == 16:
-			continue // a stale delta ack from before the handover
-		case typ == frameHelloAck && len(ack) == 16:
-			continue // a duplicated handshake reply
-		case typ == frameFenced && len(ack) == 24:
-			continue // a stale fenced reply; the handoff fence supersedes it
-		case typ == frameNeed && len(ack) == 16:
-			continue // a stale need for an epoch already resolved
-		}
-		if typ != frameHandoffAck || len(ack) != 16 {
-			rc.lost()
-			return fmt.Errorf("%w: expected handoff ack, got type %d", ErrBadFrame, typ)
-		}
-		if g := binary.LittleEndian.Uint64(ack[:8]); g != group {
-			continue // another group's handover on a shared link
-		}
-		if g := binary.LittleEndian.Uint64(ack[8:]); g < gen {
-			continue // a duplicated ack for an older handover
-		}
-		break
+	if err := rc.await(rc.conn, "handoff ack", func(typ byte, ack []byte) (bool, error) {
+		return typ == frameHandoffAck && binary.LittleEndian.Uint64(ack[:8]) == group &&
+			binary.LittleEndian.Uint64(ack[8:]) >= gen, nil
+	}); err != nil {
+		return err
 	}
 	rc.sent += int64(len(p)) + frameHdrSize
 	cost := rc.nic.Latency + rc.extraLat +

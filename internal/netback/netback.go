@@ -3,9 +3,11 @@
 // other machines, for fault tolerance, quorum durability and the
 // pre-copy half of live migration (core.Migrator).
 //
-// Transport is any io.ReadWriter — net.Conn in production, net.Pipe in
-// tests. Frames carry epoch deltas and their acks (replica.go). The
-// modeled transfer cost follows a 10 GbE NIC profile.
+// Transport is any io.ReadWriter served by Receiver.ServeReplica —
+// net.Conn in production, net.Pipe in tests — or, in process, a Wire,
+// whose link hands each frame straight to the receiver's handler.
+// Frames carry epoch deltas and their acks (replica.go). The modeled
+// transfer cost follows a 10 GbE NIC profile.
 package netback
 
 import (

@@ -186,16 +186,16 @@ func TestReplicationOverRealTCP(t *testing.T) {
 	_, g := spawn(t, src)
 
 	recv := NewReceiver(dst.k.Mem, dst.clock)
-	serveDone := make(chan error, 1)
+	served := make(chan error, 1)
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
-			serveDone <- err
+			served <- err
 			return
 		}
 		defer conn.Close()
 		_, err = recv.ServeReplica(conn)
-		serveDone <- err
+		served <- err
 	}()
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
@@ -228,7 +228,7 @@ func TestReplicationOverRealTCP(t *testing.T) {
 		t.Fatalf("wire accounting: sent=%d recvd=%d", rb.SentBytes(), recv.ReceivedBytes())
 	}
 	conn.Close()
-	if err := <-serveDone; err != nil {
+	if err := <-served; err != nil {
 		t.Fatal(err)
 	}
 

@@ -28,7 +28,7 @@ func TestRecoveryReceiverServesAsRestorePeer(t *testing.T) {
 	// Replica: continuous replication to a receiver over a pipe.
 	recv := NewReceiver(src.k.Mem, src.clock)
 	near, far := net.Pipe()
-	serveDone := serveReplica(recv, far)
+	served := serveReplica(recv, far)
 	rb := NewReplicaBackend(src.clock)
 	if _, err := rb.Connect(near, g.ID); err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestRecoveryReceiverServesAsRestorePeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	near.Close()
-	if err := <-serveDone; err != nil {
+	if err := <-served; err != nil {
 		t.Fatal(err)
 	}
 

@@ -50,91 +50,98 @@ func (r *Receiver) ServeReplica(conn io.ReadWriter) (int, error) {
 	applied := 0
 	for {
 		typ, payload, err := readFrame(conn)
+		if err == io.EOF || errors.Is(err, io.ErrClosedPipe) {
+			return applied, nil
+		}
 		if err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrClosedPipe) {
-				return applied, nil
+			return applied, err
+		}
+		ok, err := r.handle(conn, typ, payload)
+		if ok {
+			applied++
+		}
+		if err != nil {
+			if err == io.EOF {
+				err = nil // bye
 			}
 			return applied, err
 		}
-		r.mu.Lock()
-		r.recvd += int64(len(payload))
-		r.mu.Unlock()
-		if r.clock != nil {
-			r.clock.Advance(r.nic.Latency + time.Duration(int64(len(payload))*int64(time.Second)/r.nic.ReadBW))
-		}
-		switch typ {
-		case frameBye:
-			return applied, nil
-		case frameHello:
-			if len(payload) != 8 {
-				return applied, fmt.Errorf("%w: hello payload %d bytes", ErrBadFrame, len(payload))
-			}
-			group := binary.LittleEndian.Uint64(payload)
-			if err := writePair(conn, frameHelloAck, group, r.lastContiguous(group)); err != nil {
-				return applied, err
-			}
-		case frameDelta:
-			img, err := core.DecodeDelta(payload, r.pm)
-			if err != nil {
-				return applied, err
-			}
-			if err := r.apply(conn, img, &applied); err != nil {
-				return applied, err
-			}
-		case frameDeltaC:
-			img, missing, err := core.DecodeDeltaCompact(payload, r.pm, r.resolveBlock)
-			if err != nil {
-				return applied, err
-			}
-			if len(missing) > 0 {
-				// The sender's receiver-holds cache was wrong (e.g. this
-				// replica restarted empty). Ask for the full delta; the
-				// sender prunes its cache and resends literals.
-				group, epoch := img.Group, img.Epoch
-				img.Release(r.pm)
-				r.mu.Lock()
-				r.needsSent++
-				r.mu.Unlock()
-				if err := writePair(conn, frameNeed, group, epoch); err != nil {
-					return applied, err
-				}
-				continue
-			}
-			if err := r.apply(conn, img, &applied); err != nil {
-				return applied, err
-			}
-		case frameHandoff:
-			// Migration handover: the sender is giving us the lineage at
-			// a new generation. Adopt the fence — from here any frame
-			// stamped below it (a zombie source) is answered fenced —
-			// and acknowledge, so the sender knows the fence stands
-			// before it flips the primary role.
-			if len(payload) != 24 {
-				return applied, fmt.Errorf("%w: handoff payload %d bytes", ErrBadFrame, len(payload))
-			}
-			group := binary.LittleEndian.Uint64(payload[:8])
-			gen := binary.LittleEndian.Uint64(payload[8:16])
-			r.AdoptFence(group, gen)
-			if err := writePair(conn, frameHandoffAck, group, gen); err != nil {
-				return applied, err
-			}
-		default:
-			return applied, fmt.Errorf("%w: type %d", ErrBadFrame, typ)
-		}
 	}
+}
+
+// handle is the replica protocol's one step, whatever carries the
+// frames: it charges one verified frame to the receiver's NIC and
+// answers it on w — a hello with its hello ack, a delta with an ack (or
+// a need for pages it cannot resolve, or a fenced reply), a handoff with
+// its handoff ack. ServeReplica calls it for each frame it reads off a
+// connection; a Wire's link calls it for each request it delivers.
+// applied reports a delta linked into its chain; a bye is io.EOF.
+func (r *Receiver) handle(w io.Writer, typ byte, payload []byte) (applied bool, err error) {
+	r.mu.Lock()
+	r.recvd += int64(len(payload))
+	r.mu.Unlock()
+	if r.clock != nil {
+		r.clock.Advance(r.nic.Latency + time.Duration(int64(len(payload))*int64(time.Second)/r.nic.ReadBW))
+	}
+	switch typ {
+	case frameBye:
+		return false, io.EOF
+	case frameHello:
+		if len(payload) != 8 {
+			return false, fmt.Errorf("%w: hello payload %d bytes", ErrBadFrame, len(payload))
+		}
+		group := binary.LittleEndian.Uint64(payload)
+		return false, writePair(w, frameHelloAck, group, r.lastContiguous(group))
+	case frameDelta:
+		img, err := core.DecodeDelta(payload, r.pm)
+		if err != nil {
+			return false, err
+		}
+		return r.apply(w, img)
+	case frameDeltaC:
+		img, missing, err := core.DecodeDeltaCompact(payload, r.pm, r.resolveBlock)
+		if err != nil {
+			return false, err
+		}
+		if len(missing) == 0 {
+			return r.apply(w, img)
+		}
+		// The sender's receiver-holds cache was wrong (e.g. this replica
+		// restarted empty). Ask for the full delta; the sender prunes its
+		// cache and resends literals.
+		group, epoch := img.Group, img.Epoch
+		img.Release(r.pm)
+		r.mu.Lock()
+		r.needsSent++
+		r.mu.Unlock()
+		return false, writePair(w, frameNeed, group, epoch)
+	case frameHandoff:
+		// Migration handover: the sender is giving us the lineage at a
+		// new generation. Adopt the fence — from here any frame stamped
+		// below it (a zombie source) is answered fenced — and
+		// acknowledge, so the sender knows the fence stands before it
+		// flips the primary role.
+		if len(payload) != 24 {
+			return false, fmt.Errorf("%w: handoff payload %d bytes", ErrBadFrame, len(payload))
+		}
+		group := binary.LittleEndian.Uint64(payload[:8])
+		gen := binary.LittleEndian.Uint64(payload[8:16])
+		r.AdoptFence(group, gen)
+		return false, writePair(w, frameHandoffAck, group, gen)
+	}
+	return false, fmt.Errorf("%w: type %d", ErrBadFrame, typ)
 }
 
 // apply links a decoded delta into its chain and acks it — or, if its
 // generation is behind the group's fence, releases it and answers
 // fenced instead.
-func (r *Receiver) apply(conn io.Writer, img *core.Image, applied *int) error {
-	if rejected, err := r.fenceCheck(conn, img); rejected || err != nil {
+func (r *Receiver) apply(w io.Writer, img *core.Image) (bool, error) {
+	if rejected, err := r.fenceCheck(w, img); rejected || err != nil {
 		img.Release(r.pm)
-		return err
+		return false, err
 	}
 	r.link(img)
-	*applied++
-	return writePair(conn, frameAck, img.Group, img.Epoch)
+	return true, writePair(w, frameAck, img.Group, img.Epoch)
 }
 
 // writePair emits a reply frame whose payload is two u64s.
@@ -243,6 +250,41 @@ func (rc *replicaCore) lost() {
 	}
 }
 
+// await reads replies off conn until accept takes one, and states once
+// what a faulty link leaves in flight: a well-formed reply that accept
+// passes over — a duplicate, or a straggler from before a reconnect —
+// is stale and skipped; a transport failure or a frame that is no
+// reply loses the connection. accept ends the wait with done or with an
+// error of its own (which keeps the connection unless accept drops it).
+// Callers hold mu.
+func (rc *replicaCore) await(conn io.Reader, what string, accept func(typ byte, p []byte) (done bool, err error)) error {
+	for {
+		typ, p, err := readFrame(conn)
+		if err != nil {
+			rc.lost()
+			return fmt.Errorf("%w: awaiting %s: %w", ErrDisconnected, what, err)
+		}
+		if len(p) != replyLen(typ) {
+			rc.lost()
+			return fmt.Errorf("%w: awaiting %s, got type %d with %d bytes", ErrBadFrame, what, typ, len(p))
+		}
+		if done, err := accept(typ, p); done || err != nil {
+			return err
+		}
+	}
+}
+
+// replyLen is the payload size of each reply type (-1: not a reply).
+func replyLen(typ byte) int {
+	switch typ {
+	case frameAck, frameHelloAck, frameNeed, frameHandoffAck:
+		return 16
+	case frameFenced:
+		return 24
+	}
+	return -1
+}
+
 // ReplicaBackend is a core.Backend that replicates every checkpoint to
 // a remote receiver and waits for the ack. It is non-ephemeral: an
 // acked epoch is durable on the standby, so it counts toward external
@@ -266,57 +308,52 @@ func NewReplicaBackend(clock *storage.Clock) *ReplicaBackend {
 // Connect performs the resume handshake over rw for group: it sends a
 // hello, reads back the receiver's last contiguous epoch, and records
 // it as the floor below which flushes are skipped. It returns that
-// epoch so the caller knows where replication resumes. Stray acks and
-// fenced frames left in flight by a faulty link (duplicated or
-// reordered across the reconnect) are skipped: only the hello ack
-// answers a hello, so a stale ack can never set the resume floor.
+// epoch so the caller knows where replication resumes. Only a hello ack
+// answers a hello, so a stale ack or fenced reply left in flight can
+// never set the resume floor. A failed handshake leaves the backend
+// disconnected.
 func (rb *ReplicaBackend) Connect(rw io.ReadWriter, group uint64) (uint64, error) {
-	rb.core.mu.Lock()
-	defer rb.core.mu.Unlock()
+	rc := rb.core
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
 	var hello [8]byte
 	binary.LittleEndian.PutUint64(hello[:], group)
 	if err := writeFrame(rw, frameHello, hello[:]); err != nil {
+		rc.lost()
 		return 0, fmt.Errorf("%w: hello: %w", ErrDisconnected, err)
 	}
-	for {
-		typ, payload, err := readFrame(rw)
-		if err != nil {
-			return 0, fmt.Errorf("%w: hello ack: %w", ErrDisconnected, err)
+	var floor uint64
+	err := rc.await(rw, "hello ack", func(typ byte, p []byte) (bool, error) {
+		if typ != frameHelloAck {
+			return false, nil
 		}
-		switch {
-		case typ == frameAck && len(payload) == 16:
-			// A duplicated or delayed ack from before the reconnect.
-			continue
-		case typ == frameFenced && len(payload) == 24:
-			// A stale fenced reply; the fence re-fires on the next
-			// flush if it still stands.
-			continue
+		if got := binary.LittleEndian.Uint64(p[:8]); got != group {
+			rc.lost()
+			return false, fmt.Errorf("%w: hello ack for group %d, want %d", ErrBadFrame, got, group)
 		}
-		if typ != frameHelloAck || len(payload) != 16 {
-			return 0, fmt.Errorf("%w: expected hello ack, got type %d", ErrBadFrame, typ)
-		}
-		if got := binary.LittleEndian.Uint64(payload[:8]); got != group {
-			return 0, fmt.Errorf("%w: hello ack for group %d, want %d", ErrBadFrame, got, group)
-		}
-		rb.core.conn = rw
-		floor := binary.LittleEndian.Uint64(payload[8:])
-		// Everything the receiver reports contiguously held is, by
-		// definition, acked, and nothing else is: the frontier restarts
-		// from its answer.
-		rb.core.ackMu.Lock()
-		regressed := floor < rb.core.acked[group]
-		rb.core.acked[group] = floor
-		rb.core.ackMu.Unlock()
-		if regressed {
-			// The receiver reports LESS than we recorded acked: it lost
-			// state (killed and restarted empty). The receiver-holds page
-			// cache is stale too — drop it so compact deltas don't
-			// reference pages the far side no longer has.
-			rb.core.known = nil
-		}
-		rb.core.floor = floor
-		return floor, nil
+		floor = binary.LittleEndian.Uint64(p[8:])
+		return true, nil
+	})
+	if err != nil {
+		return 0, err
 	}
+	rc.conn = rw
+	// Everything the receiver reports contiguously held is, by
+	// definition, acked, and nothing else is: the frontier restarts from
+	// its answer.
+	rc.ackMu.Lock()
+	regressed := floor < rc.acked[group]
+	rc.acked[group] = floor
+	rc.ackMu.Unlock()
+	if regressed {
+		// The receiver reports LESS than we recorded acked: it lost state
+		// (killed and restarted empty). The receiver-holds page cache is
+		// stale too — drop it so compact deltas don't reference pages the
+		// far side no longer has.
+		rc.known = nil
+	}
+	rc.floor = floor
+	return floor, nil
 }
 
 // Disconnect drops the connection; subsequent flushes fail with
@@ -422,10 +459,12 @@ func (rb *ReplicaBackend) WithLane(lane *storage.Clock) core.Backend {
 
 // Flush implements core.Backend: send the delta, wait for the
 // matching ack. Epochs at or below the handshake floor are already on
-// the replica and are skipped. Stale duplicated acks and stray hello
-// acks (a faulty link can duplicate or reorder frames) are skipped
-// while waiting. A fenced reply — the receiver has adopted a newer
-// store generation — returns a core.FenceError wrapping
+// the replica and are skipped. Stale replies are skipped while waiting
+// (await), and an ack for an earlier epoch is stale: skipping it rather
+// than trusting it is what keeps a duplicated ack from ever advancing
+// past the deltas actually received. A need for this epoch resends it
+// in full. A fenced reply — the receiver has adopted a newer store
+// generation — returns a core.FenceError wrapping
 // core.ErrStaleGeneration without dropping the connection. Any
 // transport failure drops the connection and returns an error
 // wrapping ErrDisconnected.
@@ -446,21 +485,15 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 		rc.lost()
 		return 0, fmt.Errorf("%w: sending epoch %d: %w", ErrDisconnected, img.Epoch, err)
 	}
-	for {
-		typ, ack, err := readFrame(rc.conn)
-		if err != nil {
-			rc.lost()
-			return 0, fmt.Errorf("%w: awaiting ack for epoch %d: %w", ErrDisconnected, img.Epoch, err)
+	err := rc.await(rc.conn, "ack", func(typ byte, p []byte) (bool, error) {
+		group, epoch := binary.LittleEndian.Uint64(p[:8]), binary.LittleEndian.Uint64(p[8:16])
+		if group != img.Group {
+			return false, nil
 		}
-		switch {
-		case typ == frameHelloAck && len(ack) == 16:
-			// A duplicated handshake reply; the floor was already set
-			// by Connect, a copy must not be mistaken for an ack.
-			continue
-		case typ == frameNeed && len(ack) == 16:
-			if binary.LittleEndian.Uint64(ack[:8]) != img.Group ||
-				binary.LittleEndian.Uint64(ack[8:]) != img.Epoch {
-				continue // a stale need from an earlier stream
+		switch typ {
+		case frameNeed:
+			if epoch != img.Epoch {
+				return false, nil
 			}
 			// The receiver is missing pages we elided: our cache is
 			// stale (it restarted empty). Drop the cache and resend the
@@ -472,39 +505,25 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 			wire += int64(len(full))
 			if err := writeFrame(rc.conn, frameDelta, full); err != nil {
 				rc.lost()
-				return 0, fmt.Errorf("%w: resending epoch %d: %w", ErrDisconnected, img.Epoch, err)
+				return false, fmt.Errorf("%w: resending epoch %d: %w", ErrDisconnected, img.Epoch, err)
 			}
-			continue
-		case typ == frameFenced && len(ack) == 24:
-			if group := binary.LittleEndian.Uint64(ack[:8]); group != img.Group {
-				continue // fence for another group's stream
-			}
-			gen := binary.LittleEndian.Uint64(ack[8:16])
-			floor := binary.LittleEndian.Uint64(ack[16:])
-			return 0, &core.FenceError{Gen: gen, Floor: floor,
+		case frameFenced: // [group][fence gen][floor]
+			return false, &core.FenceError{Gen: binary.LittleEndian.Uint64(p[8:16]), Floor: binary.LittleEndian.Uint64(p[16:]),
 				Err: fmt.Errorf("netback: epoch %d of group %d rejected by replica: %w",
 					img.Epoch, img.Group, core.ErrStaleGeneration)}
+		case frameAck:
+			if epoch > img.Epoch {
+				rc.lost()
+				return false, fmt.Errorf("%w: ack for epoch %d, want %d", ErrBadFrame, epoch, img.Epoch)
+			}
+			return epoch == img.Epoch, nil
 		}
-		if typ != frameAck || len(ack) != 16 {
-			rc.lost()
-			return 0, fmt.Errorf("%w: expected ack, got type %d", ErrBadFrame, typ)
-		}
-		group := binary.LittleEndian.Uint64(ack[:8])
-		epoch := binary.LittleEndian.Uint64(ack[8:])
-		if group == img.Group && epoch < img.Epoch {
-			// A stale duplicated ack for an earlier epoch: skipping it
-			// (rather than trusting it) is what keeps a duplicated ack
-			// from ever advancing past the deltas actually received.
-			continue
-		}
-		if group != img.Group || epoch != img.Epoch {
-			rc.lost()
-			return 0, fmt.Errorf("%w: ack for group %d epoch %d, want %d/%d",
-				ErrBadFrame, group, epoch, img.Group, img.Epoch)
-		}
-		rc.noteAcked(group, epoch)
-		break
+		return false, nil
+	})
+	if err != nil {
+		return 0, err
 	}
+	rc.noteAcked(img.Group, img.Epoch)
 	rc.sent += wire
 	if resent {
 		rc.pagesSent += int64(len(pages))
