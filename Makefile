@@ -93,13 +93,15 @@ recoverycheck:
 ## (seeds 1, 7, 42), plus the promote CLI exit codes. The second line is
 ## the determinism gate: every engine whose report a seed already
 ## determines — the quorum and placement engines under link faults
-## included — must replay it exactly, and the space harness must size
-## the same device, at 1, 2 and 4 procs, three times each, under -race
-## (whose slower schedule is what used to expose a wire's timing).
+## included — must replay it exactly, the space harness must size the
+## same device, and every row of the baseline table must match its
+## committed BENCH_*.json (wander fields inside their bounds), at 1, 2
+## and 4 procs, three times each, under -race (whose slower schedule is
+## what used to expose a wire's timing).
 chaoscheck:
 	$(GO) test -race -count=1 -run 'TestChaos|TestPromote|TestCLIPromote' \
 		./internal/core/ ./cmd/sls/
-	$(GO) test -race -count=3 -cpu 1,2,4 -run 'TestHarnessReplay' ./internal/bench
+	$(GO) test -race -count=3 -cpu 1,2,4 -run 'TestHarnessReplay|TestBaselines' ./internal/bench .
 
 ## spacecheck: graceful degradation under space pressure, race-enabled —
 ## watermark retention GC with the reachability audit after every
@@ -119,9 +121,10 @@ spacecheck:
 ## spawn/checkpoint/crash/restore/unpersist on the shard-worker pool,
 ## the determinism replay, clone dedup, goroutine-leak teardown checks,
 ## supervisor restart-budget edges, and the cross-group dedup GC
-## property test. Plain `go test` runs the same tests at smoke scale.
+## property test. Plain `go test` runs the same tests at smoke scale;
+## AURORA_SCALE=full is the one switch the three scale gates set.
 fleetcheck:
-	AURORA_FLEET_GROUPS=10000 $(GO) test -race -count=1 -timeout 30m \
+	AURORA_SCALE=full $(GO) test -race -count=1 -timeout 30m \
 		-run 'TestFleetSimulation|TestFleetCloneDedup|TestUnpersistWithQueuedEpochsDoesNotLeak|TestCloseReapsFleetWorkers|TestSupervisor|TestDedupCrossGroupGCInterleaving|TestCLIFleet' \
 		./internal/core/ ./internal/objstore/ ./cmd/sls/
 
@@ -130,11 +133,13 @@ fleetcheck:
 ## kill+restart, a partition+heal, and quorum promotion with read-
 ## repair; the quorum durability/latency/floor unit tests; the typed
 ## quorum error round-trips; the replica-set and compact-delta
-## protocol tests; and the CLI quorum/replicas verbs.
+## protocol tests; the CLI quorum/replicas verbs; and the quorum row
+## of the baseline table against the committed BENCH_quorum.json.
 quorumcheck:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'TestQuorum|TestErrQuorumLost|TestStaleGenerationUnderQuorum|TestReplicatedQuorum|TestReclaimerQuorum|TestReplicaSetQuorum|TestCompactDelta|TestCLIQuorum|TestEmitQuorumBench' \
-		./internal/core/ ./internal/netback/ ./internal/bench/ ./cmd/sls/ .
+		-run 'TestQuorum|TestErrQuorumLost|TestStaleGenerationUnderQuorum|TestReplicatedQuorum|TestReclaimerQuorum|TestReplicaSetQuorum|TestCompactDelta|TestCLIQuorum' \
+		./internal/core/ ./internal/netback/ ./internal/bench/ ./cmd/sls/
+	$(GO) test -race -count=1 -run 'TestBaselines/quorum' .
 
 ## migratecheck: live migration and hot standby under the race
 ## detector — the planned end-to-end migration, every abort phase
@@ -143,12 +148,13 @@ quorumcheck:
 ## promotion after source crash, the fault-injected chaos migrations
 ## (seeds 1, 7, 42) with a mid-pre-copy partition, the supervisor
 ## fence race regressions, the typed migration-error round-trips, the
-## migrate/standby/takeover CLI verbs, and the blackout/TTR
-## regression gate against the committed BENCH_migrate.json baseline.
+## migrate/standby/takeover CLI verbs, and the migrate row of the
+## baseline table against the committed BENCH_migrate.json.
 migratecheck:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'TestMigrate|TestStandby|TestSupervisorRefusesFencedCrashedGroup|TestSupervisorFenceRaceMidRecover|TestSupervisorReleaseAtomicHandover|TestSupervisorRestoresUnfencedCrash|TestMigrationAbortedRoundTrip|TestMigrationErrorIsNotGenericAborted|TestCLIMigrate|TestCLIStandbyTakeover|TestMigrateBenchGate' \
-		./internal/core/ ./cmd/sls/ .
+		-run 'TestMigrate|TestStandby|TestSupervisorRefusesFencedCrashedGroup|TestSupervisorFenceRaceMidRecover|TestSupervisorReleaseAtomicHandover|TestSupervisorRestoresUnfencedCrash|TestMigrationAbortedRoundTrip|TestMigrationErrorIsNotGenericAborted|TestCLIMigrate|TestCLIStandbyTakeover' \
+		./internal/core/ ./cmd/sls/
+	$(GO) test -race -count=1 -run 'TestBaselines/migrate' .
 
 ## placecheck: the self-healing multi-store placement control plane
 ## under the race detector — failure-domain-aware spread with hard
@@ -156,13 +162,15 @@ migratecheck:
 ## (seeds 1, 7, 42 × fault rates 0/1/5%), throttled evacuation with
 ## ErrEvacuating surfacing, drain-during-evacuation and
 ## kill-mid-rebalance interleavings, the supervisor evacuation
-## exemption, the stores/drain/balance CLI verbs, and the evacuation-
-## TTR regression gate against the committed BENCH_placement.json
-## baseline. Plain `go test` runs the same chaos cells at smoke scale.
+## exemption, the stores/drain/balance CLI verbs, and the placement
+## row of the baseline table against the committed
+## BENCH_placement.json. Plain `go test` runs the same chaos cells at
+## smoke scale.
 placecheck:
-	AURORA_PLACE_GROUPS=256 $(GO) test -race -count=1 -timeout 30m \
-		-run 'TestPlacer|TestPlacementChaos|TestSupervisorEvacuationExemption|TestCLIStores|TestCLIDrain|TestCLIBalance|TestPlacementBenchGate' \
-		./internal/core/ ./internal/netback/ ./cmd/sls/ .
+	AURORA_SCALE=full $(GO) test -race -count=1 -timeout 30m \
+		-run 'TestPlacer|TestPlacementChaos|TestSupervisorEvacuationExemption|TestCLIStores|TestCLIDrain|TestCLIBalance' \
+		./internal/core/ ./internal/netback/ ./cmd/sls/
+	$(GO) test -race -count=1 -run 'TestBaselines/placement' .
 
 ## scalecheck: elastic fleet autoscaling under the race detector —
 ## the signal-window/hysteresis unit tests (scale-out, scale-in
@@ -170,22 +178,21 @@ placecheck:
 ## chaos gate at 48 lineages per cell (seeds 1, 7, 42 × fault rates
 ## 0/1/5%, fleet ramping 2→6→2 with a dead warm spare mid-scale-out
 ## and a store kill mid-scale-in), the directory wire-reset churn
-## test, the autoscale/signals CLI verbs, and the convergence-time
-## regression gate against the committed BENCH_autoscale.json
-## baseline. Plain `go test` runs the same chaos cells at smoke scale;
-## AURORA_SCALE_GROUPS overrides the cell size.
+## test, the autoscale/signals CLI verbs, and the autoscale row of the
+## baseline table against the committed BENCH_autoscale.json. Plain
+## `go test` runs the same chaos cells at smoke scale.
 scalecheck:
-	AURORA_SCALE_GROUPS=48 $(GO) test -race -count=1 -timeout 30m \
-		-run 'TestAutoscaler|TestAutoscaleChaos|TestRebalanceTickPacing|TestDirectoryConcurrentChurn|TestCLIAutoscale|TestCLISignals|TestAutoscaleBenchGate' \
-		./internal/core/ ./internal/netback/ ./cmd/sls/ .
+	AURORA_SCALE=full $(GO) test -race -count=1 -timeout 30m \
+		-run 'TestAutoscaler|TestAutoscaleChaos|TestRebalanceTickPacing|TestDirectoryConcurrentChurn|TestCLIAutoscale|TestCLISignals' \
+		./internal/core/ ./internal/netback/ ./cmd/sls/
+	$(GO) test -race -count=1 -run 'TestBaselines/autoscale' .
 
-## bench: run the paper-claim benchmarks. This is the only target that
-## writes the committed baselines (BENCH_pipeline.json, BENCH_faults.json,
-## BENCH_recovery.json, BENCH_chaos.json, BENCH_space.json,
-## BENCH_fleet.json, BENCH_quorum.json, BENCH_migrate.json,
-## BENCH_placement.json, BENCH_autoscale.json); `go test` only reads them.
+## bench: regenerate the committed BENCH_*.json baselines — one per row
+## of the baseline table in bench_test.go, BENCH_paper.json (Tables 3
+## and 4, the claims, the ablations) among them. The only target that
+## writes them; plain `go test` runs the same rows and checks them.
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' .
+	$(GO) test -count=1 -run '^TestBaselines$$' . -update
 
 ## perf: the two-clock, per-layer performance scoreboard (4 workloads,
 ## untraced pass then traced pass; see benchmark/README.md). Results go

@@ -48,7 +48,7 @@ type AutoscaleChaosConfig struct {
 	// sized MaxStores-BaseStores healthy spares plus one dead spare.
 	MaxStores int
 	// PeakGroups is the arrival target of the ramp-up (default 24; the
-	// acceptance gate runs 48 via AURORA_SCALE_GROUPS, which forces the
+	// acceptance gate runs 48 under AURORA_SCALE=full, which forces the
 	// fleet all the way to MaxStores).
 	PeakGroups int
 	// FloorGroups is where the final ramp-down stops (default 4).
@@ -180,6 +180,7 @@ func AutoscaleChaosRun(cfg AutoscaleChaosConfig) (*AutoscaleChaosReport, error) 
 		cfg: cfg,
 		rep: &AutoscaleChaosReport{Seed: cfg.Seed, PeakGroups: cfg.PeakGroups},
 	}
+	defer r.close()
 	if err := r.script(); err != nil {
 		return nil, r.fail(err)
 	}

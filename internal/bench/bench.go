@@ -1,7 +1,10 @@
 // Package bench implements the experiment harness: one function per
-// table, figure, or quantitative claim in the paper's evaluation,
-// returning structured results that cmd/aurora-bench prints as the
-// paper's tables and bench_test.go reports as benchmark metrics.
+// table, figure, or quantitative claim in the paper's evaluation, and
+// the seeded sweeps behind the fault, chaos, space, fleet, replication
+// and control-plane matrices. Each returns a report type whose JSON
+// tags are the keys of its committed BENCH_*.json baseline: the root
+// package's baseline table (bench_test.go) writes and checks those
+// files, and cmd/aurora-bench prints the paper's tables.
 //
 // Workloads run on the simulated machine; reported times are virtual
 // (cost-model) microseconds. See DESIGN.md §5 for calibration and
@@ -9,7 +12,9 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"time"
 
 	"aurora/internal/apps/redis"
 	"aurora/internal/core"
@@ -18,6 +23,16 @@ import (
 	"aurora/internal/storage"
 	"aurora/internal/vm"
 )
+
+// Micros is a span of virtual time. It marshals as (fractional)
+// microseconds, the unit every BENCH_*.json reports time in, and prints
+// the way the paper's tables do.
+type Micros time.Duration
+
+func (d Micros) String() string { return storage.Micros(time.Duration(d)) }
+
+// MarshalJSON writes d in microseconds.
+func (d Micros) MarshalJSON() ([]byte, error) { return json.Marshal(float64(d) / 1e3) }
 
 // Machine is one fully assembled simulated host: the paper's testbed
 // (four Optane NVMe drives) in miniature.
@@ -48,6 +63,11 @@ func NewMachine() *Machine {
 		Mem:   core.NewMemoryBackend(k.Mem, 8),
 	}
 }
+
+// Close stops the machine's flush workers, which would otherwise keep
+// the whole machine — its memory, store and device — reachable for the
+// life of the process.
+func (m *Machine) Close() { m.O.Close() }
 
 // RedisInstance is the Table 3/4 workload: a mini-Redis populated to a
 // working-set size.
@@ -124,12 +144,26 @@ func (ri *RedisInstance) DirtyFraction(frac float64) error {
 	return nil
 }
 
+// StopSplit is one column of Table 3: a checkpoint's stop time, the
+// two parts the paper breaks it into, and the background flush after it.
+type StopSplit struct {
+	MetadataCopy  Micros `json:"metadata_copy_us"`
+	LazyDataCopy  Micros `json:"lazy_data_copy_us"`
+	StopTime      Micros `json:"stop_us"`
+	FlushTime     Micros `json:"flush_us"`
+	PagesCaptured int    `json:"pages_captured"`
+}
+
+func stopSplit(bd core.CheckpointBreakdown) StopSplit {
+	return StopSplit{Micros(bd.MetadataCopy), Micros(bd.LazyDataCopy), Micros(bd.StopTime), Micros(bd.FlushTime), bd.PagesCaptured}
+}
+
 // Table3Result is the stop-time breakdown comparison of Table 3.
 type Table3Result struct {
-	WorkingSet int64
-	DirtyFrac  float64
-	Full       core.CheckpointBreakdown
-	Incr       core.CheckpointBreakdown
+	WorkingSet int64     `json:"working_set"`
+	DirtyFrac  float64   `json:"dirty_frac"`
+	Full       StopSplit `json:"full"`
+	Incr       StopSplit `json:"incremental"`
 }
 
 // Table3 reproduces Table 3: checkpoint a Redis instance with working
@@ -137,32 +171,31 @@ type Table3Result struct {
 // incrementally.
 func Table3(wsBytes int64, dirtyFrac float64) (*Table3Result, error) {
 	m := NewMachine()
+	defer m.Close()
 	ri, err := NewRedisInstance(m, wsBytes)
 	if err != nil {
 		return nil, err
 	}
 	m.O.Attach(ri.Group, m.Store)
 
-	full, err := m.O.Checkpoint(ri.Group, core.CheckpointOpts{Full: true})
-	if err != nil {
+	if _, err := m.O.Checkpoint(ri.Group, core.CheckpointOpts{Full: true}); err != nil {
 		return nil, err
 	}
 	if err := ri.DirtyFraction(dirtyFrac); err != nil {
 		return nil, err
 	}
-	incr, err := m.O.Checkpoint(ri.Group, core.CheckpointOpts{})
-	if err != nil {
+	if _, err := m.O.Checkpoint(ri.Group, core.CheckpointOpts{}); err != nil {
 		return nil, err
 	}
-	// The breakdowns above hold stop time only; flush times are patched
-	// into the group's records when the background flusher retires each
-	// epoch. Sync and re-read so the report carries both.
+	// Checkpoint's breakdown holds stop time only; flush times are
+	// patched into the group's records when the background flusher
+	// retires each epoch. Sync and read those so the report carries both.
 	if err := m.O.Sync(ri.Group); err != nil {
 		return nil, err
 	}
 	bds := ri.Group.Breakdowns()
-	full, incr = bds[len(bds)-2], bds[len(bds)-1]
-	return &Table3Result{WorkingSet: wsBytes, DirtyFrac: dirtyFrac, Full: full, Incr: incr}, nil
+	return &Table3Result{WorkingSet: wsBytes, DirtyFrac: dirtyFrac,
+		Full: stopSplit(bds[len(bds)-2]), Incr: stopSplit(bds[len(bds)-1])}, nil
 }
 
 // Print renders the result like the paper's Table 3.
@@ -170,15 +203,11 @@ func (r *Table3Result) Print() {
 	fmt.Printf("Table 3: stop time, Redis working set %s (dirty %.0f%%)\n",
 		fmtBytes(r.WorkingSet), r.DirtyFrac*100)
 	fmt.Printf("  %-24s %14s %14s\n", "Checkpoint", "Full", "Incremental")
-	fmt.Printf("  %-24s %14s %14s\n", "Metadata copy",
-		storage.Micros(r.Full.MetadataCopy), storage.Micros(r.Incr.MetadataCopy))
-	fmt.Printf("  %-24s %14s %14s\n", "Lazy data copy",
-		storage.Micros(r.Full.LazyDataCopy), storage.Micros(r.Incr.LazyDataCopy))
-	fmt.Printf("  %-24s %14s %14s\n", "Application stop time",
-		storage.Micros(r.Full.StopTime), storage.Micros(r.Incr.StopTime))
+	fmt.Printf("  %-24s %14s %14s\n", "Metadata copy", r.Full.MetadataCopy, r.Incr.MetadataCopy)
+	fmt.Printf("  %-24s %14s %14s\n", "Lazy data copy", r.Full.LazyDataCopy, r.Incr.LazyDataCopy)
+	fmt.Printf("  %-24s %14s %14s\n", "Application stop time", r.Full.StopTime, r.Incr.StopTime)
 	fmt.Printf("  (pages captured: full=%d incremental=%d; background flush: %s / %s)\n\n",
-		r.Full.PagesCaptured, r.Incr.PagesCaptured,
-		storage.Micros(r.Full.FlushTime), storage.Micros(r.Incr.FlushTime))
+		r.Full.PagesCaptured, r.Incr.PagesCaptured, r.Full.FlushTime, r.Incr.FlushTime)
 }
 
 func fmtBytes(n int64) string {

@@ -26,7 +26,7 @@ func TestTable3Shape(t *testing.T) {
 	if r.Incr.StopTime >= r.Full.StopTime {
 		t.Fatal("incremental stop not below full")
 	}
-	if r.Incr.StopTime > 2*time.Millisecond {
+	if r.Incr.StopTime > Micros(2*time.Millisecond) {
 		t.Fatalf("incremental stop %v above the sub-ms regime", r.Incr.StopTime)
 	}
 }
@@ -59,7 +59,7 @@ func TestTable4Shape(t *testing.T) {
 		t.Fatal("disk total should exceed memory total")
 	}
 	// Everything stays sub-millisecond-class at the paper's scale.
-	if r.ServerlessMem.Total > time.Millisecond || r.ServerlessDisk.Total > 2*time.Millisecond {
+	if r.ServerlessMem.Total > Micros(time.Millisecond) || r.ServerlessDisk.Total > Micros(2*time.Millisecond) {
 		t.Fatalf("serverless restores too slow: mem=%v disk=%v",
 			r.ServerlessMem.Total, r.ServerlessDisk.Total)
 	}
@@ -73,7 +73,7 @@ func TestFreqClaim(t *testing.T) {
 	if r.Overhead > 0.2 {
 		t.Fatalf("100 Hz overhead = %.1f%%, not modest", r.Overhead*100)
 	}
-	if r.MaxStop > 5*time.Millisecond {
+	if r.MaxStop > Micros(5*time.Millisecond) {
 		t.Fatalf("max stop %v breaks the 10 ms period", r.MaxStop)
 	}
 }
@@ -156,8 +156,8 @@ func TestPipelineStopBelowFullLatency(t *testing.T) {
 	if r.TotalFlush <= 0 {
 		t.Fatalf("no flush time recorded across %d checkpoints", r.Checkpoints)
 	}
-	if r.TotalStop >= r.TotalFull() {
-		t.Fatalf("stop time %v not strictly below checkpoint+flush latency %v", r.TotalStop, r.TotalFull())
+	if r.TotalStop >= r.TotalFull {
+		t.Fatalf("stop time %v not strictly below checkpoint+flush latency %v", r.TotalStop, r.TotalFull)
 	}
 	if r.MaxStop >= r.MaxFull {
 		t.Fatalf("worst stop %v not below worst checkpoint+flush %v", r.MaxStop, r.MaxFull)

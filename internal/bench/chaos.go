@@ -95,33 +95,34 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 
 // ChaosReport is the outcome of one chaos run.
 type ChaosReport struct {
-	Seed        int64
-	Checkpoints int // checkpoints attempted across all phases
+	Seed          int64   `json:"-"`
+	LinkFaultRate float64 `json:"link_fault_rate"` // the rate a ChaosSweep cell ran at
+	Checkpoints   int     `json:"checkpoints"`     // checkpoints attempted across all phases
 
-	Crashes  int // processes killed
-	Restores int // supervisor restores (each verified bit-identical)
-	Heals    int // transient partitions healed and caught up
+	Crashes  int `json:"crashes"`  // processes killed
+	Restores int `json:"restores"` // supervisor restores (each verified bit-identical)
+	Heals    int `json:"-"`        // transient partitions healed and caught up
 
-	Partitions    int64 // connection losses observed by the replica backend
-	LinkDropped   int64 // frames lost on the link (injected + partition)
-	LinkInjected  int64 // link faults injected by probability or script
-	StoreInjected int64 // device faults injected on the primary store
+	Partitions    int64 `json:"partitions"`     // connection losses observed by the replica backend
+	LinkDropped   int64 `json:"link_dropped"`   // frames lost on the link (injected + partition)
+	LinkInjected  int64 `json:"link_injected"`  // link faults injected by probability or script
+	StoreInjected int64 `json:"store_injected"` // device faults injected on the primary store
 
-	StaleRejected int // fencing rejections observed after the stale return
-	Quarantined   int // divergent epochs quarantined at demotion
+	StaleRejected int `json:"stale_rejected"` // fencing rejections observed after the stale return
+	Quarantined   int `json:"quarantined"`    // divergent epochs quarantined at demotion
 
-	PromoteGen uint64        // generation minted by the promotion
-	Floor      uint64        // contiguous floor that became the durable line
-	Backfilled int           // epochs copied into the new primary store
-	PromoteTTR time.Duration // virtual time for the promotion
-	CatchUp    time.Duration // virtual time to drain catch-up after the heal
+	PromoteGen uint64 `json:"promote_gen"`    // generation minted by the promotion
+	Floor      uint64 `json:"floor"`          // contiguous floor that became the durable line
+	Backfilled int    `json:"backfilled"`     // epochs copied into the new primary store
+	PromoteTTR Micros `json:"promote_ttr_us"` // virtual time for the promotion
+	CatchUp    Micros `json:"catchup_us"`     // virtual time to drain catch-up after the heal
 
-	PerCheckpoint time.Duration // mean virtual time per steady-state checkpoint
-	Released      uint64        // released watermark on the promoted line at exit
+	PerCheckpoint Micros `json:"per_checkpoint_us"` // mean virtual time per steady-state checkpoint
+	Released      uint64 `json:"released"`          // released watermark on the promoted line at exit
 
-	StoreCapacity   int64 // primary device capacity in bytes (0 = unbounded)
-	EpochsReclaimed int64 // epochs retention GC merged forward on the primary
-	EmergencyScans  int64 // ENOSPC-triggered reclamations survived
+	StoreCapacity   int64 `json:"store_capacity"`   // primary device capacity in bytes (0 = unbounded)
+	EpochsReclaimed int64 `json:"epochs_reclaimed"` // epochs retention GC merged forward on the primary
+	EmergencyScans  int64 `json:"emergency_scans"`  // ENOSPC-triggered reclamations survived
 }
 
 // chaosRun carries the script state across phases.
@@ -143,10 +144,49 @@ type chaosRun struct {
 func ChaosRun(cfg ChaosConfig) (*ChaosReport, error) {
 	cfg = cfg.withDefaults()
 	c := &chaosRun{harness: newHarness("chaos", cfg.Seed), cfg: cfg, rep: &ChaosReport{Seed: cfg.Seed}}
+	defer c.close()
 	if err := c.script(); err != nil {
 		return nil, c.fail(err)
 	}
 	return c.rep, nil
+}
+
+// ChaosSweep runs the whole-system chaos schedule once per link fault
+// rate: drops, duplicates and reorders at rate, corruption at half,
+// against fixed moderate storage fault rates. The primary store is
+// bounded to ~20 steady-state epochs — enough to hold the divergent
+// suffix the permanent partition pins (epochs above the replica's
+// catch-up floor are unreclaimable, and with sub-block metadata packing
+// each pinned record also pins its pack block) — so the space
+// scheduler (watermark reclamation under the replica's catch-up floor)
+// is part of the standing fault mix.
+func ChaosSweep(rates []float64, seed int64) ([]*ChaosReport, error) {
+	var out []*ChaosReport
+	for _, rate := range rates {
+		rep, err := ChaosRun(ChaosConfig{
+			Seed:                seed,
+			Checkpoints:         24,
+			StepsPerEpoch:       3,
+			LinkDrop:            rate,
+			LinkDup:             rate,
+			LinkReorder:         rate,
+			LinkCorrupt:         rate / 2,
+			StoreWriteErr:       0.01,
+			StoreReadErr:        0.005,
+			CrashEvery:          8,
+			PartitionAt:         10,
+			PartitionLen:        3,
+			DivergentEpochs:     4,
+			PostEpochs:          6,
+			StoreCapacityEpochs: 20,
+		})
+		if err != nil {
+			return nil, err
+		}
+		rep.LinkFaultRate = rate
+		out = append(out, rep)
+	}
+	return out, nil
 }
 
 // crash kills every member of the group with a nonzero exit and lets
@@ -233,12 +273,12 @@ func (c *chaosRun) script() error {
 			return err
 		}
 	}
-	c.src = newNode("src", storage.FaultConfig{Seed: cfg.Seed, WriteErr: cfg.StoreWriteErr, ReadErr: cfg.StoreReadErr}, capacity)
+	c.src = c.own(newNode("src", storage.FaultConfig{Seed: cfg.Seed, WriteErr: cfg.StoreWriteErr, ReadErr: cfg.StoreReadErr}, capacity))
 	c.src.sup = core.NewSupervisor(c.src.o, core.SupervisorConfig{MaxRestarts: 64})
 	if capacity > 0 {
 		c.src.bound(cfg.KeepLast, core.Watermarks{})
 	}
-	c.dst = NewNode("dst", 0, 0, 0)
+	c.dst = c.own(NewNode("dst", 0, 0, 0))
 	c.wire = NewTopology(netback.LinkFaultConfig{
 		Drop:    cfg.LinkDrop,
 		Dup:     cfg.LinkDup,
@@ -292,7 +332,7 @@ func (c *chaosRun) script() error {
 			if got, want := c.wire.Receiver().ContiguousEpoch(l.g.ID), l.g.Durable(); got != want {
 				return fmt.Errorf("after heal replica floor %d != durable %d", got, want)
 			}
-			c.rep.CatchUp = c.src.clock.Now() - h0
+			c.rep.CatchUp = Micros(c.src.clock.Now() - h0)
 			c.rep.Heals++
 			if err := c.check(c.phase + " healed"); err != nil {
 				return err
@@ -308,7 +348,7 @@ func (c *chaosRun) script() error {
 		}
 	}
 	c.rep.Checkpoints = cfg.Checkpoints
-	c.rep.PerCheckpoint = (c.src.clock.Now() - t0) / time.Duration(cfg.Checkpoints)
+	c.rep.PerCheckpoint = Micros((c.src.clock.Now() - t0) / time.Duration(cfg.Checkpoints))
 
 	// Quiesce before the disaster so the replica floor equals the
 	// durable line — the promotion must lose exactly the divergent
@@ -373,7 +413,7 @@ func (c *chaosRun) script() error {
 	c.rep.PromoteGen = prep.Gen
 	c.rep.Floor = prep.Floor
 	c.rep.Backfilled = prep.Backfilled
-	c.rep.PromoteTTR = prep.TTR
+	c.rep.PromoteTTR = Micros(prep.TTR)
 
 	// Phase 3b — life goes on, on the promoted primary.
 	for j := 1; j <= cfg.PostEpochs; j++ {

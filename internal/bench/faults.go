@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"aurora/internal/core"
 	"aurora/internal/kernel"
@@ -21,16 +20,16 @@ func init() {
 // pipeline driven with a given per-write fault probability on the
 // primary device.
 type FaultPoint struct {
-	Rate        float64       // per-op injection probability on the primary
-	Checkpoints int           // epochs checkpointed
-	Durable     uint64        // last externally-consistent epoch at the end
-	Injected    int64         // faults the device actually injected
-	Retries     int64         // extra flush attempts across all backends
-	Resyncs     int64         // epochs replayed from catch-up queues
-	VirtualTime time.Duration // total modeled time for the run
+	Rate        float64 `json:"fault_rate"`      // per-op injection probability on the primary
+	Checkpoints int     `json:"checkpoints"`     // epochs checkpointed
+	Durable     uint64  `json:"durable_epoch"`   // last externally-consistent epoch at the end
+	Injected    int64   `json:"faults_injected"` // faults the device actually injected
+	Retries     int64   `json:"flush_retries"`   // extra flush attempts across all backends
+	Resyncs     int64   `json:"epochs_resynced"` // epochs replayed from catch-up queues
+	VirtualTime Micros  `json:"virtual_time_us"` // total modeled time for the run
 	// CkptPerVSec is checkpoint throughput against the virtual clock —
 	// the number the fault matrix tracks as rates rise.
-	CkptPerVSec float64
+	CkptPerVSec float64 `json:"ckpt_per_vsec"`
 }
 
 // FaultSweep runs the same checkpoint workload against a two-backend
@@ -42,6 +41,7 @@ func FaultSweep(ckpts int, rates []float64, seed int64) ([]FaultPoint, error) {
 	points := make([]FaultPoint, 0, len(rates))
 	for _, rate := range rates {
 		n := newNode("faults", storage.FaultConfig{Seed: seed, WriteErr: rate, SyncErr: rate}, 0)
+		defer n.o.Close()
 		clock, k, o, fd, primary := n.clock, n.k, n.o, n.fd, n.sb
 		secondary := core.NewStoreBackend(objstore.Create(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock), k.Mem, clock)
 
@@ -78,12 +78,13 @@ func FaultSweep(ckpts int, rates []float64, seed int64) ([]FaultPoint, error) {
 			return nil, fmt.Errorf("bench: fault sweep at rate %g did not recover: %w", rate, err)
 		}
 
+		elapsed := clock.Now() - start
 		pt := FaultPoint{
 			Rate:        rate,
 			Checkpoints: ckpts,
 			Durable:     g.Durable(),
 			Injected:    fd.InjectedCount(),
-			VirtualTime: clock.Now() - start,
+			VirtualTime: Micros(elapsed),
 		}
 		for _, info := range g.Health() {
 			if info.State != core.BackendHealthy || info.Pending != 0 {
@@ -97,8 +98,8 @@ func FaultSweep(ckpts int, rates []float64, seed int64) ([]FaultPoint, error) {
 			return nil, fmt.Errorf("bench: fault sweep at rate %g durable %d, want %d",
 				rate, pt.Durable, ckpts)
 		}
-		if pt.VirtualTime > 0 {
-			pt.CkptPerVSec = float64(ckpts) / pt.VirtualTime.Seconds()
+		if elapsed > 0 {
+			pt.CkptPerVSec = float64(ckpts) / elapsed.Seconds()
 		}
 		points = append(points, pt)
 	}

@@ -28,17 +28,17 @@ const fleetTouchPages = 2
 // checkpoint storm across Groups persistence groups multiplexed onto
 // the fixed shard-worker pool.
 type FleetPoint struct {
-	Groups      int           // concurrently live persistence groups
-	Checkpoints int           // total checkpoints across the fleet
-	StopP50     time.Duration // median application stop time
-	StopP99     time.Duration // 99th-percentile stop time — the density claim
-	StopMax     time.Duration // worst stop observed
-	CkptPerVSec float64       // aggregate fleet checkpoint throughput (virtual)
-	Dispatches  int64         // flush jobs run on shard workers
-	Shards      int           // shard count the fleet ran on
-	MemPeak     int64         // high-water frame bytes pinned by flush backlogs
-	BudgetStall int64         // Enqueue waits caused by the global memory budget
-	DedupHits   int64         // block writes absorbed by the content-hash index
+	Groups      int     `json:"groups"`        // concurrently live persistence groups
+	Checkpoints int     `json:"checkpoints"`   // total checkpoints across the fleet
+	StopP50     Micros  `json:"stop_p50_us"`   // median application stop time
+	StopP99     Micros  `json:"stop_p99_us"`   // 99th-percentile stop time — the density claim
+	StopMax     Micros  `json:"stop_max_us"`   // worst stop observed
+	CkptPerVSec float64 `json:"ckpt_per_vsec"` // aggregate fleet checkpoint throughput (virtual)
+	Dispatches  int64   `json:"dispatches"`    // flush jobs run on shard workers
+	Shards      int     `json:"shards"`        // shard count the fleet ran on
+	MemPeak     int64   `json:"mem_peak"`      // high-water frame bytes pinned by flush backlogs
+	BudgetStall int64   `json:"budget_stalls"` // Enqueue waits caused by the global memory budget
+	DedupHits   int64   `json:"dedup_hits"`    // block writes absorbed by the content-hash index
 }
 
 // FleetStorm measures how per-group checkpoint latency and aggregate
@@ -125,9 +125,9 @@ func FleetStorm(groupCounts []int, rounds int, seed int64) ([]FleetPoint, error)
 		pt := FleetPoint{
 			Groups:      n,
 			Checkpoints: len(stops),
-			StopP50:     stops[len(stops)/2],
-			StopP99:     stops[len(stops)*99/100],
-			StopMax:     stops[len(stops)-1],
+			StopP50:     Micros(stops[len(stops)/2]),
+			StopP99:     Micros(stops[len(stops)*99/100]),
+			StopMax:     Micros(stops[len(stops)-1]),
 			Dispatches:  fstats.Dispatches,
 			Shards:      fstats.Shards,
 			MemPeak:     fstats.MemPeak,

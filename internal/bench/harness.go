@@ -347,10 +347,27 @@ type harness struct {
 	durable core.DurableWatch
 
 	verified int // bit-identical verifications performed
+
+	nodes []*Node // machines the run built, for close
 }
 
 func newHarness(engine string, seed int64) *harness {
 	return &harness{engine: engine, seed: seed, phase: "setup", durable: make(core.DurableWatch)}
+}
+
+// own registers a machine the run built and returns it.
+func (h *harness) own(n *Node) *Node {
+	h.nodes = append(h.nodes, n)
+	return n
+}
+
+// close stops the flush workers of every machine the run built: a
+// machine that ever flushed stays reachable from them — memory, store
+// and all — for the life of the process.
+func (h *harness) close() {
+	for _, n := range h.nodes {
+		n.o.Close()
+	}
 }
 
 // at names the script phase now in progress.
@@ -477,6 +494,7 @@ func (h *harness) check(where string) error {
 // gets double the probe's reserve.
 func deviceFor(w workload, steps, epochs int) (int64, error) {
 	n := NewNode("probe", 0, 0, 0)
+	defer n.o.Close()
 	l, err := newLine(n, w, "probe")
 	if err != nil {
 		return 0, err
@@ -531,7 +549,7 @@ func newFleet(engine string, seed int64, steps int, link netback.LinkFaultConfig
 
 // addStore builds store i (not yet admitted to the placer).
 func (f *fleet) addStore(i int, domain string) *core.StoreNode {
-	n := NewNode(fmt.Sprintf("store%d", i), f.seed*1000003+int64(i)*7919, f.writeErr, f.readErr)
+	n := f.own(NewNode(fmt.Sprintf("store%d", i), f.seed*1000003+int64(i)*7919, f.writeErr, f.readErr))
 	n.sup = core.NewSupervisor(n.o, core.SupervisorConfig{})
 	sn := n.storeNode(domain)
 	f.stores = append(f.stores, sn)

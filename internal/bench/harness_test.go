@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"aurora/internal/core"
-	"aurora/internal/vm"
 )
 
 // TestHarnessReplay is the determinism gate: a seed must determine the
@@ -18,6 +17,8 @@ import (
 // delivers a frame on the writer's goroutine, so link faults are in:
 // the quorum leg runs 200 checkpoints at 5/5/5/2 % drop/dup/reorder/
 // corrupt, the placement leg a fleet whose directory wires fault at 5 %.
+// VM IDs are minted per machine, so the second run of a leg sees the
+// same ID widths — and metadata bytes, and virtual time — as the first.
 //
 // Left out, on purpose (ROADMAP item 0 — the deterministic executor —
 // is what brings them in):
@@ -25,19 +26,9 @@ import (
 //     faults off, its StoreInjected wanders (25–29 at 120 checkpoints)
 //     because foreground store operations race the background flusher
 //     for the fault device's draws — a store-side race, not a wire's.
-//   - the rest of SpaceReport: even the unbounded, fault-free control's
-//     VirtualTime differs by ~100 ns between two runs.
+//   - the rest of a bounded SpaceReport: which barriers are shed and
+//     when the reclaimer runs follow the flusher goroutine.
 func TestHarnessReplay(t *testing.T) {
-	// vm's object and address-space ID counters are process-global, and
-	// their varint width lands in metadata bytes and so in virtual time
-	// (ROADMAP item 0): a report moves by nanoseconds when a counter
-	// crosses 2^7 or 2^14 between two runs. Park both past 2^14 — the next
-	// width change is then two million IDs away — so this test compares
-	// what a seed decides, not what ran earlier in the process.
-	for vm.NewObject("", 0).ID < 1<<14 {
-	}
-	for vm.NewAddressSpace(nil, nil).ID < 1<<14 {
-	}
 	engines := []struct {
 		name string
 		run  func() (any, error)
@@ -61,6 +52,9 @@ func TestHarnessReplay(t *testing.T) {
 		{"migrate", func() (any, error) {
 			return MigrateChaosRun(MigrateChaosConfig{Seed: 7, LinkDrop: 0.02, LinkDup: 0.01, LinkCorrupt: 0.01,
 				StoreWriteErr: 0.01, StoreReadErr: 0.005, Retries: 8, PartitionMid: true, Standby: true})
+		}},
+		{"space control", func() (any, error) {
+			return SpaceRun(SpaceConfig{Seed: 42, Checkpoints: 40})
 		}},
 		{"autoscale", func() (any, error) {
 			return AutoscaleChaosRun(AutoscaleChaosConfig{Seed: 7, PeakGroups: 16, LinkDrop: 0.01, LinkDup: 0.005,

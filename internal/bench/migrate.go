@@ -219,7 +219,7 @@ func (r *migRun) hop(idx int) error {
 	cfg := r.cfg
 	r.at("hop %d", idx)
 	src := r.cur
-	dst := NewNode(fmt.Sprintf("m%d", idx+1), cfg.Seed*31+int64(idx+1)*977, cfg.StoreWriteErr, cfg.StoreReadErr)
+	dst := r.own(NewNode(fmt.Sprintf("m%d", idx+1), cfg.Seed*31+int64(idx+1)*977, cfg.StoreWriteErr, cfg.StoreReadErr))
 	mig, w, err := r.migrator(dst, cfg.Seed*1000003+int64(idx)*7919, fmt.Sprintf("migrated-%d", idx+1))
 	if err != nil {
 		return err
@@ -254,7 +254,7 @@ func (r *migRun) standbyLeg() error {
 	r.at("standby")
 	idx := cfg.Hops + 1
 	src, srcG := r.cur, r.l.g
-	dst := NewNode(fmt.Sprintf("standby-m%d", idx), cfg.Seed*37+int64(idx)*1009, cfg.StoreWriteErr, cfg.StoreReadErr)
+	dst := r.own(NewNode(fmt.Sprintf("standby-m%d", idx), cfg.Seed*37+int64(idx)*1009, cfg.StoreWriteErr, cfg.StoreReadErr))
 	mig, w, err := r.migrator(dst, cfg.Seed*999983+int64(idx)*104729, "standby")
 	if err != nil {
 		return err
@@ -311,6 +311,7 @@ func MigrateChaosRun(cfg MigrateChaosConfig) (*MigrateChaosReport, error) {
 			Corrupt: cfg.LinkCorrupt,
 		}),
 	}
+	defer r.close()
 	if err := r.script(); err != nil {
 		return nil, r.fail(err)
 	}
@@ -319,7 +320,7 @@ func MigrateChaosRun(cfg MigrateChaosConfig) (*MigrateChaosReport, error) {
 
 func (r *migRun) script() error {
 	cfg := r.cfg
-	m0 := NewNode("m0", cfg.Seed, cfg.StoreWriteErr, cfg.StoreReadErr)
+	m0 := r.own(NewNode("m0", cfg.Seed, cfg.StoreWriteErr, cfg.StoreReadErr))
 	r.stores = []*core.StoreNode{m0.storeNode("")}
 	r.cur = m0
 	l, err := r.start(m0, workload{pages: chaosPages, seed: cfg.Seed}, "migrate-app")

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"aurora/internal/apps/kvlsm"
 	"aurora/internal/kernel"
@@ -21,25 +20,22 @@ func init() {
 // checkpoint+flush latency (what a synchronous flush would have
 // charged) completes in the background.
 type PipelineResult struct {
-	Ops         int
-	Checkpoints int
+	Ops         int `json:"ops"`
+	Checkpoints int `json:"checkpoints"`
 	// TotalStop is the summed application stop time — the pipeline-era
 	// critical-path cost.
-	TotalStop time.Duration
+	TotalStop Micros `json:"total_stop_us"`
 	// TotalFlush is the summed background flush time.
-	TotalFlush time.Duration
+	TotalFlush Micros `json:"total_flush_us"`
+	// TotalFull is the critical-path cost a synchronous flush would have
+	// charged: every checkpoint's stop time plus its flush time.
+	TotalFull Micros `json:"ckpt_plus_flush_us"`
 	// MaxStop and MaxFull compare the worst single barrier against the
 	// worst full checkpoint+flush latency.
-	MaxStop time.Duration
-	MaxFull time.Duration
+	MaxStop Micros `json:"max_stop_us"`
+	MaxFull Micros `json:"max_full_us"`
 	// PeakQueueDepth is the most un-retired epochs observed in flight.
-	PeakQueueDepth int
-}
-
-// TotalFull is the critical-path cost a synchronous flush would have
-// charged: every checkpoint's stop time plus its flush time.
-func (r *PipelineResult) TotalFull() time.Duration {
-	return r.TotalStop + r.TotalFlush
+	PeakQueueDepth int `json:"peak_queue_depth"`
 }
 
 // PipelineKVLSM runs an Aurora-mode LSM store (NT log + checkpoints,
@@ -47,6 +43,7 @@ func (r *PipelineResult) TotalFull() time.Duration {
 // operations, and reports the stop-time vs. checkpoint+flush split.
 func PipelineKVLSM(ops, ckptEvery int) (*PipelineResult, error) {
 	m := NewMachine()
+	defer m.Close()
 	fs, err := newFS(m)
 	if err != nil {
 		return nil, err
@@ -87,15 +84,13 @@ func PipelineKVLSM(ops, ckptEvery int) (*PipelineResult, error) {
 		return nil, err
 	}
 	for _, bd := range g.Breakdowns() {
-		r.TotalStop += bd.StopTime
-		r.TotalFlush += bd.FlushTime
-		if bd.StopTime > r.MaxStop {
-			r.MaxStop = bd.StopTime
-		}
-		if full := bd.StopTime + bd.FlushTime; full > r.MaxFull {
-			r.MaxFull = full
-		}
+		stop, full := Micros(bd.StopTime), Micros(bd.StopTime+bd.FlushTime)
+		r.TotalStop += stop
+		r.TotalFlush += Micros(bd.FlushTime)
+		r.MaxStop = max(r.MaxStop, stop)
+		r.MaxFull = max(r.MaxFull, full)
 	}
+	r.TotalFull = r.TotalStop + r.TotalFlush
 	r.Checkpoints = len(g.Breakdowns())
 	return r, nil
 }

@@ -38,7 +38,7 @@ type PlacementChaosConfig struct {
 	// holds more than one store once the fleet is big enough.
 	Stores int
 	// Groups is the number of placed lineages (default 48; the
-	// acceptance gate runs 256 via AURORA_PLACE_GROUPS).
+	// acceptance gate runs 256 under AURORA_SCALE=full).
 	Groups int
 	// Replicas is the copy count per lineage, primary included
 	// (default 2).
@@ -157,6 +157,7 @@ func PlacementChaosRun(cfg PlacementChaosConfig) (*PlacementChaosReport, error) 
 		cfg: cfg,
 		rep: &PlacementChaosReport{Seed: cfg.Seed, Stores: cfg.Stores, Groups: cfg.Groups},
 	}
+	defer r.close()
 	if err := r.script(); err != nil {
 		return nil, r.fail(err)
 	}

@@ -229,6 +229,7 @@ func runQuorum(cfg QuorumChaosConfig, baseline bool) (*QuorumChaosReport, error)
 		cfg:     cfg,
 		rep:     &QuorumChaosReport{Seed: cfg.Seed, Replicas: cfg.Replicas, W: cfg.W},
 	}
+	defer q.close()
 	if err := q.script(baseline); err != nil {
 		return nil, q.fail(err)
 	}
@@ -245,7 +246,7 @@ func (q *quorumRun) script(baseline bool) error {
 		Reorder: cfg.LinkReorder,
 		Corrupt: cfg.LinkCorrupt,
 	})
-	q.src = NewNode("quorum-src", cfg.Seed, 0, 0)
+	q.src = q.own(NewNode("quorum-src", cfg.Seed, 0, 0))
 	q.stores = []*core.StoreNode{q.src.storeNode("")}
 	q.rs = netback.NewReplicaSet(cfg.W)
 	for i := 0; i < cfg.Replicas; i++ {
@@ -401,7 +402,7 @@ func (q *quorumRun) script(baseline bool) error {
 	// member must be bit-identical.
 	q.at("promotion")
 	lineage := l.g.ID
-	dst := NewNode("quorum-dst", 0, 0, 0)
+	dst := q.own(NewNode("quorum-dst", 0, 0, 0))
 	q.stores = append(q.stores, dst.storeNode(""))
 	prep, err := l.promote(dst, q.rs.Sources(), l.g.Durable())
 	if err != nil {
@@ -434,16 +435,16 @@ func (q *quorumRun) script(baseline bool) error {
 
 // QuorumPoint is one cell of the quorum sweep matrix.
 type QuorumPoint struct {
-	Replicas      int
-	W             int
-	Rate          float64
-	Checkpoints   int
-	Durable       uint64
-	MedianDurable time.Duration
-	CatchUpEpochs int64
-	PagesSent     int64
-	PagesSkipped  int64
-	LinkInjected  int64
+	Replicas      int     `json:"replicas"`
+	W             int     `json:"write_quorum"`
+	Rate          float64 `json:"fault_rate"`
+	Checkpoints   int     `json:"checkpoints"`
+	Durable       uint64  `json:"durable_epoch"`
+	MedianDurable Micros  `json:"durable_med_us"`
+	CatchUpEpochs int64   `json:"catchup_epochs"`
+	PagesSent     int64   `json:"pages_sent"`
+	PagesSkipped  int64   `json:"pages_skipped"`
+	LinkInjected  int64   `json:"faults_injected"`
 }
 
 // QuorumSweep runs the quorum matrix: replica count × link-fault rate,
@@ -479,7 +480,7 @@ func QuorumSweep(ckpts int, replicaCounts []int, rates []float64, seed int64) ([
 				Rate:          rate,
 				Checkpoints:   rep.Checkpoints,
 				Durable:       rep.Durable,
-				MedianDurable: rep.MedianDurable,
+				MedianDurable: Micros(rep.MedianDurable),
 				CatchUpEpochs: rep.CatchUpEpochs,
 				PagesSent:     rep.PagesSent,
 				PagesSkipped:  rep.PagesSkipped,

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"aurora/internal/core"
 	"aurora/internal/kernel"
@@ -26,14 +25,14 @@ const recoveryPages = 64
 // demand-paging its full working set against a primary store with a
 // given per-read fault probability, failing over to a clean secondary.
 type RecoveryPoint struct {
-	Rate          float64       // per-read injection probability on the primary
-	Checkpoints   int           // epochs checkpointed before the restore
-	Pages         int           // pages demand-paged back in
-	TimeToRecover time.Duration // virtual time from Restore to last page resident
-	Failovers     int64         // pages served by the secondary
-	PagesRepaired int64         // peer pages written back onto the primary
-	Retries       int64         // extra primary read attempts
-	Injected      int64         // faults the device actually injected
+	Rate          float64 `json:"read_fault_rate"`    // per-read injection probability on the primary
+	Checkpoints   int     `json:"checkpoints"`        // epochs checkpointed before the restore
+	Pages         int     `json:"pages"`              // pages demand-paged back in
+	TimeToRecover Micros  `json:"time_to_recover_us"` // virtual time from Restore to last page resident
+	Failovers     int64   `json:"failovers"`          // pages served by the secondary
+	PagesRepaired int64   `json:"pages_repaired"`     // peer pages written back onto the primary
+	Retries       int64   `json:"read_retries"`       // extra primary read attempts
+	Injected      int64   `json:"faults_injected"`    // faults the device actually injected
 }
 
 func recoveryPattern(page int, seed int64) []byte {
@@ -53,6 +52,7 @@ func RecoverySweep(ckpts int, rates []float64, seed int64) ([]RecoveryPoint, err
 	points := make([]RecoveryPoint, 0, len(rates))
 	for _, rate := range rates {
 		n := NewNode("recovery", seed, 0, rate)
+		defer n.o.Close()
 		clock, k, o, fd, primary := n.clock, n.k, n.o, n.fd, n.sb
 		secondary := core.NewStoreBackend(objstore.Create(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock), k.Mem, clock)
 
@@ -125,7 +125,7 @@ func RecoverySweep(ckpts int, rates []float64, seed int64) ([]RecoveryPoint, err
 			Rate:          rate,
 			Checkpoints:   ckpts,
 			Pages:         recoveryPages + 1,
-			TimeToRecover: ttr,
+			TimeToRecover: Micros(ttr),
 			Failovers:     stats.Failovers,
 			PagesRepaired: stats.PagesRepaired,
 			Retries:       stats.Retries,

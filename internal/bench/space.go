@@ -56,26 +56,26 @@ func (c SpaceConfig) withDefaults() SpaceConfig {
 
 // SpaceReport is the outcome of one space-pressure run.
 type SpaceReport struct {
-	Seed           int64
-	CapacityEpochs int   // configured headroom (0 = unbounded)
-	Capacity       int64 // device bytes the headroom translated to
-	Checkpoints    int   // barriers attempted
-	Admitted       int   // barriers that minted an epoch
-	Durable        uint64
+	Seed           int64  `json:"-"`
+	CapacityEpochs int    `json:"capacity_epochs"` // configured headroom (0 = unbounded)
+	Capacity       int64  `json:"capacity_bytes"`  // device bytes the headroom translated to
+	Checkpoints    int    `json:"checkpoints"`     // barriers attempted
+	Admitted       int    `json:"admitted"`        // barriers that minted an epoch
+	Durable        uint64 `json:"durable_epoch"`
 
-	Sheds           int64 // barriers shed by admission control
-	EmergencySheds  int64 // sheds taken at the emergency watermark
-	Scans           int64
-	EmergencyScans  int64 // ENOSPC-triggered reclamations
-	EpochsReclaimed int64
-	BytesReclaimed  int64
-	RetainedEpochs  int     // manifests left on the device at the end
-	MaxUsage        float64 // worst usage fraction observed at a barrier
-	FinalUsage      float64
-	Injected        int64 // device faults injected
+	Sheds           int64   `json:"sheds"`           // barriers shed by admission control
+	EmergencySheds  int64   `json:"emergency_sheds"` // sheds taken at the emergency watermark
+	Scans           int64   `json:"scans"`
+	EmergencyScans  int64   `json:"emergency_scans"` // ENOSPC-triggered reclamations
+	EpochsReclaimed int64   `json:"epochs_reclaimed"`
+	BytesReclaimed  int64   `json:"bytes_reclaimed"`
+	RetainedEpochs  int     `json:"retained_epochs"` // manifests left on the device at the end
+	MaxUsage        float64 `json:"max_usage"`       // worst usage fraction observed at a barrier
+	FinalUsage      float64 `json:"final_usage"`
+	Injected        int64   `json:"-"` // device faults injected
 
-	VirtualTime time.Duration
-	CkptPerVSec float64 // admitted epochs per virtual second
+	VirtualTime time.Duration `json:"-"`
+	CkptPerVSec float64       `json:"ckpt_per_vsec"` // admitted epochs per virtual second
 }
 
 // spaceOutcome carries the live machine out of a run for verification.
@@ -99,10 +99,11 @@ func runSpace(cfg SpaceConfig, capacity int64) (*spaceOutcome, error) {
 			Capacity:       capacity,
 			Checkpoints:    cfg.Checkpoints,
 		},
-		n:         newNode("space", storage.FaultConfig{Seed: cfg.Seed, WriteErr: cfg.WriteErr}, capacity),
 		barrierAt: make(map[uint64]int),
 	}
+	out.n = out.own(newNode("space", storage.FaultConfig{Seed: cfg.Seed, WriteErr: cfg.WriteErr}, capacity))
 	if err := out.run(cfg); err != nil {
+		out.close()
 		if errors.Is(err, storage.ErrOutOfSpace) || errors.Is(err, objstore.ErrStoreFull) {
 			err = fmt.Errorf("ErrOutOfSpace surfaced to a caller: %w", err)
 		}
@@ -224,10 +225,11 @@ func (out *spaceOutcome) verifyEpoch(epoch uint64, control *spaceOutcome) error 
 func spaceControl(cfg SpaceConfig) (*spaceOutcome, error) {
 	cfg.CapacityEpochs = 0
 	control, err := runSpace(cfg, 0)
-	if err == nil {
-		err = control.verifyAgainstControl(nil)
-	}
 	if err != nil {
+		return nil, err
+	}
+	if err := control.verifyAgainstControl(nil); err != nil {
+		control.close()
 		return nil, err
 	}
 	return control, nil
@@ -244,6 +246,7 @@ func spacePressured(cfg SpaceConfig, control *spaceOutcome) (*SpaceReport, error
 	if err != nil {
 		return nil, err
 	}
+	defer out.close()
 	return out.rep, out.verifyAgainstControl(control)
 }
 
@@ -257,6 +260,7 @@ func SpaceRun(cfg SpaceConfig) (*SpaceReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer control.close()
 	if cfg.CapacityEpochs <= 0 {
 		return control.rep, nil
 	}
@@ -281,6 +285,7 @@ func SpaceSweep(ckpts int, capacities []int, seed int64) ([]*SpaceReport, error)
 	if err != nil {
 		return nil, err
 	}
+	defer control.close()
 	reports := make([]*SpaceReport, 0, len(capacities))
 	for _, c := range capacities {
 		rep := control.rep

@@ -9,32 +9,21 @@ package core_test
 // surviving lineage bit-identical and both fencing invariants intact.
 // The engine lives in internal/bench (AutoscaleChaosRun); this binds
 // it to the seeds and fault rates `make scalecheck` pins. Scale is
-// environment-gated: plain `go test` runs a smoke-sized ramp,
-// scalecheck sets AURORA_SCALE_GROUPS=48 (which forces the fleet all
-// the way to its 6-store ceiling: 2→6→2).
+// environment-gated: plain `go test` ramps to 24 lineages, scalecheck
+// sets AURORA_SCALE=full for 48 (which forces the fleet all the way to
+// its 6-store ceiling: 2→6→2).
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 
 	"aurora/internal/bench"
+	"aurora/internal/core"
 )
-
-// autoscaleGroupTotal returns each cell's peak arrival count.
-func autoscaleGroupTotal() int {
-	if s := os.Getenv("AURORA_SCALE_GROUPS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 24
-}
 
 func runAutoscaleChaos(t *testing.T, seed int64) {
 	rates := []float64{0, 0.01, 0.05}
-	groups := autoscaleGroupTotal()
+	groups := core.Scale(24, 48)
 	if testing.Short() {
 		rates = []float64{0.01}
 		groups = 16

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"os"
-	"strconv"
 	"testing"
 
 	"aurora/internal/kernel"
@@ -23,19 +22,23 @@ import (
 // memory budget, with a fault-injecting primary device underneath.
 //
 // Scale is environment-gated: plain `go test` runs a smoke-sized
-// fleet so tier-1 stays fast; `make fleetcheck` sets
-// AURORA_FLEET_GROUPS=10000 and replays seeds 1/7/42 under the race
-// detector.
+// fleet so tier-1 stays fast; `make fleetcheck` sets AURORA_SCALE=full
+// and replays seeds 1/7/42 at 10,000 groups under the race detector.
 
-// fleetGroupTotal returns the number of groups each seed drives.
-func fleetGroupTotal() int {
-	if s := os.Getenv("AURORA_FLEET_GROUPS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
+// Scale picks a scale harness's size: smoke under plain `go test`, full
+// when AURORA_SCALE=full — the one switch the fleet, placement and
+// autoscale gates (`make fleetcheck`, `placecheck`, `scalecheck`) set.
+// Exported from a test file so the external core_test harnesses share
+// it.
+func Scale(smoke, full int) int {
+	if os.Getenv("AURORA_SCALE") == "full" {
+		return full
 	}
-	return 256
+	return smoke
 }
+
+// fleetGroupTotal is the number of groups each seed drives.
+func fleetGroupTotal() int { return Scale(256, 10_000) }
 
 // fleetSeedPages is the patterned working set written to every group
 // beyond the counter page, so images span several blocks.

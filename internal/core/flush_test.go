@@ -259,13 +259,12 @@ func TestFlushOverlapsAtQueueDepth(t *testing.T) {
 // the order of every manifest's records and the device offset of every
 // page of every record — through the pipeline, history trimming and
 // block reuse included. Nothing follows a map iteration: the same run
-// twice in one process places everything the same. (Object IDs are
-// process-global counters, so the second run's VM objects carry other
-// IDs in the same order; records are compared position by position.)
+// twice in one process places everything the same, under the same
+// object IDs (each machine mints its own).
 func TestFlushPlacementIsSeedDetermined(t *testing.T) {
 	type placed struct {
-		vmObject bool
-		pages    map[int64]int64 // page index → device offset
+		oid   uint64
+		pages map[int64]int64 // page index → device offset
 	}
 	run := func() [][]placed {
 		r := newRig(t)
@@ -302,7 +301,7 @@ func TestFlushPlacementIsSeedDetermined(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pl := placed{vmObject: key.OID&vmBit != 0, pages: make(map[int64]int64, len(rec.Pages))}
+				pl := placed{oid: key.OID, pages: make(map[int64]int64, len(rec.Pages))}
 				for idx, ref := range rec.Pages {
 					pl.pages[idx] = ref.Off
 				}
@@ -324,8 +323,9 @@ func TestFlushPlacementIsSeedDetermined(t *testing.T) {
 			}
 			for i, want := range first[e] {
 				got := again[e][i]
-				if got.vmObject != want.vmObject || !maps.Equal(got.pages, want.pages) {
-					t.Fatalf("run %d: manifest %d record %d placed differently: %d pages, first run %d", n, e, i, len(got.pages), len(want.pages))
+				if got.oid != want.oid || !maps.Equal(got.pages, want.pages) {
+					t.Fatalf("run %d: manifest %d record %d (object %#x) placed differently: object %#x, %d pages, first run %d",
+						n, e, i, want.oid, got.oid, len(got.pages), len(want.pages))
 				}
 			}
 		}

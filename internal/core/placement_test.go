@@ -6,32 +6,21 @@ package core_test
 // the fleet invariants intact, then a full drain of one survivor. The
 // engine lives in internal/bench (PlacementChaosRun); this binds it to
 // the seeds and fault rates `make placecheck` pins. Scale is
-// environment-gated like the fleet harness: plain `go test` runs a
-// smoke-sized fleet, placecheck sets AURORA_PLACE_GROUPS=256.
+// environment-gated like the fleet harness: plain `go test` places 48
+// lineages per cell, placecheck sets AURORA_SCALE=full for 256.
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
 	"aurora/internal/bench"
+	"aurora/internal/core"
 )
-
-// placementGroupTotal returns the number of lineages each cell places.
-func placementGroupTotal() int {
-	if s := os.Getenv("AURORA_PLACE_GROUPS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 48
-}
 
 func runPlacementChaos(t *testing.T, seed int64) {
 	rates := []float64{0, 0.01, 0.05}
-	groups := placementGroupTotal()
+	groups := core.Scale(48, 256)
 	if testing.Short() {
 		rates = []float64{0.01}
 		groups = 12

@@ -57,7 +57,7 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 	imagePages := int64(0)
 	for _, oldID := range img.ObjectIDs() {
 		newest := img.resolveMem(oldID)
-		obj := vm.NewObject(newest.Name, newest.Size)
+		obj := o.K.Mem.NewObject(newest.Name, newest.Size)
 		obj.SetTracked(true)
 		objMap[oldID] = obj
 	}

@@ -27,7 +27,7 @@ func TestRestoreProcessRebuildSkeleton(t *testing.T) {
 		if o, ok := objs[id]; ok {
 			return o
 		}
-		o := vm.NewObject("sub", 1<<20)
+		o := k2.Mem.NewObject("sub", 1<<20)
 		objs[id] = o
 		return o
 	}
@@ -73,7 +73,7 @@ func TestRestoreProcessPIDCollision(t *testing.T) {
 	pi, _ := DecodeProcess(e.Bytes())
 	// Restoring into the same kernel: pid 1 is taken, the clone gets a
 	// fresh pid.
-	p, err := k.RestoreProcess(pi, func(uint64) *vm.Object { return vm.NewObject("sub", 1<<20) })
+	p, err := k.RestoreProcess(pi, func(uint64) *vm.Object { return k.Mem.NewObject("sub", 1<<20) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func (k *Kernel) ShmGet(key int, size int64) (*SysVShm, error) {
 		oid:  k.nextOIDLocked(),
 		Key:  key,
 		Size: size,
-		Obj:  vm.NewObject(shmName(key), size),
+		Obj:  k.Mem.NewObject(shmName(key), size),
 	}
 	k.shm[key] = s
 	k.objects[s.oid] = s

@@ -37,8 +37,8 @@ func TestProtectUnknownMapping(t *testing.T) {
 
 func TestMapExplicitOffsetWindow(t *testing.T) {
 	// Two mappings exposing different windows of one object.
-	as, _, _ := testSpace(t)
-	obj := NewObject("file", 4*PageSize)
+	as, pm, _ := testSpace(t)
+	obj := pm.NewObject("file", 4*PageSize)
 	w0, err := as.Map(0x1000_0000, 2*PageSize, ProtRead|ProtWrite, obj, 0, true, "w0")
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestObjectRefcountReleaseAll(t *testing.T) {
 	meter := NewMeter(storage.NewClock())
 	as1 := NewAddressSpace(pm, meter)
 	as2 := NewAddressSpace(pm, meter)
-	obj := NewObject("shared", 4*PageSize)
+	obj := pm.NewObject("shared", 4*PageSize)
 	m1, _ := as1.Map(0x1000_0000, 4*PageSize, ProtRead|ProtWrite, obj, 0, true, "a")
 	as2.Map(0x1000_0000, 4*PageSize, ProtRead|ProtWrite, obj, 0, true, "b")
 	obj.Deref() // drop the construction reference
@@ -122,7 +122,7 @@ func TestForkChainDepth(t *testing.T) {
 }
 
 func TestSwapFaultErrorMessage(t *testing.T) {
-	sf := &SwapFault{Obj: NewObject("x", PageSize), Page: 3, Slot: 7}
+	sf := &SwapFault{Obj: NewPhysMem(0).NewObject("x", PageSize), Page: 3, Slot: 7}
 	if sf.Error() == "" {
 		t.Fatal("empty error")
 	}
@@ -198,7 +198,7 @@ func TestUnprotectAbortsCheckpointTracking(t *testing.T) {
 
 func TestInstallSharedPageReplacesResident(t *testing.T) {
 	pm := NewPhysMem(0)
-	obj := NewObject("x", PageSize)
+	obj := pm.NewObject("x", PageSize)
 	old, _, _ := obj.EnsurePage(pm, 0, nil)
 	copy(old.Data, []byte("old"))
 	img, _ := pm.Alloc()
@@ -228,7 +228,7 @@ func TestMeterNilSafety(t *testing.T) {
 }
 
 func TestGrowNeverShrinks(t *testing.T) {
-	o := NewObject("x", 4*PageSize)
+	o := NewPhysMem(0).NewObject("x", 4*PageSize)
 	o.Grow(2 * PageSize)
 	if o.Size() != 4*PageSize {
 		t.Fatalf("Grow shrank the object to %d", o.Size())

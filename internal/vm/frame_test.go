@@ -142,7 +142,7 @@ func TestProtectObjectByCapturedSet(t *testing.T) {
 	pm := NewPhysMem(0)
 	meter := NewMeter(nil)
 	as := NewAddressSpace(pm, meter)
-	obj := NewObject("shared", 64*PageSize)
+	obj := pm.NewObject("shared", 64*PageSize)
 	// Two windows onto the same object: pages 8.. and pages 0..
 	hi, err := as.Map(0, 32*PageSize, ProtRead|ProtWrite, obj, 8*PageSize, true, "hi")
 	if err != nil {
@@ -202,7 +202,7 @@ func TestHeatSnapshot(t *testing.T) {
 	if m.Obj.Heat(40) != 3 || m.Obj.Heat(41) != 0 || m.Obj.Heat(1<<40) != 0 {
 		t.Fatal("Object.Heat disagrees with the snapshot")
 	}
-	if idle := begin(NewObject("idle", PageSize), 1, true); idle.Heat != nil {
+	if idle := begin(pm.NewObject("idle", PageSize), 1, true); idle.Heat != nil {
 		t.Fatalf("untouched object has heat %v", idle.Heat)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 )
 
-var objectIDs atomic.Uint64
-
 // Object is a Mach-style VM object: a container of pages backing one
 // or more mappings. Anonymous memory, shared memory segments, and
 // file caches are all Objects. Objects form shadow chains for
@@ -56,10 +54,11 @@ type PageHeat struct {
 	Count uint32
 }
 
-// NewObject creates an anonymous VM object of the given size in bytes.
-func NewObject(name string, size int64) *Object {
+// NewObject creates an anonymous VM object of the given size in bytes,
+// with the next object ID of pm's machine.
+func (pm *PhysMem) NewObject(name string, size int64) *Object {
 	return &Object{
-		ID:        objectIDs.Add(1),
+		ID:        pm.objectIDs.Add(1),
 		Name:      name,
 		Anon:      true,
 		size:      size,
@@ -106,8 +105,8 @@ func (o *Object) Shadow() *Object {
 // NewShadow creates a shadow object on top of o, as fork does for
 // private mappings: the child object starts empty and falls through to
 // o on lookup; writes populate the child (fork-style private COW).
-func (o *Object) NewShadow() *Object {
-	s := NewObject(o.Name+"+shadow", o.Size())
+func (o *Object) NewShadow(pm *PhysMem) *Object {
+	s := pm.NewObject(o.Name+"+shadow", o.Size())
 	s.Anon = o.Anon
 	o.Ref()
 	s.shadow = o

@@ -20,7 +20,7 @@ func TestRecoveryBoundedSwapInRetry(t *testing.T) {
 	swap := NewSwap(fd)
 	pager := NewPager(pm, swap, nil)
 
-	obj := NewObject("victim", 4*PageSize)
+	obj := pm.NewObject("victim", 4*PageSize)
 	f, err := pm.Alloc()
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestRecoverySwapInRetryBudgetConfigurable(t *testing.T) {
 	pager := NewPager(pm, swap, nil)
 	pager.SwapInRetries = 1 // 2 attempts total
 
-	obj := NewObject("victim", PageSize)
+	obj := pm.NewObject("victim", PageSize)
 	f, err := pm.Alloc()
 	if err != nil {
 		t.Fatal(err)

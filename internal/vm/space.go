@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
-
-var spaceIDs atomic.Uint64
 
 // Mapping is one entry of an address space: a virtual address range
 // backed by a window into a VM object.
@@ -85,10 +82,11 @@ type AddressSpace struct {
 	meter *Meter
 }
 
-// NewAddressSpace creates an empty address space.
+// NewAddressSpace creates an empty address space, with the next
+// address-space ID of pm's machine.
 func NewAddressSpace(pm *PhysMem, meter *Meter) *AddressSpace {
 	return &AddressSpace{
-		ID:    spaceIDs.Add(1),
+		ID:    pm.spaceIDs.Add(1),
 		pt:    make(map[Addr]pte),
 		pm:    pm,
 		meter: meter,
@@ -141,7 +139,7 @@ func (as *AddressSpace) MapAnon(length int64, prot Prot, shared bool, name strin
 // (0 = pick a free range). The mapping holds the object's only
 // reference, so unmapping it returns the object's frames.
 func (as *AddressSpace) MapAnonAt(start Addr, length int64, prot Prot, shared bool, name string) (*Mapping, error) {
-	obj := NewObject(name, RoundUpPage(length))
+	obj := as.pm.NewObject(name, RoundUpPage(length))
 	m, err := as.Map(start, length, prot, obj, 0, shared, name)
 	// Map took its own reference; drop the construction reference.
 	obj.Deref()
@@ -505,11 +503,11 @@ func (as *AddressSpace) Fork() *AddressSpace {
 			obj = m.Obj
 			obj.Ref()
 		} else {
-			obj = m.Obj.NewShadow()
+			obj = m.Obj.NewShadow(as.pm)
 			// The parent must also COW against the snapshot: replace
 			// the parent's object with its own fresh shadow so both
 			// sides see the pre-fork data and copy up on write.
-			parentShadow := m.Obj.NewShadow()
+			parentShadow := m.Obj.NewShadow(as.pm)
 			if m.Obj.Deref() {
 				// unreachable: the two shadows hold references
 				m.Obj.ReleaseAll(as.pm)

@@ -95,12 +95,17 @@ func (f *Frame) Refs() int32 { return atomic.LoadInt32(&f.refs) }
 // pageout daemon and the experiment harness can observe memory
 // pressure, and recycles freed frames through a LIFO free list (its
 // own, not a sync.Pool: which frame an allocation gets must not depend
-// on the garbage collector).
+// on the garbage collector). It also mints the machine's VM object and
+// address-space IDs: an ID's varint width lands in checkpoint metadata
+// bytes and so in virtual time, so IDs are per machine — what another
+// machine in the same process minted first must not move a run's numbers.
 type PhysMem struct {
 	maxFrames int64 // 0 = unbounded
 	allocated atomic.Int64
 	allocs    atomic.Int64
 	frees     atomic.Int64
+
+	objectIDs, spaceIDs atomic.Uint64
 
 	mu   sync.Mutex
 	free []*Frame // frames with no references, bytes stale

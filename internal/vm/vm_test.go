@@ -120,8 +120,8 @@ func TestProtection(t *testing.T) {
 }
 
 func TestMapOverlapRejected(t *testing.T) {
-	as, _, _ := testSpace(t)
-	obj := NewObject("o", 1<<20)
+	as, pm, _ := testSpace(t)
+	obj := pm.NewObject("o", 1<<20)
 	if _, err := as.Map(0x1000_0000, 1<<20, ProtRead, obj, 0, false, "a"); err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +131,8 @@ func TestMapOverlapRejected(t *testing.T) {
 }
 
 func TestMapBadArgs(t *testing.T) {
-	as, _, _ := testSpace(t)
-	obj := NewObject("o", PageSize)
+	as, pm, _ := testSpace(t)
+	obj := pm.NewObject("o", PageSize)
 	if _, err := as.Map(0x1001, PageSize, ProtRead, obj, 0, false, "x"); err != ErrBadRange {
 		t.Fatalf("unaligned start err = %v", err)
 	}
@@ -179,7 +179,7 @@ func TestAuroraCowPreservesSharing(t *testing.T) {
 	as1 := NewAddressSpace(pm, meter)
 	as2 := NewAddressSpace(pm, meter)
 
-	obj := NewObject("shm", 4*PageSize)
+	obj := pm.NewObject("shm", 4*PageSize)
 	m1, err := as1.Map(0x1000_0000, 4*PageSize, ProtRead|ProtWrite, obj, 0, true, "shm")
 	if err != nil {
 		t.Fatal(err)
@@ -347,14 +347,14 @@ func TestBarrierPTECost(t *testing.T) {
 
 func TestShadowChainLookup(t *testing.T) {
 	pm := NewPhysMem(0)
-	base := NewObject("base", 2*PageSize)
+	base := pm.NewObject("base", 2*PageSize)
 	f, _, err := base.EnsurePage(pm, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	copy(f.Data, []byte("base page"))
 
-	top := base.NewShadow()
+	top := base.NewShadow(pm)
 	got, owner := top.Lookup(0)
 	if got == nil || owner != base {
 		t.Fatal("shadow lookup should fall through to base")
