@@ -54,12 +54,12 @@ fuzzcheck:
 	done
 
 ## loc: the non-test line counts ROADMAP tracks (north-star 2), by the
-## definition ROADMAP uses, those of the two layers under core's data
+## definition ROADMAP uses, those of the three layers under core's data
 ## path, and the control plane ROADMAP item 5 tracks, per file and in
 ## all.
 CONTROL_PLANE = placer autoscale migrate promote supervisor
 loc:
-	@for d in core netback bench objstore storage; do \
+	@for d in core netback bench objstore storage vm; do \
 		printf 'internal/%s %s\n' $$d $$(ls internal/$$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 	@for f in $(CONTROL_PLANE); do \
@@ -200,18 +200,19 @@ bench:
 perf:
 	bash benchmark/run.sh
 
-## microbench: the per-layer microbenchmarks of the checkpoint, flush
-## and restore data paths, where the code lives — COW fault, barrier and
-## protect in internal/vm, put and drop (merge-forward) in
-## internal/objstore, one epoch's StoreBackend.Flush and lazy restore +
-## 64 demand faults + teardown in internal/core — on a resident × dirty
+## microbench: the per-layer microbenchmarks of the checkpoint, flush,
+## replication and restore data paths, where the code lives — COW fault,
+## barrier and protect in internal/vm, put and drop (merge-forward) in
+## internal/objstore, one epoch's StoreBackend.Flush, its replica encode
+## and lazy restore + 64 demand faults + teardown in internal/core, one
+## compact delta's receive in internal/netback — on a resident × dirty
 ## grid, at a fixed iteration count. Not gated; the before/after tables
-## are in EXPERIMENTS.md "Checkpoint data path", "Flush data path" and
-## "Restore data path".
+## are in EXPERIMENTS.md "Checkpoint data path", "Flush data path",
+## "Restore data path" and "Sub-page deltas".
 microbench:
 	$(GO) test -run '^$$' -benchtime=200x -benchmem \
-		-bench 'BenchmarkCowFault|BenchmarkBeginCheckpoint|BenchmarkProtectObject|BenchmarkDropEpoch|BenchmarkPutRecord|BenchmarkStoreFlush|BenchmarkLazyRestore' \
-		./internal/vm/ ./internal/objstore/ ./internal/core/
+		-bench 'BenchmarkCowFault|BenchmarkBeginCheckpoint|BenchmarkProtectObject|BenchmarkDropEpoch|BenchmarkPutRecord|BenchmarkStoreFlush|BenchmarkLazyRestore|BenchmarkEncodeDeltaCompact|BenchmarkReceiverCompactDelta' \
+		./internal/vm/ ./internal/objstore/ ./internal/core/ ./internal/netback/
 
 ## benchcheck: the scoreboard's own smoke test, race-enabled. benchmark/
 ## is a module of its own, so `go test ./...` does not reach it.

@@ -642,25 +642,28 @@ func (s *session) exec(line string) bool {
 		}
 		// HASHED/REFS/BLOCKS are the receiver's block-index counters:
 		// pages hashed on arrival, hash refs resolved without a copy,
-		// distinct page contents held.
-		s.printf("%-14s %-10s %-8s %-8s %-11s %-7s %-8s %-8s %s\n",
-			"REPLICA", "STATE", "ACKED", "PENDING", "PARTITIONS", "CONTIG", "HASHED", "REFS", "BLOCKS")
+		// distinct page contents held. LINES is pages the sender shipped
+		// as their written lines / pages the receiver rebuilt from them.
+		s.printf("%-14s %-10s %-8s %-8s %-11s %-7s %-8s %-8s %-8s %s\n",
+			"REPLICA", "STATE", "ACKED", "PENDING", "PARTITIONS", "CONTIG", "HASHED", "REFS", "BLOCKS", "LINES")
 		for _, l := range links {
 			state, pending := "?", 0
 			if info, ok := health[l.Name]; ok {
 				state = info.State.String()
 				pending = info.Pending
 			}
-			contig, hashed, refs, blocks := "-", "-", "-", "-"
+			contig, hashed, refs, blocks, patched := "-", "-", "-", "-", "-"
 			if l.Recv != nil {
 				contig = strconv.FormatUint(l.Recv.ContiguousEpoch(g.ID), 10)
 				bs := l.Recv.BlockStats()
 				hashed = strconv.FormatInt(bs.Hashed, 10)
 				refs = strconv.FormatInt(bs.Resolved, 10)
 				blocks = strconv.Itoa(bs.Entries)
+				patched = strconv.FormatInt(bs.Patched, 10)
 			}
-			s.printf("%-14s %-10s %-8d %-8d %-11d %-7s %-8s %-8s %s\n",
-				l.Name, state, l.RB.AckedFloor(g.ID), pending, l.RB.Partitions(), contig, hashed, refs, blocks)
+			s.printf("%-14s %-10s %-8d %-8d %-11d %-7s %-8s %-8s %-8s %d/%s\n",
+				l.Name, state, l.RB.AckedFloor(g.ID), pending, l.RB.Partitions(), contig, hashed, refs, blocks,
+				l.RB.LinesSent(), patched)
 		}
 		s.printf("quorum floor %d (W=%d of %d links)\n", rs.QuorumFloor(g.ID), rs.W(), len(links))
 

@@ -453,7 +453,7 @@ func TestCLIQuorumAndReplicas(t *testing.T) {
 	got := runScript(t,
 		"boot counter; run 8; persist 1 app; attach app nvme; "+
 			"replica app r0; replica app r1; replica app r2; quorum app 2; "+
-			"run 4; checkpoint app; sync app; ps; replicas app")
+			"run 4; checkpoint app; sync app; run 4; checkpoint app; sync app; ps; replicas app")
 	for _, want := range []string{
 		"replica r0 linked to group 1 (1 in set, 0 epochs backfilled)",
 		"replica r2 linked to group 1 (3 in set, 0 epochs backfilled)",
@@ -461,10 +461,13 @@ func TestCLIQuorumAndReplicas(t *testing.T) {
 		"QUORUM",
 		"4/2:4", // all four non-ephemeral backends ack-complete, W=2
 		"REPLICA",
-		"r1             healthy    1",
-		"HASHED   REFS     BLOCKS",
-		"1       1        0        1\n", // r*: contiguous through 1; one page hashed, no ref, one block
-		"quorum floor 1 (W=2 of 3 links)",
+		"r1             healthy    2",
+		"HASHED   REFS     BLOCKS   LINES",
+		// r*: contiguous through 2; the full epoch's page hashed, epoch 2's
+		// counter byte sent as its line and rebuilt (hashed too), no ref,
+		// two blocks.
+		"2       2        0        2        1/1\n",
+		"quorum floor 2 (W=2 of 3 links)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("output missing %q:\n%s", want, got)

@@ -73,6 +73,10 @@ func (e *Encoder) Bytes2(p []byte) {
 	e.buf = append(e.buf, p...)
 }
 
+// Raw appends p with no length prefix: pieces written after one U64 of
+// their total length read back as one byte slice (View2).
+func (e *Encoder) Raw(p []byte) { e.buf = append(e.buf, p...) }
+
 // Str appends a length-prefixed string.
 func (e *Encoder) Str(s string) { e.Bytes2([]byte(s)) }
 
@@ -123,6 +127,9 @@ func (s *Sizer) Bytes2(p []byte) {
 	s.U64(uint64(len(p)))
 	s.n += len(p)
 }
+
+// Raw measures bytes with no length prefix.
+func (s *Sizer) Raw(p []byte) { s.n += len(p) }
 
 // Str measures a length-prefixed string.
 func (s *Sizer) Str(str string) {

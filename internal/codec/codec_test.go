@@ -114,6 +114,9 @@ func TestQuickMixedRoundTrip(t *testing.T) {
 		e.I64(b)
 		e.Str(s)
 		e.Bytes2(p)
+		e.U64(uint64(2 * len(p))) // two raw pieces read back as one slice
+		e.Raw(p)
+		e.Raw(p)
 		e.StrSlice(ss)
 		e.U64Slice(us)
 
@@ -123,6 +126,9 @@ func TestQuickMixedRoundTrip(t *testing.T) {
 		sz.I64(b)
 		sz.Str(s)
 		sz.Bytes2(p)
+		sz.U64(uint64(2 * len(p)))
+		sz.Raw(p)
+		sz.Raw(p)
 		sz.U64Slice(us)
 		if sz.Len() != e.Len()-strSliceLen(ss) {
 			return false
@@ -132,7 +138,7 @@ func TestQuickMixedRoundTrip(t *testing.T) {
 		if d.U64() != a || d.Bool() != flag || d.I64() != b || d.Str() != s {
 			return false
 		}
-		if !bytes.Equal(d.Bytes2(), p) {
+		if !bytes.Equal(d.Bytes2(), p) || !bytes.Equal(d.View2(), append(append([]byte(nil), p...), p...)) {
 			return false
 		}
 		gs := d.StrSlice()

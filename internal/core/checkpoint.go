@@ -136,6 +136,7 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 			Size:  to.obj.Size(),
 			Pages: cs.Pages,
 			Heat:  cs.Heat,
+			Lines: cs.Lines,
 		}
 		// Pages evicted to swap since the last checkpoint are
 		// incorporated directly from the swap area.

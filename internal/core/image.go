@@ -9,6 +9,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -51,6 +52,12 @@ type MemImage struct {
 	// Heat is the access-count snapshot driving restore prefetch: the
 	// non-zero counters in ascending page order.
 	Heat []vm.PageHeat
+	// Lines is the object's dirty set at the barrier (vm's
+	// CheckpointSet.Lines): the 64-byte lines in which each captured
+	// frame differs from the object's page at the previous epoch. Only
+	// an incremental image's replica encode reads it; images that did
+	// not come from a barrier have none.
+	Lines map[int64]uint64
 }
 
 // PageCount returns the total captured page count.
@@ -100,10 +107,12 @@ type Image struct {
 	sources  []*lazyPageSource // demand-paging sources created by restore
 
 	// The PageHashes memo: hashOnce guards pages; hashed is how many of
-	// them were hashed here and not supplied by the wire.
+	// them were hashed here and not supplied by the wire, patched how
+	// many of those a compact delta's decoder rebuilt from line entries.
 	hashOnce sync.Once
 	pages    []PageHash
 	hashed   atomic.Int64
+	patched  int64
 }
 
 // AddBlockPeer registers a peer block provider (another store, a
@@ -173,7 +182,7 @@ func (img *Image) Release(pm *vm.PhysMem) {
 		for _, f := range mi.Pages {
 			pm.Free(f)
 		}
-		mi.Pages = nil
+		mi.Pages, mi.Lines = nil, nil
 	}
 }
 
@@ -235,6 +244,30 @@ func (img *Image) ResolveObject(objID uint64) map[int64][]byte {
 		}
 	}
 	return out
+}
+
+// ResolvePage finds one page of an object at this image: the newest
+// bytes captured for it along the chain, or nil when the chain holds
+// none (or reaches a released image before it finds them).
+func (img *Image) ResolvePage(objID uint64, idx int64) []byte {
+	for cur := img; cur != nil; {
+		cur.mu.Lock()
+		released, prev := cur.released, cur.Prev
+		cur.mu.Unlock()
+		if released {
+			return nil
+		}
+		if mi, ok := cur.Memory[objID]; ok {
+			if data := mi.PageData(idx); data != nil {
+				return data
+			}
+		}
+		if cur.Full {
+			return nil
+		}
+		cur = prev
+	}
+	return nil
 }
 
 // ResolveMeta finds the newest metadata record for an OID along the
@@ -481,22 +514,28 @@ func (img *Image) hashRun(span []PageHash) {
 // recomputed.
 func (img *Image) PagesHashed() int64 { return img.hashed.Load() }
 
+// PagesPatched reports how many of the pages behind PagesHashed arrived
+// as line entries, rebuilt from the receiver's previous epoch.
+func (img *Image) PagesPatched() int64 { return img.patched }
+
 // EncodeDelta serializes only this image's own records (not the
 // chain): the unit of continuous replication. The receiver links
 // deltas onto its copy of the chain. Objects and pages are written in
 // ascending (ObjID, page index), so encoding an image twice gives the
 // same bytes.
 func (img *Image) EncodeDelta() []byte {
-	return img.encodeDelta(img.pageOrder(), false, nil)
+	return img.encodeDelta(img.pageOrder(), nil)
 }
 
-// Compact-delta page tags: a page entry in a compact delta carries
-// either the literal bytes or just the content hash of bytes the
-// receiver is believed to already hold (the dedup idea applied to the
-// wire — "send log records instead of disk pages").
+// Compact-delta page tags: a page entry in a compact delta carries the
+// literal bytes, just the content hash of bytes the receiver is
+// believed to hold already (the dedup idea applied to the wire), or the
+// lines in which the page differs from the one the receiver holds at
+// the previous epoch ("send log records instead of disk pages").
 const (
 	deltaPageLiteral byte = 0 // payload is the page bytes
 	deltaPageRef     byte = 1 // payload is the 32-byte content hash
+	deltaPageLines   byte = 2 // payload is the line mask, the masked lines' bytes, the 32-byte content hash
 )
 
 // EncodeDeltaCompact serializes one replication delta like EncodeDelta
@@ -508,18 +547,47 @@ const (
 // optimization, never a correctness input: a receiver missing a
 // referenced block answers with a resend request for the full delta.
 func (img *Image) EncodeDeltaCompact(skip func(objstore.Hash) bool) (payload []byte, pages []PageHash, skipped int) {
+	payload, pages, skipped, _ = img.EncodeDeltaLink(skip, 0)
+	return payload, pages, skipped
+}
+
+// EncodeDeltaLink is EncodeDeltaCompact for one replica link, given the
+// last epoch its receiver holds contiguously (0: none). When that is
+// the epoch before this incremental image, a captured frame written in
+// some but not all of its lines since the previous barrier, and not
+// skipped as a ref, goes as a line entry: this page at the previous
+// epoch with these lines replaced, and the content hash of the result.
+// lined counts those pages. The receiver rebuilds each from its own copy
+// of the previous epoch and checks it against the hash; a base it lacks
+// or a result that does not match draws the same resend request as a
+// missing ref, so neither the line masks nor the sender's idea of what
+// the receiver holds is ever a correctness input.
+func (img *Image) EncodeDeltaLink(skip func(objstore.Hash) bool, acked uint64) (payload []byte, pages []PageHash, skipped, lined int) {
 	pages = img.PageHashes()
-	var refs []bool
-	if skip != nil {
-		refs = make([]bool, len(pages))
-		for i := range pages {
-			if skip(pages[i].Hash) {
-				refs[i] = true
-				skipped++
-			}
+	tags := make([]byte, len(pages))
+	lines := !img.Full && acked != 0 && acked+1 == img.Epoch
+	for i, p := range pages {
+		switch {
+		case skip != nil && skip(p.Hash):
+			tags[i] = deltaPageRef
+			skipped++
+		case lines && img.Memory[p.ObjID].partlyWritten(p.Idx):
+			tags[i] = deltaPageLines
+			lined++
 		}
 	}
-	return img.encodeDelta(pages, true, refs), pages, skipped
+	return img.encodeDelta(pages, tags), pages, skipped, lined
+}
+
+// partlyWritten reports whether page idx is a captured frame that
+// differs from the object's page at the previous barrier in some lines
+// but not all.
+func (mi *MemImage) partlyWritten(idx int64) bool {
+	if _, ok := mi.Pages[idx]; !ok {
+		return false
+	}
+	mask, ok := mi.Lines[idx]
+	return ok && mask != vm.AllLines
 }
 
 // deltaSink is what the delta layout is written to: a codec.Sizer to
@@ -531,14 +599,16 @@ type deltaSink interface {
 	U8(uint8)
 	Bool(bool)
 	Bytes2([]byte)
+	Raw([]byte)
 	Str(string)
 	U64Slice([]uint64)
 }
 
 // encodeDelta writes the delta wire format into a buffer of exactly
-// its size. pages is the image's pages in wire order; tagged selects
-// the compact layout, in which page i goes as a hash ref when refs[i].
-func (img *Image) encodeDelta(pages []PageHash, tagged bool, refs []bool) []byte {
+// its size. pages is the image's pages in wire order; tags selects the
+// compact layout, in which page i goes as the entry tags[i] names, and
+// nil the plain one, every page its bytes.
+func (img *Image) encodeDelta(pages []PageHash, tags []byte) []byte {
 	ids := img.objectOrder()
 
 	write := func(w deltaSink) {
@@ -566,16 +636,28 @@ func (img *Image) encodeDelta(pages []PageHash, tagged bool, refs []bool) []byte
 			}
 			w.U64(uint64(end - next))
 			for ; next < end; next++ {
-				w.I64(pages[next].Idx)
-				if refs != nil && refs[next] {
-					w.U8(deltaPageRef)
-					w.Bytes2(pages[next].Hash[:])
+				p := &pages[next]
+				w.I64(p.Idx)
+				if tags == nil {
+					w.Bytes2(mi.PageData(p.Idx))
 					continue
 				}
-				if tagged {
-					w.U8(deltaPageLiteral)
+				w.U8(tags[next])
+				switch tags[next] {
+				case deltaPageRef:
+					w.Bytes2(p.Hash[:])
+				case deltaPageLines:
+					mask, data := mi.Lines[p.Idx], mi.Pages[p.Idx].Data
+					w.U64(mask)
+					w.U64(uint64(bits.OnesCount64(mask)) << vm.LineShift)
+					for m := mask; m != 0; m &= m - 1 {
+						off := bits.TrailingZeros64(m) << vm.LineShift
+						w.Raw(data[off : off+vm.LineSize])
+					}
+					w.Bytes2(p.Hash[:])
+				default:
+					w.Bytes2(mi.PageData(p.Idx))
 				}
-				w.Bytes2(mi.PageData(pages[next].Idx))
 			}
 			w.U64(uint64(len(mi.Heat)))
 			for _, h := range mi.Heat {
@@ -680,13 +762,21 @@ func DecodeDelta(payload []byte, pm *vm.PhysMem) (*Image, error) {
 // pages are copied into fresh frames and hashed as they arrive; a hash
 // ref is handed to `resolve` (the receiver's block index, typically
 // backed by its chains and local object store), which returns a frame
-// holding those bytes with one reference taken for the image. Either
-// way the page's hash is now known, so the image comes back with its
-// PageHashes filled in and no holder need hash it again. Refs that
-// fail to resolve are collected in missing; when missing is non-empty
-// the image is incomplete — the caller must Release it and request a
-// full resend — but Group/Epoch are valid for addressing the request.
-func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Hash) (*vm.Frame, bool)) (img *Image, missing []objstore.Hash, err error) {
+// holding those bytes with one reference taken for the image; a line
+// entry's page is rebuilt in a fresh frame from `base` — which copies
+// the page as the receiver holds it at a given epoch of a group into
+// dst and reports whether it does — at the epoch before this one, with
+// the sent lines copied over it, and hashed. Either way the page's hash
+// is now known, so the image comes back with its PageHashes filled in
+// and no holder need hash it again. Refs that fail to resolve, line
+// entries whose base is not held and rebuilt pages that do not hash to
+// the hash sent with them are collected in missing; when missing is
+// non-empty the image is incomplete — the caller must Release it and
+// request a full resend — but Group/Epoch are valid for addressing the
+// request. A line entry whose byte count is not its mask's lines, or in
+// a full image, is corrupt.
+func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Hash) (*vm.Frame, bool),
+	base func(group, epoch, objID uint64, idx int64, dst []byte) bool) (img *Image, missing []objstore.Hash, err error) {
 	d := codec.NewDecoder(payload)
 	img = &Image{
 		Group:  d.U64(),
@@ -697,7 +787,15 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 		Memory: make(map[uint64]*MemImage),
 	}
 	var pages []PageHash
-	var hashed int64
+	var hashed, patched int64
+	hash := func() (h objstore.Hash, err error) {
+		raw := d.View2()
+		if d.Err() == nil && len(raw) != len(h) {
+			err = fmt.Errorf("core: compact delta: bad hash length %d: %w", len(raw), codec.ErrCorrupt)
+		}
+		copy(h[:], raw)
+		return h, err
+	}
 	err = decodeBody(d, img, pm, "compact image delta", func(d *codec.Decoder, pm *vm.PhysMem, objID uint64, idx int64) (*vm.Frame, error) {
 		switch tag := d.U8(); tag {
 		case deltaPageLiteral:
@@ -710,15 +808,10 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 			}
 			return f, err
 		case deltaPageRef:
-			raw := d.View2()
-			if d.Err() != nil {
-				return nil, nil
+			h, err := hash()
+			if err != nil || d.Err() != nil {
+				return nil, err
 			}
-			var h objstore.Hash
-			if len(raw) != len(h) {
-				return nil, fmt.Errorf("core: compact delta: bad hash ref length %d: %w", len(raw), codec.ErrCorrupt)
-			}
-			copy(h[:], raw)
 			if resolve != nil {
 				if f, ok := resolve(h); ok {
 					pages = append(pages, PageHash{ObjID: objID, Idx: idx, Hash: h})
@@ -727,6 +820,29 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 			}
 			missing = append(missing, h)
 			return nil, nil
+		case deltaPageLines:
+			mask, lines := d.U64(), d.View2()
+			h, err := hash()
+			if err != nil || d.Err() != nil {
+				return nil, err
+			}
+			if len(lines) != bits.OnesCount64(mask)<<vm.LineShift || img.Full {
+				return nil, fmt.Errorf("core: compact delta: line entry of %d bytes for mask %#x (full=%v): %w",
+					len(lines), mask, img.Full, codec.ErrCorrupt)
+			}
+			f, err := pm.Alloc()
+			if err != nil {
+				return nil, err
+			}
+			if base == nil || !base(img.Group, img.Epoch-1, objID, idx, f.Data) || !patchLines(f.Data, mask, lines, h) {
+				pm.Free(f)
+				missing = append(missing, h)
+				return nil, nil
+			}
+			pages = append(pages, PageHash{ObjID: objID, Idx: idx, Hash: h})
+			hashed++
+			patched++
+			return f, nil
 		default:
 			return nil, fmt.Errorf("core: compact delta: bad page tag %d: %w", tag, codec.ErrCorrupt)
 		}
@@ -739,9 +855,20 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 		img.hashOnce.Do(func() {
 			img.pages = pages
 			img.hashed.Store(hashed)
+			img.patched = patched
 		})
 	}
 	return img, missing, nil
+}
+
+// patchLines copies a line entry's lines over its base page, in mask
+// order, and reports whether the result hashes to h.
+func patchLines(page []byte, mask uint64, lines []byte, h objstore.Hash) bool {
+	for m := mask; m != 0; m &= m - 1 {
+		off := bits.TrailingZeros64(m) << vm.LineShift
+		lines = lines[copy(page[off:off+vm.LineSize], lines):]
+	}
+	return PageContentHash(page) == h
 }
 
 // String summarizes the image.

@@ -193,7 +193,7 @@ func TestDeltaRoundTripPreservesPages(t *testing.T) {
 				f.Ref()
 			}
 			return f, ok
-		})
+		}, nil)
 		if err != nil || len(missing) != 0 {
 			t.Fatalf("full=%v compact delta: err=%v missing=%d", full, err, len(missing))
 		}
@@ -222,7 +222,7 @@ func TestDeltaRoundTripPreservesPages(t *testing.T) {
 		}
 
 		// An unresolvable ref is reported, not invented.
-		if _, missing, err := DecodeDeltaCompact(payload, dst, nil); err != nil || len(missing) != skipped {
+		if _, missing, err := DecodeDeltaCompact(payload, dst, nil, nil); err != nil || len(missing) != skipped {
 			t.Fatalf("full=%v without a resolver: err=%v missing=%d, want %d", full, err, len(missing), skipped)
 		}
 
@@ -291,7 +291,7 @@ func TestDecodersBoundWireCounts(t *testing.T) {
 	decoders := map[string]func([]byte, *vm.PhysMem) (*Image, error){
 		"DecodeDelta": DecodeDelta,
 		"DecodeDeltaCompact": func(p []byte, pm *vm.PhysMem) (*Image, error) {
-			img, _, err := DecodeDeltaCompact(p, pm, nil)
+			img, _, err := DecodeDeltaCompact(p, pm, nil, nil)
 			return img, err
 		},
 	}
@@ -391,16 +391,16 @@ func TestDecodersBoundWireCounts(t *testing.T) {
 		t.Errorf("DecodeImage: heat count beyond the payload: err = %v, want ErrCorrupt", err)
 	}
 
-	// A compact page tag that is neither literal nor ref.
+	// A compact page tag that is neither literal, ref nor lines.
 	pm := vm.NewPhysMem(0)
 	e = deltaHeader(0, 1)
 	e.U64(1)
 	e.I64(0)
-	e.U8(2)
+	e.U8(3)
 	e.Bytes2(page)
 	e.U64(0)
 	e.U64(0)
-	if _, _, err := DecodeDeltaCompact(e.Bytes(), pm, nil); !errors.Is(err, codec.ErrCorrupt) {
+	if _, _, err := DecodeDeltaCompact(e.Bytes(), pm, nil, nil); !errors.Is(err, codec.ErrCorrupt) {
 		t.Errorf("bad page tag: err = %v, want ErrCorrupt", err)
 	}
 	if pm.Resident() != 0 {
@@ -439,6 +439,225 @@ func fuzzSeeds(f *testing.F, compact bool) {
 			n := 0
 			p, _, _ := img.EncodeDeltaCompact(func(objstore.Hash) bool { n++; return every > 0 && n%every == 0 })
 			f.Add(p)
+		}
+	}
+	if compact {
+		for _, seed := range lineSeeds() {
+			f.Add(seed.payload)
+		}
+	}
+}
+
+// zeroBase is the previous epoch of the hand-written line entries'
+// receiver: it holds every even page of every object, all zeros, and
+// no odd page.
+func zeroBase(_, _, _ uint64, idx int64, dst []byte) bool {
+	clear(dst)
+	return idx%2 == 0
+}
+
+type lineSeed struct {
+	name    string
+	payload []byte
+}
+
+// lineSeeds are compact deltas of one line entry each over zeroBase:
+// one that rebuilds its page, one whose hash is not the rebuilt page's,
+// one whose mask names two lines and carries one, and one whose base
+// the receiver does not hold.
+func lineSeeds() []lineSeed {
+	line := bytes.Repeat([]byte{0xAB}, vm.LineSize)
+	page := make([]byte, vm.PageSize)
+	copy(page[5*vm.LineSize:], line)
+	good, zero := PageContentHash(page), PageContentHash(make([]byte, vm.PageSize))
+	entry := func(idx int64, mask uint64, h objstore.Hash) []byte {
+		e := deltaHeader(0, 1)
+		e.U64(1)
+		e.I64(idx)
+		e.U8(deltaPageLines)
+		e.U64(mask)
+		e.Bytes2(line)
+		e.Bytes2(h[:])
+		e.U64(0) // heat
+		e.U64(0) // roots
+		return e.Bytes()
+	}
+	return []lineSeed{
+		{"valid", entry(0, 1<<5, good)},
+		{"wrong hash", entry(0, 1<<5, zero)},
+		{"popcount", entry(0, 3<<5, good)},
+		{"no base", entry(1, 1<<5, good)},
+	}
+}
+
+// TestDecodeLineEntries: a line entry is its base with the sent lines
+// over it, installed only when that hashes to the hash sent with it; a
+// wrong hash or a base the receiver lacks is a missing page (a need),
+// and a byte count that is not the mask's lines — or a line entry in a
+// full image — is corrupt. Nothing leaks either way.
+func TestDecodeLineEntries(t *testing.T) {
+	seeds := lineSeeds()
+	full := bytes.Clone(seeds[0].payload)
+	full[4] = 1 // the header's full flag: group, epoch, gen and name take a byte each
+	seeds = append(seeds, lineSeed{"full image", full})
+	for _, seed := range seeds {
+		pm := vm.NewPhysMem(0)
+		img, missing, err := DecodeDeltaCompact(seed.payload, pm, nil, zeroBase)
+		switch seed.name {
+		case "valid":
+			if err != nil || len(missing) != 0 || img.PagesPatched() != 1 || img.PagesHashed() != 1 {
+				t.Fatalf("%s: err=%v missing=%d patched=%d", seed.name, err, len(missing), img.PagesPatched())
+			}
+			got := img.Memory[5].Pages[0].Data
+			if got[5*vm.LineSize] != 0xAB || got[6*vm.LineSize] != 0 || got[5*vm.LineSize-1] != 0 {
+				t.Fatalf("%s: line 5 not patched onto the zero base", seed.name)
+			}
+		case "wrong hash", "no base":
+			if err != nil || len(missing) != 1 {
+				t.Fatalf("%s: err=%v missing=%d, want one missing page", seed.name, err, len(missing))
+			}
+		default:
+			if !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("%s: err=%v, want ErrCorrupt", seed.name, err)
+			}
+		}
+		if img != nil {
+			img.Release(pm)
+		}
+		if pm.Resident() != 0 {
+			t.Fatalf("%s: %d frames left resident", seed.name, pm.Resident())
+		}
+	}
+}
+
+// lineLineage builds two epochs of one lineage by hand: prev (epoch 3,
+// full) and next (epoch 4), which holds every page again with the line
+// masks a barrier would have recorded — page i of an object changed in
+// one byte (i%4 == 0), across a line boundary (1), in every byte (2),
+// or not at all, a COW copy no write changed (3). The swap pages of
+// object 3 change in one byte and say so in their masks, which must not
+// make them line entries.
+func lineLineage(tb testing.TB, pm *vm.PhysMem) (prev, next *Image) {
+	prev = codecImage(tb, pm, 3, true, 16, distinctFill)
+	next = codecImage(tb, pm, 4, false, 16, distinctFill)
+	next.Prev = prev
+	for _, mi := range next.Memory {
+		mi.Lines = make(map[int64]uint64)
+		for idx, f := range mi.Pages {
+			switch idx / 3 % 4 {
+			case 0:
+				off := idx * 37 % vm.PageSize
+				f.Data[off]++
+				mi.Lines[idx] = vm.LineMask(off, 1)
+			case 1:
+				f.Data[63]++
+				f.Data[64]++
+				mi.Lines[idx] = vm.LineMask(63, 2)
+			case 2:
+				for j := range f.Data {
+					f.Data[j] ^= 0x5A
+				}
+				mi.Lines[idx] = vm.AllLines
+			case 3:
+				mi.Lines[idx] = 0
+			}
+		}
+		for idx, data := range mi.SwapData {
+			data[0]++
+			mi.Lines[idx] = vm.LineMask(0, 1)
+		}
+	}
+	return prev, next
+}
+
+// TestDeltaLineEntries: a link whose receiver holds the previous epoch
+// gets each partly written frame as its written lines, which the
+// receiver rebuilds bit-identically from that epoch; no line entry goes
+// to any other link, for a full image, for a swap page or for a page
+// the receiver is known to hold; and a base that is not the sender's
+// previous epoch, or is missing, draws a need instead of a wrong page.
+func TestDeltaLineEntries(t *testing.T) {
+	pm := vm.NewPhysMem(0)
+	prev, next := lineLineage(t, pm)
+	base := func(group, epoch, objID uint64, idx int64, dst []byte) bool {
+		if group != prev.Group || epoch != prev.Epoch {
+			return false
+		}
+		data := prev.ResolvePage(objID, idx)
+		clear(dst[copy(dst, data):])
+		return data != nil
+	}
+	const partly = 3 * 12 // three objects, 12 of 16 frames partly written
+	payload, pages, skipped, lined := next.EncodeDeltaLink(nil, prev.Epoch)
+	if lined != partly || skipped != 0 {
+		t.Fatalf("%d line entries and %d refs, want %d and 0", lined, skipped, partly)
+	}
+	literal, _, _ := next.EncodeDeltaCompact(nil)
+	if 2*len(payload) > len(literal) {
+		t.Fatalf("line entries: %d bytes, all literals %d", len(payload), len(literal))
+	}
+	dst := vm.NewPhysMem(0)
+	dec, missing, err := DecodeDeltaCompact(payload, dst, nil, base)
+	if err != nil || len(missing) != 0 {
+		t.Fatalf("decode: err=%v missing=%d", err, len(missing))
+	}
+	if err := samePages(next, dec); err != nil {
+		t.Fatal(err)
+	}
+	if dec.PagesPatched() != partly || dec.PagesHashed() != int64(len(pages)) || !slices.Equal(dec.PageHashes(), pages) {
+		t.Fatalf("patched %d, hashed %d of %d pages", dec.PagesPatched(), dec.PagesHashed(), len(pages))
+	}
+	dec.Release(dst)
+
+	fullNext := &Image{Group: next.Group, Epoch: next.Epoch, Gen: next.Gen, Full: true, Memory: next.Memory}
+	everything := func(objstore.Hash) bool { return true }
+	for _, c := range []struct {
+		name  string
+		img   *Image
+		skip  func(objstore.Hash) bool
+		acked uint64
+	}{
+		{"receiver holds nothing", next, nil, 0},
+		{"receiver two epochs behind", next, nil, prev.Epoch - 1},
+		{"receiver at this epoch", next, nil, next.Epoch},
+		{"full image", fullNext, nil, prev.Epoch},
+		{"every page known", next, everything, prev.Epoch},
+	} {
+		if _, _, _, lined := c.img.EncodeDeltaLink(c.skip, c.acked); lined != 0 {
+			t.Errorf("%s: %d line entries", c.name, lined)
+		}
+	}
+	for _, skip := range []func(objstore.Hash) bool{nil, everything} {
+		link, _, _, _ := next.EncodeDeltaLink(skip, 0)
+		compact, _, _ := next.EncodeDeltaCompact(skip)
+		if !bytes.Equal(link, compact) {
+			t.Fatal("EncodeDeltaLink with no acked epoch differs from EncodeDeltaCompact")
+		}
+	}
+
+	for name, base := range map[string]func(group, epoch, objID uint64, idx int64, dst []byte) bool{
+		"a base one byte off": func(group, epoch, objID uint64, idx int64, dst []byte) bool {
+			ok := base(group, epoch, objID, idx, dst)
+			dst[vm.PageSize-1]++ // no page of next writes its last line
+			return ok
+		},
+		"no base": func(uint64, uint64, uint64, int64, []byte) bool { return false },
+	} {
+		img, missing, err := DecodeDeltaCompact(payload, dst, nil, base)
+		if err != nil || len(missing) != partly {
+			t.Fatalf("%s: err=%v, %d missing, want %d", name, err, len(missing), partly)
+		}
+		img.Release(dst)
+		if dst.Resident() != 0 {
+			t.Fatalf("%s: %d frames left resident", name, dst.Resident())
+		}
+	}
+
+	// Release lets go of the masks with the frames they describe.
+	next.Release(pm)
+	for id, mi := range next.Memory {
+		if mi.Pages != nil || mi.Lines != nil {
+			t.Fatalf("object %d: a released image keeps its frames or masks", id)
 		}
 	}
 }
@@ -481,7 +700,9 @@ func FuzzDecodeDeltaCompact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		// The resolver holds one frame and answers every ref whose
 		// first hash byte is even with it, so fuzzed refs take both the
-		// resolved and the missing branch.
+		// resolved and the missing branch; line entries are rebuilt on
+		// zeroBase, which holds even pages only. An accepted page must
+		// hash to what its entry claims, whatever it was built from.
 		pm := vm.NewPhysMem(0)
 		held, err := pm.Alloc()
 		if err != nil {
@@ -494,8 +715,11 @@ func FuzzDecodeDeltaCompact(f *testing.F) {
 			held.Ref()
 			return held, true
 		}
-		img, missing, err := DecodeDeltaCompact(payload, pm, resolve)
+		img, missing, err := DecodeDeltaCompact(payload, pm, resolve, zeroBase)
 		if err != nil {
+			if !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
 			if pm.Resident() != 1 || held.Refs() != 1 {
 				t.Fatalf("rejected payload leaked: %d frames resident, %d refs on the held frame", pm.Resident(), held.Refs())
 			}
@@ -574,14 +798,34 @@ func FuzzDecodeImage(f *testing.F) {
 var benchSink []byte
 
 // BenchmarkEncodeDeltaCompact is the sender's per-epoch codec cost: one
-// fresh 64-page incremental image encoded for `links` replica links,
+// fresh 66-page incremental image encoded for `links` replica links,
 // a quarter of the pages as refs. The image is hashed once whatever
-// the link count, so links=3 should cost well under 3× links=1.
+// the link count, so links=3 should cost well under 3× links=1. With
+// base=held the links' receivers hold the previous epoch and the other
+// three quarters were written in one byte each — quorum3-incr's mix —
+// so they go as their one written line.
 func BenchmarkEncodeDeltaCompact(b *testing.B) {
-	for _, links := range []int{1, 3} {
-		b.Run(fmt.Sprintf("links=%d", links), func(b *testing.B) {
+	for _, c := range []struct {
+		links int
+		held  bool
+	}{{1, false}, {3, false}, {3, true}} {
+		name := fmt.Sprintf("links=%d", c.links)
+		if c.held {
+			name += "/base=held"
+		}
+		b.Run(name, func(b *testing.B) {
 			pm := vm.NewPhysMem(0)
 			template := codecImage(b, pm, 2, false, 22, distinctFill)
+			var acked uint64
+			if c.held {
+				acked = template.Epoch - 1
+				for _, mi := range template.Memory {
+					mi.Lines = make(map[int64]uint64)
+					for idx := range mi.Pages {
+						mi.Lines[idx] = 1 << (idx % 64)
+					}
+				}
+			}
 			n := 0
 			skip := func(objstore.Hash) bool { n++; return n%4 == 0 }
 			b.ReportAllocs()
@@ -592,8 +836,8 @@ func BenchmarkEncodeDeltaCompact(b *testing.B) {
 				// hands the flusher, with nothing memoised yet.
 				img := &Image{Group: template.Group, Epoch: template.Epoch, Gen: template.Gen,
 					Meta: template.Meta, Memory: template.Memory, Roots: template.Roots}
-				for l := 0; l < links; l++ {
-					benchSink, _, _ = img.EncodeDeltaCompact(skip)
+				for l := 0; l < c.links; l++ {
+					benchSink, _, _, _ = img.EncodeDeltaLink(skip, acked)
 				}
 			}
 		})

@@ -287,41 +287,64 @@ func frameBytes(tb testing.TB, typ byte, payload []byte) []byte {
 // ops alternate between two versions of it, each superseding the
 // other, so the chain stays `chain`+1 long and every literal is new
 // content. Per-epoch cost must not depend on history: chain=512 within
-// 1.5× of chain=1.
+// 1.5× of chain=1. With base=held the 48 pages are the chain's last
+// epoch written in one byte each — quorum3-incr's mix — and go as line
+// entries, rebuilt on that epoch and hashed.
 func BenchmarkReceiverCompactDelta(b *testing.B) {
 	const perEpoch, literals = 64, 48
 	for _, chain := range []int{1, 64, 512} {
-		b.Run(fmt.Sprintf("chain=%d", chain), func(b *testing.B) {
-			pm := vm.NewPhysMem(0)
-			recv := NewReceiver(pm, nil)
-			for ep := 1; ep <= chain; ep++ {
-				recv.link(pageImage(b, pm, uint64(ep), ep == 1, pages(0, perEpoch, uint32(ep*perEpoch))))
+		for _, held := range []bool{false, true} {
+			name := fmt.Sprintf("chain=%d", chain)
+			if held {
+				name += "/base=held"
 			}
-			src := vm.NewPhysMem(0)
-			held := func(h objstore.Hash) bool { _, ok := recv.blocks[h]; return ok }
-			var frames [][]byte
-			for v := 0; v < 2; v++ {
-				fill := pages(0, literals, uint32(1<<30+v*literals))
-				for i := literals; i < perEpoch; i++ {
-					fill[int64(i)] = uint32(perEpoch + i) // epoch 1 holds these
+			b.Run(name, func(b *testing.B) {
+				pm := vm.NewPhysMem(0)
+				recv := NewReceiver(pm, nil)
+				for ep := 1; ep <= chain; ep++ {
+					recv.link(pageImage(b, pm, uint64(ep), ep == 1, pages(0, perEpoch, uint32(ep*perEpoch))))
 				}
-				payload, _, skipped := pageImage(b, src, uint64(chain+1), false, fill).EncodeDeltaCompact(held)
-				if skipped != perEpoch-literals {
-					b.Fatalf("fixture: %d refs, want %d", skipped, perEpoch-literals)
+				src := vm.NewPhysMem(0)
+				known := func(h objstore.Hash) bool { _, ok := recv.blocks[h]; return ok }
+				var frames [][]byte
+				for v := 0; v < 2; v++ {
+					fill := pages(0, literals, uint32(1<<30+v*literals))
+					if held {
+						fill = pages(0, literals, uint32(chain*perEpoch))
+					}
+					for i := literals; i < perEpoch; i++ {
+						fill[int64(i)] = uint32(perEpoch + i) // epoch 1 holds these
+					}
+					img := pageImage(b, src, uint64(chain+1), false, fill)
+					if held {
+						mi := img.Memory[1]
+						mi.Lines = make(map[int64]uint64)
+						for i := int64(0); i < literals; i++ {
+							mi.Pages[i].Data[i*vm.LineSize+int64(v)]++
+							mi.Lines[i] = 1 << i
+						}
+					}
+					payload, _, skipped, lined := img.EncodeDeltaLink(known, uint64(chain))
+					if skipped != perEpoch-literals || held && lined != literals {
+						b.Fatalf("fixture: %d refs, %d line entries", skipped, lined)
+					}
+					frames = append(frames, frameBytes(b, frameDeltaC, payload))
 				}
-				frames = append(frames, frameBytes(b, frameDeltaC, payload))
-			}
-			b.ReportAllocs()
-			b.SetBytes(perEpoch * vm.PageSize)
-			b.ResetTimer()
-			applied, err := recv.ServeReplica(&frameLoop{frames: frames, total: b.N})
-			b.StopTimer()
-			if err != nil || applied != b.N {
-				b.Fatalf("applied %d of %d frames, err %v", applied, b.N, err)
-			}
-			if got := len(recv.ReplicaEpochs(1)); got != chain+1 {
-				b.Fatalf("chain is %d epochs long, want %d", got, chain+1)
-			}
-		})
+				b.ReportAllocs()
+				b.SetBytes(perEpoch * vm.PageSize)
+				b.ResetTimer()
+				applied, err := recv.ServeReplica(&frameLoop{frames: frames, total: b.N})
+				b.StopTimer()
+				if err != nil || applied != b.N {
+					b.Fatalf("applied %d of %d frames, err %v", applied, b.N, err)
+				}
+				if got := len(recv.ReplicaEpochs(1)); got != chain+1 {
+					b.Fatalf("chain is %d epochs long, want %d", got, chain+1)
+				}
+				if held && recv.BlockStats().Patched != int64(b.N*literals) {
+					b.Fatalf("%d pages patched over %d ops", recv.BlockStats().Patched, b.N)
+				}
+			})
+		}
 	}
 }

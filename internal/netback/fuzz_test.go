@@ -32,11 +32,37 @@ func restamp(stream []byte) []byte {
 	return out
 }
 
+// lineEntryDelta hand-writes a compact delta of group 1 at epoch whose
+// one page is a line entry: mask, the lines' bytes, and hash.
+func lineEntryDelta(epoch, mask uint64, lines []byte, hash objstore.Hash) []byte {
+	e := codec.NewEncoder()
+	e.U64(1)     // group
+	e.U64(epoch) // epoch
+	e.U64(0)     // gen
+	e.Str("")
+	e.Bool(false) // incremental
+	e.U64(0)      // metadata
+	e.U64(1)      // objects
+	e.U64(1)      // object ID
+	e.Str("heap")
+	e.I64(1 << 30)
+	e.U64(1) // pages
+	e.I64(0)
+	e.U8(2) // the line-entry tag
+	e.U64(mask)
+	e.Bytes2(lines)
+	e.Bytes2(hash[:])
+	e.U64(0) // heat
+	e.U64Slice(nil)
+	return e.Bytes()
+}
+
 // FuzzServeReplica feeds arbitrary bytes to a receiver as its frame
 // stream — once as they are, once with the frame checksums made good —
 // and requires what ServeReplica promises its caller whatever the wire
-// carries: a clean end or a typed error, the frames of every image it
-// did not keep released, and a block index that empties with the chains.
+// carries: a clean end or a typed error, no held page that differs from
+// the hash it is indexed under, the frames of every image it did not
+// keep released, and a block index that empties with the chains.
 func FuzzServeReplica(f *testing.F) {
 	src := newMachine()
 	p, g := spawn(f, src)
@@ -70,6 +96,23 @@ func FuzzServeReplica(f *testing.F) {
 	f.Add(frames(frameHandoff, u64s(g.ID, 3, 1), frameDeltaC, literal))
 	f.Add(hello[:frameHdrSize-4])
 
+	// Line entries over a hand-built lineage: epoch 2 as lines after the
+	// epoch 1 it is built on; a forged epoch 2, whose lines do not
+	// rebuild the hash they came with, and its full resend; a mask of two
+	// lines with the bytes of one; and epoch 2 to a receiver without
+	// epoch 1.
+	pm := vm.NewPhysMem(0)
+	e1 := pageImage(f, pm, 1, true, pages(0, 8, 100))
+	e1c, _, _ := e1.EncodeDeltaCompact(nil)
+	good, _, _, _ := rewrite(f, pm, e1, 2, false).EncodeDeltaLink(nil, 1)
+	forged := rewrite(f, pm, e1, 2, true)
+	bad, _, _, _ := forged.EncodeDeltaLink(nil, 1)
+	f.Add(frames(frameDeltaC, e1c, frameDeltaC, good))
+	f.Add(frames(frameDeltaC, e1c, frameDeltaC, bad, frameDelta, forged.EncodeDelta()))
+	page := e1.Memory[1].Pages[0].Data
+	f.Add(frames(frameDeltaC, e1c, frameDeltaC, lineEntryDelta(2, 3, page[:vm.LineSize], core.PageContentHash(page))))
+	f.Add(frames(frameDeltaC, good))
+
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		for _, in := range [][]byte{stream, restamp(stream)} {
 			pm := vm.NewPhysMem(0)
@@ -84,6 +127,13 @@ func FuzzServeReplica(f *testing.F) {
 			}
 			recv.mu.Lock()
 			for _, chain := range recv.chains {
+				for _, held := range chain {
+					for _, p := range held.PageHashes() {
+						if core.PageContentHash(held.Memory[p.ObjID].Pages[p.Idx].Data) != p.Hash {
+							t.Fatalf("epoch %d page %d is held under a hash its bytes do not have", held.Epoch, p.Idx)
+						}
+					}
+				}
 				for _, held := range chain {
 					recv.drop(held)
 				}

@@ -122,9 +122,10 @@ type Receiver struct {
 	// the entry goes when the last of them is released: an entry never
 	// outlives the bytes it points at.
 	blocks map[objstore.Hash]blockEntry
-	// hashed totals the pages hashed on arrival, resolved the hash refs
-	// answered from blocks.
-	hashed, resolved int64
+	// hashed totals the pages hashed on arrival, patched those of them
+	// rebuilt from line entries, resolved the hash refs answered from
+	// blocks.
+	hashed, patched, resolved int64
 
 	// needsSent counts need replies sent for compact deltas with hash
 	// refs the chains could not resolve.
@@ -176,6 +177,7 @@ func (r *Receiver) hold(img *core.Image) {
 		r.blocks[p.Hash] = e
 	}
 	r.hashed += img.PagesHashed()
+	r.patched += img.PagesPatched()
 }
 
 // drop takes an image that left its chain out of the block index and
@@ -209,7 +211,8 @@ func (r *Receiver) FetchBlock(h objstore.Hash) ([]byte, bool) {
 
 // BlockStats counts the work behind the block index.
 type BlockStats struct {
-	Hashed   int64 // pages hashed on arrival (literals; refs carry their hash)
+	Hashed   int64 // pages hashed on arrival (literals and patched pages; refs carry their hash)
+	Patched  int64 // pages rebuilt from the previous epoch plus their sent lines
 	Resolved int64 // hash refs answered from the index, without a copy
 	Entries  int   // distinct page contents held, one frame each
 }
@@ -218,7 +221,7 @@ type BlockStats struct {
 func (r *Receiver) BlockStats() BlockStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return BlockStats{Hashed: r.hashed, Resolved: r.resolved, Entries: len(r.blocks)}
+	return BlockStats{Hashed: r.hashed, Patched: r.patched, Resolved: r.resolved, Entries: len(r.blocks)}
 }
 
 // NeedsSent reports how many need replies (resend requests for compact
@@ -241,6 +244,24 @@ func (r *Receiver) resolveBlock(h objstore.Hash) (*vm.Frame, bool) {
 		r.resolved++
 	}
 	return e.frame, ok
+}
+
+// basePage copies page idx of object objID, as the group's chain holds
+// it at epoch, into dst: the base a line entry of the next epoch is
+// rebuilt on. It reports false when the chain lacks that epoch or the
+// page.
+func (r *Receiver) basePage(group, epoch, objID uint64, idx int64, dst []byte) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	chain := r.chains[group]
+	for i := len(chain) - 1; i >= 0 && chain[i].Epoch >= epoch; i-- {
+		if chain[i].Epoch == epoch {
+			data := chain[i].ResolvePage(objID, idx)
+			clear(dst[copy(dst, data):])
+			return data != nil
+		}
+	}
+	return false
 }
 
 // AdoptImage implements core.ReplicaRepairTarget: read-repair after a

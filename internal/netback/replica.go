@@ -99,7 +99,7 @@ func (r *Receiver) handle(w io.Writer, typ byte, payload []byte) (applied bool, 
 		}
 		return r.apply(w, img)
 	case frameDeltaC:
-		img, missing, err := core.DecodeDeltaCompact(payload, r.pm, r.resolveBlock)
+		img, missing, err := core.DecodeDeltaCompact(payload, r.pm, r.resolveBlock, r.basePage)
 		if err != nil {
 			return false, err
 		}
@@ -107,8 +107,9 @@ func (r *Receiver) handle(w io.Writer, typ byte, payload []byte) (applied bool, 
 			return r.apply(w, img)
 		}
 		// The sender's receiver-holds cache was wrong (e.g. this replica
-		// restarted empty). Ask for the full delta; the sender prunes its
-		// cache and resends literals.
+		// restarted empty), or a line entry's base is not here or did not
+		// rebuild the page it was sent for. Ask for the full delta; the
+		// sender prunes its cache and resends literals.
 		group, epoch := img.Group, img.Epoch
 		img.Release(r.pm)
 		r.mu.Lock()
@@ -199,7 +200,7 @@ type replicaCore struct {
 	mu         sync.Mutex
 	conn       io.ReadWriter
 	floor      uint64 // receiver's last contiguous epoch at handshake
-	sent       int64  // bytes
+	sent       int64  // payload bytes of the delta frames written
 	partitions int64  // established connections lost
 	nic        storage.DeviceParams
 	name       string        // link name in a replica set ("" = "replica")
@@ -210,10 +211,11 @@ type replicaCore struct {
 	// those pages. Purely an optimization — a receiver that lost state
 	// answers with a need frame, which resets the cache. Guarded by mu
 	// (only touched on the send path). needResends / pagesSent /
-	// pagesSkipped are the compact-protocol counters.
+	// pagesSkip / pagesLined are the compact-protocol counters.
 	known       map[objstore.Hash]bool
 	pagesSent   int64
 	pagesSkip   int64
+	pagesLined  int64
 	needResends int64
 
 	// ackMu guards the live acked-epoch ledger below. It is separate
@@ -394,7 +396,8 @@ func (rb *ReplicaBackend) CatchUpFloor(group uint64) uint64 {
 	return rc.acked[group] + 1
 }
 
-// SentBytes reports bytes placed on the wire.
+// SentBytes reports bytes placed on the wire: the payload of every
+// delta frame written, acked or not, and of every full resend.
 func (rb *ReplicaBackend) SentBytes() int64 {
 	rb.core.mu.Lock()
 	defer rb.core.mu.Unlock()
@@ -438,13 +441,22 @@ func (rb *ReplicaBackend) AckedFloor(group uint64) uint64 {
 	return rb.core.acked[group]
 }
 
-// DeltaStats reports the compact-protocol counters: pages shipped as
-// literals, pages elided as hash refs, and full resends forced by a
-// need reply (a receiver that lost state).
+// DeltaStats reports the compact-protocol counters: pages shipped (as
+// literals or as line entries), pages elided as hash refs, and full
+// resends forced by a need reply (a receiver that lost state, or a
+// line entry it could not rebuild).
 func (rb *ReplicaBackend) DeltaStats() (sent, skipped, resends int64) {
 	rb.core.mu.Lock()
 	defer rb.core.mu.Unlock()
 	return rb.core.pagesSent, rb.core.pagesSkip, rb.core.needResends
+}
+
+// LinesSent reports how many of the pages shipped went as line entries:
+// only the lines written since the epoch the receiver had acked.
+func (rb *ReplicaBackend) LinesSent() int64 {
+	rb.core.mu.Lock()
+	defer rb.core.mu.Unlock()
+	return rb.core.pagesLined
 }
 
 // Ephemeral implements core.Backend: an acked replica epoch survives
@@ -459,7 +471,9 @@ func (rb *ReplicaBackend) WithLane(lane *storage.Clock) core.Backend {
 
 // Flush implements core.Backend: send the delta, wait for the
 // matching ack. Epochs at or below the handshake floor are already on
-// the replica and are skipped. Stale replies are skipped while waiting
+// the replica and are skipped. When the link's acked frontier is the
+// epoch before this one, partly written pages go as their written lines
+// (core.Image.EncodeDeltaLink). Stale replies are skipped while waiting
 // (await), and an ack for an earlier epoch is stale: skipping it rather
 // than trusting it is what keeps a duplicated ack from ever advancing
 // past the deltas actually received. A need for this epoch resends it
@@ -478,13 +492,14 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 	if rc.conn == nil {
 		return 0, fmt.Errorf("%w: epoch %d not sent", ErrDisconnected, img.Epoch)
 	}
-	payload, pages, skipped := img.EncodeDeltaCompact(func(h objstore.Hash) bool { return rc.known[h] })
+	payload, pages, skipped, lined := img.EncodeDeltaLink(func(h objstore.Hash) bool { return rc.known[h] }, rb.AckedFloor(img.Group))
 	wire := int64(len(payload))
 	resent := false
 	if err := writeFrame(rc.conn, frameDeltaC, payload); err != nil {
 		rc.lost()
 		return 0, fmt.Errorf("%w: sending epoch %d: %w", ErrDisconnected, img.Epoch, err)
 	}
+	rc.sent += wire
 	err := rc.await(rc.conn, "ack", func(typ byte, p []byte) (bool, error) {
 		group, epoch := binary.LittleEndian.Uint64(p[:8]), binary.LittleEndian.Uint64(p[8:16])
 		if group != img.Group {
@@ -502,11 +517,12 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 			rc.needResends++
 			resent = true
 			full := img.EncodeDelta()
-			wire += int64(len(full))
 			if err := writeFrame(rc.conn, frameDelta, full); err != nil {
 				rc.lost()
 				return false, fmt.Errorf("%w: resending epoch %d: %w", ErrDisconnected, img.Epoch, err)
 			}
+			wire += int64(len(full))
+			rc.sent += int64(len(full))
 		case frameFenced: // [group][fence gen][floor]
 			return false, &core.FenceError{Gen: binary.LittleEndian.Uint64(p[8:16]), Floor: binary.LittleEndian.Uint64(p[16:]),
 				Err: fmt.Errorf("netback: epoch %d of group %d rejected by replica: %w",
@@ -524,12 +540,12 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 		return 0, err
 	}
 	rc.noteAcked(img.Group, img.Epoch)
-	rc.sent += wire
 	if resent {
 		rc.pagesSent += int64(len(pages))
 	} else {
 		rc.pagesSent += int64(len(pages) - skipped)
 		rc.pagesSkip += int64(skipped)
+		rc.pagesLined += int64(lined)
 	}
 	// The acked epoch's pages are now provably on the receiver: future
 	// deltas may reference them by hash.

@@ -28,6 +28,13 @@ type CheckpointSet struct {
 	// Heat is a snapshot of the access counters, persisted to drive
 	// clock-based eager paging on restore.
 	Heat []PageHeat
+	// Lines is the object's dirty set as the barrier found it: each page
+	// written since the previous barrier, with the lines written
+	// (AllLines for a page filled some other way). A page of an
+	// incremental capture differs from its contents at the previous
+	// barrier in those lines only. The barrier hands the map over and
+	// starts the object a new one, so it is never written again.
+	Lines map[int64]uint64
 }
 
 // PageCount returns the number of in-memory pages in the set.
@@ -128,7 +135,8 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) (*CheckpointSet, error
 			capture(idx)
 		}
 	}
-	o.dirty = make(map[int64]bool)
+	cs.Lines = o.dirty
+	o.dirty = make(map[int64]uint64)
 	o.epoch = epoch
 	return cs, nil
 }
@@ -153,7 +161,8 @@ func (o *Object) IsProtected(idx int64) bool {
 // and install it as the page seen by every process mapping the object.
 // The original frame remains owned by the checkpoint set that
 // protected it. The new page is immediately dirty with respect to the
-// next checkpoint.
+// next checkpoint, in no line yet: it holds what the barrier captured,
+// and the faulting write marks the lines it changes.
 //
 // This differs from fork-style COW, which would give only the faulting
 // process a private copy and thereby break shared-memory semantics —
@@ -184,7 +193,7 @@ func (o *Object) CowFault(pm *PhysMem, idx int64, meter *Meter) (*Frame, error) 
 	}
 	o.pages[idx] = fresh
 	delete(o.protected, idx)
-	o.dirty[idx] = true
+	o.dirty[idx] |= 0 // in the set; the write adds its lines
 	o.mu.Unlock()
 
 	pm.Free(old) // drop the object's reference; the checkpoint still holds one
@@ -220,7 +229,7 @@ func (o *Object) allocPageLocked(pm *PhysMem, idx int64) (*Frame, error) {
 // allocating a zero-filled page (or privately copying a shadow page,
 // fork-style) as needed. The returned frame always lives in o itself,
 // making it safe to write. Reports whether a fork-style private copy
-// was made.
+// was made. A page it fills is dirty in every line.
 func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, bool, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -239,7 +248,7 @@ func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, bool,
 			}
 			if cur, ok := o.pages[idx]; ok {
 				pm.Free(f)
-				o.dirty[idx] = true
+				o.dirty[idx] = AllLines
 				return cur, false, nil
 			}
 			if f != nil {
@@ -247,7 +256,7 @@ func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, bool,
 				if end := (idx + 1) << PageShift; end > o.size {
 					o.size = end
 				}
-				o.dirty[idx] = true
+				o.dirty[idx] = AllLines
 				if meter != nil {
 					meter.PageIns.Add(1)
 				}
@@ -264,7 +273,7 @@ func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, bool,
 			return nil, false, err
 		}
 		o.pages[idx] = cp
-		o.dirty[idx] = true
+		o.dirty[idx] = AllLines
 		if meter != nil {
 			meter.ChargeCopy(1)
 		}
@@ -277,7 +286,7 @@ func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, bool,
 	if meter != nil {
 		meter.ZeroFills.Add(1)
 	}
-	o.dirty[idx] = true
+	o.dirty[idx] = AllLines
 	return f, false, nil
 }
 

@@ -14,8 +14,9 @@ import (
 //
 // Aurora extends the object with checkpoint state: a protection epoch
 // (pages write-protected by the last serialization barrier), a dirty
-// set (pages written since the last checkpoint), heat counters for
-// clock-driven restore prefetch, and swap slots.
+// set (pages written since the last checkpoint, each with the 64-byte
+// lines written), heat counters for clock-driven restore prefetch, and
+// swap slots.
 type Object struct {
 	ID   uint64
 	Name string // debugging aid: "heap", "stack", "shm:1234", ...
@@ -37,14 +38,14 @@ type Object struct {
 	refs   int32
 
 	// Aurora checkpoint tracking.
-	tracked   bool            // registered with the SLS orchestrator
-	protected map[int64]bool  // pages write-protected for COW tracking
-	dirty     map[int64]bool  // pages written since last checkpoint epoch
-	heat      []uint32        // access counts for restore prefetch, by page index
-	hot       int             // pages ever touched: sizes the heat snapshot
-	swapSlots map[int64]int64 // page -> swap slot for paged-out pages
-	epoch     uint64          // checkpoint epoch of the last barrier
-	source    PageSource      // lazy-restore backing (nil = none)
+	tracked   bool             // registered with the SLS orchestrator
+	protected map[int64]bool   // pages write-protected for COW tracking
+	dirty     map[int64]uint64 // pages written since last checkpoint epoch -> lines written
+	heat      []uint32         // access counts for restore prefetch, by page index
+	hot       int              // pages ever touched: sizes the heat snapshot
+	swapSlots map[int64]int64  // page -> swap slot for paged-out pages
+	epoch     uint64           // checkpoint epoch of the last barrier
+	source    PageSource       // lazy-restore backing (nil = none)
 }
 
 // PageHeat is one page's access count in a heat snapshot. Snapshots are
@@ -65,7 +66,7 @@ func (pm *PhysMem) NewObject(name string, size int64) *Object {
 		pages:     make(map[int64]*Frame),
 		refs:      1,
 		protected: make(map[int64]bool),
-		dirty:     make(map[int64]bool),
+		dirty:     make(map[int64]uint64),
 		swapSlots: make(map[int64]int64),
 	}
 }
@@ -189,12 +190,16 @@ func (o *Object) ResidentCount() int {
 }
 
 // InsertPage installs a frame at page idx, replacing (and releasing to
-// pm) any previous frame. Used by restore and swap-in paths.
+// pm) any previous frame. Used by restore and swap-in paths. A page
+// already dirty counts as written in every line from here.
 func (o *Object) InsertPage(pm *PhysMem, idx int64, f *Frame) {
 	o.mu.Lock()
 	old := o.pages[idx]
 	o.pages[idx] = f
 	delete(o.swapSlots, idx)
+	if _, dirty := o.dirty[idx]; dirty {
+		o.dirty[idx] = AllLines
+	}
 	o.mu.Unlock()
 	if old != nil {
 		pm.Free(old)
@@ -243,10 +248,11 @@ func (o *Object) heatSnapshotLocked() []PageHeat {
 	return out
 }
 
-// MarkDirty records a write to page idx for incremental checkpointing.
-func (o *Object) MarkDirty(idx int64) {
+// MarkDirty records a write to the given lines of page idx for
+// incremental checkpointing.
+func (o *Object) MarkDirty(idx int64, lines uint64) {
 	o.mu.Lock()
-	o.dirty[idx] = true
+	o.dirty[idx] |= lines
 	o.mu.Unlock()
 }
 

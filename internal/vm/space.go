@@ -288,7 +288,11 @@ func (as *AddressSpace) access(addr Addr, p []byte, write bool) error {
 		if span > len(p)-n {
 			span = len(p) - n
 		}
-		frame, obj, err := as.fault(pageBase, write)
+		var lines uint64
+		if write {
+			lines = LineMask(po, int64(span))
+		}
+		frame, obj, err := as.fault(pageBase, lines)
 		if err != nil {
 			return err
 		}
@@ -311,12 +315,15 @@ func zero(p []byte) {
 	}
 }
 
-// fault resolves one page access, servicing faults. For reads of
+// fault resolves one page access, servicing faults: a write of the given
+// lines of the page, or a read when lines is zero. For reads of
 // unresident anonymous pages it returns (nil, nil, nil): the page
 // reads as zero without allocating a frame. For successful writes the
-// object is returned with its write bracket held (Object.BeginWrite);
-// the caller must EndWrite after copying the data.
-func (as *AddressSpace) fault(pageBase Addr, write bool) (*Frame, *Object, error) {
+// lines are in the object's dirty set and the object is returned with
+// its write bracket held (Object.BeginWrite); the caller must EndWrite
+// after copying the data.
+func (as *AddressSpace) fault(pageBase Addr, lines uint64) (*Frame, *Object, error) {
+	write := lines != 0
 	as.mu.Lock()
 	m := as.findLocked(pageBase)
 	if m == nil {
@@ -388,7 +395,7 @@ func (as *AddressSpace) fault(pageBase Addr, write bool) (*Frame, *Object, error
 		// writable bit, so reaching here means the page is writable.
 		f, owner := obj.Lookup(idx)
 		if f != nil && owner == obj && !obj.IsProtected(idx) {
-			obj.MarkDirty(idx)
+			obj.MarkDirty(idx, lines)
 			obj.Touch(idx)
 			return f, obj, nil
 		}
@@ -403,6 +410,7 @@ func (as *AddressSpace) fault(pageBase Addr, write bool) (*Frame, *Object, error
 			obj.EndWrite()
 			return nil, nil, err
 		}
+		obj.MarkDirty(idx, lines)
 		as.installPTE(pageBase, true)
 		obj.Touch(idx)
 		return f, obj, nil
@@ -414,7 +422,7 @@ func (as *AddressSpace) fault(pageBase Addr, write bool) (*Frame, *Object, error
 		obj.EndWrite()
 		return nil, nil, err
 	}
-	obj.MarkDirty(idx)
+	obj.MarkDirty(idx, lines)
 	obj.Touch(idx)
 	as.installPTE(pageBase, true)
 	return f, obj, nil

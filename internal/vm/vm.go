@@ -49,6 +49,24 @@ func (a Addr) PageBase() Addr { return a &^ Addr(PageMask) }
 // RoundUpPage rounds n up to a page multiple.
 func RoundUpPage(n int64) int64 { return (n + PageMask) &^ int64(PageMask) }
 
+// Line geometry. An object's dirty set records, per page, which 64-byte
+// lines writes have touched since the last barrier: bit i of a page's
+// line mask is bytes [64i, 64i+64). A page filled any other way — a
+// zero-fill, a shadow copy, a page-in, a swap-in — is dirty in every
+// line.
+const (
+	LineShift = 6
+	LineSize  = 1 << LineShift
+	AllLines  = ^uint64(0)
+)
+
+// LineMask returns the mask of the lines that bytes [off, off+n) of a
+// page touch; n > 0 and off+n <= PageSize.
+func LineMask(off, n int64) uint64 {
+	first, last := off>>LineShift, (off+n-1)>>LineShift
+	return AllLines >> (63 - (last - first)) << first
+}
+
 // Errors returned by the VM layer.
 var (
 	ErrNoMapping   = errors.New("vm: address not mapped")

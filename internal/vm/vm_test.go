@@ -295,6 +295,85 @@ func TestIncrementalNeverFlushesTwice(t *testing.T) {
 	}
 }
 
+func TestLineMask(t *testing.T) {
+	for _, c := range []struct {
+		off, n int64
+		want   uint64
+	}{
+		{0, 1, 1}, {63, 1, 1}, {63, 2, 3}, {64, 64, 2}, {100, 200, 0b11110},
+		{PageSize - 1, 1, 1 << 63}, {0, PageSize, AllLines}, {1, PageSize - 1, AllLines},
+	} {
+		if got := LineMask(c.off, c.n); got != c.want {
+			t.Errorf("LineMask(%d, %d) = %#x, want %#x", c.off, c.n, got, c.want)
+		}
+	}
+}
+
+// TestDirtyLineMasks: the barrier hands over, per dirty page, the lines
+// written since the previous barrier — from every address space mapping
+// the object, across line and page boundaries — and every line outside
+// a page's mask holds what the previous capture held. A zero-filled
+// page, and a dirty page brought back by InsertPage, are dirty in every
+// line.
+func TestDirtyLineMasks(t *testing.T) {
+	pm := NewPhysMem(0)
+	meter := NewMeter(storage.NewClock())
+	as1, as2 := NewAddressSpace(pm, meter), NewAddressSpace(pm, meter)
+	obj := pm.NewObject("shm", 8*PageSize)
+	m1, err := as1.Map(0x1000_0000, 8*PageSize, ProtRead|ProtWrite, obj, 0, true, "shm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := as2.Map(0x2000_0000, 8*PageSize, ProtRead|ProtWrite, obj, 0, true, "shm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := make([]byte, 4*PageSize)
+	for i := range fill {
+		fill[i] = byte(i * 7)
+	}
+	as1.Write(m1.Start, fill)
+	cs1 := begin(obj, 1, false)
+	for idx := int64(0); idx < 4; idx++ {
+		if cs1.Lines[idx] != AllLines {
+			t.Fatalf("zero-filled page %d: lines %#x, want all", idx, cs1.Lines[idx])
+		}
+	}
+	as1.ProtectObject(obj, cs1.Pages)
+	as2.ProtectObject(obj, cs1.Pages)
+
+	as1.Write(m1.Start+100, []byte{1})                // page 0, line 1 (a COW fault)
+	as2.Write(m2.Start+4000, []byte{2})               // page 0, line 62, the other process
+	as1.Write(m1.Start+PageSize+63, []byte{3, 4})     // page 1, lines 0-1
+	as2.Write(m2.Start+3*PageSize-6, make([]byte, 9)) // pages 2 and 3, either side of the boundary
+	as1.Write(m1.Start+5*PageSize+8, []byte{5})       // page 5: never resident, a zero-fill
+	obj.MarkDirty(6, 1)
+	f, _ := pm.Alloc()
+	obj.InsertPage(pm, 6, f) // a swap-in of a dirty page
+	cs2 := begin(obj, 2, false)
+	want := map[int64]uint64{0: 1<<1 | 1<<62, 1: 0b11, 2: 1 << 63, 3: 1, 5: AllLines, 6: AllLines}
+	if len(cs2.Lines) != len(want) {
+		t.Fatalf("dirty set %v, want %v", cs2.Lines, want)
+	}
+	for idx, mask := range want {
+		if cs2.Lines[idx] != mask {
+			t.Errorf("page %d: lines %#x, want %#x", idx, cs2.Lines[idx], mask)
+		}
+	}
+	for idx := int64(0); idx < 4; idx++ {
+		before, after := cs1.Pages[idx].Data, cs2.Pages[idx].Data
+		for line := 0; line < PageSize/LineSize; line++ {
+			lo := line * LineSize
+			if cs2.Lines[idx]&(1<<line) == 0 && !bytes.Equal(before[lo:lo+LineSize], after[lo:lo+LineSize]) {
+				t.Fatalf("page %d line %d changed outside its mask", idx, line)
+			}
+		}
+	}
+	if cs3 := begin(obj, 3, false); len(cs3.Lines) != 0 {
+		t.Fatalf("idle barrier handed over %d dirty pages", len(cs3.Lines))
+	}
+}
+
 func TestFullCheckpointCapturesAllResident(t *testing.T) {
 	as, pm, _ := testSpace(t)
 	m, _ := as.MapAnon(16*PageSize, ProtRead|ProtWrite, false, "heap")
