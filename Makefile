@@ -130,14 +130,17 @@ fleetcheck:
 
 ## quorumcheck: N-replica quorum replication under the race detector —
 ## the 500-checkpoint minority-kill chaos runs (seeds 1, 7, 42) with a
-## kill+restart, a partition+heal, and quorum promotion with read-
-## repair; the quorum durability/latency/floor unit tests; the typed
-## quorum error round-trips; the replica-set and compact-delta
-## protocol tests; the CLI quorum/replicas verbs; and the quorum row
-## of the baseline table against the committed BENCH_quorum.json.
+## kill+restart, a partition+heal, and quorum promotion; the quorum
+## durability/latency/floor unit tests; the typed quorum error
+## round-trips; the replica-set and compact-delta protocol tests; the
+## folded receiver (bounded state, restores that outlive folds,
+## read-repair from a folded member, the fold's edge streams, one chain
+## walk per restore) and the line-delta safety run; the CLI
+## quorum/replicas verbs; and the quorum row of the baseline table
+## against the committed BENCH_quorum.json.
 quorumcheck:
 	$(GO) test -race -count=1 -timeout 20m \
-		-run 'TestQuorum|TestErrQuorumLost|TestStaleGenerationUnderQuorum|TestReplicatedQuorum|TestReclaimerQuorum|TestReplicaSetQuorum|TestCompactDelta|TestCLIQuorum' \
+		-run 'TestQuorum|TestErrQuorumLost|TestStaleGenerationUnderQuorum|TestReplicatedQuorum|TestReclaimerQuorum|TestReplicaSetQuorum|TestCompactDelta|TestCLIQuorum|TestReceiverFoldBounded|TestFoldLeavesRestoredProcessItsFrames|TestPromoteQuorumRepairsFromFoldedMember|TestFoldStreams|TestFoldIsTheChainResolved|TestRestoreResolvesItsChainOnce|TestLineDeltaSafety' \
 		./internal/core/ ./internal/netback/ ./internal/bench/ ./cmd/sls/
 	$(GO) test -race -count=1 -run 'TestBaselines/quorum' .
 

@@ -127,7 +127,7 @@ type QuorumChaosReport struct {
 	Partitions    int64 // connection losses summed over all links
 	LinkDropped   int64
 	LinkInjected  int64
-	CatchUpEpochs int64 // epochs replayed to the restarted replica
+	CatchUpEpochs int64 // epochs the restarted replica linked while it caught up
 
 	PagesSent     int64 // literal pages shipped (all links)
 	PagesSkipped  int64 // pages elided as content-hash refs
@@ -326,7 +326,7 @@ func (q *quorumRun) script(baseline bool) error {
 			if err := q.healed(killed); err != nil {
 				return err
 			}
-			q.rep.CatchUpEpochs = int64(len(killed.Receiver().ReplicaEpochs(l.g.ID)))
+			q.rep.CatchUpEpochs = killed.Receiver().EpochsLinked(l.g.ID)
 			// The restarted replica bootstraps restorability from the
 			// next full checkpoint (the demotion doctrine).
 			forceFull = true

@@ -108,59 +108,12 @@ func (mb *MemoryBackend) Trim(group uint64) {
 	defer mb.mu.Unlock()
 	chain := mb.images[group]
 	for mb.history > 0 && len(chain) > mb.history {
-		// Consolidate: the oldest image's pages merge into the next
-		// one by reference before release, mirroring the object
-		// store's in-place GC.
-		victim := chain[0]
-		next := chain[1]
-		mergeImageForward(victim, next, mb.pm)
+		// Consolidate: the oldest image folds into the next one by
+		// reference, mirroring the object store's in-place GC.
+		Fold(chain[0], chain[1], func(_ PageHash, f *vm.Frame) { mb.pm.Free(f) })
 		chain = chain[1:]
 	}
 	mb.images[group] = chain
-}
-
-// mergeImageForward folds victim's pages and metadata into next where
-// next lacks them, then releases what remains.
-func mergeImageForward(victim, next *Image, pm *vm.PhysMem) {
-	for id, mi := range victim.Memory {
-		heir, ok := next.Memory[id]
-		if !ok {
-			next.Memory[id] = mi
-			continue
-		}
-		for idx, f := range mi.Pages {
-			if _, shadowed := heir.Pages[idx]; shadowed {
-				pm.Free(f)
-			} else if _, shadowed := heir.SwapData[idx]; shadowed {
-				pm.Free(f)
-			} else {
-				heir.Pages[idx] = f
-			}
-		}
-		for idx, d := range mi.SwapData {
-			if _, shadowed := heir.Pages[idx]; !shadowed {
-				if heir.SwapData == nil {
-					heir.SwapData = make(map[int64][]byte)
-				}
-				if _, shadowed := heir.SwapData[idx]; !shadowed {
-					heir.SwapData[idx] = d
-				}
-			}
-		}
-	}
-	seen := make(map[uint64]bool)
-	for _, m := range next.Meta {
-		seen[m.OID] = true
-	}
-	for _, m := range victim.Meta {
-		if !seen[m.OID] {
-			next.Meta = append(next.Meta, m)
-		}
-	}
-	if victim.Full {
-		next.Full = true
-	}
-	next.Prev = victim.Prev
 }
 
 // Load implements Backend.

@@ -125,8 +125,12 @@ func runQuorumChaos(t *testing.T, seed int64) {
 	if rep.PagesSkipped == 0 {
 		t.Fatalf("seed %d: compact deltas never skipped a page by content hash", seed)
 	}
-	if rep.PromoteGen < 2 || rep.Repaired == 0 {
-		t.Fatalf("seed %d: promotion gen=%d repaired=%d, want gen >= 2 and read-repair", seed, rep.PromoteGen, rep.Repaired)
+	// Read-repair is not asserted here: by the end every member has
+	// folded its history into [base, floor], so none lacks an epoch the
+	// elected one holds. netback's TestPromoteQuorumRepairsFromFoldedMember
+	// promotes over a member left behind.
+	if rep.PromoteGen < 2 {
+		t.Fatalf("seed %d: promotion gen=%d, want >= 2", seed, rep.PromoteGen)
 	}
 	if rep.RestoresVerified < 3 {
 		t.Fatalf("seed %d: only %d bit-identical restores verified, want >= 3", seed, rep.RestoresVerified)

@@ -323,10 +323,6 @@ func TestMemoryRestoreSharesFramesCOW(t *testing.T) {
 	// Writing after restore must not alter the image (COW).
 	np.WriteMem(np.HeapBase()+vm.PageSize, []byte{0xFF})
 	img := g.LastImage()
-	pages := img.ResolveObject(imgObjIDOfHeap(img))
-	for _, data := range pages {
-		_ = data
-	}
 	// Restore the image again: it still holds the original byte.
 	ng2, _, err := r.o.RestoreImage(img, 0, RestoreOpts{Lazy: true})
 	if err != nil {

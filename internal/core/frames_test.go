@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -50,11 +51,12 @@ func TestReleasedImageResolvesNothing(t *testing.T) {
 	}
 	top := g.LastImage()
 	heap := imgObjIDOfHeap(base)
-	if top.Prev != base || !top.Resolvable() || len(top.ResolveObject(heap)) < 8 {
-		t.Fatal("fixture: the incremental image should resolve through its full predecessor")
+	st, err := top.resolve(nil)
+	if top.Prev != base || err != nil || len(st.objs[heap].frames) < 8 {
+		t.Fatalf("fixture: the incremental image should resolve through its full predecessor (err %v)", err)
 	}
 	procOID := base.Roots[0]
-	if _, ok := top.ResolveMeta(procOID); !ok {
+	if !slices.ContainsFunc(st.meta, func(m MetaRec) bool { return m.OID == procOID }) {
 		t.Fatal("fixture: process metadata should resolve")
 	}
 
@@ -72,14 +74,11 @@ func TestReleasedImageResolvesNothing(t *testing.T) {
 		if img.Resolvable() {
 			t.Errorf("%s reports Resolvable", name)
 		}
-		if pages := img.ResolveObject(heap); pages != nil {
-			t.Errorf("%s resolved %d pages", name, len(pages))
+		if _, err := img.resolve(nil); !errors.Is(err, ErrNoImage) {
+			t.Errorf("resolving %s = %v, want ErrNoImage", name, err)
 		}
-		if _, ok := img.ResolveMeta(procOID); ok {
-			t.Errorf("%s resolved metadata", name)
-		}
-		if img.AllMeta() != nil || img.ObjectIDs() != nil || img.ResolveHeat(heap) != nil {
-			t.Errorf("%s still lists chain contents", name)
+		if data := img.ResolvePage(heap, 7); data != nil { // a page only the base captured
+			t.Errorf("%s resolved a page through the released image", name)
 		}
 		if _, _, err := r.o.RestoreImage(img, 0, RestoreOpts{}); !errors.Is(err, ErrNoImage) {
 			t.Errorf("restoring %s = %v, want ErrNoImage", name, err)
@@ -88,6 +87,71 @@ func TestReleasedImageResolvesNothing(t *testing.T) {
 	// Identity survives: a store flush of the successor needs Prev.Epoch.
 	if base.Epoch != 1 || top.Prev.Epoch != 1 || !base.Released() || top.Released() {
 		t.Fatal("release damaged image identity")
+	}
+}
+
+// TestRestoreResolvesItsChainOnce: a restore reads its image's chain in
+// one walk, and that walk is its only check. An image released before
+// the walk restores as ErrNoImage, never as objects with no pages; one
+// released after it cannot take back the frames the restore maps.
+func TestRestoreResolvesItsChainOnce(t *testing.T) {
+	const pages = 8
+	r := newRig(t)
+	p := spawnCounter(t, r)
+	touchedHeap(t, p, pages)
+	g, _ := r.o.Persist("app", p)
+	if _, err := r.o.Checkpoint(g, CheckpointOpts{SkipFlush: true}); err != nil {
+		t.Fatal(err)
+	}
+	base := g.LastImage()
+	r.k.Run(3)
+	if _, err := r.o.Checkpoint(g, CheckpointOpts{SkipFlush: true}); err != nil {
+		t.Fatal(err)
+	}
+	top := g.LastImage()
+	want := make([]byte, pages*vm.PageSize)
+	if err := p.ReadMem(p.HeapBase(), want); err != nil {
+		t.Fatal(err)
+	}
+	// From here the two images hold the captured frames alone.
+	r.k.Exit(p, 0)
+	if err := r.k.Reap(p); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := top.resolve(r.k.Mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Release(r.k.Mem)
+	top.Release(r.k.Mem)
+	for i := 0; i < 4*pages; i++ { // whatever was freed is handed out and scribbled on
+		f, err := r.k.Mem.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range f.Data {
+			f.Data[j] = 0xEE
+		}
+	}
+	ng, _, err := r.o.restoreState(top, st, 0, RestoreOpts{})
+	st.unpin()
+	if err != nil {
+		t.Fatalf("restoring what the walk read: %v", err)
+	}
+	np, err := r.k.Process(ng.PIDs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, pages*vm.PageSize)
+	if err := np.ReadMem(np.HeapBase(), got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the restored heap differs from the one checkpointed: a release after the walk took its frames")
+	}
+	if _, _, err := r.o.RestoreImage(top, 0, RestoreOpts{}); !errors.Is(err, ErrNoImage) {
+		t.Fatalf("restoring the released image = %v, want ErrNoImage", err)
 	}
 }
 

@@ -106,10 +106,12 @@ type Image struct {
 	released bool
 	sources  []*lazyPageSource // demand-paging sources created by restore
 
-	// The PageHashes memo: hashOnce guards pages; hashed is how many of
-	// them were hashed here and not supplied by the wire, patched how
-	// many of those a compact delta's decoder rebuilt from line entries.
-	hashOnce sync.Once
+	// The PageHashes memo: hashMu guards pages, which are valid once
+	// hashDone is set; hashed is how many of them were hashed here and
+	// not supplied by the wire, patched how many of those a compact
+	// delta's decoder rebuilt from line entries.
+	hashMu   sync.Mutex
+	hashDone bool
 	pages    []PageHash
 	hashed   atomic.Int64
 	patched  int64
@@ -168,7 +170,7 @@ func (img *Image) FootprintBytes() int64 {
 // to the rest of the chain. Safe to call twice. From here on the image
 // answers for its identity only (Group, Epoch, Gen): the frames belong
 // to whoever allocates them next, so a chain walk that reaches a
-// released image ends there with nothing found (see chain).
+// released image ends there with nothing found (see resolve).
 func (img *Image) Release(pm *vm.PhysMem) {
 	img.mu.Lock()
 	if img.released {
@@ -194,56 +196,267 @@ func (img *Image) Released() bool {
 	return img.released
 }
 
-// chain lists img and the images under it, newest first, down to the
-// nearest full one — what resolving state at img has to read. It is nil
-// when any of them has been released: that part of the history now
-// lives in a backend only, and resolving around the hole would pass
-// off a partial state as the whole.
-func (img *Image) chain() []*Image {
-	var out []*Image
+// Fold merges older, the image newer builds on, into newer: from here
+// newer alone holds the state at its epoch that the two held together,
+// and older is released. Every page, swap page, VM object and metadata
+// record of older that newer does not shadow moves into newer, which
+// takes older's Full flag and Prev; a full newer shadows everything.
+// Each object's smaller page map moves into the larger, so a small
+// delta folds into a large base in O(delta). A frame newer shadows goes
+// to free with its page's hash (zero unless older's PageHashes had been
+// computed). When both images' PageHashes had been computed, newer's
+// become the merged set; otherwise they are recomputed on next use.
+// Neither image may be read elsewhere while it folds, and a walk that
+// reaches older afterwards finds it released.
+func Fold(older, newer *Image, free func(PageHash, *vm.Frame)) {
+	older.mu.Lock()
+	mem, meta, prev, full := older.Memory, older.Meta, older.Prev, older.Full
+	older.released, older.Memory, older.Meta, older.Prev = true, nil, nil, nil
+	older.mu.Unlock()
+	older.hashMu.Lock()
+	oldSums, oldDone := older.pages, older.hashDone
+	older.pages, older.hashDone = nil, false
+	older.hashMu.Unlock()
+	shadowed := func(id uint64) func(int64, *vm.Frame) {
+		return func(idx int64, f *vm.Frame) {
+			p := PageHash{ObjID: id, Idx: idx}
+			if i, ok := findPage(oldSums, id, idx); ok {
+				p.Hash = oldSums[i].Hash
+			}
+			free(p, f)
+		}
+	}
+
+	newer.mu.Lock()
+	defer newer.mu.Unlock()
+	if newer.Full {
+		for id, mi := range mem {
+			drop := shadowed(id)
+			for idx, f := range mi.Pages {
+				drop(idx, f)
+			}
+		}
+		return
+	}
+	for id, mi := range mem {
+		if heir, ok := newer.Memory[id]; ok {
+			foldPages(mi, heir, shadowed(id))
+			if len(heir.Heat) == 0 {
+				heir.Heat = mi.Heat
+			}
+		} else {
+			newer.Memory[id] = mi
+		}
+	}
+	own := newer.Meta
+	for _, m := range meta {
+		if !slices.ContainsFunc(own, func(n MetaRec) bool { return n.OID == m.OID }) {
+			newer.Meta = append(newer.Meta, m)
+		}
+	}
+	newer.Prev, newer.Full = prev, full
+
+	newer.hashMu.Lock()
+	defer newer.hashMu.Unlock()
+	if oldDone && newer.hashDone {
+		newer.pages = mergeSums(oldSums, newer.pages)
+	} else {
+		newer.pages, newer.hashDone = nil, false
+	}
+}
+
+// foldPages moves old's pages and swap pages into heir wherever heir
+// does not shadow them — old's page map into heir's or, when old's is
+// the larger, heir's into old's, which heir then takes — and hands each
+// frame heir shadows to free.
+func foldPages(old, heir *MemImage, free func(int64, *vm.Frame)) {
+	for idx := range heir.SwapData {
+		if f, ok := old.Pages[idx]; ok {
+			free(idx, f)
+			delete(old.Pages, idx)
+		}
+	}
+	if len(old.Pages) > len(heir.Pages) {
+		for idx, f := range heir.Pages {
+			if g, ok := old.Pages[idx]; ok {
+				free(idx, g)
+			}
+			old.Pages[idx] = f
+		}
+		heir.Pages = old.Pages
+	} else {
+		for idx, f := range old.Pages {
+			if _, ok := heir.Pages[idx]; ok {
+				free(idx, f)
+			} else {
+				heir.Pages[idx] = f
+			}
+		}
+	}
+	for idx, d := range old.SwapData {
+		_, paged := heir.Pages[idx]
+		_, swapped := heir.SwapData[idx]
+		if !paged && !swapped {
+			if heir.SwapData == nil {
+				heir.SwapData = make(map[int64][]byte)
+			}
+			heir.SwapData[idx] = d
+		}
+	}
+}
+
+// mergeSums is the PageHashes of a fold: the pages of older and newer,
+// both in wire order, newer's hash winning where both have a page. It
+// patches older's slice in place — O(newer) lookups into a base — and
+// sorts only when newer brings pages older lacks.
+func mergeSums(older, newer []PageHash) []PageHash {
+	var extra []PageHash
+	for _, p := range newer {
+		if i, ok := findPage(older, p.ObjID, p.Idx); ok {
+			older[i].Hash = p.Hash
+		} else {
+			extra = append(extra, p)
+		}
+	}
+	if len(extra) > 0 {
+		older = append(older, extra...)
+		sortPages(older)
+	}
+	return older
+}
+
+// chainState is the state at one image, read off its chain in one walk:
+// the newest metadata record per OID, and per VM object its newest name,
+// size and heat and its pages — newest capture wins. A restore resolves
+// an image once and builds everything from this.
+type chainState struct {
+	meta []MetaRec
+	objs map[uint64]*objectState
+	// own counts the pages the image itself captured (not the chain
+	// under it): what a restore's metadata charge is sized by.
+	own int64
+	// pinned is the allocator the frames below hold a reference from
+	// (nil: none taken).
+	pinned *vm.PhysMem
+}
+
+// objectState is one VM object's part of a chainState.
+type objectState struct {
+	name   string
+	size   int64
+	frames map[int64]*vm.Frame // captured frames
+	bytes  map[int64][]byte    // swap pages, already read back
+	view   *objstore.PageView  // store-resident pages of a lazily loaded image
+	heat   []vm.PageHeat
+}
+
+func (o *objectState) has(idx int64) bool {
+	if _, ok := o.frames[idx]; ok {
+		return true
+	}
+	_, ok := o.bytes[idx]
+	return ok
+}
+
+// resolve walks img and the images under it, newest first, down to the
+// nearest full one, reading each under its lock. Any image on the way
+// that has been released makes it ErrNoImage: that part of the history
+// now lives in a backend only, and resolving around the hole would pass
+// off a partial state as the whole. With pin set every frame collected
+// takes a reference from pin, so that a release of the chain after this
+// walk cannot take the frames from under the caller, who drops them with
+// unpin.
+func (img *Image) resolve(pin *vm.PhysMem) (*chainState, error) {
+	st := &chainState{meta: make([]MetaRec, 0, len(img.Meta)), objs: make(map[uint64]*objectState, len(img.Memory)), pinned: pin}
+	seen := make(map[uint64]bool, len(img.Meta))
 	for cur := img; cur != nil; {
 		cur.mu.Lock()
-		released, prev := cur.released, cur.Prev
-		cur.mu.Unlock()
-		if released {
-			return nil
+		if cur.released {
+			cur.mu.Unlock()
+			st.unpin()
+			return nil, fmt.Errorf("%w: image of group %d epoch %d builds on epoch %d, whose frames were already released",
+				ErrNoImage, img.Group, img.Epoch, cur.Epoch)
 		}
-		out = append(out, cur)
-		if cur.Full {
+		for _, m := range cur.Meta {
+			if !seen[m.OID] {
+				seen[m.OID] = true
+				st.meta = append(st.meta, m)
+			}
+		}
+		for id, mi := range cur.Memory {
+			if cur == img {
+				st.own += int64(mi.PageCount())
+			}
+			o := st.objs[id]
+			if o == nil {
+				o = &objectState{name: mi.Name, size: mi.Size}
+				st.objs[id] = o
+			}
+			for idx, f := range mi.Pages {
+				if !o.has(idx) {
+					if pin != nil {
+						f.Ref()
+					}
+					if o.frames == nil {
+						o.frames = make(map[int64]*vm.Frame, len(mi.Pages))
+					}
+					o.frames[idx] = f
+				}
+			}
+			for idx, d := range mi.SwapData {
+				if !o.has(idx) {
+					if o.bytes == nil {
+						o.bytes = make(map[int64][]byte, len(mi.SwapData))
+					}
+					o.bytes[idx] = d
+				}
+			}
+			if o.view == nil {
+				o.view = mi.View
+			}
+			if len(o.heat) == 0 {
+				o.heat = mi.Heat
+			}
+		}
+		prev, full := cur.Prev, cur.Full
+		cur.mu.Unlock()
+		if full {
 			break
 		}
 		cur = prev
 	}
-	return out
+	return st, nil
+}
+
+// unpin drops the references resolve took.
+func (st *chainState) unpin() {
+	if st.pinned == nil {
+		return
+	}
+	for _, o := range st.objs {
+		for _, f := range o.frames {
+			st.pinned.Free(f)
+		}
+	}
+	st.pinned = nil
+}
+
+// objectIDs lists the state's VM objects by ascending ID.
+func (st *chainState) objectIDs() []uint64 {
+	ids := make([]uint64, 0, len(st.objs))
+	for id := range st.objs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // Resolvable reports whether the state at this image can still be
 // resolved from memory: neither it nor any image it builds on has been
 // released.
-func (img *Image) Resolvable() bool { return img.chain() != nil }
-
-// ResolveObject materializes an object's complete page map at this
-// image, walking the incremental chain back to a full image. It is nil
-// when the object is unknown or the chain is not Resolvable.
-func (img *Image) ResolveObject(objID uint64) map[int64][]byte {
-	chain := img.chain()
-	var out map[int64][]byte
-	for i := len(chain) - 1; i >= 0; i-- {
-		mi, ok := chain[i].Memory[objID]
-		if !ok {
-			continue
-		}
-		if out == nil {
-			out = make(map[int64][]byte)
-		}
-		for idx, f := range mi.Pages {
-			out[idx] = f.Data
-		}
-		for idx, d := range mi.SwapData {
-			out[idx] = d
-		}
-	}
-	return out
+func (img *Image) Resolvable() bool {
+	_, err := img.resolve(nil)
+	return err == nil
 }
 
 // ResolvePage finds one page of an object at this image: the newest
@@ -270,108 +483,51 @@ func (img *Image) ResolvePage(objID uint64, idx int64) []byte {
 	return nil
 }
 
-// ResolveMeta finds the newest metadata record for an OID along the
-// image chain.
-func (img *Image) ResolveMeta(oid uint64) (MetaRec, bool) {
-	for _, cur := range img.chain() {
-		for _, m := range cur.Meta {
-			if m.OID == oid {
-				return m, true
-			}
-		}
-	}
-	return MetaRec{}, false
-}
-
-// AllMeta returns the effective metadata set at this image: the newest
-// record per OID along the chain.
-func (img *Image) AllMeta() []MetaRec {
-	seen := make(map[uint64]bool)
-	var out []MetaRec
-	for _, cur := range img.chain() {
-		for _, m := range cur.Meta {
-			if !seen[m.OID] {
-				seen[m.OID] = true
-				out = append(out, m)
-			}
-		}
-	}
-	return out
-}
-
-// ObjectIDs lists the VM objects captured along the chain.
-func (img *Image) ObjectIDs() []uint64 {
-	seen := make(map[uint64]bool)
-	var out []uint64
-	for _, cur := range img.chain() {
-		for id := range cur.Memory {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	return out
-}
-
-// resolveMem finds the newest capture of an object along the chain:
-// the one carrying its current name and size.
-func (img *Image) resolveMem(objID uint64) *MemImage {
-	for _, cur := range img.chain() {
-		if mi, ok := cur.Memory[objID]; ok {
-			return mi
-		}
-	}
-	return nil
-}
-
-// ResolveHeat finds the newest non-empty heat snapshot for an object.
-func (img *Image) ResolveHeat(objID uint64) []vm.PageHeat {
-	for _, cur := range img.chain() {
-		if mi, ok := cur.Memory[objID]; ok && len(mi.Heat) > 0 {
-			return mi.Heat
-		}
-	}
-	return nil
-}
-
 // Encode serializes a *consolidated* view of the image chain (the
 // effective state at this epoch) for network transfer or file export.
 // Objects go by ascending ID and pages by ascending index, so one chain
 // always encodes to the same bytes.
 func (img *Image) Encode() []byte {
+	st, err := img.resolve(nil)
+	if err != nil {
+		st = &chainState{} // nothing is resolvable: the identity alone
+	}
 	e := codec.NewEncoder()
 	e.U64(img.Group)
 	e.U64(img.Epoch)
 	e.U64(img.Gen)
 	e.Str(img.Name)
-	meta := img.AllMeta()
-	e.U64(uint64(len(meta)))
-	for _, m := range meta {
+	e.U64(uint64(len(st.meta)))
+	for _, m := range st.meta {
 		e.U64(m.OID)
 		e.U64(uint64(m.Kind))
 		e.Bytes2(m.Data)
 	}
-	objIDs := img.ObjectIDs()
-	slices.Sort(objIDs)
+	objIDs := st.objectIDs()
 	e.U64(uint64(len(objIDs)))
 	for _, id := range objIDs {
-		pages := img.ResolveObject(id)
-		newest := img.resolveMem(id)
+		o := st.objs[id]
 		e.U64(id)
-		e.Str(newest.Name)
-		e.I64(newest.Size)
-		e.U64(uint64(len(pages)))
-		idxs := make([]int64, 0, len(pages))
-		for idx := range pages {
+		e.Str(o.name)
+		e.I64(o.size)
+		e.U64(uint64(len(o.frames) + len(o.bytes)))
+		idxs := make([]int64, 0, len(o.frames)+len(o.bytes))
+		for idx := range o.frames {
+			idxs = append(idxs, idx)
+		}
+		for idx := range o.bytes {
 			idxs = append(idxs, idx)
 		}
 		slices.Sort(idxs)
 		for _, idx := range idxs {
 			e.I64(idx)
-			e.Bytes2(pages[idx])
+			if f, ok := o.frames[idx]; ok {
+				e.Bytes2(f.Data)
+			} else {
+				e.Bytes2(o.bytes[idx])
+			}
 		}
-		heat := img.ResolveHeat(id)
+		heat := o.heat
 		e.U64(uint64(len(heat)))
 		for _, h := range heat {
 			e.I64(h.Page)
@@ -442,13 +598,31 @@ func (img *Image) pageOrder() []PageHash {
 	return pages
 }
 
-func sortPages(pages []PageHash) {
-	slices.SortFunc(pages, func(a, b PageHash) int {
-		if c := cmp.Compare(a.ObjID, b.ObjID); c != 0 {
-			return c
+func sortPages(pages []PageHash) { slices.SortFunc(pages, comparePages) }
+
+// findPage finds page idx of object id in pages, which are in wire
+// order, the way slices.BinarySearchFunc would: a fold searches a base
+// once per page of each delta folded into it, and this loop, which
+// copies no PageHash, is several times faster.
+func findPage(pages []PageHash, id uint64, idx int64) (int, bool) {
+	lo, hi := 0, len(pages)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p := &pages[m]; p.ObjID < id || p.ObjID == id && p.Idx < idx {
+			lo = m + 1
+		} else {
+			hi = m
 		}
-		return cmp.Compare(a.Idx, b.Idx)
-	})
+	}
+	return lo, lo < len(pages) && pages[lo].ObjID == id && pages[lo].Idx == idx
+}
+
+// comparePages orders pages by (ObjID, page index): wire order.
+func comparePages(a, b PageHash) int {
+	if c := cmp.Compare(a.ObjID, b.ObjID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Idx, b.Idx)
 }
 
 // PageHashes returns the content hash of every page the image holds in
@@ -462,12 +636,14 @@ func sortPages(pages []PageHash) {
 // deltas come with the set filled in by the decoder (see
 // DecodeDeltaCompact).
 func (img *Image) PageHashes() []PageHash {
-	img.hashOnce.Do(func() {
+	img.hashMu.Lock()
+	defer img.hashMu.Unlock()
+	if !img.hashDone {
 		pages := img.pageOrder()
 		img.hashPages(pages)
-		img.pages = pages
+		img.pages, img.hashDone = pages, true
 		img.hashed.Store(int64(len(pages)))
-	})
+	}
 	return img.pages
 }
 
@@ -788,6 +964,7 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 	}
 	var pages []PageHash
 	var hashed, patched int64
+	entry := lineEntry{base: base, group: img.Group, epoch: img.Epoch - 1}
 	hash := func() (h objstore.Hash, err error) {
 		raw := d.View2()
 		if d.Err() == nil && len(raw) != len(h) {
@@ -830,12 +1007,14 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 				return nil, fmt.Errorf("core: compact delta: line entry of %d bytes for mask %#x (full=%v): %w",
 					len(lines), mask, img.Full, codec.ErrCorrupt)
 			}
-			f, err := pm.Alloc()
+			// The base copy writes the whole frame, so it is filled as it
+			// comes off the free list, without being cleared first.
+			entry.objID, entry.mask, entry.lines, entry.hash = objID, mask, lines, h
+			f, err := pm.PageIn(&entry, idx)
 			if err != nil {
 				return nil, err
 			}
-			if base == nil || !base(img.Group, img.Epoch-1, objID, idx, f.Data) || !patchLines(f.Data, mask, lines, h) {
-				pm.Free(f)
+			if f == nil {
 				missing = append(missing, h)
 				return nil, nil
 			}
@@ -852,14 +1031,34 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 	}
 	if len(missing) == 0 {
 		sortPages(pages) // a no-op pass for a sender that wrote them in order
-		img.hashOnce.Do(func() {
-			img.pages = pages
-			img.hashed.Store(hashed)
-			img.patched = patched
-		})
+		img.pages, img.hashDone, img.patched = pages, true, patched
+		img.hashed.Store(hashed)
 	}
 	return img, missing, nil
 }
+
+// lineEntry is the vm.PageSource a line entry's page is paged in
+// through: page idx of object objID at epoch, as base copies it, with
+// the entry's lines copied over it. It holds the page only if the
+// result hashes to hash. One decode reuses it for all its entries.
+type lineEntry struct {
+	base         func(group, epoch, objID uint64, idx int64, dst []byte) bool
+	group, epoch uint64
+	objID, mask  uint64
+	lines        []byte
+	hash         objstore.Hash
+}
+
+// FetchInto implements vm.PageSource.
+func (e *lineEntry) FetchInto(idx int64, dst []byte) (bool, error) {
+	return e.base != nil && e.base(e.group, e.epoch, e.objID, idx, dst) && patchLines(dst, e.mask, e.lines, e.hash), nil
+}
+
+// HasPage implements vm.PageSource: the fetch decides.
+func (e *lineEntry) HasPage(int64) bool { return true }
+
+// Pages implements vm.PageSource.
+func (e *lineEntry) Pages() []int64 { return nil }
 
 // patchLines copies a line entry's lines over its base page, in mask
 // order, and reports whether the result hashes to h.

@@ -843,3 +843,68 @@ func BenchmarkEncodeDeltaCompact(b *testing.B) {
 		})
 	}
 }
+
+// TestFoldIsTheChainResolved: folding an image into the one built on it
+// leaves the newer image holding exactly the state the two resolved to —
+// pages, swap pages, heat, metadata — with PageHashes that hash what it
+// holds, whichever way the page maps move; every shadowed frame goes to
+// free with its content's hash, and nothing else is freed or kept.
+func TestFoldIsTheChainResolved(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		base, top int // pages per object
+	}{{"delta into base", 8, 2}, {"base into delta", 2, 8}} {
+		pm := vm.NewPhysMem(0)
+		base := codecImage(t, pm, 1, true, tc.base, distinctFill)
+		top := codecImage(t, pm, 2, false, tc.top, func(id uint64, i int) byte { return distinctFill(id, i) + 100 })
+		top.Prev = base
+		top.Memory[3].Heat = nil // object 3's heat is the base's
+		top.Meta = top.Meta[:1]  // OID 12's record is the base's
+		want := top.Encode()
+		base.PageHashes()
+		top.PageHashes()
+		freed := 0
+		Fold(base, top, func(p PageHash, f *vm.Frame) {
+			if PageContentHash(f.Data) != p.Hash {
+				t.Errorf("%s: object %d page %d freed under a hash its bytes do not have", tc.name, p.ObjID, p.Idx)
+			}
+			freed++
+			pm.Free(f)
+		})
+		if !base.Released() || base.Memory != nil || !top.Full || top.Prev != nil || top.Released() {
+			t.Fatalf("%s: after the fold base released=%v, top full=%v prev=%v", tc.name, base.Released(), top.Full, top.Prev)
+		}
+		if got := top.Encode(); !bytes.Equal(got, want) {
+			t.Errorf("%s: the folded image encodes another state than the chain did", tc.name)
+		}
+		fresh := (&Image{Memory: top.Memory}).PageHashes()
+		if got := top.PageHashes(); !slices.Equal(got, fresh) {
+			t.Errorf("%s: PageHashes after the fold: %d entries, not the %d its pages hash to", tc.name, len(got), len(fresh))
+		}
+		if shadowed := 3 * min(tc.base, tc.top); freed != shadowed {
+			t.Errorf("%s: %d frames freed, want the %d shadowed", tc.name, freed, shadowed)
+		}
+		if got, want := pm.Resident(), int64(3*max(tc.base, tc.top)); got != want {
+			t.Errorf("%s: %d frames resident, the folded image holds %d", tc.name, got, want)
+		}
+	}
+}
+
+// TestFindPageIsBinarySearch: the fold's page search answers what
+// slices.BinarySearchFunc in wire order does, hits and misses alike.
+func TestFindPageIsBinarySearch(t *testing.T) {
+	var pages []PageHash
+	for id := uint64(1); id <= 3; id++ {
+		for idx := int64(0); idx < 40; idx += 3 {
+			pages = append(pages, PageHash{ObjID: id * 2, Idx: idx})
+		}
+	}
+	for id := uint64(0); id <= 7; id++ {
+		for idx := int64(-1); idx <= 41; idx++ {
+			wi, wok := slices.BinarySearchFunc(pages, PageHash{ObjID: id, Idx: idx}, comparePages)
+			if i, ok := findPage(pages, id, idx); i != wi || ok != wok {
+				t.Fatalf("findPage(%d, %d) = %d, %v; BinarySearchFunc says %d, %v", id, idx, i, ok, wi, wok)
+			}
+		}
+	}
+}

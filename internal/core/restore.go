@@ -38,26 +38,33 @@ type RestoreOpts struct {
 // restored processes resume exactly where the barrier stopped them.
 // It returns the new group and the Table 4 latency breakdown.
 func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts RestoreOpts) (*Group, RestoreBreakdown, error) {
+	st, err := img.resolve(o.K.Mem)
+	if err != nil {
+		return nil, RestoreBreakdown{Lazy: opts.Lazy, ObjectStoreRead: readTime}, err
+	}
+	defer st.unpin()
+	return o.restoreState(img, st, readTime, opts)
+}
+
+// restoreState is RestoreImage from img's state as resolve read it:
+// nothing here walks the chain again, and the frames it maps were
+// pinned by that walk.
+func (o *Orchestrator) restoreState(img *Image, st *chainState, readTime time.Duration, opts RestoreOpts) (*Group, RestoreBreakdown, error) {
 	clock := o.K.Clock
 	costs := o.K.Costs
 	bd := RestoreBreakdown{Lazy: opts.Lazy, ObjectStoreRead: readTime}
-	if !img.Resolvable() {
-		return nil, bd, fmt.Errorf("%w: image of group %d epoch %d builds on frames already released to a backend",
-			ErrNoImage, img.Group, img.Epoch)
-	}
 	fromStore := bd.ObjectStoreRead > 0
 	total := clock.Watch()
 
 	// --- Metadata state: recreate every kernel object ---
 	metaSW := clock.Watch()
-	meta := img.AllMeta()
+	meta := st.meta
 
 	// VM object shells first: mappings and shm reference them.
 	objMap := make(map[uint64]*vm.Object) // old vm ID -> new object
-	imagePages := int64(0)
-	for _, oldID := range img.ObjectIDs() {
-		newest := img.resolveMem(oldID)
-		obj := o.K.Mem.NewObject(newest.Name, newest.Size)
+	for _, oldID := range st.objectIDs() {
+		newest := st.objs[oldID]
+		obj := o.K.Mem.NewObject(newest.name, newest.size)
 		obj.SetTracked(true)
 		objMap[oldID] = obj
 	}
@@ -188,10 +195,7 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 		}
 		o.K.PatchFDTable(rp.proc, entries)
 	}
-	for _, mi := range img.Memory {
-		imagePages += int64(mi.PageCount())
-	}
-	metaCost := costs.RestoreMetaBase + storage.PerKPage(costs.RestoreMetaPerKPage, imagePages)
+	metaCost := costs.RestoreMetaBase + storage.PerKPage(costs.RestoreMetaPerKPage, st.own)
 	if fromStore {
 		// Reading the store image implicitly restored some state.
 		metaCost -= costs.ImplicitMetaCredit
@@ -236,7 +240,7 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 		case vm.RestoreLazy:
 			effOpts.Lazy = true
 		}
-		n, err := o.restoreObjectMemory(img, oldID, obj, effOpts, &bd)
+		n, err := o.restoreObjectMemory(img, st.objs[oldID], obj, effOpts, &bd)
 		if err != nil {
 			// Whoever retries this restore — on a fallback epoch, once
 			// the device is back — must not find half a process here.
@@ -339,39 +343,10 @@ func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts Res
 // — its fetch failed on the primary and every peer (ErrBackendDown), or
 // memory ran out — fails the restore instead of leaving the process a
 // zero page where its data was.
-func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Object, opts RestoreOpts, bd *RestoreBreakdown) (int, error) {
-	// Collect frame-backed pages along the chain (newest wins).
-	frames := make(map[int64]*vm.Frame)
-	bytesPages := make(map[int64][]byte)
+func (o *Orchestrator) restoreObjectMemory(img *Image, state *objectState, obj *vm.Object, opts RestoreOpts, bd *RestoreBreakdown) (int, error) {
 	// A lazily loaded image stands alone (full, nothing under it, pages
 	// in the store only), so its view shares no page with the two maps.
-	var view *objstore.PageView
-	havePage := func(idx int64) bool {
-		if _, ok := frames[idx]; ok {
-			return true
-		}
-		_, ok := bytesPages[idx]
-		return ok
-	}
-	for _, cur := range img.chain() {
-		mi, ok := cur.Memory[oldID]
-		if !ok {
-			continue
-		}
-		for idx, f := range mi.Pages {
-			if !havePage(idx) {
-				frames[idx] = f
-			}
-		}
-		for idx, d := range mi.SwapData {
-			if !havePage(idx) {
-				bytesPages[idx] = d
-			}
-		}
-		if mi.View != nil {
-			view = mi.View
-		}
-	}
+	frames, bytesPages, view := state.frames, state.bytes, state.view
 	total := len(frames) + len(bytesPages) + view.Len()
 
 	// Zero-copy memory state: share the image's frames under COW.
@@ -390,7 +365,7 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Obj
 		img.mu.Unlock()
 		if opts.Lazy {
 			obj.SetSource(src)
-			o.prefetchHottest(img, oldID, obj, src, opts.Prefetch, bd)
+			o.prefetchHottest(state.heat, obj, src, opts.Prefetch, bd)
 		} else if idxs, err := view.Pages(); err != nil {
 			// The view's epoch left the store since the load. Nothing
 			// can be materialized; leave the source attached, so that a
@@ -421,7 +396,7 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Obj
 	if opts.Lazy {
 		src := &imagePageSource{pages: bytesPages}
 		obj.SetSource(src)
-		o.prefetchHottest(img, oldID, obj, src, opts.Prefetch, bd)
+		o.prefetchHottest(state.heat, obj, src, opts.Prefetch, bd)
 	} else {
 		for idx, data := range bytesPages {
 			f, err := o.K.Mem.AllocData(data)
@@ -436,12 +411,12 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, oldID uint64, obj *vm.Obj
 }
 
 // prefetchHottest eagerly pages in the N hottest pages of one object
-// from src (clock-derived warm-up for lazy restores).
-func (o *Orchestrator) prefetchHottest(img *Image, oldID uint64, obj *vm.Object, src vm.PageSource, n int, bd *RestoreBreakdown) {
+// from src, by its heat snapshot (clock-derived warm-up for lazy
+// restores).
+func (o *Orchestrator) prefetchHottest(heat []vm.PageHeat, obj *vm.Object, src vm.PageSource, n int, bd *RestoreBreakdown) {
 	if n <= 0 {
 		return
 	}
-	heat := img.ResolveHeat(oldID)
 	hot := vm.HottestPages(heat)
 	if len(hot) > n {
 		hot = hot[:n]

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 
@@ -180,9 +181,9 @@ func (l *replicaLink) close(t *testing.T) {
 
 // TestReceiverHashesOnlyArrivingLiterals is the count-based guard on
 // O(delta) replication, immune to host-clock noise: after K compact
-// deltas of L literal and R ref pages each, the receiver has hashed
-// exactly initial + K·L pages and resolved K·R refs — the same per
-// delta whether the chain is 4 epochs long or 64.
+// deltas of L literal pages (new ones) and R ref pages each, the
+// receiver has hashed exactly initial + K·L pages and resolved K·R refs
+// — the same per delta whether 4 epochs were linked or 64.
 func TestReceiverHashesOnlyArrivingLiterals(t *testing.T) {
 	const initial, L, R = 96, 12, 4
 	for _, K := range []int{4, 64} {
@@ -197,7 +198,7 @@ func TestReceiverHashesOnlyArrivingLiterals(t *testing.T) {
 		}
 		for k := 0; k < K; k++ {
 			// L contents nobody has seen, R the full image holds.
-			fill := pages(int64(k*L), L, uint32(1_000_000+k*L))
+			fill := pages(int64(initial+k*L), L, uint32(1_000_000+k*L))
 			for i := 0; i < R; i++ {
 				fill[int64(1<<20+i)] = uint32(1 + (k+i)%initial)
 			}
@@ -281,11 +282,11 @@ func frameBytes(tb testing.TB, typ byte, payload []byte) []byte {
 }
 
 // BenchmarkReceiverCompactDelta is the receiver's cost of one epoch —
-// read, CRC, decode, hash the literals, index, ack — with `chain`
-// epochs of 64 pages already held. One op delivers a 64-page compact
-// delta (48 literals, 16 refs) for the epoch after the chain's last;
-// ops alternate between two versions of it, each superseding the
-// other, so the chain stays `chain`+1 long and every literal is new
+// read, CRC, decode, hash the literals, index, fold, ack — with `chain`
+// epochs of 64 pages already linked (and folded). One op delivers a
+// 64-page compact delta (48 literals, 16 refs) for the epoch after the
+// chain's last; ops alternate between two versions of it, each
+// superseding the other as the floor image, so every literal is new
 // content. Per-epoch cost must not depend on history: chain=512 within
 // 1.5× of chain=1. With base=held the 48 pages are the chain's last
 // epoch written in one byte each — quorum3-incr's mix — and go as line
@@ -313,7 +314,7 @@ func BenchmarkReceiverCompactDelta(b *testing.B) {
 						fill = pages(0, literals, uint32(chain*perEpoch))
 					}
 					for i := literals; i < perEpoch; i++ {
-						fill[int64(i)] = uint32(perEpoch + i) // epoch 1 holds these
+						fill[int64(i)] = uint32(chain*perEpoch + i) // the chain's last epoch holds these
 					}
 					img := pageImage(b, src, uint64(chain+1), false, fill)
 					if held {
@@ -338,8 +339,8 @@ func BenchmarkReceiverCompactDelta(b *testing.B) {
 				if err != nil || applied != b.N {
 					b.Fatalf("applied %d of %d frames, err %v", applied, b.N, err)
 				}
-				if got := len(recv.ReplicaEpochs(1)); got != chain+1 {
-					b.Fatalf("chain is %d epochs long, want %d", got, chain+1)
+				if got := recv.ReplicaEpochs(1); !slices.Equal(got, []uint64{uint64(chain), uint64(chain + 1)}) {
+					b.Fatalf("chain holds epochs %v, want [%d %d]", got, chain, chain+1)
 				}
 				if held && recv.BlockStats().Patched != int64(b.N*literals) {
 					b.Fatalf("%d pages patched over %d ops", recv.BlockStats().Patched, b.N)

@@ -100,7 +100,7 @@ func FuzzServeReplica(f *testing.F) {
 	// epoch 1 it is built on; a forged epoch 2, whose lines do not
 	// rebuild the hash they came with, and its full resend; a mask of two
 	// lines with the bytes of one; and epoch 2 to a receiver without
-	// epoch 1.
+	// epoch 1. Then the fold's edge cases (foldStreams).
 	pm := vm.NewPhysMem(0)
 	e1 := pageImage(f, pm, 1, true, pages(0, 8, 100))
 	e1c, _, _ := e1.EncodeDeltaCompact(nil)
@@ -112,6 +112,9 @@ func FuzzServeReplica(f *testing.F) {
 	page := e1.Memory[1].Pages[0].Data
 	f.Add(frames(frameDeltaC, e1c, frameDeltaC, lineEntryDelta(2, 3, page[:vm.LineSize], core.PageContentHash(page))))
 	f.Add(frames(frameDeltaC, good))
+	for _, s := range foldStreams(f) {
+		f.Add(s.stream)
+	}
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		for _, in := range [][]byte{stream, restamp(stream)} {
@@ -224,11 +227,11 @@ func FuzzReplicaSender(f *testing.F) {
 			typed("connect", err)
 			sent := rb.Floor()
 			for _, img := range imgs {
-				known := len(rb.core.known)
+				known := len(rb.core.held)
 				_, err := rb.Flush(img)
 				typed("flush", err)
-				if err != nil && len(rb.core.known) > known {
-					t.Fatalf("failed flush of epoch %d grew the known-pages cache %d -> %d", img.Epoch, known, len(rb.core.known))
+				if err != nil && len(rb.core.held) > known {
+					t.Fatalf("failed flush of epoch %d grew the mirror %d -> %d hashes", img.Epoch, known, len(rb.core.held))
 				}
 				sent = max(sent, img.Epoch)
 				if got := rb.AckedFloor(g.ID); got > sent {

@@ -3,6 +3,7 @@ package netback
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -165,8 +166,8 @@ func (r *lineRun) checkMembers(live []byte) {
 // whole-page writes, zero-fills, writes after a lazy restore and a shm
 // page written by two processes, 100 epochs over three links at W=2 —
 // one receiver restarted empty half way, behind the sender's back —
-// leave every member restoring bit-identical to live memory after every
-// Sync. Line entries must carry pages on every link, each rebuilt by
+// leave every member holding a full base and the floor image, restoring
+// bit-identical to live memory, after every Sync. Line entries must carry pages on every link, each rebuilt by
 // its receiver, and the restarted member must have drawn exactly one
 // full resend.
 func TestLineDeltaSafety(t *testing.T) {
@@ -240,6 +241,9 @@ func TestLineDeltaSafety(t *testing.T) {
 		}
 		if err := m.o.Sync(r.g); err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
+		}
+		for i, w := range r.wires {
+			checkChain(t, w.Receiver(), r.g.ID, r.g.Epoch(), fmt.Sprintf("epoch %d member %d", e, i))
 		}
 		r.checkMembers(memory(t, r.procs, r.fresh, r.shm))
 	}

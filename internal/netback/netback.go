@@ -99,16 +99,20 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 }
 
 // Receiver accepts checkpoints from a remote host (ServeReplica). It
-// maintains the newest image chain per group, ready to restore — the
-// warm-standby half of fault tolerance.
+// holds each group's state, ready to restore — the warm-standby half of
+// fault tolerance — and not its history: a group's chain is one base
+// holding everything below the contiguous floor, the floor image, and
+// any images above a hole (link). An image it hands out (Latest,
+// ImageAt) stays valid until the group's next link.
 type Receiver struct {
 	pm    *vm.PhysMem
 	clock *storage.Clock
 	nic   storage.DeviceParams
 
 	mu     sync.Mutex
-	chains map[uint64][]*core.Image // group -> images sorted by epoch
+	chains map[uint64][]*core.Image // group -> [base,] floor, images above a hole; by epoch
 	fences map[uint64]uint64        // group -> highest generation witnessed or adopted
+	linked map[uint64]int64         // group -> epochs linked that it did not hold
 	recvd  int64
 
 	// blocks indexes every distinct page content the chains hold, by
@@ -146,6 +150,7 @@ func NewReceiver(pm *vm.PhysMem, clock *storage.Clock) *Receiver {
 		nic:    storage.ParamsNIC10G,
 		chains: make(map[uint64][]*core.Image),
 		fences: make(map[uint64]uint64),
+		linked: make(map[uint64]int64),
 		blocks: make(map[objstore.Hash]blockEntry),
 	}
 }
@@ -184,14 +189,28 @@ func (r *Receiver) hold(img *core.Image) {
 // releases its frames. Callers hold mu.
 func (r *Receiver) drop(img *core.Image) {
 	for _, p := range img.PageHashes() {
-		e := r.blocks[p.Hash]
-		if e.holders--; e.holders == 0 {
-			delete(r.blocks, p.Hash)
-		} else {
-			r.blocks[p.Hash] = e
-		}
+		r.unindex(p.Hash)
 	}
 	img.Release(r.pm)
+}
+
+// unindex drops one chain page's hold on its content's entry. Callers
+// hold mu.
+func (r *Receiver) unindex(h objstore.Hash) {
+	e := r.blocks[h]
+	if e.holders--; e.holders == 0 {
+		delete(r.blocks, h)
+	} else {
+		r.blocks[h] = e
+	}
+}
+
+// shadowed is core.Fold's free for a chain's fold: a page the newer
+// image rewrote leaves the block index and its frame goes back to the
+// allocator. Callers hold mu.
+func (r *Receiver) shadowed(p core.PageHash, f *vm.Frame) {
+	r.unindex(p.Hash)
+	r.pm.Free(f)
 }
 
 // FetchBlock implements objstore.BlockSource over the receiver's held
@@ -278,48 +297,92 @@ func (r *Receiver) AdoptImage(img *core.Image) error {
 	return nil
 }
 
-// link merges an incremental delta into its group's chain. A sender
+// link merges an arriving image into its group's chain and keeps the
+// chain one base, the floor image and any images above a hole. A sender
 // flushes a group's epochs in order, but catch-up after a partition and
-// read-repair (AdoptImage) fill holes below the newest epoch, and a
-// retried flush delivers an epoch twice; the chain is kept sorted by
-// epoch and the Prev links rebuilt so restores always walk a consistent
-// history. A re-delivered epoch supersedes the copy
-// held, which is released.
+// read-repair (AdoptImage) fill holes, and a retried flush delivers an
+// epoch twice:
+//   - an epoch at or below the base is already folded into it, and the
+//     arrival is released;
+//   - a re-delivered epoch supersedes the copy held, which is released,
+//     and a full image supersedes every epoch below it;
+//   - once the chain is in epoch order, every image below the contiguous
+//     floor folds into the base (core.Fold): the floor image stays a
+//     delta of its own — what Latest returns, a restore's metadata charge
+//     is sized by, and the next epoch's line entries are rebuilt on — and
+//     a fold costs what the folded deltas hold, not what the base does.
+//
+// The Prev links are rebuilt, so restores walk a consistent history.
 func (r *Receiver) link(img *core.Image) {
 	img.PageHashes() // a literal arrival is hashed here, not under mu
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.hold(img)
-	chain := r.chains[img.Group]
-	replaced := false
-	for i, have := range chain {
-		if have.Epoch == img.Epoch {
-			r.drop(have)
-			chain[i] = img
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		chain = append(chain, img)
-		for i := len(chain) - 1; i > 0 && chain[i-1].Epoch > chain[i].Epoch; i-- {
-			chain[i-1], chain[i] = chain[i], chain[i-1]
-		}
-	}
-	for i, im := range chain {
-		if im.Full {
-			continue
-		}
-		if i == 0 {
-			im.Prev = nil
-		} else {
-			im.Prev = chain[i-1]
-		}
-	}
-	r.chains[img.Group] = chain
 	if img.Gen > r.fences[img.Group] {
 		r.fences[img.Group] = img.Gen
 	}
+	chain := r.chains[img.Group]
+	if folded(chain, img.Epoch) {
+		img.Release(r.pm)
+		return
+	}
+	r.hold(img)
+	kept := chain[:0]
+	held := false
+	for _, have := range chain {
+		switch {
+		case have.Epoch == img.Epoch:
+			held = true
+			r.drop(have)
+		case img.Full && have.Epoch < img.Epoch:
+			r.drop(have)
+		default:
+			kept = append(kept, have)
+		}
+	}
+	if !held {
+		r.linked[img.Group]++
+	}
+	kept = append(kept, img)
+	for i := len(kept) - 1; i > 0 && kept[i-1].Epoch > kept[i].Epoch; i-- {
+		kept[i-1], kept[i] = kept[i], kept[i-1]
+	}
+	floor := 0
+	for floor+1 < len(kept) && kept[floor+1].Epoch == kept[floor].Epoch+1 {
+		floor++
+	}
+	for i := 1; i < floor; i++ {
+		core.Fold(kept[i-1], kept[i], r.shadowed)
+	}
+	if floor > 1 {
+		kept = kept[:copy(kept, kept[floor-1:])]
+	}
+	if len(kept) < len(chain) {
+		clear(chain[len(kept):]) // the array is kept's: let the released go
+	}
+	for i, im := range kept {
+		switch {
+		case im.Full:
+		case i == 0:
+			im.Prev = nil
+		default:
+			im.Prev = kept[i-1]
+		}
+	}
+	r.chains[img.Group] = kept
+}
+
+// holdsFolded reports whether a group's base already holds epoch.
+func (r *Receiver) holdsFolded(group, epoch uint64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return folded(r.chains[group], epoch)
+}
+
+// folded reports whether epoch is at or below a chain's base: the
+// first of at least two contiguous images, so the state it held is
+// already part of the state at the floor.
+func folded(chain []*core.Image, epoch uint64) bool {
+	return len(chain) > 1 && chain[1].Epoch == chain[0].Epoch+1 && epoch <= chain[0].Epoch
 }
 
 // Latest returns the newest image of a group.
@@ -366,7 +429,18 @@ func (r *Receiver) ContiguousEpoch(group uint64) uint64 {
 	return r.lastContiguous(group)
 }
 
-// ReplicaEpochs lists every epoch held for the group, ascending.
+// EpochsLinked counts the epochs of a group linked into its chain that
+// the chain did not already hold — what a catch-up replayed to it,
+// however much of it has since been folded.
+func (r *Receiver) EpochsLinked(group uint64) int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.linked[group]
+}
+
+// ReplicaEpochs lists the epochs the group's chain holds, ascending:
+// the base (the state at its epoch, every epoch below the floor folded
+// into it), the floor and any epochs above a hole.
 func (r *Receiver) ReplicaEpochs(group uint64) []uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

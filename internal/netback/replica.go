@@ -103,13 +103,15 @@ func (r *Receiver) handle(w io.Writer, typ byte, payload []byte) (applied bool, 
 		if err != nil {
 			return false, err
 		}
-		if len(missing) == 0 {
+		if len(missing) == 0 || r.holdsFolded(img.Group, img.Epoch) {
+			// Complete, or a re-delivery of an epoch the base already
+			// holds, which apply acks and link releases.
 			return r.apply(w, img)
 		}
-		// The sender's receiver-holds cache was wrong (e.g. this replica
-		// restarted empty), or a line entry's base is not here or did not
-		// rebuild the page it was sent for. Ask for the full delta; the
-		// sender prunes its cache and resends literals.
+		// The sender's mirror of this receiver was wrong (e.g. this
+		// replica restarted empty), or a line entry's base is not here or
+		// did not rebuild the page it was sent for. Ask for the full delta;
+		// the sender resets its mirror and resends literals.
 		group, epoch := img.Group, img.Epoch
 		img.Release(r.pm)
 		r.mu.Lock()
@@ -206,13 +208,16 @@ type replicaCore struct {
 	name       string        // link name in a replica set ("" = "replica")
 	extraLat   time.Duration // modeled extra one-way latency for this link
 
-	// known caches content hashes of pages believed held by the
-	// receiver (populated from acked epochs): compact deltas elide
-	// those pages. Purely an optimization — a receiver that lost state
-	// answers with a need frame, which resets the cache. Guarded by mu
-	// (only touched on the send path). needResends / pagesSent /
-	// pagesSkip / pagesLined are the compact-protocol counters.
-	known       map[objstore.Hash]bool
+	// mirrors is, per group, what the receiver holds of the acked line
+	// once it has folded it (mirror), and held counts the pages of every
+	// mirror by content tag: a content with a count is held by the
+	// receiver, so a compact delta may send that page as a ref. Purely an
+	// optimization — a receiver that lost state answers with a need
+	// frame, which resets the group's mirror. Guarded by mu (only touched
+	// on the send path). needResends / pagesSent / pagesSkip / pagesLined
+	// are the compact-protocol counters.
+	mirrors     map[uint64]*mirror
+	held        map[uint64]int
 	pagesSent   int64
 	pagesSkip   int64
 	pagesLined  int64
@@ -229,6 +234,91 @@ type replicaCore struct {
 	// link's epochs in order, so there is no out-of-order ack to
 	// remember.
 	acked map[uint64]uint64
+}
+
+// mirror is a sender's copy of one group's chain on its receiver, as
+// far as the acks it saw tell: the content hash of each page of the base
+// (the state below the floor) and the pages of the floor image, at
+// epoch. Between resets it holds exactly the contents the receiver's
+// chain does; after one, a subset.
+type mirror struct {
+	epoch uint64
+	base  map[uint64]map[int64]uint64 // object -> page -> content tag
+	floor []core.PageHash
+}
+
+// tag keys a content in the mirror: the first 8 bytes of its hash,
+// which a mirror update hashes and compares faster than all 32. Two
+// contents sharing a tag could only make the sender send a ref the
+// receiver cannot resolve: a need and a full resend, never a wrong page.
+func tag(h objstore.Hash) uint64 { return binary.LittleEndian.Uint64(h[:8]) }
+
+// knows reports whether the receiver holds content h. Callers hold mu.
+func (rc *replicaCore) knows(h objstore.Hash) bool { return rc.held[tag(h)] > 0 }
+
+func (rc *replicaCore) unhold(t uint64) {
+	if n := rc.held[t] - 1; n > 0 {
+		rc.held[t] = n
+	} else {
+		delete(rc.held, t)
+	}
+}
+
+// forget resets a group's mirror: none of its pages is known held from
+// here. Callers hold mu.
+func (rc *replicaCore) forget(group uint64) {
+	m := rc.mirrors[group]
+	if m == nil {
+		return
+	}
+	for _, pages := range m.base {
+		for _, t := range pages {
+			rc.unhold(t)
+		}
+	}
+	for _, p := range m.floor {
+		rc.unhold(tag(p.Hash))
+	}
+	delete(rc.mirrors, group)
+}
+
+// mirrorAck applies an acked image, whose PageHashes are pages, to its
+// group's mirror the way its receiver linked it: a full image, or the
+// first one acked, starts the mirror over; the epoch after the floor
+// folds the floor into the base and becomes the floor. Anything else — a
+// re-delivery, an epoch past a hole — is not an in-order link, and the
+// mirror is reset. Callers hold mu.
+func (rc *replicaCore) mirrorAck(img *core.Image, pages []core.PageHash) {
+	m := rc.mirrors[img.Group]
+	switch {
+	case m == nil || img.Full:
+		rc.forget(img.Group)
+		m = &mirror{base: make(map[uint64]map[int64]uint64)}
+		rc.mirrors[img.Group] = m
+	case img.Epoch == m.epoch+1:
+		var obj map[int64]uint64
+		for i, p := range m.floor {
+			if i == 0 || p.ObjID != m.floor[i-1].ObjID {
+				if obj = m.base[p.ObjID]; obj == nil {
+					obj = make(map[int64]uint64)
+					m.base[p.ObjID] = obj
+				}
+			}
+			if t, ok := obj[p.Idx]; ok {
+				rc.unhold(t)
+			}
+			obj[p.Idx] = tag(p.Hash)
+		}
+	default:
+		rc.forget(img.Group)
+		return
+	}
+	// A copy: pages is the image's, and a fold on this side may rewrite
+	// it in place.
+	m.epoch, m.floor = img.Epoch, append(m.floor[:0], pages...)
+	for _, p := range pages {
+		rc.held[tag(p.Hash)]++
+	}
 }
 
 // noteAcked records the receiver's ack of the epoch just sent. It
@@ -302,7 +392,8 @@ type ReplicaBackend struct {
 // transfer time to clock.
 func NewReplicaBackend(clock *storage.Clock) *ReplicaBackend {
 	return &ReplicaBackend{
-		core:  &replicaCore{nic: storage.ParamsNIC10G, acked: make(map[uint64]uint64)},
+		core: &replicaCore{nic: storage.ParamsNIC10G, acked: make(map[uint64]uint64),
+			mirrors: make(map[uint64]*mirror), held: make(map[uint64]int)},
 		clock: clock,
 	}
 }
@@ -349,10 +440,11 @@ func (rb *ReplicaBackend) Connect(rw io.ReadWriter, group uint64) (uint64, error
 	rc.ackMu.Unlock()
 	if regressed {
 		// The receiver reports LESS than we recorded acked: it lost state
-		// (killed and restarted empty). The receiver-holds page cache is
-		// stale too — drop it so compact deltas don't reference pages the
-		// far side no longer has.
-		rc.known = nil
+		// (killed and restarted empty). The mirror is stale too — reset it
+		// so compact deltas don't reference pages the far side no longer
+		// has. (More than acked — acks lost in flight — leaves the mirror
+		// behind, not wrong: Flush catches it up on the skipped epochs.)
+		rc.forget(group)
 	}
 	rc.floor = floor
 	return floor, nil
@@ -471,12 +563,12 @@ func (rb *ReplicaBackend) WithLane(lane *storage.Clock) core.Backend {
 
 // Flush implements core.Backend: send the delta, wait for the
 // matching ack. Epochs at or below the handshake floor are already on
-// the replica and are skipped. When the link's acked frontier is the
-// epoch before this one, partly written pages go as their written lines
-// (core.Image.EncodeDeltaLink). Stale replies are skipped while waiting
-// (await), and an ack for an earlier epoch is stale: skipping it rather
-// than trusting it is what keeps a duplicated ack from ever advancing
-// past the deltas actually received. A need for this epoch resends it
+// the replica and are skipped, though the mirror learns them. When the
+// link's acked frontier is the epoch before this one, partly written
+// pages go as their written lines (core.Image.EncodeDeltaLink). Stale
+// replies are skipped while waiting (await), and an ack for an earlier
+// epoch is stale: skipping it rather than trusting it is what keeps a
+// duplicated ack from ever advancing past the deltas actually received. A need for this epoch resends it
 // in full. A fenced reply — the receiver has adopted a newer store
 // generation — returns a core.FenceError wrapping
 // core.ErrStaleGeneration without dropping the connection. Any
@@ -487,12 +579,17 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if img.Epoch <= rc.floor {
+		// Linked before the acks we saw stopped: the mirror catches up on
+		// it as if it had been acked now.
+		if m := rc.mirrors[img.Group]; m != nil && img.Epoch == m.epoch+1 {
+			rc.mirrorAck(img, img.PageHashes())
+		}
 		return 0, nil
 	}
 	if rc.conn == nil {
 		return 0, fmt.Errorf("%w: epoch %d not sent", ErrDisconnected, img.Epoch)
 	}
-	payload, pages, skipped, lined := img.EncodeDeltaLink(func(h objstore.Hash) bool { return rc.known[h] }, rb.AckedFloor(img.Group))
+	payload, pages, skipped, lined := img.EncodeDeltaLink(rc.knows, rb.AckedFloor(img.Group))
 	wire := int64(len(payload))
 	resent := false
 	if err := writeFrame(rc.conn, frameDeltaC, payload); err != nil {
@@ -510,10 +607,10 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 			if epoch != img.Epoch {
 				return false, nil
 			}
-			// The receiver is missing pages we elided: our cache is
-			// stale (it restarted empty). Drop the cache and resend the
-			// epoch as a full delta.
-			rc.known = nil
+			// The receiver is missing pages we elided: our mirror is
+			// stale (it restarted empty). Reset it and resend the epoch
+			// as a full delta.
+			rc.forget(img.Group)
 			rc.needResends++
 			resent = true
 			full := img.EncodeDelta()
@@ -547,14 +644,9 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 		rc.pagesSkip += int64(skipped)
 		rc.pagesLined += int64(lined)
 	}
-	// The acked epoch's pages are now provably on the receiver: future
-	// deltas may reference them by hash.
-	if rc.known == nil {
-		rc.known = make(map[objstore.Hash]bool, len(pages))
-	}
-	for _, p := range pages {
-		rc.known[p.Hash] = true
-	}
+	// The acked epoch is linked on the receiver: future deltas may
+	// reference what its chain now holds by hash.
+	rc.mirrorAck(img, pages)
 	cost := rc.nic.Latency + rc.extraLat + time.Duration(wire*int64(time.Second)/rc.nic.WriteBW)
 	if rb.clock != nil {
 		rb.clock.Advance(cost)

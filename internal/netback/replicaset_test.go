@@ -2,6 +2,7 @@ package netback
 
 import (
 	"errors"
+	"maps"
 	"net"
 	"strings"
 	"testing"
@@ -256,19 +257,16 @@ func TestCompactDeltaSkipAndNeedResend(t *testing.T) {
 		t.Fatalf("receiver A at epoch 2: img=%v err=%v", img, err)
 	}
 
-	// Simulate a stale cache: receiver A dies; a brand-new empty
-	// receiver B takes over, and we resurrect the pre-crash hash cache
+	// Simulate a stale mirror: receiver A dies; a brand-new empty
+	// receiver B takes over, and we resurrect the pre-crash mirror of A
 	// behind the protocol's back (Connect correctly reset it on the
 	// floor regression). Replayed compact deltas now carry refs B
 	// cannot resolve — the need/full-resend path must repair it.
-	saved := make(map[objstore.Hash]bool)
 	rb.core.mu.Lock()
-	for h := range rb.core.known {
-		saved[h] = true
-	}
+	saved, savedHeld := rb.core.mirrors[g.ID], maps.Clone(rb.core.held)
 	rb.core.mu.Unlock()
-	if len(saved) == 0 {
-		t.Fatal("no hash cache accumulated over two acked epochs")
+	if saved == nil || len(savedHeld) == 0 {
+		t.Fatal("no mirror accumulated over two acked epochs")
 	}
 	local.Close()
 	if err := <-doneA; err != nil {
@@ -290,7 +288,7 @@ func TestCompactDeltaSkipAndNeedResend(t *testing.T) {
 		t.Fatalf("acked ledger = %d after floor regression, want reset to 0", f)
 	}
 	rb.core.mu.Lock()
-	rb.core.known = saved // the lie under test
+	rb.core.mirrors[g.ID], rb.core.held = saved, savedHeld // the lie under test
 	rb.core.mu.Unlock()
 
 	for epoch := uint64(1); epoch <= 2; epoch++ {
