@@ -55,14 +55,14 @@ fuzzcheck:
 
 ## loc: the non-test line counts ROADMAP tracks (north-star 2), by the
 ## definition ROADMAP uses, those of the three layers under core's data
-## path, and the control plane ROADMAP item 5 tracks, per file and in
-## all.
+## path, and the files ROADMAP item 5 tracks — the image codec and the
+## control plane, per file and the control plane in all.
 CONTROL_PLANE = placer autoscale migrate promote supervisor
 loc:
 	@for d in core netback bench objstore storage vm; do \
 		printf 'internal/%s %s\n' $$d $$(ls internal/$$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
-	@for f in $(CONTROL_PLANE); do \
+	@for f in image $(CONTROL_PLANE); do \
 		printf 'internal/core/%s.go %s\n' $$f $$(cat internal/core/$$f.go | wc -l); \
 	done
 	@printf 'control plane (%s) %s\n' "$(CONTROL_PLANE)" $$(cat $(CONTROL_PLANE:%=internal/core/%.go) | wc -l)
@@ -82,9 +82,11 @@ faultcheck:
 
 ## recoverycheck: validated self-healing restore under the race detector —
 ## crash-at-every-op harness, epoch quarantine with fallback, lazy-paging
-## failover, supervisor auto-restore, bounded SwapIn retry, CLI exit codes.
+## failover, supervisor auto-restore, bounded SwapIn retry, CLI exit codes,
+## and `sls send`/`recv`: an image file round-trips, and a group whose
+## pages are still in a store sends no file.
 recoverycheck:
-	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs' \
+	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore' \
 		./internal/core/ ./internal/vm/ ./internal/netback/ ./cmd/sls/
 
 ## chaoscheck: whole-system chaos harness under the race detector —

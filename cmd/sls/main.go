@@ -1168,7 +1168,10 @@ func (s *session) exec(line string) bool {
 		if img == nil {
 			return fail(core.ErrNoImage)
 		}
-		payload := img.Encode()
+		payload, err := img.Encode()
+		if err != nil {
+			return fail(err)
+		}
 		if err := os.WriteFile(args[1], payload, 0o644); err != nil {
 			return fail(err)
 		}

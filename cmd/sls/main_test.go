@@ -3,7 +3,9 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -83,6 +85,26 @@ func TestCLISendRecv(t *testing.T) {
 	}
 	if !strings.Contains(got2, "counter") {
 		t.Fatalf("received process missing from ps:\n%s", got2)
+	}
+}
+
+// TestCLISendAfterLazyRestore: a lazily restored group's image keeps its
+// pages in the store, so `send` refuses it and writes no file; after the
+// group's next checkpoint, which is full, the file round-trips.
+func TestCLISendAfterLazyRestore(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "app.aur")
+	got := runScript(t,
+		"boot counter; run 7; persist 1 app; attach app nvme; checkpoint app; sync app; restore app; send 2 "+file)
+	if !strings.Contains(got, "error:") || strings.Contains(got, "sent group 2") {
+		t.Fatalf("send after a lazy restore:\n%s", got)
+	}
+	if _, err := os.Stat(file); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("send after a lazy restore left a file: %v", err)
+	}
+	got = runScript(t,
+		"boot counter; run 7; persist 1 app; attach app nvme; checkpoint app; sync app; restore app; checkpoint 2; send 2 "+file+"; recv "+file)
+	if !strings.Contains(got, "sent group 2") || !strings.Contains(got, "received as group 3") || strings.Contains(got, "error:") {
+		t.Fatalf("send after the restored group's checkpoint:\n%s", got)
 	}
 }
 

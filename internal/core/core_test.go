@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -731,8 +732,7 @@ func TestImageEncodeDecodeRoundTrip(t *testing.T) {
 	r.o.Checkpoint(g, CheckpointOpts{Name: "xfer"})
 
 	img := g.LastImage()
-	payload := img.Encode()
-	img2, err := DecodeImage(payload, r.k.Mem)
+	img2, err := DecodeImage(encoded(t, img), r.k.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -745,6 +745,61 @@ func TestImageEncodeDecodeRoundTrip(t *testing.T) {
 	np, _ := r.k.Process(ng.PIDs()[0])
 	if got := counterValue(np); got != 17 {
 		t.Fatalf("decoded-image counter = %d, want 17", got)
+	}
+}
+
+// TestEncodeAfterLazyRestore: a lazily restored group's image keeps its
+// pages in the store, so Encode refuses it rather than write a file
+// without them, as it refuses a chain that reaches a released image. The
+// restored group's next checkpoint is full, holds its pages, and its
+// file restores the counter.
+func TestEncodeAfterLazyRestore(t *testing.T) {
+	r := newRig(t)
+	p := spawnCounter(t, r)
+	g, _ := r.o.Persist("app", p)
+	r.o.Attach(g, r.store)
+	r.k.Run(17)
+	if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.o.Sync(g); err != nil {
+		t.Fatal(err)
+	}
+	ng, _, err := r.o.Restore(g, 0, RestoreOpts{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ng.LastImage().Encode(); !errors.Is(err, ErrNoImage) {
+		t.Fatalf("Encode of a lazily restored image: err = %v, want ErrNoImage", err)
+	}
+
+	if _, err := r.o.Checkpoint(ng, CheckpointOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	img := ng.LastImage()
+	if !img.Full {
+		t.Fatalf("the restored group's first checkpoint is %v, want a full one", img)
+	}
+	dec, err := DecodeImage(encoded(t, img), r.k.Mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg, _, err := r.o.RestoreImage(dec, 0, RestoreOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	np, _ := r.k.Process(rg.PIDs()[0])
+	if got := counterValue(np); got != 17 {
+		t.Fatalf("counter from the restored group's file = %d, want 17", got)
+	}
+
+	pm := vm.NewPhysMem(0)
+	base := codecImage(t, pm, 1, true, 2, distinctFill)
+	top := codecImage(t, pm, 2, false, 2, distinctFill)
+	top.Prev = base
+	base.Release(pm)
+	if file, err := top.Encode(); !errors.Is(err, ErrNoImage) || file != nil {
+		t.Fatalf("Encode over a released image: %d bytes, err = %v; want none and ErrNoImage", len(file), err)
 	}
 }
 
@@ -911,7 +966,7 @@ func TestUnixSocketListenerRestored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img2, err := DecodeImage(img.Encode(), r2.k.Mem)
+	img2, err := DecodeImage(encoded(t, img), r2.k.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,9 +223,11 @@ func (f *flusher) finish(job *flushJob, dur time.Duration, err error) {
 		f.retired -= n
 	}
 	more := job != nil && err == nil && f.unretiredLocked() > 0
+	// The budget goes back before anyone waiting on f.cond wakes: a
+	// drained pipeline (drain, Close, Unpersist) charges the fleet nothing.
+	f.fl.releaseBudget(budget)
 	f.cond.Broadcast()
 	f.mu.Unlock()
-	f.fl.releaseBudget(budget)
 	if more {
 		f.shard.wake(f)
 	}

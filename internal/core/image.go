@@ -501,76 +501,41 @@ func (img *Image) ResolvePage(objID uint64, idx int64) []byte {
 	return nil
 }
 
-// Encode serializes a *consolidated* view of the image chain (the
-// effective state at this epoch) for network transfer or file export.
-// Objects go by ascending ID and pages by ascending index, so one chain
-// always encodes to the same bytes.
-func (img *Image) Encode() []byte {
+// Encode serializes the state at this image — its chain resolved, the
+// effective state at this epoch — for file export (`sls send`): a full
+// image in the delta layout, every page literal, which DecodeImage reads
+// back. Objects go by ascending ID and pages by ascending index, so one
+// chain always encodes to the same bytes. A chain that reaches a released
+// image, or that holds pages in a store only (a lazily restored group's
+// image), is ErrNoImage: the bytes here would not be the whole state.
+func (img *Image) Encode() ([]byte, error) {
 	st, err := img.resolve(nil, true)
 	if err != nil {
-		st = &chainState{} // nothing is resolvable: the identity alone
-	}
-	e := codec.NewEncoder()
-	e.U64(img.Group)
-	e.U64(img.Epoch)
-	e.U64(img.Gen)
-	e.Str(img.Name)
-	e.U64(uint64(len(st.meta)))
-	for _, m := range st.meta {
-		e.U64(m.OID)
-		e.U64(uint64(m.Kind))
-		e.Bytes2(m.Data)
-	}
-	objIDs := st.objectIDs()
-	e.U64(uint64(len(objIDs)))
-	for _, id := range objIDs {
-		o := st.objs[id]
-		e.U64(id)
-		e.Str(o.name)
-		e.I64(o.size)
-		e.U64(uint64(len(o.frames) + len(o.bytes)))
-		idxs := make([]int64, 0, len(o.frames)+len(o.bytes))
-		for idx := range o.frames {
-			idxs = append(idxs, idx)
-		}
-		for idx := range o.bytes {
-			idxs = append(idxs, idx)
-		}
-		slices.Sort(idxs)
-		for _, idx := range idxs {
-			e.I64(idx)
-			if f, ok := o.frames[idx]; ok {
-				e.Bytes2(f.Data)
-			} else {
-				e.Bytes2(o.bytes[idx])
-			}
-		}
-		e.U64(uint64(len(o.heat)))
-		for _, h := range o.heat {
-			e.I64(h.Page)
-			e.U32(h.Count)
-		}
-	}
-	e.U64Slice(img.Roots)
-	return e.Bytes()
-}
-
-// DecodeImage parses an encoded image into a standalone full image.
-// Page data is copied into fresh frames owned by the image.
-func DecodeImage(payload []byte, pm *vm.PhysMem) (*Image, error) {
-	d := codec.NewDecoder(payload)
-	img := &Image{
-		Group:  d.U64(),
-		Epoch:  d.U64(),
-		Gen:    d.U64(),
-		Name:   d.Str(),
-		Full:   true,
-		Memory: make(map[uint64]*MemImage),
-	}
-	if err := decodeBody(d, img, pm, "image", literalPage); err != nil {
 		return nil, err
 	}
-	return img, nil
+	full := &Image{Group: img.Group, Epoch: img.Epoch, Gen: img.Gen, Name: img.Name, Full: true,
+		Meta: st.meta, Memory: make(map[uint64]*MemImage, len(st.objs)), Roots: img.Roots}
+	for id, o := range st.objs {
+		if o.view.Len() > 0 {
+			return nil, fmt.Errorf("%w: image of group %d epoch %d keeps pages of object %d in a store only",
+				ErrNoImage, img.Group, img.Epoch, id)
+		}
+		full.Memory[id] = &MemImage{ObjID: id, Name: o.name, Size: o.size, Pages: o.frames, SwapData: o.bytes, Heat: o.heat}
+	}
+	return full.EncodeDelta(), nil
+}
+
+// DecodeImage parses what Encode writes into a standalone full image: an
+// image in the delta layout (DecodeDelta) that must be full. Page data
+// is copied into fresh frames owned by the image.
+func DecodeImage(payload []byte, pm *vm.PhysMem) (*Image, error) {
+	img, err := DecodeDelta(payload, pm)
+	if err == nil && !img.Full {
+		img.Release(pm)
+		return nil, fmt.Errorf("core: image of group %d epoch %d is an incremental delta, not a full image: %w",
+			img.Group, img.Epoch, codec.ErrCorrupt)
+	}
+	return img, err
 }
 
 // PageHash names one page an image holds in bytes — a captured frame
@@ -649,9 +614,8 @@ func comparePages(a, b PageHash) int {
 // joining a receiver's chain — and kept, so however many links, encodes
 // and receiver indexes ask, each page of an image is hashed at most
 // once on a machine; concurrent callers wait for the first and share
-// its result, which none may modify. Images that arrived as compact
-// deltas come with the set filled in by the decoder (see
-// DecodeDeltaCompact).
+// its result, which none may modify. Decoded images come with the set
+// filled in by the decoder (see DecodeDeltaCompact).
 func (img *Image) PageHashes() []PageHash {
 	img.hashMu.Lock()
 	defer img.hashMu.Unlock()
@@ -712,16 +676,19 @@ func (img *Image) PagesHashed() int64 { return img.hashed.Load() }
 func (img *Image) PagesPatched() int64 { return img.patched }
 
 // EncodeDelta serializes only this image's own records (not the
-// chain): the unit of continuous replication. The receiver links
-// deltas onto its copy of the chain. Objects and pages are written in
-// ascending (ObjID, page index), so encoding an image twice gives the
-// same bytes.
+// chain), every page literal: the unit of continuous replication, and the
+// resend a receiver's need draws. The receiver links deltas onto its copy
+// of the chain. It writes the one image layout — what EncodeDeltaCompact
+// writes when nothing is skipped, byte for byte — without hashing a page.
+// Objects and pages are written in ascending (ObjID, page index), so
+// encoding an image twice gives the same bytes.
 func (img *Image) EncodeDelta() []byte {
-	return img.encodeDelta(img.pageOrder(), nil)
+	pages := img.pageOrder()
+	return img.encodeDelta(pages, make([]byte, len(pages)))
 }
 
-// Compact-delta page tags: a page entry in a compact delta carries the
-// literal bytes, just the content hash of bytes the receiver is
+// Page tags, the one image layout's: a page entry carries the literal
+// bytes (every entry EncodeDelta and Encode write), just the content hash of bytes the receiver is
 // believed to hold already (the dedup idea applied to the wire), or the
 // lines in which the page differs from the one the receiver holds at
 // the previous epoch ("send log records instead of disk pages").
@@ -797,10 +764,9 @@ type deltaSink interface {
 	U64Slice([]uint64)
 }
 
-// encodeDelta writes the delta wire format into a buffer of exactly
-// its size. pages is the image's pages in wire order; tags selects the
-// compact layout, in which page i goes as the entry tags[i] names, and
-// nil the plain one, every page its bytes.
+// encodeDelta writes the image layout into a buffer of exactly its
+// size. pages is the image's pages in wire order, and page i goes as the
+// entry tags[i] names.
 func (img *Image) encodeDelta(pages []PageHash, tags []byte) []byte {
 	ids := img.objectOrder()
 
@@ -831,10 +797,6 @@ func (img *Image) encodeDelta(pages []PageHash, tags []byte) []byte {
 			for ; next < end; next++ {
 				p := &pages[next]
 				w.I64(p.Idx)
-				if tags == nil {
-					w.Bytes2(mi.PageData(p.Idx))
-					continue
-				}
 				w.U8(tags[next])
 				switch tags[next] {
 				case deltaPageRef:
@@ -868,47 +830,21 @@ func (img *Image) encodeDelta(pages []PageHash, tags []byte) []byte {
 	return e.Bytes()
 }
 
-// pageDecoder reads one page entry's payload (everything after its
-// index) and returns the frame holding it; a nil frame with a nil
-// error skips the page.
-type pageDecoder func(d *codec.Decoder, pm *vm.PhysMem, objID uint64, idx int64) (*vm.Frame, error)
-
-// literalPage is the pageDecoder of a page stored as its bytes, which
-// it copies once: wire buffer to frame.
-func literalPage(d *codec.Decoder, pm *vm.PhysMem, _ uint64, _ int64) (*vm.Frame, error) {
-	data := d.View2()
-	if d.Err() != nil {
-		return nil, nil
-	}
-	return pm.AllocData(data)
-}
-
-// decodeBody parses what follows the header in all three image
-// layouts: metadata, objects with their pages and heat, roots. Counts
-// come off the wire, so each is checked against the bytes that remain
-// before anything is sized by it, and an object or page that appears
-// twice is corrupt (the second would orphan the first one's frames).
-// On error the frames decoded so far have been released.
-func decodeBody(d *codec.Decoder, img *Image, pm *vm.PhysMem, what string, page pageDecoder) error {
-	err := decodeObjects(d, img, pm, what, page)
-	if err == nil {
-		img.Roots = d.U64Slice()
-		err = d.Finish(what)
-	}
-	if err != nil {
-		img.Release(pm)
-	}
-	return err
-}
-
-func decodeObjects(d *codec.Decoder, img *Image, pm *vm.PhysMem, what string, page pageDecoder) error {
+// decodeObjects parses the metadata and the objects, with their pages
+// and heat, handing each page entry's payload (everything after its
+// index) to page, which returns the frame holding it; a nil frame with a
+// nil error skips the page. Counts come off the wire, so each is checked
+// against the bytes that remain before anything is sized by it, and an
+// object or page that appears twice is corrupt (the second would orphan
+// the first one's frames).
+func decodeObjects(d *codec.Decoder, img *Image, page func(objID uint64, idx int64) (*vm.Frame, error)) error {
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		img.Meta = append(img.Meta, MetaRec{OID: d.U64(), Kind: kernel.Kind(d.U64()), Data: d.Bytes2()})
 	}
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		mi := &MemImage{ObjID: d.U64(), Name: d.Str(), Size: d.I64(), Pages: make(map[int64]*vm.Frame)}
 		if _, dup := img.Memory[mi.ObjID]; dup {
-			return fmt.Errorf("decoding %s: object %d appears twice: %w", what, mi.ObjID, codec.ErrCorrupt)
+			return fmt.Errorf("decoding image delta: object %d appears twice: %w", mi.ObjID, codec.ErrCorrupt)
 		}
 		img.Memory[mi.ObjID] = mi
 		for j, n := 0, d.Count(); j < n && d.Err() == nil; j++ {
@@ -917,9 +853,9 @@ func decodeObjects(d *codec.Decoder, img *Image, pm *vm.PhysMem, what string, pa
 				break
 			}
 			if _, dup := mi.Pages[idx]; dup {
-				return fmt.Errorf("decoding %s: page %d of object %d appears twice: %w", what, idx, mi.ObjID, codec.ErrCorrupt)
+				return fmt.Errorf("decoding image delta: page %d of object %d appears twice: %w", idx, mi.ObjID, codec.ErrCorrupt)
 			}
-			f, err := page(d, pm, mi.ObjID, idx)
+			f, err := page(mi.ObjID, idx)
 			if err != nil {
 				return err
 			}
@@ -932,31 +868,29 @@ func decodeObjects(d *codec.Decoder, img *Image, pm *vm.PhysMem, what string, pa
 		}
 		if !vm.HeatInOrder(mi.Heat) && d.Err() == nil {
 			// Heat resolves by vm.MergeHeat, which needs page order.
-			return fmt.Errorf("decoding %s: heat of object %d out of page order: %w", what, mi.ObjID, codec.ErrCorrupt)
+			return fmt.Errorf("decoding image delta: heat of object %d out of page order: %w", mi.ObjID, codec.ErrCorrupt)
 		}
 	}
 	return nil
 }
 
-// DecodeDelta parses one replication delta. The caller links Prev.
+// DecodeDelta parses an image whose every page is a literal — what
+// EncodeDelta and Encode write. It is DecodeDeltaCompact with nothing to
+// resolve a ref or rebuild a line entry against, so either is corrupt
+// here. The caller links Prev.
 func DecodeDelta(payload []byte, pm *vm.PhysMem) (*Image, error) {
-	d := codec.NewDecoder(payload)
-	img := &Image{
-		Group:  d.U64(),
-		Epoch:  d.U64(),
-		Gen:    d.U64(),
-		Name:   d.Str(),
-		Full:   d.Bool(),
-		Memory: make(map[uint64]*MemImage),
+	img, missing, err := DecodeDeltaCompact(payload, pm, nil, nil)
+	if err == nil && len(missing) > 0 {
+		img.Release(pm)
+		return nil, fmt.Errorf("core: image delta of group %d epoch %d: %d pages are refs or line entries: %w",
+			img.Group, img.Epoch, len(missing), codec.ErrCorrupt)
 	}
-	if err := decodeBody(d, img, pm, "image delta", literalPage); err != nil {
-		return nil, err
-	}
-	return img, nil
+	return img, err
 }
 
-// DecodeDeltaCompact parses one compact replication delta. Literal
-// pages are copied into fresh frames and hashed as they arrive; a hash
+// DecodeDeltaCompact is the one image parser: it reads whatever
+// EncodeDeltaLink, EncodeDeltaCompact, EncodeDelta or Encode wrote. Literal
+// pages are copied into fresh frames and hashed as they are copied; a hash
 // ref is handed to `resolve` (the receiver's block index, typically
 // backed by its chains and local object store), which returns a frame
 // holding those bytes with one reference taken for the image; a line
@@ -989,22 +923,27 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 	hash := func() (h objstore.Hash, err error) {
 		raw := d.View2()
 		if d.Err() == nil && len(raw) != len(h) {
-			err = fmt.Errorf("core: compact delta: bad hash length %d: %w", len(raw), codec.ErrCorrupt)
+			err = fmt.Errorf("core: image delta: bad hash length %d: %w", len(raw), codec.ErrCorrupt)
 		}
 		copy(h[:], raw)
 		return h, err
 	}
-	err = decodeBody(d, img, pm, "compact image delta", func(d *codec.Decoder, pm *vm.PhysMem, objID uint64, idx int64) (*vm.Frame, error) {
+	err = decodeObjects(d, img, func(objID uint64, idx int64) (*vm.Frame, error) {
 		switch tag := d.U8(); tag {
 		case deltaPageLiteral:
-			f, err := literalPage(d, pm, objID, idx)
-			if f != nil {
-				// Hash what the frame holds, not what the wire carried:
-				// a short literal is zero-padded to a page.
-				pages = append(pages, PageHash{ObjID: objID, Idx: idx, Hash: PageContentHash(f.Data)})
-				hashed++
+			data := d.View2()
+			if d.Err() != nil {
+				return nil, nil
 			}
-			return f, err
+			f, err := pm.AllocData(data)
+			if err != nil {
+				return nil, err
+			}
+			// Hash what the frame holds, not what the wire carried: a
+			// short literal is zero-padded to a page.
+			pages = append(pages, PageHash{ObjID: objID, Idx: idx, Hash: PageContentHash(f.Data)})
+			hashed++
+			return f, nil
 		case deltaPageRef:
 			h, err := hash()
 			if err != nil || d.Err() != nil {
@@ -1025,7 +964,7 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 				return nil, err
 			}
 			if len(lines) != bits.OnesCount64(mask)<<vm.LineShift || img.Full {
-				return nil, fmt.Errorf("core: compact delta: line entry of %d bytes for mask %#x (full=%v): %w",
+				return nil, fmt.Errorf("core: image delta: line entry of %d bytes for mask %#x (full=%v): %w",
 					len(lines), mask, img.Full, codec.ErrCorrupt)
 			}
 			// The base copy writes the whole frame, so it is filled as it
@@ -1044,10 +983,15 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 			patched++
 			return f, nil
 		default:
-			return nil, fmt.Errorf("core: compact delta: bad page tag %d: %w", tag, codec.ErrCorrupt)
+			return nil, fmt.Errorf("core: image delta: bad page tag %d: %w", tag, codec.ErrCorrupt)
 		}
 	})
+	if err == nil {
+		img.Roots = d.U64Slice()
+		err = d.Finish("image delta")
+	}
 	if err != nil {
+		img.Release(pm)
 		return nil, nil, err
 	}
 	if len(missing) == 0 {

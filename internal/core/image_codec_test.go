@@ -62,6 +62,16 @@ func codecImage(tb testing.TB, pm *vm.PhysMem, epoch uint64, full bool, pagesPer
 
 func distinctFill(id uint64, i int) byte { return byte(id)*31 + byte(i) }
 
+// encoded is img.Encode() of a chain that must encode.
+func encoded(tb testing.TB, img *Image) []byte {
+	tb.Helper()
+	file, err := img.Encode()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return file
+}
+
 // samePages reports the first page on which two images differ.
 func samePages(a, b *Image) error {
 	if len(a.Memory) != len(b.Memory) {
@@ -89,7 +99,7 @@ func samePages(a, b *Image) error {
 
 // TestDeltaEncodeDeterministic: an image encodes to the same bytes
 // every time, in ascending (ObjID, page index), in a buffer of exactly
-// the payload's size — for both delta layouts, with and without refs.
+// the payload's size — every page literal, and with refs.
 func TestDeltaEncodeDeterministic(t *testing.T) {
 	pm := vm.NewPhysMem(0)
 	img := codecImage(t, pm, 4, false, 24, distinctFill)
@@ -131,7 +141,7 @@ func TestDeltaEncodeDeterministic(t *testing.T) {
 	}
 }
 
-// TestEncodeDeterministic: the consolidated layout `sls send` writes is
+// TestEncodeDeterministic: the file `sls send` writes (Encode) is
 // a function of the chain — objects by ascending ID, pages by ascending
 // index, whatever order the page maps iterate in — and a decoded image
 // encodes back to the very bytes it came from.
@@ -140,9 +150,9 @@ func TestEncodeDeterministic(t *testing.T) {
 	base := codecImage(t, pm, 1, true, 24, distinctFill)
 	top := codecImage(t, pm, 2, false, 12, func(id uint64, i int) byte { return distinctFill(id, i) + 100 })
 	top.Prev = base
-	first := top.Encode()
+	first := encoded(t, top)
 	for i := 0; i < 8; i++ {
-		if again := top.Encode(); !bytes.Equal(first, again) {
+		if again := encoded(t, top); !bytes.Equal(first, again) {
 			t.Fatalf("encode %d of one chain differs from the first", i+2)
 		}
 	}
@@ -150,39 +160,39 @@ func TestEncodeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again := dec.Encode(); !bytes.Equal(first, again) {
+	if again := encoded(t, dec); !bytes.Equal(first, again) {
 		t.Fatal("a decoded image does not encode back to its bytes")
 	}
 	dec.Release(pm)
 }
 
 // TestDeltaRoundTripPreservesPages: decode∘encode keeps every page,
-// heat entry and header field, for a full and an incremental image, in
-// both layouts; compact refs resolve through the callback, and frames
-// go back to the allocator on release.
+// heat entry and header field, for a full and an incremental image,
+// every page literal and with refs; refs resolve through the callback,
+// and frames go back to the allocator on release.
 func TestDeltaRoundTripPreservesPages(t *testing.T) {
 	for _, full := range []bool{true, false} {
 		src := vm.NewPhysMem(0)
 		img := codecImage(t, src, 7, full, 16, distinctFill)
 
 		dst := vm.NewPhysMem(0)
-		plain, err := DecodeDelta(img.EncodeDelta(), dst)
+		literal, err := DecodeDelta(img.EncodeDelta(), dst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := samePages(img, plain); err != nil {
-			t.Fatalf("full=%v plain delta: %v", full, err)
+		if err := samePages(img, literal); err != nil {
+			t.Fatalf("full=%v literal delta: %v", full, err)
 		}
-		if plain.Full != full || plain.Group != img.Group || plain.Epoch != img.Epoch || plain.Gen != img.Gen ||
-			plain.Name != img.Name || len(plain.Meta) != len(img.Meta) || len(plain.Roots) != len(img.Roots) {
-			t.Fatalf("full=%v plain delta header: %v, want %v", full, plain, img)
+		if literal.Full != full || literal.Group != img.Group || literal.Epoch != img.Epoch || literal.Gen != img.Gen ||
+			literal.Name != img.Name || len(literal.Meta) != len(img.Meta) || len(literal.Roots) != len(img.Roots) {
+			t.Fatalf("full=%v literal delta header: %v, want %v", full, literal, img)
 		}
 
 		// Compact: every second page travels as a ref and is resolved
-		// from the plain decode's frames, which the new image then shares.
+		// from the literal decode's frames, which the new image then shares.
 		held := make(map[objstore.Hash]*vm.Frame)
-		for _, p := range plain.PageHashes() {
-			held[p.Hash] = plain.Memory[p.ObjID].Pages[p.Idx]
+		for _, p := range literal.PageHashes() {
+			held[p.Hash] = literal.Memory[p.ObjID].Pages[p.Idx]
 		}
 		n := 0
 		payload, pages, skipped := img.EncodeDeltaCompact(func(objstore.Hash) bool { n++; return n%2 == 0 })
@@ -227,7 +237,7 @@ func TestDeltaRoundTripPreservesPages(t *testing.T) {
 		}
 
 		compact.Release(dst)
-		plain.Release(dst)
+		literal.Release(dst)
 	}
 }
 
@@ -240,7 +250,7 @@ func TestPageHashesHashOnce(t *testing.T) {
 	}
 	img.EncodeDelta()
 	if img.PagesHashed() != 0 {
-		t.Fatal("the plain delta encoder hashed pages it has no use for")
+		t.Fatal("EncodeDelta hashed pages it has no use for")
 	}
 	var wg sync.WaitGroup
 	firsts := make([]*PageHash, 8)
@@ -296,16 +306,12 @@ func TestDecodersBoundWireCounts(t *testing.T) {
 		},
 	}
 	page := bytes.Repeat([]byte{7}, vm.PageSize)
-	entry := func(e *codec.Encoder, compact bool, idx int64) {
+	entry := func(e *codec.Encoder, idx int64) {
 		e.I64(idx)
-		if compact {
-			e.U8(deltaPageLiteral)
-		}
+		e.U8(deltaPageLiteral)
 		e.Bytes2(page)
 	}
 	for name, decode := range decoders {
-		compact := name == "DecodeDeltaCompact"
-
 		// A heat count of four million in a 14-byte payload.
 		e := deltaHeader(0, 1)
 		e.U64(0)       // pages
@@ -339,8 +345,8 @@ func TestDecodersBoundWireCounts(t *testing.T) {
 		pm := vm.NewPhysMem(0)
 		e = deltaHeader(0, 1)
 		e.U64(2)
-		entry(e, compact, 3)
-		entry(e, compact, 3)
+		entry(e, 3)
+		entry(e, 3)
 		e.U64(0) // heat
 		e.U64(0) // roots
 		if img, err := decode(e.Bytes(), pm); !errors.Is(err, codec.ErrCorrupt) {
@@ -356,11 +362,11 @@ func TestDecodersBoundWireCounts(t *testing.T) {
 		// The same object twice.
 		e = deltaHeader(0, 2)
 		e.U64(1)
-		entry(e, compact, 0)
+		entry(e, 0)
 		e.U64(0) // heat
 		objectHeader(e)
 		e.U64(1)
-		entry(e, compact, 0)
+		entry(e, 0)
 		e.U64(0) // heat
 		e.U64(0) // roots
 		if img, err := decode(e.Bytes(), pm); !errors.Is(err, codec.ErrCorrupt) {
@@ -374,26 +380,9 @@ func TestDecodersBoundWireCounts(t *testing.T) {
 		}
 	}
 
-	// The consolidated layout goes through the same body decoder.
-	e := codec.NewEncoder()
-	e.U64(1)
-	e.U64(1)
-	e.U64(0)
-	e.Str("")
-	e.U64(0) // metadata
-	e.U64(1) // objects
-	e.U64(5)
-	e.Str("")
-	e.I64(vm.PageSize)
-	e.U64(0)       // pages
-	e.U64(1 << 22) // heat
-	if _, err := DecodeImage(e.Bytes(), vm.NewPhysMem(0)); !errors.Is(err, codec.ErrCorrupt) {
-		t.Errorf("DecodeImage: heat count beyond the payload: err = %v, want ErrCorrupt", err)
-	}
-
 	// A compact page tag that is neither literal, ref nor lines.
 	pm := vm.NewPhysMem(0)
-	e = deltaHeader(0, 1)
+	e := deltaHeader(0, 1)
 	e.U64(1)
 	e.I64(0)
 	e.U8(3)
@@ -408,18 +397,49 @@ func TestDecodersBoundWireCounts(t *testing.T) {
 	}
 }
 
-// fuzzSeeds are real encodes of a full and an incremental image, in
-// the plain layout and in the compact one with and without refs, plus
-// a hand-written payload of two short pages: the real ones are 30 KB
-// each, which the mutator and the minimizer get through slowly.
+// TestDecodeDeltaWantsLiterals: with nothing to resolve against, the one
+// parser — DecodeDelta — refuses a ref or a line entry as corrupt, and
+// DecodeImage refuses an incremental image; neither leaks a frame, and a
+// full image's EncodeDelta is what DecodeImage reads.
+func TestDecodeDeltaWantsLiterals(t *testing.T) {
+	pm := vm.NewPhysMem(0)
+	img := codecImage(t, pm, 4, false, 4, distinctFill)
+	defer img.Release(pm)
+	n := 0
+	refs, _, _ := img.EncodeDeltaCompact(func(objstore.Hash) bool { n++; return n%2 == 0 })
+	for name, payload := range map[string][]byte{"refs": refs, "a line entry": lineSeeds()[0].payload} {
+		dst := vm.NewPhysMem(0)
+		if _, err := DecodeDelta(payload, dst); !errors.Is(err, codec.ErrCorrupt) || dst.Resident() != 0 {
+			t.Errorf("DecodeDelta of %s: err = %v, %d frames left; want ErrCorrupt and none", name, err, dst.Resident())
+		}
+	}
+	dst := vm.NewPhysMem(0)
+	if _, err := DecodeImage(img.EncodeDelta(), dst); !errors.Is(err, codec.ErrCorrupt) || dst.Resident() != 0 {
+		t.Errorf("DecodeImage of an incremental delta: err = %v, %d frames left; want ErrCorrupt and none", err, dst.Resident())
+	}
+	img.Full = true
+	dec, err := DecodeImage(img.EncodeDelta(), dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := samePages(img, dec); err != nil {
+		t.Fatal(err)
+	}
+	dec.Release(dst)
+}
+
+// fuzzSeeds are real encodes of a full and an incremental image —
+// every page literal, or with refs and line entries for the compact
+// target — of an incremental epoch's heat delta and, for the literal
+// target, of what Encode writes for a chain, plus a hand-written payload
+// of two short pages: the real ones are 30 KB each, which the mutator and
+// the minimizer get through slowly.
 func fuzzSeeds(f *testing.F, compact bool) {
 	small := deltaHeader(0, 1)
 	small.U64(2)
 	for idx := int64(0); idx < 2; idx++ {
 		small.I64(idx)
-		if compact {
-			small.U8(deltaPageLiteral)
-		}
+		small.U8(deltaPageLiteral)
 		small.Bytes2([]byte{byte(idx), 2, 3})
 	}
 	small.U64(1) // heat
@@ -429,8 +449,12 @@ func fuzzSeeds(f *testing.F, compact bool) {
 	f.Add(small.Bytes())
 
 	pm := vm.NewPhysMem(0)
+	var base *Image
 	for _, full := range []bool{true, false} {
 		img := codecImage(f, pm, 3, full, 2, distinctFill)
+		if full {
+			base = img
+		}
 		if !compact {
 			f.Add(img.EncodeDelta())
 			continue
@@ -454,6 +478,8 @@ func fuzzSeeds(f *testing.F, compact bool) {
 		}
 	} else {
 		f.Add(delta.EncodeDelta())
+		delta.Prev = base
+		f.Add(encoded(f, delta))
 	}
 }
 
@@ -689,6 +715,11 @@ func checkDecoded(t *testing.T, img *Image, pm *vm.PhysMem, start int64) {
 	}
 }
 
+// FuzzDecodeDelta fuzzes the parser with nothing to resolve refs or
+// line entries against — what reads a need's resend, AdoptImage's copy
+// and the file `sls send` writes. A rejected payload leaks no frame; an
+// accepted one is a standalone image, which DecodeImage refuses when it
+// is incremental; and EncodeDelta∘DecodeDelta gives the same pages.
 func FuzzDecodeDelta(f *testing.F) {
 	fuzzSeeds(f, false)
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -700,7 +731,66 @@ func FuzzDecodeDelta(f *testing.F) {
 			}
 			return
 		}
+		if img.Prev != nil {
+			t.Fatal("decoded image is not standalone")
+		}
+		if !img.Full {
+			if _, err := DecodeImage(payload, pm); !errors.Is(err, codec.ErrCorrupt) {
+				t.Fatalf("DecodeImage of an incremental delta: err = %v, want ErrCorrupt", err)
+			}
+		}
 		checkDecoded(t, img, pm, 0)
+	})
+}
+
+// FuzzDecodeImage fuzzes what `sls send` writes to a file and `sls recv`
+// reads back, and what AdoptImage moves between machines: a full image,
+// every page literal. A rejected payload leaks no frame; an accepted one
+// is a standalone full image that encodes and decodes to the same pages,
+// and releasing both returns every frame.
+func FuzzDecodeImage(f *testing.F) {
+	small := codec.NewEncoder()
+	small.U64(1) // group
+	small.U64(1) // epoch
+	small.U64(0) // gen
+	small.Str("")
+	small.Bool(true) // full
+	small.U64(0)     // no metadata
+	small.U64(1)     // one object
+	objectHeader(small)
+	small.U64(1)
+	small.I64(7)
+	small.U8(deltaPageLiteral)
+	small.Bytes2([]byte{1, 2, 3})
+	small.U64(0) // no heat
+	small.U64Slice(nil)
+	f.Add(small.Bytes())
+	f.Add(encoded(f, codecImage(f, vm.NewPhysMem(0), 3, true, 2, distinctFill)))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		pm := vm.NewPhysMem(0)
+		img, err := DecodeImage(payload, pm)
+		if err != nil {
+			if pm.Resident() != 0 {
+				t.Fatalf("rejected payload leaked %d frames", pm.Resident())
+			}
+			return
+		}
+		if !img.Full || img.Prev != nil {
+			t.Fatalf("decoded image is not standalone: full=%v prev=%v", img.Full, img.Prev)
+		}
+		again, err := DecodeImage(encoded(t, img), pm)
+		if err != nil {
+			t.Fatalf("re-decoding an accepted payload: %v", err)
+		}
+		if err := samePages(img, again); err != nil {
+			t.Fatalf("accepted payload does not round-trip: %v", err)
+		}
+		again.Release(pm)
+		img.Release(pm)
+		if pm.Resident() != 0 {
+			t.Fatalf("released images left %d frames resident", pm.Resident())
+		}
 	})
 }
 
@@ -757,56 +847,6 @@ func FuzzDecodeDeltaCompact(f *testing.F) {
 		checkDecoded(t, img, pm, 1)
 		if held.Refs() != 1 {
 			t.Fatalf("%d refs left on the held frame", held.Refs())
-		}
-	})
-}
-
-// FuzzDecodeImage fuzzes the consolidated layout — what `sls send`
-// writes to a file and `sls recv` reads back, and what AdoptImage moves
-// between machines. A rejected payload leaks no frame; an accepted one
-// is a standalone full image that encodes and decodes to the same
-// pages, and releasing both returns every frame.
-func FuzzDecodeImage(f *testing.F) {
-	small := codec.NewEncoder()
-	small.U64(1) // group
-	small.U64(1) // epoch
-	small.U64(0) // gen
-	small.Str("")
-	small.U64(0) // no metadata
-	small.U64(1) // one object
-	objectHeader(small)
-	small.U64(1)
-	small.I64(7)
-	small.Bytes2([]byte{1, 2, 3})
-	small.U64(0) // no heat
-	small.U64Slice(nil)
-	f.Add(small.Bytes())
-	seedMem := vm.NewPhysMem(0)
-	f.Add(codecImage(f, seedMem, 3, true, 2, distinctFill).Encode())
-
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		pm := vm.NewPhysMem(0)
-		img, err := DecodeImage(payload, pm)
-		if err != nil {
-			if pm.Resident() != 0 {
-				t.Fatalf("rejected payload leaked %d frames", pm.Resident())
-			}
-			return
-		}
-		if !img.Full || img.Prev != nil {
-			t.Fatalf("decoded image is not standalone: full=%v prev=%v", img.Full, img.Prev)
-		}
-		again, err := DecodeImage(img.Encode(), pm)
-		if err != nil {
-			t.Fatalf("re-decoding an accepted payload: %v", err)
-		}
-		if err := samePages(img, again); err != nil {
-			t.Fatalf("accepted payload does not round-trip: %v", err)
-		}
-		again.Release(pm)
-		img.Release(pm)
-		if pm.Resident() != 0 {
-			t.Fatalf("released images left %d frames resident", pm.Resident())
 		}
 	})
 }
@@ -876,7 +916,7 @@ func TestFoldIsTheChainResolved(t *testing.T) {
 		top.Prev = base
 		top.Memory[3].Heat = nil // object 3's heat is the base's
 		top.Meta = top.Meta[:1]  // OID 12's record is the base's
-		want := top.Encode()
+		want := encoded(t, top)
 		base.PageHashes()
 		top.PageHashes()
 		freed := 0
@@ -890,7 +930,7 @@ func TestFoldIsTheChainResolved(t *testing.T) {
 		if !base.Released() || base.Memory != nil || !top.Full || top.Prev != nil || top.Released() {
 			t.Fatalf("%s: after the fold base released=%v, top full=%v prev=%v", tc.name, base.Released(), top.Full, top.Prev)
 		}
-		if got := top.Encode(); !bytes.Equal(got, want) {
+		if got := encoded(t, top); !bytes.Equal(got, want) {
 			t.Errorf("%s: the folded image encodes another state than the chain did", tc.name)
 		}
 		fresh := (&Image{Memory: top.Memory}).PageHashes()

@@ -140,7 +140,7 @@ func TestReceiverReleasesSupersededImages(t *testing.T) {
 	if skipped != dirty {
 		t.Fatalf("compact re-encode skipped %d of %d pages", skipped, dirty)
 	}
-	deliver(t, near, frameDeltaC, payload)
+	deliver(t, near, frameDelta, payload)
 	checkBlocks(t, recv, pm, "after the all-refs redelivery")
 
 	near.Close()
@@ -329,7 +329,7 @@ func BenchmarkReceiverCompactDelta(b *testing.B) {
 					if skipped != perEpoch-literals || held && lined != literals {
 						b.Fatalf("fixture: %d refs, %d line entries", skipped, lined)
 					}
-					frames = append(frames, frameBytes(b, frameDeltaC, payload))
+					frames = append(frames, frameBytes(b, frameDelta, payload))
 				}
 				b.ReportAllocs()
 				b.SetBytes(perEpoch * vm.PageSize)

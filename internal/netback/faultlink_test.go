@@ -263,7 +263,7 @@ func TestDuplicatedAcksScriptedPeer(t *testing.T) {
 		switch typ {
 		case frameHello: // two hello acks (floor 0)
 			twice(w, frameHelloAck, binary.LittleEndian.Uint64(payload), 0)
-		case frameDeltaC: // each delta acked twice
+		case frameDelta: // each delta acked twice
 			ep++
 			twice(w, frameAck, 1, ep)
 		default:

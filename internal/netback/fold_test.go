@@ -295,7 +295,7 @@ func foldStreams(tb testing.TB) []foldStream {
 	pm := vm.NewPhysMem(0)
 	compact := func(img *core.Image, skip func(objstore.Hash) bool) []byte {
 		payload, _, _ := img.EncodeDeltaCompact(skip)
-		return frameBytes(tb, frameDeltaC, payload)
+		return frameBytes(tb, frameDelta, payload)
 	}
 	e1 := pageImage(tb, pm, 1, true, pages(0, 8, 100))
 	e2 := rewrite(tb, pm, e1, 2, false)

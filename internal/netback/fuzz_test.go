@@ -91,9 +91,9 @@ func FuzzServeReplica(f *testing.F) {
 	refs, _, _ := img.EncodeDeltaCompact(func(objstore.Hash) bool { return true })
 	hello := frames(frameHello, u64s(g.ID))
 	f.Add(hello)
-	f.Add(frames(frameHello, u64s(g.ID), frameDeltaC, literal, frameDeltaC, refs, frameBye, []byte(nil)))
-	f.Add(frames(frameDeltaC, refs, frameDelta, img.EncodeDelta())) // a need, then the full resend
-	f.Add(frames(frameHandoff, u64s(g.ID, 3, 1), frameDeltaC, literal))
+	f.Add(frames(frameHello, u64s(g.ID), frameDelta, literal, frameDelta, refs, frameBye, []byte(nil)))
+	f.Add(frames(frameDelta, refs, frameDelta, img.EncodeDelta())) // a need, then the full resend
+	f.Add(frames(frameHandoff, u64s(g.ID, 3, 1), frameDelta, literal))
 	f.Add(hello[:frameHdrSize-4])
 
 	// Line entries over a hand-built lineage: epoch 2 as lines after the
@@ -107,11 +107,11 @@ func FuzzServeReplica(f *testing.F) {
 	good, _, _, _ := rewrite(f, pm, e1, 2, false).EncodeDeltaLink(nil, 1)
 	forged := rewrite(f, pm, e1, 2, true)
 	bad, _, _, _ := forged.EncodeDeltaLink(nil, 1)
-	f.Add(frames(frameDeltaC, e1c, frameDeltaC, good))
-	f.Add(frames(frameDeltaC, e1c, frameDeltaC, bad, frameDelta, forged.EncodeDelta()))
+	f.Add(frames(frameDelta, e1c, frameDelta, good))
+	f.Add(frames(frameDelta, e1c, frameDelta, bad, frameDelta, forged.EncodeDelta()))
 	page := e1.Memory[1].Pages[0].Data
-	f.Add(frames(frameDeltaC, e1c, frameDeltaC, lineEntryDelta(2, 3, page[:vm.LineSize], core.PageContentHash(page))))
-	f.Add(frames(frameDeltaC, good))
+	f.Add(frames(frameDelta, e1c, frameDelta, lineEntryDelta(2, 3, page[:vm.LineSize], core.PageContentHash(page))))
+	f.Add(frames(frameDelta, good))
 	for _, s := range foldStreams(f) {
 		f.Add(s.stream)
 	}

@@ -60,10 +60,14 @@ func (h *heatOracle) check(where string, group, epoch uint64, heat func(id uint6
 	}
 }
 
-// checkImage checks an image's chain through its consolidated encoding.
+// checkImage checks an image's chain through the file Encode writes.
 func (h *heatOracle) checkImage(where string, img *core.Image) {
 	h.t.Helper()
-	dec, err := core.DecodeImage(img.Encode(), h.pm)
+	file, err := img.Encode()
+	if err != nil {
+		h.t.Fatalf("%s: %v", where, err)
+	}
+	dec, err := core.DecodeImage(file, h.pm)
 	if err != nil {
 		h.t.Fatalf("%s: %v", where, err)
 	}

@@ -24,12 +24,10 @@ import (
 	"aurora/internal/vm"
 )
 
-// Frame types on the wire. Type 1 (a consolidated image, the retired
-// one-shot send) stays reserved: a receiver answers it ErrBadFrame.
-const (
-	frameDelta byte = iota + 2 // incremental delta (replication)
-	frameBye                   // end of stream
-)
+// Frame types on the wire. Types 1 (a consolidated image, the retired
+// one-shot send) and 2 (a delta in the retired all-literal layout) stay
+// reserved: a receiver answers them ErrBadFrame.
+const frameBye byte = 3 // end of stream
 
 // Errors.
 var (
@@ -314,7 +312,7 @@ func (r *Receiver) AdoptImage(img *core.Image) error {
 //
 // The Prev links are rebuilt, so restores walk a consistent history.
 func (r *Receiver) link(img *core.Image) {
-	img.PageHashes() // a literal arrival is hashed here, not under mu
+	img.PageHashes() // the decoder hashed every arrival; anything else is hashed here, not under mu
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if img.Gen > r.fences[img.Group] {

@@ -82,7 +82,10 @@ func TestImageFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	file := g.LastImage().Encode()
+	file, err := g.LastImage().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
 	img, err := core.DecodeImage(file, dst.k.Mem)
 	if err != nil {
 		t.Fatal(err)
@@ -140,9 +143,12 @@ func TestFrameCorruption(t *testing.T) {
 		t.Fatalf("unknown frame type err = %v, want ErrBadFrame", err)
 	}
 	// Type 1 was the consolidated-image frame of the retired one-shot
-	// wire; the number stays reserved and is refused.
-	if err := serveBytes(recv, rawFrame(1, []byte{0}, false)); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("reserved frame type 1 err = %v, want ErrBadFrame", err)
+	// wire, type 2 the delta in the retired all-literal layout; the
+	// numbers stay reserved and are refused.
+	for _, typ := range []byte{1, 2} {
+		if err := serveBytes(recv, rawFrame(typ, []byte{0}, false)); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("reserved frame type %d err = %v, want ErrBadFrame", typ, err)
+		}
 	}
 	err := serveBytes(recv, rawFrame(frameDelta, []byte{1, 2, 3}, true))
 	if !errors.Is(err, ErrCorruptFrame) {

@@ -26,7 +26,7 @@ const (
 	frameHello                      // sender -> receiver: [group u64]
 	frameHelloAck                   // receiver -> sender: [group u64][last contiguous epoch u64]
 	frameFenced                     // receiver -> sender: [group u64][fence gen u64][floor epoch u64]
-	frameDeltaC                     // sender -> receiver: compact delta (hash refs for pages the receiver holds)
+	frameDelta                      // sender -> receiver: an epoch delta; a need's resend too, every page literal
 	frameNeed                       // receiver -> sender: [group u64][epoch u64] — refs missing, resend full
 	frameHandoff                    // sender -> receiver: [group u64][gen u64][floor u64] — migration handover announcement
 	frameHandoffAck                 // receiver -> sender: [group u64][gen u64] — fence adopted
@@ -93,12 +93,6 @@ func (r *Receiver) handle(w io.Writer, typ byte, payload []byte) (applied bool, 
 		group := binary.LittleEndian.Uint64(payload)
 		return false, writePair(w, frameHelloAck, group, r.lastContiguous(group))
 	case frameDelta:
-		img, err := core.DecodeDelta(payload, r.pm)
-		if err != nil {
-			return false, err
-		}
-		return r.apply(w, img)
-	case frameDeltaC:
 		img, missing, err := core.DecodeDeltaCompact(payload, r.pm, r.resolveBlock, r.basePage)
 		if err != nil {
 			return false, err
@@ -592,7 +586,7 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 	payload, pages, skipped, lined := img.EncodeDeltaLink(rc.knows, rb.AckedFloor(img.Group))
 	wire := int64(len(payload))
 	resent := false
-	if err := writeFrame(rc.conn, frameDeltaC, payload); err != nil {
+	if err := writeFrame(rc.conn, frameDelta, payload); err != nil {
 		rc.lost()
 		return 0, fmt.Errorf("%w: sending epoch %d: %w", ErrDisconnected, img.Epoch, err)
 	}
@@ -609,7 +603,7 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 			}
 			// The receiver is missing pages we elided: our mirror is
 			// stale (it restarted empty). Reset it and resend the epoch
-			// as a full delta.
+			// in the same frame, every page literal.
 			rc.forget(img.Group)
 			rc.needResends++
 			resent = true
