@@ -55,8 +55,9 @@ fuzzcheck:
 
 ## loc: the non-test line counts ROADMAP tracks (north-star 2), by the
 ## definition ROADMAP uses, those of the three layers under core's data
-## path, and the files ROADMAP item 5 tracks — the image codec and the
-## control plane, per file and the control plane in all.
+## path, the files ROADMAP item 5 tracks — the image codec and the
+## control plane, per file and the control plane in all — and the two
+## single files ROADMAP watches grow: the CLI and the object store's.
 CONTROL_PLANE = placer autoscale migrate promote supervisor
 loc:
 	@for d in core netback bench objstore storage vm; do \
@@ -66,6 +67,9 @@ loc:
 		printf 'internal/core/%s.go %s\n' $$f $$(cat internal/core/$$f.go | wc -l); \
 	done
 	@printf 'control plane (%s) %s\n' "$(CONTROL_PLANE)" $$(cat $(CONTROL_PLANE:%=internal/core/%.go) | wc -l)
+	@for f in cmd/sls/main.go internal/objstore/store.go; do \
+		printf '%s %s\n' $$f $$(cat $$f | wc -l); \
+	done
 
 test:
 	$(GO) test ./...
@@ -77,7 +81,7 @@ race:
 ## self-healing flush pipeline, crash-consistent superblock, and replica
 ## resume paths driven by the fault-injecting device.
 faultcheck:
-	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestFault|TestTorn|TestScrub|TestReplica|TestRecovery|TestQuarantine' \
+	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestFault|TestTorn|TestScrub|TestReplica|TestRecovery|TestQuarantine|TestLineEntries|TestLinePutFailureLeavesStoreAsFound|TestLineMasksCheckedUnderRace|TestIndexRefusesBadLineEntries|TestRottedLineBaseFailsOverByHash|TestArrayReturnsWhatItBills|TestPeekBillsNothing' \
 		./internal/core/ ./internal/storage/ ./internal/objstore/ ./internal/netback/
 
 ## recoverycheck: validated self-healing restore under the race detector —
@@ -86,7 +90,7 @@ faultcheck:
 ## and `sls send`/`recv`: an image file round-trips, and a group whose
 ## pages are still in a store sends no file.
 recoverycheck:
-	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore' \
+	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash' \
 		./internal/core/ ./internal/vm/ ./internal/netback/ ./cmd/sls/
 
 ## chaoscheck: whole-system chaos harness under the race detector —
@@ -114,7 +118,7 @@ chaoscheck:
 ## cores (EXPERIMENTS.md "Flush pipeline: one owner per epoch"): the
 ## bounded-device runs at 1, 2 and 4 procs, three times each.
 spacecheck:
-	$(GO) test -race -count=1 -run 'TestSpace|TestReclaimer|TestAdmission|TestFlushENOSPC|TestSyncWithReclaim|TestGCInterleaving|TestControlPlaneReserve|TestStatsLiveAndReclaimable|TestCapacityGrowthOnly|TestSetFull|TestCLIGC|TestCLIDF|TestCLISpacePressure' \
+	$(GO) test -race -count=1 -run 'TestSpace|TestReclaimer|TestAdmission|TestFlushENOSPC|TestSyncWithReclaim|TestGCInterleaving|TestControlPlaneReserve|TestStatsLiveAndReclaimable|TestCapacityGrowthOnly|TestSetFull|TestCLIGC|TestCLIDF|TestCLISpacePressure|TestDropEpochOverLinesWritesNoData|TestTrimmedLineChainRestoresBitIdentical' \
 		./internal/core/ ./internal/storage/ ./internal/objstore/ ./internal/bench/ ./cmd/sls/
 	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSpace' ./internal/bench
 
@@ -127,7 +131,7 @@ spacecheck:
 ## AURORA_SCALE=full is the one switch the three scale gates set.
 fleetcheck:
 	AURORA_SCALE=full $(GO) test -race -count=1 -timeout 30m \
-		-run 'TestFleetSimulation|TestFleetCloneDedup|TestUnpersistWithQueuedEpochsDoesNotLeak|TestCloseReapsFleetWorkers|TestSupervisor|TestDedupCrossGroupGCInterleaving|TestCLIFleet' \
+		-run 'TestFleetSimulation|TestFleetCloneDedup|TestUnpersistWithQueuedEpochsDoesNotLeak|TestCloseReapsFleetWorkers|TestSupervisor|TestDedupCrossGroupGCInterleaving|TestCLIFleet|TestCLIFleetLinePages' \
 		./internal/core/ ./internal/objstore/ ./cmd/sls/
 
 ## quorumcheck: N-replica quorum replication under the race detector —

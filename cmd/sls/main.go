@@ -24,7 +24,7 @@
 //	epochs <group> [backend]  list store epochs with quarantine status
 //	gc <backend>              run a retention scan, reclaiming old epochs
 //	df                        show per-backend space usage and pressure
-//	fleet                     show the shard runtime and dedup stats
+//	fleet                     show the shard runtime and per-store stats
 //	scrub <backend> [source]  verify block hashes, repair rot from a peer
 //	send <group> <file>       export an application to a file
 //	recv <file>               import an application and restore it
@@ -965,8 +965,8 @@ func (s *session) exec(line string) bool {
 				continue
 			}
 			os := sb.Store().Stats()
-			s.printf("%s: dedup-hits=%d pack-blocks=%d blocks=%d live=%dB\n",
-				name, os.DedupHits, os.PackBlocks, os.Blocks, os.LiveBytes)
+			s.printf("%s: dedup-hits=%d pack-blocks=%d blocks=%d line-pages=%d line-bytes=%d live=%dB\n",
+				name, os.DedupHits, os.PackBlocks, os.Blocks, os.LinePages, os.LineBytes, os.LiveBytes)
 		}
 
 	case "place":
@@ -1315,7 +1315,8 @@ const helpText = `Aurora single level store (Table 1):
                              the emergency watermark
   fleet                      show the shard runtime (worker pool, group
                              placements, flush memory budget) and each
-                             store backend's dedup and metadata packing
+                             store backend's dedup, metadata packing and
+                             line entries (pages stored as written lines)
   place <name>               place a demo app on the multi-store fleet:
                              the placer picks the least-loaded store and
                              replicates to a different failure domain

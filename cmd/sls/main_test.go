@@ -387,6 +387,21 @@ func TestCLIFleet(t *testing.T) {
 	}
 }
 
+// TestCLIFleetLinePages: the per-store line of `fleet` counts the line
+// entries and their patch bytes. The counter writes 8 bytes a step, so
+// its second checkpoint stores the counter page as one line entry: a
+// one-line patch of 112 bytes where a block would be 4,096.
+func TestCLIFleetLinePages(t *testing.T) {
+	got := runScript(t, "boot counter; persist 1 app; attach app nvme; checkpoint app; sync app; fleet")
+	if !strings.Contains(got, "line-pages=0 line-bytes=0") {
+		t.Fatalf("a full checkpoint stored line entries:\n%s", got)
+	}
+	got = runScript(t, "boot counter; run 4; persist 1 app; attach app nvme; checkpoint app; sync app; run 4; checkpoint app; sync app; fleet")
+	if !strings.Contains(got, "nvme: ") || !strings.Contains(got, " line-pages=1 line-bytes=112 ") {
+		t.Fatalf("fleet output after an 8-byte write:\n%s", got)
+	}
+}
+
 // TestCLIGC: a retention scan on an unbounded device is a no-op (no
 // watermark can be crossed), and the non-store backends are rejected.
 func TestCLIGC(t *testing.T) {

@@ -261,7 +261,9 @@ func (c *chaosRun) verify(n *Node, g *core.Group) error {
 
 func (c *chaosRun) script() error {
 	cfg := c.cfg
-	w := workload{pages: chaosPages, seed: cfg.Seed}
+	// On a bounded device an epoch has to cost space: the counter page
+	// goes whole.
+	w := workload{pages: chaosPages, seed: cfg.Seed, whole: cfg.StoreCapacityEpochs > 0}
 
 	// Source machine: faulty primary store (bounded, with the space
 	// scheduler composed in, when the config asks) + replica wire to the

@@ -35,10 +35,22 @@ import (
 
 // chaosCounter is the workload program: a 64-bit little-endian counter
 // incremented once per kernel step, so hundreds of checkpoints cannot
-// wrap it and every epoch has a distinct, predictable value.
-type chaosCounter struct{ addr vm.Addr }
+// wrap it and every epoch has a distinct, predictable value. A whole
+// counter rewrites its whole page each step — the same bytes, as the
+// rest of the page stays zero — so every epoch stores the page as a
+// fresh block rather than a line entry: what a run on a bounded device
+// needs for its epochs to cost space.
+type chaosCounter struct {
+	addr  vm.Addr
+	whole bool
+}
 
-func (c *chaosCounter) ProgName() string { return "bench-chaos-counter" }
+func (c *chaosCounter) ProgName() string {
+	if c.whole {
+		return "bench-page-counter"
+	}
+	return "bench-chaos-counter"
+}
 
 func (c *chaosCounter) Snapshot() []byte {
 	e := kernel.NewEncoder()
@@ -52,22 +64,31 @@ func (c *chaosCounter) Step(k *kernel.Kernel, p *kernel.Process, t *kernel.Threa
 		return err
 	}
 	binary.LittleEndian.PutUint64(b[:], binary.LittleEndian.Uint64(b[:])+1)
+	if c.whole {
+		page := make([]byte, vm.PageSize)
+		copy(page, b[:])
+		return p.WriteMem(c.addr, page)
+	}
 	return p.WriteMem(c.addr, b[:])
 }
 
 func init() {
-	kernel.RegisterProgram("bench-chaos-counter", func(k *kernel.Kernel, p *kernel.Process, state []byte) (kernel.Program, error) {
-		d := kernel.NewDecoder(state)
-		return &chaosCounter{addr: vm.Addr(d.U64())}, nil
-	})
+	for _, whole := range []bool{false, true} {
+		kernel.RegisterProgram((&chaosCounter{whole: whole}).ProgName(), func(k *kernel.Kernel, p *kernel.Process, state []byte) (kernel.Program, error) {
+			d := kernel.NewDecoder(state)
+			return &chaosCounter{addr: vm.Addr(d.U64()), whole: whole}, nil
+		})
+	}
 }
 
 // workload is the one chaos workload: the counter on the first heap
 // page plus `pages` pages of recoveryPattern under `seed`, carried
-// through every crash, restore, promotion and migration.
+// through every crash, restore, promotion and migration. whole makes
+// the counter rewrite its whole page (chaosCounter).
 type workload struct {
 	pages int
 	seed  int64
+	whole bool
 }
 
 // spawn starts the workload on o's machine and persists it as a group.
@@ -76,7 +97,7 @@ func (w workload) spawn(o *core.Orchestrator, name string) (*core.Group, error) 
 	if err != nil {
 		return nil, err
 	}
-	p.SetProgram(&chaosCounter{addr: p.HeapBase()})
+	p.SetProgram(&chaosCounter{addr: p.HeapBase(), whole: w.whole})
 	for pg := 1; pg <= w.pages; pg++ {
 		if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), recoveryPattern(pg, w.seed)); err != nil {
 			return nil, err

@@ -117,7 +117,8 @@ func (out *spaceOutcome) run(cfg SpaceConfig) error {
 	if rep.Capacity > 0 {
 		n.bound(cfg.KeepLast, cfg.Marks)
 	}
-	l, err := newLine(n, workload{pages: spacePages, seed: cfg.Seed}, "space-app")
+	// The counter page goes whole: a space run's epochs must cost space.
+	l, err := newLine(n, workload{pages: spacePages, seed: cfg.Seed, whole: true}, "space-app")
 	if err != nil {
 		return err
 	}

@@ -215,7 +215,8 @@ func (sb *StoreBackend) WithLane(lane *storage.Clock) Backend {
 // imagePages hands one object's captured pages to the store as an
 // objstore.PageSet: sums is the object's run of Image.PageHashes, so
 // the pages come in ascending index with the hashes the image already
-// holds.
+// holds, and each captured frame with its dirty-line mask (the one
+// EncodeDeltaLink reads).
 type imagePages struct {
 	mi   *MemImage
 	sums []PageHash
@@ -227,18 +228,28 @@ func (p *imagePages) Page(i int) (int64, []byte, objstore.Hash) {
 	return p.sums[i].Idx, p.mi.PageData(p.sums[i].Idx), p.sums[i].Hash
 }
 
+func (p *imagePages) Lines(i int) uint64 {
+	if idx := p.sums[i].Idx; p.mi.partlyWritten(idx) {
+		return p.mi.Lines[idx]
+	}
+	return vm.AllLines
+}
+
 // Flush implements Backend: every metadata record and captured page
 // becomes an object-store record, and the manifest is put once all of
 // them have landed. The epoch goes to the store as one ordered batch —
 // metadata records in image order, then VM objects by ascending ID,
 // each object's pages by ascending index with the content hash from
-// Image.PageHashes, which every backend of the group shares — so a
-// seed, not a map iteration, decides where blocks are placed, and the
-// store hashes nothing itself. The batch is issued inside one
-// objstore.Store.Overlapped window: one device write per new block and
-// per metadata extent, charged to the flush lane as storage.Batch of
-// all of them at the device's queue depth; costs.HashPage is charged
-// per page on top. The modeled duration is what the lane advanced by.
+// Image.PageHashes, which every backend of the group shares, and the
+// dirty-line mask from MemImage.Lines — so a seed, not a map
+// iteration, decides where blocks are placed, and the store hashes
+// nothing itself. A page written in a few lines since the store's
+// newest epoch goes as a line entry (objstore's lines.go). The batch is
+// issued inside one objstore.Store.Overlapped window: one device write
+// per new block, line entry's patch and metadata extent, charged to the
+// flush lane as storage.Batch of all of them at the device's queue
+// depth; costs.HashPage is charged per page on top. The modeled
+// duration is what the lane advanced by.
 //
 // The flush pipeline always calls Flush on a lane view (WithLane). A
 // direct call on the backend itself — promotion and migration backfill
@@ -416,25 +427,10 @@ func (sb *StoreBackend) loadObject(group, oid, epoch uint64, lazy bool) (*MemIma
 		}
 		return mi, nil
 	}
-	pages, heat, err := sb.store.ResolvePages(group, oid, epoch)
-	if err != nil {
+	// One batched read: the device overlaps the blocks (and the line
+	// entries' bases and patches) at queue depth.
+	if mi.SwapData, mi.Heat, err = sb.store.ReadPages(group, oid, epoch); err != nil {
 		return nil, err
-	}
-	mi.Heat = heat
-	idxs := make([]int64, 0, len(pages))
-	refs := make([]objstore.BlockRef, 0, len(pages))
-	for idx, ref := range pages {
-		idxs = append(idxs, idx)
-		refs = append(refs, ref)
-	}
-	// One batched read: the device overlaps the blocks at queue depth.
-	data, err := sb.store.ReadBlocks(refs)
-	if err != nil {
-		return nil, err
-	}
-	mi.SwapData = make(map[int64][]byte, len(pages))
-	for i, idx := range idxs {
-		mi.SwapData[idx] = data[i]
 	}
 	return mi, nil
 }

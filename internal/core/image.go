@@ -58,9 +58,9 @@ type MemImage struct {
 	Heat []vm.PageHeat
 	// Lines is the object's dirty set at the barrier (vm's
 	// CheckpointSet.Lines): the 64-byte lines in which each captured
-	// frame differs from the object's page at the previous epoch. Only
-	// an incremental image's replica encode reads it; images that did
-	// not come from a barrier have none.
+	// frame differs from the object's page at the previous epoch. An
+	// incremental image's replica encode and store flush read it;
+	// images that did not come from a barrier have none.
 	Lines map[int64]uint64
 }
 

@@ -102,7 +102,9 @@ func (s *lazyPageSource) stats() RecoveryStats {
 // image never captured (zero-fill), and an error wrapping
 // ErrBackendDown when the primary and every peer failed — or when the
 // view's epoch has left the store, which no peer can help with: there
-// is no block reference to ask them for.
+// is no block reference to ask them for. A line page is read as its
+// base with its patch applied and checked against the page's content
+// hash, like any page (objstore.Store.ReadPageInto).
 func (s *lazyPageSource) FetchInto(idx int64, dst []byte) (bool, error) {
 	if d, ok := s.inline[idx]; ok {
 		clear(dst[copy(dst, d):])
@@ -138,17 +140,9 @@ func (s *lazyPageSource) FetchInto(idx int64, dst []byte) (bool, error) {
 		perr = s.readPrimary(ref, dst)
 		served = perr == nil
 	}
-	if !served {
-		if d, ok := s.fetchFromPeers(ref); ok {
-			clear(dst[copy(dst, d):])
-			served = true
-			s.failovers.Add(1)
-			// Read-repair: heal the primary's copy in place so the
-			// next fault (and the next scrub) finds it intact.
-			if err := s.sb.store.RepairBlock(ref, d); err == nil {
-				s.repaired.Add(1)
-			}
-		}
+	if !served && s.fromPeers(ref, dst) {
+		served = true
+		s.failovers.Add(1)
 	}
 	if !served && !primaryFirst {
 		// Peers failed and the paced probe was skipped: the down
@@ -172,7 +166,7 @@ func (s *lazyPageSource) FetchInto(idx int64, dst []byte) (bool, error) {
 // clear (the first one degrades it), and recovery of a degraded or down
 // backend belongs to the flush pipeline's probes, which must deliver
 // what the backend owes first.
-func (s *lazyPageSource) readPrimary(ref objstore.BlockRef, dst []byte) error {
+func (s *lazyPageSource) readPrimary(ref objstore.PageRef, dst []byte) error {
 	var lane *storage.Clock
 	backoff := lazyBackoffBase
 	var lastErr error
@@ -185,7 +179,7 @@ func (s *lazyPageSource) readPrimary(ref objstore.BlockRef, dst []byte) error {
 			lane.Advance(backoff)
 			backoff *= 2
 		}
-		err := s.sb.store.ReadBlockInto(ref, dst)
+		err := s.sb.store.ReadPageInto(ref, dst)
 		if err == nil {
 			return nil
 		}
@@ -207,12 +201,33 @@ func (s *lazyPageSource) readPrimary(ref objstore.BlockRef, dst []byte) error {
 	return lastErr
 }
 
-func (s *lazyPageSource) fetchFromPeers(ref objstore.BlockRef) ([]byte, bool) {
+// fromPeers serves page ref into dst from a peer, by its content hash
+// (a peer store rebuilds a line page it holds as one). What a peer
+// serves heals the primary's copy in place — the block, or a line
+// page's patch and, when a peer has it, its base — so the next fault
+// and the next scrub find it intact (read-repair).
+func (s *lazyPageSource) fromPeers(ref objstore.PageRef, dst []byte) bool {
+	page, ok := s.fetchFromPeers(ref.Ref.Hash)
+	if !ok {
+		return false
+	}
+	clear(dst[copy(dst, page):])
+	var base []byte
+	if ref.Lined() {
+		base, _ = s.fetchFromPeers(ref.Base.Hash)
+	}
+	if s.sb.store.RepairPage(ref, page, base) == nil {
+		s.repaired.Add(1)
+	}
+	return true
+}
+
+func (s *lazyPageSource) fetchFromPeers(h objstore.Hash) ([]byte, bool) {
 	s.mu.Lock()
 	peers := append([]BlockProvider(nil), s.peers...)
 	s.mu.Unlock()
 	for _, p := range peers {
-		if d, ok := p.FetchBlock(ref.Hash); ok {
+		if d, ok := p.FetchBlock(h); ok {
 			return d, true
 		}
 	}

@@ -95,6 +95,11 @@ func crashAtEveryOp(t *testing.T, seed int64, ckpts int) {
 		marks = append(marks, syncMark{op: fd.OpCount(), epoch: g.Durable(), val: v})
 		vals[g.Durable()] = v
 	}
+	// The counter writes 8 bytes a step: its page goes to the store as a
+	// line entry, so every crash below lands on line entries too.
+	if st := store.Stats(); st.LinePages == 0 {
+		t.Fatal("the reference run stored no line entries")
+	}
 	groupID := g.ID
 	log := fd.Log()
 	maxOp := fd.OpCount()

@@ -37,13 +37,39 @@ func newSpaceRig(t *testing.T, capacity int64, policy RetentionPolicy, marks Wat
 	return &spaceRig{clock: clock, k: k, o: o, fd: fd, store: sb, rec: rec}
 }
 
+// pageCounter is the counter rewriting its whole page each step — the
+// same bytes, as the rest of the page stays zero — so every epoch
+// stores the page as a fresh block: the space tests need epochs that
+// cost space, and a counter's 8-byte write is a line entry's patch.
+type pageCounter struct{ counter }
+
+func (c *pageCounter) ProgName() string { return "page-counter" }
+
+func (c *pageCounter) Step(k *kernel.Kernel, p *kernel.Process, t *kernel.Thread) error {
+	page := make([]byte, vm.PageSize)
+	if err := p.ReadMem(c.addr, page[:4]); err != nil {
+		return err
+	}
+	v := uint32(page[0]) | uint32(page[1])<<8 | uint32(page[2])<<16 | uint32(page[3])<<24
+	v++
+	page[0], page[1], page[2], page[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+	return p.WriteMem(c.addr, page)
+}
+
+func init() {
+	kernel.RegisterProgram("page-counter", func(k *kernel.Kernel, p *kernel.Process, state []byte) (kernel.Program, error) {
+		d := kernel.NewDecoder(state)
+		return &pageCounter{counter{addr: vm.Addr(d.U64())}}, nil
+	})
+}
+
 func (r *spaceRig) spawnGroup(t *testing.T) *Group {
 	t.Helper()
 	p, err := r.k.Spawn(0, "counter")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetProgram(&counter{addr: p.HeapBase()})
+	p.SetProgram(&pageCounter{counter{addr: p.HeapBase()}})
 	g, err := r.o.Persist("counter", p)
 	if err != nil {
 		t.Fatal(err)

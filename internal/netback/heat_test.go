@@ -1,6 +1,7 @@
 package netback
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -83,12 +84,20 @@ func (h *heatOracle) checkImage(where string, img *core.Image) {
 
 // checkStore checks every epoch a store holds of group, through the
 // resolved page map and, unless the store is a reopened copy, the lazy
-// restore's page view.
+// restore's page view. An object with line entries has no page map of
+// blocks (ResolvePages refuses it): its heat is the view's.
 func (h *heatOracle) checkStore(where string, st *objstore.Store, group uint64, views bool) {
 	h.t.Helper()
 	for _, m := range st.Manifests(group) {
 		h.check(where, group, m.Epoch, func(id uint64) ([]vm.PageHeat, error) {
 			_, heat, err := st.ResolvePages(group, 1<<63|id, m.Epoch)
+			if errors.Is(err, objstore.ErrLineEntry) {
+				v, err := st.ResolveView(group, 1<<63|id, m.Epoch)
+				if err != nil {
+					return nil, err
+				}
+				return v.Heat(), nil
+			}
 			if err != nil || !views {
 				return heat, err
 			}

@@ -1,6 +1,9 @@
 package objstore
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // AuditReachability cross-checks the block index against every retained
 // record: each block referenced by any record must exist with a
@@ -9,7 +12,9 @@ import "fmt"
 // which the in-flight ledger counts exactly, so the check stays an
 // equality while a flush runs on another lane — no block may exist
 // with zero references (unreachable blocks must have been freed), and
-// no free-list entry may alias a live block or appear twice. The chaos and
+// no free-list entry may alias a live block, a patch slab or another
+// entry. A line entry counts as a reference on its base, and its patch
+// must fill a used slab slot of its own. The chaos and
 // space harnesses run this after every reclamation — a refcount drift
 // here is how merge-forward GC bugs first become visible, long before
 // they corrupt a restore.
@@ -18,8 +23,34 @@ func (s *Store) AuditReachability() error {
 	defer s.mu.Unlock()
 
 	want := make(map[Hash]int32, len(s.blocks))
+	slots := make(map[int64]RecordKey)
 	for key, rec := range s.records {
+		for idx := range rec.lines {
+			if _, ok := rec.Pages[idx]; !ok {
+				return fmt.Errorf("objstore: audit: record %d@%d has a line entry for page %d it does not hold",
+					key.OID, key.Epoch, idx)
+			}
+		}
 		for idx, ref := range rec.Pages {
+			if l, ok := rec.lines[idx]; ok {
+				// A line entry: its base is a live block, and its patch
+				// fills a used slab slot no other entry holds.
+				if be := s.blocks[l.base.ref.Hash]; be != l.base {
+					return fmt.Errorf("objstore: audit: record %d@%d page %d is a line entry over freed block %x",
+						key.OID, key.Epoch, idx, l.base.ref.Hash[:4])
+				}
+				want[l.base.ref.Hash]++
+				if !s.usedSlot(ref.Off, l.mask) {
+					return fmt.Errorf("objstore: audit: record %d@%d page %d has its patch at %d, not in a used slot",
+						key.OID, key.Epoch, idx, ref.Off)
+				}
+				if other, dup := slots[ref.Off]; dup {
+					return fmt.Errorf("objstore: audit: records %d@%d and %d@%d share the patch at %d",
+						key.OID, key.Epoch, other.OID, other.Epoch, ref.Off)
+				}
+				slots[ref.Off] = key
+				continue
+			}
 			be, ok := s.blocks[ref.Hash]
 			if !ok {
 				return fmt.Errorf("objstore: audit: record %d@%d page %d references freed block %x",
@@ -83,6 +114,25 @@ func (s *Store) AuditReachability() error {
 	for h, be := range s.blocks {
 		live[be.ref.Off] = h
 	}
+	// Slabs: none is a data or metadata block, every used slot is held
+	// by a registered line entry or a put in flight (so at least as many
+	// slots as entries), and an empty slab is on the free list instead.
+	used := 0
+	for base, sl := range s.slabs {
+		if h, ok := live[base]; ok {
+			return fmt.Errorf("objstore: audit: slab %d aliases live block %x", base, h[:4])
+		}
+		if key, ok := metaBlocks[base]; ok {
+			return fmt.Errorf("objstore: audit: slab %d aliases metadata of record %d@%d", base, key.OID, key.Epoch)
+		}
+		if sl.used == 0 {
+			return fmt.Errorf("objstore: audit: empty slab %d not freed", base)
+		}
+		used += bits.OnesCount64(sl.used)
+	}
+	if used < len(slots) {
+		return fmt.Errorf("objstore: audit: %d line entries in %d used patch slots", len(slots), used)
+	}
 	seen := make(map[int64]bool, len(s.freeList))
 	for _, off := range s.freeList {
 		if h, ok := live[off]; ok {
@@ -91,6 +141,9 @@ func (s *Store) AuditReachability() error {
 		if key, ok := metaBlocks[off]; ok {
 			return fmt.Errorf("objstore: audit: free-list offset %d aliases metadata of record %d@%d",
 				off, key.OID, key.Epoch)
+		}
+		if _, ok := s.slabs[off]; ok {
+			return fmt.Errorf("objstore: audit: free-list offset %d aliases a patch slab", off)
 		}
 		if seen[off] {
 			return fmt.Errorf("objstore: audit: offset %d double-freed", off)

@@ -10,14 +10,17 @@ import (
 	"time"
 
 	"aurora/internal/storage"
+	"aurora/internal/vm"
 )
 
-// hashedPages is a PageSet over literal pages, hashed up front the way
-// an image's memo is.
+// hashedPages is a PageSet over pages hashed up front the way an
+// image's memo is. masks, when set, gives each page's dirty lines;
+// without it every page is written whole.
 type hashedPages struct {
-	idxs []int64
-	data [][]byte
-	sums []Hash
+	idxs  []int64
+	data  [][]byte
+	sums  []Hash
+	masks map[int64]uint64
 }
 
 func newHashedPages(pages map[int64][]byte) *hashedPages {
@@ -36,6 +39,12 @@ func newHashedPages(pages map[int64][]byte) *hashedPages {
 func (hp *hashedPages) Len() int { return len(hp.idxs) }
 func (hp *hashedPages) Page(i int) (int64, []byte, Hash) {
 	return hp.idxs[i], hp.data[i], hp.sums[i]
+}
+func (hp *hashedPages) Lines(i int) uint64 {
+	if m, ok := hp.masks[hp.idxs[i]]; ok {
+		return m
+	}
+	return vm.AllLines
 }
 
 // distinctPages returns n pages no other call with a different tag

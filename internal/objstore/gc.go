@@ -13,7 +13,9 @@ import (
 // therefore *merges forward*: when epoch E is dropped, any page of E
 // not superseded by the next retained epoch is moved — by reference,
 // never by copying data — into that epoch's record, after which E's
-// records and superseded blocks are released in place.
+// records and superseded blocks are released in place. A line entry
+// (lines.go) moves or dies like any page, with its base reference and
+// its patch slot, so the collector writes no data either way.
 
 // DropEpoch removes one checkpoint from a group's history, merging its
 // still-live pages forward. Dropping the newest epoch of a group is
@@ -45,8 +47,8 @@ func (s *Store) DropEpoch(group, epoch uint64) error {
 			adopted = s.mergeForwardLocked(rec, next)
 		} else {
 			// Last remaining checkpoint: release everything.
-			for _, ref := range rec.Pages {
-				s.releaseBlockLocked(ref)
+			for idx, ref := range rec.Pages {
+				s.releasePageLocked(rec, idx, ref)
 			}
 		}
 		delete(s.records, key)
@@ -90,32 +92,38 @@ func (s *Store) mergeForwardLocked(rec *Record, next *Manifest) bool {
 	// Fold the smaller page map into the larger and leave the result
 	// with the heir, so the work is O(min) of the two: a clean full
 	// record dropped under a small delta costs what the delta holds,
-	// not what the object holds.
+	// not what the object holds. A line entry travels with its page.
 	switch {
 	case heir.Full:
 		// The heir is the object's complete page set already: no epoch
 		// that survives resolves through the dropped record, so none of
 		// its pages is live. Folding them in would bring back pages the
 		// object no longer had at the heir's epoch.
-		for _, ref := range rec.Pages {
-			s.releaseBlockLocked(ref)
+		for idx, ref := range rec.Pages {
+			s.releasePageLocked(rec, idx, ref)
 		}
 	case len(rec.Pages) > len(heir.Pages):
 		for idx, ref := range heir.Pages {
 			if old, shadowed := rec.Pages[idx]; shadowed {
-				// The heir rewrote this page; the old block dies.
-				s.releaseBlockLocked(old)
+				// The heir rewrote this page; the old one dies.
+				s.releasePageLocked(rec, idx, old)
 			}
 			rec.Pages[idx] = ref
+			if l, ok := heir.lines[idx]; ok {
+				rec.setLine(idx, l)
+			}
 		}
-		heir.Pages = rec.Pages
+		heir.Pages, heir.lines = rec.Pages, rec.lines
 	default:
 		for idx, ref := range rec.Pages {
 			if _, shadowed := heir.Pages[idx]; shadowed {
-				s.releaseBlockLocked(ref)
+				s.releasePageLocked(rec, idx, ref)
 			} else {
 				// Still live: move the reference forward, in place.
 				heir.Pages[idx] = ref
+				if l, ok := rec.lines[idx]; ok {
+					heir.setLine(idx, l)
+				}
 			}
 		}
 	}

@@ -2,8 +2,11 @@ package objstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
+	"slices"
 
 	"aurora/internal/codec"
 	"aurora/internal/storage"
@@ -137,6 +140,24 @@ func (s *Store) Sync() error {
 		for _, h := range rec.Heat {
 			e.I64(h.Page)
 			e.U32(h.Count)
+		}
+	}
+	// Line entries: the record and page (whose Pages entry above locates
+	// the patch), the base by hash, the mask and the patch's length.
+	lines := 0
+	for _, rec := range s.records {
+		lines += len(rec.lines)
+	}
+	e.U64(uint64(lines))
+	for key, rec := range s.records {
+		for idx, l := range rec.lines {
+			e.U64(key.Group)
+			e.U64(key.OID)
+			e.U64(key.Epoch)
+			e.I64(idx)
+			e.Bytes2(l.base.ref.Hash[:])
+			e.U64(l.mask)
+			e.U64(uint64(patchLen(l.mask)))
 		}
 	}
 	// Manifests.
@@ -355,6 +376,27 @@ func decodeIndex(dev storage.Device, clock *storage.Clock, idx []byte) (*Store, 
 			s.packLive[rec.metaOff&^(BlockSize-1)]++
 		}
 	}
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+		key := RecordKey{Group: d.U64(), OID: d.U64(), Epoch: d.U64()}
+		idxN := d.I64()
+		var h Hash
+		copy(h[:], d.Bytes2())
+		mask, size := d.U64(), d.U64()
+		if d.Err() != nil {
+			break
+		}
+		if err := s.adoptLine(key, idxN, h, mask, size); err != nil {
+			return nil, fmt.Errorf("decoding objstore index: record %v: %w: %w", key, err, codec.ErrCorrupt)
+		}
+	}
+	for base, sl := range s.slabs {
+		if !sl.full() {
+			s.openSlabs[sl.lines-1] = append(s.openSlabs[sl.lines-1], base)
+		}
+	}
+	for _, open := range s.openSlabs {
+		slices.Sort(open)
+	}
 	nGroups := d.U64()
 	for i := uint64(0); i < nGroups && d.Err() == nil; i++ {
 		g := d.U64()
@@ -395,4 +437,43 @@ func decodeIndex(dev storage.Device, clock *storage.Clock, idx []byte) (*Store, 
 		return nil, err
 	}
 	return s, nil
+}
+
+// adoptLine enters line entry (page idx over the block hashed base,
+// mask, a patch of size bytes) of a decoded record, whose Pages entry
+// for idx locates the patch, and marks the patch's slab slot used. It
+// refuses an entry the store could not read back: one of a record it
+// does not have or for a page the record does not hold, a page's
+// second, one over a base the block table does not list, with a mask
+// no put makes or a size the mask does not give, or whose patch is not
+// alone in a slot of its own.
+func (s *Store) adoptLine(key RecordKey, idx int64, base Hash, mask, size uint64) error {
+	rec, ok := s.records[key]
+	if !ok {
+		return errors.New("line entry of a record the index does not hold")
+	}
+	ref, ok := rec.Pages[idx]
+	if !ok {
+		return fmt.Errorf("line entry for page %d, which it does not hold", idx)
+	}
+	if _, dup := rec.lines[idx]; dup {
+		return fmt.Errorf("two line entries for page %d", idx)
+	}
+	be, ok := s.blocks[base]
+	if !ok {
+		return fmt.Errorf("page %d is a line entry over block %x, which is not in the block table", idx, base[:4])
+	}
+	if mask == 0 || bits.OnesCount64(mask) > lineBound {
+		return fmt.Errorf("page %d is a line entry of mask %#x", idx, mask)
+	}
+	if size != uint64(patchLen(mask)) {
+		return fmt.Errorf("page %d has a patch of %d bytes for mask %#x", idx, size, mask)
+	}
+	if !s.claimSlotLocked(ref.Off, mask) {
+		return errors.New("patch not alone in a slot of its size")
+	}
+	rec.setLine(idx, lineRef{base: be, mask: mask})
+	s.stats.LinePages++
+	s.stats.LineBytes += int64(size)
+	return nil
 }

@@ -72,6 +72,15 @@ func FuzzDecodeIndex(f *testing.F) {
 	}
 	f.Add(syncedIndex(f, s))
 	f.Add([]byte{})
+	// Line entries: an index holding them, and three that must be
+	// refused (badLineIndexes).
+	lined := testStore(nil)
+	lineHistory(f, lined)
+	valid, bad := badLineIndexes(f, lined)
+	f.Add(valid)
+	for _, idx := range bad {
+		f.Add(idx)
+	}
 
 	f.Fuzz(func(t *testing.T, idx []byte) {
 		clock := storage.NewClock()
@@ -83,6 +92,14 @@ func FuzzDecodeIndex(f *testing.F) {
 			// Accepted heat is in page order: the merge rule can fold it.
 			if !vm.HeatInOrder(rec.Heat) {
 				t.Fatalf("record %v decoded with heat out of page order: %v", key, rec.Heat)
+			}
+			// An accepted line entry is one a read can follow: a page of
+			// its record, over a block of the index, in a slot of its own.
+			for idx, l := range rec.lines {
+				ref, ok := rec.Pages[idx]
+				if !ok || got.blocks[l.base.ref.Hash] != l.base || !got.usedSlot(ref.Off, l.mask) {
+					t.Fatalf("record %v decoded with line entry %d that no read can follow", key, idx)
+				}
 			}
 		}
 		for group, ms := range got.manifests {

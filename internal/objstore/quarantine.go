@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -78,12 +79,13 @@ func (s *Store) LatestGoodManifest(group, below uint64) (*Manifest, error) {
 	return nil, ErrNoManifest
 }
 
-// VerifyEpoch checks that every data block a restore of (group, epoch)
-// would materialize still matches its content hash — the record chains
-// of every object in the manifest, resolved exactly the way restore
-// resolves them. Metadata lives inside the CRC-protected index and
-// needs no separate check; the data blocks are the unprotected bytes.
-// The first mismatch aborts with an error wrapping ErrCorruptBlock.
+// VerifyEpoch checks that every page a restore of (group, epoch) would
+// materialize still matches its content hash — the record chains of
+// every object in the manifest, resolved exactly the way restore
+// resolves them, a line entry read as its base with its patch applied.
+// Metadata lives inside the CRC-protected index and needs no separate
+// check; the data blocks and patches are the unprotected bytes. The
+// first mismatch aborts with an error wrapping ErrCorruptBlock.
 func (s *Store) VerifyEpoch(group, epoch uint64) error {
 	s.mu.Lock()
 	_, m := s.findManifestLocked(group, epoch)
@@ -92,42 +94,67 @@ func (s *Store) VerifyEpoch(group, epoch uint64) error {
 		return ErrNoManifest
 	}
 	// Collect the full resolved page set per object, deduping shared
-	// blocks so each physical block is read once.
+	// contents so each is read once.
 	type toCheck struct {
 		oid uint64
 		idx int64
-		ref BlockRef
+		ref PageRef
 	}
 	seen := make(map[Hash]bool)
 	var refs []toCheck
 	for _, rk := range m.Records {
-		pages, _, err := s.resolvePagesLocked(group, rk.OID, epoch)
+		pages, _, err := s.resolveRefsLocked(group, rk.OID, epoch)
 		if err != nil {
 			s.mu.Unlock()
 			return fmt.Errorf("objstore: verify epoch %d of group %d: object %d: %w",
 				epoch, group, rk.OID, err)
 		}
 		for idx, ref := range pages {
-			if seen[ref.Hash] {
+			if seen[ref.Ref.Hash] {
 				continue
 			}
-			seen[ref.Hash] = true
+			seen[ref.Ref.Hash] = true
 			refs = append(refs, toCheck{rk.OID, idx, ref})
 		}
 	}
 	s.mu.Unlock()
-	sort.Slice(refs, func(i, j int) bool { return refs[i].ref.Off < refs[j].ref.Off })
+	sort.Slice(refs, func(i, j int) bool { return refs[i].ref.Ref.Off < refs[j].ref.Ref.Off })
 
 	buf := make([]byte, BlockSize)
 	for _, c := range refs {
-		if err := s.devRead(buf, c.ref.Off); err != nil {
-			return fmt.Errorf("objstore: verify epoch %d of group %d: block at %d: %w",
-				epoch, group, c.ref.Off, err)
-		}
-		if s.HashPage(buf) != c.ref.Hash {
+		err := s.readPageBatched(c.ref, buf)
+		switch {
+		case errors.Is(err, ErrCorruptBlock):
 			return fmt.Errorf("%w: epoch %d of group %d, object %d page %d (block at %d)",
-				ErrCorruptBlock, epoch, group, c.oid, c.idx, c.ref.Off)
+				ErrCorruptBlock, epoch, group, c.oid, c.idx, c.ref.Ref.Off)
+		case err != nil:
+			return fmt.Errorf("objstore: verify epoch %d of group %d: block at %d: %w",
+				epoch, group, c.ref.Ref.Off, err)
 		}
+	}
+	return nil
+}
+
+// RepairPage writes page pr back from its good bytes: a block in place
+// (RepairBlock); a line entry's patch re-cut from page — what the patch
+// must hold follows from the page and the entry — and, when base is
+// given (a peer's copy under the base's hash), its base block too.
+func (s *Store) RepairPage(pr PageRef, page, base []byte) error {
+	if !pr.Lined() {
+		return s.RepairBlock(pr.Ref, page)
+	}
+	if base != nil {
+		if err := s.RepairBlock(pr.Base, base); err != nil {
+			return err
+		}
+	}
+	if len(page) != BlockSize || s.HashPage(page) != pr.Ref.Hash {
+		return fmt.Errorf("%w: repair data for the line page with patch at %d does not match its hash",
+			ErrCorruptBlock, pr.Ref.Off)
+	}
+	patch := appendPatch(nil, lineRef{base: &blockEntry{ref: pr.Base}, mask: pr.Mask}, page)
+	if err := s.devWrite(patch, pr.Ref.Off); err != nil {
+		return fmt.Errorf("objstore: repair patch at %d: %w", pr.Ref.Off, err)
 	}
 	return nil
 }

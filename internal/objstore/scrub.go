@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -14,47 +15,66 @@ type BlockSource interface {
 	FetchBlock(h Hash) ([]byte, bool)
 }
 
-// FetchBlock returns the verified contents of the block with the given
-// hash, or false if this store does not hold it intact.
+// FetchBlock returns the verified contents of the page with the given
+// hash — a block, or a line entry rebuilt from its base and patch — or
+// false if this store does not hold it intact.
 func (s *Store) FetchBlock(h Hash) ([]byte, bool) {
 	s.mu.Lock()
-	be, ok := s.blocks[h]
+	pr, ok := s.pageByHashLocked(h)
 	s.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
 	buf := make([]byte, BlockSize)
-	if err := s.devRead(buf, be.ref.Off); err != nil {
-		return nil, false
-	}
-	if s.HashPage(buf) != h {
+	if s.readPageBatched(pr, buf) != nil {
 		return nil, false
 	}
 	return buf, true
 }
 
+// pageByHashLocked finds a page holding content h: its block, or else a
+// line entry that rebuilds to it. Line entries are not indexed by
+// content, so that is a walk over every record's — which only a peer's
+// failover and scrub repair pay for.
+func (s *storeCore) pageByHashLocked(h Hash) (PageRef, bool) {
+	if be, ok := s.blocks[h]; ok {
+		return PageRef{Ref: be.ref}, true
+	}
+	for _, rec := range s.records {
+		for idx := range rec.lines {
+			if ref := rec.Pages[idx]; ref.Hash == h {
+				return rec.pageRef(idx, ref), true
+			}
+		}
+	}
+	return PageRef{}, false
+}
+
 // ScrubReport summarizes one scrub pass.
 type ScrubReport struct {
-	Blocks   int // blocks examined
-	Corrupt  int // blocks whose contents failed their hash
-	Repaired int // corrupt blocks rewritten from the source
-	Lost     int // corrupt blocks with no good copy anywhere
+	Blocks    int // blocks examined
+	LinePages int // line entries examined, each rebuilt from base and patch
+	Corrupt   int // blocks and line pages whose contents failed their hash
+	Repaired  int // corrupt ones rewritten from the source
+	Lost      int // corrupt ones with no good copy anywhere
 	// LostRecords lists the records referencing unrepairable blocks —
 	// the checkpoints that can no longer restore from this store.
 	LostRecords []RecordKey
 }
 
 func (r *ScrubReport) String() string {
-	return fmt.Sprintf("%d blocks, %d corrupt, %d repaired, %d lost",
-		r.Blocks, r.Corrupt, r.Repaired, r.Lost)
+	return fmt.Sprintf("%d blocks, %d line pages, %d corrupt, %d repaired, %d lost",
+		r.Blocks, r.LinePages, r.Corrupt, r.Repaired, r.Lost)
 }
 
 // Scrub walks every live block, verifies its contents against its
 // content hash, and repairs rotted blocks in place from src (which may
 // be nil, or a peer store holding the same content-addressed blocks).
-// Unrepairable blocks are reported along with the records that
-// reference them. The device error of a failed raw read aborts the
-// pass; rot itself never does.
+// Then it rebuilds every line entry from its base and patch and checks
+// the page's hash; a failing one is rewritten from the page src holds
+// under that hash (RepairPage) and checked again. Unrepairable blocks and line pages are reported
+// along with the records that hold them. The device error of a failed
+// raw read aborts the pass; rot itself never does.
 func (s *Store) Scrub(src BlockSource) (*ScrubReport, error) {
 	s.mu.Lock()
 	refs := make([]BlockRef, 0, len(s.blocks))
@@ -85,6 +105,9 @@ func (s *Store) Scrub(src BlockSource) (*ScrubReport, error) {
 		rep.Lost++
 		rep.LostRecords = append(rep.LostRecords, s.recordsReferencing(ref.Hash)...)
 	}
+	if err := s.scrubLines(src, rep, buf); err != nil {
+		return rep, err
+	}
 	sort.Slice(rep.LostRecords, func(i, j int) bool {
 		a, b := rep.LostRecords[i], rep.LostRecords[j]
 		if a.OID != b.OID {
@@ -95,15 +118,54 @@ func (s *Store) Scrub(src BlockSource) (*ScrubReport, error) {
 	return rep, nil
 }
 
+// scrubLines is Scrub's pass over the line entries, in patch order,
+// after the blocks under them had their turn.
+func (s *Store) scrubLines(src BlockSource, rep *ScrubReport, page []byte) error {
+	type entry struct {
+		key RecordKey
+		pr  PageRef
+	}
+	s.mu.Lock()
+	var lines []entry
+	for key, rec := range s.records {
+		for idx := range rec.lines {
+			lines = append(lines, entry{key, rec.pageRef(idx, rec.Pages[idx])})
+		}
+	}
+	s.mu.Unlock()
+	sort.Slice(lines, func(i, j int) bool { return lines[i].pr.Ref.Off < lines[j].pr.Ref.Off })
+	rep.LinePages = len(lines)
+	for _, e := range lines {
+		err := s.readPageBatched(e.pr, page)
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, ErrCorruptBlock) {
+			return fmt.Errorf("objstore: scrub of line page at %d: %w", e.pr.Ref.Off, err)
+		}
+		rep.Corrupt++
+		if src != nil {
+			if good, ok := src.FetchBlock(e.pr.Ref.Hash); ok &&
+				s.RepairPage(e.pr, good, nil) == nil && s.readPageBatched(e.pr, page) == nil {
+				rep.Repaired++
+				continue
+			}
+		}
+		rep.Lost++
+		rep.LostRecords = append(rep.LostRecords, e.key)
+	}
+	return nil
+}
+
 // recordsReferencing returns the keys of all records holding a page
-// backed by the given block.
+// backed by the given block, or built on it as a line entry's base.
 func (s *Store) recordsReferencing(h Hash) []RecordKey {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var keys []RecordKey
 	for key, rec := range s.records {
-		for _, ref := range rec.Pages {
-			if ref.Hash == h {
+		for idx, ref := range rec.Pages {
+			if rec.heldHash(idx, ref) == h {
 				keys = append(keys, key)
 				break
 			}

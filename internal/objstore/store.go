@@ -67,7 +67,7 @@ const BlockSize = vm.PageSize
 // previous good generation (see persist.go).
 const (
 	magic     = 0x41555253 // "AURS"
-	sbVersion = 5          // adds group scoping to record keys
+	sbVersion = 6          // adds line entries to records
 	sbSize    = 64         // one superblock slot
 	sbSlot0   = 0          // even generations
 	sbSlot1   = 512        // odd generations
@@ -110,7 +110,8 @@ type Record struct {
 	visible int32
 	// Meta is the object's serialized metadata.
 	Meta []byte
-	// Pages maps page index -> data block.
+	// Pages maps page index -> data block, and a line page (see lines)
+	// to its patch's offset and the page's content hash.
 	Pages map[int64]BlockRef
 	// Heat is the access counts used for restore prefetch, in ascending
 	// page order: every non-zero counter in a full record, those touched
@@ -121,6 +122,10 @@ type Record struct {
 
 	metaOff int64
 	metaLen int
+	// lines holds the line entries among Pages: a page stored as the
+	// block it was built on and the lines written since (lines.go).
+	// Unexported, so no caller mistakes a patch for a block.
+	lines map[int64]lineRef
 }
 
 // Manifest describes one checkpoint of one persistence group.
@@ -152,9 +157,14 @@ type Stats struct {
 	PagesHashed   int64
 	BlocksFreed   int64
 	EpochsDropped int64
+	// LinePages counts the live line entries: pages stored as a base
+	// block and a patch of the lines written since (lines.go); LineBytes
+	// is their patches' bytes.
+	LinePages int64
+	LineBytes int64
 	// LiveBytes is the physical footprint pinned by retained state:
-	// referenced data blocks plus record metadata. It cannot be
-	// reclaimed without dropping epochs.
+	// referenced data blocks, line entries' patches and record
+	// metadata. It cannot be reclaimed without dropping epochs.
 	LiveBytes int64
 	// ReclaimableBytes counts freed blocks still resident on the device
 	// (on the free list but not yet TRIMmed): space a ReleaseSpace call
@@ -230,6 +240,15 @@ type storeCore struct {
 	packOff  int64
 	packUsed int
 	packLive map[int64]int
+
+	// Line entries' patches live in slabs: blocks cut into slots for
+	// the patches of one line count (lines.go). openSlabs lists, per
+	// line count, the slabs with a free slot, ascending. A slot comes
+	// back when its entry dies and a slab goes to the free list with its
+	// last slot, so patch space is reused in place. Not persisted:
+	// rebuilt from the line entries on Open.
+	slabs     map[int64]slab
+	openSlabs [lineBound][]int64
 }
 
 // Store is the object store over one device: the root handle Create and
@@ -278,6 +297,7 @@ func Create(dev storage.Device, clock *storage.Clock) *Store {
 			quarantined: make(map[manifestID]string),
 			fences:      make(map[uint64]fenceEntry),
 			packLive:    make(map[int64]int),
+			slabs:       make(map[int64]slab),
 		},
 		dev:   dev,
 		clock: clock,
@@ -357,7 +377,7 @@ func (s *Store) Stats() Stats {
 	st.Records = len(s.records)
 	st.Blocks = len(s.blocks)
 	st.BlockBytes = int64(len(s.blocks)) * BlockSize
-	st.LiveBytes = st.BlockBytes + st.MetaBytes
+	st.LiveBytes = st.BlockBytes + st.MetaBytes + st.LineBytes
 	st.ReclaimableBytes = int64(len(s.freeList)-s.trimmedFree) * BlockSize
 	st.PackBlocks = len(s.packLive)
 	n := 0
@@ -859,9 +879,14 @@ func (s *Store) ReadBlocks(refs []BlockRef) ([][]byte, error) {
 // ascending page index, each page with its bytes and the ContentHash of
 // those bytes. The order is the order the put allocates and writes
 // blocks in, so it — not a map iteration — decides block placement.
+// Lines(i) is page i's dirty-line mask: the 64-byte lines in which it
+// differs from the object's page at the previous epoch (vm.AllLines
+// when the caller does not know). An incremental put over the group's
+// newest epoch stores a page written in a few lines as a line entry.
 type PageSet interface {
 	Len() int
 	Page(i int) (idx int64, data []byte, hash Hash)
+	Lines(i int) uint64
 }
 
 // mapPages is the PageSet of a caller that holds a page map and no
@@ -878,6 +903,9 @@ func (m *mapPages) Page(i int) (int64, []byte, Hash) {
 	return m.idxs[i], data, ContentHash(data)
 }
 
+// Lines implements PageSet: a page map says nothing of what changed.
+func (m *mapPages) Lines(int) uint64 { return vm.AllLines }
+
 // PutRecord writes one object's record for an epoch: metadata plus the
 // given pages (complete set when full, dirty set otherwise). Page data
 // is deduplicated block by block.
@@ -885,19 +913,12 @@ func (s *Store) PutRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 	return s.PutRecordMixed(group, oid, epoch, kind, full, meta, pages, nil, heat)
 }
 
-// PutRecordRefs writes a record whose pages are existing blocks,
-// bumping their reference counts instead of rewriting data. This is
-// what makes snapshots and clones zero-copy: a clone's first full
-// record in a new group references every block of the source image
-// without moving a byte.
-func (s *Store) PutRecordRefs(group, oid, epoch uint64, kind uint16, full bool, meta []byte, refs map[int64]BlockRef, heat []vm.PageHeat) (*Record, error) {
-	return s.putRecord(group, oid, epoch, kind, full, meta, nil, refs, heat)
-}
-
 // PutRecordMixed writes a record combining freshly written pages with
 // zero-copy references to existing blocks (the snapshot fast path:
-// dirty pages written, clean pages re-referenced). The pages are put in
-// ascending index order and hashed here, one by one.
+// dirty pages written, clean pages re-referenced; with no pages, a
+// clone's first record referencing every block of its source without
+// moving a byte). The pages are put in ascending index order and hashed
+// here, one by one.
 func (s *Store) PutRecordMixed(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages map[int64][]byte, refs map[int64]BlockRef, heat []vm.PageHeat) (*Record, error) {
 	if len(pages) == 0 {
 		return s.putRecord(group, oid, epoch, kind, full, meta, nil, refs, heat)
@@ -914,18 +935,21 @@ func (s *Store) PutRecordMixed(group, oid, epoch uint64, kind uint16, full bool,
 }
 
 // PutPages writes a record whose pages come as an ordered batch with
-// their content hashes already known — the checkpoint flush, which
-// hashes an image's pages once for every backend it goes to. The store
-// computes no hash of its own here (under the race detector it checks
-// every one it is given, see verifySuppliedHashes); the virtual hash
-// cost is charged per page all the same.
+// their content hashes and dirty-line masks already known — the
+// checkpoint flush, which hashes an image's pages once for every
+// backend it goes to. The store computes no hash of its own here (under
+// the race detector it checks every one it is given, and rebuilds every
+// line entry from its base, see verifySuppliedHashes); the virtual hash
+// cost is charged per page all the same. A partly written page of an
+// incremental epoch over the group's newest becomes a line entry
+// (planLines).
 func (s *Store) PutPages(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages PageSet, heat []vm.PageHeat) (*Record, error) {
 	return s.putRecord(group, oid, epoch, kind, full, meta, pages, nil, heat)
 }
 
 // putRecord is the one put path: references first, then the pages in
 // batch order — dedup against the index, one device write per new block
-// — then the metadata extent, then registration.
+// or line entry's patch — then the metadata extent, then registration.
 func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages PageSet, refs map[int64]BlockRef, heat []vm.PageHeat) (*Record, error) {
 	n := len(refs)
 	if pages != nil {
@@ -948,8 +972,16 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 	unwind := func() {
 		s.mu.Lock()
 		mark := len(s.freeList)
-		for _, ref := range rec.Pages {
-			s.unholdLocked(ref)
+		for idx, l := range rec.lines {
+			if _, written := rec.Pages[idx]; !written {
+				// Planned, base held, patch never written.
+				delete(rec.lines, idx)
+				s.unholdLocked(l.base.ref)
+			}
+		}
+		for idx, ref := range rec.Pages {
+			s.settleLocked(rec.heldHash(idx, ref))
+			s.releasePageLocked(rec, idx, ref)
 		}
 		s.sortFreedLocked(mark)
 		s.stats.LogicalBytes -= int64(len(rec.Pages)) * BlockSize
@@ -969,12 +1001,27 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 	}
 	s.mu.Unlock()
 	if pages != nil {
+		if !full {
+			s.planLines(rec, pages)
+		}
+		var runs patchRuns
+		defer runs.release()
 		for i, n := 0, pages.Len(); i < n; i++ {
 			idx, data, h := pages.Page(i)
-			if err := s.putPage(rec, idx, data, h); err != nil {
+			var err error
+			if l, ok := rec.lines[idx]; ok {
+				err = s.putLine(rec, idx, l, data, h, &runs)
+			} else {
+				err = s.putPage(rec, idx, data, h)
+			}
+			if err != nil {
 				unwind()
 				return nil, err
 			}
+		}
+		if err := s.writeRuns(&runs); err != nil {
+			unwind()
+			return nil, err
 		}
 	}
 	// Write the metadata extent, then register the record. Registration
@@ -1017,8 +1064,8 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 		// replace the previous attempt's record, releasing everything
 		// it pinned so refcounts stay exact.
 		mark := len(s.freeList)
-		for _, ref := range old.Pages {
-			s.releaseBlockLocked(ref)
+		for idx, ref := range old.Pages {
+			s.releasePageLocked(old, idx, ref)
 		}
 		s.sortFreedLocked(mark)
 		s.stats.LogicalBytes -= int64(len(old.Pages)) * BlockSize
@@ -1026,8 +1073,8 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 		s.freeExtentLocked(old.metaOff, old.metaLen+1)
 	}
 	s.records[key] = rec
-	for _, ref := range rec.Pages {
-		s.settleLocked(ref.Hash)
+	for idx, ref := range rec.Pages {
+		s.settleLocked(rec.heldHash(idx, ref))
 	}
 	s.stats.MetaBytes += int64(len(meta))
 	s.mu.Unlock()
@@ -1119,23 +1166,38 @@ func (s *Store) Groups() []uint64 {
 // ResolvePages materializes the complete page map of an object at an
 // epoch by walking the record chain backwards until a full record:
 // later (dirty) pages shadow earlier ones. It also returns the chain's
-// heat resolved the same way (chainHeat).
+// heat resolved the same way (chainHeat). Every page it returns is a
+// block; an object with a page stored as a line entry is refused with
+// ErrLineEntry — ReadPages and PageView read those.
 func (s *Store) ResolvePages(group, oid, epoch uint64) (map[int64]BlockRef, []vm.PageHeat, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resolvePagesLocked(group, oid, epoch)
+	refs, heat, err := s.resolveRefsLocked(group, oid, epoch)
+	s.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
+	pages := make(map[int64]BlockRef, len(refs))
+	for idx, pr := range refs {
+		if pr.Lined() {
+			return nil, nil, fmt.Errorf("%w: object %d page %d at epoch %d", ErrLineEntry, oid, idx, epoch)
+		}
+		pages[idx] = pr.Ref
+	}
+	return pages, heat, nil
 }
 
-func (s *Store) resolvePagesLocked(group, oid, epoch uint64) (map[int64]BlockRef, []vm.PageHeat, error) {
+// resolveRefsLocked is ResolvePages for every page, line entries
+// included.
+func (s *Store) resolveRefsLocked(group, oid, epoch uint64) (map[int64]PageRef, []vm.PageHeat, error) {
 	chain, err := s.chainLocked(nil, group, oid, epoch)
 	if err != nil {
 		return nil, nil, err
 	}
-	pages := make(map[int64]BlockRef)
+	pages := make(map[int64]PageRef)
 	// Apply oldest-to-newest so newer pages win.
 	for i := len(chain) - 1; i >= 0; i-- {
 		for idx, ref := range chain[i].Pages {
-			pages[idx] = ref
+			pages[idx] = chain[i].pageRef(idx, ref)
 		}
 	}
 	return pages, chainHeat(chain), nil
@@ -1243,8 +1305,8 @@ func (s *Store) DeleteRecord(group, oid, epoch uint64) {
 	delete(s.records, RecordKey{group, oid, epoch})
 	s.stats.MetaBytes -= int64(rec.metaLen)
 	s.freeExtentLocked(rec.metaOff, rec.metaLen+1)
-	for _, ref := range rec.Pages {
-		s.releaseBlockLocked(ref)
+	for idx, ref := range rec.Pages {
+		s.releasePageLocked(rec, idx, ref)
 	}
 	s.mu.Unlock()
 }

@@ -99,24 +99,26 @@ func (v *PageView) Len() int {
 	return v.n
 }
 
-// Lookup locates page idx. ok is false when the object has no such page
-// at the view's epoch. The error wraps ErrNoManifest or ErrNoRecord
-// when the view's epoch, or a link of its chain, is no longer in the
-// store: the answer is unknown, which is not the same as "no page".
-func (v *PageView) Lookup(idx int64) (ref BlockRef, ok bool, err error) {
+// Lookup locates page idx: its block, or its line entry's base and
+// patch (Store.ReadPageInto reads either). ok is false when the object
+// has no such page at the view's epoch. The error wraps ErrNoManifest
+// or ErrNoRecord when the view's epoch, or a link of its chain, is no
+// longer in the store: the answer is unknown, which is not the same as
+// "no page".
+func (v *PageView) Lookup(idx int64) (ref PageRef, ok bool, err error) {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	var buf [chainOnStack]*Record
 	chain, err := v.s.chainLocked(buf[:0], v.group, v.oid, v.epoch)
 	if err != nil {
-		return BlockRef{}, false, err
+		return PageRef{}, false, err
 	}
 	for _, rec := range chain {
 		if ref, ok := rec.Pages[idx]; ok {
-			return ref, true, nil
+			return rec.pageRef(idx, ref), true, nil
 		}
 	}
-	return BlockRef{}, false, nil
+	return PageRef{}, false, nil
 }
 
 // Pages enumerates the visible page indices, in no particular order.

@@ -51,7 +51,7 @@ func (vo *viewOracle) check(t *testing.T, s *Store, where string, group uint64, 
 				top := int64(-1)
 				for idx, want := range pages {
 					top = max(top, idx)
-					if got, ok, err := v.Lookup(idx); err != nil || !ok || got != want {
+					if got, ok, err := v.Lookup(idx); err != nil || !ok || got != (PageRef{Ref: want}) {
 						t.Fatalf("%s: %v page %d: %s view says %v %v %v, ResolvePages %v", where, key, idx, name, got, ok, err, want)
 					}
 				}

@@ -6,9 +6,13 @@ import (
 )
 
 // Array stripes I/O across several member devices, modeling the
-// paper's testbed of four Optane NVMe drives. Bandwidth aggregates
-// across members while latency stays that of a single device; large
-// transfers are split into per-member chunks at stripe granularity.
+// paper's testbed of four Optane NVMe drives. Params reports the
+// aggregate envelope (bandwidth and queue depth summed over members,
+// latency that of one), and large transfers are split into per-member
+// chunks at stripe granularity. Every member bills the clock for its own
+// chunk, one after another, so an operation costs the sum of the chunks
+// it touched, and that sum is what it returns: the members are not
+// modeled as running in parallel.
 type Array struct {
 	members []Device
 	stripe  int64
@@ -77,8 +81,7 @@ func (a *Array) locate(off int64) (int, int64) {
 	return member, memberStripe*a.stripe + off%a.stripe
 }
 
-// ReadAt implements Device, charging the max of the per-member costs
-// since members operate in parallel.
+// ReadAt implements Device; it costs the sum of its chunks' reads.
 func (a *Array) ReadAt(p []byte, off int64) (time.Duration, error) {
 	return a.forEachChunk(len(p), off, func(m Device, lo, hi int, moff int64) (time.Duration, error) {
 		return m.ReadAt(p[lo:hi], moff)
@@ -93,6 +96,17 @@ func (a *Array) ChargeRead(n int, off int64) (time.Duration, error) {
 	})
 }
 
+// Peek implements Peeker: every chunk from its member.
+func (a *Array) Peek(p []byte, off int64) bool {
+	_, err := a.forEachChunk(len(p), off, func(m Device, lo, hi int, moff int64) (time.Duration, error) {
+		if !Peek(m, p[lo:hi], moff) {
+			return 0, ErrClosed
+		}
+		return 0, nil
+	})
+	return err == nil
+}
+
 // WriteAt implements Device.
 func (a *Array) WriteAt(p []byte, off int64) (time.Duration, error) {
 	return a.forEachChunk(len(p), off, func(m Device, lo, hi int, moff int64) (time.Duration, error) {
@@ -102,12 +116,12 @@ func (a *Array) WriteAt(p []byte, off int64) (time.Duration, error) {
 
 // forEachChunk splits the length-byte range at off at stripe boundaries
 // and hands each chunk — bytes [lo, hi) of the range — to op with its
-// member and member offset.
+// member and member offset. It returns what the chunks cost together.
 func (a *Array) forEachChunk(length int, off int64, op func(m Device, lo, hi int, moff int64) (time.Duration, error)) (time.Duration, error) {
 	if off < 0 {
 		return 0, ErrBadOffset
 	}
-	var worst time.Duration
+	var total time.Duration
 	for n := 0; n < length; {
 		member, moff := a.locate(off + int64(n))
 		span := int(a.stripe - (off+int64(n))%a.stripe)
@@ -115,20 +129,18 @@ func (a *Array) forEachChunk(length int, off int64, op func(m Device, lo, hi int
 			span = length - n
 		}
 		cost, err := op(a.members[member], n, n+span, moff)
+		total += cost
 		if err != nil {
-			return worst, err
-		}
-		if cost > worst {
-			worst = cost
+			return total, err
 		}
 		n += span
 	}
-	return worst, nil
+	return total, nil
 }
 
 // ReadBatch implements Device: extents scatter across members by the
 // striping function and each member overlaps its share at its own
-// queue depth; the cost is the slowest member.
+// queue depth; the cost is the sum of the members' batches.
 func (a *Array) ReadBatch(bufs [][]byte, offs []int64) (time.Duration, error) {
 	if len(bufs) != len(offs) {
 		return 0, ErrBadOffset
@@ -149,35 +161,31 @@ func (a *Array) ReadBatch(bufs [][]byte, offs []int64) (time.Duration, error) {
 			n += span
 		}
 	}
-	var worst time.Duration
+	var total time.Duration
 	for m := range a.members {
 		if len(memberBufs[m]) == 0 {
 			continue
 		}
 		c, err := a.members[m].ReadBatch(memberBufs[m], memberOffs[m])
+		total += c
 		if err != nil {
-			return worst, err
-		}
-		if c > worst {
-			worst = c
+			return total, err
 		}
 	}
-	return worst, nil
+	return total, nil
 }
 
-// Sync flushes every member; the modeled cost is the slowest member.
+// Sync flushes every member; the modeled cost is the sum of theirs.
 func (a *Array) Sync() (time.Duration, error) {
-	var worst time.Duration
+	var total time.Duration
 	for _, m := range a.members {
 		c, err := m.Sync()
+		total += c
 		if err != nil {
-			return worst, err
-		}
-		if c > worst {
-			worst = c
+			return total, err
 		}
 	}
-	return worst, nil
+	return total, nil
 }
 
 // NewOptaneArray builds the paper's testbed storage: n Optane 900P

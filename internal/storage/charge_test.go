@@ -91,3 +91,38 @@ func TestChargeReadBillsLikeReadAt(t *testing.T) {
 		}
 	}
 }
+
+// TestPeekBillsNothing: Peek copies out what the media holds — through
+// an array's stripes, past a fault layer that would rot or fail the
+// read, on a clock-redirected view — and moves no clock, counter or
+// fault schedule. Closed devices and ones without the capability say so.
+func TestPeekBillsNothing(t *testing.T) {
+	c := NewClock()
+	fd := NewFaultDevice(NewOptaneArray(4, c), c, FaultConfig{Seed: 3, ReadErr: 1, BitRot: 1})
+	data := make([]byte, 150<<10)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if _, err := fd.WriteAt(data, 5000); err != nil {
+		t.Fatal(err)
+	}
+	lane := NewClock()
+	for _, dev := range []Device{fd, Redirect(fd, lane)} {
+		now, laneNow, stats, ops := c.Now(), lane.Now(), dev.Stats(), fd.OpCount()
+		got := make([]byte, len(data))
+		if !Peek(dev, got, 5000) || !slices.Equal(got, data) {
+			t.Fatal("Peek did not copy out what was written")
+		}
+		if c.Now() != now || lane.Now() != laneNow || dev.Stats() != stats || fd.OpCount() != ops {
+			t.Fatal("Peek billed, counted or drew from the fault schedule")
+		}
+	}
+	md := NewMemDevice(ParamsOptaneNVMe, c)
+	md.Close()
+	if Peek(md, make([]byte, 8), 0) {
+		t.Fatal("a closed device peeked")
+	}
+	if Peek(struct{ Device }{md}, make([]byte, 8), 0) {
+		t.Fatal("a device without Peeker peeked")
+	}
+}

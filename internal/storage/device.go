@@ -112,6 +112,21 @@ func ChargeRead(dev Device, n int, off int64) (time.Duration, error) {
 	return dev.ReadAt(make([]byte, n), off)
 }
 
+// Peeker is implemented by devices that can copy out what they hold
+// without billing, counting or faulting the read. It is for assertions:
+// a check compiled into race builds reads the media through it, so
+// checking an operation moves no clock, counter or fault schedule.
+type Peeker interface {
+	Peek(p []byte, off int64) bool
+}
+
+// Peek copies dev's bytes at off into p through Peeker, and reports
+// false when dev cannot (or is closed).
+func Peek(dev Device, p []byte, off int64) bool {
+	pk, ok := dev.(Peeker)
+	return ok && pk.Peek(p, off)
+}
+
 // ResidentBytes reports dev's resident byte count, unwrapping fault or
 // redirection layers that forward the capability. It returns -1 when the
 // device cannot report residency.
@@ -202,10 +217,18 @@ func (d *MemDevice) ReadAt(p []byte, off int64) (time.Duration, error) {
 	if off < 0 {
 		return 0, ErrBadOffset
 	}
-	d.mu.RLock()
-	if d.closed {
-		d.mu.RUnlock()
+	if !d.Peek(p, off) {
 		return 0, ErrClosed
+	}
+	return d.chargeRead(len(p)), nil
+}
+
+// Peek implements Peeker.
+func (d *MemDevice) Peek(p []byte, off int64) bool {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.closed || off < 0 {
+		return false
 	}
 	bs := int64(d.params.BlockSize)
 	for n := 0; n < len(p); {
@@ -222,8 +245,7 @@ func (d *MemDevice) ReadAt(p []byte, off int64) (time.Duration, error) {
 		}
 		n += span
 	}
-	d.mu.RUnlock()
-	return d.chargeRead(len(p)), nil
+	return true
 }
 
 // ChargeRead implements ReadCharger.

@@ -451,6 +451,10 @@ func (d *FaultDevice) Stats() DeviceStats { return d.inner.Stats() }
 // the inner device cannot report it.
 func (d *FaultDevice) Resident() int64 { return ResidentBytes(d.inner) }
 
+// Peek implements Peeker past the fault layer: what the media holds,
+// with no draw from the fault schedule.
+func (d *FaultDevice) Peek(p []byte, off int64) bool { return Peek(d.inner, p, off) }
+
 // Discard forwards TRIM to the inner device when supported. Discards do
 // not consume fault-schedule draws: reclamation toggling on or off must
 // not shift the seeded fault timeline of the data path.

@@ -247,6 +247,42 @@ func TestArraySync(t *testing.T) {
 	}
 }
 
+// TestArrayReturnsWhatItBills: every member of an array bills the one
+// clock for its own chunk, so an operation that touches several members
+// advances the clock by the sum of their costs, and that sum — not the
+// slowest member's share — is the duration it reports.
+func TestArrayReturnsWhatItBills(t *testing.T) {
+	c := NewClock()
+	a := NewOptaneArray(4, c)
+	buf := make([]byte, 192<<10) // three 64 KiB stripes, on three members
+	bufs := make([][]byte, 64)
+	offs := make([]int64, 64)
+	for i := range bufs {
+		bufs[i] = make([]byte, 4096)
+		offs[i] = int64(i) * 16 << 10 // four blocks to a stripe: every member
+	}
+	ops := []struct {
+		name string
+		op   func() (time.Duration, error)
+	}{
+		{"WriteAt 192 KiB", func() (time.Duration, error) { return a.WriteAt(buf, 0) }},
+		{"ReadAt 192 KiB", func() (time.Duration, error) { return a.ReadAt(buf, 0) }},
+		{"ChargeRead 192 KiB", func() (time.Duration, error) { return a.ChargeRead(len(buf), 0) }},
+		{"ReadBatch of 64 blocks", func() (time.Duration, error) { return a.ReadBatch(bufs, offs) }},
+		{"Sync", a.Sync},
+	}
+	for _, o := range ops {
+		before := c.Now()
+		d, err := o.op()
+		if err != nil {
+			t.Fatalf("%s: %v", o.name, err)
+		}
+		if billed := c.Now() - before; d != billed || d <= 0 {
+			t.Errorf("%s returned %v, billed the clock %v", o.name, d, billed)
+		}
+	}
+}
+
 func TestBatchCost(t *testing.T) {
 	p := ParamsOptaneNVMe // queue depth 16
 	each := 10 * time.Microsecond
