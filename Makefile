@@ -81,17 +81,19 @@ race:
 ## self-healing flush pipeline, crash-consistent superblock, and replica
 ## resume paths driven by the fault-injecting device.
 faultcheck:
-	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestFault|TestTorn|TestScrub|TestReplica|TestRecovery|TestQuarantine|TestLineEntries|TestLinePutFailureLeavesStoreAsFound|TestLineMasksCheckedUnderRace|TestIndexRefusesBadLineEntries|TestRottedLineBaseFailsOverByHash|TestArrayReturnsWhatItBills|TestPeekBillsNothing' \
+	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestFault|TestTorn|TestScrub|TestReplica|TestRecovery|TestQuarantine|TestLineEntries|TestLinePutFailureLeavesStoreAsFound|TestLineMasksCheckedUnderRace|TestIndexRefusesBadLineEntries|TestRottedLineBaseFailsOverByHash|TestArrayReturnsWhatItBills|TestPeekBillsNothing|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestArrayReadBatchAllocatesNothing|TestLinePageFaultIsOneRead' \
 		./internal/core/ ./internal/storage/ ./internal/objstore/ ./internal/netback/
 
 ## recoverycheck: validated self-healing restore under the race detector —
 ## crash-at-every-op harness, epoch quarantine with fallback, lazy-paging
 ## failover, supervisor auto-restore, bounded SwapIn retry, CLI exit codes,
 ## and `sls send`/`recv`: an image file round-trips, and a group whose
-## pages are still in a store sends no file.
+## pages are still in a store sends no file; a line page's demand fault
+## is one lookup and one device read; and the store's records survive
+## every put, drop and Sync+Open as a reference model has them.
 recoverycheck:
-	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash' \
-		./internal/core/ ./internal/vm/ ./internal/netback/ ./cmd/sls/
+	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState' \
+		./internal/core/ ./internal/vm/ ./internal/netback/ ./internal/objstore/ ./cmd/sls/
 
 ## chaoscheck: whole-system chaos harness under the race detector —
 ## storage faults, link faults, crashes, a partition+heal, replica
@@ -101,13 +103,14 @@ recoverycheck:
 ## determines — the quorum and placement engines under link faults
 ## included — must replay it exactly, the space harness must size the
 ## same device, and every row of the baseline table must match its
-## committed BENCH_*.json (wander fields inside their bounds), at 1, 2
-## and 4 procs, three times each, under -race (whose slower schedule is
-## what used to expose a wire's timing).
+## committed BENCH_*.json (wander fields inside their bounds), and one
+## store state must persist to one index, byte for byte, at 1, 2 and 4
+## procs, three times each, under -race (whose slower schedule is what
+## used to expose a wire's timing).
 chaoscheck:
 	$(GO) test -race -count=1 -run 'TestChaos|TestPromote|TestCLIPromote' \
 		./internal/core/ ./cmd/sls/
-	$(GO) test -race -count=3 -cpu 1,2,4 -run 'TestHarnessReplay|TestBaselines' ./internal/bench .
+	$(GO) test -race -count=3 -cpu 1,2,4 -run 'TestHarnessReplay|TestBaselines|TestSyncedIndexIsAFunctionOfState' ./internal/bench ./internal/objstore .
 
 ## spacecheck: graceful degradation under space pressure, race-enabled —
 ## watermark retention GC with the reachability audit after every
@@ -118,7 +121,7 @@ chaoscheck:
 ## cores (EXPERIMENTS.md "Flush pipeline: one owner per epoch"): the
 ## bounded-device runs at 1, 2 and 4 procs, three times each.
 spacecheck:
-	$(GO) test -race -count=1 -run 'TestSpace|TestReclaimer|TestAdmission|TestFlushENOSPC|TestSyncWithReclaim|TestGCInterleaving|TestControlPlaneReserve|TestStatsLiveAndReclaimable|TestCapacityGrowthOnly|TestSetFull|TestCLIGC|TestCLIDF|TestCLISpacePressure|TestDropEpochOverLinesWritesNoData|TestTrimmedLineChainRestoresBitIdentical' \
+	$(GO) test -race -count=1 -run 'TestSpace|TestReclaimer|TestAdmission|TestFlushENOSPC|TestSyncWithReclaim|TestGCInterleaving|TestControlPlaneReserve|TestStatsLiveAndReclaimable|TestCapacityGrowthOnly|TestSetFull|TestCLIGC|TestCLIDF|TestCLISpacePressure|TestDropEpochOverLinesWritesNoData|TestTrimmedLineChainRestoresBitIdentical|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestArrayReadBatchAllocatesNothing|TestLinePageFaultIsOneRead' \
 		./internal/core/ ./internal/storage/ ./internal/objstore/ ./internal/bench/ ./cmd/sls/
 	$(GO) test -count=3 -cpu 1,2,4 -run 'TestSpace' ./internal/bench
 

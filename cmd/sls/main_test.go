@@ -199,9 +199,9 @@ func corruptEpoch(t *testing.T, s *session, backend string, group, epoch uint64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ref := range rec.Pages {
+		for _, p := range rec.Pages {
 			garbage := bytes.Repeat([]byte{0xAA}, objstore.BlockSize)
-			if _, err := sb.Store().Device().WriteAt(garbage, ref.Off); err != nil {
+			if _, err := sb.Store().Device().WriteAt(garbage, p.Ref.Off); err != nil {
 				t.Fatal(err)
 			}
 			return

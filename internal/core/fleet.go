@@ -129,8 +129,9 @@ func (fl *fleet) worker(fs *fleetShard) {
 		fs.runq = fs.runq[1:]
 		f.onRun = false
 		fs.mu.Unlock()
-		fl.dispatches.Add(1)
-		f.dispatch(lane)
+		if f.dispatch(lane) {
+			fl.dispatches.Add(1)
+		}
 	}
 }
 
@@ -190,7 +191,7 @@ type FleetStats struct {
 	Shards          int
 	WorkersPerShard int
 	Placements      []int // flushers placed per shard, cumulative
-	Dispatches      int64 // jobs handed to shard workers
+	Dispatches      int64 // flush jobs shard workers ran (a wake that finds the queue running or empty runs none)
 	MemBudget       int64 // configured budget (0 = unbounded)
 	MemInUse        int64 // frame bytes currently charged
 	MemPeak         int64 // high-water mark of charged bytes

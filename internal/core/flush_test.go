@@ -302,8 +302,8 @@ func TestFlushPlacementIsSeedDetermined(t *testing.T) {
 					t.Fatal(err)
 				}
 				pl := placed{oid: key.OID, pages: make(map[int64]int64, len(rec.Pages))}
-				for idx, ref := range rec.Pages {
-					pl.pages[idx] = ref.Off
+				for _, p := range rec.Pages {
+					pl.pages[p.Idx] = p.Ref.Off
 				}
 				recs = append(recs, pl)
 			}

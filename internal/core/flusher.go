@@ -141,12 +141,13 @@ func (f *flusher) depth() int {
 // lane, unless an attempt is already in flight. The lane advances by
 // the flush's modeled duration so back-to-back jobs on a busy worker
 // queue in virtual time; with a nil lane (fleet shut down, inline
-// fallback) the job charges a fresh lane off the kernel clock.
-func (f *flusher) dispatch(lane *storage.Clock) {
+// fallback) the job charges a fresh lane off the kernel clock. It
+// reports whether it ran a flush.
+func (f *flusher) dispatch(lane *storage.Clock) bool {
 	f.mu.Lock()
 	if f.running || f.unretiredLocked() == 0 {
 		f.mu.Unlock()
-		return
+		return false
 	}
 	owed, job := f.queue[:f.retired], f.queue[f.retired]
 	f.running = true
@@ -163,6 +164,7 @@ func (f *flusher) dispatch(lane *storage.Clock) {
 	dur, err := f.o.flushImage(f.g, owed, job.img, lane)
 	lane.AdvanceTo(start + dur)
 	f.finish(job, dur, err)
+	return true
 }
 
 // read returns the whole window for a Resync to deliver from, beside

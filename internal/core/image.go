@@ -970,7 +970,7 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 			// The base copy writes the whole frame, so it is filled as it
 			// comes off the free list, without being cleared first.
 			entry.objID, entry.mask, entry.lines, entry.hash = objID, mask, lines, h
-			f, err := pm.PageIn(&entry, idx)
+			f, err := pm.Fill(func(dst []byte) (bool, error) { return entry.fill(idx, dst), nil })
 			if err != nil {
 				return nil, err
 			}
@@ -1002,10 +1002,10 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 	return img, missing, nil
 }
 
-// lineEntry is the vm.PageSource a line entry's page is paged in
-// through: page idx of object objID at epoch, as base copies it, with
-// the entry's lines copied over it. It holds the page only if the
-// result hashes to hash. One decode reuses it for all its entries.
+// lineEntry is a line entry's page as a delta decode pages it in: page
+// idx of object objID at epoch, as base copies it, with the entry's
+// lines copied over it. It holds the page only if the result hashes to
+// hash. One decode reuses it for all its entries.
 type lineEntry struct {
 	base         func(group, epoch, objID uint64, idx int64, dst []byte) bool
 	group, epoch uint64
@@ -1014,16 +1014,10 @@ type lineEntry struct {
 	hash         objstore.Hash
 }
 
-// FetchInto implements vm.PageSource.
-func (e *lineEntry) FetchInto(idx int64, dst []byte) (bool, error) {
-	return e.base != nil && e.base(e.group, e.epoch, e.objID, idx, dst) && patchLines(dst, e.mask, e.lines, e.hash), nil
+// fill writes the page into dst and reports whether it holds it.
+func (e *lineEntry) fill(idx int64, dst []byte) bool {
+	return e.base != nil && e.base(e.group, e.epoch, e.objID, idx, dst) && patchLines(dst, e.mask, e.lines, e.hash)
 }
-
-// HasPage implements vm.PageSource: the fetch decides.
-func (e *lineEntry) HasPage(int64) bool { return true }
-
-// Pages implements vm.PageSource.
-func (e *lineEntry) Pages() []int64 { return nil }
 
 // patchLines copies a line entry's lines over its base page, in mask
 // order, and reports whether the result hashes to h.

@@ -3,9 +3,14 @@ package core
 import (
 	"bytes"
 	"math/rand/v2"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"aurora/internal/kernel"
+	"aurora/internal/objstore"
+	"aurora/internal/storage"
 	"aurora/internal/vm"
 )
 
@@ -109,7 +114,7 @@ func TestRottedLineBaseFailsOverByHash(t *testing.T) {
 	if _, err := fr.fd.Inner().WriteAt([]byte("rot"), ref.Base.Off+100); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.ReadPageInto(ref, make([]byte, vm.PageSize)); err == nil {
+	if err := st.ReadPage(ref, make([]byte, vm.PageSize), new(objstore.PageReader)); err == nil {
 		t.Fatal("the page reads back intact over a rotted base")
 	}
 
@@ -128,7 +133,96 @@ func TestRottedLineBaseFailsOverByHash(t *testing.T) {
 		t.Fatalf("recovery stats %+v, want the counter page failed over and repaired", rs)
 	}
 	buf := make([]byte, vm.PageSize)
-	if err := st.ReadPageInto(ref, buf); err != nil || !bytes.Equal(buf, want[0]) {
+	if err := st.ReadPage(ref, buf, new(objstore.PageReader)); err != nil || !bytes.Equal(buf, want[0]) {
 		t.Fatalf("the primary's line page after read-repair: %v", err)
+	}
+}
+
+// opDevice counts the read operations issued to the device it wraps.
+type opDevice struct {
+	storage.Device
+	reads atomic.Int64
+}
+
+func (d *opDevice) ReadAt(p []byte, off int64) (time.Duration, error) {
+	d.reads.Add(1)
+	return d.Device.ReadAt(p, off)
+}
+
+func (d *opDevice) ReadBatch(bufs [][]byte, offs []int64) (time.Duration, error) {
+	d.reads.Add(1)
+	return d.Device.ReadBatch(bufs, offs)
+}
+
+// TestLinePageFaultIsOneRead: a demand fault on a line page locates the
+// page once and reads its base and its patch in one device operation,
+// through a striped array too, into a recycled frame and the source's
+// own patch buffer. It costs what a fault on a block does: one
+// operation, and no allocation the block's fault does not make.
+func TestLinePageFaultIsOneRead(t *testing.T) {
+	const pages = 32
+	r := newRig(t)
+	dev := &opDevice{Device: storage.NewOptaneArray(4, r.clock)}
+	r.store = NewStoreBackend(objstore.Create(dev, r.clock), r.k.Mem, r.clock)
+	p := spawnCounter(t, r)
+	touchedHeap(t, p, pages)
+	g, _ := r.o.Persist("app", p)
+	r.o.Attach(g, r.store)
+	checkpoint := func() {
+		t.Helper()
+		if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.o.Sync(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint()
+	blocks := heapOf(t, p, pages)
+	for pg := 0; pg < pages; pg++ {
+		if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize)+100, []byte{0xAB}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint()
+	if n := r.store.Store().Stats().LinePages; n != pages {
+		t.Fatalf("%d line entries, want one for each of the %d pages written in a line", n, pages)
+	}
+	lined := heapOf(t, p, pages)
+	r.k.Exit(p, 0)
+	// fault restores the epoch lazily and faults every page in.
+	fault := func(epoch uint64, want [][]byte) (reads int64, allocs uint64) {
+		t.Helper()
+		ng, _, err := r.o.Restore(g, epoch, RestoreOpts{Lazy: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		np, _ := r.k.Process(ng.PIDs()[0])
+		var b [1]byte
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		reads = dev.reads.Load()
+		for pg := 0; pg < pages; pg++ {
+			if err := np.ReadMem(np.HeapBase()+vm.Addr(pg*vm.PageSize)+100, b[:]); err != nil || b[0] != want[pg][100] {
+				t.Fatalf("epoch %d page %d reads %#x (%v)", epoch, pg, b[0], err)
+			}
+		}
+		reads = dev.reads.Load() - reads
+		runtime.ReadMemStats(&after)
+		r.k.Exit(np, 0)
+		if err := r.k.Reap(np); err != nil {
+			t.Fatal(err)
+		}
+		r.o.Unpersist(ng)
+		return reads, after.Mallocs - before.Mallocs
+	}
+	fault(2, lined) // warm: frames on the free list, the array's batch lists
+	blockReads, blockAllocs := fault(1, blocks)
+	lineReads, lineAllocs := fault(2, lined)
+	if blockReads != pages || lineReads != pages {
+		t.Fatalf("%d faults issued %d device reads on blocks and %d on line pages, want one each", pages, blockReads, lineReads)
+	}
+	if lineAllocs > blockAllocs {
+		t.Fatalf("%d line-page faults allocated %d times, %d block-page faults %d", pages, lineAllocs, pages, blockAllocs)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"aurora/internal/objstore"
 	"aurora/internal/storage"
+	"aurora/internal/vm"
 )
 
 // This file implements fault-tolerant demand paging for lazy restores:
@@ -70,6 +71,11 @@ type lazyPageSource struct {
 	failovers atomic.Int64
 	repaired  atomic.Int64
 	retries   atomic.Int64
+
+	// reader holds a line page's patch while the primary reads it, one
+	// read at a time (readMu), so a fault allocates nothing.
+	readMu sync.Mutex
+	reader objstore.PageReader
 }
 
 func newLazyPageSource(o *Orchestrator, sb *StoreBackend, view *objstore.PageView, inline map[int64][]byte, peers []BlockProvider) *lazyPageSource {
@@ -98,27 +104,52 @@ func (s *lazyPageSource) stats() RecoveryStats {
 	}
 }
 
+// PageIn implements vm.PageSource: a fault looks its page up once, and
+// takes a frame only for a page the image holds.
+func (s *lazyPageSource) PageIn(pm *vm.PhysMem, idx int64) (*vm.Frame, error) {
+	if _, ok := s.inline[idx]; ok {
+		return pm.Fill(func(dst []byte) (bool, error) { return s.FetchInto(idx, dst) })
+	}
+	ref, ok, err := s.locate(idx)
+	if err != nil || !ok {
+		return nil, err
+	}
+	return pm.Fill(func(dst []byte) (bool, error) { return true, s.read(idx, ref, dst) })
+}
+
 // FetchInto implements vm.PageSource. It reports false for pages the
-// image never captured (zero-fill), and an error wrapping
-// ErrBackendDown when the primary and every peer failed — or when the
-// view's epoch has left the store, which no peer can help with: there
-// is no block reference to ask them for. A line page is read as its
-// base with its patch applied and checked against the page's content
-// hash, like any page (objstore.Store.ReadPageInto).
+// image never captured (zero-fill); its errors are locate's and read's.
 func (s *lazyPageSource) FetchInto(idx int64, dst []byte) (bool, error) {
 	if d, ok := s.inline[idx]; ok {
 		clear(dst[copy(dst, d):])
 		return true, nil
 	}
+	ref, ok, err := s.locate(idx)
+	if err != nil || !ok {
+		return false, err
+	}
+	return true, s.read(idx, ref, dst)
+}
+
+// locate finds page idx in the view. When the view's epoch has left the
+// store the answer is an error wrapping ErrBackendDown, never a miss,
+// which no peer can help with: there is no block reference to ask them
+// for.
+func (s *lazyPageSource) locate(idx int64) (objstore.PageRef, bool, error) {
 	ref, ok, err := s.view.Lookup(idx)
 	if err != nil {
-		return false, fmt.Errorf("%w: demand-paged read of page %d from %s: %w",
+		return ref, false, fmt.Errorf("%w: demand-paged read of page %d from %s: %w",
 			ErrBackendDown, idx, s.sb.Name(), err)
 	}
-	if !ok {
-		return false, nil
-	}
+	return ref, ok, nil
+}
 
+// read reads page idx, which locate found at ref, into dst: from the
+// primary, or from a peer when the primary fails, with an error
+// wrapping ErrBackendDown when the primary and every peer failed. A line
+// page is read as its base with its patch applied and checked against
+// the page's content hash, like any page (objstore.Store.ReadPage).
+func (s *lazyPageSource) read(idx int64, ref objstore.PageRef, dst []byte) error {
 	// A primary the health machine already marked down is mostly left
 	// alone: peers serve, with only a periodic probe (mirroring the
 	// flush pipeline's pacing).
@@ -154,10 +185,10 @@ func (s *lazyPageSource) FetchInto(idx int64, dst []byte) (bool, error) {
 		if perr == nil {
 			perr = fmt.Errorf("%d peers hold no copy", s.peerCount())
 		}
-		return false, fmt.Errorf("%w: demand-paged read of page %d from %s failed (%d peers tried): %v",
+		return fmt.Errorf("%w: demand-paged read of page %d from %s failed (%d peers tried): %v",
 			ErrBackendDown, idx, s.sb.Name(), s.peerCount(), perr)
 	}
-	return true, nil
+	return nil
 }
 
 // readPrimary reads one block from the primary store into dst with
@@ -179,7 +210,9 @@ func (s *lazyPageSource) readPrimary(ref objstore.PageRef, dst []byte) error {
 			lane.Advance(backoff)
 			backoff *= 2
 		}
-		err := s.sb.store.ReadPageInto(ref, dst)
+		s.readMu.Lock()
+		err := s.sb.store.ReadPage(ref, dst, &s.reader)
+		s.readMu.Unlock()
 		if err == nil {
 			return nil
 		}
@@ -238,17 +271,6 @@ func (s *lazyPageSource) peerCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.peers)
-}
-
-// HasPage implements vm.PageSource. A view that can no longer tell
-// (its epoch left the store) answers yes: the fetch then fails loudly
-// instead of the page zero-filling.
-func (s *lazyPageSource) HasPage(idx int64) bool {
-	if _, ok := s.inline[idx]; ok {
-		return true
-	}
-	_, ok, err := s.view.Lookup(idx)
-	return ok || err != nil
 }
 
 // Pages implements vm.PageSource.

@@ -376,7 +376,7 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, state *objectState, obj *
 			// everything now, through the failover path, so a sick
 			// primary cannot abort the restore.
 			for _, idx := range idxs {
-				f, err := o.K.Mem.PageIn(src, idx)
+				f, err := src.PageIn(o.K.Mem, idx)
 				if err != nil {
 					return total, fmt.Errorf("core: eager restore of object %q: page %d: %w", obj.Name, idx, err)
 				}
@@ -423,7 +423,7 @@ func (o *Orchestrator) prefetchHottest(heat []vm.PageHeat, obj *vm.Object, src v
 		hot = hot[:n]
 	}
 	for _, idx := range hot {
-		f, err := o.K.Mem.PageIn(src, idx)
+		f, err := src.PageIn(o.K.Mem, idx)
 		if errors.Is(err, vm.ErrOutOfMemory) {
 			return
 		}
@@ -686,10 +686,12 @@ func (s *imagePageSource) FetchInto(idx int64, dst []byte) (bool, error) {
 	return ok, nil
 }
 
-// HasPage implements vm.PageSource.
-func (s *imagePageSource) HasPage(idx int64) bool {
-	_, ok := s.pages[idx]
-	return ok
+// PageIn implements vm.PageSource.
+func (s *imagePageSource) PageIn(pm *vm.PhysMem, idx int64) (*vm.Frame, error) {
+	if _, ok := s.pages[idx]; !ok {
+		return nil, nil
+	}
+	return pm.Fill(func(dst []byte) (bool, error) { return s.FetchInto(idx, dst) })
 }
 
 // Pages implements vm.PageSource.

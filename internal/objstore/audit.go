@@ -13,11 +13,11 @@ import (
 // equality while a flush runs on another lane — no block may exist
 // with zero references (unreachable blocks must have been freed), and
 // no free-list entry may alias a live block, a patch slab or another
-// entry. A line entry counts as a reference on its base, and its patch
-// must fill a used slab slot of its own. The chaos and
-// space harnesses run this after every reclamation — a refcount drift
-// here is how merge-forward GC bugs first become visible, long before
-// they corrupt a restore.
+// entry. A record's entries must ascend by page. A line entry counts as
+// a reference on its base, and its patch must fill a used slab slot of
+// its own. The chaos and space harnesses run this after every
+// reclamation — a refcount drift here is how merge-forward GC bugs
+// first become visible, long before they corrupt a restore.
 func (s *Store) AuditReachability() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -25,42 +25,41 @@ func (s *Store) AuditReachability() error {
 	want := make(map[Hash]int32, len(s.blocks))
 	slots := make(map[int64]RecordKey)
 	for key, rec := range s.records {
-		for idx := range rec.lines {
-			if _, ok := rec.Pages[idx]; !ok {
-				return fmt.Errorf("objstore: audit: record %d@%d has a line entry for page %d it does not hold",
-					key.OID, key.Epoch, idx)
+		for i := range rec.Pages {
+			p := &rec.Pages[i]
+			if i > 0 && p.Idx <= rec.Pages[i-1].Idx {
+				return fmt.Errorf("objstore: audit: record %d@%d lists page %d after page %d",
+					key.OID, key.Epoch, p.Idx, rec.Pages[i-1].Idx)
 			}
-		}
-		for idx, ref := range rec.Pages {
-			if l, ok := rec.lines[idx]; ok {
+			if p.base != nil {
 				// A line entry: its base is a live block, and its patch
 				// fills a used slab slot no other entry holds.
-				if be := s.blocks[l.base.ref.Hash]; be != l.base {
+				if be := s.blocks[p.base.ref.Hash]; be != p.base {
 					return fmt.Errorf("objstore: audit: record %d@%d page %d is a line entry over freed block %x",
-						key.OID, key.Epoch, idx, l.base.ref.Hash[:4])
+						key.OID, key.Epoch, p.Idx, p.base.ref.Hash[:4])
 				}
-				want[l.base.ref.Hash]++
-				if !s.usedSlot(ref.Off, l.mask) {
+				want[p.base.ref.Hash]++
+				if !s.usedSlot(p.Ref.Off, p.mask) {
 					return fmt.Errorf("objstore: audit: record %d@%d page %d has its patch at %d, not in a used slot",
-						key.OID, key.Epoch, idx, ref.Off)
+						key.OID, key.Epoch, p.Idx, p.Ref.Off)
 				}
-				if other, dup := slots[ref.Off]; dup {
+				if other, dup := slots[p.Ref.Off]; dup {
 					return fmt.Errorf("objstore: audit: records %d@%d and %d@%d share the patch at %d",
-						key.OID, key.Epoch, other.OID, other.Epoch, ref.Off)
+						key.OID, key.Epoch, other.OID, other.Epoch, p.Ref.Off)
 				}
-				slots[ref.Off] = key
+				slots[p.Ref.Off] = key
 				continue
 			}
-			be, ok := s.blocks[ref.Hash]
+			be, ok := s.blocks[p.Ref.Hash]
 			if !ok {
 				return fmt.Errorf("objstore: audit: record %d@%d page %d references freed block %x",
-					key.OID, key.Epoch, idx, ref.Hash[:4])
+					key.OID, key.Epoch, p.Idx, p.Ref.Hash[:4])
 			}
-			if be.ref.Off != ref.Off {
+			if be.ref.Off != p.Ref.Off {
 				return fmt.Errorf("objstore: audit: record %d@%d page %d holds offset %d for block %x, index says %d",
-					key.OID, key.Epoch, idx, ref.Off, ref.Hash[:4], be.ref.Off)
+					key.OID, key.Epoch, p.Idx, p.Ref.Off, p.Ref.Hash[:4], be.ref.Off)
 			}
-			want[ref.Hash]++
+			want[p.Ref.Hash]++
 		}
 	}
 	for h, n := range s.inflight {

@@ -83,7 +83,7 @@ func TestFailedPutLeavesLedgerEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, _ := s.GetRecord(1, 1, 1)
-	refs := map[int64]BlockRef{0: rec.Pages[0], 1: rec.Pages[1], 2: {Off: 1 << 40, Hash: Hash{0xEE}}}
+	refs := map[int64]BlockRef{0: refOf(t, rec, 0), 1: refOf(t, rec, 1), 2: {Off: 1 << 40, Hash: Hash{0xEE}}}
 	if _, err := s.PutRecordMixed(1, 1, 2, 1, false, nil, nil, refs, nil); err == nil {
 		t.Fatal("put with a dangling reference succeeded")
 	}

@@ -110,7 +110,7 @@ func TestTornSuperblockRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("acknowledged record lost: %v", err)
 	}
-	data, err := re.ReadBlock(rec.Pages[0])
+	data, err := re.ReadBlock(refOf(t, rec, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestReadVerifiesBlockHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := rec.Pages[0]
+	ref := refOf(t, rec, 0)
 	if _, err := s.ReadBlock(ref); err != nil {
 		t.Fatalf("pristine block must verify: %v", err)
 	}
@@ -209,7 +209,7 @@ func TestReadCatchesInjectedBitRot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadBlock(rec.Pages[0]); !errors.Is(err, ErrCorruptBlock) {
+	if _, err := s.ReadBlock(refOf(t, rec, 0)); !errors.Is(err, ErrCorruptBlock) {
 		t.Fatalf("verified read must catch injected bit rot, got %v", err)
 	}
 }
@@ -236,7 +236,7 @@ func TestScrubDetectsAndRepairs(t *testing.T) {
 		t.Fatalf("clean scrub: %+v", rep)
 	}
 	// Rot page 0 on the device.
-	if _, err := fd.WriteAt([]byte("bitrot!"), rec.Pages[0].Off+7); err != nil {
+	if _, err := fd.WriteAt([]byte("bitrot!"), refOf(t, rec, 0).Off+7); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = s.Scrub(peer)
@@ -247,7 +247,7 @@ func TestScrubDetectsAndRepairs(t *testing.T) {
 		t.Fatalf("repairing scrub: %+v", rep)
 	}
 	// The block reads verified again.
-	data, err := s.ReadBlock(rec.Pages[0])
+	data, err := s.ReadBlock(refOf(t, rec, 0))
 	if err != nil {
 		t.Fatalf("block must verify after repair: %v", err)
 	}
@@ -264,7 +264,7 @@ func TestScrubReportsLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fd.WriteAt([]byte("gone"), rec.Pages[0].Off); err != nil {
+	if _, err := fd.WriteAt([]byte("gone"), refOf(t, rec, 0).Off); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := s.Scrub(nil)
@@ -300,7 +300,7 @@ func TestPutBlockFailedWriteNotDeduped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.ReadBlock(rec.Pages[0])
+	got, err := s.ReadBlock(refOf(t, rec, 0))
 	if err != nil {
 		t.Fatalf("block written by the retry must verify: %v", err)
 	}

@@ -310,13 +310,13 @@ func TestContentHashIsTheBlocksHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if computed.Pages[0] != supplied.Pages[0] || computed.Pages[0].Hash != ContentHash(block) {
-		t.Fatalf("computed %x, supplied %x, rule %x", computed.Pages[0].Hash, supplied.Pages[0].Hash, ContentHash(block))
+	if refOf(t, computed, 0) != refOf(t, supplied, 0) || refOf(t, computed, 0).Hash != ContentHash(block) {
+		t.Fatalf("computed %x, supplied %x, rule %x", refOf(t, computed, 0).Hash, refOf(t, supplied, 0).Hash, ContentHash(block))
 	}
 	if s.Stats().DedupHits != 1 {
 		t.Errorf("the second put of the same short page made %d dedup hits, want 1", s.Stats().DedupHits)
 	}
-	got, err := s.ReadBlock(supplied.Pages[0])
+	got, err := s.ReadBlock(refOf(t, supplied, 0))
 	if err != nil || !bytes.Equal(got, block) {
 		t.Fatalf("verified read of the padded block: %v", err)
 	}
@@ -375,8 +375,8 @@ func TestPlacementFollowsBatchOrder(t *testing.T) {
 		defer s.mu.Unlock()
 		for key, rec := range s.records {
 			out[key] = make(map[int64]int64, len(rec.Pages))
-			for idx, ref := range rec.Pages {
-				out[key][idx] = ref.Off
+			for _, p := range rec.Pages {
+				out[key][p.Idx] = p.Ref.Off
 			}
 		}
 		return out

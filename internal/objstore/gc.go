@@ -47,8 +47,8 @@ func (s *Store) DropEpoch(group, epoch uint64) error {
 			adopted = s.mergeForwardLocked(rec, next)
 		} else {
 			// Last remaining checkpoint: release everything.
-			for idx, ref := range rec.Pages {
-				s.releasePageLocked(rec, idx, ref)
+			for i := range rec.Pages {
+				s.releaseEntryLocked(&rec.Pages[i])
 			}
 		}
 		delete(s.records, key)
@@ -89,43 +89,23 @@ func (s *Store) mergeForwardLocked(rec *Record, next *Manifest) bool {
 		next.Records = append(next.Records, key)
 		return true
 	}
-	// Fold the smaller page map into the larger and leave the result
-	// with the heir, so the work is O(min) of the two: a clean full
-	// record dropped under a small delta costs what the delta holds,
-	// not what the object holds. A line entry travels with its page.
+	// Fold the smaller run into the larger and leave the result with the
+	// heir, so a clean full record dropped under a small delta costs what
+	// the delta holds, not what the object holds. A line entry travels
+	// with its page.
 	switch {
 	case heir.Full:
 		// The heir is the object's complete page set already: no epoch
 		// that survives resolves through the dropped record, so none of
 		// its pages is live. Folding them in would bring back pages the
 		// object no longer had at the heir's epoch.
-		for idx, ref := range rec.Pages {
-			s.releasePageLocked(rec, idx, ref)
+		for i := range rec.Pages {
+			s.releaseEntryLocked(&rec.Pages[i])
 		}
 	case len(rec.Pages) > len(heir.Pages):
-		for idx, ref := range heir.Pages {
-			if old, shadowed := rec.Pages[idx]; shadowed {
-				// The heir rewrote this page; the old one dies.
-				s.releasePageLocked(rec, idx, old)
-			}
-			rec.Pages[idx] = ref
-			if l, ok := heir.lines[idx]; ok {
-				rec.setLine(idx, l)
-			}
-		}
-		heir.Pages, heir.lines = rec.Pages, rec.lines
+		heir.Pages = s.foldLocked(rec.Pages, heir.Pages, true)
 	default:
-		for idx, ref := range rec.Pages {
-			if _, shadowed := heir.Pages[idx]; shadowed {
-				s.releasePageLocked(rec, idx, ref)
-			} else {
-				// Still live: move the reference forward, in place.
-				heir.Pages[idx] = ref
-				if l, ok := rec.lines[idx]; ok {
-					heir.setLine(idx, l)
-				}
-			}
-		}
+		heir.Pages = s.foldLocked(heir.Pages, rec.Pages, false)
 	}
 	// The heir now carries the object's complete page set as of its
 	// epoch if the dropped record did. Heat folds the way pages do: a
@@ -137,6 +117,30 @@ func (s *Store) mergeForwardLocked(rec *Record, next *Manifest) bool {
 		heir.Full = true
 	}
 	return false
+}
+
+// foldLocked folds src into dst, the larger run, and returns the result.
+// Where both hold a page the newer entry (src's when srcNewer) stays and
+// the older is released. A page dst lacks is appended, and the run
+// sorted once at the end.
+func (s *Store) foldLocked(dst, src []PageEntry, srcNewer bool) []PageEntry {
+	n := len(dst)
+	for j := range src {
+		i, ok := find(dst[:n], src[j].Idx)
+		switch {
+		case !ok:
+			dst = append(dst, src[j])
+		case srcNewer:
+			s.releaseEntryLocked(&dst[i])
+			dst[i] = src[j]
+		default:
+			s.releaseEntryLocked(&src[j])
+		}
+	}
+	if len(dst) > n {
+		slices.SortFunc(dst, byIdx)
+	}
+	return dst
 }
 
 func (s *Store) releaseBlockLocked(ref BlockRef) {

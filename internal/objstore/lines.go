@@ -35,11 +35,11 @@ import (
 // VerifyEpoch, Scrub — reads the base and the patch and checks the
 // result against the content hash.
 
-// lineBound is the most lines a patch holds, measured rather than
-// guessed (EXPERIMENTS.md "Line records in the store" sweeps 1, 2 and
-// 3): each line more keeps pages written again and again as line
-// entries for longer, at 64 bytes a line.
-const lineBound = 3
+// lineBound is the most lines a patch holds: the largest bound of a
+// 1–12 sweep at which no redis-incr end-to-end metric is worse than at
+// 3 (EXPERIMENTS.md "A record is a sorted run"). Each line more keeps a
+// page written again and again a line entry for longer, at 64 bytes.
+const lineBound = 8
 
 // A patch on the device is its entry's mask (8 bytes), base offset (8)
 // and base content hash (32), then the masked lines in mask order.
@@ -72,14 +72,6 @@ func (sl slab) slot(base, off int64) (int, bool) {
 	return rel / sl.slotLen(), rel >= 0 && rel%sl.slotLen() == 0 && rel/sl.slotLen() < BlockSize/sl.slotLen()
 }
 
-// lineRef is a record's line entry for one page, beside its Pages
-// entry (the patch's offset and the page's content hash). The record
-// holds a reference on base.
-type lineRef struct {
-	base *blockEntry
-	mask uint64
-}
-
 // PageRef locates one page. Ref is the page's block — or, for a line
 // entry, the offset of its patch — and the page's content hash; a line
 // entry also names its Base block and its Mask, the lines the patch
@@ -93,147 +85,114 @@ type PageRef struct {
 // Lined reports whether the page is a line entry.
 func (p PageRef) Lined() bool { return p.Mask != 0 }
 
-// pageRef is page idx of rec, whose Pages entry is ref, as a PageRef.
-func (rec *Record) pageRef(idx int64, ref BlockRef) PageRef {
-	pr := PageRef{Ref: ref}
-	if l, ok := rec.lines[idx]; ok {
-		pr.Base, pr.Mask = l.base.ref, l.mask
+// pageRef is the entry as a PageRef.
+func (p *PageEntry) pageRef() PageRef {
+	pr := PageRef{Ref: p.Ref, Mask: p.mask}
+	if p.base != nil {
+		pr.Base = p.base.ref
 	}
 	return pr
 }
 
-// heldHash is the block page idx of rec (Pages entry ref) holds its
-// reference on: the block itself, or a line entry's base.
-func (rec *Record) heldHash(idx int64, ref BlockRef) Hash {
-	if l, ok := rec.lines[idx]; ok {
-		return l.base.ref.Hash
-	}
-	return ref.Hash
-}
-
-func (rec *Record) setLine(idx int64, l lineRef) {
-	if rec.lines == nil {
-		rec.lines = make(map[int64]lineRef)
-	}
-	rec.lines[idx] = l
-}
-
-// releasePageLocked drops what page idx of rec (Pages entry ref) holds:
-// its block's reference, or its line entry — the patch slot and the
-// base's reference. The Pages entry is the caller's to remove.
-func (s *Store) releasePageLocked(rec *Record, idx int64, ref BlockRef) {
-	l, ok := rec.lines[idx]
-	if !ok {
-		s.releaseBlockLocked(ref)
+// releaseEntryLocked drops what entry p holds: its block's reference,
+// or its line entry's — the patch slot and the base's reference.
+// Removing the entry from its record is the caller's.
+func (s *Store) releaseEntryLocked(p *PageEntry) {
+	if p.base == nil {
+		s.releaseBlockLocked(p.Ref)
 		return
 	}
-	delete(rec.lines, idx)
-	s.freePatchLocked(ref.Off)
-	s.releaseBlockLocked(l.base.ref)
+	s.freePatchLocked(p.Ref.Off)
+	s.releaseBlockLocked(p.base.ref)
 	s.stats.LinePages--
-	s.stats.LineBytes -= int64(patchLen(l.mask))
+	s.stats.LineBytes -= int64(patchLen(p.mask))
 }
 
 // planLines picks the pages of an incremental put that go as line
 // entries, before any page is written, and takes a reference on each
-// one's base, all under one hold of the lock. A page's mask says how it
-// differs from the object at the previous epoch, so the put must be of
-// epoch E over the group's newest epoch E−1, where the object's chain
-// names the base of each page (lineBaseLocked). A page whose content
-// the store already holds is left to dedup, and one the object did not
-// have at E−1, or whose mask over its base would exceed lineBound, is
-// written whole.
+// one's base, all under one hold of the lock; page i planned so is
+// rec.Pages[i], with its base and mask and no Ref yet. A page's mask
+// says how it differs from the object at the previous epoch, so the put
+// must be of epoch E over the group's newest epoch E−1, where the
+// object's chain names the base of each page (lineBaseLocked). A page
+// whose content the store already holds is left to dedup, and one the
+// object did not have at E−1, or whose mask over its base would exceed
+// lineBound, is written whole.
 func (s *Store) planLines(rec *Record, pages PageSet) {
-	n, partial := pages.Len(), 0
-	for i := 0; i < n; i++ {
-		if m := pages.Lines(i); m != 0 && m != vm.AllLines && bits.OnesCount64(m) <= lineBound {
-			partial++
-		}
-	}
-	if partial == 0 || rec.Epoch < 2 {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ms := s.manifests[rec.Group]; len(ms) == 0 || ms[len(ms)-1].Epoch != rec.Epoch-1 {
 		return
 	}
-	for i := 0; i < n; i++ {
+	for i, n := 0, pages.Len(); i < n; i++ {
 		mask := pages.Lines(i)
 		if mask == 0 || mask == vm.AllLines || bits.OnesCount64(mask) > lineBound {
 			continue
 		}
 		idx, data, h := pages.Page(i)
-		if len(data) != BlockSize {
+		if _, dedup := s.blocks[h]; dedup || len(data) != BlockSize {
 			continue
 		}
-		if _, dedup := s.blocks[h]; dedup {
-			continue
+		if base, mask, ok := s.lineBaseLocked(rec, idx, mask); ok {
+			s.holdLocked(base)
+			rec.Pages[i] = PageEntry{Idx: idx, base: base, mask: mask}
 		}
-		l, ok := s.lineBaseLocked(rec.Group, rec.OID, rec.Epoch-1, idx, mask)
-		if !ok {
-			continue
-		}
-		if rec.lines == nil {
-			rec.lines = make(map[int64]lineRef, partial)
-		}
-		s.holdLocked(l.base)
-		rec.lines[idx] = l
 	}
 }
 
-// lineBaseLocked finds the line entry page idx of (group, oid) would be
-// if mask is what was written since epoch: over the block the object's
-// chain at epoch resolves the page to, or over that entry's base with
-// the two masks joined when it resolves to a line entry. It walks the
-// chain as chainLocked does, newest first, but only as far as the page:
-// a page written recently is found in a record or two, however long the
+// lineBaseLocked finds the base and mask of the line entry page idx of
+// rec's object would be if mask is what was written since the epoch
+// before rec's: the block the object's chain there resolves the page to,
+// or that entry's base with the two masks joined. It walks the chain as
+// chainLocked does, but only as far as the page, however long the
 // history under it.
-func (s *Store) lineBaseLocked(group, oid, epoch uint64, idx int64, mask uint64) (lineRef, bool) {
-	for cur := epoch; cur != 0; {
-		_, m := s.findManifestLocked(group, cur)
+func (s *Store) lineBaseLocked(rec *Record, idx int64, mask uint64) (*blockEntry, uint64, bool) {
+	for cur := rec.Epoch - 1; cur != 0; {
+		_, m := s.findManifestLocked(rec.Group, cur)
 		if m == nil {
-			return lineRef{}, false
+			break
 		}
-		if rec, ok := s.records[RecordKey{group, oid, cur}]; ok {
-			if ref, ok := rec.Pages[idx]; ok {
-				if l, ok := rec.lines[idx]; ok {
-					l.mask |= mask
-					return l, bits.OnesCount64(l.mask) <= lineBound
+		if older, ok := s.records[RecordKey{rec.Group, rec.OID, cur}]; ok {
+			if i, ok := find(older.Pages, idx); ok {
+				if p := &older.Pages[i]; p.base != nil {
+					mask |= p.mask
+					return p.base, mask, bits.OnesCount64(mask) <= lineBound
 				}
-				be, ok := s.blocks[ref.Hash]
-				return lineRef{base: be, mask: mask}, ok
+				be, ok := s.blocks[older.Pages[i].Ref.Hash]
+				return be, mask, ok
 			}
-			if rec.Full {
+			if older.Full {
 				break
 			}
 		}
 		cur = m.Prev
 	}
-	return lineRef{}, false
+	return nil, 0, false
 }
 
-// putLine stores page idx of rec — data, whose ContentHash is h — as
-// the line entry l that planLines took a base reference for: a patch
-// slot, the entry in rec.Pages, and the patch appended to the run of
-// its size, which the put writes once its slots stop being consecutive.
-func (s *Store) putLine(rec *Record, idx int64, l lineRef, data []byte, h Hash, runs *patchRuns) error {
+// putLine stores page i of a put of rec — page idx, data, whose
+// ContentHash is h — as the line entry planLines planned and took a base
+// reference for: a patch slot, the entry's Ref, and the patch appended
+// to the run of its size, which the put writes once its slots stop
+// being consecutive.
+func (s *Store) putLine(rec *Record, i int, idx int64, data []byte, h Hash, runs *patchRuns) error {
 	if verifySuppliedHashes && ContentHash(data) != h {
 		panic(fmt.Sprintf("objstore: page %d of object %d put under a hash that is not its content's", idx, rec.OID))
 	}
 	s.chargeHash()
-	lines := bits.OnesCount64(l.mask)
+	p := &rec.Pages[i]
+	lines := bits.OnesCount64(p.mask)
 	run, last := &runs[lines-1], int64(-1)
 	if len(run.buf) > 0 {
-		last = run.off + int64(len(run.buf)-patchLen(l.mask)) // the run's last slot
+		last = run.off + int64(len(run.buf)-patchLen(p.mask)) // the run's last slot
 	}
 	s.mu.Lock()
 	off, err := s.allocPatchLocked(lines, last)
 	if err == nil {
-		rec.Pages[idx] = BlockRef{Off: off, Hash: h}
+		p.Ref = BlockRef{Off: off, Hash: h}
 		s.stats.LogicalBytes += BlockSize
 		s.stats.LinePages++
-		s.stats.LineBytes += int64(patchLen(l.mask))
+		s.stats.LineBytes += int64(patchLen(p.mask))
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -244,9 +203,9 @@ func (s *Store) putLine(rec *Record, idx int64, l lineRef, data []byte, h Hash, 
 			return err
 		}
 	}
-	patch := run.add(off, l, data)
+	patch := run.add(off, p.base.ref, p.mask, data)
 	if verifySuppliedHashes {
-		s.verifyLine(rec, idx, l, patch, h)
+		s.verifyLine(rec, p, patch)
 	}
 	return nil
 }
@@ -282,9 +241,10 @@ func (r *patchRun) extends(off int64) bool {
 	return len(r.buf) > 0 && off == r.off+int64(len(r.buf)) && off&^(BlockSize-1) == r.off&^(BlockSize-1)
 }
 
-// add starts the run at off if it is empty, appends l's patch, its
-// lines taken from page, and returns the patch.
-func (r *patchRun) add(off int64, l lineRef, page []byte) []byte {
+// add starts the run at off if it is empty, appends the patch of a line
+// entry over base with mask, its lines taken from page, and returns the
+// patch.
+func (r *patchRun) add(off int64, base BlockRef, mask uint64, page []byte) []byte {
 	if r.arr == nil {
 		r.arr = runBufs.Get().(*[BlockSize]byte)
 		r.buf = r.arr[:0]
@@ -293,7 +253,7 @@ func (r *patchRun) add(off int64, l lineRef, page []byte) []byte {
 		r.off = off
 	}
 	start := len(r.buf)
-	r.buf = appendPatch(r.buf, l, page)
+	r.buf = appendPatch(r.buf, base, mask, page)
 	return r.buf[start:]
 }
 
@@ -317,31 +277,32 @@ func (s *Store) writeRuns(runs *patchRuns) error {
 	return nil
 }
 
-// verifyLine is the race leg's check of a line entry before it is put:
+// verifyLine is the race leg's check of line entry p before it is put:
 // the page rebuilt from the base as the device holds it, with the
-// patch's lines copied over, must hash to h. A mask that misses a
-// written line would otherwise store a page that fails every read. It
-// reads through storage.Peek, so checking bills, counts and faults
-// nothing; a device that cannot peek, and a base that has rotted on the
-// media since it was written (not the put's fault), go unchecked.
-func (s *Store) verifyLine(rec *Record, idx int64, l lineRef, patch []byte, h Hash) {
+// patch's lines copied over, must hash to the entry's. A mask that
+// misses a written line would otherwise store a page that fails every
+// read. It reads through storage.Peek, so checking bills, counts and
+// faults nothing; a device that cannot peek, and a base that has rotted
+// on the media since it was written (not the put's fault), go
+// unchecked.
+func (s *Store) verifyLine(rec *Record, p *PageEntry, patch []byte) {
 	page := make([]byte, BlockSize)
-	if !storage.Peek(s.dev, page, l.base.ref.Off) || ContentHash(page) != l.base.ref.Hash {
+	if !storage.Peek(s.dev, page, p.base.ref.Off) || ContentHash(page) != p.base.ref.Hash {
 		return
 	}
-	copyLines(page, l.mask, patch[patchHeader:])
-	if ContentHash(page) != h {
-		panic(fmt.Sprintf("objstore: page %d of object %d put as a line entry that does not rebuild to its hash (mask %#x)", idx, rec.OID, l.mask))
+	copyLines(page, p.mask, patch[patchHeader:])
+	if ContentHash(page) != p.Ref.Hash {
+		panic(fmt.Sprintf("objstore: page %d of object %d put as a line entry that does not rebuild to its hash (mask %#x)", p.Idx, rec.OID, p.mask))
 	}
 }
 
-// appendPatch appends l's patch, with its lines taken from page, to
-// buf.
-func appendPatch(buf []byte, l lineRef, page []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, l.mask)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.base.ref.Off))
-	buf = append(buf, l.base.ref.Hash[:]...)
-	for m := l.mask; m != 0; m &= m - 1 {
+// appendPatch appends the patch of a line entry over base with mask,
+// its lines taken from page, to buf.
+func appendPatch(buf []byte, base BlockRef, mask uint64, page []byte) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, mask)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(base.Off))
+	buf = append(buf, base.Hash[:]...)
+	for m := mask; m != 0; m &= m - 1 {
 		off := bits.TrailingZeros64(m) << vm.LineShift
 		buf = append(buf, page[off:off+vm.LineSize]...)
 	}
@@ -367,41 +328,28 @@ func checkPatch(pr PageRef, patch []byte) error {
 	return nil
 }
 
-// ReadPageInto reads the page pr locates into dst (BlockSize bytes) and
-// verifies it against its content hash: a block as ReadBlockInto reads
-// it; a line entry as its patch — into dst, whose lines are kept aside —
-// then its base, with the lines copied over it. Two device reads and
-// one hash; nothing on the heap. On error dst holds garbage.
-func (s *Store) ReadPageInto(pr PageRef, dst []byte) error {
-	if !pr.Lined() {
-		return s.ReadBlockInto(pr.Ref, dst)
-	}
-	patch := dst[:patchLen(pr.Mask)]
-	if err := s.devRead(patch, pr.Ref.Off); err != nil {
-		return err
-	}
-	if err := checkPatch(pr, patch); err != nil {
-		return err
-	}
-	var lines [lineBound * vm.LineSize]byte
-	n := copy(lines[:], patch[patchHeader:])
-	if err := s.devRead(dst, pr.Base.Off); err != nil {
-		return err
-	}
-	return s.applyLines(pr, dst, lines[:n])
+// PageReader is a reader's buffers for a line page's patch and its
+// batched read, so that ReadPage allocates nothing. Its owner reuses it,
+// one read at a time.
+type PageReader struct {
+	patch [patchHeader + lineBound<<vm.LineShift]byte
+	bufs  [2][]byte
+	offs  [2]int64
 }
 
-// readPageBatched is ReadPageInto in one device operation — a line
-// entry's base and patch fetched in one batched read — for the passes
-// that read a page to check it (VerifyEpoch, Scrub, FetchBlock): one
-// operation per page, as a block read is, so a line entry draws no more
-// from a faulty device's schedule than a block does.
-func (s *Store) readPageBatched(pr PageRef, dst []byte) error {
+// ReadPage reads the page pr locates into dst (BlockSize bytes) and
+// verifies it against its content hash: a block as ReadBlockInto reads
+// it; a line entry as its base and its patch, in one batched device
+// operation into dst and r, the patch's lines then copied over the base.
+// A demand fault, VerifyEpoch, Scrub and FetchBlock all read here: one
+// device operation a page, as for a block. On error dst holds garbage.
+func (s *Store) ReadPage(pr PageRef, dst []byte, r *PageReader) error {
 	if !pr.Lined() {
 		return s.ReadBlockInto(pr.Ref, dst)
 	}
-	patch := make([]byte, patchLen(pr.Mask))
-	_, err := s.dev.ReadBatch([][]byte{dst, patch}, []int64{pr.Base.Off, pr.Ref.Off})
+	patch := r.patch[:patchLen(pr.Mask)]
+	r.bufs, r.offs = [2][]byte{dst, patch}, [2]int64{pr.Base.Off, pr.Ref.Off}
+	_, err := s.dev.ReadBatch(r.bufs[:], r.offs[:])
 	s.billed()
 	if err != nil {
 		return err
@@ -416,13 +364,7 @@ func (s *Store) applyLine(pr PageRef, page, patch []byte) error {
 	if err := checkPatch(pr, patch); err != nil {
 		return err
 	}
-	return s.applyLines(pr, page, patch[patchHeader:])
-}
-
-// applyLines copies line entry pr's lines over page, which holds its
-// base, and verifies the result against the page's content hash.
-func (s *Store) applyLines(pr PageRef, page, lines []byte) error {
-	copyLines(page, pr.Mask, lines)
+	copyLines(page, pr.Mask, patch[patchHeader:])
 	if s.HashPage(page) != pr.Ref.Hash {
 		return fmt.Errorf("%w: line page with patch at offset %d over block at %d", ErrCorruptBlock, pr.Ref.Off, pr.Base.Off)
 	}
@@ -437,35 +379,25 @@ func (s *Store) applyLines(pr PageRef, page, lines []byte) error {
 // This is the eager restore's read.
 func (s *Store) ReadPages(group, oid, epoch uint64) (map[int64][]byte, []vm.PageHeat, error) {
 	s.mu.Lock()
-	refs, heat, err := s.resolveRefsLocked(group, oid, epoch)
+	pages, heat, err := s.resolveLocked(group, oid, epoch)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}
-	idxs := make([]int64, 0, len(refs))
-	lined := 0
-	for idx, pr := range refs {
-		idxs = append(idxs, idx)
-		if pr.Lined() {
-			lined++
-		}
-	}
-	slices.Sort(idxs)
-	bufs := make([][]byte, 0, len(idxs)+lined)
-	offs := make([]int64, 0, len(idxs)+lined)
-	for _, idx := range idxs {
-		pr := refs[idx]
-		off := pr.Ref.Off
-		if pr.Lined() {
-			off = pr.Base.Off
+	bufs := make([][]byte, 0, 2*len(pages))
+	offs := make([]int64, 0, 2*len(pages))
+	for _, p := range pages {
+		off := p.Ref.Off
+		if p.base != nil {
+			off = p.base.ref.Off
 		}
 		bufs = append(bufs, make([]byte, BlockSize))
 		offs = append(offs, off)
 	}
-	for _, idx := range idxs {
-		if pr := refs[idx]; pr.Lined() {
-			bufs = append(bufs, make([]byte, patchLen(pr.Mask)))
-			offs = append(offs, pr.Ref.Off)
+	for _, p := range pages {
+		if p.base != nil {
+			bufs = append(bufs, make([]byte, patchLen(p.mask)))
+			offs = append(offs, p.Ref.Off)
 		}
 	}
 	_, err = s.dev.ReadBatch(bufs, offs)
@@ -473,19 +405,19 @@ func (s *Store) ReadPages(group, oid, epoch uint64) (map[int64][]byte, []vm.Page
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make(map[int64][]byte, len(idxs))
-	patches := bufs[len(idxs):]
-	for i, idx := range idxs {
-		pr, page := refs[idx], bufs[i]
+	out := make(map[int64][]byte, len(pages))
+	patches := bufs[len(pages):]
+	for i := range pages {
+		pr, page := pages[i].pageRef(), bufs[i]
 		if pr.Lined() {
 			if err := s.applyLine(pr, page, patches[0]); err != nil {
-				return nil, nil, fmt.Errorf("object %d page %d at epoch %d: %w", oid, idx, epoch, err)
+				return nil, nil, fmt.Errorf("object %d page %d at epoch %d: %w", oid, pages[i].Idx, epoch, err)
 			}
 			patches = patches[1:]
 		} else if err := s.verifyBlock(pr.Ref, page); err != nil {
 			return nil, nil, err
 		}
-		out[idx] = page
+		out[pages[i].Idx] = page
 	}
 	return out, heat, nil
 }

@@ -98,12 +98,13 @@ func checkPages(t *testing.T, where string, s *Store, want map[uint64]map[int64]
 			t.Fatalf("%s: view at %d: %v (%d pages)", where, m.Epoch, err, v.Len())
 		}
 		buf := make([]byte, BlockSize)
+		var r PageReader
 		for idx, p := range want[m.Epoch] {
 			pr, ok, err := v.Lookup(idx)
 			if err != nil || !ok {
 				t.Fatalf("%s: lookup of page %d at %d: %v %v", where, idx, m.Epoch, ok, err)
 			}
-			if err := s.ReadPageInto(pr, buf); err != nil || !bytes.Equal(buf, p) {
+			if err := s.ReadPage(pr, buf, &r); err != nil || !bytes.Equal(buf, p) {
 				t.Fatalf("%s: page %d at %d (lined %v) reads back %v", where, idx, m.Epoch, pr.Lined(), err)
 			}
 		}
@@ -141,7 +142,7 @@ func TestLineEntriesStoreWrittenLines(t *testing.T) {
 	v, _ := s.ResolveView(1, 7, 3)
 	pr, _, _ := v.Lookup(0)
 	first, _ := s.GetRecord(1, 7, 1)
-	if !pr.Lined() || pr.Mask != 1<<5|1<<9 || pr.Base != first.Pages[0] {
+	if !pr.Lined() || pr.Mask != 1<<5|1<<9 || pr.Base != refOf(t, first, 0) {
 		t.Fatalf("page 0 at epoch 3 is %+v, want lines 5 and 9 over epoch 1's block", pr)
 	}
 	if _, _, err := s.ResolvePages(1, 7, 3); !errors.Is(err, ErrLineEntry) {
@@ -283,7 +284,7 @@ func TestScrubRebuildsLinePages(t *testing.T) {
 	}
 	rec, _ := s.GetRecord(1, 7, 2)
 	rot := func() {
-		if _, err := fd.WriteAt([]byte("rot"), rec.Pages[0].Off+int64(patchHeader)+5); err != nil {
+		if _, err := fd.WriteAt([]byte("rot"), refOf(t, rec, 0).Off+int64(patchHeader)+5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,29 +338,32 @@ func badLineIndexes(t testing.TB, s *Store) (valid []byte, bad map[string][]byte
 	}
 	valid = sync()
 	rec := s.records[RecordKey{1, 7, 2}]
-	l := rec.lines[0]
+	l := rec.Pages[0]
 	bad = make(map[string][]byte)
 
-	// The entry's base hash, mask and patch length, as the index has them.
-	entry := func(size int) []byte {
+	// The entry as the index has it: record and page, base hash, mask
+	// and patch length.
+	entry := func(idx int64, size int) []byte {
 		e := codec.NewEncoder()
+		e.U64(1)
+		e.U64(7)
+		e.U64(2)
+		e.I64(idx)
 		e.Bytes2(l.base.ref.Hash[:])
 		e.U64(l.mask)
 		e.U64(uint64(size))
 		return e.Bytes()
 	}
-	if !bytes.Contains(valid, entry(patchLen(l.mask))) {
+	size := patchLen(l.mask)
+	if !bytes.Contains(valid, entry(0, size)) {
 		t.Fatal("the index does not hold the line entry as written")
 	}
-	bad["patch size"] = bytes.Replace(valid, entry(patchLen(l.mask)), entry(patchLen(l.mask)+vm.LineSize), 1)
+	bad["patch size"] = bytes.Replace(valid, entry(0, size), entry(0, size+vm.LineSize), 1)
+	bad["no page at the index"] = bytes.Replace(valid, entry(0, size), entry(99, size), 1)
 
-	rec.lines[0] = lineRef{base: &blockEntry{ref: BlockRef{Off: l.base.ref.Off, Hash: Hash{0xEE}}}, mask: l.mask}
+	rec.Pages[0].base = &blockEntry{ref: BlockRef{Off: l.base.ref.Off, Hash: Hash{0xEE}}}
 	bad["base not in the block table"] = sync()
-	rec.lines[0] = l
-
-	rec.lines[99] = l
-	bad["no page at the index"] = sync()
-	delete(rec.lines, 99)
+	rec.Pages[0] = l
 	return valid, bad
 }
 

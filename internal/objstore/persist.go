@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,10 +15,10 @@ import (
 )
 
 // This file persists the store's index so a store survives restart:
-// Sync serializes every map to a fresh extent and publishes it through
-// a double-buffered superblock; Open replays that extent. Data blocks
-// themselves are already on the device — the index is the only
-// volatile state.
+// Sync serializes every table, in key order, to a fresh extent and
+// publishes it through a double-buffered superblock; Open replays that
+// extent. Data blocks themselves are already on the device — the index
+// is the only volatile state.
 //
 // Crash consistency: two superblock slots alternate by generation
 // parity, each carrying a generation counter, the index extent
@@ -112,16 +113,22 @@ func (s *Store) Sync() error {
 	for _, off := range s.freeList {
 		e.I64(off)
 	}
-	// Block index.
-	e.U64(uint64(len(s.blocks)))
-	for h, be := range s.blocks {
+	// Every table goes out in key order, so one state persists to one
+	// byte string. Block index, by offset.
+	blocks := sortedKeys(s.blocks, func(a, b Hash) int { return cmp.Compare(s.blocks[a].ref.Off, s.blocks[b].ref.Off) })
+	e.U64(uint64(len(blocks)))
+	for _, h := range blocks {
+		be := s.blocks[h]
 		e.Bytes2(h[:])
 		e.I64(be.ref.Off)
 		e.I64(int64(be.refs))
 	}
-	// Records.
-	e.U64(uint64(len(s.records)))
-	for key, rec := range s.records {
+	// Records, by key, each with its entries in page order.
+	keys := sortedKeys(s.records, compareKeys)
+	e.U64(uint64(len(keys)))
+	lines := 0
+	for _, key := range keys {
+		rec := s.records[key]
 		e.U64(key.Group)
 		e.U64(key.OID)
 		e.U64(key.Epoch)
@@ -131,10 +138,13 @@ func (s *Store) Sync() error {
 		e.I64(rec.metaOff)
 		e.I64(int64(rec.metaLen))
 		e.U64(uint64(len(rec.Pages)))
-		for idx, ref := range rec.Pages {
-			e.I64(idx)
-			e.I64(ref.Off)
-			e.Bytes2(ref.Hash[:])
+		for _, p := range rec.Pages {
+			e.I64(p.Idx)
+			e.I64(p.Ref.Off)
+			e.Bytes2(p.Ref.Hash[:])
+			if p.base != nil {
+				lines++
+			}
 		}
 		e.U64(uint64(len(rec.Heat)))
 		for _, h := range rec.Heat {
@@ -142,29 +152,25 @@ func (s *Store) Sync() error {
 			e.U32(h.Count)
 		}
 	}
-	// Line entries: the record and page (whose Pages entry above locates
-	// the patch), the base by hash, the mask and the patch's length.
-	lines := 0
-	for _, rec := range s.records {
-		lines += len(rec.lines)
-	}
+	// Line entries: the record and page (whose entry above locates the
+	// patch), the base by hash, the mask and the patch's length.
 	e.U64(uint64(lines))
-	for key, rec := range s.records {
-		for idx, l := range rec.lines {
+	for _, key := range keys {
+		for _, p := range s.records[key].Pages {
+			if p.base == nil {
+				continue
+			}
 			e.U64(key.Group)
 			e.U64(key.OID)
 			e.U64(key.Epoch)
-			e.I64(idx)
-			e.Bytes2(l.base.ref.Hash[:])
-			e.U64(l.mask)
-			e.U64(uint64(patchLen(l.mask)))
+			e.I64(p.Idx)
+			e.Bytes2(p.base.ref.Hash[:])
+			e.U64(p.mask)
+			e.U64(uint64(patchLen(p.mask)))
 		}
 	}
-	// Manifests.
-	groups := make([]uint64, 0, len(s.manifests))
-	for g := range s.manifests {
-		groups = append(groups, g)
-	}
+	// Manifests, by group.
+	groups := sortedKeys(s.manifests, cmp.Compare[uint64])
 	e.U64(uint64(len(groups)))
 	for _, g := range groups {
 		e.U64(g)
@@ -185,11 +191,14 @@ func (s *Store) Sync() error {
 	}
 	// Quarantined epochs: a poisoned epoch must stay poisoned across
 	// remounts or a reboot would happily restore from it again.
-	e.U64(uint64(len(s.quarantined)))
-	for id, why := range s.quarantined {
+	quarantined := sortedKeys(s.quarantined, func(a, b manifestID) int {
+		return cmp.Or(cmp.Compare(a.Group, b.Group), cmp.Compare(a.Epoch, b.Epoch))
+	})
+	e.U64(uint64(len(quarantined)))
+	for _, id := range quarantined {
 		e.U64(id.Group)
 		e.U64(id.Epoch)
-		e.Str(why)
+		e.Str(s.quarantined[id])
 	}
 	// Stats that must survive restart.
 	e.I64(s.stats.LogicalBytes)
@@ -198,8 +207,10 @@ func (s *Store) Sync() error {
 	// Fencing table: a promotion this store has witnessed must never
 	// be forgotten across a remount, or a stale primary could write
 	// again after a reboot.
-	e.U64(uint64(len(s.fences)))
-	for lineage, fe := range s.fences {
+	lineages := sortedKeys(s.fences, cmp.Compare[uint64])
+	e.U64(uint64(len(lineages)))
+	for _, lineage := range lineages {
+		fe := s.fences[lineage]
 		e.U64(lineage)
 		e.U64(fe.gen)
 		e.Bool(fe.primary)
@@ -261,6 +272,16 @@ func (s *Store) Sync() error {
 	}
 	s.mu.Unlock()
 	return nil
+}
+
+// sortedKeys returns m's keys in the order compare gives them.
+func sortedKeys[K comparable, V any](m map[K]V, compare func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compare)
+	return keys
 }
 
 // Generation returns the last superblock generation this store
@@ -350,16 +371,21 @@ func decodeIndex(dev storage.Device, clock *storage.Clock, idx []byte) (*Store, 
 			Kind:  uint16(d.U64()),
 			Full:  d.Bool(),
 			Meta:  d.Bytes2(),
-			Pages: make(map[int64]BlockRef),
 		}
 		rec.metaOff = d.I64()
 		rec.metaLen = int(d.I64())
-		nPages := d.U64()
-		for j := uint64(0); j < nPages && d.Err() == nil; j++ {
-			idxN := d.I64()
-			ref := BlockRef{Off: d.I64()}
-			copy(ref.Hash[:], d.Bytes2())
-			rec.Pages[idxN] = ref
+		for j, n := 0, d.Count(); j < n && d.Err() == nil; j++ {
+			p := PageEntry{Idx: d.I64(), Ref: BlockRef{Off: d.I64()}}
+			copy(p.Ref.Hash[:], d.Bytes2())
+			rec.Pages = append(rec.Pages, p)
+		}
+		// Lookups search the entries (find): sort them, and refuse a
+		// page listed twice, which no store writes.
+		slices.SortFunc(rec.Pages, byIdx)
+		for j := 1; j < len(rec.Pages) && d.Err() == nil; j++ {
+			if rec.Pages[j].Idx == rec.Pages[j-1].Idx {
+				return nil, fmt.Errorf("decoding objstore index: record %v lists page %d twice: %w", key, rec.Pages[j].Idx, codec.ErrCorrupt)
+			}
 		}
 		for j, n := 0, d.Count(); j < n && d.Err() == nil; j++ {
 			rec.Heat = append(rec.Heat, vm.PageHeat{Page: d.I64(), Count: d.U32()})
@@ -452,11 +478,12 @@ func (s *Store) adoptLine(key RecordKey, idx int64, base Hash, mask, size uint64
 	if !ok {
 		return errors.New("line entry of a record the index does not hold")
 	}
-	ref, ok := rec.Pages[idx]
+	i, ok := find(rec.Pages, idx)
 	if !ok {
 		return fmt.Errorf("line entry for page %d, which it does not hold", idx)
 	}
-	if _, dup := rec.lines[idx]; dup {
+	p := &rec.Pages[i]
+	if p.base != nil {
 		return fmt.Errorf("two line entries for page %d", idx)
 	}
 	be, ok := s.blocks[base]
@@ -469,10 +496,10 @@ func (s *Store) adoptLine(key RecordKey, idx int64, base Hash, mask, size uint64
 	if size != uint64(patchLen(mask)) {
 		return fmt.Errorf("page %d has a patch of %d bytes for mask %#x", idx, size, mask)
 	}
-	if !s.claimSlotLocked(ref.Off, mask) {
+	if !s.claimSlotLocked(p.Ref.Off, mask) {
 		return errors.New("patch not alone in a slot of its size")
 	}
-	rec.setLine(idx, lineRef{base: be, mask: mask})
+	p.base, p.mask = be, mask
 	s.stats.LinePages++
 	s.stats.LineBytes += int64(size)
 	return nil

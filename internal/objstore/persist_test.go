@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"bytes"
 	"errors"
 	"slices"
 	"testing"
@@ -81,6 +82,13 @@ func FuzzDecodeIndex(f *testing.F) {
 	for _, idx := range bad {
 		f.Add(idx)
 	}
+	// A record that lists one page twice (refused), one whose pages are
+	// out of order (sorted), and a line entry whose mask has lineBound
+	// lines, as many as an entry may.
+	_, twice, unordered := misorderedIndexes(f)
+	f.Add(twice)
+	f.Add(unordered)
+	f.Add(boundLineIndex(f))
 
 	f.Fuzz(func(t *testing.T, idx []byte) {
 		clock := storage.NewClock()
@@ -93,12 +101,15 @@ func FuzzDecodeIndex(f *testing.F) {
 			if !vm.HeatInOrder(rec.Heat) {
 				t.Fatalf("record %v decoded with heat out of page order: %v", key, rec.Heat)
 			}
-			// An accepted line entry is one a read can follow: a page of
-			// its record, over a block of the index, in a slot of its own.
-			for idx, l := range rec.lines {
-				ref, ok := rec.Pages[idx]
-				if !ok || got.blocks[l.base.ref.Hash] != l.base || !got.usedSlot(ref.Off, l.mask) {
-					t.Fatalf("record %v decoded with line entry %d that no read can follow", key, idx)
+			// Accepted entries strictly ascend: find can search them.
+			// An accepted line entry is one a read can follow: over a
+			// block of the index, in a slot of its own.
+			for i, p := range rec.Pages {
+				if i > 0 && p.Idx <= rec.Pages[i-1].Idx {
+					t.Fatalf("record %v decoded with page %d after page %d", key, p.Idx, rec.Pages[i-1].Idx)
+				}
+				if p.base != nil && (got.blocks[p.base.ref.Hash] != p.base || !got.usedSlot(p.Ref.Off, p.mask)) {
+					t.Fatalf("record %v decoded with line entry %d that no read can follow", key, p.Idx)
 				}
 			}
 		}
@@ -115,6 +126,115 @@ func FuzzDecodeIndex(f *testing.F) {
 			}
 		}
 	})
+}
+
+// misorderedIndexes returns a store holding a record of pages 1, 2 and
+// 3, and two indexes of it no store writes: one that lists page 2
+// twice, and one that lists the pages in the order 3, 1, 2.
+func misorderedIndexes(t testing.TB) (s *Store, twice, unordered []byte) {
+	t.Helper()
+	s = testStore(nil)
+	putEpoch(t, s, 7, 1, true, map[int64][]byte{1: varied(1), 2: varied(2), 3: varied(3)}, nil)
+	rec := s.records[RecordKey{1, 7, 1}]
+	pages := rec.Pages
+	sync := func() []byte {
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return syncedIndex(t, s)
+	}
+	rec.Pages = []PageEntry{pages[0], pages[1], pages[1], pages[2]}
+	twice = sync()
+	rec.Pages = []PageEntry{pages[2], pages[0], pages[1]}
+	unordered = sync()
+	rec.Pages = pages
+	return s, twice, unordered
+}
+
+// boundLineIndex returns the index of a store whose one line entry has
+// lineBound lines.
+func boundLineIndex(t testing.TB) []byte {
+	t.Helper()
+	s := testStore(nil)
+	putEpoch(t, s, 7, 1, true, map[int64][]byte{0: varied(1)}, nil)
+	p, mask := written(varied(1), lastLines(lineBound)...)
+	putEpoch(t, s, 7, 2, false, map[int64][]byte{0: p}, map[int64]uint64{0: mask})
+	if st := s.Stats(); st.LinePages != 1 || st.LineBytes != int64(patchLen(mask)) {
+		t.Fatalf("a write of %d lines stored %+v, want one line entry", lineBound, st)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return syncedIndex(t, s)
+}
+
+// TestDecodeOrdersPagesAndRefusesDuplicates: lookups search a record's
+// entries, so the decoder sorts pages an index lists out of order —
+// the record then reads back whole — and refuses, as corrupt, a record
+// that lists a page twice, where it used to keep the later copy.
+func TestDecodeOrdersPagesAndRefusesDuplicates(t *testing.T) {
+	s, twice, unordered := misorderedIndexes(t)
+	if _, err := decodeIndex(s.dev, s.clock, twice); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("an index listing a page twice decoded with %v, want codec.ErrCorrupt", err)
+	}
+	got, err := decodeIndex(s.dev, s.clock, unordered)
+	if err != nil {
+		t.Fatalf("an index listing pages out of order: %v", err)
+	}
+	var idxs []int64
+	for _, p := range got.records[RecordKey{1, 7, 1}].Pages {
+		idxs = append(idxs, p.Idx)
+	}
+	if !slices.Equal(idxs, []int64{1, 2, 3}) {
+		t.Fatalf("decoded pages %v, want 1, 2, 3", idxs)
+	}
+	if pages, _, err := got.ReadPages(1, 7, 1); err != nil || len(pages) != 3 || !bytes.Equal(pages[3], varied(3)) {
+		t.Fatalf("the decoded record reads %d pages: %v", len(pages), err)
+	}
+}
+
+// TestSyncedIndexIsAFunctionOfState: two stores built by the same
+// seeded sequence of puts, drops, quarantines and fences publish
+// byte-identical index extents, Sync after Sync. Every table goes out
+// in key order, not in Go's map order.
+func TestSyncedIndexIsAFunctionOfState(t *testing.T) {
+	build := func() *Store {
+		s := testStore(t)
+		for group := uint64(1); group <= 6; group++ {
+			for epoch := uint64(1); epoch <= 4; epoch++ {
+				for oid := uint64(1); oid <= 3; oid++ {
+					pages := map[int64][]byte{}
+					for pg := int64(0); pg < 5; pg++ {
+						pages[pg*int64(oid)] = varied(byte(group*31 + epoch*7 + oid + uint64(pg)))
+					}
+					if _, err := s.PutRecord(group, oid, epoch, 3, epoch == 1, []byte{byte(oid)}, pages, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.PutManifest(&Manifest{Group: group, Epoch: epoch, Prev: epoch - 1,
+					Records: []RecordKey{{group, 1, epoch}, {group, 2, epoch}, {group, 3, epoch}}})
+			}
+			if err := s.DropEpoch(group, 2); err != nil {
+				t.Fatal(err)
+			}
+			s.Quarantine(group, 3, "seeded")
+			if err := s.SetPrimary(group, group+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	a, b := build(), build()
+	for round := 1; round <= 2; round++ {
+		for _, s := range []*Store{a, b} {
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ia, ib := syncedIndex(t, a), syncedIndex(t, b); !bytes.Equal(ia, ib) {
+			t.Fatalf("sync %d: one state persisted to two indexes (%d and %d bytes)", round, len(ia), len(ib))
+		}
+	}
 }
 
 // TestOpenRejectsUnorderedManifests: manifest lookups binary-search, so

@@ -103,26 +103,26 @@ func (s *Store) VerifyEpoch(group, epoch uint64) error {
 	seen := make(map[Hash]bool)
 	var refs []toCheck
 	for _, rk := range m.Records {
-		pages, _, err := s.resolveRefsLocked(group, rk.OID, epoch)
+		pages, _, err := s.resolveLocked(group, rk.OID, epoch)
 		if err != nil {
 			s.mu.Unlock()
 			return fmt.Errorf("objstore: verify epoch %d of group %d: object %d: %w",
 				epoch, group, rk.OID, err)
 		}
-		for idx, ref := range pages {
-			if seen[ref.Ref.Hash] {
-				continue
+		for _, p := range pages {
+			if !seen[p.Ref.Hash] {
+				seen[p.Ref.Hash] = true
+				refs = append(refs, toCheck{rk.OID, p.Idx, p.pageRef()})
 			}
-			seen[ref.Ref.Hash] = true
-			refs = append(refs, toCheck{rk.OID, idx, ref})
 		}
 	}
 	s.mu.Unlock()
 	sort.Slice(refs, func(i, j int) bool { return refs[i].ref.Ref.Off < refs[j].ref.Ref.Off })
 
 	buf := make([]byte, BlockSize)
+	var r PageReader
 	for _, c := range refs {
-		err := s.readPageBatched(c.ref, buf)
+		err := s.ReadPage(c.ref, buf, &r)
 		switch {
 		case errors.Is(err, ErrCorruptBlock):
 			return fmt.Errorf("%w: epoch %d of group %d, object %d page %d (block at %d)",
@@ -152,7 +152,7 @@ func (s *Store) RepairPage(pr PageRef, page, base []byte) error {
 		return fmt.Errorf("%w: repair data for the line page with patch at %d does not match its hash",
 			ErrCorruptBlock, pr.Ref.Off)
 	}
-	patch := appendPatch(nil, lineRef{base: &blockEntry{ref: pr.Base}, mask: pr.Mask}, page)
+	patch := appendPatch(nil, pr.Base, pr.Mask, page)
 	if err := s.devWrite(patch, pr.Ref.Off); err != nil {
 		return fmt.Errorf("objstore: repair patch at %d: %w", pr.Ref.Off, err)
 	}

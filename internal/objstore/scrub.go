@@ -26,7 +26,7 @@ func (s *Store) FetchBlock(h Hash) ([]byte, bool) {
 		return nil, false
 	}
 	buf := make([]byte, BlockSize)
-	if s.readPageBatched(pr, buf) != nil {
+	if s.ReadPage(pr, buf, new(PageReader)) != nil {
 		return nil, false
 	}
 	return buf, true
@@ -41,9 +41,9 @@ func (s *storeCore) pageByHashLocked(h Hash) (PageRef, bool) {
 		return PageRef{Ref: be.ref}, true
 	}
 	for _, rec := range s.records {
-		for idx := range rec.lines {
-			if ref := rec.Pages[idx]; ref.Hash == h {
-				return rec.pageRef(idx, ref), true
+		for i := range rec.Pages {
+			if p := &rec.Pages[i]; p.base != nil && p.Ref.Hash == h {
+				return p.pageRef(), true
 			}
 		}
 	}
@@ -128,15 +128,18 @@ func (s *Store) scrubLines(src BlockSource, rep *ScrubReport, page []byte) error
 	s.mu.Lock()
 	var lines []entry
 	for key, rec := range s.records {
-		for idx := range rec.lines {
-			lines = append(lines, entry{key, rec.pageRef(idx, rec.Pages[idx])})
+		for i := range rec.Pages {
+			if p := &rec.Pages[i]; p.base != nil {
+				lines = append(lines, entry{key, p.pageRef()})
+			}
 		}
 	}
 	s.mu.Unlock()
 	sort.Slice(lines, func(i, j int) bool { return lines[i].pr.Ref.Off < lines[j].pr.Ref.Off })
 	rep.LinePages = len(lines)
+	var r PageReader
 	for _, e := range lines {
-		err := s.readPageBatched(e.pr, page)
+		err := s.ReadPage(e.pr, page, &r)
 		if err == nil {
 			continue
 		}
@@ -146,7 +149,7 @@ func (s *Store) scrubLines(src BlockSource, rep *ScrubReport, page []byte) error
 		rep.Corrupt++
 		if src != nil {
 			if good, ok := src.FetchBlock(e.pr.Ref.Hash); ok &&
-				s.RepairPage(e.pr, good, nil) == nil && s.readPageBatched(e.pr, page) == nil {
+				s.RepairPage(e.pr, good, nil) == nil && s.ReadPage(e.pr, page, &r) == nil {
 				rep.Repaired++
 				continue
 			}
@@ -164,8 +167,8 @@ func (s *Store) recordsReferencing(h Hash) []RecordKey {
 	defer s.mu.Unlock()
 	var keys []RecordKey
 	for key, rec := range s.records {
-		for idx, ref := range rec.Pages {
-			if rec.heldHash(idx, ref) == h {
+		for i := range rec.Pages {
+			if rec.Pages[i].held() == h {
 				keys = append(keys, key)
 				break
 			}

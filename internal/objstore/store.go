@@ -95,6 +95,11 @@ type RecordKey struct {
 	Epoch uint64
 }
 
+// compareKeys orders record keys by group, object, then epoch.
+func compareKeys(a, b RecordKey) int {
+	return cmp.Or(cmp.Compare(a.Group, b.Group), cmp.Compare(a.OID, b.OID), cmp.Compare(a.Epoch, b.Epoch))
+}
+
 // Record is the persisted form of one kernel object at one epoch.
 type Record struct {
 	Group uint64
@@ -110,9 +115,9 @@ type Record struct {
 	visible int32
 	// Meta is the object's serialized metadata.
 	Meta []byte
-	// Pages maps page index -> data block, and a line page (see lines)
-	// to its patch's offset and the page's content hash.
-	Pages map[int64]BlockRef
+	// Pages is the record's pages, one entry each, in ascending page
+	// index; lookups search it (find).
+	Pages []PageEntry
 	// Heat is the access counts used for restore prefetch, in ascending
 	// page order: every non-zero counter in a full record, those touched
 	// since the previous epoch in a delta (vm.CheckpointSet.Heat). The
@@ -122,10 +127,40 @@ type Record struct {
 
 	metaOff int64
 	metaLen int
-	// lines holds the line entries among Pages: a page stored as the
-	// block it was built on and the lines written since (lines.go).
-	// Unexported, so no caller mistakes a patch for a block.
-	lines map[int64]lineRef
+}
+
+// PageEntry is one page of a record. Ref is the page's block — or, for a
+// line entry (lines.go), its patch's offset — and the page's content
+// hash. A line entry also holds its base block and its mask, unexported
+// so that no caller mistakes a patch for a block.
+type PageEntry struct {
+	Idx  int64
+	Ref  BlockRef
+	base *blockEntry // a line entry's base; nil for a block
+	mask uint64
+}
+
+// held is the block the entry holds its reference on: its own, or a
+// line entry's base.
+func (p *PageEntry) held() Hash {
+	if p.base != nil {
+		return p.base.ref.Hash
+	}
+	return p.Ref.Hash
+}
+
+func byIdx(a, b PageEntry) int { return cmp.Compare(a.Idx, b.Idx) }
+
+// find locates page idx in a run of entries: by index arithmetic when
+// the run is dense (entry i is page first+i, as a full record of an
+// object with no holes is), by binary search otherwise.
+func find(pages []PageEntry, idx int64) (int, bool) {
+	if n := len(pages); n > 0 && pages[n-1].Idx-pages[0].Idx == int64(n-1) {
+		if i := idx - pages[0].Idx; i >= 0 && i < int64(n) {
+			return int(i), true
+		}
+	}
+	return slices.BinarySearchFunc(pages, idx, func(p PageEntry, idx int64) int { return cmp.Compare(p.Idx, idx) })
 }
 
 // Manifest describes one checkpoint of one persistence group.
@@ -630,18 +665,8 @@ func (s *Store) CompactPacks() int64 {
 		}
 	}
 	s.mu.Unlock()
-	sort.Slice(moves, func(i, j int) bool {
-		a, b := moves[i], moves[j]
-		if a.base != b.base {
-			return a.base < b.base
-		}
-		if a.key.Group != b.key.Group {
-			return a.key.Group < b.key.Group
-		}
-		if a.key.OID != b.key.OID {
-			return a.key.OID < b.key.OID
-		}
-		return a.key.Epoch < b.key.Epoch
+	slices.SortFunc(moves, func(a, b move) int {
+		return cmp.Or(cmp.Compare(a.base, b.base), compareKeys(a.key, b.key))
 	})
 
 	freed := int64(0)
@@ -736,18 +761,17 @@ func (s *Store) unholdLocked(ref BlockRef) {
 }
 
 // sortFreedLocked orders the blocks freed since the free list was mark
-// long. Records keep their pages in a map, so whoever releases a
-// record's blocks meets them in iteration order; sorting what that
-// appended keeps the order in which later puts reuse the blocks — and
-// with it every BlockRef.Off — a function of the history alone.
+// long by offset. Records release in page order, not allocation order;
+// sorting keeps the order later puts reuse blocks in, and with it every
+// BlockRef.Off and the device time their placement costs.
 func (s *Store) sortFreedLocked(mark int) {
 	slices.Sort(s.freeList[mark:])
 }
 
-// putPage stores one page of rec — data, whose ContentHash is h —
-// deduplicating by content, and enters it in rec.Pages with its
-// reference held in flight (holdLocked).
-func (s *Store) putPage(rec *Record, idx int64, data []byte, h Hash) error {
+// putPage stores page i of a put of rec — page idx, data, whose
+// ContentHash is h — deduplicating by content, and enters it as
+// rec.Pages[i] with its reference held in flight (holdLocked).
+func (s *Store) putPage(rec *Record, i int, idx int64, data []byte, h Hash) error {
 	if len(data) != BlockSize {
 		block := make([]byte, BlockSize)
 		copy(block, data)
@@ -793,14 +817,8 @@ func (s *Store) putPage(rec *Record, idx int64, data []byte, h Hash) error {
 		s.stats.DedupHits++
 	}
 	s.holdLocked(be)
-	if old, dup := rec.Pages[idx]; dup {
-		// Fresh data wins over a stale ref from the refs map; drop the
-		// reference the refs loop took for this page.
-		s.unholdLocked(old)
-	} else {
-		s.stats.LogicalBytes += BlockSize
-	}
-	rec.Pages[idx] = be.ref
+	s.stats.LogicalBytes += BlockSize
+	rec.Pages[i] = PageEntry{Idx: idx, Ref: be.ref}
 	s.mu.Unlock()
 	return nil
 }
@@ -918,20 +936,27 @@ func (s *Store) PutRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 // dirty pages written, clean pages re-referenced; with no pages, a
 // clone's first record referencing every block of its source without
 // moving a byte). The pages are put in ascending index order and hashed
-// here, one by one.
+// here, one by one; a page given both ways is written.
 func (s *Store) PutRecordMixed(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages map[int64][]byte, refs map[int64]BlockRef, heat []vm.PageHeat) (*Record, error) {
-	if len(pages) == 0 {
-		return s.putRecord(group, oid, epoch, kind, full, meta, nil, refs, heat)
+	held := make([]PageEntry, 0, len(refs))
+	for idx, ref := range refs {
+		if _, written := pages[idx]; !written {
+			held = append(held, PageEntry{Idx: idx, Ref: ref})
+		}
 	}
-	set := &mapPages{idxs: make([]int64, 0, len(pages)), pages: pages}
-	for idx := range pages {
-		set.idxs = append(set.idxs, idx)
+	var set PageSet
+	if len(pages) > 0 {
+		m := &mapPages{idxs: make([]int64, 0, len(pages)), pages: pages}
+		for idx := range pages {
+			m.idxs = append(m.idxs, idx)
+		}
+		slices.Sort(m.idxs)
+		s.mu.Lock()
+		s.stats.PagesHashed += int64(len(pages))
+		s.mu.Unlock()
+		set = m
 	}
-	slices.Sort(set.idxs)
-	s.mu.Lock()
-	s.stats.PagesHashed += int64(len(pages))
-	s.mu.Unlock()
-	return s.putRecord(group, oid, epoch, kind, full, meta, set, refs, heat)
+	return s.putRecord(group, oid, epoch, kind, full, meta, set, held, heat)
 }
 
 // PutPages writes a record whose pages come as an ordered batch with
@@ -950,11 +975,8 @@ func (s *Store) PutPages(group, oid, epoch uint64, kind uint16, full bool, meta 
 // putRecord is the one put path: references first, then the pages in
 // batch order — dedup against the index, one device write per new block
 // or line entry's patch — then the metadata extent, then registration.
-func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages PageSet, refs map[int64]BlockRef, heat []vm.PageHeat) (*Record, error) {
-	n := len(refs)
-	if pages != nil {
-		n += pages.Len()
-	}
+// refs are entries of blocks the store holds, for pages not in pages.
+func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages PageSet, refs []PageEntry, heat []vm.PageHeat) (*Record, error) {
 	rec := &Record{
 		Group: group,
 		OID:   oid,
@@ -962,57 +984,66 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 		Kind:  kind,
 		Full:  full,
 		Meta:  append([]byte(nil), meta...),
-		Pages: make(map[int64]BlockRef, n),
 		Heat:  slices.Clone(heat),
 	}
+	held := 0 // refs[:held] hold their blocks
 	// unwind releases every reference the attempt took so far. A failed
 	// put — most importantly an out-of-space one — must leave the index
 	// exactly as it found it: no registered record, no leaked refcounts,
-	// no orphaned metadata extent.
+	// no orphaned metadata extent. An entry not written yet has no Ref
+	// (nothing lives at offset 0); a planned line entry holds its base.
 	unwind := func() {
 		s.mu.Lock()
 		mark := len(s.freeList)
-		for idx, l := range rec.lines {
-			if _, written := rec.Pages[idx]; !written {
-				// Planned, base held, patch never written.
-				delete(rec.lines, idx)
-				s.unholdLocked(l.base.ref)
+		for i := range rec.Pages {
+			p := &rec.Pages[i]
+			switch {
+			case p.Ref != BlockRef{}:
+				s.settleLocked(p.held())
+				s.releaseEntryLocked(p)
+				s.stats.LogicalBytes -= BlockSize
+			case p.base != nil:
+				s.unholdLocked(p.base.ref)
 			}
 		}
-		for idx, ref := range rec.Pages {
-			s.settleLocked(rec.heldHash(idx, ref))
-			s.releasePageLocked(rec, idx, ref)
+		for _, p := range refs[:held] {
+			s.unholdLocked(p.Ref)
 		}
 		s.sortFreedLocked(mark)
-		s.stats.LogicalBytes -= int64(len(rec.Pages)) * BlockSize
+		s.stats.LogicalBytes -= int64(held) * BlockSize
 		s.mu.Unlock()
 	}
 	s.mu.Lock()
-	for idx, ref := range refs {
-		be, ok := s.blocks[ref.Hash]
+	for ; held < len(refs); held++ {
+		be, ok := s.blocks[refs[held].Ref.Hash]
 		if !ok {
 			s.mu.Unlock()
 			unwind()
-			return nil, fmt.Errorf("objstore: dangling block reference at page %d", idx)
+			return nil, fmt.Errorf("objstore: dangling block reference at page %d", refs[held].Idx)
 		}
 		s.holdLocked(be)
-		rec.Pages[idx] = be.ref
+		refs[held].Ref = be.ref
 		s.stats.LogicalBytes += BlockSize
 	}
 	s.mu.Unlock()
 	if pages != nil {
+		n := pages.Len()
+		rec.Pages = make([]PageEntry, n)
 		if !full {
 			s.planLines(rec, pages)
 		}
 		var runs patchRuns
 		defer runs.release()
-		for i, n := 0, pages.Len(); i < n; i++ {
+		for i := 0; i < n; i++ {
 			idx, data, h := pages.Page(i)
 			var err error
-			if l, ok := rec.lines[idx]; ok {
-				err = s.putLine(rec, idx, l, data, h, &runs)
-			} else {
-				err = s.putPage(rec, idx, data, h)
+			switch {
+			case i > 0 && idx <= rec.Pages[i-1].Idx:
+				err = fmt.Errorf("objstore: page %d put after page %d", idx, rec.Pages[i-1].Idx)
+			case rec.Pages[i].base != nil:
+				err = s.putLine(rec, i, idx, data, h, &runs)
+			default:
+				err = s.putPage(rec, i, idx, data, h)
 			}
 			if err != nil {
 				unwind()
@@ -1059,13 +1090,17 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 	}
 	key := RecordKey{group, oid, epoch}
 	s.mu.Lock()
+	if len(refs) > 0 {
+		rec.Pages = append(rec.Pages, refs...)
+		slices.SortFunc(rec.Pages, byIdx)
+	}
 	if old, ok := s.records[key]; ok && old != rec {
 		// Re-delivery (a flush retried after a partial failure):
 		// replace the previous attempt's record, releasing everything
 		// it pinned so refcounts stay exact.
 		mark := len(s.freeList)
-		for idx, ref := range old.Pages {
-			s.releasePageLocked(old, idx, ref)
+		for i := range old.Pages {
+			s.releaseEntryLocked(&old.Pages[i])
 		}
 		s.sortFreedLocked(mark)
 		s.stats.LogicalBytes -= int64(len(old.Pages)) * BlockSize
@@ -1073,8 +1108,8 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 		s.freeExtentLocked(old.metaOff, old.metaLen+1)
 	}
 	s.records[key] = rec
-	for idx, ref := range rec.Pages {
-		s.settleLocked(rec.heldHash(idx, ref))
+	for i := range rec.Pages {
+		s.settleLocked(rec.Pages[i].held())
 	}
 	s.stats.MetaBytes += int64(len(meta))
 	s.mu.Unlock()
@@ -1155,12 +1190,7 @@ func (s *Store) Manifests(group uint64) []*Manifest {
 func (s *Store) Groups() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]uint64, 0, len(s.manifests))
-	for g := range s.manifests {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sortedKeys(s.manifests, cmp.Compare[uint64])
 }
 
 // ResolvePages materializes the complete page map of an object at an
@@ -1171,35 +1201,36 @@ func (s *Store) Groups() []uint64 {
 // ErrLineEntry — ReadPages and PageView read those.
 func (s *Store) ResolvePages(group, oid, epoch uint64) (map[int64]BlockRef, []vm.PageHeat, error) {
 	s.mu.Lock()
-	refs, heat, err := s.resolveRefsLocked(group, oid, epoch)
+	pages, heat, err := s.resolveLocked(group, oid, epoch)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}
-	pages := make(map[int64]BlockRef, len(refs))
-	for idx, pr := range refs {
-		if pr.Lined() {
-			return nil, nil, fmt.Errorf("%w: object %d page %d at epoch %d", ErrLineEntry, oid, idx, epoch)
+	out := make(map[int64]BlockRef, len(pages))
+	for _, p := range pages {
+		if p.base != nil {
+			return nil, nil, fmt.Errorf("%w: object %d page %d at epoch %d", ErrLineEntry, oid, p.Idx, epoch)
 		}
-		pages[idx] = pr.Ref
+		out[p.Idx] = p.Ref
 	}
-	return pages, heat, nil
+	return out, heat, nil
 }
 
-// resolveRefsLocked is ResolvePages for every page, line entries
-// included.
-func (s *Store) resolveRefsLocked(group, oid, epoch uint64) (map[int64]PageRef, []vm.PageHeat, error) {
+// resolveLocked is ResolvePages for every page, line entries included,
+// as one run in page order: the newest record's entry for each page.
+func (s *Store) resolveLocked(group, oid, epoch uint64) ([]PageEntry, []vm.PageHeat, error) {
 	chain, err := s.chainLocked(nil, group, oid, epoch)
 	if err != nil {
 		return nil, nil, err
 	}
-	pages := make(map[int64]PageRef)
-	// Apply oldest-to-newest so newer pages win.
-	for i := len(chain) - 1; i >= 0; i-- {
-		for idx, ref := range chain[i].Pages {
-			pages[idx] = chain[i].pageRef(idx, ref)
-		}
+	var pages []PageEntry
+	for _, rec := range chain {
+		pages = append(pages, rec.Pages...)
 	}
+	// The chain is newest first, and a stable sort keeps it so within a
+	// page: compacting keeps the newest entry.
+	slices.SortStableFunc(pages, byIdx)
+	pages = slices.CompactFunc(pages, func(a, b PageEntry) bool { return a.Idx == b.Idx })
 	return pages, chainHeat(chain), nil
 }
 
@@ -1305,8 +1336,8 @@ func (s *Store) DeleteRecord(group, oid, epoch uint64) {
 	delete(s.records, RecordKey{group, oid, epoch})
 	s.stats.MetaBytes -= int64(rec.metaLen)
 	s.freeExtentLocked(rec.metaOff, rec.metaLen+1)
-	for idx, ref := range rec.Pages {
-		s.releasePageLocked(rec, idx, ref)
+	for i := range rec.Pages {
+		s.releaseEntryLocked(&rec.Pages[i])
 	}
 	s.mu.Unlock()
 }

@@ -26,6 +26,17 @@ func page(fill byte) []byte {
 	return p
 }
 
+// refOf returns the Ref of page idx of rec: its block, or a line
+// entry's patch.
+func refOf(t testing.TB, rec *Record, idx int64) BlockRef {
+	t.Helper()
+	i, ok := find(rec.Pages, idx)
+	if !ok {
+		t.Fatalf("record %d@%d holds no page %d", rec.OID, rec.Epoch, idx)
+	}
+	return rec.Pages[i].Ref
+}
+
 func TestPutGetRecord(t *testing.T) {
 	s := testStore(t)
 	meta := []byte("process metadata")
@@ -48,7 +59,7 @@ func TestPutGetRecord(t *testing.T) {
 		t.Fatalf("missing record err = %v", err)
 	}
 	// Blocks read back exactly.
-	data, err := s.ReadBlock(got.Pages[3])
+	data, err := s.ReadBlock(refOf(t, got, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +271,7 @@ func TestGCFreedSpaceReusedInPlace(t *testing.T) {
 	s.PutRecord(1, 1, 1, 1, true, nil, map[int64][]byte{0: page(1)}, nil)
 	s.PutManifest(&Manifest{Group: 1, Epoch: 1, Records: []RecordKey{{1, 1, 1}}})
 	rec, _ := s.GetRecord(1, 1, 1)
-	freed := map[int64]bool{rec.Pages[0].Off: true, rec.metaOff: true}
+	freed := map[int64]bool{refOf(t, rec, 0).Off: true, rec.metaOff: true}
 	s.DropEpoch(1, 1)
 	s.mu.Lock()
 	highWater := s.nextOff
@@ -269,8 +280,8 @@ func TestGCFreedSpaceReusedInPlace(t *testing.T) {
 	// The next record's allocations (page block and metadata extent)
 	// land on the freed space instead of growing the device.
 	rec2, _ := s.PutRecord(1, 2, 1, 1, true, nil, map[int64][]byte{0: page(99)}, nil)
-	if !freed[rec2.Pages[0].Off] {
-		t.Fatalf("new block at %d, want a reused offset from %v", rec2.Pages[0].Off, freed)
+	if !freed[refOf(t, rec2, 0).Off] {
+		t.Fatalf("new block at %d, want a reused offset from %v", refOf(t, rec2, 0).Off, freed)
 	}
 	s.mu.Lock()
 	grown := s.nextOff != highWater
@@ -332,7 +343,7 @@ func TestSyncOpenRoundTrip(t *testing.T) {
 	if !slices.Equal(rec.Heat, heat) {
 		t.Fatalf("heat across reopen = %v, want %v", rec.Heat, heat)
 	}
-	data, err := s2.ReadBlock(rec.Pages[5])
+	data, err := s2.ReadBlock(refOf(t, rec, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +377,7 @@ func TestShortPagesArePadded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _ := s.ReadBlock(rec.Pages[0])
+	data, _ := s.ReadBlock(refOf(t, rec, 0))
 	if len(data) != BlockSize || !bytes.HasPrefix(data, []byte("short")) {
 		t.Fatal("short page not padded correctly")
 	}

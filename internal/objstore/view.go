@@ -7,8 +7,8 @@ import "aurora/internal/vm"
 // does page idx live" that costs nothing per page of the image. It
 // holds no page table of its own. Lookup walks the object's record
 // chain in the live index, newest first, exactly as ResolvePages would,
-// and returns the first record's entry — a handful of map probes
-// against the SHA-256 every demand-paged block pays anyway.
+// and returns the first record's entry — a search of a sorted run per
+// record, against the SHA-256 every demand-paged block pays anyway.
 //
 // Nothing is cached, so nothing is invalidated: what a view resolves at
 // a surviving epoch does not change when older epochs are dropped,
@@ -75,19 +75,25 @@ func visibleLocked(chain []*Record) int {
 		last := len(chain) - 1
 		n := len(chain[last].Pages)
 		for i := last - 1; i >= 0; i-- {
-		page:
-			for idx := range chain[i].Pages {
-				for _, older := range chain[i+1:] {
-					if _, ok := older.Pages[idx]; ok {
-						continue page
-					}
+			for _, p := range chain[i].Pages {
+				if !holds(chain[i+1:], p.Idx) {
+					n++
 				}
-				n++
 			}
 		}
 		newest.visible = int32(n) + 1
 	}
 	return int(newest.visible) - 1
+}
+
+// holds reports whether any record of recs has page idx.
+func holds(recs []*Record, idx int64) bool {
+	for _, rec := range recs {
+		if _, ok := find(rec.Pages, idx); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // Len returns the number of distinct pages visible at the view's epoch,
@@ -100,7 +106,7 @@ func (v *PageView) Len() int {
 }
 
 // Lookup locates page idx: its block, or its line entry's base and
-// patch (Store.ReadPageInto reads either). ok is false when the object
+// patch (Store.ReadPage reads either). ok is false when the object
 // has no such page at the view's epoch. The error wraps ErrNoManifest
 // or ErrNoRecord when the view's epoch, or a link of its chain, is no
 // longer in the store: the answer is unknown, which is not the same as
@@ -114,14 +120,15 @@ func (v *PageView) Lookup(idx int64) (ref PageRef, ok bool, err error) {
 		return PageRef{}, false, err
 	}
 	for _, rec := range chain {
-		if ref, ok := rec.Pages[idx]; ok {
-			return rec.pageRef(idx, ref), true, nil
+		if i, ok := find(rec.Pages, idx); ok {
+			return rec.Pages[i].pageRef(), true, nil
 		}
 	}
 	return PageRef{}, false, nil
 }
 
-// Pages enumerates the visible page indices, in no particular order.
+// Pages enumerates the visible page indices, newest record's first,
+// each record's in page order.
 func (v *PageView) Pages() ([]int64, error) {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
@@ -132,14 +139,10 @@ func (v *PageView) Pages() ([]int64, error) {
 	}
 	out := make([]int64, 0, v.n)
 	for i, rec := range chain {
-	page:
-		for idx := range rec.Pages {
-			for _, newer := range chain[:i] {
-				if _, ok := newer.Pages[idx]; ok {
-					continue page
-				}
+		for _, p := range rec.Pages {
+			if !holds(chain[:i], p.Idx) {
+				out = append(out, p.Idx)
 			}
-			out = append(out, idx)
 		}
 	}
 	return out, nil

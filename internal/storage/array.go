@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -17,6 +18,13 @@ type Array struct {
 	members []Device
 	stripe  int64
 	params  DeviceParams
+	// batch is ReadBatch's per-member split, made by the first batch and
+	// reused by every later one.
+	batch struct {
+		mu   sync.Mutex
+		bufs [][][]byte
+		offs [][]int64
+	}
 }
 
 // NewArray builds a striped array. All members should share a block
@@ -140,13 +148,23 @@ func (a *Array) forEachChunk(length int, off int64, op func(m Device, lo, hi int
 
 // ReadBatch implements Device: extents scatter across members by the
 // striping function and each member overlaps its share at its own
-// queue depth; the cost is the sum of the members' batches.
+// queue depth; the cost is the sum of the members' batches. The split
+// is built in lists the array keeps (batch), one batch at a time, so a
+// batch allocates nothing: a demand fault reads a line page's base and
+// patch as one.
 func (a *Array) ReadBatch(bufs [][]byte, offs []int64) (time.Duration, error) {
 	if len(bufs) != len(offs) {
 		return 0, ErrBadOffset
 	}
-	memberBufs := make([][][]byte, len(a.members))
-	memberOffs := make([][]int64, len(a.members))
+	a.batch.mu.Lock()
+	defer a.batch.mu.Unlock()
+	if a.batch.bufs == nil {
+		a.batch.bufs, a.batch.offs = make([][][]byte, len(a.members)), make([][]int64, len(a.members))
+	}
+	mbufs, moffs := a.batch.bufs, a.batch.offs
+	for m := range mbufs {
+		mbufs[m], moffs[m] = mbufs[m][:0], moffs[m][:0]
+	}
 	for i, p := range bufs {
 		// Split each extent at stripe boundaries.
 		off := offs[i]
@@ -156,17 +174,22 @@ func (a *Array) ReadBatch(bufs [][]byte, offs []int64) (time.Duration, error) {
 			if span > len(p)-n {
 				span = len(p) - n
 			}
-			memberBufs[member] = append(memberBufs[member], p[n:n+span])
-			memberOffs[member] = append(memberOffs[member], moff)
+			mbufs[member] = append(mbufs[member], p[n:n+span])
+			moffs[member] = append(moffs[member], moff)
 			n += span
 		}
 	}
+	defer func() {
+		for m := range mbufs {
+			clear(mbufs[m]) // the caller's buffers are not the array's to keep
+		}
+	}()
 	var total time.Duration
 	for m := range a.members {
-		if len(memberBufs[m]) == 0 {
+		if len(mbufs[m]) == 0 {
 			continue
 		}
-		c, err := a.members[m].ReadBatch(memberBufs[m], memberOffs[m])
+		c, err := a.members[m].ReadBatch(mbufs[m], moffs[m])
 		total += c
 		if err != nil {
 			return total, err

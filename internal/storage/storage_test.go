@@ -330,6 +330,21 @@ func TestQuickDeviceRoundTrip(t *testing.T) {
 }
 
 // Property: striping preserves data for arbitrary offsets and sizes.
+// TestArrayReadBatchAllocatesNothing: a batch through the striped array
+// (a line page's base and patch, on two members) allocates nothing, so
+// a demand fault can read it as one operation.
+func TestArrayReadBatchAllocatesNothing(t *testing.T) {
+	a := NewOptaneArray(4, NewClock())
+	bufs := [][]byte{make([]byte, 4096), make([]byte, 240)}
+	offs := []int64{0, 64 << 10}
+	if _, err := a.ReadBatch(bufs, offs); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { a.ReadBatch(bufs, offs) }); n != 0 {
+		t.Fatalf("a two-extent batch allocates %v times", n)
+	}
+}
+
 func TestQuickArrayRoundTrip(t *testing.T) {
 	a := NewOptaneArray(3, NewClock())
 	f := func(off uint32, data []byte) bool {

@@ -240,10 +240,10 @@ func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, bool,
 	}
 	// Lazy restore: a write to an image-backed page pulls it in first.
 	if o.source != nil {
-		if _, ok := o.swapSlots[idx]; !ok && o.source.HasPage(idx) {
+		if _, ok := o.swapSlots[idx]; !ok {
 			src := o.source
 			o.mu.Unlock()
-			f, err := pm.PageIn(src, idx)
+			f, err := src.PageIn(pm, idx)
 			o.mu.Lock()
 			if err != nil {
 				return nil, false, err
@@ -264,7 +264,7 @@ func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, bool,
 				}
 				return f, false, nil
 			}
-			// The source does not hold the page after all: zero-fill.
+			// The source does not hold the page: zero-fill.
 		}
 	}
 	// Fall through the shadow chain: a hit there must be privately

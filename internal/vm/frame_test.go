@@ -352,8 +352,10 @@ func (s *halfSource) FetchInto(idx int64, dst []byte) (bool, error) {
 	}
 	return !s.miss && s.err == nil, s.err
 }
-func (s *halfSource) HasPage(int64) bool { return true }
-func (s *halfSource) Pages() []int64     { return []int64{0, 1} }
+func (s *halfSource) PageIn(pm *PhysMem, idx int64) (*Frame, error) {
+	return pm.Fill(func(dst []byte) (bool, error) { return s.FetchInto(idx, dst) })
+}
+func (s *halfSource) Pages() []int64 { return []int64{0, 1} }
 
 // TestPageInOwnsTheFrame: the source fills a recycled, un-zeroed frame
 // in place, so the frame must not be seen by anyone unless the source
@@ -410,5 +412,49 @@ func TestPageInOwnsTheFrame(t *testing.T) {
 		if err := as.Read(m.Start, whole); err != nil || !bytes.Equal(whole, fill(0xEE)) {
 			t.Fatalf("page 0: %v, starts % x", err, whole[:4])
 		}
+	}
+}
+
+// oneSource holds page 0 only, pages it in through PhysMem.Fill, and
+// counts the calls a fault makes.
+type oneSource struct{ pageIns, fetches int }
+
+func (s *oneSource) PageIn(pm *PhysMem, idx int64) (*Frame, error) {
+	s.pageIns++
+	if idx != 0 {
+		return nil, nil
+	}
+	return pm.Fill(func(dst []byte) (bool, error) {
+		copy(dst, fill(0x11))
+		return true, nil
+	})
+}
+func (s *oneSource) FetchInto(int64, []byte) (bool, error) { s.fetches++; return false, nil }
+func (s *oneSource) Pages() []int64                        { return []int64{0} }
+
+// TestFaultAsksItsSourceOnce: a demand fault asks its source once — one
+// PageIn, which finds the page and fills a frame — and a page the
+// source does not hold takes no frame from the source: it zero-fills.
+func TestFaultAsksItsSourceOnce(t *testing.T) {
+	pm := NewPhysMem(0)
+	as := NewAddressSpace(pm, NewMeter(nil))
+	m, err := as.MapAnon(2*PageSize, ProtRead|ProtWrite, false, "heap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &oneSource{}
+	m.Obj.SetSource(src)
+	got := make([]byte, PageSize)
+	if err := as.Read(m.Start, got); err != nil || !bytes.Equal(got, fill(0x11)) || src.pageIns != 1 {
+		t.Fatalf("fault on a page the source holds: %v, %d PageIn calls", err, src.pageIns)
+	}
+	if err := as.Read(m.Start+PageSize, got[:8]); err != nil || !bytes.Equal(got[:8], make([]byte, 8)) || src.pageIns != 2 {
+		t.Fatalf("fault on a page the source lacks: % x, %v, %d PageIn calls", got[:8], err, src.pageIns)
+	}
+	if err := as.Write(m.Start+PageSize+8, []byte{7}); err != nil || src.pageIns != 3 {
+		t.Fatalf("write fault on a page the source lacks: %v, %d PageIn calls", err, src.pageIns)
+	}
+	if src.fetches != 0 {
+		t.Fatalf("the faults fetched %d times besides paging in", src.fetches)
 	}
 }

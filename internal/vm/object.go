@@ -396,15 +396,18 @@ func (o *Object) DirtyCount() int {
 // starts empty, with faults pulling pages from the checkpoint image
 // (memory backend) or the object store (disk backend) on demand.
 type PageSource interface {
+	// PageIn pages in page idx: the source finds the page once and,
+	// only when it holds it, has pm fill a frame with it (PhysMem.Fill).
+	// It returns (nil, nil) when the source does not hold the page — the
+	// page then zero-fills, and no frame was taken for it — and an error
+	// when it cannot tell or cannot read.
+	PageIn(pm *PhysMem, idx int64) (*Frame, error)
 	// FetchInto writes the page into dst (PageSize bytes, contents
 	// undefined) and reports whether the source holds it. When it does
 	// the whole of dst is written, a short page zero-padded; when it
 	// does not (the page then zero-fills), or on an error, dst is left
 	// in no particular state and the caller must not use it.
 	FetchInto(idx int64, dst []byte) (found bool, err error)
-	// HasPage reports whether the source holds the page. A source that
-	// cannot tell says yes, so that the fetch reports why.
-	HasPage(idx int64) bool
 	// Pages enumerates the source's page indices, so a full
 	// checkpoint can capture pages the application never faulted in.
 	Pages() []int64
@@ -434,10 +437,10 @@ func (o *Object) fetchFromSource(pm *PhysMem, idx int64, meter *Meter) (*Frame, 
 		return f, nil
 	}
 	o.mu.Unlock()
-	if src == nil || !src.HasPage(idx) {
+	if src == nil {
 		return nil, nil
 	}
-	f, err := pm.PageIn(src, idx)
+	f, err := src.PageIn(pm, idx)
 	if f == nil {
 		return nil, err
 	}

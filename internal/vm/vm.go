@@ -195,14 +195,15 @@ func (pm *PhysMem) AllocCopy(src *Frame) (*Frame, error) {
 	return pm.AllocData(src.Data)
 }
 
-// PageIn allocates a frame and has src fill it with page idx, with no
-// buffer in between. It returns (nil, nil) when the source does not
-// hold the page. A recycled frame is handed to the source as its last
-// owner left it, neither cleared nor copied over: the source owns every
-// byte of it until FetchInto returns, and the frame leaves PageIn only
-// after a fetch that found and wrote the whole page. On an error or a
-// miss it goes back on the free list, whatever was written to it.
-func (pm *PhysMem) PageIn(src PageSource, idx int64) (*Frame, error) {
+// Fill allocates a frame and has fetch write a page into it, with no
+// buffer in between. It returns (nil, nil) when fetch reports the page
+// absent. A recycled frame is handed to fetch as its last owner left
+// it, neither cleared nor copied over: fetch owns every byte of it until
+// it returns, and the frame leaves Fill only after a fetch that found
+// and wrote the whole page. On an error or a miss it goes back on the
+// free list, whatever was written to it. A PageSource's PageIn calls it
+// once it has found the page.
+func (pm *PhysMem) Fill(fetch func(dst []byte) (found bool, err error)) (*Frame, error) {
 	f, err := pm.reserve()
 	if err != nil {
 		return nil, err
@@ -210,7 +211,7 @@ func (pm *PhysMem) PageIn(src PageSource, idx int64) (*Frame, error) {
 	if f == nil {
 		f = &Frame{Data: make([]byte, PageSize), refs: 1}
 	}
-	found, err := src.FetchInto(idx, f.Data)
+	found, err := fetch(f.Data)
 	if err != nil || !found {
 		pm.Free(f)
 		return nil, err
