@@ -87,12 +87,17 @@ faultcheck:
 ## recoverycheck: validated self-healing restore under the race detector —
 ## crash-at-every-op harness, epoch quarantine with fallback, lazy-paging
 ## failover, supervisor auto-restore, bounded SwapIn retry, CLI exit codes,
-## and `sls send`/`recv`: an image file round-trips, and a group whose
-## pages are still in a store sends no file; a line page's demand fault
+## and `sls send`/`recv`: an image file round-trips, also straight after
+## a lazy restore; the first barrier after a lazy restore reads no page
+## of its restore source, its flush does (and fails, typed, with the
+## store down), and a rollback to it before that flush restores bit for
+## bit or, with the store down, fails typed and leaves the group running;
+## Encode holds the frames it reads across a release of its chain, and
+## the fleet budget charges inherited pages; a line page's demand fault
 ## is one lookup and one device read; and the store's records survive
 ## every put, drop and Sync+Open as a reference model has them.
 recoverycheck:
-	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState' \
+	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState' \
 		./internal/core/ ./internal/vm/ ./internal/netback/ ./internal/objstore/ ./cmd/sls/
 
 ## chaoscheck: whole-system chaos harness under the race detector —
@@ -163,7 +168,8 @@ quorumcheck:
 ## (seeds 1, 7, 42) with a mid-pre-copy partition, the supervisor
 ## fence race regressions, the typed migration-error round-trips, the
 ## migrate/standby/takeover CLI verbs, and the migrate row of the
-## baseline table against the committed BENCH_migrate.json.
+## baseline table against the committed BENCH_migrate.json (blackouts,
+## and the stop of each migrated group's first barrier on its target).
 migratecheck:
 	$(GO) test -race -count=1 -timeout 20m \
 		-run 'TestMigrate|TestStandby|TestSupervisorRefusesFencedCrashedGroup|TestSupervisorFenceRaceMidRecover|TestSupervisorReleaseAtomicHandover|TestSupervisorRestoresUnfencedCrash|TestMigrationAbortedRoundTrip|TestMigrationErrorIsNotGenericAborted|TestCLIMigrate|TestCLIStandbyTakeover' \

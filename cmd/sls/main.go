@@ -1168,7 +1168,7 @@ func (s *session) exec(line string) bool {
 		if img == nil {
 			return fail(core.ErrNoImage)
 		}
-		payload, err := img.Encode()
+		payload, err := img.Encode(s.k.Mem)
 		if err != nil {
 			return fail(err)
 		}

@@ -98,6 +98,10 @@ type MigrateChaosReport struct {
 	// SrcStops are the source-side stop segments of each blackout —
 	// comparable to the single-barrier stop time of BENCH_pipeline.
 	SrcStops []time.Duration
+	// DstFirstStops are the stop times of each migrated group's first
+	// barrier on its target (planned hops, then the standby): a full
+	// barrier over a lazily restored image.
+	DstFirstStops []time.Duration
 	// TTR is the unplanned standby promotion's time-to-recovery
 	// (0 when Standby is off).
 	TTR time.Duration
@@ -184,6 +188,18 @@ func (r *migRun) arrived(src, dst *Node, w *Wire, rep *core.MigrateReport) error
 	}
 	if rep.Group.Durable() < rep.Floor {
 		return fmt.Errorf("target durable %d below handover floor %d", rep.Group.Durable(), rep.Floor)
+	}
+	// The migrated group's first barrier on the target, taken before
+	// anything pages the lazy tail in: a full barrier over a lazily
+	// restored image, whose inherited pages its flush reads.
+	if err := r.l.epoch(0); err != nil {
+		return fmt.Errorf("first barrier on the target: %w", err)
+	}
+	for _, bd := range rep.Group.Breakdowns() {
+		if !bd.Shed {
+			r.rep.DstFirstStops = append(r.rep.DstFirstStops, bd.StopTime)
+			break
+		}
 	}
 	// The migrated state must be bit-identical, demand-paged through
 	// the lazy tail (target store first, then source store/receiver
@@ -367,10 +383,13 @@ type MigratePoint struct {
 	BlackoutP99us float64 `json:"blackout_p99_us"`
 	BlackoutMaxus float64 `json:"blackout_max_us"`
 	SrcStopMaxus  float64 `json:"src_stop_max_us"`
-	TTRus         float64 `json:"ttr_us"`
-	Retries       int     `json:"retries"`
-	Backfilled    int     `json:"backfilled"`
-	Durable       uint64  `json:"durable"`
+	// DstFirstStopus is the slowest first barrier a migrated group took
+	// on its target.
+	DstFirstStopus float64 `json:"dst_first_stop_us"`
+	TTRus          float64 `json:"ttr_us"`
+	Retries        int     `json:"retries"`
+	Backfilled     int     `json:"backfilled"`
+	Durable        uint64  `json:"durable"`
 }
 
 // MigrateSweep runs the migration matrix: seeds × link/store fault
@@ -397,19 +416,21 @@ func MigrateSweep(seeds []int64, rates []float64) ([]MigratePoint, error) {
 				return nil, err
 			}
 			_, _, srcMax := percentiles(slices.Clone(rep.SrcStops))
+			_, _, dstFirst := percentiles(slices.Clone(rep.DstFirstStops))
 			points = append(points, MigratePoint{
-				Seed:          seed,
-				LinkFaultPct:  rate * 100,
-				StoreFaultPct: rate / 5 * 100,
-				Hops:          rep.Hops,
-				BlackoutP50us: float64(rep.BlackoutP50) / 1e3,
-				BlackoutP99us: float64(rep.BlackoutP99) / 1e3,
-				BlackoutMaxus: float64(rep.BlackoutMax) / 1e3,
-				SrcStopMaxus:  float64(srcMax) / 1e3,
-				TTRus:         float64(rep.TTR) / 1e3,
-				Retries:       rep.Retries,
-				Backfilled:    rep.Backfilled,
-				Durable:       rep.Durable,
+				Seed:           seed,
+				LinkFaultPct:   rate * 100,
+				StoreFaultPct:  rate / 5 * 100,
+				Hops:           rep.Hops,
+				BlackoutP50us:  float64(rep.BlackoutP50) / 1e3,
+				BlackoutP99us:  float64(rep.BlackoutP99) / 1e3,
+				BlackoutMaxus:  float64(rep.BlackoutMax) / 1e3,
+				SrcStopMaxus:   float64(srcMax) / 1e3,
+				DstFirstStopus: float64(dstFirst) / 1e3,
+				TTRus:          float64(rep.TTR) / 1e3,
+				Retries:        rep.Retries,
+				Backfilled:     rep.Backfilled,
+				Durable:        rep.Durable,
 			})
 		}
 	}

@@ -108,6 +108,13 @@ func (a *API) Rollback(p *kernel.Process) (*Group, *RollbackNotice, error) {
 		return nil, nil, ErrNoImage
 	}
 
+	// Read the state before the current incarnation goes: a rollback that
+	// cannot (its store is down) fails with the group still running.
+	st, err := img.resolve(a.O.K.Mem, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer st.unpin()
 	// Kill the current incarnation.
 	for _, pid := range g.PIDs() {
 		if proc, err := a.O.K.Process(pid); err == nil {
@@ -116,7 +123,7 @@ func (a *API) Rollback(p *kernel.Process) (*Group, *RollbackNotice, error) {
 		}
 	}
 	backends := g.Backends()
-	ng, _, err := a.O.RestoreImage(img, readTime, RestoreOpts{Lazy: true, Name: g.Name})
+	ng, _, err := a.O.restoreState(img, st, readTime, RestoreOpts{Lazy: true, Name: g.Name})
 	// The old group goes only now: dissolving it lets go of every image a
 	// sick backend still owed, and img may be one of them — the restore
 	// has taken its own references to the frames.

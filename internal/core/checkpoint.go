@@ -123,28 +123,24 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 		return bd, fmt.Errorf("core: checkpoint of group %d at epoch %d: %w", g.ID, epoch, err)
 	}
 	for _, to := range objs {
-		cs, err := to.obj.BeginCheckpoint(epoch, full)
-		if err != nil {
-			return abort(err)
-		}
+		cs := to.obj.BeginCheckpoint(epoch, full)
 		for _, space := range to.spaces {
 			space.ProtectObject(to.obj, cs.Pages)
 		}
 		mi := &MemImage{
-			ObjID: to.obj.ID,
-			Name:  to.obj.Name,
-			Size:  to.obj.Size(),
-			Pages: cs.Pages,
-			Heat:  cs.Heat,
-			Lines: cs.Lines,
+			ObjID:   to.obj.ID,
+			Name:    to.obj.Name,
+			Size:    to.obj.Size(),
+			Pages:   cs.Pages,
+			Inherit: cs.Source,
+			Heat:    cs.Heat,
+			Lines:   cs.Lines,
 		}
-		// Pages evicted to swap since the last checkpoint are
-		// incorporated directly from the swap area.
+		// Pages evicted to swap since the last checkpoint are read inside
+		// the barrier: a slot is not frozen once the group runs again —
+		// Pager.SwapIn frees it, Swap.WritePage reuses it.
 		if len(cs.SwapPages) > 0 && o.K.Pager != nil {
 			mi.SwapData = make(map[int64][]byte, len(cs.SwapPages))
-			// Swap reads happen during the background flush in the
-			// real system; the data is immutable (the slots are
-			// frozen), so reading here preserves semantics.
 			for idx, slot := range cs.SwapPages {
 				buf := make([]byte, vm.PageSize)
 				if err := o.K.Pager.SwapRead(slot, buf); err != nil {
@@ -153,17 +149,6 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 				}
 				mi.SwapData[idx] = buf
 			}
-		}
-		// Pages never faulted in since a lazy restore come straight
-		// from the restore source.
-		if len(cs.SourcePages) > 0 {
-			if mi.SwapData == nil {
-				mi.SwapData = make(map[int64][]byte, len(cs.SourcePages))
-			}
-			for idx, data := range cs.SourcePages {
-				mi.SwapData[idx] = data
-			}
-			bd.SwapPages += len(cs.SourcePages)
 		}
 		memory[to.obj.ID] = mi
 		bd.PagesCaptured += len(cs.Pages)
@@ -302,6 +287,17 @@ func (o *Orchestrator) flushImage(g *Group, window []*flushJob, img *Image, base
 	}
 	start := clock.Now()
 
+	// Inherited pages are read first and the backends start where the
+	// reads ended; a failed read fails the flush, leaving the epoch owed.
+	read, err := img.readPages(base)
+	if err != nil {
+		return 0, fmt.Errorf("core: flushing epoch %d of group %d: %w", img.Epoch, g.ID, err)
+	}
+	if read > 0 {
+		base = base.Lane()
+		base.Advance(read)
+	}
+
 	type outcome struct {
 		dur time.Duration
 		err error
@@ -376,6 +372,7 @@ func (o *Orchestrator) flushImage(g *Group, window []*flushJob, img *Image, base
 		}
 		worst += sw.Elapsed()
 	}
+	worst += read
 	if !background {
 		clock.AdvanceTo(start + worst)
 	}

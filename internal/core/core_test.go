@@ -732,7 +732,7 @@ func TestImageEncodeDecodeRoundTrip(t *testing.T) {
 	r.o.Checkpoint(g, CheckpointOpts{Name: "xfer"})
 
 	img := g.LastImage()
-	img2, err := DecodeImage(encoded(t, img), r.k.Mem)
+	img2, err := DecodeImage(encoded(t, img, r.k.Mem), r.k.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -749,10 +749,15 @@ func TestImageEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 // TestEncodeAfterLazyRestore: a lazily restored group's image keeps its
-// pages in the store, so Encode refuses it rather than write a file
-// without them, as it refuses a chain that reaches a released image. The
-// restored group's next checkpoint is full, holds its pages, and its
-// file restores the counter.
+// pages in the store, and Encode reads them there: its file restores the
+// counter with no checkpoint in between. So does the file of the
+// restored group's first checkpoint, which is full and holds the pages
+// it inherits by name until its flush or Encode reads them — taken as a
+// checkpoint with its flush running under the Encode (which pins the
+// frames it reads; should the flush finish and release the image first,
+// Encode refuses it and the store's copy is sent), and with SkipFlush. A
+// chain that reaches a released image, or a store view with no store to
+// read it from, is refused.
 func TestEncodeAfterLazyRestore(t *testing.T) {
 	r := newRig(t)
 	p := spawnCounter(t, r)
@@ -765,32 +770,54 @@ func TestEncodeAfterLazyRestore(t *testing.T) {
 	if err := r.o.Sync(g); err != nil {
 		t.Fatal(err)
 	}
-	ng, _, err := r.o.Restore(g, 0, RestoreOpts{Lazy: true})
-	if err != nil {
-		t.Fatal(err)
+	restores := func(file []byte, what string) {
+		t.Helper()
+		dec, err := DecodeImage(file, r.k.Mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rg, _, err := r.o.RestoreImage(dec, 0, RestoreOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		np, _ := r.k.Process(rg.PIDs()[0])
+		if got := counterValue(np); got != 17 {
+			t.Fatalf("counter from %s = %d, want 17", what, got)
+		}
 	}
-	if _, err := ng.LastImage().Encode(); !errors.Is(err, ErrNoImage) {
-		t.Fatalf("Encode of a lazily restored image: err = %v, want ErrNoImage", err)
-	}
+	for _, tc := range []struct {
+		how  string
+		opts CheckpointOpts
+	}{{"flushed", CheckpointOpts{}}, {"SkipFlush", CheckpointOpts{SkipFlush: true}}} {
+		ng, _, err := r.o.Restore(g, 0, RestoreOpts{Lazy: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		restores(encoded(t, ng.LastImage(), r.k.Mem), "the lazily restored group's file")
 
-	if _, err := r.o.Checkpoint(ng, CheckpointOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	img := ng.LastImage()
-	if !img.Full {
-		t.Fatalf("the restored group's first checkpoint is %v, want a full one", img)
-	}
-	dec, err := DecodeImage(encoded(t, img), r.k.Mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rg, _, err := r.o.RestoreImage(dec, 0, RestoreOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	np, _ := r.k.Process(rg.PIDs()[0])
-	if got := counterValue(np); got != 17 {
-		t.Fatalf("counter from the restored group's file = %d, want 17", got)
+		if _, err := r.o.Checkpoint(ng, tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		img := ng.LastImage()
+		if !img.Full {
+			t.Fatalf("the restored group's first checkpoint is %v, want a full one", img)
+		}
+		file, err := img.Encode(r.k.Mem)
+		if errors.Is(err, ErrNoImage) && tc.opts == (CheckpointOpts{}) && img.Released() {
+			// The flush got there first and gave the frames back: now only
+			// the store can send the epoch, and `sls send` loads it there.
+			var li *Image
+			if li, _, err = r.store.Load(ng.ID, img.Epoch); err == nil {
+				file, err = li.Encode(r.k.Mem)
+			}
+		}
+		if err != nil {
+			t.Fatalf("Encode of the restored group's first checkpoint, %s: %v", tc.how, err)
+		}
+		restores(file, "the file of the restored group's first checkpoint, "+tc.how)
+		if err := r.o.Sync(ng); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	pm := vm.NewPhysMem(0)
@@ -798,8 +825,17 @@ func TestEncodeAfterLazyRestore(t *testing.T) {
 	top := codecImage(t, pm, 2, false, 2, distinctFill)
 	top.Prev = base
 	base.Release(pm)
-	if file, err := top.Encode(); !errors.Is(err, ErrNoImage) || file != nil {
+	if file, err := top.Encode(pm); !errors.Is(err, ErrNoImage) || file != nil {
 		t.Fatalf("Encode over a released image: %d bytes, err = %v; want none and ErrNoImage", len(file), err)
+	}
+	// A store view with no store named to read it from fails closed too.
+	lazy, _, err := r.store.LoadLazy(g.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy.source = nil
+	if file, err := lazy.Encode(r.k.Mem); !errors.Is(err, ErrNoImage) || file != nil {
+		t.Fatalf("Encode of a store view with no store: %d bytes, err = %v; want none and ErrNoImage", len(file), err)
 	}
 }
 
@@ -966,7 +1002,7 @@ func TestUnixSocketListenerRestored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img2, err := DecodeImage(encoded(t, img), r2.k.Mem)
+	img2, err := DecodeImage(encoded(t, img, r.k.Mem), r2.k.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}

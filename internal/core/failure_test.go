@@ -88,7 +88,7 @@ func TestDecodeImageReleasesFramesOnError(t *testing.T) {
 	r.o.Attach(g, r.mem)
 	r.k.Run(5)
 	r.o.Checkpoint(g, CheckpointOpts{})
-	payload := encoded(t, g.LastImage())
+	payload := encoded(t, g.LastImage(), r.k.Mem)
 
 	before := r.k.Mem.Resident()
 	// Truncate mid-pages: the decoder must free what it allocated.

@@ -441,3 +441,59 @@ func TestFleetCloneDedup(t *testing.T) {
 		clones, imagePages, one, all, float64(all)/float64(one), stats.DedupHits, stats.PackBlocks)
 	o.Close()
 }
+
+// TestFleetBudgetChargesInheritedPages: the first barrier of a lazily
+// restored group holds the pages it inherits from the store by name, and
+// its flush reads them into memory. The fleet's memory budget charges
+// them when the image is queued: the group's own barriers charged at
+// most a step's worth of pages, the restored group's first one charges
+// every page it inherits, and once it is durable nothing stays charged.
+func TestFleetBudgetChargesInheritedPages(t *testing.T) {
+	const pages, step = 64, 8
+	r := newRig(t)
+	t.Cleanup(r.o.Close)
+	r.o.FleetMemBudget = 2 * step * vm.PageSize
+	p := spawnCounter(t, r)
+	if _, err := p.Sbrk(pages * vm.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	g, _ := r.o.Persist("app", p)
+	r.o.Attach(g, r.store)
+	buf := make([]byte, vm.PageSize)
+	for pg := 0; pg < pages; pg++ {
+		copy(buf, heapPage(pg))
+		if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), buf); err != nil {
+			t.Fatal(err)
+		}
+		if (pg+1)%step != 0 {
+			continue
+		}
+		if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.o.Sync(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if peak := r.o.FleetStats().MemPeak; peak > 2*step*vm.PageSize {
+		t.Fatalf("fixture: the group's barriers charged up to %d bytes, want at most %d", peak, 2*step*vm.PageSize)
+	}
+	ng, _, err := r.o.Restore(g, 0, RestoreOpts{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.o.Checkpoint(ng, CheckpointOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.o.Sync(ng); err != nil {
+		t.Fatal(err)
+	}
+	st := r.o.FleetStats()
+	if st.MemPeak < pages*vm.PageSize {
+		t.Fatalf("the restored group's first barrier charged at most %d bytes; it inherits %d pages (%d bytes)",
+			st.MemPeak, pages, pages*vm.PageSize)
+	}
+	if st.MemInUse != 0 {
+		t.Fatalf("%d bytes still charged after the restored group's epoch is durable", st.MemInUse)
+	}
+}

@@ -350,14 +350,16 @@ func sameHeap(t *testing.T, a, b *kernel.Process, pages int) {
 	}
 }
 
-// TestFailedFetchFailsTheBarrierNotThePage: a page of a lazily restored
-// process that has never been faulted in lives in the store only. When
-// the store cannot produce it, a full checkpoint of that process must
-// fail — typed, taking no epoch, durable frontier where it was — and an
-// eager mapping's restore must fail, not carry on with a zero page in
-// its place. With the device back the same checkpoint succeeds and what
-// it made durable restores bit for bit.
-func TestFailedFetchFailsTheBarrierNotThePage(t *testing.T) {
+// TestFailedFetchFailsTheFlushNotTheBarrier: a page of a lazily restored
+// process that has never been faulted in lives in the store only. A full
+// checkpoint of that process names the page and leaves the read to the
+// flush, so with the store unable to produce it the barrier still
+// succeeds and the flush fails: typed, the durable frontier where it
+// was, the process running on with its resident pages intact. An eager
+// mapping's restore must fail, not carry on with a zero page in its
+// place. With the device back, Sync makes the epoch durable, and what it
+// made durable restores bit for bit.
+func TestFailedFetchFailsTheFlushNotTheBarrier(t *testing.T) {
 	const pages = 48
 	r := newFlushRig(t, pages, 0)
 	ng, _, err := r.o.Restore(r.g, 0, RestoreOpts{Lazy: true})
@@ -372,17 +374,22 @@ func TestFailedFetchFailsTheBarrierNotThePage(t *testing.T) {
 	epoch, durable, held := ng.Epoch(), ng.Durable(), len(r.store.Epochs(ng.ID))
 
 	r.fd.Down()
-	_, err = r.o.Checkpoint(ng, CheckpointOpts{})
-	if !errors.Is(err, ErrBackendDown) || !errors.Is(err, vm.ErrBackendDown) {
-		t.Fatalf("full checkpoint over a dead restore source = %v, want vm.ErrBackendDown wrapping the source's ErrBackendDown", err)
+	bd, err := r.o.Checkpoint(ng, CheckpointOpts{})
+	if err != nil || !bd.Full || ng.Epoch() != epoch+1 {
+		t.Fatalf("full checkpoint over a dead restore source: full=%v, epoch %d→%d, %v; want a full barrier at epoch %d",
+			bd.Full, epoch, ng.Epoch(), err, epoch+1)
 	}
-	if ng.Epoch() != epoch || ng.Durable() != durable || len(r.store.Epochs(ng.ID)) != held {
-		t.Fatalf("failed checkpoint moved the group: epoch %d→%d, durable %d→%d", epoch, ng.Epoch(), durable, ng.Durable())
+	if err := r.o.Sync(ng); !errors.Is(err, ErrBackendDown) {
+		t.Fatalf("Sync of an epoch whose inherited pages cannot be read = %v, want ErrBackendDown", err)
+	}
+	if ng.Durable() != durable || len(r.store.Epochs(ng.ID)) != held {
+		t.Fatalf("failed flush moved the group: durable %d→%d, store epochs %d→%d",
+			durable, ng.Durable(), held, len(r.store.Epochs(ng.ID)))
 	}
 	// The process is running again and its resident pages are intact.
 	buf := make([]byte, 25)
 	if err := np.ReadMem(np.HeapBase()+5*vm.PageSize, buf); err != nil || string(buf) != "dirtied after the restore" {
-		t.Fatalf("resident page after the failed barrier: %q, %v", buf, err)
+		t.Fatalf("resident page after the failed flush: %q, %v", buf, err)
 	}
 
 	// An eager mapping over the lazy image: every page is fetched at
@@ -410,13 +417,9 @@ func TestFailedFetchFailsTheBarrierNotThePage(t *testing.T) {
 		t.Errorf("failed restore left %d frames resident, were %d", got, resident)
 	}
 
-	// Device back: the checkpoint that failed goes through, full, and
-	// restores — eagerly, from the store — to the same bytes.
+	// Device back: Sync flushes the epoch that failed, and it restores —
+	// eagerly, from the store — to the same bytes.
 	r.fd.Up()
-	bd, err := r.o.Checkpoint(ng, CheckpointOpts{})
-	if err != nil || !bd.Full {
-		t.Fatalf("checkpoint after the device came back: full=%v, %v", bd.Full, err)
-	}
 	if err := r.o.Sync(ng); err != nil {
 		t.Fatal(err)
 	}

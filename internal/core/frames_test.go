@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"aurora/internal/kernel"
 	"aurora/internal/objstore"
@@ -155,6 +156,56 @@ func TestRestoreResolvesItsChainOnce(t *testing.T) {
 	}
 }
 
+// TestEncodeHoldsTheFramesItReads: Encode may read a chain that its
+// flush releases meanwhile. The frames it resolved hold a reference
+// from the allocator until it returns, so a release while Encode waits
+// further down the chain (on the read of an older image's inherited
+// pages) hands none of them out again, and the file holds the pages as
+// the barrier captured them.
+func TestEncodeHoldsTheFramesItReads(t *testing.T) {
+	pm := vm.NewPhysMem(0)
+	base := codecImage(t, pm, 1, true, 4, distinctFill)
+	top := codecImage(t, pm, 2, false, 4, func(id uint64, i int) byte { return distinctFill(id, i) + 100 })
+	top.Prev = base
+	want := encoded(t, top, pm)
+	f := top.Memory[3].Pages[0]
+
+	base.readMu.Lock() // Encode resolves top, then waits here
+	type result struct {
+		file []byte
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		file, err := top.Encode(pm)
+		done <- result{file, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); f.Refs() < 2; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			base.readMu.Unlock()
+			t.Fatal("Encode took no reference to the frames it resolved")
+		}
+	}
+	top.Release(pm)
+	for i := 0; i < 64; i++ { // whatever was freed is handed out and scribbled on
+		g, err := pm.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range g.Data {
+			g.Data[j] = 0xEE
+		}
+	}
+	base.readMu.Unlock()
+	got := <-done
+	if got.err != nil || !bytes.Equal(got.file, want) {
+		t.Fatalf("Encode across a release of the image it read: %d bytes, %v; want the file it wrote before", len(got.file), got.err)
+	}
+	if f.Refs() != 0 {
+		t.Fatalf("a frame of the released image holds %d references after Encode returned, want 0", f.Refs())
+	}
+}
+
 // The delta encodings of codecImage(epoch 4, 24 pages per object,
 // distinctFill), captured at the commit before heat became a slice.
 const (
@@ -193,7 +244,7 @@ func TestHeatSurvivesConsolidatedEncode(t *testing.T) {
 	top := codecImage(t, pm, 2, false, 4, distinctFill)
 	top.Prev = base
 	top.Memory[3].Heat = nil // object 3: only the base image has heat
-	dec, err := DecodeImage(encoded(t, top), pm)
+	dec, err := DecodeImage(encoded(t, top, pm), pm)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,13 @@ type MemImage struct {
 	// per frame; restores COW-share against them without copying.
 	Pages map[int64]*vm.Frame
 	// SwapData holds pages that were on swap at the barrier, already
-	// read back as bytes.
+	// read back as bytes, and those readPages read for Inherit.
 	SwapData map[int64][]byte
+	// Inherit is the restore source a full barrier found the object still
+	// paging from (vm.CheckpointSet.Source): the image holds the source's
+	// pages that are in neither Pages nor SwapData by name, until
+	// readPages reads them into SwapData off the barrier and clears this.
+	Inherit vm.PageSource
 	// View locates pages still sitting in an object store: a lazily
 	// loaded image (StoreBackend.LoadLazy) carries the store's live
 	// page view instead of bytes, and restore attaches a demand-paging
@@ -109,6 +114,7 @@ type Image struct {
 	mu       sync.Mutex
 	released bool
 	sources  []*lazyPageSource // demand-paging sources created by restore
+	readMu   sync.Mutex        // readPages reads an image once
 
 	// The PageHashes memo: hashMu guards pages, which are valid once
 	// hashDone is set; hashed is how many of them were hashed here and
@@ -159,13 +165,20 @@ func (img *Image) PageCount() int {
 }
 
 // FootprintBytes reports the memory this image pins while it waits to
-// flush: captured frames and swap-page copies. A store view is
+// flush: captured frames, swap-page copies and the pages its flush reads
+// for Inherit (every page of the source: an upper bound). A store view is
 // excluded — it points at store blocks, not RAM. This is what the
 // fleet's global memory budget charges per queued image.
 func (img *Image) FootprintBytes() int64 {
 	var n int64
 	for _, mi := range img.Memory {
 		n += int64(len(mi.Pages)+len(mi.SwapData)) * vm.PageSize
+		switch src := mi.Inherit.(type) {
+		case *lazyPageSource:
+			n += int64(src.view.Len()) * vm.PageSize
+		case *imagePageSource:
+			n += int64(len(src.pages)) * vm.PageSize
+		}
 	}
 	return n
 }
@@ -176,6 +189,8 @@ func (img *Image) FootprintBytes() int64 {
 // to whoever allocates them next, so a chain walk that reaches a
 // released image ends there with nothing found (see resolve).
 func (img *Image) Release(pm *vm.PhysMem) {
+	img.readMu.Lock() // a read in progress finishes over the image it began on
+	defer img.readMu.Unlock()
 	img.mu.Lock()
 	if img.released {
 		img.mu.Unlock()
@@ -188,7 +203,7 @@ func (img *Image) Release(pm *vm.PhysMem) {
 		for _, f := range mi.Pages {
 			pm.Free(f)
 		}
-		mi.Pages, mi.Lines = nil, nil
+		mi.Pages, mi.Lines, mi.Inherit = nil, nil, nil
 	}
 }
 
@@ -349,7 +364,9 @@ type objectState struct {
 	size   int64
 	frames map[int64]*vm.Frame // captured frames
 	bytes  map[int64][]byte    // swap pages, already read back
-	view   *objstore.PageView  // store-resident pages of a lazily loaded image
+	view   *objstore.PageView  // store-resident pages of a lazily loaded image,
+	store  *StoreBackend       // in this store,
+	peers  []BlockProvider     // whose peers hold them too
 	heat   []vm.PageHeat       // the chain's heat merged, if the walk was asked for it
 }
 
@@ -365,17 +382,25 @@ func (o *objectState) has(idx int64) bool {
 // nearest full one, reading each under its lock. Any image on the way
 // that has been released makes it ErrNoImage: that part of the history
 // now lives in a backend only, and resolving around the hole would pass
-// off a partial state as the whole. With pin set every frame collected
-// takes a reference from pin, so that a release of the chain after this
-// walk cannot take the frames from under the caller, who drops them with
-// unpin. With heat set each object's heat deltas are merged
-// (vm.MergeHeat) into a list of the state's own — the one part of a
-// state only a prefetching restore and Encode read, so the walks that
-// do not need it merge and allocate nothing for it.
+// off a partial state as the whole. With pin set — the caller uses the
+// state, not only checks it — each image's pages held by name are read
+// first (readPages), and every frame collected takes a reference from
+// pin, so that a release of the chain after this walk cannot take the
+// frames from under the caller, who drops them with unpin. With heat set
+// each object's heat deltas are merged (vm.MergeHeat) into a list of the
+// state's own — the one part of a state only a prefetching restore and
+// Encode read, so the walks that do not need it merge and allocate
+// nothing for it.
 func (img *Image) resolve(pin *vm.PhysMem, heat bool) (*chainState, error) {
 	st := &chainState{meta: make([]MetaRec, 0, len(img.Meta)), objs: make(map[uint64]*objectState, len(img.Memory)), pinned: pin}
 	seen := make(map[uint64]bool, len(img.Meta))
 	for cur := img; cur != nil; {
+		if pin != nil {
+			if _, err := cur.readPages(nil); err != nil {
+				st.unpin()
+				return nil, err
+			}
+		}
 		cur.mu.Lock()
 		if cur.released {
 			cur.mu.Unlock()
@@ -417,8 +442,8 @@ func (img *Image) resolve(pin *vm.PhysMem, heat bool) (*chainState, error) {
 					o.bytes[idx] = d
 				}
 			}
-			if o.view == nil {
-				o.view = mi.View
+			if o.view == nil && mi.View != nil {
+				o.view, o.store, o.peers = mi.View, cur.source, cur.peers
 			}
 			if heat {
 				o.mergeHeat(mi)
@@ -471,7 +496,8 @@ func (st *chainState) objectIDs() []uint64 {
 
 // Resolvable reports whether the state at this image can still be
 // resolved from memory: neither it nor any image it builds on has been
-// released.
+// released. It reads nothing: pages an image holds by name (Inherit, a
+// View) count as resolvable.
 func (img *Image) Resolvable() bool {
 	_, err := img.resolve(nil, false)
 	return err == nil
@@ -505,22 +531,33 @@ func (img *Image) ResolvePage(objID uint64, idx int64) []byte {
 // effective state at this epoch — for file export (`sls send`): a full
 // image in the delta layout, every page literal, which DecodeImage reads
 // back. Objects go by ascending ID and pages by ascending index, so one
-// chain always encodes to the same bytes. A chain that reaches a released
-// image, or that holds pages in a store only (a lazily restored group's
-// image), is ErrNoImage: the bytes here would not be the whole state.
-func (img *Image) Encode() ([]byte, error) {
-	st, err := img.resolve(nil, true)
+// chain always encodes to the same bytes, and pages a lazily restored
+// group keeps in a store are read through readPages. The frames it reads
+// hold a reference from pm, the allocator they came from, until it
+// returns, so a flush that releases the chain meanwhile cannot take them.
+// A chain that reaches a released image, or a store view with no store
+// to read it from, is ErrNoImage: the bytes would not be the whole state.
+func (img *Image) Encode(pm *vm.PhysMem) ([]byte, error) {
+	st, err := img.resolve(pm, true)
 	if err != nil {
 		return nil, err
 	}
+	defer st.unpin()
 	full := &Image{Group: img.Group, Epoch: img.Epoch, Gen: img.Gen, Name: img.Name, Full: true,
 		Meta: st.meta, Memory: make(map[uint64]*MemImage, len(st.objs)), Roots: img.Roots}
 	for id, o := range st.objs {
+		mi := &MemImage{ObjID: id, Name: o.name, Size: o.size, Pages: o.frames, SwapData: o.bytes, Heat: o.heat}
 		if o.view.Len() > 0 {
-			return nil, fmt.Errorf("%w: image of group %d epoch %d keeps pages of object %d in a store only",
-				ErrNoImage, img.Group, img.Epoch, id)
+			if o.store == nil {
+				return nil, fmt.Errorf("%w: image of group %d epoch %d keeps pages of object %d in a store it does not name",
+					ErrNoImage, img.Group, img.Epoch, id)
+			}
+			mi.Inherit = newLazyPageSource(nil, o.store, o.view, o.peers)
 		}
-		full.Memory[id] = &MemImage{ObjID: id, Name: o.name, Size: o.size, Pages: o.frames, SwapData: o.bytes, Heat: o.heat}
+		full.Memory[id] = mi
+	}
+	if _, err := full.readPages(nil); err != nil {
+		return nil, err
 	}
 	return full.EncodeDelta(), nil
 }

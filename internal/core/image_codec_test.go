@@ -62,10 +62,11 @@ func codecImage(tb testing.TB, pm *vm.PhysMem, epoch uint64, full bool, pagesPer
 
 func distinctFill(id uint64, i int) byte { return byte(id)*31 + byte(i) }
 
-// encoded is img.Encode() of a chain that must encode.
-func encoded(tb testing.TB, img *Image) []byte {
+// encoded is img.Encode(pm) of a chain that must encode, pm being the
+// allocator its frames came from.
+func encoded(tb testing.TB, img *Image, pm *vm.PhysMem) []byte {
 	tb.Helper()
-	file, err := img.Encode()
+	file, err := img.Encode(pm)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -150,9 +151,9 @@ func TestEncodeDeterministic(t *testing.T) {
 	base := codecImage(t, pm, 1, true, 24, distinctFill)
 	top := codecImage(t, pm, 2, false, 12, func(id uint64, i int) byte { return distinctFill(id, i) + 100 })
 	top.Prev = base
-	first := encoded(t, top)
+	first := encoded(t, top, pm)
 	for i := 0; i < 8; i++ {
-		if again := encoded(t, top); !bytes.Equal(first, again) {
+		if again := encoded(t, top, pm); !bytes.Equal(first, again) {
 			t.Fatalf("encode %d of one chain differs from the first", i+2)
 		}
 	}
@@ -160,7 +161,7 @@ func TestEncodeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again := encoded(t, dec); !bytes.Equal(first, again) {
+	if again := encoded(t, dec, pm); !bytes.Equal(first, again) {
 		t.Fatal("a decoded image does not encode back to its bytes")
 	}
 	dec.Release(pm)
@@ -479,7 +480,7 @@ func fuzzSeeds(f *testing.F, compact bool) {
 	} else {
 		f.Add(delta.EncodeDelta())
 		delta.Prev = base
-		f.Add(encoded(f, delta))
+		f.Add(encoded(f, delta, pm))
 	}
 }
 
@@ -765,7 +766,8 @@ func FuzzDecodeImage(f *testing.F) {
 	small.U64(0) // no heat
 	small.U64Slice(nil)
 	f.Add(small.Bytes())
-	f.Add(encoded(f, codecImage(f, vm.NewPhysMem(0), 3, true, 2, distinctFill)))
+	seedPM := vm.NewPhysMem(0)
+	f.Add(encoded(f, codecImage(f, seedPM, 3, true, 2, distinctFill), seedPM))
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		pm := vm.NewPhysMem(0)
@@ -779,7 +781,7 @@ func FuzzDecodeImage(f *testing.F) {
 		if !img.Full || img.Prev != nil {
 			t.Fatalf("decoded image is not standalone: full=%v prev=%v", img.Full, img.Prev)
 		}
-		again, err := DecodeImage(encoded(t, img), pm)
+		again, err := DecodeImage(encoded(t, img, pm), pm)
 		if err != nil {
 			t.Fatalf("re-decoding an accepted payload: %v", err)
 		}
@@ -916,7 +918,7 @@ func TestFoldIsTheChainResolved(t *testing.T) {
 		top.Prev = base
 		top.Memory[3].Heat = nil // object 3's heat is the base's
 		top.Meta = top.Meta[:1]  // OID 12's record is the base's
-		want := encoded(t, top)
+		want := encoded(t, top, pm)
 		base.PageHashes()
 		top.PageHashes()
 		freed := 0
@@ -930,7 +932,7 @@ func TestFoldIsTheChainResolved(t *testing.T) {
 		if !base.Released() || base.Memory != nil || !top.Full || top.Prev != nil || top.Released() {
 			t.Fatalf("%s: after the fold base released=%v, top full=%v prev=%v", tc.name, base.Released(), top.Full, top.Prev)
 		}
-		if got := encoded(t, top); !bytes.Equal(got, want) {
+		if got := encoded(t, top, pm); !bytes.Equal(got, want) {
 			t.Errorf("%s: the folded image encodes another state than the chain did", tc.name)
 		}
 		fresh := (&Image{Memory: top.Memory}).PageHashes()

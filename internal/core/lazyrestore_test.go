@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
+	"aurora/internal/kernel"
 	"aurora/internal/objstore"
 	"aurora/internal/vm"
 )
@@ -252,4 +254,182 @@ func BenchmarkLazyRestore(b *testing.B) {
 			}
 		})
 	}
+}
+
+// heapHolds checks that the first `pages` heap pages of p are what
+// touchedHeap wrote.
+func heapHolds(t *testing.T, p *kernel.Process, pages int) {
+	t.Helper()
+	got, want := make([]byte, vm.PageSize), make([]byte, vm.PageSize)
+	for pg := 0; pg < pages; pg++ {
+		copy(want, heapPage(pg))
+		if err := p.ReadMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), got); err != nil {
+			t.Fatalf("heap page %d: %v", pg, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("heap page %d starts % x, want % x", pg, got[:4], want[:4])
+		}
+	}
+}
+
+// TestFirstBarrierAfterLazyRestore: the first barrier of a lazily
+// restored group is full, and costs what a full barrier over what it
+// holds resident costs: it names the pages it inherits from the store
+// and reads none of them, so no device byte is read between stop and
+// resume. (It is taken with SkipFlush so that no flush can read in that
+// window; Sync then flushes it.) Its flush reads them, and finds every
+// block in the store already: no data block is written. The epoch it
+// makes durable stands on its own: it restores bit for bit after the
+// origin group is gone and every epoch of its lineage dropped.
+func TestFirstBarrierAfterLazyRestore(t *testing.T) {
+	for _, pages := range []int{2048, 16384} {
+		t.Run(fmt.Sprintf("pages=%d", pages), func(t *testing.T) {
+			r := newRig(t)
+			p := spawnCounter(t, r)
+			touchedHeap(t, p, pages)
+			g, _ := r.o.Persist("app", p)
+			r.o.Attach(g, r.store)
+			if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.o.Sync(g); err != nil {
+				t.Fatal(err)
+			}
+			ng, _, err := r.o.Restore(g, 0, RestoreOpts{Lazy: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, dev := r.store.Store(), r.store.Store().Device()
+			blocks, reads := st.Stats().BlockBytes, dev.Stats().Reads
+			first, err := r.o.Checkpoint(ng, CheckpointOpts{SkipFlush: true})
+			if err != nil || !first.Full {
+				t.Fatalf("first barrier after the restore: %v, full=%v", err, first.Full)
+			}
+			if n := dev.Stats().Reads - reads; n != 0 {
+				t.Fatalf("the first barrier after a lazy restore read the device %d times", n)
+			}
+			if err := r.o.Sync(ng); err != nil {
+				t.Fatal(err)
+			}
+			if got := st.Stats().BlockBytes; got != blocks {
+				t.Fatalf("its flush wrote data blocks: BlockBytes %d → %d", blocks, got)
+			}
+			steady, err := r.o.Checkpoint(ng, CheckpointOpts{Full: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.StopTime*100 > steady.StopTime*105 {
+				t.Fatalf("first barrier after the restore stopped %v, a full barrier over the same resident set %v",
+					first.StopTime, steady.StopTime)
+			}
+			if err := r.o.Sync(ng); err != nil {
+				t.Fatal(err)
+			}
+
+			r.k.Exit(p, 0)
+			if err := r.k.Reap(p); err != nil {
+				t.Fatal(err)
+			}
+			r.o.Unpersist(g)
+			for _, e := range r.store.Epochs(g.ID) {
+				if err := st.DropEpoch(g.ID, e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			back, _, err := r.o.Restore(ng, first.Epoch, RestoreOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp, _ := r.k.Process(back.PIDs()[0])
+			heapHolds(t, bp, pages)
+		})
+	}
+}
+
+// TestRollbackToUnflushedPostRestoreEpoch: a rollback to a lazily
+// restored group's first epoch before any flush of it has succeeded —
+// the barrier taken with SkipFlush, or its flush stalled on a store it
+// could not read — reads the pages that epoch inherits through resolve,
+// and the rolled-back process holds the heap the barrier saw.
+func TestRollbackToUnflushedPostRestoreEpoch(t *testing.T) {
+	const pages = 64
+	for _, stalled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stalled=%v", stalled), func(t *testing.T) {
+			r := newFlushRig(t, pages, 0)
+			ng, _, err := r.o.Restore(r.g, 0, RestoreOpts{Lazy: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			np, _ := r.k.Process(ng.PIDs()[0])
+			if stalled {
+				r.fd.Down()
+			}
+			if _, err := r.o.Checkpoint(ng, CheckpointOpts{SkipFlush: !stalled}); err != nil {
+				t.Fatal(err)
+			}
+			if stalled {
+				r.o.Drain(ng)
+				r.fd.Up()
+			}
+			if ng.Durable() == ng.Epoch() {
+				t.Fatalf("epoch %d is durable before the rollback", ng.Epoch())
+			}
+			if err := np.WriteMem(np.HeapBase()+7*vm.PageSize, []byte("after the barrier")); err != nil {
+				t.Fatal(err)
+			}
+			back, notice, err := r.api.Rollback(np)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if notice.ToEpoch != ng.Epoch() {
+				t.Fatalf("rolled back to epoch %d, want %d", notice.ToEpoch, ng.Epoch())
+			}
+			bp, _ := r.k.Process(back.PIDs()[0])
+			heapHolds(t, bp, pages)
+		})
+	}
+}
+
+// TestRollbackWhileRestoreSourceDown: a rollback to a lazily restored
+// group's first epoch reads the pages that epoch inherits from the store
+// it was restored from. With that store down it cannot, and it fails
+// with a typed error before it touches the running incarnation: the
+// process keeps running with what it wrote after the barrier. With the
+// store back the same rollback goes through, bit for bit.
+func TestRollbackWhileRestoreSourceDown(t *testing.T) {
+	const pages = 64
+	r := newFlushRig(t, pages, 0)
+	ng, _, err := r.o.Restore(r.g, 0, RestoreOpts{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	np, _ := r.k.Process(ng.PIDs()[0])
+	if _, err := r.o.Checkpoint(ng, CheckpointOpts{SkipFlush: true}); err != nil {
+		t.Fatal(err)
+	}
+	after := []byte("after the barrier")
+	if err := np.WriteMem(np.HeapBase()+7*vm.PageSize, after); err != nil {
+		t.Fatal(err)
+	}
+	r.fd.Down()
+	if _, _, err := r.api.Rollback(np); !errors.Is(err, ErrBackendDown) {
+		t.Fatalf("rollback with the restore source down: %v, want ErrBackendDown", err)
+	}
+	if _, err := r.k.Process(np.PID); err != nil || !slices.Equal(ng.PIDs(), []int{np.PID}) {
+		t.Fatalf("a failed rollback took the running process: %v, group pids %v", err, ng.PIDs())
+	}
+	got := make([]byte, len(after))
+	if err := np.ReadMem(np.HeapBase()+7*vm.PageSize, got); err != nil || !bytes.Equal(got, after) {
+		t.Fatalf("after a failed rollback the process reads % x, %v; want what it wrote", got, err)
+	}
+	r.fd.Up()
+	back, notice, err := r.api.Rollback(np)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if notice.ToEpoch != ng.Epoch() {
+		t.Fatalf("rolled back to epoch %d, want %d", notice.ToEpoch, ng.Epoch())
+	}
+	bp, _ := r.k.Process(back.PIDs()[0])
+	heapHolds(t, bp, pages)
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,10 +52,9 @@ type RecoveryStats struct {
 // lazyPageSource implements vm.PageSource over the object store's live
 // page view, with bounded retry, peer failover, and read-repair.
 type lazyPageSource struct {
-	o      *Orchestrator
-	sb     *StoreBackend
-	view   *objstore.PageView
-	inline map[int64][]byte // pages already materialized as bytes
+	o    *Orchestrator
+	sb   *StoreBackend
+	view *objstore.PageView
 
 	// pinGroup/pinEpoch name the store epoch the view resolves at.
 	// They are immutable after construction; neither the space
@@ -78,8 +79,8 @@ type lazyPageSource struct {
 	reader objstore.PageReader
 }
 
-func newLazyPageSource(o *Orchestrator, sb *StoreBackend, view *objstore.PageView, inline map[int64][]byte, peers []BlockProvider) *lazyPageSource {
-	return &lazyPageSource{o: o, sb: sb, view: view, inline: inline, peers: peers}
+func newLazyPageSource(o *Orchestrator, sb *StoreBackend, view *objstore.PageView, peers []BlockProvider) *lazyPageSource {
+	return &lazyPageSource{o: o, sb: sb, view: view, peers: peers}
 }
 
 // bind attaches the source to the restored group so read faults drive
@@ -107,28 +108,11 @@ func (s *lazyPageSource) stats() RecoveryStats {
 // PageIn implements vm.PageSource: a fault looks its page up once, and
 // takes a frame only for a page the image holds.
 func (s *lazyPageSource) PageIn(pm *vm.PhysMem, idx int64) (*vm.Frame, error) {
-	if _, ok := s.inline[idx]; ok {
-		return pm.Fill(func(dst []byte) (bool, error) { return s.FetchInto(idx, dst) })
-	}
 	ref, ok, err := s.locate(idx)
 	if err != nil || !ok {
 		return nil, err
 	}
-	return pm.Fill(func(dst []byte) (bool, error) { return true, s.read(idx, ref, dst) })
-}
-
-// FetchInto implements vm.PageSource. It reports false for pages the
-// image never captured (zero-fill); its errors are locate's and read's.
-func (s *lazyPageSource) FetchInto(idx int64, dst []byte) (bool, error) {
-	if d, ok := s.inline[idx]; ok {
-		clear(dst[copy(dst, d):])
-		return true, nil
-	}
-	ref, ok, err := s.locate(idx)
-	if err != nil || !ok {
-		return false, err
-	}
-	return true, s.read(idx, ref, dst)
+	return pm.Fill(func(dst []byte) (bool, error) { return true, s.read(s.sb.store, idx, ref, dst) })
 }
 
 // locate finds page idx in the view. When the view's epoch has left the
@@ -149,7 +133,7 @@ func (s *lazyPageSource) locate(idx int64) (objstore.PageRef, bool, error) {
 // wrapping ErrBackendDown when the primary and every peer failed. A line
 // page is read as its base with its patch applied and checked against
 // the page's content hash, like any page (objstore.Store.ReadPage).
-func (s *lazyPageSource) read(idx int64, ref objstore.PageRef, dst []byte) error {
+func (s *lazyPageSource) read(store *objstore.Store, idx int64, ref objstore.PageRef, dst []byte) error {
 	// A primary the health machine already marked down is mostly left
 	// alone: peers serve, with only a periodic probe (mirroring the
 	// flush pipeline's pacing).
@@ -168,17 +152,17 @@ func (s *lazyPageSource) read(idx int64, ref objstore.PageRef, dst []byte) error
 	served := false
 	var perr error
 	if primaryFirst {
-		perr = s.readPrimary(ref, dst)
+		perr = s.readPrimary(store, ref, dst)
 		served = perr == nil
 	}
-	if !served && s.fromPeers(ref, dst) {
+	if !served && s.fromPeers(store, ref, dst) {
 		served = true
 		s.failovers.Add(1)
 	}
 	if !served && !primaryFirst {
 		// Peers failed and the paced probe was skipped: the down
 		// primary is still the only possible server, so try it.
-		perr = s.readPrimary(ref, dst)
+		perr = s.readPrimary(store, ref, dst)
 		served = perr == nil
 	}
 	if !served {
@@ -191,13 +175,13 @@ func (s *lazyPageSource) read(idx int64, ref objstore.PageRef, dst []byte) error
 	return nil
 }
 
-// readPrimary reads one block from the primary store into dst with
-// bounded retry and backoff, feeding a failure into the health ladder.
+// readPrimary reads one block from the primary (through store) into dst
+// with bounded retry and backoff, feeding a failure into the health ladder.
 // A good read resets nothing there: a healthy record has no failures to
 // clear (the first one degrades it), and recovery of a degraded or down
 // backend belongs to the flush pipeline's probes, which must deliver
 // what the backend owes first.
-func (s *lazyPageSource) readPrimary(ref objstore.PageRef, dst []byte) error {
+func (s *lazyPageSource) readPrimary(store *objstore.Store, ref objstore.PageRef, dst []byte) error {
 	var lane *storage.Clock
 	backoff := lazyBackoffBase
 	var lastErr error
@@ -205,13 +189,13 @@ func (s *lazyPageSource) readPrimary(ref objstore.PageRef, dst []byte) error {
 		if attempt > 0 {
 			s.retries.Add(1)
 			if lane == nil {
-				lane = s.o.K.Clock.Lane()
+				lane = s.sb.clock.Lane()
 			}
 			lane.Advance(backoff)
 			backoff *= 2
 		}
 		s.readMu.Lock()
-		err := s.sb.store.ReadPage(ref, dst, &s.reader)
+		err := store.ReadPage(ref, dst, &s.reader)
 		s.readMu.Unlock()
 		if err == nil {
 			return nil
@@ -239,7 +223,7 @@ func (s *lazyPageSource) readPrimary(ref objstore.PageRef, dst []byte) error {
 // serves heals the primary's copy in place — the block, or a line
 // page's patch and, when a peer has it, its base — so the next fault
 // and the next scrub find it intact (read-repair).
-func (s *lazyPageSource) fromPeers(ref objstore.PageRef, dst []byte) bool {
+func (s *lazyPageSource) fromPeers(store *objstore.Store, ref objstore.PageRef, dst []byte) bool {
 	page, ok := s.fetchFromPeers(ref.Ref.Hash)
 	if !ok {
 		return false
@@ -249,7 +233,7 @@ func (s *lazyPageSource) fromPeers(ref objstore.PageRef, dst []byte) bool {
 	if ref.Lined() {
 		base, _ = s.fetchFromPeers(ref.Base.Hash)
 	}
-	if s.sb.store.RepairPage(ref, page, base) == nil {
+	if store.RepairPage(ref, page, base) == nil {
 		s.repaired.Add(1)
 	}
 	return true
@@ -273,15 +257,94 @@ func (s *lazyPageSource) peerCount() int {
 	return len(s.peers)
 }
 
-// Pages implements vm.PageSource.
-func (s *lazyPageSource) Pages() []int64 {
-	// A view whose epoch left the store lists nothing; the interface
-	// has no way to say so. Every fault through it fails (FetchInto).
-	out, _ := s.view.Pages()
-	for idx := range s.inline {
-		if _, dup, _ := s.view.Lookup(idx); !dup {
-			out = append(out, idx)
+// readPages reads the pages img holds by name (MemImage.Inherit) into
+// SwapData, once per image: for the flush, before any backend sees the
+// image; for resolve; for Encode, which names a lazily loaded image's
+// store pages this way too. Store pages are read as a demand fault reads
+// them, overlapped at queue depth on a lane of base (nil: of the store's
+// clock), never on a group's foreground clock; it returns how long that
+// lane ran. An object that fails to read keeps its pages by name.
+func (img *Image) readPages(base *storage.Clock) (time.Duration, error) {
+	img.readMu.Lock()
+	defer img.readMu.Unlock()
+	var ids []uint64
+	img.mu.Lock() // a released image has no Inherit left (Release holds readMu)
+	for id, mi := range img.Memory {
+		if mi.Inherit != nil {
+			ids = append(ids, id)
 		}
 	}
-	return out
+	img.mu.Unlock()
+	if len(ids) == 0 {
+		return 0, nil
+	}
+	slices.Sort(ids) // a seeded device sees the same reads in the same order
+	lane, start := base, time.Duration(0)
+	if base != nil {
+		lane = base.Lane()
+		start = lane.Now()
+	}
+	for _, id := range ids {
+		mi := img.Memory[id]
+		got, err := mi.inherited(lane)
+		if err != nil {
+			return 0, fmt.Errorf("core: epoch %d of group %d, object %d: %w", img.Epoch, img.Group, id, err)
+		}
+		img.mu.Lock()
+		mi.SwapData, mi.Inherit = got, nil
+		img.mu.Unlock()
+	}
+	if lane == nil {
+		return 0, nil
+	}
+	return lane.Now() - start, nil
+}
+
+// inherited returns mi's SwapData with the pages its source holds and
+// neither Pages nor SwapData does added; a source of bytes shares them,
+// immutable as its image.
+func (mi *MemImage) inherited(lane *storage.Clock) (map[int64][]byte, error) {
+	got := make(map[int64][]byte, len(mi.SwapData))
+	maps.Copy(got, mi.SwapData)
+	held := func(idx int64) bool {
+		_, paged := mi.Pages[idx]
+		_, swapped := got[idx]
+		return paged || swapped
+	}
+	switch src := mi.Inherit.(type) {
+	case *imagePageSource:
+		for idx, d := range src.pages {
+			if !held(idx) {
+				got[idx] = d
+			}
+		}
+		return got, nil
+	case *lazyPageSource:
+		// A view whose epoch left the store is an error, never a hole.
+		idxs, err := src.view.Pages()
+		if err != nil {
+			return nil, fmt.Errorf("%w: listing the pages of %s: %w", ErrBackendDown, src.sb.Name(), err)
+		}
+		if lane == nil {
+			lane = src.sb.clock.Lane()
+		}
+		store := src.sb.store.WithClock(lane)
+		return got, store.Overlapped(func() error {
+			for _, idx := range idxs {
+				if held(idx) {
+					continue
+				}
+				ref, found, err := src.locate(idx)
+				if err == nil && found {
+					got[idx] = make([]byte, vm.PageSize)
+					err = src.read(store, idx, ref, got[idx])
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	return nil, fmt.Errorf("core: cannot read pages inherited from a %T", mi.Inherit)
 }

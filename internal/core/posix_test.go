@@ -39,7 +39,7 @@ func TestMsgQueueSurvivesCheckpointRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img2, err := DecodeImage(encoded(t, img), r2.k.Mem)
+	img2, err := DecodeImage(encoded(t, img, r.k.Mem), r2.k.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestShmContentsSurviveFreshKernelRestore(t *testing.T) {
 
 	r2 := newRig(t)
 	img, readTime, _ := r.store.Load(g.ID, 0)
-	img2, err := DecodeImage(encoded(t, img), r2.k.Mem)
+	img2, err := DecodeImage(encoded(t, img, r.k.Mem), r2.k.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}

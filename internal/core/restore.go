@@ -355,54 +355,49 @@ func (o *Orchestrator) restoreObjectMemory(img *Image, state *objectState, obj *
 	}
 	bd.Shared += len(frames)
 
-	if view.Len() > 0 && img.source != nil {
+	var src vm.PageSource
+	switch {
+	case view.Len() > 0 && img.source != nil:
 		// Store-resident pages: demand-page through the fault-tolerant
 		// source (bounded retry, peer failover, read-repair).
-		src := newLazyPageSource(o, img.source, view, bytesPages, img.peers)
-		src.pinGroup, src.pinEpoch = img.Group, img.Epoch
+		ls := newLazyPageSource(o, img.source, view, img.peers)
+		ls.pinGroup, ls.pinEpoch = img.Group, img.Epoch
 		img.mu.Lock()
-		img.sources = append(img.sources, src)
+		img.sources = append(img.sources, ls)
 		img.mu.Unlock()
-		if opts.Lazy {
-			obj.SetSource(src)
-			o.prefetchHottest(state.heat, obj, src, opts.Prefetch, bd)
-		} else if idxs, err := view.Pages(); err != nil {
-			// The view's epoch left the store since the load. Nothing
-			// can be materialized; leave the source attached, so that a
-			// fault reports it and no page quietly reads as zero.
-			obj.SetSource(src)
-		} else {
-			// An eager mapping policy over a lazy image: materialize
-			// everything now, through the failover path, so a sick
-			// primary cannot abort the restore.
-			for _, idx := range idxs {
-				f, err := src.PageIn(o.K.Mem, idx)
-				if err != nil {
-					return total, fmt.Errorf("core: eager restore of object %q: page %d: %w", obj.Name, idx, err)
-				}
-				if f == nil {
-					continue
-				}
-				obj.InsertPage(o.K.Mem, idx, f)
-				o.K.Meter.ChargeCopy(1)
-			}
-		}
-		return total, nil
-	}
-
-	if len(bytesPages) == 0 {
+		src = ls
+	case len(bytesPages) > 0:
+		src = &imagePageSource{pages: bytesPages}
+	default:
 		return total, nil
 	}
 	if opts.Lazy {
-		src := &imagePageSource{pages: bytesPages}
 		obj.SetSource(src)
 		o.prefetchHottest(state.heat, obj, src, opts.Prefetch, bd)
-	} else {
-		for idx, data := range bytesPages {
-			f, err := o.K.Mem.AllocData(data)
-			if err != nil {
-				return total, fmt.Errorf("core: eager restore of object %q: page %d: %w", obj.Name, idx, err)
-			}
+		return total, nil
+	}
+	idxs := make([]int64, 0, len(bytesPages))
+	for idx := range bytesPages {
+		idxs = append(idxs, idx)
+	}
+	if ls, ok := src.(*lazyPageSource); ok {
+		var err error
+		if idxs, err = ls.view.Pages(); err != nil {
+			// The view's epoch left the store since the load. Nothing can
+			// be materialized; the source stays attached, so that a fault
+			// reports it and no page quietly reads as zero.
+			obj.SetSource(src)
+			return total, nil
+		}
+	}
+	// Eager: every page now, a store page through the failover path, so
+	// a sick primary cannot abort the restore.
+	for _, idx := range idxs {
+		f, err := src.PageIn(o.K.Mem, idx)
+		if err != nil {
+			return total, fmt.Errorf("core: eager restore of object %q: page %d: %w", obj.Name, idx, err)
+		}
+		if f != nil {
 			obj.InsertPage(o.K.Mem, idx, f)
 			o.K.Meter.ChargeCopy(1)
 		}
@@ -677,28 +672,14 @@ type imagePageSource struct {
 	pages map[int64][]byte
 }
 
-// FetchInto implements vm.PageSource.
-func (s *imagePageSource) FetchInto(idx int64, dst []byte) (bool, error) {
-	d, ok := s.pages[idx]
-	if ok {
-		clear(dst[copy(dst, d):])
-	}
-	return ok, nil
-}
-
 // PageIn implements vm.PageSource.
 func (s *imagePageSource) PageIn(pm *vm.PhysMem, idx int64) (*vm.Frame, error) {
-	if _, ok := s.pages[idx]; !ok {
+	d, ok := s.pages[idx]
+	if !ok {
 		return nil, nil
 	}
-	return pm.Fill(func(dst []byte) (bool, error) { return s.FetchInto(idx, dst) })
-}
-
-// Pages implements vm.PageSource.
-func (s *imagePageSource) Pages() []int64 {
-	out := make([]int64, 0, len(s.pages))
-	for idx := range s.pages {
-		out = append(out, idx)
-	}
-	return out
+	return pm.Fill(func(dst []byte) (bool, error) {
+		clear(dst[copy(dst, d):])
+		return true, nil
+	})
 }

@@ -1,6 +1,7 @@
 package netback
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -61,10 +62,11 @@ func (h *heatOracle) check(where string, group, epoch uint64, heat func(id uint6
 	}
 }
 
-// checkImage checks an image's chain through the file Encode writes.
-func (h *heatOracle) checkImage(where string, img *core.Image) {
+// checkImage checks an image's chain, whose frames come from pm, through
+// the file Encode writes.
+func (h *heatOracle) checkImage(where string, img *core.Image, pm *vm.PhysMem) {
 	h.t.Helper()
-	file, err := img.Encode()
+	file, err := img.Encode(pm)
 	if err != nil {
 		h.t.Fatalf("%s: %v", where, err)
 	}
@@ -118,7 +120,8 @@ func (h *heatOracle) checkStore(where string, st *objstore.Store, group uint64, 
 // the deltas of its chain to the full counter list the object had at
 // that barrier. A seeded schedule of 200 barriers — full ones among
 // them, reads and writes between, one restore half way and one barrier
-// aborted on the restored group — is checked after every Sync against
+// on the restored group whose flush first fails — is checked after every
+// Sync against
 //   - the group's in-memory chain and a history-bounded memory backend
 //     (which folds its oldest image forward, core.Fold);
 //   - a store with a bounded history (TrimHistory's merge-forward), from
@@ -137,7 +140,8 @@ func TestHeatOracle(t *testing.T) {
 	st := objstore.Create(fd, m.clock)
 	sb := core.NewStoreBackend(st, m.k.Mem, m.clock)
 	sb.HistoryLimit = 5
-	recv := NewReceiver(vm.NewPhysMem(0), storage.NewClock())
+	rpm := vm.NewPhysMem(0)
+	recv := NewReceiver(rpm, storage.NewClock())
 
 	var mb *core.MemoryBackend
 	attach := func(g *core.Group) {
@@ -177,14 +181,16 @@ func TestHeatOracle(t *testing.T) {
 			}
 		}
 	}
-	aborted := false
+	survived := false
 	for b := 1; b <= barriers; b++ {
 		if b == restoreAt {
 			// Half way the lineage restores lazily from the store, prefetch
 			// resolving its heat through the page view, and carries on as a
-			// new group. Its first barrier must be full and must capture the
-			// pages still in the store: with the device down that barrier
-			// aborts, and the one after it is full again.
+			// new group. Its first barrier is full and names the pages still
+			// in the store; its flush reads them. With the device down the
+			// barrier succeeds and the flush fails, typed, leaving the
+			// epoch owed; with the device back Sync makes it durable, and
+			// it restores to the heap the barrier saw.
 			img, rt, err := sb.LoadLazy(g.ID, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -203,11 +209,44 @@ func TestHeatOracle(t *testing.T) {
 			attach(g)
 			touch(p)
 			fd.Down()
-			if _, err := m.o.Checkpoint(g, core.CheckpointOpts{}); err == nil {
-				t.Fatal("a full barrier over a dead restore source succeeded")
+			ck, err := m.o.Checkpoint(g, core.CheckpointOpts{})
+			if err != nil || !ck.Full {
+				t.Fatalf("the full barrier over a dead restore source: full=%v, %v", ck.Full, err)
+			}
+			h.record(p, g.ID, g.Epoch())
+			if err := m.o.Sync(g); !errors.Is(err, core.ErrBackendDown) || g.Durable() == g.Epoch() {
+				t.Fatalf("Sync over a dead restore source = %v, durable %d of %d; want ErrBackendDown and the epoch owed",
+					err, g.Durable(), g.Epoch())
 			}
 			fd.Up()
-			aborted = true
+			if err := m.o.Sync(g); err != nil || g.Durable() != g.Epoch() {
+				t.Fatalf("Sync with the device back = %v, durable %d of %d", err, g.Durable(), g.Epoch())
+			}
+			img, rt, err = sb.Load(g.ID, g.Epoch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rg, _, err := m.o.RestoreImage(img, rt, core.RestoreOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp, err := m.k.Process(rg.PIDs()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := make([]byte, heapPages*vm.PageSize), make([]byte, heapPages*vm.PageSize)
+			if err := p.ReadMem(p.HeapBase(), want); err != nil {
+				t.Fatal(err)
+			}
+			if err := rp.ReadMem(rp.HeapBase(), got); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("the epoch flushed after the device came back restores a different heap (%v)", err)
+			}
+			m.k.Exit(rp, 0)
+			if err := m.k.Reap(rp); err != nil {
+				t.Fatal(err)
+			}
+			m.o.Unpersist(rg)
+			survived = true
 		}
 		touch(p)
 		full := b%40 == 0
@@ -220,20 +259,20 @@ func TestHeatOracle(t *testing.T) {
 		}
 		where := func(holder string) string { return fmt.Sprintf("barrier %d (epoch %d), %s", b, g.Epoch(), holder) }
 
-		h.checkImage(where("the group's chain"), g.LastImage())
+		h.checkImage(where("the group's chain"), g.LastImage(), m.k.Mem)
 		for _, e := range mb.History(g.ID) {
 			img, _, err := mb.Load(g.ID, e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			h.checkImage(where("the memory backend"), img)
+			h.checkImage(where("the memory backend"), img, m.k.Mem)
 		}
 		for _, e := range recv.ReplicaEpochs(g.ID) {
 			img, err := recv.ImageAt(g.ID, e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			h.checkImage(where("the replica"), img)
+			h.checkImage(where("the replica"), img, rpm)
 		}
 		if ms := st.Manifests(g.ID); b%7 == 0 && len(ms) >= 3 {
 			if err := st.DropEpoch(g.ID, ms[len(ms)-2].Epoch); err != nil {
@@ -252,8 +291,8 @@ func TestHeatOracle(t *testing.T) {
 			h.checkStore(where("the reopened store"), re, g.ID, false)
 		}
 	}
-	if !aborted {
-		t.Fatal("the schedule aborted no barrier")
+	if !survived {
+		t.Fatal("the schedule flushed no barrier over a dead restore source")
 	}
 	if h.pm.Resident() != 0 {
 		t.Fatalf("the oracle's decoded images hold %d frames", h.pm.Resident())

@@ -82,7 +82,7 @@ func TestImageFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	file, err := g.LastImage().Encode()
+	file, err := g.LastImage().Encode(src.k.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}

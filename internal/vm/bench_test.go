@@ -34,19 +34,9 @@ func cowFixture(tb testing.TB, resident, spare int) (*PhysMem, *AddressSpace, *M
 	return pm, as, m
 }
 
-// begin is BeginCheckpoint for an object whose barrier cannot fail: one
-// with no restore source, or with one that serves every page.
-func begin(o *Object, epoch uint64, full bool) *CheckpointSet {
-	cs, err := o.BeginCheckpoint(epoch, full)
-	if err != nil {
-		panic(err)
-	}
-	return cs
-}
-
 // barrier runs both halves of a serialization barrier over m's object.
 func barrier(as *AddressSpace, m *Mapping, epoch uint64, full bool) *CheckpointSet {
-	cs := begin(m.Obj, epoch, full)
+	cs := m.Obj.BeginCheckpoint(epoch, full)
 	as.ProtectObject(m.Obj, cs.Pages)
 	return cs
 }
@@ -107,11 +97,14 @@ func barrierGrid(b *testing.B, fn func(b *testing.B, as *AddressSpace, m *Mappin
 // BenchmarkBeginCheckpoint is the barrier's O(touched) guard: at
 // dirty=64 the resident=16384 case stays within 1.5× of resident=1024 in
 // time and bytes: an incremental barrier's heat is the pages touched
-// since the last one, not every page ever touched.
+// since the last one, not every page ever touched. A full barrier over
+// an object with a restore source is O(resident), not O(image): it names
+// the source and reads none of its pages
+// (TestFullBarrierReadsNoSourcePage).
 func BenchmarkBeginCheckpoint(b *testing.B) {
 	barrierGrid(b, func(b *testing.B, as *AddressSpace, m *Mapping, epoch uint64) *CheckpointSet {
 		b.StartTimer()
-		cs := begin(m.Obj, epoch, false)
+		cs := m.Obj.BeginCheckpoint(epoch, false)
 		b.StopTimer()
 		as.ProtectObject(m.Obj, cs.Pages)
 		return cs
@@ -120,7 +113,7 @@ func BenchmarkBeginCheckpoint(b *testing.B) {
 
 func BenchmarkProtectObject(b *testing.B) {
 	barrierGrid(b, func(b *testing.B, as *AddressSpace, m *Mapping, epoch uint64) *CheckpointSet {
-		cs := begin(m.Obj, epoch, false)
+		cs := m.Obj.BeginCheckpoint(epoch, false)
 		b.StartTimer()
 		ops := as.ProtectObject(m.Obj, cs.Pages)
 		b.StopTimer()

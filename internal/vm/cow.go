@@ -1,7 +1,5 @@
 package vm
 
-import "fmt"
-
 // This file implements the checkpoint side of the VM object: the
 // serialization-barrier protocol (BeginCheckpoint), Aurora's shared
 // copy-on-write fault rule (CowFault), and the bookkeeping that makes
@@ -21,10 +19,11 @@ type CheckpointSet struct {
 	// out since the last checkpoint; they are incorporated into this
 	// checkpoint directly from swap.
 	SwapPages map[int64]int64
-	// SourcePages lists pages that live only in the object's
-	// lazy-restore source (never faulted in): a full checkpoint must
-	// pull them from the source or the image would lose them.
-	SourcePages map[int64][]byte
+	// Source is the restore source a full capture found the object still
+	// paging from (nil otherwise). The checkpoint holds, by name only,
+	// every page of it in neither Pages nor SwapPages: an immutable, pinned
+	// epoch, it reads after the barrier as it was at it.
+	Source PageSource
 	// Heat is the access counters the checkpoint persists to drive
 	// clock-based eager paging on restore: all of them (the non-zero
 	// ones) for a full barrier, only those touched since the previous
@@ -64,13 +63,10 @@ func (cs *CheckpointSet) Release(pm *PhysMem) {
 // every address space that maps the object (see
 // AddressSpace.ProtectObject) and for charging PTE costs.
 //
-// A full capture of a lazily restored object also takes the pages still
-// parked in its restore source. If the source cannot produce one of
-// them the barrier fails with an error wrapping ErrBackendDown (and the
-// source's own) and the object is left exactly as it was — nothing
-// captured, nothing protected, its dirty set intact: an image with a
-// hole where the page should be must never be made.
-func (o *Object) BeginCheckpoint(epoch uint64, full bool) (*CheckpointSet, error) {
+// A full capture of a lazily restored object names its restore source
+// (CheckpointSet.Source) and reads none of it: the barrier costs what
+// the object holds resident, not what it inherits, and cannot fail.
+func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
 	// Exclude in-flight writes: a write that passed its permission check
 	// before this barrier finishes its copy before we capture the frame
 	// (see Object.BeginWrite).
@@ -89,30 +85,6 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) (*CheckpointSet, error
 		Pages:     make(map[int64]*Frame, want),
 		SwapPages: make(map[int64]int64),
 	}
-	// Pages still parked in the lazy-restore source belong to the image
-	// as much as resident ones do. They are fetched first: it is the
-	// one step that can fail, and nothing has been changed yet.
-	if full && o.source != nil {
-		for _, idx := range o.source.Pages() {
-			if _, resident := o.pages[idx]; resident {
-				continue
-			}
-			if _, swapped := o.swapSlots[idx]; swapped {
-				continue
-			}
-			data := make([]byte, PageSize)
-			found, err := o.source.FetchInto(idx, data)
-			if err != nil {
-				return nil, fmt.Errorf("%w: capturing page %d of object %q from its restore source: %w", ErrBackendDown, idx, o.Name, err)
-			}
-			if found {
-				if cs.SourcePages == nil {
-					cs.SourcePages = make(map[int64][]byte)
-				}
-				cs.SourcePages[idx] = data
-			}
-		}
-	}
 	capture := func(idx int64) {
 		if f, ok := o.pages[idx]; ok {
 			f.Ref()
@@ -123,6 +95,7 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) (*CheckpointSet, error
 		}
 	}
 	if full {
+		cs.Source = o.source
 		for idx := range o.pages {
 			capture(idx)
 		}
@@ -140,7 +113,7 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) (*CheckpointSet, error
 	cs.Lines = o.dirty
 	o.dirty = make(map[int64]uint64)
 	o.epoch = epoch
-	return cs, nil
+	return cs
 }
 
 // ProtectedCount returns the number of currently write-protected pages.
@@ -239,33 +212,18 @@ func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, bool,
 		return f, false, nil
 	}
 	// Lazy restore: a write to an image-backed page pulls it in first.
-	if o.source != nil {
-		if _, ok := o.swapSlots[idx]; !ok {
-			src := o.source
-			o.mu.Unlock()
-			f, err := src.PageIn(pm, idx)
-			o.mu.Lock()
-			if err != nil {
-				return nil, false, err
-			}
-			if cur, ok := o.pages[idx]; ok {
-				pm.Free(f)
-				o.dirty[idx] = AllLines
-				return cur, false, nil
-			}
-			if f != nil {
-				o.pages[idx] = f
-				if end := (idx + 1) << PageShift; end > o.size {
-					o.size = end
-				}
-				o.dirty[idx] = AllLines
-				if meter != nil {
-					meter.PageIns.Add(1)
-				}
-				return f, false, nil
-			}
-			// The source does not hold the page: zero-fill.
+	if _, swapped := o.swapSlots[idx]; o.source != nil && !swapped {
+		o.mu.Unlock()
+		_, err := o.fetchFromSource(pm, idx, meter)
+		o.mu.Lock()
+		if err != nil {
+			return nil, false, err
 		}
+		if f, ok := o.pages[idx]; ok {
+			o.dirty[idx] = AllLines
+			return f, false, nil
+		}
+		// The source does not hold the page: zero-fill.
 	}
 	// Fall through the shadow chain: a hit there must be privately
 	// copied up into this object before writing (fork-style COW).

@@ -163,7 +163,7 @@ func TestProtectObjectByCapturedSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cs := begin(obj, 1, false)
+	cs := obj.BeginCheckpoint(1, false)
 	defer cs.Release(pm)
 	if len(cs.Pages) != 3 {
 		t.Fatalf("captured %d pages, want 3", len(cs.Pages))
@@ -205,7 +205,7 @@ func TestHeatSnapshot(t *testing.T) {
 	if m.Obj.Heat(40) != 3 || m.Obj.Heat(41) != 0 || m.Obj.Heat(1<<40) != 0 {
 		t.Fatal("Object.Heat disagrees with the snapshot")
 	}
-	if idle := begin(pm.NewObject("idle", PageSize), 1, true); idle.Heat != nil {
+	if idle := pm.NewObject("idle", PageSize).BeginCheckpoint(1, true); idle.Heat != nil {
 		t.Fatalf("untouched object has heat %v", idle.Heat)
 	}
 }
@@ -344,18 +344,16 @@ type halfSource struct {
 	err  error
 }
 
-func (s *halfSource) FetchInto(idx int64, dst []byte) (bool, error) {
-	copy(dst, fill(0xEE)[:PageSize/2])
-	if idx == 0 {
-		copy(dst[PageSize/2:], fill(0xEE))
-		return true, nil
-	}
-	return !s.miss && s.err == nil, s.err
-}
 func (s *halfSource) PageIn(pm *PhysMem, idx int64) (*Frame, error) {
-	return pm.Fill(func(dst []byte) (bool, error) { return s.FetchInto(idx, dst) })
+	return pm.Fill(func(dst []byte) (bool, error) {
+		copy(dst, fill(0xEE)[:PageSize/2])
+		if idx == 0 {
+			copy(dst[PageSize/2:], fill(0xEE))
+			return true, nil
+		}
+		return !s.miss && s.err == nil, s.err
+	})
 }
-func (s *halfSource) Pages() []int64 { return []int64{0, 1} }
 
 // TestPageInOwnsTheFrame: the source fills a recycled, un-zeroed frame
 // in place, so the frame must not be seen by anyone unless the source
@@ -417,7 +415,7 @@ func TestPageInOwnsTheFrame(t *testing.T) {
 
 // oneSource holds page 0 only, pages it in through PhysMem.Fill, and
 // counts the calls a fault makes.
-type oneSource struct{ pageIns, fetches int }
+type oneSource struct{ pageIns int }
 
 func (s *oneSource) PageIn(pm *PhysMem, idx int64) (*Frame, error) {
 	s.pageIns++
@@ -429,8 +427,6 @@ func (s *oneSource) PageIn(pm *PhysMem, idx int64) (*Frame, error) {
 		return true, nil
 	})
 }
-func (s *oneSource) FetchInto(int64, []byte) (bool, error) { s.fetches++; return false, nil }
-func (s *oneSource) Pages() []int64                        { return []int64{0} }
 
 // TestFaultAsksItsSourceOnce: a demand fault asks its source once — one
 // PageIn, which finds the page and fills a frame — and a page the
@@ -453,8 +449,5 @@ func TestFaultAsksItsSourceOnce(t *testing.T) {
 	}
 	if err := as.Write(m.Start+PageSize+8, []byte{7}); err != nil || src.pageIns != 3 {
 		t.Fatalf("write fault on a page the source lacks: %v, %d PageIn calls", err, src.pageIns)
-	}
-	if src.fetches != 0 {
-		t.Fatalf("the faults fetched %d times besides paging in", src.fetches)
 	}
 }

@@ -402,15 +402,6 @@ type PageSource interface {
 	// page then zero-fills, and no frame was taken for it — and an error
 	// when it cannot tell or cannot read.
 	PageIn(pm *PhysMem, idx int64) (*Frame, error)
-	// FetchInto writes the page into dst (PageSize bytes, contents
-	// undefined) and reports whether the source holds it. When it does
-	// the whole of dst is written, a short page zero-padded; when it
-	// does not (the page then zero-fills), or on an error, dst is left
-	// in no particular state and the caller must not use it.
-	FetchInto(idx int64, dst []byte) (found bool, err error)
-	// Pages enumerates the source's page indices, so a full
-	// checkpoint can capture pages the application never faulted in.
-	Pages() []int64
 }
 
 // SetSource attaches a lazy-restore page source.
@@ -418,13 +409,6 @@ func (o *Object) SetSource(src PageSource) {
 	o.mu.Lock()
 	o.source = src
 	o.mu.Unlock()
-}
-
-// Source returns the attached page source, if any.
-func (o *Object) Source() PageSource {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.source
 }
 
 // fetchFromSource pulls one page from the lazy-restore source into the

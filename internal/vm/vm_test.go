@@ -194,7 +194,7 @@ func TestAuroraCowPreservesSharing(t *testing.T) {
 	}
 
 	// Serialization barrier: capture and protect.
-	cs := begin(obj, 1, true)
+	cs := obj.BeginCheckpoint(1, true)
 	as1.ProtectObject(obj, cs.Pages)
 	as2.ProtectObject(obj, cs.Pages)
 	if cs.PageCount() != 1 {
@@ -270,7 +270,7 @@ func TestIncrementalNeverFlushesTwice(t *testing.T) {
 	as.Write(m.Start, make([]byte, 64*PageSize)) // dirty all 64
 
 	obj := m.Obj
-	cs1 := begin(obj, 1, false)
+	cs1 := obj.BeginCheckpoint(1, false)
 	as.ProtectObject(obj, cs1.Pages)
 	if cs1.PageCount() != 64 {
 		t.Fatalf("first incremental captured %d, want 64", cs1.PageCount())
@@ -281,7 +281,7 @@ func TestIncrementalNeverFlushesTwice(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		as.Write(m.Start+Addr(i*5*PageSize), []byte{0xab})
 	}
-	cs2 := begin(obj, 2, false)
+	cs2 := obj.BeginCheckpoint(2, false)
 	as.ProtectObject(obj, cs2.Pages)
 	if cs2.PageCount() != 3 {
 		t.Fatalf("second incremental captured %d, want 3", cs2.PageCount())
@@ -289,7 +289,7 @@ func TestIncrementalNeverFlushesTwice(t *testing.T) {
 	cs2.Release(pm)
 
 	// Nothing dirtied: third checkpoint captures nothing.
-	cs3 := begin(obj, 3, false)
+	cs3 := obj.BeginCheckpoint(3, false)
 	if cs3.PageCount() != 0 {
 		t.Fatalf("idle incremental captured %d, want 0", cs3.PageCount())
 	}
@@ -333,7 +333,7 @@ func TestDirtyLineMasks(t *testing.T) {
 		fill[i] = byte(i * 7)
 	}
 	as1.Write(m1.Start, fill)
-	cs1 := begin(obj, 1, false)
+	cs1 := obj.BeginCheckpoint(1, false)
 	for idx := int64(0); idx < 4; idx++ {
 		if cs1.Lines[idx] != AllLines {
 			t.Fatalf("zero-filled page %d: lines %#x, want all", idx, cs1.Lines[idx])
@@ -350,7 +350,7 @@ func TestDirtyLineMasks(t *testing.T) {
 	obj.MarkDirty(6, 1)
 	f, _ := pm.Alloc()
 	obj.InsertPage(pm, 6, f) // a swap-in of a dirty page
-	cs2 := begin(obj, 2, false)
+	cs2 := obj.BeginCheckpoint(2, false)
 	want := map[int64]uint64{0: 1<<1 | 1<<62, 1: 0b11, 2: 1 << 63, 3: 1, 5: AllLines, 6: AllLines}
 	if len(cs2.Lines) != len(want) {
 		t.Fatalf("dirty set %v, want %v", cs2.Lines, want)
@@ -369,7 +369,7 @@ func TestDirtyLineMasks(t *testing.T) {
 			}
 		}
 	}
-	if cs3 := begin(obj, 3, false); len(cs3.Lines) != 0 {
+	if cs3 := obj.BeginCheckpoint(3, false); len(cs3.Lines) != 0 {
 		t.Fatalf("idle barrier handed over %d dirty pages", len(cs3.Lines))
 	}
 }
@@ -380,9 +380,9 @@ func TestFullCheckpointCapturesAllResident(t *testing.T) {
 	as.Write(m.Start, make([]byte, 16*PageSize))
 	obj := m.Obj
 	// Drain the dirty set with an incremental first.
-	begin(obj, 1, false).Release(pm)
+	obj.BeginCheckpoint(1, false).Release(pm)
 	// Full mode still captures all 16 resident pages.
-	cs := begin(obj, 2, true)
+	cs := obj.BeginCheckpoint(2, true)
 	if cs.PageCount() != 16 {
 		t.Fatalf("full checkpoint captured %d, want 16", cs.PageCount())
 	}
@@ -395,7 +395,7 @@ func TestCowFaultFrameRefcounting(t *testing.T) {
 	as.Write(m.Start, []byte{1})
 	obj := m.Obj
 
-	cs := begin(obj, 1, true)
+	cs := obj.BeginCheckpoint(1, true)
 	as.ProtectObject(obj, cs.Pages)
 	before := pm.Resident()
 	as.Write(m.Start, []byte{2}) // COW fault: +1 frame
@@ -415,7 +415,7 @@ func TestBarrierPTECost(t *testing.T) {
 	obj := m.Obj
 
 	meter.PTEOps.Store(0)
-	cs := begin(obj, 1, true)
+	cs := obj.BeginCheckpoint(1, true)
 	ops := as.ProtectObject(obj, cs.Pages)
 	if ops != 32 {
 		t.Fatalf("protect ops = %d, want 32 (one per writable PTE)", ops)
@@ -543,7 +543,7 @@ func TestCheckpointCapturesSwappedDirtyPages(t *testing.T) {
 	if _, err := pg.Reclaim(4); err != nil {
 		t.Fatal(err)
 	}
-	cs := begin(m.Obj, 1, false)
+	cs := m.Obj.BeginCheckpoint(1, false)
 	if len(cs.SwapPages)+cs.PageCount() != 4 {
 		t.Fatalf("checkpoint saw %d mem + %d swap pages, want 4 total",
 			cs.PageCount(), len(cs.SwapPages))
@@ -556,7 +556,7 @@ func TestCheckpointCapturesSwappedDirtyPages(t *testing.T) {
 func TestProtectedPagesNotEvicted(t *testing.T) {
 	as, m, pg, pm := pagerFixture(t)
 	as.Write(m.Start, make([]byte, 8*PageSize))
-	cs := begin(m.Obj, 1, true)
+	cs := m.Obj.BeginCheckpoint(1, true)
 	as.ProtectObject(m.Obj, cs.Pages)
 	n, err := pg.Reclaim(8)
 	if err != nil {
@@ -651,7 +651,7 @@ func TestQuickCheckpointImmutability(t *testing.T) {
 	}
 	as.Write(m.Start, initial)
 
-	cs := begin(m.Obj, 1, true)
+	cs := m.Obj.BeginCheckpoint(1, true)
 	as.ProtectObject(m.Obj, cs.Pages)
 	snapshot := make(map[int64][]byte)
 	for idx, f := range cs.Pages {
@@ -669,4 +669,59 @@ func TestQuickCheckpointImmutability(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs.Release(pm)
+}
+
+// countingSource holds pages [0, n), each filled with its index's low
+// byte, and counts the pages asked of it.
+type countingSource struct{ n, pageIns int }
+
+func (s *countingSource) PageIn(pm *PhysMem, idx int64) (*Frame, error) {
+	s.pageIns++
+	if idx >= int64(s.n) {
+		return nil, nil
+	}
+	return pm.Fill(func(dst []byte) (bool, error) {
+		copy(dst, fill(byte(idx)))
+		return true, nil
+	})
+}
+
+// TestFullBarrierReadsNoSourcePage: a full barrier over an object with
+// 1,024 pages parked in its restore source reads none of them. It
+// captures what is resident and names the source; an incremental one
+// names none.
+func TestFullBarrierReadsNoSourcePage(t *testing.T) {
+	const parked = 1024
+	as, pm, _ := testSpace(t)
+	m, err := as.MapAnon(parked*PageSize, ProtRead|ProtWrite, false, "heap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{n: parked}
+	m.Obj.SetSource(src)
+	buf := make([]byte, 8)
+	if err := as.Read(m.Start, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Write(m.Start+3*PageSize, []byte{9}); err != nil {
+		t.Fatal(err)
+	}
+	pageIns := src.pageIns
+	cs := m.Obj.BeginCheckpoint(1, true)
+	as.ProtectObject(m.Obj, cs.Pages)
+	if src.pageIns != pageIns {
+		t.Fatalf("the full barrier read its restore source: %d page-ins", src.pageIns-pageIns)
+	}
+	if cs.Source != PageSource(src) || len(cs.Pages) != 2 {
+		t.Fatalf("full capture: source %v, %d pages; want the object's source and its 2 resident pages", cs.Source, len(cs.Pages))
+	}
+	cs.Release(pm)
+	if err := as.Write(m.Start, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	inc := m.Obj.BeginCheckpoint(2, false)
+	defer inc.Release(pm)
+	if inc.Source != nil || len(inc.Pages) != 1 || src.pageIns != pageIns {
+		t.Fatalf("incremental capture: source %v, %d pages, %d page-ins; want none, 1, 0", inc.Source, len(inc.Pages), src.pageIns-pageIns)
+	}
 }
