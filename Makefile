@@ -93,11 +93,14 @@ faultcheck:
 ## store down), and a rollback to it before that flush restores bit for
 ## bit or, with the store down, fails typed and leaves the group running;
 ## Encode holds the frames it reads across a release of its chain, and
-## the fleet budget charges inherited pages; a line page's demand fault
+## the fleet budget charges inherited pages; a restore of an image that
+## holds its pages by name (lazily loaded, or that first barrier unflushed)
+## reads none of them before the first fault and pins the epoch it pages
+## from; a line page's demand fault
 ## is one lookup and one device read; and the store's records survive
 ## every put, drop and Sync+Open as a reference model has them.
 recoverycheck:
-	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState' \
+	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestRestoreAttachesWhatAnImageHoldsByName|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState' \
 		./internal/core/ ./internal/vm/ ./internal/netback/ ./internal/objstore/ ./cmd/sls/
 
 ## chaoscheck: whole-system chaos harness under the race detector —

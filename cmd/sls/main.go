@@ -1151,31 +1151,14 @@ func (s *session) exec(line string) bool {
 		if err != nil {
 			return fail(err)
 		}
-		// Drain the flush pipeline first: what leaves the machine must
-		// be the durable state, not an epoch still in flight.
-		if err := s.o.Sync(g); err != nil {
-			return fail(err)
-		}
-		img := g.LastImage()
-		if img == nil || !img.Resolvable() {
-			for _, b := range g.Backends() {
-				if li, _, err := b.Load(g.ID, 0); err == nil {
-					img = li
-					break
-				}
-			}
-		}
-		if img == nil {
-			return fail(core.ErrNoImage)
-		}
-		payload, err := img.Encode(s.k.Mem)
+		payload, epoch, err := s.o.Encode(g)
 		if err != nil {
 			return fail(err)
 		}
 		if err := os.WriteFile(args[1], payload, 0o644); err != nil {
 			return fail(err)
 		}
-		s.printf("sent group %d epoch %d: %d bytes -> %s\n", g.ID, img.Epoch, len(payload), args[1])
+		s.printf("sent group %d epoch %d: %d bytes -> %s\n", g.ID, epoch, len(payload), args[1])
 
 	case "recv":
 		if len(args) < 1 {

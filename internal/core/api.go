@@ -108,8 +108,14 @@ func (a *API) Rollback(p *kernel.Process) (*Group, *RollbackNotice, error) {
 		return nil, nil, ErrNoImage
 	}
 
-	// Read the state before the current incarnation goes: a rollback that
-	// cannot (its store is down) fails with the group still running.
+	// Read what the chain holds by name before the current incarnation
+	// goes: a rollback that cannot (its store is down) fails with the
+	// group still running.
+	for cur := img; cur != nil; cur = cur.base() {
+		if _, err := cur.readPages(nil); err != nil {
+			return nil, nil, err
+		}
+	}
 	st, err := img.resolve(a.O.K.Mem, false)
 	if err != nil {
 		return nil, nil, err

@@ -331,8 +331,9 @@ func (sb *StoreBackend) Load(group, epoch uint64) (*Image, time.Duration, error)
 }
 
 // LoadLazy reads the checkpoint's metadata but leaves page data in the
-// store, behind its live page view (MemImage.View): restore attaches a
-// fault-tolerant demand-paging source instead of materializing bytes.
+// store: each object holds its pages by name (MemImage.Inherit), in a
+// fault-tolerant demand-paging source pinned at the loaded epoch, which
+// restore attaches instead of materializing bytes.
 // This is what makes lazy restores actually lazy at the device level —
 // and what makes a mid-restore backend failure survivable, because
 // each faulted page can fail over to a peer.
@@ -376,20 +377,15 @@ func (sb *StoreBackend) load(group, epoch uint64, lazy bool) (*Image, time.Durat
 				return nil, 0, err
 			}
 			if key.OID&vmBit != 0 {
-				mi, err := sb.loadObject(group, key.OID, m.Epoch, lazy)
+				mi, err := sb.loadObject(group, rec, m.Epoch, lazy)
 				if err != nil {
 					return nil, 0, err
 				}
 				img.Memory[mi.ObjID] = mi
-				idxBytes += 64 + 40*mi.View.Len()
+				idxBytes += 64 + 40*mi.PageCount()
 			} else {
-				meta, kind, err := sb.store.ResolveMeta(group, key.OID, m.Epoch)
-				if err != nil {
-					return nil, 0, err
-				}
-				img.Meta = append(img.Meta, MetaRec{OID: key.OID, Kind: kernel.Kind(kind), Data: meta})
-				idxBytes += 64 + len(meta)
-				_ = rec
+				img.Meta = append(img.Meta, MetaRec{OID: key.OID, Kind: kernel.Kind(rec.Kind), Data: rec.Meta})
+				idxBytes += 64 + len(rec.Meta)
 			}
 		}
 		if cur.Prev == 0 {
@@ -402,7 +398,6 @@ func (sb *StoreBackend) load(group, epoch uint64, lazy bool) (*Image, time.Durat
 		cur = next
 	}
 	if lazy {
-		img.source = sb
 		// A lazy load defers the data blocks but still reads the
 		// persisted index entries that locate them: bill that.
 		sb.store.ChargeIndexRead(idxBytes)
@@ -410,26 +405,26 @@ func (sb *StoreBackend) load(group, epoch uint64, lazy bool) (*Image, time.Durat
 	return img, sw.Elapsed(), nil
 }
 
-// loadObject reads one VM object's resolved pages into a MemImage:
-// bytes for eager loads, the store's page view for lazy ones.
-func (sb *StoreBackend) loadObject(group, oid, epoch uint64, lazy bool) (*MemImage, error) {
-	meta, _, err := sb.store.ResolveMeta(group, oid, epoch)
-	if err != nil {
-		return nil, err
-	}
-	mi, err := decodeVMObjMeta(meta)
+// loadObject reads one VM object at epoch, rec its newest record, into
+// a MemImage: its pages as bytes for eager loads, by name for lazy ones.
+func (sb *StoreBackend) loadObject(group uint64, rec *objstore.Record, epoch uint64, lazy bool) (*MemImage, error) {
+	mi, err := decodeVMObjMeta(rec.Meta)
 	if err != nil {
 		return nil, err
 	}
 	if lazy {
-		if mi.View, err = sb.store.ResolveView(group, oid, epoch); err != nil {
+		view, err := sb.store.ResolveView(group, rec.OID, epoch)
+		if err != nil {
 			return nil, err
+		}
+		if view.Len() > 0 {
+			mi.Inherit = &lazyPageSource{sb: sb, view: view, pinGroup: group, pinEpoch: epoch}
 		}
 		return mi, nil
 	}
 	// One batched read: the device overlaps the blocks (and the line
 	// entries' bases and patches) at queue depth.
-	if mi.SwapData, mi.Heat, err = sb.store.ReadPages(group, oid, epoch); err != nil {
+	if mi.SwapData, mi.Heat, err = sb.store.ReadPages(group, rec.OID, epoch); err != nil {
 		return nil, err
 	}
 	return mi, nil

@@ -127,12 +127,13 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 		for _, space := range to.spaces {
 			space.ProtectObject(to.obj, cs.Pages)
 		}
+		inherit, _ := cs.Source.(*lazyPageSource) // a restore attaches no other kind
 		mi := &MemImage{
 			ObjID:   to.obj.ID,
 			Name:    to.obj.Name,
 			Size:    to.obj.Size(),
 			Pages:   cs.Pages,
-			Inherit: cs.Source,
+			Inherit: inherit,
 			Heat:    cs.Heat,
 			Lines:   cs.Lines,
 		}

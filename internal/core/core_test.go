@@ -753,11 +753,11 @@ func TestImageEncodeDecodeRoundTrip(t *testing.T) {
 // counter with no checkpoint in between. So does the file of the
 // restored group's first checkpoint, which is full and holds the pages
 // it inherits by name until its flush or Encode reads them — taken as a
-// checkpoint with its flush running under the Encode (which pins the
-// frames it reads; should the flush finish and release the image first,
-// Encode refuses it and the store's copy is sent), and with SkipFlush. A
-// chain that reaches a released image, or a store view with no store to
-// read it from, is refused.
+// checkpoint whose flush runs in the background, sent as `sls send`
+// sends it (Orchestrator.Encode: the flush drained first, the store's
+// copy sent once the flush released the image), and with SkipFlush,
+// encoded before any flush. A chain that reaches a released image is
+// refused.
 func TestEncodeAfterLazyRestore(t *testing.T) {
 	r := newRig(t)
 	p := spawnCounter(t, r)
@@ -802,13 +802,13 @@ func TestEncodeAfterLazyRestore(t *testing.T) {
 		if !img.Full {
 			t.Fatalf("the restored group's first checkpoint is %v, want a full one", img)
 		}
-		file, err := img.Encode(r.k.Mem)
-		if errors.Is(err, ErrNoImage) && tc.opts == (CheckpointOpts{}) && img.Released() {
-			// The flush got there first and gave the frames back: now only
-			// the store can send the epoch, and `sls send` loads it there.
-			var li *Image
-			if li, _, err = r.store.Load(ng.ID, img.Epoch); err == nil {
-				file, err = li.Encode(r.k.Mem)
+		var file []byte
+		if tc.opts.SkipFlush {
+			file, err = img.Encode(r.k.Mem)
+		} else {
+			var epoch uint64
+			if file, epoch, err = r.o.Encode(ng); err == nil && epoch != img.Epoch {
+				t.Fatalf("Orchestrator.Encode sent epoch %d, want %d", epoch, img.Epoch)
 			}
 		}
 		if err != nil {
@@ -827,15 +827,6 @@ func TestEncodeAfterLazyRestore(t *testing.T) {
 	base.Release(pm)
 	if file, err := top.Encode(pm); !errors.Is(err, ErrNoImage) || file != nil {
 		t.Fatalf("Encode over a released image: %d bytes, err = %v; want none and ErrNoImage", len(file), err)
-	}
-	// A store view with no store named to read it from fails closed too.
-	lazy, _, err := r.store.LoadLazy(g.ID, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy.source = nil
-	if file, err := lazy.Encode(r.k.Mem); !errors.Is(err, ErrNoImage) || file != nil {
-		t.Fatalf("Encode of a store view with no store: %d bytes, err = %v; want none and ErrNoImage", len(file), err)
 	}
 }
 

@@ -159,18 +159,45 @@ func TestRestoreResolvesItsChainOnce(t *testing.T) {
 // TestEncodeHoldsTheFramesItReads: Encode may read a chain that its
 // flush releases meanwhile. The frames it resolved hold a reference
 // from the allocator until it returns, so a release while Encode waits
-// further down the chain (on the read of an older image's inherited
-// pages) hands none of them out again, and the file holds the pages as
-// the barrier captured them.
+// on its read of the pages the chain holds by name (a lazily loaded
+// base's, in a store) hands none of them out again, and the file holds
+// the pages as the barrier captured them.
 func TestEncodeHoldsTheFramesItReads(t *testing.T) {
-	pm := vm.NewPhysMem(0)
-	base := codecImage(t, pm, 1, true, 4, distinctFill)
-	top := codecImage(t, pm, 2, false, 4, func(id uint64, i int) byte { return distinctFill(id, i) + 100 })
+	r := newRig(t)
+	p := spawnCounter(t, r)
+	touchedHeap(t, p, 8)
+	g, _ := r.o.Persist("app", p)
+	r.o.Attach(g, r.store)
+	if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.o.Sync(g); err != nil {
+		t.Fatal(err)
+	}
+	base, _, err := r.store.LoadLazy(g.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := r.k.Mem
+	top := codecImage(t, pm, base.Epoch+1, false, 4, func(id uint64, i int) byte { return distinctFill(id, i) + 100 })
 	top.Prev = base
 	want := encoded(t, top, pm)
 	f := top.Memory[3].Pages[0]
 
-	base.readMu.Lock() // Encode resolves top, then waits here
+	// Encode resolves top, then waits here, in the read of the store's
+	// pages of whichever object it reads first.
+	var stalled []*lazyPageSource
+	for _, mi := range base.Memory {
+		if mi.Inherit != nil {
+			mi.Inherit.readMu.Lock()
+			stalled = append(stalled, mi.Inherit)
+		}
+	}
+	resume := func() {
+		for _, src := range stalled {
+			src.readMu.Unlock()
+		}
+	}
 	type result struct {
 		file []byte
 		err  error
@@ -182,7 +209,7 @@ func TestEncodeHoldsTheFramesItReads(t *testing.T) {
 	}()
 	for deadline := time.Now().Add(10 * time.Second); f.Refs() < 2; runtime.Gosched() {
 		if time.Now().After(deadline) {
-			base.readMu.Unlock()
+			resume()
 			t.Fatal("Encode took no reference to the frames it resolved")
 		}
 	}
@@ -196,7 +223,7 @@ func TestEncodeHoldsTheFramesItReads(t *testing.T) {
 			g.Data[j] = 0xEE
 		}
 	}
-	base.readMu.Unlock()
+	resume()
 	got := <-done
 	if got.err != nil || !bytes.Equal(got.file, want) {
 		t.Fatalf("Encode across a release of the image it read: %d bytes, %v; want the file it wrote before", len(got.file), got.err)

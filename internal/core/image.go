@@ -8,6 +8,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -43,18 +44,14 @@ type MemImage struct {
 	// SwapData holds pages that were on swap at the barrier, already
 	// read back as bytes, and those readPages read for Inherit.
 	SwapData map[int64][]byte
-	// Inherit is the restore source a full barrier found the object still
-	// paging from (vm.CheckpointSet.Source): the image holds the source's
-	// pages that are in neither Pages nor SwapData by name, until
-	// readPages reads them into SwapData off the barrier and clears this.
-	Inherit vm.PageSource
-	// View locates pages still sitting in an object store: a lazily
-	// loaded image (StoreBackend.LoadLazy) carries the store's live
-	// page view instead of bytes, and restore attaches a demand-paging
-	// source that looks up, reads — and hash-verifies — each block at
-	// first touch. Nothing here is sized by the image; its heat, too,
-	// stays in the store until a prefetch asks the view for it.
-	View *objstore.PageView
+	// Inherit holds by name the pages that are in neither Pages nor
+	// SwapData: the restore source a full barrier found the object still
+	// paging from (vm.CheckpointSet.Source), or a lazily loaded image's
+	// (StoreBackend.LoadLazy) over the store's live page view. Restore
+	// attaches it; readPages reads it into SwapData and clears this.
+	// Nothing here is sized by the image; a lazily loaded image's heat,
+	// too, stays in the store until a prefetch asks the view for it.
+	Inherit *lazyPageSource
 	// Heat is the access counts driving restore prefetch, in ascending
 	// page order, as the barrier took them (vm.CheckpointSet.Heat): all
 	// non-zero counters in a full image, those touched since the
@@ -69,8 +66,8 @@ type MemImage struct {
 	Lines map[int64]uint64
 }
 
-// PageCount returns the total captured page count.
-func (mi *MemImage) PageCount() int { return len(mi.Pages) + len(mi.SwapData) + mi.View.Len() }
+// PageCount returns how many distinct pages the image holds, by name too.
+func (mi *MemImage) PageCount() int { return countPages(mi.Pages, mi.SwapData, mi.Inherit) }
 
 // PageData returns one page's bytes regardless of where it was
 // captured from, or nil.
@@ -105,16 +102,9 @@ type Image struct {
 	// when the chain was consolidated).
 	Prev *Image
 
-	// source is the store backend a lazily loaded image demand-pages
-	// from (nil for fully materialized images); peers are consulted,
-	// by content hash, when the source fails a page read.
-	source *StoreBackend
-	peers  []BlockProvider
-
 	mu       sync.Mutex
 	released bool
-	sources  []*lazyPageSource // demand-paging sources created by restore
-	readMu   sync.Mutex        // readPages reads an image once
+	readMu   sync.Mutex // readPages reads an image once
 
 	// The PageHashes memo: hashMu guards pages, which are valid once
 	// hashDone is set; hashed is how many of them were hashed here and
@@ -128,22 +118,16 @@ type Image struct {
 }
 
 // AddBlockPeer registers a peer block provider (another store, a
-// netback replica) that demand paging may fail over to when the
-// image's primary store cannot serve a page.
+// netback replica) that demand paging may fail over to when the store
+// holding the image's pages by name cannot serve one.
 func (img *Image) AddBlockPeer(p BlockProvider) {
 	img.mu.Lock()
-	img.peers = append(img.peers, p)
-	img.mu.Unlock()
-}
-
-// takeSources drains the lazy sources restore created for this image,
-// so the restored group can adopt them (health binding, repair stats).
-func (img *Image) takeSources() []*lazyPageSource {
-	img.mu.Lock()
 	defer img.mu.Unlock()
-	out := img.sources
-	img.sources = nil
-	return out
+	for _, mi := range img.Memory {
+		if mi.Inherit != nil {
+			mi.Inherit.addPeer(p)
+		}
+	}
 }
 
 // MetaBytes totals the metadata payload size.
@@ -166,18 +150,14 @@ func (img *Image) PageCount() int {
 
 // FootprintBytes reports the memory this image pins while it waits to
 // flush: captured frames, swap-page copies and the pages its flush reads
-// for Inherit (every page of the source: an upper bound). A store view is
-// excluded — it points at store blocks, not RAM. This is what the
-// fleet's global memory budget charges per queued image.
+// for Inherit (every page of the source: an upper bound). This is what
+// the fleet's global memory budget charges per queued image.
 func (img *Image) FootprintBytes() int64 {
 	var n int64
 	for _, mi := range img.Memory {
 		n += int64(len(mi.Pages)+len(mi.SwapData)) * vm.PageSize
-		switch src := mi.Inherit.(type) {
-		case *lazyPageSource:
-			n += int64(src.view.Len()) * vm.PageSize
-		case *imagePageSource:
-			n += int64(len(src.pages)) * vm.PageSize
+		if src := mi.Inherit; src != nil {
+			n += int64(len(src.bytes)+src.view.Len()) * vm.PageSize
 		}
 	}
 	return n
@@ -350,8 +330,8 @@ func mergeSums(older, newer []PageHash) []PageHash {
 type chainState struct {
 	meta []MetaRec
 	objs map[uint64]*objectState
-	// own counts the pages the image itself captured (not the chain
-	// under it): what a restore's metadata charge is sized by.
+	// own counts the pages the image itself holds (not the chain under
+	// it): what a restore's metadata charge is sized by.
 	own int64
 	// pinned is the allocator the frames below hold a reference from
 	// (nil: none taken).
@@ -364,9 +344,7 @@ type objectState struct {
 	size   int64
 	frames map[int64]*vm.Frame // captured frames
 	bytes  map[int64][]byte    // swap pages, already read back
-	view   *objstore.PageView  // store-resident pages of a lazily loaded image,
-	store  *StoreBackend       // in this store,
-	peers  []BlockProvider     // whose peers hold them too
+	src    *lazyPageSource     // the pages neither map holds, by name (MemImage.Inherit)
 	heat   []vm.PageHeat       // the chain's heat merged, if the walk was asked for it
 }
 
@@ -382,25 +360,19 @@ func (o *objectState) has(idx int64) bool {
 // nearest full one, reading each under its lock. Any image on the way
 // that has been released makes it ErrNoImage: that part of the history
 // now lives in a backend only, and resolving around the hole would pass
-// off a partial state as the whole. With pin set — the caller uses the
-// state, not only checks it — each image's pages held by name are read
-// first (readPages), and every frame collected takes a reference from
-// pin, so that a release of the chain after this walk cannot take the
-// frames from under the caller, who drops them with unpin. With heat set
-// each object's heat deltas are merged (vm.MergeHeat) into a list of the
-// state's own — the one part of a state only a prefetching restore and
-// Encode read, so the walks that do not need it merge and allocate
-// nothing for it.
+// off a partial state as the whole. It reads no page: the state carries
+// the source an object's pages are held by name in (only a full image
+// has one). With pin set — the caller uses the state, not only checks
+// it — every frame collected takes a reference from pin, so that a
+// release of the chain after this walk cannot take the frames from under
+// the caller, who drops them with unpin. With heat set each object's
+// heat deltas are merged (vm.MergeHeat) into a list of the state's own —
+// the one part of a state only a prefetching restore and Encode read, so
+// the walks that do not need it merge and allocate nothing for it.
 func (img *Image) resolve(pin *vm.PhysMem, heat bool) (*chainState, error) {
 	st := &chainState{meta: make([]MetaRec, 0, len(img.Meta)), objs: make(map[uint64]*objectState, len(img.Memory)), pinned: pin}
 	seen := make(map[uint64]bool, len(img.Meta))
 	for cur := img; cur != nil; {
-		if pin != nil {
-			if _, err := cur.readPages(nil); err != nil {
-				st.unpin()
-				return nil, err
-			}
-		}
 		cur.mu.Lock()
 		if cur.released {
 			cur.mu.Unlock()
@@ -442,11 +414,11 @@ func (img *Image) resolve(pin *vm.PhysMem, heat bool) (*chainState, error) {
 					o.bytes[idx] = d
 				}
 			}
-			if o.view == nil && mi.View != nil {
-				o.view, o.store, o.peers = mi.View, cur.source, cur.peers
+			if o.src == nil {
+				o.src = mi.Inherit
 			}
 			if heat {
-				o.mergeHeat(mi)
+				o.mergeHeat(cur, mi)
 			}
 		}
 		prev, full := cur.Prev, cur.Full
@@ -459,17 +431,21 @@ func (img *Image) resolve(pin *vm.PhysMem, heat bool) (*chainState, error) {
 	return st, nil
 }
 
-// mergeHeat folds the heat of mi, one image older than what o holds so
-// far, under o's. An image's own list is copied first: images are
-// shared, and the merge works in place. A lazily loaded image's heat is
-// still in the store, and its view resolves a copy.
-func (o *objectState) mergeHeat(mi *MemImage) {
+// mergeHeat folds the heat of mi, an object of img one image older than
+// what o holds so far, under o's. An image's own list is copied first:
+// images are shared, and the merge works in place. A lazily loaded
+// image's heat is still in the store, and its view (pinned at the
+// image's own epoch, unlike a barrier's source) resolves a copy.
+func (o *objectState) mergeHeat(img *Image, mi *MemImage) {
 	older := slices.Clone(mi.Heat)
-	if mi.View != nil {
-		older = vm.MergeHeat(mi.View.Heat(), older)
+	if src := mi.Inherit; src != nil && src.pinGroup == img.Group && src.pinEpoch == img.Epoch {
+		older = vm.MergeHeat(src.view.Heat(), older)
 	}
 	o.heat = vm.MergeHeat(older, o.heat)
 }
+
+// pageCount is how many distinct pages the state holds.
+func (o *objectState) pageCount() int { return countPages(o.frames, o.bytes, o.src) }
 
 // unpin drops the references resolve took.
 func (st *chainState) unpin() {
@@ -494,10 +470,20 @@ func (st *chainState) objectIDs() []uint64 {
 	return ids
 }
 
+// base returns the image img builds on: nil when img is full.
+func (img *Image) base() *Image {
+	img.mu.Lock()
+	defer img.mu.Unlock()
+	if img.Full {
+		return nil
+	}
+	return img.Prev
+}
+
 // Resolvable reports whether the state at this image can still be
 // resolved from memory: neither it nor any image it builds on has been
-// released. It reads nothing: pages an image holds by name (Inherit, a
-// View) count as resolvable.
+// released. It reads nothing: pages an image holds by name (Inherit)
+// count as resolvable.
 func (img *Image) Resolvable() bool {
 	_, err := img.resolve(nil, false)
 	return err == nil
@@ -507,22 +493,12 @@ func (img *Image) Resolvable() bool {
 // bytes captured for it along the chain, or nil when the chain holds
 // none (or reaches a released image before it finds them).
 func (img *Image) ResolvePage(objID uint64, idx int64) []byte {
-	for cur := img; cur != nil; {
-		cur.mu.Lock()
-		released, prev := cur.released, cur.Prev
-		cur.mu.Unlock()
-		if released {
-			return nil
-		}
+	for cur := img; cur != nil && !cur.Released(); cur = cur.base() {
 		if mi, ok := cur.Memory[objID]; ok {
 			if data := mi.PageData(idx); data != nil {
 				return data
 			}
 		}
-		if cur.Full {
-			return nil
-		}
-		cur = prev
 	}
 	return nil
 }
@@ -531,12 +507,12 @@ func (img *Image) ResolvePage(objID uint64, idx int64) []byte {
 // effective state at this epoch — for file export (`sls send`): a full
 // image in the delta layout, every page literal, which DecodeImage reads
 // back. Objects go by ascending ID and pages by ascending index, so one
-// chain always encodes to the same bytes, and pages a lazily restored
-// group keeps in a store are read through readPages. The frames it reads
-// hold a reference from pm, the allocator they came from, until it
-// returns, so a flush that releases the chain meanwhile cannot take them.
-// A chain that reaches a released image, or a store view with no store
-// to read it from, is ErrNoImage: the bytes would not be the whole state.
+// chain always encodes to the same bytes, and pages the chain holds by
+// name (a lazily restored group's, in a store) are read through
+// readPages. The frames it reads hold a reference from pm, the allocator
+// they came from, until it returns, so a flush that releases the chain
+// meanwhile cannot take them. A chain that reaches a released image is
+// ErrNoImage: the bytes would not be the whole state.
 func (img *Image) Encode(pm *vm.PhysMem) ([]byte, error) {
 	st, err := img.resolve(pm, true)
 	if err != nil {
@@ -546,20 +522,33 @@ func (img *Image) Encode(pm *vm.PhysMem) ([]byte, error) {
 	full := &Image{Group: img.Group, Epoch: img.Epoch, Gen: img.Gen, Name: img.Name, Full: true,
 		Meta: st.meta, Memory: make(map[uint64]*MemImage, len(st.objs)), Roots: img.Roots}
 	for id, o := range st.objs {
-		mi := &MemImage{ObjID: id, Name: o.name, Size: o.size, Pages: o.frames, SwapData: o.bytes, Heat: o.heat}
-		if o.view.Len() > 0 {
-			if o.store == nil {
-				return nil, fmt.Errorf("%w: image of group %d epoch %d keeps pages of object %d in a store it does not name",
-					ErrNoImage, img.Group, img.Epoch, id)
-			}
-			mi.Inherit = newLazyPageSource(nil, o.store, o.view, o.peers)
-		}
-		full.Memory[id] = mi
+		full.Memory[id] = &MemImage{ObjID: id, Name: o.name, Size: o.size, Pages: o.frames, SwapData: o.bytes, Inherit: o.src, Heat: o.heat}
 	}
 	if _, err := full.readPages(nil); err != nil {
 		return nil, err
 	}
 	return full.EncodeDelta(), nil
+}
+
+// Encode is Image.Encode of g's newest state (`sls send`), and its
+// epoch. It drains the flush pipeline first, so the durable state leaves
+// the machine, loaded from a backend once the flush released the image.
+func (o *Orchestrator) Encode(g *Group) ([]byte, uint64, error) {
+	if err := o.Sync(g); err != nil {
+		return nil, 0, err
+	}
+	if img := g.LastImage(); img != nil {
+		if file, err := img.Encode(o.K.Mem); !errors.Is(err, ErrNoImage) {
+			return file, img.Epoch, err
+		}
+	}
+	for _, b := range g.Backends() {
+		if img, _, err := b.Load(g.ID, 0); err == nil {
+			file, err := img.Encode(o.K.Mem)
+			return file, img.Epoch, err
+		}
+	}
+	return nil, 0, fmt.Errorf("%w: group %d", ErrNoImage, g.ID)
 }
 
 // DecodeImage parses what Encode writes into a standalone full image: an

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"aurora/internal/kernel"
@@ -432,4 +433,125 @@ func TestRollbackWhileRestoreSourceDown(t *testing.T) {
 	}
 	bp, _ := r.k.Process(back.PIDs()[0])
 	heapHolds(t, bp, pages)
+}
+
+// TestRestoreAttachesWhatAnImageHoldsByName: a restore pages what an
+// image holds by name from where it is held, and reads none of it up
+// front. Both images that hold pages by name — a lazily loaded one, and
+// the unflushed SkipFlush first epoch of the group restored from it —
+// restore lazily without a device read before the first fault, and
+// their heaps hold. The group restored from the second pages from the
+// store epoch the first was loaded at, and pins it itself: that epoch
+// survives the HistoryLimit trims of its lineage after the group it came
+// from is gone.
+func TestRestoreAttachesWhatAnImageHoldsByName(t *testing.T) {
+	const pages = 64
+	r := newRig(t)
+	r.store.HistoryLimit = 2
+	p := spawnCounter(t, r)
+	touchedHeap(t, p, pages)
+	g, _ := r.o.Persist("app", p)
+	r.o.Attach(g, r.store)
+	durable := func() {
+		t.Helper()
+		if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.o.Sync(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	durable()
+	dev := r.store.Store().Device()
+	restore := func(img *Image, what string) (*Group, *kernel.Process) {
+		t.Helper()
+		reads := dev.Stats().Reads
+		ng, _, err := r.o.RestoreImage(img, 0, RestoreOpts{Lazy: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := dev.Stats().Reads - reads; n != 0 {
+			t.Fatalf("the lazy restore of %s read the device %d times before its first fault", what, n)
+		}
+		np, err := r.k.Process(ng.PIDs()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ng, np
+	}
+	loaded, _, err := r.store.LoadLazy(g.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ng, np := restore(loaded, "a lazily loaded image")
+	if _, err := r.o.Checkpoint(ng, CheckpointOpts{SkipFlush: true}); err != nil {
+		t.Fatal(err)
+	}
+	ng2, np2 := restore(ng.LastImage(), "an unflushed epoch holding its pages by name")
+	heapHolds(t, np, pages)
+
+	r.k.Exit(np, 0)
+	if err := r.k.Reap(np); err != nil {
+		t.Fatal(err)
+	}
+	r.o.Unpersist(ng)
+	fill := make([]byte, vm.PageSize)
+	for round := 1; round <= 4; round++ {
+		for i := range fill {
+			fill[i] = byte(0xA0 + round)
+		}
+		for pg := 0; pg < pages; pg++ {
+			if err := p.WriteMem(p.HeapBase()+vm.Addr(pg*vm.PageSize), fill); err != nil {
+				t.Fatal(err)
+			}
+		}
+		durable()
+	}
+	if got := r.store.Epochs(g.ID); len(got) != 2 || got[0] != loaded.Epoch {
+		t.Fatalf("store holds epochs %v of the origin lineage, want epoch %d and the newest", got, loaded.Epoch)
+	}
+	heapHolds(t, np2, pages)
+	r.o.Unpersist(ng2)
+}
+
+// TestClaimAdoptsOnce: of the restores that claim one lazily loaded
+// image's store source at once, exactly one adopts it; every other gets
+// a source of its own over the same store, view, pin and peers, so each
+// restored group pins the epoch it pages from itself.
+func TestClaimAdoptsOnce(t *testing.T) {
+	r := newFlushRig(t, 16, 0)
+	img, _, err := r.store.LoadLazy(r.g.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.AddBlockPeer(r.store)
+	var src *lazyPageSource
+	for _, mi := range img.Memory {
+		if mi.Inherit != nil {
+			src = mi.Inherit
+		}
+	}
+	got := make([]*lazyPageSource, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = src.claim(r.o, nil)
+		}(i)
+	}
+	wg.Wait()
+	adopted := 0
+	for _, c := range got {
+		switch {
+		case c == src:
+			adopted++
+		case c.o != r.o || c.sb != src.sb || c.view != src.view || c.pinGroup != r.g.ID || c.pinEpoch != img.Epoch || c.peerCount() != 1:
+			t.Fatalf("a claimed copy pins (%d, %d) with %d peers, or names another store or view; want the source's (%d, %d), 1 peer",
+				c.pinGroup, c.pinEpoch, c.peerCount(), src.pinGroup, src.pinEpoch)
+		}
+	}
+	if adopted != 1 {
+		t.Fatalf("%d restores adopted the source, want exactly one", adopted)
+	}
 }

@@ -49,11 +49,16 @@ type RecoveryStats struct {
 	Retries       int64 // extra primary read attempts
 }
 
-// lazyPageSource implements vm.PageSource over the object store's live
-// page view, with bounded retry, peer failover, and read-repair.
+// lazyPageSource implements vm.PageSource for a restored object's pages
+// that are not frames: bytes (swap pages, a store Load's), in front of
+// an object store's pages at one epoch, found through its live page view
+// and read with bounded retry, peer failover, and read-repair. An image
+// holds pages by name in one (MemImage.Inherit).
 type lazyPageSource struct {
-	o    *Orchestrator
-	sb   *StoreBackend
+	bytes map[int64][]byte // immutable: shared with the images they came from
+
+	o    *Orchestrator // the one whose restore claimed the source; nil before
+	sb   *StoreBackend // nil: the source holds bytes only
 	view *objstore.PageView
 
 	// pinGroup/pinEpoch name the store epoch the view resolves at.
@@ -79,8 +84,51 @@ type lazyPageSource struct {
 	reader objstore.PageReader
 }
 
-func newLazyPageSource(o *Orchestrator, sb *StoreBackend, view *objstore.PageView, peers []BlockProvider) *lazyPageSource {
-	return &lazyPageSource{o: o, sb: sb, view: view, peers: peers}
+// claim returns the source a restore by o attaches for an object whose
+// state holds bytes in front of s (nil: no source): s itself, the first
+// time and with no bytes, else a new source of those bytes over s's. A
+// source is the group's its restore binds it to — its faults drive that
+// group's health — and each restored group pins its epoch itself.
+func (s *lazyPageSource) claim(o *Orchestrator, bytes map[int64][]byte) *lazyPageSource {
+	if s == nil {
+		return &lazyPageSource{o: o, bytes: bytes}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.o == nil && len(bytes) == 0 {
+		s.o = o
+		return s
+	}
+	merged := bytes
+	if len(s.bytes) > 0 {
+		merged = maps.Clone(s.bytes)
+		maps.Copy(merged, bytes)
+	}
+	return &lazyPageSource{o: o, bytes: merged, sb: s.sb, view: s.view, pinGroup: s.pinGroup, pinEpoch: s.pinEpoch, peers: slices.Clone(s.peers)}
+}
+
+func (s *lazyPageSource) addPeer(p BlockProvider) {
+	s.mu.Lock()
+	s.peers = append(s.peers, p)
+	s.mu.Unlock()
+}
+
+// pages lists the pages s holds, each once: its store's that its bytes do
+// not shadow, then its bytes'. A view whose epoch left the store is an
+// error, never a hole.
+func (s *lazyPageSource) pages() ([]int64, error) {
+	var idxs []int64
+	if s.sb != nil {
+		var err error
+		if idxs, err = s.view.Pages(); err != nil {
+			return nil, fmt.Errorf("%w: listing the pages of %s: %w", ErrBackendDown, s.sb.Name(), err)
+		}
+		idxs = slices.DeleteFunc(idxs, func(idx int64) bool { _, ok := s.bytes[idx]; return ok })
+	}
+	for idx := range s.bytes {
+		idxs = append(idxs, idx)
+	}
+	return idxs, nil
 }
 
 // bind attaches the source to the restored group so read faults drive
@@ -97,17 +145,18 @@ func (s *lazyPageSource) group() *Group {
 	return s.g
 }
 
-func (s *lazyPageSource) stats() RecoveryStats {
-	return RecoveryStats{
-		Failovers:     s.failovers.Load(),
-		PagesRepaired: s.repaired.Load(),
-		Retries:       s.retries.Load(),
-	}
-}
-
 // PageIn implements vm.PageSource: a fault looks its page up once, and
 // takes a frame only for a page the image holds.
 func (s *lazyPageSource) PageIn(pm *vm.PhysMem, idx int64) (*vm.Frame, error) {
+	if d, ok := s.bytes[idx]; ok {
+		return pm.Fill(func(dst []byte) (bool, error) {
+			clear(dst[copy(dst, d):])
+			return true, nil
+		})
+	}
+	if s.sb == nil {
+		return nil, nil
+	}
 	ref, ok, err := s.locate(idx)
 	if err != nil || !ok {
 		return nil, err
@@ -259,11 +308,12 @@ func (s *lazyPageSource) peerCount() int {
 
 // readPages reads the pages img holds by name (MemImage.Inherit) into
 // SwapData, once per image: for the flush, before any backend sees the
-// image; for resolve; for Encode, which names a lazily loaded image's
-// store pages this way too. Store pages are read as a demand fault reads
-// them, overlapped at queue depth on a lane of base (nil: of the store's
-// clock), never on a group's foreground clock; it returns how long that
-// lane ran. An object that fails to read keeps its pages by name.
+// image; for Encode; and for API.Rollback, before it kills anything.
+// Resolve and restore read none: they pass the source on. Store pages
+// are read as a demand fault reads them, overlapped at queue depth on a
+// lane of base (nil: of the store's clock), never on a group's
+// foreground clock; it returns how long that lane ran. An object that
+// fails to read keeps its pages by name.
 func (img *Image) readPages(base *storage.Clock) (time.Duration, error) {
 	img.readMu.Lock()
 	defer img.readMu.Unlock()
@@ -301,50 +351,65 @@ func (img *Image) readPages(base *storage.Clock) (time.Duration, error) {
 }
 
 // inherited returns mi's SwapData with the pages its source holds and
-// neither Pages nor SwapData does added; a source of bytes shares them,
-// immutable as its image.
+// neither Pages nor SwapData does added; a source's bytes are shared,
+// immutable as the image they came from.
 func (mi *MemImage) inherited(lane *storage.Clock) (map[int64][]byte, error) {
+	src := mi.Inherit
+	idxs, err := src.pages()
+	if err != nil {
+		return nil, err
+	}
 	got := make(map[int64][]byte, len(mi.SwapData))
 	maps.Copy(got, mi.SwapData)
-	held := func(idx int64) bool {
-		_, paged := mi.Pages[idx]
-		_, swapped := got[idx]
-		return paged || swapped
-	}
-	switch src := mi.Inherit.(type) {
-	case *imagePageSource:
-		for idx, d := range src.pages {
-			if !held(idx) {
+	read := func(store *objstore.Store) error {
+		for _, idx := range idxs {
+			_, paged := mi.Pages[idx]
+			if _, swapped := got[idx]; paged || swapped {
+				continue
+			}
+			if d, ok := src.bytes[idx]; ok {
 				got[idx] = d
+				continue
+			}
+			ref, found, err := src.locate(idx)
+			if err == nil && found {
+				got[idx] = make([]byte, vm.PageSize)
+				err = src.read(store, idx, ref, got[idx])
+			}
+			if err != nil {
+				return err
 			}
 		}
-		return got, nil
-	case *lazyPageSource:
-		// A view whose epoch left the store is an error, never a hole.
-		idxs, err := src.view.Pages()
-		if err != nil {
-			return nil, fmt.Errorf("%w: listing the pages of %s: %w", ErrBackendDown, src.sb.Name(), err)
-		}
-		if lane == nil {
-			lane = src.sb.clock.Lane()
-		}
-		store := src.sb.store.WithClock(lane)
-		return got, store.Overlapped(func() error {
-			for _, idx := range idxs {
-				if held(idx) {
-					continue
-				}
-				ref, found, err := src.locate(idx)
-				if err == nil && found {
-					got[idx] = make([]byte, vm.PageSize)
-					err = src.read(store, idx, ref, got[idx])
-				}
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		return nil
 	}
-	return nil, fmt.Errorf("core: cannot read pages inherited from a %T", mi.Inherit)
+	if src.sb == nil {
+		return got, read(nil)
+	}
+	if lane == nil {
+		lane = src.sb.clock.Lane()
+	}
+	store := src.sb.store.WithClock(lane)
+	return got, store.Overlapped(func() error { return read(store) })
+}
+
+// countPages counts the distinct pages of frames, bytes and src, which
+// holds by name what the two maps do not. A store's view under nothing
+// knows its count; a view that cannot list its pages counts none (a read
+// of it fails anyway).
+func countPages(frames map[int64]*vm.Frame, bytes map[int64][]byte, src *lazyPageSource) int {
+	n := len(frames) + len(bytes)
+	if src == nil {
+		return n
+	}
+	if n+len(src.bytes) == 0 {
+		return src.view.Len()
+	}
+	idxs, _ := src.pages()
+	for _, idx := range idxs {
+		_, paged := frames[idx]
+		if _, swapped := bytes[idx]; !paged && !swapped {
+			n++
+		}
+	}
+	return n
 }

@@ -82,21 +82,6 @@ func (o *Orchestrator) AddRestorePeer(g *Group, p BlockProvider) {
 	g.mu.Unlock()
 }
 
-// adoptSources binds the demand-paging sources a restore created to
-// the restored group: read faults now drive the group's health ladder
-// and the sources' repair counters aggregate under RecoveryStats.
-func (g *Group) adoptSources(srcs []*lazyPageSource) {
-	if len(srcs) == 0 {
-		return
-	}
-	for _, s := range srcs {
-		s.bind(g)
-	}
-	g.mu.Lock()
-	g.sources = append(g.sources, srcs...)
-	g.mu.Unlock()
-}
-
 // RecoveryStats sums the demand-paging repair effort of every lazy
 // source attached to this group (failovers, read-repairs, retries).
 func (g *Group) RecoveryStats() RecoveryStats {
@@ -105,10 +90,9 @@ func (g *Group) RecoveryStats() RecoveryStats {
 	g.mu.Unlock()
 	var out RecoveryStats
 	for _, s := range srcs {
-		st := s.stats()
-		out.Failovers += st.Failovers
-		out.PagesRepaired += st.PagesRepaired
-		out.Retries += st.Retries
+		out.Failovers += s.failovers.Load()
+		out.PagesRepaired += s.repaired.Load()
+		out.Retries += s.retries.Load()
 	}
 	return out
 }

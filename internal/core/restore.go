@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"aurora/internal/kernel"
@@ -232,6 +233,7 @@ func (o *Orchestrator) restoreState(img *Image, st *chainState, readTime time.Du
 		}
 	}
 	resolvedPages := 0
+	var sources []*lazyPageSource
 	for oldID, obj := range objMap {
 		effOpts := opts
 		switch policies[obj] {
@@ -240,7 +242,12 @@ func (o *Orchestrator) restoreState(img *Image, st *chainState, readTime time.Du
 		case vm.RestoreLazy:
 			effOpts.Lazy = true
 		}
-		n, err := o.restoreObjectMemory(img, st.objs[oldID], obj, effOpts, &bd)
+		state := st.objs[oldID]
+		resolvedPages += state.pageCount()
+		src, err := o.restoreObjectMemory(state, obj, effOpts, &bd)
+		if src != nil && src.sb != nil {
+			sources = append(slices.Grow(sources, len(objMap)-len(sources)), src) // one allocation
+		}
 		if err != nil {
 			// Whoever retries this restore — on a fallback epoch, once
 			// the device is back — must not find half a process here.
@@ -251,7 +258,6 @@ func (o *Orchestrator) restoreState(img *Image, st *chainState, readTime time.Du
 			dropConstructionRefs()
 			return nil, bd, err
 		}
-		resolvedPages += n
 	}
 	memCost := costs.RestoreMemBase + storage.PerKPage(costs.RestoreMemPerKPage, int64(resolvedPages))
 	if fromStore {
@@ -313,9 +319,14 @@ func (o *Orchestrator) restoreState(img *Image, st *chainState, readTime time.Du
 	}
 	o.mu.Unlock()
 
-	// Bind any fault-tolerant demand-paging sources the memory rebuild
-	// created: their read faults now drive this group's health ladder.
-	g.adoptSources(img.takeSources())
+	// The store sources the memory rebuild attached are the group's: their
+	// read faults drive its health ladder, and it pins their epochs.
+	for _, s := range sources {
+		s.bind(g)
+	}
+	g.mu.Lock()
+	g.sources = sources
+	g.mu.Unlock()
 
 	for _, rp := range procs {
 		if err := o.K.ResumeRestored(rp.proc, rp.image.ProgName, rp.image.ProgState); err != nil {
@@ -326,83 +337,53 @@ func (o *Orchestrator) restoreState(img *Image, st *chainState, readTime time.Du
 	return g, bd, nil
 }
 
-// restoreObjectMemory rebuilds one VM object's pages. Four paths:
-//
-//   - in-memory image frames are COW-shared with the application (no
-//     copies at all: the paper's memory restore);
-//   - lazy restores of byte-backed images (loaded from the store or
-//     the network) attach a page source, with clock-driven prefetch
-//     of the hottest pages;
-//   - images carrying a store page view (StoreBackend.LoadLazy) attach
-//     a fault-tolerant demand-paging source that looks up, reads,
-//     verifies, and — on primary failure — fails over each page to a
-//     peer; nothing is done per page of the image; and
-//   - eager restores copy everything up front.
-//
-// An eager restore materializes every page now; a page that cannot be
-// — its fetch failed on the primary and every peer (ErrBackendDown), or
-// memory ran out — fails the restore instead of leaving the process a
-// zero page where its data was.
-func (o *Orchestrator) restoreObjectMemory(img *Image, state *objectState, obj *vm.Object, opts RestoreOpts, bd *RestoreBreakdown) (int, error) {
-	// A lazily loaded image stands alone (full, nothing under it, pages
-	// in the store only), so its view shares no page with the two maps.
-	frames, bytesPages, view := state.frames, state.bytes, state.view
-	total := len(frames) + len(bytesPages) + view.Len()
-
-	// Zero-copy memory state: share the image's frames under COW.
-	for idx, f := range frames {
+// restoreObjectMemory rebuilds one VM object's pages. Its frames are
+// COW-shared with the application (no copies at all: the paper's memory
+// restore); every other page comes through the one source it returns
+// (lazyPageSource). A lazy restore attaches it, with clock-driven
+// prefetch of the hottest pages. An eager one pages every page in now,
+// and a page that cannot be — its fetch failed on the primary and every
+// peer (ErrBackendDown), or memory ran out — fails the restore instead of
+// leaving the process a zero page where its data was.
+func (o *Orchestrator) restoreObjectMemory(state *objectState, obj *vm.Object, opts RestoreOpts, bd *RestoreBreakdown) (*lazyPageSource, error) {
+	for idx, f := range state.frames {
 		obj.InstallSharedPage(o.K.Mem, idx, f)
 	}
-	bd.Shared += len(frames)
+	bd.Shared += len(state.frames)
 
-	var src vm.PageSource
-	switch {
-	case view.Len() > 0 && img.source != nil:
-		// Store-resident pages: demand-page through the fault-tolerant
-		// source (bounded retry, peer failover, read-repair).
-		ls := newLazyPageSource(o, img.source, view, img.peers)
-		ls.pinGroup, ls.pinEpoch = img.Group, img.Epoch
-		img.mu.Lock()
-		img.sources = append(img.sources, ls)
-		img.mu.Unlock()
-		src = ls
-	case len(bytesPages) > 0:
-		src = &imagePageSource{pages: bytesPages}
-	default:
-		return total, nil
+	if state.src == nil && len(state.bytes) == 0 {
+		return nil, nil
 	}
+	src := state.src.claim(o, state.bytes)
 	if opts.Lazy {
 		obj.SetSource(src)
 		o.prefetchHottest(state.heat, obj, src, opts.Prefetch, bd)
-		return total, nil
+		return src, nil
 	}
-	idxs := make([]int64, 0, len(bytesPages))
-	for idx := range bytesPages {
-		idxs = append(idxs, idx)
-	}
-	if ls, ok := src.(*lazyPageSource); ok {
-		var err error
-		if idxs, err = ls.view.Pages(); err != nil {
-			// The view's epoch left the store since the load. Nothing can
-			// be materialized; the source stays attached, so that a fault
-			// reports it and no page quietly reads as zero.
-			obj.SetSource(src)
-			return total, nil
-		}
+	idxs, err := src.pages()
+	if err != nil {
+		// The view's epoch left the store since the load. Nothing can be
+		// materialized; the source stays attached, so that a fault
+		// reports it and no page quietly reads as zero.
+		obj.SetSource(src)
+		return src, nil
 	}
 	// Eager: every page now, a store page through the failover path, so
 	// a sick primary cannot abort the restore.
 	for _, idx := range idxs {
+		if _, shared := state.frames[idx]; shared {
+			continue
+		}
 		f, err := src.PageIn(o.K.Mem, idx)
 		if err != nil {
-			return total, fmt.Errorf("core: eager restore of object %q: page %d: %w", obj.Name, idx, err)
+			return src, fmt.Errorf("core: eager restore of object %q: page %d: %w", obj.Name, idx, err)
 		}
 		if f != nil {
 			obj.InsertPage(o.K.Mem, idx, f)
 			o.K.Meter.ChargeCopy(1)
 		}
 	}
-	return total, nil
+	return src, nil
 }
 
 // prefetchHottest eagerly pages in the N hottest pages of one object
@@ -615,41 +596,33 @@ func (o *Orchestrator) Restore(g *Group, epoch uint64, opts RestoreOpts) (*Group
 						break // chain exhausted: next chain / backend
 					}
 				}
+				// A failed validation pre-pass poisons the epoch and falls
+				// back; so does corruption mid-load, which the eager read
+				// path finds by hash-verifying every block.
+				var err error
 				if opts.Validate {
-					if verr := sb.Validate(gid, ep); verr != nil {
-						o.quarantineEpoch(g, sb, gid, ep, verr)
-						if fbFrom == 0 {
-							fbFrom = ep
-						}
-						quarCount++
-						lastErr = fmt.Errorf("%w: epoch %d of group %d: %w", ErrEpochQuarantined, ep, gid, verr)
-						below = ep
-						continue
-					}
+					err = sb.Validate(gid, ep)
 				}
+				invalid := err != nil
 				var img *Image
 				var readTime time.Duration
-				var err error
-				if opts.Lazy {
+				if !invalid && opts.Lazy {
 					img, readTime, err = sb.LoadLazy(gid, ep)
-				} else {
+				} else if !invalid {
 					img, readTime, err = sb.Load(gid, ep)
+				}
+				if invalid || errors.Is(err, objstore.ErrCorruptBlock) {
+					o.quarantineEpoch(g, sb, gid, ep, err)
+					if fbFrom == 0 {
+						fbFrom = ep
+					}
+					quarCount++
+					lastErr = fmt.Errorf("%w: epoch %d of group %d: %w", ErrEpochQuarantined, ep, gid, err)
+					below = ep
+					continue
 				}
 				if err != nil {
 					lastErr = err
-					if errors.Is(err, objstore.ErrCorruptBlock) {
-						// The eager read path hash-verifies every block:
-						// corruption mid-load poisons the epoch and falls
-						// back, exactly like a failed validation pre-pass.
-						o.quarantineEpoch(g, sb, gid, ep, err)
-						if fbFrom == 0 {
-							fbFrom = ep
-						}
-						quarCount++
-						lastErr = fmt.Errorf("%w: epoch %d of group %d: %w", ErrEpochQuarantined, ep, gid, err)
-						below = ep
-						continue
-					}
 					break // next chain / backend
 				}
 				if ep != want && fbFrom == 0 {
@@ -664,22 +637,4 @@ func (o *Orchestrator) Restore(g *Group, epoch uint64, opts RestoreOpts) (*Group
 		}
 	}
 	return nil, RestoreBreakdown{}, lastErr
-}
-
-// imagePageSource adapts a resolved image to vm.PageSource for lazy
-// restores.
-type imagePageSource struct {
-	pages map[int64][]byte
-}
-
-// PageIn implements vm.PageSource.
-func (s *imagePageSource) PageIn(pm *vm.PhysMem, idx int64) (*vm.Frame, error) {
-	d, ok := s.pages[idx]
-	if !ok {
-		return nil, nil
-	}
-	return pm.Fill(func(dst []byte) (bool, error) {
-		clear(dst[copy(dst, d):])
-		return true, nil
-	})
 }
