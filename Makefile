@@ -79,10 +79,12 @@ race:
 
 ## faultcheck: seeded fault-matrix tests under the race detector — the
 ## self-healing flush pipeline, crash-consistent superblock, and replica
-## resume paths driven by the fault-injecting device.
+## resume paths driven by the fault-injecting device; the dirty-line
+## masks every sub-page path relies on (seeds 1–50); a line page served
+## from any intact copy; and a wrong resumed page hash refused.
 faultcheck:
-	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestFault|TestTorn|TestScrub|TestReplica|TestRecovery|TestQuarantine|TestLineEntries|TestLinePutFailureLeavesStoreAsFound|TestLineMasksCheckedUnderRace|TestIndexRefusesBadLineEntries|TestRottedLineBaseFailsOverByHash|TestArrayReturnsWhatItBills|TestPeekBillsNothing|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestArrayReadBatchAllocatesNothing|TestLinePageFaultIsOneRead' \
-		./internal/core/ ./internal/storage/ ./internal/objstore/ ./internal/netback/
+	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestFault|TestTorn|TestScrub|TestReplica|TestRecovery|TestQuarantine|TestLineEntries|TestLinePutFailureLeavesStoreAsFound|TestLineMasksCheckedUnderRace|TestIndexRefusesBadLineEntries|TestRottedLineBaseFailsOverByHash|TestArrayReturnsWhatItBills|TestPeekBillsNothing|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestArrayReadBatchAllocatesNothing|TestLinePageFaultIsOneRead|TestDirtyLineMaskProperty|TestFetchBlockTriesEveryLineCopy|TestResumedHashCheckedWholeUnderRace' \
+		./internal/core/ ./internal/storage/ ./internal/objstore/ ./internal/netback/ ./internal/vm/
 
 ## recoverycheck: validated self-healing restore under the race detector —
 ## crash-at-every-op harness, epoch quarantine with fallback, lazy-paging
@@ -97,10 +99,12 @@ faultcheck:
 ## holds its pages by name (lazily loaded, or that first barrier unflushed)
 ## reads none of them before the first fault and pins the epoch it pages
 ## from; a line page's demand fault
-## is one lookup and one device read; and the store's records survive
-## every put, drop and Sync+Open as a reference model has them.
+## is one lookup and one device read; the store's records survive
+## every put, drop and Sync+Open as a reference model has them; and a
+## partly written page's hash resumes from the midstate its previous
+## capture left, to the same content hash.
 recoverycheck:
-	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestRestoreAttachesWhatAnImageHoldsByName|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState' \
+	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestRestoreAttachesWhatAnImageHoldsByName|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestPartlyWrittenPagesResumeTheirHash' \
 		./internal/core/ ./internal/vm/ ./internal/netback/ ./internal/objstore/ ./cmd/sls/
 
 ## chaoscheck: whole-system chaos harness under the race detector —
@@ -226,15 +230,17 @@ perf:
 ## microbench: the per-layer microbenchmarks of the checkpoint, flush,
 ## replication and restore data paths, where the code lives — COW fault,
 ## barrier and protect in internal/vm, put and drop (merge-forward) in
-## internal/objstore, one epoch's StoreBackend.Flush, its replica encode
-## and lazy restore + 64 demand faults + teardown in internal/core, one
+## internal/objstore, one epoch's StoreBackend.Flush, its page hashes,
+## its replica encode and lazy restore + 64 demand faults + teardown in
+## internal/core, one
 ## compact delta's receive in internal/netback — on a resident × dirty
 ## grid, at a fixed iteration count. Not gated; the before/after tables
 ## are in EXPERIMENTS.md "Checkpoint data path", "Flush data path",
-## "Restore data path" and "Sub-page deltas".
+## "Restore data path", "Sub-page deltas" and "Hash from the first
+## written line".
 microbench:
 	$(GO) test -run '^$$' -benchtime=200x -benchmem \
-		-bench 'BenchmarkCowFault|BenchmarkBeginCheckpoint|BenchmarkProtectObject|BenchmarkDropEpoch|BenchmarkPutRecord|BenchmarkStoreFlush|BenchmarkLazyRestore|BenchmarkEncodeDeltaCompact|BenchmarkReceiverCompactDelta' \
+		-bench 'BenchmarkCowFault|BenchmarkBeginCheckpoint|BenchmarkProtectObject|BenchmarkDropEpoch|BenchmarkPutRecord|BenchmarkStoreFlush|BenchmarkPageHashes|BenchmarkLazyRestore|BenchmarkEncodeDeltaCompact|BenchmarkReceiverCompactDelta' \
 		./internal/vm/ ./internal/objstore/ ./internal/core/ ./internal/netback/
 
 ## benchcheck: the scoreboard's own smoke test, race-enabled. benchmark/

@@ -215,11 +215,14 @@ func (sb *StoreBackend) WithLane(lane *storage.Clock) Backend {
 // imagePages hands one object's captured pages to the store as an
 // objstore.PageSet: sums is the object's run of Image.PageHashes, so
 // the pages come in ascending index with the hashes the image already
-// holds, and each captured frame with its dirty-line mask (the one
-// EncodeDeltaLink reads).
+// holds, each captured frame with its dirty-line mask (the one
+// EncodeDeltaLink reads), and each page with the bytes its hash read
+// (resumed, the same run of the steps the hashes resumed at; nil when
+// the image did not hash its pages itself).
 type imagePages struct {
-	mi   *MemImage
-	sums []PageHash
+	mi      *MemImage
+	sums    []PageHash
+	resumed []uint8
 }
 
 func (p *imagePages) Len() int { return len(p.sums) }
@@ -235,6 +238,13 @@ func (p *imagePages) Lines(i int) uint64 {
 	return vm.AllLines
 }
 
+func (p *imagePages) Hashed(i int) int {
+	if p.resumed == nil {
+		return vm.PageSize
+	}
+	return vm.PageSize - int(p.resumed[i])*vm.MidstateStep
+}
+
 // Flush implements Backend: every metadata record and captured page
 // becomes an object-store record, and the manifest is put once all of
 // them have landed. The epoch goes to the store as one ordered batch —
@@ -248,8 +258,10 @@ func (p *imagePages) Lines(i int) uint64 {
 // issued inside one objstore.Store.Overlapped window: one device write
 // per new block, line entry's patch and metadata extent, charged to the
 // flush lane as storage.Batch of all of them at the device's queue
-// depth; costs.HashPage is charged per page on top. The modeled
-// duration is what the lane advanced by.
+// depth; costs.HashPage is charged on top, per page in proportion to
+// the bytes its hash read (a hash that resumed from a midstate read
+// less than the page). The modeled duration is what the lane advanced
+// by.
 //
 // The flush pipeline always calls Flush on a lane view (WithLane). A
 // direct call on the backend itself — promotion and migration backfill
@@ -287,7 +299,7 @@ func (sb *StoreBackend) Flush(img *Image) (time.Duration, error) {
 			}
 			keys = append(keys, objstore.RecordKey{Group: img.Group, OID: m.OID, Epoch: img.Epoch})
 		}
-		sums := img.PageHashes()
+		sums, resumed := img.pageHashes()
 		var pages imagePages
 		for _, id := range img.objectOrder() {
 			n := 0
@@ -295,6 +307,9 @@ func (sb *StoreBackend) Flush(img *Image) (time.Duration, error) {
 				n++
 			}
 			pages.mi, pages.sums, sums = img.Memory[id], sums[:n], sums[n:]
+			if resumed != nil {
+				pages.resumed, resumed = resumed[:n], resumed[n:]
+			}
 			meta := encodeVMObjMeta(pages.mi)
 			if _, err := sb.store.PutPages(img.Group, vmBit|id, img.Epoch, uint16(kernel.KindVMObject), img.Full, meta, &pages, pages.mi.Heat); err != nil {
 				return err

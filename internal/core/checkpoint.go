@@ -136,6 +136,9 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 			Inherit: inherit,
 			Heat:    cs.Heat,
 			Lines:   cs.Lines,
+
+			capture:   cs.Capture,
+			midstates: cs.Midstates,
 		}
 		// Pages evicted to swap since the last checkpoint are read inside
 		// the barrier: a slot is not frozen once the group runs again —

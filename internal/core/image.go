@@ -64,6 +64,14 @@ type MemImage struct {
 	// incremental image's replica encode and store flush read it;
 	// images that did not come from a barrier have none.
 	Lines map[int64]uint64
+
+	// capture and midstates are the barrier's vm.CheckpointSet Capture
+	// and Midstates: hashing a captured frame leaves its midstates there,
+	// and a partly written frame's hash resumes from those of the frame
+	// it was copied from (hashRun). Images that did not come from a
+	// barrier have none and hash every page whole.
+	capture   uint64
+	midstates *vm.Midstates
 }
 
 // PageCount returns how many distinct pages the image holds, by name too.
@@ -108,13 +116,19 @@ type Image struct {
 
 	// The PageHashes memo: hashMu guards pages, which are valid once
 	// hashDone is set; hashed is how many of them were hashed here and
-	// not supplied by the wire, patched how many of those a compact
-	// delta's decoder rebuilt from line entries.
-	hashMu   sync.Mutex
-	hashDone bool
-	pages    []PageHash
-	hashed   atomic.Int64
-	patched  int64
+	// not supplied by the wire, hashedBytes how many bytes those hashes
+	// read, patched how many of those a compact delta's decoder rebuilt
+	// from line entries. resumed[i] is the step (vm.MidstateStep) at
+	// which pages[i]'s hash resumed, 0 for a whole page; nil when no
+	// page's could (every page was hashed whole, here or by the wire's
+	// sender).
+	hashMu      sync.Mutex
+	hashDone    bool
+	pages       []PageHash
+	resumed     []uint8
+	hashed      atomic.Int64
+	hashedBytes atomic.Int64
+	patched     int64
 }
 
 // AddBlockPeer registers a peer block provider (another store, a
@@ -183,7 +197,7 @@ func (img *Image) Release(pm *vm.PhysMem) {
 		for _, f := range mi.Pages {
 			pm.Free(f)
 		}
-		mi.Pages, mi.Lines, mi.Inherit = nil, nil, nil
+		mi.Pages, mi.Lines, mi.Inherit, mi.midstates = nil, nil, nil, nil
 	}
 }
 
@@ -261,6 +275,7 @@ func Fold(older, newer *Image, free func(PageHash, *vm.Frame)) {
 	} else {
 		newer.pages, newer.hashDone = nil, false
 	}
+	newer.resumed = nil
 }
 
 // foldPages moves old's pages and swap pages into heir wherever heir
@@ -643,52 +658,134 @@ func comparePages(a, b PageHash) int {
 // its result, which none may modify. Decoded images come with the set
 // filled in by the decoder (see DecodeDeltaCompact).
 func (img *Image) PageHashes() []PageHash {
+	pages, _ := img.pageHashes()
+	return pages
+}
+
+// pageHashes is PageHashes with, for each page, the midstate step its
+// hash resumed at (0: hashed whole, or not hashed here; nil: none was).
+func (img *Image) pageHashes() ([]PageHash, []uint8) {
 	img.hashMu.Lock()
 	defer img.hashMu.Unlock()
 	if !img.hashDone {
 		pages := img.pageOrder()
-		img.hashPages(pages)
-		img.pages, img.hashDone = pages, true
+		resumed, bytes := img.hashPages(pages)
+		img.pages, img.resumed, img.hashDone = pages, resumed, true
 		img.hashed.Store(int64(len(pages)))
+		img.hashedBytes.Store(bytes)
 	}
-	return img.pages
+	return img.pages, img.resumed
 }
 
-// hashSpan is the least number of pages worth a goroutine of their own:
-// about two hundred microseconds of SHA-256. An image of fewer than two
-// spans is hashed inline — at 64 pages the fork-join measurably cost a
-// replicated group more than it saved, its other core being busy with
-// the replica links (EXPERIMENTS.md "Flush data path").
+// hashSpan is, in whole pages' worth of bytes to hash, the least work
+// worth a goroutine of its own: 256 KiB, about 250 µs of SHA-256. On a
+// 2-vCPU host BenchmarkPageHashes measured 3.8–4.3 µs a whole page,
+// midstates included, and 2.7–2.9 µs a page resumed at its one written
+// line (2.25 KiB hashed on average): about 1–1.3 ns a byte either way,
+// so the work is counted in bytes, a resumed page by the bytes it has
+// left. An image with less than two spans' worth is hashed inline:
+// at 64 whole pages the fork-join measurably cost a replicated group
+// more than it saved, its other core being busy with the replica links
+// (EXPERIMENTS.md "Flush data path").
 const hashSpan = 64
 
 // hashPages fills in the hashes of pages, the image's own pages in
-// order. Hashing is pure, so a large set is split into contiguous
-// spans hashed on up to GOMAXPROCS goroutines — each writes only its
-// own span — and joined before returning: nothing outlives the call
-// and the result does not depend on how it was split.
-func (img *Image) hashPages(pages []PageHash) {
-	workers := min(runtime.GOMAXPROCS(0), len(pages)/hashSpan)
+// order, and returns the step each resumed at (nil when none could) and
+// the bytes it hashed. Hashing a page reads and writes nothing but its
+// own bytes, hash and midstates, so a large set is split into
+// contiguous spans hashed on up to GOMAXPROCS goroutines — each writes
+// only its own span — and joined before returning: nothing outlives the
+// call and the result does not depend on how it was split.
+func (img *Image) hashPages(pages []PageHash) ([]uint8, int64) {
+	bytes := len(pages) * vm.PageSize
+	for _, p := range pages {
+		bytes -= img.Memory[p.ObjID].resumeStep(p.Idx) * vm.MidstateStep
+	}
+	var resumed []uint8
+	if bytes < len(pages)*vm.PageSize {
+		resumed = make([]uint8, len(pages))
+	}
+	workers := min(runtime.GOMAXPROCS(0), bytes/(hashSpan*vm.PageSize))
 	if workers < 2 {
-		img.hashRun(pages)
-		return
+		return resumed, img.hashRun(pages, resumed)
 	}
 	var wg sync.WaitGroup
+	var hashed atomic.Int64
 	per := (len(pages) + workers - 1) / workers
-	for ; len(pages) > per; pages = pages[per:] {
+	for lo := 0; lo < len(pages); lo += per {
+		hi := min(lo+per, len(pages))
+		span, steps := pages[lo:hi], resumed
+		if steps != nil {
+			steps = steps[lo:hi]
+		}
+		if hi == len(pages) { // the caller is the last worker
+			hashed.Add(img.hashRun(span, steps))
+			break
+		}
 		wg.Add(1)
-		go func(span []PageHash) {
+		go func() {
 			defer wg.Done()
-			img.hashRun(span)
-		}(pages[:per])
+			hashed.Add(img.hashRun(span, steps))
+		}()
 	}
-	img.hashRun(pages) // the caller is the last worker
 	wg.Wait()
+	return resumed, hashed.Load()
 }
 
-func (img *Image) hashRun(span []PageHash) {
+// hashRun hashes a span of the image's pages and returns the bytes it
+// hashed. A frame this image's capture is the first to take since
+// CowFault copied it from an earlier capture (vm.Frame.CopiedFrom),
+// written in some lines but not all since, resumes SHA-256 at the last
+// midstate step at or before its first written line, from the midstate
+// the hash of that earlier capture left there (vm.Midstates): the bytes
+// in front are that capture's. It hashes whole when no such midstate is
+// held — that capture was never hashed, or a newer one of the page was
+// hashed first — and so does any other frame: restored, paged in,
+// swapped in, zero-filled, or taken again by a later capture. Every
+// captured frame leaves its midstates for the next capture to resume
+// from; a page that is not a captured frame (swap, inherited, decoded)
+// is hashed whole and leaves none. The hash is the page's content hash
+// either way.
+// resumed[i] is set to the step span[i] resumed at, if it did; it may
+// be nil when no page of the span can.
+func (img *Image) hashRun(span []PageHash, resumed []uint8) int64 {
+	h := pageHashers.Get().(*pageHasher)
+	defer pageHashers.Put(h)
+	var bytes int64
 	for i := range span {
-		span[i].Hash = PageContentHash(img.Memory[span[i].ObjID].PageData(span[i].Idx))
+		mi, idx := img.Memory[span[i].ObjID], span[i].Idx
+		f, captured := mi.Pages[idx]
+		if !captured || mi.midstates == nil || !h.midstates() {
+			span[i].Hash = PageContentHash(mi.PageData(idx))
+			bytes += vm.PageSize
+			continue
+		}
+		step, base := mi.resumeStep(idx), f.CopiedFrom(mi.capture)
+		var from vm.Midstate
+		if step > 0 {
+			var ok bool
+			if from, ok = mi.midstates.Load(idx, base, step-1); !ok {
+				step = 0
+			}
+		}
+		span[i].Hash = h.hash(f.Data, step, from)
+		mi.midstates.Store(idx, mi.capture, base, step, &h.mids)
+		if step > 0 {
+			resumed[i] = uint8(step)
+		}
+		bytes += int64(vm.PageSize - step*vm.MidstateStep)
 	}
+	return bytes
+}
+
+// resumeStep is the midstate step at which the hash of page idx may
+// resume: the last one at or before its first written line, for a
+// captured frame written in some lines but not all; 0 for any other.
+func (mi *MemImage) resumeStep(idx int64) int {
+	if mi.midstates == nil || !mi.partlyWritten(idx) || mi.Lines[idx] == 0 {
+		return 0
+	}
+	return bits.TrailingZeros64(mi.Lines[idx]) << vm.LineShift / vm.MidstateStep
 }
 
 // PagesHashed reports how many SHA-256 computations stand behind
@@ -696,6 +793,11 @@ func (img *Image) hashRun(span []PageHash) {
 // image's page count — hashes that arrived on the wire as refs are not
 // recomputed.
 func (img *Image) PagesHashed() int64 { return img.hashed.Load() }
+
+// BytesHashed reports how many bytes the computations PagesHashed
+// counts read: a page's whole size, or less for one whose hash resumed
+// from a midstate (hashRun).
+func (img *Image) BytesHashed() int64 { return img.hashedBytes.Load() }
 
 // PagesPatched reports how many of the pages behind PagesHashed arrived
 // as line entries, rebuilt from the receiver's previous epoch.
@@ -1024,6 +1126,7 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 		sortPages(pages) // a no-op pass for a sender that wrote them in order
 		img.pages, img.hashDone, img.patched = pages, true, patched
 		img.hashed.Store(hashed)
+		img.hashedBytes.Store(hashed * vm.PageSize)
 	}
 	return img, missing, nil
 }

@@ -46,6 +46,7 @@ func (hp *hashedPages) Lines(i int) uint64 {
 	}
 	return vm.AllLines
 }
+func (hp *hashedPages) Hashed(int) int { return BlockSize }
 
 // distinctPages returns n pages no other call with a different tag
 // produces.

@@ -179,7 +179,6 @@ func (s *Store) putLine(rec *Record, i int, idx int64, data []byte, h Hash, runs
 	if verifySuppliedHashes && ContentHash(data) != h {
 		panic(fmt.Sprintf("objstore: page %d of object %d put under a hash that is not its content's", idx, rec.OID))
 	}
-	s.chargeHash()
 	p := &rec.Pages[i]
 	lines := bits.OnesCount64(p.mask)
 	run, last := &runs[lines-1], int64(-1)

@@ -307,6 +307,43 @@ func TestScrubRebuildsLinePages(t *testing.T) {
 	}
 }
 
+// TestFetchBlockTriesEveryLineCopy: two records hold one line page —
+// two objects that wrote the same line over the same base — and the
+// patch of the lower record key has rotted. FetchBlock, which serves
+// peer failover and scrub repair, finds the intact copy every time
+// rather than answering "not held" when it happens to try the rotted
+// one first.
+func TestFetchBlockTriesEveryLineCopy(t *testing.T) {
+	s, fd := faultStore(storage.FaultConfig{Seed: 7})
+	base := varied(1)
+	p, mask := written(base, 12)
+	for epoch, pages := range []map[int64][]byte{{0: base}, {0: p}} {
+		hp := newHashedPages(pages)
+		hp.masks = map[int64]uint64{0: mask}
+		var keys []RecordKey
+		for _, oid := range []uint64{7, 8} {
+			if _, err := s.PutPages(1, oid, uint64(epoch+1), 3, epoch == 0, nil, hp, nil); err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, RecordKey{1, oid, uint64(epoch + 1)})
+		}
+		s.PutManifest(&Manifest{Group: 1, Epoch: uint64(epoch + 1), Prev: uint64(epoch), Records: keys})
+	}
+	low, _ := s.GetRecord(1, 7, 2)
+	high, _ := s.GetRecord(1, 8, 2)
+	if refOf(t, low, 0).Off == refOf(t, high, 0).Off {
+		t.Fatal("the two records share one patch: nothing to fail over to")
+	}
+	if _, err := fd.WriteAt([]byte("rot"), refOf(t, low, 0).Off+int64(patchHeader)+5); err != nil {
+		t.Fatal(err)
+	}
+	for run := range 100 {
+		if got, ok := s.FetchBlock(ContentHash(p)); !ok || !bytes.Equal(got, p) {
+			t.Fatalf("run %d: FetchBlock(%v) with an intact copy held", run, ok)
+		}
+	}
+}
+
 // TestLineMasksCheckedUnderRace: the store takes a flush's dirty-line
 // masks on trust in release builds; under the race detector it rebuilds
 // every line entry from its base before putting it, and a mask that

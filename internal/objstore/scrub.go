@@ -3,6 +3,7 @@ package objstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -17,37 +18,48 @@ type BlockSource interface {
 
 // FetchBlock returns the verified contents of the page with the given
 // hash — a block, or a line entry rebuilt from its base and patch — or
-// false if this store does not hold it intact.
+// false if this store does not hold it intact. Every copy the store
+// holds is tried, in one order (pagesByHashLocked), until one reads
+// back intact.
 func (s *Store) FetchBlock(h Hash) ([]byte, bool) {
 	s.mu.Lock()
-	pr, ok := s.pageByHashLocked(h)
+	prs := s.pagesByHashLocked(h)
 	s.mu.Unlock()
-	if !ok {
-		return nil, false
+	buf, r := make([]byte, BlockSize), new(PageReader)
+	for _, pr := range prs {
+		if s.ReadPage(pr, buf, r) == nil {
+			return buf, true
+		}
 	}
-	buf := make([]byte, BlockSize)
-	if s.ReadPage(pr, buf, new(PageReader)) != nil {
-		return nil, false
-	}
-	return buf, true
+	return nil, false
 }
 
-// pageByHashLocked finds a page holding content h: its block, or else a
-// line entry that rebuilds to it. Line entries are not indexed by
-// content, so that is a walk over every record's — which only a peer's
-// failover and scrub repair pay for.
-func (s *storeCore) pageByHashLocked(h Hash) (PageRef, bool) {
+// pagesByHashLocked lists the pages holding content h: its block, then
+// every line entry that rebuilds to it, by record key and page index.
+// Line entries are not indexed by content, so that is a walk over every
+// record's — which only a peer's failover and scrub repair pay for.
+func (s *storeCore) pagesByHashLocked(h Hash) []PageRef {
+	var prs []PageRef
 	if be, ok := s.blocks[h]; ok {
-		return PageRef{Ref: be.ref}, true
+		prs = append(prs, PageRef{Ref: be.ref})
 	}
-	for _, rec := range s.records {
+	type lined struct {
+		key RecordKey
+		pr  PageRef
+	}
+	var lines []lined
+	for key, rec := range s.records {
 		for i := range rec.Pages {
 			if p := &rec.Pages[i]; p.base != nil && p.Ref.Hash == h {
-				return p.pageRef(), true
+				lines = append(lines, lined{key, p.pageRef()})
 			}
 		}
 	}
-	return PageRef{}, false
+	slices.SortStableFunc(lines, func(a, b lined) int { return compareKeys(a.key, b.key) })
+	for _, l := range lines {
+		prs = append(prs, l.pr)
+	}
+	return prs
 }
 
 // ScrubReport summarizes one scrub pass.

@@ -727,13 +727,14 @@ func ContentHash(p []byte) Hash {
 
 // HashPage computes the dedup hash of a page, charging the hash cost.
 func (s *Store) HashPage(p []byte) Hash {
-	s.chargeHash()
+	s.chargeHash(BlockSize)
 	return ContentHash(p)
 }
 
-func (s *Store) chargeHash() {
+// chargeHash charges hashing n bytes: costs.HashPage per block's worth.
+func (s *Store) chargeHash(n int) {
 	if s.clock != nil {
-		s.clock.Advance(s.costs.HashPage)
+		s.clock.Advance(s.costs.HashPage * time.Duration(n) / BlockSize)
 	}
 }
 
@@ -780,7 +781,6 @@ func (s *Store) putPage(rec *Record, i int, idx int64, data []byte, h Hash) erro
 	if verifySuppliedHashes && ContentHash(data) != h {
 		panic(fmt.Sprintf("objstore: page %d of object %d put under a hash that is not its content's", idx, rec.OID))
 	}
-	s.chargeHash()
 	s.mu.Lock()
 	be, dedup := s.blocks[h]
 	if !dedup {
@@ -901,10 +901,14 @@ func (s *Store) ReadBlocks(refs []BlockRef) ([][]byte, error) {
 // differs from the object's page at the previous epoch (vm.AllLines
 // when the caller does not know). An incremental put over the group's
 // newest epoch stores a page written in a few lines as a line entry.
+// Hashed(i) is how many bytes computing page i's hash read — BlockSize
+// unless the caller resumed it from a midstate — and is what the put
+// charges costs.HashPage for, pro rata.
 type PageSet interface {
 	Len() int
 	Page(i int) (idx int64, data []byte, hash Hash)
 	Lines(i int) uint64
+	Hashed(i int) int
 }
 
 // mapPages is the PageSet of a caller that holds a page map and no
@@ -923,6 +927,9 @@ func (m *mapPages) Page(i int) (int64, []byte, Hash) {
 
 // Lines implements PageSet: a page map says nothing of what changed.
 func (m *mapPages) Lines(int) uint64 { return vm.AllLines }
+
+// Hashed implements PageSet: Page hashes every page whole.
+func (m *mapPages) Hashed(int) int { return BlockSize }
 
 // PutRecord writes one object's record for an epoch: metadata plus the
 // given pages (complete set when full, dirty set otherwise). Page data
@@ -1041,8 +1048,10 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 			case i > 0 && idx <= rec.Pages[i-1].Idx:
 				err = fmt.Errorf("objstore: page %d put after page %d", idx, rec.Pages[i-1].Idx)
 			case rec.Pages[i].base != nil:
+				s.chargeHash(pages.Hashed(i))
 				err = s.putLine(rec, i, idx, data, h, &runs)
 			default:
+				s.chargeHash(pages.Hashed(i))
 				err = s.putPage(rec, i, idx, data, h)
 			}
 			if err != nil {

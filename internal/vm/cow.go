@@ -13,6 +13,14 @@ package vm
 type CheckpointSet struct {
 	Obj   *Object
 	Epoch uint64
+	// Capture names this capture, unique among the captures of the
+	// object's machine: a COW copy of one of its frames reports it to the
+	// next capture to take the copy (Frame.CopiedFrom).
+	Capture uint64
+	// Midstates is the object's record of how far the content hashes of
+	// its captured pages got (see Midstates); the caller hashing this
+	// capture's pages reads and extends it.
+	Midstates *Midstates
 	// Pages maps object page index -> the frame as of the barrier.
 	Pages map[int64]*Frame
 	// SwapPages maps page index -> swap slot for pages that were paged
@@ -79,9 +87,14 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
 	if full {
 		want = len(o.pages)
 	}
+	if o.midstates == nil {
+		o.midstates = new(Midstates)
+	}
 	cs := &CheckpointSet{
 		Obj:       o,
 		Epoch:     epoch,
+		Capture:   o.captures.Add(1),
+		Midstates: o.midstates,
 		Pages:     make(map[int64]*Frame, want),
 		SwapPages: make(map[int64]int64),
 	}
@@ -89,7 +102,12 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
 		if f, ok := o.pages[idx]; ok {
 			f.Ref()
 			cs.Pages[idx] = f
-			o.protected[idx] = true
+			o.protected[idx] = cs.Capture
+			if f.base != 0 && f.taker == 0 {
+				// A COW copy is o's alone until o's barrier takes it: only
+				// the first taker writes this, under o.mu.
+				f.taker = cs.Capture
+			}
 		} else if slot, ok := o.swapSlots[idx]; ok {
 			cs.SwapPages[idx] = slot
 		}
@@ -128,7 +146,12 @@ func (o *Object) ProtectedCount() int {
 func (o *Object) IsProtected(idx int64) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.protected[idx]
+	return o.isProtectedLocked(idx)
+}
+
+func (o *Object) isProtectedLocked(idx int64) bool {
+	_, ok := o.protected[idx]
+	return ok
 }
 
 // CowFault services a write fault on a checkpoint-protected page using
@@ -137,7 +160,9 @@ func (o *Object) IsProtected(idx int64) bool {
 // The original frame remains owned by the checkpoint set that
 // protected it. The new page is immediately dirty with respect to the
 // next checkpoint, in no line yet: it holds what the barrier captured,
-// and the faulting write marks the lines it changes.
+// and the faulting write marks the lines it changes. It remembers which
+// capture that was (Frame.CopiedFrom): until the next barrier takes it,
+// it differs from that capture's frame in its dirty lines only.
 //
 // This differs from fork-style COW, which would give only the faulting
 // process a private copy and thereby break shared-memory semantics —
@@ -145,7 +170,8 @@ func (o *Object) IsProtected(idx int64) bool {
 func (o *Object) CowFault(pm *PhysMem, idx int64, meter *Meter) (*Frame, error) {
 	o.mu.Lock()
 	old, ok := o.pages[idx]
-	if !ok || !o.protected[idx] {
+	capture, protected := o.protected[idx]
+	if !ok || !protected {
 		// Raced with another fault that already resolved it.
 		f := o.pages[idx]
 		o.mu.Unlock()
@@ -157,10 +183,11 @@ func (o *Object) CowFault(pm *PhysMem, idx int64, meter *Meter) (*Frame, error) 
 	if err != nil {
 		return nil, err
 	}
+	fresh.base = capture
 
 	o.mu.Lock()
 	// Re-check under the lock; a concurrent fault may have won.
-	if cur, ok := o.pages[idx]; !ok || cur != old || !o.protected[idx] {
+	if cur, ok := o.pages[idx]; !ok || cur != old || !o.isProtectedLocked(idx) {
 		cur := o.pages[idx]
 		o.mu.Unlock()
 		pm.Free(fresh)
@@ -254,13 +281,14 @@ func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, bool,
 // COW protection: the restored application and the checkpoint image
 // share the frame until the application writes, when CowFault gives
 // the object a private copy and the image keeps the original. This is
-// the paper's zero-copy memory restore.
+// the paper's zero-copy memory restore. No barrier of o captured the
+// frame, so a copy of it names no capture.
 func (o *Object) InstallSharedPage(pm *PhysMem, idx int64, f *Frame) {
 	f.Ref()
 	o.mu.Lock()
 	old := o.pages[idx]
 	o.pages[idx] = f
-	o.protected[idx] = true
+	o.protected[idx] = 0
 	delete(o.swapSlots, idx)
 	if end := (idx + 1) << PageShift; end > o.size {
 		o.size = end

@@ -42,7 +42,9 @@ type Object struct {
 
 	// Aurora checkpoint tracking.
 	tracked   bool             // registered with the SLS orchestrator
-	protected map[int64]bool   // pages write-protected for COW tracking
+	protected map[int64]uint64 // pages write-protected for COW tracking -> the capture that did (0: a restore)
+	midstates *Midstates       // how far the hashes of captured pages got; made by the first barrier
+	captures  *atomic.Uint64   // the machine's capture IDs (PhysMem.captureIDs)
 	dirty     map[int64]uint64 // pages written since last checkpoint epoch -> lines written
 	heat      []uint32         // access counts for restore prefetch, by page index
 	marks     []uint32         // bit per page of heat: touched since the last barrier (growHeatLocked)
@@ -133,7 +135,8 @@ func (pm *PhysMem) NewObject(name string, size int64) *Object {
 		size:      size,
 		pages:     make(map[int64]*Frame),
 		refs:      1,
-		protected: make(map[int64]bool),
+		protected: make(map[int64]uint64),
+		captures:  &pm.captureIDs,
 		dirty:     make(map[int64]uint64),
 		swapSlots: make(map[int64]int64),
 	}

@@ -96,6 +96,11 @@ const poisonByte = 0xDB
 type Frame struct {
 	Data []byte // always PageSize bytes
 	refs int32  // references from objects and checkpoint flush sets
+	// base is the capture whose frame CowFault copied this one from (0:
+	// the frame was filled some other way), taker the first capture to
+	// take this one since. Both are set once; at taker, the lines the
+	// frame's dirty mask leaves out hold what they held at base.
+	base, taker uint64
 }
 
 // Ref adds a reference to the frame. The caller must already hold one:
@@ -108,6 +113,20 @@ func (f *Frame) Ref() {
 
 // Refs returns the current reference count.
 func (f *Frame) Refs() int32 { return atomic.LoadInt32(&f.refs) }
+
+// CopiedFrom returns, for the capture (CheckpointSet.Capture) that took
+// the frame, the capture of the frame CowFault copied it from: at the
+// first capture to take a COW copy, the lines outside its dirty mask
+// are that capture's. It returns 0 for a frame that is no COW copy of
+// a captured frame, and for any later capture of the same frame, whose
+// dirty mask no longer says how it differs from the one it was copied
+// from.
+func (f *Frame) CopiedFrom(capture uint64) uint64 {
+	if f.taker != capture {
+		return 0
+	}
+	return f.base
+}
 
 // PhysMem is the physical frame allocator. It tracks residency so the
 // pageout daemon and the experiment harness can observe memory
@@ -124,6 +143,10 @@ type PhysMem struct {
 	frees     atomic.Int64
 
 	objectIDs, spaceIDs atomic.Uint64
+	// captureIDs numbers the machine's barrier captures (CheckpointSet.
+	// Capture), across all its objects. A capture ID is only ever compared
+	// for equality, so it lands in no image and no charge.
+	captureIDs atomic.Uint64
 
 	mu   sync.Mutex
 	free []*Frame // frames with no references, bytes stale
@@ -155,6 +178,7 @@ func (pm *PhysMem) reserve() (*Frame, error) {
 	pm.mu.Unlock()
 	if f != nil {
 		atomic.StoreInt32(&f.refs, 1)
+		f.base, f.taker = 0, 0
 	}
 	return f, nil
 }
