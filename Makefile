@@ -81,9 +81,10 @@ race:
 ## self-healing flush pipeline, crash-consistent superblock, and replica
 ## resume paths driven by the fault-injecting device; the dirty-line
 ## masks every sub-page path relies on (seeds 1–50); a line page served
-## from any intact copy; and a wrong resumed page hash refused.
+## from any intact copy; a wrong resumed page hash refused, and a write
+## the dirty-line mask missed caught by the sampled whole-page check.
 faultcheck:
-	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestFault|TestTorn|TestScrub|TestReplica|TestRecovery|TestQuarantine|TestLineEntries|TestLinePutFailureLeavesStoreAsFound|TestLineMasksCheckedUnderRace|TestIndexRefusesBadLineEntries|TestRottedLineBaseFailsOverByHash|TestArrayReturnsWhatItBills|TestPeekBillsNothing|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestArrayReadBatchAllocatesNothing|TestLinePageFaultIsOneRead|TestDirtyLineMaskProperty|TestFetchBlockTriesEveryLineCopy|TestResumedHashCheckedWholeUnderRace' \
+	$(GO) test -race -count=1 -run 'TestFaultMatrix|TestFault|TestTorn|TestScrub|TestReplica|TestRecovery|TestQuarantine|TestLineEntries|TestLinePutFailureLeavesStoreAsFound|TestLineMasksCheckedUnderRace|TestIndexRefusesBadLineEntries|TestRottedLineBaseFailsOverByHash|TestArrayReturnsWhatItBills|TestPeekBillsNothing|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestArrayReadBatchAllocatesNothing|TestLinePageFaultIsOneRead|TestDirtyLineMaskProperty|TestFetchBlockTriesEveryLineCopy|TestResumedHashCheckedWholeUnderRace|TestResumeCheckCatchesAnUnmarkedWrite' \
 		./internal/core/ ./internal/storage/ ./internal/objstore/ ./internal/netback/ ./internal/vm/
 
 ## recoverycheck: validated self-healing restore under the race detector —
@@ -102,9 +103,10 @@ faultcheck:
 ## is one lookup and one device read; the store's records survive
 ## every put, drop and Sync+Open as a reference model has them; and a
 ## partly written page's hash resumes from the midstate its previous
-## capture left, to the same content hash.
+## capture left, to the same content hash, whichever way the digest hands
+## out its state, from a table the group keeps per object it tracks.
 recoverycheck:
-	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestRestoreAttachesWhatAnImageHoldsByName|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestPartlyWrittenPagesResumeTheirHash' \
+	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestRestoreAttachesWhatAnImageHoldsByName|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestPartlyWrittenPagesResumeTheirHash|TestPageHasherMarshalsWithoutAppendBinary|TestMidstateTablesFollowTrackedObjects' \
 		./internal/core/ ./internal/vm/ ./internal/netback/ ./internal/objstore/ ./cmd/sls/
 
 ## chaoscheck: whole-system chaos harness under the race detector —

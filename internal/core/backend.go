@@ -242,7 +242,7 @@ func (p *imagePages) Hashed(i int) int {
 	if p.resumed == nil {
 		return vm.PageSize
 	}
-	return vm.PageSize - int(p.resumed[i])*vm.MidstateStep
+	return vm.PageSize - int(p.resumed[i])*midstateStep
 }
 
 // Flush implements Backend: every metadata record and captured page

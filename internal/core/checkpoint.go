@@ -138,7 +138,7 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 			Lines:   cs.Lines,
 
 			capture:   cs.Capture,
-			midstates: cs.Midstates,
+			midstates: g.midstatesOf(to.obj.ID),
 		}
 		// Pages evicted to swap since the last checkpoint are read inside
 		// the barrier: a slot is not frozen once the group runs again —
@@ -158,6 +158,7 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 		bd.PagesCaptured += len(cs.Pages)
 		bd.SwapPages += len(cs.SwapPages)
 	}
+	g.dropMidstates(memory)
 	clock.Advance(costs.ProtectBase)
 	bd.PTEOps = o.K.Meter.PTEOps.Load() - pteBefore
 	bd.LazyDataCopy = dataSW.Elapsed()
@@ -393,6 +394,33 @@ func (o *Orchestrator) resumeAll(members []*kernel.Process) {
 type trackedObject struct {
 	obj    *vm.Object
 	spaces []*vm.AddressSpace
+}
+
+// midstatesOf returns the group's midstate table for object id, made
+// the first time a barrier tracks the object. The caller holds ckptMu.
+func (g *Group) midstatesOf(id uint64) *midstateTable {
+	t := g.midstates[id]
+	if t == nil {
+		if g.midstates == nil {
+			g.midstates = make(map[uint64]*midstateTable)
+		}
+		t = new(midstateTable)
+		g.midstates[id] = t
+	}
+	return t
+}
+
+// dropMidstates lets go of the tables of objects a barrier no longer
+// tracked: memory is what it captured. The caller holds ckptMu.
+func (g *Group) dropMidstates(memory map[uint64]*MemImage) {
+	if len(g.midstates) == len(memory) {
+		return
+	}
+	for id := range g.midstates {
+		if _, ok := memory[id]; !ok {
+			delete(g.midstates, id)
+		}
+	}
 }
 
 // trackedObjects collects the distinct persistable VM objects across

@@ -65,13 +65,14 @@ type MemImage struct {
 	// images that did not come from a barrier have none.
 	Lines map[int64]uint64
 
-	// capture and midstates are the barrier's vm.CheckpointSet Capture
-	// and Midstates: hashing a captured frame leaves its midstates there,
-	// and a partly written frame's hash resumes from those of the frame
-	// it was copied from (hashRun). Images that did not come from a
-	// barrier have none and hash every page whole.
+	// capture is the barrier's vm.CheckpointSet Capture and midstates
+	// the group's table for the object (Group.midstates): hashing a
+	// captured frame leaves its midstates there, and a partly written
+	// frame's hash resumes from those of the frame it was copied from
+	// (hashRun). Images that did not come from a barrier have none and
+	// hash every page whole.
 	capture   uint64
-	midstates *vm.Midstates
+	midstates *midstateTable
 }
 
 // PageCount returns how many distinct pages the image holds, by name too.
@@ -118,7 +119,7 @@ type Image struct {
 	// hashDone is set; hashed is how many of them were hashed here and
 	// not supplied by the wire, hashedBytes how many bytes those hashes
 	// read, patched how many of those a compact delta's decoder rebuilt
-	// from line entries. resumed[i] is the step (vm.MidstateStep) at
+	// from line entries. resumed[i] is the step (midstateStep) at
 	// which pages[i]'s hash resumed, 0 for a whole page; nil when no
 	// page's could (every page was hashed whole, here or by the wire's
 	// sender).
@@ -680,8 +681,8 @@ func (img *Image) pageHashes() ([]PageHash, []uint8) {
 // hashSpan is, in whole pages' worth of bytes to hash, the least work
 // worth a goroutine of its own: 256 KiB, about 250 µs of SHA-256. On a
 // 2-vCPU host BenchmarkPageHashes measured 3.8–4.3 µs a whole page,
-// midstates included, and 2.7–2.9 µs a page resumed at its one written
-// line (2.25 KiB hashed on average): about 1–1.3 ns a byte either way,
+// midstates included, and 2.6–2.9 µs a page resumed at its one written
+// line (2.3 KiB hashed on average): about 1–1.3 ns a byte either way,
 // so the work is counted in bytes, a resumed page by the bytes it has
 // left. An image with less than two spans' worth is hashed inline:
 // at 64 whole pages the fork-join measurably cost a replicated group
@@ -699,7 +700,7 @@ const hashSpan = 64
 func (img *Image) hashPages(pages []PageHash) ([]uint8, int64) {
 	bytes := len(pages) * vm.PageSize
 	for _, p := range pages {
-		bytes -= img.Memory[p.ObjID].resumeStep(p.Idx) * vm.MidstateStep
+		bytes -= img.Memory[p.ObjID].resumeStep(p.Idx) * midstateStep
 	}
 	var resumed []uint8
 	if bytes < len(pages)*vm.PageSize {
@@ -737,15 +738,17 @@ func (img *Image) hashPages(pages []PageHash) ([]uint8, int64) {
 // CowFault copied it from an earlier capture (vm.Frame.CopiedFrom),
 // written in some lines but not all since, resumes SHA-256 at the last
 // midstate step at or before its first written line, from the midstate
-// the hash of that earlier capture left there (vm.Midstates): the bytes
-// in front are that capture's. It hashes whole when no such midstate is
-// held — that capture was never hashed, or a newer one of the page was
-// hashed first — and so does any other frame: restored, paged in,
-// swapped in, zero-filled, or taken again by a later capture. Every
-// captured frame leaves its midstates for the next capture to resume
-// from; a page that is not a captured frame (swap, inherited, decoded)
-// is hashed whole and leaves none. The hash is the page's content hash
-// either way.
+// the hash of that earlier capture left there (midstateTable): the
+// bytes in front are that capture's, as long as the dirty-line mask
+// covers every write, which about one such page in resumeCheckEvery
+// checks by hashing whole and comparing. It hashes whole when no such
+// midstate is held — that capture was never hashed, or a newer one of
+// the page was hashed first — and so does any other frame: restored,
+// paged in, swapped in, zero-filled, or taken again by a later
+// capture. Every captured frame leaves its midstates for the next
+// capture to resume from; a page that is not a captured frame (swap,
+// inherited, decoded) is hashed whole and leaves none. The hash is the
+// page's content hash either way.
 // resumed[i] is set to the step span[i] resumed at, if it did; it may
 // be nil when no page of the span can.
 func (img *Image) hashRun(span []PageHash, resumed []uint8) int64 {
@@ -755,25 +758,32 @@ func (img *Image) hashRun(span []PageHash, resumed []uint8) int64 {
 	for i := range span {
 		mi, idx := img.Memory[span[i].ObjID], span[i].Idx
 		f, captured := mi.Pages[idx]
-		if !captured || mi.midstates == nil || !h.midstates() {
+		if !captured || mi.midstates == nil {
 			span[i].Hash = PageContentHash(mi.PageData(idx))
 			bytes += vm.PageSize
 			continue
 		}
 		step, base := mi.resumeStep(idx), f.CopiedFrom(mi.capture)
-		var from vm.Midstate
+		var from midstate
+		check := 0 // the step a page hashed whole instead checks
 		if step > 0 {
 			var ok bool
-			if from, ok = mi.midstates.Load(idx, base, step-1); !ok {
+			if from, ok = mi.midstates.load(idx, base, step-1); !ok {
 				step = 0
+			} else if resumeChecked(img.Epoch, idx, &from) {
+				step, check = 0, step
 			}
 		}
 		span[i].Hash = h.hash(f.Data, step, from)
-		mi.midstates.Store(idx, mi.capture, base, step, &h.mids)
+		if check > 0 && h.mids[check-1] != from {
+			panic(fmt.Sprintf("core: page %d of %q at epoch %d differs in front of byte %d from the capture it was copied from, outside its dirty-line mask %#x: a write was not marked",
+				idx, mi.Name, img.Epoch, check*midstateStep, mi.Lines[idx]))
+		}
+		mi.midstates.store(idx, mi.capture, base, step, &h.mids)
 		if step > 0 {
 			resumed[i] = uint8(step)
 		}
-		bytes += int64(vm.PageSize - step*vm.MidstateStep)
+		bytes += int64(vm.PageSize - step*midstateStep)
 	}
 	return bytes
 }
@@ -785,7 +795,7 @@ func (mi *MemImage) resumeStep(idx int64) int {
 	if mi.midstates == nil || !mi.partlyWritten(idx) || mi.Lines[idx] == 0 {
 		return 0
 	}
-	return bits.TrailingZeros64(mi.Lines[idx]) << vm.LineShift / vm.MidstateStep
+	return bits.TrailingZeros64(mi.Lines[idx]) << vm.LineShift / midstateStep
 }
 
 // PagesHashed reports how many SHA-256 computations stand behind

@@ -33,6 +33,10 @@ type Group struct {
 	// ckptMu serializes serialization barriers on the group, so epochs
 	// enter the flush pipeline in order.
 	ckptMu sync.Mutex
+	// midstates holds, for each object the group's barriers track, the
+	// midstates the hashes of its captured pages left (midstateTable).
+	// Only a barrier, under ckptMu, reads or changes the map.
+	midstates map[uint64]*midstateTable
 
 	mu       sync.Mutex
 	pids     map[int]bool

@@ -2,10 +2,8 @@
 
 package core
 
-import "aurora/internal/vm"
-
 // snapshot copies the digest's chaining words, at a block boundary, to m.
-func (h *pageHasher) snapshot(m *vm.Midstate) {
-	b, _ := h.save.AppendBinary(h.state[:0])
+func (h *pageHasher) snapshot(m *midstate) {
+	b, _ := h.save(h.state[:0])
 	copy(m[:], b[len(sha256Magic):])
 }

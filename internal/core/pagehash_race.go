@@ -10,8 +10,6 @@ import (
 	"hash"
 	"reflect"
 	"sync"
-
-	"aurora/internal/vm"
 )
 
 // Under the race detector crypto/sha256's AppendBinary allocates: an
@@ -19,14 +17,14 @@ import (
 // a fresh slice, which the flush's allocation guard (TestFlushAllocs)
 // would count seven times a page. So the race build reads the digest's
 // chaining words where they lie, through reflect, once the first use
-// has checked that they read what AppendBinary hands out. Hashing and
+// has checked that they read what MarshalBinary hands out. Hashing and
 // resuming are the release build's, and the store's
 // verifySuppliedHashes recomputes every hash over the whole page.
 
 // snapshot copies the digest's chaining words, at a block boundary, to m.
-func (h *pageHasher) snapshot(m *vm.Midstate) {
+func (h *pageHasher) snapshot(m *midstate) {
 	if !chainingWordsReadable() {
-		b, _ := h.save.AppendBinary(h.state[:0])
+		b, _ := h.save(h.state[:0])
 		copy(m[:], b[len(sha256Magic):])
 		return
 	}
@@ -43,13 +41,9 @@ func chainingWords(d hash.Hash) reflect.Value {
 }
 
 // chainingWordsReadable reports whether chainingWords reads, on a
-// digest in the middle of a hash, the words AppendBinary hands out.
+// digest in the middle of a hash, the words MarshalBinary hands out.
 var chainingWordsReadable = sync.OnceValue(func() bool {
 	d := sha256.New()
-	save, ok := d.(encoding.BinaryAppender)
-	if !ok {
-		return false
-	}
 	v := reflect.ValueOf(d)
 	if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
 		return false
@@ -59,11 +53,11 @@ var chainingWordsReadable = sync.OnceValue(func() bool {
 		return false
 	}
 	d.Write(make([]byte, sha256.BlockSize))
-	b, err := save.AppendBinary(nil)
+	b, err := d.(encoding.BinaryMarshaler).MarshalBinary()
 	if err != nil {
 		return false
 	}
-	var m vm.Midstate
+	var m midstate
 	for i := range 8 {
 		binary.BigEndian.PutUint32(m[4*i:], uint32(words.Index(i).Uint()))
 	}

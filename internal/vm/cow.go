@@ -17,10 +17,6 @@ type CheckpointSet struct {
 	// object's machine: a COW copy of one of its frames reports it to the
 	// next capture to take the copy (Frame.CopiedFrom).
 	Capture uint64
-	// Midstates is the object's record of how far the content hashes of
-	// its captured pages got (see Midstates); the caller hashing this
-	// capture's pages reads and extends it.
-	Midstates *Midstates
 	// Pages maps object page index -> the frame as of the barrier.
 	Pages map[int64]*Frame
 	// SwapPages maps page index -> swap slot for pages that were paged
@@ -87,14 +83,10 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
 	if full {
 		want = len(o.pages)
 	}
-	if o.midstates == nil {
-		o.midstates = new(Midstates)
-	}
 	cs := &CheckpointSet{
 		Obj:       o,
 		Epoch:     epoch,
 		Capture:   o.captures.Add(1),
-		Midstates: o.midstates,
 		Pages:     make(map[int64]*Frame, want),
 		SwapPages: make(map[int64]int64),
 	}

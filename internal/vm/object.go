@@ -43,7 +43,6 @@ type Object struct {
 	// Aurora checkpoint tracking.
 	tracked   bool             // registered with the SLS orchestrator
 	protected map[int64]uint64 // pages write-protected for COW tracking -> the capture that did (0: a restore)
-	midstates *Midstates       // how far the hashes of captured pages got; made by the first barrier
 	captures  *atomic.Uint64   // the machine's capture IDs (PhysMem.captureIDs)
 	dirty     map[int64]uint64 // pages written since last checkpoint epoch -> lines written
 	heat      []uint32         // access counts for restore prefetch, by page index
