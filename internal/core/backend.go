@@ -228,12 +228,13 @@ type imagePages struct {
 func (p *imagePages) Len() int { return len(p.sums) }
 
 func (p *imagePages) Page(i int) (int64, []byte, objstore.Hash) {
-	return p.sums[i].Idx, p.mi.PageData(p.sums[i].Idx), p.sums[i].Hash
+	_, data := p.mi.at(i, p.sums[i].Idx)
+	return p.sums[i].Idx, data, p.sums[i].Hash
 }
 
 func (p *imagePages) Lines(i int) uint64 {
-	if idx := p.sums[i].Idx; p.mi.partlyWritten(idx) {
-		return p.mi.Lines[idx]
+	if k, _ := p.mi.at(i, p.sums[i].Idx); k >= 0 && p.mi.Pages[k].PartlyWritten() {
+		return p.mi.Pages[k].Lines
 	}
 	return vm.AllLines
 }
@@ -251,7 +252,7 @@ func (p *imagePages) Hashed(i int) int {
 // metadata records in image order, then VM objects by ascending ID,
 // each object's pages by ascending index with the content hash from
 // Image.PageHashes, which every backend of the group shares, and the
-// dirty-line mask from MemImage.Lines — so a seed, not a map
+// dirty-line mask of its MemImage.Pages entry — so a seed, not a map
 // iteration, decides where blocks are placed, and the store hashes
 // nothing itself. A page written in a few lines since the store's
 // newest epoch goes as a line entry (objstore's lines.go). The batch is
@@ -301,7 +302,7 @@ func (sb *StoreBackend) Flush(img *Image) (time.Duration, error) {
 		}
 		sums, resumed := img.pageHashes()
 		var pages imagePages
-		for _, id := range img.objectOrder() {
+		for _, id := range objectOrder(img.Memory) {
 			n := 0
 			for n < len(sums) && sums[n].ObjID == id {
 				n++
@@ -439,10 +440,12 @@ func (sb *StoreBackend) loadObject(group uint64, rec *objstore.Record, epoch uin
 	}
 	// One batched read: the device overlaps the blocks (and the line
 	// entries' bases and patches) at queue depth.
-	if mi.SwapData, mi.Heat, err = sb.store.ReadPages(group, rec.OID, epoch); err != nil {
-		return nil, err
+	pages, heat, err := sb.store.ReadPages(group, rec.OID, epoch)
+	if len(pages) > 0 {
+		mi.Inherit = &lazyPageSource{bytes: pages}
 	}
-	return mi, nil
+	mi.Heat = heat
+	return mi, err
 }
 
 // Validate verifies every block a restore of (group, epoch) would
@@ -506,7 +509,6 @@ func decodeVMObjMeta(meta []byte) (*MemImage, error) {
 		ObjID: d.U64(),
 		Name:  d.Str(),
 		Size:  d.I64(),
-		Pages: make(map[int64]*vm.Frame),
 	}
 	if err := d.Finish("vmobject meta"); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"aurora/internal/kernel"
+	"aurora/internal/objstore"
 	"aurora/internal/storage"
 	"aurora/internal/vm"
 )
@@ -111,11 +112,7 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 	// checkpoint is forced full — it starts from what is resident, not
 	// from dirty sets this barrier consumed.
 	abort := func(err error) (CheckpointBreakdown, error) {
-		for _, mi := range memory {
-			for _, f := range mi.Pages {
-				o.K.Mem.Free(f)
-			}
-		}
+		(&Image{Memory: memory}).Release(o.K.Mem)
 		g.mu.Lock()
 		g.everFull = false
 		g.mu.Unlock()
@@ -127,34 +124,34 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 		for _, space := range to.spaces {
 			space.ProtectObject(to.obj, cs.Pages)
 		}
-		inherit, _ := cs.Source.(*lazyPageSource) // a restore attaches no other kind
 		mi := &MemImage{
-			ObjID:   to.obj.ID,
-			Name:    to.obj.Name,
-			Size:    to.obj.Size(),
-			Pages:   cs.Pages,
-			Inherit: inherit,
-			Heat:    cs.Heat,
-			Lines:   cs.Lines,
+			ObjID: to.obj.ID,
+			Name:  to.obj.Name,
+			Size:  to.obj.Size(),
+			Pages: cs.Pages,
+			Heat:  cs.Heat,
 
 			capture:   cs.Capture,
 			midstates: g.midstatesOf(to.obj.ID),
 		}
+		memory[to.obj.ID] = mi
 		// Pages evicted to swap since the last checkpoint are read inside
 		// the barrier: a slot is not frozen once the group runs again —
-		// Pager.SwapIn frees it, Swap.WritePage reuses it.
+		// Pager.SwapIn frees it, Swap.WritePage reuses it. They go in
+		// front of whatever the object still pages from.
+		var swapped *lazyPageSource
 		if len(cs.SwapPages) > 0 && o.K.Pager != nil {
-			mi.SwapData = make(map[int64][]byte, len(cs.SwapPages))
-			for idx, slot := range cs.SwapPages {
+			swapped = &lazyPageSource{bytes: make([]objstore.PageBytes, 0, len(cs.SwapPages))}
+			for _, sp := range cs.SwapPages {
 				buf := make([]byte, vm.PageSize)
-				if err := o.K.Pager.SwapRead(slot, buf); err != nil {
-					memory[to.obj.ID] = mi
+				if err := o.K.Pager.SwapRead(sp.Slot, buf); err != nil {
 					return abort(err)
 				}
-				mi.SwapData[idx] = buf
+				swapped.bytes = append(swapped.bytes, objstore.PageBytes{Idx: sp.Idx, Data: buf})
 			}
 		}
-		memory[to.obj.ID] = mi
+		inherit, _ := cs.Source.(*lazyPageSource) // a restore attaches no other kind
+		mi.Inherit = inherit.beneath(cs.Pages, swapped)
 		bd.PagesCaptured += len(cs.Pages)
 		bd.SwapPages += len(cs.SwapPages)
 	}

@@ -518,7 +518,7 @@ func TestPageHashesParallelLeavesNothingBehind(t *testing.T) {
 		t.Fatalf("memo holds %d pages", len(pages))
 	}
 	for i, p := range pages {
-		if want := objstore.ContentHash(img.Memory[p.ObjID].PageData(p.Idx)); p.Hash != want {
+		if want := objstore.ContentHash(img.Memory[p.ObjID].page(p.Idx)); p.Hash != want {
 			t.Fatalf("page %d (object %d index %d) hashed wrongly by the parallel fill", i, p.ObjID, p.Idx)
 		}
 		if i > 0 && (pages[i-1].ObjID > p.ObjID || pages[i-1].ObjID == p.ObjID && pages[i-1].Idx >= p.Idx) {

@@ -53,7 +53,7 @@ func TestReleasedImageResolvesNothing(t *testing.T) {
 	top := g.LastImage()
 	heap := imgObjIDOfHeap(base)
 	st, err := top.resolve(nil, false)
-	if top.Prev != base || err != nil || len(st.objs[heap].frames) < 8 {
+	if top.Prev != base || err != nil || len(st.objs[heap].Pages) < 8 {
 		t.Fatalf("fixture: the incremental image should resolve through its full predecessor (err %v)", err)
 	}
 	procOID := base.Roots[0]
@@ -182,7 +182,7 @@ func TestEncodeHoldsTheFramesItReads(t *testing.T) {
 	top := codecImage(t, pm, base.Epoch+1, false, 4, func(id uint64, i int) byte { return distinctFill(id, i) + 100 })
 	top.Prev = base
 	want := encoded(t, top, pm)
-	f := top.Memory[3].Pages[0]
+	f := top.Memory[3].Pages[0].Frame
 
 	// Encode resolves top, then waits here, in the read of the store's
 	// pages of whichever object it reads first.

@@ -38,19 +38,21 @@ type MemImage struct {
 	ObjID uint64 // original vm.Object ID
 	Name  string
 	Size  int64
-	// Pages holds the captured frames. The image owns one reference
-	// per frame; restores COW-share against them without copying.
-	Pages map[int64]*vm.Frame
-	// SwapData holds pages that were on swap at the barrier, already
-	// read back as bytes, and those readPages read for Inherit.
-	SwapData map[int64][]byte
-	// Inherit holds by name the pages that are in neither Pages nor
-	// SwapData: the restore source a full barrier found the object still
-	// paging from (vm.CheckpointSet.Source), or a lazily loaded image's
-	// (StoreBackend.LoadLazy) over the store's live page view. Restore
-	// attaches it; readPages reads it into SwapData and clears this.
-	// Nothing here is sized by the image; a lazily loaded image's heat,
-	// too, stays in the store until a prefetch asks the view for it.
+	// Pages is the captured frames, one run in ascending page index, each
+	// with its dirty-line mask: the barrier's (vm.CheckpointSet.Pages),
+	// taken as it is. The image owns one reference per frame; restores
+	// COW-share against them without copying.
+	Pages []vm.Page
+	// Inherit holds every page that is not a frame. Pages read back as
+	// bytes — from swap at the barrier, by an eager Load, by readPages —
+	// are its run, in ascending page index and none of them in Pages; in
+	// front of, optionally, a store's pages at a pinned epoch held by name:
+	// the restore source a full barrier found the object still paging from
+	// (vm.CheckpointSet.Source), or a lazily loaded image's
+	// (StoreBackend.LoadLazy). Restore attaches it; readPages reads its
+	// store pages into a run. Nothing here is sized by the image; a lazily
+	// loaded image's heat, too, stays in the store until a prefetch asks
+	// the view for it.
 	Inherit *lazyPageSource
 	// Heat is the access counts driving restore prefetch, in ascending
 	// page order, as the barrier took them (vm.CheckpointSet.Heat): all
@@ -58,12 +60,6 @@ type MemImage struct {
 	// previous epoch in an incremental one. A chain's heat resolves by
 	// vm.MergeHeat, newest count winning, the way its pages do.
 	Heat []vm.PageHeat
-	// Lines is the object's dirty set at the barrier (vm's
-	// CheckpointSet.Lines): the 64-byte lines in which each captured
-	// frame differs from the object's page at the previous epoch. An
-	// incremental image's replica encode and store flush read it;
-	// images that did not come from a barrier have none.
-	Lines map[int64]uint64
 
 	// capture is the barrier's vm.CheckpointSet Capture and midstates
 	// the group's table for the object (Group.midstates): hashing a
@@ -75,16 +71,51 @@ type MemImage struct {
 	midstates *midstateTable
 }
 
-// PageCount returns how many distinct pages the image holds, by name too.
-func (mi *MemImage) PageCount() int { return countPages(mi.Pages, mi.SwapData, mi.Inherit) }
+func pageIdx(p *vm.Page) int64 { return p.Idx }
 
-// PageData returns one page's bytes regardless of where it was
-// captured from, or nil.
-func (mi *MemImage) PageData(idx int64) []byte {
-	if f, ok := mi.Pages[idx]; ok {
-		return f.Data
+// PageCount returns how many distinct pages the image holds, by name too:
+// a store's view under nothing knows its count; a view that cannot list
+// its pages counts none (a read of it fails anyway).
+func (mi *MemImage) PageCount() int {
+	n, src := len(mi.Pages), mi.Inherit
+	switch {
+	case src == nil:
+		return n
+	case src.sb == nil:
+		return n + len(src.bytes)
+	case n+len(src.bytes) == 0:
+		return src.view.Len()
 	}
-	return mi.SwapData[idx]
+	idxs, _ := src.pages()
+	for _, idx := range idxs {
+		if _, ok := vm.SearchRun(mi.Pages, idx, pageIdx); !ok {
+			n++
+		}
+	}
+	return n
+}
+
+// PageData returns the bytes of the image's i-th frame (Pages[i]).
+func (mi *MemImage) PageData(i int) []byte { return mi.Pages[i].Frame.Data }
+
+// at finds page idx of mi: where its frame is in Pages, tried first at k
+// — a walk of the pages in index order finds each frame right after the
+// one before — and its bytes; or -1 and the bytes its source's run holds
+// it in (nil when none).
+func (mi *MemImage) at(k int, idx int64) (int, []byte) {
+	if k >= len(mi.Pages) || mi.Pages[k].Idx != idx {
+		var ok bool
+		if k, ok = vm.SearchRun(mi.Pages, idx, pageIdx); !ok {
+			return -1, mi.Inherit.held(idx)
+		}
+	}
+	return k, mi.Pages[k].Frame.Data
+}
+
+// page returns the bytes mi holds page idx in, or nil.
+func (mi *MemImage) page(idx int64) []byte {
+	_, data := mi.at(0, idx)
+	return data
 }
 
 // Image is a complete in-memory checkpoint of a persistence group:
@@ -164,13 +195,13 @@ func (img *Image) PageCount() int {
 }
 
 // FootprintBytes reports the memory this image pins while it waits to
-// flush: captured frames, swap-page copies and the pages its flush reads
+// flush: captured frames, page copies and the pages its flush reads
 // for Inherit (every page of the source: an upper bound). This is what
 // the fleet's global memory budget charges per queued image.
 func (img *Image) FootprintBytes() int64 {
 	var n int64
 	for _, mi := range img.Memory {
-		n += int64(len(mi.Pages)+len(mi.SwapData)) * vm.PageSize
+		n += int64(len(mi.Pages)) * vm.PageSize
 		if src := mi.Inherit; src != nil {
 			n += int64(len(src.bytes)+src.view.Len()) * vm.PageSize
 		}
@@ -195,10 +226,10 @@ func (img *Image) Release(pm *vm.PhysMem) {
 	img.Prev = nil
 	img.mu.Unlock()
 	for _, mi := range img.Memory {
-		for _, f := range mi.Pages {
-			pm.Free(f)
+		for _, p := range mi.Pages {
+			pm.Free(p.Frame)
 		}
-		mi.Pages, mi.Lines, mi.Inherit, mi.midstates = nil, nil, nil, nil
+		mi.Pages, mi.Inherit, mi.midstates = nil, nil, nil
 	}
 }
 
@@ -212,17 +243,17 @@ func (img *Image) Released() bool {
 
 // Fold merges older, the image newer builds on, into newer: from here
 // newer alone holds the state at its epoch that the two held together,
-// and older is released. Every page, swap page, VM object and metadata
-// record of older that newer does not shadow moves into newer, which
-// takes older's Full flag and Prev; a full newer shadows everything.
-// Each object's smaller page map moves into the larger, so a small
-// delta folds into a large base in O(delta); its heat merges into the
-// base's the same way (vm.MergeHeat). A frame newer shadows goes
-// to free with its page's hash (zero unless older's PageHashes had been
-// computed). When both images' PageHashes had been computed, newer's
-// become the merged set; otherwise they are recomputed on next use.
-// Neither image may be read elsewhere while it folds, and a walk that
-// reaches older afterwards finds it released.
+// and older is released. Every page, VM object and metadata record of
+// older that newer does not shadow moves into newer, which takes older's
+// Full flag and Prev; a full newer shadows everything. Each object's
+// pages fold as resolve folds them (MemImage.fold), patching the larger
+// run in place, so a small delta folds into a large base in O(delta);
+// its heat merges into the base's the same way (vm.MergeHeat). A frame
+// newer shadows goes to free with its page's hash (zero unless older's
+// PageHashes had been computed). When both images' PageHashes had been
+// computed, newer's become the merged set; otherwise they are recomputed
+// on next use. Neither image may be read elsewhere while it folds, and a
+// walk that reaches older afterwards finds it released.
 func Fold(older, newer *Image, free func(PageHash, *vm.Frame)) {
 	older.mu.Lock()
 	mem, meta, prev, full := older.Memory, older.Meta, older.Prev, older.Full
@@ -232,13 +263,13 @@ func Fold(older, newer *Image, free func(PageHash, *vm.Frame)) {
 	oldSums, oldDone := older.pages, older.hashDone
 	older.pages, older.hashDone = nil, false
 	older.hashMu.Unlock()
-	shadowed := func(id uint64) func(int64, *vm.Frame) {
-		return func(idx int64, f *vm.Frame) {
-			p := PageHash{ObjID: id, Idx: idx}
-			if i, ok := findPage(oldSums, id, idx); ok {
+	shadowed := func(id uint64) func(*vm.Page) {
+		return func(f *vm.Page) {
+			p := PageHash{ObjID: id, Idx: f.Idx}
+			if i, ok := findPage(oldSums, id, f.Idx); ok {
 				p.Hash = oldSums[i].Hash
 			}
-			free(p, f)
+			free(p, f.Frame)
 		}
 	}
 
@@ -247,15 +278,15 @@ func Fold(older, newer *Image, free func(PageHash, *vm.Frame)) {
 	if newer.Full {
 		for id, mi := range mem {
 			drop := shadowed(id)
-			for idx, f := range mi.Pages {
-				drop(idx, f)
+			for i := range mi.Pages {
+				drop(&mi.Pages[i])
 			}
 		}
 		return
 	}
 	for id, mi := range mem {
 		if heir, ok := newer.Memory[id]; ok {
-			foldPages(mi, heir, shadowed(id))
+			heir.fold(mi, true, shadowed(id))
 			heir.Heat = vm.MergeHeat(mi.Heat, heir.Heat)
 		} else {
 			newer.Memory[id] = mi
@@ -279,43 +310,33 @@ func Fold(older, newer *Image, free func(PageHash, *vm.Frame)) {
 	newer.resumed = nil
 }
 
-// foldPages moves old's pages and swap pages into heir wherever heir
-// does not shadow them — old's page map into heir's or, when old's is
-// the larger, heir's into old's, which heir then takes — and hands each
-// frame heir shadows to free.
-func foldPages(old, heir *MemImage, free func(int64, *vm.Frame)) {
-	for idx := range heir.SwapData {
-		if f, ok := old.Pages[idx]; ok {
-			free(idx, f)
-			delete(old.Pages, idx)
+// fold takes old, the same object one image older, under mi: every page
+// of old that mi holds neither as a frame nor in its source's run joins
+// mi, and lose gets each frame of old that mi shadows. With own, old is
+// the caller's to consume (Fold) and the larger frame run is patched in
+// place (vm.FoldRun); without, old's runs are only read (resolve), and
+// mi's, which may be an image's shared run, must come clipped.
+func (mi *MemImage) fold(old *MemImage, own bool, lose func(*vm.Page)) {
+	frames := old.Pages
+	if top := mi.Inherit; len(top.run()) > 0 {
+		var kept []vm.Page
+		if own {
+			kept = frames[:0]
 		}
-	}
-	if len(old.Pages) > len(heir.Pages) {
-		for idx, f := range heir.Pages {
-			if g, ok := old.Pages[idx]; ok {
-				free(idx, g)
-			}
-			old.Pages[idx] = f
-		}
-		heir.Pages = old.Pages
-	} else {
-		for idx, f := range old.Pages {
-			if _, ok := heir.Pages[idx]; ok {
-				free(idx, f)
+		for _, p := range frames {
+			if top.held(p.Idx) != nil {
+				lose(&p)
 			} else {
-				heir.Pages[idx] = f
+				kept = append(kept, p)
 			}
 		}
+		frames = kept
 	}
-	for idx, d := range old.SwapData {
-		_, paged := heir.Pages[idx]
-		_, swapped := heir.SwapData[idx]
-		if !paged && !swapped {
-			if heir.SwapData == nil {
-				heir.SwapData = make(map[int64][]byte)
-			}
-			heir.SwapData[idx] = d
-		}
+	mi.Inherit = old.Inherit.beneath(mi.Pages, mi.Inherit)
+	if own && len(frames) > len(mi.Pages) {
+		mi.Pages = vm.FoldRun(frames, mi.Pages, pageIdx, false, lose)
+	} else {
+		mi.Pages = vm.FoldRun(mi.Pages, frames, pageIdx, true, lose)
 	}
 }
 
@@ -340,12 +361,14 @@ func mergeSums(older, newer []PageHash) []PageHash {
 }
 
 // chainState is the state at one image, read off its chain in one walk:
-// the newest metadata record per OID, and per VM object its newest name
-// and size, its pages — newest capture wins — and, when asked for, its
-// heat. A restore resolves an image once and builds everything from this.
+// the newest metadata record per OID, and per VM object a MemImage of the
+// state's own — its newest name and size, its frames (newest capture
+// wins), every other page through its Inherit and, when asked for, its
+// heat merged. A restore resolves an image once and builds everything
+// from this.
 type chainState struct {
 	meta []MetaRec
-	objs map[uint64]*objectState
+	objs map[uint64]*MemImage
 	// own counts the pages the image itself holds (not the chain under
 	// it): what a restore's metadata charge is sized by.
 	own int64
@@ -354,40 +377,29 @@ type chainState struct {
 	pinned *vm.PhysMem
 }
 
-// objectState is one VM object's part of a chainState.
-type objectState struct {
-	name   string
-	size   int64
-	frames map[int64]*vm.Frame // captured frames
-	bytes  map[int64][]byte    // swap pages, already read back
-	src    *lazyPageSource     // the pages neither map holds, by name (MemImage.Inherit)
-	heat   []vm.PageHeat       // the chain's heat merged, if the walk was asked for it
-}
-
-func (o *objectState) has(idx int64) bool {
-	if _, ok := o.frames[idx]; ok {
-		return true
-	}
-	_, ok := o.bytes[idx]
-	return ok
-}
-
 // resolve walks img and the images under it, newest first, down to the
-// nearest full one, reading each under its lock. Any image on the way
-// that has been released makes it ErrNoImage: that part of the history
-// now lives in a backend only, and resolving around the hole would pass
-// off a partial state as the whole. It reads no page: the state carries
-// the source an object's pages are held by name in (only a full image
-// has one). With pin set — the caller uses the state, not only checks
-// it — every frame collected takes a reference from pin, so that a
-// release of the chain after this walk cannot take the frames from under
-// the caller, who drops them with unpin. With heat set each object's
-// heat deltas are merged (vm.MergeHeat) into a list of the state's own —
-// the one part of a state only a prefetching restore and Encode read, so
-// the walks that do not need it merge and allocate nothing for it.
+// nearest full one, reading each under its lock and folding its objects'
+// runs under what the walk holds so far (MemImage.fold), which writes
+// none of them. Any image on the way that has been released makes it
+// ErrNoImage: that part of the history now lives in a backend only, and
+// resolving around the hole would pass off a partial state as the whole.
+// It reads no page: the state carries the source an object's pages are
+// held by name in (only a full image has a store's). With pin set — the
+// caller uses the state, not only checks it — every frame collected
+// takes a reference from pin, so that a release of the chain after this
+// walk cannot take the frames from under the caller, who drops them with
+// unpin. With heat set each object's heat deltas are merged
+// (vm.MergeHeat) into a list of the state's own — the one part of a
+// state only a prefetching restore and Encode read, so the walks that do
+// not need it merge and allocate nothing for it.
 func (img *Image) resolve(pin *vm.PhysMem, heat bool) (*chainState, error) {
-	st := &chainState{meta: make([]MetaRec, 0, len(img.Meta)), objs: make(map[uint64]*objectState, len(img.Memory)), pinned: pin}
+	st := &chainState{meta: make([]MetaRec, 0, len(img.Meta)), objs: make(map[uint64]*MemImage, len(img.Memory)), pinned: pin}
 	seen := make(map[uint64]bool, len(img.Meta))
+	unpin := func(p *vm.Page) {
+		if pin != nil {
+			pin.Free(p.Frame)
+		}
+	}
 	for cur := img; cur != nil; {
 		cur.mu.Lock()
 		if cur.released {
@@ -406,35 +418,18 @@ func (img *Image) resolve(pin *vm.PhysMem, heat bool) (*chainState, error) {
 			if cur == img {
 				st.own += int64(mi.PageCount())
 			}
-			o := st.objs[id]
-			if o == nil {
-				o = &objectState{name: mi.Name, size: mi.Size}
-				st.objs[id] = o
-			}
-			for idx, f := range mi.Pages {
-				if !o.has(idx) {
-					if pin != nil {
-						f.Ref()
-					}
-					if o.frames == nil {
-						o.frames = make(map[int64]*vm.Frame, len(mi.Pages))
-					}
-					o.frames[idx] = f
+			if pin != nil {
+				for _, p := range mi.Pages {
+					p.Frame.Ref()
 				}
 			}
-			for idx, d := range mi.SwapData {
-				if !o.has(idx) {
-					if o.bytes == nil {
-						o.bytes = make(map[int64][]byte, len(mi.SwapData))
-					}
-					o.bytes[idx] = d
-				}
-			}
-			if o.src == nil {
-				o.src = mi.Inherit
+			if o := st.objs[id]; o != nil {
+				o.fold(mi, false, unpin)
+			} else {
+				st.objs[id] = &MemImage{ObjID: id, Name: mi.Name, Size: mi.Size, Pages: slices.Clip(mi.Pages), Inherit: mi.Inherit}
 			}
 			if heat {
-				o.mergeHeat(cur, mi)
+				st.objs[id].mergeHeat(cur, mi)
 			}
 		}
 		prev, full := cur.Prev, cur.Full
@@ -452,16 +447,13 @@ func (img *Image) resolve(pin *vm.PhysMem, heat bool) (*chainState, error) {
 // images are shared, and the merge works in place. A lazily loaded
 // image's heat is still in the store, and its view (pinned at the
 // image's own epoch, unlike a barrier's source) resolves a copy.
-func (o *objectState) mergeHeat(img *Image, mi *MemImage) {
+func (o *MemImage) mergeHeat(img *Image, mi *MemImage) {
 	older := slices.Clone(mi.Heat)
 	if src := mi.Inherit; src != nil && src.pinGroup == img.Group && src.pinEpoch == img.Epoch {
 		older = vm.MergeHeat(src.view.Heat(), older)
 	}
-	o.heat = vm.MergeHeat(older, o.heat)
+	o.Heat = vm.MergeHeat(older, o.Heat)
 }
-
-// pageCount is how many distinct pages the state holds.
-func (o *objectState) pageCount() int { return countPages(o.frames, o.bytes, o.src) }
 
 // unpin drops the references resolve took.
 func (st *chainState) unpin() {
@@ -469,21 +461,11 @@ func (st *chainState) unpin() {
 		return
 	}
 	for _, o := range st.objs {
-		for _, f := range o.frames {
-			st.pinned.Free(f)
+		for _, p := range o.Pages {
+			st.pinned.Free(p.Frame)
 		}
 	}
 	st.pinned = nil
-}
-
-// objectIDs lists the state's VM objects by ascending ID.
-func (st *chainState) objectIDs() []uint64 {
-	ids := make([]uint64, 0, len(st.objs))
-	for id := range st.objs {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 // base returns the image img builds on: nil when img is full.
@@ -511,7 +493,7 @@ func (img *Image) Resolvable() bool {
 func (img *Image) ResolvePage(objID uint64, idx int64) []byte {
 	for cur := img; cur != nil && !cur.Released(); cur = cur.base() {
 		if mi, ok := cur.Memory[objID]; ok {
-			if data := mi.PageData(idx); data != nil {
+			if data := mi.page(idx); data != nil {
 				return data
 			}
 		}
@@ -536,10 +518,7 @@ func (img *Image) Encode(pm *vm.PhysMem) ([]byte, error) {
 	}
 	defer st.unpin()
 	full := &Image{Group: img.Group, Epoch: img.Epoch, Gen: img.Gen, Name: img.Name, Full: true,
-		Meta: st.meta, Memory: make(map[uint64]*MemImage, len(st.objs)), Roots: img.Roots}
-	for id, o := range st.objs {
-		full.Memory[id] = &MemImage{ObjID: id, Name: o.name, Size: o.size, Pages: o.frames, SwapData: o.bytes, Inherit: o.src, Heat: o.heat}
-	}
+		Meta: st.meta, Memory: st.objs, Roots: img.Roots}
 	if _, err := full.readPages(nil); err != nil {
 		return nil, err
 	}
@@ -581,7 +560,7 @@ func DecodeImage(payload []byte, pm *vm.PhysMem) (*Image, error) {
 }
 
 // PageHash names one page an image holds in bytes — a captured frame
-// or a swap-page copy, never a store ref — and its content hash.
+// or a page of its source's run, never a store ref — and its content hash.
 type PageHash struct {
 	ObjID uint64
 	Idx   int64
@@ -595,11 +574,11 @@ func PageContentHash(data []byte) objstore.Hash {
 	return objstore.ContentHash(data)
 }
 
-// objectOrder lists the image's own VM objects by ascending ID: the
-// order of the wire format and of the store's records.
-func (img *Image) objectOrder() []uint64 {
-	ids := make([]uint64, 0, len(img.Memory))
-	for id := range img.Memory {
+// objectOrder lists VM objects (an image's Memory, a state's objs) by
+// ascending ID: the order of the wire format and of the store's records.
+func objectOrder(objs map[uint64]*MemImage) []uint64 {
+	ids := make([]uint64, 0, len(objs))
+	for id := range objs {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
@@ -607,19 +586,50 @@ func (img *Image) objectOrder() []uint64 {
 }
 
 // pageOrder lists the image's own pages in wire order — ascending
-// (ObjID, page index) — with their hashes left zero.
+// (ObjID, page index) — with their hashes left zero: per object, its
+// frames and its source's run merged.
 func (img *Image) pageOrder() []PageHash {
-	pages := make([]PageHash, 0, img.PageCount())
-	for id, mi := range img.Memory {
-		for idx := range mi.Pages {
-			pages = append(pages, PageHash{ObjID: id, Idx: idx})
-		}
-		for idx := range mi.SwapData {
-			pages = append(pages, PageHash{ObjID: id, Idx: idx})
+	ids, n := objectOrder(img.Memory), 0
+	for _, mi := range img.Memory {
+		n += len(mi.Pages) + len(mi.Inherit.run())
+	}
+	pages := make([]PageHash, 0, n)
+	for _, id := range ids {
+		mi := img.Memory[id]
+		frames, bytes := mi.Pages, mi.Inherit.run()
+		for len(frames)+len(bytes) > 0 {
+			if len(bytes) == 0 || len(frames) > 0 && frames[0].Idx < bytes[0].Idx {
+				pages, frames = append(pages, PageHash{ObjID: id, Idx: frames[0].Idx}), frames[1:]
+			} else {
+				pages, bytes = append(pages, PageHash{ObjID: id, Idx: bytes[0].Idx}), bytes[1:]
+			}
 		}
 	}
-	sortPages(pages)
 	return pages
+}
+
+// cursor finds an image's pages for a walk of them in wire order: each
+// frame where the walk expects it, right after the last one found
+// (MemImage.at).
+type cursor struct {
+	img *Image
+	id  uint64
+	mi  *MemImage
+	k   int
+}
+
+// at returns page p: its object, its frame's run entry (nil for a page
+// held in bytes) and its bytes.
+func (c *cursor) at(p *PageHash) (*MemImage, *vm.Page, []byte) {
+	if c.mi == nil || p.ObjID != c.id {
+		c.id, c.mi, c.k = p.ObjID, c.img.Memory[p.ObjID], 0
+	}
+	k, data := c.mi.at(c.k, p.Idx)
+	if k < 0 {
+		return c.mi, nil, data
+	}
+	c.k = k + 1
+	return c.mi, &c.mi.Pages[k], data
 }
 
 func sortPages(pages []PageHash) { slices.SortFunc(pages, comparePages) }
@@ -699,8 +709,10 @@ const hashSpan = 64
 // call and the result does not depend on how it was split.
 func (img *Image) hashPages(pages []PageHash) ([]uint8, int64) {
 	bytes := len(pages) * vm.PageSize
-	for _, p := range pages {
-		bytes -= img.Memory[p.ObjID].resumeStep(p.Idx) * midstateStep
+	c := cursor{img: img}
+	for i := range pages {
+		mi, f, _ := c.at(&pages[i])
+		bytes -= mi.resumeStep(f) * midstateStep
 	}
 	var resumed []uint8
 	if bytes < len(pages)*vm.PageSize {
@@ -755,15 +767,16 @@ func (img *Image) hashRun(span []PageHash, resumed []uint8) int64 {
 	h := pageHashers.Get().(*pageHasher)
 	defer pageHashers.Put(h)
 	var bytes int64
+	c := cursor{img: img}
 	for i := range span {
-		mi, idx := img.Memory[span[i].ObjID], span[i].Idx
-		f, captured := mi.Pages[idx]
-		if !captured || mi.midstates == nil {
-			span[i].Hash = PageContentHash(mi.PageData(idx))
+		mi, f, data := c.at(&span[i])
+		if f == nil || mi.midstates == nil {
+			span[i].Hash = PageContentHash(data)
 			bytes += vm.PageSize
 			continue
 		}
-		step, base := mi.resumeStep(idx), f.CopiedFrom(mi.capture)
+		idx := f.Idx
+		step, base := mi.resumeStep(f), f.Frame.CopiedFrom(mi.capture)
 		var from midstate
 		check := 0 // the step a page hashed whole instead checks
 		if step > 0 {
@@ -774,10 +787,10 @@ func (img *Image) hashRun(span []PageHash, resumed []uint8) int64 {
 				step, check = 0, step
 			}
 		}
-		span[i].Hash = h.hash(f.Data, step, from)
+		span[i].Hash = h.hash(data, step, from)
 		if check > 0 && h.mids[check-1] != from {
 			panic(fmt.Sprintf("core: page %d of %q at epoch %d differs in front of byte %d from the capture it was copied from, outside its dirty-line mask %#x: a write was not marked",
-				idx, mi.Name, img.Epoch, check*midstateStep, mi.Lines[idx]))
+				idx, mi.Name, img.Epoch, check*midstateStep, f.Lines))
 		}
 		mi.midstates.store(idx, mi.capture, base, step, &h.mids)
 		if step > 0 {
@@ -788,14 +801,15 @@ func (img *Image) hashRun(span []PageHash, resumed []uint8) int64 {
 	return bytes
 }
 
-// resumeStep is the midstate step at which the hash of page idx may
-// resume: the last one at or before its first written line, for a
-// captured frame written in some lines but not all; 0 for any other.
-func (mi *MemImage) resumeStep(idx int64) int {
-	if mi.midstates == nil || !mi.partlyWritten(idx) || mi.Lines[idx] == 0 {
+// resumeStep is the midstate step at which the hash of frame f of mi
+// may resume: the last one at or before its first written line, for a
+// captured frame written in some lines but not all; 0 for any other (and
+// for no frame).
+func (mi *MemImage) resumeStep(f *vm.Page) int {
+	if mi.midstates == nil || f == nil || !f.PartlyWritten() || f.Lines == 0 {
 		return 0
 	}
-	return bits.TrailingZeros64(mi.Lines[idx]) << vm.LineShift / midstateStep
+	return bits.TrailingZeros64(f.Lines) << vm.LineShift / midstateStep
 }
 
 // PagesHashed reports how many SHA-256 computations stand behind
@@ -864,28 +878,18 @@ func (img *Image) EncodeDeltaLink(skip func(objstore.Hash) bool, acked uint64) (
 	pages = img.PageHashes()
 	tags := make([]byte, len(pages))
 	lines := !img.Full && acked != 0 && acked+1 == img.Epoch
-	for i, p := range pages {
-		switch {
-		case skip != nil && skip(p.Hash):
+	c := cursor{img: img}
+	for i := range pages {
+		switch _, f, _ := c.at(&pages[i]); {
+		case skip != nil && skip(pages[i].Hash):
 			tags[i] = deltaPageRef
 			skipped++
-		case lines && img.Memory[p.ObjID].partlyWritten(p.Idx):
+		case lines && f != nil && f.PartlyWritten():
 			tags[i] = deltaPageLines
 			lined++
 		}
 	}
 	return img.encodeDelta(pages, tags), pages, skipped, lined
-}
-
-// partlyWritten reports whether page idx is a captured frame that
-// differs from the object's page at the previous barrier in some lines
-// but not all.
-func (mi *MemImage) partlyWritten(idx int64) bool {
-	if _, ok := mi.Pages[idx]; !ok {
-		return false
-	}
-	mask, ok := mi.Lines[idx]
-	return ok && mask != vm.AllLines
 }
 
 // deltaSink is what the delta layout is written to: a codec.Sizer to
@@ -906,7 +910,7 @@ type deltaSink interface {
 // size. pages is the image's pages in wire order, and page i goes as the
 // entry tags[i] names.
 func (img *Image) encodeDelta(pages []PageHash, tags []byte) []byte {
-	ids := img.objectOrder()
+	ids := objectOrder(img.Memory)
 
 	write := func(w deltaSink) {
 		w.U64(img.Group)
@@ -921,7 +925,7 @@ func (img *Image) encodeDelta(pages []PageHash, tags []byte) []byte {
 			w.Bytes2(m.Data)
 		}
 		w.U64(uint64(len(ids)))
-		next := 0
+		next, c := 0, cursor{img: img}
 		for _, id := range ids {
 			mi := img.Memory[id]
 			w.U64(id)
@@ -934,13 +938,14 @@ func (img *Image) encodeDelta(pages []PageHash, tags []byte) []byte {
 			w.U64(uint64(end - next))
 			for ; next < end; next++ {
 				p := &pages[next]
+				_, f, data := c.at(p)
 				w.I64(p.Idx)
 				w.U8(tags[next])
 				switch tags[next] {
 				case deltaPageRef:
 					w.Bytes2(p.Hash[:])
 				case deltaPageLines:
-					mask, data := mi.Lines[p.Idx], mi.Pages[p.Idx].Data
+					mask := f.Lines
 					w.U64(mask)
 					w.U64(uint64(bits.OnesCount64(mask)) << vm.LineShift)
 					for m := mask; m != 0; m &= m - 1 {
@@ -949,7 +954,7 @@ func (img *Image) encodeDelta(pages []PageHash, tags []byte) []byte {
 					}
 					w.Bytes2(p.Hash[:])
 				default:
-					w.Bytes2(mi.PageData(p.Idx))
+					w.Bytes2(data)
 				}
 			}
 			w.U64(uint64(len(mi.Heat)))
@@ -972,33 +977,42 @@ func (img *Image) encodeDelta(pages []PageHash, tags []byte) []byte {
 // and heat, handing each page entry's payload (everything after its
 // index) to page, which returns the frame holding it; a nil frame with a
 // nil error skips the page. Counts come off the wire, so each is checked
-// against the bytes that remain before anything is sized by it, and an
-// object or page that appears twice is corrupt (the second would orphan
-// the first one's frames).
+// against the bytes that remain before anything is sized by it. Objects
+// must come in ascending ID and each object's pages in ascending index,
+// as every encoder writes them: anything else — an object or page listed
+// twice among them, whose second copy would orphan the first one's
+// frames — is corrupt, so each page run is built in wire order.
 func decodeObjects(d *codec.Decoder, img *Image, page func(objID uint64, idx int64) (*vm.Frame, error)) error {
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
 		img.Meta = append(img.Meta, MetaRec{OID: d.U64(), Kind: kernel.Kind(d.U64()), Data: d.Bytes2()})
 	}
+	var last uint64
 	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
-		mi := &MemImage{ObjID: d.U64(), Name: d.Str(), Size: d.I64(), Pages: make(map[int64]*vm.Frame)}
-		if _, dup := img.Memory[mi.ObjID]; dup {
-			return fmt.Errorf("decoding image delta: object %d appears twice: %w", mi.ObjID, codec.ErrCorrupt)
+		mi := &MemImage{ObjID: d.U64(), Name: d.Str(), Size: d.I64()}
+		if d.Err() != nil {
+			break
 		}
-		img.Memory[mi.ObjID] = mi
-		for j, n := 0, d.Count(); j < n && d.Err() == nil; j++ {
+		if i > 0 && mi.ObjID <= last {
+			return fmt.Errorf("decoding image delta: object %d after object %d: %w", mi.ObjID, last, codec.ErrCorrupt)
+		}
+		img.Memory[mi.ObjID], last = mi, mi.ObjID
+		n := d.Count()
+		mi.Pages = make([]vm.Page, 0, n)
+		for j, prev := 0, int64(0); j < n && d.Err() == nil; j++ {
 			idx := d.I64()
 			if d.Err() != nil {
 				break
 			}
-			if _, dup := mi.Pages[idx]; dup {
-				return fmt.Errorf("decoding image delta: page %d of object %d appears twice: %w", idx, mi.ObjID, codec.ErrCorrupt)
+			if j > 0 && idx <= prev {
+				return fmt.Errorf("decoding image delta: page %d of object %d after page %d: %w", idx, mi.ObjID, prev, codec.ErrCorrupt)
 			}
+			prev = idx
 			f, err := page(mi.ObjID, idx)
 			if err != nil {
 				return err
 			}
 			if f != nil {
-				mi.Pages[idx] = f
+				mi.Pages = append(mi.Pages, vm.Page{Idx: idx, Frame: f, Lines: vm.AllLines})
 			}
 		}
 		for j, n := 0, d.Count(); j < n && d.Err() == nil; j++ {
@@ -1133,7 +1147,6 @@ func DecodeDeltaCompact(payload []byte, pm *vm.PhysMem, resolve func(objstore.Ha
 		return nil, nil, err
 	}
 	if len(missing) == 0 {
-		sortPages(pages) // a no-op pass for a sender that wrote them in order
 		img.pages, img.hashDone, img.patched = pages, true, patched
 		img.hashed.Store(hashed)
 		img.hashedBytes.Store(hashed * vm.PageSize)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand/v2"
 	"runtime"
 	"slices"
 	"sync"
@@ -33,7 +35,7 @@ func codecImage(tb testing.TB, pm *vm.PhysMem, epoch uint64, full bool, pagesPer
 	}
 	for _, id := range []uint64{700, 3, 11} {
 		mi := &MemImage{ObjID: id, Name: fmt.Sprintf("obj%d", id), Size: int64(pagesPerObj) * 3 * vm.PageSize,
-			Pages: make(map[int64]*vm.Frame)}
+			Pages: make([]vm.Page, 0, pagesPerObj)}
 		for i := 0; i < pagesPerObj; i++ {
 			f, err := pm.Alloc()
 			if err != nil {
@@ -42,13 +44,13 @@ func codecImage(tb testing.TB, pm *vm.PhysMem, epoch uint64, full bool, pagesPer
 			for j := range f.Data {
 				f.Data[j] = fill(id, i)
 			}
-			mi.Pages[int64(i*3)] = f
+			mi.Pages = append(mi.Pages, vm.Page{Idx: int64(i * 3), Frame: f, Lines: vm.AllLines})
 		}
 		if id == 3 {
-			mi.SwapData = map[int64][]byte{
-				1:   bytes.Repeat([]byte{0xA1}, vm.PageSize),
-				200: bytes.Repeat([]byte{0xA2}, vm.PageSize),
-			}
+			mi.Inherit = &lazyPageSource{bytes: []objstore.PageBytes{
+				{Idx: 1, Data: bytes.Repeat([]byte{0xA1}, vm.PageSize)},
+				{Idx: 200, Data: bytes.Repeat([]byte{0xA2}, vm.PageSize)},
+			}}
 		}
 		if id != 11 {
 			for i := 0; i < 2*pagesPerObj; i++ {
@@ -61,6 +63,14 @@ func codecImage(tb testing.TB, pm *vm.PhysMem, epoch uint64, full bool, pagesPer
 }
 
 func distinctFill(id uint64, i int) byte { return byte(id)*31 + byte(i) }
+
+// frameAt is the frame mi holds page idx in, or nil.
+func frameAt(mi *MemImage, idx int64) *vm.Frame {
+	if k, _ := mi.at(0, idx); k >= 0 {
+		return mi.Pages[k].Frame
+	}
+	return nil
+}
 
 // encoded is img.Encode(pm) of a chain that must encode, pm being the
 // allocator its frames came from.
@@ -91,7 +101,7 @@ func samePages(a, b *Image) error {
 		}
 	}
 	for _, p := range a.pageOrder() {
-		if !bytes.Equal(a.Memory[p.ObjID].PageData(p.Idx), b.Memory[p.ObjID].PageData(p.Idx)) {
+		if !bytes.Equal(a.Memory[p.ObjID].page(p.Idx), b.Memory[p.ObjID].page(p.Idx)) {
 			return fmt.Errorf("object %d page %d differs", p.ObjID, p.Idx)
 		}
 	}
@@ -136,7 +146,7 @@ func TestDeltaEncodeDeterministic(t *testing.T) {
 		}
 	}
 	for _, p := range pages {
-		if want := PageContentHash(img.Memory[p.ObjID].PageData(p.Idx)); p.Hash != want {
+		if want := PageContentHash(img.Memory[p.ObjID].page(p.Idx)); p.Hash != want {
 			t.Fatalf("object %d page %d: memoised hash is not the page's content hash", p.ObjID, p.Idx)
 		}
 	}
@@ -193,7 +203,7 @@ func TestDeltaRoundTripPreservesPages(t *testing.T) {
 		// from the literal decode's frames, which the new image then shares.
 		held := make(map[objstore.Hash]*vm.Frame)
 		for _, p := range literal.PageHashes() {
-			held[p.Hash] = literal.Memory[p.ObjID].Pages[p.Idx]
+			held[p.Hash] = frameAt(literal.Memory[p.ObjID], p.Idx)
 		}
 		n := 0
 		payload, pages, skipped := img.EncodeDeltaCompact(func(objstore.Hash) bool { n++; return n%2 == 0 })
@@ -297,7 +307,8 @@ func objectHeader(e *codec.Encoder) {
 
 // TestDecodersBoundWireCounts: a count read off the wire sizes nothing
 // before it is checked against the bytes that remain, and a page or
-// object that appears twice is corrupt rather than a leaked frame.
+// object that appears twice, or out of order, is corrupt rather than a
+// leaked frame.
 func TestDecodersBoundWireCounts(t *testing.T) {
 	decoders := map[string]func([]byte, *vm.PhysMem) (*Image, error){
 		"DecodeDelta": DecodeDelta,
@@ -360,24 +371,29 @@ func TestDecodersBoundWireCounts(t *testing.T) {
 			t.Errorf("%s: duplicate page index leaked %d frames", name, pm.Resident())
 		}
 
-		// The same object twice.
-		e = deltaHeader(0, 2)
-		e.U64(1)
-		entry(e, 0)
-		e.U64(0) // heat
-		objectHeader(e)
-		e.U64(1)
-		entry(e, 0)
-		e.U64(0) // heat
-		e.U64(0) // roots
-		if img, err := decode(e.Bytes(), pm); !errors.Is(err, codec.ErrCorrupt) {
-			t.Errorf("%s: duplicate object: err = %v, want ErrCorrupt", name, err)
-			if img != nil {
-				img.Release(pm)
+		// The same object twice, and an object after one of a higher ID
+		// (deltaHeader's is 5).
+		for _, second := range []uint64{5, 4} {
+			e = deltaHeader(0, 2)
+			e.U64(1)
+			entry(e, 0)
+			e.U64(0) // heat
+			e.U64(second)
+			e.Str("")
+			e.I64(vm.PageSize)
+			e.U64(1)
+			entry(e, 0)
+			e.U64(0) // heat
+			e.U64(0) // roots
+			if img, err := decode(e.Bytes(), pm); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("%s: object %d after object 5: err = %v, want ErrCorrupt", name, second, err)
+				if img != nil {
+					img.Release(pm)
+				}
 			}
-		}
-		if pm.Resident() != 0 {
-			t.Errorf("%s: duplicate object leaked %d frames", name, pm.Resident())
+			if pm.Resident() != 0 {
+				t.Errorf("%s: object %d after object 5 leaked %d frames", name, second, pm.Resident())
+			}
 		}
 	}
 
@@ -482,6 +498,26 @@ func fuzzSeeds(f *testing.F, compact bool) {
 		delta.Prev = base
 		f.Add(encoded(f, delta, pm))
 	}
+	// A page run out of order, and one listing a page twice: each
+	// decoder refuses both, as an encoder never writes either.
+	for _, idxs := range [][2]int64{{4, 2}, {2, 2}} {
+		e := deltaHeader(0, 1)
+		e.U64(2)
+		for _, idx := range idxs {
+			e.I64(idx)
+			e.U8(deltaPageLiteral)
+			e.Bytes2([]byte{byte(idx)})
+		}
+		e.U64(0) // heat
+		e.U64(0) // roots
+		if _, err := DecodeDelta(e.Bytes(), pm); !errors.Is(err, codec.ErrCorrupt) {
+			f.Fatalf("pages %v: DecodeDelta err = %v, want ErrCorrupt", idxs, err)
+		}
+		if _, _, err := DecodeDeltaCompact(e.Bytes(), pm, nil, nil); !errors.Is(err, codec.ErrCorrupt) {
+			f.Fatalf("pages %v: DecodeDeltaCompact err = %v, want ErrCorrupt", idxs, err)
+		}
+		f.Add(e.Bytes())
+	}
 }
 
 // zeroBase is the previous epoch of the hand-written line entries'
@@ -544,7 +580,7 @@ func TestDecodeLineEntries(t *testing.T) {
 			if err != nil || len(missing) != 0 || img.PagesPatched() != 1 || img.PagesHashed() != 1 {
 				t.Fatalf("%s: err=%v missing=%d patched=%d", seed.name, err, len(missing), img.PagesPatched())
 			}
-			got := img.Memory[5].Pages[0].Data
+			got := frameAt(img.Memory[5], 0).Data
 			if got[5*vm.LineSize] != 0xAB || got[6*vm.LineSize] != 0 || got[5*vm.LineSize-1] != 0 {
 				t.Fatalf("%s: line 5 not patched onto the zero base", seed.name)
 			}
@@ -571,36 +607,36 @@ func TestDecodeLineEntries(t *testing.T) {
 // masks a barrier would have recorded — page i of an object changed in
 // one byte (i%4 == 0), across a line boundary (1), in every byte (2),
 // or not at all, a COW copy no write changed (3). The swap pages of
-// object 3 change in one byte and say so in their masks, which must not
-// make them line entries.
+// object 3 change in one byte; held in bytes, they have no mask and are
+// never line entries.
 func lineLineage(tb testing.TB, pm *vm.PhysMem) (prev, next *Image) {
 	prev = codecImage(tb, pm, 3, true, 16, distinctFill)
 	next = codecImage(tb, pm, 4, false, 16, distinctFill)
 	next.Prev = prev
 	for _, mi := range next.Memory {
-		mi.Lines = make(map[int64]uint64)
-		for idx, f := range mi.Pages {
+		for i := range mi.Pages {
+			p := &mi.Pages[i]
+			idx, f := p.Idx, p.Frame
 			switch idx / 3 % 4 {
 			case 0:
 				off := idx * 37 % vm.PageSize
 				f.Data[off]++
-				mi.Lines[idx] = vm.LineMask(off, 1)
+				p.Lines = vm.LineMask(off, 1)
 			case 1:
 				f.Data[63]++
 				f.Data[64]++
-				mi.Lines[idx] = vm.LineMask(63, 2)
+				p.Lines = vm.LineMask(63, 2)
 			case 2:
 				for j := range f.Data {
 					f.Data[j] ^= 0x5A
 				}
-				mi.Lines[idx] = vm.AllLines
+				p.Lines = vm.AllLines
 			case 3:
-				mi.Lines[idx] = 0
+				p.Lines = 0
 			}
 		}
-		for idx, data := range mi.SwapData {
-			data[0]++
-			mi.Lines[idx] = vm.LineMask(0, 1)
+		for _, b := range mi.Inherit.run() {
+			b.Data[0]++
 		}
 	}
 	return prev, next
@@ -692,16 +728,24 @@ func TestDeltaLineEntries(t *testing.T) {
 	// Release lets go of the masks with the frames they describe.
 	next.Release(pm)
 	for id, mi := range next.Memory {
-		if mi.Pages != nil || mi.Lines != nil {
+		if mi.Pages != nil {
 			t.Fatalf("object %d: a released image keeps its frames or masks", id)
 		}
 	}
 }
 
 // checkDecoded is what both fuzz targets require of a payload the
-// decoder accepted: encoding the image again and decoding that gives
-// the same pages, and releasing both returns every frame.
+// decoder accepted: every object's page run strictly ascends, encoding
+// the image again and decoding that gives the same pages, and releasing
+// both returns every frame.
 func checkDecoded(t *testing.T, img *Image, pm *vm.PhysMem, start int64) {
+	for id, mi := range img.Memory {
+		for i := 1; i < len(mi.Pages); i++ {
+			if mi.Pages[i-1].Idx >= mi.Pages[i].Idx {
+				t.Fatalf("object %d: page %d follows page %d in the run", id, mi.Pages[i].Idx, mi.Pages[i-1].Idx)
+			}
+		}
+	}
 	again, err := DecodeDelta(img.EncodeDelta(), pm)
 	if err != nil {
 		t.Fatalf("re-decoding an accepted payload: %v", err)
@@ -834,7 +878,7 @@ func FuzzDecodeDeltaCompact(f *testing.F) {
 			return
 		}
 		for _, p := range img.PageHashes() {
-			f := img.Memory[p.ObjID].Pages[p.Idx]
+			f := frameAt(img.Memory[p.ObjID], p.Idx)
 			if f != held && PageContentHash(f.Data) != p.Hash {
 				t.Fatalf("object %d page %d: decoder's memo disagrees with the frame", p.ObjID, p.Idx)
 			}
@@ -878,9 +922,8 @@ func BenchmarkEncodeDeltaCompact(b *testing.B) {
 			if c.held {
 				acked = template.Epoch - 1
 				for _, mi := range template.Memory {
-					mi.Lines = make(map[int64]uint64)
-					for idx := range mi.Pages {
-						mi.Lines[idx] = 1 << (idx % 64)
+					for i := range mi.Pages {
+						mi.Pages[i].Lines = 1 << (mi.Pages[i].Idx % 64)
 					}
 				}
 			}
@@ -902,48 +945,250 @@ func BenchmarkEncodeDeltaCompact(b *testing.B) {
 	}
 }
 
+// foldObj is one object of a hand-built fold image: the page indices it
+// holds as frames and in bytes (as from swap or a Load), and its heat.
+type foldObj struct {
+	frames, bytes []int64
+	heat          []vm.PageHeat
+}
+
+// foldImage builds an image of objs by hand; page idx of object id at
+// epoch holds foldFill(id, idx, epoch) in every byte.
+func foldImage(tb testing.TB, pm *vm.PhysMem, epoch uint64, full bool, objs map[uint64]foldObj) *Image {
+	tb.Helper()
+	img := &Image{Group: 9, Epoch: epoch, Full: full, Memory: make(map[uint64]*MemImage)}
+	for id, o := range objs {
+		mi := &MemImage{ObjID: id, Name: fmt.Sprintf("obj%d", id), Size: 64 * vm.PageSize, Heat: o.heat}
+		for _, idx := range o.frames {
+			f, err := pm.AllocData(bytes.Repeat([]byte{foldFill(id, idx, epoch)}, vm.PageSize))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			mi.Pages = append(mi.Pages, vm.Page{Idx: idx, Frame: f, Lines: vm.AllLines})
+		}
+		if len(o.bytes) > 0 {
+			mi.Inherit = &lazyPageSource{}
+			for _, idx := range o.bytes {
+				mi.Inherit.bytes = append(mi.Inherit.bytes, objstore.PageBytes{Idx: idx, Data: bytes.Repeat([]byte{foldFill(id, idx, epoch)}, vm.PageSize)})
+			}
+		}
+		img.Memory[id] = mi
+	}
+	return img
+}
+
+func foldFill(id uint64, idx int64, epoch uint64) byte {
+	return byte(id)*31 + byte(idx)*7 + byte(epoch)*101
+}
+
+// foldModel is a chain's state as plain maps, newest capture winning:
+// each object's page bytes and heat counts.
+type foldModel struct {
+	pages map[uint64]map[int64][]byte
+	heat  map[uint64]map[int64]uint32
+}
+
+// resolvedModel reads chain (oldest first) into a foldModel, and counts
+// the frames a newer image shadows.
+func resolvedModel(chain []*Image) (m foldModel, shadowed int) {
+	m = foldModel{pages: map[uint64]map[int64][]byte{}, heat: map[uint64]map[int64]uint32{}}
+	for i, img := range chain {
+		for id, mi := range img.Memory {
+			if m.pages[id] == nil {
+				m.pages[id], m.heat[id] = map[int64][]byte{}, map[int64]uint32{}
+			}
+			for _, p := range mi.Pages {
+				m.pages[id][p.Idx] = p.Frame.Data
+				if slices.ContainsFunc(chain[i+1:], func(newer *Image) bool { return newer.Memory[id] != nil && newer.Memory[id].page(p.Idx) != nil }) {
+					shadowed++
+				}
+			}
+			for _, b := range mi.Inherit.run() {
+				m.pages[id][b.Idx] = b.Data
+			}
+			for _, h := range mi.Heat {
+				m.heat[id][h.Page] = h.Count
+			}
+		}
+	}
+	return m, shadowed
+}
+
+// checkModel checks that img holds exactly m: per object, frame and byte
+// runs that strictly ascend and share no page, whose pages are m's, and
+// m's heat.
+func checkModel(t *testing.T, name string, img *Image, m foldModel) {
+	t.Helper()
+	if len(img.Memory) != len(m.pages) {
+		t.Fatalf("%s: %d objects, the model has %d", name, len(img.Memory), len(m.pages))
+	}
+	for id, mi := range img.Memory {
+		got := map[int64][]byte{}
+		for i, p := range mi.Pages {
+			if i > 0 && mi.Pages[i-1].Idx >= p.Idx {
+				t.Fatalf("%s: object %d frame %d follows %d", name, id, p.Idx, mi.Pages[i-1].Idx)
+			}
+			got[p.Idx] = p.Frame.Data
+		}
+		run := mi.Inherit.run()
+		for i, b := range run {
+			if i > 0 && run[i-1].Idx >= b.Idx {
+				t.Fatalf("%s: object %d byte page %d follows %d", name, id, b.Idx, run[i-1].Idx)
+			}
+			if got[b.Idx] != nil {
+				t.Fatalf("%s: object %d holds page %d as a frame and in bytes", name, id, b.Idx)
+			}
+			got[b.Idx] = b.Data
+		}
+		if !maps.EqualFunc(got, m.pages[id], bytes.Equal) {
+			t.Fatalf("%s: object %d holds %d pages, not the %d newest captures", name, id, len(got), len(m.pages[id]))
+		}
+		heat := map[int64]uint32{}
+		for i, h := range mi.Heat {
+			if i > 0 && mi.Heat[i-1].Page >= h.Page {
+				t.Fatalf("%s: object %d heat out of order", name, id)
+			}
+			heat[h.Page] = h.Count
+		}
+		if !maps.Equal(heat, m.heat[id]) {
+			t.Fatalf("%s: object %d heat %v, the model's %v", name, id, heat, m.heat[id])
+		}
+	}
+}
+
+// randomChain is a chain of two to five images (oldest first, the first
+// full) of up to three objects over pages [0, 48): each image holds a
+// random set of them, a quarter in bytes, and random heat.
+func randomChain(t *testing.T, pm *vm.PhysMem, seed uint64) []*Image {
+	rng := rand.New(rand.NewPCG(seed, 38))
+	chain := make([]*Image, 2+rng.IntN(4))
+	for i := range chain {
+		objs := map[uint64]foldObj{}
+		for id := uint64(1); id <= 3; id++ {
+			if rng.IntN(4) == 0 {
+				continue
+			}
+			var o foldObj
+			for idx := int64(0); idx < 48; idx++ {
+				switch r := rng.IntN(12); {
+				case r < 3:
+					o.frames = append(o.frames, idx)
+				case r < 4:
+					o.bytes = append(o.bytes, idx)
+				}
+				if rng.IntN(6) == 0 {
+					o.heat = append(o.heat, vm.PageHeat{Page: idx, Count: rng.Uint32N(100)})
+				}
+			}
+			objs[id] = o
+		}
+		chain[i] = foldImage(t, pm, uint64(i+1), i == 0, objs)
+		if i > 0 {
+			chain[i].Prev = chain[i-1]
+		}
+	}
+	return chain
+}
+
 // TestFoldIsTheChainResolved: folding an image into the one built on it
 // leaves the newer image holding exactly the state the two resolved to —
 // pages, swap pages, heat, metadata — with PageHashes that hash what it
-// holds, whichever way the page maps move; every shadowed frame goes to
-// free with its content's hash, and nothing else is freed or kept.
+// holds, whichever way the page runs move: a small delta patched into a
+// large base, a large delta taking the base in, a delta bringing pages
+// the base lacks, pages held in bytes on either side shadowing frames or
+// shadowed by them, and seeded random chains, each held to a plain-map
+// model of "newest capture wins". Every shadowed frame goes to free with
+// its content's hash, and nothing else is freed or kept.
 func TestFoldIsTheChainResolved(t *testing.T) {
+	type side = map[uint64]foldObj
+	type foldCase struct {
+		name  string
+		chain func(pm *vm.PhysMem) []*Image // oldest first
+	}
+	var cases []foldCase
 	for _, tc := range []struct {
 		name      string
 		base, top int // pages per object
 	}{{"delta into base", 8, 2}, {"base into delta", 2, 8}} {
+		cases = append(cases, foldCase{tc.name, func(pm *vm.PhysMem) []*Image {
+			base := codecImage(t, pm, 1, true, tc.base, distinctFill)
+			top := codecImage(t, pm, 2, false, tc.top, func(id uint64, i int) byte { return distinctFill(id, i) + 100 })
+			top.Prev = base
+			top.Memory[3].Heat = nil // object 3's heat is the base's
+			top.Meta = top.Meta[:1]  // OID 12's record is the base's
+			return []*Image{base, top}
+		}})
+	}
+	for _, tc := range []struct {
+		name      string
+		base, top side
+	}{
+		{"delta adds pages the base lacks",
+			side{1: {frames: []int64{0, 2, 4, 6, 8, 10}}},
+			side{1: {frames: []int64{1, 4, 11, 12}}, 2: {frames: []int64{3}}}},
+		{"newer run larger, with pages the older lacks",
+			side{1: {frames: []int64{5, 9}}},
+			side{1: {frames: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}}}},
+		{"pages in bytes on both sides",
+			side{1: {frames: []int64{0, 1, 2, 3}, bytes: []int64{4, 5, 6, 7}, heat: []vm.PageHeat{{Page: 1, Count: 3}, {Page: 5, Count: 2}}}},
+			side{1: {frames: []int64{5, 8}, bytes: []int64{1, 6, 9}, heat: []vm.PageHeat{{Page: 5, Count: 9}}}}},
+		{"bytes only below, frames above",
+			side{1: {bytes: []int64{0, 1, 2}}},
+			side{1: {frames: []int64{1}}}},
+	} {
+		cases = append(cases, foldCase{tc.name, func(pm *vm.PhysMem) []*Image {
+			base, top := foldImage(t, pm, 1, true, tc.base), foldImage(t, pm, 2, false, tc.top)
+			top.Prev = base
+			return []*Image{base, top}
+		}})
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		cases = append(cases, foldCase{fmt.Sprintf("random chain %d", seed), func(pm *vm.PhysMem) []*Image { return randomChain(t, pm, seed) }})
+	}
+
+	for _, tc := range cases {
 		pm := vm.NewPhysMem(0)
-		base := codecImage(t, pm, 1, true, tc.base, distinctFill)
-		top := codecImage(t, pm, 2, false, tc.top, func(id uint64, i int) byte { return distinctFill(id, i) + 100 })
-		top.Prev = base
-		top.Memory[3].Heat = nil // object 3's heat is the base's
-		top.Meta = top.Meta[:1]  // OID 12's record is the base's
+		chain := tc.chain(pm)
+		top := chain[len(chain)-1]
+		model, shadowed := resolvedModel(chain)
 		want := encoded(t, top, pm)
-		base.PageHashes()
-		top.PageHashes()
+		for _, img := range chain {
+			img.PageHashes()
+		}
 		freed := 0
-		Fold(base, top, func(p PageHash, f *vm.Frame) {
+		free := func(p PageHash, f *vm.Frame) {
 			if PageContentHash(f.Data) != p.Hash {
 				t.Errorf("%s: object %d page %d freed under a hash its bytes do not have", tc.name, p.ObjID, p.Idx)
 			}
 			freed++
 			pm.Free(f)
-		})
-		if !base.Released() || base.Memory != nil || !top.Full || top.Prev != nil || top.Released() {
-			t.Fatalf("%s: after the fold base released=%v, top full=%v prev=%v", tc.name, base.Released(), top.Full, top.Prev)
+		}
+		for i := 1; i < len(chain); i++ {
+			Fold(chain[i-1], chain[i], free)
+			if base := chain[i-1]; !base.Released() || base.Memory != nil {
+				t.Fatalf("%s: the folded image is not released", tc.name)
+			}
+		}
+		if !top.Full || top.Prev != nil || top.Released() {
+			t.Fatalf("%s: after the fold top full=%v prev=%v released=%v", tc.name, top.Full, top.Prev, top.Released())
 		}
 		if got := encoded(t, top, pm); !bytes.Equal(got, want) {
 			t.Errorf("%s: the folded image encodes another state than the chain did", tc.name)
 		}
+		checkModel(t, tc.name, top, model)
 		fresh := (&Image{Memory: top.Memory}).PageHashes()
 		if got := top.PageHashes(); !slices.Equal(got, fresh) {
 			t.Errorf("%s: PageHashes after the fold: %d entries, not the %d its pages hash to", tc.name, len(got), len(fresh))
 		}
-		if shadowed := 3 * min(tc.base, tc.top); freed != shadowed {
+		if freed != shadowed {
 			t.Errorf("%s: %d frames freed, want the %d shadowed", tc.name, freed, shadowed)
 		}
-		if got, want := pm.Resident(), int64(3*max(tc.base, tc.top)); got != want {
-			t.Errorf("%s: %d frames resident, the folded image holds %d", tc.name, got, want)
+		held := 0
+		for _, mi := range top.Memory {
+			held += len(mi.Pages)
+		}
+		if got := pm.Resident(); got != int64(held) {
+			t.Errorf("%s: %d frames resident, the folded image holds %d", tc.name, got, held)
 		}
 	}
 }

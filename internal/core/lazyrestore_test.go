@@ -537,7 +537,7 @@ func TestClaimAdoptsOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = src.claim(r.o, nil)
+			got[i] = src.claim(r.o)
 		}(i)
 	}
 	wg.Wait()

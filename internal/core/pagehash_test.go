@@ -77,7 +77,7 @@ func TestPartlyWrittenPagesResumeTheirHash(t *testing.T) {
 		for idx, off := range first {
 			step := off / midstateStep
 			if step > 0 {
-				from, ok := mi.midstates.load(idx, mi.Pages[idx].CopiedFrom(mi.capture), step-1)
+				from, ok := mi.midstates.load(idx, frameAt(mi, idx).CopiedFrom(mi.capture), step-1)
 				if !ok {
 					t.Fatalf("epoch %d: page %d holds no midstate to resume from", epoch, idx)
 				}
@@ -99,7 +99,7 @@ func TestPartlyWrittenPagesResumeTheirHash(t *testing.T) {
 			t.Errorf("epoch %d: hashed %d KiB, want about 688", epoch, got>>10)
 		}
 		for _, p := range pages {
-			if got, want := p.Hash, objstore.ContentHash(mi.PageData(p.Idx)); got != want {
+			if got, want := p.Hash, objstore.ContentHash(mi.page(p.Idx)); got != want {
 				t.Fatalf("epoch %d: page %d (first write at %d) hashes to %x, its content to %x", epoch, p.Idx, first[p.Idx], got[:4], want[:4])
 			}
 		}
@@ -142,7 +142,7 @@ func TestResumedHashCheckedWholeUnderRace(t *testing.T) {
 	}
 	mi := heapImage(t, img)
 	mi.midstates.store(pg, base, base, 1, &poison)
-	page := mi.PageData(pg)
+	page := mi.page(pg)
 	for _, p := range img.PageHashes() {
 		if p.Idx == pg && p.Hash == objstore.ContentHash(page) {
 			t.Fatal("a hash resumed from a poisoned midstate came out right: it did not resume")
@@ -185,8 +185,8 @@ func TestResumeCheckCatchesAnUnmarkedWrite(t *testing.T) {
 	}
 	img := write(2)
 	mi := heapImage(t, img)
-	for _, f := range mi.Pages {
-		f.Data[100] ^= 0xFF // behind the mask's back
+	for _, p := range mi.Pages {
+		p.Frame.Data[100] ^= 0xFF // behind the mask's back
 	}
 	span := img.pageOrder()
 	msg := func() (msg any) {

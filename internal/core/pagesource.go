@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -50,12 +50,13 @@ type RecoveryStats struct {
 }
 
 // lazyPageSource implements vm.PageSource for a restored object's pages
-// that are not frames: bytes (swap pages, a store Load's), in front of
-// an object store's pages at one epoch, found through its live page view
-// and read with bounded retry, peer failover, and read-repair. An image
-// holds pages by name in one (MemImage.Inherit).
+// that are not frames: a run of bytes (swap pages, a store Load's), in
+// front of an object store's pages at one epoch, found through its live
+// page view and read with bounded retry, peer failover, and read-repair.
+// An image holds every page that is not a frame in one
+// (MemImage.Inherit).
 type lazyPageSource struct {
-	bytes map[int64][]byte // immutable: shared with the images they came from
+	bytes []objstore.PageBytes // in ascending page index; immutable: shared with the images they came from
 
 	o    *Orchestrator // the one whose restore claimed the source; nil before
 	sb   *StoreBackend // nil: the source holds bytes only
@@ -84,27 +85,65 @@ type lazyPageSource struct {
 	reader objstore.PageReader
 }
 
-// claim returns the source a restore by o attaches for an object whose
-// state holds bytes in front of s (nil: no source): s itself, the first
-// time and with no bytes, else a new source of those bytes over s's. A
-// source is the group's its restore binds it to — its faults drive that
-// group's health — and each restored group pins its epoch itself.
-func (s *lazyPageSource) claim(o *Orchestrator, bytes map[int64][]byte) *lazyPageSource {
-	if s == nil {
-		return &lazyPageSource{o: o, bytes: bytes}
-	}
+// claim returns the source a restore by o attaches: s itself the first
+// time, else a copy of it. A source is the group's its restore binds it
+// to — its faults drive that group's health — and each restored group
+// pins its epoch itself.
+func (s *lazyPageSource) claim(o *Orchestrator) *lazyPageSource {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.o == nil && len(bytes) == 0 {
+	if s.o == nil {
 		s.o = o
 		return s
 	}
-	merged := bytes
-	if len(s.bytes) > 0 {
-		merged = maps.Clone(s.bytes)
-		maps.Copy(merged, bytes)
+	return s.overLocked(s.bytes, o)
+}
+
+// overLocked returns a new source, claimed by o (nil: by none), of bytes
+// in front of s's store pages, with s's pin and peers. The caller holds
+// s.mu.
+func (s *lazyPageSource) overLocked(bytes []objstore.PageBytes, o *Orchestrator) *lazyPageSource {
+	return &lazyPageSource{o: o, bytes: bytes, sb: s.sb, view: s.view, pinGroup: s.pinGroup, pinEpoch: s.pinEpoch, peers: slices.Clone(s.peers)}
+}
+
+// beneath returns the source of an image holding frames, and the bytes
+// of top (a run only, none of them a frame), over an image whose source
+// is s: top's run in front of s's pages, less the pages of s's run that
+// frames hold. It returns s or top itself when the other adds nothing;
+// either may be nil.
+func (s *lazyPageSource) beneath(frames []vm.Page, top *lazyPageSource) *lazyPageSource {
+	if s == nil {
+		return top
 	}
-	return &lazyPageSource{o: o, bytes: merged, sb: s.sb, view: s.view, pinGroup: s.pinGroup, pinEpoch: s.pinEpoch, peers: slices.Clone(s.peers)}
+	shadowed := func(b objstore.PageBytes) bool {
+		_, ok := vm.SearchRun(frames, b.Idx, pageIdx)
+		return ok
+	}
+	if len(top.run()) == 0 && !slices.ContainsFunc(s.bytes, shadowed) {
+		return s
+	}
+	bytes := vm.FoldRun(slices.Clone(top.run()), s.bytes, bytesIdx, true, nil)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.overLocked(slices.DeleteFunc(bytes, shadowed), nil)
+}
+
+func bytesIdx(b *objstore.PageBytes) int64 { return b.Idx }
+
+// run returns s's run of bytes (none for a nil s).
+func (s *lazyPageSource) run() []objstore.PageBytes {
+	if s == nil {
+		return nil
+	}
+	return s.bytes
+}
+
+// held returns the bytes s's run holds page idx in, or nil.
+func (s *lazyPageSource) held(idx int64) []byte {
+	if i, ok := vm.SearchRun(s.run(), idx, bytesIdx); ok {
+		return s.bytes[i].Data
+	}
+	return nil
 }
 
 func (s *lazyPageSource) addPeer(p BlockProvider) {
@@ -123,10 +162,10 @@ func (s *lazyPageSource) pages() ([]int64, error) {
 		if idxs, err = s.view.Pages(); err != nil {
 			return nil, fmt.Errorf("%w: listing the pages of %s: %w", ErrBackendDown, s.sb.Name(), err)
 		}
-		idxs = slices.DeleteFunc(idxs, func(idx int64) bool { _, ok := s.bytes[idx]; return ok })
+		idxs = slices.DeleteFunc(idxs, func(idx int64) bool { return s.held(idx) != nil })
 	}
-	for idx := range s.bytes {
-		idxs = append(idxs, idx)
+	for _, b := range s.bytes {
+		idxs = append(idxs, b.Idx)
 	}
 	return idxs, nil
 }
@@ -148,7 +187,7 @@ func (s *lazyPageSource) group() *Group {
 // PageIn implements vm.PageSource: a fault looks its page up once, and
 // takes a frame only for a page the image holds.
 func (s *lazyPageSource) PageIn(pm *vm.PhysMem, idx int64) (*vm.Frame, error) {
-	if d, ok := s.bytes[idx]; ok {
+	if d := s.held(idx); d != nil {
 		return pm.Fill(func(dst []byte) (bool, error) {
 			clear(dst[copy(dst, d):])
 			return true, nil
@@ -306,21 +345,21 @@ func (s *lazyPageSource) peerCount() int {
 	return len(s.peers)
 }
 
-// readPages reads the pages img holds by name (MemImage.Inherit) into
-// SwapData, once per image: for the flush, before any backend sees the
-// image; for Encode; and for API.Rollback, before it kills anything.
-// Resolve and restore read none: they pass the source on. Store pages
-// are read as a demand fault reads them, overlapped at queue depth on a
-// lane of base (nil: of the store's clock), never on a group's
-// foreground clock; it returns how long that lane ran. An object that
-// fails to read keeps its pages by name.
+// readPages reads the store pages img holds by name (MemImage.Inherit)
+// into its sources' runs, once per image: for the flush, before any
+// backend sees the image; for Encode; and for API.Rollback, before it
+// kills anything. Resolve and restore read none: they pass the source
+// on. Store pages are read as a demand fault reads them, overlapped at
+// queue depth on a lane of base (nil: of the store's clock), never on a
+// group's foreground clock; it returns how long that lane ran. An object
+// that fails to read keeps its pages by name.
 func (img *Image) readPages(base *storage.Clock) (time.Duration, error) {
 	img.readMu.Lock()
 	defer img.readMu.Unlock()
 	var ids []uint64
 	img.mu.Lock() // a released image has no Inherit left (Release holds readMu)
 	for id, mi := range img.Memory {
-		if mi.Inherit != nil {
+		if mi.Inherit != nil && mi.Inherit.sb != nil {
 			ids = append(ids, id)
 		}
 	}
@@ -341,7 +380,7 @@ func (img *Image) readPages(base *storage.Clock) (time.Duration, error) {
 			return 0, fmt.Errorf("core: epoch %d of group %d, object %d: %w", img.Epoch, img.Group, id, err)
 		}
 		img.mu.Lock()
-		mi.SwapData, mi.Inherit = got, nil
+		mi.Inherit = &lazyPageSource{bytes: got}
 		img.mu.Unlock()
 	}
 	if lane == nil {
@@ -350,66 +389,36 @@ func (img *Image) readPages(base *storage.Clock) (time.Duration, error) {
 	return lane.Now() - start, nil
 }
 
-// inherited returns mi's SwapData with the pages its source holds and
-// neither Pages nor SwapData does added; a source's bytes are shared,
-// immutable as the image they came from.
-func (mi *MemImage) inherited(lane *storage.Clock) (map[int64][]byte, error) {
+// inherited returns the run of mi's source with the store pages it holds
+// and neither Pages nor that run does read in; a source's run is shared,
+// immutable as the image it came from.
+func (mi *MemImage) inherited(lane *storage.Clock) ([]objstore.PageBytes, error) {
 	src := mi.Inherit
 	idxs, err := src.pages()
 	if err != nil {
 		return nil, err
 	}
-	got := make(map[int64][]byte, len(mi.SwapData))
-	maps.Copy(got, mi.SwapData)
-	read := func(store *objstore.Store) error {
+	got := slices.Clone(src.bytes)
+	if lane == nil {
+		lane = src.sb.clock.Lane()
+	}
+	store := src.sb.store.WithClock(lane)
+	err = store.Overlapped(func() error {
 		for _, idx := range idxs {
-			_, paged := mi.Pages[idx]
-			if _, swapped := got[idx]; paged || swapped {
-				continue
-			}
-			if d, ok := src.bytes[idx]; ok {
-				got[idx] = d
+			if k, held := mi.at(0, idx); k >= 0 || held != nil {
 				continue
 			}
 			ref, found, err := src.locate(idx)
 			if err == nil && found {
-				got[idx] = make([]byte, vm.PageSize)
-				err = src.read(store, idx, ref, got[idx])
+				got = append(got, objstore.PageBytes{Idx: idx, Data: make([]byte, vm.PageSize)})
+				err = src.read(store, idx, ref, got[len(got)-1].Data)
 			}
 			if err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	if src.sb == nil {
-		return got, read(nil)
-	}
-	if lane == nil {
-		lane = src.sb.clock.Lane()
-	}
-	store := src.sb.store.WithClock(lane)
-	return got, store.Overlapped(func() error { return read(store) })
-}
-
-// countPages counts the distinct pages of frames, bytes and src, which
-// holds by name what the two maps do not. A store's view under nothing
-// knows its count; a view that cannot list its pages counts none (a read
-// of it fails anyway).
-func countPages(frames map[int64]*vm.Frame, bytes map[int64][]byte, src *lazyPageSource) int {
-	n := len(frames) + len(bytes)
-	if src == nil {
-		return n
-	}
-	if n+len(src.bytes) == 0 {
-		return src.view.Len()
-	}
-	idxs, _ := src.pages()
-	for _, idx := range idxs {
-		_, paged := frames[idx]
-		if _, swapped := bytes[idx]; !paged && !swapped {
-			n++
-		}
-	}
-	return n
+	})
+	slices.SortFunc(got, func(a, b objstore.PageBytes) int { return cmp.Compare(a.Idx, b.Idx) })
+	return got, err
 }

@@ -21,7 +21,7 @@ import (
 
 // RetentionPolicy says which old epochs a group may lose to make room.
 // The zero value is safe: keep the last defaultKeepLast epochs, never
-// reclaim named checkpoints, no interval thinning.
+// reclaim named checkpoints.
 type RetentionPolicy struct {
 	// KeepLast is the minimum number of epochs retained per lineage
 	// (0 = defaultKeepLast). Emergency reclamation may cut this to 1.
@@ -29,10 +29,6 @@ type RetentionPolicy struct {
 	// DropNamed allows reclaiming named checkpoints (snapshots and
 	// clone anchors). Off by default: a name is a promise.
 	DropNamed bool
-	// MinInterval thins retained history under low pressure: epochs
-	// closer than MinInterval to their retained predecessor are merged
-	// forward (0 = no thinning).
-	MinInterval uint64
 }
 
 // Watermarks are device-usage fractions driving the pressure ladder.
@@ -58,7 +54,7 @@ type PressureLevel int
 const (
 	// PressureNone: below the low watermark (or unbounded device).
 	PressureNone PressureLevel = iota
-	// PressureLow: above low — thin history, TRIM free blocks.
+	// PressureLow: above low — TRIM free blocks.
 	PressureLow
 	// PressureHigh: above high — reclaim aggressively; admission
 	// control sheds checkpoints that reclamation cannot make room for.
@@ -249,34 +245,8 @@ func (r *Reclaimer) scan(emergency bool) int64 {
 		return true
 	}
 
-	if !emergency && level == PressureLow {
-		// Low pressure: interval thinning only. History stays long; it
-		// just loses checkpoints too close together to matter.
-		if r.policy.MinInterval > 0 {
-			prot := r.protectionFor(view)
-			for _, gid := range view.Groups() {
-				ms := view.Manifests(gid)
-				if len(ms) <= keep {
-					continue
-				}
-				lastKept := ms[0].Epoch
-				for _, m := range ms[1 : len(ms)-1] {
-					if abort {
-						break
-					}
-					if m.Epoch-lastKept >= r.policy.MinInterval || prot.covers(gid, m.Epoch, r.policy) {
-						lastKept = m.Epoch
-						continue
-					}
-					if len(view.Manifests(gid)) <= keep {
-						break
-					}
-					dropOne(gid, m.Epoch)
-				}
-			}
-			view.ReleaseSpace()
-		}
-	} else {
+	// Low pressure reclaims the free list only.
+	if emergency || level > PressureLow {
 		// High pressure (or forced emergency): drop the oldest
 		// unprotected epoch of each lineage round-robin until usage is
 		// back below the low watermark or nothing reclaimable remains.

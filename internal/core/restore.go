@@ -63,9 +63,9 @@ func (o *Orchestrator) restoreState(img *Image, st *chainState, readTime time.Du
 
 	// VM object shells first: mappings and shm reference them.
 	objMap := make(map[uint64]*vm.Object) // old vm ID -> new object
-	for _, oldID := range st.objectIDs() {
+	for _, oldID := range objectOrder(st.objs) {
 		newest := st.objs[oldID]
-		obj := o.K.Mem.NewObject(newest.name, newest.size)
+		obj := o.K.Mem.NewObject(newest.Name, newest.Size)
 		obj.SetTracked(true)
 		objMap[oldID] = obj
 	}
@@ -243,7 +243,7 @@ func (o *Orchestrator) restoreState(img *Image, st *chainState, readTime time.Du
 			effOpts.Lazy = true
 		}
 		state := st.objs[oldID]
-		resolvedPages += state.pageCount()
+		resolvedPages += state.PageCount()
 		src, err := o.restoreObjectMemory(state, obj, effOpts, &bd)
 		if src != nil && src.sb != nil {
 			sources = append(slices.Grow(sources, len(objMap)-len(sources)), src) // one allocation
@@ -345,19 +345,19 @@ func (o *Orchestrator) restoreState(img *Image, st *chainState, readTime time.Du
 // and a page that cannot be — its fetch failed on the primary and every
 // peer (ErrBackendDown), or memory ran out — fails the restore instead of
 // leaving the process a zero page where its data was.
-func (o *Orchestrator) restoreObjectMemory(state *objectState, obj *vm.Object, opts RestoreOpts, bd *RestoreBreakdown) (*lazyPageSource, error) {
-	for idx, f := range state.frames {
-		obj.InstallSharedPage(o.K.Mem, idx, f)
+func (o *Orchestrator) restoreObjectMemory(state *MemImage, obj *vm.Object, opts RestoreOpts, bd *RestoreBreakdown) (*lazyPageSource, error) {
+	for _, p := range state.Pages {
+		obj.InstallSharedPage(o.K.Mem, p.Idx, p.Frame)
 	}
-	bd.Shared += len(state.frames)
+	bd.Shared += len(state.Pages)
 
-	if state.src == nil && len(state.bytes) == 0 {
+	if state.Inherit == nil {
 		return nil, nil
 	}
-	src := state.src.claim(o, state.bytes)
+	src := state.Inherit.claim(o)
 	if opts.Lazy {
 		obj.SetSource(src)
-		o.prefetchHottest(state.heat, obj, src, opts.Prefetch, bd)
+		o.prefetchHottest(state.Heat, obj, src, opts.Prefetch, bd)
 		return src, nil
 	}
 	idxs, err := src.pages()
@@ -371,7 +371,7 @@ func (o *Orchestrator) restoreObjectMemory(state *objectState, obj *vm.Object, o
 	// Eager: every page now, a store page through the failover path, so
 	// a sick primary cannot abort the restore.
 	for _, idx := range idxs {
-		if _, shared := state.frames[idx]; shared {
+		if _, shared := vm.SearchRun(state.Pages, idx, pageIdx); shared {
 			continue
 		}
 		f, err := src.PageIn(o.K.Mem, idx)

@@ -21,16 +21,21 @@ import (
 // contents and there are plenty of distinct ones.
 func pageImage(tb testing.TB, pm *vm.PhysMem, epoch uint64, full bool, fill map[int64]uint32) *core.Image {
 	tb.Helper()
-	mi := &core.MemImage{ObjID: 1, Name: "heap", Size: 1 << 30, Pages: make(map[int64]*vm.Frame, len(fill))}
-	for idx, pattern := range fill {
+	mi := &core.MemImage{ObjID: 1, Name: "heap", Size: 1 << 30, Pages: make([]vm.Page, 0, len(fill))}
+	idxs := make([]int64, 0, len(fill))
+	for idx := range fill {
+		idxs = append(idxs, idx)
+	}
+	slices.Sort(idxs)
+	for _, idx := range idxs {
 		f, err := pm.Alloc()
 		if err != nil {
 			tb.Fatal(err)
 		}
 		for off := 0; off < len(f.Data); off += 4 {
-			binary.LittleEndian.PutUint32(f.Data[off:], pattern)
+			binary.LittleEndian.PutUint32(f.Data[off:], fill[idx])
 		}
-		mi.Pages[idx] = f
+		mi.Pages = append(mi.Pages, vm.Page{Idx: idx, Frame: f, Lines: vm.AllLines})
 	}
 	return &core.Image{Group: 1, Epoch: epoch, Full: full, Name: "test",
 		Memory: map[uint64]*core.MemImage{1: mi}}
@@ -78,7 +83,8 @@ func checkBlocks(t *testing.T, r *Receiver, pm *vm.PhysMem, when string) {
 				t.Fatalf("%s: epoch %d is in the chain but released", when, ep)
 			}
 			for _, mi := range img.Memory {
-				for idx, f := range mi.Pages {
+				for _, p := range mi.Pages {
+					idx, f := p.Idx, p.Frame
 					frames[f] = true
 					h := core.PageContentHash(f.Data)
 					contents[h] = true
@@ -319,10 +325,9 @@ func BenchmarkReceiverCompactDelta(b *testing.B) {
 					img := pageImage(b, src, uint64(chain+1), false, fill)
 					if held {
 						mi := img.Memory[1]
-						mi.Lines = make(map[int64]uint64)
-						for i := int64(0); i < literals; i++ {
-							mi.Pages[i].Data[i*vm.LineSize+int64(v)]++
-							mi.Lines[i] = 1 << i
+						for i := int64(0); i < literals; i++ { // pages 0, 1, ... are the run's first
+							mi.Pages[i].Frame.Data[i*vm.LineSize+int64(v)]++
+							mi.Pages[i].Lines = 1 << i
 						}
 					}
 					payload, _, skipped, lined := img.EncodeDeltaLink(known, uint64(chain))

@@ -2,6 +2,7 @@ package netback
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -39,8 +40,7 @@ func checkChain(t *testing.T, recv *Receiver, group, epoch uint64, when string) 
 // would record. live follows.
 func nextEpoch(t *testing.T, pm *vm.PhysMem, rng *rand.Rand, live map[int64][]byte, epoch uint64, dirty int) *core.Image {
 	t.Helper()
-	mi := &core.MemImage{ObjID: 1, Name: "heap", Size: 1 << 30,
-		Pages: make(map[int64]*vm.Frame, dirty), Lines: make(map[int64]uint64, dirty)}
+	mi := &core.MemImage{ObjID: 1, Name: "heap", Size: 1 << 30, Pages: make([]vm.Page, 0, dirty)}
 	for _, i := range rng.Perm(len(live))[:dirty] {
 		idx := int64(i)
 		f, err := pm.AllocData(live[idx])
@@ -49,9 +49,10 @@ func nextEpoch(t *testing.T, pm *vm.PhysMem, rng *rand.Rand, live map[int64][]by
 		}
 		line := rng.IntN(vm.PageSize / vm.LineSize)
 		f.Data[line*vm.LineSize+rng.IntN(vm.LineSize)]++
-		mi.Pages[idx], mi.Lines[idx] = f, 1<<line
+		mi.Pages = append(mi.Pages, vm.Page{Idx: idx, Frame: f, Lines: 1 << line})
 		live[idx] = bytes.Clone(f.Data)
 	}
+	slices.SortFunc(mi.Pages, func(a, b vm.Page) int { return cmp.Compare(a.Idx, b.Idx) })
 	return &core.Image{Group: 1, Epoch: epoch, Name: "test", Memory: map[uint64]*core.MemImage{1: mi}}
 }
 
@@ -73,8 +74,8 @@ func TestReceiverFoldBounded(t *testing.T) {
 	rng := rand.New(rand.NewPCG(27, 1))
 	img := pageImage(t, src, 1, true, pages(0, pageN, 1))
 	live := make(map[int64][]byte, pageN)
-	for idx, f := range img.Memory[1].Pages {
-		live[idx] = bytes.Clone(f.Data)
+	for _, p := range img.Memory[1].Pages {
+		live[p.Idx] = bytes.Clone(p.Frame.Data)
 	}
 	var sizes []int
 	for e := uint64(1); e <= 500; e++ {

@@ -109,7 +109,7 @@ func FuzzServeReplica(f *testing.F) {
 	bad, _, _, _ := forged.EncodeDeltaLink(nil, 1)
 	f.Add(frames(frameDelta, e1c, frameDelta, good))
 	f.Add(frames(frameDelta, e1c, frameDelta, bad, frameDelta, forged.EncodeDelta()))
-	page := e1.Memory[1].Pages[0].Data
+	page := e1.Memory[1].Pages[0].Frame.Data
 	f.Add(frames(frameDelta, e1c, frameDelta, lineEntryDelta(2, 3, page[:vm.LineSize], core.PageContentHash(page))))
 	f.Add(frames(frameDelta, good))
 	for _, s := range foldStreams(f) {
@@ -132,7 +132,7 @@ func FuzzServeReplica(f *testing.F) {
 			for _, chain := range recv.chains {
 				for _, held := range chain {
 					for _, p := range held.PageHashes() {
-						if core.PageContentHash(held.Memory[p.ObjID].Pages[p.Idx].Data) != p.Hash {
+						if core.PageContentHash(held.ResolvePage(p.ObjID, p.Idx)) != p.Hash {
 							t.Fatalf("epoch %d page %d is held under a hash its bytes do not have", held.Epoch, p.Idx)
 						}
 					}

@@ -271,20 +271,19 @@ func TestLineDeltaSafety(t *testing.T) {
 func rewrite(t testing.TB, pm *vm.PhysMem, prev *core.Image, epoch uint64, forged bool) *core.Image {
 	t.Helper()
 	img := &core.Image{Group: prev.Group, Epoch: epoch, Name: prev.Name,
-		Memory: map[uint64]*core.MemImage{1: {ObjID: 1, Name: "heap", Size: 1 << 30,
-			Pages: make(map[int64]*vm.Frame), Lines: make(map[int64]uint64)}}}
+		Memory: map[uint64]*core.MemImage{1: {ObjID: 1, Name: "heap", Size: 1 << 30}}}
 	mi := img.Memory[1]
-	for idx, f := range prev.Memory[1].Pages {
-		cp, err := pm.AllocCopy(f)
+	for _, p := range prev.Memory[1].Pages {
+		cp, err := pm.AllocCopy(p.Frame)
 		if err != nil {
 			t.Fatal(err)
 		}
-		line := idx % 64
+		line := p.Idx % 64
 		cp.Data[line*vm.LineSize+1]++
-		mi.Pages[idx], mi.Lines[idx] = cp, 1<<line
+		mi.Pages = append(mi.Pages, vm.Page{Idx: p.Idx, Frame: cp, Lines: 1 << line})
 	}
 	if forged {
-		mi.Pages[3].Data[40*vm.LineSize]++
+		mi.Pages[3].Frame.Data[40*vm.LineSize]++ // prev's pages are 0, 1, ...
 	}
 	return img
 }
@@ -297,8 +296,8 @@ func heldAsSent(t *testing.T, recv *Receiver, img *core.Image) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for idx, f := range img.Memory[1].Pages {
-		if !bytes.Equal(held.ResolvePage(1, idx), f.Data) {
+	for _, p := range img.Memory[1].Pages {
+		if idx := p.Idx; !bytes.Equal(held.ResolvePage(1, idx), p.Frame.Data) {
 			t.Fatalf("epoch %d page %d: the receiver does not hold the sender's bytes", img.Epoch, idx)
 		}
 	}

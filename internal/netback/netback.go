@@ -163,18 +163,26 @@ func (r *Receiver) ReceivedBytes() int64 {
 // hold enters an arriving image's pages into the block index. A page
 // whose content the chains already hold gives up its own frame for the
 // held one, so each distinct content is resident once. Callers hold mu
-// and own img: it is not yet visible through any chain.
+// and own img: it is not yet visible through any chain. A decoded image
+// holds every page as a frame, so an object's k-th page in PageHashes is
+// its k-th frame.
 func (r *Receiver) hold(img *core.Image) {
-	for _, p := range img.PageHashes() {
-		own := img.Memory[p.ObjID].Pages
+	pages := img.PageHashes()
+	var own []vm.Page
+	for i, p := range pages {
+		if i == 0 || p.ObjID != pages[i-1].ObjID {
+			own = img.Memory[p.ObjID].Pages
+		}
+		f := &own[0].Frame
+		own = own[1:]
 		e, ok := r.blocks[p.Hash]
 		switch {
 		case !ok:
-			e.frame = own[p.Idx]
-		case e.frame != own[p.Idx]:
+			e.frame = *f
+		case e.frame != *f:
 			e.frame.Ref()
-			r.pm.Free(own[p.Idx])
-			own[p.Idx] = e.frame
+			r.pm.Free(*f)
+			*f = e.frame
 		}
 		e.holders++
 		r.blocks[p.Hash] = e

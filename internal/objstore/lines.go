@@ -375,8 +375,9 @@ func (s *Store) applyLine(pr PageRef, page, patch []byte) error {
 // batched device read: each block, and each line entry's base and
 // patch. Every page is verified against its content hash, a line page
 // after its patch is applied, and the chain's heat comes with them.
-// This is the eager restore's read.
-func (s *Store) ReadPages(group, oid, epoch uint64) (map[int64][]byte, []vm.PageHeat, error) {
+// The pages come as one run in ascending index. This is the eager
+// restore's read.
+func (s *Store) ReadPages(group, oid, epoch uint64) ([]PageBytes, []vm.PageHeat, error) {
 	s.mu.Lock()
 	pages, heat, err := s.resolveLocked(group, oid, epoch)
 	s.mu.Unlock()
@@ -404,7 +405,7 @@ func (s *Store) ReadPages(group, oid, epoch uint64) (map[int64][]byte, []vm.Page
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make(map[int64][]byte, len(pages))
+	out := make([]PageBytes, len(pages))
 	patches := bufs[len(pages):]
 	for i := range pages {
 		pr, page := pages[i].pageRef(), bufs[i]
@@ -416,7 +417,7 @@ func (s *Store) ReadPages(group, oid, epoch uint64) (map[int64][]byte, []vm.Page
 		} else if err := s.verifyBlock(pr.Ref, page); err != nil {
 			return nil, nil, err
 		}
-		out[pages[i].Idx] = page
+		out[i] = PageBytes{Idx: pages[i].Idx, Data: page}
 	}
 	return out, heat, nil
 }

@@ -83,14 +83,27 @@ func lineHistory(t testing.TB, s *Store) map[uint64]map[int64][]byte {
 
 // checkPages reads object 7 back at every epoch of want still in the
 // store — eagerly, through a page view, and verified — and audits.
+// runMap is a ReadPages run as a map; the run must strictly ascend.
+func runMap(t *testing.T, run []PageBytes) map[int64][]byte {
+	t.Helper()
+	out := make(map[int64][]byte, len(run))
+	for i, p := range run {
+		if i > 0 && run[i-1].Idx >= p.Idx {
+			t.Fatalf("ReadPages run out of order at %d: page %d after %d", i, p.Idx, run[i-1].Idx)
+		}
+		out[p.Idx] = p.Data
+	}
+	return out
+}
+
 func checkPages(t *testing.T, where string, s *Store, want map[uint64]map[int64][]byte) {
 	t.Helper()
 	for _, m := range s.Manifests(1) {
-		pages, _, err := s.ReadPages(1, 7, m.Epoch)
+		run, _, err := s.ReadPages(1, 7, m.Epoch)
 		if err != nil {
 			t.Fatalf("%s: ReadPages at %d: %v", where, m.Epoch, err)
 		}
-		if !maps.EqualFunc(pages, want[m.Epoch], bytes.Equal) {
+		if !maps.EqualFunc(runMap(t, run), want[m.Epoch], bytes.Equal) {
 			t.Fatalf("%s: ReadPages at %d does not give the pages put", where, m.Epoch)
 		}
 		v, err := s.ResolveView(1, 7, m.Epoch)
@@ -233,7 +246,7 @@ func TestDropEpochOverLinesWritesNoData(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _, err := s.ReadPages(1, 7, 12)
-	if err != nil || !maps.EqualFunc(got, cur, bytes.Equal) {
+	if err != nil || !maps.EqualFunc(runMap(t, got), cur, bytes.Equal) {
 		t.Fatalf("the trimmed chain reads back %v", err)
 	}
 }

@@ -216,7 +216,8 @@ func (m *recordModel) check(t *testing.T, step string, s *Store) {
 			if want == nil {
 				continue
 			}
-			got, _, err := s.ReadPages(1, oid, epoch)
+			run, _, err := s.ReadPages(1, oid, epoch)
+			got := runMap(t, run)
 			if err != nil || len(got) != len(want) {
 				t.Fatalf("%s: object %d at epoch %d reads %d pages (%v), want %d", step, oid, epoch, len(got), err, len(want))
 			}

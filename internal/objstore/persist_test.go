@@ -188,7 +188,7 @@ func TestDecodeOrdersPagesAndRefusesDuplicates(t *testing.T) {
 	if !slices.Equal(idxs, []int64{1, 2, 3}) {
 		t.Fatalf("decoded pages %v, want 1, 2, 3", idxs)
 	}
-	if pages, _, err := got.ReadPages(1, 7, 1); err != nil || len(pages) != 3 || !bytes.Equal(pages[3], varied(3)) {
+	if pages, _, err := got.ReadPages(1, 7, 1); err != nil || len(pages) != 3 || !bytes.Equal(runMap(t, pages)[3], varied(3)) {
 		t.Fatalf("the decoded record reads %d pages: %v", len(pages), err)
 	}
 }

@@ -149,6 +149,12 @@ func (p *PageEntry) held() Hash {
 	return p.Ref.Hash
 }
 
+// PageBytes is one page of an object read back: its index and bytes.
+type PageBytes struct {
+	Idx  int64
+	Data []byte
+}
+
 func byIdx(a, b PageEntry) int { return cmp.Compare(a.Idx, b.Idx) }
 
 // find locates page idx in a run of entries: by index arithmetic when

@@ -34,6 +34,14 @@ func cowFixture(tb testing.TB, resident, spare int) (*PhysMem, *AddressSpace, *M
 	return pm, as, m
 }
 
+// release drops a capture's frame references, as its image does once
+// flushed.
+func release(pm *PhysMem, cs *CheckpointSet) {
+	for _, p := range cs.Pages {
+		pm.Free(p.Frame)
+	}
+}
+
 // barrier runs both halves of a serialization barrier over m's object.
 func barrier(as *AddressSpace, m *Mapping, epoch uint64, full bool) *CheckpointSet {
 	cs := m.Obj.BeginCheckpoint(epoch, full)
@@ -64,7 +72,7 @@ func BenchmarkCowFault(b *testing.B) {
 		if i%pages == 0 {
 			b.StopTimer()
 			if cs != nil {
-				cs.Release(pm)
+				release(pm, cs)
 			}
 			cs = barrier(as, m, uint64(i/pages+1), true)
 			b.StartTimer()
@@ -82,13 +90,13 @@ func barrierGrid(b *testing.B, fn func(b *testing.B, as *AddressSpace, m *Mappin
 	for _, resident := range []int{1 << 10, 16 << 10} {
 		b.Run(fmt.Sprintf("resident=%d/dirty=%d", resident, dirty), func(b *testing.B) {
 			pm, as, m := cowFixture(b, resident, dirty)
-			barrier(as, m, 1, true).Release(pm)
+			release(pm, barrier(as, m, 1, true))
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.StopTimer()
 			for i := 0; i < b.N; i++ {
 				dirtyPages(b, as, m, resident, dirty, i)
-				fn(b, as, m, uint64(i+2)).Release(pm)
+				release(pm, fn(b, as, m, uint64(i+2)))
 			}
 		})
 	}

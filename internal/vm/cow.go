@@ -5,6 +5,11 @@ package vm
 // copy-on-write fault rule (CowFault), and the bookkeeping that makes
 // incremental checkpoints never flush the same page twice.
 
+import (
+	"cmp"
+	"slices"
+)
+
 // CheckpointSet is the set of frames an in-flight checkpoint owns for
 // one object. The barrier takes a reference on every frame so the
 // application can keep running (and COW-fault) while the flusher
@@ -17,12 +22,14 @@ type CheckpointSet struct {
 	// object's machine: a COW copy of one of its frames reports it to the
 	// next capture to take the copy (Frame.CopiedFrom).
 	Capture uint64
-	// Pages maps object page index -> the frame as of the barrier.
-	Pages map[int64]*Frame
-	// SwapPages maps page index -> swap slot for pages that were paged
-	// out since the last checkpoint; they are incorporated into this
-	// checkpoint directly from swap.
-	SwapPages map[int64]int64
+	// Pages is the captured frames, one run in ascending page index, each
+	// with the lines written since the previous barrier. The run is the
+	// capture's to hand on: the image takes it as it is.
+	Pages []Page
+	// SwapPages is the pages that were paged out since the last
+	// checkpoint, in ascending page index, with their swap slots; they
+	// are incorporated into this checkpoint directly from swap.
+	SwapPages []SwapPage
 	// Source is the restore source a full capture found the object still
 	// paging from (nil otherwise). The checkpoint holds, by name only,
 	// every page of it in neither Pages nor SwapPages: an immutable, pinned
@@ -33,25 +40,26 @@ type CheckpointSet struct {
 	// ones) for a full barrier, only those touched since the previous
 	// barrier for an incremental one. MergeHeat resolves a chain of them.
 	Heat []PageHeat
-	// Lines is the object's dirty set as the barrier found it: each page
-	// written since the previous barrier, with the lines written
-	// (AllLines for a page filled some other way). A page of an
-	// incremental capture differs from its contents at the previous
-	// barrier in those lines only. The barrier hands the map over and
-	// starts the object a new one, so it is never written again.
-	Lines map[int64]uint64
 }
 
-// PageCount returns the number of in-memory pages in the set.
-func (cs *CheckpointSet) PageCount() int { return len(cs.Pages) }
+// Page is one captured page: its index, its frame as of the barrier, and
+// Lines, the 64-byte lines written since the previous barrier — the
+// frame differs from the object's page then in those lines only: none
+// for a page no write marked, AllLines for a page filled some other way.
+// A page that did not come from a barrier says AllLines.
+type Page struct {
+	Idx   int64
+	Frame *Frame
+	Lines uint64
+}
 
-// Release drops the checkpoint's frame references after the flush
-// completes.
-func (cs *CheckpointSet) Release(pm *PhysMem) {
-	for _, f := range cs.Pages {
-		pm.Free(f)
-	}
-	cs.Pages = nil
+// PartlyWritten reports whether the page differs from the object's page
+// at the previous barrier in some lines but not all.
+func (p *Page) PartlyWritten() bool { return p.Lines != AllLines }
+
+// SwapPage is a page a capture takes from swap: its index and slot.
+type SwapPage struct {
+	Idx, Slot int64
 }
 
 // BeginCheckpoint executes the object's part of a serialization
@@ -79,48 +87,42 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 
-	want := len(o.dirty)
-	if full {
-		want = len(o.pages)
-	}
-	cs := &CheckpointSet{
-		Obj:       o,
-		Epoch:     epoch,
-		Capture:   o.captures.Add(1),
-		Pages:     make(map[int64]*Frame, want),
-		SwapPages: make(map[int64]int64),
-	}
-	capture := func(idx int64) {
-		if f, ok := o.pages[idx]; ok {
-			f.Ref()
-			cs.Pages[idx] = f
-			o.protected[idx] = cs.Capture
-			if f.base != 0 && f.taker == 0 {
-				// A COW copy is o's alone until o's barrier takes it: only
-				// the first taker writes this, under o.mu.
-				f.taker = cs.Capture
-			}
-		} else if slot, ok := o.swapSlots[idx]; ok {
-			cs.SwapPages[idx] = slot
-		}
-	}
+	cs := &CheckpointSet{Obj: o, Epoch: epoch, Capture: o.captures.Add(1)}
 	if full {
 		cs.Source = o.source
-		for idx := range o.pages {
-			capture(idx)
+		cs.Pages = make([]Page, 0, len(o.pages))
+		for idx, f := range o.pages {
+			cs.Pages = append(cs.Pages, Page{Idx: idx, Frame: f, Lines: o.dirty[idx]})
 		}
 		for idx, slot := range o.swapSlots {
 			if _, resident := o.pages[idx]; !resident {
-				cs.SwapPages[idx] = slot
+				cs.SwapPages = append(cs.SwapPages, SwapPage{Idx: idx, Slot: slot})
 			}
 		}
 	} else {
-		for idx := range o.dirty {
-			capture(idx)
+		cs.Pages = make([]Page, 0, len(o.dirty))
+		for idx, lines := range o.dirty {
+			if f, ok := o.pages[idx]; ok {
+				cs.Pages = append(cs.Pages, Page{Idx: idx, Frame: f, Lines: lines})
+			} else if slot, ok := o.swapSlots[idx]; ok {
+				cs.SwapPages = append(cs.SwapPages, SwapPage{Idx: idx, Slot: slot})
+			}
+		}
+	}
+	slices.SortFunc(cs.Pages, func(a, b Page) int { return cmp.Compare(a.Idx, b.Idx) })
+	slices.SortFunc(cs.SwapPages, func(a, b SwapPage) int { return cmp.Compare(a.Idx, b.Idx) })
+	for _, p := range cs.Pages {
+		p.Frame.Ref()
+		o.protected[p.Idx] = cs.Capture
+		if p.Frame.base != 0 && p.Frame.taker == 0 {
+			// A COW copy is o's alone until o's barrier takes it: only
+			// the first taker writes this, under o.mu.
+			p.Frame.taker = cs.Capture
 		}
 	}
 	cs.Heat = o.takeHeatLocked(full)
-	cs.Lines = o.dirty
+	// A new set, not the old one cleared: a map keeps the room of the most
+	// it ever held, and clearing or ranging over it costs all of that.
 	o.dirty = make(map[int64]uint64)
 	o.epoch = epoch
 	return cs
@@ -313,15 +315,4 @@ func (o *Object) SwapSlot(idx int64) (int64, bool) {
 	defer o.mu.Unlock()
 	slot, ok := o.swapSlots[idx]
 	return slot, ok
-}
-
-// SwappedPages lists pages currently on swap.
-func (o *Object) SwappedPages() map[int64]int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make(map[int64]int64, len(o.swapSlots))
-	for k, v := range o.swapSlots {
-		out[k] = v
-	}
-	return out
 }

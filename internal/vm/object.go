@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -67,15 +66,17 @@ type PageHeat struct {
 // way pages do: the heat at an epoch is every delta from the chain's full
 // image up merged, and a page's count is the one in the newest delta that
 // lists it. Both lists are in page order and so is the result. The
-// smaller list is folded into the larger in place — O(smaller · log
-// larger) when it brings no page the larger lacks — so both arguments
-// belong to the merge: a caller that still needs one passes a copy.
+// smaller list is folded into the larger in place (FoldRun), so both
+// arguments belong to the merge: a caller that still needs one passes a
+// copy.
 func MergeHeat(older, newer []PageHeat) []PageHeat {
 	if len(older) > len(newer) {
-		return foldHeat(older, newer, true)
+		return FoldRun(older, newer, heatPage, false, nil)
 	}
-	return foldHeat(newer, older, false)
+	return FoldRun(newer, older, heatPage, true, nil)
 }
+
+func heatPage(h *PageHeat) int64 { return h.Page }
 
 // HeatInOrder reports whether heat lists its pages in strictly ascending
 // order, the form MergeHeat relies on: a decoder refuses any other.
@@ -88,40 +89,65 @@ func HeatInOrder(heat []PageHeat) bool {
 	return true
 }
 
-// foldHeat folds add into base, taking add's count for a page both list
-// when addWins, and inserting the pages only add lists.
-func foldHeat(base, add []PageHeat, addWins bool) []PageHeat {
+// FoldRun folds run add into run base, both strictly ascending by key,
+// and returns their union in that order. Where both hold a key, base's
+// entry stays when baseWins, else add's is copied over it; lose (if not
+// nil) gets the loser. Base is patched in place, O(len(add)·log
+// len(base)), and grown — merging from the back — only for keys it
+// lacks. add is never written, base only where add wins or into spare
+// capacity: a shared base goes in clipped, with baseWins.
+func FoldRun[T any](base, add []T, key func(*T) int64, baseWins bool, lose func(*T)) []T {
+	if lose == nil {
+		lose = func(*T) {}
+	}
 	extra := 0
-	for _, h := range add {
-		i, ok := slices.BinarySearchFunc(base, h.Page, func(b PageHeat, page int64) int { return cmp.Compare(b.Page, page) })
+	for j := range add {
+		i, ok := SearchRun(base, key(&add[j]), key)
 		switch {
 		case !ok:
 			extra++
-		case addWins:
-			base[i].Count = h.Count
+		case baseWins:
+			lose(&add[j])
+		default:
+			lose(&base[i])
+			base[i] = add[j]
 		}
 	}
 	if extra == 0 {
 		return base
 	}
-	// Merge from the back into base grown by the new pages: every entry
+	// Merge from the back into base grown by the new keys: every entry
 	// moves at most once and none is overwritten before it is read.
 	i, j := len(base)-1, len(add)-1
 	base = slices.Grow(base, extra)[:len(base)+extra]
 	for k := len(base) - 1; j >= 0; k-- {
-		switch {
-		case i >= 0 && base[i].Page > add[j].Page:
+		if i >= 0 && key(&base[i]) >= key(&add[j]) {
+			if key(&base[i]) == key(&add[j]) { // resolved above
+				j--
+			}
 			base[k] = base[i]
 			i--
-		case i >= 0 && base[i].Page == add[j].Page: // resolved above
-			base[k] = base[i]
-			i, j = i-1, j-1
-		default:
+		} else {
 			base[k] = add[j]
 			j--
 		}
 	}
 	return base
+}
+
+// SearchRun finds key k in run, strictly ascending by key, the way
+// slices.BinarySearchFunc would, without copying an entry.
+func SearchRun[T any](run []T, k int64, key func(*T) int64) (int, bool) {
+	lo, hi := 0, len(run)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if key(&run[m]) < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(run) && key(&run[lo]) == k
 }
 
 // NewObject creates an anonymous VM object of the given size in bytes,
@@ -164,13 +190,6 @@ func (o *Object) Grow(size int64) {
 	if size > o.size {
 		o.size = size
 	}
-}
-
-// Shadow returns the object's backing object, if any.
-func (o *Object) Shadow() *Object {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.shadow
 }
 
 // NewShadow creates a shadow object on top of o, as fork does for
@@ -385,13 +404,6 @@ func (o *Object) DirtyPages() []int64 {
 		out = append(out, idx)
 	}
 	return out
-}
-
-// DirtyCount returns the size of the dirty set.
-func (o *Object) DirtyCount() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.dirty)
 }
 
 // PageSource supplies pages for lazy restores: a restored object

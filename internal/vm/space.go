@@ -440,7 +440,7 @@ func (as *AddressSpace) installPTE(pageBase Addr, writable bool) {
 // changed. This is the address-space half of the serialization
 // barrier; it returns the number of PTEs manipulated. The work is
 // proportional to the pages given, not to the size of the mapping.
-func (as *AddressSpace) ProtectObject(obj *Object, pages map[int64]*Frame) int64 {
+func (as *AddressSpace) ProtectObject(obj *Object, pages []Page) int64 {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	var ops int64
@@ -448,8 +448,8 @@ func (as *AddressSpace) ProtectObject(obj *Object, pages map[int64]*Frame) int64
 		if m.Obj != obj {
 			continue
 		}
-		for idx := range pages {
-			a, ok := m.pageAddr(idx)
+		for _, p := range pages {
+			a, ok := m.pageAddr(p.Idx)
 			if !ok {
 				continue
 			}

@@ -273,9 +273,6 @@ func (pm *PhysMem) Free(f *Frame) {
 // Resident returns the number of allocated frames.
 func (pm *PhysMem) Resident() int64 { return pm.allocated.Load() }
 
-// MaxFrames returns the allocator bound (0 = unbounded).
-func (pm *PhysMem) MaxFrames() int64 { return pm.maxFrames }
-
 // Meter charges VM costs to the virtual clock and counts operations.
 // All fields are manipulated atomically; a nil Meter is valid and
 // charges nothing, which keeps unit tests lightweight.

@@ -197,8 +197,8 @@ func TestAuroraCowPreservesSharing(t *testing.T) {
 	cs := obj.BeginCheckpoint(1, true)
 	as1.ProtectObject(obj, cs.Pages)
 	as2.ProtectObject(obj, cs.Pages)
-	if cs.PageCount() != 1 {
-		t.Fatalf("checkpoint captured %d pages, want 1", cs.PageCount())
+	if len(cs.Pages) != 1 {
+		t.Fatalf("checkpoint captured %d pages, want 1", len(cs.Pages))
 	}
 
 	// Process 1 writes through the protected page: Aurora installs a
@@ -215,17 +215,14 @@ func TestAuroraCowPreservesSharing(t *testing.T) {
 	}
 
 	// The checkpoint still owns the pre-write contents.
-	var frozen *Frame
-	for _, f := range cs.Pages {
-		frozen = f
-	}
+	frozen := cs.Pages[0].Frame
 	if !bytes.HasPrefix(frozen.Data, []byte("before checkpoint")) {
 		t.Fatalf("checkpoint frame corrupted: %q", frozen.Data[:17])
 	}
 	if meter.CowFaults.Load() != 1 {
 		t.Fatalf("cow faults = %d, want 1", meter.CowFaults.Load())
 	}
-	cs.Release(pm)
+	release(pm, cs)
 }
 
 func TestForkCowBreaksSharingWithinPrivateMappings(t *testing.T) {
@@ -272,10 +269,10 @@ func TestIncrementalNeverFlushesTwice(t *testing.T) {
 	obj := m.Obj
 	cs1 := obj.BeginCheckpoint(1, false)
 	as.ProtectObject(obj, cs1.Pages)
-	if cs1.PageCount() != 64 {
-		t.Fatalf("first incremental captured %d, want 64", cs1.PageCount())
+	if len(cs1.Pages) != 64 {
+		t.Fatalf("first incremental captured %d, want 64", len(cs1.Pages))
 	}
-	cs1.Release(pm)
+	release(pm, cs1)
 
 	// Touch only 3 pages before the next checkpoint.
 	for i := 0; i < 3; i++ {
@@ -283,15 +280,15 @@ func TestIncrementalNeverFlushesTwice(t *testing.T) {
 	}
 	cs2 := obj.BeginCheckpoint(2, false)
 	as.ProtectObject(obj, cs2.Pages)
-	if cs2.PageCount() != 3 {
-		t.Fatalf("second incremental captured %d, want 3", cs2.PageCount())
+	if len(cs2.Pages) != 3 {
+		t.Fatalf("second incremental captured %d, want 3", len(cs2.Pages))
 	}
-	cs2.Release(pm)
+	release(pm, cs2)
 
 	// Nothing dirtied: third checkpoint captures nothing.
 	cs3 := obj.BeginCheckpoint(3, false)
-	if cs3.PageCount() != 0 {
-		t.Fatalf("idle incremental captured %d, want 0", cs3.PageCount())
+	if len(cs3.Pages) != 0 {
+		t.Fatalf("idle incremental captured %d, want 0", len(cs3.Pages))
 	}
 }
 
@@ -334,9 +331,9 @@ func TestDirtyLineMasks(t *testing.T) {
 	}
 	as1.Write(m1.Start, fill)
 	cs1 := obj.BeginCheckpoint(1, false)
-	for idx := int64(0); idx < 4; idx++ {
-		if cs1.Lines[idx] != AllLines {
-			t.Fatalf("zero-filled page %d: lines %#x, want all", idx, cs1.Lines[idx])
+	for idx, p := range cs1.Pages {
+		if p.Idx != int64(idx) || p.Lines != AllLines {
+			t.Fatalf("zero-filled page %d: page %d, lines %#x, want all", idx, p.Idx, p.Lines)
 		}
 	}
 	as1.ProtectObject(obj, cs1.Pages)
@@ -352,25 +349,29 @@ func TestDirtyLineMasks(t *testing.T) {
 	obj.InsertPage(pm, 6, f) // a swap-in of a dirty page
 	cs2 := obj.BeginCheckpoint(2, false)
 	want := map[int64]uint64{0: 1<<1 | 1<<62, 1: 0b11, 2: 1 << 63, 3: 1, 5: AllLines, 6: AllLines}
-	if len(cs2.Lines) != len(want) {
-		t.Fatalf("dirty set %v, want %v", cs2.Lines, want)
+	lines := make(map[int64]uint64, len(cs2.Pages))
+	for _, p := range cs2.Pages {
+		lines[p.Idx] = p.Lines
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("dirty set %v, want %v", lines, want)
 	}
 	for idx, mask := range want {
-		if cs2.Lines[idx] != mask {
-			t.Errorf("page %d: lines %#x, want %#x", idx, cs2.Lines[idx], mask)
+		if lines[idx] != mask {
+			t.Errorf("page %d: lines %#x, want %#x", idx, lines[idx], mask)
 		}
 	}
 	for idx := int64(0); idx < 4; idx++ {
-		before, after := cs1.Pages[idx].Data, cs2.Pages[idx].Data
+		before, after := cs1.Pages[idx].Frame.Data, cs2.Pages[idx].Frame.Data
 		for line := 0; line < PageSize/LineSize; line++ {
 			lo := line * LineSize
-			if cs2.Lines[idx]&(1<<line) == 0 && !bytes.Equal(before[lo:lo+LineSize], after[lo:lo+LineSize]) {
+			if lines[idx]&(1<<line) == 0 && !bytes.Equal(before[lo:lo+LineSize], after[lo:lo+LineSize]) {
 				t.Fatalf("page %d line %d changed outside its mask", idx, line)
 			}
 		}
 	}
-	if cs3 := obj.BeginCheckpoint(3, false); len(cs3.Lines) != 0 {
-		t.Fatalf("idle barrier handed over %d dirty pages", len(cs3.Lines))
+	if cs3 := obj.BeginCheckpoint(3, false); len(cs3.Pages) != 0 {
+		t.Fatalf("idle barrier handed over %d dirty pages", len(cs3.Pages))
 	}
 }
 
@@ -380,13 +381,13 @@ func TestFullCheckpointCapturesAllResident(t *testing.T) {
 	as.Write(m.Start, make([]byte, 16*PageSize))
 	obj := m.Obj
 	// Drain the dirty set with an incremental first.
-	obj.BeginCheckpoint(1, false).Release(pm)
+	release(pm, obj.BeginCheckpoint(1, false))
 	// Full mode still captures all 16 resident pages.
 	cs := obj.BeginCheckpoint(2, true)
-	if cs.PageCount() != 16 {
-		t.Fatalf("full checkpoint captured %d, want 16", cs.PageCount())
+	if len(cs.Pages) != 16 {
+		t.Fatalf("full checkpoint captured %d, want 16", len(cs.Pages))
 	}
-	cs.Release(pm)
+	release(pm, cs)
 }
 
 func TestCowFaultFrameRefcounting(t *testing.T) {
@@ -402,7 +403,7 @@ func TestCowFaultFrameRefcounting(t *testing.T) {
 	if pm.Resident() != before+1 {
 		t.Fatalf("resident after COW = %d, want %d", pm.Resident(), before+1)
 	}
-	cs.Release(pm) // checkpoint drops the original frame
+	release(pm, cs) // checkpoint drops the original frame
 	if pm.Resident() != before {
 		t.Fatalf("resident after release = %d, want %d", pm.Resident(), before)
 	}
@@ -525,14 +526,17 @@ func TestClockSecondChance(t *testing.T) {
 	}
 	// Pages 0 and 1 were referenced equally with the rest after the
 	// bulk write, so just assert the swap bookkeeping is consistent.
-	swapped := m.Obj.SwappedPages()
-	if len(swapped) != 30 {
-		t.Fatalf("swapped %d pages, want 30", len(swapped))
-	}
-	for idx := range swapped {
-		if f, _ := m.Obj.Lookup(idx); f != nil {
-			t.Fatalf("page %d both resident and swapped", idx)
+	swapped := 0
+	for idx := int64(0); idx < 32; idx++ {
+		if _, ok := m.Obj.SwapSlot(idx); ok {
+			swapped++
+			if f, _ := m.Obj.Lookup(idx); f != nil {
+				t.Fatalf("page %d both resident and swapped", idx)
+			}
 		}
+	}
+	if swapped != 30 {
+		t.Fatalf("swapped %d pages, want 30", swapped)
 	}
 }
 
@@ -544,9 +548,9 @@ func TestCheckpointCapturesSwappedDirtyPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := m.Obj.BeginCheckpoint(1, false)
-	if len(cs.SwapPages)+cs.PageCount() != 4 {
+	if len(cs.SwapPages)+len(cs.Pages) != 4 {
 		t.Fatalf("checkpoint saw %d mem + %d swap pages, want 4 total",
-			cs.PageCount(), len(cs.SwapPages))
+			len(cs.Pages), len(cs.SwapPages))
 	}
 	if len(cs.SwapPages) == 0 {
 		t.Fatal("expected some pages captured from swap")
@@ -565,7 +569,7 @@ func TestProtectedPagesNotEvicted(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("evicted %d checkpoint-protected pages", n)
 	}
-	cs.Release(pm)
+	release(pm, cs)
 }
 
 func TestHottestPages(t *testing.T) {
@@ -654,8 +658,8 @@ func TestQuickCheckpointImmutability(t *testing.T) {
 	cs := m.Obj.BeginCheckpoint(1, true)
 	as.ProtectObject(m.Obj, cs.Pages)
 	snapshot := make(map[int64][]byte)
-	for idx, f := range cs.Pages {
-		snapshot[idx] = append([]byte(nil), f.Data...)
+	for _, p := range cs.Pages {
+		snapshot[p.Idx] = append([]byte(nil), p.Frame.Data...)
 	}
 
 	f := func(page uint8, val byte) bool {
@@ -663,12 +667,12 @@ func TestQuickCheckpointImmutability(t *testing.T) {
 		if err := as.Write(m.Start+Addr(idx*PageSize), []byte{val}); err != nil {
 			return false
 		}
-		return bytes.Equal(cs.Pages[idx].Data, snapshot[idx])
+		return bytes.Equal(cs.Pages[idx].Frame.Data, snapshot[idx]) // the run is pages 0–63
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-	cs.Release(pm)
+	release(pm, cs)
 }
 
 // countingSource holds pages [0, n), each filled with its index's low
@@ -715,12 +719,12 @@ func TestFullBarrierReadsNoSourcePage(t *testing.T) {
 	if cs.Source != PageSource(src) || len(cs.Pages) != 2 {
 		t.Fatalf("full capture: source %v, %d pages; want the object's source and its 2 resident pages", cs.Source, len(cs.Pages))
 	}
-	cs.Release(pm)
+	release(pm, cs)
 	if err := as.Write(m.Start, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	inc := m.Obj.BeginCheckpoint(2, false)
-	defer inc.Release(pm)
+	defer release(pm, inc)
 	if inc.Source != nil || len(inc.Pages) != 1 || src.pageIns != pageIns {
 		t.Fatalf("incremental capture: source %v, %d pages, %d page-ins; want none, 1, 0", inc.Source, len(inc.Pages), src.pageIns-pageIns)
 	}
