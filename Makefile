@@ -55,12 +55,13 @@ fuzzcheck:
 
 ## loc: the non-test line counts ROADMAP tracks (north-star 2), by the
 ## definition ROADMAP uses, those of the three layers under core's data
-## path, vm and core together, the files ROADMAP item 5 tracks — the image codec and the
-## control plane, per file and the control plane in all — and the two
-## single files ROADMAP watches grow: the CLI and the object store's.
+## path, of vm and of the kernel, vm and core together, the files
+## ROADMAP item 5 tracks — the image codec and the control plane, per
+## file and the control plane in all — and the two single files ROADMAP
+## watches grow: the CLI and the object store's.
 CONTROL_PLANE = placer autoscale migrate promote supervisor
 loc:
-	@for d in core netback bench objstore storage vm; do \
+	@for d in core netback bench objstore storage vm kernel; do \
 		printf 'internal/%s %s\n' $$d $$(ls internal/$$d/*.go | grep -v _test.go | xargs cat | wc -l); \
 	done
 	@printf 'vm + core %s\n' $$(ls internal/vm/*.go internal/core/*.go | grep -v _test.go | xargs cat | wc -l)

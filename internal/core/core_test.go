@@ -460,7 +460,10 @@ func TestCheckpointPreservesPipesAndSockets(t *testing.T) {
 func TestCheckpointPreservesSharedMemoryAcrossProcesses(t *testing.T) {
 	r := newRig(t)
 	p1 := spawnCounter(t, r)
+	fillHeap(t, p1, 0, forkPages, 1)
 	p2, _ := r.k.Fork(p1)
+	pokeHeap(t, p1, 0, 3, 2)
+	pokeHeap(t, p2, 2, 5, 3)
 	seg, _ := r.k.ShmGet(99, 4*vm.PageSize)
 	a1, _ := r.k.ShmAttach(p1, seg)
 	a2, _ := r.k.ShmAttach(p2, seg)
@@ -476,12 +479,16 @@ func TestCheckpointPreservesSharedMemoryAcrossProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pids := ng.PIDs()
-	if len(pids) != 2 {
-		t.Fatalf("restored %d processes, want 2", len(pids))
+	restored := restoredTree(t, r, ng)
+	if len(restored) != 2 {
+		t.Fatalf("restored %d processes, want 2", len(restored))
 	}
-	np1, _ := r.k.Process(pids[0])
-	np2, _ := r.k.Process(pids[1])
+	np1, np2 := restored[0], restored[1]
+	// Each process's private memory is its own, as it was at the
+	// barrier: the pages written before the fork and each side's writes
+	// after it.
+	sameHeap(t, p1, np1, forkPages)
+	sameHeap(t, p2, np2, forkPages)
 
 	// Shared memory is still *shared* after restore: a write by one
 	// is seen by the other (the memory hierarchy was reproduced, not

@@ -47,7 +47,7 @@ type MemImage struct {
 	// bytes — from swap at the barrier, by an eager Load, by readPages —
 	// are its run, in ascending page index and none of them in Pages; in
 	// front of, optionally, a store's pages at a pinned epoch held by name:
-	// the restore source a full barrier found the object still paging from
+	// the restore source a full capture found the object still paging from
 	// (vm.CheckpointSet.Source), or a lazily loaded image's
 	// (StoreBackend.LoadLazy). Restore attaches it; readPages reads its
 	// store pages into a run. Nothing here is sized by the image; a lazily
@@ -384,14 +384,15 @@ type chainState struct {
 // ErrNoImage: that part of the history now lives in a backend only, and
 // resolving around the hole would pass off a partial state as the whole.
 // It reads no page: the state carries the source an object's pages are
-// held by name in (only a full image has a store's). With pin set — the
-// caller uses the state, not only checks it — every frame collected
-// takes a reference from pin, so that a release of the chain after this
-// walk cannot take the frames from under the caller, who drops them with
-// unpin. With heat set each object's heat deltas are merged
-// (vm.MergeHeat) into a list of the state's own — the one part of a
-// state only a prefetching restore and Encode read, so the walks that do
-// not need it merge and allocate nothing for it.
+// held by name in (only a full capture names a store's: a full image's,
+// or an object's first, below which the chain holds none of it). With
+// pin set — the caller uses the state, not only checks it — every frame
+// collected takes a reference from pin, so that a release of the chain
+// after this walk cannot take the frames from under the caller, who
+// drops them with unpin. With heat set each object's heat deltas are
+// merged (vm.MergeHeat) into a list of the state's own — the one part
+// of a state only a prefetching restore and Encode read, so the walks
+// that do not need it merge and allocate nothing for it.
 func (img *Image) resolve(pin *vm.PhysMem, heat bool) (*chainState, error) {
 	st := &chainState{meta: make([]MetaRec, 0, len(img.Meta)), objs: make(map[uint64]*MemImage, len(img.Memory)), pinned: pin}
 	seen := make(map[uint64]bool, len(img.Meta))

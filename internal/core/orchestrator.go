@@ -391,8 +391,8 @@ func (o *Orchestrator) SetIDBase(base uint64) {
 }
 
 // Persist creates a persistence group containing the process tree
-// rooted at p (the `sls persist` command). All VM objects reachable
-// from the tree are marked tracked.
+// rooted at p (the `sls persist` command). Its barriers capture every
+// VM object the tree's processes map.
 func (o *Orchestrator) Persist(name string, p *kernel.Process) (*Group, error) {
 	tree := o.K.ProcessTree(p)
 	o.mu.Lock()
@@ -404,12 +404,6 @@ func (o *Orchestrator) Persist(name string, p *kernel.Process) (*Group, error) {
 		o.pidGroup[proc.PID] = g.ID
 	}
 	o.mu.Unlock()
-
-	for _, proc := range tree {
-		for _, obj := range proc.Space.Objects() {
-			obj.SetTracked(true)
-		}
-	}
 	return g, nil
 }
 
@@ -438,9 +432,6 @@ func (o *Orchestrator) AddProcess(g *Group, p *kernel.Process) {
 	g.mu.Unlock()
 	o.pidGroup[p.PID] = g.ID
 	o.mu.Unlock()
-	for _, obj := range p.Space.Objects() {
-		obj.SetTracked(true)
-	}
 }
 
 // Unpersist removes a group entirely, stopping its flush pipeline.

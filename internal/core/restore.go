@@ -65,9 +65,7 @@ func (o *Orchestrator) restoreState(img *Image, st *chainState, readTime time.Du
 	objMap := make(map[uint64]*vm.Object) // old vm ID -> new object
 	for _, oldID := range objectOrder(st.objs) {
 		newest := st.objs[oldID]
-		obj := o.K.Mem.NewObject(newest.Name, newest.Size)
-		obj.SetTracked(true)
-		objMap[oldID] = obj
+		objMap[oldID] = o.K.Mem.NewObject(newest.Name, newest.Size)
 	}
 	lookupObj := func(id uint64) *vm.Object { return objMap[id] }
 

@@ -104,7 +104,7 @@ func (c *Checkpointer) Checkpoint(p *kernel.Process) (Breakdown, error) {
 			e.U64(uint64(len(pages)))
 			buf := make([]byte, vm.PageSize)
 			for _, idx := range pages {
-				f, _ := m.Obj.Lookup(idx)
+				f := m.Obj.Lookup(idx)
 				if f == nil {
 					continue
 				}

@@ -182,6 +182,12 @@ func (k *Kernel) Fork(parent *Process) (*Process, error) {
 	if parent.State() == ProcZombie {
 		return nil, ErrNotRunning
 	}
+	// A swap slot is one object's: the child shares frames, not slots.
+	if k.Pager != nil {
+		if err := k.Pager.SwapInPrivate(parent.Space); err != nil {
+			return nil, err
+		}
+	}
 	k.mu.Lock()
 	k.pids++
 	pid := k.pids
@@ -203,13 +209,8 @@ func (k *Kernel) Fork(parent *Process) (*Process, error) {
 		state:     ProcRunning,
 	}
 	child.FDs = parent.FDs.Clone(k.NextOID())
-	// Locate the child's heap mapping (same addresses as the parent's).
-	for _, m := range child.Space.Mappings() {
-		if m.Name == "heap" {
-			child.heap = m
-			child.brk = parent.brk
-		}
-	}
+	// The child's heap is the mapping at the parent's heap addresses.
+	child.heap, child.brk = child.Space.Find(parent.heap.Start), parent.brk
 
 	t := &Thread{oid: k.NextOID(), TID: pid, Proc: child}
 	if len(parent.Threads) > 0 {
@@ -232,6 +233,7 @@ func (k *Kernel) Fork(parent *Process) (*Process, error) {
 
 	if k.Pager != nil {
 		k.Pager.RegisterSpace(child.Space)
+		k.Pager.Register(child.heap.Obj)
 	}
 	k.Clock.Advance(k.Costs.Syscall + k.Costs.CtxSwitch)
 	return child, nil
@@ -284,9 +286,7 @@ func (k *Kernel) Reap(p *Process) error {
 	dead := p.Space.UnmapAll()
 	if k.Pager != nil {
 		k.Pager.UnregisterSpace(p.Space)
-		for _, obj := range dead {
-			k.Pager.Unregister(obj)
-		}
+		k.Pager.Unregister(dead...)
 	}
 	return nil
 }

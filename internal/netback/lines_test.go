@@ -383,3 +383,94 @@ func TestSentBytesCountsUnackedFrames(t *testing.T) {
 		t.Fatalf("after a lost ack: SentBytes = %d, want %d", rb.SentBytes(), sent)
 	}
 }
+
+// TestForkMidChainGoesWhole: a child forked between two epochs of a
+// replicated lineage writes a line of each page it shares with its
+// parent. Its object has no page at the epoch the receiver acked, so
+// its first capture goes whole, never as line entries the receiver could
+// not rebuild: no need is drawn, only the parent's pages go as lines,
+// and the member restores both heaps as they are live.
+func TestForkMidChainGoesWhole(t *testing.T) {
+	const heapPages = 8
+	m := newMachine()
+	defer m.o.Close()
+	p, g := spawn(t, m)
+	pm := vm.NewPhysMem(0)
+	w := NewWire(LinkFaultConfig{}, m.clock, NewReceiver(pm, storage.NewClock()))
+	if err := w.Connect(g.ID); err != nil {
+		t.Fatal(err)
+	}
+	m.o.Attach(g, w.Backend())
+	rng := rand.New(rand.NewPCG(39, 1))
+	random := func(n int) []byte {
+		out := make([]byte, n)
+		for i := range out {
+			out[i] = byte(rng.Uint32())
+		}
+		return out
+	}
+	write := func(p *kernel.Process, addr vm.Addr, data []byte) {
+		t.Helper()
+		if err := p.WriteMem(addr, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// poke writes one line of each heap page of p.
+	poke := func(p *kernel.Process) {
+		for pg := 0; pg < heapPages; pg++ {
+			write(p, p.HeapBase()+vm.Addr(pg*vm.PageSize+5*vm.LineSize), random(vm.LineSize))
+		}
+	}
+	checkpoint := func() {
+		t.Helper()
+		if _, err := m.o.Checkpoint(g, core.CheckpointOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.o.Sync(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(p, p.HeapBase(), random(heapPages*vm.PageSize))
+	checkpoint()
+	poke(p)
+	checkpoint()
+	child, err := m.k.Fork(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	child.SetProgram(&counter{addr: child.HeapBase()})
+	m.o.AddProcess(g, child)
+	lines := w.Backend().LinesSent()
+	poke(child)
+	poke(p)
+	checkpoint()
+
+	if _, _, resends := w.Backend().DeltaStats(); resends != 0 {
+		t.Fatalf("%d full resends: the receiver could not rebuild a page it was sent", resends)
+	}
+	if got := w.Backend().LinesSent() - lines; got != heapPages {
+		t.Fatalf("%d pages went as lines in the fork's epoch, want the parent's %d", got, heapPages)
+	}
+	img, err := w.Receiver().Latest(g.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.NewWith(storage.NewClock(), pm)
+	ng, _, err := core.NewOrchestrator(k).RestoreImage(img, 0, core.RestoreOpts{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := groupProcs(t, m.k, g)
+	for i, q := range groupProcs(t, k, ng) {
+		want, got := make([]byte, heapPages*vm.PageSize), make([]byte, heapPages*vm.PageSize)
+		if err := live[i].ReadMem(live[i].HeapBase(), want); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.ReadMem(q.HeapBase(), got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("restored process %d: heap differs from its live twin", i)
+		}
+	}
+}

@@ -66,7 +66,11 @@ type SwapPage struct {
 // barrier and returns the frames the checkpoint must flush.
 //
 // In full mode every resident page is captured; in incremental mode
-// only pages dirtied since the previous barrier are captured. Captured
+// only pages dirtied since the previous barrier are captured. An
+// object's first capture is full whatever the mode, with every page
+// whole (AllLines): no barrier of it came before, so its dirty set —
+// empty for a fork child, whose pages are its parent's — says nothing
+// about what the checkpoint chain holds for it. Captured
 // pages are write-protected: the next write to one triggers CowFault,
 // which replaces the page with a copy shared by all mappers while this
 // checkpoint keeps the original.
@@ -88,11 +92,16 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
 	defer o.mu.Unlock()
 
 	cs := &CheckpointSet{Obj: o, Epoch: epoch, Capture: o.captures.Add(1)}
-	if full {
+	first := o.epoch == 0
+	if full = full || first; full {
 		cs.Source = o.source
 		cs.Pages = make([]Page, 0, len(o.pages))
 		for idx, f := range o.pages {
-			cs.Pages = append(cs.Pages, Page{Idx: idx, Frame: f, Lines: o.dirty[idx]})
+			lines := o.dirty[idx]
+			if first {
+				lines = AllLines
+			}
+			cs.Pages = append(cs.Pages, Page{Idx: idx, Frame: f, Lines: lines})
 		}
 		for idx, slot := range o.swapSlots {
 			if _, resident := o.pages[idx]; !resident {
@@ -222,15 +231,13 @@ func (o *Object) allocPageLocked(pm *PhysMem, idx int64) (*Frame, error) {
 }
 
 // EnsurePage returns the frame backing page idx of this object,
-// allocating a zero-filled page (or privately copying a shadow page,
-// fork-style) as needed. The returned frame always lives in o itself,
-// making it safe to write. Reports whether a fork-style private copy
-// was made. A page it fills is dirty in every line.
-func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, bool, error) {
+// pulling it from the page source or allocating a zero-filled page as
+// needed. A page it fills is dirty in every line.
+func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if f, ok := o.pages[idx]; ok {
-		return f, false, nil
+		return f, nil
 	}
 	// Lazy restore: a write to an image-backed page pulls it in first.
 	if _, swapped := o.swapSlots[idx]; o.source != nil && !swapped {
@@ -238,37 +245,23 @@ func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, bool,
 		_, err := o.fetchFromSource(pm, idx, meter)
 		o.mu.Lock()
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if f, ok := o.pages[idx]; ok {
 			o.dirty[idx] = AllLines
-			return f, false, nil
+			return f, nil
 		}
 		// The source does not hold the page: zero-fill.
 	}
-	// Fall through the shadow chain: a hit there must be privately
-	// copied up into this object before writing (fork-style COW).
-	if f, owner := o.lookupLocked(idx); f != nil && owner != o {
-		cp, err := pm.AllocCopy(f)
-		if err != nil {
-			return nil, false, err
-		}
-		o.pages[idx] = cp
-		o.dirty[idx] = AllLines
-		if meter != nil {
-			meter.ChargeCopy(1)
-		}
-		return cp, true, nil
-	}
 	f, err := o.allocPageLocked(pm, idx)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if meter != nil {
 		meter.ZeroFills.Add(1)
 	}
 	o.dirty[idx] = AllLines
-	return f, false, nil
+	return f, nil
 }
 
 // InstallSharedPage maps an image-owned frame into the object with
@@ -307,6 +300,28 @@ func (o *Object) SwapOut(idx int64, slot int64) *Frame {
 	delete(o.protected, idx)
 	o.swapSlots[idx] = slot
 	return f
+}
+
+// swappedPages lists the object's paged-out pages in ascending order.
+func (o *Object) swappedPages() []int64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	out := make([]int64, 0, len(o.swapSlots))
+	for idx := range o.swapSlots {
+		out = append(out, idx)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// takeSwapSlots empties the object's table of paged-out pages and
+// returns their slots, for a dead object to give back.
+func (o *Object) takeSwapSlots() map[int64]int64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	slots := o.swapSlots
+	o.swapSlots = make(map[int64]int64)
+	return slots
 }
 
 // SwapSlot reports the swap slot of a paged-out page.

@@ -59,10 +59,10 @@ func TestMapExplicitOffsetWindow(t *testing.T) {
 	if string(got) != "hi" {
 		t.Fatalf("w2 = %q", got)
 	}
-	if f0, _ := obj.Lookup(0); f0 == nil {
+	if f0 := obj.Lookup(0); f0 == nil {
 		t.Fatal("page 0 missing")
 	}
-	if f2, _ := obj.Lookup(2); f2 == nil {
+	if f2 := obj.Lookup(2); f2 == nil {
 		t.Fatal("page 2 missing")
 	}
 }
@@ -96,7 +96,8 @@ func TestObjectRefcountReleaseAll(t *testing.T) {
 }
 
 func TestForkChainDepth(t *testing.T) {
-	// fork of fork of fork: shadow chains resolve through all levels.
+	// fork of fork of fork: each generation reads what its parent held
+	// at its fork, through frames shared down the generations.
 	as, _, _ := testSpace(t)
 	m, _ := as.MapAnon(PageSize, ProtRead|ProtWrite, false, "x")
 	as.Write(m.Start, []byte("gen0"))
@@ -107,7 +108,7 @@ func TestForkChainDepth(t *testing.T) {
 	got := make([]byte, 4)
 	c3.Read(m.Start, got)
 	if string(got) != "gen1" {
-		t.Fatalf("grandchild reads %q through the chain", got)
+		t.Fatalf("great-grandchild reads %q", got)
 	}
 	// Writes at any level stay private to that level.
 	c2.Write(m.Start, []byte("gen2"))
@@ -187,12 +188,12 @@ func TestUnprotectAbortsCheckpointTracking(t *testing.T) {
 func TestInstallSharedPageReplacesResident(t *testing.T) {
 	pm := NewPhysMem(0)
 	obj := pm.NewObject("x", PageSize)
-	old, _, _ := obj.EnsurePage(pm, 0, nil)
+	old, _ := obj.EnsurePage(pm, 0, nil)
 	copy(old.Data, []byte("old"))
 	img, _ := pm.Alloc()
 	copy(img.Data, []byte("img"))
 	obj.InstallSharedPage(pm, 0, img)
-	f, _ := obj.Lookup(0)
+	f := obj.Lookup(0)
 	if !bytes.HasPrefix(f.Data, []byte("img")) {
 		t.Fatal("shared page not installed")
 	}

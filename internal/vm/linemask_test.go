@@ -45,7 +45,7 @@ func dirtyLineMaskRun(t *testing.T, seed uint64) {
 	// page reads page idx as the object holds it now (zero if absent).
 	page := func(idx int64) ([]byte, bool) {
 		p := make([]byte, PageSize)
-		f, _ := obj.Lookup(idx)
+		f := obj.Lookup(idx)
 		if f != nil {
 			copy(p, f.Data)
 		}
@@ -86,7 +86,7 @@ func dirtyLineMaskRun(t *testing.T, seed uint64) {
 				obj.MarkDirty(rng.Int64N(pages), rng.Uint64())
 			default: // a swap-in: the page comes back, same bytes, new frame
 				idx := rng.Int64N(pages)
-				if f, _ := obj.Lookup(idx); f != nil && !obj.IsProtected(idx) {
+				if f := obj.Lookup(idx); f != nil && !obj.IsProtected(idx) {
 					g, err := pm.AllocData(f.Data)
 					if err != nil {
 						t.Fatal(err)

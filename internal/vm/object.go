@@ -10,9 +10,10 @@ import (
 
 // Object is a Mach-style VM object: a container of pages backing one
 // or more mappings. Anonymous memory, shared memory segments, and
-// file caches are all Objects. Objects form shadow chains for
-// fork-style COW: a lookup that misses in the top object falls through
-// to its shadow.
+// file caches are all Objects. An object reads only its own pages and
+// its page source: fork gives each side of a private mapping an object
+// of its own, sharing frames under the same copy-on-write protection a
+// barrier or a restore uses (Object.fork).
 //
 // Aurora extends the object with checkpoint state: a protection epoch
 // (pages write-protected by the last serialization barrier), a dirty
@@ -33,14 +34,12 @@ type Object struct {
 	// captured it, mutating data the background flusher is reading.
 	barrier sync.RWMutex
 
-	mu     sync.Mutex
-	size   int64 // bytes; lookups beyond size still zero-fill for anon
-	pages  map[int64]*Frame
-	shadow *Object // backing object for fork-style COW chains
-	refs   int32
+	mu    sync.Mutex
+	size  int64 // bytes; lookups beyond size still zero-fill for anon
+	pages map[int64]*Frame
+	refs  int32
 
 	// Aurora checkpoint tracking.
-	tracked   bool             // registered with the SLS orchestrator
 	protected map[int64]uint64 // pages write-protected for COW tracking -> the capture that did (0: a restore)
 	captures  *atomic.Uint64   // the machine's capture IDs (PhysMem.captureIDs)
 	dirty     map[int64]uint64 // pages written since last checkpoint epoch -> lines written
@@ -192,17 +191,6 @@ func (o *Object) Grow(size int64) {
 	}
 }
 
-// NewShadow creates a shadow object on top of o, as fork does for
-// private mappings: the child object starts empty and falls through to
-// o on lookup; writes populate the child (fork-style private COW).
-func (o *Object) NewShadow(pm *PhysMem) *Object {
-	s := pm.NewObject(o.Name+"+shadow", o.Size())
-	s.Anon = o.Anon
-	o.Ref()
-	s.shadow = o
-	return s
-}
-
 // BeginWrite and EndWrite bracket one write access to the object's
 // pages. They hold the barrier read-side so a concurrent serialization
 // barrier cannot capture a frame between the write-permission check
@@ -212,20 +200,6 @@ func (o *Object) BeginWrite() { o.barrier.RLock() }
 // EndWrite releases the write-access bracket taken by BeginWrite.
 func (o *Object) EndWrite() { o.barrier.RUnlock() }
 
-// SetTracked marks the object as registered with the SLS orchestrator.
-func (o *Object) SetTracked(v bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.tracked = v
-}
-
-// Tracked reports whether the object is under SLS checkpoint tracking.
-func (o *Object) Tracked() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.tracked
-}
-
 // Epoch returns the checkpoint epoch stamped by the last barrier.
 func (o *Object) Epoch() uint64 {
 	o.mu.Lock()
@@ -233,34 +207,15 @@ func (o *Object) Epoch() uint64 {
 	return o.epoch
 }
 
-// lookupLocked finds the frame for page idx, walking the shadow chain.
-// It returns the frame and the object that owns it (nil if unresident).
-func (o *Object) lookupLocked(idx int64) (*Frame, *Object) {
-	if f, ok := o.pages[idx]; ok {
-		return f, o
-	}
-	for s := o.shadow; s != nil; {
-		s.mu.Lock()
-		f, ok := s.pages[idx]
-		next := s.shadow
-		s.mu.Unlock()
-		if ok {
-			return f, s
-		}
-		s = next
-	}
-	return nil, nil
-}
-
-// Lookup finds the frame for page idx, walking the shadow chain.
-func (o *Object) Lookup(idx int64) (*Frame, *Object) {
+// Lookup returns the frame resident at page idx (nil if none).
+func (o *Object) Lookup(idx int64) *Frame {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.lookupLocked(idx)
+	return o.pages[idx]
 }
 
 // ResidentPages returns the sorted-free list of page indices resident
-// in this object (shadow chain excluded).
+// in this object.
 func (o *Object) ResidentPages() []int64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()

@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -108,7 +109,6 @@ type Pager struct {
 	objects []*Object
 	spaces  []*AddressSpace
 	handObj int // clock hand: object index
-	handPg  int // clock hand: position within the object's page list
 }
 
 // NewPager creates a pager.
@@ -154,14 +154,15 @@ func (p *Pager) UnregisterSpace(as *AddressSpace) {
 	}
 }
 
-// Unregister removes an object (e.g. when its process exits).
-func (p *Pager) Unregister(obj *Object) {
+// Unregister removes objects that died (their process was reaped) and
+// returns the swap slots of their paged-out pages to the swap area.
+func (p *Pager) Unregister(dead ...*Object) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, o := range p.objects {
-		if o == obj {
-			p.objects = append(p.objects[:i], p.objects[i+1:]...)
-			return
+	p.objects = slices.DeleteFunc(p.objects, func(o *Object) bool { return slices.Contains(dead, o) })
+	p.mu.Unlock()
+	for _, obj := range dead {
+		for _, slot := range obj.takeSwapSlots() {
+			p.swap.FreeSlot(slot)
 		}
 	}
 }
@@ -217,22 +218,15 @@ func (p *Pager) Reclaim(target int) (int, error) {
 		}
 	}
 	p.mu.Lock()
-	p.handObj = (p.handObj + 1) % maxInt(len(objects), 1)
+	p.handObj = (p.handObj + 1) % max(len(objects), 1)
 	p.mu.Unlock()
 	return evicted, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // evict writes one page to swap and drops it from memory.
 func (p *Pager) evict(obj *Object, idx int64, spaces []*AddressSpace) error {
-	f, owner := obj.Lookup(idx)
-	if f == nil || owner != obj {
+	f := obj.Lookup(idx)
+	if f == nil {
 		return nil
 	}
 	slot, err := p.swap.WritePage(f)
@@ -295,6 +289,23 @@ func (p *Pager) SwapIn(obj *Object, idx int64) error {
 	p.swap.FreeSlot(slot)
 	if p.meter != nil {
 		p.meter.PageIns.Add(1)
+	}
+	return nil
+}
+
+// SwapInPrivate brings the paged-out pages of every private mapping of
+// as back into memory, in page order: a swap slot is one object's, and
+// a fork shares its parent's frames, not its slots.
+func (p *Pager) SwapInPrivate(as *AddressSpace) error {
+	for _, m := range as.Mappings() {
+		if m.Shared {
+			continue
+		}
+		for _, idx := range m.Obj.swappedPages() {
+			if err := p.SwapIn(m.Obj, idx); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

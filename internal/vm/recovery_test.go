@@ -48,7 +48,7 @@ func TestRecoveryBoundedSwapInRetry(t *testing.T) {
 	if !errors.Is(err, ErrBackendDown) {
 		t.Fatalf("error not selectable as ErrBackendDown: %v", err)
 	}
-	if f2, _ := obj.Lookup(0); f2 != nil {
+	if f2 := obj.Lookup(0); f2 != nil {
 		t.Fatal("failed swap-in must not install a page")
 	}
 
@@ -58,8 +58,8 @@ func TestRecoveryBoundedSwapInRetry(t *testing.T) {
 	if err := pager.SwapIn(obj, 0); err != nil {
 		t.Fatalf("bounded retry should absorb transient faults: %v", err)
 	}
-	f2, owner := obj.Lookup(0)
-	if f2 == nil || owner != obj || !bytes.HasPrefix(f2.Data, []byte("precious")) {
+	f2 := obj.Lookup(0)
+	if f2 == nil || !bytes.HasPrefix(f2.Data, []byte("precious")) {
 		t.Fatal("swapped-in page missing or corrupted")
 	}
 }
@@ -98,7 +98,7 @@ func TestRecoverySwapInRetryBudgetConfigurable(t *testing.T) {
 	if err := pager.SwapIn(obj, 0); err != nil {
 		t.Fatalf("retry within budget failed: %v", err)
 	}
-	f2, _ := obj.Lookup(0)
+	f2 := obj.Lookup(0)
 	if f2 == nil || !bytes.HasPrefix(f2.Data, []byte("keep")) {
 		t.Fatal("page lost across retries")
 	}

@@ -249,20 +249,25 @@ func (as *AddressSpace) Protect(start Addr, prot Prot) error {
 	for _, m := range as.maps {
 		if m.Start == start {
 			m.Prot = prot
-			// Downgrade any cached writable PTEs.
 			if prot&ProtWrite == 0 {
-				for a := m.Start; a < m.End; a += PageSize {
-					if p, ok := as.pt[a]; ok && p.writable {
-						p.writable = false
-						as.pt[a] = p
-						as.meter.ChargePTE(1)
-					}
-				}
+				as.readOnlyLocked(m)
 			}
 			return nil
 		}
 	}
 	return ErrNoMapping
+}
+
+// readOnlyLocked clears the writable bit of every cached PTE of m,
+// charging one PTE operation per entry changed. The caller holds as.mu.
+func (as *AddressSpace) readOnlyLocked(m *Mapping) {
+	for a := m.Start; a < m.End; a += PageSize {
+		if e, ok := as.pt[a]; ok && e.writable {
+			e.writable = false
+			as.pt[a] = e
+			as.meter.ChargePTE(1)
+		}
+	}
 }
 
 // Read copies len(p) bytes from the address space starting at addr.
@@ -349,8 +354,8 @@ func (as *AddressSpace) fault(pageBase Addr, lines uint64) (*Frame, *Object, err
 
 	if !write {
 		// Read path: soft fault to install the PTE, then read through
-		// the object (possibly its shadow chain).
-		f, owner := obj.Lookup(idx)
+		// the object.
+		f := obj.Lookup(idx)
 		if f == nil {
 			if slot, swapped := obj.SwapSlot(idx); swapped {
 				return nil, nil, &SwapFault{Obj: obj, Page: idx, Slot: slot}
@@ -372,7 +377,6 @@ func (as *AddressSpace) fault(pageBase Addr, lines uint64) (*Frame, *Object, err
 			as.installPTE(pageBase, false)
 			as.meter.ChargeFault()
 		}
-		_ = owner
 		obj.Touch(idx)
 		return f, nil, nil
 	}
@@ -381,20 +385,15 @@ func (as *AddressSpace) fault(pageBase Addr, lines uint64) (*Frame, *Object, err
 	// barrier must not intervene, or the copy could mutate a frame the
 	// barrier already captured.
 	obj.BeginWrite()
-	if _, swapped := obj.SwapSlot(idx); swapped {
-		if _, resident := obj.Lookup(idx); resident == nil {
-			if slot, ok := obj.SwapSlot(idx); ok {
-				obj.EndWrite()
-				return nil, nil, &SwapFault{Obj: obj, Page: idx, Slot: slot, Write: true}
-			}
-		}
+	if slot, swapped := obj.SwapSlot(idx); swapped && obj.Lookup(idx) == nil {
+		obj.EndWrite()
+		return nil, nil, &SwapFault{Obj: obj, Page: idx, Slot: slot, Write: true}
 	}
 	if havePTE && entry.writable {
 		// Fast path: but the page may have been COW-protected by a
 		// barrier after this PTE was cached; ProtectObject clears the
 		// writable bit, so reaching here means the page is writable.
-		f, owner := obj.Lookup(idx)
-		if f != nil && owner == obj && !obj.IsProtected(idx) {
+		if f := obj.Lookup(idx); f != nil && !obj.IsProtected(idx) {
 			obj.MarkDirty(idx, lines)
 			obj.Touch(idx)
 			return f, obj, nil
@@ -416,8 +415,8 @@ func (as *AddressSpace) fault(pageBase Addr, lines uint64) (*Frame, *Object, err
 		return f, obj, nil
 	}
 
-	// Resident in this object, or shadow-chain / zero-fill allocation.
-	f, _, err := obj.EnsurePage(as.pm, idx, as.meter)
+	// Resident in this object, or a page-in or zero-fill allocation.
+	f, err := obj.EnsurePage(as.pm, idx, as.meter)
 	if err != nil {
 		obj.EndWrite()
 		return nil, nil, err
@@ -498,44 +497,59 @@ func (as *AddressSpace) Objects() []*Object {
 }
 
 // Fork clones the address space with fork semantics: shared mappings
-// alias the same object; private mappings get a shadow object so that
-// writes in either copy COW privately (the standard mechanism whose
-// shared-memory breakage Aurora's checkpoint COW avoids).
+// alias the same object; each private mapping of the child gets an
+// object of its own that shares the parent's frames under copy-on-write
+// protection (Object.fork), so the first write on either side copies the
+// page for that side alone. The parent keeps its objects. Pages on swap
+// are not shared: the caller brings them back first (kernel.Fork).
 func (as *AddressSpace) Fork() *AddressSpace {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	child := NewAddressSpace(as.pm, as.meter)
-	for _, m := range as.maps {
-		var obj *Object
+	for _, m := range as.Mappings() {
+		obj := m.Obj
 		if m.Shared {
-			obj = m.Obj
 			obj.Ref()
 		} else {
-			obj = m.Obj.NewShadow(as.pm)
-			// The parent must also COW against the snapshot: replace
-			// the parent's object with its own fresh shadow so both
-			// sides see the pre-fork data and copy up on write.
-			parentShadow := m.Obj.NewShadow(as.pm)
-			if m.Obj.Deref() {
-				// unreachable: the two shadows hold references
-				m.Obj.ReleaseAll(as.pm)
-			}
-			m.Obj = parentShadow
-			// Invalidate parent's writable PTEs for this mapping: the
-			// next write must COW up into the new shadow.
-			for a := m.Start; a < m.End; a += PageSize {
-				if e, ok := as.pt[a]; ok && e.writable {
-					e.writable = false
-					as.pt[a] = e
-					as.meter.ChargePTE(1)
-				}
-			}
+			// The pages are protected before their PTEs, as a barrier
+			// protects them: a write holds the object's barrier lock
+			// while it takes as.mu.
+			obj = obj.fork(as.pm)
+		}
+		as.mu.Lock()
+		if !m.Shared {
+			as.readOnlyLocked(m) // the parent's next write faults and copies
 		}
 		cm := &Mapping{Start: m.Start, End: m.End, Obj: obj, Off: m.Off, Prot: m.Prot, Shared: m.Shared, Name: m.Name}
+		as.mu.Unlock()
 		child.maps = append(child.maps, cm)
 	}
-	sort.Slice(child.maps, func(i, j int) bool { return child.maps[i].Start < child.maps[j].Start })
 	return child
+}
+
+// fork returns a fork child's object for a private mapping of o: a new
+// object holding o's resident frames, each with a reference of its own,
+// and o's page source, immutable and pinned, for the pages neither has
+// faulted in. Every frame is write-protected in both objects as a
+// restore's are (capture 0), except where a capture already protects it
+// in o, which keeps that one: the first write on either side goes
+// through CowFault and copies the page for that side alone.
+func (o *Object) fork(pm *PhysMem) *Object {
+	c := pm.NewObject(o.Name, 0)
+	// Exclude in-flight writes, as a barrier does: a write that passed
+	// its permission check lands before the frames are shared.
+	o.barrier.Lock()
+	defer o.barrier.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	c.Anon, c.size, c.source = o.Anon, o.size, o.source
+	for idx, f := range o.pages {
+		f.Ref()
+		c.pages[idx] = f
+		c.protected[idx] = 0
+		if _, ok := o.protected[idx]; !ok {
+			o.protected[idx] = 0
+		}
+	}
+	return c
 }
 
 // ReleaseAll frees every resident page of the object and detaches its
@@ -545,15 +559,10 @@ func (o *Object) ReleaseAll(pm *PhysMem) {
 	o.mu.Lock()
 	pages := o.pages
 	o.pages = make(map[int64]*Frame)
-	shadow := o.shadow
-	o.shadow = nil
 	o.source = nil
 	o.mu.Unlock()
 	for _, f := range pages {
 		pm.Free(f)
-	}
-	if shadow != nil && shadow.Deref() {
-		shadow.ReleaseAll(pm)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package vm implements Aurora's virtual memory substrate: physical
-// frames, Mach-style VM objects with shadow chains, simulated page
-// tables, and the two copy-on-write disciplines the paper contrasts:
-//
-//   - fork-style COW, where a write fault gives the faulting process a
-//     private copy (breaking shared-memory semantics), and
-//   - Aurora's checkpoint COW, where a write fault installs a new page
-//     shared by *all* processes mapping the object while the original
-//     frame is handed to the in-flight checkpoint for flushing.
+// frames, Mach-style VM objects, simulated page tables, and one
+// copy-on-write rule: a write fault on a protected page installs a copy
+// shared by *all* processes mapping the object, while the original frame
+// stays with whoever protected it — an in-flight checkpoint, a restore's
+// image, or the other side of a fork. Fork gives each side of a private
+// mapping an object of its own over the same frames, so the rule that
+// keeps shared memory shared across a checkpoint keeps private memory
+// private across a fork.
 //
 // The package also provides per-checkpoint-epoch dirty tracking (so a
 // page is never flushed twice across incremental checkpoints), a clock
@@ -52,7 +52,7 @@ func RoundUpPage(n int64) int64 { return (n + PageMask) &^ int64(PageMask) }
 // Line geometry. An object's dirty set records, per page, which 64-byte
 // lines writes have touched since the last barrier: bit i of a page's
 // line mask is bytes [64i, 64i+64). A page filled any other way — a
-// zero-fill, a shadow copy, a page-in, a swap-in — is dirty in every
+// zero-fill, a page-in, a swap-in — is dirty in every
 // line.
 const (
 	LineShift = 6

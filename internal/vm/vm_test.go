@@ -248,6 +248,56 @@ func TestForkCowBreaksSharingWithinPrivateMappings(t *testing.T) {
 	}
 }
 
+// TestForkSharesFramesUntilWritten: fork copies no page. The child's
+// object holds the parent's frames, protected on both sides; the first
+// write on either side copies the page for that side alone (CowFault),
+// and the child's exit returns exactly the frames no one else holds. A
+// page an in-flight capture protected keeps that capture, so the
+// parent's copy of it still names the capture it was copied from.
+func TestForkSharesFramesUntilWritten(t *testing.T) {
+	as, pm, meter := testSpace(t)
+	m, _ := as.MapAnon(4*PageSize, ProtRead|ProtWrite, false, "heap")
+	as.Write(m.Start, bytes.Repeat([]byte{7}, 4*PageSize))
+	cs := barrier(as, m, 1, true)
+	defer release(pm, cs)
+
+	child := as.Fork()
+	cm := child.Find(m.Start)
+	if cm.Obj == m.Obj || pm.Resident() != 4 {
+		t.Fatalf("fork: child object %v, parent %v, %d frames resident; want two objects over 4 frames", cm.Obj, m.Obj, pm.Resident())
+	}
+	for idx := int64(0); idx < 4; idx++ {
+		if cm.Obj.Lookup(idx) != m.Obj.Lookup(idx) || !cm.Obj.IsProtected(idx) || !m.Obj.IsProtected(idx) {
+			t.Fatalf("page %d: not one frame protected on both sides", idx)
+		}
+	}
+	faults := meter.CowFaults.Load()
+	child.Write(m.Start, []byte("child"))
+	as.Write(m.Start+PageSize, []byte("parent"))
+	if got := meter.CowFaults.Load() - faults; got != 2 || pm.Resident() != 6 {
+		t.Fatalf("two writes after the fork: %d COW faults, %d frames resident; want 2 and 6", got, pm.Resident())
+	}
+	got := make([]byte, 6)
+	as.Read(m.Start, got)
+	if got[0] != 7 {
+		t.Fatalf("parent reads the child's write: %q", got)
+	}
+	child.Read(m.Start+PageSize, got)
+	if got[0] != 7 {
+		t.Fatalf("child reads the parent's write: %q", got)
+	}
+
+	next := m.Obj.BeginCheckpoint(2, false)
+	defer release(pm, next)
+	if len(next.Pages) != 1 || next.Pages[0].Frame.CopiedFrom(next.Capture) != cs.Capture {
+		t.Fatalf("the parent's copy of a captured page does not name its capture: %+v", next.Pages)
+	}
+	child.UnmapAll()
+	if pm.Resident() != 5 {
+		t.Fatalf("%d frames resident after the child's exit, want the parent's 4 and the capture's original", pm.Resident())
+	}
+}
+
 func TestForkSharedMappingStaysShared(t *testing.T) {
 	as, _, _ := testSpace(t)
 	m, _ := as.MapAnon(PageSize, ProtRead|ProtWrite, true, "shm")
@@ -423,36 +473,6 @@ func TestBarrierPTECost(t *testing.T) {
 	}
 }
 
-// --- shadow chains ---
-
-func TestShadowChainLookup(t *testing.T) {
-	pm := NewPhysMem(0)
-	base := pm.NewObject("base", 2*PageSize)
-	f, _, err := base.EnsurePage(pm, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(f.Data, []byte("base page"))
-
-	top := base.NewShadow(pm)
-	got, owner := top.Lookup(0)
-	if got == nil || owner != base {
-		t.Fatal("shadow lookup should fall through to base")
-	}
-	// Writing through the shadow copies up.
-	wf, copied, err := top.EnsurePage(pm, 0, nil)
-	if err != nil || !copied {
-		t.Fatalf("EnsurePage copied=%v err=%v", copied, err)
-	}
-	if !bytes.HasPrefix(wf.Data, []byte("base page")) {
-		t.Fatal("copy-up lost base contents")
-	}
-	copy(wf.Data, []byte("top  page"))
-	if !bytes.HasPrefix(f.Data, []byte("base page")) {
-		t.Fatal("write through shadow modified base")
-	}
-}
-
 // --- pager / clock algorithm ---
 
 func pagerFixture(t *testing.T) (*AddressSpace, *Mapping, *Pager, *PhysMem) {
@@ -530,7 +550,7 @@ func TestClockSecondChance(t *testing.T) {
 	for idx := int64(0); idx < 32; idx++ {
 		if _, ok := m.Obj.SwapSlot(idx); ok {
 			swapped++
-			if f, _ := m.Obj.Lookup(idx); f != nil {
+			if f := m.Obj.Lookup(idx); f != nil {
 				t.Fatalf("page %d both resident and swapped", idx)
 			}
 		}
