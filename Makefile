@@ -94,11 +94,14 @@ faultcheck:
 ## failover, supervisor auto-restore, bounded SwapIn retry, CLI exit codes,
 ## and `sls send`/`recv`: an image file round-trips, also straight after
 ## a lazy restore; the first barrier after a lazy restore reads no page
-## of its restore source, its flush does (and fails, typed, with the
-## store down), and a rollback to it before that flush restores bit for
-## bit or, with the store down, fails typed and leaves the group running;
-## Encode holds the frames it reads across a release of its chain, and
-## the fleet budget charges inherited pages; a restore of an image that
+## of its restore source, and its flush reads one only for a destination
+## that lacks it — none into the store it came from, what a second store
+## or a replica lacks, none into a memory backend — (and fails, typed,
+## with the store down), and a rollback to it before that flush restores
+## bit for bit or, with the store down, fails typed and leaves the group
+## running; Encode holds the frames it reads across a release of its
+## chain, and the fleet budget charges no page held by name; a fork child
+## keeps its parent's sls_mctl hints; a restore of an image that
 ## holds its pages by name (lazily loaded, or that first barrier unflushed)
 ## reads none of them before the first fault and pins the epoch it pages
 ## from; a line page's demand fault
@@ -108,7 +111,7 @@ faultcheck:
 ## capture left, to the same content hash, whichever way the digest hands
 ## out its state, from a table the group keeps per object it tracks.
 recoverycheck:
-	$(GO) test -race -count=1 -run 'TestRecovery|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestRestoreAttachesWhatAnImageHoldsByName|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestPartlyWrittenPagesResumeTheirHash|TestPageHasherMarshalsWithoutAppendBinary|TestMidstateTablesFollowTrackedObjects' \
+	$(GO) test -race -count=1 -run 'TestRecovery|TestInheritedPagesFlushByHash|TestForkKeepsMctlHints|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestRestoreAttachesWhatAnImageHoldsByName|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestPartlyWrittenPagesResumeTheirHash|TestPageHasherMarshalsWithoutAppendBinary|TestMidstateTablesFollowTrackedObjects' \
 		./internal/core/ ./internal/vm/ ./internal/netback/ ./internal/objstore/ ./cmd/sls/
 
 ## chaoscheck: whole-system chaos harness under the race detector —

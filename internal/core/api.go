@@ -108,19 +108,17 @@ func (a *API) Rollback(p *kernel.Process) (*Group, *RollbackNotice, error) {
 		return nil, nil, ErrNoImage
 	}
 
-	// Read what the chain holds by name before the current incarnation
-	// goes: a rollback that cannot (its store is down) fails with the
-	// group still running.
-	for cur := img; cur != nil; cur = cur.base() {
-		if _, err := cur.readPages(nil); err != nil {
-			return nil, nil, err
-		}
-	}
 	st, err := img.resolve(a.O.K.Mem, false)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer st.unpin()
+	// Read what the state holds by name before the current incarnation
+	// goes: a rollback that cannot (its store is down) fails with the
+	// group still running.
+	if st.objs, err = readNamed(st.objs, nil, nil); err != nil {
+		return nil, nil, err
+	}
 	// Kill the current incarnation.
 	for _, pid := range g.PIDs() {
 		if proc, err := a.O.K.Process(pid); err == nil {

@@ -212,17 +212,21 @@ func (sb *StoreBackend) WithLane(lane *storage.Clock) Backend {
 	}
 }
 
-// imagePages hands one object's captured pages to the store as an
+// imagePages hands one object's pages to the store as an
 // objstore.PageSet: sums is the object's run of Image.PageHashes, so
 // the pages come in ascending index with the hashes the image already
 // holds, each captured frame with its dirty-line mask (the one
 // EncodeDeltaLink reads), and each page with the bytes its hash read
 // (resumed, the same run of the steps the hashes resumed at; nil when
-// the image did not hash its pages itself).
+// the image did not hash its pages itself). A page the object holds by
+// name goes by its hash alone; the store asks for its bytes (Fetch)
+// only when it holds no block of that content, and they are read
+// through store, a view of the source's store on the flush lane.
 type imagePages struct {
 	mi      *MemImage
 	sums    []PageHash
 	resumed []uint8
+	store   *objstore.Store
 }
 
 func (p *imagePages) Len() int { return len(p.sums) }
@@ -230,6 +234,11 @@ func (p *imagePages) Len() int { return len(p.sums) }
 func (p *imagePages) Page(i int) (int64, []byte, objstore.Hash) {
 	_, data := p.mi.at(i, p.sums[i].Idx)
 	return p.sums[i].Idx, data, p.sums[i].Hash
+}
+
+func (p *imagePages) Fetch(i int) ([]byte, error) {
+	data := make([]byte, vm.PageSize)
+	return data, p.mi.Inherit.fetch(p.store, p.sums[i].Idx, data)
 }
 
 func (p *imagePages) Lines(i int) uint64 {
@@ -300,7 +309,10 @@ func (sb *StoreBackend) Flush(img *Image) (time.Duration, error) {
 			}
 			keys = append(keys, objstore.RecordKey{Group: img.Group, OID: m.OID, Epoch: img.Epoch})
 		}
-		sums, resumed := img.pageHashes()
+		sums, resumed, err := img.pageHashes()
+		if err != nil {
+			return err
+		}
 		var pages imagePages
 		for _, id := range objectOrder(img.Memory) {
 			n := 0
@@ -312,13 +324,28 @@ func (sb *StoreBackend) Flush(img *Image) (time.Duration, error) {
 				pages.resumed, resumed = resumed[:n], resumed[n:]
 			}
 			meta := encodeVMObjMeta(pages.mi)
-			if _, err := sb.store.PutPages(img.Group, vmBit|id, img.Epoch, uint16(kernel.KindVMObject), img.Full, meta, &pages, pages.mi.Heat); err != nil {
+			put := func() error {
+				_, err := sb.store.PutPages(img.Group, vmBit|id, img.Epoch, uint16(kernel.KindVMObject), img.Full, meta, &pages, pages.mi.Heat)
+				return err
+			}
+			if src := pages.mi.Inherit; src != nil && src.sb != nil {
+				// What the store asks for of the pages held by name is
+				// read on this lane, overlapped as the writes are.
+				pages.store = src.sb.store.WithClock(sb.clock)
+				err = pages.store.Overlapped(put)
+			} else {
+				err = put()
+			}
+			if err != nil {
 				return err
 			}
 			keys = append(keys, objstore.RecordKey{Group: img.Group, OID: vmBit | id, Epoch: img.Epoch})
 		}
 		return nil
 	})
+	if errors.Is(err, storage.ErrDeviceDown) {
+		err = fmt.Errorf("%w: %w", ErrBackendDown, err) // the epoch stays owed, as for a read that failed
+	}
 	if err != nil {
 		return 0, err
 	}

@@ -289,24 +289,24 @@ func (o *Orchestrator) flushImage(g *Group, window []*flushJob, img *Image, base
 	}
 	start := clock.Now()
 
-	// Inherited pages are read first and the backends start where the
-	// reads ended; a failed read fails the flush, leaving the epoch owed.
-	read, err := img.readPages(base)
-	if err != nil {
-		return 0, fmt.Errorf("core: flushing epoch %d of group %d: %w", img.Epoch, g.ID, err)
-	}
-	if read > 0 {
-		base = base.Lane()
-		base.Advance(read)
-	}
-
 	type outcome struct {
 		dur time.Duration
 		err error
 	}
 	outs := make([]outcome, len(backends))
+	// Backends of an image that holds pages by name may each read some
+	// of them from the store that holds them: they take turns, in
+	// backend order, so a seeded device sees those reads in one order.
+	serial := namedIn(img.Memory)
+	for _, j := range window {
+		serial = serial || namedIn(j.img.Memory)
+	}
 	var wg sync.WaitGroup
 	for i, b := range backends {
+		if serial {
+			outs[i].dur, outs[i].err = o.flushBackend(g, b, window, img, !background, base)
+			continue
+		}
 		wg.Add(1)
 		go func(b Backend, out *outcome) {
 			defer wg.Done()
@@ -374,7 +374,6 @@ func (o *Orchestrator) flushImage(g *Group, window []*flushJob, img *Image, base
 		}
 		worst += sw.Elapsed()
 	}
-	worst += read
 	if !background {
 		clock.AdvanceTo(start + worst)
 	}

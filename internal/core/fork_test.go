@@ -221,3 +221,49 @@ func TestForkOfLazilyRestoredProcess(t *testing.T) {
 		sameHeap(t, child, restored[1], forkPages)
 	}
 }
+
+// TestForkKeepsMctlHints: a fork child's mappings carry the sls_mctl
+// hints of the parent's — a region excluded from checkpoints and
+// restored eagerly stays both — so the child's group never persists a
+// scratch region its parent excludes.
+func TestForkKeepsMctlHints(t *testing.T) {
+	const scratchPages = 4
+	r := newRig(t)
+	parent := spawnCounter(t, r)
+	fillHeap(t, parent, 0, 2, 1)
+	g, _ := r.o.Persist("parent", parent)
+	r.o.Attach(g, r.store)
+	m, err := parent.Space.MapAnon(scratchPages*vm.PageSize, vm.ProtRead|vm.ProtWrite, false, "scratch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.api.Mctl(parent, m.Start, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.api.MctlPolicy(parent, m.Start, vm.RestoreEager); err != nil {
+		t.Fatal(err)
+	}
+	for pg := 0; pg < scratchPages; pg++ {
+		if err := parent.WriteMem(m.Start+vm.Addr(pg*vm.PageSize), []byte("scratch")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	child, err := r.k.Fork(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := child.Space.Find(m.Start)
+	if cm == nil || !cm.NoPersist || cm.Restore != vm.RestoreEager {
+		t.Fatalf("the child's scratch mapping is %+v; want NoPersist and RestoreEager, as the parent's", cm)
+	}
+	cg, _ := r.o.Persist("child", child)
+	r.o.Attach(cg, r.store)
+	checkpoint(t, r, cg)
+	img := cg.LastImage()
+	if mi, ok := img.Memory[cm.Obj.ID]; ok {
+		t.Fatalf("the child's checkpoint holds %d pages of the scratch region its parent excludes", mi.PageCount())
+	}
+	if len(img.Memory) == 0 {
+		t.Fatal("the child's checkpoint holds no memory at all")
+	}
+}

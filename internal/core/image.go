@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -19,6 +20,7 @@ import (
 	"aurora/internal/codec"
 	"aurora/internal/kernel"
 	"aurora/internal/objstore"
+	"aurora/internal/storage"
 	"aurora/internal/vm"
 )
 
@@ -44,15 +46,17 @@ type MemImage struct {
 	// COW-share against them without copying.
 	Pages []vm.Page
 	// Inherit holds every page that is not a frame. Pages read back as
-	// bytes — from swap at the barrier, by an eager Load, by readPages —
+	// bytes — from swap at the barrier, by an eager Load, by a rollback —
 	// are its run, in ascending page index and none of them in Pages; in
 	// front of, optionally, a store's pages at a pinned epoch held by name:
 	// the restore source a full capture found the object still paging from
 	// (vm.CheckpointSet.Source), or a lazily loaded image's
-	// (StoreBackend.LoadLazy). Restore attaches it; readPages reads its
-	// store pages into a run. Nothing here is sized by the image; a lazily
-	// loaded image's heat, too, stays in the store until a prefetch asks
-	// the view for it.
+	// (StoreBackend.LoadLazy). A page held by name is known by the content
+	// hash the store's index has for it, and its bytes are read only by
+	// whoever needs them: restore attaches the source, and a flush reads a
+	// page only where its destination lacks it. Nothing here is sized by
+	// the image; a lazily loaded image's heat, too, stays in the store
+	// until a prefetch asks the view for it.
 	Inherit *lazyPageSource
 	// Heat is the access counts driving restore prefetch, in ascending
 	// page order, as the barrier took them (vm.CheckpointSet.Heat): all
@@ -73,22 +77,17 @@ type MemImage struct {
 
 func pageIdx(p *vm.Page) int64 { return p.Idx }
 
-// PageCount returns how many distinct pages the image holds, by name too:
-// a store's view under nothing knows its count; a view that cannot list
-// its pages counts none (a read of it fails anyway).
+// PageCount returns how many distinct pages the image holds, by name
+// too: a lazily loaded image's store view counts its own; a view that
+// cannot list its pages counts none (a read of it fails anyway).
 func (mi *MemImage) PageCount() int {
 	n, src := len(mi.Pages), mi.Inherit
-	switch {
-	case src == nil:
-		return n
-	case src.sb == nil:
-		return n + len(src.bytes)
-	case n+len(src.bytes) == 0:
+	if src != nil && n+len(src.bytes) == 0 {
 		return src.view.Len()
 	}
-	idxs, _ := src.pages()
-	for _, idx := range idxs {
-		if _, ok := vm.SearchRun(mi.Pages, idx, pageIdx); !ok {
+	pages, _ := src.pages()
+	for _, p := range pages {
+		if _, ok := vm.SearchRun(mi.Pages, p.Idx, pageIdx); !ok {
 			n++
 		}
 	}
@@ -144,7 +143,6 @@ type Image struct {
 
 	mu       sync.Mutex
 	released bool
-	readMu   sync.Mutex // readPages reads an image once
 
 	// The PageHashes memo: hashMu guards pages, which are valid once
 	// hashDone is set; hashed is how many of them were hashed here and
@@ -195,16 +193,13 @@ func (img *Image) PageCount() int {
 }
 
 // FootprintBytes reports the memory this image pins while it waits to
-// flush: captured frames, page copies and the pages its flush reads
-// for Inherit (every page of the source: an upper bound). This is what
-// the fleet's global memory budget charges per queued image.
+// flush: captured frames and the page copies of its sources' runs. A
+// page held by name in a store pins none. This is what the fleet's
+// global memory budget charges per queued image.
 func (img *Image) FootprintBytes() int64 {
 	var n int64
 	for _, mi := range img.Memory {
-		n += int64(len(mi.Pages)) * vm.PageSize
-		if src := mi.Inherit; src != nil {
-			n += int64(len(src.bytes)+src.view.Len()) * vm.PageSize
-		}
+		n += int64(len(mi.Pages)+len(mi.Inherit.run())) * vm.PageSize
 	}
 	return n
 }
@@ -215,8 +210,6 @@ func (img *Image) FootprintBytes() int64 {
 // to whoever allocates them next, so a chain walk that reaches a
 // released image ends there with nothing found (see resolve).
 func (img *Image) Release(pm *vm.PhysMem) {
-	img.readMu.Lock() // a read in progress finishes over the image it began on
-	defer img.readMu.Unlock()
 	img.mu.Lock()
 	if img.released {
 		img.mu.Unlock()
@@ -507,11 +500,11 @@ func (img *Image) ResolvePage(objID uint64, idx int64) []byte {
 // image in the delta layout, every page literal, which DecodeImage reads
 // back. Objects go by ascending ID and pages by ascending index, so one
 // chain always encodes to the same bytes, and pages the chain holds by
-// name (a lazily restored group's, in a store) are read through
-// readPages. The frames it reads hold a reference from pm, the allocator
-// they came from, until it returns, so a flush that releases the chain
-// meanwhile cannot take them. A chain that reaches a released image is
-// ErrNoImage: the bytes would not be the whole state.
+// name (a lazily restored group's, in a store) are read there
+// (encodeDelta). The frames it reads hold a reference from pm, the
+// allocator they came from, until it returns, so a flush that releases
+// the chain meanwhile cannot take them. A chain that reaches a released
+// image is ErrNoImage: the bytes would not be the whole state.
 func (img *Image) Encode(pm *vm.PhysMem) ([]byte, error) {
 	st, err := img.resolve(pm, true)
 	if err != nil {
@@ -520,10 +513,66 @@ func (img *Image) Encode(pm *vm.PhysMem) ([]byte, error) {
 	defer st.unpin()
 	full := &Image{Group: img.Group, Epoch: img.Epoch, Gen: img.Gen, Name: img.Name, Full: true,
 		Meta: st.meta, Memory: st.objs, Roots: img.Roots}
-	if _, err := full.readPages(nil); err != nil {
+	pages, _, err := full.pageOrder()
+	if err != nil {
 		return nil, err
 	}
-	return full.EncodeDelta(), nil
+	return full.encodeDelta(pages, make([]byte, len(pages)), nil)
+}
+
+// namedIn reports whether any of objs holds pages by name in a store.
+func namedIn(objs map[uint64]*MemImage) bool {
+	for _, mi := range objs {
+		if src := mi.Inherit; src != nil && src.sb != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// readNamed returns objs with the pages each holds by name in a store
+// that want picks (nil: all of them) read into its run, each as a demand
+// fault reads it, on lane (nil: a lane of the store's clock): objs itself
+// when none holds a page by name, else a map of its own in which each
+// such object is a copy whose source holds bytes only. A rollback reads
+// its state so before it kills the incarnation it replaces (a store it
+// cannot read fails it with the group still running), and an encoder
+// the pages it writes literal.
+func readNamed(objs map[uint64]*MemImage, lane *storage.Clock, want func(id uint64, idx int64) bool) (map[uint64]*MemImage, error) {
+	if !namedIn(objs) {
+		return objs, nil
+	}
+	out := maps.Clone(objs)
+	for _, id := range objectOrder(objs) {
+		mi := objs[id]
+		src := mi.Inherit
+		if src == nil || src.sb == nil {
+			continue
+		}
+		run, err := src.pages()
+		if err != nil {
+			return nil, err
+		}
+		l := lane
+		if l == nil {
+			l = src.sb.clock.Lane()
+		}
+		store := src.sb.store.WithClock(l)
+		for i := range run {
+			p := &run[i]
+			if _, framed := vm.SearchRun(mi.Pages, p.Idx, pageIdx); p.Data != nil || framed || want != nil && !want(id, p.Idx) {
+				continue
+			}
+			p.Data = make([]byte, vm.PageSize)
+			if err := src.fetch(store, p.Idx, p.Data); err != nil {
+				return nil, fmt.Errorf("core: object %d: %w", id, err)
+			}
+		}
+		c := *mi
+		c.Inherit = &lazyPageSource{bytes: slices.DeleteFunc(run, func(p objstore.PageBytes) bool { return p.Data == nil })}
+		out[id] = &c
+	}
+	return out, nil
 }
 
 // Encode is Image.Encode of g's newest state (`sls send`), and its
@@ -560,8 +609,9 @@ func DecodeImage(payload []byte, pm *vm.PhysMem) (*Image, error) {
 	return img, err
 }
 
-// PageHash names one page an image holds in bytes — a captured frame
-// or a page of its source's run, never a store ref — and its content hash.
+// PageHash names one page an image holds — a captured frame, a page of
+// its source's run, or one its source holds by name in a store — and its
+// content hash.
 type PageHash struct {
 	ObjID uint64
 	Idx   int64
@@ -587,33 +637,44 @@ func objectOrder(objs map[uint64]*MemImage) []uint64 {
 }
 
 // pageOrder lists the image's own pages in wire order — ascending
-// (ObjID, page index) — with their hashes left zero: per object, its
-// frames and its source's run merged.
-func (img *Image) pageOrder() []PageHash {
+// (ObjID, page index) — per object its frames and its source's pages
+// merged. A page held by name comes with the content hash the store's
+// index has for it, every other page with its hash left zero; byName
+// counts the first kind.
+func (img *Image) pageOrder() (pages []PageHash, byName int, err error) {
 	ids, n := objectOrder(img.Memory), 0
 	for _, mi := range img.Memory {
 		n += len(mi.Pages) + len(mi.Inherit.run())
 	}
-	pages := make([]PageHash, 0, n)
+	pages = make([]PageHash, 0, n)
 	for _, id := range ids {
 		mi := img.Memory[id]
-		frames, bytes := mi.Pages, mi.Inherit.run()
-		for len(frames)+len(bytes) > 0 {
-			if len(bytes) == 0 || len(frames) > 0 && frames[0].Idx < bytes[0].Idx {
+		held, err := mi.Inherit.pages()
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: epoch %d of group %d, object %d: %w", img.Epoch, img.Group, id, err)
+		}
+		for frames := mi.Pages; len(frames)+len(held) > 0; {
+			if len(held) == 0 || len(frames) > 0 && frames[0].Idx <= held[0].Idx {
+				if len(held) > 0 && frames[0].Idx == held[0].Idx {
+					held = held[1:] // named, and shadowed by the frame
+				}
 				pages, frames = append(pages, PageHash{ObjID: id, Idx: frames[0].Idx}), frames[1:]
 			} else {
-				pages, bytes = append(pages, PageHash{ObjID: id, Idx: bytes[0].Idx}), bytes[1:]
+				if held[0].Data == nil {
+					byName++
+				}
+				pages, held = append(pages, PageHash{ObjID: id, Idx: held[0].Idx, Hash: held[0].Hash}), held[1:]
 			}
 		}
 	}
-	return pages
+	return pages, byName, nil
 }
 
 // cursor finds an image's pages for a walk of them in wire order: each
 // frame where the walk expects it, right after the last one found
 // (MemImage.at).
 type cursor struct {
-	img *Image
+	mem map[uint64]*MemImage
 	id  uint64
 	mi  *MemImage
 	k   int
@@ -623,7 +684,7 @@ type cursor struct {
 // held in bytes) and its bytes.
 func (c *cursor) at(p *PageHash) (*MemImage, *vm.Page, []byte) {
 	if c.mi == nil || p.ObjID != c.id {
-		c.id, c.mi, c.k = p.ObjID, c.img.Memory[p.ObjID], 0
+		c.id, c.mi, c.k = p.ObjID, c.mem[p.ObjID], 0
 	}
 	k, data := c.mi.at(c.k, p.Idx)
 	if k < 0 {
@@ -660,33 +721,39 @@ func comparePages(a, b PageHash) int {
 	return cmp.Compare(a.Idx, b.Idx)
 }
 
-// PageHashes returns the content hash of every page the image holds in
-// bytes, in wire order: ascending (ObjID, page index). It is the one
-// place the replication path gets a page hash from. The set is
-// computed on first use — the image's first flush to a replica, or its
-// joining a receiver's chain — and kept, so however many links, encodes
+// PageHashes returns the content hash of every page the image holds, in
+// wire order: ascending (ObjID, page index). It is the one place the
+// flush and the replication path get a page hash from. The set is
+// computed on first use — the image's first flush, or its joining a
+// receiver's chain — and kept, so however many backends, links, encodes
 // and receiver indexes ask, each page of an image is hashed at most
 // once on a machine; concurrent callers wait for the first and share
-// its result, which none may modify. Decoded images come with the set
-// filled in by the decoder (see DecodeDeltaCompact).
+// its result, which none may modify. A page held by name in a store is
+// not hashed at all: it comes with the hash the store's index has for
+// it. Decoded images come with the set filled in by the decoder (see
+// DecodeDeltaCompact). It is nil while a store the image holds pages in
+// by name cannot list them (the flush reports why).
 func (img *Image) PageHashes() []PageHash {
-	pages, _ := img.pageHashes()
+	pages, _, _ := img.pageHashes()
 	return pages
 }
 
 // pageHashes is PageHashes with, for each page, the midstate step its
 // hash resumed at (0: hashed whole, or not hashed here; nil: none was).
-func (img *Image) pageHashes() ([]PageHash, []uint8) {
+func (img *Image) pageHashes() ([]PageHash, []uint8, error) {
 	img.hashMu.Lock()
 	defer img.hashMu.Unlock()
 	if !img.hashDone {
-		pages := img.pageOrder()
-		resumed, bytes := img.hashPages(pages)
+		pages, byName, err := img.pageOrder()
+		if err != nil {
+			return nil, nil, err
+		}
+		resumed, bytes := img.hashPages(pages, byName)
 		img.pages, img.resumed, img.hashDone = pages, resumed, true
-		img.hashed.Store(int64(len(pages)))
+		img.hashed.Store(int64(len(pages) - byName))
 		img.hashedBytes.Store(bytes)
 	}
-	return img.pages, img.resumed
+	return img.pages, img.resumed, nil
 }
 
 // hashSpan is, in whole pages' worth of bytes to hash, the least work
@@ -702,21 +769,22 @@ func (img *Image) pageHashes() ([]PageHash, []uint8) {
 const hashSpan = 64
 
 // hashPages fills in the hashes of pages, the image's own pages in
-// order, and returns the step each resumed at (nil when none could) and
-// the bytes it hashed. Hashing a page reads and writes nothing but its
+// order of which byName are held by name and already have theirs, and
+// returns the step each resumed at (nil when none could) and the bytes
+// it hashed. Hashing a page reads and writes nothing but its
 // own bytes, hash and midstates, so a large set is split into
 // contiguous spans hashed on up to GOMAXPROCS goroutines — each writes
 // only its own span — and joined before returning: nothing outlives the
 // call and the result does not depend on how it was split.
-func (img *Image) hashPages(pages []PageHash) ([]uint8, int64) {
-	bytes := len(pages) * vm.PageSize
-	c := cursor{img: img}
+func (img *Image) hashPages(pages []PageHash, byName int) ([]uint8, int64) {
+	bytes := (len(pages) - byName) * vm.PageSize
+	c := cursor{mem: img.Memory}
 	for i := range pages {
 		mi, f, _ := c.at(&pages[i])
 		bytes -= mi.resumeStep(f) * midstateStep
 	}
 	var resumed []uint8
-	if bytes < len(pages)*vm.PageSize {
+	if bytes < (len(pages)-byName)*vm.PageSize {
 		resumed = make([]uint8, len(pages))
 	}
 	workers := min(runtime.GOMAXPROCS(0), bytes/(hashSpan*vm.PageSize))
@@ -760,17 +828,21 @@ func (img *Image) hashPages(pages []PageHash) ([]uint8, int64) {
 // paged in, swapped in, zero-filled, or taken again by a later
 // capture. Every captured frame leaves its midstates for the next
 // capture to resume from; a page that is not a captured frame (swap,
-// inherited, decoded) is hashed whole and leaves none. The hash is the
-// page's content hash either way.
+// decoded) is hashed whole and leaves none, and one held by name is not
+// hashed: its hash came with it. The hash is the page's content hash
+// either way.
 // resumed[i] is set to the step span[i] resumed at, if it did; it may
 // be nil when no page of the span can.
 func (img *Image) hashRun(span []PageHash, resumed []uint8) int64 {
 	h := pageHashers.Get().(*pageHasher)
 	defer pageHashers.Put(h)
 	var bytes int64
-	c := cursor{img: img}
+	c := cursor{mem: img.Memory}
 	for i := range span {
 		mi, f, data := c.at(&span[i])
+		if f == nil && data == nil {
+			continue // held by name
+		}
 		if f == nil || mi.midstates == nil {
 			span[i].Hash = PageContentHash(data)
 			bytes += vm.PageSize
@@ -834,10 +906,17 @@ func (img *Image) PagesPatched() int64 { return img.patched }
 // of the chain. It writes the one image layout — what EncodeDeltaCompact
 // writes when nothing is skipped, byte for byte — without hashing a page.
 // Objects and pages are written in ascending (ObjID, page index), so
-// encoding an image twice gives the same bytes.
+// encoding an image twice gives the same bytes. A page the image holds
+// by name is read here (encodeDelta); when one cannot be there is no
+// layout to write, and EncodeDelta returns nil (EncodeDeltaLink says
+// why).
 func (img *Image) EncodeDelta() []byte {
-	pages := img.pageOrder()
-	return img.encodeDelta(pages, make([]byte, len(pages)))
+	pages, _, err := img.pageOrder()
+	if err != nil {
+		return nil
+	}
+	payload, _ := img.encodeDelta(pages, make([]byte, len(pages)), nil)
+	return payload
 }
 
 // Page tags, the one image layout's: a page entry carries the literal
@@ -859,8 +938,10 @@ const (
 // not to be modified), and how many pages were elided. The claim is an
 // optimization, never a correctness input: a receiver missing a
 // referenced block answers with a resend request for the full delta.
+// The payload is nil when a page held by name cannot be read
+// (EncodeDeltaLink says why).
 func (img *Image) EncodeDeltaCompact(skip func(objstore.Hash) bool) (payload []byte, pages []PageHash, skipped int) {
-	payload, pages, skipped, _ = img.EncodeDeltaLink(skip, 0)
+	payload, pages, skipped, _, _ = img.EncodeDeltaLink(skip, 0, nil)
 	return payload, pages, skipped
 }
 
@@ -874,12 +955,16 @@ func (img *Image) EncodeDeltaCompact(skip func(objstore.Hash) bool) (payload []b
 // of the previous epoch and checks it against the hash; a base it lacks
 // or a result that does not match draws the same resend request as a
 // missing ref, so neither the line masks nor the sender's idea of what
-// the receiver holds is ever a correctness input.
-func (img *Image) EncodeDeltaLink(skip func(objstore.Hash) bool, acked uint64) (payload []byte, pages []PageHash, skipped, lined int) {
-	pages = img.PageHashes()
+// the receiver holds is ever a correctness input. A page the image holds
+// by name in a store goes by its hash where skip claims it, and is read
+// on lane (encodeDelta) only to go literal; a failed read is the error.
+func (img *Image) EncodeDeltaLink(skip func(objstore.Hash) bool, acked uint64, lane *storage.Clock) (payload []byte, pages []PageHash, skipped, lined int, err error) {
+	if pages, _, err = img.pageHashes(); err != nil {
+		return nil, nil, 0, 0, err
+	}
 	tags := make([]byte, len(pages))
 	lines := !img.Full && acked != 0 && acked+1 == img.Epoch
-	c := cursor{img: img}
+	c := cursor{mem: img.Memory}
 	for i := range pages {
 		switch _, f, _ := c.at(&pages[i]); {
 		case skip != nil && skip(pages[i].Hash):
@@ -890,7 +975,8 @@ func (img *Image) EncodeDeltaLink(skip func(objstore.Hash) bool, acked uint64) (
 			lined++
 		}
 	}
-	return img.encodeDelta(pages, tags), pages, skipped, lined
+	payload, err = img.encodeDelta(pages, tags, lane)
+	return payload, pages, skipped, lined, err
 }
 
 // deltaSink is what the delta layout is written to: a codec.Sizer to
@@ -909,9 +995,17 @@ type deltaSink interface {
 
 // encodeDelta writes the image layout into a buffer of exactly its
 // size. pages is the image's pages in wire order, and page i goes as the
-// entry tags[i] names.
-func (img *Image) encodeDelta(pages []PageHash, tags []byte) []byte {
-	ids := objectOrder(img.Memory)
+// entry tags[i] names; a literal page the image holds by name is read
+// first (readNamed), on lane.
+func (img *Image) encodeDelta(pages []PageHash, tags []byte, lane *storage.Clock) ([]byte, error) {
+	mem, err := readNamed(img.Memory, lane, func(id uint64, idx int64) bool {
+		i, _ := findPage(pages, id, idx)
+		return tags[i] == deltaPageLiteral
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: epoch %d of group %d: %w", img.Epoch, img.Group, err)
+	}
+	ids := objectOrder(mem)
 
 	write := func(w deltaSink) {
 		w.U64(img.Group)
@@ -926,9 +1020,9 @@ func (img *Image) encodeDelta(pages []PageHash, tags []byte) []byte {
 			w.Bytes2(m.Data)
 		}
 		w.U64(uint64(len(ids)))
-		next, c := 0, cursor{img: img}
+		next, c := 0, cursor{mem: mem}
 		for _, id := range ids {
-			mi := img.Memory[id]
+			mi := mem[id]
 			w.U64(id)
 			w.Str(mi.Name)
 			w.I64(mi.Size)
@@ -971,7 +1065,7 @@ func (img *Image) encodeDelta(pages []PageHash, tags []byte) []byte {
 	e := codec.NewEncoder()
 	e.Grow(size.Len())
 	write(e)
-	return e.Bytes()
+	return e.Bytes(), nil
 }
 
 // decodeObjects parses the metadata and the objects, with their pages

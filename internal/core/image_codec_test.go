@@ -100,7 +100,8 @@ func samePages(a, b *Image) error {
 			return fmt.Errorf("object %d heat = %v, want %v", id, mb.Heat, ma.Heat)
 		}
 	}
-	for _, p := range a.pageOrder() {
+	pages, _, _ := a.pageOrder()
+	for _, p := range pages {
 		if !bytes.Equal(a.Memory[p.ObjID].page(p.Idx), b.Memory[p.ObjID].page(p.Idx)) {
 			return fmt.Errorf("object %d page %d differs", p.ObjID, p.Idx)
 		}
@@ -660,7 +661,7 @@ func TestDeltaLineEntries(t *testing.T) {
 		return data != nil
 	}
 	const partly = 3 * 12 // three objects, 12 of 16 frames partly written
-	payload, pages, skipped, lined := next.EncodeDeltaLink(nil, prev.Epoch)
+	payload, pages, skipped, lined, _ := next.EncodeDeltaLink(nil, prev.Epoch, nil)
 	if lined != partly || skipped != 0 {
 		t.Fatalf("%d line entries and %d refs, want %d and 0", lined, skipped, partly)
 	}
@@ -695,12 +696,12 @@ func TestDeltaLineEntries(t *testing.T) {
 		{"full image", fullNext, nil, prev.Epoch},
 		{"every page known", next, everything, prev.Epoch},
 	} {
-		if _, _, _, lined := c.img.EncodeDeltaLink(c.skip, c.acked); lined != 0 {
+		if _, _, _, lined, _ := c.img.EncodeDeltaLink(c.skip, c.acked, nil); lined != 0 {
 			t.Errorf("%s: %d line entries", c.name, lined)
 		}
 	}
 	for _, skip := range []func(objstore.Hash) bool{nil, everything} {
-		link, _, _, _ := next.EncodeDeltaLink(skip, 0)
+		link, _, _, _, _ := next.EncodeDeltaLink(skip, 0, nil)
 		compact, _, _ := next.EncodeDeltaCompact(skip)
 		if !bytes.Equal(link, compact) {
 			t.Fatal("EncodeDeltaLink with no acked epoch differs from EncodeDeltaCompact")
@@ -938,7 +939,7 @@ func BenchmarkEncodeDeltaCompact(b *testing.B) {
 				img := &Image{Group: template.Group, Epoch: template.Epoch, Gen: template.Gen,
 					Meta: template.Meta, Memory: template.Memory, Roots: template.Roots}
 				for l := 0; l < c.links; l++ {
-					benchSink, _, _, _ = img.EncodeDeltaLink(skip, acked)
+					benchSink, _, _, _, _ = img.EncodeDeltaLink(skip, acked, nil)
 				}
 			}
 		})

@@ -188,7 +188,7 @@ func TestResumeCheckCatchesAnUnmarkedWrite(t *testing.T) {
 	for _, p := range mi.Pages {
 		p.Frame.Data[100] ^= 0xFF // behind the mask's back
 	}
-	span := img.pageOrder()
+	span, _, _ := img.pageOrder()
 	msg := func() (msg any) {
 		defer func() { msg = recover() }()
 		img.hashRun(span, make([]uint8, len(span)))
@@ -294,7 +294,7 @@ func BenchmarkPageHashes(b *testing.B) {
 					}
 				}
 				img := r.next(false)
-				pages := img.pageOrder()
+				pages, _, _ := img.pageOrder()
 				resumed := make([]uint8, len(pages))
 				b.StartTimer()
 				hashed += img.hashRun(pages, resumed)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -152,22 +151,33 @@ func (s *lazyPageSource) addPeer(p BlockProvider) {
 	s.mu.Unlock()
 }
 
-// pages lists the pages s holds, each once: its store's that its bytes do
-// not shadow, then its bytes'. A view whose epoch left the store is an
-// error, never a hole.
-func (s *lazyPageSource) pages() ([]int64, error) {
-	var idxs []int64
-	if s.sb != nil {
-		var err error
-		if idxs, err = s.view.Pages(); err != nil {
-			return nil, fmt.Errorf("%w: listing the pages of %s: %w", ErrBackendDown, s.sb.Name(), err)
-		}
-		idxs = slices.DeleteFunc(idxs, func(idx int64) bool { return s.held(idx) != nil })
+// pages lists every page s holds in ascending index: its run's, and the
+// store pages the run does not shadow by name, with no bytes and the
+// content hash the store's index has for each. A view whose epoch left
+// the store is an error, never a hole.
+func (s *lazyPageSource) pages() ([]objstore.PageBytes, error) {
+	if s == nil || s.sb == nil {
+		return s.run(), nil
 	}
-	for _, b := range s.bytes {
-		idxs = append(idxs, b.Idx)
+	named, err := s.view.Pages()
+	if err != nil {
+		return nil, fmt.Errorf("%w: listing the pages of %s: %w", ErrBackendDown, s.sb.Name(), err)
 	}
-	return idxs, nil
+	return vm.FoldRun(named, s.bytes, bytesIdx, false, nil), nil
+}
+
+// fetch reads page idx, which s holds by name, into dst through store (a
+// view of s's store on the reader's lane), as a demand fault reads it:
+// for a caller that needs the bytes of a page it otherwise names by hash.
+func (s *lazyPageSource) fetch(store *objstore.Store, idx int64, dst []byte) error {
+	ref, ok, err := s.locate(idx)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: page %d is not in %s at epoch %d", ErrBackendDown, idx, s.sb.Name(), s.pinEpoch)
+	}
+	if err != nil {
+		return err
+	}
+	return s.read(store, idx, ref, dst)
 }
 
 // bind attaches the source to the restored group so read faults drive
@@ -343,82 +353,4 @@ func (s *lazyPageSource) peerCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.peers)
-}
-
-// readPages reads the store pages img holds by name (MemImage.Inherit)
-// into its sources' runs, once per image: for the flush, before any
-// backend sees the image; for Encode; and for API.Rollback, before it
-// kills anything. Resolve and restore read none: they pass the source
-// on. Store pages are read as a demand fault reads them, overlapped at
-// queue depth on a lane of base (nil: of the store's clock), never on a
-// group's foreground clock; it returns how long that lane ran. An object
-// that fails to read keeps its pages by name.
-func (img *Image) readPages(base *storage.Clock) (time.Duration, error) {
-	img.readMu.Lock()
-	defer img.readMu.Unlock()
-	var ids []uint64
-	img.mu.Lock() // a released image has no Inherit left (Release holds readMu)
-	for id, mi := range img.Memory {
-		if mi.Inherit != nil && mi.Inherit.sb != nil {
-			ids = append(ids, id)
-		}
-	}
-	img.mu.Unlock()
-	if len(ids) == 0 {
-		return 0, nil
-	}
-	slices.Sort(ids) // a seeded device sees the same reads in the same order
-	lane, start := base, time.Duration(0)
-	if base != nil {
-		lane = base.Lane()
-		start = lane.Now()
-	}
-	for _, id := range ids {
-		mi := img.Memory[id]
-		got, err := mi.inherited(lane)
-		if err != nil {
-			return 0, fmt.Errorf("core: epoch %d of group %d, object %d: %w", img.Epoch, img.Group, id, err)
-		}
-		img.mu.Lock()
-		mi.Inherit = &lazyPageSource{bytes: got}
-		img.mu.Unlock()
-	}
-	if lane == nil {
-		return 0, nil
-	}
-	return lane.Now() - start, nil
-}
-
-// inherited returns the run of mi's source with the store pages it holds
-// and neither Pages nor that run does read in; a source's run is shared,
-// immutable as the image it came from.
-func (mi *MemImage) inherited(lane *storage.Clock) ([]objstore.PageBytes, error) {
-	src := mi.Inherit
-	idxs, err := src.pages()
-	if err != nil {
-		return nil, err
-	}
-	got := slices.Clone(src.bytes)
-	if lane == nil {
-		lane = src.sb.clock.Lane()
-	}
-	store := src.sb.store.WithClock(lane)
-	err = store.Overlapped(func() error {
-		for _, idx := range idxs {
-			if k, held := mi.at(0, idx); k >= 0 || held != nil {
-				continue
-			}
-			ref, found, err := src.locate(idx)
-			if err == nil && found {
-				got = append(got, objstore.PageBytes{Idx: idx, Data: make([]byte, vm.PageSize)})
-				err = src.read(store, idx, ref, got[len(got)-1].Data)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	slices.SortFunc(got, func(a, b objstore.PageBytes) int { return cmp.Compare(a.Idx, b.Idx) })
-	return got, err
 }

@@ -358,7 +358,7 @@ func (o *Orchestrator) restoreObjectMemory(state *MemImage, obj *vm.Object, opts
 		o.prefetchHottest(state.Heat, obj, src, opts.Prefetch, bd)
 		return src, nil
 	}
-	idxs, err := src.pages()
+	pages, err := src.pages()
 	if err != nil {
 		// The view's epoch left the store since the load. Nothing can be
 		// materialized; the source stays attached, so that a fault
@@ -368,7 +368,8 @@ func (o *Orchestrator) restoreObjectMemory(state *MemImage, obj *vm.Object, opts
 	}
 	// Eager: every page now, a store page through the failover path, so
 	// a sick primary cannot abort the restore.
-	for _, idx := range idxs {
+	for _, p := range pages {
+		idx := p.Idx
 		if _, shared := vm.SearchRun(state.Pages, idx, pageIdx); shared {
 			continue
 		}

@@ -330,7 +330,7 @@ func BenchmarkReceiverCompactDelta(b *testing.B) {
 							mi.Pages[i].Lines = 1 << i
 						}
 					}
-					payload, _, skipped, lined := img.EncodeDeltaLink(known, uint64(chain))
+					payload, _, skipped, lined, _ := img.EncodeDeltaLink(known, uint64(chain), nil)
 					if skipped != perEpoch-literals || held && lined != literals {
 						b.Fatalf("fixture: %d refs, %d line entries", skipped, lined)
 					}

@@ -104,9 +104,9 @@ func FuzzServeReplica(f *testing.F) {
 	pm := vm.NewPhysMem(0)
 	e1 := pageImage(f, pm, 1, true, pages(0, 8, 100))
 	e1c, _, _ := e1.EncodeDeltaCompact(nil)
-	good, _, _, _ := rewrite(f, pm, e1, 2, false).EncodeDeltaLink(nil, 1)
+	good, _, _, _, _ := rewrite(f, pm, e1, 2, false).EncodeDeltaLink(nil, 1, nil)
 	forged := rewrite(f, pm, e1, 2, true)
-	bad, _, _, _ := forged.EncodeDeltaLink(nil, 1)
+	bad, _, _, _, _ := forged.EncodeDeltaLink(nil, 1, nil)
 	f.Add(frames(frameDelta, e1c, frameDelta, good))
 	f.Add(frames(frameDelta, e1c, frameDelta, bad, frameDelta, forged.EncodeDelta()))
 	page := e1.Memory[1].Pages[0].Frame.Data

@@ -583,7 +583,16 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 	if rc.conn == nil {
 		return 0, fmt.Errorf("%w: epoch %d not sent", ErrDisconnected, img.Epoch)
 	}
-	payload, pages, skipped, lined := img.EncodeDeltaLink(rc.knows, rb.AckedFloor(img.Group))
+	// Pages the image holds by name in a store are read on this flush's
+	// lane where they go literal, and their time is the flush's.
+	var start time.Duration
+	if rb.clock != nil {
+		start = rb.clock.Now()
+	}
+	payload, pages, skipped, lined, err := img.EncodeDeltaLink(rc.knows, rb.AckedFloor(img.Group), rb.clock)
+	if err != nil {
+		return 0, err
+	}
 	wire := int64(len(payload))
 	resent := false
 	if err := writeFrame(rc.conn, frameDelta, payload); err != nil {
@@ -591,7 +600,7 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 		return 0, fmt.Errorf("%w: sending epoch %d: %w", ErrDisconnected, img.Epoch, err)
 	}
 	rc.sent += wire
-	err := rc.await(rc.conn, "ack", func(typ byte, p []byte) (bool, error) {
+	err = rc.await(rc.conn, "ack", func(typ byte, p []byte) (bool, error) {
 		group, epoch := binary.LittleEndian.Uint64(p[:8]), binary.LittleEndian.Uint64(p[8:16])
 		if group != img.Group {
 			return false, nil
@@ -607,7 +616,10 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 			rc.forget(img.Group)
 			rc.needResends++
 			resent = true
-			full := img.EncodeDelta()
+			full, _, _, _, err := img.EncodeDeltaLink(nil, 0, rb.clock)
+			if err != nil {
+				return false, err
+			}
 			if err := writeFrame(rc.conn, frameDelta, full); err != nil {
 				rc.lost()
 				return false, fmt.Errorf("%w: resending epoch %d: %w", ErrDisconnected, img.Epoch, err)
@@ -644,6 +656,7 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 	cost := rc.nic.Latency + rc.extraLat + time.Duration(wire*int64(time.Second)/rc.nic.WriteBW)
 	if rb.clock != nil {
 		rb.clock.Advance(cost)
+		cost = rb.clock.Now() - start
 	}
 	return cost, nil
 }

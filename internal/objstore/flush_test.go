@@ -40,6 +40,7 @@ func (hp *hashedPages) Len() int { return len(hp.idxs) }
 func (hp *hashedPages) Page(i int) (int64, []byte, Hash) {
 	return hp.idxs[i], hp.data[i], hp.sums[i]
 }
+func (hp *hashedPages) Fetch(i int) ([]byte, error) { return hp.data[i], nil }
 func (hp *hashedPages) Lines(i int) uint64 {
 	if m, ok := hp.masks[hp.idxs[i]]; ok {
 		return m
@@ -64,7 +65,8 @@ func distinctPages(n int, tag byte) map[int64][]byte {
 // extent cost the lane Batch(params, n+1, mean) plus a hash per page;
 // the same put outside a window costs them one at a time; on the root
 // handle the device has billed its own clock and the window adds
-// nothing; and the store computes no hash for pages that come with one.
+// nothing; the store computes no hash for pages that come with one; and
+// a page given by hash alone costs nothing where the store holds it.
 func TestOverlappedChargesBatch(t *testing.T) {
 	const n = 200
 	clock := storage.NewClock()
@@ -127,6 +129,48 @@ func TestOverlappedChargesBatch(t *testing.T) {
 	if got := s.Stats().PagesHashed; got != 3 {
 		t.Errorf("PutRecord of 3 pages counted %d hashes", got)
 	}
+
+	// Pages given by hash alone: those the store holds cost the lane
+	// neither a hash nor device time and are never fetched; one it lacks
+	// is fetched, once, and written.
+	held := &byHash{hashedPages: *newHashedPages(distinctPages(n, 2))}
+	start = lane.Now()
+	if err := view.Overlapped(func() error {
+		_, err := view.PutPages(1, 1, 5, 0, false, meta, held, nil)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := lane.Now() - start; got != metaWrite || held.fetched != 0 {
+		t.Errorf("a put of %d pages the store holds, given by hash, cost the lane %v and fetched %d; want %v and none",
+			n, got, held.fetched, metaWrite)
+	}
+	lacking := &byHash{hashedPages: *newHashedPages(distinctPages(1, 7))}
+	start = lane.Now()
+	if _, err := view.PutPages(1, 1, 6, 0, false, meta, lacking, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := lane.Now() - start; got != write+metaWrite || lacking.fetched != 1 {
+		t.Errorf("a page the store lacks, given by hash, cost the lane %v and was fetched %d times; want %v and once",
+			got, lacking.fetched, write+metaWrite)
+	}
+}
+
+// byHash gives a hashedPages' pages by hash alone and counts what the
+// store fetches.
+type byHash struct {
+	hashedPages
+	fetched int
+}
+
+func (b *byHash) Page(i int) (int64, []byte, Hash) {
+	idx, _, h := b.hashedPages.Page(i)
+	return idx, nil, h
+}
+
+func (b *byHash) Fetch(i int) ([]byte, error) {
+	b.fetched++
+	return b.hashedPages.Fetch(i)
 }
 
 // asFound is what a failed put must leave untouched.

@@ -149,10 +149,13 @@ func (p *PageEntry) held() Hash {
 	return p.Ref.Hash
 }
 
-// PageBytes is one page of an object read back: its index and bytes.
+// PageBytes is one page of an object: its index and its bytes, read
+// back — or, for a page a view lists (PageView.Pages), no bytes and the
+// content hash the index has for it.
 type PageBytes struct {
 	Idx  int64
 	Data []byte
+	Hash Hash
 }
 
 func byIdx(a, b PageEntry) int { return cmp.Compare(a.Idx, b.Idx) }
@@ -190,7 +193,7 @@ type Stats struct {
 	BlockBytes   int64 // physical bytes in data blocks
 	LogicalBytes int64 // bytes all records reference (pre-dedup)
 	MetaBytes    int64
-	DedupHits    int64 // block writes absorbed by an existing block
+	DedupHits    int64 // pages put whose content an existing block held
 	// PagesHashed counts the pages whose content hash the put path
 	// computed itself (PutRecord, PutRecordMixed). Pages put with their
 	// hash supplied (PutPages) add nothing: a flush that hashes here
@@ -777,18 +780,29 @@ func (s *Store) sortFreedLocked(mark int) {
 
 // putPage stores page i of a put of rec — page idx, data, whose
 // ContentHash is h — deduplicating by content, and enters it as
-// rec.Pages[i] with its reference held in flight (holdLocked).
-func (s *Store) putPage(rec *Record, i int, idx int64, data []byte, h Hash) error {
-	if len(data) != BlockSize {
+// rec.Pages[i] with its reference held in flight (holdLocked). A page
+// given by hash (nil data) is referenced where the store holds its
+// content, and only where it does not are its bytes read (pages.Fetch).
+func (s *Store) putPage(rec *Record, i int, idx int64, data []byte, h Hash, pages PageSet) error {
+	if data != nil && len(data) != BlockSize {
 		block := make([]byte, BlockSize)
 		copy(block, data)
 		data = block
 	}
-	if verifySuppliedHashes && ContentHash(data) != h {
+	if verifySuppliedHashes && data != nil && ContentHash(data) != h {
 		panic(fmt.Sprintf("objstore: page %d of object %d put under a hash that is not its content's", idx, rec.OID))
 	}
 	s.mu.Lock()
 	be, dedup := s.blocks[h]
+	if !dedup && data == nil {
+		s.mu.Unlock()
+		var err error
+		if data, err = pages.Fetch(i); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		be, dedup = s.blocks[h]
+	}
 	if !dedup {
 		if s.dataGrowthLocked() {
 			if err := s.dataRoomLocked(BlockSize); err != nil {
@@ -900,41 +914,55 @@ func (s *Store) ReadBlocks(refs []BlockRef) ([][]byte, error) {
 }
 
 // PageSet is an object's pages handed to a put as one ordered batch:
-// ascending page index, each page with its bytes and the ContentHash of
-// those bytes. The order is the order the put allocates and writes
-// blocks in, so it — not a map iteration — decides block placement.
-// Lines(i) is page i's dirty-line mask: the 64-byte lines in which it
-// differs from the object's page at the previous epoch (vm.AllLines
-// when the caller does not know). An incremental put over the group's
-// newest epoch stores a page written in a few lines as a line entry.
-// Hashed(i) is how many bytes computing page i's hash read — BlockSize
-// unless the caller resumed it from a midstate — and is what the put
-// charges costs.HashPage for, pro rata.
+// ascending page index, each page with its ContentHash and, when the
+// caller holds them, its bytes. A page given by hash alone (nil data)
+// costs nothing where the store already holds a block of that content;
+// only where it does not does the put ask Fetch for the bytes. The
+// order is the order the put allocates and writes blocks in, so it —
+// not a map iteration — decides block placement. Lines(i) is page i's
+// dirty-line mask: the 64-byte lines in which it differs from the
+// object's page at the previous epoch (vm.AllLines when the caller does
+// not know, and for a page given by hash). An incremental put over the
+// group's newest epoch stores a page written in a few lines as a line
+// entry. Hashed(i) is how many bytes computing the hash of page i, given
+// with its bytes, read — BlockSize unless the caller resumed it from a
+// midstate — and is what the put charges costs.HashPage for, pro rata.
 type PageSet interface {
 	Len() int
 	Page(i int) (idx int64, data []byte, hash Hash)
+	Fetch(i int) ([]byte, error)
 	Lines(i int) uint64
 	Hashed(i int) int
 }
 
 // mapPages is the PageSet of a caller that holds a page map and no
-// hashes: its keys sorted, each page hashed as it is asked for.
+// hashes — its pages hashed as they are asked for — and, for pages not
+// in it, references to blocks the store holds: pages given by hash, with
+// no bytes behind them.
 type mapPages struct {
 	idxs  []int64
 	pages map[int64][]byte
+	refs  map[int64]BlockRef
 }
 
 func (m *mapPages) Len() int { return len(m.idxs) }
 
 func (m *mapPages) Page(i int) (int64, []byte, Hash) {
-	data := m.pages[m.idxs[i]]
-	return m.idxs[i], data, ContentHash(data)
+	if data, ok := m.pages[m.idxs[i]]; ok {
+		if data == nil {
+			data = []byte{} // an empty page, not one given by hash
+		}
+		return m.idxs[i], data, ContentHash(data)
+	}
+	return m.idxs[i], nil, m.refs[m.idxs[i]].Hash
 }
 
-// Lines implements PageSet: a page map says nothing of what changed.
+func (m *mapPages) Fetch(i int) ([]byte, error) {
+	return nil, fmt.Errorf("objstore: dangling block reference at page %d", m.idxs[i])
+}
+
 func (m *mapPages) Lines(int) uint64 { return vm.AllLines }
 
-// Hashed implements PageSet: Page hashes every page whole.
 func (m *mapPages) Hashed(int) int { return BlockSize }
 
 // PutRecord writes one object's record for an epoch: metadata plus the
@@ -949,19 +977,20 @@ func (s *Store) PutRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 // dirty pages written, clean pages re-referenced; with no pages, a
 // clone's first record referencing every block of its source without
 // moving a byte). The pages are put in ascending index order and hashed
-// here, one by one; a page given both ways is written.
+// here, one by one; a page given both ways is written. A reference goes
+// as a page given by its hash: one the store holds no block under is a
+// dangling reference, and fails the put.
 func (s *Store) PutRecordMixed(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages map[int64][]byte, refs map[int64]BlockRef, heat []vm.PageHeat) (*Record, error) {
-	held := make([]PageEntry, 0, len(refs))
-	for idx, ref := range refs {
-		if _, written := pages[idx]; !written {
-			held = append(held, PageEntry{Idx: idx, Ref: ref})
-		}
-	}
 	var set PageSet
-	if len(pages) > 0 {
-		m := &mapPages{idxs: make([]int64, 0, len(pages)), pages: pages}
+	if len(pages)+len(refs) > 0 {
+		m := &mapPages{idxs: make([]int64, 0, len(pages)+len(refs)), pages: pages, refs: refs}
 		for idx := range pages {
 			m.idxs = append(m.idxs, idx)
+		}
+		for idx := range refs {
+			if _, written := pages[idx]; !written {
+				m.idxs = append(m.idxs, idx)
+			}
 		}
 		slices.Sort(m.idxs)
 		s.mu.Lock()
@@ -969,27 +998,22 @@ func (s *Store) PutRecordMixed(group, oid, epoch uint64, kind uint16, full bool,
 		s.mu.Unlock()
 		set = m
 	}
-	return s.putRecord(group, oid, epoch, kind, full, meta, set, held, heat)
+	return s.PutPages(group, oid, epoch, kind, full, meta, set, heat)
 }
 
-// PutPages writes a record whose pages come as an ordered batch with
-// their content hashes and dirty-line masks already known — the
-// checkpoint flush, which hashes an image's pages once for every
-// backend it goes to. The store computes no hash of its own here (under
-// the race detector it checks every one it is given, and rebuilds every
-// line entry from its base, see verifySuppliedHashes); the virtual hash
-// cost is charged per page all the same. A partly written page of an
-// incremental epoch over the group's newest becomes a line entry
-// (planLines).
+// PutPages is the one put path: it writes a record whose pages come as
+// an ordered batch with their content hashes and dirty-line masks known
+// — the checkpoint flush's, which hashes an image's pages once for every
+// backend and names those it holds by name in a store by the hash that
+// store's index has. The pages go in batch order — each one the store
+// holds by content referenced, every other one written as a new block or
+// a line entry's patch (planLines: a partly written page of an
+// incremental epoch over the group's newest) — then the metadata
+// extent, then registration. The store computes no hash of its own here
+// (under the race detector it checks every one it is given with bytes,
+// and rebuilds every line entry from its base, see verifySuppliedHashes);
+// the virtual hash cost is charged per page for what the caller hashed.
 func (s *Store) PutPages(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages PageSet, heat []vm.PageHeat) (*Record, error) {
-	return s.putRecord(group, oid, epoch, kind, full, meta, pages, nil, heat)
-}
-
-// putRecord is the one put path: references first, then the pages in
-// batch order — dedup against the index, one device write per new block
-// or line entry's patch — then the metadata extent, then registration.
-// refs are entries of blocks the store holds, for pages not in pages.
-func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta []byte, pages PageSet, refs []PageEntry, heat []vm.PageHeat) (*Record, error) {
 	rec := &Record{
 		Group: group,
 		OID:   oid,
@@ -999,7 +1023,6 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 		Meta:  append([]byte(nil), meta...),
 		Heat:  slices.Clone(heat),
 	}
-	held := 0 // refs[:held] hold their blocks
 	// unwind releases every reference the attempt took so far. A failed
 	// put — most importantly an out-of-space one — must leave the index
 	// exactly as it found it: no registered record, no leaked refcounts,
@@ -1019,26 +1042,9 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 				s.unholdLocked(p.base.ref)
 			}
 		}
-		for _, p := range refs[:held] {
-			s.unholdLocked(p.Ref)
-		}
 		s.sortFreedLocked(mark)
-		s.stats.LogicalBytes -= int64(held) * BlockSize
 		s.mu.Unlock()
 	}
-	s.mu.Lock()
-	for ; held < len(refs); held++ {
-		be, ok := s.blocks[refs[held].Ref.Hash]
-		if !ok {
-			s.mu.Unlock()
-			unwind()
-			return nil, fmt.Errorf("objstore: dangling block reference at page %d", refs[held].Idx)
-		}
-		s.holdLocked(be)
-		refs[held].Ref = be.ref
-		s.stats.LogicalBytes += BlockSize
-	}
-	s.mu.Unlock()
 	if pages != nil {
 		n := pages.Len()
 		rec.Pages = make([]PageEntry, n)
@@ -1057,8 +1063,10 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 				s.chargeHash(pages.Hashed(i))
 				err = s.putLine(rec, i, idx, data, h, &runs)
 			default:
-				s.chargeHash(pages.Hashed(i))
-				err = s.putPage(rec, i, idx, data, h)
+				if data != nil {
+					s.chargeHash(pages.Hashed(i))
+				}
+				err = s.putPage(rec, i, idx, data, h, pages)
 			}
 			if err != nil {
 				unwind()
@@ -1105,10 +1113,6 @@ func (s *Store) putRecord(group, oid, epoch uint64, kind uint16, full bool, meta
 	}
 	key := RecordKey{group, oid, epoch}
 	s.mu.Lock()
-	if len(refs) > 0 {
-		rec.Pages = append(rec.Pages, refs...)
-		slices.SortFunc(rec.Pages, byIdx)
-	}
 	if old, ok := s.records[key]; ok && old != rec {
 		// Re-delivery (a flush retried after a partial failure):
 		// replace the previous attempt's record, releasing everything

@@ -1,6 +1,11 @@
 package objstore
 
-import "aurora/internal/vm"
+import (
+	"cmp"
+	"slices"
+
+	"aurora/internal/vm"
+)
 
 // PageView is the page map of one object at one epoch, resolved on
 // demand instead of materialised: the restore-side answer to "where
@@ -127,9 +132,10 @@ func (v *PageView) Lookup(idx int64) (ref PageRef, ok bool, err error) {
 	return PageRef{}, false, nil
 }
 
-// Pages enumerates the visible page indices, newest record's first,
-// each record's in page order.
-func (v *PageView) Pages() ([]int64, error) {
+// Pages lists the pages visible at the view's epoch in ascending index,
+// each by name: no bytes, and its content hash — a line entry's as much
+// as a block's.
+func (v *PageView) Pages() ([]PageBytes, error) {
 	v.s.mu.Lock()
 	defer v.s.mu.Unlock()
 	var buf [chainOnStack]*Record
@@ -137,13 +143,16 @@ func (v *PageView) Pages() ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, 0, v.n)
+	out := make([]PageBytes, 0, v.n)
 	for i, rec := range chain {
 		for _, p := range rec.Pages {
 			if !holds(chain[:i], p.Idx) {
-				out = append(out, p.Idx)
+				out = append(out, PageBytes{Idx: p.Idx, Hash: p.Ref.Hash})
 			}
 		}
+	}
+	if len(chain) > 1 {
+		slices.SortFunc(out, func(a, b PageBytes) int { return cmp.Compare(a.Idx, b.Idx) })
 	}
 	return out, nil
 }

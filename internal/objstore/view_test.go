@@ -60,13 +60,13 @@ func (vo *viewOracle) check(t *testing.T, s *Store, where string, group uint64, 
 						t.Fatalf("%s: %v: %s view finds page %d the object never had (%v, %v)", where, key, name, idx, ok, err)
 					}
 				}
-				idxs, err := v.Pages()
-				if err != nil || len(idxs) != len(pages) {
-					t.Fatalf("%s: %v: %s view lists %d pages (%v), want %d", where, key, name, len(idxs), err, len(pages))
+				listed, err := v.Pages()
+				if err != nil || len(listed) != len(pages) {
+					t.Fatalf("%s: %v: %s view lists %d pages (%v), want %d", where, key, name, len(listed), err, len(pages))
 				}
-				for _, idx := range idxs {
-					if _, ok := pages[idx]; !ok {
-						t.Fatalf("%s: %v: %s view lists page %d, ResolvePages does not", where, key, name, idx)
+				for i, vp := range listed {
+					if want, ok := pages[vp.Idx]; !ok || vp.Hash != want.Hash || vp.Data != nil || i > 0 && vp.Idx <= listed[i-1].Idx {
+						t.Fatalf("%s: %v: %s view lists page %d as %x (entry %d), ResolvePages has %v %v", where, key, name, vp.Idx, vp.Hash[:4], i, want, ok)
 					}
 				}
 			}

@@ -497,8 +497,9 @@ func (as *AddressSpace) Objects() []*Object {
 }
 
 // Fork clones the address space with fork semantics: shared mappings
-// alias the same object; each private mapping of the child gets an
-// object of its own that shares the parent's frames under copy-on-write
+// alias the same object; each mapping of the child keeps the parent's
+// (its sls_mctl hints included), and each private one gets an object of
+// its own that shares the parent's frames under copy-on-write
 // protection (Object.fork), so the first write on either side copies the
 // page for that side alone. The parent keeps its objects. Pages on swap
 // are not shared: the caller brings them back first (kernel.Fork).
@@ -518,9 +519,10 @@ func (as *AddressSpace) Fork() *AddressSpace {
 		if !m.Shared {
 			as.readOnlyLocked(m) // the parent's next write faults and copies
 		}
-		cm := &Mapping{Start: m.Start, End: m.End, Obj: obj, Off: m.Off, Prot: m.Prot, Shared: m.Shared, Name: m.Name}
+		cm := *m // the sls_mctl hints too
+		cm.Obj = obj
 		as.mu.Unlock()
-		child.maps = append(child.maps, cm)
+		child.maps = append(child.maps, &cm)
 	}
 	return child
 }
