@@ -94,10 +94,14 @@ faultcheck:
 ## failover, supervisor auto-restore, bounded SwapIn retry, CLI exit codes,
 ## and `sls send`/`recv`: an image file round-trips, also straight after
 ## a lazy restore; the first barrier after a lazy restore reads no page
-## of its restore source, and its flush reads one only for a destination
-## that lacks it — none into the store it came from, what a second store
-## or a replica lacks, none into a memory backend — (and fails, typed,
-## with the store down), and a rollback to it before that flush restores
+## of its restore source, and its flush reads each page a destination
+## lacks once, before handing them out — none into the store it came
+## from, what a second store or a replica lacks, each page once for two
+## fresh replicas, nothing again for a retried delivery, and what the
+## flush did not read for a replica's need-resend — (and fails, typed,
+## with the store down, and only where a destination lacked a page it
+## could not read); a store keeps what it said it holds until the
+## put; and a rollback to it before that flush restores
 ## bit for bit or, with the store down, fails typed and leaves the group
 ## running; Encode holds the frames it reads across a release of its
 ## chain, and the fleet budget charges no page held by name; a fork child
@@ -111,7 +115,7 @@ faultcheck:
 ## capture left, to the same content hash, whichever way the digest hands
 ## out its state, from a table the group keeps per object it tracks.
 recoverycheck:
-	$(GO) test -race -count=1 -run 'TestRecovery|TestInheritedPagesFlushByHash|TestForkKeepsMctlHints|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestRestoreAttachesWhatAnImageHoldsByName|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestPartlyWrittenPagesResumeTheirHash|TestPageHasherMarshalsWithoutAppendBinary|TestMidstateTablesFollowTrackedObjects' \
+	$(GO) test -race -count=1 -run 'TestRecovery|TestInheritedPagesFlushByHash|TestRetriedDeliveryReadsNothingAgain|TestNeedResendOfAnImageHeldByName|TestFailedPlanReadFailsOnlyWhoLacksThePage|TestHoldKeepsBlocksUntilThePut|TestForkKeepsMctlHints|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestRestoreAttachesWhatAnImageHoldsByName|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestPartlyWrittenPagesResumeTheirHash|TestPageHasherMarshalsWithoutAppendBinary|TestMidstateTablesFollowTrackedObjects' \
 		./internal/core/ ./internal/vm/ ./internal/netback/ ./internal/objstore/ ./cmd/sls/
 
 ## chaoscheck: whole-system chaos harness under the race detector —

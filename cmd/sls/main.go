@@ -447,7 +447,7 @@ func (s *session) addReplica(g *core.Group, name string) (int, error) {
 			if err != nil {
 				continue
 			}
-			if _, err := rb.Flush(img); err != nil {
+			if _, err := rb.Flush(img, nil); err != nil {
 				return backfilled, err
 			}
 			backfilled++

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"aurora/internal/kernel"
@@ -116,7 +115,7 @@ func (a *API) Rollback(p *kernel.Process) (*Group, *RollbackNotice, error) {
 	// Read what the state holds by name before the current incarnation
 	// goes: a rollback that cannot (its store is down) fails with the
 	// group still running.
-	if st.objs, err = readNamed(st.objs, nil, nil); err != nil {
+	if st.objs, err = readAll(st.objs); err != nil {
 		return nil, nil, err
 	}
 	// Kill the current incarnation.
@@ -143,15 +142,8 @@ func (a *API) Rollback(p *kernel.Process) (*Group, *RollbackNotice, error) {
 	ng.epoch = img.Epoch
 	ng.durable = img.Epoch
 	ng.mu.Unlock()
-	rollbacks.Add(1)
 	return ng, notice, nil
 }
-
-// rollbacks counts rollbacks for diagnostics.
-var rollbacks atomic.Int64
-
-// RollbackCount reports the process-wide rollback counter.
-func RollbackCount() int64 { return rollbacks.Load() }
 
 // RollbackNotice informs the application that execution was rolled
 // back, so it can retry along a more conservative path.

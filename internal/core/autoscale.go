@@ -214,13 +214,6 @@ func (a *Autoscaler) AddWarmStore(n *StoreNode) error {
 	return nil
 }
 
-// PoolSize reports the remaining warm spares.
-func (a *Autoscaler) PoolSize() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.pool)
-}
-
 // Decisions returns every decision recorded so far.
 func (a *Autoscaler) Decisions() []ScaleDecision {
 	a.mu.Lock()

@@ -29,7 +29,10 @@ type Backend interface {
 	// Name identifies the backend in the CLI.
 	Name() string
 	// Flush persists one image and returns the modeled flush time.
-	Flush(img *Image) (time.Duration, error)
+	// named holds the bytes the flush read of the pages img holds by
+	// name that the backend said it lacked (Holder); a backend reads
+	// none itself.
+	Flush(img *Image, named NamedBytes) (time.Duration, error)
 	// Load returns the image chain for (group, epoch); epoch 0 means
 	// latest. Backends that cannot serve restores return ErrNoImage.
 	Load(group, epoch uint64) (*Image, time.Duration, error)
@@ -45,6 +48,23 @@ type LaneBackend interface {
 	// WithLane returns a view of the backend that shares all state but
 	// charges modeled costs to lane.
 	WithLane(lane *storage.Clock) Backend
+}
+
+// NamedBytes is what a flush read of the pages its images hold by name
+// in a store: the bytes of each page one of its backends lacks, by
+// content hash (readNamed). It is the flush's, and read-only while the
+// flush hands it out.
+type NamedBytes map[objstore.Hash][]byte
+
+// A Holder is a backend that takes a page an image holds by name by its
+// content hash where it holds that content already. Before a flush
+// hands it img, Hold says from memory which of hashes (those of img's
+// pages held by name) it lacks, and keeps the rest until release; the
+// flush reads what any of its backends lacks once, and hands it to
+// Flush. A backend that is no Holder lacks nothing: it keeps the image
+// itself (MemoryBackend).
+type Holder interface {
+	Hold(img *Image, hashes []objstore.Hash) (lacks []bool, release func())
 }
 
 // MemoryBackend keeps images in RAM: the paper's local memory backend
@@ -76,7 +96,7 @@ func (mb *MemoryBackend) Ephemeral() bool { return true }
 // order. History trimming is deferred to Trim — merging an old image
 // forward mutates its successor, which must not race with another
 // worker still flushing that successor elsewhere.
-func (mb *MemoryBackend) Flush(img *Image) (time.Duration, error) {
+func (mb *MemoryBackend) Flush(img *Image, _ NamedBytes) (time.Duration, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	chain := mb.images[img.Group]
@@ -219,26 +239,23 @@ func (sb *StoreBackend) WithLane(lane *storage.Clock) Backend {
 // EncodeDeltaLink reads), and each page with the bytes its hash read
 // (resumed, the same run of the steps the hashes resumed at; nil when
 // the image did not hash its pages itself). A page the object holds by
-// name goes by its hash alone; the store asks for its bytes (Fetch)
-// only when it holds no block of that content, and they are read
-// through store, a view of the source's store on the flush lane.
+// name goes with the bytes the flush read for it (named), and by its
+// hash alone where the flush read none: the store holds it.
 type imagePages struct {
 	mi      *MemImage
 	sums    []PageHash
 	resumed []uint8
-	store   *objstore.Store
+	named   NamedBytes
 }
 
 func (p *imagePages) Len() int { return len(p.sums) }
 
 func (p *imagePages) Page(i int) (int64, []byte, objstore.Hash) {
 	_, data := p.mi.at(i, p.sums[i].Idx)
+	if data == nil {
+		data = p.named[p.sums[i].Hash]
+	}
 	return p.sums[i].Idx, data, p.sums[i].Hash
-}
-
-func (p *imagePages) Fetch(i int) ([]byte, error) {
-	data := make([]byte, vm.PageSize)
-	return data, p.mi.Inherit.fetch(p.store, p.sums[i].Idx, data)
 }
 
 func (p *imagePages) Lines(i int) uint64 {
@@ -248,7 +265,13 @@ func (p *imagePages) Lines(i int) uint64 {
 	return vm.AllLines
 }
 
+// Hashed is 0 for a page held by name: its hash came with its name.
 func (p *imagePages) Hashed(i int) int {
+	if p.named != nil {
+		if _, data := p.mi.at(i, p.sums[i].Idx); data == nil {
+			return 0
+		}
+	}
 	if p.resumed == nil {
 		return vm.PageSize
 	}
@@ -273,14 +296,17 @@ func (p *imagePages) Hashed(i int) int {
 // less than the page). The modeled duration is what the lane advanced
 // by.
 //
+// A page the image holds by name goes by its hash where the store holds
+// its content, and with its bytes in named where it does not.
+//
 // The flush pipeline always calls Flush on a lane view (WithLane). A
 // direct call on the backend itself — promotion and migration backfill
 // — runs on a lane of the caller's clock and merges it back, so every
 // flush is issued, and costs, the same way.
-func (sb *StoreBackend) Flush(img *Image) (time.Duration, error) {
+func (sb *StoreBackend) Flush(img *Image, named NamedBytes) (time.Duration, error) {
 	if !sb.onLane {
 		lane := sb.clock.Lane()
-		d, err := sb.WithLane(lane).Flush(img)
+		d, err := sb.WithLane(lane).Flush(img, named)
 		sb.clock.AdvanceTo(lane.Now())
 		return d, err
 	}
@@ -313,7 +339,7 @@ func (sb *StoreBackend) Flush(img *Image) (time.Duration, error) {
 		if err != nil {
 			return err
 		}
-		var pages imagePages
+		pages := imagePages{named: named}
 		for _, id := range objectOrder(img.Memory) {
 			n := 0
 			for n < len(sums) && sums[n].ObjID == id {
@@ -324,19 +350,7 @@ func (sb *StoreBackend) Flush(img *Image) (time.Duration, error) {
 				pages.resumed, resumed = resumed[:n], resumed[n:]
 			}
 			meta := encodeVMObjMeta(pages.mi)
-			put := func() error {
-				_, err := sb.store.PutPages(img.Group, vmBit|id, img.Epoch, uint16(kernel.KindVMObject), img.Full, meta, &pages, pages.mi.Heat)
-				return err
-			}
-			if src := pages.mi.Inherit; src != nil && src.sb != nil {
-				// What the store asks for of the pages held by name is
-				// read on this lane, overlapped as the writes are.
-				pages.store = src.sb.store.WithClock(sb.clock)
-				err = pages.store.Overlapped(put)
-			} else {
-				err = put()
-			}
-			if err != nil {
+			if _, err := sb.store.PutPages(img.Group, vmBit|id, img.Epoch, uint16(kernel.KindVMObject), img.Full, meta, &pages, pages.mi.Heat); err != nil {
 				return err
 			}
 			keys = append(keys, objstore.RecordKey{Group: img.Group, OID: vmBit | id, Epoch: img.Epoch})
@@ -362,6 +376,13 @@ func (sb *StoreBackend) Flush(img *Image) (time.Duration, error) {
 		Prev:    prev,
 	})
 	return sw.Elapsed(), nil
+}
+
+// Hold implements Holder: the store lacks the contents its dedup index
+// holds no block of, and holds the blocks of the others in flight
+// (objstore.Store.Hold).
+func (sb *StoreBackend) Hold(_ *Image, hashes []objstore.Hash) ([]bool, func()) {
+	return sb.store.Hold(hashes)
 }
 
 // Load implements Backend: it reads the checkpoint back from the

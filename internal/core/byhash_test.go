@@ -161,6 +161,8 @@ func restoreOn(t *testing.T, k *kernel.Kernel, img *core.Image, opts core.Restor
 //   - over a replica link whose receiver holds the first epoch it sends
 //     those pages as refs and reads and sends the rest literal, and the
 //     receiver's copy restores bit for bit;
+//   - over two fresh replica links and no store it reads each page once,
+//     for both, and each receiver's copy restores bit for bit;
 //   - into a memory backend beside the store it reads nothing either,
 //     and restoring from the memory backend while the group lives gives
 //     the same heap.
@@ -236,6 +238,33 @@ func TestInheritedPagesFlushByHash(t *testing.T) {
 				},
 			}
 		},
+		"two fresh replica links, no store": func(t *testing.T, r *byHashRig) byHashCase {
+			var wires []*netback.Wire
+			var pms []*vm.PhysMem
+			return byHashCase{
+				attach: func(ng *core.Group) {
+					for range 2 {
+						pms = append(pms, vm.NewPhysMem(0))
+						w := netback.NewWire(netback.LinkFaultConfig{}, r.clock, netback.NewReceiver(pms[len(pms)-1], storage.NewClock()))
+						if err := w.Connect(ng.ID); err != nil {
+							t.Fatal(err)
+						}
+						r.o.Attach(ng, w.Backend())
+						wires = append(wires, w)
+					}
+				},
+				reads: byHashPages,
+				check: func(first *core.Image, pages int) {
+					for i, w := range wires {
+						img, err := w.Receiver().Latest(r.ng.ID)
+						if err != nil || img.Epoch != first.Epoch {
+							t.Fatalf("receiver %d holds %v (%v), want epoch %d", i, img, err, first.Epoch)
+						}
+						byHashHeapHolds(t, restoreOn(t, kernel.NewWith(storage.NewClock(), pms[i]), img, core.RestoreOpts{Lazy: true}), "restored from a fresh replica")
+					}
+				},
+			}
+		},
 		"memory beside the store": func(t *testing.T, r *byHashRig) byHashCase {
 			mb := core.NewMemoryBackend(r.k.Mem, 0)
 			return byHashCase{
@@ -280,4 +309,89 @@ func TestInheritedPagesFlushByHash(t *testing.T) {
 			c.check(first, count)
 		})
 	}
+}
+
+// TestRetriedDeliveryReadsNothingAgain: a delivery that fails and is
+// retried is handed the bytes the flush read for it again, and reads
+// nothing itself. The second store lacks the pages rewritten since the
+// epoch it holds, and the last write of its first attempt at the
+// restored group's first epoch fails; the retry lands the epoch, the
+// source device served each lacking page once, and the second store
+// restores it bit for bit.
+func TestRetriedDeliveryReadsNothingAgain(t *testing.T) {
+	r := newByHashRig(t)
+	clock := storage.NewClock()
+	fd := storage.NewFaultDevice(storage.NewMemDevice(storage.ParamsFlashNVMe, clock), clock, storage.FaultConfig{})
+	second := core.NewStoreBackend(objstore.Create(fd, clock), r.k.Mem, clock)
+	r.lineage(t, byHashCase{
+		early:  func(g *core.Group) core.Backend { r.o.Attach(g, second); return second },
+		attach: func(ng *core.Group) { r.o.Attach(ng, second) },
+	})
+	if _, err := r.o.Checkpoint(r.ng, core.CheckpointOpts{SkipFlush: true}); err != nil {
+		t.Fatal(err)
+	}
+	first := r.ng.LastImage()
+	reads, injected := r.dev.Stats().Reads, fd.InjectedCount()
+	// An attempt writes each kernel object's record, each lacking page
+	// and each VM object's record, in that order.
+	last := fd.OpCount() + int64(len(first.Meta)+byHashChanged+len(first.Memory))
+	fd.FailOps(storage.FaultWrite, last, last)
+	if err := r.o.Sync(r.ng); err != nil {
+		t.Fatal(err)
+	}
+	if fd.InjectedCount() != injected+1 || r.ng.Health()[0].Retries != 1 {
+		t.Fatalf("%d faults injected, %d retries; want the first put attempt to fail and one retry",
+			fd.InjectedCount()-injected, r.ng.Health()[0].Retries)
+	}
+	if n := r.dev.Stats().Reads - reads; n != byHashChanged {
+		t.Fatalf("the flush and its retry read the source device %d times, want %d: each lacking page once", n, byHashChanged)
+	}
+	back, _, err := second.Load(r.ng.ID, first.Epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byHashHeapHolds(t, restoreOn(t, r.k, back, core.RestoreOpts{}), "restored from the second store")
+}
+
+// TestNeedResendOfAnImageHeldByName: a replica link whose receiver
+// restarted empty behind its back sends the pages the restored group's
+// first epoch holds by name and its mirror says the receiver holds as
+// refs, and draws a need. The resend goes every page literal: it reads,
+// on the link's lane, what the flush did not (the one read of a page
+// held by name left to a destination), and the new receiver's copy
+// restores bit for bit.
+func TestNeedResendOfAnImageHeldByName(t *testing.T) {
+	r := newByHashRig(t)
+	w := netback.NewWire(netback.LinkFaultConfig{}, r.clock, netback.NewReceiver(vm.NewPhysMem(0), storage.NewClock()))
+	connect := func(g *core.Group) {
+		if err := w.Connect(g.ID); err != nil {
+			t.Fatal(err)
+		}
+		r.o.Attach(g, w.Backend())
+	}
+	r.lineage(t, byHashCase{
+		early:  func(g *core.Group) core.Backend { connect(g); return w.Backend() },
+		attach: connect,
+	})
+	rpm := vm.NewPhysMem(0)
+	w.Restart(netback.NewReceiver(rpm, storage.NewClock()))
+	reads := r.dev.Stats().Reads
+	if _, err := r.o.Checkpoint(r.ng, core.CheckpointOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.o.Sync(r.ng); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, resends := w.Backend().DeltaStats(); resends != 1 {
+		t.Fatalf("%d need resends, want 1", resends)
+	}
+	if n := r.dev.Stats().Reads - reads; n != byHashPages {
+		t.Fatalf("the flush and the resend read the source device %d times, want %d: the %d pages the flush read and the rest once",
+			n, byHashPages, byHashChanged)
+	}
+	img, err := w.Receiver().Latest(r.ng.ID)
+	if err != nil || img.Epoch != r.ng.Epoch() {
+		t.Fatalf("the restarted receiver holds %v (%v), want epoch %d", img, err, r.ng.Epoch())
+	}
+	byHashHeapHolds(t, restoreOn(t, kernel.NewWith(storage.NewClock(), rpm), img, core.RestoreOpts{}), "restored from the restarted receiver")
 }

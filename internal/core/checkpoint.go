@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"aurora/internal/kernel"
@@ -259,22 +258,24 @@ func (o *Orchestrator) admitCheckpoint(g *Group) (bool, CheckpointBreakdown) {
 	return true, bd
 }
 
-// flushImage brings every backend up to the head concurrently, under
-// the per-backend health state machine (health.go): each is handed the
-// retired epochs of the window it still owes, then the head; a healthy
-// backend that fails retries with backoff and then degrades, leaving
-// the epoch owed. The epoch succeeds — and may retire — as long as at
-// least one healthy non-ephemeral backend accepted it (degraded
-// durability mode); with only ephemeral backends attached, any
-// successful flush suffices, and a group with no backends trivially
-// succeeds as before. Only the flusher calls it, as the window's reader.
+// flushImage brings every backend up to the head, under the
+// per-backend health state machine (health.go), through handOut: each
+// is handed the retired epochs of the window it still owes, then the
+// head, all of them at once; a healthy backend that fails retries with
+// backoff and then degrades, leaving the epoch owed. The epoch succeeds
+// — and may retire — as long as at least one healthy non-ephemeral
+// backend accepted it (degraded durability mode); with only ephemeral
+// backends attached, any successful flush suffices, and a group with no
+// backends trivially succeeds as before. Only the flusher calls it, as
+// the window's reader.
 //
-// The modeled time is the slowest backend plus the file-system
-// snapshot that pins file state to the same generation. Each
-// lane-capable backend charges its I/O to a detached clock lane, so a
-// background flush overlaps the group's execution instead of stalling
-// the foreground virtual timeline; a foreground (synchronous) caller
-// merges the flush time back into the kernel clock.
+// The modeled time is the read of the pages the images hold by name
+// that some backend lacks, then the slowest backend, then the
+// file-system snapshot that pins file state to the same generation.
+// Each lane-capable backend charges its I/O to a detached clock lane,
+// so a background flush overlaps the group's execution instead of
+// stalling the foreground virtual timeline; a foreground (synchronous)
+// caller merges the flush time back into the kernel clock.
 //
 // Background flushes dispatched by the fleet pass their shard worker's
 // flush lane as base, so consecutive flushes on a busy worker model
@@ -288,32 +289,8 @@ func (o *Orchestrator) flushImage(g *Group, window []*flushJob, img *Image, base
 		base = clock
 	}
 	start := clock.Now()
-
-	type outcome struct {
-		dur time.Duration
-		err error
-	}
 	outs := make([]outcome, len(backends))
-	// Backends of an image that holds pages by name may each read some
-	// of them from the store that holds them: they take turns, in
-	// backend order, so a seeded device sees those reads in one order.
-	serial := namedIn(img.Memory)
-	for _, j := range window {
-		serial = serial || namedIn(j.img.Memory)
-	}
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		if serial {
-			outs[i].dur, outs[i].err = o.flushBackend(g, b, window, img, !background, base)
-			continue
-		}
-		wg.Add(1)
-		go func(b Backend, out *outcome) {
-			defer wg.Done()
-			out.dur, out.err = o.flushBackend(g, b, window, img, !background, base)
-		}(b, &outs[i])
-	}
-	wg.Wait()
+	read := o.handOut(g, backends, window, img, !background, base, outs)
 
 	var worst time.Duration
 	var firstErr error
@@ -365,6 +342,7 @@ func (o *Orchestrator) flushImage(g *Group, window []*flushJob, img *Image, base
 		}
 		return 0, firstErr
 	}
+	worst += read
 	// Keep file state in the same store generation as process state.
 	if o.FS != nil {
 		lane := base.Lane()

@@ -73,7 +73,7 @@ type heldBackend struct {
 	entered chan struct{} // closed when that Flush starts
 }
 
-func (b *heldBackend) Flush(img *Image) (time.Duration, error) {
+func (b *heldBackend) Flush(img *Image, _ NamedBytes) (time.Duration, error) {
 	b.mu.Lock()
 	hold, entered := b.hold, b.entered
 	b.hold, b.entered = nil, nil
@@ -82,7 +82,7 @@ func (b *heldBackend) Flush(img *Image) (time.Duration, error) {
 		close(entered)
 		<-hold
 	}
-	return b.ledgerBackend.Flush(img)
+	return b.ledgerBackend.Flush(img, nil)
 }
 
 // TestFlushAllDeferredRoundTrip: an epoch every backend deferred (the

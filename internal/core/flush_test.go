@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -85,7 +86,7 @@ func newFlushRig(tb testing.TB, resident, dirty int) *flushRig {
 // returns what the lane was charged.
 func (r *flushRig) flush(tb testing.TB, img *Image) time.Duration {
 	tb.Helper()
-	d, err := r.store.WithLane(r.clock.Lane()).Flush(img)
+	d, err := r.store.WithLane(r.clock.Lane()).Flush(img, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestFlushOverlapsAtQueueDepth(t *testing.T) {
 	img = r.next(false)
 	start := r.clock.Now()
 	charged, writes, serial = measure(img, func(img *Image) time.Duration {
-		d, err := r.store.Flush(img)
+		d, err := r.store.Flush(img, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +227,7 @@ func TestFlushOverlapsAtQueueDepth(t *testing.T) {
 		tc.arm(r.fd.OpCount() + 100)
 		lane := r.clock.Lane()
 		began := lane.Now()
-		_, err := r.store.WithLane(lane).Flush(img)
+		_, err := r.store.WithLane(lane).Flush(img, nil)
 		r.fd.ClearScripts()
 		r.fd.SetFull(false)
 		if !errors.Is(err, tc.want) {
@@ -434,13 +435,73 @@ func TestFailedFetchFailsTheFlushNotTheBarrier(t *testing.T) {
 	sameHeap(t, np, bp, pages)
 }
 
+// TestFailedPlanReadFailsOnlyWhoLacksThePage: a lazily restored group's
+// first epoch holds its heap by name in the store it came from, and a
+// second, empty store lacks all of it. With every read of the source
+// failing, the flush's read plan cannot read what the second store
+// lacks: that delivery fails, typed, and the epoch stays owed there,
+// while the same store (which lacks nothing) and a memory backend take
+// it and it retires. With the reads back, Sync hands the second store
+// the epoch, and it restores from that store alone bit for bit.
+func TestFailedPlanReadFailsOnlyWhoLacksThePage(t *testing.T) {
+	const pages = 48
+	r := newFlushRig(t, pages, 0)
+	ng, _, err := r.o.Restore(r.g, 0, RestoreOpts{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	np, _ := r.k.Process(ng.PIDs()[0])
+	mb := NewMemoryBackend(r.k.Mem, 0)
+	second := NewStoreBackend(objstore.Create(storage.NewMemDevice(storage.ParamsFlashNVMe, r.clock), r.clock), r.k.Mem, r.clock)
+	r.o.Attach(ng, mb)
+	r.o.Attach(ng, second)
+	if _, err := r.o.Checkpoint(ng, CheckpointOpts{SkipFlush: true}); err != nil {
+		t.Fatal(err)
+	}
+	epoch := ng.Epoch()
+	r.fd.FailOps(storage.FaultRead, r.fd.OpCount()+1, r.fd.OpCount()+1<<20)
+	if err := r.o.Sync(ng); !errors.Is(err, ErrBackendDown) {
+		t.Fatalf("Sync with the source's reads failing = %v, want ErrBackendDown from the second store", err)
+	}
+	if ng.Durable() != epoch || !slices.Contains(r.store.Epochs(ng.ID), epoch) {
+		t.Fatalf("durable %d, source store epochs %v: want epoch %d taken by the store that lacks nothing", ng.Durable(), r.store.Epochs(ng.ID), epoch)
+	}
+	if _, _, err := mb.Load(ng.ID, epoch); err != nil {
+		t.Fatalf("the memory backend lacks epoch %d: %v", epoch, err)
+	}
+	if got := second.Epochs(ng.ID); len(got) != 0 {
+		t.Fatalf("the second store took epochs %v with its pages unreadable", got)
+	}
+	for _, h := range ng.Health() {
+		if want := h.Name == second.Name(); (h.Pending == 1) != want {
+			t.Fatalf("%s owes %d epochs; only the second store should owe one", h.Name, h.Pending)
+		}
+	}
+
+	r.fd.ClearScripts()
+	if err := r.o.Sync(ng); err != nil {
+		t.Fatal(err)
+	}
+	back, _, err := second.Load(ng.ID, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bk := kernel.NewWith(storage.NewClock(), vm.NewPhysMem(0))
+	bg, _, err := NewOrchestrator(bk).RestoreImage(back, 0, RestoreOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, _ := bk.Process(bg.PIDs()[0])
+	sameHeap(t, np, bp, pages)
+}
+
 // countingReplica is a second, non-ephemeral backend that asks the image
 // for its hashes the way a replica link does.
 type countingReplica struct{ pages int }
 
 func (c *countingReplica) Name() string    { return "replica" }
 func (c *countingReplica) Ephemeral() bool { return false }
-func (c *countingReplica) Flush(img *Image) (time.Duration, error) {
+func (c *countingReplica) Flush(img *Image, _ NamedBytes) (time.Duration, error) {
 	c.pages += len(img.PageHashes())
 	return 0, nil
 }
@@ -539,7 +600,7 @@ func flushAllocs(t *testing.T, dirty int) (allocs, bytes float64) {
 		img := r.next(false)
 		lane := r.clock.Lane()
 		runtime.ReadMemStats(&before)
-		_, err := r.store.WithLane(lane).Flush(img)
+		_, err := r.store.WithLane(lane).Flush(img, nil)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
+	"aurora/internal/objstore"
 	"aurora/internal/storage"
 )
 
@@ -222,7 +224,7 @@ func (g *Group) Health() []BackendHealthInfo {
 // base (the shard worker's flush lane for fleet dispatch, the kernel
 // clock when nil) and folded into the returned duration so synchronous
 // callers merge it back.
-func (o *Orchestrator) attempt(b Backend, img *Image, base *storage.Clock) (time.Duration, int, error) {
+func (o *Orchestrator) attempt(b Backend, img *Image, base *storage.Clock, named NamedBytes) (time.Duration, int, error) {
 	lane := o.laneFor(base)
 	target := b
 	if lb, ok := b.(LaneBackend); ok {
@@ -233,7 +235,7 @@ func (o *Orchestrator) attempt(b Backend, img *Image, base *storage.Clock) (time
 	attempts := 0
 	for {
 		attempts++
-		d, err := target.Flush(img)
+		d, err := target.Flush(img, named)
 		total += d
 		if err == nil {
 			err = o.trimHistory(target, img.Group)
@@ -256,35 +258,82 @@ func (o *Orchestrator) attempt(b Backend, img *Image, base *storage.Clock) (time
 // epoch again. The failed write left no partial state behind (the store
 // registers records and publishes superblocks only after their bytes
 // land), so the retry is a clean re-delivery.
-func (o *Orchestrator) deliver(b Backend, img *Image, base *storage.Clock) (time.Duration, int, error) {
-	dur, attempts, err := o.attempt(b, img, base)
+func (o *Orchestrator) deliver(b Backend, img *Image, base *storage.Clock, named NamedBytes) (time.Duration, int, error) {
+	dur, attempts, err := o.attempt(b, img, base, named)
 	if err != nil && errors.Is(err, storage.ErrOutOfSpace) && o.emergencyReclaim(b) {
-		dur2, attempts2, err2 := o.attempt(b, img, base)
+		dur2, attempts2, err2 := o.attempt(b, img, base, named)
 		return dur + dur2, attempts + attempts2, err2
 	}
 	return dur, attempts, err
 }
 
-// flushBackend brings one backend up to the head under the health
-// state machine: it delivers the window's epochs the backend owes,
-// oldest first, then the head (nil during an explicit Resync, whose
-// window also holds the un-retired epochs), charging device time to
-// lanes seeded from base (nil = the kernel clock). The cursor advances
-// with each success, so a failure leaves the rest owed — the head may
-// still retire if a healthy peer holds it — and success all the way
-// through marks the backend healthy again. force (foreground Sync,
-// Resync) probes a down backend unconditionally; background flushes
-// pace their probes. One caller at a time works a backend (probing): a
-// flush that finds a Resync there leaves its epoch owed, a Resync that
-// finds a flush there lets it work.
+// outcome is one backend's part in a hand-out (handOut): its health
+// record h (nil: not this caller's to work) and its cursor and newest
+// offer when its turn began; the image the plan could not read a page
+// it lacks of (failed), and why; and what its turn took and returned.
+type outcome struct {
+	h            *backendHealth
+	cursor, seen uint64
+	failed       *Image
+	why          error
+	dur          time.Duration
+	err          error
+}
+
+// owes reports whether img was offered before the turn and not taken.
+func (out *outcome) owes(img *Image) bool { return img.Epoch > out.cursor && img.Epoch <= out.seen }
+
+// handOut brings every backend that is this caller's to work up to the
+// head (bringUp), all at once, recording each one's outcome in outs. The
+// pages the images hold by name that a backend lacks are read first,
+// once (planReads); handOut returns how long that took.
+func (o *Orchestrator) handOut(g *Group, backends []Backend, window []*flushJob, head *Image, force bool, base *storage.Clock, outs []outcome) time.Duration {
+	for i, b := range backends {
+		outs[i].err = o.claim(g, b, head, force, &outs[i])
+	}
+	named, done := o.planReads(backends, window, head, outs, base)
+	var wg sync.WaitGroup
+	for i, b := range backends {
+		if outs[i].h != nil {
+			wg.Add(1)
+			go func(b Backend, out *outcome) {
+				defer wg.Done()
+				out.dur, out.err = o.bringUp(g, b, out, window, head, base, named)
+			}(b, &outs[i])
+		}
+	}
+	wg.Wait()
+	return done()
+}
+
+// flushBackend is handOut to b alone, on the caller's goroutine: a
+// Resync's round, which finds most backends owing nothing.
 func (o *Orchestrator) flushBackend(g *Group, b Backend, window []*flushJob, head *Image, force bool, base *storage.Clock) (time.Duration, error) {
+	var out [1]outcome
+	if err := o.claim(g, b, head, force, &out[0]); out[0].h == nil {
+		return 0, err
+	}
+	named, done := o.planReads([]Backend{b}, window, head, out[:], base)
+	dur, err := o.bringUp(g, b, &out[0], window, head, base, named)
+	return done() + dur, err
+}
+
+// claim begins a caller's turn at b, offering it the head (nil during an
+// explicit Resync); the first offer sets the cursor just below it. One
+// caller at a time works a backend (probing): a flush that finds a
+// Resync there leaves its epoch owed, a Resync that finds a flush there
+// lets it work. force (foreground Sync, Resync) probes a down backend
+// unconditionally; background flushes pace their probes. A backend left
+// alone gets no turn, and the error says the head stays owed.
+func (o *Orchestrator) claim(g *Group, b Backend, head *Image, force bool, out *outcome) error {
 	g.healthMu.Lock()
+	defer g.healthMu.Unlock()
 	h := g.healthLocked(b)
-	cursor, seen := h.cursor, h.offered
-	if head != nil && head.Epoch > seen {
-		if seen == 0 {
-			cursor = head.Epoch - 1 // the attach point
-			h.cursor = cursor
+	out.cursor, out.seen = h.cursor, h.offered
+	if head != nil && head.Epoch > out.seen {
+		if out.seen == 0 {
+			out.cursor = head.Epoch - 1 // the attach point
+			h.cursor = out.cursor
 		}
 		h.offered = head.Epoch
 	}
@@ -295,16 +344,84 @@ func (o *Orchestrator) flushBackend(g *Group, b Backend, window []*flushJob, hea
 		h.skips++
 		skip = h.skips%downProbeEvery != 0
 	}
-	if skip {
-		g.healthMu.Unlock()
-		if head == nil {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("%w: epoch %d queued for catch-up", ErrBackendDown, head.Epoch)
+	if !skip {
+		h.probing, out.h = true, h
+	} else if head != nil {
+		return fmt.Errorf("%w: epoch %d queued for catch-up", ErrBackendDown, head.Epoch)
 	}
-	h.probing = true
-	g.healthMu.Unlock()
+	return nil
+}
 
+// planReads is a hand-out's read plan. Each Holder says which pages held
+// by name it lacks of the images its turn hands it (Hold), and the union
+// is read once, oldest image first, on a lane off base (readNamed). A
+// page that cannot be read fails its image's delivery to the backends
+// that lack it, and no other. done gives the holds back and returns how
+// long the read took. With no page held by name there is no plan.
+func (o *Orchestrator) planReads(backends []Backend, window []*flushJob, head *Image, outs []outcome, base *storage.Clock) (named NamedBytes, done func() time.Duration) {
+	var lane *storage.Clock
+	var start time.Duration
+	var release []func()
+	for k := 0; k <= len(window); k++ {
+		img := head
+		if k < len(window) {
+			img = window[k].img
+		}
+		var list []PageHash
+		if img != nil {
+			list, _ = namedPages(img.Memory) // a listing that fails fails img's deliveries (PageHashes)
+		}
+		if list == nil {
+			continue
+		}
+		if named == nil {
+			named, lane = make(NamedBytes), o.laneFor(base)
+			start = lane.Now()
+		}
+		hashes, want, lacks := make([]objstore.Hash, len(list)), make([]bool, len(list)), make([][]bool, len(backends))
+		for j := range list {
+			hashes[j] = list[j].Hash
+		}
+		for i, b := range backends {
+			if h, ok := b.(Holder); ok && outs[i].h != nil && (img == head || outs[i].owes(img)) {
+				var r func()
+				lacks[i], r = h.Hold(img, hashes)
+				release = append(release, r)
+				for j, l := range lacks[i] {
+					want[j] = want[j] || l
+				}
+			}
+		}
+		err := readNamed(img.Memory, list, want, lane, named)
+		for i := range lacks {
+			for j, l := range lacks[i] {
+				if l && named[hashes[j]] == nil && outs[i].failed == nil {
+					outs[i].failed, outs[i].why = img, err
+				}
+			}
+		}
+	}
+	if named == nil {
+		return nil, func() time.Duration { return 0 }
+	}
+	took := lane.Now() - start
+	return named, func() time.Duration {
+		for _, r := range release {
+			r()
+		}
+		return took
+	}
+}
+
+// bringUp is one backend's turn (handOut): it delivers the window's
+// epochs the backend owes, oldest first, then the head, with the bytes
+// the plan read (named), charging device time to lanes seeded from base
+// (nil = the kernel clock). The cursor advances with each success, so a
+// failure leaves the rest owed — the head may still retire if a healthy
+// peer holds it — and success all the way through marks the backend
+// healthy again. It ends the turn.
+func (o *Orchestrator) bringUp(g *Group, b Backend, out *outcome, window []*flushJob, head *Image, base *storage.Clock, named NamedBytes) (time.Duration, error) {
+	h := out.h
 	var total time.Duration
 	for i := 0; i <= len(window); i++ {
 		img := head
@@ -317,11 +434,15 @@ func (o *Orchestrator) flushBackend(g *Group, b Backend, window []*flushJob, hea
 		// An epoch offered before and not taken is owed; the head goes
 		// out whatever the cursor says (a retried head is re-delivered
 		// to the backends that already hold it).
-		owed := img.Epoch > cursor && img.Epoch <= seen
+		owed := out.owes(img)
 		if !owed && img != head {
 			continue
 		}
-		dur, attempts, err := o.deliver(b, img, base)
+		var dur time.Duration
+		attempts, err := 1, out.why
+		if img != out.failed {
+			dur, attempts, err = o.deliver(b, img, base, named)
+		}
 		total += dur
 		fenced := err != nil && noteFence(g, err)
 		g.healthMu.Lock()
@@ -340,7 +461,7 @@ func (o *Orchestrator) flushBackend(g *Group, b Backend, window []*flushJob, hea
 			// behind it does not become owed either.
 			h.lastErr = err
 			h.cursor = max(h.cursor, img.Epoch)
-			h.offered = max(seen, h.cursor)
+			h.offered = max(out.seen, h.cursor)
 		default:
 			h.noteFail(err, downState(b, err), o.downAfter())
 		}

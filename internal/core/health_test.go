@@ -46,7 +46,7 @@ func (b *ledgerBackend) offered() []uint64 {
 func (b *ledgerBackend) Name() string    { return cmp.Or(b.name, "ledger") }
 func (b *ledgerBackend) Ephemeral() bool { return false }
 
-func (b *ledgerBackend) Flush(img *Image) (time.Duration, error) {
+func (b *ledgerBackend) Flush(img *Image, _ NamedBytes) (time.Duration, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.calls = append(b.calls, img.Epoch)

@@ -53,8 +53,8 @@ type MemImage struct {
 	// (vm.CheckpointSet.Source), or a lazily loaded image's
 	// (StoreBackend.LoadLazy). A page held by name is known by the content
 	// hash the store's index has for it, and its bytes are read only by
-	// whoever needs them: restore attaches the source, and a flush reads a
-	// page only where its destination lacks it. Nothing here is sized by
+	// whoever needs them: restore attaches the source, and a flush reads,
+	// once, those some destination lacks (planReads). Nothing here is sized by
 	// the image; a lazily loaded image's heat, too, stays in the store
 	// until a prefetch asks the view for it.
 	Inherit *lazyPageSource
@@ -172,15 +172,6 @@ func (img *Image) AddBlockPeer(p BlockProvider) {
 			mi.Inherit.addPeer(p)
 		}
 	}
-}
-
-// MetaBytes totals the metadata payload size.
-func (img *Image) MetaBytes() int {
-	n := 0
-	for _, m := range img.Meta {
-		n += len(m.Data)
-	}
-	return n
 }
 
 // PageCount totals captured pages across all objects.
@@ -501,7 +492,7 @@ func (img *Image) ResolvePage(objID uint64, idx int64) []byte {
 // back. Objects go by ascending ID and pages by ascending index, so one
 // chain always encodes to the same bytes, and pages the chain holds by
 // name (a lazily restored group's, in a store) are read there
-// (encodeDelta). The frames it reads hold a reference from pm, the
+// (EncodeLiteral). The frames it reads hold a reference from pm, the
 // allocator they came from, until it returns, so a flush that releases
 // the chain meanwhile cannot take them. A chain that reaches a released
 // image is ErrNoImage: the bytes would not be the whole state.
@@ -513,63 +504,100 @@ func (img *Image) Encode(pm *vm.PhysMem) ([]byte, error) {
 	defer st.unpin()
 	full := &Image{Group: img.Group, Epoch: img.Epoch, Gen: img.Gen, Name: img.Name, Full: true,
 		Meta: st.meta, Memory: st.objs, Roots: img.Roots}
-	pages, _, err := full.pageOrder()
-	if err != nil {
-		return nil, err
-	}
-	return full.encodeDelta(pages, make([]byte, len(pages)), nil)
+	return full.EncodeLiteral(nil, nil)
 }
 
-// namedIn reports whether any of objs holds pages by name in a store.
-func namedIn(objs map[uint64]*MemImage) bool {
-	for _, mi := range objs {
-		if src := mi.Inherit; src != nil && src.sb != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// readNamed returns objs with the pages each holds by name in a store
-// that want picks (nil: all of them) read into its run, each as a demand
-// fault reads it, on lane (nil: a lane of the store's clock): objs itself
-// when none holds a page by name, else a map of its own in which each
-// such object is a copy whose source holds bytes only. A rollback reads
-// its state so before it kills the incarnation it replaces (a store it
-// cannot read fails it with the group still running), and an encoder
-// the pages it writes literal.
-func readNamed(objs map[uint64]*MemImage, lane *storage.Clock, want func(id uint64, idx int64) bool) (map[uint64]*MemImage, error) {
-	if !namedIn(objs) {
-		return objs, nil
-	}
-	out := maps.Clone(objs)
-	for _, id := range objectOrder(objs) {
-		mi := objs[id]
-		src := mi.Inherit
-		if src == nil || src.sb == nil {
+// namedPages lists the pages objs holds by name in a store, in wire
+// order, each with the content hash the store's index has for it (none:
+// nil, and nothing allocated).
+func namedPages(objs map[uint64]*MemImage) ([]PageHash, error) {
+	var named []PageHash
+	for id, mi := range objs {
+		if mi.Inherit == nil || mi.Inherit.sb == nil {
 			continue
 		}
-		run, err := src.pages()
+		run, err := mi.Inherit.pages()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: object %d: %w", id, err)
+		}
+		for _, p := range run {
+			if _, framed := vm.SearchRun(mi.Pages, p.Idx, pageIdx); p.Data == nil && !framed {
+				named = append(named, PageHash{ObjID: id, Idx: p.Idx, Hash: p.Hash})
+			}
+		}
+	}
+	sortPages(named)
+	return named, nil
+}
+
+// readNamed is the one reader of pages held by name outside a demand
+// fault, and reads them as one does (retry, failover, read-repair): of
+// the pages named lists (namedPages of objs), each that want picks (nil:
+// all) and whose content got lacks goes into got, once, in wire order,
+// the reads from one store overlapped as one batch on lane (nil: a lane
+// of that store's clock). A page that cannot be read is left out; the
+// first such failure is the error, returned once the rest is read.
+func readNamed(objs map[uint64]*MemImage, named []PageHash, want []bool, lane *storage.Clock, got NamedBytes) error {
+	var first error
+	for lo := 0; lo < len(named); {
+		sb, hi := objs[named[lo].ObjID].Inherit.sb, lo+1
+		for hi < len(named) && objs[named[hi].ObjID].Inherit.sb == sb {
+			hi++
 		}
 		l := lane
 		if l == nil {
-			l = src.sb.clock.Lane()
+			l = sb.clock.Lane()
 		}
-		store := src.sb.store.WithClock(l)
-		for i := range run {
-			p := &run[i]
-			if _, framed := vm.SearchRun(mi.Pages, p.Idx, pageIdx); p.Data != nil || framed || want != nil && !want(id, p.Idx) {
-				continue
+		store := sb.store.WithClock(l)
+		store.Overlapped(func() error {
+			for i := lo; i < hi; i++ {
+				p, src := &named[i], objs[named[i].ObjID].Inherit
+				if want != nil && !want[i] || got[p.Hash] != nil {
+					continue
+				}
+				ref, ok, err := src.locate(p.Idx)
+				if err == nil && !ok {
+					err = fmt.Errorf("%w: page %d is not in %s at epoch %d", ErrBackendDown, p.Idx, sb.Name(), src.pinEpoch)
+				}
+				data := make([]byte, vm.PageSize)
+				if err == nil {
+					err = src.read(store, p.Idx, ref, data)
+				}
+				if err != nil {
+					first = cmp.Or(first, fmt.Errorf("core: object %d: %w", p.ObjID, err))
+				} else {
+					got[p.Hash] = data
+				}
 			}
-			p.Data = make([]byte, vm.PageSize)
-			if err := src.fetch(store, p.Idx, p.Data); err != nil {
-				return nil, fmt.Errorf("core: object %d: %w", id, err)
-			}
+			return nil
+		})
+		lo = hi
+	}
+	return first
+}
+
+// readAll returns objs with every page each holds by name read into its
+// run: objs itself when there is none, else a map of its own in which
+// each such object is a copy whose source holds bytes only. A rollback
+// reads its state so before it kills the incarnation it replaces: a
+// store it cannot read fails it with the group still running.
+func readAll(objs map[uint64]*MemImage) (map[uint64]*MemImage, error) {
+	named, err := namedPages(objs)
+	if err != nil || named == nil {
+		return objs, err
+	}
+	got := make(NamedBytes, len(named))
+	if err := readNamed(objs, named, nil, nil, got); err != nil {
+		return nil, err
+	}
+	out := maps.Clone(objs)
+	for lo := 0; lo < len(named); {
+		id, read := named[lo].ObjID, []objstore.PageBytes(nil)
+		for ; lo < len(named) && named[lo].ObjID == id; lo++ {
+			read = append(read, objstore.PageBytes{Idx: named[lo].Idx, Data: got[named[lo].Hash]})
 		}
-		c := *mi
-		c.Inherit = &lazyPageSource{bytes: slices.DeleteFunc(run, func(p objstore.PageBytes) bool { return p.Data == nil })}
+		c := *objs[id]
+		c.Inherit = &lazyPageSource{bytes: vm.FoldRun(read, c.Inherit.run(), bytesIdx, true, nil)}
 		out[id] = &c
 	}
 	return out, nil
@@ -901,22 +929,43 @@ func (img *Image) BytesHashed() int64 { return img.hashedBytes.Load() }
 func (img *Image) PagesPatched() int64 { return img.patched }
 
 // EncodeDelta serializes only this image's own records (not the
-// chain), every page literal: the unit of continuous replication, and the
-// resend a receiver's need draws. The receiver links deltas onto its copy
-// of the chain. It writes the one image layout — what EncodeDeltaCompact
-// writes when nothing is skipped, byte for byte — without hashing a page.
-// Objects and pages are written in ascending (ObjID, page index), so
-// encoding an image twice gives the same bytes. A page the image holds
-// by name is read here (encodeDelta); when one cannot be there is no
-// layout to write, and EncodeDelta returns nil (EncodeDeltaLink says
-// why).
+// chain), every page literal: the unit of continuous replication. The
+// receiver links deltas onto its copy of the chain. It writes the one
+// image layout — what EncodeDeltaCompact writes when nothing is skipped,
+// byte for byte — without hashing a page. Objects and pages are written
+// in ascending (ObjID, page index), so encoding an image twice gives the
+// same bytes. A page the image holds by name is read (EncodeLiteral);
+// when one cannot be there is no layout to write, and EncodeDelta
+// returns nil.
 func (img *Image) EncodeDelta() []byte {
-	pages, _, err := img.pageOrder()
-	if err != nil {
-		return nil
-	}
-	payload, _ := img.encodeDelta(pages, make([]byte, len(pages)), nil)
+	payload, _ := img.EncodeLiteral(nil, nil)
 	return payload
+}
+
+// EncodeLiteral is EncodeDelta given the bytes a flush read of the
+// pages the image holds by name (named, which it does not modify; nil:
+// none): the rest of them are read on lane (nil: a lane of the store's
+// clock) by the flush's read plan (readNamed), and a failed read is the
+// error. A replica link's need-resend writes it on its own lane: the one
+// read of a page held by name that a flush leaves to a destination.
+func (img *Image) EncodeLiteral(named NamedBytes, lane *storage.Clock) ([]byte, error) {
+	pages, _, err := img.pageOrder()
+	var list []PageHash
+	if err == nil {
+		list, err = namedPages(img.Memory)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if list != nil {
+		got := make(NamedBytes, len(list))
+		maps.Copy(got, named)
+		if err := readNamed(img.Memory, list, nil, lane, got); err != nil {
+			return nil, fmt.Errorf("core: epoch %d of group %d: %w", img.Epoch, img.Group, err)
+		}
+		named = got
+	}
+	return img.encodeDelta(pages, make([]byte, len(pages)), named), nil
 }
 
 // Page tags, the one image layout's: a page entry carries the literal
@@ -938,8 +987,9 @@ const (
 // not to be modified), and how many pages were elided. The claim is an
 // optimization, never a correctness input: a receiver missing a
 // referenced block answers with a resend request for the full delta.
-// The payload is nil when a page held by name cannot be read
-// (EncodeDeltaLink says why).
+// A page the image holds by name goes by its hash (EncodeDeltaLink).
+// The payload is nil when the store the image holds pages in by name
+// cannot list them.
 func (img *Image) EncodeDeltaCompact(skip func(objstore.Hash) bool) (payload []byte, pages []PageHash, skipped int) {
 	payload, pages, skipped, _, _ = img.EncodeDeltaLink(skip, 0, nil)
 	return payload, pages, skipped
@@ -956,9 +1006,11 @@ func (img *Image) EncodeDeltaCompact(skip func(objstore.Hash) bool) (payload []b
 // or a result that does not match draws the same resend request as a
 // missing ref, so neither the line masks nor the sender's idea of what
 // the receiver holds is ever a correctness input. A page the image holds
-// by name in a store goes by its hash where skip claims it, and is read
-// on lane (encodeDelta) only to go literal; a failed read is the error.
-func (img *Image) EncodeDeltaLink(skip func(objstore.Hash) bool, acked uint64, lane *storage.Clock) (payload []byte, pages []PageHash, skipped, lined int, err error) {
+// by name in a store goes literal with the bytes a flush read for it
+// (named), and by its hash where skip claims it or named has none: it
+// reads nothing. The error is the one PageHashes met listing the pages
+// held by name.
+func (img *Image) EncodeDeltaLink(skip func(objstore.Hash) bool, acked uint64, named NamedBytes) (payload []byte, pages []PageHash, skipped, lined int, err error) {
 	if pages, _, err = img.pageHashes(); err != nil {
 		return nil, nil, 0, 0, err
 	}
@@ -966,8 +1018,8 @@ func (img *Image) EncodeDeltaLink(skip func(objstore.Hash) bool, acked uint64, l
 	lines := !img.Full && acked != 0 && acked+1 == img.Epoch
 	c := cursor{mem: img.Memory}
 	for i := range pages {
-		switch _, f, _ := c.at(&pages[i]); {
-		case skip != nil && skip(pages[i].Hash):
+		switch _, f, data := c.at(&pages[i]); {
+		case skip != nil && skip(pages[i].Hash), data == nil && named[pages[i].Hash] == nil:
 			tags[i] = deltaPageRef
 			skipped++
 		case lines && f != nil && f.PartlyWritten():
@@ -975,8 +1027,7 @@ func (img *Image) EncodeDeltaLink(skip func(objstore.Hash) bool, acked uint64, l
 			lined++
 		}
 	}
-	payload, err = img.encodeDelta(pages, tags, lane)
-	return payload, pages, skipped, lined, err
+	return img.encodeDelta(pages, tags, named), pages, skipped, lined, nil
 }
 
 // deltaSink is what the delta layout is written to: a codec.Sizer to
@@ -995,17 +1046,10 @@ type deltaSink interface {
 
 // encodeDelta writes the image layout into a buffer of exactly its
 // size. pages is the image's pages in wire order, and page i goes as the
-// entry tags[i] names; a literal page the image holds by name is read
-// first (readNamed), on lane.
-func (img *Image) encodeDelta(pages []PageHash, tags []byte, lane *storage.Clock) ([]byte, error) {
-	mem, err := readNamed(img.Memory, lane, func(id uint64, idx int64) bool {
-		i, _ := findPage(pages, id, idx)
-		return tags[i] == deltaPageLiteral
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: epoch %d of group %d: %w", img.Epoch, img.Group, err)
-	}
-	ids := objectOrder(mem)
+// entry tags[i] names; a literal page the image holds by name goes with
+// its bytes in named.
+func (img *Image) encodeDelta(pages []PageHash, tags []byte, named NamedBytes) []byte {
+	ids := objectOrder(img.Memory)
 
 	write := func(w deltaSink) {
 		w.U64(img.Group)
@@ -1020,9 +1064,9 @@ func (img *Image) encodeDelta(pages []PageHash, tags []byte, lane *storage.Clock
 			w.Bytes2(m.Data)
 		}
 		w.U64(uint64(len(ids)))
-		next, c := 0, cursor{mem: mem}
+		next, c := 0, cursor{mem: img.Memory}
 		for _, id := range ids {
-			mi := mem[id]
+			mi := img.Memory[id]
 			w.U64(id)
 			w.Str(mi.Name)
 			w.I64(mi.Size)
@@ -1048,7 +1092,10 @@ func (img *Image) encodeDelta(pages []PageHash, tags []byte, lane *storage.Clock
 						w.Raw(data[off : off+vm.LineSize])
 					}
 					w.Bytes2(p.Hash[:])
-				default:
+				case deltaPageLiteral:
+					if data == nil {
+						data = named[p.Hash]
+					}
 					w.Bytes2(data)
 				}
 			}
@@ -1065,7 +1112,7 @@ func (img *Image) encodeDelta(pages []PageHash, tags []byte, lane *storage.Clock
 	e := codec.NewEncoder()
 	e.Grow(size.Len())
 	write(e)
-	return e.Bytes(), nil
+	return e.Bytes()
 }
 
 // decodeObjects parses the metadata and the objects, with their pages

@@ -251,7 +251,7 @@ func (m *Migrator) backfillDst(phase MigrationPhase) error {
 			return m.fail(phase, err)
 		}
 		if err := m.attempt(phase, m.Dst.K.Clock, false, func() error {
-			_, ferr := m.DstStore.Flush(img)
+			_, ferr := m.DstStore.Flush(img, nil)
 			return ferr
 		}); err != nil {
 			return err

@@ -150,7 +150,7 @@ func TestResumedHashCheckedWholeUnderRace(t *testing.T) {
 	}
 	refused := func() (refused bool) {
 		defer func() { refused = recover() != nil }()
-		r.store.WithLane(r.clock.Lane()).Flush(img)
+		r.store.WithLane(r.clock.Lane()).Flush(img, nil)
 		return false
 	}()
 	if refused != raceEnabled {

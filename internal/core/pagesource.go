@@ -166,20 +166,6 @@ func (s *lazyPageSource) pages() ([]objstore.PageBytes, error) {
 	return vm.FoldRun(named, s.bytes, bytesIdx, false, nil), nil
 }
 
-// fetch reads page idx, which s holds by name, into dst through store (a
-// view of s's store on the reader's lane), as a demand fault reads it:
-// for a caller that needs the bytes of a page it otherwise names by hash.
-func (s *lazyPageSource) fetch(store *objstore.Store, idx int64, dst []byte) error {
-	ref, ok, err := s.locate(idx)
-	if err == nil && !ok {
-		err = fmt.Errorf("%w: page %d is not in %s at epoch %d", ErrBackendDown, idx, s.sb.Name(), s.pinEpoch)
-	}
-	if err != nil {
-		return err
-	}
-	return s.read(store, idx, ref, dst)
-}
-
 // bind attaches the source to the restored group so read faults drive
 // the group's backend-health ladder and stats.
 func (s *lazyPageSource) bind(g *Group) {

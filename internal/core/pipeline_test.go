@@ -82,7 +82,7 @@ func (b *gateBackend) hasFlushed(epoch uint64) bool {
 func (b *gateBackend) Name() string    { return "gate" }
 func (b *gateBackend) Ephemeral() bool { return false }
 
-func (b *gateBackend) Flush(img *Image) (time.Duration, error) {
+func (b *gateBackend) Flush(img *Image, _ NamedBytes) (time.Duration, error) {
 	b.mu.Lock()
 	gate := b.gates[img.Epoch]
 	entered := b.entered[img.Epoch]
@@ -126,7 +126,7 @@ func (b *flakyBackend) tries() int {
 func (b *flakyBackend) Name() string    { return "flaky" }
 func (b *flakyBackend) Ephemeral() bool { return false }
 
-func (b *flakyBackend) Flush(img *Image) (time.Duration, error) {
+func (b *flakyBackend) Flush(img *Image, _ NamedBytes) (time.Duration, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.attempts++

@@ -163,7 +163,7 @@ func (o *Orchestrator) PromoteQuorum(srcs []ReplicaSource, lineage uint64, prima
 			return nil, fmt.Errorf("core: promoting lineage %d: reading epoch %d: %w", lineage, ep, err)
 		}
 		if primary != nil {
-			if _, err := primary.Flush(img); err != nil {
+			if _, err := primary.Flush(img, nil); err != nil {
 				return nil, fmt.Errorf("core: promoting lineage %d: backfilling epoch %d: %w", lineage, ep, err)
 			}
 			backfilled++

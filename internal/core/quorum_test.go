@@ -18,7 +18,7 @@ type latencyBackend struct {
 
 func (b *latencyBackend) Name() string    { return "slow" }
 func (b *latencyBackend) Ephemeral() bool { return false }
-func (b *latencyBackend) Flush(img *Image) (time.Duration, error) {
+func (b *latencyBackend) Flush(img *Image, _ NamedBytes) (time.Duration, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.lat, b.err

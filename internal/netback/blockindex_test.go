@@ -196,7 +196,7 @@ func TestReceiverHashesOnlyArrivingLiterals(t *testing.T) {
 		src := vm.NewPhysMem(0)
 		l := newReplicaLink(t, 1)
 		full := pageImage(t, src, 1, true, pages(0, initial, 1))
-		if _, err := l.rb.Flush(full); err != nil {
+		if _, err := l.rb.Flush(full, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := l.recv.BlockStats(); got.Hashed != initial || got.Resolved != 0 || got.Entries != initial {
@@ -209,7 +209,7 @@ func TestReceiverHashesOnlyArrivingLiterals(t *testing.T) {
 				fill[int64(1<<20+i)] = uint32(1 + (k+i)%initial)
 			}
 			img := pageImage(t, src, uint64(2+k), false, fill)
-			if _, err := l.rb.Flush(img); err != nil {
+			if _, err := l.rb.Flush(img, nil); err != nil {
 				t.Fatal(err)
 			}
 			want := BlockStats{Hashed: int64(initial + (k+1)*L), Resolved: int64((k + 1) * R), Entries: initial + (k+1)*L}
@@ -237,7 +237,7 @@ func TestFlushToThreeLinksHashesOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := l.rb.Flush(img); err != nil {
+			if _, err := l.rb.Flush(img, nil); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -281,12 +281,12 @@ func TestDuplicatedAcksScriptedPeer(t *testing.T) {
 	}
 	// Flush epoch 1: the duplicate hello ack arrives first and must be
 	// skipped; then the real ack, leaving its duplicate queued.
-	if _, err := rb.Flush(&core.Image{Group: 1, Epoch: 1, Gen: 1}); err != nil {
+	if _, err := rb.Flush(&core.Image{Group: 1, Epoch: 1, Gen: 1}, nil); err != nil {
 		t.Fatalf("flush 1: %v", err)
 	}
 	// Flush epoch 2: the stale duplicated ack(1) arrives first and
 	// must not satisfy the wait for ack(2).
-	if _, err := rb.Flush(&core.Image{Group: 1, Epoch: 2, Gen: 1}); err != nil {
+	if _, err := rb.Flush(&core.Image{Group: 1, Epoch: 2, Gen: 1}, nil); err != nil {
 		t.Fatalf("flush 2: %v", err)
 	}
 	if ep != 2 || rb.AckedFloor(1) != 2 {
@@ -306,7 +306,7 @@ func TestReplicaFencedFlush(t *testing.T) {
 	// A promotion elsewhere raised the fence to generation 5: this
 	// sender's generation-1 deltas are rejected, not acked.
 	recv.AdoptFence(g.ID, 5)
-	_, err := rb.Flush(&core.Image{Group: g.ID, Epoch: 1, Gen: 1})
+	_, err := rb.Flush(&core.Image{Group: g.ID, Epoch: 1, Gen: 1}, nil)
 	if !errors.Is(err, core.ErrStaleGeneration) {
 		t.Fatalf("fenced flush err = %v, want ErrStaleGeneration", err)
 	}
@@ -319,7 +319,7 @@ func TestReplicaFencedFlush(t *testing.T) {
 	}
 	// The connection survives a fencing rejection: a new-generation
 	// delta passes.
-	if _, err := rb.Flush(&core.Image{Group: g.ID, Epoch: 1, Gen: 5}); err != nil {
+	if _, err := rb.Flush(&core.Image{Group: g.ID, Epoch: 1, Gen: 5}, nil); err != nil {
 		t.Fatalf("new-generation flush after fence: %v", err)
 	}
 	if recv.FenceGen(g.ID) != 5 {

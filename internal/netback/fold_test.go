@@ -82,7 +82,7 @@ func TestReceiverFoldBounded(t *testing.T) {
 		if e > 1 {
 			img = nextEpoch(t, src, rng, live, e, dirty)
 		}
-		if _, err := rb.Flush(img); err != nil {
+		if _, err := rb.Flush(img, nil); err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
 		if e != 50 && e != 500 {

@@ -228,7 +228,7 @@ func FuzzReplicaSender(f *testing.F) {
 			sent := rb.Floor()
 			for _, img := range imgs {
 				known := len(rb.core.held)
-				_, err := rb.Flush(img)
+				_, err := rb.Flush(img, nil)
 				typed("flush", err)
 				if err != nil && len(rb.core.held) > known {
 					t.Fatalf("failed flush of epoch %d grew the mirror %d -> %d hashes", img.Epoch, known, len(rb.core.held))

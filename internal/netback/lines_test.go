@@ -319,7 +319,7 @@ func TestForgedLineEntryDrawsNeed(t *testing.T) {
 	e2 := rewrite(t, src, e1, 2, true)
 	e3 := rewrite(t, src, e2, 3, false)
 	for _, img := range []*core.Image{e1, e2} {
-		if _, err := rb.Flush(img); err != nil {
+		if _, err := rb.Flush(img, nil); err != nil {
 			t.Fatal(err)
 		}
 		heldAsSent(t, recv, img)
@@ -328,7 +328,7 @@ func TestForgedLineEntryDrawsNeed(t *testing.T) {
 		t.Fatalf("forged epoch: %d resends, %d needs, %d pages sent as lines, %d patched; want 1, 1, 0, 0",
 			resends, recv.NeedsSent(), rb.LinesSent(), recv.BlockStats().Patched)
 	}
-	if _, err := rb.Flush(e3); err != nil {
+	if _, err := rb.Flush(e3, nil); err != nil {
 		t.Fatal(err)
 	}
 	heldAsSent(t, recv, e3)
@@ -350,7 +350,7 @@ func TestSentBytesCountsUnackedFrames(t *testing.T) {
 	e1 := pageImage(t, src, 1, true, pages(0, 4, 1))
 	e2 := pageImage(t, src, 2, false, pages(0, 4, 1))
 	e3 := pageImage(t, src, 3, false, pages(0, 4, 50))
-	if _, err := rb.Flush(e1); err != nil { // reply 2: its ack
+	if _, err := rb.Flush(e1, nil); err != nil { // reply 2: its ack
 		t.Fatal(err)
 	}
 	want, _, _ := e1.EncodeDeltaCompact(nil)
@@ -361,7 +361,7 @@ func TestSentBytesCountsUnackedFrames(t *testing.T) {
 	// is lost.
 	w.Restart(NewReceiver(vm.NewPhysMem(0), nil))
 	w.Link().DropFrames(BtoA, 4, 4)
-	if _, err := rb.Flush(e2); !errors.Is(err, ErrDisconnected) {
+	if _, err := rb.Flush(e2, nil); !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("flush with its ack lost: err = %v, want ErrDisconnected", err)
 	}
 	refs, _, _ := e2.EncodeDeltaCompact(func(objstore.Hash) bool { return true })
@@ -375,7 +375,7 @@ func TestSentBytesCountsUnackedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Link().DropFrames(BtoA, 6, 6)
-	if _, err := rb.Flush(e3); !errors.Is(err, ErrDisconnected) {
+	if _, err := rb.Flush(e3, nil); !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("flush with its ack lost: err = %v, want ErrDisconnected", err)
 	}
 	literal, _, _ := e3.EncodeDeltaCompact(nil)

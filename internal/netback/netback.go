@@ -153,13 +153,6 @@ func NewReceiver(pm *vm.PhysMem, clock *storage.Clock) *Receiver {
 	}
 }
 
-// ReceivedBytes reports bytes taken off the wire.
-func (r *Receiver) ReceivedBytes() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.recvd
-}
-
 // hold enters an arriving image's pages into the block index. A page
 // whose content the chains already hold gives up its own frame for the
 // held one, so each distinct content is resident once. Callers hold mu

@@ -555,11 +555,27 @@ func (rb *ReplicaBackend) WithLane(lane *storage.Clock) core.Backend {
 	return &ReplicaBackend{core: rb.core, clock: lane}
 }
 
+// Hold implements core.Holder: the link lacks what its mirror does not
+// say the receiver holds, for an epoch it will send. It takes no hold:
+// the mirror changes only on this link's acks and resets.
+func (rb *ReplicaBackend) Hold(img *core.Image, hashes []objstore.Hash) ([]bool, func()) {
+	rc := rb.core
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	lacks := make([]bool, len(hashes))
+	for i, h := range hashes {
+		lacks[i] = img.Epoch > rc.floor && rc.conn != nil && !rc.knows(h)
+	}
+	return lacks, func() {}
+}
+
 // Flush implements core.Backend: send the delta, wait for the
 // matching ack. Epochs at or below the handshake floor are already on
 // the replica and are skipped, though the mirror learns them. When the
 // link's acked frontier is the epoch before this one, partly written
-// pages go as their written lines (core.Image.EncodeDeltaLink). Stale
+// pages go as their written lines (core.Image.EncodeDeltaLink), and
+// pages the image holds by name go literal with the bytes the flush read
+// for them (named). Stale
 // replies are skipped while waiting (await), and an ack for an earlier
 // epoch is stale: skipping it rather than trusting it is what keeps a
 // duplicated ack from ever advancing past the deltas actually received. A need for this epoch resends it
@@ -568,7 +584,7 @@ func (rb *ReplicaBackend) WithLane(lane *storage.Clock) core.Backend {
 // core.ErrStaleGeneration without dropping the connection. Any
 // transport failure drops the connection and returns an error
 // wrapping ErrDisconnected.
-func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
+func (rb *ReplicaBackend) Flush(img *core.Image, named core.NamedBytes) (time.Duration, error) {
 	rc := rb.core
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -583,13 +599,11 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 	if rc.conn == nil {
 		return 0, fmt.Errorf("%w: epoch %d not sent", ErrDisconnected, img.Epoch)
 	}
-	// Pages the image holds by name in a store are read on this flush's
-	// lane where they go literal, and their time is the flush's.
 	var start time.Duration
 	if rb.clock != nil {
 		start = rb.clock.Now()
 	}
-	payload, pages, skipped, lined, err := img.EncodeDeltaLink(rc.knows, rb.AckedFloor(img.Group), rb.clock)
+	payload, pages, skipped, lined, err := img.EncodeDeltaLink(rc.knows, rb.AckedFloor(img.Group), named)
 	if err != nil {
 		return 0, err
 	}
@@ -612,11 +626,13 @@ func (rb *ReplicaBackend) Flush(img *core.Image) (time.Duration, error) {
 			}
 			// The receiver is missing pages we elided: our mirror is
 			// stale (it restarted empty). Reset it and resend the epoch
-			// in the same frame, every page literal.
+			// in the same frame, every page literal: what the image
+			// holds by name and the flush did not read is read here, on
+			// this link's lane.
 			rc.forget(img.Group)
 			rc.needResends++
 			resent = true
-			full, _, _, _, err := img.EncodeDeltaLink(nil, 0, rb.clock)
+			full, err := img.EncodeLiteral(named, rb.clock)
 			if err != nil {
 				return false, err
 			}

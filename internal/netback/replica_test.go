@@ -198,7 +198,7 @@ func TestReplicaFloorSkipsAckedEpochs(t *testing.T) {
 	if floor != 1 {
 		t.Fatalf("floor = %d, want 1", floor)
 	}
-	if d, err := rb.Flush(g.LastImage()); err != nil || d != 0 {
+	if d, err := rb.Flush(g.LastImage(), nil); err != nil || d != 0 {
 		t.Fatalf("re-flush below floor: d=%v err=%v", d, err)
 	}
 	if rb.SentBytes() != sent {
@@ -225,7 +225,7 @@ func TestReplicaHandshakeValidation(t *testing.T) {
 		t.Fatalf("bad handshake err = %v, want ErrBadFrame", err)
 	}
 	rb.Disconnect()
-	if _, err := rb.Flush(&core.Image{Group: 1, Epoch: 9}); !errors.Is(err, ErrDisconnected) {
+	if _, err := rb.Flush(&core.Image{Group: 1, Epoch: 9}, nil); !errors.Is(err, ErrDisconnected) {
 		t.Fatalf("flush on dead replica err = %v", err)
 	}
 }

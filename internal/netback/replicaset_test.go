@@ -296,7 +296,7 @@ func TestCompactDeltaSkipAndNeedResend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rb.Flush(img); err != nil {
+		if _, err := rb.Flush(img, nil); err != nil {
 			t.Fatalf("replaying epoch %d: %v", epoch, err)
 		}
 	}

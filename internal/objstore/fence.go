@@ -110,28 +110,6 @@ func (s *Store) CheckGen(lineage, gen uint64) error {
 	return nil
 }
 
-// PrimaryLineages lists the lineages this store claims the primary
-// role for (the chaos harness's exactly-one-primary invariant).
-func (s *Store) PrimaryLineages() []uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []uint64
-	for l, fe := range s.fences {
-		if fe.primary {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// FenceHighWater returns the highest fencing generation across all
-// lineages — the value published in the superblock header.
-func (s *Store) FenceHighWater() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fenceHighLocked()
-}
-
 func (s *Store) fenceHighLocked() uint64 {
 	var hi uint64
 	for _, fe := range s.fences {

@@ -40,7 +40,6 @@ func (hp *hashedPages) Len() int { return len(hp.idxs) }
 func (hp *hashedPages) Page(i int) (int64, []byte, Hash) {
 	return hp.idxs[i], hp.data[i], hp.sums[i]
 }
-func (hp *hashedPages) Fetch(i int) ([]byte, error) { return hp.data[i], nil }
 func (hp *hashedPages) Lines(i int) uint64 {
 	if m, ok := hp.masks[hp.idxs[i]]; ok {
 		return m
@@ -66,7 +65,8 @@ func distinctPages(n int, tag byte) map[int64][]byte {
 // the same put outside a window costs them one at a time; on the root
 // handle the device has billed its own clock and the window adds
 // nothing; the store computes no hash for pages that come with one; and
-// a page given by hash alone costs nothing where the store holds it.
+// a page given by hash alone costs nothing where the store holds it
+// and is a dangling reference where it does not.
 func TestOverlappedChargesBatch(t *testing.T) {
 	const n = 200
 	clock := storage.NewClock()
@@ -131,8 +131,8 @@ func TestOverlappedChargesBatch(t *testing.T) {
 	}
 
 	// Pages given by hash alone: those the store holds cost the lane
-	// neither a hash nor device time and are never fetched; one it lacks
-	// is fetched, once, and written.
+	// neither a hash nor device time; one it lacks is a dangling
+	// reference, and the put leaves the store as it found it.
 	held := &byHash{hashedPages: *newHashedPages(distinctPages(n, 2))}
 	start = lane.Now()
 	if err := view.Overlapped(func() error {
@@ -141,36 +141,26 @@ func TestOverlappedChargesBatch(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got := lane.Now() - start; got != metaWrite || held.fetched != 0 {
-		t.Errorf("a put of %d pages the store holds, given by hash, cost the lane %v and fetched %d; want %v and none",
-			n, got, held.fetched, metaWrite)
+	if got := lane.Now() - start; got != metaWrite {
+		t.Errorf("a put of %d pages the store holds, given by hash, cost the lane %v; want %v",
+			n, got, metaWrite)
 	}
+	before := snapshotStore(s)
 	lacking := &byHash{hashedPages: *newHashedPages(distinctPages(1, 7))}
-	start = lane.Now()
-	if _, err := view.PutPages(1, 1, 6, 0, false, meta, lacking, nil); err != nil {
-		t.Fatal(err)
+	if _, err := view.PutPages(1, 1, 6, 0, false, meta, lacking, nil); err == nil {
+		t.Error("a put of a page the store lacks, given by hash, succeeded")
 	}
-	if got := lane.Now() - start; got != write+metaWrite || lacking.fetched != 1 {
-		t.Errorf("a page the store lacks, given by hash, cost the lane %v and was fetched %d times; want %v and once",
-			got, lacking.fetched, write+metaWrite)
+	if d := before.differs(snapshotStore(s)); d != "" {
+		t.Errorf("a put of a dangling reference changed the store: %s", d)
 	}
 }
 
-// byHash gives a hashedPages' pages by hash alone and counts what the
-// store fetches.
-type byHash struct {
-	hashedPages
-	fetched int
-}
+// byHash gives a hashedPages' pages by hash alone.
+type byHash struct{ hashedPages }
 
 func (b *byHash) Page(i int) (int64, []byte, Hash) {
 	idx, _, h := b.hashedPages.Page(i)
 	return idx, nil, h
-}
-
-func (b *byHash) Fetch(i int) ([]byte, error) {
-	b.fetched++
-	return b.hashedPages.Fetch(i)
 }
 
 // asFound is what a failed put must leave untouched.
@@ -438,4 +428,54 @@ func TestPlacementFollowsBatchOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHoldKeepsBlocksUntilThePut: Hold says which contents the store
+// lacks and keeps each block it has alive through a drop of every
+// epoch that references it, so a put that names it by hash afterwards
+// still finds it; its release gives the holds back, and the audit
+// balances at every step.
+func TestHoldKeepsBlocksUntilThePut(t *testing.T) {
+	clock := storage.NewClock()
+	s := Create(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock), clock)
+	audit := func(when string) {
+		t.Helper()
+		if err := s.AuditReachability(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	have := newHashedPages(distinctPages(4, 1))
+	if _, err := s.PutPages(1, 1, 1, 0, true, nil, have, nil); err != nil {
+		t.Fatal(err)
+	}
+	s.PutManifest(&Manifest{Group: 1, Epoch: 1, Records: []RecordKey{{1, 1, 1}}})
+	hashes := append(slices.Clone(have.sums), ContentHash(distinctPages(1, 9)[0]))
+	lacks, release := s.Hold(hashes)
+	if want := []bool{false, false, false, false, true}; !slices.Equal(lacks, want) {
+		t.Fatalf("Hold = %v, want %v", lacks, want)
+	}
+	audit("after Hold")
+	if err := s.DropEpoch(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Blocks; got != 4 {
+		t.Fatalf("dropping the only epoch over held blocks left %d blocks, want 4", got)
+	}
+	audit("after the drop")
+	if _, err := s.PutPages(1, 1, 2, 0, true, nil, &byHash{*have}, nil); err != nil {
+		t.Fatalf("a put by hash of held blocks: %v", err)
+	}
+	s.PutManifest(&Manifest{Group: 1, Epoch: 2, Records: []RecordKey{{1, 1, 2}}})
+	release()
+	audit("after the release")
+	if got := s.Stats().Blocks; got != 4 {
+		t.Fatalf("the release freed blocks the new record references: %d left", got)
+	}
+	if err := s.DropEpoch(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Blocks; got != 0 {
+		t.Fatalf("%d blocks outlived every reference", got)
+	}
+	audit("at the end")
 }

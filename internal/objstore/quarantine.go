@@ -28,14 +28,6 @@ func (s *Store) Quarantine(group, epoch uint64, reason string) {
 	s.mu.Unlock()
 }
 
-// Unquarantine clears a quarantine mark (e.g. after a successful
-// scrub repair re-validated the epoch).
-func (s *Store) Unquarantine(group, epoch uint64) {
-	s.mu.Lock()
-	delete(s.quarantined, manifestID{group, epoch})
-	s.mu.Unlock()
-}
-
 // IsQuarantined reports whether (group, epoch) is quarantined.
 func (s *Store) IsQuarantined(group, epoch uint64) bool {
 	s.mu.Lock()

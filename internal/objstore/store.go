@@ -778,12 +778,41 @@ func (s *Store) sortFreedLocked(mark int) {
 	slices.Sort(s.freeList[mark:])
 }
 
+// Hold reports, for each of hashes, whether the store lacks a block of
+// that content: a put can be given a page it holds by hash alone, and
+// must be given the bytes of one it lacks. Each block it holds keeps a
+// reference in flight (holdLocked) until release, so no reclaim between
+// the question and the put can free it.
+func (s *Store) Hold(hashes []Hash) (lacks []bool, release func()) {
+	lacks = make([]bool, len(hashes))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, h := range hashes {
+		if be, ok := s.blocks[h]; ok {
+			s.holdLocked(be)
+		} else {
+			lacks[i] = true
+		}
+	}
+	return lacks, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		mark := len(s.freeList)
+		for i, h := range hashes {
+			if !lacks[i] {
+				s.unholdLocked(s.blocks[h].ref)
+			}
+		}
+		s.sortFreedLocked(mark)
+	}
+}
+
 // putPage stores page i of a put of rec — page idx, data, whose
 // ContentHash is h — deduplicating by content, and enters it as
 // rec.Pages[i] with its reference held in flight (holdLocked). A page
 // given by hash (nil data) is referenced where the store holds its
-// content, and only where it does not are its bytes read (pages.Fetch).
-func (s *Store) putPage(rec *Record, i int, idx int64, data []byte, h Hash, pages PageSet) error {
+// content; where it does not, it is a dangling reference.
+func (s *Store) putPage(rec *Record, i int, idx int64, data []byte, h Hash) error {
 	if data != nil && len(data) != BlockSize {
 		block := make([]byte, BlockSize)
 		copy(block, data)
@@ -796,12 +825,7 @@ func (s *Store) putPage(rec *Record, i int, idx int64, data []byte, h Hash, page
 	be, dedup := s.blocks[h]
 	if !dedup && data == nil {
 		s.mu.Unlock()
-		var err error
-		if data, err = pages.Fetch(i); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		be, dedup = s.blocks[h]
+		return fmt.Errorf("objstore: dangling block reference at page %d", idx)
 	}
 	if !dedup {
 		if s.dataGrowthLocked() {
@@ -916,9 +940,9 @@ func (s *Store) ReadBlocks(refs []BlockRef) ([][]byte, error) {
 // PageSet is an object's pages handed to a put as one ordered batch:
 // ascending page index, each page with its ContentHash and, when the
 // caller holds them, its bytes. A page given by hash alone (nil data)
-// costs nothing where the store already holds a block of that content;
-// only where it does not does the put ask Fetch for the bytes. The
-// order is the order the put allocates and writes blocks in, so it —
+// costs nothing where the store already holds a block of that content
+// (Hold tells a caller where it does), and fails the put where it does
+// not. The order is the order the put allocates and writes blocks in, so it —
 // not a map iteration — decides block placement. Lines(i) is page i's
 // dirty-line mask: the 64-byte lines in which it differs from the
 // object's page at the previous epoch (vm.AllLines when the caller does
@@ -930,7 +954,6 @@ func (s *Store) ReadBlocks(refs []BlockRef) ([][]byte, error) {
 type PageSet interface {
 	Len() int
 	Page(i int) (idx int64, data []byte, hash Hash)
-	Fetch(i int) ([]byte, error)
 	Lines(i int) uint64
 	Hashed(i int) int
 }
@@ -955,10 +978,6 @@ func (m *mapPages) Page(i int) (int64, []byte, Hash) {
 		return m.idxs[i], data, ContentHash(data)
 	}
 	return m.idxs[i], nil, m.refs[m.idxs[i]].Hash
-}
-
-func (m *mapPages) Fetch(i int) ([]byte, error) {
-	return nil, fmt.Errorf("objstore: dangling block reference at page %d", m.idxs[i])
 }
 
 func (m *mapPages) Lines(int) uint64 { return vm.AllLines }
@@ -1066,7 +1085,7 @@ func (s *Store) PutPages(group, oid, epoch uint64, kind uint16, full bool, meta 
 				if data != nil {
 					s.chargeHash(pages.Hashed(i))
 				}
-				err = s.putPage(rec, i, idx, data, h, pages)
+				err = s.putPage(rec, i, idx, data, h)
 			}
 			if err != nil {
 				unwind()

@@ -137,13 +137,6 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
 	return cs
 }
 
-// ProtectedCount returns the number of currently write-protected pages.
-func (o *Object) ProtectedCount() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return len(o.protected)
-}
-
 // IsProtected reports whether page idx is COW-protected by an
 // in-flight or durable checkpoint.
 func (o *Object) IsProtected(idx int64) bool {
@@ -207,14 +200,6 @@ func (o *Object) CowFault(pm *PhysMem, idx int64, meter *Meter) (*Frame, error) 
 		meter.ChargeCopy(1)
 	}
 	return fresh, nil
-}
-
-// Unprotect clears COW protection without a copy. Used when a
-// checkpoint aborts, and by tests.
-func (o *Object) Unprotect(idx int64) {
-	o.mu.Lock()
-	delete(o.protected, idx)
-	o.mu.Unlock()
 }
 
 // allocPageLocked allocates a zero frame at idx. Caller holds o.mu.

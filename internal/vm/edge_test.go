@@ -170,21 +170,6 @@ func TestSwapSlotReuse(t *testing.T) {
 	}
 }
 
-func TestUnprotectAbortsCheckpointTracking(t *testing.T) {
-	as, pm, meter := testSpace(t)
-	m, _ := as.MapAnon(PageSize, ProtRead|ProtWrite, false, "x")
-	as.Write(m.Start, []byte{1})
-	cs := m.Obj.BeginCheckpoint(1, true)
-	as.ProtectObject(m.Obj, cs.Pages)
-	m.Obj.Unprotect(0)
-	before := meter.CowFaults.Load()
-	as.Write(m.Start, []byte{2}) // no COW: protection was dropped
-	if meter.CowFaults.Load() != before {
-		t.Fatal("write after Unprotect still COW-faulted")
-	}
-	release(pm, cs)
-}
-
 func TestInstallSharedPageReplacesResident(t *testing.T) {
 	pm := NewPhysMem(0)
 	obj := pm.NewObject("x", PageSize)

@@ -350,17 +350,6 @@ func (o *Object) MarkDirty(idx int64, lines uint64) {
 	o.mu.Unlock()
 }
 
-// DirtyPages returns the pages written since the last barrier.
-func (o *Object) DirtyPages() []int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]int64, 0, len(o.dirty))
-	for idx := range o.dirty {
-		out = append(out, idx)
-	}
-	return out
-}
-
 // PageSource supplies pages for lazy restores: a restored object
 // starts empty, with faults pulling pages from the checkpoint image
 // (memory backend) or the object store (disk backend) on demand.

@@ -242,22 +242,6 @@ func (as *AddressSpace) Mappings() []*Mapping {
 	return out
 }
 
-// Protect changes the protection of the mapping starting at start.
-func (as *AddressSpace) Protect(start Addr, prot Prot) error {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	for _, m := range as.maps {
-		if m.Start == start {
-			m.Prot = prot
-			if prot&ProtWrite == 0 {
-				as.readOnlyLocked(m)
-			}
-			return nil
-		}
-	}
-	return ErrNoMapping
-}
-
 // readOnlyLocked clears the writable bit of every cached PTE of m,
 // charging one PTE operation per entry changed. The caller holds as.mu.
 func (as *AddressSpace) readOnlyLocked(m *Mapping) {
@@ -479,21 +463,6 @@ func (as *AddressSpace) InvalidateObjectPage(obj *Object, idx int64) {
 			}
 		}
 	}
-}
-
-// Objects returns the distinct objects mapped by this space.
-func (as *AddressSpace) Objects() []*Object {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	seen := make(map[uint64]bool)
-	var out []*Object
-	for _, m := range as.maps {
-		if !seen[m.Obj.ID] {
-			seen[m.Obj.ID] = true
-			out = append(out, m.Obj)
-		}
-	}
-	return out
 }
 
 // Fork clones the address space with fork semantics: shared mappings
