@@ -91,7 +91,11 @@ faultcheck:
 
 ## recoverycheck: validated self-healing restore under the race detector —
 ## crash-at-every-op harness, epoch quarantine with fallback, lazy-paging
-## failover, supervisor auto-restore, bounded SwapIn retry, CLI exit codes,
+## failover, supervisor auto-restore, CLI exit codes, memory as a cache
+## of the store (a clean page evicted under a frame cap writes nothing and
+## refaults with one store read, a dirty heap fails typed, a store down at
+## refault fails typed; a fork's sides and the epochs they page from
+## survive the pager, and no eviction frees a frame under a copy),
 ## and `sls send`/`recv`: an image file round-trips, also straight after
 ## a lazy restore; the first barrier after a lazy restore reads no page
 ## of its restore source, and its flush reads each page a destination
@@ -115,7 +119,7 @@ faultcheck:
 ## capture left, to the same content hash, whichever way the digest hands
 ## out its state, from a table the group keeps per object it tracks.
 recoverycheck:
-	$(GO) test -race -count=1 -run 'TestRecovery|TestInheritedPagesFlushByHash|TestRetriedDeliveryReadsNothingAgain|TestNeedResendOfAnImageHeldByName|TestFailedPlanReadFailsOnlyWhoLacksThePage|TestHoldKeepsBlocksUntilThePut|TestForkKeepsMctlHints|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestRestoreAttachesWhatAnImageHoldsByName|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestPartlyWrittenPagesResumeTheirHash|TestPageHasherMarshalsWithoutAppendBinary|TestMidstateTablesFollowTrackedObjects' \
+	$(GO) test -race -count=1 -run 'TestRecovery|TestMemoryIsACacheOfTheStore|TestForkedMemorySurvivesThePager|TestEvictedPagesPinTheirEpoch|TestReclaimRacesAccesses|TestInheritedPagesFlushByHash|TestRetriedDeliveryReadsNothingAgain|TestNeedResendOfAnImageHeldByName|TestFailedPlanReadFailsOnlyWhoLacksThePage|TestHoldKeepsBlocksUntilThePut|TestForkKeepsMctlHints|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestRestoreAttachesWhatAnImageHoldsByName|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestPartlyWrittenPagesResumeTheirHash|TestPageHasherMarshalsWithoutAppendBinary|TestMidstateTablesFollowTrackedObjects' \
 		./internal/core/ ./internal/vm/ ./internal/netback/ ./internal/objstore/ ./cmd/sls/
 
 ## chaoscheck: whole-system chaos harness under the race detector —

@@ -342,12 +342,3 @@ func (rt *Runtime) RunInstance(p *kernel.Process, arg uint64) (uint64, error) {
 func (rt *Runtime) Expected(arg uint64) uint64 {
 	return arg*2 + uint64(37) // runtime[0] = 37
 }
-
-// Functions lists deployed function names.
-func (rt *Runtime) Functions() []string {
-	out := make([]string, 0, len(rt.functions))
-	for n := range rt.functions {
-		out = append(out, n)
-	}
-	return out
-}

@@ -24,7 +24,6 @@ type Server struct {
 	partial  map[int][]byte
 	persist  Persistence
 
-	ops     int64 // mutations executed
 	replies int64
 }
 
@@ -83,9 +82,6 @@ func init() {
 		return restoreServer(k, p, state)
 	})
 }
-
-// Ops reports executed mutations.
-func (s *Server) Ops() int64 { return s.ops }
 
 // Step implements kernel.Program: accept new connections, then drain
 // one round of commands from each connection.
@@ -153,7 +149,6 @@ func (s *Server) execute(k *kernel.Kernel, p *kernel.Process, line []byte) ([]by
 		if err := st.Set(fields[1], fields[2]); err != nil {
 			return []byte("-ERR " + err.Error() + "\n"), nil
 		}
-		s.ops++
 		if err := s.persist.OnMutation(k, p, line); err != nil {
 			return nil, err
 		}
@@ -175,7 +170,6 @@ func (s *Server) execute(k *kernel.Kernel, p *kernel.Process, line []byte) ([]by
 			return []byte("-ERR wrong number of arguments\n"), nil
 		}
 		err := st.Del(fields[1])
-		s.ops++
 		if perr := s.persist.OnMutation(k, p, line); perr != nil {
 			return nil, perr
 		}

@@ -26,7 +26,6 @@ type CheckpointBreakdown struct {
 	FlushTime time.Duration
 
 	PagesCaptured int
-	SwapPages     int // read back from swap at the barrier (inherited pages are not)
 	Objects       int
 	MetaBytes     int
 	PTEOps        int64

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"aurora/internal/kernel"
-	"aurora/internal/objstore"
 	"aurora/internal/storage"
 	"aurora/internal/vm"
 )
@@ -105,19 +104,6 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 	dataSW := clock.Watch()
 	pteBefore := o.K.Meter.PTEOps.Load()
 	memory := make(map[uint64]*MemImage, len(objs))
-	// abort gives up a barrier that cannot complete its capture: no
-	// epoch is taken. The objects captured so far have had their dirty
-	// sets cleared, so their frames are given back and the group's next
-	// checkpoint is forced full — it starts from what is resident, not
-	// from dirty sets this barrier consumed.
-	abort := func(err error) (CheckpointBreakdown, error) {
-		(&Image{Memory: memory}).Release(o.K.Mem)
-		g.mu.Lock()
-		g.everFull = false
-		g.mu.Unlock()
-		o.resumeAll(members)
-		return bd, fmt.Errorf("core: checkpoint of group %d at epoch %d: %w", g.ID, epoch, err)
-	}
 	for _, to := range objs {
 		cs := to.obj.BeginCheckpoint(epoch, full)
 		for _, space := range to.spaces {
@@ -134,25 +120,11 @@ func (o *Orchestrator) Checkpoint(g *Group, opts CheckpointOpts) (CheckpointBrea
 			midstates: g.midstatesOf(to.obj.ID),
 		}
 		memory[to.obj.ID] = mi
-		// Pages evicted to swap since the last checkpoint are read inside
-		// the barrier: a slot is not frozen once the group runs again —
-		// Pager.SwapIn frees it, Swap.WritePage reuses it. They go in
-		// front of whatever the object still pages from.
-		var swapped *lazyPageSource
-		if len(cs.SwapPages) > 0 && o.K.Pager != nil {
-			swapped = &lazyPageSource{bytes: make([]objstore.PageBytes, 0, len(cs.SwapPages))}
-			for _, sp := range cs.SwapPages {
-				buf := make([]byte, vm.PageSize)
-				if err := o.K.Pager.SwapRead(sp.Slot, buf); err != nil {
-					return abort(err)
-				}
-				swapped.bytes = append(swapped.bytes, objstore.PageBytes{Idx: sp.Idx, Data: buf})
-			}
-		}
-		inherit, _ := cs.Source.(*lazyPageSource) // a restore attaches no other kind
-		mi.Inherit = inherit.beneath(cs.Pages, swapped)
+		// A page the object does not hold — never faulted in, or evicted
+		// clean — is held by name in the source it pages from.
+		inherit, _ := cs.Source.(*lazyPageSource) // restores and re-points attach no other kind
+		mi.Inherit = inherit.beneath(cs.Pages, nil)
 		bd.PagesCaptured += len(cs.Pages)
-		bd.SwapPages += len(cs.SwapPages)
 	}
 	g.dropMidstates(memory)
 	clock.Advance(costs.ProtectBase)

@@ -46,10 +46,11 @@ type MemImage struct {
 	// COW-share against them without copying.
 	Pages []vm.Page
 	// Inherit holds every page that is not a frame. Pages read back as
-	// bytes — from swap at the barrier, by an eager Load, by a rollback —
-	// are its run, in ascending page index and none of them in Pages; in
-	// front of, optionally, a store's pages at a pinned epoch held by name:
-	// the restore source a full capture found the object still paging from
+	// bytes — by an eager Load, by a rollback — are its run, in ascending
+	// page index and none of them in Pages; in front of, optionally, a
+	// store's pages at a pinned epoch held by name: the page source a
+	// full capture found the object paging from — a restore's, or the view
+	// of an earlier barrier its evicted pages come back from
 	// (vm.CheckpointSet.Source), or a lazily loaded image's
 	// (StoreBackend.LoadLazy). A page held by name is known by the content
 	// hash the store's index has for it, and its bytes are read only by
@@ -208,7 +209,7 @@ func (img *Image) Release(pm *vm.PhysMem) {
 	}
 	img.released = true
 	img.Prev = nil
-	img.mu.Unlock()
+	defer img.mu.Unlock() // a reader under img.mu (pagedFrom) sees all of it or none
 	for _, mi := range img.Memory {
 		for _, p := range mi.Pages {
 			pm.Free(p.Frame)
@@ -853,10 +854,10 @@ func (img *Image) hashPages(pages []PageHash, byName int) ([]uint8, int64) {
 // checks by hashing whole and comparing. It hashes whole when no such
 // midstate is held — that capture was never hashed, or a newer one of
 // the page was hashed first — and so does any other frame: restored,
-// paged in, swapped in, zero-filled, or taken again by a later
-// capture. Every captured frame leaves its midstates for the next
-// capture to resume from; a page that is not a captured frame (swap,
-// decoded) is hashed whole and leaves none, and one held by name is not
+// paged in, zero-filled, or taken again by a later capture. Every
+// captured frame leaves its midstates for the next capture to resume
+// from; a page that is not a captured frame (loaded, decoded) is hashed
+// whole and leaves none, and one held by name is not
 // hashed: its hash came with it. The hash is the page's content hash
 // either way.
 // resumed[i] is set to the step span[i] resumed at, if it did; it may

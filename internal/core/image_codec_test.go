@@ -19,8 +19,8 @@ import (
 
 // codecImage builds an image by hand, so the codec tests need no
 // kernel: three objects (IDs deliberately not ascending in creation
-// order), frame pages at scattered indices, swap-page copies on one
-// object, heat on two, metadata and roots. Page i of object id holds
+// order), frame pages at scattered indices, pages held in bytes on one
+// object (as a Load's are), heat on two, metadata and roots. Page i of object id holds
 // fill(id, i) in every byte, so equal fills are equal contents.
 func codecImage(tb testing.TB, pm *vm.PhysMem, epoch uint64, full bool, pagesPerObj int, fill func(id uint64, i int) byte) *Image {
 	tb.Helper()
@@ -607,8 +607,8 @@ func TestDecodeLineEntries(t *testing.T) {
 // full) and next (epoch 4), which holds every page again with the line
 // masks a barrier would have recorded — page i of an object changed in
 // one byte (i%4 == 0), across a line boundary (1), in every byte (2),
-// or not at all, a COW copy no write changed (3). The swap pages of
-// object 3 change in one byte; held in bytes, they have no mask and are
+// or not at all, a COW copy no write changed (3). The pages object 3
+// holds in bytes change in one byte; held in bytes, they have no mask and are
 // never line entries.
 func lineLineage(tb testing.TB, pm *vm.PhysMem) (prev, next *Image) {
 	prev = codecImage(tb, pm, 3, true, 16, distinctFill)
@@ -646,7 +646,7 @@ func lineLineage(tb testing.TB, pm *vm.PhysMem) (prev, next *Image) {
 // TestDeltaLineEntries: a link whose receiver holds the previous epoch
 // gets each partly written frame as its written lines, which the
 // receiver rebuilds bit-identically from that epoch; no line entry goes
-// to any other link, for a full image, for a swap page or for a page
+// to any other link, for a full image, for a page held in bytes or for a page
 // the receiver is known to hold; and a base that is not the sender's
 // previous epoch, or is missing, draws a need instead of a wrong page.
 func TestDeltaLineEntries(t *testing.T) {
@@ -947,7 +947,7 @@ func BenchmarkEncodeDeltaCompact(b *testing.B) {
 }
 
 // foldObj is one object of a hand-built fold image: the page indices it
-// holds as frames and in bytes (as from swap or a Load), and its heat.
+// holds as frames and in bytes (as from a Load), and its heat.
 type foldObj struct {
 	frames, bytes []int64
 	heat          []vm.PageHeat
@@ -1093,7 +1093,7 @@ func randomChain(t *testing.T, pm *vm.PhysMem, seed uint64) []*Image {
 
 // TestFoldIsTheChainResolved: folding an image into the one built on it
 // leaves the newer image holding exactly the state the two resolved to —
-// pages, swap pages, heat, metadata — with PageHashes that hash what it
+// frames, pages held in bytes, heat, metadata — with PageHashes that hash what it
 // holds, whichever way the page runs move: a small delta patched into a
 // large base, a large delta taking the base in, a delta bringing pages
 // the base lacks, pages held in bytes on either side shadowing frames or

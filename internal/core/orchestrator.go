@@ -89,9 +89,12 @@ type Group struct {
 
 	// restorePeers are out-of-band block providers lazy restores may
 	// fail over to; sources are the demand-paging sources created by
-	// lazy restores of this group (both guarded by mu).
+	// lazy restores of this group and by re-points (Orchestrator.
+	// Repoint), and viewEpoch the epoch of the last re-point (all
+	// guarded by mu).
 	restorePeers []BlockProvider
 	sources      []*lazyPageSource
+	viewEpoch    uint64
 
 	// healthMu guards health (per-backend state machine and cursor) and
 	// quarantined (epochs that failed restore validation). It is never
@@ -129,9 +132,10 @@ func (g *Group) Sheds() (total, emergency int64) {
 // pins lists the (lineage, epoch) pairs of store history this group
 // reads from outside its own flush frontier, which therefore no
 // retention rule may drop while the group lives: the epoch it was
-// restored from (its crash-loop fallback), and the epochs its live
-// demand-paging sources resolve their pages at — a lazy restore finds
-// every page through that epoch's place in the store's history.
+// restored from (its crash-loop fallback), and the epochs its
+// demand-paging sources — a lazy restore's, a re-point's — resolve their
+// pages at: a source finds every page through that epoch's place in the
+// store's history.
 func (g *Group) pins() [][2]uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -140,8 +144,8 @@ func (g *Group) pins() [][2]uint64 {
 		out = append(out, [2]uint64{g.origin, g.originEpoch})
 	}
 	for _, s := range g.sources {
-		if s.pinGroup != 0 || s.pinEpoch != 0 {
-			out = append(out, [2]uint64{s.pinGroup, s.pinEpoch})
+		if pin := s.pin(); pin != ([2]uint64{}) {
+			out = append(out, pin)
 		}
 	}
 	return out

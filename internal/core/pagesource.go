@@ -13,9 +13,10 @@ import (
 	"aurora/internal/vm"
 )
 
-// This file implements fault-tolerant demand paging for lazy restores:
+// This file implements fault-tolerant demand paging for lazy restores
+// and for pages evicted under memory pressure (Orchestrator.Repoint):
 // the read-side twin of the flush pipeline's self-healing (health.go).
-// A lazily restored object pages from its primary store through a
+// Such an object pages from its primary store through a
 // lazyPageSource; a faulted read retries with bounded backoff, fails
 // over to any peer holding the same content hash (a second store, a
 // netback replica), and writes pages served by a peer back onto the
@@ -48,12 +49,11 @@ type RecoveryStats struct {
 	Retries       int64 // extra primary read attempts
 }
 
-// lazyPageSource implements vm.PageSource for a restored object's pages
-// that are not frames: a run of bytes (swap pages, a store Load's), in
-// front of an object store's pages at one epoch, found through its live
-// page view and read with bounded retry, peer failover, and read-repair.
-// An image holds every page that is not a frame in one
-// (MemImage.Inherit).
+// lazyPageSource implements vm.PageSource for an object's pages that are
+// not frames: a run of bytes (a store Load's, a rollback's), in front of
+// an object store's pages at one epoch, found through its live page view
+// and read with bounded retry, peer failover, and read-repair. An image
+// holds every page that is not a frame in one (MemImage.Inherit).
 type lazyPageSource struct {
 	bytes []objstore.PageBytes // in ascending page index; immutable: shared with the images they came from
 
@@ -129,6 +129,124 @@ func (s *lazyPageSource) beneath(frames []vm.Page, top *lazyPageSource) *lazyPag
 
 func bytesIdx(b *objstore.PageBytes) int64 { return b.Idx }
 
+// pin names the store epoch s pages from ({0, 0}: none).
+func (s *lazyPageSource) pin() [2]uint64 {
+	if s == nil || s.sb == nil {
+		return [2]uint64{}
+	}
+	return [2]uint64{s.pinGroup, s.pinEpoch}
+}
+
+// Repoint implements kernel.GroupResolver: memory is full and the clock
+// found no page to evict. Each group whose last barrier a store backend
+// has made durable gets that epoch's view, object by object, so that
+// its clean pages may leave memory.
+func (o *Orchestrator) Repoint() bool {
+	any := false
+	for _, g := range o.Groups() {
+		any = o.repoint(g) || any
+	}
+	return any
+}
+
+// repoint gives each object of g the view of g's last barrier in the
+// first store backend that holds it: the per-object source LoadLazy
+// builds, claimed, bound and pinned through g.sources as a restore's
+// source is. A group with no store backend has no clean pages, and one
+// in a barrier is passed over. The views g pinned before stay pinned
+// while an object, of g or not, or an image g holds, pages from them.
+func (o *Orchestrator) repoint(g *Group) bool {
+	if !g.ckptMu.TryLock() {
+		return false
+	}
+	defer g.ckptMu.Unlock()
+	g.mu.Lock()
+	epoch, peers := g.epoch, slices.Clone(g.restorePeers)
+	fresh := epoch > 0 && epoch <= g.durable && epoch != g.viewEpoch
+	g.mu.Unlock()
+	if !fresh {
+		return false
+	}
+	backends := g.Backends()
+	for _, b := range backends {
+		sb, ok := b.(*StoreBackend)
+		if !ok {
+			continue
+		}
+		img, _, err := sb.LoadLazy(g.ID, epoch)
+		if err != nil {
+			continue
+		}
+		addPeers(img, b, backends, peers)
+		var views []*lazyPageSource
+		for _, to := range o.trackedObjects(o.members(g)) {
+			if mi := img.Memory[to.obj.ID]; mi != nil && mi.Inherit != nil {
+				if src := mi.Inherit.claim(o); to.obj.Repoint(src, epoch) {
+					src.bind(g)
+					views = append(views, src)
+				}
+			}
+		}
+		used := o.pagedFrom(g)
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		g.viewEpoch = epoch
+		anchor := [2]uint64{g.origin, g.originEpoch}
+		g.sources = append(slices.DeleteFunc(g.sources, func(s *lazyPageSource) bool {
+			return !used[s.pin()] && s.pin() != anchor
+		}), views...)
+		return len(views) > 0
+	}
+	return false
+}
+
+// pagedFrom lists the store epochs something still pages from: the
+// sources of the live objects on this machine, and those of the images
+// g holds — its newest and what it builds on, its flush window, and its
+// memory backends' chains.
+func (o *Orchestrator) pagedFrom(g *Group) map[[2]uint64]bool {
+	used := make(map[[2]uint64]bool)
+	note := func(src vm.PageSource) {
+		if s, ok := src.(*lazyPageSource); ok {
+			used[s.pin()] = true
+		}
+	}
+	for _, p := range o.K.Processes() {
+		for _, m := range p.Space.Mappings() {
+			note(m.Obj.Source())
+		}
+	}
+	for _, seg := range o.K.ShmSegments() {
+		note(seg.Obj.Source())
+	}
+	var imgs []*Image
+	for img := g.LastImage(); img != nil; img = img.base() {
+		imgs = append(imgs, img)
+	}
+	if f := g.pipeline(); f != nil {
+		f.mu.Lock()
+		for _, j := range f.queue {
+			imgs = append(imgs, j.img)
+		}
+		f.mu.Unlock()
+	}
+	for _, b := range g.Backends() {
+		if mb, ok := b.(*MemoryBackend); ok {
+			mb.mu.Lock()
+			imgs = append(imgs, mb.images[g.ID]...)
+			mb.mu.Unlock()
+		}
+	}
+	for _, img := range imgs {
+		img.mu.Lock()
+		for _, mi := range img.Memory {
+			note(mi.Inherit)
+		}
+		img.mu.Unlock()
+	}
+	return used
+}
+
 // run returns s's run of bytes (none for a nil s).
 func (s *lazyPageSource) run() []objstore.PageBytes {
 	if s == nil {
@@ -143,6 +261,19 @@ func (s *lazyPageSource) held(idx int64) []byte {
 		return s.bytes[i].Data
 	}
 	return nil
+}
+
+// addPeers backs the demand paging of img, loaded from b, with every
+// other backend that can serve blocks by hash, and with extra.
+func addPeers(img *Image, b Backend, backends []Backend, extra []BlockProvider) {
+	for _, other := range backends {
+		if bp, ok := other.(BlockProvider); ok && other != b {
+			img.AddBlockPeer(bp)
+		}
+	}
+	for _, p := range extra {
+		img.AddBlockPeer(p)
+	}
 }
 
 func (s *lazyPageSource) addPeer(p BlockProvider) {

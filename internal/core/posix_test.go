@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"aurora/internal/kernel"
-	"aurora/internal/storage"
 	"aurora/internal/vm"
 )
 
@@ -110,59 +109,6 @@ func TestShmContentsSurviveFreshKernelRestore(t *testing.T) {
 	p2.ReadMem(addr2, got2)
 	if string(got2) != "cross" {
 		t.Fatalf("restored shm not shared: %q", got2)
-	}
-}
-
-func TestCheckpointUnderMemoryPressureUsesSwap(t *testing.T) {
-	// A bounded-memory machine: pages evicted between checkpoints are
-	// incorporated into the next checkpoint from the swap area.
-	clock := storage.NewClock()
-	k := kernel.NewWith(clock, vm.NewPhysMem(0))
-	k.AttachSwap(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock))
-	o := NewOrchestrator(k)
-	mem := NewMemoryBackend(k.Mem, 4)
-
-	p, _ := k.Spawn(0, "bigapp")
-	p.SetProgram(&counter{addr: p.HeapBase()})
-	payload := make([]byte, 64*vm.PageSize)
-	for i := range payload {
-		payload[i] = byte(i * 7)
-	}
-	p.Sbrk(int64(len(payload)) + vm.PageSize)
-	p.WriteMem(p.HeapBase()+vm.PageSize, payload)
-
-	g, _ := o.Persist("bigapp", p)
-	o.Attach(g, mem)
-	// First checkpoint establishes tracking; dirty the region again,
-	// then evict much of it before the next checkpoint.
-	if _, err := o.Checkpoint(g, CheckpointOpts{}); err != nil {
-		t.Fatal(err)
-	}
-	p.WriteMem(p.HeapBase()+vm.PageSize, payload) // re-dirty all 64
-	if _, err := k.Pager.Reclaim(32); err != nil {
-		t.Fatal(err)
-	}
-	bd, err := o.Checkpoint(g, CheckpointOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bd.SwapPages == 0 {
-		t.Fatal("no pages incorporated from swap")
-	}
-
-	// The restore sees the full, correct data regardless of where
-	// each page came from.
-	ng, _, err := o.Restore(g, 0, RestoreOpts{Lazy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	np, _ := k.Process(ng.PIDs()[0])
-	got := make([]byte, len(payload))
-	if err := np.ReadMem(np.HeapBase()+vm.PageSize, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("swap-incorporated checkpoint corrupted data")
 	}
 }
 

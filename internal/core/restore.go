@@ -475,20 +475,7 @@ func (o *Orchestrator) Restore(g *Group, epoch uint64, opts RestoreOpts) (*Group
 		// Snapshot the source group's quarantine ledger now — epochs
 		// poisoned during this very restore must carry over too.
 		ledger := g.Quarantined()
-		// Peer wiring: every other backend (and registered out-of-band
-		// peer) that can serve blocks by hash backs this image's
-		// demand paging.
-		for _, other := range backends {
-			if other == b {
-				continue
-			}
-			if bp, ok := other.(BlockProvider); ok {
-				img.AddBlockPeer(bp)
-			}
-		}
-		for _, p := range extraPeers {
-			img.AddBlockPeer(p)
-		}
+		addPeers(img, b, backends, extraPeers)
 		ng, bd, err := o.RestoreImage(img, readTime, opts)
 		if err != nil {
 			return nil, bd, err

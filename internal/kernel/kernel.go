@@ -15,8 +15,10 @@
 package kernel
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -121,6 +123,12 @@ type GroupResolver interface {
 	// Released reports whether the given epoch of the group has been
 	// made durable (external consistency can deliver its output).
 	Released(group, epoch uint64) bool
+	// Repoint makes each object of every group whose last barrier a
+	// store has made durable page from that store's view of it, so
+	// that its clean pages may leave memory (vm.Object.Repoint). It
+	// reports whether it re-pointed any object. The kernel asks only
+	// when memory is full and the clock found nothing to evict.
+	Repoint() bool
 }
 
 // Kernel is one simulated machine: clock, memory, devices, process
@@ -130,7 +138,7 @@ type Kernel struct {
 	Costs storage.CostModel
 	Mem   *vm.PhysMem
 	Meter *vm.Meter
-	Pager *vm.Pager
+	pager *vm.Pager
 
 	mu        sync.Mutex
 	oids      uint64
@@ -169,6 +177,7 @@ func NewWith(clock *storage.Clock, mem *vm.PhysMem) *Kernel {
 		conts:    make(map[int]*Container),
 	}
 	k.Meter = vm.NewMeter(clock)
+	k.pager = vm.NewPager(mem, k.Meter)
 	k.contNext = 1
 	// Container 0 is the host.
 	host := &Container{oid: k.NextOID(), ID: 0, Name: "host"}
@@ -177,9 +186,26 @@ func NewWith(clock *storage.Clock, mem *vm.PhysMem) *Kernel {
 	return k
 }
 
-// AttachSwap configures the pager on a swap device.
-func (k *Kernel) AttachSwap(dev storage.Device) {
-	k.Pager = vm.NewPager(k.Mem, vm.NewSwap(dev), k.Meter)
+// Reclaim frees up to target frames for an access that found physical
+// memory full: the clock sweeps the live address spaces and evicts
+// clean pages whose objects page from a store (vm.Pager). When it finds
+// none, the resolver re-points the groups whose last barrier is durable
+// in a store, and the clock sweeps again. It returns the pages evicted;
+// none means memory holds nothing the store would give back.
+func (k *Kernel) Reclaim(target int) int {
+	k.mu.Lock()
+	spaces := make([]*vm.AddressSpace, 0, len(k.procs))
+	for _, p := range k.procs {
+		spaces = append(spaces, p.Space)
+	}
+	r := k.resolver
+	k.mu.Unlock()
+	slices.SortFunc(spaces, func(a, b *vm.AddressSpace) int { return cmp.Compare(a.ID, b.ID) })
+	n := k.pager.Reclaim(spaces, target)
+	if n == 0 && r != nil && r.Repoint() {
+		n = k.pager.Reclaim(spaces, target)
+	}
+	return n
 }
 
 // SetResolver installs the orchestrator's group resolver.

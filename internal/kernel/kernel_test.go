@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -131,13 +130,12 @@ func TestExitReap(t *testing.T) {
 }
 
 // TestReapFreesWhatTheProcessHeld: under process churn that never runs
-// the scheduler, Reap alone must bring the run queue, the frame count
-// and the pager's tables back to where they started — and must leave a
-// forked sibling's view of shared and shadowed memory intact.
+// the scheduler, Reap alone must bring the run queue and the frame
+// count back to where they started — and must leave a forked sibling's
+// view of shared and shadowed memory intact.
 func TestReapFreesWhatTheProcessHeld(t *testing.T) {
 	clock := storage.NewClock()
 	k := NewWith(clock, vm.NewPhysMem(64))
-	k.AttachSwap(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock))
 	keeper, _ := k.Spawn(0, "keeper")
 	keeper.WriteMem(keeper.HeapBase(), []byte("kept"))
 	seg, _ := k.ShmGet(7, vm.PageSize)
@@ -496,6 +494,7 @@ func (r *stubResolver) EpochOf(g uint64) uint64 {
 	return r.epochs[g]
 }
 func (r *stubResolver) Released(g, e uint64) bool { return r.released[[2]uint64{g, e}] }
+func (r *stubResolver) Repoint() bool             { return false }
 
 func TestExternalConsistencyGatesOutput(t *testing.T) {
 	k := New()
@@ -788,150 +787,6 @@ func TestKindString(t *testing.T) {
 	for _, kd := range kinds {
 		if kd.String() == "" {
 			t.Fatalf("kind %d has empty name", kd)
-		}
-	}
-}
-
-func TestSwapIntegrationUnderMemoryPressure(t *testing.T) {
-	clock := storage.NewClock()
-	k := NewWith(clock, vm.NewPhysMem(0))
-	k.AttachSwap(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock))
-	p, _ := k.Spawn(0, "bigapp")
-	p.Sbrk(1 << 20)
-	payload := make([]byte, 1<<20)
-	for i := range payload {
-		payload[i] = byte(i * 31)
-	}
-	if err := p.WriteMem(p.HeapBase(), payload); err != nil {
-		t.Fatal(err)
-	}
-	// Evict half the heap.
-	n, err := k.Pager.Reclaim(128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("nothing reclaimed")
-	}
-	// ReadMem services the swap faults transparently.
-	got := make([]byte, 1<<20)
-	if err := p.ReadMem(p.HeapBase(), got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatal("data corrupted through swap")
-	}
-}
-
-// TestForkedMemorySurvivesThePager: the pager sweeps a forked child's
-// memory as it sweeps its parent's, and neither side of a fork reads a
-// zero or the other's write where its own data was — not after a sweep
-// once the two share their frames, not after a sweep of the copies
-// their writes made, not for pages that were on swap at the fork.
-func TestForkedMemorySurvivesThePager(t *testing.T) {
-	const pages = 64
-	clock := storage.NewClock()
-	k := NewWith(clock, vm.NewPhysMem(0))
-	k.AttachSwap(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock))
-	parent, _ := k.Spawn(0, "parent")
-	heap := func(p *Process, tag byte) []byte {
-		t.Helper()
-		b := make([]byte, pages*vm.PageSize)
-		for i := range b {
-			b[i] = tag ^ byte(i*7+i>>12)
-		}
-		if err := p.WriteMem(p.HeapBase(), b); err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	check := func(when string, p *Process, want []byte) {
-		t.Helper()
-		got := make([]byte, len(want))
-		if err := p.ReadMem(p.HeapBase(), got); err != nil {
-			t.Fatalf("%s: %v", when, err)
-		}
-		wrong := 0
-		for at := 0; at < len(want); at += vm.PageSize {
-			if !bytes.Equal(got[at:at+vm.PageSize], want[at:at+vm.PageSize]) {
-				wrong++
-			}
-		}
-		if wrong > 0 {
-			t.Fatalf("%s: pid %d reads %d of %d heap pages wrong", when, p.PID, wrong, pages)
-		}
-	}
-	reclaim := func(target int) {
-		t.Helper()
-		if _, err := k.Pager.Reclaim(target); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	before := heap(parent, 1)
-	child, err := k.Fork(parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reclaim(pages)
-	check("a sweep after the fork", parent, before)
-	check("a sweep after the fork", child, before)
-
-	childs, parents := heap(child, 2), heap(parent, 3)
-	reclaim(2 * pages)
-	swapped := 0
-	for pg := int64(0); pg < pages; pg++ {
-		if _, ok := child.heap.Obj.SwapSlot(pg); ok {
-			swapped++
-		}
-	}
-	if swapped == 0 {
-		t.Fatal("the pager never swept the child's heap")
-	}
-	check("a sweep of the copies writes made", child, childs)
-	check("a sweep of the copies writes made", parent, parents)
-
-	reclaim(2 * pages)
-	second, err := k.Fork(parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("a fork of a heap on swap", second, parents)
-	check("a fork of a heap on swap", parent, parents)
-}
-
-// TestReapGivesBackSwapSlots: a process reaped with pages on swap gives
-// their slots back, and the next process's eviction reuses them; the
-// swap area does not grow with every process that ever paged out.
-func TestReapGivesBackSwapSlots(t *testing.T) {
-	const pages = 8
-	clock := storage.NewClock()
-	k := NewWith(clock, vm.NewPhysMem(0))
-	k.AttachSwap(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock))
-	var first []int64
-	for round := 0; round < 4; round++ {
-		p, _ := k.Spawn(0, "churn")
-		if err := p.WriteMem(p.HeapBase(), bytes.Repeat([]byte{byte(round + 1)}, pages*vm.PageSize)); err != nil {
-			t.Fatal(err)
-		}
-		if n, err := k.Pager.Reclaim(pages); err != nil || n != pages {
-			t.Fatalf("round %d: reclaimed %d pages, %v; want %d", round, n, err, pages)
-		}
-		var slots []int64
-		for pg := int64(0); pg < pages; pg++ {
-			if slot, ok := p.heap.Obj.SwapSlot(pg); ok {
-				slots = append(slots, slot)
-			}
-		}
-		slices.Sort(slots)
-		if round == 0 {
-			first = slots
-		} else if !slices.Equal(slots, first) {
-			t.Fatalf("round %d: evicted to slots %v, want the reaped processes' %v", round, slots, first)
-		}
-		k.Exit(p, 0)
-		if err := k.Reap(p); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

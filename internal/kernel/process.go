@@ -167,10 +167,6 @@ func (k *Kernel) Spawn(container int, name string, args ...string) (*Process, er
 	k.enqueueLocked(t)
 	k.mu.Unlock()
 
-	if k.Pager != nil {
-		k.Pager.RegisterSpace(space)
-		k.Pager.Register(heap.Obj)
-	}
 	k.Clock.Advance(k.Costs.Syscall)
 	return p, nil
 }
@@ -181,12 +177,6 @@ func (k *Kernel) Spawn(container int, name string, args ...string) (*Process, er
 func (k *Kernel) Fork(parent *Process) (*Process, error) {
 	if parent.State() == ProcZombie {
 		return nil, ErrNotRunning
-	}
-	// A swap slot is one object's: the child shares frames, not slots.
-	if k.Pager != nil {
-		if err := k.Pager.SwapInPrivate(parent.Space); err != nil {
-			return nil, err
-		}
 	}
 	k.mu.Lock()
 	k.pids++
@@ -231,10 +221,6 @@ func (k *Kernel) Fork(parent *Process) (*Process, error) {
 	k.enqueueLocked(t)
 	k.mu.Unlock()
 
-	if k.Pager != nil {
-		k.Pager.RegisterSpace(child.Space)
-		k.Pager.Register(child.heap.Obj)
-	}
 	k.Clock.Advance(k.Costs.Syscall + k.Costs.CtxSwitch)
 	return child, nil
 }
@@ -258,8 +244,8 @@ func (k *Kernel) Exit(p *Process, code int) {
 // Reap removes a zombie from the process table and gives back what it
 // held: its threads leave the run queue, its address space is unmapped
 // (objects shared with a live process survive through their reference
-// count; the rest return their frames to the allocator) and the pager
-// forgets both. Until Reap a zombie's memory stays readable.
+// count; the rest return their frames to the allocator), and the pager
+// no longer sweeps it. Until Reap a zombie's memory stays readable.
 func (k *Kernel) Reap(p *Process) error {
 	if p.State() != ProcZombie {
 		return ErrNotRunning
@@ -283,11 +269,7 @@ func (k *Kernel) Reap(p *Process) error {
 	})
 	k.mu.Unlock()
 
-	dead := p.Space.UnmapAll()
-	if k.Pager != nil {
-		k.Pager.UnregisterSpace(p.Space)
-		k.Pager.Unregister(dead...)
-	}
+	p.Space.UnmapAll()
 	return nil
 }
 
@@ -342,62 +324,55 @@ func (p *Process) Sbrk(delta int64) (vm.Addr, error) {
 // HeapBase returns the start of the heap mapping.
 func (p *Process) HeapBase() vm.Addr { return p.heap.Start }
 
-// HeapMapping returns the heap mapping itself.
-func (p *Process) HeapMapping() *vm.Mapping { return p.heap }
-
-// faultRetryBudget bounds how many times one memory access may re-fault
-// on the SAME page without progress before the kernel gives up. A fault
-// on a different page resets the budget: a large access paging its way
-// through a tight memory may legitimately fault once per page (and
-// again when its own swap-ins evict earlier pages). Only a page that
-// keeps faulting — resolved, yet immediately faulting again — exhausts
-// it, in which case a typed error (wrapping vm.ErrBackendDown) reaches
-// the faulting thread instead of the access spinning on
-// fault→resolve→fault forever.
+// faultRetryBudget bounds how many times an access retries one page
+// that found physical memory full, each time after a reclaim that freed
+// something, before a typed error wrapping vm.ErrOutOfMemory reaches the
+// faulting thread instead of the access spinning on reclaim→fault
+// forever (another thread may take the frames a reclaim freed).
 const faultRetryBudget = 64
 
-// accessMem runs one memory access, transparently servicing swap
-// faults, with a same-page livelock bound.
-func (p *Process) accessMem(what string, addr vm.Addr, access func() error) error {
-	samePage := 0
-	var lastObj *vm.Object
-	var lastPage int64 = -1
-	var err error
-	for {
-		err = access()
-		if err == nil {
-			return nil
-		}
-		if p.kernel.Pager == nil {
-			return err
-		}
-		var sf *vm.SwapFault
-		if errors.As(err, &sf) {
-			if sf.Obj == lastObj && sf.Page == lastPage {
-				samePage++
-				if samePage >= faultRetryBudget {
-					return fmt.Errorf("%w: %s at %#x kept faulting on page %d after %d retries: %v",
-						vm.ErrBackendDown, what, addr, sf.Page, faultRetryBudget, err)
-				}
-			} else {
-				lastObj, lastPage, samePage = sf.Obj, sf.Page, 0
+// reclaimBatch is how many pages one reclaim asks the clock for.
+const reclaimBatch = 64
+
+// accessMem runs one memory access. An access that finds physical memory
+// full goes on page by page from the start, and a page that finds it
+// full reclaims (Kernel.Reclaim) and retries, up to faultRetryBudget
+// times; a reclaim that frees nothing fails the access at once with the
+// typed error. Nothing reclaims while holding an object lock: the
+// access has returned and released them all.
+func (p *Process) accessMem(write bool, addr vm.Addr, buf []byte) error {
+	err := p.Space.Access(addr, buf, write)
+	if !errors.Is(err, vm.ErrOutOfMemory) {
+		return err
+	}
+	for n := 0; n < len(buf); {
+		at := addr + vm.Addr(n)
+		span := min(vm.PageSize-int(at.PageOffset()), len(buf)-n)
+		for tries := 0; ; tries++ {
+			err := p.Space.Access(at, buf[n:n+span], write)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, vm.ErrOutOfMemory) {
+				return err
+			}
+			if tries == faultRetryBudget || p.kernel.Reclaim(reclaimBatch) == 0 {
+				return fmt.Errorf("kernel: access at %#x (write %v) after %d reclaims: %w", at, write, tries, err)
 			}
 		}
-		retry, rerr := p.kernel.Pager.Resolve(err)
-		if !retry {
-			return rerr
-		}
+		n += span
 	}
+	return nil
 }
 
-// ReadMem reads process memory, transparently servicing swap faults.
+// ReadMem reads process memory, reclaiming memory when it is full.
 func (p *Process) ReadMem(addr vm.Addr, buf []byte) error {
-	return p.accessMem("read", addr, func() error { return p.Space.Read(addr, buf) })
+	return p.accessMem(false, addr, buf)
 }
 
-// WriteMem writes process memory, transparently servicing swap faults.
+// WriteMem writes process memory, reclaiming memory when it is full.
 func (p *Process) WriteMem(addr vm.Addr, buf []byte) error {
-	return p.accessMem("write", addr, func() error { return p.Space.Write(addr, buf) })
+	return p.accessMem(true, addr, buf)
 }
 
 // EncodeTo implements Object. Thread and fd-table OIDs are references;

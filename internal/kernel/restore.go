@@ -147,9 +147,6 @@ func (k *Kernel) RestoreProcess(pi *ProcImage, lookupObj func(uint64) *vm.Object
 			p.heap = m
 			p.brk = vm.Addr(pi.Brk)
 		}
-		if k.Pager != nil {
-			k.Pager.Register(obj)
-		}
 	}
 
 	k.mu.Lock()
@@ -165,10 +162,6 @@ func (k *Kernel) RestoreProcess(pi *ProcImage, lookupObj func(uint64) *vm.Object
 	k.objects[p.oid] = p
 	k.objects[p.FDs.oid] = p.FDs
 	k.mu.Unlock()
-
-	if k.Pager != nil {
-		k.Pager.RegisterSpace(space)
-	}
 	return p, nil
 }
 

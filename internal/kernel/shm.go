@@ -81,9 +81,6 @@ func (k *Kernel) ShmAttach(p *Process, s *SysVShm) (vm.Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	if k.Pager != nil {
-		k.Pager.Register(s.Obj)
-	}
 	k.Clock.Advance(k.Costs.Syscall)
 	return m.Start, nil
 }

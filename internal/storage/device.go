@@ -33,7 +33,8 @@ var (
 // view to a scratch clock (Redirect, Clock.Drain), issues an epoch's
 // writes one call at a time and charges its lane Batch(Params(), n,
 // mean) once for all of them (objstore.Store.Overlapped). Every other
-// caller — file system sync, the NT log, scrub and repair, swap — is
+// caller — file system sync, the NT log, scrub and repair, demand
+// paging — is
 // synchronous I/O on its caller's timeline: one operation at a time.
 type Device interface {
 	// ReadAt reads len(p) bytes at off. Unwritten regions read as zero.

@@ -26,14 +26,11 @@ type CheckpointSet struct {
 	// with the lines written since the previous barrier. The run is the
 	// capture's to hand on: the image takes it as it is.
 	Pages []Page
-	// SwapPages is the pages that were paged out since the last
-	// checkpoint, in ascending page index, with their swap slots; they
-	// are incorporated into this checkpoint directly from swap.
-	SwapPages []SwapPage
-	// Source is the restore source a full capture found the object still
-	// paging from (nil otherwise). The checkpoint holds, by name only,
-	// every page of it in neither Pages nor SwapPages: an immutable, pinned
-	// epoch, it reads after the barrier as it was at it.
+	// Source is the page source a full capture found the object paging
+	// from (nil otherwise): a restore's, or a store view of an earlier
+	// barrier (Object.Repoint). The checkpoint holds, by name only, every
+	// page of it not in Pages: an immutable, pinned epoch, it reads after
+	// the barrier as it was at it.
 	Source PageSource
 	// Heat is the access counters the checkpoint persists to drive
 	// clock-based eager paging on restore: all of them (the non-zero
@@ -56,11 +53,6 @@ type Page struct {
 // PartlyWritten reports whether the page differs from the object's page
 // at the previous barrier in some lines but not all.
 func (p *Page) PartlyWritten() bool { return p.Lines != AllLines }
-
-// SwapPage is a page a capture takes from swap: its index and slot.
-type SwapPage struct {
-	Idx, Slot int64
-}
 
 // BeginCheckpoint executes the object's part of a serialization
 // barrier and returns the frames the checkpoint must flush.
@@ -103,23 +95,15 @@ func (o *Object) BeginCheckpoint(epoch uint64, full bool) *CheckpointSet {
 			}
 			cs.Pages = append(cs.Pages, Page{Idx: idx, Frame: f, Lines: lines})
 		}
-		for idx, slot := range o.swapSlots {
-			if _, resident := o.pages[idx]; !resident {
-				cs.SwapPages = append(cs.SwapPages, SwapPage{Idx: idx, Slot: slot})
-			}
-		}
 	} else {
 		cs.Pages = make([]Page, 0, len(o.dirty))
 		for idx, lines := range o.dirty {
 			if f, ok := o.pages[idx]; ok {
 				cs.Pages = append(cs.Pages, Page{Idx: idx, Frame: f, Lines: lines})
-			} else if slot, ok := o.swapSlots[idx]; ok {
-				cs.SwapPages = append(cs.SwapPages, SwapPage{Idx: idx, Slot: slot})
 			}
 		}
 	}
 	slices.SortFunc(cs.Pages, func(a, b Page) int { return cmp.Compare(a.Idx, b.Idx) })
-	slices.SortFunc(cs.SwapPages, func(a, b SwapPage) int { return cmp.Compare(a.Idx, b.Idx) })
 	for _, p := range cs.Pages {
 		p.Frame.Ref()
 		o.protected[p.Idx] = cs.Capture
@@ -224,8 +208,8 @@ func (o *Object) EnsurePage(pm *PhysMem, idx int64, meter *Meter) (*Frame, error
 	if f, ok := o.pages[idx]; ok {
 		return f, nil
 	}
-	// Lazy restore: a write to an image-backed page pulls it in first.
-	if _, swapped := o.swapSlots[idx]; o.source != nil && !swapped {
+	// Demand paging: a write to a page the source holds pulls it in first.
+	if o.source != nil {
 		o.mu.Unlock()
 		_, err := o.fetchFromSource(pm, idx, meter)
 		o.mu.Lock()
@@ -261,7 +245,6 @@ func (o *Object) InstallSharedPage(pm *PhysMem, idx int64, f *Frame) {
 	old := o.pages[idx]
 	o.pages[idx] = f
 	o.protected[idx] = 0
-	delete(o.swapSlots, idx)
 	if end := (idx + 1) << PageShift; end > o.size {
 		o.size = end
 	}
@@ -269,50 +252,4 @@ func (o *Object) InstallSharedPage(pm *PhysMem, idx int64, f *Frame) {
 	if old != nil {
 		pm.Free(old)
 	}
-}
-
-// SwapOut removes page idx from memory, recording its swap slot. The
-// caller has already written the frame to the swap device. Returns the
-// evicted frame for the caller to release.
-func (o *Object) SwapOut(idx int64, slot int64) *Frame {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	f, ok := o.pages[idx]
-	if !ok {
-		return nil
-	}
-	delete(o.pages, idx)
-	delete(o.protected, idx)
-	o.swapSlots[idx] = slot
-	return f
-}
-
-// swappedPages lists the object's paged-out pages in ascending order.
-func (o *Object) swappedPages() []int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := make([]int64, 0, len(o.swapSlots))
-	for idx := range o.swapSlots {
-		out = append(out, idx)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// takeSwapSlots empties the object's table of paged-out pages and
-// returns their slots, for a dead object to give back.
-func (o *Object) takeSwapSlots() map[int64]int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	slots := o.swapSlots
-	o.swapSlots = make(map[int64]int64)
-	return slots
-}
-
-// SwapSlot reports the swap slot of a paged-out page.
-func (o *Object) SwapSlot(idx int64) (int64, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	slot, ok := o.swapSlots[idx]
-	return slot, ok
 }

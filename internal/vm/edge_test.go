@@ -122,54 +122,6 @@ func TestForkChainDepth(t *testing.T) {
 	}
 }
 
-func TestSwapFaultErrorMessage(t *testing.T) {
-	sf := &SwapFault{Obj: NewPhysMem(0).NewObject("x", PageSize), Page: 3, Slot: 7}
-	if sf.Error() == "" {
-		t.Fatal("empty error")
-	}
-}
-
-func TestPagerResolveNonSwapError(t *testing.T) {
-	pm := NewPhysMem(0)
-	pg := NewPager(pm, NewSwap(storage.NewMemDevice(storage.ParamsDRAM, storage.NewClock())), nil)
-	retry, err := pg.Resolve(ErrNoMapping)
-	if retry || err != ErrNoMapping {
-		t.Fatalf("Resolve passed through wrong: %v %v", retry, err)
-	}
-}
-
-func TestPagerReclaimWithoutSwap(t *testing.T) {
-	pg := NewPager(NewPhysMem(0), nil, nil)
-	if _, err := pg.Reclaim(1); err == nil {
-		t.Fatal("reclaim without swap should fail")
-	}
-}
-
-func TestPagerUnregister(t *testing.T) {
-	_, m, pg, _ := pagerFixture(t)
-	pg.Unregister(m.Obj)
-	n, err := pg.Reclaim(10)
-	if err != nil || n != 0 {
-		t.Fatalf("reclaim after unregister = %d, %v", n, err)
-	}
-}
-
-func TestSwapSlotReuse(t *testing.T) {
-	s := NewSwap(storage.NewMemDevice(storage.ParamsDRAM, storage.NewClock()))
-	pm := NewPhysMem(0)
-	f, _ := pm.Alloc()
-	copy(f.Data, []byte("one"))
-	slot1, err := s.WritePage(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.FreeSlot(slot1)
-	slot2, _ := s.WritePage(f)
-	if slot2 != slot1 {
-		t.Fatalf("freed slot not reused: %d vs %d", slot2, slot1)
-	}
-}
-
 func TestInstallSharedPageReplacesResident(t *testing.T) {
 	pm := NewPhysMem(0)
 	obj := pm.NewObject("x", PageSize)

@@ -12,7 +12,7 @@ import (
 // TestDirtyLineMaskProperty: whatever writes the application makes —
 // from either of two address spaces mapping one object, across line and
 // page boundaries, whole pages, zero fills of pages never resident —
-// and whatever the kernel adds (MarkDirty, a swap-in by InsertPage),
+// and whatever the kernel adds (MarkDirty, a prefetch by InsertPage),
 // each incremental barrier's dirty set covers every change: a page
 // outside it holds what it held at the previous barrier, a captured page
 // differs from that only in the lines of its mask, and a COW copy
@@ -84,7 +84,7 @@ func dirtyLineMaskRun(t *testing.T, seed uint64) {
 				}
 			case r < 18: // the kernel marks lines it did not write
 				obj.MarkDirty(rng.Int64N(pages), rng.Uint64())
-			default: // a swap-in: the page comes back, same bytes, new frame
+			default: // a prefetch: the page comes back, same bytes, new frame
 				idx := rng.Int64N(pages)
 				if f := obj.Lookup(idx); f != nil && !obj.IsProtected(idx) {
 					g, err := pm.AllocData(f.Data)

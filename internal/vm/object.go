@@ -19,7 +19,9 @@ import (
 // (pages write-protected by the last serialization barrier), a dirty
 // set (pages written since the last checkpoint, each with the 64-byte
 // lines written), heat counters for clock-driven restore prefetch, and
-// swap slots.
+// the barrier whose store view its page source is, when it is one: a
+// clean page of such an object leaves memory by dropping its frame
+// (Object.evict) and comes back through the source.
 type Object struct {
 	ID   uint64
 	Name string // debugging aid: "heap", "stack", "shm:1234", ...
@@ -47,9 +49,12 @@ type Object struct {
 	marks     []uint32         // bit per page of heat: touched since the last barrier (growHeatLocked)
 	hot       int              // pages ever touched: sizes a full barrier's heat
 	touched   int              // pages marked: sizes an incremental barrier's heat
-	swapSlots map[int64]int64  // page -> swap slot for paged-out pages
 	epoch     uint64           // checkpoint epoch of the last barrier
-	source    PageSource       // lazy-restore backing (nil = none)
+	source    PageSource       // demand-paging backing: a restore's, or a view (nil = none)
+	// viewOf is the barrier epoch whose store view source is (Repoint;
+	// 0: none). While it is epoch, every page not dirty reads back from
+	// source as it is in memory.
+	viewOf uint64
 }
 
 // PageHeat is one page's access count. A barrier's heat is a slice of
@@ -162,7 +167,6 @@ func (pm *PhysMem) NewObject(name string, size int64) *Object {
 		protected: make(map[int64]uint64),
 		captures:  &pm.captureIDs,
 		dirty:     make(map[int64]uint64),
-		swapSlots: make(map[int64]int64),
 	}
 }
 
@@ -191,14 +195,13 @@ func (o *Object) Grow(size int64) {
 	}
 }
 
-// BeginWrite and EndWrite bracket one write access to the object's
-// pages. They hold the barrier read-side so a concurrent serialization
-// barrier cannot capture a frame between the write-permission check
-// and the data copy.
-func (o *Object) BeginWrite() { o.barrier.RLock() }
+// beginAccess and endAccess bracket one access to the object's pages.
+// They hold the barrier read-side, so a concurrent serialization barrier
+// cannot capture a frame between a write's permission check and its data
+// copy, and the pager cannot evict a frame an access is copying.
+func (o *Object) beginAccess() { o.barrier.RLock() }
 
-// EndWrite releases the write-access bracket taken by BeginWrite.
-func (o *Object) EndWrite() { o.barrier.RUnlock() }
+func (o *Object) endAccess() { o.barrier.RUnlock() }
 
 // Epoch returns the checkpoint epoch stamped by the last barrier.
 func (o *Object) Epoch() uint64 {
@@ -234,13 +237,12 @@ func (o *Object) ResidentCount() int {
 }
 
 // InsertPage installs a frame at page idx, replacing (and releasing to
-// pm) any previous frame. Used by restore and swap-in paths. A page
+// pm) any previous frame. Used by eager restores and prefetch. A page
 // already dirty counts as written in every line from here.
 func (o *Object) InsertPage(pm *PhysMem, idx int64, f *Frame) {
 	o.mu.Lock()
 	old := o.pages[idx]
 	o.pages[idx] = f
-	delete(o.swapSlots, idx)
 	if _, dirty := o.dirty[idx]; dirty {
 		o.dirty[idx] = AllLines
 	}
@@ -350,9 +352,11 @@ func (o *Object) MarkDirty(idx int64, lines uint64) {
 	o.mu.Unlock()
 }
 
-// PageSource supplies pages for lazy restores: a restored object
-// starts empty, with faults pulling pages from the checkpoint image
-// (memory backend) or the object store (disk backend) on demand.
+// PageSource supplies pages on demand: a lazily restored object starts
+// empty, with faults pulling pages from the checkpoint image (memory
+// backend) or the object store (disk backend), and an object re-pointed
+// at a store's view of its last barrier (Object.Repoint) faults back
+// the clean pages it evicted.
 type PageSource interface {
 	// PageIn pages in page idx: the source finds the page once and,
 	// only when it holds it, has pm fill a frame with it (PhysMem.Fill).
@@ -365,11 +369,61 @@ type PageSource interface {
 // SetSource attaches a lazy-restore page source.
 func (o *Object) SetSource(src PageSource) {
 	o.mu.Lock()
-	o.source = src
+	o.source, o.viewOf = src, 0
 	o.mu.Unlock()
 }
 
-// fetchFromSource pulls one page from the lazy-restore source into the
+// Source returns the object's page source (nil: none).
+func (o *Object) Source() PageSource {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.source
+}
+
+// Repoint makes src, a store's view of the object at barrier epoch, the
+// object's page source, when epoch is the object's last barrier; it
+// reports whether it did. From here until the next barrier a page not
+// in the dirty set may leave memory (Object.evict): the view gives back
+// the bytes it held at that barrier, which no write has changed since.
+func (o *Object) Repoint(src PageSource, epoch uint64) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if epoch == 0 || o.epoch != epoch {
+		return false
+	}
+	o.source, o.viewOf = src, epoch
+	return true
+}
+
+// evict drops clean page idx from memory and returns its frame for the
+// caller to free, or nil when the page may not leave: it is not
+// resident, it is dirty, the object's source is no view of its last
+// barrier, or an access is in progress.
+func (o *Object) evict(idx int64) *Frame {
+	if !o.barrier.TryLock() {
+		return nil
+	}
+	defer o.barrier.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	f := o.pages[idx]
+	if _, dirty := o.dirty[idx]; f == nil || dirty || o.viewOf == 0 || o.viewOf != o.epoch {
+		return nil
+	}
+	delete(o.pages, idx)
+	delete(o.protected, idx)
+	return f
+}
+
+// pagesFromView reports whether the object's source is a store view of
+// its last barrier: whether any of its pages may leave memory.
+func (o *Object) pagesFromView() bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.viewOf != 0 && o.viewOf == o.epoch
+}
+
+// fetchFromSource pulls one page from the object's page source into the
 // object. It returns (nil, nil) when the source has no such page.
 func (o *Object) fetchFromSource(pm *PhysMem, idx int64, meter *Meter) (*Frame, error) {
 	o.mu.Lock()

@@ -200,22 +200,18 @@ func (as *AddressSpace) Unmap(start Addr, length int64) error {
 
 // UnmapAll tears the whole address space down (process exit): the page
 // table is dropped and every mapping gives up its object reference.
-// Objects nobody else maps return their frames to the allocator; those
-// are returned, for the caller to take out of the pager's sweep.
-func (as *AddressSpace) UnmapAll() []*Object {
+// Objects nobody else maps return their frames to the allocator.
+func (as *AddressSpace) UnmapAll() {
 	as.mu.Lock()
 	maps := as.maps
 	as.maps = nil
 	as.pt = make(map[Addr]pte)
 	as.mu.Unlock()
-	var dead []*Object
 	for _, m := range maps {
 		if m.Obj.Deref() {
 			m.Obj.ReleaseAll(as.pm)
-			dead = append(dead, m.Obj)
 		}
 	}
-	return dead
 }
 
 // Find returns the mapping containing addr, or nil.
@@ -256,20 +252,22 @@ func (as *AddressSpace) readOnlyLocked(m *Mapping) {
 
 // Read copies len(p) bytes from the address space starting at addr.
 func (as *AddressSpace) Read(addr Addr, p []byte) error {
-	return as.access(addr, p, false)
+	return as.Access(addr, p, false)
 }
 
 // Write copies p into the address space starting at addr.
 func (as *AddressSpace) Write(addr Addr, p []byte) error {
-	return as.access(addr, p, true)
+	return as.Access(addr, p, true)
 }
 
-// access is the unified data path: it walks pages, faulting as needed.
-// For writes, the fault returns with the object's write bracket held
-// (Object.BeginWrite) so the permission check and the data copy are
-// atomic with respect to a serialization barrier, as they would be at
-// a real MMU; the bracket is released once the copy has landed.
-func (as *AddressSpace) access(addr Addr, p []byte, write bool) error {
+// Access is the unified data path, a write of p to addr or a read into
+// it: it walks pages, faulting as needed.
+// The fault returns with the object's access bracket held
+// (Object.beginAccess), so a write's permission check and its data copy
+// are atomic with respect to a serialization barrier, as they would be at
+// a real MMU, and no eviction frees a frame under a copy; the bracket is
+// released once the copy has landed.
+func (as *AddressSpace) Access(addr Addr, p []byte, write bool) error {
 	for n := 0; n < len(p); {
 		pageBase := (addr + Addr(n)).PageBase()
 		po := (addr + Addr(n)).PageOffset()
@@ -285,14 +283,15 @@ func (as *AddressSpace) access(addr Addr, p []byte, write bool) error {
 		if err != nil {
 			return err
 		}
-		if write {
+		switch {
+		case write:
 			copy(frame.Data[po:po+int64(span)], p[n:n+span])
-			obj.EndWrite()
-		} else if frame != nil {
+		case frame != nil:
 			copy(p[n:n+span], frame.Data[po:po+int64(span)])
-		} else {
+		default:
 			zero(p[n : n+span]) // unresident anon page reads as zero
 		}
+		obj.endAccess()
 		n += span
 	}
 	return nil
@@ -305,12 +304,14 @@ func zero(p []byte) {
 }
 
 // fault resolves one page access, servicing faults: a write of the given
-// lines of the page, or a read when lines is zero. For reads of
-// unresident anonymous pages it returns (nil, nil, nil): the page
-// reads as zero without allocating a frame. For successful writes the
-// lines are in the object's dirty set and the object is returned with
-// its write bracket held (Object.BeginWrite); the caller must EndWrite
-// after copying the data.
+// lines of the page, or a read when lines is zero. A read of an
+// unresident anonymous page returns a nil frame: the page reads as zero
+// without allocating one. For successful writes the lines are in the
+// object's dirty set. A successful fault returns the object with its
+// access bracket held (Object.beginAccess); the caller must endAccess
+// after copying the data. A fault that finds physical memory full
+// returns ErrOutOfMemory with no lock held, for the kernel to reclaim
+// and retry.
 func (as *AddressSpace) fault(pageBase Addr, lines uint64) (*Frame, *Object, error) {
 	write := lines != 0
 	as.mu.Lock()
@@ -336,43 +337,36 @@ func (as *AddressSpace) fault(pageBase Addr, lines uint64) (*Frame, *Object, err
 	}
 	as.mu.Unlock()
 
+	// From here to the caller's data copy a serialization barrier must not
+	// intervene, or a write could mutate a frame the barrier already
+	// captured, and the pager must not free the frame being copied.
+	obj.beginAccess()
 	if !write {
 		// Read path: soft fault to install the PTE, then read through
 		// the object.
 		f := obj.Lookup(idx)
 		if f == nil {
-			if slot, swapped := obj.SwapSlot(idx); swapped {
-				return nil, nil, &SwapFault{Obj: obj, Page: idx, Slot: slot}
-			}
-			// Lazy restore: pull the page from the checkpoint image.
+			// Demand paging: pull the page from the object's source.
 			lf, err := obj.fetchFromSource(as.pm, idx, as.meter)
 			if err != nil {
+				obj.endAccess()
 				return nil, nil, err
 			}
 			if lf != nil {
 				as.meter.ChargeFault()
 				as.installPTE(pageBase, false)
 				obj.Touch(idx)
-				return lf, nil, nil
 			}
-			return nil, nil, nil // zero-fill read, no allocation
+			return lf, obj, nil // nil: a zero-fill read, no allocation
 		}
 		if !havePTE {
 			as.installPTE(pageBase, false)
 			as.meter.ChargeFault()
 		}
 		obj.Touch(idx)
-		return f, nil, nil
+		return f, obj, nil
 	}
 
-	// Write path: from here to the caller's data copy a serialization
-	// barrier must not intervene, or the copy could mutate a frame the
-	// barrier already captured.
-	obj.BeginWrite()
-	if slot, swapped := obj.SwapSlot(idx); swapped && obj.Lookup(idx) == nil {
-		obj.EndWrite()
-		return nil, nil, &SwapFault{Obj: obj, Page: idx, Slot: slot, Write: true}
-	}
 	if havePTE && entry.writable {
 		// Fast path: but the page may have been COW-protected by a
 		// barrier after this PTE was cached; ProtectObject clears the
@@ -390,7 +384,7 @@ func (as *AddressSpace) fault(pageBase Addr, lines uint64) (*Frame, *Object, err
 	if obj.IsProtected(idx) {
 		f, err := obj.CowFault(as.pm, idx, as.meter)
 		if err != nil {
-			obj.EndWrite()
+			obj.endAccess()
 			return nil, nil, err
 		}
 		obj.MarkDirty(idx, lines)
@@ -402,7 +396,7 @@ func (as *AddressSpace) fault(pageBase Addr, lines uint64) (*Frame, *Object, err
 	// Resident in this object, or a page-in or zero-fill allocation.
 	f, err := obj.EnsurePage(as.pm, idx, as.meter)
 	if err != nil {
-		obj.EndWrite()
+		obj.endAccess()
 		return nil, nil, err
 	}
 	obj.MarkDirty(idx, lines)
@@ -447,9 +441,9 @@ func (as *AddressSpace) ProtectObject(obj *Object, pages []Page) int64 {
 	return ops
 }
 
-// InvalidateObjectPage drops any PTE mapping the given object page;
-// used by the pageout daemon when evicting to swap.
-func (as *AddressSpace) InvalidateObjectPage(obj *Object, idx int64) {
+// invalidateObjectPage drops any PTE mapping the given object page;
+// the pager calls it for a page it evicted.
+func (as *AddressSpace) invalidateObjectPage(obj *Object, idx int64) {
 	as.mu.Lock()
 	defer as.mu.Unlock()
 	for _, m := range as.maps {
@@ -470,8 +464,9 @@ func (as *AddressSpace) InvalidateObjectPage(obj *Object, idx int64) {
 // (its sls_mctl hints included), and each private one gets an object of
 // its own that shares the parent's frames under copy-on-write
 // protection (Object.fork), so the first write on either side copies the
-// page for that side alone. The parent keeps its objects. Pages on swap
-// are not shared: the caller brings them back first (kernel.Fork).
+// page for that side alone. The parent keeps its objects. A page the
+// parent evicted comes back to the child through the page source they
+// share (Object.fork).
 func (as *AddressSpace) Fork() *AddressSpace {
 	child := NewAddressSpace(as.pm, as.meter)
 	for _, m := range as.Mappings() {
@@ -499,7 +494,7 @@ func (as *AddressSpace) Fork() *AddressSpace {
 // fork returns a fork child's object for a private mapping of o: a new
 // object holding o's resident frames, each with a reference of its own,
 // and o's page source, immutable and pinned, for the pages neither has
-// faulted in. Every frame is write-protected in both objects as a
+// faulted in — o's evicted pages among them. Every frame is write-protected in both objects as a
 // restore's are (capture 0), except where a capture already protects it
 // in o, which keeps that one: the first write on either side goes
 // through CowFault and copies the page for that side alone.
@@ -530,7 +525,7 @@ func (o *Object) ReleaseAll(pm *PhysMem) {
 	o.mu.Lock()
 	pages := o.pages
 	o.pages = make(map[int64]*Frame)
-	o.source = nil
+	o.source, o.viewOf = nil, 0
 	o.mu.Unlock()
 	for _, f := range pages {
 		pm.Free(f)
@@ -540,18 +535,4 @@ func (o *Object) ReleaseAll(pm *PhysMem) {
 // String identifies the address space for debugging.
 func (as *AddressSpace) String() string {
 	return fmt.Sprintf("as%d(%d mappings)", as.ID, len(as.Mappings()))
-}
-
-// SwapFault is returned by the data path when an access touches a
-// paged-out page; the kernel's pager services it and retries.
-type SwapFault struct {
-	Obj   *Object
-	Page  int64
-	Slot  int64
-	Write bool
-}
-
-// Error implements error.
-func (sf *SwapFault) Error() string {
-	return fmt.Sprintf("vm: page %d of %s is on swap (slot %d)", sf.Page, sf.Obj, sf.Slot)
 }

@@ -9,9 +9,11 @@
 // private across a fork.
 //
 // The package also provides per-checkpoint-epoch dirty tracking (so a
-// page is never flushed twice across incremental checkpoints), a clock
-// page-replacement algorithm with heat tracking used to drive eager
-// paging on lazy restores, and swap integration.
+// page is never flushed twice across incremental checkpoints), heat
+// tracking used to drive eager paging on lazy restores, and a clock
+// page-replacement algorithm for which the persistent image is the only
+// backing store: a clean page leaves memory by dropping its frame and
+// comes back through its object's page source.
 //
 // All memory contents are real bytes; costs (page-table manipulation,
 // fault service, page copies) are charged to a Meter so the SLS
@@ -51,9 +53,8 @@ func RoundUpPage(n int64) int64 { return (n + PageMask) &^ int64(PageMask) }
 
 // Line geometry. An object's dirty set records, per page, which 64-byte
 // lines writes have touched since the last barrier: bit i of a page's
-// line mask is bytes [64i, 64i+64). A page filled any other way — a
-// zero-fill, a page-in, a swap-in — is dirty in every
-// line.
+// line mask is bytes [64i, 64i+64). A page a write fills any other way —
+// a zero-fill, a page-in — is dirty in every line.
 const (
 	LineShift = 6
 	LineSize  = 1 << LineShift

@@ -2,6 +2,8 @@ package vm
 
 import (
 	"bytes"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -396,7 +398,7 @@ func TestDirtyLineMasks(t *testing.T) {
 	as1.Write(m1.Start+5*PageSize+8, []byte{5})       // page 5: never resident, a zero-fill
 	obj.MarkDirty(6, 1)
 	f, _ := pm.Alloc()
-	obj.InsertPage(pm, 6, f) // a swap-in of a dirty page
+	obj.InsertPage(pm, 6, f) // a prefetch over a dirty page
 	cs2 := obj.BeginCheckpoint(2, false)
 	want := map[int64]uint64{0: 1<<1 | 1<<62, 1: 0b11, 2: 1 << 63, 3: 1, 5: AllLines, 6: AllLines}
 	lines := make(map[int64]uint64, len(cs2.Pages))
@@ -475,121 +477,236 @@ func TestBarrierPTECost(t *testing.T) {
 
 // --- pager / clock algorithm ---
 
-func pagerFixture(t *testing.T) (*AddressSpace, *Mapping, *Pager, *PhysMem) {
+// viewSource is a store's view of one barrier, as a test holds it: the
+// bytes the capture took, by page. It counts the pages asked of it and
+// has no way to be written.
+type viewSource struct {
+	pages   map[int64][]byte
+	pageIns atomic.Int64
+}
+
+func (s *viewSource) PageIn(pm *PhysMem, idx int64) (*Frame, error) {
+	s.pageIns.Add(1)
+	d, ok := s.pages[idx]
+	if !ok {
+		return nil, nil
+	}
+	return pm.Fill(func(dst []byte) (bool, error) {
+		copy(dst, d)
+		return true, nil
+	})
+}
+
+// checkpointTo runs a full barrier over m's object at epoch, keeps what
+// it captured in a view source, lets the capture go as a flushed image
+// does, and re-points the object at the view.
+func checkpointTo(t *testing.T, as *AddressSpace, m *Mapping, epoch uint64) *viewSource {
+	t.Helper()
+	cs := barrier(as, m, epoch, true)
+	src := &viewSource{pages: make(map[int64][]byte, len(cs.Pages))}
+	for _, p := range cs.Pages {
+		src.pages[p.Idx] = bytes.Clone(p.Frame.Data)
+	}
+	release(as.PhysMem(), cs)
+	if !m.Obj.Repoint(src, epoch) {
+		t.Fatalf("re-point at epoch %d refused", epoch)
+	}
+	return src
+}
+
+// pagerFixture maps a 32-page heap, writes every page with its index,
+// and checkpoints it into a view the heap pages from.
+func pagerFixture(t *testing.T) (*AddressSpace, *Mapping, *Pager, *viewSource, []byte) {
 	t.Helper()
 	pm := NewPhysMem(0)
-	clock := storage.NewClock()
-	meter := NewMeter(clock)
+	meter := NewMeter(storage.NewClock())
 	as := NewAddressSpace(pm, meter)
 	m, err := as.MapAnon(32*PageSize, ProtRead|ProtWrite, false, "heap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	swap := NewSwap(storage.NewMemDevice(storage.ParamsOptaneNVMe, clock))
-	pg := NewPager(pm, swap, meter)
-	pg.Register(m.Obj)
-	pg.RegisterSpace(as)
-	return as, m, pg, pm
-}
-
-func TestPagerReclaimAndSwapIn(t *testing.T) {
-	as, m, pg, pm := pagerFixture(t)
 	payload := make([]byte, 32*PageSize)
 	for i := range payload {
 		payload[i] = byte(i / PageSize)
 	}
-	as.Write(m.Start, payload)
-	resident := pm.Resident()
-
-	// First Reclaim pass clears referenced bits then evicts.
-	n, err := pg.Reclaim(10)
-	if err != nil {
+	if err := as.Write(m.Start, payload); err != nil {
 		t.Fatal(err)
 	}
-	if n != 10 {
+	src := checkpointTo(t, as, m, 1)
+	return as, m, NewPager(pm, meter), src, payload
+}
+
+// TestPagerEvictsCleanPagesAndRefaults: a clean page of an object that
+// pages from a view of its last barrier leaves memory by dropping its
+// frame, and its demand fault brings the same bytes back — one page-in
+// per evicted page.
+func TestPagerEvictsCleanPagesAndRefaults(t *testing.T) {
+	as, m, pg, src, payload := pagerFixture(t)
+	pm := as.PhysMem()
+	resident := pm.Resident()
+	// The first sweep clears referenced bits, the second evicts.
+	if n := pg.Reclaim([]*AddressSpace{as}, 10); n != 10 {
 		t.Fatalf("reclaimed %d, want 10", n)
 	}
-	if pm.Resident() != resident-10 {
-		t.Fatalf("resident = %d, want %d", pm.Resident(), resident-10)
+	if pm.Resident() != resident-10 || m.Obj.ResidentCount() != 22 {
+		t.Fatalf("resident = %d (object %d), want %d (22)", pm.Resident(), m.Obj.ResidentCount(), resident-10)
 	}
-
-	// Reading the whole range must swap pages back in with correct data.
 	got := make([]byte, len(payload))
-	for {
-		err := as.Read(m.Start, got)
-		if err == nil {
-			break
-		}
-		retry, rerr := pg.Resolve(err)
-		if !retry {
-			t.Fatal(rerr)
-		}
+	if err := as.Read(m.Start, got); err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
-		t.Fatal("data corrupted across swap-out/swap-in")
+		t.Fatal("data corrupted across eviction and refault")
+	}
+	if n := src.pageIns.Load(); n != 10 {
+		t.Fatalf("refaults asked the view for %d pages, want 10", n)
 	}
 }
 
+// TestClockSecondChance: a referenced page is passed over once, its bit
+// cleared, and the clock evicts the next cold page instead.
 func TestClockSecondChance(t *testing.T) {
-	as, m, pg, _ := pagerFixture(t)
-	as.Write(m.Start, make([]byte, 32*PageSize))
-
-	// Re-touch pages 0 and 1 so their referenced bits are fresh.
-	as.Read(m.Start, make([]byte, 2*PageSize))
-
-	// Evicting a single page: the clock should pass over everything
-	// once (clearing bits) and then evict; the first eviction target
-	// after bit clearing is a cold page, and pages 0/1 get their
-	// second chance only during the first sweep.
-	if _, err := pg.Reclaim(30); err != nil {
-		t.Fatal(err)
+	as, m, pg, _, _ := pagerFixture(t)
+	spaces := []*AddressSpace{as}
+	// Every page is referenced after the bulk write: the first sweep
+	// clears every bit, the second evicts pages 0-3.
+	if n := pg.Reclaim(spaces, 4); n != 4 {
+		t.Fatalf("evicted %d pages, want 4", n)
 	}
-	// Pages 0 and 1 were referenced equally with the rest after the
-	// bulk write, so just assert the swap bookkeeping is consistent.
-	swapped := 0
-	for idx := int64(0); idx < 32; idx++ {
-		if _, ok := m.Obj.SwapSlot(idx); ok {
-			swapped++
-			if f := m.Obj.Lookup(idx); f != nil {
-				t.Fatalf("page %d both resident and swapped", idx)
-			}
+	as.Read(m.Start+4*PageSize, make([]byte, 1)) // page 4 referenced again
+	if n := pg.Reclaim(spaces, 2); n != 2 {
+		t.Fatalf("evicted %d pages, want 2", n)
+	}
+	for idx, resident := range map[int64]bool{3: false, 4: true, 5: false, 6: false, 7: true} {
+		if (m.Obj.Lookup(idx) != nil) != resident {
+			t.Fatalf("page %d resident = %v, want %v: page 4 gets its second chance, 5 and 6 go", idx, !resident, resident)
 		}
 	}
-	if swapped != 30 {
-		t.Fatalf("swapped %d pages, want 30", swapped)
-	}
 }
 
-func TestCheckpointCapturesSwappedDirtyPages(t *testing.T) {
-	as, m, pg, _ := pagerFixture(t)
-	as.Write(m.Start, make([]byte, 4*PageSize)) // dirty 4 pages
-	// Evict everything (two sweeps: first clears bits, second evicts).
-	if _, err := pg.Reclaim(4); err != nil {
+// TestDirtyPagesStayResident: a page written since the view's barrier
+// is never evicted — its bytes are nowhere else — and reaches the next
+// barrier as a frame; after that barrier the view is stale, and nothing
+// leaves until the object is re-pointed at the new epoch.
+func TestDirtyPagesStayResident(t *testing.T) {
+	as, m, pg, _, _ := pagerFixture(t)
+	spaces := []*AddressSpace{as}
+	if err := as.Write(m.Start+4*PageSize, make([]byte, 4*PageSize)); err != nil { // dirty pages 4-7
 		t.Fatal(err)
 	}
-	cs := m.Obj.BeginCheckpoint(1, false)
-	if len(cs.SwapPages)+len(cs.Pages) != 4 {
-		t.Fatalf("checkpoint saw %d mem + %d swap pages, want 4 total",
-			len(cs.Pages), len(cs.SwapPages))
+	if n := pg.Reclaim(spaces, 32); n != 28 {
+		t.Fatalf("evicted %d pages, want the 28 clean ones", n)
 	}
-	if len(cs.SwapPages) == 0 {
-		t.Fatal("expected some pages captured from swap")
+	cs := barrier(as, m, 2, false)
+	if len(cs.Pages) != 4 || cs.Pages[0].Idx != 4 || !bytes.Equal(cs.Pages[0].Frame.Data, make([]byte, PageSize)) {
+		t.Fatalf("barrier captured %d pages, want the 4 dirty frames", len(cs.Pages))
+	}
+	release(as.PhysMem(), cs)
+	if n := pg.Reclaim(spaces, 32); n != 0 {
+		t.Fatalf("evicted %d pages through a view of an older barrier", n)
+	}
+	checkpointTo(t, as, m, 2)
+	if n := pg.Reclaim(spaces, 32); n != 4 {
+		t.Fatalf("evicted %d pages after the re-point at epoch 2, want 4", n)
 	}
 }
 
+// TestProtectedPagesNotEvicted: pages a capture protects stay in memory
+// while the object pages from no view of that capture's barrier.
 func TestProtectedPagesNotEvicted(t *testing.T) {
-	as, m, pg, pm := pagerFixture(t)
-	as.Write(m.Start, make([]byte, 8*PageSize))
-	cs := m.Obj.BeginCheckpoint(1, true)
-	as.ProtectObject(m.Obj, cs.Pages)
-	n, err := pg.Reclaim(8)
+	as, pm, meter := testSpace(t)
+	m, err := as.MapAnon(8*PageSize, ProtRead|ProtWrite, false, "heap")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 0 {
+	as.Write(m.Start, make([]byte, 8*PageSize))
+	cs := barrier(as, m, 1, true)
+	if n := NewPager(pm, meter).Reclaim([]*AddressSpace{as}, 8); n != 0 {
 		t.Fatalf("evicted %d checkpoint-protected pages", n)
 	}
 	release(pm, cs)
+}
+
+// TestPagerEvictsNothingWithoutAView: an object with no source, one that
+// pages from a restore's source, and one whose view is of an older
+// barrier have no page that may leave memory.
+func TestPagerEvictsNothingWithoutAView(t *testing.T) {
+	as, pm, meter := testSpace(t)
+	pg := NewPager(pm, meter)
+	m, err := as.MapAnon(8*PageSize, ProtRead|ProtWrite, false, "heap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	as.Write(m.Start, make([]byte, 8*PageSize))
+	release(pm, barrier(as, m, 1, true))
+	if n := pg.Reclaim([]*AddressSpace{as}, 8); n != 0 {
+		t.Fatalf("no source: evicted %d pages", n)
+	}
+	m.Obj.SetSource(&countingSource{n: 8})
+	if n := pg.Reclaim([]*AddressSpace{as}, 8); n != 0 {
+		t.Fatalf("a restore's source: evicted %d pages", n)
+	}
+	if m.Obj.Repoint(&viewSource{}, 2) {
+		t.Fatal("re-pointed at an epoch the object never reached")
+	}
+	checkpointTo(t, as, m, 2)
+	release(pm, barrier(as, m, 3, false))
+	if m.Obj.Repoint(&viewSource{}, 2) {
+		t.Fatal("re-pointed at a barrier older than the last")
+	}
+	if n := pg.Reclaim([]*AddressSpace{as}, 8); n != 0 {
+		t.Fatalf("a view of an older barrier: evicted %d pages", n)
+	}
+	for idx := int64(0); idx < 8; idx++ {
+		if m.Obj.evict(idx) != nil {
+			t.Fatalf("page %d evicted through a view of an older barrier", idx)
+		}
+	}
+}
+
+// TestPagerSweepsOnlyTheSpacesItIsGiven: the pager keeps no registry; a
+// space its caller does not pass — a reaped process's — is not swept.
+func TestPagerSweepsOnlyTheSpacesItIsGiven(t *testing.T) {
+	as, m, pg, _, _ := pagerFixture(t)
+	other := NewAddressSpace(as.PhysMem(), as.Meter())
+	if n := pg.Reclaim(nil, 10); n != 0 {
+		t.Fatalf("reclaim over no spaces evicted %d", n)
+	}
+	if n := pg.Reclaim([]*AddressSpace{other}, 10); n != 0 || m.Obj.ResidentCount() != 32 {
+		t.Fatalf("reclaim over another space evicted %d", n)
+	}
+}
+
+// TestReclaimRacesAccesses: evictions run beside reads and writes of the
+// same pages, and no access copies from a frame an eviction freed: under
+// -race a freed frame is poisoned, which a read would return.
+func TestReclaimRacesAccesses(t *testing.T) {
+	as, m, pg, _, payload := pagerFixture(t)
+	const rounds = 200
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			pg.Reclaim([]*AddressSpace{as}, 8)
+		}
+	}()
+	buf := make([]byte, PageSize)
+	for i := 0; i < rounds; i++ {
+		idx := int64(i % 32)
+		if err := as.Read(m.Start+Addr(idx*PageSize), buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, payload[idx*PageSize:(idx+1)*PageSize]) {
+			t.Fatalf("round %d: page %d read wrong", i, idx)
+		}
+		if i%4 == 0 { // a write keeps the page's bytes: it stays dirty, and resident
+			if err := as.Write(m.Start+Addr(idx*PageSize), buf[:1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wg.Wait()
 }
 
 func TestHottestPages(t *testing.T) {
