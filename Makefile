@@ -94,8 +94,11 @@ faultcheck:
 ## failover, supervisor auto-restore, CLI exit codes, memory as a cache
 ## of the store (a clean page evicted under a frame cap writes nothing and
 ## refaults with one store read, a dirty heap fails typed, a store down at
-## refault fails typed; a fork's sides and the epochs they page from
-## survive the pager, and no eviction frees a frame under a copy),
+## refault fails typed, a lazy restore pages a working set twice the cap
+## before its first checkpoint; a fork's sides and the epochs they page
+## from survive the pager, as does the epoch a process or a segment pages
+## from after its group is unpersisted, until the segment is removed, and
+## no eviction frees a frame under a copy),
 ## and `sls send`/`recv`: an image file round-trips, also straight after
 ## a lazy restore; the first barrier after a lazy restore reads no page
 ## of its restore source, and its flush reads each page a destination
@@ -107,8 +110,10 @@ faultcheck:
 ## could not read); a store keeps what it said it holds until the
 ## put; and a rollback to it before that flush restores
 ## bit for bit or, with the store down, fails typed and leaves the group
-## running; Encode holds the frames it reads across a release of its
-## chain, and the fleet budget charges no page held by name; a fork child
+## running; a rollback to a durable epoch only a sick store owes reads the
+## live chain; Encode, and an epoch opened for reading until it is closed,
+## hold the frames they read across a release of their chain, and the
+## fleet budget charges no page held by name; a fork child
 ## keeps its parent's sls_mctl hints; a restore of an image that
 ## holds its pages by name (lazily loaded, or that first barrier unflushed)
 ## reads none of them before the first fault and pins the epoch it pages
@@ -119,7 +124,7 @@ faultcheck:
 ## capture left, to the same content hash, whichever way the digest hands
 ## out its state, from a table the group keeps per object it tracks.
 recoverycheck:
-	$(GO) test -race -count=1 -run 'TestRecovery|TestMemoryIsACacheOfTheStore|TestForkedMemorySurvivesThePager|TestEvictedPagesPinTheirEpoch|TestReclaimRacesAccesses|TestInheritedPagesFlushByHash|TestRetriedDeliveryReadsNothingAgain|TestNeedResendOfAnImageHeldByName|TestFailedPlanReadFailsOnlyWhoLacksThePage|TestHoldKeepsBlocksUntilThePut|TestForkKeepsMctlHints|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestRestoreAttachesWhatAnImageHoldsByName|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestPartlyWrittenPagesResumeTheirHash|TestPageHasherMarshalsWithoutAppendBinary|TestMidstateTablesFollowTrackedObjects' \
+	$(GO) test -race -count=1 -run 'TestRecovery|TestMemoryIsACacheOfTheStore|TestForkedMemorySurvivesThePager|TestEvictedPagesPinTheirEpoch|TestUnpersistedProcessKeepsItsEpoch|TestRemovedSegmentLetsItsEpochGo|TestDetachReleasesOwedEpochs|TestReclaimRacesAccesses|TestInheritedPagesFlushByHash|TestRetriedDeliveryReadsNothingAgain|TestNeedResendOfAnImageHeldByName|TestFailedPlanReadFailsOnlyWhoLacksThePage|TestHoldKeepsBlocksUntilThePut|TestForkKeepsMctlHints|TestQuarantine|TestCLIRestore|TestRestoreExitCodes|TestCLIEpochs|TestCLISendRecv|TestImageFileRoundTrip|TestEncodeAfterLazyRestore|TestCLISendAfterLazyRestore|TestFullBarrierReadsNoSourcePage|TestFirstBarrierAfterLazyRestore|TestFailedFetchFailsTheFlushNotTheBarrier|TestRollbackToUnflushedPostRestoreEpoch|TestRollbackWhileRestoreSourceDown|TestEncodeHoldsTheFramesItReads|TestFleetBudgetChargesInheritedPages|TestRestoreAttachesWhatAnImageHoldsByName|TestTrimmedLineChainRestoresBitIdentical|TestRottedLineBaseFailsOverByHash|TestLinePageFaultIsOneRead|TestFaultAsksItsSourceOnce|TestRecordModel|TestDecodeOrdersPagesAndRefusesDuplicates|TestSyncedIndexIsAFunctionOfState|TestPartlyWrittenPagesResumeTheirHash|TestPageHasherMarshalsWithoutAppendBinary|TestMidstateTablesFollowTrackedObjects' \
 		./internal/core/ ./internal/vm/ ./internal/netback/ ./internal/objstore/ ./cmd/sls/
 
 ## chaoscheck: whole-system chaos harness under the race detector —

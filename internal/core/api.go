@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"aurora/internal/kernel"
 	"aurora/internal/objstore"
@@ -81,41 +80,15 @@ func (a *API) Rollback(p *kernel.Process) (*Group, *RollbackNotice, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Settle in-flight flushes: rollback walks the image chain, which
-	// must not be mutated under us by background retirement.
-	a.O.Drain(g)
-	img := g.LastImage()
-	if img != nil && !img.Released() && !img.Resolvable() {
-		// A barrier taken with SkipFlush (a speculation point) on top of
-		// history whose frames already went back to the allocator: only
-		// a backend can resolve it now, so it has to get there first.
-		if err := a.O.Sync(g); err != nil {
-			return nil, nil, err
-		}
-	}
-	var readTime time.Duration
-	if img == nil || img.Released() {
-		// Fall back to a backend image.
-		for _, b := range g.Backends() {
-			if li, rt, err := b.Load(g.ID, 0); err == nil {
-				img, readTime = li, rt
-				break
-			}
-		}
-	}
-	if img == nil {
-		return nil, nil, ErrNoImage
-	}
-
-	st, err := img.resolve(a.O.K.Mem, false)
+	e, err := a.O.open(g, g.Epoch(), RestoreOpts{}, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer st.unpin()
+	defer e.Close()
 	// Read what the state holds by name before the current incarnation
 	// goes: a rollback that cannot (its store is down) fails with the
 	// group still running.
-	if st.objs, err = readAll(st.objs); err != nil {
+	if e.st.objs, err = readAll(e.st.objs); err != nil {
 		return nil, nil, err
 	}
 	// Kill the current incarnation.
@@ -125,24 +98,15 @@ func (a *API) Rollback(p *kernel.Process) (*Group, *RollbackNotice, error) {
 			a.O.K.Reap(proc)
 		}
 	}
-	backends := g.Backends()
-	ng, _, err := a.O.restoreState(img, st, readTime, RestoreOpts{Lazy: true, Name: g.Name})
+	ng, _, err := e.Restore(RestoreOpts{Lazy: true, Name: g.Name})
 	// The old group goes only now: dissolving it lets go of every image a
-	// sick backend still owed, and img may be one of them — the restore
-	// has taken its own references to the frames.
+	// sick backend still owed, and the epoch may be one of them — the
+	// restore has taken its own references to the frames.
 	a.O.Unpersist(g)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, b := range backends {
-		a.O.Attach(ng, b)
-	}
-	notice := &RollbackNotice{FromEpoch: g.Epoch(), ToEpoch: img.Epoch, Group: ng.ID}
-	ng.mu.Lock()
-	ng.epoch = img.Epoch
-	ng.durable = img.Epoch
-	ng.mu.Unlock()
-	return ng, notice, nil
+	return ng, &RollbackNotice{FromEpoch: g.Epoch(), ToEpoch: e.img.Epoch, Group: ng.ID}, nil
 }
 
 // RollbackNotice informs the application that execution was rolled

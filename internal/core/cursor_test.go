@@ -146,6 +146,46 @@ func TestDetachReleasesOwedEpochs(t *testing.T) {
 			t.Fatalf("counter after rollback = %d, want %d", got, want)
 		}
 	})
+	t.Run("rollback with the store down", func(t *testing.T) {
+		// The other way round: the store is down and owes every epoch,
+		// which a backend that cannot load them (a replica serves none)
+		// made durable. No backend serves the newest; the live chain the
+		// store's debt keeps unreleased does, bit for bit.
+		r := newCacheRig(0)
+		p, g := r.spawn(t, r.sb)
+		r.o.Attach(g, &ledgerBackend{})
+		r.fd.Down()
+		heap := heapPages(0, 8, 3)
+		for i := 0; i < 2; i++ {
+			writeHeap(t, p, 1, heap[:(i+1)*len(heap)/2])
+			r.k.Run(2)
+			if _, err := r.o.Checkpoint(g, CheckpointOpts{}); err != nil {
+				t.Fatal(err)
+			}
+			r.o.Drain(g)
+		}
+		if d, e := g.Durable(), g.Epoch(); d != e {
+			t.Fatalf("durable = %d, epoch = %d: the second backend should carry the group", d, e)
+		}
+		want := counterValue(p)
+		writeHeap(t, p, 1, heapPages(0, 8, 4))
+		r.k.Run(3)
+		ng, notice, err := NewAPI(r.o).Rollback(p)
+		if err != nil {
+			t.Fatalf("rollback with the store owing the newest epoch: %v", err)
+		}
+		if notice.ToEpoch != 2 {
+			t.Fatalf("rolled back to epoch %d, want 2", notice.ToEpoch)
+		}
+		np, err := r.k.Process(ng.PIDs()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := counterValue(np); got != want {
+			t.Fatalf("counter after rollback = %d, want %d", got, want)
+		}
+		checkHeap(t, "the heap after the rollback", np, 1, heap)
+	})
 }
 
 // TestFaultCursorLedger drives a store and three ledger backends

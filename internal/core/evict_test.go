@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -145,6 +146,84 @@ func TestMemoryIsACacheOfTheStore(t *testing.T) {
 		r.checkpoint(t, ng) // the restored group's own durable epoch: its pages may leave too
 		checkHeap(t, "the lazy restore's second half", np, pages/2, second)
 		checkHeap(t, "the live process after the restore", p, 0, append(first, second...))
+	})
+
+	t.Run("lazy restore", func(t *testing.T) {
+		// A lazy restore's source is a view of the epoch it restored:
+		// the clean pages it faults in leave memory again before the
+		// restored group's first barrier, so it reads a working set twice
+		// the cap with no checkpoint of its own.
+		r := newCacheRig(pages / 2)
+		p, g := r.spawn(t, r.sb)
+		heap := append(heapPages(0, pages/2, 7), heapPages(pages/2, pages, 8)...)
+		writeHeap(t, p, 0, heap[:len(heap)/2])
+		r.checkpoint(t, g)
+		writeHeap(t, p, pages/2, heap[len(heap)/2:])
+		r.checkpoint(t, g)
+		ng, _, err := r.o.Restore(g, 0, RestoreOpts{Lazy: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		np, _ := r.k.Process(ng.PIDs()[0])
+		checkHeap(t, "the lazy restore", np, 0, heap)
+		checkHeap(t, "the lazy restore's first half again", np, 0, heap[:len(heap)/2])
+
+		// Its first capture is still full, every page whole, and restores
+		// the same heap.
+		if _, err := r.o.Checkpoint(ng, CheckpointOpts{SkipFlush: true}); err != nil {
+			t.Fatal(err)
+		}
+		img := ng.LastImage()
+		if !img.Full {
+			t.Fatalf("the restored group's first checkpoint is %v, want a full one", img)
+		}
+		for id, mi := range img.Memory {
+			for _, pg := range mi.Pages {
+				if pg.Lines != vm.AllLines {
+					t.Fatalf("object %d page %d captured with lines %#x, want every line", id, pg.Idx, pg.Lines)
+				}
+			}
+		}
+		if err := r.o.Sync(ng); err != nil {
+			t.Fatal(err)
+		}
+		k := r.k.Meter.PageOuts.Load()
+		back, _, err := r.o.Restore(ng, 0, RestoreOpts{Lazy: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp, _ := r.k.Process(back.PIDs()[0])
+		checkHeap(t, "a restore of the restored group's first checkpoint", bp, 0, heap)
+		if r.k.Meter.PageOuts.Load() == k {
+			t.Fatal("reading a second restore evicted nothing")
+		}
+	})
+
+	t.Run("restore over frames", func(t *testing.T) {
+		// A restore whose state puts frames in front of an older view
+		// names no view: the frames' pages are not what the view holds,
+		// so none of them may leave to fault back from it.
+		r := newCacheRig(0)
+		p, g := r.spawn(t, r.sb)
+		writeHeap(t, p, 0, heapPages(0, pages/2, 9))
+		r.checkpoint(t, g)
+		ng, _, err := r.o.Restore(g, 0, RestoreOpts{Lazy: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		np, _ := r.k.Process(ng.PIDs()[0])
+		heap := heapPages(0, pages/2, 10)
+		writeHeap(t, np, 0, heap)
+		if _, err := r.o.Checkpoint(ng, CheckpointOpts{SkipFlush: true}); err != nil {
+			t.Fatal(err)
+		}
+		back, _, err := r.o.Restore(ng, ng.Epoch(), RestoreOpts{Lazy: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp, _ := r.k.Process(back.PIDs()[0])
+		r.k.Reclaim(2 * pages)
+		checkHeap(t, "a restore of frames over a view, after a sweep", bp, 0, heap)
 	})
 
 	t.Run("all dirty", func(t *testing.T) {
@@ -316,5 +395,129 @@ func TestEvictedPagesPinTheirEpoch(t *testing.T) {
 	checkpoint()
 	if holds(first) {
 		t.Fatalf("epoch %d is still held with nothing paging from it", first)
+	}
+}
+
+// TestUnpersistedProcessKeepsItsEpoch: a process that keeps running
+// after its group is unpersisted still pages from the store epoch its
+// evicted pages come back from. The epoch outlives the group: with
+// HistoryLimit 1 and the space reclaimer at its emergency floor after
+// each checkpoint of a second group on the same store, every evicted
+// page reads back intact. Once the process is reaped, the epoch goes.
+func TestUnpersistedProcessKeepsItsEpoch(t *testing.T) {
+	const pages = 32
+	r := newCacheRig(0)
+	r.sb.HistoryLimit = 1
+	rec := NewReclaimer(r.o, r.sb, RetentionPolicy{KeepLast: 1}, Watermarks{})
+	r.sb.SetReclaimer(rec)
+	p, g := r.spawn(t, r.sb)
+	heap := heapPages(0, pages, 1)
+	writeHeap(t, p, 0, heap)
+	r.checkpoint(t, g)
+	first := g.Epoch()
+	if n := r.k.Reclaim(pages); n != pages {
+		t.Fatalf("evicted %d pages, want %d", n, pages)
+	}
+	r.checkpoint(t, g)
+	r.o.Unpersist(g)
+
+	holds := func() bool { return slices.Contains(r.sb.Epochs(g.ID), first) }
+	other, og := r.spawn(t, r.sb)
+	churn := func() {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			writeHeap(t, other, 0, heapPages(0, 1, byte(i)))
+			r.checkpoint(t, og)
+			rec.Emergency()
+		}
+	}
+	churn()
+	if !holds() {
+		t.Fatalf("epoch %d was dropped while a live process pages from it", first)
+	}
+	checkHeap(t, "the process of the unpersisted group", p, 0, heap)
+
+	r.k.Exit(p, 0)
+	if err := r.k.Reap(p); err != nil {
+		t.Fatal(err)
+	}
+	churn()
+	if holds() {
+		t.Fatalf("epoch %d is still held with nothing paging from it", first)
+	}
+}
+
+// TestRemovedSegmentLetsItsEpochGo: a lazily restored shared memory
+// segment pages from the store epoch its group was restored at, and
+// keeps that epoch after the group is unpersisted and its processes are
+// gone, for as long as the segment exists. Once it is removed nothing
+// pages from the epoch, and the reclaimer drops it.
+func TestRemovedSegmentLetsItsEpochGo(t *testing.T) {
+	r := newCacheRig(0)
+	rec := NewReclaimer(r.o, r.sb, RetentionPolicy{KeepLast: 1}, Watermarks{})
+	r.sb.SetReclaimer(rec)
+	p, g := r.spawn(t, r.sb)
+	seg, err := r.k.ShmGet(7, 4*vm.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := r.k.ShmAttach(p, seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := heapPages(0, 4, 5)
+	if err := p.WriteMem(addr, payload); err != nil {
+		t.Fatal(err)
+	}
+	r.checkpoint(t, g)
+	first := g.Epoch()
+	writeHeap(t, p, 0, heapPages(0, 1, 6))
+	r.checkpoint(t, g)
+	reap := func(p *kernel.Process) {
+		t.Helper()
+		r.k.Exit(p, 0)
+		if err := r.k.Reap(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reap(p)
+	if err := r.k.ShmRemove(7); err != nil {
+		t.Fatal(err)
+	}
+
+	ng, _, err := r.o.Restore(g, first, RestoreOpts{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	np, _ := r.k.Process(ng.PIDs()[0])
+	got := make([]byte, vm.PageSize)
+	if err := np.ReadMem(addr, got); err != nil || !bytes.Equal(got, payload[:vm.PageSize]) {
+		t.Fatalf("the restored segment's first page: %v", err)
+	}
+	reap(np)
+	r.sb.HistoryLimit = 1
+	r.o.Unpersist(ng)
+	r.o.Unpersist(g)
+
+	holds := func() bool { return slices.Contains(r.sb.Epochs(g.ID), first) }
+	other, og := r.spawn(t, r.sb)
+	churn := func() {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			writeHeap(t, other, 0, heapPages(0, 1, byte(i)))
+			r.checkpoint(t, og)
+			rec.Emergency()
+		}
+	}
+	churn()
+	if !holds() {
+		t.Fatalf("epoch %d was dropped while a segment pages from it", first)
+	}
+	if err := r.k.ShmRemove(7); err != nil {
+		t.Fatal(err)
+	}
+	churn()
+	if holds() {
+		t.Fatalf("epoch %d is still held after the segment that paged from it was removed", first)
 	}
 }

@@ -72,9 +72,6 @@ func TestReleasedImageResolvesNothing(t *testing.T) {
 		t.Fatal("released image still links to its predecessor")
 	}
 	for name, img := range map[string]*Image{"released image": base, "image built on it": top} {
-		if img.Resolvable() {
-			t.Errorf("%s reports Resolvable", name)
-		}
 		if _, err := img.resolve(nil, true); !errors.Is(err, ErrNoImage) {
 			t.Errorf("resolving %s = %v, want ErrNoImage", name, err)
 		}
@@ -231,6 +228,91 @@ func TestEncodeHoldsTheFramesItReads(t *testing.T) {
 	if f.Refs() != 0 {
 		t.Fatalf("a frame of the released image holds %d references after Encode returned, want 0", f.Refs())
 	}
+
+	t.Run("an open epoch across its chain's release", func(t *testing.T) {
+		// An Epoch opened on the live chain pins the frames its state
+		// maps: a flush that retires and releases the chain frees none
+		// of them, Restore and Encode from the handle read the pages the
+		// barrier captured, and Close gives back every frame the release
+		// left to it.
+		const pages = 8
+		r := newRig(t)
+		p := spawnCounter(t, r)
+		touchedHeap(t, p, pages)
+		g, _ := r.o.Persist("app", p)
+		r.o.Attach(g, r.store)
+		if _, err := r.o.Checkpoint(g, CheckpointOpts{SkipFlush: true}); err != nil {
+			t.Fatal(err)
+		}
+		img, pm := g.LastImage(), r.k.Mem
+		want := encoded(t, img, pm)
+		heap := make([]byte, pages*vm.PageSize)
+		if err := p.ReadMem(p.HeapBase(), heap); err != nil {
+			t.Fatal(err)
+		}
+		// From here the image alone holds the captured heap.
+		if err := p.WriteMem(p.HeapBase(), bytes.Repeat([]byte{0x55}, len(heap))); err != nil {
+			t.Fatal(err)
+		}
+		captured := img.Memory[imgObjIDOfHeap(img)].Pages
+
+		before := pm.Resident()
+		e, err := r.o.Open(g, g.Epoch(), RestoreOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.o.Sync(g); err != nil {
+			t.Fatal(err)
+		}
+		if !img.Released() {
+			t.Fatal("fixture: the flush should release the chain")
+		}
+		if got := pm.Resident(); got != before {
+			t.Fatalf("%d frames resident after the release, %d before: it freed frames the epoch holds", got, before)
+		}
+		var scribbled []*vm.Frame
+		for i := 0; i < 4*pages; i++ { // whatever was freed is handed out and scribbled on
+			f, err := pm.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range f.Data {
+				f.Data[j] = 0xEE
+			}
+			scribbled = append(scribbled, f)
+		}
+		if file, err := e.Encode(); err != nil || !bytes.Equal(file, want) {
+			t.Fatalf("Encode from the epoch across the release: %d bytes, %v; want the file of the live image", len(file), err)
+		}
+		ng, _, err := e.Restore(RestoreOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		np, _ := r.k.Process(ng.PIDs()[0])
+		got := make([]byte, len(heap))
+		if err := np.ReadMem(np.HeapBase(), got); err != nil || !bytes.Equal(got, heap) {
+			t.Fatalf("the heap restored from the epoch across the release differs (%v)", err)
+		}
+		r.k.Exit(np, 0)
+		if err := r.k.Reap(np); err != nil {
+			t.Fatal(err)
+		}
+		r.o.Unpersist(ng)
+		for _, f := range scribbled {
+			pm.Free(f)
+		}
+		e.Close()
+		e.Close() // twice is once
+		if got := pm.Resident(); got != before-int64(len(captured)) {
+			t.Fatalf("%d frames resident after Close, want the %d before Open less the %d captured heap frames the release left to it",
+				got, before, len(captured))
+		}
+		for _, pg := range captured {
+			if n := pg.Frame.Refs(); n != 0 {
+				t.Fatalf("captured heap page %d holds %d references after Close, want 0", pg.Idx, n)
+			}
+		}
+	})
 }
 
 // The delta encodings of codecImage(epoch 4, 24 pages per object,

@@ -8,7 +8,6 @@ package core
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"maps"
 	"math/bits"
@@ -345,115 +344,6 @@ func mergeSums(older, newer []PageHash) []PageHash {
 	return older
 }
 
-// chainState is the state at one image, read off its chain in one walk:
-// the newest metadata record per OID, and per VM object a MemImage of the
-// state's own — its newest name and size, its frames (newest capture
-// wins), every other page through its Inherit and, when asked for, its
-// heat merged. A restore resolves an image once and builds everything
-// from this.
-type chainState struct {
-	meta []MetaRec
-	objs map[uint64]*MemImage
-	// own counts the pages the image itself holds (not the chain under
-	// it): what a restore's metadata charge is sized by.
-	own int64
-	// pinned is the allocator the frames below hold a reference from
-	// (nil: none taken).
-	pinned *vm.PhysMem
-}
-
-// resolve walks img and the images under it, newest first, down to the
-// nearest full one, reading each under its lock and folding its objects'
-// runs under what the walk holds so far (MemImage.fold), which writes
-// none of them. Any image on the way that has been released makes it
-// ErrNoImage: that part of the history now lives in a backend only, and
-// resolving around the hole would pass off a partial state as the whole.
-// It reads no page: the state carries the source an object's pages are
-// held by name in (only a full capture names a store's: a full image's,
-// or an object's first, below which the chain holds none of it). With
-// pin set — the caller uses the state, not only checks it — every frame
-// collected takes a reference from pin, so that a release of the chain
-// after this walk cannot take the frames from under the caller, who
-// drops them with unpin. With heat set each object's heat deltas are
-// merged (vm.MergeHeat) into a list of the state's own — the one part
-// of a state only a prefetching restore and Encode read, so the walks
-// that do not need it merge and allocate nothing for it.
-func (img *Image) resolve(pin *vm.PhysMem, heat bool) (*chainState, error) {
-	st := &chainState{meta: make([]MetaRec, 0, len(img.Meta)), objs: make(map[uint64]*MemImage, len(img.Memory)), pinned: pin}
-	seen := make(map[uint64]bool, len(img.Meta))
-	unpin := func(p *vm.Page) {
-		if pin != nil {
-			pin.Free(p.Frame)
-		}
-	}
-	for cur := img; cur != nil; {
-		cur.mu.Lock()
-		if cur.released {
-			cur.mu.Unlock()
-			st.unpin()
-			return nil, fmt.Errorf("%w: image of group %d epoch %d builds on epoch %d, whose frames were already released",
-				ErrNoImage, img.Group, img.Epoch, cur.Epoch)
-		}
-		for _, m := range cur.Meta {
-			if !seen[m.OID] {
-				seen[m.OID] = true
-				st.meta = append(st.meta, m)
-			}
-		}
-		for id, mi := range cur.Memory {
-			if cur == img {
-				st.own += int64(mi.PageCount())
-			}
-			if pin != nil {
-				for _, p := range mi.Pages {
-					p.Frame.Ref()
-				}
-			}
-			if o := st.objs[id]; o != nil {
-				o.fold(mi, false, unpin)
-			} else {
-				st.objs[id] = &MemImage{ObjID: id, Name: mi.Name, Size: mi.Size, Pages: slices.Clip(mi.Pages), Inherit: mi.Inherit}
-			}
-			if heat {
-				st.objs[id].mergeHeat(cur, mi)
-			}
-		}
-		prev, full := cur.Prev, cur.Full
-		cur.mu.Unlock()
-		if full {
-			break
-		}
-		cur = prev
-	}
-	return st, nil
-}
-
-// mergeHeat folds the heat of mi, an object of img one image older than
-// what o holds so far, under o's. An image's own list is copied first:
-// images are shared, and the merge works in place. A lazily loaded
-// image's heat is still in the store, and its view (pinned at the
-// image's own epoch, unlike a barrier's source) resolves a copy.
-func (o *MemImage) mergeHeat(img *Image, mi *MemImage) {
-	older := slices.Clone(mi.Heat)
-	if src := mi.Inherit; src != nil && src.pinGroup == img.Group && src.pinEpoch == img.Epoch {
-		older = vm.MergeHeat(src.view.Heat(), older)
-	}
-	o.Heat = vm.MergeHeat(older, o.Heat)
-}
-
-// unpin drops the references resolve took.
-func (st *chainState) unpin() {
-	if st.pinned == nil {
-		return
-	}
-	for _, o := range st.objs {
-		for _, p := range o.Pages {
-			st.pinned.Free(p.Frame)
-		}
-	}
-	st.pinned = nil
-}
-
 // base returns the image img builds on: nil when img is full.
 func (img *Image) base() *Image {
 	img.mu.Lock()
@@ -462,15 +352,6 @@ func (img *Image) base() *Image {
 		return nil
 	}
 	return img.Prev
-}
-
-// Resolvable reports whether the state at this image can still be
-// resolved from memory: neither it nor any image it builds on has been
-// released. It reads nothing: pages an image holds by name (Inherit)
-// count as resolvable.
-func (img *Image) Resolvable() bool {
-	_, err := img.resolve(nil, false)
-	return err == nil
 }
 
 // ResolvePage finds one page of an object at this image: the newest
@@ -487,25 +368,18 @@ func (img *Image) ResolvePage(objID uint64, idx int64) []byte {
 	return nil
 }
 
-// Encode serializes the state at this image — its chain resolved, the
-// effective state at this epoch — for file export (`sls send`): a full
-// image in the delta layout, every page literal, which DecodeImage reads
-// back. Objects go by ascending ID and pages by ascending index, so one
-// chain always encodes to the same bytes, and pages the chain holds by
-// name (a lazily restored group's, in a store) are read there
-// (EncodeLiteral). The frames it reads hold a reference from pm, the
+// Encode serializes the state at this image, opened by itself, as
+// Epoch.Encode does. The frames it reads hold a reference from pm, the
 // allocator they came from, until it returns, so a flush that releases
 // the chain meanwhile cannot take them. A chain that reaches a released
 // image is ErrNoImage: the bytes would not be the whole state.
 func (img *Image) Encode(pm *vm.PhysMem) ([]byte, error) {
-	st, err := img.resolve(pm, true)
+	e, err := new(Epoch).read(pm, img, nil, 0, true)
 	if err != nil {
 		return nil, err
 	}
-	defer st.unpin()
-	full := &Image{Group: img.Group, Epoch: img.Epoch, Gen: img.Gen, Name: img.Name, Full: true,
-		Meta: st.meta, Memory: st.objs, Roots: img.Roots}
-	return full.EncodeLiteral(nil, nil)
+	defer e.Close()
+	return e.Encode()
 }
 
 // namedPages lists the pages objs holds by name in a store, in wire
@@ -604,25 +478,20 @@ func readAll(objs map[uint64]*MemImage) (map[uint64]*MemImage, error) {
 	return out, nil
 }
 
-// Encode is Image.Encode of g's newest state (`sls send`), and its
-// epoch. It drains the flush pipeline first, so the durable state leaves
-// the machine, loaded from a backend once the flush released the image.
+// Encode writes g's newest state as a file (`sls send`), and says which
+// epoch it is: the flush pipeline is synced first, so that epoch is
+// durable, and opened as every reader opens one (Open).
 func (o *Orchestrator) Encode(g *Group) ([]byte, uint64, error) {
 	if err := o.Sync(g); err != nil {
 		return nil, 0, err
 	}
-	if img := g.LastImage(); img != nil {
-		if file, err := img.Encode(o.K.Mem); !errors.Is(err, ErrNoImage) {
-			return file, img.Epoch, err
-		}
+	e, err := o.Open(g, 0, RestoreOpts{})
+	if err != nil {
+		return nil, 0, err
 	}
-	for _, b := range g.Backends() {
-		if img, _, err := b.Load(g.ID, 0); err == nil {
-			file, err := img.Encode(o.K.Mem)
-			return file, img.Epoch, err
-		}
-	}
-	return nil, 0, fmt.Errorf("%w: group %d", ErrNoImage, g.ID)
+	defer e.Close()
+	file, err := e.Encode()
+	return file, e.img.Epoch, err
 }
 
 // DecodeImage parses what Encode writes into a standalone full image: an

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -129,54 +130,50 @@ func (g *Group) Sheds() (total, emergency int64) {
 	return g.sheds, g.emergencySheds
 }
 
-// pins lists the (lineage, epoch) pairs of store history this group
-// reads from outside its own flush frontier, which therefore no
-// retention rule may drop while the group lives: the epoch it was
-// restored from (its crash-loop fallback), and the epochs its
-// demand-paging sources — a lazy restore's, a re-point's — resolve their
-// pages at: a source finds every page through that epoch's place in the
-// store's history.
-func (g *Group) pins() [][2]uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var out [][2]uint64
-	if g.origin != 0 && g.origin != g.ID && g.originEpoch > 0 {
-		out = append(out, [2]uint64{g.origin, g.originEpoch})
-	}
-	for _, s := range g.sources {
-		if pin := s.pin(); pin != ([2]uint64{}) {
-			out = append(out, pin)
-		}
-	}
-	return out
-}
-
-// pinnedEpochs lists the epochs of one lineage that live groups pin
-// (Group.pins). The space reclaimer honours the same pins through
-// protectionFor; this is the form the HistoryLimit trim consults.
-func (o *Orchestrator) pinnedEpochs(lineage uint64) []uint64 {
+// pins lists the (lineage, epoch) pairs of store history no retention
+// rule may drop: the epoch each live group was restored from (its
+// crash-loop fallback), and those its demand-paging sources find their
+// pages through, and those of sources that outlived their group
+// (Unpersist) until no object pages from them.
+func (o *Orchestrator) pins() [][2]uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	var out []uint64
-	for _, g := range o.groups {
-		for _, pin := range g.pins() {
-			if pin[0] == lineage {
-				out = append(out, pin[1])
+	var out [][2]uint64
+	add := func(srcs []*lazyPageSource) {
+		for _, s := range srcs {
+			if pin := s.pin(); pin != ([2]uint64{}) {
+				out = append(out, pin)
 			}
 		}
 	}
+	for _, g := range o.groups {
+		g.mu.Lock()
+		if g.origin != 0 && g.origin != g.ID && g.originEpoch > 0 {
+			out = append(out, [2]uint64{g.origin, g.originEpoch})
+		}
+		add(g.sources)
+		g.mu.Unlock()
+	}
+	o.orphans = slices.DeleteFunc(o.orphans, (*lazyPageSource).idle)
+	add(o.orphans)
 	return out
 }
 
 // trimHistory enforces a store backend's HistoryLimit on one lineage,
-// passing over the epochs live groups pin. It runs right after every
+// passing over its pinned epochs (pins). It runs right after every
 // delivered flush, where the trim used to sit inside Flush itself.
 func (o *Orchestrator) trimHistory(b Backend, lineage uint64) error {
 	sb, ok := b.(*StoreBackend)
 	if !ok || sb.HistoryLimit <= 0 {
 		return nil
 	}
-	return sb.store.TrimHistory(lineage, sb.HistoryLimit, o.pinnedEpochs(lineage))
+	var pinned []uint64
+	for _, pin := range o.pins() {
+		if pin[0] == lineage {
+			pinned = append(pinned, pin[1])
+		}
+	}
+	return sb.store.TrimHistory(lineage, sb.HistoryLimit, pinned)
 }
 
 // Epoch returns the group's current checkpoint epoch.
@@ -336,6 +333,7 @@ type Orchestrator struct {
 	groups   map[uint64]*Group
 	pidGroup map[int]uint64
 	nextID   uint64
+	orphans  []*lazyPageSource // sources that outlived their group (pins)
 	// FlushQueueDepth bounds how many epochs may wait behind the one in
 	// flight in a group's flush pipeline before Checkpoint blocks
 	// (0 = package default).
@@ -440,7 +438,8 @@ func (o *Orchestrator) AddProcess(g *Group, p *kernel.Process) {
 
 // Unpersist removes a group entirely, stopping its flush pipeline.
 // In-flight flushes complete first (failed epochs are abandoned: the
-// group's dissolution releases any gated output anyway).
+// group's dissolution releases any gated output anyway). A source an
+// object still pages from keeps its epoch pinned (pins).
 func (o *Orchestrator) Unpersist(g *Group) {
 	o.mu.Lock()
 	for pid := range g.pids {
@@ -449,13 +448,13 @@ func (o *Orchestrator) Unpersist(g *Group) {
 		}
 	}
 	delete(o.groups, g.ID)
-	o.mu.Unlock()
-
 	g.mu.Lock()
 	f := g.fl
 	g.fl = nil
-	g.sources = nil // demand-paging sources of a restore: block refs, page caches
+	o.orphans = append(o.orphans, slices.DeleteFunc(g.sources, (*lazyPageSource).idle)...)
+	g.sources = nil
 	g.mu.Unlock()
+	o.mu.Unlock()
 	if f != nil {
 		f.Close()
 	}

@@ -64,7 +64,7 @@ type lazyPageSource struct {
 	// pinGroup/pinEpoch name the store epoch the view resolves at.
 	// They are immutable after construction; neither the space
 	// reclaimer nor the HistoryLimit trim may drop that epoch while the
-	// source lives (Orchestrator.pinnedEpochs), because the view finds
+	// source lives (Orchestrator.pins), because the view finds
 	// its pages through that epoch's place in the store's history.
 	pinGroup uint64
 	pinEpoch uint64
@@ -77,12 +77,19 @@ type lazyPageSource struct {
 	failovers atomic.Int64
 	repaired  atomic.Int64
 	retries   atomic.Int64
+	users     atomic.Int32 // objects paging from it (vm.SourceUsers)
 
 	// reader holds a line page's patch while the primary reads it, one
 	// read at a time (readMu), so a fault allocates nothing.
 	readMu sync.Mutex
 	reader objstore.PageReader
 }
+
+// Users implements vm.SourceUsers.
+func (s *lazyPageSource) Users(delta int32) { s.users.Add(delta) }
+
+// idle reports whether no object pages from s.
+func (s *lazyPageSource) idle() bool { return s.users.Load() == 0 }
 
 // claim returns the source a restore by o attaches: s itself the first
 // time, else a copy of it. A source is the group's its restore binds it
@@ -154,7 +161,7 @@ func (o *Orchestrator) Repoint() bool {
 // builds, claimed, bound and pinned through g.sources as a restore's
 // source is. A group with no store backend has no clean pages, and one
 // in a barrier is passed over. The views g pinned before stay pinned
-// while an object, of g or not, or an image g holds, pages from them.
+// while an object (idle) or an image g holds (pagedFrom) pages from them.
 func (o *Orchestrator) repoint(g *Group) bool {
 	if !g.ckptMu.TryLock() {
 		return false
@@ -193,32 +200,18 @@ func (o *Orchestrator) repoint(g *Group) bool {
 		g.viewEpoch = epoch
 		anchor := [2]uint64{g.origin, g.originEpoch}
 		g.sources = append(slices.DeleteFunc(g.sources, func(s *lazyPageSource) bool {
-			return !used[s.pin()] && s.pin() != anchor
+			return s.idle() && !used[s.pin()] && s.pin() != anchor
 		}), views...)
 		return len(views) > 0
 	}
 	return false
 }
 
-// pagedFrom lists the store epochs something still pages from: the
-// sources of the live objects on this machine, and those of the images
-// g holds — its newest and what it builds on, its flush window, and its
-// memory backends' chains.
+// pagedFrom lists the store epochs the images g holds page from: its
+// newest and what it builds on, its flush window, and its memory
+// backends' chains.
 func (o *Orchestrator) pagedFrom(g *Group) map[[2]uint64]bool {
 	used := make(map[[2]uint64]bool)
-	note := func(src vm.PageSource) {
-		if s, ok := src.(*lazyPageSource); ok {
-			used[s.pin()] = true
-		}
-	}
-	for _, p := range o.K.Processes() {
-		for _, m := range p.Space.Mappings() {
-			note(m.Obj.Source())
-		}
-	}
-	for _, seg := range o.K.ShmSegments() {
-		note(seg.Obj.Source())
-	}
 	var imgs []*Image
 	for img := g.LastImage(); img != nil; img = img.base() {
 		imgs = append(imgs, img)
@@ -240,7 +233,9 @@ func (o *Orchestrator) pagedFrom(g *Group) map[[2]uint64]bool {
 	for _, img := range imgs {
 		img.mu.Lock()
 		for _, mi := range img.Memory {
-			note(mi.Inherit)
+			if mi.Inherit != nil {
+				used[mi.Inherit.pin()] = true
+			}
 		}
 		img.mu.Unlock()
 	}

@@ -123,6 +123,39 @@ func TestQuarantineEagerLoadCorruption(t *testing.T) {
 	}
 }
 
+// TestQuarantineSendFallsBack: `sls send` opens its epoch as a restore
+// of epoch 0 does, so a corrupt newest epoch is quarantined and the file
+// holds the newest good epoch below it, which Encode names.
+func TestQuarantineSendFallsBack(t *testing.T) {
+	r := newRig(t)
+	g, vals := quarantineWorkload(t, r, 3)
+	bad := g.Durable()
+	corruptEpochBlock(t, r.store, g.ID, bad)
+
+	file, epoch, err := r.o.Encode(g)
+	if err != nil {
+		t.Fatalf("send should fall back, got %v", err)
+	}
+	if epoch != bad-1 {
+		t.Fatalf("sent epoch %d, want %d", epoch, bad-1)
+	}
+	if !r.store.store.IsQuarantined(g.ID, bad) {
+		t.Fatal("send did not quarantine the corrupt epoch")
+	}
+	img, err := DecodeImage(file, r.k.Mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ng, _, err := r.o.RestoreImage(img, 0, RestoreOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	np, _ := r.k.Process(ng.PIDs()[0])
+	if got := counterValue(np); got != vals[bad-1] {
+		t.Fatalf("counter restored from the file = %d, want %d", got, vals[bad-1])
+	}
+}
+
 // TestQuarantineExplicitEpochFallsBack: explicitly asking for a
 // quarantined epoch does not resurrect it — the restore reports the
 // fallback instead.

@@ -361,7 +361,8 @@ func (p *protection) covers(gid, epoch uint64, policy RetentionPolicy) bool {
 //     pages at (a dropped epoch leaves the source's page view with no
 //     place in the store's history to look from).
 //
-// Rules 3 and 6 are Group.pins, which the HistoryLimit trim honours too.
+// Rules 3 and 6 are Orchestrator.pins, which the HistoryLimit trim
+// honours too.
 //
 // The newest retained epoch of every lineage is additionally pinned:
 // dropping it would release the lineage wholesale.
@@ -397,11 +398,11 @@ func (r *Reclaimer) protectionFor(view *objstore.Store) *protection {
 				p.lowerFloor(gid, f)
 			}
 		}
-		// (3) the chain this group was restored from, and (6) epochs
-		// live lazy restores still page from.
-		for _, pin := range g.pins() {
-			p.pin(pin[0], pin[1])
-		}
+	}
+	// (3) the chains live groups were restored from, and (6) epochs
+	// live objects still page from.
+	for _, pin := range r.o.pins() {
+		p.pin(pin[0], pin[1])
 	}
 
 	for _, gid := range view.Groups() {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"aurora/internal/kernel"
-	"aurora/internal/objstore"
 	"aurora/internal/storage"
 	"aurora/internal/vm"
 )
@@ -35,16 +34,17 @@ type RestoreOpts struct {
 	Validate bool
 }
 
-// RestoreImage recreates a persistence group from an image: the
-// restored processes resume exactly where the barrier stopped them.
-// It returns the new group and the Table 4 latency breakdown.
+// RestoreImage recreates a persistence group from an image, opened by
+// itself (Epoch.Restore): the restored processes resume exactly where
+// the barrier stopped them. It returns the new group and the Table 4
+// latency breakdown.
 func (o *Orchestrator) RestoreImage(img *Image, readTime time.Duration, opts RestoreOpts) (*Group, RestoreBreakdown, error) {
-	st, err := img.resolve(o.K.Mem, opts.Prefetch > 0)
+	e, err := (&Epoch{o: o}).read(o.K.Mem, img, nil, readTime, opts.Prefetch > 0)
 	if err != nil {
 		return nil, RestoreBreakdown{Lazy: opts.Lazy, ObjectStoreRead: readTime}, err
 	}
-	defer st.unpin()
-	return o.restoreState(img, st, readTime, opts)
+	defer e.Close()
+	return e.Restore(opts)
 }
 
 // restoreState is RestoreImage from img's state as resolve read it:
@@ -353,8 +353,12 @@ func (o *Orchestrator) restoreObjectMemory(state *MemImage, obj *vm.Object, opts
 		return nil, nil
 	}
 	src := state.Inherit.claim(o)
+	view := src.pinEpoch // a view of every page: each may leave memory again
+	if len(state.Pages) > 0 {
+		view = 0 // frames hold some pages, the view older bytes of them
+	}
 	if opts.Lazy {
-		obj.SetSource(src)
+		obj.SetSource(src, view)
 		o.prefetchHottest(state.Heat, obj, src, opts.Prefetch, bd)
 		return src, nil
 	}
@@ -363,7 +367,7 @@ func (o *Orchestrator) restoreObjectMemory(state *MemImage, obj *vm.Object, opts
 		// The view's epoch left the store since the load. Nothing can be
 		// materialized; the source stays attached, so that a fault
 		// reports it and no page quietly reads as zero.
-		obj.SetSource(src)
+		obj.SetSource(src, view)
 		return src, nil
 	}
 	// Eager: every page now, a store page through the failover path, so
@@ -428,199 +432,15 @@ func (o *Orchestrator) buildFileDesc(fi *kernel.FDImage) (*kernel.FileDesc, erro
 // fsInoBit mirrors slsfs's inode tag bit.
 const fsInoBit = uint64(1) << 62
 
-// Restore loads the newest (or a specific) checkpoint from the first
-// backend that can serve it and restores the group. In-memory images
-// are preferred when present: they restore by COW-sharing frames with
-// zero copies, the fastest path.
-//
-// "Newest" (epoch 0) means the newest *durable* epoch: the pipeline is
-// drained first and epochs whose background flush failed are skipped,
-// so a restore never lands on a checkpoint with a hole in its history
-// (rollback-to-last-durable).
-//
-// Store-backed restores additionally validate and self-heal: an epoch
-// whose blocks fail their manifest hashes (detected up front with
-// opts.Validate, or mid-load on the eager path) is quarantined —
-// durably, in the store — and Restore falls back to the newest
-// non-quarantined epoch below it, walking down the chain until one
-// restores cleanly. The breakdown reports the fallback
-// (FallbackFrom/Quarantined) so callers can surface the rollback.
+// Restore recreates g's newest durable checkpoint (epoch 0) or a
+// specific epoch as a new group: Open (which chooses the holder and
+// validates, quarantines and falls back), Epoch.Restore, Close. The
+// breakdown reports a fallback so callers can surface the rollback.
 func (o *Orchestrator) Restore(g *Group, epoch uint64, opts RestoreOpts) (*Group, RestoreBreakdown, error) {
-	o.Drain(g)
-	want := epoch
-	if want == 0 {
-		if d := g.Durable(); d > 0 {
-			want = d
-		}
+	e, err := o.open(g, epoch, opts, opts.Prefetch > 0)
+	if err != nil {
+		return nil, RestoreBreakdown{}, err
 	}
-	all := g.Backends()
-	backends := make([]Backend, 0, len(all))
-	for _, b := range all {
-		if b.Ephemeral() {
-			backends = append(backends, b)
-		}
-	}
-	for _, b := range all {
-		if !b.Ephemeral() {
-			backends = append(backends, b)
-		}
-	}
-	// Out-of-band failover peers (e.g. netback replicas) registered on
-	// the source group carry over to the restore's demand paging.
-	g.mu.Lock()
-	extraPeers := append([]BlockProvider(nil), g.restorePeers...)
-	g.mu.Unlock()
-
-	finish := func(b Backend, img *Image, readTime time.Duration, bdExtra func(*RestoreBreakdown)) (*Group, RestoreBreakdown, error) {
-		// Snapshot the source group's quarantine ledger now — epochs
-		// poisoned during this very restore must carry over too.
-		ledger := g.Quarantined()
-		addPeers(img, b, backends, extraPeers)
-		ng, bd, err := o.RestoreImage(img, readTime, opts)
-		if err != nil {
-			return nil, bd, err
-		}
-		// The restored group inherits the source group's backends,
-		// failover peers, and quarantine ledger.
-		for _, back := range backends {
-			o.Attach(ng, back)
-		}
-		if len(extraPeers) > 0 {
-			ng.mu.Lock()
-			ng.restorePeers = append(ng.restorePeers, extraPeers...)
-			ng.mu.Unlock()
-		}
-		if len(ledger) > 0 {
-			ng.healthMu.Lock()
-			if ng.quarantined == nil {
-				ng.quarantined = make(map[uint64]string, len(ledger))
-			}
-			for ep, why := range ledger {
-				ng.quarantined[ep] = why
-			}
-			ng.healthMu.Unlock()
-		}
-		if bdExtra != nil {
-			bdExtra(&bd)
-		}
-		return ng, bd, nil
-	}
-
-	// Candidate lineage IDs: the group's own chain first; for a restored
-	// group that never checkpointed on its own, the chain it came from.
-	gids := []uint64{g.ID}
-	if org := g.Origin(); org != 0 && org != g.ID {
-		gids = append(gids, org)
-	}
-
-	var lastErr error = ErrNoBackend
-	for _, b := range backends {
-		sb, isStore := b.(*StoreBackend)
-		if !isStore {
-			var img *Image
-			var readTime time.Duration
-			var err error
-			for _, gid := range gids {
-				img, readTime, err = b.Load(gid, want)
-				if err == nil {
-					break
-				}
-			}
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			return finish(b, img, readTime, nil)
-		}
-
-		// Store backend: validation, quarantine, and epoch fallback,
-		// searched per lineage chain.
-		var fbFrom uint64
-		quarCount := 0
-		for _, gid := range gids {
-			below := uint64(0) // exclusive upper bound for the fallback search
-			tryExplicit := want != 0
-			for {
-				var ep uint64
-				if tryExplicit {
-					tryExplicit = false
-					ep = want
-					if _, err := sb.epochUsable(gid, ep); err != nil {
-						lastErr = err
-						if errors.Is(err, ErrEpochQuarantined) {
-							fbFrom, quarCount, below = ep, quarCount+1, ep
-							continue
-						}
-						if epoch == 0 && errors.Is(err, ErrNoImage) {
-							// The caller asked for "the durable frontier",
-							// not this exact epoch. Durability is a group
-							// property — an epoch is durable once ANY
-							// non-ephemeral backend holds it — so this
-							// store's flush of it may still have been
-							// deferred when the group died. Fall back to
-							// the newest epoch this store does hold; the
-							// suffix lives on whichever backend made it
-							// durable (a replica serves it at promotion).
-							if fbFrom == 0 {
-								fbFrom = ep
-							}
-							below = ep
-							continue
-						}
-						break // next chain / backend
-					}
-				} else {
-					var err error
-					ep, err = sb.latestGoodEpoch(gid, below)
-					if err != nil {
-						// Keep the quarantine error when that is why the
-						// chain ran dry: "every epoch is poisoned" is the
-						// actionable failure, not "no image".
-						if quarCount == 0 {
-							lastErr = err
-						}
-						break // chain exhausted: next chain / backend
-					}
-				}
-				// A failed validation pre-pass poisons the epoch and falls
-				// back; so does corruption mid-load, which the eager read
-				// path finds by hash-verifying every block.
-				var err error
-				if opts.Validate {
-					err = sb.Validate(gid, ep)
-				}
-				invalid := err != nil
-				var img *Image
-				var readTime time.Duration
-				if !invalid && opts.Lazy {
-					img, readTime, err = sb.LoadLazy(gid, ep)
-				} else if !invalid {
-					img, readTime, err = sb.Load(gid, ep)
-				}
-				if invalid || errors.Is(err, objstore.ErrCorruptBlock) {
-					o.quarantineEpoch(g, sb, gid, ep, err)
-					if fbFrom == 0 {
-						fbFrom = ep
-					}
-					quarCount++
-					lastErr = fmt.Errorf("%w: epoch %d of group %d: %w", ErrEpochQuarantined, ep, gid, err)
-					below = ep
-					continue
-				}
-				if err != nil {
-					lastErr = err
-					break // next chain / backend
-				}
-				if ep != want && fbFrom == 0 {
-					fbFrom = want
-				}
-				return finish(b, img, readTime, func(bd *RestoreBreakdown) {
-					bd.FallbackFrom = fbFrom
-					bd.Quarantined = quarCount
-					bd.Validated = opts.Validate
-				})
-			}
-		}
-	}
-	return nil, RestoreBreakdown{}, lastErr
+	defer e.Close()
+	return e.Restore(opts)
 }

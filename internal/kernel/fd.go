@@ -6,14 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// FD open flags (a subset of the POSIX set).
+// FD open flags (a subset of the POSIX set). A checkpointed descriptor
+// records them, so each keeps its bit.
 const (
-	ORdOnly = 1 << iota
-	OWrOnly
-	ORdWr
-	ONonBlock
-	OCloExec
-	OAppend
+	ORdOnly = 1 << 0
+	OWrOnly = 1 << 1
+	ORdWr   = 1 << 2
+	OAppend = 1 << 5
 )
 
 // IOCtx carries the identity of the process performing an I/O and

@@ -91,17 +91,24 @@ func (k *Kernel) ShmDetach(p *Process, addr vm.Addr, s *SysVShm) error {
 	return p.Space.Unmap(addr, s.Size)
 }
 
-// ShmRemove deletes the segment key (attached mappings keep the
-// object alive until unmapped, as with IPC_RMID).
+// ShmRemove deletes the segment key and drops the segment's own
+// reference to its object: attached mappings keep the object alive until
+// unmapped, as with IPC_RMID, and the last of them releases its pages
+// and its page source.
 func (k *Kernel) ShmRemove(key int) error {
 	k.mu.Lock()
-	defer k.mu.Unlock()
 	s, ok := k.shm[key]
+	if ok {
+		delete(k.shm, key)
+		delete(k.objects, s.oid)
+	}
+	k.mu.Unlock()
 	if !ok {
 		return ErrNoSuchObject
 	}
-	delete(k.shm, key)
-	delete(k.objects, s.oid)
+	if s.Obj.Deref() {
+		s.Obj.ReleaseAll(k.Mem)
+	}
 	return nil
 }
 

@@ -372,7 +372,7 @@ func TestPageInOwnsTheFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Obj.SetSource(src)
+		m.Obj.SetSource(src, 0)
 		page1 := m.Start + PageSize
 
 		got := fill(0x11)[:16]
@@ -436,7 +436,7 @@ func TestFaultAsksItsSourceOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &oneSource{}
-	m.Obj.SetSource(src)
+	m.Obj.SetSource(src, 0)
 	got := make([]byte, PageSize)
 	if err := as.Read(m.Start, got); err != nil || !bytes.Equal(got, fill(0x11)) || src.pageIns != 1 {
 		t.Fatalf("fault on a page the source holds: %v, %d PageIn calls", err, src.pageIns)

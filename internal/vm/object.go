@@ -51,8 +51,10 @@ type Object struct {
 	touched   int              // pages marked: sizes an incremental barrier's heat
 	epoch     uint64           // checkpoint epoch of the last barrier
 	source    PageSource       // demand-paging backing: a restore's, or a view (nil = none)
-	// viewOf is the barrier epoch whose store view source is (Repoint;
-	// 0: none). While it is epoch, every page not dirty reads back from
+	// viewOf is the epoch whose store view source is (0: none): the
+	// object's last barrier (Repoint), or the epoch a restore attached
+	// the view of, which stands until the object's first barrier
+	// (SetSource). While it stands, every page not dirty reads back from
 	// source as it is in memory.
 	viewOf uint64
 }
@@ -366,10 +368,39 @@ type PageSource interface {
 	PageIn(pm *PhysMem, idx int64) (*Frame, error)
 }
 
-// SetSource attaches a lazy-restore page source.
-func (o *Object) SetSource(src PageSource) {
+// SourceUsers is implemented by a page source that counts the objects
+// paging from it: each object that takes it as its source calls
+// Users(1), and Users(-1) when it lets it go (another source, or its
+// release). What the source keeps alive — a store epoch — can then
+// outlive whoever attached it, for as long as some object reads it.
+type SourceUsers interface {
+	Users(delta int32)
+}
+
+// setSourceLocked makes src the object's page source, a view of epoch
+// viewOf (0: none), and tells the old and the new source. The caller
+// holds o.mu.
+func (o *Object) setSourceLocked(src PageSource, viewOf uint64) {
+	users(o.source, -1)
+	users(src, 1)
+	o.source, o.viewOf = src, viewOf
+}
+
+func users(src PageSource, delta int32) {
+	if u, ok := src.(SourceUsers); ok {
+		u.Users(delta)
+	}
+}
+
+// SetSource attaches a restore's page source. A nonzero view names the
+// store epoch src holds every page of the object at, as the restore left
+// it: until the object's first barrier a clean page may then leave
+// memory (Object.evict) and fault back from src. A source that holds
+// only some pages — the rest are frames the restore installed — is no
+// view (0).
+func (o *Object) SetSource(src PageSource, view uint64) {
 	o.mu.Lock()
-	o.source, o.viewOf = src, 0
+	o.setSourceLocked(src, view)
 	o.mu.Unlock()
 }
 
@@ -391,14 +422,14 @@ func (o *Object) Repoint(src PageSource, epoch uint64) bool {
 	if epoch == 0 || o.epoch != epoch {
 		return false
 	}
-	o.source, o.viewOf = src, epoch
+	o.setSourceLocked(src, epoch)
 	return true
 }
 
 // evict drops clean page idx from memory and returns its frame for the
 // caller to free, or nil when the page may not leave: it is not
-// resident, it is dirty, the object's source is no view of its last
-// barrier, or an access is in progress.
+// resident, it is dirty, the object's source is no view that still
+// stands (viewedLocked), or an access is in progress.
 func (o *Object) evict(idx int64) *Frame {
 	if !o.barrier.TryLock() {
 		return nil
@@ -407,7 +438,7 @@ func (o *Object) evict(idx int64) *Frame {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	f := o.pages[idx]
-	if _, dirty := o.dirty[idx]; f == nil || dirty || o.viewOf == 0 || o.viewOf != o.epoch {
+	if _, dirty := o.dirty[idx]; f == nil || dirty || !o.viewedLocked() {
 		return nil
 	}
 	delete(o.pages, idx)
@@ -415,12 +446,19 @@ func (o *Object) evict(idx int64) *Frame {
 	return f
 }
 
-// pagesFromView reports whether the object's source is a store view of
-// its last barrier: whether any of its pages may leave memory.
+// pagesFromView reports whether the object's source is a store view that
+// still stands: whether any of its pages may leave memory.
 func (o *Object) pagesFromView() bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.viewOf != 0 && o.viewOf == o.epoch
+	return o.viewedLocked()
+}
+
+// viewedLocked reports whether source is a view that still stands: of
+// the last barrier, or a restore's before the first. The caller holds
+// o.mu.
+func (o *Object) viewedLocked() bool {
+	return o.viewOf != 0 && (o.viewOf == o.epoch || o.epoch == 0)
 }
 
 // fetchFromSource pulls one page from the object's page source into the

@@ -32,7 +32,8 @@ func (as *AddressSpace) accessedAndClear(obj *Object, idx int64) bool {
 // single level store, where memory is a cache of the persistent image:
 // a page leaves memory only when its object's page source gives back the
 // same bytes — the page is clean, and the source is a store's view of
-// the object's last barrier (Object.Repoint). Evicting drops the frame
+// the object's last barrier (Object.Repoint) or, before its first, of
+// the epoch it was restored from (Object.SetSource). Evicting drops the frame
 // and writes nothing; the object's demand fault brings the page back.
 // The pager keeps only its clock hand: each sweep covers the objects of
 // the address spaces its caller passes.
@@ -51,9 +52,9 @@ func NewPager(pm *PhysMem, meter *Meter) *Pager {
 
 // Reclaim runs the clock over the objects spaces map until it has
 // evicted up to target pages, giving referenced pages a second chance,
-// and returns the number evicted. Only an object paging from a view of
-// its last barrier has pages that may leave, and of those only the
-// clean ones; a page an access is copying stays.
+// and returns the number evicted. Only an object paging from a view that
+// still stands has pages that may leave, and of those only the clean
+// ones; a page an access is copying stays.
 func (p *Pager) Reclaim(spaces []*AddressSpace, target int) int {
 	var objects []*Object
 	for _, as := range spaces {

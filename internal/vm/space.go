@@ -506,7 +506,8 @@ func (o *Object) fork(pm *PhysMem) *Object {
 	defer o.barrier.Unlock()
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	c.Anon, c.size, c.source = o.Anon, o.size, o.source
+	c.Anon, c.size = o.Anon, o.size
+	c.setSourceLocked(o.source, 0)
 	for idx, f := range o.pages {
 		f.Ref()
 		c.pages[idx] = f
@@ -525,7 +526,7 @@ func (o *Object) ReleaseAll(pm *PhysMem) {
 	o.mu.Lock()
 	pages := o.pages
 	o.pages = make(map[int64]*Frame)
-	o.source, o.viewOf = nil, 0
+	o.setSourceLocked(nil, 0)
 	o.mu.Unlock()
 	for _, f := range pages {
 		pm.Free(f)

@@ -642,7 +642,7 @@ func TestPagerEvictsNothingWithoutAView(t *testing.T) {
 	if n := pg.Reclaim([]*AddressSpace{as}, 8); n != 0 {
 		t.Fatalf("no source: evicted %d pages", n)
 	}
-	m.Obj.SetSource(&countingSource{n: 8})
+	m.Obj.SetSource(&countingSource{n: 8}, 0)
 	if n := pg.Reclaim([]*AddressSpace{as}, 8); n != 0 {
 		t.Fatalf("a restore's source: evicted %d pages", n)
 	}
@@ -839,7 +839,7 @@ func TestFullBarrierReadsNoSourcePage(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &countingSource{n: parked}
-	m.Obj.SetSource(src)
+	m.Obj.SetSource(src, 0)
 	buf := make([]byte, 8)
 	if err := as.Read(m.Start, buf); err != nil {
 		t.Fatal(err)
